@@ -26,19 +26,40 @@ type gateQuery struct {
 	take int
 }
 
+// gateOwners gives each of the 32 queries a prefix of its own. Every context
+// a query scores starts with its prefix, so no two queries share a context:
+// the logit cache (which the device consults before it dispatches, DESIGN.md
+// decision 6) can answer none of one query's rows from another's work, and
+// the ratio the gate reads is dispatch amortisation alone. The PR-6 mix gave
+// all 32 the same pattern and prefix — eight copies of four queries — and
+// most of what it "fused" were rows the cache already held.
+var gateOwners = [32]string{
+	"Alice", "Bruno", "Carla", "Derek", "Elena", "Felix", "Greta", "Hugo",
+	"Irene", "Jonas", "Karin", "Lukas", "Marta", "Nils", "Olga", "Pavel",
+	"Quinn", "Rosa", "Stefan", "Tessa", "Ulrich", "Vera", "Walter", "Xenia",
+	"Yusuf", "Zelda", "Anton", "Birgit", "Caspar", "Dora", "Emil", "Frieda",
+}
+
+// gatePrefix is query i's private prefix.
+func gatePrefix(i int) string { return gateOwners[i] + "'s number is" }
+
 // fusionGateQueries builds the 32-query mix: 8 per engine, every engine in
 // single-row waves (BatchExpand 1, BeamWidth 1) — the regime where dispatch
 // overhead dominates and per-query batching has nothing left to amortize,
-// i.e. exactly the serving load continuous batching exists for.
+// i.e. exactly the serving load continuous batching exists for — each query
+// over its own prefix (gateOwners).
 func fusionGateQueries() []gateQuery {
-	base := relm.QueryString{Pattern: " ([0-9]{3}) ([0-9]{3}) ([0-9]{4})", Prefix: "My phone number is"}
+	const pattern = " ([0-9]{3}) ([0-9]{3}) ([0-9]{4})"
 	var out []gateQuery
 	for i := 0; i < 8; i++ {
+		own := func(k int) relm.QueryString {
+			return relm.QueryString{Pattern: pattern, Prefix: gatePrefix(4*i + k)}
+		}
 		out = append(out,
 			gateQuery{
 				name: fmt.Sprintf("shortest-%d", i),
 				q: relm.SearchQuery{
-					Query: base, Strategy: relm.ShortestPath,
+					Query: own(0), Strategy: relm.ShortestPath,
 					RequireEOS: true, MaxTokens: 24, BatchExpand: 1,
 				},
 				take: 2,
@@ -46,7 +67,7 @@ func fusionGateQueries() []gateQuery {
 			gateQuery{
 				name: fmt.Sprintf("beam-%d", i),
 				q: relm.SearchQuery{
-					Query: base, Strategy: relm.BeamSearch, BeamWidth: 1,
+					Query: own(1), Strategy: relm.BeamSearch, BeamWidth: 1,
 					RequireEOS: true, MaxTokens: 24, BatchExpand: 1,
 				},
 				take: 1,
@@ -54,7 +75,7 @@ func fusionGateQueries() []gateQuery {
 			gateQuery{
 				name: fmt.Sprintf("sample-%d", i),
 				q: relm.SearchQuery{
-					Query: base, Strategy: relm.RandomSampling, Seed: int64(100 + i),
+					Query: own(2), Strategy: relm.RandomSampling, Seed: int64(100 + i),
 					RequireEOS: true, MaxTokens: 24, BatchExpand: 1,
 				},
 				take: 2,
@@ -63,7 +84,7 @@ func fusionGateQueries() []gateQuery {
 				name: "mass-" + fmt.Sprint(i),
 				mass: true,
 				q: relm.SearchQuery{
-					Query: base, RequireEOS: true, MaxTokens: 24, BatchExpand: 1,
+					Query: own(3), RequireEOS: true, MaxTokens: 24, BatchExpand: 1,
 				},
 			},
 		)
@@ -110,7 +131,7 @@ func runGateArm(tb testing.TB, queries []gateQuery, fused bool) ([][]string, tim
 	opts := relm.ModelOptions{MaxBatch: 32}
 	if fused {
 		opts.ContinuousBatching = true
-		opts.FusionWindow = time.Millisecond
+		opts.FusionWindow = 4 * time.Millisecond
 	}
 	m := relm.NewModel(e.Large.LM, e.Tok, opts)
 	defer m.Close()
@@ -179,7 +200,7 @@ func BenchmarkContinuousBatching(b *testing.B) {
 					q: relm.SearchQuery{
 						Query: relm.QueryString{
 							Pattern: " ([0-9]{3}) ([0-9]{3}) ([0-9]{4})",
-							Prefix:  "My phone number is",
+							Prefix:  gatePrefix(i),
 						},
 						Strategy:   relm.ShortestPath,
 						RequireEOS: true, MaxTokens: 24, BatchExpand: 1,

@@ -86,25 +86,15 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 		return nil, BatchStats{}
 	}
 
-	// All-hit fast path, under one lock pass.
+	// All-hit fast path, under one lock pass (the same check the device's
+	// resident probe makes, for callers that reach the cache directly).
 	buf := keyBufPool.Get().(*[]byte)
-	out := make([][]float64, len(seq))
 	c.mu.Lock()
-	allHit := true
-	for p := range seq {
-		*buf = model.AppendKey((*buf)[:0], model.ClampWindow(c.inner, seq[:p]))
-		el, ok := c.entries[string(*buf)]
-		if !ok {
-			allHit = false
-			break
-		}
-		c.order.MoveToFront(el)
-		out[p] = copyRow(el.Value.(*entry).lp)
-	}
-	if allHit {
+	if out := c.residentSeqLocked(seq, buf); out != nil {
 		c.hits += int64(len(seq))
 		c.mu.Unlock()
 		keyBufPool.Put(buf)
+		copyRows(out)
 		return out, BatchStats{Hits: int64(len(seq))}
 	}
 

@@ -1,0 +1,107 @@
+package cache
+
+import "repro/internal/model"
+
+// The resident probe (DESIGN.md decisions 4 and 6): the device asks the LRU
+// which rows it already holds *before* it dispatches, so a memoized row is
+// never charged to the virtual accelerator, never parked in the fusion
+// window, and never handed to a scoring worker. The probe is one lock pass
+// over the entries map: it bumps recency and the hit counters exactly as
+// scoreBatch would have, but never looks at the in-flight tables — a row
+// someone else is computing is simply reported missing, and the dispatch
+// that follows resolves it through the usual single flight.
+
+// ResidentRows implements model.Resident.
+func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
+	n := 0
+	buf := keyBufPool.Get().(*[]byte)
+	c.mu.Lock()
+	for i, ctx := range ctxs {
+		*buf = model.AppendKey((*buf)[:0], ctx)
+		if el, ok := c.entries[string(*buf)]; ok {
+			c.order.MoveToFront(el)
+			out[i] = el.Value.(*entry).lp
+			n++
+		}
+	}
+	c.hits += int64(n)
+	c.mu.Unlock()
+	keyBufPool.Put(buf)
+	if n > 0 {
+		copyRows(out)
+	}
+	return n
+}
+
+// copyRows replaces every non-nil row with a private copy. Stored rows are
+// immutable, so the probes collect the LRU's own slices under the lock and
+// copy them here, outside it; nil slots (rows the probe did not answer)
+// stay nil.
+func copyRows(rows [][]float64) {
+	for i, r := range rows {
+		if r != nil {
+			rows[i] = copyRow(r)
+		}
+	}
+}
+
+// ResidentAllPositions implements model.Resident.
+func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
+	n := 0
+	var hits int64
+	buf := keyBufPool.Get().(*[]byte)
+	c.mu.Lock()
+	for i, seq := range seqs {
+		if rows := c.residentSeqLocked(seq, buf); rows != nil {
+			out[i] = rows
+			hits += int64(len(seq))
+			n++
+		}
+	}
+	c.hits += hits
+	c.mu.Unlock()
+	keyBufPool.Put(buf)
+	for _, rows := range out {
+		copyRows(rows)
+	}
+	return n
+}
+
+// residentSeqLocked returns the stored row of every position of seq (row p
+// conditions on seq[:p], clamped to the inner model's window), bumping their
+// recency, when all of them are in the LRU; nil otherwise, and for an empty
+// sequence. The rows are the LRU's own: callers copy them before handing
+// them out. c.mu must be held.
+func (c *LM) residentSeqLocked(seq []model.Token, buf *[]byte) [][]float64 {
+	var rows [][]float64
+	for p := range seq {
+		*buf = model.AppendKey((*buf)[:0], model.ClampWindow(c.inner, seq[:p]))
+		el, ok := c.entries[string(*buf)]
+		if !ok {
+			return nil
+		}
+		if rows == nil {
+			rows = make([][]float64, len(seq))
+		}
+		c.order.MoveToFront(el)
+		rows[p] = el.Value.(*entry).lp
+	}
+	return rows
+}
+
+// ResidentRows implements model.Resident for the scope view, attributing the
+// answered rows to this scope's hits.
+func (s *Scope) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
+	n := s.lm.ResidentRows(ctxs, out)
+	s.hits.Add(int64(n))
+	return n
+}
+
+// ResidentAllPositions implements model.Resident for the scope view.
+func (s *Scope) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
+	n := s.lm.ResidentAllPositions(seqs, out)
+	for _, rows := range out {
+		s.hits.Add(int64(len(rows)))
+	}
+	return n
+}

@@ -1,0 +1,123 @@
+package cache
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// The resident probe (resident.go): what the device asks before it
+// dispatches. Hits are copied, counted and bumped exactly as ScoreBatch
+// would; everything else is left for the dispatch to classify.
+
+func TestResidentRowsAnswersOnlyWhatIsCached(t *testing.T) {
+	inner := newCounting()
+	c := New(inner, 16)
+	ctxs := [][]model.Token{tok(1), tok(1, 2), tok(3), tok(1)}
+	want := c.ScoreBatch([][]model.Token{tok(1), tok(3)})
+	h0, m0 := c.Stats()
+
+	out := make([][]float64, len(ctxs))
+	if n := c.ResidentRows(ctxs, out); n != 3 {
+		t.Fatalf("probe answered %d rows, want 3 (both copies of [1], and [3])", n)
+	}
+	if out[1] != nil {
+		t.Errorf("probe filled a row the cache does not hold")
+	}
+	if !reflect.DeepEqual(out[0], want[0]) || !reflect.DeepEqual(out[2], want[1]) || !reflect.DeepEqual(out[3], want[0]) {
+		t.Errorf("probe rows differ from ScoreBatch's")
+	}
+	if h, m := c.Stats(); h-h0 != 3 || m != m0 {
+		t.Errorf("probe counted %d hits / %d misses, want 3 / 0", h-h0, m-m0)
+	}
+	if inner.calls != 2 {
+		t.Errorf("probe reached the inner model (%d rows computed)", inner.calls-2)
+	}
+	// Private copies, also between two slots of one call.
+	out[0][0] = 42
+	again := make([][]float64, 1)
+	c.ResidentRows(ctxs[:1], again)
+	if again[0][0] == 42 || out[3][0] == 42 {
+		t.Errorf("probe rows alias the cache's storage or each other")
+	}
+}
+
+func TestResidentRowsBumpsRecency(t *testing.T) {
+	c := New(newCounting(), 2)
+	c.NextLogProbs(tok(1))
+	c.NextLogProbs(tok(2))
+	c.ResidentRows([][]model.Token{tok(1)}, make([][]float64, 1)) // [1] is now the most recent
+	c.NextLogProbs(tok(3))                                        // evicts [2]
+	out := make([][]float64, 2)
+	c.ResidentRows([][]model.Token{tok(1), tok(2)}, out)
+	if out[0] == nil || out[1] != nil {
+		t.Errorf("after a probe of [1]: [1] resident=%v, [2] resident=%v; want true, false", out[0] != nil, out[1] != nil)
+	}
+}
+
+// TestResidentAllPositionsIsAllOrNothing covers both inner shapes: a window
+// model (rows through scoreBatch) and the transformer's one-forward path.
+func TestResidentAllPositionsIsAllOrNothing(t *testing.T) {
+	tlm, ttok := testTransformer(t)
+	for name, tc := range map[string]struct {
+		inner model.LanguageModel
+		warm  []model.Token
+		cold  []model.Token // shares leading positions with warm, then leaves it
+	}{
+		"window":      {newCounting(), tok(1, 2, 3), tok(1, 2, 4, 5)},
+		"transformer": {tlm, ttok.Encode("the dog ran in"), ttok.Encode("the dog sat on the")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := New(tc.inner, 128)
+			s := c.NewScope()
+			want := c.ScoreAllPositions(tc.warm)
+			h0, m0 := c.Stats()
+
+			seqs := [][]model.Token{tc.cold, tc.warm, nil}
+			out := make([][][]float64, len(seqs))
+			if n := s.ResidentAllPositions(seqs, out); n != 1 {
+				t.Fatalf("probe answered %d sequences, want 1", n)
+			}
+			if out[0] != nil {
+				t.Errorf("probe answered a sequence with a missing position")
+			}
+			if out[2] != nil {
+				t.Errorf("probe answered the empty sequence; it is left to dispatch")
+			}
+			if !reflect.DeepEqual(out[1], want) {
+				t.Errorf("probe rows differ from ScoreAllPositions'")
+			}
+			// Only the answered sequence counts: a sequence that goes on to
+			// dispatch is classified there, once.
+			if h, m := c.Stats(); h-h0 != int64(len(tc.warm)) || m != m0 {
+				t.Errorf("probe counted %d hits / %d misses, want %d / 0", h-h0, m-m0, len(tc.warm))
+			}
+			if st := s.Stats(); st.Hits != int64(len(tc.warm)) || st.Misses+st.Flights != 0 {
+				t.Errorf("scope attributed %+v, want %d hits", st, len(tc.warm))
+			}
+			out[1][0][0] = 42
+			if again := c.ScoreAllPositions(tc.warm); again[0][0] == 42 {
+				t.Errorf("probe rows alias the cache's storage")
+			}
+		})
+	}
+}
+
+func TestScopeResidentRowsAttributesHits(t *testing.T) {
+	c := New(newCounting(), 16)
+	a, b := c.NewScope(), c.NewScope()
+	ctxs := scopeCtxs(4)
+	a.ScoreBatch(ctxs[:3])
+
+	out := make([][]float64, len(ctxs))
+	if n := b.ResidentRows(ctxs, out); n != 3 {
+		t.Fatalf("probe answered %d rows, want 3", n)
+	}
+	if st := b.Stats(); st.Hits != 3 || st.Misses+st.Flights != 0 {
+		t.Errorf("probing scope attributed %+v, want 3 hits", st)
+	}
+	if st := a.Stats(); st.Hits != 0 || st.Misses != 3 {
+		t.Errorf("computing scope attributed %+v, want 3 misses", st)
+	}
+}

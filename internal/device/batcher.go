@@ -17,7 +17,10 @@ import (
 // every view's scoring call becomes an asynchronous request, a scheduler
 // collects requests from all in-flight queries inside a short admission
 // window, and packs their rows into shared forwards up to the device batch
-// cap. One fused batch pays one dispatch for rows from many queries.
+// cap. One fused batch pays one dispatch for rows from many queries. Rows the
+// view's logit cache already holds never reach the queue: Forward and
+// ScoreAll answer them before dispatch (residentFirst), so a cache-served
+// round does not sit out an admission window it has nothing to put into.
 //
 // Fusion preserves byte-identical result streams by construction: each
 // request's rows are computed by exactly the same model calls on exactly the

@@ -166,32 +166,82 @@ func (d *Device) Model() model.LanguageModel { return d.lm }
 func (d *Device) MaxBatch() int { return d.c.maxBatch }
 
 // Forward runs one batch of contexts and returns their next-token log-prob
-// vectors, charging the latency model. Batches larger than MaxBatch are
-// split internally. Scoring goes through the model's ScoreBatch path, so a
-// batched substrate (the packed Transformer forward, the miss-forwarding
-// cache) sees the whole chunk at once; with workers > 1 each chunk is
-// additionally sharded across the worker pool. Forward is safe for
-// concurrent use, including across views.
+// vectors, charging the latency model for the rows that have to be computed:
+// rows the view's model already holds (residentFirst) are answered before
+// dispatch and cost nothing. Batches larger than MaxBatch are split
+// internally. Scoring goes through the model's ScoreBatch path, so a batched
+// substrate (the packed Transformer forward, the miss-forwarding cache) sees
+// the whole chunk at once; with workers > 1 each chunk is additionally
+// sharded across the worker pool. Forward is safe for concurrent use,
+// including across views.
 func (d *Device) Forward(ctxs [][]model.Token) [][]float64 {
 	d.inject(fault.DeviceForward)
+	return residentFirst(d, ctxs, model.Resident.ResidentRows, d.forward)
+}
+
+// forward dispatches ctxs down the fused-or-direct route, writing row i to
+// out[i]. requested is the row count of the Forward call the rows belong to
+// (more than len(ctxs) when the resident probe answered part of it).
+func (d *Device) forward(ctxs [][]model.Token, out [][]float64, requested int) {
 	var span trace.SpanID
 	if b := d.c.batcher.Load(); b != nil {
-		r := &request{kind: reqForward, ctxs: ctxs, rows: make([][]float64, len(ctxs))}
+		r := &request{kind: reqForward, ctxs: ctxs, rows: out}
 		span = d.traceFusedStart("device.forward", r)
 		if b.submit(d, r) {
 			if d.tr != nil {
-				d.traceFusedEnd(span, r.trace, len(ctxs), countTokens(ctxs))
+				d.traceFusedEnd(span, r.trace, len(ctxs), requested, countTokens(ctxs))
 			}
-			return r.rows
+			return
 		}
 	}
-	out := make([][]float64, len(ctxs))
 	span, v0 := d.traceDirectBegin(span, "device.forward")
 	d.runChunks(len(ctxs), func(c []model.Token) int { return len(c) }, ctxs, func(lo, hi int) {
 		copy(out[lo:hi], d.lm.ScoreBatch(ctxs[lo:hi]))
 	})
 	if d.tr != nil {
-		d.traceDirectEnd(span, v0, len(ctxs), countTokens(ctxs))
+		d.traceDirectEnd(span, v0, len(ctxs), requested, countTokens(ctxs))
+	}
+}
+
+// residentFirst is the shared front of Forward and ScoreAll (DESIGN.md
+// decisions 4 and 6): ask the view's model, when it is a memoizing wrapper,
+// which items it can answer without computing (probe fills those slots of
+// the result), send only the rest down dispatch, and merge in caller order.
+// A fully resident call returns without touching the batcher, the clock or
+// the worker pool — an accelerator executes nothing for a memoized row, so
+// the device charges nothing. It sits above the fused/direct fork, so both
+// routes see only rows that need computing.
+func residentFirst[R []float64 | [][]float64](
+	d *Device, items [][]model.Token,
+	probe func(model.Resident, [][]model.Token, []R) int,
+	dispatch func(items [][]model.Token, out []R, requested int),
+) []R {
+	out := make([]R, len(items))
+	hit := 0
+	if res, ok := d.lm.(model.Resident); ok {
+		hit = probe(res, items, out)
+	}
+	switch {
+	case hit == 0:
+		dispatch(items, out, len(items))
+	case hit == len(items):
+		d.tr.AddCount(d.trParent, "resident_rows", hit)
+	default:
+		missing := make([][]model.Token, 0, len(items)-hit)
+		for i, it := range items {
+			if out[i] == nil {
+				missing = append(missing, it)
+			}
+		}
+		rows := make([]R, len(missing))
+		dispatch(missing, rows, len(items))
+		j := 0
+		for i := range out {
+			if out[i] == nil {
+				out[i] = rows[j]
+				j++
+			}
+		}
 	}
 	return out
 }

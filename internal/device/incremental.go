@@ -30,7 +30,7 @@ func (d *Device) Prefill(ctxs [][]model.Token) ([]model.DecodeState, [][]float64
 		span = d.traceFusedStart("device.prefill", r)
 		if b.submit(d, r) {
 			if d.tr != nil {
-				d.traceFusedEnd(span, r.trace, len(ctxs), countTokens(ctxs))
+				d.traceFusedEnd(span, r.trace, len(ctxs), len(ctxs), countTokens(ctxs))
 			}
 			return r.outStates, r.rows
 		}
@@ -44,7 +44,7 @@ func (d *Device) Prefill(ctxs [][]model.Token) ([]model.DecodeState, [][]float64
 		}
 	})
 	if d.tr != nil {
-		d.traceDirectEnd(span, v0, len(ctxs), countTokens(ctxs))
+		d.traceDirectEnd(span, v0, len(ctxs), len(ctxs), countTokens(ctxs))
 	}
 	return states, rows
 }
@@ -65,7 +65,7 @@ func (d *Device) ExtendBatch(states []model.DecodeState, tokens []model.Token) (
 		span = d.traceFusedStart("device.extend", r)
 		if b.submit(d, r) {
 			if d.tr != nil {
-				d.traceFusedEnd(span, r.trace, len(states), len(states))
+				d.traceFusedEnd(span, r.trace, len(states), len(states), len(states))
 			}
 			return r.outStates, r.rows
 		}
@@ -79,7 +79,7 @@ func (d *Device) ExtendBatch(states []model.DecodeState, tokens []model.Token) (
 		copy(rows[lo:hi], rs)
 	})
 	if d.tr != nil {
-		d.traceDirectEnd(span, v0, len(states), len(states))
+		d.traceDirectEnd(span, v0, len(states), len(states), len(states))
 	}
 	return out, rows
 }
@@ -87,21 +87,27 @@ func (d *Device) ExtendBatch(states []model.DecodeState, tokens []model.Token) (
 // ScoreAll returns every position's next-token log-probs for each sequence
 // (row p of a sequence's result conditions on its first p tokens). Cost: one
 // sequence at its token count per entry — one causal pass, not len(seq)
-// row-expanded contexts.
+// row-expanded contexts — for the sequences with a position the view's model
+// does not already hold; fully resident sequences are answered before
+// dispatch, like Forward's rows.
 func (d *Device) ScoreAll(seqs [][]model.Token) [][][]float64 {
 	d.inject(fault.DeviceScoreAll)
+	return residentFirst(d, seqs, model.Resident.ResidentAllPositions, d.scoreAll)
+}
+
+// scoreAll is ScoreAll's dispatch half; see forward.
+func (d *Device) scoreAll(seqs [][]model.Token, out [][][]float64, requested int) {
 	var span trace.SpanID
 	if b := d.c.batcher.Load(); b != nil {
-		r := &request{kind: reqScoreAll, ctxs: seqs, allRows: make([][][]float64, len(seqs))}
+		r := &request{kind: reqScoreAll, ctxs: seqs, allRows: out}
 		span = d.traceFusedStart("device.scoreall", r)
 		if b.submit(d, r) {
 			if d.tr != nil {
-				d.traceFusedEnd(span, r.trace, len(seqs), countTokens(seqs))
+				d.traceFusedEnd(span, r.trace, len(seqs), requested, countTokens(seqs))
 			}
-			return r.allRows
+			return
 		}
 	}
-	out := make([][][]float64, len(seqs))
 	span, v0 := d.traceDirectBegin(span, "device.scoreall")
 	d.runChunks(len(seqs), func(s []model.Token) int { return len(s) }, seqs, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -109,9 +115,8 @@ func (d *Device) ScoreAll(seqs [][]model.Token) [][][]float64 {
 		}
 	})
 	if d.tr != nil {
-		d.traceDirectEnd(span, v0, len(seqs), countTokens(seqs))
+		d.traceDirectEnd(span, v0, len(seqs), requested, countTokens(seqs))
 	}
-	return out
 }
 
 // runChunks is the shared dispatch loop: split n items into MaxBatch chunks,

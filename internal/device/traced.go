@@ -41,7 +41,7 @@ func (d *Device) traceFusedStart(name string, r *request) trace.SpanID {
 // recorded while the rows rode the queue. The record was written entirely
 // by the scheduler goroutine before it closed the request's done channel,
 // so reading it here is race-free.
-func (d *Device) traceFusedEnd(span trace.SpanID, rt *reqTrace, seqs, tokens int) {
+func (d *Device) traceFusedEnd(span trace.SpanID, rt *reqTrace, seqs, requested, tokens int) {
 	if d.tr == nil || span == 0 {
 		return
 	}
@@ -54,8 +54,7 @@ func (d *Device) traceFusedEnd(span trace.SpanID, rt *reqTrace, seqs, tokens int
 	}
 	d.tr.Annotate(span, "queue_wait_us", strconv.FormatInt(rt.waitUS, 10))
 	d.tr.Annotate(span, "batch_queries", strconv.Itoa(rt.occupancy))
-	d.tr.Annotate(span, "rows", strconv.Itoa(seqs))
-	d.tr.Annotate(span, "tokens", strconv.Itoa(tokens))
+	d.annotateRows(span, seqs, requested, tokens)
 	d.tr.End(span)
 }
 
@@ -76,15 +75,27 @@ func (d *Device) traceDirectBegin(span trace.SpanID, name string) (trace.SpanID,
 // dispatch spanned. Under concurrent views the interval can include other
 // views' charges (the clock is shared); for a query run in isolation it is
 // exactly this dispatch's cost, which is what the determinism tests pin.
-func (d *Device) traceDirectEnd(span trace.SpanID, v0 time.Duration, seqs, tokens int) {
+func (d *Device) traceDirectEnd(span trace.SpanID, v0 time.Duration, seqs, requested, tokens int) {
 	if d.tr == nil || span == 0 {
 		return
 	}
 	d.tr.SetVDev(span, v0, d.Clock())
 	d.tr.Annotate(span, "fused", "false")
-	d.tr.Annotate(span, "rows", strconv.Itoa(seqs))
-	d.tr.Annotate(span, "tokens", strconv.Itoa(tokens))
+	d.annotateRows(span, seqs, requested, tokens)
 	d.tr.End(span)
+}
+
+// annotateRows records what a dispatch carried: the rows (and their tokens)
+// it computed, and — when the resident probe answered part of the call — how
+// many rows the caller asked for, so a trace explains why a 12-node round
+// dispatched 3 rows. A fully resident call opens no device span at all;
+// residentFirst counts its rows on the parent span as resident_rows.
+func (d *Device) annotateRows(span trace.SpanID, seqs, requested, tokens int) {
+	d.tr.Annotate(span, "rows", strconv.Itoa(seqs))
+	if requested != seqs {
+		d.tr.Annotate(span, "requested", strconv.Itoa(requested))
+	}
+	d.tr.Annotate(span, "tokens", strconv.Itoa(tokens))
 }
 
 // countTokens sums context lengths for span annotations. Called on traced

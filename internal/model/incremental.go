@@ -88,6 +88,25 @@ type AllPositions interface {
 	ScoreAllPositions(seq []Token) [][]float64
 }
 
+// Resident is implemented by memoizing wrappers (the logit LRU and its
+// per-query scopes) that can answer some rows without computing anything.
+// The device asks it before dispatching (DESIGN.md decisions 4 and 6): a
+// resident row executes nothing on an accelerator, so it must not be
+// charged, queued or fused. Both probes are non-blocking — a row another
+// goroutine is computing right now is reported missing, never waited on —
+// count what they answer as the wrapper's own hits, and hand back private
+// copies bit-identical to what ScoreBatch / AllPositionLogProbs would return.
+type Resident interface {
+	// ResidentRows sets out[i] to ctxs[i]'s next-token log-probs for every
+	// resident context, leaves the other slots nil, and returns how many it
+	// filled. out arrives zeroed, len(out) == len(ctxs).
+	ResidentRows(ctxs [][]Token, out [][]float64) int
+	// ResidentAllPositions is the ScoreAllPositions counterpart: out[i] is
+	// set only when every position of seqs[i] is resident (a sequence is
+	// dispatched whole or not at all). Empty sequences are left to dispatch.
+	ResidentAllPositions(seqs [][]Token, out [][][]float64) int
+}
+
 // CtxState is the trivial DecodeState for context-window models: the state
 // IS the (clamped) context. It is also the fallback state for models with no
 // incremental implementation at all.

@@ -177,11 +177,27 @@ type jobSummaryEvent struct {
 	Job  jobs.Snapshot `json:"job"`
 }
 
+// jobReader is what the results stream reads of a job: *jobs.Job in the
+// server, and in the regression test a stand-in that completes between two
+// reads.
+type jobReader interface {
+	Snapshot() jobs.Snapshot
+	Results() []jobs.ItemResult
+}
+
 // streamJobResults writes the job's merged per-item results as NDJSON.
 // With ?follow=1 it keeps streaming newly recorded results until the job
 // reaches a terminal status (or the client disconnects); otherwise it
 // snapshots what exists now. Every stream ends with a summary event.
-func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *jobs.Job) {
+//
+// The summary is the snapshot taken *before* the last results pass, never
+// one taken after it: a job records its last item and then completes, so a
+// snapshot that already says "completed" guarantees the pass that follows
+// sees every item, while a status read after the pass can say "completed"
+// about an item the pass missed — a stream one row short of its own summary.
+// The other way round is harmless: a stream may carry a row its "running"
+// summary has not counted yet, and the client simply reads again.
+func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j jobReader) {
 	follow := r.URL.Query().Get("follow") == "1"
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flush := func() {}
@@ -192,7 +208,9 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job
 	enc.SetEscapeHTML(false)
 
 	emitted := map[string]bool{}
+	var summary jobs.Snapshot
 	for {
+		summary = j.Snapshot()
 		for _, res := range j.Results() {
 			if emitted[res.ID] {
 				continue
@@ -203,7 +221,7 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job
 			}
 		}
 		flush()
-		status := j.Status()
+		status := summary.Status
 		terminal := status == jobs.StatusCompleted || status == jobs.StatusFailed || status == jobs.StatusCancelled
 		if !follow || terminal {
 			break
@@ -214,6 +232,6 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job
 			return
 		}
 	}
-	_ = enc.Encode(jobSummaryEvent{Type: "summary", Job: j.Snapshot()})
+	_ = enc.Encode(jobSummaryEvent{Type: "summary", Job: summary})
 	flush()
 }

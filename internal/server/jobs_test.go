@@ -355,6 +355,72 @@ func TestJobResultsFollowStreams(t *testing.T) {
 	}
 }
 
+// racingJob is a job caught at the worst moment: it has recorded all but its
+// last item, and it records that item and completes right after the stream's
+// first read of it, whichever accessor that read is.
+type racingJob struct {
+	items int
+	reads int
+}
+
+func (j *racingJob) done() bool {
+	j.reads++
+	return j.reads > 1
+}
+
+func (j *racingJob) Snapshot() jobs.Snapshot {
+	snap := jobs.Snapshot{ID: "job-race", Status: jobs.StatusRunning}
+	snap.Progress.Items, snap.Progress.ItemsDone = j.items, j.items-1
+	if j.done() {
+		snap.Status, snap.Progress.ItemsDone = jobs.StatusCompleted, j.items
+	}
+	return snap
+}
+
+func (j *racingJob) Results() []jobs.ItemResult {
+	n := j.items - 1
+	if j.done() {
+		n = j.items
+	}
+	out := make([]jobs.ItemResult, n)
+	for i := range out {
+		out[i] = jobs.ItemResult{ID: "item-" + string(rune('a'+i)), OK: true}
+	}
+	return out
+}
+
+// TestJobResultsNeverShortOfSummary is the regression test for the stream
+// that ended one row short of its summary: a job that records its last item
+// and completes between the stream's two reads must not get a "completed"
+// summary without that item. Polled (no follow) the stream may end on a
+// "running" summary, and the next poll then sees the finished job; followed,
+// it must run on to the complete one.
+func TestJobResultsNeverShortOfSummary(t *testing.T) {
+	s := New(Config{})
+	for _, target := range []string{"/results", "/results?follow=1"} {
+		j := &racingJob{items: 4}
+		var summary *jobSummaryEvent
+		rows := 0
+		for polls := 0; polls < 3 && (summary == nil || summary.Job.Status != jobs.StatusCompleted); polls++ {
+			rec := httptest.NewRecorder()
+			s.streamJobResults(rec, httptest.NewRequest(http.MethodGet, target, nil), j)
+			var got []jobs.ItemResult
+			got, summary = readJobStream(t, rec.Body)
+			if summary == nil {
+				t.Fatalf("%s: stream ended without a summary", target)
+			}
+			rows = len(got)
+			if summary.Job.Progress.ItemsDone > rows {
+				t.Fatalf("%s: %s summary counts %d items, stream carried %d",
+					target, summary.Job.Status, summary.Job.Progress.ItemsDone, rows)
+			}
+		}
+		if summary.Job.Status != jobs.StatusCompleted || rows != j.items {
+			t.Fatalf("%s: ended %s with %d of %d rows", target, summary.Job.Status, rows, j.items)
+		}
+	}
+}
+
 func TestJobsDisabledReturns404(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJob(t, ts, `{"suite":"urlmatch"}`)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -159,6 +160,31 @@ func (t *Trace) Annotate(id SpanID, key, val string) {
 		t.spans[i].Attrs = append(t.spans[i].Attrs, Attr{Key: key, Val: val})
 	}
 	t.mu.Unlock()
+}
+
+// AddCount adds n to the span's integer attribute key, creating it at n.
+// For tallies a span accumulates over many events (rows the logit cache
+// answered under one round) — Annotate would append one attribute per
+// event, and a sampler makes thousands under a single parent.
+func (t *Trace) AddCount(id SpanID, key string, n int) {
+	if t == nil || id == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i := int(id) - 1
+	if i >= len(t.spans) {
+		return
+	}
+	attrs := t.spans[i].Attrs
+	for j := range attrs {
+		if attrs[j].Key == key {
+			prev, _ := strconv.Atoi(attrs[j].Val)
+			attrs[j].Val = strconv.Itoa(prev + n)
+			return
+		}
+	}
+	t.spans[i].Attrs = append(attrs, Attr{Key: key, Val: strconv.Itoa(n)})
 }
 
 // SetVDev records the span's virtual-device interval. Callers read the

@@ -32,6 +32,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil trace Start = %d, want 0", id)
 	}
 	tc.Annotate(id, "k", "v")
+	tc.AddCount(RootID, "n", 1)
 	tc.SetVDev(id, 0, time.Millisecond)
 	tc.End(id)
 	if tc.Finish() != nil {
@@ -44,12 +45,30 @@ func TestNilTraceZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		id := tc.Start(RootID, "device.forward")
 		tc.Annotate(id, "rows", "4")
+		tc.AddCount(RootID, "resident_rows", 4)
 		tc.SetVDev(id, 0, time.Millisecond)
 		tc.End(id)
 		tc.Finish()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil trace span lifecycle allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAddCountKeepsOneRunningAttribute: a tally made of many events is one
+// attribute holding their sum, not one attribute per event.
+func TestAddCountKeepsOneRunningAttribute(t *testing.T) {
+	tc := New(1, 4).NewTrace()
+	sp := tc.Start(RootID, "round")
+	tc.Annotate(sp, "nodes", "12")
+	for _, n := range []int{3, 5, 1} {
+		tc.AddCount(sp, "resident_rows", n)
+	}
+	tc.AddCount(0, "resident_rows", 7) // "no span": dropped
+	tc.End(sp)
+	got := tc.Finish().Find("round")[0]
+	if len(got.Attrs) != 2 || got.Attr("nodes") != "12" || got.Attr("resident_rows") != "9" {
+		t.Fatalf("attrs = %+v, want nodes=12 and one resident_rows=9", got.Attrs)
 	}
 }
 

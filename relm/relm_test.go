@@ -13,6 +13,13 @@ import (
 // sentences for the quickstart-style queries.
 func testModel(tb testing.TB) *Model {
 	tb.Helper()
+	lm, tok := testNGram()
+	return NewModel(lm, tok, ModelOptions{})
+}
+
+// testNGram trains testModel's substrate: the window model class, whose
+// every scored row goes through the logit cache.
+func testNGram() (*model.NGram, *tokenizer.BPE) {
 	gen := corpus.NewGenerator(42)
 	lines := gen.BuildBiasCorpus(corpus.BiasCorpusConfig{SentencesPerPair: 2})
 	lines = append(lines,
@@ -23,8 +30,7 @@ func testModel(tb testing.TB) *Model {
 		"The dog sat on the mat",
 	)
 	tok := tokenizer.Train(lines, 300)
-	lm := model.TrainNGram(lines, tok, model.NGramConfig{Order: 6, MaxSeqLen: 64})
-	return NewModel(lm, tok, ModelOptions{})
+	return model.TrainNGram(lines, tok, model.NGramConfig{Order: 6, MaxSeqLen: 64}), tok
 }
 
 func TestSearchPhoneNumberQuickstart(t *testing.T) {

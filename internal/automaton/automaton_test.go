@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -241,6 +242,84 @@ func TestLanguageSize(t *testing.T) {
 	}
 	if got := d.LanguageSize(1); got != 1 {
 		t.Errorf("LanguageSize(1) = %d, want 1", got)
+	}
+}
+
+// bigLanguageSize is LanguageSizeOf as it was: the big.Int walk counter, -1
+// when the start state's count leaves int64.
+func bigLanguageSize(w Walker, maxLen int) int64 {
+	c := NewWalkCounter(w, maxLen).Count()
+	if !c.IsInt64() {
+		return -1
+	}
+	return c.Int64()
+}
+
+// binaryChain has states 0..n with edges 0 and 1 from each state to the
+// next; accepting every state counts the strings of length <= maxLen,
+// accepting only the last counts those of length exactly n.
+func binaryChain(n int, acceptAll bool) *DFA {
+	d := NewDFA()
+	for i := 0; i <= n; i++ {
+		d.AddState(acceptAll || i == n)
+	}
+	d.SetStart(0)
+	for i := 0; i < n; i++ {
+		d.AddEdge(i, 0, i+1)
+		d.AddEdge(i, 1, i+1)
+	}
+	return d
+}
+
+func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	overflowed := 0
+	for trial := 0; trial < 150; trial++ {
+		d := randomDFA(rng, 2+rng.Intn(15), 1+rng.Intn(6), 5+rng.Intn(60))
+		maxLen := rng.Intn(90)
+		want := bigLanguageSize(d, maxLen)
+		if want < 0 {
+			overflowed++
+		}
+		if got := LanguageSizeOf(d, maxLen); got != want {
+			t.Fatalf("trial %d: LanguageSizeOf(dfa, %d) = %d, walk counter says %d", trial, maxLen, got, want)
+		}
+		if got := LanguageSizeOf(d.Freeze(), maxLen); got != want {
+			t.Fatalf("trial %d: LanguageSizeOf(frozen, %d) = %d, walk counter says %d", trial, maxLen, got, want)
+		}
+	}
+	if overflowed < 10 || overflowed > 140 {
+		t.Fatalf("%d of 150 trials overflowed: the mix no longer covers both sides", overflowed)
+	}
+
+	// The int64 boundary, exactly: 2^63-1 strings of length <= 62, 2^63 of
+	// length exactly 63, 2^64-1 of length <= 63.
+	for _, c := range []struct {
+		d      *DFA
+		maxLen int
+		want   int64
+	}{
+		{binaryChain(62, true), 62, math.MaxInt64},
+		{binaryChain(63, false), 63, -1},
+		{binaryChain(63, true), 63, -1},
+		{binaryChain(63, false), 62, 0},
+	} {
+		if big := bigLanguageSize(c.d, c.maxLen); big != c.want {
+			t.Fatalf("oracle disagrees with the construction: %d, want %d", big, c.want)
+		}
+		if got := LanguageSizeOf(c.d, c.maxLen); got != c.want {
+			t.Errorf("LanguageSizeOf(chain, %d) = %d, want %d", c.maxLen, got, c.want)
+		}
+	}
+
+	// A state whose count overflows but which the start state never reaches
+	// must not turn a small language into "huge".
+	d := FromStrings([]string{"a", "bb"})
+	loop := d.AddState(true)
+	d.AddEdge(loop, 0, loop)
+	d.AddEdge(loop, 1, loop)
+	if got, want := LanguageSizeOf(d, 100), bigLanguageSize(d, 100); got != 2 || want != 2 {
+		t.Errorf("unreachable overflow: LanguageSizeOf = %d, walk counter = %d, want 2", got, want)
 	}
 }
 

@@ -1,6 +1,9 @@
 package automaton
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Enumerate returns up to limit accepting symbol sequences of length at most
 // maxLen, in shortlex (length, then lexicographic-by-symbol) order. It is the
@@ -52,18 +55,44 @@ func (d *DFA) EnumerateStrings(maxLen, limit int) []string {
 	return out
 }
 
-// LanguageSize returns the exact number of strings of length at most maxLen.
-// It is a convenience over WalkCounter for finite checks in tests.
+// LanguageSize returns the exact number of strings of length at most maxLen,
+// or -1 when it exceeds int64.
 func (d *DFA) LanguageSize(maxLen int) int64 { return LanguageSizeOf(d, maxLen) }
 
 // LanguageSizeOf counts accepted sequences of length at most maxLen for any
-// traversable automaton form, returning -1 when the count exceeds int64.
+// traversable automaton form, returning -1 when the count exceeds int64
+// (callers treat that as "huge"). It is WalkCounter's recurrence on two rows
+// of machine words that saturate one past MaxInt64: counts only ever grow by
+// addition, so a saturated cell is exactly a cell whose true count overflows,
+// and one that the start state never reaches spoils nothing. Every query with
+// a prefix sizes its prefix language here, so no big.Int table is built.
 func LanguageSizeOf(w Walker, maxLen int) int64 {
-	c := NewWalkCounter(w, maxLen).Count()
-	if !c.IsInt64() {
-		return -1 // too large to represent; callers treat as "huge"
+	const over = uint64(math.MaxInt64) + 1
+	n := w.NumStates()
+	prev, cur := make([]uint64, n), make([]uint64, n)
+	for rem := 0; rem <= maxLen; rem++ {
+		for s := 0; s < n; s++ {
+			var acc uint64
+			if w.Accepting(s) {
+				acc = 1
+			}
+			if rem > 0 {
+				for _, e := range w.Edges(s) {
+					if c := prev[e.To]; c >= over-acc {
+						acc = over
+					} else {
+						acc += c
+					}
+				}
+			}
+			cur[s] = acc
+		}
+		prev, cur = cur, prev
 	}
-	return c.Int64()
+	if total := prev[w.Start()]; total < over {
+		return int64(total)
+	}
+	return -1
 }
 
 // FromStrings builds a minimal DFA accepting exactly the given strings

@@ -235,7 +235,7 @@ func (l *lazySealDFA) Step(s StateID, sym Symbol) (StateID, bool) {
 	return 0, false
 }
 
-// frontierWorkload models the engines' hot loop — childrenOf in Dijkstra,
+// frontierWorkload models the engines' hot loop — expansion in Dijkstra,
 // beam, sampler, and mass all iterate Edges and test Accepting over a
 // frontier that jumps across the automaton (not a sequential walk).
 // Benchmark arms and the speed gate share it so the comparison is honest.

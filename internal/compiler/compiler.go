@@ -18,6 +18,7 @@ package compiler
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/automaton"
@@ -167,49 +168,55 @@ func CompileCanonical(char *automaton.DFA, tok tokenizer.Tokenizer, maxLen, limi
 	return automaton.FromSymbolSeqs(seqs), nil
 }
 
+// lookback is how many trailing tokens of a partial sequence are exempt from
+// the stability check. A BPE merge joins two adjacent symbols, so a token
+// still to come can change the tokenizer's boundaries only inside the last
+// token and between it and its left neighbour: everything before the last two
+// tokens is settled.
+const lookback = 2
+
 // CanonicalFilter prunes non-canonical paths during dynamic traversal of the
 // full automaton (§3.2, option 2: "backtracking during runtime when a
 // non-canonical token is discovered"). A partial sequence survives if all of
-// its boundaries except the last Lookback are exactly the boundaries the
+// its boundaries except the last lookback are exactly the boundaries the
 // tokenizer would choose for the decoded text; acceptance additionally
-// requires full canonicality.
+// requires full canonicality. A nil filter allows everything (the
+// all-encodings query).
 type CanonicalFilter struct {
 	Tok tokenizer.Tokenizer
-	// Lookback is how many trailing tokens are exempt from the prefix
-	// stability check, covering merges that straddle the growing frontier.
-	// 2 suffices for BPE merges of adjacent pairs.
-	Lookback int
 }
 
-// NewCanonicalFilter returns a filter with the default lookback.
+// NewCanonicalFilter returns a filter over tok's canonical encodings.
 func NewCanonicalFilter(tok tokenizer.Tokenizer) *CanonicalFilter {
-	return &CanonicalFilter{Tok: tok, Lookback: 2}
+	return &CanonicalFilter{Tok: tok}
 }
 
 // AllowPartial reports whether a partial token sequence can still extend to
 // a canonical encoding.
 func (f *CanonicalFilter) AllowPartial(toks []tokenizer.Token) bool {
-	stable := len(toks) - f.Lookback
-	if stable <= 0 {
+	return f.stable(toks, len(toks)-lookback)
+}
+
+// AllowChildren is AllowPartial(parent+tok) for every tok at once: with
+// lookback >= 1 that predicate reads only parent[:len(parent)+1-lookback] and
+// never tok, so a traversal asks once per expanded node and all the node's
+// children share the verdict.
+func (f *CanonicalFilter) AllowChildren(parent []tokenizer.Token) bool {
+	return f.stable(parent, len(parent)+1-lookback)
+}
+
+// stable reports whether toks[:n] is the canonical encoding of its own text.
+func (f *CanonicalFilter) stable(toks []tokenizer.Token, n int) bool {
+	if f == nil || n <= 0 {
 		return true
 	}
-	head := toks[:stable]
-	canon := f.Tok.Encode(f.Tok.Decode(head))
-	if len(canon) != len(head) {
-		return false
-	}
-	for i := range head {
-		if canon[i] != head[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(f.Tok.Encode(f.Tok.Decode(toks[:n])), toks[:n])
 }
 
 // AllowFinal reports whether a complete token sequence is the canonical
 // encoding of its string.
 func (f *CanonicalFilter) AllowFinal(toks []tokenizer.Token) bool {
-	return tokenizer.IsCanonical(f.Tok, toks)
+	return f == nil || tokenizer.IsCanonical(f.Tok, toks)
 }
 
 // CountEncodings returns the number of token sequences of length at most

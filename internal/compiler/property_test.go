@@ -123,3 +123,53 @@ func TestPropertyEveryFullPathFiltersConsistently(t *testing.T) {
 		}
 	}
 }
+
+// randomBPE trains a tokenizer on a seeded random corpus over a small
+// alphabet, so vocabularies differ from trial to trial.
+func randomBPE(rng *rand.Rand) *tokenizer.BPE {
+	alpha := "abcde  ."
+	corpus := make([]string, 6)
+	for i := range corpus {
+		b := make([]byte, 20+rng.Intn(40))
+		for j := range b {
+			b[j] = alpha[rng.Intn(len(alpha))]
+		}
+		corpus[i] = string(b)
+	}
+	return tokenizer.Train(corpus, 10+rng.Intn(50))
+}
+
+func TestPropertyOneVerdictCoversEveryChild(t *testing.T) {
+	// The traversal asks the filter once per expanded node. That is sound
+	// only if AllowPartial(parent+tok) is the same for every tok in the
+	// vocabulary — check it exhaustively on random vocabularies and random
+	// token sequences, canonical and not.
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 12; trial++ {
+		bpe := randomBPE(rng)
+		f := NewCanonicalFilter(bpe)
+		for seqs := 0; seqs < 40; seqs++ {
+			parent := make([]tokenizer.Token, rng.Intn(7))
+			for i := range parent {
+				parent[i] = rng.Intn(bpe.VocabSize())
+			}
+			if rng.Intn(2) == 0 { // half the parents are canonical encodings
+				parent = bpe.Encode(bpe.Decode(parent))
+			}
+			verdict := f.AllowChildren(parent)
+			for tok := 0; tok < bpe.VocabSize(); tok++ {
+				child := append(append([]tokenizer.Token{}, parent...), tok)
+				if got := f.AllowPartial(child); got != verdict {
+					t.Fatalf("trial %d: AllowChildren(%v) = %v but AllowPartial(%v) = %v", trial, parent, verdict, child, got)
+				}
+			}
+			if got, want := f.AllowFinal(parent), tokenizer.IsCanonical(bpe, parent); got != want {
+				t.Fatalf("trial %d: AllowFinal(%v) = %v, IsCanonical = %v", trial, parent, got, want)
+			}
+		}
+	}
+	var none *CanonicalFilter
+	if !none.AllowChildren([]tokenizer.Token{1, 2, 3}) || !none.AllowFinal([]tokenizer.Token{1, 2, 3}) {
+		t.Fatal("a nil filter must allow everything")
+	}
+}

@@ -5,10 +5,7 @@
 // prefix is transitively eliminated (§3.3).
 package decoding
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Rule filters and reweights a next-token log-probability vector in place.
 // Entries set to -Inf are excluded from the model's language at this step.
@@ -22,38 +19,129 @@ type Rule interface {
 	Name() string
 }
 
-// TopK keeps only the K most likely tokens, renormalized. K <= 0 is a no-op
-// (vanilla sampling, whose language is nearly all strings — §2.4).
-type TopK struct{ K int }
+// Every selecting rule ranks tokens by one total order: log probability
+// descending, token id ascending among equals. With n-gram back-off whole
+// classes of unseen tokens tie, so which of them a cut keeps must not depend
+// on a sort's internals.
+func ranksBefore(lp []float64, a, b int32) bool {
+	return lp[a] > lp[b] || (lp[a] == lp[b] && a < b)
+}
 
-// Apply implements Rule.
-func (r TopK) Apply(lp []float64) {
-	if r.K <= 0 || r.K >= len(lp) {
-		return
+// selector is a Rule that only chooses which tokens stay: Apply is "retain
+// keep(lp), renormalize", and consumers that need membership alone
+// (SupportOf) stop after keep.
+type selector interface {
+	// keep returns the surviving tokens, or nil when the rule is a no-op on
+	// lp (every finite entry stays).
+	keep(lp []float64) tokenSet
+}
+
+// tokenSet is a bitset over token ids.
+type tokenSet []uint64
+
+func newTokenSet(vocab int) tokenSet { return make(tokenSet, (vocab+63)/64) }
+
+func (s tokenSet) add(tok int32)    { s[tok>>6] |= 1 << (tok & 63) }
+func (s tokenSet) has(tok int) bool { return s[tok>>6]>>(tok&63)&1 != 0 }
+
+// rankHeap is a binary heap of token ids under ranksBefore: the best-ranked
+// id at the root, or the worst-ranked when worstFirst.
+type rankHeap struct {
+	lp         []float64
+	ids        []int32
+	worstFirst bool
+}
+
+func (h *rankHeap) above(a, b int32) bool {
+	if h.worstFirst {
+		a, b = b, a
 	}
-	idx := make([]int, len(lp))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection: sort indices by descending log prob.
-	sort.Slice(idx, func(a, b int) bool { return lp[idx[a]] > lp[idx[b]] })
-	cut := lp[idx[r.K-1]]
-	// Keep ties at the boundary deterministically by index order: tokens with
-	// log prob strictly below cut are dropped; among equals, those ranked
-	// beyond K are dropped too.
-	keep := make([]bool, len(lp))
-	for rank, i := range idx {
-		if rank < r.K && !math.IsInf(lp[i], -1) {
-			keep[i] = true
+	return ranksBefore(h.lp, a, b)
+}
+
+func (h *rankHeap) push(id int32) {
+	h.ids = append(h.ids, id)
+	for i := len(h.ids) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.above(h.ids[i], h.ids[parent]) {
+			break
 		}
+		h.ids[i], h.ids[parent] = h.ids[parent], h.ids[i]
+		i = parent
 	}
-	_ = cut
+}
+
+// fix restores heap order after the root was replaced.
+func (h *rankHeap) fix() {
+	for i := 0; ; {
+		top := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h.ids); c++ {
+			if h.above(h.ids[c], h.ids[top]) {
+				top = c
+			}
+		}
+		if top == i {
+			return
+		}
+		h.ids[i], h.ids[top] = h.ids[top], h.ids[i]
+		i = top
+	}
+}
+
+// pop removes and returns the root.
+func (h *rankHeap) pop() int32 {
+	root, last := h.ids[0], len(h.ids)-1
+	h.ids[0] = h.ids[last]
+	h.ids = h.ids[:last]
+	h.fix()
+	return root
+}
+
+// retain sets every entry of lp outside kept to -Inf and renormalizes the
+// rest.
+func retain(lp []float64, kept tokenSet) {
 	for i := range lp {
-		if !keep[i] {
+		if !kept.has(i) {
 			lp[i] = math.Inf(-1)
 		}
 	}
 	renormalize(lp)
+}
+
+// TopK keeps only the K most likely tokens, renormalized. K <= 0 is a no-op
+// (vanilla sampling, whose language is nearly all strings — §2.4).
+type TopK struct{ K int }
+
+// keep selects in O(V log K): a K-bounded heap holds the best ids seen so far
+// with the worst of them at the root, where the next candidate displaces it.
+func (r TopK) keep(lp []float64) tokenSet {
+	if r.K <= 0 || r.K >= len(lp) {
+		return nil
+	}
+	h := rankHeap{lp: lp, ids: make([]int32, 0, r.K), worstFirst: true}
+	for i := range lp {
+		id := int32(i)
+		switch {
+		case math.IsInf(lp[i], -1):
+		case len(h.ids) < r.K:
+			h.push(id)
+		case ranksBefore(lp, id, h.ids[0]):
+			h.ids[0] = id
+			h.fix()
+		}
+	}
+	kept := newTokenSet(len(lp))
+	for _, id := range h.ids {
+		kept.add(id)
+	}
+	return kept
+}
+
+// Apply implements Rule.
+func (r TopK) Apply(lp []float64) {
+	if kept := r.keep(lp); kept != nil {
+		retain(lp, kept)
+	}
 }
 
 // Name implements Rule.
@@ -63,34 +151,32 @@ func (r TopK) Name() string { return "top-k" }
 // P (nucleus sampling), renormalized. P >= 1 or <= 0 is a no-op.
 type TopP struct{ P float64 }
 
+// keep heapifies the finite entries and pops the nucleus off the top, so
+// only the kept tokens are ever put in order.
+func (r TopP) keep(lp []float64) tokenSet {
+	if r.P <= 0 || r.P >= 1 {
+		return nil
+	}
+	h := rankHeap{lp: lp, ids: make([]int32, 0, len(lp))}
+	for i := range lp {
+		if !math.IsInf(lp[i], -1) {
+			h.push(int32(i))
+		}
+	}
+	kept := newTokenSet(len(lp))
+	for cum := 0.0; len(h.ids) > 0 && cum < r.P; {
+		id := h.pop()
+		kept.add(id)
+		cum += math.Exp(lp[id])
+	}
+	return kept
+}
+
 // Apply implements Rule.
 func (r TopP) Apply(lp []float64) {
-	if r.P <= 0 || r.P >= 1 {
-		return
+	if kept := r.keep(lp); kept != nil {
+		retain(lp, kept)
 	}
-	idx := make([]int, len(lp))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return lp[idx[a]] > lp[idx[b]] })
-	cum := 0.0
-	keep := make([]bool, len(lp))
-	for _, i := range idx {
-		if math.IsInf(lp[i], -1) {
-			break
-		}
-		keep[i] = true
-		cum += math.Exp(lp[i])
-		if cum >= r.P {
-			break
-		}
-	}
-	for i := range lp {
-		if !keep[i] {
-			lp[i] = math.Inf(-1)
-		}
-	}
-	renormalize(lp)
 }
 
 // Name implements Rule.
@@ -98,6 +184,8 @@ func (r TopP) Name() string { return "top-p" }
 
 // Greedy keeps only the single most likely token (top-k with k = 1).
 type Greedy struct{}
+
+func (Greedy) keep(lp []float64) tokenSet { return TopK{K: 1}.keep(lp) }
 
 // Apply implements Rule.
 func (Greedy) Apply(lp []float64) { TopK{K: 1}.Apply(lp) }
@@ -157,21 +245,56 @@ func (None) Apply([]float64) {}
 // Name implements Rule.
 func (None) Name() string { return "none" }
 
-// Allowed returns the indices with finite log probability after applying r
-// to a copy of lp, plus the filtered copy itself.
-func Allowed(r Rule, lp []float64) ([]int, []float64) {
+// Allowed returns a copy of lp with r applied: -Inf where the rule excludes a
+// token, the reweighted log probability elsewhere. lp is left untouched.
+func Allowed(r Rule, lp []float64) []float64 {
 	cp := make([]float64, len(lp))
 	copy(cp, lp)
 	if r != nil {
 		r.Apply(cp)
 	}
-	var idx []int
-	for i, x := range cp {
-		if !math.IsInf(x, -1) {
-			idx = append(idx, i)
+	return cp
+}
+
+// Support is the set of tokens a rule leaves in the model's language at one
+// step — Allowed's finite entries without their reweighted values, which
+// shortest path, beam and Mass never read.
+type Support struct {
+	dense []float64 // member iff finite; used when kept is nil
+	kept  tokenSet
+}
+
+// SupportOf returns {i : Allowed(r, lp)[i] is finite}. With no rule it is lp's
+// own finite entries and nothing is copied; when the rule (or the last of a
+// chain) only selects, it is the selection, and the masked, renormalized
+// V-sized vector is never built. lp is left untouched.
+func SupportOf(r Rule, lp []float64) Support {
+	switch r := r.(type) {
+	case Chain:
+		if len(r) == 0 {
+			break
 		}
+		if len(r) > 1 {
+			lp = Allowed(r[:len(r)-1], lp)
+		}
+		return SupportOf(r[len(r)-1], lp)
+	case selector:
+		if kept := r.keep(lp); kept != nil {
+			return Support{kept: kept}
+		}
+	case nil, None:
+	default:
+		lp = Allowed(r, lp)
 	}
-	return idx, cp
+	return Support{dense: lp}
+}
+
+// Has reports whether tok survived the rule.
+func (s Support) Has(tok int) bool {
+	if s.kept == nil {
+		return !math.IsInf(s.dense[tok], -1)
+	}
+	return s.kept.has(tok)
 }
 
 func renormalize(lp []float64) {

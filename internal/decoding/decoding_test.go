@@ -2,6 +2,9 @@ package decoding
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -156,9 +159,9 @@ func TestNone(t *testing.T) {
 
 func TestAllowed(t *testing.T) {
 	lp := logDist(0.4, 0.3, 0.2, 0.1)
-	idx, filtered := Allowed(TopK{K: 2}, lp)
-	if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
-		t.Errorf("Allowed indices = %v, want [0 1]", idx)
+	filtered := Allowed(TopK{K: 2}, lp)
+	if math.IsInf(filtered[0], -1) || math.IsInf(filtered[1], -1) {
+		t.Errorf("Allowed dropped a top-2 token: %v", filtered)
 	}
 	// Original must be untouched.
 	if math.IsInf(lp[3], -1) {
@@ -245,5 +248,131 @@ func TestQuickTopPKeepsArgmax(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// finiteIDs lists the tokens a filtered vector keeps.
+func finiteIDs(lp []float64) []int {
+	var out []int
+	for i, x := range lp {
+		if !math.IsInf(x, -1) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestTieRule pins the one order every selecting rule cuts by: log
+// probability descending, token id ascending among equals.
+func TestTieRule(t *testing.T) {
+	ninf := math.Inf(-1)
+	tie := math.Log(0.1)
+	cases := []struct {
+		name string
+		rule Rule
+		lp   []float64
+		want []int
+	}{
+		{"tie class straddles K", TopK{K: 3}, []float64{tie, math.Log(0.4), tie, tie, tie, tie, tie}, []int{0, 1, 2}},
+		{"tie class straddles K, best last", TopK{K: 2}, []float64{tie, tie, tie, math.Log(0.7)}, []int{0, 3}},
+		{"all equal", TopK{K: 2}, []float64{tie, tie, tie, tie}, []int{0, 1}},
+		{"-Inf inside the top K", TopK{K: 3}, []float64{ninf, math.Log(0.6), ninf, math.Log(0.4), ninf}, []int{1, 3}},
+		{"K >= V keeps every finite entry", TopK{K: 4}, []float64{tie, ninf, tie, tie}, []int{0, 2, 3}},
+		{"K <= 0 keeps every finite entry", TopK{K: 0}, []float64{tie, ninf, tie, tie}, []int{0, 2, 3}},
+		{"all impossible", TopK{K: 1}, []float64{ninf, ninf, ninf}, nil},
+		{"greedy takes the lowest id among equals", Greedy{}, []float64{tie, math.Log(0.3), math.Log(0.3), tie}, []int{1}},
+		{"nucleus ends inside a tie class", TopP{P: 0.55}, logDist(0.2, 0.2, 0.2, 0.2, 0.2), []int{0, 1, 2}},
+		{"nucleus skips -Inf", TopP{P: 0.99}, []float64{ninf, math.Log(0.5), ninf, math.Log(0.5)}, []int{1, 3}},
+	}
+	for _, c := range cases {
+		got := finiteIDs(Allowed(c.rule, c.lp))
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: %s kept %v, want %v", c.name, c.rule.Name(), got, c.want)
+		}
+		sup, member := SupportOf(c.rule, c.lp), map[int]bool{}
+		for _, tok := range c.want {
+			member[tok] = true
+		}
+		for tok := range c.lp {
+			if sup.Has(tok) != member[tok] {
+				t.Errorf("%s: SupportOf.Has(%d) = %v, want %v", c.name, tok, sup.Has(tok), member[tok])
+			}
+		}
+	}
+}
+
+// sortedTopK is the specification the selection is tested against: a stable
+// full sort by descending log probability (stability = ascending id among
+// equals), cut at K.
+func sortedTopK(lp []float64, k int) []int {
+	idx := make([]int, len(lp))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return lp[idx[a]] > lp[idx[b]] })
+	var out []int
+	for rank, i := range idx {
+		if rank < k && !math.IsInf(lp[i], -1) {
+			out = append(out, i)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// tiedVector draws a log-probability vector from a handful of levels, so
+// most entries tie, with some impossible tokens mixed in.
+func tiedVector(rng *rand.Rand, n int) []float64 {
+	lp := make([]float64, n)
+	for i := range lp {
+		if rng.Intn(6) == 0 {
+			lp[i] = math.Inf(-1)
+		} else {
+			lp[i] = -float64(1 + rng.Intn(5))
+		}
+	}
+	return lp
+}
+
+func TestSelectionMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 400; trial++ {
+		lp := tiedVector(rng, 2+rng.Intn(200))
+		k := 1 + rng.Intn(len(lp)-1)
+		if got, want := finiteIDs(Allowed(TopK{K: k}, lp)), sortedTopK(lp, k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: top-%d of %v kept %v, want %v", trial, k, lp, got, want)
+		}
+	}
+}
+
+// TestSupportIsAllowedsFiniteSet checks the membership-only view against the
+// reweighted vector for every rule shape, and that neither touches its input.
+func TestSupportIsAllowedsFiniteSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	rules := []Rule{
+		nil, None{}, Chain{}, Greedy{}, TopK{K: 7}, TopK{K: 0}, TopP{P: 0.6}, TopP{P: 1}, Temperature{T: 0.7},
+		Chain{TopK{K: 7}}, Chain{Temperature{T: 2}, TopK{K: 7}}, Chain{TopK{K: 20}, TopP{P: 0.5}},
+		Chain{TopK{K: 9}, Temperature{T: 3}}, Chain{Chain{TopP{P: 0.8}}, None{}},
+	}
+	for trial := 0; trial < 60; trial++ {
+		lp := tiedVector(rng, 2+rng.Intn(150))
+		if trial%2 == 0 { // also distinct, properly normalized values
+			for i := range lp {
+				lp[i] = -rng.ExpFloat64() * 3
+			}
+			renormalize(lp)
+		}
+		orig := append([]float64{}, lp...)
+		for ri, r := range rules {
+			filtered, sup := Allowed(r, lp), SupportOf(r, lp)
+			for tok := range lp {
+				if want := !math.IsInf(filtered[tok], -1); sup.Has(tok) != want {
+					t.Fatalf("trial %d rule %d: Has(%d) = %v, Allowed says %v", trial, ri, tok, sup.Has(tok), want)
+				}
+				if lp[tok] != orig[tok] {
+					t.Fatalf("trial %d rule %d: input mutated", trial, ri)
+				}
+			}
+		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 type BeamOptions struct {
 	// Width is the beam size (default 8).
 	Width int
-	// MaxSteps bounds generation length in tokens (default Query.MaxTokens).
+	// MaxSteps bounds generation length in tokens (default, and at most,
+	// Query.MaxTokens).
 	MaxSteps int
 }
 
@@ -56,11 +57,9 @@ func (s *beamStream) init() {
 	s.stats.modelCalls.Add(calls)
 	for pi, p := range s.q.Prefixes {
 		logP := logPs[pi]
-		ctx := make([]model.Token, len(p))
-		copy(ctx, p)
 		s.beam = append(s.beam, &node{
+			path:     rootPath(p),
 			state:    s.q.Pattern.Start(),
-			ctx:      ctx,
 			cost:     -logP,
 			prefLogP: logP,
 		})
@@ -94,18 +93,14 @@ func (s *beamStream) run() {
 			s.err = err
 			return
 		}
-		ctxs := make([][]model.Token, len(s.beam))
-		for i, n := range s.beam {
-			ctxs[i] = n.ctx
-		}
 		rdev, rspan := roundDevice(s.dev, s.q, int64(step), len(s.beam))
-		lps := scoreFrontier(rdev, s.q, ctxs)
+		lps := scoreFrontier(rdev, s.q, contexts(s.beam))
 		s.stats.modelCalls.Add(int64(len(s.beam)))
 		s.stats.nodesExpanded.Add(int64(len(s.beam)))
 
 		slots := make([]beamSlot, len(s.beam))
 		parallelFor(len(s.beam), s.q.Parallelism, func(i int) {
-			slots[i] = s.expandHypothesis(s.beam[i], lps[i])
+			slots[i].children, slots[i].term = s.q.expand(m, s.beam[i], lps[i])
 		})
 		var next []*node
 		for _, slot := range slots {
@@ -123,27 +118,18 @@ func (s *beamStream) run() {
 	// a single device round rather than one dispatch each.
 	var finals []*node
 	for _, n := range s.beam {
-		if s.q.Pattern.Accepting(n.state) && n.patLen > 0 {
-			pattern := n.ctx[len(n.ctx)-n.patLen:]
-			if s.q.Filter != nil && !s.q.Filter.AllowFinal(pattern) {
-				continue
-			}
+		if s.q.Pattern.Accepting(n.state) && n.patLen > 0 && s.q.Filter.AllowFinal(n.pattern()) {
 			finals = append(finals, n)
 		}
 	}
 	if s.q.RequireEOS && len(finals) > 0 {
-		ctxs := make([][]model.Token, len(finals))
-		for i, n := range finals {
-			ctxs[i] = n.ctx
-		}
 		rdev, rspan := roundDevice(s.dev, s.q, int64(s.opts.MaxSteps), len(finals))
-		lps := scoreFrontier(rdev, s.q, ctxs)
+		lps := scoreFrontier(rdev, s.q, contexts(finals))
 		defer s.q.Trace.End(rspan)
 		s.stats.modelCalls.Add(int64(len(finals)))
 		kept := finals[:0]
 		for i, n := range finals {
-			_, filtered := decoding.Allowed(s.q.Rule, lps[i])
-			if filtered[m.EOS()] == model.NegInf {
+			if !decoding.SupportOf(s.q.Rule, lps[i]).Has(m.EOS()) {
 				continue
 			}
 			n.cost -= lps[i][m.EOS()]
@@ -158,59 +144,13 @@ func (s *beamStream) run() {
 	uniq := s.done[:0]
 	seen := map[string]bool{}
 	for _, n := range s.done {
-		k := model.Key(n.ctx)
+		k := model.Key(n.context())
 		if !seen[k] {
 			seen[k] = true
 			uniq = append(uniq, n)
 		}
 	}
 	s.done = uniq
-}
-
-// expandHypothesis harvests a hypothesis's terminal (if accepting) and
-// builds its extensions. Pure with respect to stream state.
-func (s *beamStream) expandHypothesis(n *node, lp []float64) beamSlot {
-	m := s.dev.Model()
-	var slot beamSlot
-	_, filtered := decoding.Allowed(s.q.Rule, lp)
-	// Harvest acceptance before extending.
-	if s.q.Pattern.Accepting(n.state) && n.patLen > 0 {
-		pattern := n.ctx[len(n.ctx)-n.patLen:]
-		if s.q.Filter == nil || s.q.Filter.AllowFinal(pattern) {
-			term := &node{
-				state: n.state, ctx: n.ctx, patLen: n.patLen,
-				cost: n.cost, prefLogP: n.prefLogP, terminal: true,
-			}
-			ok := true
-			if s.q.RequireEOS {
-				if filtered[m.EOS()] == model.NegInf {
-					ok = false
-				} else {
-					term.cost -= lp[m.EOS()]
-				}
-			}
-			if ok {
-				slot.term = term
-			}
-		}
-	}
-	for _, e := range s.q.Pattern.Edges(n.state) {
-		if filtered[e.Sym] == model.NegInf {
-			continue
-		}
-		child := &node{
-			state:    e.To,
-			ctx:      appendToken(n.ctx, e.Sym),
-			patLen:   n.patLen + 1,
-			cost:     n.cost - lp[e.Sym],
-			prefLogP: n.prefLogP,
-		}
-		if s.q.Filter != nil && !s.q.Filter.AllowPartial(child.ctx[len(child.ctx)-child.patLen:]) {
-			continue
-		}
-		slot.children = append(slot.children, child)
-	}
-	return slot
 }
 
 func (s *beamStream) Next() (*Result, error) {
@@ -233,12 +173,7 @@ func (s *beamStream) Next() (*Result, error) {
 	n := s.done[s.emitted]
 	s.emitted++
 	s.stats.emitted.Add(1)
-	return &Result{
-		Prefix:        n.ctx[:len(n.ctx)-n.patLen],
-		Pattern:       n.ctx[len(n.ctx)-n.patLen:],
-		LogProb:       -n.cost,
-		PrefixLogProb: n.prefLogP,
-	}, nil
+	return n.result(), nil
 }
 
 // finish records the terminal error and releases the derived context.

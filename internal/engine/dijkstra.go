@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 
-	"repro/internal/decoding"
 	"repro/internal/device"
 	"repro/internal/model"
 )
@@ -70,12 +69,9 @@ func (s *dijkstraStream) init() {
 			// blowup the heuristic avoids.
 			cost = 0
 		}
-		ctx := make([]model.Token, len(p))
-		copy(ctx, p)
 		heap.Push(&s.heap, &node{
+			path:     rootPath(p),
 			state:    s.q.Pattern.Start(),
-			ctx:      ctx,
-			patLen:   0,
 			cost:     cost,
 			prefLogP: logP,
 		})
@@ -107,14 +103,8 @@ func (s *dijkstraStream) Next() (*Result, error) {
 			return nil, s.finish(err)
 		}
 		if s.heap[0].terminal {
-			n := heap.Pop(&s.heap).(*node)
 			s.stats.emitted.Add(1)
-			return &Result{
-				Prefix:        n.ctx[:len(n.ctx)-n.patLen],
-				Pattern:       n.ctx[len(n.ctx)-n.patLen:],
-				LogProb:       -n.cost,
-				PrefixLogProb: n.prefLogP,
-			}, nil
+			return heap.Pop(&s.heap).(*node).result(), nil
 		}
 		expanded := s.stats.nodesExpanded.Load()
 		if expanded >= int64(s.q.MaxNodes) {
@@ -129,20 +119,22 @@ func (s *dijkstraStream) Next() (*Result, error) {
 		if len(batch) == 0 {
 			continue
 		}
-		ctxs := make([][]model.Token, len(batch))
-		for i, n := range batch {
-			ctxs[i] = n.ctx
-		}
 		rdev, rspan := roundDevice(s.dev, s.q, s.round, len(batch))
 		s.round++
-		lps := scoreFrontier(rdev, s.q, ctxs)
+		lps := scoreFrontier(rdev, s.q, contexts(batch))
 		s.stats.modelCalls.Add(int64(len(batch)))
 		s.stats.nodesExpanded.Add(int64(len(batch)))
-		// Expansion (rule filtering, canonicality checks, child construction)
-		// is independent per node: fan out, then merge lock-free in order.
+		// Expansion (rule filtering, the canonicality verdict, child
+		// construction) is independent per node: fan out, then merge lock-free
+		// in order — a node's children, then its terminal.
+		m := s.dev.Model()
 		children := make([][]*node, len(batch))
 		parallelFor(len(batch), s.q.Parallelism, func(i int) {
-			children[i] = s.childrenOf(batch[i], lps[i])
+			cs, term := s.q.expand(m, batch[i], lps[i])
+			if term != nil {
+				cs = append(cs, term)
+			}
+			children[i] = cs
 		})
 		for _, cs := range children {
 			for _, c := range cs {
@@ -170,60 +162,4 @@ func (s *dijkstraStream) Close() error {
 	return nil
 }
 
-// childrenOf builds a node's rule-filtered children (and terminal, if
-// accepting). It is pure with respect to stream state, so batch slots can be
-// filled concurrently.
-func (s *dijkstraStream) childrenOf(n *node, lp []float64) []*node {
-	m := s.dev.Model()
-	var out []*node
-	_, filtered := decoding.Allowed(s.q.Rule, lp)
-	if n.patLen < s.q.MaxTokens {
-		for _, e := range s.q.Pattern.Edges(n.state) {
-			if filtered[e.Sym] == model.NegInf {
-				continue // pruned by the decision rule
-			}
-			child := &node{
-				state:    e.To,
-				ctx:      appendToken(n.ctx, e.Sym),
-				patLen:   n.patLen + 1,
-				cost:     n.cost - lp[e.Sym], // original cost for ordering
-				prefLogP: n.prefLogP,
-			}
-			if s.q.Filter != nil && !s.q.Filter.AllowPartial(child.ctx[len(child.ctx)-child.patLen:]) {
-				continue
-			}
-			out = append(out, child)
-		}
-	}
-	if !s.q.Pattern.Accepting(n.state) || n.patLen == 0 {
-		return out
-	}
-	pattern := n.ctx[len(n.ctx)-n.patLen:]
-	if s.q.Filter != nil && !s.q.Filter.AllowFinal(pattern) {
-		return out
-	}
-	term := &node{
-		state:    n.state,
-		ctx:      n.ctx,
-		patLen:   n.patLen,
-		cost:     n.cost,
-		prefLogP: n.prefLogP,
-		terminal: true,
-	}
-	if s.q.RequireEOS {
-		if filtered[m.EOS()] == model.NegInf {
-			return out // EOS unreachable under the rule; not a match
-		}
-		term.cost -= lp[m.EOS()]
-	}
-	return append(out, term)
-}
-
 func (s *dijkstraStream) Stats() Stats { return s.stats.snapshot() }
-
-func appendToken(ctx []model.Token, t model.Token) []model.Token {
-	out := make([]model.Token, len(ctx)+1)
-	copy(out, ctx)
-	out[len(ctx)] = t
-	return out
-}

@@ -188,15 +188,126 @@ type Stream interface {
 	Stats() Stats
 }
 
+// path is a frontier node's model context (prefix + pattern so far). A child
+// is born holding its parent's slice and its own last token, and copies the
+// two into a slice of its own only when context is first called — when the
+// node is popped for scoring. Most children never are (shortest path stops at
+// its result budget, beam truncation drops them), and those cost no copy of a
+// paragraph-long prefix. Ordering never reads the context, so heap order,
+// push order and ties are those of eagerly built contexts.
+type path struct {
+	ctx     []model.Token
+	last    model.Token
+	pending bool // ctx is still the parent's; the node's own is ctx + last
+}
+
+// child returns the path one token beyond p.
+func (p *path) child(tok model.Token) path {
+	return path{ctx: p.context(), last: tok, pending: true}
+}
+
+// context returns the node's own context, building it on first use. Not safe
+// for concurrent use on one node; distinct nodes may share a parent slice,
+// which is only read.
+func (p *path) context() []model.Token {
+	if p.pending {
+		own := make([]model.Token, len(p.ctx)+1)
+		copy(own, p.ctx)
+		own[len(p.ctx)] = p.last
+		p.ctx, p.pending = own, false
+	}
+	return p.ctx
+}
+
+// rootPath copies a prefix into a path of its own.
+func rootPath(prefix []model.Token) path {
+	return path{ctx: append([]model.Token{}, prefix...)}
+}
+
 // node is a search-tree node in shortest-path traversal.
 type node struct {
+	path
 	state    automaton.StateID
-	ctx      []model.Token // full model context: prefix + pattern so far
-	patLen   int           // how many of ctx are pattern tokens
-	cost     float64       // cumulative -log p
+	patLen   int     // how many context tokens are pattern tokens
+	cost     float64 // cumulative -log p
 	prefLogP float64
 	terminal bool // true for emit-ready match nodes (EOS cost included)
 	index    int  // heap bookkeeping
+}
+
+// pattern returns the pattern part of the node's context.
+func (n *node) pattern() []model.Token {
+	ctx := n.context()
+	return ctx[len(ctx)-n.patLen:]
+}
+
+// result converts an emit-ready node.
+func (n *node) result() *Result {
+	ctx := n.context()
+	return &Result{
+		Prefix:        ctx[:len(ctx)-n.patLen],
+		Pattern:       ctx[len(ctx)-n.patLen:],
+		LogProb:       -n.cost,
+		PrefixLogProb: n.prefLogP,
+	}
+}
+
+// expand builds a scored node's successors from its next-token row lp: one
+// child per pattern edge the decision rule keeps — if the canonical filter,
+// asked once for all of them, lets the node's pattern grow — and, when the
+// node's state accepts a canonical match, the terminal carrying it (charged
+// the EOS step under RequireEOS). Children keep the model's original cost for
+// ordering. Pure with respect to stream state, so batch slots can be filled
+// concurrently.
+func (q *Query) expand(m model.LanguageModel, n *node, lp []float64) (children []*node, term *node) {
+	kept := decoding.SupportOf(q.Rule, lp)
+	pattern := n.pattern()
+	edges, live := q.Pattern.Edges(n.state), 0
+	if n.patLen < q.MaxTokens {
+		for _, e := range edges {
+			if kept.Has(e.Sym) {
+				live++
+			}
+		}
+	}
+	if live > 0 && q.Filter.AllowChildren(pattern) {
+		// Siblings are allocated together: two allocations per parent, not
+		// one per child plus the slice's growth.
+		slab := make([]node, 0, live)
+		children = make([]*node, 0, live+1) // room for the terminal
+		for _, e := range edges {
+			if kept.Has(e.Sym) {
+				slab = append(slab, node{
+					path:     n.child(e.Sym),
+					state:    e.To,
+					patLen:   n.patLen + 1,
+					cost:     n.cost - lp[e.Sym],
+					prefLogP: n.prefLogP,
+				})
+				children = append(children, &slab[len(slab)-1])
+			}
+		}
+	}
+	if !q.Pattern.Accepting(n.state) || n.patLen == 0 ||
+		(q.RequireEOS && !kept.Has(m.EOS())) || // EOS unreachable under the rule: not a match
+		!q.Filter.AllowFinal(pattern) {
+		return children, nil
+	}
+	t := *n
+	t.terminal = true
+	if q.RequireEOS {
+		t.cost -= lp[m.EOS()]
+	}
+	return children, &t
+}
+
+// contexts returns each node's own context, in order, for a scoring round.
+func contexts[N interface{ context() []model.Token }](nodes []N) [][]model.Token {
+	ctxs := make([][]model.Token, len(nodes))
+	for i, n := range nodes {
+		ctxs[i] = n.context()
+	}
+	return ctxs
 }
 
 type nodeHeap []*node

@@ -7,7 +7,6 @@ import (
 	"repro/internal/automaton"
 	"repro/internal/decoding"
 	"repro/internal/device"
-	"repro/internal/model"
 )
 
 // MassResult is a certified estimate of the probability that a complete
@@ -50,8 +49,8 @@ type MassOptions struct {
 
 // massNode carries probability (not cost) for max-first traversal.
 type massNode struct {
+	path
 	state automaton.StateID
-	ctx   []model.Token
 	pat   int
 	mass  float64
 }
@@ -104,9 +103,7 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) *MassResult {
 	frontierMass := 0.0
 	rootMass := 1.0 / float64(len(q.Prefixes))
 	for _, p := range q.Prefixes {
-		ctx := make([]model.Token, len(p))
-		copy(ctx, p)
-		heap.Push(&frontier, &massNode{state: q.Pattern.Start(), ctx: ctx, mass: rootMass})
+		heap.Push(&frontier, &massNode{path: rootPath(p), state: q.Pattern.Start(), mass: rootMass})
 		frontierMass += rootMass
 	}
 
@@ -128,16 +125,12 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) *MassResult {
 			frontierMass -= n.mass
 			batch = append(batch, n)
 		}
-		ctxs := make([][]model.Token, len(batch))
-		for i, n := range batch {
-			ctxs[i] = n.ctx
-		}
 		rdev, rspan := roundDevice(dev, q, round, len(batch))
 		round++
-		lps := scoreFrontier(rdev, q, ctxs)
+		lps := scoreFrontier(rdev, q, contexts(batch))
 		res.Expanded += int64(len(batch))
 
-		// Rule filtering, canonicality checks, and child construction are
+		// Rule filtering, the canonicality verdict, and child construction are
 		// independent per node: fan out into per-node slots, then settle
 		// the bounds serially in pop order so accumulation stays
 		// deterministic.
@@ -149,38 +142,29 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) *MassResult {
 		slots := make([]massSlot, len(batch))
 		parallelFor(len(batch), q.Parallelism, func(i int) {
 			n, lp := batch[i], lps[i]
-			_, filtered := decoding.Allowed(q.Rule, lp)
+			kept := decoding.SupportOf(q.Rule, lp)
+			ctx := n.context()
+			pattern := ctx[len(ctx)-n.pat:]
 
 			// A complete match requires an accepting state, ≥1 pattern token,
 			// the canonicality filter's consent, and a rule-admissible EOS.
-			if q.Pattern.Accepting(n.state) && n.pat > 0 {
-				pattern := n.ctx[len(n.ctx)-n.pat:]
-				if (q.Filter == nil || q.Filter.AllowFinal(pattern)) && filtered[m.EOS()] != model.NegInf {
-					slots[i].matched = true
-					slots[i].matchMass = n.mass * math.Exp(lp[m.EOS()])
-				}
+			if q.Pattern.Accepting(n.state) && n.pat > 0 && q.Filter.AllowFinal(pattern) && kept.Has(m.EOS()) {
+				slots[i].matched = true
+				slots[i].matchMass = n.mass * math.Exp(lp[m.EOS()])
 			}
-			if n.pat >= q.MaxTokens {
-				return // longer strings are outside the bounded language
+			// Longer strings are outside the bounded language, and one verdict
+			// from the filter covers every child.
+			if n.pat >= q.MaxTokens || !q.Filter.AllowChildren(pattern) {
+				return
 			}
 			for _, e := range q.Pattern.Edges(n.state) {
-				if filtered[e.Sym] == model.NegInf {
+				if !kept.Has(e.Sym) {
 					continue
 				}
-				childMass := n.mass * math.Exp(lp[e.Sym])
-				if childMass <= 0 {
-					continue
+				if childMass := n.mass * math.Exp(lp[e.Sym]); childMass > 0 {
+					slots[i].children = append(slots[i].children,
+						&massNode{path: n.child(e.Sym), state: e.To, pat: n.pat + 1, mass: childMass})
 				}
-				child := &massNode{
-					state: e.To,
-					ctx:   appendToken(n.ctx, e.Sym),
-					pat:   n.pat + 1,
-					mass:  childMass,
-				}
-				if q.Filter != nil && !q.Filter.AllowPartial(child.ctx[len(child.ctx)-child.pat:]) {
-					continue
-				}
-				slots[i].children = append(slots[i].children, child)
 			}
 		})
 		for _, sl := range slots {

@@ -1,0 +1,496 @@
+package engine
+
+import (
+	"container/heap"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/automaton"
+	"repro/internal/compiler"
+	"repro/internal/decoding"
+	"repro/internal/device"
+	"repro/internal/kvcache"
+	"repro/internal/model"
+	"repro/internal/regex"
+)
+
+// This file keeps the per-child expansion the engines used before frontier
+// nodes were expanded once per parent — every child copies its context when
+// it is generated, is checked by Filter.AllowPartial on its own pattern, and
+// reads a fully reweighted Allowed vector — as the differential oracle for
+// the per-parent expansion. The reference traversals share the production
+// scoring, batching and heap code, so any divergence is the expansion's.
+
+func refAppendToken(ctx []model.Token, t model.Token) []model.Token {
+	out := make([]model.Token, len(ctx)+1)
+	copy(out, ctx)
+	out[len(ctx)] = t
+	return out
+}
+
+// refChild is an eagerly built child node.
+func refChild(n *node, e automaton.Edge, lp []float64) *node {
+	return &node{
+		path:     path{ctx: refAppendToken(n.ctx, e.Sym)},
+		state:    e.To,
+		patLen:   n.patLen + 1,
+		cost:     n.cost - lp[e.Sym],
+		prefLogP: n.prefLogP,
+	}
+}
+
+func refAllowPartial(q *Query, pattern []model.Token) bool {
+	return q.Filter == nil || q.Filter.AllowPartial(pattern)
+}
+
+func refAllowFinal(q *Query, pattern []model.Token) bool {
+	return q.Filter == nil || q.Filter.AllowFinal(pattern)
+}
+
+// refChildrenOf is dijkstraStream.childrenOf as it was.
+func refChildrenOf(m model.LanguageModel, q *Query, n *node, lp []float64) []*node {
+	var out []*node
+	filtered := decoding.Allowed(q.Rule, lp)
+	if n.patLen < q.MaxTokens {
+		for _, e := range q.Pattern.Edges(n.state) {
+			if filtered[e.Sym] == model.NegInf {
+				continue
+			}
+			child := refChild(n, e, lp)
+			if !refAllowPartial(q, child.ctx[len(child.ctx)-child.patLen:]) {
+				continue
+			}
+			out = append(out, child)
+		}
+	}
+	if !q.Pattern.Accepting(n.state) || n.patLen == 0 {
+		return out
+	}
+	if !refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
+		return out
+	}
+	term := &node{path: path{ctx: n.ctx}, state: n.state, patLen: n.patLen,
+		cost: n.cost, prefLogP: n.prefLogP, terminal: true}
+	if q.RequireEOS {
+		if filtered[m.EOS()] == model.NegInf {
+			return out
+		}
+		term.cost -= lp[m.EOS()]
+	}
+	return append(out, term)
+}
+
+// refShortestPath drains up to limit results through the old expansion.
+func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Stats) {
+	q := normalizeQuery(dev, query)
+	defer q.cancel()
+	var stats Stats
+	var h nodeHeap
+	logPs, calls := scoreSequences(dev, q.Prefixes)
+	stats.ModelCalls += calls
+	for pi, p := range q.Prefixes {
+		heap.Push(&h, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi]})
+	}
+	var out []Result
+	batchSize := EffectiveBatch(dev, q.BatchExpand)
+	for h.Len() > 0 && len(out) < limit {
+		if h[0].terminal {
+			out = append(out, *heap.Pop(&h).(*node).result())
+			stats.Emitted++
+			continue
+		}
+		if stats.NodesExpanded >= int64(q.MaxNodes) {
+			break
+		}
+		var batch []*node
+		for len(batch) < batchSize && h.Len() > 0 && !h[0].terminal &&
+			stats.NodesExpanded+int64(len(batch)) < int64(q.MaxNodes) {
+			batch = append(batch, heap.Pop(&h).(*node))
+		}
+		lps := scoreFrontier(dev, q, contexts(batch))
+		stats.ModelCalls += int64(len(batch))
+		stats.NodesExpanded += int64(len(batch))
+		children := make([][]*node, len(batch))
+		parallelFor(len(batch), q.Parallelism, func(i int) {
+			children[i] = refChildrenOf(dev.Model(), q, batch[i], lps[i])
+		})
+		for _, cs := range children {
+			for _, c := range cs {
+				heap.Push(&h, c)
+			}
+		}
+	}
+	return out, stats
+}
+
+// refBeam is beamStream.run and expandHypothesis as they were.
+func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stats) {
+	q := normalizeQuery(dev, query)
+	defer q.cancel()
+	m := dev.Model()
+	var stats Stats
+	var beam, done []*node
+	truncate := func() {
+		sort.Slice(beam, func(i, j int) bool { return beam[i].cost < beam[j].cost })
+		if len(beam) > width {
+			beam = beam[:width]
+		}
+	}
+	logPs, calls := scoreSequences(dev, q.Prefixes)
+	stats.ModelCalls += calls
+	for pi, p := range q.Prefixes {
+		beam = append(beam, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi]})
+	}
+	truncate()
+	type slot struct {
+		term     *node
+		children []*node
+	}
+	for step := 0; step < q.MaxTokens && len(beam) > 0; step++ {
+		lps := scoreFrontier(dev, q, contexts(beam))
+		stats.ModelCalls += int64(len(beam))
+		stats.NodesExpanded += int64(len(beam))
+		slots := make([]slot, len(beam))
+		parallelFor(len(beam), q.Parallelism, func(i int) {
+			n, lp := beam[i], lps[i]
+			filtered := decoding.Allowed(q.Rule, lp)
+			if q.Pattern.Accepting(n.state) && n.patLen > 0 && refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
+				term := &node{path: path{ctx: n.ctx}, state: n.state, patLen: n.patLen,
+					cost: n.cost, prefLogP: n.prefLogP, terminal: true}
+				if !q.RequireEOS {
+					slots[i].term = term
+				} else if filtered[m.EOS()] != model.NegInf {
+					term.cost -= lp[m.EOS()]
+					slots[i].term = term
+				}
+			}
+			for _, e := range q.Pattern.Edges(n.state) {
+				if filtered[e.Sym] == model.NegInf {
+					continue
+				}
+				child := refChild(n, e, lp)
+				if refAllowPartial(q, child.ctx[len(child.ctx)-child.patLen:]) {
+					slots[i].children = append(slots[i].children, child)
+				}
+			}
+		})
+		beam = nil
+		for _, sl := range slots {
+			if sl.term != nil {
+				done = append(done, sl.term)
+			}
+			beam = append(beam, sl.children...)
+		}
+		truncate()
+	}
+	var finals []*node
+	for _, n := range beam {
+		if q.Pattern.Accepting(n.state) && n.patLen > 0 && refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
+			finals = append(finals, n)
+		}
+	}
+	if q.RequireEOS && len(finals) > 0 {
+		lps := scoreFrontier(dev, q, contexts(finals))
+		stats.ModelCalls += int64(len(finals))
+		kept := finals[:0]
+		for i, n := range finals {
+			if decoding.Allowed(q.Rule, lps[i])[m.EOS()] != model.NegInf {
+				n.cost -= lps[i][m.EOS()]
+				kept = append(kept, n)
+			}
+		}
+		finals = kept
+	}
+	done = append(done, finals...)
+	sort.Slice(done, func(i, j int) bool { return done[i].cost < done[j].cost })
+	var out []Result
+	seen := map[string]bool{}
+	for _, n := range done {
+		if k := model.Key(n.ctx); !seen[k] && len(out) < limit {
+			seen[k] = true
+			out = append(out, *n.result())
+			stats.Emitted++
+		}
+	}
+	return out, stats
+}
+
+// refMass is Mass's traversal as it was.
+func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
+	q := normalizeQuery(dev, query)
+	defer q.cancel()
+	m := dev.Model()
+	batchSize := EffectiveBatch(dev, q.BatchExpand)
+	res := &MassResult{}
+	var frontier massHeap
+	frontierMass := 0.0
+	rootMass := 1.0 / float64(len(q.Prefixes))
+	for _, p := range q.Prefixes {
+		heap.Push(&frontier, &massNode{path: rootPath(p), state: q.Pattern.Start(), mass: rootMass})
+		frontierMass += rootMass
+	}
+	for frontier.Len() > 0 {
+		res.Upper = res.Lower + frontierMass
+		if res.Upper-res.Lower <= opts.Tolerance {
+			res.Converged = true
+			break
+		}
+		if res.Expanded >= int64(opts.MaxNodes) {
+			break
+		}
+		var batch []*massNode
+		for len(batch) < batchSize && frontier.Len() > 0 && res.Expanded+int64(len(batch)) < int64(opts.MaxNodes) {
+			n := heap.Pop(&frontier).(*massNode)
+			frontierMass -= n.mass
+			batch = append(batch, n)
+		}
+		lps := scoreFrontier(dev, q, contexts(batch))
+		res.Expanded += int64(len(batch))
+		type slot struct {
+			matched   bool
+			matchMass float64
+			children  []*massNode
+		}
+		slots := make([]slot, len(batch))
+		parallelFor(len(batch), q.Parallelism, func(i int) {
+			n, lp := batch[i], lps[i]
+			filtered := decoding.Allowed(q.Rule, lp)
+			if q.Pattern.Accepting(n.state) && n.pat > 0 &&
+				refAllowFinal(q, n.ctx[len(n.ctx)-n.pat:]) && filtered[m.EOS()] != model.NegInf {
+				slots[i].matched = true
+				slots[i].matchMass = n.mass * math.Exp(lp[m.EOS()])
+			}
+			if n.pat >= q.MaxTokens {
+				return
+			}
+			for _, e := range q.Pattern.Edges(n.state) {
+				if filtered[e.Sym] == model.NegInf {
+					continue
+				}
+				childMass := n.mass * math.Exp(lp[e.Sym])
+				if childMass <= 0 {
+					continue
+				}
+				child := &massNode{path: path{ctx: refAppendToken(n.ctx, e.Sym)}, state: e.To, pat: n.pat + 1, mass: childMass}
+				if refAllowPartial(q, child.ctx[len(child.ctx)-child.pat:]) {
+					slots[i].children = append(slots[i].children, child)
+				}
+			}
+		})
+		for _, sl := range slots {
+			if sl.matched {
+				res.Lower += sl.matchMass
+				res.Matches++
+			}
+			for _, child := range sl.children {
+				heap.Push(&frontier, child)
+				frontierMass += child.mass
+			}
+		}
+	}
+	res.Upper = res.Lower + frontierMass
+	if res.Upper-res.Lower <= opts.Tolerance {
+		res.Converged = true
+	}
+	if res.Upper > 1 {
+		res.Upper = 1
+	}
+	return res
+}
+
+// refSampleOnce is samplerStream.sampleOnce as it was: one candidate copy
+// and one AllowPartial call per surviving edge.
+func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
+	m := s.dev.Model()
+	prefix, ok := s.samplePrefix(rng)
+	if !ok {
+		return nil, false
+	}
+	prefLogP := 0.0
+	if len(prefix) > 0 {
+		totals, calls := scoreSequences(s.dev, [][]model.Token{prefix})
+		prefLogP = totals[0]
+		s.stats.modelCalls.Add(calls)
+	}
+	ctx := append(make([]model.Token, 0, len(prefix)+16), prefix...)
+	state := s.q.Pattern.Start()
+	logP := prefLogP
+	patLen := 0
+	var h *kvcache.Handle
+	defer func() { h.Release() }()
+	for patLen <= s.q.MaxTokens {
+		lp := s.scoreStep(ctx, &h)
+		s.stats.modelCalls.Add(1)
+		filtered := decoding.Allowed(s.q.Rule, lp)
+		type move struct {
+			sym  model.Token
+			to   automaton.StateID
+			lp   float64
+			stop bool
+		}
+		var moves []move
+		if patLen < s.q.MaxTokens {
+			for _, e := range s.q.Pattern.Edges(state) {
+				w := filtered[e.Sym]
+				if w == model.NegInf {
+					continue
+				}
+				cand := append(append([]model.Token{}, ctx[len(ctx)-patLen:]...), e.Sym)
+				if refAllowPartial(s.q, cand) {
+					moves = append(moves, move{sym: e.Sym, to: e.To, lp: w})
+				}
+			}
+		}
+		if s.q.Pattern.Accepting(state) && patLen > 0 && refAllowFinal(s.q, ctx[len(ctx)-patLen:]) {
+			if s.q.RequireEOS {
+				if w := filtered[m.EOS()]; w != model.NegInf {
+					moves = append(moves, move{lp: w, stop: true})
+				}
+			} else {
+				cont := model.NegInf
+				for _, mv := range moves {
+					cont = model.LogSumExp([]float64{cont, mv.lp})
+				}
+				moves = append(moves, move{lp: math.Log(math.Max(1e-12, 1-math.Exp(cont))), stop: true})
+			}
+		}
+		if len(moves) == 0 {
+			return nil, false
+		}
+		weights := make([]float64, len(moves))
+		for i, mv := range moves {
+			weights[i] = mv.lp
+		}
+		mv := moves[sampleLog(rng, weights)]
+		if mv.stop {
+			if s.q.RequireEOS {
+				logP += lp[m.EOS()]
+			}
+			return &Result{Prefix: prefix, Pattern: append([]model.Token{}, ctx[len(ctx)-patLen:]...),
+				LogProb: logP, PrefixLogProb: prefLogP}, true
+		}
+		logP += lp[mv.sym]
+		ctx = append(ctx, mv.sym)
+		state = mv.to
+		patLen++
+	}
+	return nil, false
+}
+
+func resultRows(rs []Result) []string {
+	out := make([]string, len(rs))
+	for i := range rs {
+		out[i] = resultKey(&rs[i])
+	}
+	return out
+}
+
+func drainResults(t *testing.T, s Stream, limit int) ([]Result, Stats) {
+	t.Helper()
+	defer s.Close()
+	return sequences(t, s, limit), s.Stats()
+}
+
+func sameStats(t *testing.T, name string, got, want Stats) {
+	t.Helper()
+	if got.ModelCalls != want.ModelCalls || got.NodesExpanded != want.NodesExpanded {
+		t.Fatalf("%s: stats %+v, reference %+v", name, got, want)
+	}
+}
+
+// TestExpansionMatchesPerChildReference drives all four engines through the
+// per-parent expansion and through the per-child reference above and demands
+// the same emitted sequences, log-probs, model calls and expanded nodes —
+// with and without the canonical filter over the all-encodings automaton,
+// under each rule shape, serial and with 8 expansion workers, full-prefix
+// and incremental (a no-op on the n-gram, real KV extension on the
+// transformer).
+func TestExpansionMatchesPerChildReference(t *testing.T) {
+	ngram := newNgramEnv(t, biasCorpus())
+	trans := newTransformerEnv(t)
+	substrates := []struct {
+		name        string
+		dev         *device.Device
+		incremental bool
+	}{
+		{"ngram", ngram.dev, false},
+		{"ngram-incremental", ngram.dev, true},
+		{"transformer-incremental", trans.dev, true},
+	}
+	rules := []decoding.Rule{
+		nil,
+		decoding.Chain{decoding.TopK{K: 120}},
+		decoding.Chain{decoding.TopP{P: 0.995}},
+		decoding.Chain{decoding.Temperature{T: 2}, decoding.TopK{K: 120}},
+	}
+	tok := ngram.tok // both environments train the same tokenizer on the same corpus
+	prefix := tok.Encode("The man was trained in")
+	for _, pat := range []string{" ((engineering)|(medicine)|(art))", " (trained|art|in| )+"} {
+		full := compiler.CompileFull(regex.MustCompile(pat), tok).Freeze()
+		for _, sub := range substrates {
+			for _, rule := range rules {
+				for _, filter := range []*compiler.CanonicalFilter{nil, compiler.NewCanonicalFilter(tok)} {
+					for _, workers := range []int{1, 8} {
+						ruleName := "none"
+						if rule != nil {
+							ruleName = rule.Name()
+						}
+						name := fmt.Sprintf("%s/%s/%s/filter=%t/p%d", pat, sub.name, ruleName, filter != nil, workers)
+						query := func() *Query {
+							q := &Query{
+								Pattern: full, Prefixes: [][]model.Token{prefix}, Rule: rule, Filter: filter,
+								RequireEOS: true, MaxTokens: 8, BatchExpand: 4, Parallelism: workers,
+							}
+							if sub.incremental {
+								q.Incremental, q.KV = true, kvcache.New(0)
+							}
+							return q
+						}
+						checkExpansion(t, name, sub.dev, query)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkExpansion(t *testing.T, name string, dev *device.Device, query func() *Query) {
+	t.Helper()
+	got, gotStats := drainResults(t, ShortestPath(dev, query()), 10)
+	want, wantStats := refShortestPath(dev, query(), 10)
+	sameResults(t, name+"/dijkstra", resultRows(got), resultRows(want))
+	sameStats(t, name+"/dijkstra", gotStats, wantStats)
+
+	got, gotStats = drainResults(t, Beam(dev, query(), BeamOptions{Width: 6}), 10)
+	want, wantStats = refBeam(dev, query(), 6, 10)
+	sameResults(t, name+"/beam", resultRows(got), resultRows(want))
+	sameStats(t, name+"/beam", gotStats, wantStats)
+
+	opts := MassOptions{Tolerance: 1e-6, MaxNodes: 600}
+	if gm, wm := Mass(dev, query(), opts), refMass(dev, query(), opts); *gm != *wm {
+		t.Fatalf("%s/mass: %+v, reference %+v", name, *gm, *wm)
+	}
+
+	// Sampling: the same seeded attempts through both expansions, run across
+	// the query's workers as a parallel wave would.
+	const attempts = 24
+	sampler := func() *samplerStream {
+		return Sample(dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(1))}).(*samplerStream)
+	}
+	draw := func(s *samplerStream, once func(*rand.Rand) (*Result, bool)) []string {
+		defer s.Close()
+		rows := make([]string, attempts)
+		parallelFor(attempts, s.q.Parallelism, func(i int) {
+			if r, ok := once(rand.New(rand.NewSource(int64(i)))); ok {
+				rows[i] = resultRows([]Result{*r})[0]
+			}
+		})
+		return append(rows, fmt.Sprint(s.Stats().ModelCalls))
+	}
+	gs, ws := sampler(), sampler()
+	sameResults(t, name+"/sampler", draw(gs, gs.sampleOnce),
+		draw(ws, func(rng *rand.Rand) (*Result, bool) { return refSampleOnce(ws, rng) }))
+}

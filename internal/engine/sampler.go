@@ -235,7 +235,8 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
 	for patLen <= s.q.MaxTokens {
 		lp := s.scoreStep(ctx, &h)
 		s.stats.modelCalls.Add(1)
-		_, filtered := decoding.Allowed(s.q.Rule, lp)
+		filtered := decoding.Allowed(s.q.Rule, lp)
+		pattern := ctx[len(ctx)-patLen:]
 
 		// Candidate moves: automaton edges allowed by the rule, plus the
 		// stop action when the state accepts (weighted by EOS when
@@ -247,24 +248,15 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
 			stop bool
 		}
 		var moves []move
-		if patLen < s.q.MaxTokens {
+		if patLen < s.q.MaxTokens && s.q.Filter.AllowChildren(pattern) {
 			for _, e := range s.q.Pattern.Edges(state) {
-				w := filtered[e.Sym]
-				if w == model.NegInf {
-					continue
+				if w := filtered[e.Sym]; w != model.NegInf {
+					moves = append(moves, move{sym: e.Sym, to: e.To, lp: w})
 				}
-				if s.q.Filter != nil {
-					cand := append(append([]model.Token{}, ctx[len(ctx)-patLen:]...), e.Sym)
-					if !s.q.Filter.AllowPartial(cand) {
-						continue
-					}
-				}
-				moves = append(moves, move{sym: e.Sym, to: e.To, lp: w})
 			}
 		}
 		if s.q.Pattern.Accepting(state) && patLen > 0 {
-			okFinal := s.q.Filter == nil || s.q.Filter.AllowFinal(ctx[len(ctx)-patLen:])
-			if okFinal {
+			if s.q.Filter.AllowFinal(pattern) {
 				if s.q.RequireEOS {
 					if w := filtered[m.EOS()]; w != model.NegInf {
 						moves = append(moves, move{lp: w, stop: true})
@@ -292,14 +284,12 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
 		choice := sampleLog(rng, weights)
 		mv := moves[choice]
 		if mv.stop {
-			pattern := make([]model.Token, patLen)
-			copy(pattern, ctx[len(ctx)-patLen:])
 			if s.q.RequireEOS {
 				logP += lp[m.EOS()]
 			}
 			return &Result{
 				Prefix:        prefix,
-				Pattern:       pattern,
+				Pattern:       append([]model.Token{}, pattern...),
 				LogProb:       logP,
 				PrefixLogProb: prefLogP,
 			}, true

@@ -476,24 +476,6 @@ func BenchmarkAblationPrefixCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMinimization compares Brzozowski double-reversal against
-// Hopcroft partition refinement on a token-scale automaton.
-func BenchmarkAblationMinimization(b *testing.B) {
-	e := env(b)
-	char := regex.MustCompile(experiments.URLPattern)
-	full := compiler.CompileFull(char, e.Tok)
-	b.Run("brzozowski", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			full.Minimize()
-		}
-	})
-	b.Run("hopcroft", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			full.MinimizeHopcroft()
-		}
-	})
-}
-
 // BenchmarkAblationModelFamilies compares end-to-end shortest-path query cost
 // across the three LM architectures (n-gram, log-bilinear, transformer). The
 // engine code path is identical; the difference is pure NextLogProbs cost —

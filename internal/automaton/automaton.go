@@ -11,6 +11,7 @@ package automaton
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -32,11 +33,13 @@ type Edge struct {
 }
 
 // NFA is a nondeterministic finite automaton with epsilon transitions.
-// States are dense integers [0, NumStates).
+// States are dense integers [0, NumStates). Transitions are kept as one flat
+// list in insertion order — building an NFA costs a few slice growths, not
+// an edge list per state — and Determinize indexes them by source.
 type NFA struct {
-	edges  [][]Edge
-	start  StateID
-	accept []bool
+	from, sym, to []int32
+	start         StateID
+	accept        []bool
 }
 
 // NewNFA returns an empty NFA with no states. Callers add states and edges,
@@ -47,14 +50,15 @@ func NewNFA() *NFA {
 
 // AddState appends a fresh state and returns its ID.
 func (n *NFA) AddState(accepting bool) StateID {
-	n.edges = append(n.edges, nil)
 	n.accept = append(n.accept, accepting)
-	return len(n.edges) - 1
+	return len(n.accept) - 1
 }
 
 // AddEdge inserts a transition. Sym may be Epsilon.
 func (n *NFA) AddEdge(from StateID, sym Symbol, to StateID) {
-	n.edges[from] = append(n.edges[from], Edge{Sym: sym, To: to})
+	n.from = append(n.from, int32(from))
+	n.sym = append(n.sym, int32(sym))
+	n.to = append(n.to, int32(to))
 }
 
 // SetStart designates the initial state.
@@ -64,46 +68,13 @@ func (n *NFA) SetStart(s StateID) { n.start = s }
 func (n *NFA) Start() StateID { return n.start }
 
 // NumStates reports the number of states.
-func (n *NFA) NumStates() int { return len(n.edges) }
+func (n *NFA) NumStates() int { return len(n.accept) }
 
 // Accepting reports whether state s is accepting.
 func (n *NFA) Accepting(s StateID) bool { return n.accept[s] }
 
 // SetAccepting marks or unmarks s as accepting.
 func (n *NFA) SetAccepting(s StateID, v bool) { n.accept[s] = v }
-
-// Edges returns the outgoing edges of s. The returned slice is owned by the
-// NFA and must not be mutated.
-func (n *NFA) Edges(s StateID) []Edge { return n.edges[s] }
-
-// epsClosure expands a set of states with everything reachable via epsilon
-// transitions. The input slice is mutated and returned sorted and deduped.
-func (n *NFA) epsClosure(set []StateID) []StateID {
-	seen := make(map[StateID]bool, len(set))
-	stack := make([]StateID, 0, len(set))
-	for _, s := range set {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range n.edges[s] {
-			if e.Sym == Epsilon && !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	out := make([]StateID, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // DFA is a deterministic finite automaton. Transitions are stored as sorted
 // edge lists per state, supporting both dense byte alphabets and sparse token
@@ -119,6 +90,10 @@ type DFA struct {
 	edges  [][]Edge // sorted by Sym; at most one edge per (state, symbol)
 	start  StateID
 	accept []bool
+	// minimal records that Minimize produced this automaton (or a Clone of
+	// one) and nothing has changed it since: Minimize then returns the
+	// receiver. Every mutator clears it.
+	minimal bool
 	// alphabet memoizes Alphabet(); AddEdge invalidates it. Stored through an
 	// atomic pointer so concurrent readers of a shared, fully built DFA can
 	// fill the memo without racing (both writers store equal values).
@@ -132,6 +107,7 @@ func NewDFA() *DFA { return &DFA{} }
 func (d *DFA) AddState(accepting bool) StateID {
 	d.edges = append(d.edges, nil)
 	d.accept = append(d.accept, accepting)
+	d.minimal = false
 	return len(d.edges) - 1
 }
 
@@ -151,11 +127,12 @@ func (d *DFA) AddEdge(from StateID, sym Symbol, to StateID) {
 	copy(es[i+1:], es[i:])
 	es[i] = Edge{Sym: sym, To: to}
 	d.edges[from] = es
+	d.minimal = false
 	d.alphabet.Store(nil)
 }
 
 // SetStart designates the initial state.
-func (d *DFA) SetStart(s StateID) { d.start = s }
+func (d *DFA) SetStart(s StateID) { d.start, d.minimal = s, false }
 
 // Start returns the initial state.
 func (d *DFA) Start() StateID { return d.start }
@@ -167,7 +144,7 @@ func (d *DFA) NumStates() int { return len(d.edges) }
 func (d *DFA) Accepting(s StateID) bool { return d.accept[s] }
 
 // SetAccepting marks or unmarks s as accepting.
-func (d *DFA) SetAccepting(s StateID, v bool) { d.accept[s] = v }
+func (d *DFA) SetAccepting(s StateID, v bool) { d.accept[s], d.minimal = v, false }
 
 // Step follows the transition labeled sym out of state s. ok is false when no
 // such transition exists. Step is read-only and safe for concurrent use on a
@@ -206,132 +183,254 @@ func (d *DFA) MatchString(s string) bool { return d.MatchBytes([]byte(s)) }
 // MatchSymbols reports whether the DFA accepts the symbol sequence seq.
 func (d *DFA) MatchSymbols(seq []Symbol) bool { return matchSymbols(d, seq) }
 
+// maxSymbol returns the largest symbol on any edge, -1 when there is none.
+func (d *DFA) maxSymbol() Symbol {
+	top := -1
+	for _, es := range d.edges {
+		if n := len(es); n > 0 && es[n-1].Sym > top {
+			top = es[n-1].Sym
+		}
+	}
+	return top
+}
+
 // Alphabet returns the sorted set of symbols appearing on any edge. The
-// result is memoized — levenshtein expansion, rewriting, and the pairwise
-// compiler all call it in loops — and recomputed only after AddEdge. The
-// returned slice is shared; callers must not mutate it.
+// result is memoized — Freeze, rewriting, and the pairwise compiler all call
+// it — and recomputed only after AddEdge. The returned slice is shared;
+// callers must not mutate it.
 func (d *DFA) Alphabet() []Symbol {
 	if p := d.alphabet.Load(); p != nil {
 		return *p
 	}
-	set := map[Symbol]bool{}
+	used := make([]bool, d.maxSymbol()+1)
+	n := 0
 	for _, es := range d.edges {
 		for _, e := range es {
-			set[e.Sym] = true
+			if !used[e.Sym] {
+				used[e.Sym] = true
+				n++
+			}
 		}
 	}
-	out := make([]Symbol, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+	out := make([]Symbol, 0, n)
+	for sym, u := range used {
+		if u {
+			out = append(out, sym)
+		}
 	}
-	sort.Ints(out)
 	d.alphabet.Store(&out)
 	return out
 }
 
-// Determinize converts the NFA to an equivalent DFA via subset construction.
-// Only reachable subsets are materialized.
-func (n *NFA) Determinize() *DFA {
-	d := NewDFA()
-	type key string
-	enc := func(set []StateID) key {
-		b := make([]byte, 0, len(set)*4)
-		for _, s := range set {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		return key(b)
+// Builder assembles a DFA whose edge lists arrive already sorted: states are
+// finished in ID order, each one's edges added in ascending symbol order, and
+// all lists share one backing array. It is how every construction that knows
+// its output order (Determinize, Minimize, Trim, Clone, the graph compiler)
+// avoids AddEdge's search-and-insert and its allocation per state.
+type Builder struct {
+	edges  []Edge
+	off    []int // off[s] is where state s's edges start; the last entry opens the state being built
+	accept []bool
+}
+
+// NewBuilder returns a builder with room for the given numbers of states and
+// edges (hints, not limits).
+func NewBuilder(states, edges int) *Builder {
+	return &Builder{
+		edges:  make([]Edge, 0, edges),
+		off:    make([]int, 1, states+1),
+		accept: make([]bool, 0, states),
 	}
-	anyAccept := func(set []StateID) bool {
-		for _, s := range set {
-			if n.accept[s] {
-				return true
-			}
-		}
-		return false
+}
+
+// Edge adds a transition out of the state being built. Symbols must strictly
+// ascend within a state — that is both the sort order and determinism — and
+// anything else panics.
+func (b *Builder) Edge(sym Symbol, to StateID) {
+	if sym == Epsilon {
+		panic("automaton: epsilon edge in DFA")
 	}
-	// prune removes inert members — non-accepting states with no non-epsilon
-	// outgoing edges — from a closed subset. Inert members cannot affect
-	// acceptance or future transitions, but leaving them in would make two
-	// behaviorally identical subsets compare unequal, breaking the
-	// canonical-subset property Brzozowski minimization relies on (the
-	// epsilon-only start state Reverse introduces is the prime example).
-	prune := func(set []StateID) []StateID {
-		out := set[:0]
-		for _, s := range set {
-			live := n.accept[s]
-			if !live {
-				for _, e := range n.edges[s] {
-					if e.Sym != Epsilon {
-						live = true
-						break
-					}
-				}
-			}
-			if live {
-				out = append(out, s)
-			}
-		}
-		return out
+	if n := len(b.edges); n > b.off[len(b.off)-1] && b.edges[n-1].Sym >= sym {
+		panic(fmt.Sprintf("automaton: edge on %d after %d in state %d", sym, b.edges[n-1].Sym, len(b.accept)))
 	}
-	startSet := prune(n.epsClosure([]StateID{n.start}))
-	ids := map[key]StateID{}
-	var queue [][]StateID
-	s0 := d.AddState(anyAccept(startSet))
-	d.SetStart(s0)
-	ids[enc(startSet)] = s0
-	queue = append(queue, startSet)
-	for len(queue) > 0 {
-		set := queue[0]
-		queue = queue[1:]
-		from := ids[enc(set)]
-		// Group moves by symbol.
-		moves := map[Symbol][]StateID{}
-		for _, s := range set {
-			for _, e := range n.edges[s] {
-				if e.Sym != Epsilon {
-					moves[e.Sym] = append(moves[e.Sym], e.To)
-				}
-			}
-		}
-		syms := make([]Symbol, 0, len(moves))
-		for sym := range moves {
-			syms = append(syms, sym)
-		}
-		sort.Ints(syms)
-		for _, sym := range syms {
-			next := prune(n.epsClosure(moves[sym]))
-			k := enc(next)
-			to, ok := ids[k]
-			if !ok {
-				to = d.AddState(anyAccept(next))
-				ids[k] = to
-				queue = append(queue, next)
-			}
-			d.AddEdge(from, sym, to)
-		}
+	b.edges = append(b.edges, Edge{Sym: sym, To: to})
+}
+
+// EndState finishes the state being built and opens the next one.
+func (b *Builder) EndState(accepting bool) {
+	b.off = append(b.off, len(b.edges))
+	b.accept = append(b.accept, accepting)
+}
+
+// Build returns the DFA of the finished states. The builder must not be used
+// afterwards. Each edge list is capped at its length, so a later AddEdge
+// copies the list out instead of writing over its neighbour.
+func (b *Builder) Build(start StateID) *DFA {
+	d := &DFA{edges: make([][]Edge, len(b.accept)), start: start, accept: b.accept}
+	for s := range d.edges {
+		lo, hi := b.off[s], b.off[s+1]
+		d.edges[s] = b.edges[lo:hi:hi]
 	}
 	return d
 }
 
-// Reverse returns an NFA accepting the reversal of the DFA's language.
-func (d *DFA) Reverse() *NFA {
-	n := NewNFA()
-	for i := 0; i < d.NumStates(); i++ {
-		n.AddState(i == d.start)
+// bucket is a stable counting sort of the indexes of keys, whose values lie
+// in [0, n): the indexes holding key k are order[first[k]:first[k+1]].
+func bucket(keys []int32, n int) (first, order []int32) {
+	first = make([]int32, n+1)
+	for _, k := range keys {
+		first[k]++
 	}
-	for from := range d.edges {
-		for _, e := range d.Edges(from) {
-			n.AddEdge(e.To, e.Sym, from)
+	for k := 0; k < n; k++ {
+		first[k+1] += first[k]
+	}
+	// first[k] is now the end of k's range; filling backwards walks it down to
+	// the start.
+	order = make([]int32, len(keys))
+	for i := len(keys) - 1; i >= 0; i-- {
+		first[keys[i]]--
+		order[first[keys[i]]] = int32(i)
+	}
+	return first, order
+}
+
+// determinizer is the scratch of one subset construction. It lives for one
+// Determinize call and is not pooled: the allocations of a compile must be
+// the same from run to run.
+type determinizer struct {
+	n *NFA
+	// The transitions of state s, by index into n's lists: epsilon ones are
+	// order[first[2s]:first[2s+1]], the rest order[first[2s+1]:first[2s+2]].
+	first, order []int32
+	// live marks states that accept or have a symbol transition. The others
+	// are left out of every subset: they cannot affect acceptance or future
+	// moves, and keeping them would make two behaviourally identical subsets
+	// compare unequal.
+	live []bool
+
+	stamp []uint32 // stamp[s] == gen: s is in the closure being built
+	gen   uint32
+	stack []int32
+	set   []int32 // the closure just built, sorted, live members only
+
+	ids   map[string]StateID // subset (as key bytes) -> DFA state
+	key   []byte
+	arena []int32 // members of every interned subset, back to back
+	off   []int32 // subset of DFA state i is arena[off[i]:off[i+1]]
+}
+
+// closure leaves in c.set the epsilon closure of seeds.
+func (c *determinizer) closure(seeds []int32) {
+	c.gen++
+	c.set = c.set[:0]
+	stack := c.stack[:0]
+	for _, s := range seeds {
+		if c.stamp[s] != c.gen {
+			c.stamp[s] = c.gen
+			stack = append(stack, s)
 		}
 	}
-	start := n.AddState(false)
-	n.SetStart(start)
-	for i := 0; i < d.NumStates(); i++ {
-		if d.accept[i] {
-			n.AddEdge(start, Epsilon, i)
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if c.live[s] {
+			c.set = append(c.set, s)
+		}
+		for _, t := range c.order[c.first[2*s]:c.first[2*s+1]] {
+			if to := c.n.to[t]; c.stamp[to] != c.gen {
+				c.stamp[to] = c.gen
+				stack = append(stack, to)
+			}
 		}
 	}
-	return n
+	c.stack = stack
+	slices.Sort(c.set)
+}
+
+// intern returns the DFA state of the subset in c.set, numbering it if new.
+// The map is probed with a key built in a reused buffer, which allocates only
+// when a subset is seen for the first time.
+func (c *determinizer) intern() StateID {
+	key := c.key[:0]
+	for _, s := range c.set {
+		key = append(key, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+	}
+	c.key = key
+	if id, ok := c.ids[string(key)]; ok {
+		return id
+	}
+	id := len(c.off) - 1
+	c.ids[string(key)] = id
+	c.arena = append(c.arena, c.set...)
+	c.off = append(c.off, int32(len(c.arena)))
+	return id
+}
+
+// Determinize converts the NFA to an equivalent DFA via subset construction.
+// Only reachable subsets are materialized; states are numbered in order of
+// discovery, breadth first from the start by ascending symbol.
+func (n *NFA) Determinize() *DFA {
+	states := len(n.accept)
+	keys := make([]int32, len(n.from))
+	live := slices.Clone(n.accept)
+	nsyms := 0
+	for t, sym := range n.sym {
+		keys[t] = 2 * n.from[t]
+		if sym != int32(Epsilon) {
+			keys[t]++
+			live[n.from[t]] = true
+			nsyms = max(nsyms, int(sym)+1)
+		}
+	}
+	c := &determinizer{n: n, live: live, stamp: make([]uint32, states), ids: map[string]StateID{}, off: []int32{0}}
+	c.first, c.order = bucket(keys, 2*states)
+
+	// Moves out of one subset are grouped by a counting sort over the symbols
+	// it actually uses: count[sym] counts, then becomes the write cursor into
+	// targets.
+	count := make([]int32, nsyms)
+	var present, targets []int32
+
+	c.closure([]int32{int32(n.start)})
+	c.intern()
+	b := NewBuilder(states, len(n.from))
+	for from := 0; from+1 < len(c.off); from++ {
+		members := c.arena[c.off[from]:c.off[from+1]]
+		present = present[:0]
+		total, accepting := 0, false
+		for _, s := range members {
+			accepting = accepting || n.accept[s]
+			for _, t := range c.order[c.first[2*s+1]:c.first[2*s+2]] {
+				if count[n.sym[t]] == 0 {
+					present = append(present, n.sym[t])
+				}
+				count[n.sym[t]]++
+				total++
+			}
+		}
+		slices.Sort(present)
+		at := int32(0)
+		for _, sym := range present {
+			at, count[sym] = at+count[sym], at
+		}
+		targets = slices.Grow(targets[:0], total)[:total]
+		for _, s := range members {
+			for _, t := range c.order[c.first[2*s+1]:c.first[2*s+2]] {
+				targets[count[n.sym[t]]] = n.to[t]
+				count[n.sym[t]]++
+			}
+		}
+		lo := int32(0)
+		for _, sym := range present {
+			hi := count[sym]
+			count[sym] = 0
+			c.closure(targets[lo:hi])
+			b.Edge(Symbol(sym), c.intern())
+			lo = hi
+		}
+		b.EndState(accepting)
+	}
+	return b.Build(0)
 }
 
 // ToNFA returns an NFA view of the DFA (a copy).
@@ -351,15 +450,12 @@ func (d *DFA) ToNFA() *NFA {
 
 // Clone returns a deep copy of the DFA.
 func (d *DFA) Clone() *DFA {
-	c := NewDFA()
-	for i := 0; i < d.NumStates(); i++ {
-		c.AddState(d.accept[i])
+	b := NewBuilder(d.NumStates(), d.NumEdges())
+	for s, es := range d.edges {
+		b.edges = append(b.edges, es...)
+		b.EndState(d.accept[s])
 	}
-	for from := range d.edges {
-		for _, e := range d.Edges(from) {
-			c.AddEdge(from, e.Sym, e.To)
-		}
-	}
-	c.SetStart(d.start)
+	c := b.Build(d.start)
+	c.minimal = d.minimal
 	return c
 }

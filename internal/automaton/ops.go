@@ -2,89 +2,104 @@ package automaton
 
 import "sort"
 
-// Trim returns an equivalent DFA containing only states that are both
-// reachable from the start and co-reachable (can reach an accepting state).
-// If the language is empty, the result is a single non-accepting start state
-// with no edges.
-func (d *DFA) Trim() *DFA {
+// live numbers, in ID order, the states that are both reachable from the
+// start and co-reachable (can reach an accepting state); every other state
+// gets -1. count is how many were numbered: 0 exactly when the language is
+// empty.
+func (d *DFA) live() (id []int32, count int) {
 	n := d.NumStates()
-	reach := make([]bool, n)
-	stack := []StateID{d.start}
-	reach[d.start] = true
+	id = make([]int32, n)
+	if n == 0 {
+		return id, 0
+	}
+	// Forward pass: id[s] = 1 for reachable states, and the in-degree of every
+	// state counted over edges that leave a reachable one.
+	first := make([]int32, n+1)
+	stack := make([]int32, 1, n)
+	stack[0], id[d.start] = int32(d.start), 1
+	edges := 0
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range d.Edges(s) {
-			if !reach[e.To] {
-				reach[e.To] = true
-				stack = append(stack, e.To)
+		for _, e := range d.edges[s] {
+			first[e.To]++
+			edges++
+			if id[e.To] == 0 {
+				id[e.To] = 1
+				stack = append(stack, int32(e.To))
 			}
 		}
 	}
-	// Co-reachability via reverse edges.
-	rev := make([][]StateID, n)
-	for from := 0; from < n; from++ {
-		for _, e := range d.Edges(from) {
-			rev[e.To] = append(rev[e.To], from)
+	// Inverse edges in CSR form (filled backwards, as in bucket): the sources
+	// of the edges into s are src[first[s]:first[s+1]].
+	for s := 0; s < n; s++ {
+		first[s+1] += first[s]
+	}
+	src := make([]int32, edges)
+	for s := n - 1; s >= 0; s-- {
+		if id[s] == 1 {
+			for _, e := range d.edges[s] {
+				first[e.To]--
+				src[first[e.To]] = int32(s)
+			}
 		}
 	}
-	coreach := make([]bool, n)
-	stack = stack[:0]
-	for i := 0; i < n; i++ {
-		if d.accept[i] {
-			coreach[i] = true
-			stack = append(stack, i)
+	// Backward pass from the reachable accepting states: id[s] = 2.
+	for s := 0; s < n; s++ {
+		if id[s] == 1 && d.accept[s] {
+			id[s] = 2
+			stack = append(stack, int32(s))
 		}
 	}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range rev[s] {
-			if !coreach[p] {
-				coreach[p] = true
+		for _, p := range src[first[s]:first[s+1]] {
+			if id[p] == 1 {
+				id[p] = 2
 				stack = append(stack, p)
 			}
 		}
 	}
-	keep := make([]StateID, n)
-	out := NewDFA()
-	for i := 0; i < n; i++ {
-		keep[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if reach[i] && coreach[i] {
-			keep[i] = out.AddState(d.accept[i])
+	for s := range id {
+		if id[s] == 2 {
+			id[s] = int32(count)
+			count++
+		} else {
+			id[s] = -1
 		}
 	}
-	if keep[d.start] == -1 {
-		// Empty language: keep a bare start state.
-		s := out.AddState(false)
-		out.SetStart(s)
-		return out
-	}
-	for from := 0; from < n; from++ {
-		if keep[from] == -1 {
-			continue
-		}
-		for _, e := range d.Edges(from) {
-			if keep[e.To] != -1 {
-				out.AddEdge(keep[from], e.Sym, keep[e.To])
-			}
-		}
-	}
-	out.SetStart(keep[d.start])
-	return out
+	return id, count
 }
 
-// Minimize returns the unique minimal DFA for the language, computed with
-// Brzozowski's double-reversal method (reverse, determinize, trim, reverse,
-// determinize). The middle Trim is load-bearing: the theorem requires the
-// intermediate automaton to be co-accessible, and subset construction can
-// leave dead subset-states behind. On the automaton sizes ReLM produces this
-// is competitive with Hopcroft (see MinimizeHopcroft) and simpler to verify.
-func (d *DFA) Minimize() *DFA {
-	t := d.Trim()
-	return t.Reverse().Determinize().Trim().Reverse().Determinize().Trim()
+// emptyDFA is the canonical automaton of the empty language: a single
+// non-accepting start state with no edges.
+func emptyDFA() *DFA {
+	return &DFA{edges: make([][]Edge, 1), accept: make([]bool, 1), minimal: true}
+}
+
+// Trim returns an equivalent DFA containing only states that are both
+// reachable from the start and co-reachable (can reach an accepting state),
+// in their original order. If the language is empty, the result is a single
+// non-accepting start state with no edges.
+func (d *DFA) Trim() *DFA {
+	id, count := d.live()
+	if count == 0 {
+		return emptyDFA()
+	}
+	b := NewBuilder(count, d.NumEdges())
+	for s, es := range d.edges {
+		if id[s] < 0 {
+			continue
+		}
+		for _, e := range es {
+			if id[e.To] >= 0 {
+				b.Edge(e.Sym, int(id[e.To]))
+			}
+		}
+		b.EndState(d.accept[s])
+	}
+	return b.Build(int(id[d.start]))
 }
 
 // Intersect returns a DFA accepting L(a) ∩ L(b) via the product construction.
@@ -184,7 +199,7 @@ func (d *DFA) Complete(alphabet []Symbol) (*DFA, StateID) {
 func (d *DFA) Complement(alphabet []Symbol) *DFA {
 	c, _ := d.Complete(alphabet)
 	for s := 0; s < c.NumStates(); s++ {
-		c.accept[s] = !c.accept[s]
+		c.SetAccepting(s, !c.accept[s])
 	}
 	return c
 }

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/automaton"
 	"repro/internal/tokenizer"
@@ -33,52 +32,78 @@ const byteTokenLimit = 256
 // CompileFull builds the full/ambiguous token automaton from a byte DFA by
 // inserting shortcut edges: for every state v and every multi-byte token w,
 // if the bytes of w trace a path v -> u, an edge v --w--> u is added. The
-// construction walks a trie over the vocabulary in tandem with the DFA, so
-// each state costs O(reachable trie nodes) instead of the naive O(k·m_max)
-// of Appendix B's Algorithm 2 (see CompileFullNaive for that variant).
+// construction walks the tokenizer's vocabulary trie in tandem with the DFA,
+// so each state costs O(reachable trie nodes) instead of the naive
+// O(k·m_max) of Appendix B's Algorithm 2 (see CompileFullNaive for that
+// variant). The trie belongs to the tokenizer — built on its first compile,
+// read-only after — so concurrent compiles share it.
 //
 // The result is deterministic: the underlying byte walk for each token is
-// unique, so (state, token) pairs never collide.
+// unique, so (state, token) pairs never collide. Every multi-byte token's ID
+// is above the byte symbols, so a state's list is its byte edges followed by
+// its shortcuts in token order, and the builder takes both already sorted.
 func CompileFull(char *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
-	out := char.Clone()
-	trie := buildTrie(bpe)
+	trie := bpe.Trie()
+	b := automaton.NewBuilder(char.NumStates(), 2*char.NumEdges())
+	var w shortcutWalk
 	for v := 0; v < char.NumStates(); v++ {
-		addShortcutsFrom(char, out, trie, v)
+		for _, e := range char.Edges(v) {
+			b.Edge(e.Sym, e.To)
+		}
+		for _, e := range w.from(char, trie, v) {
+			b.Edge(e.Sym, e.To)
+		}
+		b.EndState(char.Accepting(v))
 	}
-	return out
+	return b.Build(char.Start())
 }
 
-// addShortcutsFrom walks the vocabulary trie and the DFA together from state
-// v, adding a shortcut edge for every multi-byte token whose surface bytes
-// form a valid walk. The DFS discovers tokens in map-iteration order, so
-// edges are buffered and sorted by token ID before insertion: AddEdge keeps
-// edge lists sorted, and since every shortcut token ID exceeds the byte
-// symbols already present, sorted insertion degenerates to O(1) appends —
-// feeding edges in random order would instead memmove O(k) per edge.
-func addShortcutsFrom(char, out *automaton.DFA, root *trieNode, v automaton.StateID) {
-	type frame struct {
-		trie  *trieNode
-		state automaton.StateID
-		depth int
-	}
-	var found []automaton.Edge
-	stack := []frame{{trie: root, state: v}}
+// shortcutWalk is the scratch one CompileFull reuses across states.
+type shortcutWalk struct {
+	stack []shortcutFrame
+	found []automaton.Edge
+}
+
+type shortcutFrame struct {
+	node  int32 // trie node
+	state automaton.StateID
+	depth int
+}
+
+// from walks the vocabulary trie and the DFA together from state v and
+// returns, sorted by token, a shortcut edge for every multi-byte token whose
+// surface bytes form a valid walk. The slice is reused by the next call.
+func (w *shortcutWalk) from(char *automaton.DFA, trie *tokenizer.Trie, v automaton.StateID) []automaton.Edge {
+	w.found = w.found[:0]
+	stack := append(w.stack[:0], shortcutFrame{state: v})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if f.trie.token >= 0 && f.depth > 1 {
-			found = append(found, automaton.Edge{Sym: f.trie.token, To: f.state})
+		if tok := trie.Token(f.node); tok >= 0 && f.depth > 1 {
+			w.found = append(w.found, automaton.Edge{Sym: tok, To: f.state})
 		}
-		for b, child := range f.trie.children {
-			if to, ok := char.Step(f.state, int(b)); ok {
-				stack = append(stack, frame{trie: child, state: to, depth: f.depth + 1})
+		// Pair the node's bytes with the state's edges from the shorter side.
+		kids, edges := trie.Kids(f.node), char.Edges(f.state)
+		if len(kids) <= len(edges) {
+			for _, k := range kids {
+				if to, ok := char.Step(f.state, int(k.Byte)); ok {
+					stack = append(stack, shortcutFrame{k.Node, to, f.depth + 1})
+				}
+			}
+			continue
+		}
+		for _, e := range edges {
+			if e.Sym >= byteTokenLimit {
+				break
+			}
+			if node, ok := trie.Child(f.node, byte(e.Sym)); ok {
+				stack = append(stack, shortcutFrame{node, e.To, f.depth + 1})
 			}
 		}
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].Sym < found[j].Sym })
-	for _, e := range found {
-		out.AddEdge(v, e.Sym, e.To)
-	}
+	w.stack = stack
+	slices.SortFunc(w.found, func(a, b automaton.Edge) int { return a.Sym - b.Sym })
+	return w.found
 }
 
 // CompileFullNaive is Appendix B's Algorithm 2 taken literally: for every
@@ -107,36 +132,6 @@ func CompileFullNaive(char *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
 		}
 	}
 	return out
-}
-
-type trieNode struct {
-	children map[byte]*trieNode
-	token    tokenizer.Token // -1 when this node is not a token
-}
-
-// buildTrie indexes the vocabulary's surface forms by prefix. Single-byte
-// tokens are included (at depth 1) but addShortcutsFrom skips them since the
-// byte edges already exist.
-func buildTrie(bpe *tokenizer.BPE) *trieNode {
-	root := &trieNode{children: map[byte]*trieNode{}, token: -1}
-	for id := 0; id < bpe.VocabSize(); id++ {
-		surface := bpe.TokenBytes(id)
-		if len(surface) < 2 {
-			continue
-		}
-		n := root
-		for i := 0; i < len(surface); i++ {
-			c := surface[i]
-			child, ok := n.children[c]
-			if !ok {
-				child = &trieNode{children: map[byte]*trieNode{}, token: -1}
-				n.children[c] = child
-			}
-			n = child
-		}
-		n.token = id
-	}
-	return root
 }
 
 // ErrLanguageTooLarge is returned by CompileCanonical when the language

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/automaton"
@@ -81,20 +83,45 @@ func TestCompileFullAmbiguityGrowth(t *testing.T) {
 }
 
 func TestCompileFullMatchesNaive(t *testing.T) {
-	// Ablation invariant: trie-based and naive Algorithm-2 construction
-	// produce the same automaton (same language over tokens).
-	bpe := testBPE(t)
-	for _, pattern := range []string{
-		"The ((cat)|(dog))",
-		"[a-z]{1,4}",
-		"(he)+",
-	} {
-		char := regex.MustCompile(pattern)
-		fast := CompileFull(char, bpe)
-		naive := CompileFullNaive(char, bpe)
-		if !automaton.Equivalent(fast, naive) {
-			t.Errorf("trie and naive full automata differ for %q", pattern)
+	// Ablation invariant: the walk over the tokenizer's shared trie and the
+	// naive Algorithm-2 construction produce the same automaton — the same
+	// states, edges and order, not merely the same language — on three
+	// vocabularies, and from eight goroutines that meet on a tokenizer whose
+	// trie nobody has built yet (run under -race).
+	tiny := tokenizer.Train([]string{"The", "Th", "he", "The", "Th", "he", "The", "Th", "he"}, 60)
+	wide := tokenizer.Train([]string{
+		"https://www.example.com/a-b_c https://www.test.org/x%20y",
+		"the theory of the thing; then there, thence: they thaw",
+		"0123 456 789 00 11 22 2023-05-15 12:30",
+	}, 400)
+	for name, bpe := range map[string]*tokenizer.BPE{"words": testBPE(t), "tiny": tiny, "wide": wide} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, pattern := range []string{
+					"The ((cat)|(dog))",
+					"[a-z]{1,4}",
+					"(he)+",
+					"https://www.([a-z]|_|-|%)+",
+				} {
+					char := regex.MustCompile(pattern)
+					fast, naive := CompileFull(char, bpe), CompileFullNaive(char, bpe)
+					if fast.NumStates() != naive.NumStates() || fast.Start() != naive.Start() {
+						t.Errorf("%s %q: %v vs naive %v", name, pattern, fast, naive)
+						continue
+					}
+					for s := 0; s < fast.NumStates(); s++ {
+						if fast.Accepting(s) != naive.Accepting(s) || !slices.Equal(fast.Edges(s), naive.Edges(s)) {
+							t.Errorf("%s %q: state %d differs from the naive construction", name, pattern, s)
+							break
+						}
+					}
+				}
+			}()
 		}
+		wg.Wait()
 	}
 }
 

@@ -24,9 +24,7 @@ import (
 func CompileCanonicalPairwise(char *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
 	full := CompileFull(char, bpe)
 	constraint := pairConstraintDFA(full, bpe)
-	// Hopcroft rather than Brzozowski: the product automaton can be large
-	// (states x alphabet) and double determinization blows up on it.
-	return automaton.Intersect(full, constraint).MinimizeHopcroft()
+	return automaton.Intersect(full, constraint).Minimize()
 }
 
 // pairConstraintDFA builds a DFA over the tokens used by full that accepts

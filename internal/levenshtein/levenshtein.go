@@ -7,6 +7,7 @@
 package levenshtein
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/automaton"
@@ -24,9 +25,14 @@ func Expand(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 	return ExpandK(d, alphabet, 1)
 }
 
-// ExpandK returns the DFA of strings within edit distance k of L(d). k = 0
-// returns a minimized clone.
+// ExpandK returns the minimal DFA of strings within edit distance k of L(d).
+// The input is minimized first (for a minimal one, such as regex.Compile
+// returns, that costs nothing): every expansion doubles its states. k = 0
+// returns a copy, so the result is the caller's to mutate either way.
 func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
+	if k <= 0 {
+		return d.Clone().Minimize()
+	}
 	cur := d.Minimize()
 	for i := 0; i < k; i++ {
 		cur = expandOnce(cur, alphabet)
@@ -46,16 +52,29 @@ func expandOnce(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 			n.AddState(d.Accepting(q))
 		}
 	}
+	// succ lists the distinct successors of one state. An edit moves to a
+	// successor whichever edge leads there, so the edit transitions are laid
+	// per successor, not per edge: a state of an already expanded automaton
+	// has an edge for every byte and only a handful of successors.
+	type successor struct {
+		to  automaton.StateID
+		sym int // the one symbol that leads to it, -1 when several do
+	}
+	var succ []successor
 	for q := 0; q < states; q++ {
 		edges := d.Edges(q)
-		onSym := map[int]automaton.StateID{}
-		for _, e := range edges {
-			onSym[e.Sym] = e.To
-		}
+		succ = succ[:0]
 		for layer := 0; layer < 2; layer++ {
 			// Exact transitions preserve the layer.
 			for _, e := range edges {
 				n.AddEdge(id(q, layer), e.Sym, id(e.To, layer))
+			}
+		}
+		for _, e := range edges {
+			if i := slices.IndexFunc(succ, func(s successor) bool { return s.to == e.To }); i < 0 {
+				succ = append(succ, successor{e.To, e.Sym})
+			} else {
+				succ[i].sym = -1
 			}
 		}
 		// Edit transitions: layer 0 -> layer 1.
@@ -65,17 +84,16 @@ func expandOnce(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 			n.AddEdge(id(q, 0), sym, id(q, 1))
 			// Substitution: consume b but advance along any edge whose label
 			// differs from b.
-			for _, e := range edges {
-				if e.Sym != sym {
-					n.AddEdge(id(q, 0), sym, id(e.To, 1))
+			for _, s := range succ {
+				if s.sym != sym {
+					n.AddEdge(id(q, 0), sym, id(s.to, 1))
 				}
 			}
 		}
 		// Deletion: advance along an edge without consuming input.
-		for _, e := range edges {
-			n.AddEdge(id(q, 0), automaton.Epsilon, id(e.To, 1))
+		for _, s := range succ {
+			n.AddEdge(id(q, 0), automaton.Epsilon, id(s.to, 1))
 		}
-		_ = onSym
 	}
 	n.SetStart(id(d.Start(), 0))
 	return n.Determinize().Minimize()

@@ -216,3 +216,69 @@ func TestSortedAlphabetUnion(t *testing.T) {
 		t.Errorf("union = %q, want abc", got)
 	}
 }
+
+// TestExpandKPrintableMatchesDistanceOracle: over the full printable edit
+// alphabet — the compile chain's case — membership in ExpandK(base, k) is
+// exactly "within k edits of some base string" by the dynamic-program oracle,
+// for single words and 3-way disjunctions, k = 1 and 2. Probes are base
+// strings put through zero to k+1 random edits, so both sides of the boundary
+// are hit.
+func TestExpandKPrintableMatchesDistanceOracle(t *testing.T) {
+	alpha := PrintableASCII()
+	rng := rand.New(rand.NewSource(15))
+	word := func() string {
+		b := make([]byte, 1+rng.Intn(5))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(4))
+		}
+		return string(b)
+	}
+	edit := func(s string) string {
+		b, at := []byte(s), rng.Intn(len(s)+1)
+		c := alpha[rng.Intn(len(alpha))]
+		switch op := rng.Intn(3); {
+		case op == 0 || len(b) == 0:
+			return string(b[:at]) + string(c) + string(b[at:])
+		case op == 1:
+			at %= len(b)
+			return string(b[:at]) + string(b[at+1:])
+		default:
+			b[at%len(b)] = c
+			return string(b)
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		words := []string{word()}
+		if trial%2 == 1 {
+			words = append(words, word(), word())
+		}
+		base := automaton.FromStrings(words)
+		for k := 1; k <= 2; k++ {
+			exp := ExpandK(base, alpha, k)
+			for probe := 0; probe < 60; probe++ {
+				s := words[rng.Intn(len(words))]
+				for e := rng.Intn(k + 2); e > 0; e-- {
+					s = edit(s)
+				}
+				want := false
+				for _, w := range words {
+					want = want || Distance(w, s) <= k
+				}
+				if got := exp.MatchString(s); got != want {
+					t.Fatalf("base %q, k=%d, probe %q: expansion says %v, oracle %v", words, k, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExpandK0ResultIsACopy: a minimal input is returned as it is by Minimize,
+// and k = 0 must still hand the caller an automaton of their own.
+func TestExpandK0ResultIsACopy(t *testing.T) {
+	base := automaton.FromStrings([]string{"xy"})
+	exp := ExpandK(base, []byte("xy"), 0)
+	exp.SetAccepting(exp.Start(), true)
+	if base.MatchString("") {
+		t.Error("mutating ExpandK(0)'s result changed the input")
+	}
+}

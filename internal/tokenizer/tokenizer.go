@@ -45,6 +45,9 @@ type BPE struct {
 
 	fpOnce sync.Once
 	fp     string
+
+	trieOnce sync.Once
+	trie     *Trie
 }
 
 type mergeRule struct {
@@ -353,34 +356,12 @@ func (b *BPE) String() string {
 // Decode∘Encode = identity.
 type Greedy struct {
 	b    *BPE
-	trie *trieNode
-}
-
-type trieNode struct {
-	children map[byte]*trieNode
-	token    Token // -1 if not a token boundary
+	trie *Trie
 }
 
 // NewGreedy builds a greedy longest-match encoder over b's vocabulary.
 func NewGreedy(b *BPE) *Greedy {
-	root := &trieNode{children: map[byte]*trieNode{}, token: -1}
-	for id, surface := range b.vocab {
-		if surface == "" {
-			continue
-		}
-		n := root
-		for i := 0; i < len(surface); i++ {
-			c := surface[i]
-			child, ok := n.children[c]
-			if !ok {
-				child = &trieNode{children: map[byte]*trieNode{}, token: -1}
-				n.children[c] = child
-			}
-			n = child
-		}
-		n.token = id
-	}
-	return &Greedy{b: b, trie: root}
+	return &Greedy{b: b, trie: b.Trie()}
 }
 
 // Encode tokenizes by repeatedly taking the longest vocabulary entry that
@@ -389,16 +370,16 @@ func NewGreedy(b *BPE) *Greedy {
 func (g *Greedy) Encode(s string) []Token {
 	var out []Token
 	for i := 0; i < len(s); {
-		n := g.trie
+		n := int32(0)
 		bestTok, bestLen := -1, 0
 		for j := i; j < len(s); j++ {
-			child, ok := n.children[s[j]]
+			child, ok := g.trie.Child(n, s[j])
 			if !ok {
 				break
 			}
 			n = child
-			if n.token >= 0 {
-				bestTok, bestLen = n.token, j-i+1
+			if tok := g.trie.Token(n); tok >= 0 {
+				bestTok, bestLen = tok, j-i+1
 			}
 		}
 		if bestTok < 0 {

@@ -250,3 +250,47 @@ func TestTrainDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTrieIndexesEveryToken: each token's surface walks from the root to a
+// node carrying exactly that token, every node's children are sorted by byte,
+// the nodes that carry a token are as many as the vocabulary minus EOS, and
+// the tokenizer hands out one trie.
+func TestTrieIndexesEveryToken(t *testing.T) {
+	b := trained(t)
+	trie := b.Trie()
+	if b.Trie() != trie {
+		t.Fatal("Trie() built a second trie")
+	}
+	for id := 0; id < b.VocabSize(); id++ {
+		surface := b.TokenBytes(id)
+		if surface == "" {
+			continue
+		}
+		node := int32(0)
+		for i := 0; i < len(surface); i++ {
+			next, ok := trie.Child(node, surface[i])
+			if !ok {
+				t.Fatalf("token %d %q: no child on byte %d", id, surface, i)
+			}
+			node = next
+		}
+		if got := trie.Token(node); got != id {
+			t.Errorf("token %d %q: its node carries %d", id, surface, got)
+		}
+	}
+	carrying := 0
+	for node := range trie.nodes {
+		if trie.Token(int32(node)) >= 0 {
+			carrying++
+		}
+		kids := trie.Kids(int32(node))
+		for i := 1; i < len(kids); i++ {
+			if kids[i-1].Byte >= kids[i].Byte {
+				t.Fatalf("node %d: children out of order", node)
+			}
+		}
+	}
+	if carrying != b.VocabSize()-1 {
+		t.Errorf("%d nodes carry a token, want %d", carrying, b.VocabSize()-1)
+	}
+}

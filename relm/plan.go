@@ -25,13 +25,16 @@ type compiled struct {
 }
 
 // compilePattern runs §3.1's pipeline up to the LLM automaton. The char
-// automaton is Hopcroft-minimized after preprocessors run: regex.Compile
-// minimizes, but a preprocessor (e.g. PrependLiteral's Concat) may return a
-// non-minimal automaton, and the full token construction preserves
-// minimality — two states distinguishable over bytes stay distinguishable
-// over tokens, since every byte is itself a token — so minimizing at the
-// char boundary yields minimal token automata on every path below (the
-// enumerate and pairwise constructions minimize their own outputs).
+// automaton is minimized after preprocessors run: regex.Compile and the
+// preprocessors that minimize their own output hand over an automaton marked
+// minimal, which Minimize returns as it is, but a preprocessor (e.g.
+// PrependLiteral's Concat) may return a non-minimal one, and the full token
+// construction preserves minimality — two states distinguishable over bytes
+// stay distinguishable over tokens, since every byte is itself a token — so
+// minimizing at the char boundary yields minimal token automata on every
+// path below (the enumerate and pairwise constructions minimize their own
+// outputs). Minimal automata come in one canonical numbering, so the frozen
+// plan is a function of the language, not of the route that built it.
 func compilePattern(m *Model, q SearchQuery) (*compiled, error) {
 	charDFA, err := regex.Compile(q.Query.Pattern)
 	if err != nil {
@@ -43,7 +46,7 @@ func compilePattern(m *Model, q SearchQuery) (*compiled, error) {
 			return nil, fmt.Errorf("relm: preprocessor %s: %w", p.Name(), err)
 		}
 	}
-	charDFA = charDFA.MinimizeHopcroft()
+	charDFA = charDFA.Minimize()
 	c := &compiled{char: charDFA}
 
 	var token *automaton.DFA

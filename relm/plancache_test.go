@@ -2,6 +2,7 @@ package relm
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -325,6 +326,60 @@ func TestPlanMinimizesTokenAutomaton(t *testing.T) {
 	}
 	if p.CharStates >= inflated.NumStates() {
 		t.Fatalf("plan char automaton not minimized: %d states, inflated %d", p.CharStates, inflated.NumStates())
+	}
+}
+
+// fixedLanguage is a preprocessor that ignores its input and returns the
+// automaton automaton.FromStrings builds for its words.
+type fixedLanguage []string
+
+func (f fixedLanguage) Name() string { return "fixed-language" }
+func (f fixedLanguage) Transform(*automaton.DFA) (*automaton.DFA, error) {
+	return automaton.FromStrings(f), nil
+}
+
+// TestPlanIsAFunctionOfTheLanguage: Minimize numbers the minimal automaton
+// canonically, so the frozen plan — every state number, edge and accepting
+// bit of the char and token automata — is identical whichever route built the
+// language: two regexes, a string list, a preprocessor chain through Concat
+// and Difference, a non-minimal automaton.
+func TestPlanIsAFunctionOfTheLanguage(t *testing.T) {
+	m := testModel(t)
+	words := fixedLanguage{"The dog ran", "The cat sat", "The cat ran", "The dog sat", "The cow sat", "The cow ran"}
+	routes := []SearchQuery{
+		{Query: QueryString{Pattern: "The ((cat)|(dog)|(cow)) ((sat)|(ran))"}},
+		{Query: QueryString{Pattern: "(The dog (ran|sat))|(The c(at|ow) sat)|(The c(ow|at) ran)"}},
+		{Query: QueryString{Pattern: "x"}, Preprocessors: []Preprocessor{words}},
+		{Query: QueryString{Pattern: "((cat)|(cow)|(dog)|(pig)) ((ran)|(sat))"}, Preprocessors: []Preprocessor{
+			PrependLiteral{Lit: "The "}, RemoveWords{Words: []string{"The pig sat", "The pig ran"}}}},
+		{Query: QueryString{Pattern: "The (cat|dog|cow) (sat|ran)"}, Preprocessors: []Preprocessor{inflatePreprocessor{}}},
+	}
+	for _, edits := range []int{0, 1} {
+		for _, tokenization := range []TokenizationStrategy{AllTokens, CanonicalTokens} {
+			var want *compiled
+			for i, q := range routes {
+				q.Tokenization = tokenization
+				if edits > 0 {
+					q.Preprocessors = append(append([]Preprocessor(nil), q.Preprocessors...), EditDistance{K: edits})
+				}
+				applyDefaults(&q)
+				got, err := compilePattern(m, q)
+				if err != nil {
+					t.Fatalf("route %d: %v", i, err)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if !reflect.DeepEqual(got.token, want.token) {
+					t.Errorf("%d edits, tokenization %d, route %d: token plan %v differs from route 0's %v",
+						edits, tokenization, i, got.token, want.token)
+				}
+				if !reflect.DeepEqual(got.char.Freeze(), want.char.Freeze()) {
+					t.Errorf("%d edits, tokenization %d, route %d: char automaton differs from route 0's", edits, tokenization, i)
+				}
+			}
+		}
 	}
 }
 

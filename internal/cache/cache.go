@@ -180,13 +180,7 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 		for j, o := range owned {
 			o.f.lp = lps[j]
 			if _, ok := c.entries[o.key]; !ok {
-				el := c.order.PushFront(&entry{key: o.key, lp: lps[j]})
-				c.entries[o.key] = el
-				if c.order.Len() > c.cap {
-					last := c.order.Back()
-					c.order.Remove(last)
-					delete(c.entries, last.Value.(*entry).key)
-				}
+				c.insertLocked(o.key, lps[j])
 			}
 			delete(c.inflight, o.key)
 		}
@@ -204,6 +198,17 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 		out[w.idx] = copyRow(w.f.lp)
 	}
 	return out, bs
+}
+
+// insertLocked puts a row for a key the LRU does not hold at the front and
+// evicts from the back past capacity. The cache takes ownership of lp.
+func (c *LM) insertLocked(key string, lp []float64) {
+	c.entries[key] = c.order.PushFront(&entry{key: key, lp: lp})
+	if c.order.Len() > c.cap {
+		last := c.order.Back()
+		c.order.Remove(last)
+		delete(c.entries, last.Value.(*entry).key)
+	}
 }
 
 func copyRow(lp []float64) []float64 {

@@ -158,13 +158,7 @@ func (c *LM) publish(ctx []model.Token, lp []float64) {
 	key := model.Key(ctx)
 	c.mu.Lock()
 	if _, ok := c.entries[key]; !ok {
-		el := c.order.PushFront(&entry{key: key, lp: copyRow(lp)})
-		c.entries[key] = el
-		if c.order.Len() > c.cap {
-			last := c.order.Back()
-			c.order.Remove(last)
-			delete(c.entries, last.Value.(*entry).key)
-		}
+		c.insertLocked(key, copyRow(lp))
 	}
 	c.mu.Unlock()
 }

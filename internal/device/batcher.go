@@ -14,7 +14,7 @@ import (
 // ScoreBatch/Prefill/ExtendBatch waves — at high concurrency the device
 // executes many half-full forwards, each paying the full dispatch overhead.
 // The Batcher is a fusion queue between the engines and the device core:
-// every view's scoring call becomes an asynchronous request, a scheduler
+// every view's scoring request (Device.dispatch) is queued, a scheduler
 // collects requests from all in-flight queries inside a short admission
 // window, and packs their rows into shared forwards up to the device batch
 // cap. One fused batch pays one dispatch for rows from many queries. Rows the
@@ -22,14 +22,14 @@ import (
 // ScoreAll answer them before dispatch (residentFirst), so a cache-served
 // round does not sit out an admission window it has nothing to put into.
 //
-// Fusion preserves byte-identical result streams by construction: each
-// request's rows are computed by exactly the same model calls on exactly the
-// same inputs as the per-query path (ScoreBatch on sub-slices, Prefill,
-// Extend, AllPositionLogProbs) — the scheduler changes only when and with
-// whom a row shares a dispatch, never what is computed. The device already
-// relies on this row-independence to shard chunks across the worker pool;
-// the batcher extends the same invariant across queries. Per-query cache and
-// KV attribution survive because every request scores through the view that
+// Fusion preserves byte-identical result streams by construction: a fused
+// batch and an inline chunk execute through the same core.run and the same
+// segment.exec (ScoreBatch on sub-slices, Prefill, Extend,
+// AllPositionLogProbs) — the scheduler changes only when and with whom a row
+// shares a dispatch, never what is computed. The device already relies on
+// this row-independence to shard a batch across the worker pool; the batcher
+// extends the same invariant across queries. Per-query cache and KV
+// attribution survive because every request scores through the view that
 // submitted it.
 //
 // Scheduling policy:
@@ -72,10 +72,10 @@ type Batcher struct {
 
 	// Circuit breaker (guarded by mu). Consecutive failed fused dispatches —
 	// a row panicking, or an injected batcher fault — trip the breaker; while
-	// open, enqueue refuses admission and callers fall back to the device's
-	// direct per-query dispatch path, which still computes byte-identical
-	// results. After the cooldown one probe request is admitted (half-open):
-	// success closes the breaker, failure re-trips it.
+	// open, enqueue refuses admission and callers run their request inline
+	// (Device.dispatch), which computes byte-identical results. After the
+	// cooldown one probe request is admitted (half-open): success closes the
+	// breaker, failure re-trips it.
 	breakerFails int
 	breakerOpen  bool
 	breakerUntil time.Time
@@ -106,7 +106,7 @@ type BatcherConfig struct {
 	Quantum int
 	// BreakerThreshold is the number of consecutive failed fused dispatches
 	// that trips the circuit breaker (default 3). While open the batcher sheds
-	// admissions and queries run the direct dispatch path.
+	// admissions and queries run their requests inline.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker sheds before admitting a
 	// half-open probe (default 250ms).
@@ -158,7 +158,7 @@ type BatcherStats struct {
 	// even service.
 	FairnessDeficit int64
 	// BreakerState is "closed" (fusing normally, including half-open probing)
-	// or "open" (shedding to the direct dispatch path). BreakerTrips counts
+	// or "open" (shedding requests to the inline route). BreakerTrips counts
 	// closed→open transitions; BreakerShed counts requests refused while open.
 	BreakerState string
 	BreakerTrips int64
@@ -182,9 +182,10 @@ const (
 	reqScoreAll
 )
 
-// request is one view's scoring call, split into rows the scheduler may
-// spread across several fused batches. The submitting goroutine blocks on
-// done until every row has executed.
+// request is the description of one dispatch: one view's scoring call, as
+// rows that may be spread across several batches — fused ones picked by the
+// scheduler while the submitting goroutine blocks on done, or MaxBatch chunks
+// cut by the inline route on the caller's own goroutine.
 type request struct {
 	kind reqKind
 	lm   model.LanguageModel
@@ -204,10 +205,10 @@ type request struct {
 	remaining int // rows not yet executed
 	done      chan struct{}
 
-	// trace, when non-nil, is the scheduler-side record of a traced view's
-	// ride through the fusion queue. The scheduler goroutine writes it
-	// before close(done); the submitting goroutine reads it after <-done —
-	// the channel close is the publication barrier.
+	// trace, when non-nil, is the executing side's record of a traced view's
+	// dispatch. On the fused route the scheduler goroutine writes it before
+	// close(done) and the submitting goroutine reads it after <-done — the
+	// channel close is the publication barrier.
 	trace *reqTrace
 
 	panicMu  sync.Mutex
@@ -215,10 +216,10 @@ type request struct {
 	panicVal any
 }
 
-// reqTrace records what the scheduler observed for one traced request:
-// queue wait at first selection, the fusion-batch ids its rows rode in,
-// the highest cross-query occupancy of those batches, and the virtual-
-// clock interval the carrying dispatch(es) charged.
+// reqTrace records what was observed for one traced request: the virtual-
+// clock interval the carrying batch(es) charged and their highest cross-query
+// occupancy (core.run), and on the fused route the queue wait at first
+// selection and the fusion-batch ids its rows rode in (selectLocked).
 type reqTrace struct {
 	waitUS    int64
 	batches   []int64
@@ -235,8 +236,8 @@ func (r *request) rowCount() int {
 	return len(r.ctxs)
 }
 
-// tokensAt prices row i the way the direct dispatch paths do: full context
-// for forward/prefill/scoreAll rows, one token for an extend row.
+// tokensAt prices row i: full context for forward/prefill/scoreAll rows, one
+// token for an extend row.
 func (r *request) tokensAt(i int) int {
 	if r.kind == reqExtend {
 		return 1
@@ -276,8 +277,8 @@ func StartBatcher(d *Device, cfg BatcherConfig) *Batcher {
 }
 
 // Close detaches the batcher from its device, drains every pending request,
-// and stops the scheduler goroutine. Calls that arrive after Close fall back
-// to the device's direct dispatch path, so shutdown never strands a query.
+// and stops the scheduler goroutine. Calls that arrive after Close run
+// inline, so shutdown never strands a query.
 // Safe to call multiple times and concurrently with submissions.
 func (b *Batcher) Close() {
 	b.core.batcher.CompareAndSwap(b, nil)
@@ -319,15 +320,12 @@ func (b *Batcher) Stats() BatcherStats {
 
 // submit enqueues the view's request and blocks until every row has
 // executed. It reports false without executing anything when the batcher is
-// closed — the caller then runs the direct path. A panic inside any of the
-// request's rows re-panics here, in the submitting query's goroutine.
+// closed or its breaker sheds — the caller then runs the request inline.
 func (b *Batcher) submit(d *Device, r *request) bool {
 	n := r.rowCount()
 	if n == 0 {
 		return true
 	}
-	r.lm = d.lm
-	r.qos = d.qos
 	r.enq = time.Now()
 	r.remaining = n
 	r.done = make(chan struct{})
@@ -345,9 +343,6 @@ func (b *Batcher) submit(d *Device, r *request) bool {
 	default:
 	}
 	<-r.done
-	if r.panicked {
-		panic(r.panicVal)
-	}
 	return true
 }
 
@@ -495,23 +490,33 @@ func (b *Batcher) run() {
 	}
 }
 
-// segment is a contiguous row range of one request packed into a fused batch.
+// segment is a contiguous row range of one request packed into a batch.
 type segment struct {
 	req    *request
 	lo, hi int
 }
 
-type fusedBatch struct {
+// batch is what one device dispatch executes (core.run): row segments of one
+// or more requests, priced together.
+type batch struct {
 	segs    []segment
 	rows    int
 	tokens  int
 	queries int
 }
 
+func (b *batch) add(sg segment) {
+	b.segs = append(b.segs, sg)
+	b.rows += sg.hi - sg.lo
+	for i := sg.lo; i < sg.hi; i++ {
+		b.tokens += sg.req.tokensAt(i)
+	}
+}
+
 // selectLocked packs up to cap rows into one fused batch. Urgent requests go
 // first (earliest deadline), then deficit fair-share across queries.
-func (b *Batcher) selectLocked(now time.Time, cap int) *fusedBatch {
-	fb := &fusedBatch{}
+func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
+	fb := &batch{}
 	seen := map[string]bool{}
 	for fb.rows < cap && b.rows > 0 {
 		q, urgent := b.pickLocked(now)
@@ -537,11 +542,7 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *fusedBatch {
 				rt.batches = append(rt.batches, id)
 			}
 		}
-		for i := lo; i < hi; i++ {
-			fb.tokens += r.tokensAt(i)
-		}
-		fb.segs = append(fb.segs, segment{req: r, lo: lo, hi: hi})
-		fb.rows += take
+		fb.add(segment{req: r, lo: lo, hi: hi})
 		if !seen[q.key] {
 			seen[q.key] = true
 			fb.queries++
@@ -603,66 +604,28 @@ func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
 	return best, false
 }
 
-// execute charges the latency model once for the fused batch, runs every
-// segment through its own request's model (sharded across the worker pool),
-// and completes requests whose last rows just executed. Panics inside a
-// segment are captured per request and re-raised in the submitting
-// goroutine, never in the scheduler or a pool worker.
-func (b *Batcher) execute(fb *fusedBatch) {
-	if f := fault.Hit(fault.BatcherExecute); f != nil && f.Failure() {
+// execute runs one fused batch through the device's executor (core.run) and
+// completes requests whose last rows just executed. Panics inside a segment
+// are captured per request and re-raised in the submitting goroutine, never
+// in the scheduler or a pool worker; a batch with one counts as a failed
+// dispatch for the breaker.
+func (b *Batcher) execute(fb *batch) {
+	f := fault.Hit(fault.BatcherExecute)
+	if f != nil && f.Latency > 0 {
+		b.core.idle(f.Latency)
+	}
+	failed := f.Failure()
+	if failed {
 		// The fused dispatch itself fails: every participating request gets
-		// the fault as its panic value (re-raised in its submitting
-		// goroutine), nothing is charged or scored, and the breaker counts
-		// one failed dispatch.
+		// the fault as its panic value, nothing is charged or scored.
 		for _, sg := range fb.segs {
 			sg.req.recordPanic(f)
 		}
-		b.finish(fb)
-		b.noteDispatch(true)
-		return
-	}
-	c := b.core
-	cost := c.latency.Cost(fb.rows, fb.tokens)
-	c.mu.Lock()
-	workers := c.workers
-	pool := c.pool
-	vstart := c.clock
-	c.clock += cost
-	c.busy += cost
-	c.batches++
-	c.sequences += int64(fb.rows)
-	c.tokens += int64(fb.tokens)
-	vend := c.clock
-	c.mu.Unlock()
-	if pool != nil {
-		workers = pool.Size()
-	}
-	for _, sg := range fb.segs {
-		if rt := sg.req.trace; rt != nil {
-			if !rt.hasV {
-				rt.vstart, rt.hasV = vstart, true
-			}
-			rt.vend = vend
-			if fb.queries > rt.occupancy {
-				rt.occupancy = fb.queries
-			}
-		}
-	}
-
-	shards := fb.shards(workers)
-	if len(shards) == 1 {
-		shards[0]()
 	} else {
-		runShards(shards, pool)
-	}
-
-	failed := false
-	for _, sg := range fb.segs {
-		sg.req.panicMu.Lock()
-		if sg.req.panicked {
-			failed = true
+		b.core.run(fb)
+		for _, sg := range fb.segs {
+			failed = failed || sg.req.panicked
 		}
-		sg.req.panicMu.Unlock()
 	}
 	b.finish(fb)
 	b.noteDispatch(failed)
@@ -670,7 +633,7 @@ func (b *Batcher) execute(fb *fusedBatch) {
 
 // finish completes requests whose last rows just executed (or were abandoned
 // by a failed dispatch), waking their submitting goroutines.
-func (b *Batcher) finish(fb *fusedBatch) {
+func (b *Batcher) finish(fb *batch) {
 	for _, sg := range fb.segs {
 		r := sg.req
 		r.remaining -= sg.hi - sg.lo
@@ -699,34 +662,28 @@ func (b *Batcher) noteDispatch(failed bool) {
 	}
 }
 
-// shards splits the fused batch's segments into at most ~workers closures of
-// roughly even row counts. Each closure recovers its own panics into the
-// owning request, so a poisoned row never unwinds a shared worker.
-func (fb *fusedBatch) shards(workers int) []func() {
-	if workers < 1 {
-		workers = 1
+// split cuts the batch's segments into at most ~workers pieces of roughly
+// even row counts; the pieces write disjoint slots of their requests, so the
+// merge needs no locking.
+func (b *batch) split(workers int) []segment {
+	if workers <= 1 {
+		return b.segs
 	}
-	if workers > fb.rows {
-		workers = fb.rows
-	}
-	per := (fb.rows + workers - 1) / workers
-	var out []func()
-	for _, sg := range fb.segs {
+	workers = min(workers, b.rows)
+	per := (b.rows + workers - 1) / workers
+	out := make([]segment, 0, workers+len(b.segs))
+	for _, sg := range b.segs {
 		for lo := sg.lo; lo < sg.hi; lo += per {
-			hi := lo + per
-			if hi > sg.hi {
-				hi = sg.hi
-			}
-			piece := segment{req: sg.req, lo: lo, hi: hi}
-			out = append(out, func() { piece.exec() })
+			out = append(out, segment{req: sg.req, lo: lo, hi: min(lo+per, sg.hi)})
 		}
 	}
 	return out
 }
 
 // exec scores one segment through the submitting view's model — the same
-// calls, on the same inputs, as the device's direct dispatch paths, which is
-// what makes fusion result-transparent.
+// calls on the same inputs whichever batch the rows ride in, which is what
+// makes fusion result-transparent. It recovers a panic into the owning
+// request, so a poisoned row never unwinds a shared worker.
 func (sg segment) exec() {
 	r := sg.req
 	defer func() {

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // TestBatcherBreakerDegradeThenRecover drives the fusion circuit breaker
 // through its full cycle: consecutive injected dispatch failures trip it
-// open, an open breaker sheds new work to the caller's direct-dispatch path,
+// open, an open breaker sheds new work to the caller's inline route,
 // and after the cooldown a successful half-open probe closes it again.
 func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	fault.Enable(fault.New(3).Set(fault.BatcherExecute, fault.Spec{FailN: 3}))
@@ -23,7 +24,7 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	})
 	dispatchOnce := func() *request {
 		r := enqueueRows(b, "q", 2, time.Time{})
-		r.lm = d.lm // submit() would set this; the bare harness must too
+		r.lm = d.lm // dispatch() would set this; the bare harness must too
 		b.mu.Lock()
 		fb := b.selectLocked(time.Now(), b.core.maxBatch)
 		b.mu.Unlock()
@@ -49,7 +50,7 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 		t.Fatalf("after 3 failed dispatches: state=%s trips=%d, want open/1", st.BreakerState, st.BreakerTrips)
 	}
 
-	// Open: enqueue refuses, so submit would fall back to direct dispatch.
+	// Open: enqueue refuses, so dispatch would run the request inline.
 	shed := &request{
 		kind:      reqForward,
 		key:       "q",
@@ -59,7 +60,7 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 		done:      make(chan struct{}),
 	}
 	if b.enqueue(shed) {
-		t.Fatal("open breaker admitted a request; want shed to the direct path")
+		t.Fatal("open breaker admitted a request; want shed to the inline route")
 	}
 	if got := b.Stats().BreakerShed; got != 1 {
 		t.Fatalf("shed count = %d, want 1", got)
@@ -84,41 +85,36 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	}
 }
 
-// TestBreakerShedFallsBackToDirectDispatch is the black-box version: with
-// the breaker open, submit reports false and the Device's direct path still
-// returns correct rows — degraded throughput, identical bytes.
-func TestBreakerShedFallsBackToDirectDispatch(t *testing.T) {
-	fault.Enable(fault.New(5).Set(fault.BatcherExecute, fault.Spec{FailN: 2}))
+// TestBatcherExecuteLatencyFault: a latency-only spec at batcher.execute
+// stalls the virtual clock by exactly the spec on every fused dispatch and
+// fails nothing — the same handling Device.inject gives the device points.
+func TestBatcherExecuteLatencyFault(t *testing.T) {
+	in, err := fault.ParseScenario("batcher.execute=lat2ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(in)
 	t.Cleanup(fault.Disable)
 
 	d := newDevice(8)
-	b := newBareBatcher(d, BatcherConfig{BreakerThreshold: 2, BreakerCooldown: time.Hour})
-	for i := 0; i < 2; i++ {
-		r := enqueueRows(b, "q", 1, time.Time{})
-		b.mu.Lock()
-		fb := b.selectLocked(time.Now(), b.core.maxBatch)
-		b.mu.Unlock()
-		b.execute(fb)
-		<-r.done
-	}
-	if st := b.Stats(); st.BreakerState != "open" {
-		t.Fatalf("breaker state %s, want open", st.BreakerState)
-	}
-
-	// Attach the (open) batcher to the core: Forward consults it, enqueue
-	// sheds, and the call completes on the direct path.
-	d.c.batcher.Store(b)
+	b := StartBatcher(d, BatcherConfig{Window: 100 * time.Microsecond})
+	defer b.Close()
 	ctxs := [][]model.Token{{1}, {1, 2}}
 	want := d.lm.ScoreBatch(ctxs)
-	got := d.Forward(ctxs)
-	if len(got) != len(want) {
-		t.Fatalf("direct dispatch returned %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		for k := range want[i] {
-			if got[i][k] != want[i][k] {
-				t.Fatalf("row %d differs at %d: %v vs %v", i, k, got[i][k], want[i][k])
-			}
+	for call := 1; call <= 2; call++ {
+		if got := d.Forward(ctxs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: rows differ under a latency-only fault", call)
 		}
+		stall := time.Duration(call) * 2 * time.Millisecond
+		busy := time.Duration(call) * DefaultLatency().Cost(2, 3)
+		if st := d.Stats(); st.Clock != busy+stall || st.Busy != busy {
+			t.Fatalf("call %d: clock %v busy %v, want %v busy plus %v stalled", call, st.Clock, st.Busy, busy, stall)
+		}
+	}
+	if c, f := in.Calls(fault.BatcherExecute), in.Injected(fault.BatcherExecute); c != 2 || f != 0 {
+		t.Errorf("point evaluated %d times with %d failures, want 2 and 0", c, f)
+	}
+	if st := b.Stats(); st.BreakerState != "closed" || st.BreakerTrips != 0 {
+		t.Errorf("latency-only faults moved the breaker: %+v", st)
 	}
 }

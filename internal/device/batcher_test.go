@@ -1,15 +1,18 @@
 package device
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // newBareBatcher builds a batcher over the device WITHOUT starting the
@@ -48,7 +51,7 @@ func enqueueRows(b *Batcher, key string, n int, deadline time.Time) *request {
 	return r
 }
 
-func segRows(fb *fusedBatch) []string {
+func segRows(fb *batch) []string {
 	var out []string
 	for _, sg := range fb.segs {
 		out = append(out, fmt.Sprintf("%s[%d:%d]", sg.req.key, sg.lo, sg.hi))
@@ -489,5 +492,291 @@ func TestBatcherZeroRowCalls(t *testing.T) {
 	}
 	if st := d.Stats(); st.Batches != 0 {
 		t.Errorf("empty calls charged %d batches", st.Batches)
+	}
+}
+
+// Route equivalence. A dispatch reaches core.run one of four ways — inline
+// with no batcher attached, through the fusion queue, inline because the
+// breaker shed it, inline because the batcher was closed — and on each it
+// must be the same dispatch: same rows and decode states, same device
+// charges, a span covering exactly its own charge, the same panic.
+
+type routeIn struct {
+	ctxs   [][]model.Token
+	states []model.DecodeState // prefilled over ctxs
+	toks   []model.Token       // one extension token per row
+}
+
+type routeOut struct {
+	rows   [][]float64
+	all    [][][]float64
+	states []model.DecodeState
+}
+
+// routeOps drives each public entry point and says what the model, asked
+// directly, returns for the same rows.
+var routeOps = []struct {
+	name, span string
+	tokens     func(ctxs [][]model.Token) int // what the rows are priced at
+	run        func(d *Device, in routeIn) routeOut
+	want       func(lm model.LanguageModel, in routeIn) routeOut
+}{
+	{
+		name: "forward", span: "device.forward", tokens: sumLens,
+		run:  func(d *Device, in routeIn) routeOut { return routeOut{rows: d.Forward(in.ctxs)} },
+		want: func(lm model.LanguageModel, in routeIn) routeOut { return routeOut{rows: lm.ScoreBatch(in.ctxs)} },
+	},
+	{
+		name: "prefill", span: "device.prefill", tokens: sumLens,
+		run: func(d *Device, in routeIn) routeOut {
+			st, rows := d.Prefill(in.ctxs)
+			return routeOut{rows: rows, states: st}
+		},
+		want: func(lm model.LanguageModel, in routeIn) routeOut {
+			o := routeOut{rows: make([][]float64, len(in.ctxs)), states: make([]model.DecodeState, len(in.ctxs))}
+			for i, c := range in.ctxs {
+				o.states[i], o.rows[i] = model.Prefill(lm, c)
+			}
+			return o
+		},
+	},
+	{
+		name: "extend", span: "device.extend", tokens: func(ctxs [][]model.Token) int { return len(ctxs) },
+		run: func(d *Device, in routeIn) routeOut {
+			st, rows := d.ExtendBatch(in.states, in.toks)
+			return routeOut{rows: rows, states: st}
+		},
+		want: func(lm model.LanguageModel, in routeIn) routeOut {
+			st, rows := model.Extend(lm, in.states, in.toks)
+			return routeOut{rows: rows, states: st}
+		},
+	},
+	{
+		name: "scoreAll", span: "device.scoreall", tokens: sumLens,
+		run: func(d *Device, in routeIn) routeOut { return routeOut{all: d.ScoreAll(in.ctxs)} },
+		want: func(lm model.LanguageModel, in routeIn) routeOut {
+			o := routeOut{all: make([][][]float64, len(in.ctxs))}
+			for i, c := range in.ctxs {
+				o.all[i] = model.AllPositionLogProbs(lm, c)
+			}
+			return o
+		},
+	},
+}
+
+func sumLens(ctxs [][]model.Token) int {
+	n := 0
+	for _, c := range ctxs {
+		n += len(c)
+	}
+	return n
+}
+
+// routes attaches (or not) a batcher to d and reports, after the dispatches,
+// whether they took the route the case is named for.
+var routes = []struct {
+	name  string
+	fused bool
+	setup func(t *testing.T, d *Device) (took func() bool)
+}{
+	{"inline", false, func(*testing.T, *Device) func() bool { return func() bool { return true } }},
+	{"fused", true, func(t *testing.T, d *Device) func() bool {
+		b := StartBatcher(d, BatcherConfig{Window: 100 * time.Microsecond})
+		t.Cleanup(b.Close)
+		return func() bool { return b.Stats().Requests > 0 && b.Stats().BreakerShed == 0 }
+	}},
+	{"breakerOpen", false, func(t *testing.T, d *Device) func() bool {
+		b := newBareBatcher(d, BatcherConfig{})
+		b.breakerOpen, b.breakerUntil = true, time.Now().Add(time.Hour)
+		d.c.batcher.Store(b)
+		return func() bool { return b.Stats().BreakerShed > 0 && b.Stats().Requests == 0 }
+	}},
+	{"closed", false, func(t *testing.T, d *Device) func() bool {
+		b := StartBatcher(d, BatcherConfig{})
+		b.Close()
+		return func() bool { return d.Batcher() == nil && b.Stats().Requests == 0 }
+	}},
+}
+
+// routeInputs builds n contexts at depths 1..12, states prefilled over them
+// by the model itself (so the device under test is charged nothing), and one
+// extension token per row.
+func routeInputs(lm model.LanguageModel, n int) routeIn {
+	in := routeIn{make([][]model.Token, n), make([]model.DecodeState, n), make([]model.Token, n)}
+	for i := range in.ctxs {
+		in.ctxs[i] = make([]model.Token, 1+(i*5)%12)
+		for j := range in.ctxs[i] {
+			in.ctxs[i][j] = model.Token((i*7 + j*3) % 31)
+		}
+		in.states[i], _ = model.Prefill(lm, in.ctxs[i])
+		in.toks[i] = model.Token(10 + i)
+	}
+	return in
+}
+
+func TestRouteEquivalence(t *testing.T) {
+	const maxBatch = 4
+	lat := DefaultLatency()
+	_, lm := newIncrDevice(maxBatch)
+	for _, op := range routeOps {
+		for _, n := range []int{3, 10} { // one chunk, three chunks
+			in := routeInputs(lm, n)
+			want := op.want(lm, in)
+			// A lone caller's rows go out in MaxBatch chunks on every route
+			// (the scheduler's size watermark cuts them the same way).
+			var wantSt Stats
+			for lo := 0; lo < n; lo += maxBatch {
+				hi := min(lo+maxBatch, n)
+				wantSt.Batches++
+				wantSt.Sequences += int64(hi - lo)
+				wantSt.Tokens += int64(op.tokens(in.ctxs[lo:hi]))
+				wantSt.Busy += lat.Cost(hi-lo, op.tokens(in.ctxs[lo:hi]))
+			}
+			wantSt.Clock, wantSt.Utilization = wantSt.Busy, 1
+			for _, rt := range routes {
+				for _, workers := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%s/%s/workers%d/rows%d", op.name, rt.name, workers, n), func(t *testing.T) {
+						d := New(lm, lat, maxBatch)
+						if workers > 1 {
+							pool := NewPool(workers)
+							t.Cleanup(pool.Close)
+							d.SetPool(pool)
+						}
+						took := rt.setup(t, d)
+						tr := trace.New(1, 4).NewTrace()
+						got := op.run(d.WithTrace(tr, trace.RootID), in)
+						if !took() {
+							t.Fatalf("dispatch did not take the %s route", rt.name)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("rows or decode states differ from the model's own")
+						}
+						if st := d.Stats(); st != wantSt {
+							t.Errorf("device charged %+v, want %+v", st, wantSt)
+						}
+						spans := tr.Finish().Find(op.span)
+						if len(spans) != 1 {
+							t.Fatalf("%d %s spans, want 1", len(spans), op.span)
+						}
+						sp := spans[0]
+						if sp.VDev() != wantSt.Busy {
+							t.Errorf("span vdev %v, want the cost of its own rows %v", sp.VDev(), wantSt.Busy)
+						}
+						if f, r, tk := sp.Attr("fused"), sp.Attr("rows"), sp.Attr("tokens"); f != strconv.FormatBool(rt.fused) ||
+							r != strconv.Itoa(n) || tk != strconv.FormatInt(wantSt.Tokens, 10) {
+							t.Errorf("span says fused=%s rows=%s tokens=%s, want %v/%d/%d", f, r, tk, rt.fused, n, wantSt.Tokens)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// poisonLM panics with errPoison on any context holding poisonTok; every
+// other context gets rowLM's context-specific row. It has no incremental or
+// all-positions implementation, so all four request kinds reach it through
+// NextLogProbs / ScoreBatch.
+type poisonLM struct{ *rowLM }
+
+const poisonTok = 99
+
+var errPoison = errors.New("poison row")
+
+func (p poisonLM) NextLogProbs(ctx []model.Token) []float64 {
+	for _, tk := range ctx {
+		if tk == poisonTok {
+			panic(errPoison)
+		}
+	}
+	return p.rowLM.NextLogProbs(ctx)
+}
+
+func (p poisonLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(p, ctxs) }
+
+// TestRoutePanicReachesSubmitterOnly: a row that panics inside the model
+// surfaces that same panic value in the goroutine that submitted it, on
+// every route, serial or sharded — while a neighbouring request dispatched
+// at the same moment gets its own correct result.
+func TestRoutePanicReachesSubmitterOnly(t *testing.T) {
+	const maxBatch, n, k = 4, 10, 6 // row k of n is the poisoned one
+	lm := poisonLM{newRowLM()}
+	for _, op := range routeOps {
+		in := routeInputs(lm, n)
+		want := op.want(lm, in)
+		bad := routeIn{append([][]model.Token{}, in.ctxs...), in.states, append([]model.Token{}, in.toks...)}
+		bad.ctxs[k] = []model.Token{poisonTok, 1}
+		bad.toks[k] = poisonTok
+		for _, rt := range routes {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/workers%d", op.name, rt.name, workers), func(t *testing.T) {
+					d := New(lm, DefaultLatency(), maxBatch)
+					if workers > 1 {
+						pool := NewPool(workers)
+						t.Cleanup(pool.Close)
+						d.SetPool(pool)
+					}
+					took := rt.setup(t, d)
+					var raised any
+					var neighbour routeOut
+					var wg sync.WaitGroup
+					wg.Add(2)
+					go func() {
+						defer wg.Done()
+						defer func() { raised = recover() }()
+						op.run(d.WithQoS(QoS{Query: "poisoned"}), bad)
+					}()
+					go func() {
+						defer wg.Done()
+						neighbour = op.run(d.WithQoS(QoS{Query: "neighbour"}), in)
+					}()
+					wg.Wait()
+					if !took() {
+						t.Fatalf("dispatch did not take the %s route", rt.name)
+					}
+					if raised != errPoison {
+						t.Errorf("submitter recovered %v, want the model's own panic value", raised)
+					}
+					if !reflect.DeepEqual(neighbour, want) {
+						t.Errorf("neighbouring request's result differs from the model's own")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConcurrentInlineSpansExcludeNeighbours: two unfused views dispatching
+// at once each record the interval their own batch charged. View A is parked
+// inside the model, after its charge, while view B runs a whole dispatch; a
+// span that sampled the shared clock before and after would put B's charge
+// inside A's interval.
+func TestConcurrentInlineSpansExcludeNeighbours(t *testing.T) {
+	lat := DefaultLatency()
+	lmA := newRowLM()
+	lmA.entered, lmA.gate = make(chan struct{}, 1), make(chan struct{})
+	d := New(lmA, lat, 8)
+	tracer := trace.New(1, 4)
+	trA, trB := tracer.NewTrace(), tracer.NewTrace()
+	ctxsA := [][]model.Token{{1, 2, 3}, {4}}
+	ctxsB := [][]model.Token{{5, 6}}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.WithTrace(trA, trace.RootID).Forward(ctxsA)
+	}()
+	<-lmA.entered
+	d.WithModel(newRowLM()).WithTrace(trB, trace.RootID).Forward(ctxsB)
+	close(lmA.gate)
+	<-done
+
+	costA, costB := lat.Cost(2, 4), lat.Cost(1, 2)
+	a, b := trA.Finish().Find("device.forward")[0], trB.Finish().Find("device.forward")[0]
+	if a.VStartUS != 0 || a.VDev() != costA {
+		t.Errorf("view A's span is [%dus, %dus], want [0, %v]: it contains another view's charge", a.VStartUS, a.VEndUS, costA)
+	}
+	if b.VStartUS != costA.Microseconds() || b.VDev() != costB {
+		t.Errorf("view B's span is [%dus, %dus], want %v starting at %v", b.VStartUS, b.VEndUS, costB, costA)
 	}
 }

@@ -118,7 +118,7 @@ func (d *Device) WithQoS(q QoS) *Device {
 }
 
 // Batcher returns the fusion scheduler attached to this device's core, or
-// nil when dispatch is direct.
+// nil when every dispatch runs inline.
 func (d *Device) Batcher() *Batcher { return d.c.batcher.Load() }
 
 // SetWorkers sets the host worker-pool width used to execute each dispatched
@@ -176,45 +176,96 @@ func (d *Device) MaxBatch() int { return d.c.maxBatch }
 // including across views.
 func (d *Device) Forward(ctxs [][]model.Token) [][]float64 {
 	d.inject(fault.DeviceForward)
-	return residentFirst(d, ctxs, model.Resident.ResidentRows, d.forward)
+	return residentFirst(d, "device.forward", ctxs, model.Resident.ResidentRows,
+		func(ctxs [][]model.Token, out [][]float64) *request {
+			return &request{kind: reqForward, ctxs: ctxs, rows: out}
+		})
 }
 
-// forward dispatches ctxs down the fused-or-direct route, writing row i to
-// out[i]. requested is the row count of the Forward call the rows belong to
-// (more than len(ctxs) when the resident probe answered part of it).
-func (d *Device) forward(ctxs [][]model.Token, out [][]float64, requested int) {
-	var span trace.SpanID
-	if b := d.c.batcher.Load(); b != nil {
-		r := &request{kind: reqForward, ctxs: ctxs, rows: out}
-		span = d.traceFusedStart("device.forward", r)
-		if b.submit(d, r) {
-			if d.tr != nil {
-				d.traceFusedEnd(span, r.trace, len(ctxs), requested, countTokens(ctxs))
+// dispatch is the one path a scoring call takes to the accelerator
+// (DESIGN.md decision 12). The request rides the fusion queue when a batcher
+// is attached and admits it; with no batcher, a closed one, or an open
+// breaker it runs inline on this goroutine. Both routes execute through
+// core.run and leave the same record in r.trace, which closes the span.
+// requested is the row count of the public call the rows belong to (more
+// than the request's own when the resident probe answered part of it). A
+// panic inside any of the request's rows re-panics here, in the submitting
+// query's goroutine, on either route.
+func (d *Device) dispatch(name string, r *request, requested int) {
+	r.lm, r.qos = d.lm, d.qos
+	span := d.traceStart(name, r)
+	b := d.c.batcher.Load()
+	fused := b != nil && b.submit(d, r)
+	if !fused {
+		d.c.inline(r)
+	}
+	if r.panicked {
+		panic(r.panicVal)
+	}
+	d.traceEnd(span, r, fused, requested)
+}
+
+// inline is the route without a scheduler: the request is cut into MaxBatch
+// chunks and each runs as a one-segment batch on the caller's goroutine. It
+// stops at the first chunk with a panicked row.
+func (c *core) inline(r *request) {
+	n := r.rowCount()
+	for lo := 0; lo < n && !r.panicked; lo += c.maxBatch {
+		b := batch{queries: 1}
+		b.add(segment{req: r, lo: lo, hi: min(lo+c.maxBatch, n)})
+		c.run(&b)
+	}
+}
+
+// run executes one batch as one device dispatch: the only place the latency
+// model is charged and the only caller of segment.exec. The scheduler hands
+// it a fused batch, the inline route one chunk of one request. Each traced
+// request in the batch is stamped with exactly the interval charged here, so
+// a span never contains another view's charge. run returns when every row
+// has executed; a row's panic is recorded on its request, not raised.
+func (c *core) run(b *batch) {
+	cost := c.latency.Cost(b.rows, b.tokens)
+	c.mu.Lock()
+	workers, pool := c.workers, c.pool
+	vstart := c.clock
+	c.clock += cost
+	c.busy += cost
+	c.batches++
+	c.sequences += int64(b.rows)
+	c.tokens += int64(b.tokens)
+	vend := c.clock
+	c.mu.Unlock()
+	if pool != nil {
+		workers = pool.Size()
+	}
+	for _, sg := range b.segs {
+		if rt := sg.req.trace; rt != nil {
+			if !rt.hasV {
+				rt.vstart, rt.hasV = vstart, true
 			}
-			return
+			rt.vend = vend
+			rt.occupancy = max(rt.occupancy, b.queries)
 		}
 	}
-	span, v0 := d.traceDirectBegin(span, "device.forward")
-	d.runChunks(len(ctxs), func(c []model.Token) int { return len(c) }, ctxs, func(lo, hi int) {
-		copy(out[lo:hi], d.lm.ScoreBatch(ctxs[lo:hi]))
-	})
-	if d.tr != nil {
-		d.traceDirectEnd(span, v0, len(ctxs), requested, countTokens(ctxs))
+	if pieces := b.split(workers); len(pieces) == 1 {
+		pieces[0].exec()
+	} else {
+		runShards(pieces, pool)
 	}
 }
 
 // residentFirst is the shared front of Forward and ScoreAll (DESIGN.md
 // decisions 4 and 6): ask the view's model, when it is a memoizing wrapper,
 // which items it can answer without computing (probe fills those slots of
-// the result), send only the rest down dispatch, and merge in caller order.
-// A fully resident call returns without touching the batcher, the clock or
-// the worker pool — an accelerator executes nothing for a memoized row, so
-// the device charges nothing. It sits above the fused/direct fork, so both
-// routes see only rows that need computing.
+// the result), dispatch a request (built by build, writing row i to out[i])
+// for only the rest, and merge in caller order. A fully resident call returns
+// without touching the batcher, the clock or the worker pool — an accelerator
+// executes nothing for a memoized row, so the device charges nothing. It sits
+// above dispatch, so both routes see only rows that need computing.
 func residentFirst[R []float64 | [][]float64](
-	d *Device, items [][]model.Token,
+	d *Device, name string, items [][]model.Token,
 	probe func(model.Resident, [][]model.Token, []R) int,
-	dispatch func(items [][]model.Token, out []R, requested int),
+	build func(items [][]model.Token, out []R) *request,
 ) []R {
 	out := make([]R, len(items))
 	hit := 0
@@ -223,7 +274,7 @@ func residentFirst[R []float64 | [][]float64](
 	}
 	switch {
 	case hit == 0:
-		dispatch(items, out, len(items))
+		d.dispatch(name, build(items, out), len(items))
 	case hit == len(items):
 		d.tr.AddCount(d.trParent, "resident_rows", hit)
 	default:
@@ -234,7 +285,7 @@ func residentFirst[R []float64 | [][]float64](
 			}
 		}
 		rows := make([]R, len(missing))
-		dispatch(missing, rows, len(items))
+		d.dispatch(name, build(missing, rows), len(items))
 		j := 0
 		for i := range out {
 			if out[i] == nil {
@@ -265,20 +316,24 @@ func (d *Device) inject(point string) {
 	}
 }
 
-// runShards executes the shards on the persistent pool when one is attached,
-// or on transient goroutines otherwise.
-func runShards(shards []func(), pool *Pool) {
+// runShards executes the pieces on the persistent pool when one is attached,
+// or on transient goroutines otherwise, and waits for all of them.
+func runShards(pieces []segment, pool *Pool) {
 	if pool != nil {
-		pool.Run(shards)
+		fns := make([]func(), len(pieces))
+		for i, p := range pieces {
+			fns[i] = p.exec
+		}
+		pool.Run(fns)
 		return
 	}
 	var wg sync.WaitGroup
-	for _, shard := range shards {
+	for _, p := range pieces {
 		wg.Add(1)
-		go func(fn func()) {
+		go func() {
 			defer wg.Done()
-			fn()
-		}(shard)
+			p.exec()
+		}()
 	}
 	wg.Wait()
 }
@@ -286,10 +341,12 @@ func runShards(shards []func(), pool *Pool) {
 // Idle advances the virtual clock without work, modelling host-side time
 // (graph bookkeeping, result verification) during which the device sits
 // unused. Utilization drops accordingly.
-func (d *Device) Idle(dt time.Duration) {
-	d.c.mu.Lock()
-	d.c.clock += dt
-	d.c.mu.Unlock()
+func (d *Device) Idle(dt time.Duration) { d.c.idle(dt) }
+
+func (c *core) idle(dt time.Duration) {
+	c.mu.Lock()
+	c.clock += dt
+	c.mu.Unlock()
 }
 
 // Clock returns the current virtual time.

@@ -3,7 +3,6 @@ package device
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 )
@@ -119,31 +118,5 @@ func TestExtendBatchMixedDepthsAccounting(t *testing.T) {
 	}
 	if want := DefaultLatency().Cost(len(ctxs), len(ctxs)); st.Clock != want {
 		t.Errorf("extend clock = %v, want %v", st.Clock, want)
-	}
-}
-
-// TestExtendBatchMixedDepthsFused: the same mixed-depth dispatch through a
-// fusion batcher (where it may share a device batch with other work) stays
-// bit-exact against the direct device.
-func TestExtendBatchMixedDepthsFused(t *testing.T) {
-	fused, _ := newIncrDevice(64)
-	b := StartBatcher(fused, BatcherConfig{Window: time.Millisecond})
-	defer b.Close()
-	direct, _ := newIncrDevice(64)
-
-	ctxs := mixedContexts()
-	fStates, fRows := fused.Prefill(ctxs)
-	dStates, dRows := direct.Prefill(ctxs)
-	if !reflect.DeepEqual(fRows, dRows) {
-		t.Fatal("fused prefill differs from direct")
-	}
-	tokens := make([]model.Token, len(ctxs))
-	for i := range tokens {
-		tokens[i] = model.Token(i)
-	}
-	_, fExt := fused.ExtendBatch(fStates, tokens)
-	_, dExt := direct.ExtendBatch(dStates, tokens)
-	if !reflect.DeepEqual(fExt, dExt) {
-		t.Error("fused mixed-depth extension differs from direct")
 	}
 }

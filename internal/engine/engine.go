@@ -401,38 +401,6 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64)
 	return totals, contexts
 }
 
-// scoreSequencesExpanded is the pre-decision-10 path — every (sequence,
-// position) context as its own device row — retained as the oracle for the
-// all-positions equivalence tests.
-func scoreSequencesExpanded(dev *device.Device, seqs [][]model.Token) ([]float64, int64) {
-	m := dev.Model()
-	var ctxs [][]model.Token
-	offsets := make([]int, len(seqs))
-	for i, seq := range seqs {
-		offsets[i] = len(ctxs)
-		for p := range seq {
-			ctxs = append(ctxs, clampCtx(m, seq[:p]))
-		}
-	}
-	totals := make([]float64, len(seqs))
-	if len(ctxs) == 0 {
-		return totals, 0
-	}
-	lps := dev.Forward(ctxs)
-	for i, seq := range seqs {
-		total := 0.0
-		for p := range seq {
-			total += lps[offsets[i]+p][seq[p]]
-			if math.IsInf(total, -1) {
-				total = model.NegInf
-				break
-			}
-		}
-		totals[i] = total
-	}
-	return totals, int64(len(ctxs))
-}
-
 // incremental reports whether the query runs with prefix-state reuse.
 func (q *Query) incremental() bool { return q.Incremental && q.KV != nil }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -268,4 +269,36 @@ func TestIncrementalStatsAndWalker(t *testing.T) {
 		streams = append(streams, drain(t, ShortestPath(env.dev, q), 8))
 	}
 	sameResults(t, "walker-forms", streams[0], streams[1])
+}
+
+// scoreSequencesExpanded is the pre-decision-10 path — every (sequence,
+// position) context as its own device row — the oracle for the all-positions
+// equivalence tests.
+func scoreSequencesExpanded(dev *device.Device, seqs [][]model.Token) ([]float64, int64) {
+	m := dev.Model()
+	var ctxs [][]model.Token
+	offsets := make([]int, len(seqs))
+	for i, seq := range seqs {
+		offsets[i] = len(ctxs)
+		for p := range seq {
+			ctxs = append(ctxs, clampCtx(m, seq[:p]))
+		}
+	}
+	totals := make([]float64, len(seqs))
+	if len(ctxs) == 0 {
+		return totals, 0
+	}
+	lps := dev.Forward(ctxs)
+	for i, seq := range seqs {
+		total := 0.0
+		for p := range seq {
+			total += lps[offsets[i]+p][seq[p]]
+			if math.IsInf(total, -1) {
+				total = model.NegInf
+				break
+			}
+		}
+		totals[i] = total
+	}
+	return totals, int64(len(ctxs))
 }

@@ -119,8 +119,8 @@ type Fault struct {
 	// retrying it would append past garbage, so Torn faults are permanent by
 	// construction.
 	Torn bool
-	// Latency is virtual stall time the hit charges (device points feed it
-	// to the virtual clock). A hit can be latency-only: Failure reports
+	// Latency is virtual stall time the hit charges (the device and batcher
+	// points feed it to the virtual clock). A hit can be latency-only: Failure reports
 	// whether an error/panic should be raised as well.
 	Latency time.Duration
 	failure bool

@@ -856,8 +856,9 @@ feed:
 	j.planEnd = j.model.PlanCacheStats()
 	j.stageEnd = endStages
 	j.mu.Unlock()
-	close(j.done)
 
+	// Publish the outcome before done closes: a caller returning from Wait
+	// must find the job in Stats.
 	switch status {
 	case StatusCompleted:
 		m.completed.Add(1)
@@ -866,6 +867,7 @@ feed:
 	case StatusCancelled:
 		m.cancelled.Add(1)
 	}
+	close(j.done)
 	m.mu.Lock()
 	m.active--
 	m.dispatchLocked()
@@ -935,8 +937,8 @@ func (m *Manager) Cancel(id string) error {
 		_ = j.ledger.Close() // job is cancelled either way; Verify tolerates a missing cancel record
 		j.mu.Unlock()
 		m.mu.Unlock()
+		m.cancelled.Add(1) // before done closes, as in the run epilogue
 		close(j.done)
-		m.cancelled.Add(1)
 		return nil
 	default:
 		st := j.status

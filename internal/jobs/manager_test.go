@@ -89,6 +89,23 @@ func TestURLMatchJobCompletes(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobOnceWaitReturns: the outcome counters are published
+// before done closes, so Stats read right after Wait always includes the
+// job. (With the order reversed this missed about one job in sixty.)
+func TestStatsCountJobOnceWaitReturns(t *testing.T) {
+	m := newTestManager(t, Config{})
+	for i := int64(1); i <= 250; i++ {
+		j, err := m.Submit(Spec{Suite: "urlmatch", Model: "large", MaxItems: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Wait()
+		if got := m.Stats().Completed; got != i {
+			t.Fatalf("after Wait on job %d: Stats().Completed = %d", i, got)
+		}
+	}
+}
+
 // TestCrashResumeByteIdentical is the acceptance scenario: a memorization
 // sweep killed partway and resumed must (a) pass hash-chain verification,
 // (b) merge exactly the per-item results of an uninterrupted run, and

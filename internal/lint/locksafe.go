@@ -24,8 +24,9 @@ import (
 //   - range over a channel,
 //   - calls with known unbounded blocking: sync.WaitGroup.Wait,
 //     sync.Cond.Wait, time.Sleep, device.Device dispatch
-//     (Forward/Prefill/ExtendBatch/ScoreAll), device.Pool.Run,
-//     device.Batcher submission, jobs.Job.Wait.
+//     (Forward/Prefill/ExtendBatch/ScoreAll and the one body under them:
+//     dispatch, Batcher.submit, core.inline, core.run), device.Pool.Run,
+//     jobs.Job.Wait.
 //
 // Function literals are analyzed independently: a goroutine body spawned
 // under a lock runs after the spawner releases it. Helpers that require the
@@ -47,8 +48,11 @@ var blockingMethods = [][3]string{
 	{"repro/internal/device", "Device", "Prefill"},
 	{"repro/internal/device", "Device", "ExtendBatch"},
 	{"repro/internal/device", "Device", "ScoreAll"},
-	{"repro/internal/device", "Pool", "Run"},
+	{"repro/internal/device", "Device", "dispatch"},
 	{"repro/internal/device", "Batcher", "submit"},
+	{"repro/internal/device", "core", "inline"},
+	{"repro/internal/device", "core", "run"},
+	{"repro/internal/device", "Pool", "Run"},
 	{"repro/internal/jobs", "Job", "Wait"},
 }
 

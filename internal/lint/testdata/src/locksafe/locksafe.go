@@ -62,6 +62,13 @@ func (b *box) dispatchLocked(d *device.Device, ctxs [][]model.Token) {
 	d.Forward(ctxs) // want `Device.Forward .* while holding b.mu`
 }
 
+// Positive: the incremental entry points take the same dispatch path.
+func (b *box) extendLocked(d *device.Device, states []model.DecodeState, toks []model.Token) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	d.ExtendBatch(states, toks) // want `Device.ExtendBatch .* while holding b.mu`
+}
+
 // Negative: unlock before the blocking operation.
 func (b *box) sendUnlocked() {
 	b.mu.Lock()

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -47,17 +48,48 @@ func TestScoreBatchDedupesWithinBatch(t *testing.T) {
 	}
 }
 
-func TestScoreBatchReturnsCopies(t *testing.T) {
-	inner := newCounting()
-	c := New(inner, 64)
+// TestScoreBatchSharesRows: rows are read-only and handed out by reference.
+// The miss that computes a context, a duplicate parked on its flight and a
+// later hit all get the one slice the LRU stores.
+func TestScoreBatchSharesRows(t *testing.T) {
+	c := New(newCounting(), 64)
 	lps := c.ScoreBatch([][]model.Token{tok(1), tok(1)})
-	lps[0][0] = 999
-	if lps[1][0] == 999 {
-		t.Error("duplicate rows share a slice; each row must be a fresh copy")
-	}
 	again := c.ScoreBatch([][]model.Token{tok(1)})
-	if again[0][0] == 999 {
-		t.Error("cached entry was mutated through a returned row")
+	if &lps[1][0] != &lps[0][0] {
+		t.Error("a flight waiter got a different slice than the miss that computed it")
+	}
+	if &again[0][0] != &lps[0][0] {
+		t.Error("a hit got a different slice than the LRU stored")
+	}
+}
+
+// TestResidentCallsAllocateNoRows: answering n resident rows allocates the
+// result's slice headers, never a V-sized row, on ScoreBatch's hit path and
+// through the probe.
+func TestResidentCallsAllocateNoRows(t *testing.T) {
+	const vocab, n, runs = 4096, 8, 20
+	c := New(&model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}, 64)
+	ctxs := scopeCtxs(n)
+	c.ScoreBatch(ctxs)
+	out := make([][]float64, n)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"ScoreBatch", func() { c.ScoreBatch(ctxs) }},
+		{"ResidentRows", func() { clear(out); c.ResidentRows(ctxs, out) }},
+	} {
+		allocs := testing.AllocsPerRun(runs, tc.call)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			tc.call()
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; allocs > 3 || perCall >= vocab*8 {
+			t.Errorf("%s of %d resident rows: %.0f allocations, %d bytes per call; want <= 3 and less than one %d-byte row",
+				tc.name, n, allocs, perCall, vocab*8)
+		}
 	}
 }
 

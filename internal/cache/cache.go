@@ -79,7 +79,7 @@ func (c *LM) EOS() model.Token { return c.inner.EOS() }
 func (c *LM) MaxSeqLen() int { return c.inner.MaxSeqLen() }
 
 // NextLogProbs implements model.LanguageModel with memoization. The returned
-// slice is a fresh copy; callers may mutate it freely (decision rules do).
+// row is the LRU's own, shared with every other caller: read-only.
 func (c *LM) NextLogProbs(ctx []model.Token) []float64 {
 	return c.ScoreBatch([][]model.Token{ctx})[0]
 }
@@ -87,7 +87,9 @@ func (c *LM) NextLogProbs(ctx []model.Token) []float64 {
 // ScoreBatch implements model.LanguageModel. Hits are answered from the
 // LRU; the unique misses — deduplicated within the batch and against
 // computations already in flight on other goroutines — are forwarded to the
-// inner model in a single batched call.
+// inner model in a single batched call. Every row is handed out by reference
+// (DESIGN.md decision 4): a hit, a miss and a flight waiter all get the one
+// slice the LRU stores, so no row is ever copied.
 func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 	out, _ := c.scoreBatch(ctxs)
 	return out
@@ -133,7 +135,7 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 			c.order.MoveToFront(el)
 			c.hits++
 			bs.Hits++
-			out[i] = copyRow(el.Value.(*entry).lp)
+			out[i] = el.Value.(*entry).lp
 			continue
 		}
 		if f, ok := c.inflight[string(*buf)]; ok {
@@ -187,7 +189,7 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 		c.mu.Unlock()
 		for j, o := range owned {
 			close(o.f.done)
-			out[o.idx] = copyRow(lps[j])
+			out[o.idx] = lps[j]
 		}
 	}
 	for _, w := range waits {
@@ -195,13 +197,13 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 		if w.f.lp == nil {
 			panic("cache: in-flight logit computation failed on its owner")
 		}
-		out[w.idx] = copyRow(w.f.lp)
+		out[w.idx] = w.f.lp
 	}
 	return out, bs
 }
 
 // insertLocked puts a row for a key the LRU does not hold at the front and
-// evicts from the back past capacity. The cache takes ownership of lp.
+// evicts from the back past capacity. lp is stored as is: rows are immutable.
 func (c *LM) insertLocked(key string, lp []float64) {
 	c.entries[key] = c.order.PushFront(&entry{key: key, lp: lp})
 	if c.order.Len() > c.cap {
@@ -209,12 +211,6 @@ func (c *LM) insertLocked(key string, lp []float64) {
 		c.order.Remove(last)
 		delete(c.entries, last.Value.(*entry).key)
 	}
-}
-
-func copyRow(lp []float64) []float64 {
-	out := make([]float64, len(lp))
-	copy(out, lp)
-	return out
 }
 
 // Stats reports cache hits and misses since creation. Requests that reused

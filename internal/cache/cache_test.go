@@ -91,14 +91,11 @@ func TestCacheLRUOrdering(t *testing.T) {
 	}
 }
 
-func TestCacheReturnsCopies(t *testing.T) {
-	inner := newCounting()
-	c := New(inner, 10)
+func TestCacheSharesRows(t *testing.T) {
+	c := New(newCounting(), 10)
 	a := c.NextLogProbs([]model.Token{1})
-	a[0] = 12345
-	b := c.NextLogProbs([]model.Token{1})
-	if b[0] == 12345 {
-		t.Error("cache returned a shared slice; callers must get copies")
+	if b := c.NextLogProbs([]model.Token{1}); &b[0] != &a[0] {
+		t.Error("a hit returned a copy; rows are read-only and shared")
 	}
 }
 

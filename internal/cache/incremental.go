@@ -94,7 +94,6 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 		c.hits += int64(len(seq))
 		c.mu.Unlock()
 		keyBufPool.Put(buf)
-		copyRows(out)
 		return out, BatchStats{Hits: int64(len(seq))}
 	}
 
@@ -110,11 +109,7 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 		if f.rows == nil {
 			panic("cache: in-flight all-positions computation failed on its owner")
 		}
-		out := make([][]float64, len(f.rows))
-		for p, r := range f.rows {
-			out[p] = copyRow(r)
-		}
-		return out, BatchStats{Flights: int64(len(seq))}
+		return f.rows, BatchStats{Flights: int64(len(seq))}
 	}
 	key := string(*buf)
 	f := &allFlight{done: make(chan struct{})}
@@ -152,13 +147,13 @@ type allFlight struct {
 }
 
 // publish inserts a computed row into the LRU (keeping any existing entry),
-// so incremental traffic warms the cache for everyone else. The stored row
-// is a private copy; the caller keeps ownership of lp.
+// so incremental traffic warms the cache for everyone else. The LRU stores lp
+// itself, the slice the caller also returns: rows are read-only.
 func (c *LM) publish(ctx []model.Token, lp []float64) {
 	key := model.Key(ctx)
 	c.mu.Lock()
 	if _, ok := c.entries[key]; !ok {
-		c.insertLocked(key, copyRow(lp))
+		c.insertLocked(key, lp)
 	}
 	c.mu.Unlock()
 }

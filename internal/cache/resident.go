@@ -6,10 +6,11 @@ import "repro/internal/model"
 // which rows it already holds *before* it dispatches, so a memoized row is
 // never charged to the virtual accelerator, never parked in the fusion
 // window, and never handed to a scoring worker. The probe is one lock pass
-// over the entries map: it bumps recency and the hit counters exactly as
-// scoreBatch would have, but never looks at the in-flight tables — a row
-// someone else is computing is simply reported missing, and the dispatch
-// that follows resolves it through the usual single flight.
+// over the entries map: it hands out the stored rows (read-only, like every
+// row), bumps recency and the hit counters exactly as scoreBatch would have,
+// but never looks at the in-flight tables — a row someone else is computing
+// is simply reported missing, and the dispatch that follows resolves it
+// through the usual single flight.
 
 // ResidentRows implements model.Resident.
 func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
@@ -27,22 +28,7 @@ func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
 	c.hits += int64(n)
 	c.mu.Unlock()
 	keyBufPool.Put(buf)
-	if n > 0 {
-		copyRows(out)
-	}
 	return n
-}
-
-// copyRows replaces every non-nil row with a private copy. Stored rows are
-// immutable, so the probes collect the LRU's own slices under the lock and
-// copy them here, outside it; nil slots (rows the probe did not answer)
-// stay nil.
-func copyRows(rows [][]float64) {
-	for i, r := range rows {
-		if r != nil {
-			rows[i] = copyRow(r)
-		}
-	}
 }
 
 // ResidentAllPositions implements model.Resident.
@@ -61,17 +47,13 @@ func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 	c.hits += hits
 	c.mu.Unlock()
 	keyBufPool.Put(buf)
-	for _, rows := range out {
-		copyRows(rows)
-	}
 	return n
 }
 
 // residentSeqLocked returns the stored row of every position of seq (row p
 // conditions on seq[:p], clamped to the inner model's window), bumping their
 // recency, when all of them are in the LRU; nil otherwise, and for an empty
-// sequence. The rows are the LRU's own: callers copy them before handing
-// them out. c.mu must be held.
+// sequence. The rows are the LRU's own. c.mu must be held.
 func (c *LM) residentSeqLocked(seq []model.Token, buf *[]byte) [][]float64 {
 	var rows [][]float64
 	for p := range seq {

@@ -8,7 +8,7 @@ import (
 )
 
 // The resident probe (resident.go): what the device asks before it
-// dispatches. Hits are copied, counted and bumped exactly as ScoreBatch
+// dispatches. Hits are handed out, counted and bumped exactly as ScoreBatch
 // would; everything else is left for the dispatch to classify.
 
 func TestResidentRowsAnswersOnlyWhatIsCached(t *testing.T) {
@@ -34,12 +34,9 @@ func TestResidentRowsAnswersOnlyWhatIsCached(t *testing.T) {
 	if inner.calls != 2 {
 		t.Errorf("probe reached the inner model (%d rows computed)", inner.calls-2)
 	}
-	// Private copies, also between two slots of one call.
-	out[0][0] = 42
-	again := make([][]float64, 1)
-	c.ResidentRows(ctxs[:1], again)
-	if again[0][0] == 42 || out[3][0] == 42 {
-		t.Errorf("probe rows alias the cache's storage or each other")
+	// The LRU's own rows, shared by both slots asking for one context.
+	if &out[0][0] != &want[0][0] || &out[3][0] != &want[0][0] || &out[2][0] != &want[1][0] {
+		t.Errorf("probe rows are copies of the cache's storage")
 	}
 }
 
@@ -96,9 +93,10 @@ func TestResidentAllPositionsIsAllOrNothing(t *testing.T) {
 			if st := s.Stats(); st.Hits != int64(len(tc.warm)) || st.Misses+st.Flights != 0 {
 				t.Errorf("scope attributed %+v, want %d hits", st, len(tc.warm))
 			}
-			out[1][0][0] = 42
-			if again := c.ScoreAllPositions(tc.warm); again[0][0] == 42 {
-				t.Errorf("probe rows alias the cache's storage")
+			for p := range want {
+				if &out[1][p][0] != &want[p][0] {
+					t.Errorf("probe row %d is a copy of the cache's storage", p)
+				}
 			}
 		})
 	}

@@ -7,14 +7,16 @@ package decoding
 
 import "math"
 
-// Rule filters and reweights a next-token log-probability vector in place.
-// Entries set to -Inf are excluded from the model's language at this step.
-// Rules compose left to right via Chain.
+// Rule filters and reweights a next-token log-probability vector. Entries
+// excluded from the model's language at this step become -Inf. Rules compose
+// left to right via Chain. A model's rows are shared and read-only (DESIGN.md
+// decision 4), so a rule is applied only through Allowed, which works on a
+// copy, and SupportOf, which never writes its argument.
 type Rule interface {
-	// Apply mutates logProbs. Implementations must keep the vector
+	// apply rewrites logProbs in place. Implementations must keep the vector
 	// normalizable (at least one finite entry) unless the input was already
 	// all -Inf.
-	Apply(logProbs []float64)
+	apply(logProbs []float64)
 	// Name identifies the rule in query descriptions.
 	Name() string
 }
@@ -27,7 +29,7 @@ func ranksBefore(lp []float64, a, b int32) bool {
 	return lp[a] > lp[b] || (lp[a] == lp[b] && a < b)
 }
 
-// selector is a Rule that only chooses which tokens stay: Apply is "retain
+// selector is a Rule that only chooses which tokens stay: apply is "retain
 // keep(lp), renormalize", and consumers that need membership alone
 // (SupportOf) stop after keep.
 type selector interface {
@@ -137,8 +139,8 @@ func (r TopK) keep(lp []float64) tokenSet {
 	return kept
 }
 
-// Apply implements Rule.
-func (r TopK) Apply(lp []float64) {
+// apply implements Rule.
+func (r TopK) apply(lp []float64) {
 	if kept := r.keep(lp); kept != nil {
 		retain(lp, kept)
 	}
@@ -172,8 +174,8 @@ func (r TopP) keep(lp []float64) tokenSet {
 	return kept
 }
 
-// Apply implements Rule.
-func (r TopP) Apply(lp []float64) {
+// apply implements Rule.
+func (r TopP) apply(lp []float64) {
 	if kept := r.keep(lp); kept != nil {
 		retain(lp, kept)
 	}
@@ -187,8 +189,8 @@ type Greedy struct{}
 
 func (Greedy) keep(lp []float64) tokenSet { return TopK{K: 1}.keep(lp) }
 
-// Apply implements Rule.
-func (Greedy) Apply(lp []float64) { TopK{K: 1}.Apply(lp) }
+// apply implements Rule.
+func (Greedy) apply(lp []float64) { TopK{K: 1}.apply(lp) }
 
 // Name implements Rule.
 func (Greedy) Name() string { return "greedy" }
@@ -197,8 +199,8 @@ func (Greedy) Name() string { return "greedy" }
 // T = 0 or 1 is a no-op; T < 1 sharpens, T > 1 flattens.
 type Temperature struct{ T float64 }
 
-// Apply implements Rule.
-func (r Temperature) Apply(lp []float64) {
+// apply implements Rule.
+func (r Temperature) apply(lp []float64) {
 	if r.T == 0 || r.T == 1 {
 		return
 	}
@@ -216,10 +218,10 @@ func (r Temperature) Name() string { return "temperature" }
 // Chain applies rules in order.
 type Chain []Rule
 
-// Apply implements Rule.
-func (c Chain) Apply(lp []float64) {
+// apply implements Rule.
+func (c Chain) apply(lp []float64) {
 	for _, r := range c {
-		r.Apply(lp)
+		r.apply(lp)
 	}
 }
 
@@ -239,8 +241,8 @@ func (c Chain) Name() string {
 // rule with vanilla sampling).
 type None struct{}
 
-// Apply implements Rule.
-func (None) Apply([]float64) {}
+// apply implements Rule.
+func (None) apply([]float64) {}
 
 // Name implements Rule.
 func (None) Name() string { return "none" }
@@ -251,7 +253,7 @@ func Allowed(r Rule, lp []float64) []float64 {
 	cp := make([]float64, len(lp))
 	copy(cp, lp)
 	if r != nil {
-		r.Apply(cp)
+		r.apply(cp)
 	}
 	return cp
 }

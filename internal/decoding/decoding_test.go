@@ -43,7 +43,7 @@ func sumExp(lp []float64) float64 {
 
 func TestTopKKeepsExactlyK(t *testing.T) {
 	lp := logDist(0.4, 0.3, 0.2, 0.1)
-	TopK{K: 2}.Apply(lp)
+	TopK{K: 2}.apply(lp)
 	if got := finiteCount(lp); got != 2 {
 		t.Fatalf("top-2 kept %d tokens", got)
 	}
@@ -58,8 +58,8 @@ func TestTopKKeepsExactlyK(t *testing.T) {
 func TestTopKNoOp(t *testing.T) {
 	lp := logDist(0.5, 0.5)
 	orig := append([]float64{}, lp...)
-	TopK{K: 0}.Apply(lp)
-	TopK{K: 5}.Apply(lp)
+	TopK{K: 0}.apply(lp)
+	TopK{K: 5}.apply(lp)
 	for i := range lp {
 		if lp[i] != orig[i] {
 			t.Error("k<=0 or k>=len should be identity")
@@ -69,7 +69,7 @@ func TestTopKNoOp(t *testing.T) {
 
 func TestTopKRelativeOrderPreserved(t *testing.T) {
 	lp := logDist(0.1, 0.5, 0.25, 0.15)
-	TopK{K: 3}.Apply(lp)
+	TopK{K: 3}.apply(lp)
 	if !(lp[1] > lp[2] && lp[2] > lp[3]) {
 		t.Error("top-k should preserve relative order of kept tokens")
 	}
@@ -80,7 +80,7 @@ func TestTopKRelativeOrderPreserved(t *testing.T) {
 
 func TestTopPNucleus(t *testing.T) {
 	lp := logDist(0.5, 0.3, 0.15, 0.05)
-	TopP{P: 0.7}.Apply(lp)
+	TopP{P: 0.7}.apply(lp)
 	// 0.5 alone < 0.7, 0.5+0.3 >= 0.7 -> keep 2.
 	if got := finiteCount(lp); got != 2 {
 		t.Fatalf("top-p kept %d tokens, want 2", got)
@@ -92,13 +92,13 @@ func TestTopPNucleus(t *testing.T) {
 
 func TestTopPBoundaries(t *testing.T) {
 	lp := logDist(0.6, 0.4)
-	TopP{P: 0}.Apply(lp)
-	TopP{P: 1}.Apply(lp)
+	TopP{P: 0}.apply(lp)
+	TopP{P: 1}.apply(lp)
 	if finiteCount(lp) != 2 {
 		t.Error("p<=0 or p>=1 should be identity")
 	}
 	lp2 := logDist(0.6, 0.4)
-	TopP{P: 0.1}.Apply(lp2)
+	TopP{P: 0.1}.apply(lp2)
 	if finiteCount(lp2) != 1 {
 		t.Error("tiny p should keep exactly the top token")
 	}
@@ -106,7 +106,7 @@ func TestTopPBoundaries(t *testing.T) {
 
 func TestGreedy(t *testing.T) {
 	lp := logDist(0.2, 0.5, 0.3)
-	Greedy{}.Apply(lp)
+	Greedy{}.apply(lp)
 	if finiteCount(lp) != 1 || math.IsInf(lp[1], -1) {
 		t.Error("greedy should keep exactly the argmax")
 	}
@@ -118,12 +118,12 @@ func TestGreedy(t *testing.T) {
 func TestTemperature(t *testing.T) {
 	lp := logDist(0.8, 0.2)
 	flat := append([]float64{}, lp...)
-	Temperature{T: 10}.Apply(flat)
+	Temperature{T: 10}.apply(flat)
 	if !(flat[0]-flat[1] < lp[0]-lp[1]) {
 		t.Error("high temperature should flatten the distribution")
 	}
 	sharp := append([]float64{}, lp...)
-	Temperature{T: 0.5}.Apply(sharp)
+	Temperature{T: 0.5}.apply(sharp)
 	if !(sharp[0]-sharp[1] > lp[0]-lp[1]) {
 		t.Error("low temperature should sharpen the distribution")
 	}
@@ -134,7 +134,7 @@ func TestTemperature(t *testing.T) {
 
 func TestChainComposition(t *testing.T) {
 	lp := logDist(0.4, 0.3, 0.2, 0.1)
-	Chain{Temperature{T: 2}, TopK{K: 2}}.Apply(lp)
+	Chain{Temperature{T: 2}, TopK{K: 2}}.apply(lp)
 	if finiteCount(lp) != 2 {
 		t.Error("chain should apply all rules")
 	}
@@ -149,7 +149,7 @@ func TestChainComposition(t *testing.T) {
 func TestNone(t *testing.T) {
 	lp := logDist(0.9, 0.1)
 	orig := append([]float64{}, lp...)
-	None{}.Apply(lp)
+	None{}.apply(lp)
 	for i := range lp {
 		if lp[i] != orig[i] {
 			t.Error("None should be identity")
@@ -174,7 +174,7 @@ func TestAllowed(t *testing.T) {
 
 func TestTopKAllImpossibleInput(t *testing.T) {
 	lp := []float64{math.Inf(-1), math.Inf(-1)}
-	TopK{K: 1}.Apply(lp) // must not panic
+	TopK{K: 1}.apply(lp) // must not panic
 	if finiteCount(lp) != 0 {
 		t.Error("all-impossible input should stay impossible")
 	}
@@ -203,7 +203,7 @@ func TestQuickTopKInvariants(t *testing.T) {
 			lp[i] -= math.Log(z)
 		}
 		k := 1 + int(kRaw)%len(lp)
-		TopK{K: k}.Apply(lp)
+		TopK{K: k}.apply(lp)
 		n := finiteCount(lp)
 		if n == 0 || n > k {
 			return false
@@ -243,7 +243,7 @@ func TestQuickTopPKeepsArgmax(t *testing.T) {
 			}
 		}
 		p := 0.05 + float64(pRaw%90)/100
-		TopP{P: p}.Apply(lp)
+		TopP{P: p}.apply(lp)
 		return !math.IsInf(lp[bi], -1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

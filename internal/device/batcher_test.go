@@ -717,6 +717,7 @@ func TestRoutePanicReachesSubmitterOnly(t *testing.T) {
 						d.SetPool(pool)
 					}
 					took := rt.setup(t, d)
+					tr := trace.New(1, 4).NewTrace()
 					var raised any
 					var neighbour routeOut
 					var wg sync.WaitGroup
@@ -724,7 +725,7 @@ func TestRoutePanicReachesSubmitterOnly(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						defer func() { raised = recover() }()
-						op.run(d.WithQoS(QoS{Query: "poisoned"}), bad)
+						op.run(d.WithQoS(QoS{Query: "poisoned"}).WithTrace(tr, trace.RootID), bad)
 					}()
 					go func() {
 						defer wg.Done()
@@ -739,6 +740,15 @@ func TestRoutePanicReachesSubmitterOnly(t *testing.T) {
 					}
 					if !reflect.DeepEqual(neighbour, want) {
 						t.Errorf("neighbouring request's result differs from the model's own")
+					}
+					// The failed dispatch's span is closed, and says why.
+					spans := tr.Finish().Find(op.span)
+					if len(spans) != 1 {
+						t.Fatalf("%d %s spans, want 1", len(spans), op.span)
+					}
+					if sp := spans[0]; sp.WallEndNS == 0 || sp.Attr("error") != errPoison.Error() {
+						t.Errorf("failed dispatch span ended=%v error=%q, want ended and %q",
+							sp.WallEndNS != 0, sp.Attr("error"), errPoison.Error())
 					}
 				})
 			}

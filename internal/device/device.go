@@ -190,7 +190,8 @@ func (d *Device) Forward(ctxs [][]model.Token) [][]float64 {
 // requested is the row count of the public call the rows belong to (more
 // than the request's own when the resident probe answered part of it). A
 // panic inside any of the request's rows re-panics here, in the submitting
-// query's goroutine, on either route.
+// query's goroutine, on either route — after the span is closed with an
+// "error" annotation.
 func (d *Device) dispatch(name string, r *request, requested int) {
 	r.lm, r.qos = d.lm, d.qos
 	span := d.traceStart(name, r)
@@ -199,10 +200,10 @@ func (d *Device) dispatch(name string, r *request, requested int) {
 	if !fused {
 		d.c.inline(r)
 	}
+	d.traceEnd(span, r, fused, requested)
 	if r.panicked {
 		panic(r.panicVal)
 	}
-	d.traceEnd(span, r, fused, requested)
 }
 
 // inline is the route without a scheduler: the request is cut into MaxBatch

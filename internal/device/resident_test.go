@@ -2,6 +2,7 @@ package device
 
 import (
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -141,13 +142,35 @@ func TestResidentCallChargesNothing(t *testing.T) {
 		if !reflect.DeepEqual(warmA, coldA) || !reflect.DeepEqual(warmA, r.ref.ScoreAll(residentSeqs)) {
 			t.Errorf("resident ScoreAll rows differ from the dispatched path's")
 		}
-		// The rows are the caller's to mutate: a second resident call must
-		// not see the first one's scribbles.
-		warmF[0][0] = 1
-		if again := r.d.Forward(residentCtxs[:1]); again[0][0] == 1 {
-			t.Errorf("resident rows alias the cache's storage")
+		// The rows are the cache's own, read-only: a second resident call
+		// hands out the same slices.
+		if again := r.d.Forward(residentCtxs[:1]); &again[0][0] != &warmF[0][0] {
+			t.Errorf("resident rows are copies of the cache's storage")
 		}
 	})
+}
+
+// TestResidentForwardAllocatesNoRows: a fully resident Forward of n rows
+// allocates the result's slice headers, never a V-sized row.
+func TestResidentForwardAllocatesNoRows(t *testing.T) {
+	const vocab, n, runs = 4096, 8, 20
+	d := New(cache.New(&model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}, 64), DefaultLatency(), 4)
+	ctxs := make([][]model.Token, n)
+	for i := range ctxs {
+		ctxs[i] = []model.Token{model.Token(i)}
+	}
+	d.Forward(ctxs)
+	allocs := testing.AllocsPerRun(runs, func() { d.Forward(ctxs) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		d.Forward(ctxs)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; allocs > 2 || perCall >= vocab*8 {
+		t.Errorf("resident Forward of %d rows: %.0f allocations, %d bytes per call; want <= 2 and less than one %d-byte row",
+			n, allocs, perCall, vocab*8)
+	}
 }
 
 // TestPartialHitChargesMissingRows: a call split between the cache and the

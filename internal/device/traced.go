@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/trace"
@@ -41,7 +42,8 @@ func (d *Device) traceStart(name string, r *request) trace.SpanID {
 // tokens, and, when the resident probe answered part of the call, how many
 // rows the caller asked for (a fully resident call opens no device span;
 // residentFirst counts its rows on the parent as resident_rows) — and, when
-// it rode the fusion queue, the scheduler's side of the ride. The record is
+// it rode the fusion queue, the scheduler's side of the ride; a request with
+// a panicked row is annotated "error" with the panic value. The record is
 // complete before either route returns (the scheduler writes it before it
 // closes the request's done channel), so reading it here is race-free.
 func (d *Device) traceEnd(span trace.SpanID, r *request, fused bool, requested int) {
@@ -69,5 +71,8 @@ func (d *Device) traceEnd(span trace.SpanID, r *request, fused bool, requested i
 		d.tr.Annotate(span, "requested", strconv.Itoa(requested))
 	}
 	d.tr.Annotate(span, "tokens", strconv.Itoa(tokens))
+	if r.panicked {
+		d.tr.Annotate(span, "error", fmt.Sprint(r.panicVal))
+	}
 	d.tr.End(span)
 }

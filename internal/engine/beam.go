@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/decoding"
 	"repro/internal/device"
@@ -41,8 +41,9 @@ type beamStream struct {
 	dev      *device.Device
 	q        *Query
 	opts     BeamOptions
-	beam     []*node
-	done     []*node // completed matches, unsorted until drain
+	beam     []node // the current level, in frontier order
+	done     []node // completed matches, unsorted until drain
+	seq      int64  // discovery order of the next hypothesis expanded
 	emitted  int
 	ran      bool
 	err      error // cancellation observed mid-run
@@ -57,74 +58,85 @@ func (s *beamStream) init() {
 	s.stats.modelCalls.Add(calls)
 	for pi, p := range s.q.Prefixes {
 		logP := logPs[pi]
-		s.beam = append(s.beam, &node{
+		s.beam = append(s.beam, node{
 			path:     rootPath(p),
 			state:    s.q.Pattern.Start(),
 			cost:     -logP,
 			prefLogP: logP,
+			from:     int64(pi),
 		})
 	}
-	s.truncateBeam()
+	s.seq = int64(len(s.q.Prefixes))
+	s.beam = truncate(s.beam, s.opts.Width)
 }
 
-func (s *beamStream) truncateBeam() {
-	sort.Slice(s.beam, func(i, j int) bool { return s.beam[i].cost < s.beam[j].cost })
-	if len(s.beam) > s.opts.Width {
-		s.beam = s.beam[:s.opts.Width]
-	}
-}
-
-// beamSlot is one hypothesis's expansion output: a harvested terminal (if
-// the hypothesis accepts) plus its rule-filtered extensions. Slots are
-// filled concurrently by the worker pool and merged in beam order, keeping
-// the step deterministic at any parallelism.
-type beamSlot struct {
-	term     *node
-	children []*node
+// truncate puts nodes in the frontier order and keeps the first width.
+func truncate(nodes []node, width int) []node {
+	slices.SortFunc(nodes, byOrder)
+	return nodes[:min(len(nodes), width)]
 }
 
 // run advances the beam to completion, harvesting accepting hypotheses.
-// The whole level is scored in one device batch; per-hypothesis rule
-// filtering and child generation fan out across the worker pool.
+// The whole level is scored in one device batch and its sibling sets are
+// built across the worker pool; the coordinator then spawns, in beam order,
+// each hypothesis's match and its best Width children — the level's best
+// Width are among them — and truncates to the best Width overall.
 func (s *beamStream) run() {
 	m := s.dev.Model()
+	var ctxs [][]model.Token
+	var sets []siblings
+	var next []node
 	for step := 0; step < s.opts.MaxSteps && len(s.beam) > 0; step++ {
 		if err := s.q.Context.Err(); err != nil {
 			s.err = err
 			return
 		}
 		rdev, rspan := roundDevice(s.dev, s.q, int64(step), len(s.beam))
-		lps := scoreFrontier(rdev, s.q, contexts(s.beam))
+		ctxs = appendContexts(ctxs[:0], s.beam)
+		lps := scoreFrontier(rdev, s.q, ctxs)
 		s.stats.modelCalls.Add(int64(len(s.beam)))
 		s.stats.nodesExpanded.Add(int64(len(s.beam)))
 
-		slots := make([]beamSlot, len(s.beam))
+		sets = slices.Grow(sets[:0], len(s.beam))[:len(s.beam)]
 		parallelFor(len(s.beam), s.q.Parallelism, func(i int) {
-			slots[i].children, slots[i].term = s.q.expand(m, s.beam[i], lps[i])
+			sets[i] = s.q.expand(m, &s.beam[i], lps[i], sets[i])
 		})
-		var next []*node
-		for _, slot := range slots {
-			if slot.term != nil {
-				s.done = append(s.done, slot.term)
+		next = next[:0]
+		for i := range s.beam {
+			h, from, sibs := &s.beam[i], s.seq, sets[i]
+			s.seq++
+			if last := len(sibs) - 1; last >= 0 && sibs[last].sym == matchSym {
+				s.done = append(s.done, h.spawn(sibs[last], from))
+				sibs = sibs[:last]
 			}
-			next = append(next, slot.children...)
+			if len(sibs) > s.opts.Width {
+				sibs.heapify()
+				for range s.opts.Width {
+					next = append(next, h.spawn(sibs.pop(), from))
+				}
+				continue
+			}
+			for _, sb := range sibs {
+				next = append(next, h.spawn(sb, from))
+			}
 		}
-		s.beam = next
-		s.truncateBeam()
+		s.beam, next = truncate(next, s.opts.Width), s.beam
 		s.q.Trace.End(rspan)
 	}
-	// Final harvest of hypotheses that ended exactly at MaxSteps. The
-	// RequireEOS check needs one more score per candidate; batch them into
-	// a single device round rather than one dispatch each.
-	var finals []*node
-	for _, n := range s.beam {
+	// Final harvest of hypotheses that ended exactly at MaxSteps, each
+	// discovered in beam order. The RequireEOS check needs one more score per
+	// candidate; batch them into a single device round rather than one
+	// dispatch each.
+	var finals []node
+	for i := range s.beam {
+		n := &s.beam[i]
 		if s.q.Pattern.Accepting(n.state) && n.patLen > 0 && s.q.Filter.AllowFinal(n.pattern()) {
-			finals = append(finals, n)
+			finals = append(finals, n.spawn(sibling{cost: n.cost, sym: matchSym}, s.seq+int64(i)))
 		}
 	}
 	if s.q.RequireEOS && len(finals) > 0 {
 		rdev, rspan := roundDevice(s.dev, s.q, int64(s.opts.MaxSteps), len(finals))
-		lps := scoreFrontier(rdev, s.q, contexts(finals))
+		lps := scoreFrontier(rdev, s.q, appendContexts(nil, finals))
 		defer s.q.Trace.End(rspan)
 		s.stats.modelCalls.Add(int64(len(finals)))
 		kept := finals[:0]
@@ -138,16 +150,16 @@ func (s *beamStream) run() {
 		finals = kept
 	}
 	s.done = append(s.done, finals...)
-	sort.Slice(s.done, func(i, j int) bool { return s.done[i].cost < s.done[j].cost })
+	slices.SortFunc(s.done, byOrder)
 	// Deduplicate identical token sequences (a hypothesis can be harvested
 	// at several steps when its accept state has a rule-blocked extension).
 	uniq := s.done[:0]
 	seen := map[string]bool{}
-	for _, n := range s.done {
-		k := model.Key(n.context())
+	for i := range s.done {
+		k := model.Key(s.done[i].context())
 		if !seen[k] {
 			seen[k] = true
-			uniq = append(uniq, n)
+			uniq = append(uniq, s.done[i])
 		}
 	}
 	s.done = uniq
@@ -170,7 +182,7 @@ func (s *beamStream) Next() (*Result, error) {
 	if s.emitted >= len(s.done) {
 		return nil, s.finish(ErrExhausted)
 	}
-	n := s.done[s.emitted]
+	n := &s.done[s.emitted]
 	s.emitted++
 	s.stats.emitted.Add(1)
 	return n.result(), nil

@@ -21,12 +21,63 @@ func ShortestPath(dev *device.Device, q *Query) Stream {
 }
 
 type dijkstraStream struct {
-	dev   *device.Device
-	q     *Query
-	heap  nodeHeap
-	done  error // terminal state: set once the stream has ended for good
-	round int64 // expansion rounds so far (trace annotation)
-	stats counters
+	dev      *device.Device
+	q        *Query
+	frontier frontier
+	seq      int64 // discovery order of the next node expanded
+	done     error // terminal state: set once the stream has ended for good
+	round    int64 // expansion rounds so far (trace annotation)
+	stats    counters
+
+	// Round scratch: the popped nodes and their contexts. A popped node is
+	// needed only until its cursor has copied it.
+	batch []node
+	ctxs  [][]model.Token
+}
+
+// cursor is an expanded node on the frontier with the siblings it has not
+// yielded yet. The frontier holds one cursor per expanded node (and per
+// prefix root), ordered by its least sibling: a pop spawns that sibling and
+// re-files the cursor under the next one, so a child is built only when it
+// is popped.
+type cursor struct {
+	parent node
+	seq    int64    // the parent's discovery order
+	sibs   siblings // a heap; sibs[0] is the next to pop
+}
+
+func (c *cursor) next() order { s := c.sibs[0]; return order{s.cost, c.seq, s.rank()} }
+
+// frontier is shortest path's heap of cursors.
+type frontier []*cursor
+
+func (h frontier) Len() int           { return len(h) }
+func (h frontier) Less(i, j int) bool { return h[i].next().compare(h[j].next()) < 0 }
+func (h frontier) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *frontier) Push(x any)        { *h = append(*h, x.(*cursor)) }
+func (h *frontier) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return c
+}
+
+// matchNext reports whether the least entry is a match, ready to emit.
+func (h frontier) matchNext() bool { return h[0].sibs[0].sym == matchSym }
+
+// pop spawns the least entry and advances its cursor; a spent cursor leaves
+// the heap and lets go of its parent's context and siblings.
+func (h *frontier) pop() node {
+	c := (*h)[0]
+	n := c.parent.spawn(c.sibs.pop(), c.seq)
+	if len(c.sibs) > 0 {
+		heap.Fix(h, 0)
+	} else {
+		heap.Pop(h)
+		*c = cursor{}
+	}
+	return n
 }
 
 // normalizeQuery fills defaults; a missing prefix set means one empty prefix.
@@ -52,13 +103,15 @@ func normalizeQuery(dev *device.Device, q *Query) *Query {
 
 // init roots the search tree: every prefix is scored in one batched device
 // round (all (prefix, position) contexts in a single Forward call) rather
-// than position-by-position, so broad prefix sets pay one dispatch.
+// than position-by-position, so broad prefix sets pay one dispatch. Each root
+// is a cursor whose one sibling is the root itself.
 func (s *dijkstraStream) init() {
-	heap.Init(&s.heap)
 	pdev, pspan := prefixDevice(s.dev, s.q)
 	logPs, calls := scoreSequences(pdev, s.q.Prefixes)
 	s.q.Trace.End(pspan)
 	s.stats.modelCalls.Add(calls)
+	roots := make([]cursor, len(s.q.Prefixes))
+	sibs := make(siblings, len(roots))
 	for pi, p := range s.q.Prefixes {
 		logP := logPs[pi]
 		cost := -logP
@@ -69,81 +122,88 @@ func (s *dijkstraStream) init() {
 			// blowup the heuristic avoids.
 			cost = 0
 		}
-		heap.Push(&s.heap, &node{
-			path:     rootPath(p),
-			state:    s.q.Pattern.Start(),
-			cost:     cost,
-			prefLogP: logP,
-		})
+		sibs[pi] = sibling{cost: cost, sym: rootSym}
+		roots[pi] = cursor{
+			parent: node{path: rootPath(p), state: s.q.Pattern.Start(), cost: cost, prefLogP: logP},
+			seq:    int64(pi),
+			sibs:   sibs[pi : pi+1 : pi+1],
+		}
+		s.frontier = append(s.frontier, &roots[pi])
 	}
+	heap.Init(&s.frontier)
+	s.seq = int64(len(roots))
 }
 
-// Next pops nodes best-first until a terminal (match) node surfaces.
-// Expansion of a popped node generates pattern-edge children under the
-// decision rule, plus — when the automaton state accepts — a terminal child
-// carrying the match. When RequireEOS is set, the terminal child is charged
-// the model's EOS probability (rule-checked), so result order reflects the
-// full sequence probability including termination.
+// Next pops entries best-first until a match surfaces. Expanding a popped
+// node gives its siblings: the pattern-edge children the decision rule keeps,
+// plus — when the automaton state accepts — the match. When RequireEOS is
+// set, the match is charged the model's EOS probability (rule-checked), so
+// result order reflects the full sequence probability including termination.
+// Entries come off the frontier in the frontier order (DESIGN.md decision 6).
 //
-// Non-terminal nodes are expanded in device batches of up to BatchExpand,
-// amortizing dispatch overhead (§3.3). A terminal at the heap top always
+// Non-match entries are expanded in device batches of up to BatchExpand,
+// amortizing dispatch overhead (§3.3). A match at the frontier top always
 // emits before further expansion, so batching only reorders results whose
-// costs interleave within a single batch. Rule filtering and child
+// costs interleave within a single batch. Rule filtering and sibling
 // generation for a scored batch fan out across the Parallelism worker pool;
-// each worker fills its node's slot and the coordinator pushes slots into
-// the heap in batch order, so the emitted sequence is identical at any
-// worker count (DESIGN.md decision 6).
+// each worker fills its node's cursor and the coordinator numbers and pushes
+// the cursors in batch order, so the emitted sequence is identical at any
+// worker count.
 func (s *dijkstraStream) Next() (*Result, error) {
 	if s.done != nil {
 		return nil, s.done
 	}
 	batchSize := EffectiveBatch(s.dev, s.q.BatchExpand)
-	for s.heap.Len() > 0 {
+	for len(s.frontier) > 0 {
 		if err := s.q.Context.Err(); err != nil {
 			return nil, s.finish(err)
 		}
-		if s.heap[0].terminal {
+		if s.frontier.matchNext() {
 			s.stats.emitted.Add(1)
-			return heap.Pop(&s.heap).(*node).result(), nil
+			n := s.frontier.pop()
+			return n.result(), nil
 		}
 		expanded := s.stats.nodesExpanded.Load()
 		if expanded >= int64(s.q.MaxNodes) {
 			return nil, s.finish(ErrExhausted)
 		}
-		// Gather a batch of non-terminal nodes; stop if a terminal surfaces.
-		var batch []*node
-		for len(batch) < batchSize && s.heap.Len() > 0 && !s.heap[0].terminal &&
+		// Gather a batch of non-match entries; stop if a match surfaces.
+		batch := s.batch[:0]
+		for len(batch) < batchSize && len(s.frontier) > 0 && !s.frontier.matchNext() &&
 			expanded+int64(len(batch)) < int64(s.q.MaxNodes) {
-			batch = append(batch, heap.Pop(&s.heap).(*node))
+			batch = append(batch, s.frontier.pop())
 		}
-		if len(batch) == 0 {
-			continue
-		}
-		rdev, rspan := roundDevice(s.dev, s.q, s.round, len(batch))
-		s.round++
-		lps := scoreFrontier(rdev, s.q, contexts(batch))
-		s.stats.modelCalls.Add(int64(len(batch)))
-		s.stats.nodesExpanded.Add(int64(len(batch)))
-		// Expansion (rule filtering, the canonicality verdict, child
-		// construction) is independent per node: fan out, then merge lock-free
-		// in order — a node's children, then its terminal.
-		m := s.dev.Model()
-		children := make([][]*node, len(batch))
-		parallelFor(len(batch), s.q.Parallelism, func(i int) {
-			cs, term := s.q.expand(m, batch[i], lps[i])
-			if term != nil {
-				cs = append(cs, term)
-			}
-			children[i] = cs
-		})
-		for _, cs := range children {
-			for _, c := range cs {
-				heap.Push(&s.heap, c)
-			}
-		}
-		s.q.Trace.End(rspan)
+		s.batch = batch
+		s.expand(batch)
 	}
 	return nil, s.finish(ErrExhausted)
+}
+
+// expand scores a batch in one device round and files a cursor for every
+// node with a sibling.
+func (s *dijkstraStream) expand(batch []node) {
+	rdev, rspan := roundDevice(s.dev, s.q, s.round, len(batch))
+	s.round++
+	s.ctxs = appendContexts(s.ctxs[:0], batch)
+	lps := scoreFrontier(rdev, s.q, s.ctxs)
+	s.stats.modelCalls.Add(int64(len(batch)))
+	s.stats.nodesExpanded.Add(int64(len(batch)))
+	m := s.dev.Model()
+	cursors := make([]cursor, len(batch))
+	parallelFor(len(batch), s.q.Parallelism, func(i int) {
+		sibs := s.q.expand(m, &batch[i], lps[i], nil)
+		sibs.heapify()
+		cursors[i] = cursor{parent: batch[i], sibs: sibs}
+	})
+	for i := range cursors {
+		c := &cursors[i]
+		c.seq = s.seq
+		s.seq++
+		if len(c.sibs) > 0 {
+			heap.Push(&s.frontier, c)
+		}
+	}
+	s.q.Trace.End(rspan)
 }
 
 // finish records the stream's terminal error and releases its derived

@@ -7,6 +7,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -191,10 +192,10 @@ type Stream interface {
 // path is a frontier node's model context (prefix + pattern so far). A child
 // is born holding its parent's slice and its own last token, and copies the
 // two into a slice of its own only when context is first called — when the
-// node is popped for scoring. Most children never are (shortest path stops at
-// its result budget, beam truncation drops them), and those cost no copy of a
-// paragraph-long prefix. Ordering never reads the context, so heap order,
-// push order and ties are those of eagerly built contexts.
+// node is popped for scoring. A child built but never scored (one beam
+// truncation drops, a Mass node left on the frontier) costs no copy of a
+// paragraph-long prefix, and a match shares its parent's slice outright.
+// Ordering never reads the context.
 type path struct {
 	ctx     []model.Token
 	last    model.Token
@@ -224,15 +225,16 @@ func rootPath(prefix []model.Token) path {
 	return path{ctx: append([]model.Token{}, prefix...)}
 }
 
-// node is a search-tree node in shortest-path traversal.
+// node is a search-tree node of shortest path and beam: a popped frontier
+// entry, a beam hypothesis or a harvested match.
 type node struct {
 	path
 	state    automaton.StateID
 	patLen   int     // how many context tokens are pattern tokens
-	cost     float64 // cumulative -log p
+	cost     float64 // cumulative -log p (EOS step included for a match)
 	prefLogP float64
-	terminal bool // true for emit-ready match nodes (EOS cost included)
-	index    int  // heap bookkeeping
+	from     int64  // discovery order of the node it was spawned from
+	rank     uint32 // its place among its siblings (sibling.rank)
 }
 
 // pattern returns the pattern part of the node's context.
@@ -241,7 +243,7 @@ func (n *node) pattern() []model.Token {
 	return ctx[len(ctx)-n.patLen:]
 }
 
-// result converts an emit-ready node.
+// result converts a match node.
 func (n *node) result() *Result {
 	ctx := n.context()
 	return &Result{
@@ -252,14 +254,116 @@ func (n *node) result() *Result {
 	}
 }
 
-// expand builds a scored node's successors from its next-token row lp: one
-// child per pattern edge the decision rule keeps — if the canonical filter,
-// asked once for all of them, lets the node's pattern grow — and, when the
-// node's state accepts a canonical match, the terminal carrying it (charged
-// the EOS step under RequireEOS). Children keep the model's original cost for
-// ordering. Pure with respect to stream state, so batch slots can be filled
-// concurrently.
-func (q *Query) expand(m model.LanguageModel, n *node, lp []float64) (children []*node, term *node) {
+// spawn builds the node a sibling of n stands for: the child one token
+// beyond n, or — for matchSym and rootSym — n itself at the sibling's cost.
+// from is n's discovery order.
+func (n *node) spawn(s sibling, from int64) node {
+	c := *n
+	c.cost, c.from, c.rank = s.cost, from, s.rank()
+	if s.sym >= 0 {
+		c.path = n.child(model.Token(s.sym))
+		c.state = automaton.StateID(s.to)
+		c.patLen++
+	}
+	return c
+}
+
+// order places an entry in the frontier order (DESIGN.md decision 6), the one
+// total order shortest path pops and beam truncates and emits by: cost, then
+// the discovery order of the node the entry was spawned from, then its rank
+// among that node's siblings — token id, the node's match after every child.
+// Prefix roots are discovered first, in prefix order; every other node when
+// it is expanded, in batch order. It is the order in which an eager heap
+// receives the entries, so equal costs never fall to a heap's layout or a
+// sort's internals.
+type order struct {
+	cost float64
+	from int64
+	rank uint32
+}
+
+func (a order) compare(b order) int {
+	if c := cmp.Compare(a.cost, b.cost); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.rank, b.rank)
+}
+
+// byOrder sorts nodes by the frontier order.
+func byOrder(a, b node) int {
+	return order{a.cost, a.from, a.rank}.compare(order{b.cost, b.from, b.rank})
+}
+
+// sibling is one kept successor of an expanded node, 16 bytes where a built
+// node is ~100: the child one token beyond it (sym its token id, to its
+// state), or with sym = matchSym the node's own match. A node is spawned from
+// a sibling only when shortest path pops it or beam keeps it.
+type sibling struct {
+	cost float64
+	sym  int32
+	to   int32
+}
+
+const (
+	matchSym int32 = -1 // the expanded node's match, EOS step included
+	rootSym  int32 = -2 // a prefix root: the node itself
+)
+
+// rank orders siblings of one node: token id, the match after every child.
+func (s sibling) rank() uint32 { return uint32(s.sym) }
+
+// siblings is one node's sibling set; after heapify, a binary min-heap by
+// (cost, rank).
+type siblings []sibling
+
+func (h siblings) less(i, j int) bool {
+	return h[i].cost < h[j].cost || (h[i].cost == h[j].cost && h[i].rank() < h[j].rank())
+}
+
+func (h siblings) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (h siblings) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// pop removes and returns the least sibling of a heapified set.
+func (h *siblings) pop() sibling {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(0)
+	return top
+}
+
+// expand returns a scored node's sibling set, unordered, in dst's storage
+// when it is large enough: one sibling per pattern edge the decision rule
+// keeps — if the canonical filter, asked once for all of them, lets the
+// node's pattern grow — and last, when the node's state accepts a canonical
+// match, the match (charged the EOS step under RequireEOS). Costs are the
+// model's original ones. Pure with respect to stream state, so batch slots
+// can be filled concurrently.
+func (q *Query) expand(m model.LanguageModel, n *node, lp []float64, dst siblings) siblings {
 	kept := decoding.SupportOf(q.Rule, lp)
 	pattern := n.pattern()
 	edges, live := q.Pattern.Edges(n.state), 0
@@ -270,35 +374,44 @@ func (q *Query) expand(m model.LanguageModel, n *node, lp []float64) (children [
 			}
 		}
 	}
-	if live > 0 && q.Filter.AllowChildren(pattern) {
-		// Siblings are allocated together: two allocations per parent, not
-		// one per child plus the slice's growth.
-		slab := make([]node, 0, live)
-		children = make([]*node, 0, live+1) // room for the terminal
+	if live > 0 && !q.Filter.AllowChildren(pattern) {
+		live = 0
+	}
+	match := q.Pattern.Accepting(n.state) && n.patLen > 0 &&
+		(!q.RequireEOS || kept.Has(m.EOS())) && // EOS unreachable under the rule: not a match
+		q.Filter.AllowFinal(pattern)
+	size := live
+	if match {
+		size++
+	}
+	if cap(dst) < size {
+		dst = make(siblings, 0, size)
+	}
+	dst = dst[:0]
+	if live > 0 {
 		for _, e := range edges {
 			if kept.Has(e.Sym) {
-				slab = append(slab, node{
-					path:     n.child(e.Sym),
-					state:    e.To,
-					patLen:   n.patLen + 1,
-					cost:     n.cost - lp[e.Sym],
-					prefLogP: n.prefLogP,
-				})
-				children = append(children, &slab[len(slab)-1])
+				dst = append(dst, sibling{cost: n.cost - lp[e.Sym], sym: int32(e.Sym), to: int32(e.To)})
 			}
 		}
 	}
-	if !q.Pattern.Accepting(n.state) || n.patLen == 0 ||
-		(q.RequireEOS && !kept.Has(m.EOS())) || // EOS unreachable under the rule: not a match
-		!q.Filter.AllowFinal(pattern) {
-		return children, nil
+	if match {
+		cost := n.cost
+		if q.RequireEOS {
+			cost -= lp[m.EOS()]
+		}
+		dst = append(dst, sibling{cost: cost, sym: matchSym})
 	}
-	t := *n
-	t.terminal = true
-	if q.RequireEOS {
-		t.cost -= lp[m.EOS()]
+	return dst
+}
+
+// appendContexts appends each node's own context to dst, in order, for a
+// scoring round.
+func appendContexts(dst [][]model.Token, nodes []node) [][]model.Token {
+	for i := range nodes {
+		dst = append(dst, nodes[i].context())
 	}
-	return children, &t
+	return dst
 }
 
 // contexts returns each node's own context, in order, for a scoring round.
@@ -308,20 +421,6 @@ func contexts[N interface{ context() []model.Token }](nodes []N) [][]model.Token
 		ctxs[i] = n.context()
 	}
 	return ctxs
-}
-
-type nodeHeap []*node
-
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].cost < h[j].cost }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *nodeHeap) Push(x interface{}) { n := x.(*node); n.index = len(*h); *h = append(*h, n) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return n
 }
 
 // clampCtx trims a context to the model window (the shared clamp — one

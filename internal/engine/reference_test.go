@@ -21,8 +21,11 @@ import (
 // nodes were expanded once per parent — every child copies its context when
 // it is generated, is checked by Filter.AllowPartial on its own pattern, and
 // reads a fully reweighted Allowed vector — as the differential oracle for
-// the per-parent expansion. The reference traversals share the production
-// scoring, batching and heap code, so any divergence is the expansion's.
+// the per-parent expansion. Shortest path and beam here build every child
+// eagerly: shortest path pushes them all onto one node heap, beam sorts all
+// of a level's children before it truncates. Both order by the frontier
+// order (DESIGN.md decision 6), so any divergence is the production side's
+// lazy siblings, cursors or per-hypothesis cut.
 
 func refAppendToken(ctx []model.Token, t model.Token) []model.Token {
 	out := make([]model.Token, len(ctx)+1)
@@ -31,16 +34,29 @@ func refAppendToken(ctx []model.Token, t model.Token) []model.Token {
 	return out
 }
 
-// refChild is an eagerly built child node.
-func refChild(n *node, e automaton.Edge, lp []float64) *node {
+// refChild is an eagerly built child of the node discovered as from.
+func refChild(n *node, e automaton.Edge, lp []float64, from int64) *node {
 	return &node{
 		path:     path{ctx: refAppendToken(n.ctx, e.Sym)},
 		state:    e.To,
 		patLen:   n.patLen + 1,
 		cost:     n.cost - lp[e.Sym],
 		prefLogP: n.prefLogP,
+		from:     from,
+		rank:     uint32(e.Sym),
 	}
 }
+
+// refMatch is n's match, discovered with n as from.
+func refMatch(n *node, from int64) *node {
+	return &node{path: path{ctx: n.ctx}, state: n.state, patLen: n.patLen,
+		cost: n.cost, prefLogP: n.prefLogP, from: from, rank: refMatchRank}
+}
+
+// refMatchRank ranks a match after every child of its node.
+const refMatchRank = math.MaxUint32
+
+func refIsMatch(n *node) bool { return n.rank == refMatchRank }
 
 func refAllowPartial(q *Query, pattern []model.Token) bool {
 	return q.Filter == nil || q.Filter.AllowPartial(pattern)
@@ -50,8 +66,9 @@ func refAllowFinal(q *Query, pattern []model.Token) bool {
 	return q.Filter == nil || q.Filter.AllowFinal(pattern)
 }
 
-// refChildrenOf is dijkstraStream.childrenOf as it was.
-func refChildrenOf(m model.LanguageModel, q *Query, n *node, lp []float64) []*node {
+// refChildrenOf is dijkstraStream.childrenOf as it was, for the node
+// discovered as from.
+func refChildrenOf(m model.LanguageModel, q *Query, n *node, lp []float64, from int64) []*node {
 	var out []*node
 	filtered := decoding.Allowed(q.Rule, lp)
 	if n.patLen < q.MaxTokens {
@@ -59,7 +76,7 @@ func refChildrenOf(m model.LanguageModel, q *Query, n *node, lp []float64) []*no
 			if filtered[e.Sym] == model.NegInf {
 				continue
 			}
-			child := refChild(n, e, lp)
+			child := refChild(n, e, lp, from)
 			if !refAllowPartial(q, child.ctx[len(child.ctx)-child.patLen:]) {
 				continue
 			}
@@ -72,8 +89,7 @@ func refChildrenOf(m model.LanguageModel, q *Query, n *node, lp []float64) []*no
 	if !refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
 		return out
 	}
-	term := &node{path: path{ctx: n.ctx}, state: n.state, patLen: n.patLen,
-		cost: n.cost, prefLogP: n.prefLogP, terminal: true}
+	term := refMatch(n, from)
 	if q.RequireEOS {
 		if filtered[m.EOS()] == model.NegInf {
 			return out
@@ -83,21 +99,50 @@ func refChildrenOf(m model.LanguageModel, q *Query, n *node, lp []float64) []*no
 	return append(out, term)
 }
 
+// refBefore is the frontier order, written out apart from order.compare:
+// cost, then the discovery order of the node an entry was spawned from, then
+// its rank among that node's siblings.
+func refBefore(a, b *node) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	if a.from != b.from {
+		return a.from < b.from
+	}
+	return a.rank < b.rank
+}
+
+// refHeap is the eager frontier: every child is pushed when its parent is
+// expanded.
+type refHeap []*node
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return refBefore(h[i], h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(*node)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	n := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return n
+}
+
 // refShortestPath drains up to limit results through the old expansion.
 func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Stats) {
 	q := normalizeQuery(dev, query)
 	defer q.cancel()
 	var stats Stats
-	var h nodeHeap
+	var h refHeap
 	logPs, calls := scoreSequences(dev, q.Prefixes)
 	stats.ModelCalls += calls
 	for pi, p := range q.Prefixes {
-		heap.Push(&h, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi]})
+		heap.Push(&h, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi], from: int64(pi)})
 	}
+	seq := int64(len(q.Prefixes))
 	var out []Result
 	batchSize := EffectiveBatch(dev, q.BatchExpand)
 	for h.Len() > 0 && len(out) < limit {
-		if h[0].terminal {
+		if refIsMatch(h[0]) {
 			out = append(out, *heap.Pop(&h).(*node).result())
 			stats.Emitted++
 			continue
@@ -106,7 +151,7 @@ func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Sta
 			break
 		}
 		var batch []*node
-		for len(batch) < batchSize && h.Len() > 0 && !h[0].terminal &&
+		for len(batch) < batchSize && h.Len() > 0 && !refIsMatch(h[0]) &&
 			stats.NodesExpanded+int64(len(batch)) < int64(q.MaxNodes) {
 			batch = append(batch, heap.Pop(&h).(*node))
 		}
@@ -115,8 +160,9 @@ func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Sta
 		stats.NodesExpanded += int64(len(batch))
 		children := make([][]*node, len(batch))
 		parallelFor(len(batch), q.Parallelism, func(i int) {
-			children[i] = refChildrenOf(dev.Model(), q, batch[i], lps[i])
+			children[i] = refChildrenOf(dev.Model(), q, batch[i], lps[i], seq+int64(i))
 		})
+		seq += int64(len(batch))
 		for _, cs := range children {
 			for _, c := range cs {
 				heap.Push(&h, c)
@@ -126,15 +172,19 @@ func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Sta
 	return out, stats
 }
 
-// refBeam is beamStream.run and expandHypothesis as they were.
+// refBeam is beamStream.run and expandHypothesis as they were, every child of
+// a level built before the level is truncated.
 func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stats) {
 	q := normalizeQuery(dev, query)
 	defer q.cancel()
 	m := dev.Model()
 	var stats Stats
 	var beam, done []*node
+	sortNodes := func(ns []*node) {
+		sort.Slice(ns, func(i, j int) bool { return refBefore(ns[i], ns[j]) })
+	}
 	truncate := func() {
-		sort.Slice(beam, func(i, j int) bool { return beam[i].cost < beam[j].cost })
+		sortNodes(beam)
 		if len(beam) > width {
 			beam = beam[:width]
 		}
@@ -142,8 +192,9 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 	logPs, calls := scoreSequences(dev, q.Prefixes)
 	stats.ModelCalls += calls
 	for pi, p := range q.Prefixes {
-		beam = append(beam, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi]})
+		beam = append(beam, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi], from: int64(pi)})
 	}
+	seq := int64(len(q.Prefixes))
 	truncate()
 	type slot struct {
 		term     *node
@@ -155,11 +206,10 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		stats.NodesExpanded += int64(len(beam))
 		slots := make([]slot, len(beam))
 		parallelFor(len(beam), q.Parallelism, func(i int) {
-			n, lp := beam[i], lps[i]
+			n, lp, from := beam[i], lps[i], seq+int64(i)
 			filtered := decoding.Allowed(q.Rule, lp)
 			if q.Pattern.Accepting(n.state) && n.patLen > 0 && refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
-				term := &node{path: path{ctx: n.ctx}, state: n.state, patLen: n.patLen,
-					cost: n.cost, prefLogP: n.prefLogP, terminal: true}
+				term := refMatch(n, from)
 				if !q.RequireEOS {
 					slots[i].term = term
 				} else if filtered[m.EOS()] != model.NegInf {
@@ -171,12 +221,13 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 				if filtered[e.Sym] == model.NegInf {
 					continue
 				}
-				child := refChild(n, e, lp)
+				child := refChild(n, e, lp, from)
 				if refAllowPartial(q, child.ctx[len(child.ctx)-child.patLen:]) {
 					slots[i].children = append(slots[i].children, child)
 				}
 			}
 		})
+		seq += int64(len(beam))
 		beam = nil
 		for _, sl := range slots {
 			if sl.term != nil {
@@ -187,9 +238,9 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		truncate()
 	}
 	var finals []*node
-	for _, n := range beam {
+	for i, n := range beam {
 		if q.Pattern.Accepting(n.state) && n.patLen > 0 && refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
-			finals = append(finals, n)
+			finals = append(finals, refMatch(n, seq+int64(i)))
 		}
 	}
 	if q.RequireEOS && len(finals) > 0 {
@@ -205,7 +256,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		finals = kept
 	}
 	done = append(done, finals...)
-	sort.Slice(done, func(i, j int) bool { return done[i].cost < done[j].cost })
+	sortNodes(done)
 	var out []Result
 	seen := map[string]bool{}
 	for _, n := range done {
@@ -457,17 +508,24 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 	}
 }
 
-func checkExpansion(t *testing.T, name string, dev *device.Device, query func() *Query) {
+// checkFrontier compares shortest path and beam (width 6) with their eager
+// references over the first limit results.
+func checkFrontier(t *testing.T, name string, dev *device.Device, query func() *Query, limit int) {
 	t.Helper()
-	got, gotStats := drainResults(t, ShortestPath(dev, query()), 10)
-	want, wantStats := refShortestPath(dev, query(), 10)
+	got, gotStats := drainResults(t, ShortestPath(dev, query()), limit)
+	want, wantStats := refShortestPath(dev, query(), limit)
 	sameResults(t, name+"/dijkstra", resultRows(got), resultRows(want))
 	sameStats(t, name+"/dijkstra", gotStats, wantStats)
 
-	got, gotStats = drainResults(t, Beam(dev, query(), BeamOptions{Width: 6}), 10)
-	want, wantStats = refBeam(dev, query(), 6, 10)
+	got, gotStats = drainResults(t, Beam(dev, query(), BeamOptions{Width: 6}), limit)
+	want, wantStats = refBeam(dev, query(), 6, limit)
 	sameResults(t, name+"/beam", resultRows(got), resultRows(want))
 	sameStats(t, name+"/beam", gotStats, wantStats)
+}
+
+func checkExpansion(t *testing.T, name string, dev *device.Device, query func() *Query) {
+	t.Helper()
+	checkFrontier(t, name, dev, query, 10)
 
 	opts := MassOptions{Tolerance: 1e-6, MaxNodes: 600}
 	if gm, wm := Mass(dev, query(), opts), refMass(dev, query(), opts); *gm != *wm {
@@ -493,4 +551,65 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 	gs, ws := sampler(), sampler()
 	sameResults(t, name+"/sampler", draw(gs, gs.sampleOnce),
 		draw(ws, func(rng *rand.Rand) (*Result, bool) { return refSampleOnce(ws, rng) }))
+}
+
+// classLM scores all tokens of one class (id mod 3) alike, given the class of
+// the context's last token: sibling costs tie by the class, and so do the
+// prefix roots {0} and {3}.
+type classLM struct{ model.Uniform }
+
+func (c *classLM) NextLogProbs(ctx []model.Token) []float64 {
+	prev := -1
+	if len(ctx) > 0 {
+		prev = ctx[len(ctx)-1] % 3
+	}
+	out := make([]float64, c.Vocab)
+	for tok := range out {
+		out[tok] = -float64(1 + tok%3)
+		if tok%3 == prev {
+			out[tok] -= 0.5
+		}
+	}
+	model.Normalize(out)
+	return out
+}
+
+func (c *classLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(c, ctxs) }
+
+// TestTieDenseFrontierMatchesReference: where nearly every cost ties, the
+// lazy sibling cursors and beam's per-hypothesis cut still emit exactly what
+// the eager references do under the frontier order — sequences, log-probs,
+// model calls and expanded nodes — at every batch size and worker count,
+// with and without a top-k cut inside a tie class.
+func TestTieDenseFrontierMatchesReference(t *testing.T) {
+	const vocab, depth = 13, 4
+	dev := device.New(&classLM{model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}}, device.DefaultLatency(), 8)
+	pat := automaton.NewDFA()
+	states := make([]automaton.StateID, depth+1)
+	for i := range states {
+		states[i] = pat.AddState(i > 0)
+	}
+	pat.SetStart(states[0])
+	for i := range depth {
+		for sym := range vocab - 1 {
+			pat.AddEdge(states[i], sym, states[i+1])
+		}
+	}
+	for _, prefixes := range [][][]model.Token{nil, {{0}, {1, 2}, {3}}} {
+		for _, rule := range []decoding.Rule{nil, decoding.TopK{K: 5}} {
+			for _, eos := range []bool{false, true} {
+				for _, batch := range []int{1, 4} {
+					for _, workers := range []int{1, 8} {
+						name := fmt.Sprintf("prefixes=%d/rule=%v/eos=%t/batch%d/p%d", len(prefixes), rule, eos, batch, workers)
+						checkFrontier(t, name, dev, func() *Query {
+							return &Query{
+								Pattern: pat, Prefixes: prefixes, Rule: rule,
+								RequireEOS: eos, BatchExpand: batch, Parallelism: workers,
+							}
+						}, 60)
+					}
+				}
+			}
+		}
+	}
 }

@@ -48,7 +48,7 @@ func RunCanon(env *Env, cfg CanonConfig) (*CanonResult, error) {
 		rule := decoding.TopK{K: 40}
 		nonCanon := 0
 		for i := 0; i < cfg.Samples; i++ {
-			seq := freeSample(m, rng, rule, cfg.MaxTokens)
+			seq := freeSample(m, rng, rule, nil, cfg.MaxTokens)
 			if len(seq) == 0 {
 				continue
 			}
@@ -61,23 +61,24 @@ func RunCanon(env *Env, cfg CanonConfig) (*CanonResult, error) {
 	return res, nil
 }
 
-// freeSample draws tokens from the model until EOS or maxTokens.
-func freeSample(m *relm.Model, rng *rand.Rand, rule decoding.Rule, maxTokens int) []model.Token {
-	var seq []model.Token
-	for len(seq) < maxTokens {
-		win := seq
+// freeSample draws tokens after prefix from the model under rule until EOS or
+// maxTokens, and returns the drawn tokens. The device's rows are shared with
+// its logit cache, so the rule reweights a copy (decoding.Allowed).
+func freeSample(m *relm.Model, rng *rand.Rand, rule decoding.Rule, prefix []model.Token, maxTokens int) []model.Token {
+	ctx := append([]model.Token{}, prefix...)
+	for len(ctx)-len(prefix) < maxTokens {
+		win := ctx
 		if len(win) > m.LM.MaxSeqLen() {
 			win = win[len(win)-m.LM.MaxSeqLen():]
 		}
-		lp := m.Dev.Forward([][]model.Token{win})[0]
-		rule.Apply(lp)
+		lp := decoding.Allowed(rule, m.Dev.Forward([][]model.Token{win})[0])
 		tok := sampleFromLogProbs(rng, lp)
 		if tok == m.LM.EOS() {
 			break
 		}
-		seq = append(seq, tok)
+		ctx = append(ctx, tok)
 	}
-	return seq
+	return ctx[len(prefix):]
 }
 
 // RenderCanon writes the §3.2 measurement.

@@ -2,9 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/decoding"
+	"repro/internal/model"
+	"repro/relm"
 )
 
 var (
@@ -279,5 +286,102 @@ func TestURLMatcherLongestPrefix(t *testing.T) {
 	}
 	if got := m.longestValidPrefix("not a url"); got != "" {
 		t.Errorf("non-URL should yield empty, got %q", got)
+	}
+}
+
+// rowRecorder keeps every row its model computes beside the row's bits, so a
+// test can tell whether anyone wrote into a row after it was handed out.
+type rowRecorder struct {
+	model.LanguageModel
+	mu   sync.Mutex
+	rows [][]float64
+	bits [][]uint64
+}
+
+func (r *rowRecorder) NextLogProbs(ctx []model.Token) []float64 {
+	return r.ScoreBatch([][]model.Token{ctx})[0]
+}
+
+func (r *rowRecorder) ScoreBatch(ctxs [][]model.Token) [][]float64 {
+	rows := r.LanguageModel.ScoreBatch(ctxs)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, row := range rows {
+		bits := make([]uint64, len(row))
+		for i, x := range row {
+			bits[i] = math.Float64bits(x)
+		}
+		r.rows, r.bits = append(r.rows, row), append(r.bits, bits)
+	}
+	return rows
+}
+
+// TestSharedRowsStayUnwritten: the logit cache hands every caller the row it
+// stores (DESIGN.md decision 4). Every engine, the free sampler and the
+// memorization baseline run at once over one cache, fused and on four
+// scoring workers; afterwards no row the model computed — so no row the LRU
+// holds — may differ from the model's output by a bit. Run with -race.
+func TestSharedRowsStayUnwritten(t *testing.T) {
+	env := sharedEnv(t)
+	rec := &rowRecorder{LanguageModel: env.Small.LM}
+	m := relm.NewModel(rec, env.Tok, relm.ModelOptions{Parallelism: 4, ContinuousBatching: true})
+	defer m.Close()
+	matcher, err := compileURLChecker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := relm.QueryString{Pattern: URLPattern, Prefix: relm.EscapeLiteral(URLPrefix)}
+	var wg sync.WaitGroup
+	run := func(name string, fn func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+	}
+	for _, q := range []relm.SearchQuery{
+		{Query: url, Strategy: relm.ShortestPath, TopK: 40, MaxTokens: 12},
+		{Query: url, Strategy: relm.BeamSearch, BeamWidth: 4, TopP: 0.9, MaxTokens: 12},
+		{Query: url, Strategy: relm.RandomSampling, Temperature: 2, TopK: 40, MaxTokens: 12},
+	} {
+		run(fmt.Sprint("strategy ", q.Strategy), func() error {
+			res, err := relm.Search(m, q)
+			if err != nil {
+				return err
+			}
+			defer res.Close()
+			res.Take(8)
+			return nil
+		})
+	}
+	run("mass", func() error {
+		_, err := relm.Mass(m, relm.SearchQuery{Query: url, TopK: 40, MaxTokens: 8}, relm.MassOptions{MaxNodes: 200})
+		return err
+	})
+	run("freeSample", func() error {
+		rng := rand.New(rand.NewSource(1))
+		for range 20 {
+			freeSample(m, rng, decoding.TopK{K: 40}, nil, 24)
+		}
+		return nil
+	})
+	run("baseline", func() error {
+		runBaseline(env, m, MemorizationConfig{Attempts: 20}, 16, matcher)
+		return nil
+	})
+	wg.Wait()
+
+	if m.Cache().Len() == 0 {
+		t.Fatal("nothing reached the logit cache")
+	}
+	for i, row := range rec.rows {
+		for j, x := range row {
+			if math.Float64bits(x) != rec.bits[i][j] {
+				t.Fatalf("row %d of %d was written after it left the model (token %d: %v, was %v)",
+					i, len(rec.rows), j, x, math.Float64frombits(rec.bits[i][j]))
+			}
+		}
 	}
 }

@@ -139,7 +139,7 @@ func RunMemorization(env *Env, cfg MemorizationConfig) (*MemorizationResult, err
 		return nil, err
 	}
 	for _, n := range cfg.StopLengths {
-		bm := runBaseline(env, cfg, n, urlDFA)
+		bm := runBaseline(env, env.FreshModel(cfg.Small), cfg, n, urlDFA)
 		res.Baselines = append(res.Baselines, bm)
 	}
 
@@ -222,34 +222,17 @@ func compileURLChecker() (urlMatcher, error) {
 }
 
 // runBaseline mirrors the HuggingFace generation example: sample tokens from
-// the model under top-k 40 until n tokens (or EOS), then grade the decoded
-// string against the URL pattern and validate it.
-func runBaseline(env *Env, cfg MemorizationConfig, n int, matcher urlMatcher) MemorizationMethod {
-	m := env.FreshModel(cfg.Small)
+// m under top-k 40 until n tokens (or EOS), then grade the decoded string
+// against the URL pattern and validate it.
+func runBaseline(env *Env, m *relm.Model, cfg MemorizationConfig, n int, matcher urlMatcher) MemorizationMethod {
 	oracle := env.FreshOracle()
 	rng := rand.New(rand.NewSource(env.Seed + int64(n)))
 	bm := MemorizationMethod{Name: fmt.Sprintf("Baseline (n=%d)", n)}
 	prefixToks := env.Tok.Encode(URLPrefix)
-	rule := decoding.TopK{K: 40}
 	first := true
 	for i := 0; i < cfg.Attempts; i++ {
 		bm.Attempts++
-		ctx := append([]model.Token{}, prefixToks...)
-		var generated []model.Token
-		for len(generated) < n {
-			win := ctx
-			if len(win) > m.LM.MaxSeqLen() {
-				win = win[len(win)-m.LM.MaxSeqLen():]
-			}
-			lp := m.Dev.Forward([][]model.Token{win})[0]
-			rule.Apply(lp)
-			tok := sampleFromLogProbs(rng, lp)
-			if tok == m.LM.EOS() {
-				break
-			}
-			generated = append(generated, tok)
-			ctx = append(ctx, tok)
-		}
+		generated := freeSample(m, rng, decoding.TopK{K: 40}, prefixToks, n)
 		text := URLPrefix + env.Tok.Decode(generated)
 		candidate := matcher.longestValidPrefix(text)
 		if candidate != "" {

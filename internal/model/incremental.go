@@ -94,8 +94,8 @@ type AllPositions interface {
 // resident row executes nothing on an accelerator, so it must not be
 // charged, queued or fused. Both probes are non-blocking — a row another
 // goroutine is computing right now is reported missing, never waited on —
-// count what they answer as the wrapper's own hits, and hand back private
-// copies bit-identical to what ScoreBatch / AllPositionLogProbs would return.
+// count what they answer as the wrapper's own hits, and hand back the very
+// rows ScoreBatch / AllPositionLogProbs would return (read-only, shared).
 type Resident interface {
 	// ResidentRows sets out[i] to ctxs[i]'s next-token log-probs for every
 	// resident context, leaves the other slots nil, and returns how many it

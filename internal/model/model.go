@@ -27,15 +27,16 @@ type LanguageModel interface {
 	// MaxSeqLen returns the model's context window in tokens.
 	MaxSeqLen() int
 	// NextLogProbs returns a normalized log-probability for every token in
-	// the vocabulary, conditioned on ctx (oldest first). The returned slice
-	// is owned by the caller.
+	// the vocabulary, conditioned on ctx (oldest first). The returned row is
+	// read-only: a memoizing layer hands the same slice to every caller.
 	NextLogProbs(ctx []Token) []float64
 	// ScoreBatch returns NextLogProbs for every context in one call, row i
 	// corresponding to ctxs[i]. Implementations exploit whatever batch-level
 	// structure they have — the Transformer runs one packed forward pass, the
 	// cache layer forwards only misses — and must be safe for concurrent use
-	// (inference is read-only). Rows are owned by the caller (DESIGN.md
-	// decision 6).
+	// (inference is read-only). Rows are read-only and may be shared between
+	// callers and goroutines (DESIGN.md decision 4): a caller that needs to
+	// reweight a row works on a copy (decoding.Allowed).
 	ScoreBatch(ctxs [][]Token) [][]float64
 }
 

@@ -9,48 +9,32 @@
 // contexts within the batch, forwards only the unique misses to the inner
 // model in one batched call, and parks concurrent requests for a context
 // that is already being computed until the first computation lands — so a
-// parallel executor never pays for the same forward twice.
+// parallel executor never pays for the same forward twice. The recency list
+// and the single-flight tables are internal/lru's.
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/model"
 )
 
 // LM wraps a LanguageModel with an LRU cache keyed by context.
 type LM struct {
 	inner model.LanguageModel
-	cap   int
 
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	mu   sync.Mutex
+	rows *lru.Map[[]float64]
+	// rowFlights parks duplicate requests for a context while the first one
+	// computes it; seqFlights does the same for whole-sequence all-positions
+	// scoring (incremental.go).
+	rowFlights lru.Group[[]float64]
+	seqFlights lru.Group[[][]float64]
 
-	// inflight parks duplicate requests while the first one computes: the
-	// owner fills lp and closes done; waiters read lp afterwards. Entries
-	// are removed once resolved, so the map stays batch-sized.
-	inflight map[string]*flight
-	// inflightAll is the sequence-level single flight for whole-sequence
-	// all-positions scoring (incremental.go).
-	inflightAll map[string]*allFlight
-
-	hits    int64
-	misses  int64
-	flights int64 // requests that waited on another goroutine's computation
-}
-
-type entry struct {
-	key string
-	lp  []float64
-}
-
-// flight is one in-progress inner-model computation.
-type flight struct {
-	done chan struct{}
-	lp   []float64
+	// flights counts requests that waited on another goroutine's computation.
+	hits, misses, flights int64
 }
 
 // New wraps inner with a cache of at most capacity contexts. capacity <= 0
@@ -59,14 +43,7 @@ func New(inner model.LanguageModel, capacity int) *LM {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &LM{
-		inner:       inner,
-		cap:         capacity,
-		entries:     make(map[string]*list.Element, capacity),
-		order:       list.New(),
-		inflight:    make(map[string]*flight),
-		inflightAll: make(map[string]*allFlight),
-	}
+	return &LM{inner: inner, rows: lru.NewMap[[]float64](capacity)}
 }
 
 // VocabSize implements model.LanguageModel.
@@ -113,32 +90,27 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 	// in-flight computation, or a miss this call owns.
 	type waitRef struct {
 		idx int
-		f   *flight
-	}
-	type ownRef struct {
-		key string
-		f   *flight
-		idx int // first row wanting this key
+		f   *lru.Flight[[]float64]
 	}
 	var waits []waitRef
-	var owned []ownRef
+	var owned []*lru.Flight[[]float64]
+	var ownedIdx []int // the row that started each owned flight
 	missCtxs := make([][]model.Token, 0, len(ctxs))
 
 	// One pooled key buffer serves every row: hits and flight-waits index the
-	// maps with string(buf) — the compiler elides the conversion allocation
-	// for lookups — so only misses this call owns materialize a key string.
-	buf := keyBufPool.Get().(*[]byte)
+	// maps with the buffer itself, so only misses this call owns materialize
+	// a key string.
+	buf := model.GetKeyBuf()
 	c.mu.Lock()
 	for i, ctx := range ctxs {
 		*buf = model.AppendKey((*buf)[:0], ctx)
-		if el, ok := c.entries[string(*buf)]; ok {
-			c.order.MoveToFront(el)
+		if lp, ok := c.rows.Get(*buf); ok {
 			c.hits++
 			bs.Hits++
-			out[i] = el.Value.(*entry).lp
+			out[i] = lp
 			continue
 		}
-		if f, ok := c.inflight[string(*buf)]; ok {
+		if f := c.rowFlights.Join(*buf); f != nil {
 			// Single-flight: someone (possibly an earlier row of this very
 			// batch) is computing this context; park and reuse.
 			c.flights++
@@ -148,69 +120,34 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 		}
 		c.misses++
 		bs.Misses++
-		key := string(*buf)
-		f := &flight{done: make(chan struct{})}
-		c.inflight[key] = f
-		owned = append(owned, ownRef{key: key, f: f, idx: i})
+		owned = append(owned, c.rowFlights.Start(string(*buf)))
+		ownedIdx = append(ownedIdx, i)
 		missCtxs = append(missCtxs, ctx)
 	}
 	c.mu.Unlock()
-	keyBufPool.Put(buf)
+	model.PutKeyBuf(buf)
 
 	if len(owned) > 0 {
-		// One batched inner call for all unique misses. If the inner model
-		// panics (e.g. mismatched artifacts), the owned flights must still
-		// be resolved and removed before the panic propagates — otherwise
-		// the keys wedge forever and every future request for them blocks
-		// on a done channel nobody will close.
-		lps, perr := func() (out [][]float64, perr any) {
-			defer func() { perr = recover() }()
-			return c.inner.ScoreBatch(missCtxs), nil
-		}()
-		if perr != nil {
-			c.mu.Lock()
-			for _, o := range owned {
-				delete(c.inflight, o.key)
-			}
-			c.mu.Unlock()
-			for _, o := range owned {
-				close(o.f.done) // waiters see lp == nil and fail loudly
-			}
-			panic(perr)
-		}
+		// One batched inner call for all unique misses. The LRU stores each
+		// row as is: rows are immutable.
+		var lps [][]float64
+		c.rowFlights.Run(&c.mu, owned, func() { lps = c.inner.ScoreBatch(missCtxs) })
 		c.mu.Lock()
-		for j, o := range owned {
-			o.f.lp = lps[j]
-			if _, ok := c.entries[o.key]; !ok {
-				c.insertLocked(o.key, lps[j])
-			}
-			delete(c.inflight, o.key)
+		for j, f := range owned {
+			c.rows.Add(f.Key(), lps[j])
+			c.rowFlights.Finish(f, lps[j], nil)
+			out[ownedIdx[j]] = lps[j]
 		}
 		c.mu.Unlock()
-		for j, o := range owned {
-			close(o.f.done)
-			out[o.idx] = lps[j]
-		}
 	}
 	for _, w := range waits {
-		<-w.f.done
-		if w.f.lp == nil {
-			panic("cache: in-flight logit computation failed on its owner")
+		lp, err := w.f.Wait()
+		if err != nil {
+			panic(err) // the owner failed; the cache has no error return
 		}
-		out[w.idx] = w.f.lp
+		out[w.idx] = lp
 	}
 	return out, bs
-}
-
-// insertLocked puts a row for a key the LRU does not hold at the front and
-// evicts from the back past capacity. lp is stored as is: rows are immutable.
-func (c *LM) insertLocked(key string, lp []float64) {
-	c.entries[key] = c.order.PushFront(&entry{key: key, lp: lp})
-	if c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*entry).key)
-	}
 }
 
 // Stats reports cache hits and misses since creation. Requests that reused
@@ -235,21 +172,15 @@ func (c *LM) FlightStats() int64 {
 func (c *LM) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.rows.Len()
 }
 
 // ScopeStats is a snapshot of one scope's share of shared-cache activity.
-type ScopeStats struct {
-	// Hits are rows this scope answered from entries already in the LRU —
-	// including entries computed by *other* scopes, which is exactly the
-	// cross-query sharing a server wants to observe.
-	Hits int64
-	// Misses are rows this scope computed (and published for everyone).
-	Misses int64
-	// Flights are rows this scope reused from a computation another
-	// goroutine (possibly another scope) had in flight.
-	Flights int64
-}
+// Its Hits include rows *other* scopes computed — exactly the cross-query
+// sharing a server wants to observe — its Misses are rows this scope
+// computed (and published for everyone), and its Flights rows it reused from
+// a computation another goroutine, possibly another scope, had in flight.
+type ScopeStats = BatchStats
 
 // Scope is a per-client view of a shared cache: it forwards every request to
 // the same LRU and single-flight table, but tallies hits/misses/flights for
@@ -259,10 +190,8 @@ type ScopeStats struct {
 // decision 8). Scopes are safe for concurrent use and cost two atomics per
 // batch beyond the shared path.
 type Scope struct {
-	lm      *LM
-	hits    atomic.Int64
-	misses  atomic.Int64
-	flights atomic.Int64
+	lm                    *LM
+	hits, misses, flights atomic.Int64
 }
 
 // NewScope returns a fresh attribution view over the shared cache.
@@ -286,9 +215,7 @@ func (s *Scope) NextLogProbs(ctx []model.Token) []float64 {
 // this scope's share of the outcome.
 func (s *Scope) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 	out, bs := s.lm.scoreBatch(ctxs)
-	s.hits.Add(bs.Hits)
-	s.misses.Add(bs.Misses)
-	s.flights.Add(bs.Flights)
+	s.add(bs)
 	return out
 }
 

@@ -1,8 +1,7 @@
 package cache
 
 import (
-	"sync"
-
+	"repro/internal/lru"
 	"repro/internal/model"
 )
 
@@ -14,8 +13,6 @@ import (
 // cross-query requests. For window models with trivial states, the
 // incremental calls route through ScoreBatch, so the LRU and single-flight
 // machinery apply row by row exactly as on the full path.
-
-var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // HasPrefixStates implements model.PrefixStateful by delegation.
 func (c *LM) HasPrefixStates() bool { return model.HasPrefixStates(c.inner) }
@@ -32,9 +29,8 @@ func (c *LM) Prefill(ctx []model.Token) (model.DecodeState, []float64) {
 func (c *LM) prefill(ctx []model.Token) (model.DecodeState, []float64, BatchStats) {
 	if _, ok := c.inner.(model.Incremental); ok {
 		st, lp := model.Prefill(c.inner, ctx)
-		c.publish(st.Context(), lp)
-		c.bumpMisses(1)
-		return st, lp, BatchStats{Misses: 1}
+		bs := c.publish([][]float64{lp}, func(int) []model.Token { return st.Context() })
+		return st, lp, bs
 	}
 	st, cl := model.PrefillCtx(c.inner, ctx)
 	rows, bs := c.scoreBatch([][]model.Token{cl})
@@ -50,11 +46,8 @@ func (c *LM) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]mo
 func (c *LM) extendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64, BatchStats) {
 	if im, ok := c.inner.(model.Incremental); ok {
 		out, rows := im.ExtendBatch(states, tokens)
-		for i, st := range out {
-			c.publish(st.Context(), rows[i])
-		}
-		c.bumpMisses(int64(len(states)))
-		return out, rows, BatchStats{Misses: int64(len(states))}
+		bs := c.publish(rows, func(i int) []model.Token { return out[i].Context() })
+		return out, rows, bs
 	}
 	out, ctxs := model.ExtendCtxs(c.inner, states, tokens)
 	rows, bs := c.scoreBatch(ctxs)
@@ -88,84 +81,66 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 
 	// All-hit fast path, under one lock pass (the same check the device's
 	// resident probe makes, for callers that reach the cache directly).
-	buf := keyBufPool.Get().(*[]byte)
+	n := int64(len(seq))
+	buf := model.GetKeyBuf()
+	defer model.PutKeyBuf(buf)
 	c.mu.Lock()
 	if out := c.residentSeqLocked(seq, buf); out != nil {
-		c.hits += int64(len(seq))
+		c.hits += n
 		c.mu.Unlock()
-		keyBufPool.Put(buf)
-		return out, BatchStats{Hits: int64(len(seq))}
+		return out, BatchStats{Hits: n}
 	}
 
-	// Miss: single-flight the whole sequence. Key by the full sequence with
-	// a marker byte no context key can produce (context keys have even
-	// length).
-	*buf = append(model.AppendKey((*buf)[:0], seq), 0xff)
-	if f, ok := c.inflightAll[string(*buf)]; ok {
-		c.flights += int64(len(seq))
+	// Miss: single-flight the whole sequence, keyed by all of it.
+	*buf = model.AppendKey((*buf)[:0], seq)
+	if f := c.seqFlights.Join(*buf); f != nil {
+		c.flights += n
 		c.mu.Unlock()
-		keyBufPool.Put(buf)
-		<-f.done
-		if f.rows == nil {
-			panic("cache: in-flight all-positions computation failed on its owner")
+		rows, err := f.Wait()
+		if err != nil {
+			panic(err) // the owner failed; the cache has no error return
 		}
-		return f.rows, BatchStats{Flights: int64(len(seq))}
+		return rows, BatchStats{Flights: n}
 	}
-	key := string(*buf)
-	f := &allFlight{done: make(chan struct{})}
-	c.inflightAll[key] = f
-	c.misses += int64(len(seq))
-	c.mu.Unlock()
-	keyBufPool.Put(buf)
-
-	rows, perr := func() (rows [][]float64, perr any) {
-		defer func() { perr = recover() }()
-		return ap.ScoreAllPositions(seq), nil
-	}()
-	if perr != nil {
-		c.mu.Lock()
-		delete(c.inflightAll, key)
-		c.mu.Unlock()
-		close(f.done) // waiters see rows == nil and fail loudly
-		panic(perr)
-	}
-	for p, r := range rows {
-		c.publish(model.ClampWindow(c.inner, seq[:p]), r)
-	}
-	c.mu.Lock()
-	f.rows = rows
-	delete(c.inflightAll, key)
-	c.mu.Unlock()
-	close(f.done)
-	return rows, BatchStats{Misses: int64(len(seq))}
-}
-
-// allFlight is one in-progress all-positions computation.
-type allFlight struct {
-	done chan struct{}
-	rows [][]float64
-}
-
-// publish inserts a computed row into the LRU (keeping any existing entry),
-// so incremental traffic warms the cache for everyone else. The LRU stores lp
-// itself, the slice the caller also returns: rows are read-only.
-func (c *LM) publish(ctx []model.Token, lp []float64) {
-	key := model.Key(ctx)
-	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok {
-		c.insertLocked(key, lp)
-	}
-	c.mu.Unlock()
-}
-
-// bumpMisses folds delegated-path computations (rows the incremental inner
-// model computed, which never pass through scoreBatch) into the cache-wide
-// miss counter, so aggregate hit ratios stay meaningful under incremental
-// traffic.
-func (c *LM) bumpMisses(n int64) {
-	c.mu.Lock()
+	f := c.seqFlights.Start(string(*buf))
 	c.misses += n
 	c.mu.Unlock()
+
+	var rows [][]float64
+	c.seqFlights.Run(&c.mu, []*lru.Flight[[][]float64]{f}, func() { rows = ap.ScoreAllPositions(seq) })
+	c.mu.Lock()
+	c.publishLocked(buf, rows, func(p int) []model.Token { return model.ClampWindow(c.inner, seq[:p]) })
+	c.seqFlights.Finish(f, rows, nil)
+	c.mu.Unlock()
+	return rows, BatchStats{Misses: n}
+}
+
+// publish counts rows the inner model computed outside scoreBatch — by a
+// delegated Prefill or ExtendBatch — as misses, so aggregate hit ratios stay
+// meaningful under incremental traffic, and publishes them into the LRU,
+// under one lock pass. Row i conditions on ctx(i).
+func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) BatchStats {
+	buf := model.GetKeyBuf()
+	c.mu.Lock()
+	c.misses += int64(len(rows))
+	c.publishLocked(buf, rows, ctx)
+	c.mu.Unlock()
+	model.PutKeyBuf(buf)
+	return BatchStats{Misses: int64(len(rows))}
+}
+
+// publishLocked inserts each computed row the LRU does not hold yet, so
+// incremental traffic warms the cache for everyone else; an entry already
+// present keeps its row and its recency. Rows are looked up through buf, so
+// only an actual insert materializes a key. The LRU stores each row itself,
+// the slice the caller also returns: rows are read-only. c.mu must be held.
+func (c *LM) publishLocked(buf *[]byte, rows [][]float64, ctx func(i int) []model.Token) {
+	for i, lp := range rows {
+		*buf = model.AppendKey((*buf)[:0], ctx(i))
+		if !c.rows.Has(*buf) {
+			c.rows.Add(string(*buf), lp)
+		}
+	}
 }
 
 // Prefill implements model.Incremental for the scope view.

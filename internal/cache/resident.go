@@ -6,7 +6,7 @@ import "repro/internal/model"
 // which rows it already holds *before* it dispatches, so a memoized row is
 // never charged to the virtual accelerator, never parked in the fusion
 // window, and never handed to a scoring worker. The probe is one lock pass
-// over the entries map: it hands out the stored rows (read-only, like every
+// over the LRU: it hands out the stored rows (read-only, like every
 // row), bumps recency and the hit counters exactly as scoreBatch would have,
 // but never looks at the in-flight tables — a row someone else is computing
 // is simply reported missing, and the dispatch that follows resolves it
@@ -15,19 +15,18 @@ import "repro/internal/model"
 // ResidentRows implements model.Resident.
 func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
 	n := 0
-	buf := keyBufPool.Get().(*[]byte)
+	buf := model.GetKeyBuf()
 	c.mu.Lock()
 	for i, ctx := range ctxs {
 		*buf = model.AppendKey((*buf)[:0], ctx)
-		if el, ok := c.entries[string(*buf)]; ok {
-			c.order.MoveToFront(el)
-			out[i] = el.Value.(*entry).lp
+		if lp, ok := c.rows.Get(*buf); ok {
+			out[i] = lp
 			n++
 		}
 	}
 	c.hits += int64(n)
 	c.mu.Unlock()
-	keyBufPool.Put(buf)
+	model.PutKeyBuf(buf)
 	return n
 }
 
@@ -35,7 +34,7 @@ func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
 func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 	n := 0
 	var hits int64
-	buf := keyBufPool.Get().(*[]byte)
+	buf := model.GetKeyBuf()
 	c.mu.Lock()
 	for i, seq := range seqs {
 		if rows := c.residentSeqLocked(seq, buf); rows != nil {
@@ -46,7 +45,7 @@ func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 	}
 	c.hits += hits
 	c.mu.Unlock()
-	keyBufPool.Put(buf)
+	model.PutKeyBuf(buf)
 	return n
 }
 
@@ -58,15 +57,14 @@ func (c *LM) residentSeqLocked(seq []model.Token, buf *[]byte) [][]float64 {
 	var rows [][]float64
 	for p := range seq {
 		*buf = model.AppendKey((*buf)[:0], model.ClampWindow(c.inner, seq[:p]))
-		el, ok := c.entries[string(*buf)]
+		lp, ok := c.rows.Get(*buf)
 		if !ok {
 			return nil
 		}
 		if rows == nil {
 			rows = make([][]float64, len(seq))
 		}
-		c.order.MoveToFront(el)
-		rows[p] = el.Value.(*entry).lp
+		rows[p] = lp
 	}
 	return rows
 }

@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/model"
 )
 
@@ -86,52 +88,113 @@ func TestScopeOutcomesPartitionRows(t *testing.T) {
 	}
 }
 
-// panickyModel fails its first ScoreBatch, then recovers.
-type panickyModel struct {
+// gatedPanicModel's first computation — a ScoreBatch or a ScoreAllPositions
+// — signals started, blocks until release is closed and then panics; every
+// later computation succeeds.
+type gatedPanicModel struct {
 	model.LanguageModel
-	mu     sync.Mutex
-	failed bool
+	started, release chan struct{}
+	mu               sync.Mutex
+	failed           bool
 }
 
-func (m *panickyModel) ScoreBatch(ctxs [][]model.Token) [][]float64 {
+func (m *gatedPanicModel) gate() {
 	m.mu.Lock()
 	first := !m.failed
 	m.failed = true
 	m.mu.Unlock()
 	if first {
+		close(m.started)
+		<-m.release
 		panic("scripted model failure")
 	}
+}
+
+func (m *gatedPanicModel) ScoreBatch(ctxs [][]model.Token) [][]float64 {
+	m.gate()
 	return m.LanguageModel.ScoreBatch(ctxs)
 }
 
-// TestInnerPanicDoesNotWedgeFlights: a panicking inner model must not leave
-// in-flight entries behind — the same context must be computable again once
-// the model behaves.
+func (m *gatedPanicModel) ScoreAllPositions(seq []model.Token) [][]float64 {
+	m.gate()
+	rows := make([][]float64, len(seq))
+	for p := range seq {
+		rows[p] = m.NextLogProbs(seq[:p])
+	}
+	return rows
+}
+
+// TestInnerPanicDoesNotWedgeFlights: when the inner model panics under a
+// single flight — a batch of rows or a whole all-positions sequence — the
+// owner re-raises its own panic, every request parked on the flight fails
+// promptly instead of blocking on it forever, and the same keys compute
+// normally once the model behaves.
 func TestInnerPanicDoesNotWedgeFlights(t *testing.T) {
-	inner := &panickyModel{LanguageModel: &model.Uniform{Vocab: 16, EOSTok: 15, SeqLen: 8}}
-	c := New(inner, 64)
 	ctxs := scopeCtxs(4)
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("first batch should propagate the model panic")
+	seq := []model.Token{1, 2, 3, 4}
+	for _, tc := range []struct {
+		name string
+		call func(c *LM) [][]float64
+	}{
+		{"ScoreBatch", func(c *LM) [][]float64 { return c.ScoreBatch(ctxs) }},
+		{"ScoreAllPositions", func(c *LM) [][]float64 { return c.ScoreAllPositions(seq) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := &gatedPanicModel{
+				LanguageModel: &model.Uniform{Vocab: 16, EOSTok: 15, SeqLen: 8},
+				started:       make(chan struct{}),
+				release:       make(chan struct{}),
 			}
-		}()
-		c.ScoreBatch(ctxs)
-	}()
+			c := New(inner, 64)
+			call := func() (p any) {
+				defer func() { p = recover() }()
+				tc.call(c)
+				return nil
+			}
 
-	// The keys must not be wedged: a retry computes them normally instead
-	// of blocking forever on a dead flight.
-	done := make(chan [][]float64, 1)
-	go func() { done <- c.ScoreBatch(ctxs) }()
-	select {
-	case rows := <-done:
-		if len(rows) != 4 || rows[0] == nil {
-			t.Errorf("retry returned %d rows", len(rows))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retry blocked on a wedged in-flight entry")
+			owner := make(chan any, 1)
+			go func() { owner <- call() }()
+			<-inner.started
+			const waiters = 3
+			parked := make(chan any, waiters)
+			for range waiters {
+				go func() { parked <- call() }()
+			}
+			// Every row of every waiter joins the owner's flight (both inputs
+			// are four rows long) before the owner is let go.
+			for deadline := time.Now().Add(5 * time.Second); c.FlightStats() < waiters*4; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d rows parked on the flight", c.FlightStats())
+				}
+			}
+			close(inner.release)
+
+			if p := <-owner; p != "scripted model failure" {
+				t.Errorf("owner panicked with %v, want its own model's panic", p)
+			}
+			for range waiters {
+				select {
+				case p := <-parked:
+					if _, ok := p.(*lru.OwnerPanic); !ok {
+						t.Errorf("waiter ended with %v (%T), want an *lru.OwnerPanic panic", p, p)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("waiter still parked on a failed flight")
+				}
+			}
+
+			// The keys must not be wedged: a retry computes them normally.
+			done := make(chan [][]float64, 1)
+			go func() { done <- tc.call(c) }()
+			select {
+			case rows := <-done:
+				if len(rows) != 4 || slices.ContainsFunc(rows, func(r []float64) bool { return r == nil }) {
+					t.Errorf("retry returned %d rows: %v", len(rows), rows)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("retry blocked on a wedged in-flight entry")
+			}
+		})
 	}
 }
 

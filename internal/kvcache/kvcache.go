@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/lru"
 	"repro/internal/model"
 )
 
@@ -47,13 +48,8 @@ type Config struct {
 	// HotWindow caps how many full-precision nodes stay resident before the
 	// coldest demote regardless of byte pressure (the pyramid's full-tier
 	// tip). 0 means DefaultHotWindow when compression is on; negative means
-	// no window — nodes demote only under byte pressure or DepthWatermark.
+	// no window — nodes demote only under byte pressure.
 	HotWindow int
-	// DepthWatermark, when positive, demotes nodes deeper than this many
-	// tokens as soon as they are released: deep chain tails are the least
-	// likely states to be re-extended and the cheapest to recompute
-	// incrementally from their (still-resident) ancestors.
-	DepthWatermark int
 }
 
 // Arena is a concurrency-safe prefix-state store. The zero value is not
@@ -67,10 +63,10 @@ type Arena struct {
 	// — so each demotion or eviction is an O(1) pop from the back. Interior
 	// nodes enter when their last child goes (at the back: a parent's last
 	// use is at least as old as its children's), pinned nodes when released.
-	lruFull lru // front = most recently used
+	lruFull lru.List[*node] // front = most recently used
 	// lruCompact holds the unpinned compact nodes, in demotion/use order.
 	// Compact nodes are always parentless leaves, so every one is evictable.
-	lruCompact lru
+	lruCompact lru.List[*node]
 	resident   int64
 
 	hits, misses, commits, evictions int64
@@ -88,61 +84,12 @@ type node struct {
 	// children counts resident child nodes; always 0 once compact (demotion
 	// is leaf-only and compact nodes are never linked as parents).
 	children int
-	depth    int // context length in tokens
 	compact  bool
-	// Intrusive LRU links: in points at lruFull or lruCompact while the node
-	// is evictable (nil while pinned or interior). Intrusive rather than
-	// container/list so the pin/release cycle every Acquire runs is
-	// alloc-free — the hot scoring path allocates only its Handle.
-	in           *lru
-	lprev, lnext *node
-}
-
-// lru is an intrusive doubly-linked list over nodes' lprev/lnext fields;
-// front is the most recently used end. Each node is in at most one list,
-// recorded by node.in.
-type lru struct {
-	front, back *node
-	count       int
-}
-
-func (l *lru) pushFront(n *node) {
-	n.lprev, n.lnext = nil, l.front
-	if l.front != nil {
-		l.front.lprev = n
-	} else {
-		l.back = n
-	}
-	l.front = n
-	n.in = l
-	l.count++
-}
-
-func (l *lru) pushBack(n *node) {
-	n.lnext, n.lprev = nil, l.back
-	if l.back != nil {
-		l.back.lnext = n
-	} else {
-		l.front = n
-	}
-	l.back = n
-	n.in = l
-	l.count++
-}
-
-func (l *lru) remove(n *node) {
-	if n.lprev != nil {
-		n.lprev.lnext = n.lnext
-	} else {
-		l.front = n.lnext
-	}
-	if n.lnext != nil {
-		n.lnext.lprev = n.lprev
-	} else {
-		l.back = n.lprev
-	}
-	n.lprev, n.lnext, n.in = nil, nil, nil
-	l.count--
+	// el links the node into lruFull or lruCompact while it is evictable
+	// (unlisted while pinned or interior). Embedded rather than allocated so
+	// the pin/release cycle every Acquire runs is alloc-free — the hot
+	// scoring path allocates only its Handle.
+	el lru.Elem[*node]
 }
 
 // Handle pins one node: a pinned node cannot be evicted or demoted, so the
@@ -180,20 +127,6 @@ func NewTiered(cfg Config) *Arena {
 	}
 }
 
-// Budget reports the configured byte budget.
-func (a *Arena) Budget() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cfg.BudgetBytes
-}
-
-// Compression reports the configured demotion tier.
-func (a *Arena) Compression() model.CompressTier {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cfg.Compression
-}
-
 // Acquire returns a pinned handle to the cached state for ctx, or nil on a
 // miss (the caller then recomputes via Prefill and Commits the result). A
 // hit on a demoted node promotes it: exactly-expandable compacts expand in
@@ -211,14 +144,14 @@ func (a *Arena) Acquire(ctx []model.Token) *Handle {
 		a.mu.Unlock()
 		return nil
 	}
-	buf := keyPool.Get().(*[]byte)
+	buf := model.GetKeyBuf()
+	defer model.PutKeyBuf(buf)
 	*buf = model.AppendKey((*buf)[:0], ctx)
 	a.mu.Lock()
 	n, ok := a.nodes[string(*buf)]
 	if !ok {
 		a.misses++
 		a.mu.Unlock()
-		keyPool.Put(buf)
 		return nil
 	}
 	a.hits++
@@ -232,7 +165,6 @@ func (a *Arena) Acquire(ctx []model.Token) *Handle {
 		}
 	}
 	a.mu.Unlock()
-	keyPool.Put(buf)
 	return &Handle{a: a, n: n}
 }
 
@@ -245,7 +177,8 @@ func (a *Arena) Acquire(ctx []model.Token) *Handle {
 // existing node wins and st is discarded (the two are bit-identical by
 // construction) — though a full st does promote a demoted incumbent.
 func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) *Handle {
-	buf := keyPool.Get().(*[]byte)
+	buf := model.GetKeyBuf()
+	defer model.PutKeyBuf(buf)
 	*buf = model.AppendKey((*buf)[:0], ctx)
 	a.mu.Lock()
 	if n, ok := a.nodes[string(*buf)]; ok {
@@ -255,12 +188,11 @@ func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) 
 			a.reclaim()
 		}
 		a.mu.Unlock()
-		keyPool.Put(buf)
 		return &Handle{a: a, n: n}
 	}
 	key := string(*buf) // the only per-insert key allocation
-	keyPool.Put(buf)
-	n := &node{key: key, state: st, bytes: st.SizeBytes(), refs: 1, depth: len(ctx)}
+	n := &node{key: key, state: st, bytes: st.SizeBytes(), refs: 1}
+	n.el.Value = n
 	if parent != nil && parent.n != nil && !parent.n.compact {
 		n.parent = parent.n
 		// Charge only what this node owns. States that can size themselves
@@ -336,16 +268,11 @@ func (h *Handle) Release() {
 	a.mu.Lock()
 	n.refs--
 	if n.refs == 0 && n.children == 0 {
-		demoted := false
-		if !n.compact && a.cfg.DepthWatermark > 0 && n.depth > a.cfg.DepthWatermark {
-			demoted = a.demote(n)
-		}
-		if !demoted && n.in == nil {
-			if n.compact {
-				a.lruCompact.pushFront(n)
-			} else {
-				a.lruFull.pushFront(n)
-			}
+		// A pinned node is never listed, so n joins its tier's list here.
+		if n.compact {
+			a.lruCompact.PushFront(&n.el)
+		} else {
+			a.lruFull.PushFront(&n.el)
 		}
 		a.ageFulls()
 		a.reclaim()
@@ -357,9 +284,7 @@ func (h *Handle) Release() {
 // the lock.
 func (a *Arena) pin(n *node) {
 	n.refs++
-	if n.in != nil {
-		n.in.remove(n)
-	}
+	n.el.Remove()
 }
 
 // swapState replaces a demoted node's state with the full-precision st,
@@ -400,9 +325,7 @@ func (a *Arena) demote(n *node) bool {
 		}
 		cs = tc
 	}
-	if n.in != nil {
-		n.in.remove(n)
-	}
+	n.el.Remove()
 	a.resident += cs.SizeBytes() - n.bytes
 	a.demotions++
 	a.compressedNodes++
@@ -413,11 +336,11 @@ func (a *Arena) demote(n *node) bool {
 	if p := n.parent; p != nil {
 		n.parent = nil
 		p.children--
-		if p.children == 0 && p.refs == 0 && p.in == nil {
-			a.lruFull.pushBack(p)
+		if p.children == 0 && p.refs == 0 && !p.el.Listed() {
+			a.lruFull.PushBack(&p.el)
 		}
 	}
-	a.lruCompact.pushFront(n)
+	a.lruCompact.PushFront(&n.el)
 	return true
 }
 
@@ -428,8 +351,8 @@ func (a *Arena) ageFulls() {
 	if a.cfg.Compression == model.CompressNone || a.cfg.HotWindow <= 0 {
 		return
 	}
-	for a.lruFull.count > a.cfg.HotWindow {
-		if !a.demote(a.lruFull.back) {
+	for a.lruFull.Len() > a.cfg.HotWindow {
+		if !a.demote(a.lruFull.Back().Value) {
 			return // the coldest leaf cannot shrink; the rest are newer
 		}
 	}
@@ -444,23 +367,23 @@ func (a *Arena) ageFulls() {
 func (a *Arena) reclaim() {
 	for a.resident > a.cfg.BudgetBytes {
 		if a.cfg.Compression != model.CompressNone {
-			if n := a.lruFull.back; n != nil {
-				if !a.demote(n) {
-					a.evictNode(n)
+			if e := a.lruFull.Back(); e != nil {
+				if !a.demote(e.Value) {
+					a.evictNode(e.Value)
 				}
 				continue
 			}
-			if n := a.lruCompact.back; n != nil {
-				a.evictNode(n)
+			if e := a.lruCompact.Back(); e != nil {
+				a.evictNode(e.Value)
 				continue
 			}
 			return // everything left is pinned or has live children
 		}
-		n := a.lruFull.back
-		if n == nil {
+		e := a.lruFull.Back()
+		if e == nil {
 			return
 		}
-		a.evictNode(n)
+		a.evictNode(e.Value)
 	}
 }
 
@@ -469,9 +392,7 @@ func (a *Arena) reclaim() {
 // the child's), so retiring a depth-D chain is D pops, not D list scans.
 // Caller holds the lock.
 func (a *Arena) evictNode(n *node) {
-	if n.in != nil {
-		n.in.remove(n)
-	}
+	n.el.Remove()
 	delete(a.nodes, n.key)
 	a.resident -= n.bytes
 	a.evictions++
@@ -482,7 +403,7 @@ func (a *Arena) evictNode(n *node) {
 	if p := n.parent; p != nil {
 		p.children--
 		if p.children == 0 && p.refs == 0 {
-			a.lruFull.pushBack(p)
+			a.lruFull.PushBack(&p.el)
 		}
 	}
 }
@@ -528,5 +449,3 @@ func (a *Arena) Stats() Stats {
 		Promotions:      a.promotions,
 	}
 }
-
-var keyPool = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}

@@ -26,7 +26,8 @@ import (
 //     sync.Cond.Wait, time.Sleep, device.Device dispatch
 //     (Forward/Prefill/ExtendBatch/ScoreAll and the one body under them:
 //     dispatch, Batcher.submit, core.inline, core.run), device.Pool.Run,
-//     jobs.Job.Wait.
+//     jobs.Job.Wait, lru.Flight.Wait (a single-flight waiter parks until
+//     the owner finishes, which needs the owner's cache mutex).
 //
 // Function literals are analyzed independently: a goroutine body spawned
 // under a lock runs after the spawner releases it. Helpers that require the
@@ -54,6 +55,7 @@ var blockingMethods = [][3]string{
 	{"repro/internal/device", "core", "run"},
 	{"repro/internal/device", "Pool", "Run"},
 	{"repro/internal/jobs", "Job", "Wait"},
+	{"repro/internal/lru", "Flight", "Wait"},
 }
 
 // blockingFuncs lists package-level blocking functions.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/lru"
 	"repro/internal/model"
 )
 
@@ -67,6 +68,14 @@ func (b *box) extendLocked(d *device.Device, states []model.DecodeState, toks []
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	d.ExtendBatch(states, toks) // want `Device.ExtendBatch .* while holding b.mu`
+}
+
+// Positive: waiting on a single flight under the lock its owner needs to
+// finish it.
+func (b *box) flightWaitLocked(f *lru.Flight[int]) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	f.Wait() // want `Flight.Wait .* while holding b.mu`
 }
 
 // Negative: unlock before the blocking operation.

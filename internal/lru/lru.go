@@ -1,0 +1,213 @@
+// Package lru is the repo's one recency list, the bounded map on top of it,
+// and the one single-flight table (DESIGN.md decision 4), shared by the
+// logit cache, the plan cache and the KV arena. Nothing here locks: the
+// caller's mutex guards every call but Flight.Wait and Group.Run, so a batch
+// of lookups, joins and starts can share one critical section.
+package lru
+
+import (
+	"fmt"
+	"sync"
+)
+
+// Elem is one entry of a List. The caller allocates it — typically embedded
+// in its own node, with Value pointing back at the node — so linking and
+// unlinking allocate nothing.
+type Elem[V any] struct {
+	prev, next *Elem[V]
+	list       *List[V]
+	Value      V
+}
+
+// Listed reports whether e is in a list.
+func (e *Elem[V]) Listed() bool { return e.list != nil }
+
+// Remove takes e out of its list; it is a no-op when e is in none.
+func (e *Elem[V]) Remove() {
+	l := e.list
+	if l == nil {
+		return
+	}
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.back = e.prev
+	}
+	e.prev, e.next, e.list = nil, nil, nil
+	l.n--
+}
+
+// List is an intrusive doubly linked list in recency order: the front is the
+// most recently used end, the back the next to evict. An Elem is in at most
+// one List. The zero value is an empty list.
+type List[V any] struct {
+	front, back *Elem[V]
+	n           int
+}
+
+// Len reports the number of elements in l.
+func (l *List[V]) Len() int { return l.n }
+
+// Back returns the least recently used element, or nil when l is empty.
+func (l *List[V]) Back() *Elem[V] { return l.back }
+
+// PushFront inserts e, which must be in no list, as the most recently used.
+func (l *List[V]) PushFront(e *Elem[V]) {
+	e.prev, e.next, e.list = nil, l.front, l
+	if l.front != nil {
+		l.front.prev = e
+	} else {
+		l.back = e
+	}
+	l.front = e
+	l.n++
+}
+
+// PushBack inserts e, which must be in no list, as the least recently used.
+func (l *List[V]) PushBack(e *Elem[V]) {
+	e.prev, e.next, e.list = l.back, nil, l
+	if l.back != nil {
+		l.back.next = e
+	} else {
+		l.front = e
+	}
+	l.back = e
+	l.n++
+}
+
+// Map is a string-keyed map of at most a fixed number of entries in recency
+// order: Get bumps an entry, Add inserts one and evicts the least recently
+// used past capacity. Lookups take the key as bytes and allocate nothing.
+type Map[V any] struct {
+	cap   int
+	items map[string]*Elem[entry[V]]
+	order List[entry[V]]
+}
+
+type entry[V any] struct {
+	key string
+	val V
+}
+
+// NewMap returns an empty map holding at most capacity entries.
+func NewMap[V any](capacity int) *Map[V] {
+	return &Map[V]{cap: capacity, items: make(map[string]*Elem[entry[V]], capacity)}
+}
+
+// Get returns the value under key and marks it the most recently used.
+func (m *Map[V]) Get(key []byte) (V, bool) {
+	e, ok := m.items[string(key)]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	if m.order.front != e {
+		e.Remove()
+		m.order.PushFront(e)
+	}
+	return e.Value.val, true
+}
+
+// Has reports whether key is present without touching its recency.
+func (m *Map[V]) Has(key []byte) bool {
+	_, ok := m.items[string(key)]
+	return ok
+}
+
+// Add inserts v under key as the most recently used entry, allocating one
+// element, unless key is present: the incumbent keeps its value and place.
+func (m *Map[V]) Add(key string, v V) {
+	if _, ok := m.items[key]; ok {
+		return
+	}
+	e := &Elem[entry[V]]{Value: entry[V]{key: key, val: v}}
+	m.items[key] = e
+	m.order.PushFront(e)
+	if m.order.n > m.cap {
+		old := m.order.back
+		old.Remove()
+		delete(m.items, old.Value.key)
+	}
+}
+
+// Len reports the number of entries.
+func (m *Map[V]) Len() int { return m.order.n }
+
+// Group is a single-flight table: the first caller to miss a key Starts a
+// Flight and computes it; callers missing the same key meanwhile Join it
+// and Wait. The zero value is an empty table.
+type Group[V any] struct {
+	m map[string]*Flight[V]
+}
+
+// Flight is one computation in progress.
+type Flight[V any] struct {
+	key  string
+	done sync.WaitGroup
+	val  V
+	err  error
+}
+
+// Join returns the flight computing key, or nil when none is.
+func (g *Group[V]) Join(key []byte) *Flight[V] { return g.m[string(key)] }
+
+// Start registers a flight for key, which must have none. The caller owns
+// it: it computes under Run and ends the flight with Finish.
+func (g *Group[V]) Start(key string) *Flight[V] {
+	if g.m == nil {
+		g.m = make(map[string]*Flight[V])
+	}
+	f := &Flight[V]{key: key}
+	f.done.Add(1)
+	g.m[key] = f
+	return f
+}
+
+// Finish ends f with v and err: the key leaves the table and f's waiters
+// wake to the result.
+func (g *Group[V]) Finish(f *Flight[V], v V, err error) {
+	delete(g.m, f.key)
+	f.val, f.err = v, err
+	f.done.Done()
+}
+
+// Run calls compute, the work of the flights fs the caller owns, without the
+// caller's lock. The owner failing is handled here, once: if compute panics,
+// Run finishes every flight in fs with an *OwnerPanic under mu — the keys
+// leave the table, so the next request computes afresh, and every waiter
+// wakes to the failure — and re-raises the original panic value.
+func (g *Group[V]) Run(mu sync.Locker, fs []*Flight[V], compute func()) {
+	defer func() {
+		if p := recover(); p != nil {
+			var zero V
+			mu.Lock()
+			for _, f := range fs {
+				g.Finish(f, zero, &OwnerPanic{Value: p})
+			}
+			mu.Unlock()
+			panic(p)
+		}
+	}()
+	compute()
+}
+
+// Key returns the key f computes.
+func (f *Flight[V]) Key() string { return f.key }
+
+// Wait blocks until the owner finishes f and returns its result.
+func (f *Flight[V]) Wait() (V, error) {
+	f.done.Wait()
+	return f.val, f.err
+}
+
+// OwnerPanic is the error a waiter gets when its flight's owner panicked.
+type OwnerPanic struct{ Value any }
+
+func (e *OwnerPanic) Error() string {
+	return fmt.Sprintf("lru: in-flight computation panicked on its owner: %v", e.Value)
+}

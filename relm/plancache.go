@@ -1,12 +1,12 @@
 package relm
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // PlanCacheStats snapshots a model's compiled-plan cache counters. The
@@ -15,9 +15,12 @@ import (
 // amortization observable — a serving layer exports them per model and
 // Explain reports them per query.
 type PlanCacheStats struct {
-	// Hits are compilations skipped because an identical plan was cached.
+	// Hits are compilations skipped because an identical plan was cached or
+	// another query's compilation of it succeeded while this one waited.
 	Hits int64 `json:"hits"`
-	// Misses are compilations actually performed (and cached).
+	// Misses are compilations actually performed. A failed compilation
+	// counts as a miss but is not cached; queries that waited on it count
+	// as neither a hit nor a miss.
 	Misses int64 `json:"misses"`
 	// Bypassed are queries that could not be keyed — a custom Preprocessor
 	// without a PlanKey — and compiled outside the cache.
@@ -34,108 +37,62 @@ type PlanCacheStats struct {
 // compilation instead of duplicating it; compile errors propagate to all
 // waiters and are not cached.
 type planCache struct {
-	cap int
+	mu      sync.Mutex
+	plans   *lru.Map[*compiled]
+	flights lru.Group[*compiled]
 
-	mu       sync.Mutex
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-	inflight map[string]*planFlight
-
-	hits      int64
-	misses    int64
-	bypassed  int64
-	compileNS int64
-}
-
-type planEntry struct {
-	key string
-	c   *compiled
-}
-
-// planFlight is one in-progress compilation; the owner fills c/err and
-// closes done.
-type planFlight struct {
-	done chan struct{}
-	c    *compiled
-	err  error
+	hits, misses, bypassed, compileNS int64
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{
-		cap:      capacity,
-		entries:  make(map[string]*list.Element, capacity),
-		order:    list.New(),
-		inflight: make(map[string]*planFlight),
-	}
+	return &planCache{plans: lru.NewMap[*compiled](capacity)}
 }
 
 // get returns the cached plan for key, compiling it with compile on a miss.
 // hit reports whether the plan was served without compiling in this call —
 // from the LRU or from another goroutine's in-flight compilation.
-func (pc *planCache) get(key string, compile func() (*compiled, error)) (c *compiled, hit bool, err error) {
+func (pc *planCache) get(key []byte, compile func() (*compiled, error)) (c *compiled, hit bool, err error) {
 	pc.mu.Lock()
-	if el, ok := pc.entries[key]; ok {
-		pc.order.MoveToFront(el)
+	if c, ok := pc.plans.Get(key); ok {
 		pc.hits++
 		pc.mu.Unlock()
-		return el.Value.(*planEntry).c, true, nil
+		return c, true, nil
 	}
-	if f, ok := pc.inflight[key]; ok {
+	if f := pc.flights.Join(key); f != nil {
 		pc.mu.Unlock()
-		<-f.done
-		if f.err != nil {
+		if c, err = f.Wait(); err != nil {
 			// The owner's compilation failed; nothing was served from a
 			// cached plan, so this is neither a hit nor a miss.
-			return nil, false, f.err
+			if op, ok := err.(*lru.OwnerPanic); ok {
+				err = fmt.Errorf("relm: plan compilation panicked: %v", op.Value)
+			}
+			return nil, false, err
 		}
 		pc.mu.Lock()
 		pc.hits++
 		pc.mu.Unlock()
-		return f.c, true, nil
+		return c, true, nil
 	}
-	f := &planFlight{done: make(chan struct{})}
-	pc.inflight[key] = f
+	f := pc.flights.Start(string(key))
 	pc.misses++
 	pc.mu.Unlock()
 
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	start := time.Now()
-	// If compile panics (a defective custom preprocessor, say), the flight
-	// must still be resolved and removed before the panic propagates —
-	// otherwise the key wedges forever and every later identical query
-	// blocks on a done channel nobody will close. Same discipline as the
-	// logit cache's single-flight layer.
-	f.c, f.err = func() (c *compiled, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				f.err = fmt.Errorf("relm: plan compilation panicked: %v", p)
-				pc.mu.Lock()
-				delete(pc.inflight, key)
-				pc.mu.Unlock()
-				close(f.done)
-				panic(p)
-			}
-		}()
-		return compile()
-	}()
+	// A panicking compile (a defective custom preprocessor, say) fails the
+	// flight's waiters and unwedges the key before the panic propagates.
+	pc.flights.Run(&pc.mu, []*lru.Flight[*compiled]{f}, func() { c, err = compile() })
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	elapsed := time.Since(start)
 
 	pc.mu.Lock()
 	pc.compileNS += elapsed.Nanoseconds()
-	delete(pc.inflight, key)
-	if f.err == nil {
-		el := pc.order.PushFront(&planEntry{key: key, c: f.c})
-		pc.entries[key] = el
-		if pc.order.Len() > pc.cap {
-			last := pc.order.Back()
-			pc.order.Remove(last)
-			delete(pc.entries, last.Value.(*planEntry).key)
-		}
+	if err == nil {
+		pc.plans.Add(f.Key(), c)
 	}
+	pc.flights.Finish(f, c, err)
 	pc.mu.Unlock()
-	close(f.done)
-	return f.c, false, f.err
+	return c, false, err
 }
 
 func (pc *planCache) noteBypass() {
@@ -151,7 +108,7 @@ func (pc *planCache) stats() PlanCacheStats {
 		Hits:        pc.hits,
 		Misses:      pc.misses,
 		Bypassed:    pc.bypassed,
-		Entries:     pc.order.Len(),
+		Entries:     pc.plans.Len(),
 		CompileTime: time.Duration(pc.compileNS),
 	}
 }
@@ -172,7 +129,7 @@ type PlanKeyer interface {
 // tokenization and canonical strategies with their budgets, and the
 // tokenizer fingerprint (a plan must never cross tokenizers — token IDs
 // would silently mean different strings).
-func planKey(m *Model, q *SearchQuery) (string, bool) {
+func planKey(m *Model, q *SearchQuery) ([]byte, bool) {
 	// Normalize fields the selected compile branch never reads, so queries
 	// differing only in ignored knobs share one plan: AllTokens ignores the
 	// whole canonical configuration, and the pairwise/dynamic constructions
@@ -183,17 +140,16 @@ func planKey(m *Model, q *SearchQuery) (string, bool) {
 	} else if canon == CanonicalPairwise || canon == CanonicalDynamic {
 		climit, pmax = 0, 0
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "tok=%s;pat=%q;tz=%d;canon=%d;climit=%d;pmax=%d",
+	b := fmt.Appendf(nil, "tok=%s;pat=%q;tz=%d;canon=%d;climit=%d;pmax=%d",
 		m.Tok.Fingerprint(), q.Query.Pattern, q.Tokenization, canon, climit, pmax)
 	for _, p := range q.Preprocessors {
 		k, ok := p.(PlanKeyer)
 		if !ok {
-			return "", false
+			return nil, false
 		}
-		fmt.Fprintf(&b, ";pp=%q", k.PlanKey())
+		b = fmt.Appendf(b, ";pp=%q", k.PlanKey())
 	}
-	return b.String(), true
+	return b, true
 }
 
 // compileCached resolves q's compilation through the model's plan cache:

@@ -3,8 +3,10 @@ package relm
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -430,37 +432,83 @@ func TestPlanKeyRuleAmbiguity(t *testing.T) {
 	}
 }
 
-// panicPreprocessor compiles by panicking, modeling a defective custom
-// preprocessor behind a valid PlanKey.
-type panicPreprocessor struct{}
+// gatedPanicPreprocessor models a defective custom preprocessor behind a
+// valid PlanKey: its first Transform signals started, blocks until release
+// is closed and panics; later ones pass the automaton through.
+type gatedPanicPreprocessor struct {
+	started, release chan struct{}
+	calls            *atomic.Int32
+}
 
-func (panicPreprocessor) Transform(*automaton.DFA) (*automaton.DFA, error) { panic("boom") }
-func (panicPreprocessor) Name() string                                     { return "panic" }
-func (panicPreprocessor) PlanKey() string                                  { return "panic" }
+func (g gatedPanicPreprocessor) Transform(d *automaton.DFA) (*automaton.DFA, error) {
+	if g.calls.Add(1) == 1 {
+		close(g.started)
+		<-g.release
+		panic("boom")
+	}
+	return d, nil
+}
+func (gatedPanicPreprocessor) Name() string    { return "gated-panic" }
+func (gatedPanicPreprocessor) PlanKey() string { return "gated-panic" }
+
+// waitParked blocks until n goroutines wait on a single flight, failing the
+// test after 5 s.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "lru.(*Flight[...]).Wait(") >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d goroutines parked on a flight", n)
+		}
+	}
+}
 
 // TestPlanCachePanicUnwedges asserts a compile panic resolves its
-// single-flight entry: later identical queries must re-attempt (and
-// re-panic) rather than block forever on a done channel nobody closes.
+// single-flight entry: the owner re-panics with its own value, a concurrent
+// identical query parked on the flight gets an error promptly instead of
+// blocking forever, and a later identical query compiles normally.
 func TestPlanCachePanicUnwedges(t *testing.T) {
 	m := testModel(t)
-	q := SearchQuery{Query: QueryString{Pattern: "cat"}, Preprocessors: []Preprocessor{panicPreprocessor{}}}
-	attempt := func() (panicked bool) {
-		defer func() { panicked = recover() != nil }()
+	pp := gatedPanicPreprocessor{started: make(chan struct{}), release: make(chan struct{}), calls: new(atomic.Int32)}
+	q := SearchQuery{Query: QueryString{Pattern: "cat"}, Preprocessors: []Preprocessor{pp}}
+
+	owner := make(chan any, 1)
+	go func() {
+		defer func() { owner <- recover() }()
 		_, _ = Explain(m, q)
-		return false
+	}()
+	<-pp.started
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := Explain(m, q)
+		waiter <- err
+	}()
+	waitParked(t, 1)
+	close(pp.release)
+
+	if p := <-owner; p != "boom" {
+		t.Errorf("owner panicked with %v, want its own compile's panic", p)
 	}
-	if !attempt() {
-		t.Fatal("first query should panic")
-	}
-	done := make(chan bool, 1)
-	go func() { done <- attempt() }()
 	select {
-	case panicked := <-done:
-		if !panicked {
-			t.Fatal("second query should re-panic on a fresh compile")
+	case err := <-waiter:
+		if err == nil || err.Error() != "relm: plan compilation panicked: boom" {
+			t.Errorf("waiter got %v, want the owner's compile panic as an error", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("plan cache wedged after a compile panic")
+	}
+	if s := m.PlanCacheStats(); s.Misses != 1 || s.Hits != 0 || s.Entries != 0 {
+		t.Fatalf("after the failed flight: %+v, want one uncached miss and no hit", s)
+	}
+
+	if _, err := Explain(m, q); err != nil {
+		t.Fatalf("retry after the panic: %v", err)
+	}
+	if s := m.PlanCacheStats(); s.Misses != 2 || s.Entries != 1 {
+		t.Fatalf("retry did not compile afresh: %+v", s)
 	}
 }
 

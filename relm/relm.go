@@ -330,13 +330,6 @@ type ModelOptions struct {
 	// evict-only arena; KVCompressAggressive packs 2-byte rows (approximate,
 	// opt-in).
 	KVCompression KVCompression
-	// KVHotWindow bounds how many full-precision states the arena keeps hot
-	// before demoting the coldest to their compact tier, independent of byte
-	// pressure (0: the 256-node default; negative: demote only under byte
-	// pressure). Smaller windows spend the budget on breadth — many compact
-	// prefixes — rather than a few full-precision ones. Ignored when
-	// compression is off.
-	KVHotWindow int
 	// ContinuousBatching attaches a fusion scheduler to the device
 	// (DESIGN.md decision 12): scoring calls from all sessions are packed
 	// into shared forwards up to MaxBatch, with fair-share accounting per
@@ -394,7 +387,6 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 		kv = kvcache.NewTiered(kvcache.Config{
 			BudgetBytes: opts.KVBudgetBytes,
 			Compression: opts.KVCompression.tier(),
-			HotWindow:   opts.KVHotWindow,
 		})
 	}
 	var batcher *device.Batcher
@@ -418,10 +410,6 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 // (ModelOptions.TraceSampling < 0). Serving layers use it to name the
 // trace-id namespace, list recent traces, and export stage histograms.
 func (m *Model) Tracer() *trace.Tracer { return m.tracer }
-
-// KVCompressionMode reports the arena's tiered-compression knob; meaningful
-// only when the arena is enabled (KVBudgetBytes >= 0).
-func (m *Model) KVCompressionMode() KVCompression { return m.kvCompression }
 
 // Fused reports whether continuous cross-query batching is active on this
 // model's device.

@@ -211,6 +211,7 @@ type request struct {
 	// channel close is the publication barrier.
 	trace *reqTrace
 
+	err      error // a failed fused batch's fault, written before close(done)
 	panicMu  sync.Mutex
 	panicked bool
 	panicVal any
@@ -608,7 +609,7 @@ func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
 // completes requests whose last rows just executed. Panics inside a segment
 // are captured per request and re-raised in the submitting goroutine, never
 // in the scheduler or a pool worker; a batch with one counts as a failed
-// dispatch for the breaker.
+// dispatch for the breaker, as does an injected fault.
 func (b *Batcher) execute(fb *batch) {
 	f := fault.Hit(fault.BatcherExecute)
 	if f != nil && f.Latency > 0 {
@@ -617,9 +618,9 @@ func (b *Batcher) execute(fb *batch) {
 	failed := f.Failure()
 	if failed {
 		// The fused dispatch itself fails: every participating request gets
-		// the fault as its panic value, nothing is charged or scored.
+		// the fault as its error, nothing is charged or scored.
 		for _, sg := range fb.segs {
-			sg.req.recordPanic(f)
+			sg.req.err = f
 		}
 	} else {
 		b.core.run(fb)

@@ -34,15 +34,12 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	}
 
 	// Three consecutive failed dispatches: each request gets the fault as its
-	// panic value (re-raised in its submitting goroutine by submit), and the
-	// third trips the breaker.
+	// error (returned to its submitting goroutine by dispatch), and the third
+	// trips the breaker.
 	for i := 1; i <= 3; i++ {
 		r := dispatchOnce()
-		if !r.panicked {
-			t.Fatalf("dispatch %d: injected fault not recorded on the request", i)
-		}
-		if _, ok := r.panicVal.(*fault.Fault); !ok {
-			t.Fatalf("dispatch %d: panic value %T, want *fault.Fault", i, r.panicVal)
+		if _, ok := r.err.(*fault.Fault); !ok || r.panicked {
+			t.Fatalf("dispatch %d: error %v (panicked %v), want the injected *fault.Fault", i, r.err, r.panicked)
 		}
 	}
 	st := b.Stats()
@@ -71,8 +68,8 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	// breaker closes.
 	time.Sleep(60 * time.Millisecond)
 	r := dispatchOnce()
-	if r.panicked {
-		t.Fatalf("half-open probe failed: %v", r.panicVal)
+	if r.err != nil {
+		t.Fatalf("half-open probe failed: %v", r.err)
 	}
 	st = b.Stats()
 	if st.BreakerState != "closed" || st.BreakerTrips != 1 || st.BreakerShed != 1 {
@@ -80,8 +77,8 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	}
 
 	// A recovered batcher serves normally again.
-	if r := dispatchOnce(); r.panicked {
-		t.Fatalf("post-recovery dispatch failed: %v", r.panicVal)
+	if r := dispatchOnce(); r.err != nil {
+		t.Fatalf("post-recovery dispatch failed: %v", r.err)
 	}
 }
 
@@ -102,7 +99,7 @@ func TestBatcherExecuteLatencyFault(t *testing.T) {
 	ctxs := [][]model.Token{{1}, {1, 2}}
 	want := d.lm.ScoreBatch(ctxs)
 	for call := 1; call <= 2; call++ {
-		if got := d.Forward(ctxs); !reflect.DeepEqual(got, want) {
+		if got := must(d.Forward(ctxs)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("call %d: rows differ under a latency-only fault", call)
 		}
 		stall := time.Duration(call) * 2 * time.Millisecond

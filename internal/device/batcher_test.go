@@ -155,7 +155,7 @@ func TestBatcherFusesConcurrentForwards(t *testing.T) {
 		wg.Add(1)
 		go func(qi int) {
 			defer wg.Done()
-			outs[qi] = view.Forward(ctxs)
+			outs[qi] = must(view.Forward(ctxs))
 		}(qi)
 	}
 	wg.Wait()
@@ -165,7 +165,7 @@ func TestBatcherFusesConcurrentForwards(t *testing.T) {
 		for i := range ctxs {
 			ctxs[i] = []model.Token{model.Token(qi), model.Token(i)}
 		}
-		if want := direct.Forward(ctxs); !reflect.DeepEqual(outs[qi], want) {
+		if want := must(direct.Forward(ctxs)); !reflect.DeepEqual(outs[qi], want) {
 			t.Errorf("query %d rows differ under fusion", qi)
 		}
 	}
@@ -201,7 +201,7 @@ func TestBatcherSizeWatermarkFlush(t *testing.T) {
 		ctxs[i] = []model.Token{1}
 	}
 	done := make(chan [][]float64, 1)
-	go func() { done <- d.Forward(ctxs) }()
+	go func() { done <- must(d.Forward(ctxs)) }()
 	select {
 	case out := <-done:
 		if len(out) != 8 {
@@ -225,7 +225,7 @@ func TestBatcherWindowFlush(t *testing.T) {
 	d := newDevice(64)
 	b := StartBatcher(d, BatcherConfig{Window: time.Millisecond})
 	defer b.Close()
-	if out := d.Forward([][]model.Token{{1}, {2}}); len(out) != 2 {
+	if out := must(d.Forward([][]model.Token{{1}, {2}})); len(out) != 2 {
 		t.Fatalf("got %d rows", len(out))
 	}
 	if bs := b.Stats(); bs.WindowFlushes == 0 {
@@ -286,22 +286,22 @@ func TestBatcherAllKindsMatchDirect(t *testing.T) {
 	ctxs := [][]model.Token{{1, 2}, {3}, {1, 2, 3, 4}}
 	seqs := [][]model.Token{{1, 2, 3}, {4, 5}}
 
-	dStates, dRows := direct.Prefill(ctxs)
-	dExtStates, dExtRows := direct.ExtendBatch(dStates, []model.Token{5, 6, 7})
-	dFwd := direct.Forward(ctxs)
-	dAll := direct.ScoreAll(seqs)
+	dStates, dRows := must2(direct.Prefill(ctxs))
+	dExtStates, dExtRows := must2(direct.ExtendBatch(dStates, []model.Token{5, 6, 7}))
+	dFwd := must(direct.Forward(ctxs))
+	dAll := must(direct.ScoreAll(seqs))
 
 	var fStates, fExtStates []model.DecodeState
 	var fRows, fExtRows, fFwd [][]float64
 	var fAll [][][]float64
 	var wg sync.WaitGroup
 	wg.Add(3)
-	go func() { defer wg.Done(); fFwd = fused.Forward(ctxs) }()
-	go func() { defer wg.Done(); fAll = fused.ScoreAll(seqs) }()
+	go func() { defer wg.Done(); fFwd = must(fused.Forward(ctxs)) }()
+	go func() { defer wg.Done(); fAll = must(fused.ScoreAll(seqs)) }()
 	go func() {
 		defer wg.Done()
-		fStates, fRows = fused.Prefill(ctxs)
-		fExtStates, fExtRows = fused.ExtendBatch(fStates, []model.Token{5, 6, 7})
+		fStates, fRows = must2(fused.Prefill(ctxs))
+		fExtStates, fExtRows = must2(fused.ExtendBatch(fStates, []model.Token{5, 6, 7}))
 	}()
 	wg.Wait()
 
@@ -426,7 +426,7 @@ func TestBatcherPanicReachesSubmitter(t *testing.T) {
 	}()
 
 	// Scheduler must still be alive and serving.
-	if out := d.Forward([][]model.Token{{1}}); len(out) != 1 {
+	if out := must(d.Forward([][]model.Token{{1}})); len(out) != 1 {
 		t.Fatalf("batcher dead after poisoned request: %v", out)
 	}
 }
@@ -442,7 +442,7 @@ func TestBatcherCloseDrainsAndFallsBack(t *testing.T) {
 	var out [][]float64
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); out = d.Forward([][]model.Token{{1}, {2}}) }()
+	go func() { defer wg.Done(); out = must(d.Forward([][]model.Token{{1}, {2}})) }()
 	for i := 0; b.Stats().QueueDepth == 0 && i < 5000; i++ {
 		time.Sleep(time.Millisecond)
 	}
@@ -456,7 +456,7 @@ func TestBatcherCloseDrainsAndFallsBack(t *testing.T) {
 	}
 
 	fusedBatches := b.Stats().FusedBatches
-	if got := d.Forward([][]model.Token{{3}}); len(got) != 1 {
+	if got := must(d.Forward([][]model.Token{{3}})); len(got) != 1 {
 		t.Fatalf("direct fallback failed after Close: %v", got)
 	}
 	if b.Stats().FusedBatches != fusedBatches {
@@ -483,10 +483,10 @@ func TestBatcherZeroRowCalls(t *testing.T) {
 	d := newDevice(64)
 	b := StartBatcher(d, BatcherConfig{Window: 10 * time.Minute})
 	defer b.Close()
-	if out := d.Forward(nil); len(out) != 0 {
+	if out := must(d.Forward(nil)); len(out) != 0 {
 		t.Fatalf("got %v", out)
 	}
-	states, rows := d.Prefill(nil)
+	states, rows := must2(d.Prefill(nil))
 	if len(states) != 0 || len(rows) != 0 {
 		t.Fatal("empty prefill returned rows")
 	}
@@ -523,13 +523,13 @@ var routeOps = []struct {
 }{
 	{
 		name: "forward", span: "device.forward", tokens: sumLens,
-		run:  func(d *Device, in routeIn) routeOut { return routeOut{rows: d.Forward(in.ctxs)} },
+		run:  func(d *Device, in routeIn) routeOut { return routeOut{rows: must(d.Forward(in.ctxs))} },
 		want: func(lm model.LanguageModel, in routeIn) routeOut { return routeOut{rows: lm.ScoreBatch(in.ctxs)} },
 	},
 	{
 		name: "prefill", span: "device.prefill", tokens: sumLens,
 		run: func(d *Device, in routeIn) routeOut {
-			st, rows := d.Prefill(in.ctxs)
+			st, rows := must2(d.Prefill(in.ctxs))
 			return routeOut{rows: rows, states: st}
 		},
 		want: func(lm model.LanguageModel, in routeIn) routeOut {
@@ -543,7 +543,7 @@ var routeOps = []struct {
 	{
 		name: "extend", span: "device.extend", tokens: func(ctxs [][]model.Token) int { return len(ctxs) },
 		run: func(d *Device, in routeIn) routeOut {
-			st, rows := d.ExtendBatch(in.states, in.toks)
+			st, rows := must2(d.ExtendBatch(in.states, in.toks))
 			return routeOut{rows: rows, states: st}
 		},
 		want: func(lm model.LanguageModel, in routeIn) routeOut {
@@ -553,7 +553,7 @@ var routeOps = []struct {
 	},
 	{
 		name: "scoreAll", span: "device.scoreall", tokens: sumLens,
-		run: func(d *Device, in routeIn) routeOut { return routeOut{all: d.ScoreAll(in.ctxs)} },
+		run: func(d *Device, in routeIn) routeOut { return routeOut{all: must(d.ScoreAll(in.ctxs))} },
 		want: func(lm model.LanguageModel, in routeIn) routeOut {
 			o := routeOut{all: make([][][]float64, len(in.ctxs))}
 			for i, c := range in.ctxs {

@@ -173,10 +173,9 @@ func (d *Device) MaxBatch() int { return d.c.maxBatch }
 // substrate (the packed Transformer forward, the miss-forwarding cache) sees
 // the whole chunk at once; with workers > 1 each chunk is additionally
 // sharded across the worker pool. Forward is safe for concurrent use,
-// including across views.
-func (d *Device) Forward(ctxs [][]model.Token) [][]float64 {
-	d.inject(fault.DeviceForward)
-	return residentFirst(d, "device.forward", ctxs, model.Resident.ResidentRows,
+// including across views. A device fault is the returned *fault.Fault.
+func (d *Device) Forward(ctxs [][]model.Token) ([][]float64, error) {
+	return residentFirst(d, fault.DeviceForward, ctxs, model.Resident.ResidentRows,
 		func(ctxs [][]model.Token, out [][]float64) *request {
 			return &request{kind: reqForward, ctxs: ctxs, rows: out}
 		})
@@ -189,10 +188,10 @@ func (d *Device) Forward(ctxs [][]model.Token) [][]float64 {
 // core.run and leave the same record in r.trace, which closes the span.
 // requested is the row count of the public call the rows belong to (more
 // than the request's own when the resident probe answered part of it). A
-// panic inside any of the request's rows re-panics here, in the submitting
-// query's goroutine, on either route — after the span is closed with an
-// "error" annotation.
-func (d *Device) dispatch(name string, r *request, requested int) {
+// failed fused batch is the returned error; a panic inside any of the
+// request's rows — a model bug — re-panics here, in the submitting query's
+// goroutine, on either route. The span is closed first, annotated "error".
+func (d *Device) dispatch(name string, r *request, requested int) error {
 	r.lm, r.qos = d.lm, d.qos
 	span := d.traceStart(name, r)
 	b := d.c.batcher.Load()
@@ -204,6 +203,7 @@ func (d *Device) dispatch(name string, r *request, requested int) {
 	if r.panicked {
 		panic(r.panicVal)
 	}
+	return r.err
 }
 
 // inline is the route without a scheduler: the request is cut into MaxBatch
@@ -256,65 +256,69 @@ func (c *core) run(b *batch) {
 }
 
 // residentFirst is the shared front of Forward and ScoreAll (DESIGN.md
-// decisions 4 and 6): ask the view's model, when it is a memoizing wrapper,
-// which items it can answer without computing (probe fills those slots of
-// the result), dispatch a request (built by build, writing row i to out[i])
-// for only the rest, and merge in caller order. A fully resident call returns
-// without touching the batcher, the clock or the worker pool — an accelerator
-// executes nothing for a memoized row, so the device charges nothing. It sits
-// above dispatch, so both routes see only rows that need computing.
+// decisions 4 and 6): after the fault point name, ask the view's model, when
+// it is a memoizing wrapper, which items it can answer without computing
+// (probe fills those slots of the result), dispatch a request (built by
+// build, writing row i to out[i]) for only the rest, and merge in caller
+// order. A fully resident call returns without touching the batcher, the
+// clock or the worker pool — an accelerator executes nothing for a memoized
+// row, so the device charges nothing. It sits above dispatch, so both routes
+// see only rows that need computing.
 func residentFirst[R []float64 | [][]float64](
 	d *Device, name string, items [][]model.Token,
 	probe func(model.Resident, [][]model.Token, []R) int,
 	build func(items [][]model.Token, out []R) *request,
-) []R {
+) ([]R, error) {
+	if err := d.inject(name); err != nil {
+		return nil, err
+	}
 	out := make([]R, len(items))
 	hit := 0
 	if res, ok := d.lm.(model.Resident); ok {
 		hit = probe(res, items, out)
 	}
-	switch {
-	case hit == 0:
-		d.dispatch(name, build(items, out), len(items))
-	case hit == len(items):
+	if hit > 0 && hit == len(items) {
 		d.tr.AddCount(d.trParent, "resident_rows", hit)
-	default:
-		missing := make([][]model.Token, 0, len(items)-hit)
+		return out, nil
+	}
+	missing, rows := items, out
+	if hit > 0 {
+		missing = make([][]model.Token, 0, len(items)-hit)
 		for i, it := range items {
 			if out[i] == nil {
 				missing = append(missing, it)
 			}
 		}
-		rows := make([]R, len(missing))
-		d.dispatch(name, build(missing, rows), len(items))
-		j := 0
-		for i := range out {
-			if out[i] == nil {
-				out[i] = rows[j]
-				j++
-			}
+		rows = make([]R, len(missing))
+	}
+	if err := d.dispatch(name, build(missing, rows), len(items)); err != nil {
+		return nil, err
+	}
+	for i, j := 0, 0; hit > 0 && i < len(out); i++ {
+		if out[i] == nil {
+			out[i] = rows[j]
+			j++
 		}
 	}
-	return out
+	return out, nil
 }
 
-// inject consults the fault registry at a dispatch entry point. Latency
-// spikes stall the virtual clock; failures panic in the submitting goroutine
-// with the *fault.Fault — the device API has no error returns, and the
-// existing containment chain (segment recover, Pool re-panic, per-item
-// recover in the jobs worker, the search handler's recover) carries the
-// panic to the layer that owns the failing query.
-func (d *Device) inject(point string) {
-	f := fault.Hit(point)
-	if f == nil {
-		return
+// inject consults the fault registry at a dispatch entry point, before
+// anything is probed or dispatched. A latency spike stalls the virtual clock;
+// a failure is returned, and recorded as an ended span named for the point.
+func (d *Device) inject(point string) error {
+	if f := fault.Hit(point); f != nil {
+		if f.Latency > 0 {
+			d.Idle(f.Latency)
+		}
+		if f.Failure() {
+			sp := d.tr.Start(d.trParent, point)
+			d.tr.Annotate(sp, "error", f.Error())
+			d.tr.End(sp)
+			return f
+		}
 	}
-	if f.Latency > 0 {
-		d.Idle(f.Latency)
-	}
-	if f.Failure() {
-		panic(f)
-	}
+	return nil
 }
 
 // runShards executes the pieces on the persistent pool when one is attached,

@@ -12,10 +12,26 @@ func newDevice(maxBatch int) *Device {
 	return New(lm, DefaultLatency(), maxBatch)
 }
 
+// must and must2 unwrap a call made with no fault armed; an error there is a
+// bug, raised in whichever goroutine made the call.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func must2[A, B any](a A, b B, err error) (A, B) {
+	if err != nil {
+		panic(err)
+	}
+	return a, b
+}
+
 func TestForwardReturnsPerContext(t *testing.T) {
 	d := newDevice(4)
 	ctxs := [][]model.Token{{1}, {1, 2}, {1, 2, 3}}
-	out := d.Forward(ctxs)
+	out := must(d.Forward(ctxs))
 	if len(out) != 3 {
 		t.Fatalf("got %d outputs, want 3", len(out))
 	}

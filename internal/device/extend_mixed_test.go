@@ -38,13 +38,13 @@ func mixedContexts() [][]model.Token {
 func TestExtendBatchMixedDepths(t *testing.T) {
 	d, lm := newIncrDevice(64)
 	ctxs := mixedContexts()
-	states, _ := d.Prefill(ctxs)
+	states, _ := must2(d.Prefill(ctxs))
 	tokens := make([]model.Token, len(ctxs))
 	for i := range tokens {
 		tokens[i] = model.Token(10 + i)
 	}
 
-	outStates, rows := d.ExtendBatch(states, tokens)
+	outStates, rows := must2(d.ExtendBatch(states, tokens))
 	for i, ctx := range ctxs {
 		full := append(append([]model.Token{}, ctx...), tokens[i])
 		want := lm.NextLogProbs(model.ClampWindow(lm, full))
@@ -66,15 +66,15 @@ func TestExtendBatchMixedDepthsChunked(t *testing.T) {
 	ref, _ := newIncrDevice(64)
 
 	ctxs := mixedContexts()
-	states, _ := d.Prefill(ctxs)
-	refStates, _ := ref.Prefill(ctxs)
+	states, _ := must2(d.Prefill(ctxs))
+	refStates, _ := must2(ref.Prefill(ctxs))
 	tokens := make([]model.Token, len(ctxs))
 	for i := range tokens {
 		tokens[i] = model.Token(20 + i)
 	}
 
-	_, rows := d.ExtendBatch(states, tokens)
-	_, want := ref.ExtendBatch(refStates, tokens)
+	_, rows := must2(d.ExtendBatch(states, tokens))
+	_, want := must2(ref.ExtendBatch(refStates, tokens))
 	if !reflect.DeepEqual(rows, want) {
 		t.Error("chunked mixed-depth extension differs from single-chunk dispatch")
 	}
@@ -91,7 +91,7 @@ func TestExtendBatchMixedStateKinds(t *testing.T) {
 	stA, _ := lm.Prefill(ctxA)
 	stB, _ := model.PrefillCtx(lm, ctxB) // generic state, not transformer-extendable
 
-	_, rows := d.ExtendBatch([]model.DecodeState{stA, stB}, []model.Token{6, 7})
+	_, rows := must2(d.ExtendBatch([]model.DecodeState{stA, stB}, []model.Token{6, 7}))
 	wantA := lm.NextLogProbs([]model.Token{1, 2, 3, 6})
 	wantB := lm.NextLogProbs([]model.Token{4, 5, 7})
 	if !reflect.DeepEqual(rows[0], wantA) {
@@ -108,7 +108,7 @@ func TestExtendBatchMixedStateKinds(t *testing.T) {
 func TestExtendBatchMixedDepthsAccounting(t *testing.T) {
 	d, _ := newIncrDevice(64)
 	ctxs := mixedContexts()
-	states, _ := d.Prefill(ctxs)
+	states, _ := must2(d.Prefill(ctxs))
 	d.Reset()
 	tokens := make([]model.Token, len(ctxs))
 	d.ExtendBatch(states, tokens)

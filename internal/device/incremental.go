@@ -14,32 +14,37 @@ import (
 
 // Prefill computes decode states and next-token log-probs for ctxs in one
 // dispatch. Cost: one batch at the full token count (identical to Forward on
-// the same contexts).
-func (d *Device) Prefill(ctxs [][]model.Token) ([]model.DecodeState, [][]float64) {
-	d.inject(fault.DevicePrefill)
-	r := &request{
+// the same contexts). A device fault is the returned error, as for Forward.
+func (d *Device) Prefill(ctxs [][]model.Token) ([]model.DecodeState, [][]float64, error) {
+	return d.stateful(fault.DevicePrefill, &request{
 		kind:      reqPrefill,
 		ctxs:      ctxs,
 		rows:      make([][]float64, len(ctxs)),
 		outStates: make([]model.DecodeState, len(ctxs)),
-	}
-	d.dispatch("device.prefill", r, len(ctxs))
-	return r.outStates, r.rows
+	})
 }
 
 // ExtendBatch advances each state by one token in one dispatch. Cost: one
 // token per sequence — the incremental saving, on the virtual clock.
-func (d *Device) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64) {
-	d.inject(fault.DeviceExtend)
-	r := &request{
+func (d *Device) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64, error) {
+	return d.stateful(fault.DeviceExtend, &request{
 		kind:      reqExtend,
 		states:    states,
 		tokens:    tokens,
 		rows:      make([][]float64, len(states)),
 		outStates: make([]model.DecodeState, len(states)),
+	})
+}
+
+// stateful runs a Prefill or ExtendBatch request behind the fault point name.
+func (d *Device) stateful(name string, r *request) ([]model.DecodeState, [][]float64, error) {
+	if err := d.inject(name); err != nil {
+		return nil, nil, err
 	}
-	d.dispatch("device.extend", r, len(states))
-	return r.outStates, r.rows
+	if err := d.dispatch(name, r, len(r.rows)); err != nil {
+		return nil, nil, err
+	}
+	return r.outStates, r.rows, nil
 }
 
 // ScoreAll returns every position's next-token log-probs for each sequence
@@ -48,9 +53,8 @@ func (d *Device) ExtendBatch(states []model.DecodeState, tokens []model.Token) (
 // row-expanded contexts — for the sequences with a position the view's model
 // does not already hold; fully resident sequences are answered before
 // dispatch, like Forward's rows.
-func (d *Device) ScoreAll(seqs [][]model.Token) [][][]float64 {
-	d.inject(fault.DeviceScoreAll)
-	return residentFirst(d, "device.scoreall", seqs, model.Resident.ResidentAllPositions,
+func (d *Device) ScoreAll(seqs [][]model.Token) ([][][]float64, error) {
+	return residentFirst(d, fault.DeviceScoreAll, seqs, model.Resident.ResidentAllPositions,
 		func(seqs [][]model.Token, out [][][]float64) *request {
 			return &request{kind: reqScoreAll, ctxs: seqs, allRows: out}
 		})

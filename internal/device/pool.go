@@ -17,11 +17,6 @@ type Pool struct {
 type poolTask struct {
 	fn func()
 	wg *sync.WaitGroup
-	// panicked forwards a task's panic value back to the Run that
-	// submitted it. A panic must surface in the dispatching query's
-	// goroutine (where net/http can recover it), not unwind a pool worker
-	// and kill the whole server.
-	panicked *any
 }
 
 // NewPool starts a pool of n workers (n < 1 is treated as 1).
@@ -33,21 +28,12 @@ func NewPool(n int) *Pool {
 	for i := 0; i < n; i++ {
 		go func() {
 			for t := range p.tasks {
-				run(t)
+				t.fn()
+				t.wg.Done()
 			}
 		}()
 	}
 	return p
-}
-
-func run(t poolTask) {
-	defer t.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			*t.panicked = r
-		}
-	}()
-	t.fn()
 }
 
 // Size reports the worker count.
@@ -57,22 +43,16 @@ func (p *Pool) Size() int { return p.size }
 // Run calls interleave their shards over the same workers — that is the
 // point: total scoring concurrency stays bounded by Size regardless of how
 // many queries are in flight. Tasks must not call Run on the same pool
-// (the nested wait could starve). If a task panics, Run re-panics with the
-// first panic value after all tasks finish, so the failure belongs to the
-// submitting query rather than a shared worker.
+// (the nested wait could starve), and must not panic: a panic unwinds a
+// shared worker. The device hands the pool only segment.exec, which recovers
+// every row's panic into the request that owns the row.
 func (p *Pool) Run(fns []func()) {
 	var wg sync.WaitGroup
 	wg.Add(len(fns))
-	panics := make([]any, len(fns))
-	for i, fn := range fns {
-		p.tasks <- poolTask{fn: fn, wg: &wg, panicked: &panics[i]}
+	for _, fn := range fns {
+		p.tasks <- poolTask{fn: fn, wg: &wg}
 	}
 	wg.Wait()
-	for _, pv := range panics {
-		if pv != nil {
-			panic(pv)
-		}
-	}
 }
 
 // Close stops the workers once in-flight tasks finish. Run must not be

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -121,30 +122,30 @@ var (
 // nothing, and returns the rows the dispatched path returned.
 func TestResidentCallChargesNothing(t *testing.T) {
 	eachRoute(t, func(t *testing.T, r *residentRig) {
-		coldF := r.d.Forward(residentCtxs)
-		coldA := r.d.ScoreAll(residentSeqs)
+		coldF := must(r.d.Forward(residentCtxs))
+		coldA := must(r.d.ScoreAll(residentSeqs))
 		before, computed := r.charged(), r.lm.computed()
 		if before.st.Sequences != int64(len(residentCtxs)+len(residentSeqs)) {
 			t.Fatalf("cold calls charged %d sequences, want %d", before.st.Sequences, len(residentCtxs)+len(residentSeqs))
 		}
 
-		warmF := r.d.Forward(residentCtxs)
-		warmA := r.d.ScoreAll(residentSeqs)
+		warmF := must(r.d.Forward(residentCtxs))
+		warmA := must(r.d.ScoreAll(residentSeqs))
 		if after := r.charged(); after != before {
 			t.Errorf("resident calls moved the device:\nbefore %+v\nafter  %+v", before, after)
 		}
 		if n := r.lm.computed(); n != computed {
 			t.Errorf("resident calls computed %d rows", n-computed)
 		}
-		if !reflect.DeepEqual(warmF, coldF) || !reflect.DeepEqual(warmF, r.ref.Forward(residentCtxs)) {
+		if !reflect.DeepEqual(warmF, coldF) || !reflect.DeepEqual(warmF, must(r.ref.Forward(residentCtxs))) {
 			t.Errorf("resident Forward rows differ from the dispatched path's")
 		}
-		if !reflect.DeepEqual(warmA, coldA) || !reflect.DeepEqual(warmA, r.ref.ScoreAll(residentSeqs)) {
+		if !reflect.DeepEqual(warmA, coldA) || !reflect.DeepEqual(warmA, must(r.ref.ScoreAll(residentSeqs))) {
 			t.Errorf("resident ScoreAll rows differ from the dispatched path's")
 		}
 		// The rows are the cache's own, read-only: a second resident call
 		// hands out the same slices.
-		if again := r.d.Forward(residentCtxs[:1]); &again[0][0] != &warmF[0][0] {
+		if again := must(r.d.Forward(residentCtxs[:1])); &again[0][0] != &warmF[0][0] {
 			t.Errorf("resident rows are copies of the cache's storage")
 		}
 	})
@@ -181,7 +182,7 @@ func TestPartialHitChargesMissingRows(t *testing.T) {
 		lat := DefaultLatency()
 		r.d.Forward([][]model.Token{residentCtxs[0], residentCtxs[2], residentCtxs[3]})
 		before := r.charged()
-		got := r.d.Forward(residentCtxs) // rows 1 and 4 are missing
+		got := must(r.d.Forward(residentCtxs)) // rows 1 and 4 are missing
 		after := r.charged()
 		missTokens := len(residentCtxs[1]) + len(residentCtxs[4])
 		if d := after.st.Sequences - before.st.Sequences; d != 2 {
@@ -199,7 +200,7 @@ func TestPartialHitChargesMissingRows(t *testing.T) {
 		if after.st.Clock-before.st.Clock != after.st.Busy-before.st.Busy {
 			t.Errorf("clock and busy time moved apart")
 		}
-		if !reflect.DeepEqual(got, r.ref.Forward(residentCtxs)) {
+		if !reflect.DeepEqual(got, must(r.ref.Forward(residentCtxs))) {
 			t.Errorf("partial-hit rows out of caller order or wrong")
 		}
 
@@ -209,7 +210,7 @@ func TestPartialHitChargesMissingRows(t *testing.T) {
 		seqs := [][]model.Token{{5, 1, 2}, {2, 4}, {5, 5, 1, 3}}
 		r.d.ScoreAll(seqs[1:2])
 		before = r.charged()
-		gotAll := r.d.ScoreAll(seqs)
+		gotAll := must(r.d.ScoreAll(seqs))
 		after = r.charged()
 		missTokens = len(seqs[0]) + len(seqs[2])
 		if d := after.st.Sequences - before.st.Sequences; d != 2 {
@@ -218,7 +219,7 @@ func TestPartialHitChargesMissingRows(t *testing.T) {
 		if d, want := after.st.Busy-before.st.Busy, lat.Cost(2, missTokens); d != want {
 			t.Errorf("ScoreAll charged %v, want %v", d, want)
 		}
-		if !reflect.DeepEqual(gotAll, r.ref.ScoreAll(seqs)) {
+		if !reflect.DeepEqual(gotAll, must(r.ref.ScoreAll(seqs))) {
 			t.Errorf("partial-hit ScoreAll rows out of caller order or wrong")
 		}
 	})
@@ -237,7 +238,7 @@ func TestInFlightRowIsDispatchedNotAwaited(t *testing.T) {
 	var wg sync.WaitGroup
 	rows := make([][][]float64, 2)
 	wg.Add(1)
-	go func() { defer wg.Done(); rows[0] = r.d.Forward(ctx) }()
+	go func() { defer wg.Done(); rows[0] = must(r.d.Forward(ctx)) }()
 	<-r.lm.entered // the owner is inside the model: the row is in flight
 
 	probed := make(chan int, 1)
@@ -252,7 +253,7 @@ func TestInFlightRowIsDispatchedNotAwaited(t *testing.T) {
 	}
 
 	wg.Add(1)
-	go func() { defer wg.Done(); rows[1] = r.d.Forward(ctx) }()
+	go func() { defer wg.Done(); rows[1] = must(r.d.Forward(ctx)) }()
 	for deadline := time.Now().Add(5 * time.Second); r.c.FlightStats() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("second call never joined the flight")
@@ -292,16 +293,11 @@ func TestFaultPointAheadOfProbe(t *testing.T) {
 	fault.Enable(in)
 	t.Cleanup(fault.Disable)
 
-	failed := func(call func()) (f *fault.Fault) {
-		defer func() { f, _ = recover().(*fault.Fault) }()
-		call()
-		return nil
+	if rows, err := r.d.Forward(residentCtxs); rows != nil || !errors.As(err, new(*fault.Fault)) {
+		t.Errorf("injected Forward fault did not reach a fully resident call: %v", err)
 	}
-	if failed(func() { r.d.Forward(residentCtxs) }) == nil {
-		t.Errorf("injected Forward fault did not reach a fully resident call")
-	}
-	if failed(func() { r.d.ScoreAll(residentSeqs) }) == nil {
-		t.Errorf("injected ScoreAll fault did not reach a fully resident call")
+	if rows, err := r.d.ScoreAll(residentSeqs); rows != nil || !errors.As(err, new(*fault.Fault)) {
+		t.Errorf("injected ScoreAll fault did not reach a fully resident call: %v", err)
 	}
 	if hits, _ := r.c.Stats(); hits != hits0 {
 		t.Errorf("a failed call probed the cache (%d hits)", hits-hits0)

@@ -32,29 +32,29 @@ func Beam(dev *device.Device, q *Query, opts BeamOptions) Stream {
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = nq.MaxTokens
 	}
-	s := &beamStream{dev: dev, q: nq, opts: opts}
+	s := &beamStream{stream: stream{q: nq, dev: dev}, opts: opts}
 	s.init()
 	return s
 }
 
 type beamStream struct {
-	dev      *device.Device
-	q        *Query
-	opts     BeamOptions
-	beam     []node // the current level, in frontier order
-	done     []node // completed matches, unsorted until drain
-	seq      int64  // discovery order of the next hypothesis expanded
-	emitted  int
-	ran      bool
-	err      error // cancellation observed mid-run
-	finished error // terminal state after drain/cancel
-	stats    counters
+	stream
+	opts    BeamOptions
+	beam    []node // the current level, in frontier order
+	done    []node // completed matches, unsorted until drain
+	seq     int64  // discovery order of the next hypothesis expanded
+	emitted int
+	ran     bool
 }
 
 func (s *beamStream) init() {
 	pdev, pspan := prefixDevice(s.dev, s.q)
-	logPs, calls := scoreSequences(pdev, s.q.Prefixes)
+	logPs, calls, err := scoreSequences(pdev, s.q.Prefixes)
 	s.q.Trace.End(pspan)
+	if err != nil {
+		s.finish(err)
+		return
+	}
 	s.stats.modelCalls.Add(calls)
 	for pi, p := range s.q.Prefixes {
 		logP := logPs[pi]
@@ -81,19 +81,22 @@ func truncate(nodes []node, width int) []node {
 // built across the worker pool; the coordinator then spawns, in beam order,
 // each hypothesis's match and its best Width children — the level's best
 // Width are among them — and truncates to the best Width overall.
-func (s *beamStream) run() {
+func (s *beamStream) run() error {
 	m := s.dev.Model()
 	var ctxs [][]model.Token
 	var sets []siblings
 	var next []node
 	for step := 0; step < s.opts.MaxSteps && len(s.beam) > 0; step++ {
 		if err := s.q.Context.Err(); err != nil {
-			s.err = err
-			return
+			return err
 		}
 		rdev, rspan := roundDevice(s.dev, s.q, int64(step), len(s.beam))
 		ctxs = appendContexts(ctxs[:0], s.beam)
-		lps := scoreFrontier(rdev, s.q, ctxs)
+		lps, err := scoreFrontier(rdev, s.q, ctxs)
+		if err != nil {
+			s.q.Trace.End(rspan)
+			return err
+		}
 		s.stats.modelCalls.Add(int64(len(s.beam)))
 		s.stats.nodesExpanded.Add(int64(len(s.beam)))
 
@@ -136,8 +139,11 @@ func (s *beamStream) run() {
 	}
 	if s.q.RequireEOS && len(finals) > 0 {
 		rdev, rspan := roundDevice(s.dev, s.q, int64(s.opts.MaxSteps), len(finals))
-		lps := scoreFrontier(rdev, s.q, appendContexts(nil, finals))
 		defer s.q.Trace.End(rspan)
+		lps, err := scoreFrontier(rdev, s.q, appendContexts(nil, finals))
+		if err != nil {
+			return err
+		}
 		s.stats.modelCalls.Add(int64(len(finals)))
 		kept := finals[:0]
 		for i, n := range finals {
@@ -163,21 +169,21 @@ func (s *beamStream) run() {
 		}
 	}
 	s.done = uniq
+	return nil
 }
 
 func (s *beamStream) Next() (*Result, error) {
-	if s.finished != nil {
-		return nil, s.finished
+	if s.end != nil {
+		return nil, s.end
 	}
 	if err := s.q.Context.Err(); err != nil {
 		return nil, s.finish(err)
 	}
 	if !s.ran {
 		s.ran = true
-		s.run()
-	}
-	if s.err != nil {
-		return nil, s.finish(s.err)
+		if err := s.run(); err != nil {
+			return nil, s.finish(err)
+		}
 	}
 	if s.emitted >= len(s.done) {
 		return nil, s.finish(ErrExhausted)
@@ -187,19 +193,3 @@ func (s *beamStream) Next() (*Result, error) {
 	s.stats.emitted.Add(1)
 	return n.result(), nil
 }
-
-// finish records the terminal error and releases the derived context.
-func (s *beamStream) finish(err error) error {
-	s.finished = err
-	s.q.cancel()
-	return err
-}
-
-// Close implements Stream. The beam buffers completed matches before the
-// first Next; Close discards the remainder — a closed stream never emits.
-func (s *beamStream) Close() error {
-	s.q.cancel()
-	return nil
-}
-
-func (s *beamStream) Stats() Stats { return s.stats.snapshot() }

@@ -15,19 +15,16 @@ import (
 // (the paper's heuristic: prefixes are prioritized by their original costs
 // but never eliminated by decoding rules).
 func ShortestPath(dev *device.Device, q *Query) Stream {
-	s := &dijkstraStream{dev: dev, q: normalizeQuery(dev, q)}
+	s := &dijkstraStream{stream: stream{q: normalizeQuery(dev, q), dev: dev}}
 	s.init()
 	return s
 }
 
 type dijkstraStream struct {
-	dev      *device.Device
-	q        *Query
+	stream
 	frontier frontier
 	seq      int64 // discovery order of the next node expanded
-	done     error // terminal state: set once the stream has ended for good
 	round    int64 // expansion rounds so far (trace annotation)
-	stats    counters
 
 	// Round scratch: the popped nodes and their contexts. A popped node is
 	// needed only until its cursor has copied it.
@@ -107,8 +104,12 @@ func normalizeQuery(dev *device.Device, q *Query) *Query {
 // is a cursor whose one sibling is the root itself.
 func (s *dijkstraStream) init() {
 	pdev, pspan := prefixDevice(s.dev, s.q)
-	logPs, calls := scoreSequences(pdev, s.q.Prefixes)
+	logPs, calls, err := scoreSequences(pdev, s.q.Prefixes)
 	s.q.Trace.End(pspan)
+	if err != nil {
+		s.finish(err)
+		return
+	}
 	s.stats.modelCalls.Add(calls)
 	roots := make([]cursor, len(s.q.Prefixes))
 	sibs := make(siblings, len(roots))
@@ -150,8 +151,8 @@ func (s *dijkstraStream) init() {
 // the cursors in batch order, so the emitted sequence is identical at any
 // worker count.
 func (s *dijkstraStream) Next() (*Result, error) {
-	if s.done != nil {
-		return nil, s.done
+	if s.end != nil {
+		return nil, s.end
 	}
 	batchSize := EffectiveBatch(s.dev, s.q.BatchExpand)
 	for len(s.frontier) > 0 {
@@ -174,18 +175,24 @@ func (s *dijkstraStream) Next() (*Result, error) {
 			batch = append(batch, s.frontier.pop())
 		}
 		s.batch = batch
-		s.expand(batch)
+		if err := s.expand(batch); err != nil {
+			return nil, s.finish(err)
+		}
 	}
 	return nil, s.finish(ErrExhausted)
 }
 
 // expand scores a batch in one device round and files a cursor for every
-// node with a sibling.
-func (s *dijkstraStream) expand(batch []node) {
+// node with a sibling, or returns the device's error.
+func (s *dijkstraStream) expand(batch []node) error {
 	rdev, rspan := roundDevice(s.dev, s.q, s.round, len(batch))
+	defer s.q.Trace.End(rspan)
 	s.round++
 	s.ctxs = appendContexts(s.ctxs[:0], batch)
-	lps := scoreFrontier(rdev, s.q, s.ctxs)
+	lps, err := scoreFrontier(rdev, s.q, s.ctxs)
+	if err != nil {
+		return err
+	}
 	s.stats.modelCalls.Add(int64(len(batch)))
 	s.stats.nodesExpanded.Add(int64(len(batch)))
 	m := s.dev.Model()
@@ -203,23 +210,5 @@ func (s *dijkstraStream) expand(batch []node) {
 			heap.Push(&s.frontier, c)
 		}
 	}
-	s.q.Trace.End(rspan)
-}
-
-// finish records the stream's terminal error and releases its derived
-// context, so even streams that are never explicitly closed don't stay
-// registered with a long-lived parent once they end.
-func (s *dijkstraStream) finish(err error) error {
-	s.done = err
-	s.q.cancel()
-	return err
-}
-
-// Close implements Stream: it cancels the traversal context. A concurrent
-// Next observes the cancellation at its next expansion round.
-func (s *dijkstraStream) Close() error {
-	s.q.cancel()
 	return nil
 }
-
-func (s *dijkstraStream) Stats() Stats { return s.stats.snapshot() }

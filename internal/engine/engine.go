@@ -175,8 +175,8 @@ type Stream interface {
 	// Next returns the next result. It returns ErrExhausted when the
 	// language is exhausted (deterministic traversals only; random streams
 	// never exhaust but may return ErrExhausted once MaxNodes attempts
-	// fail consecutively). After Close, Next returns the cancellation
-	// error of the stream's context.
+	// fail consecutively). Once Close cancels the stream's context or a
+	// device dispatch fails, Next returns that error.
 	Next() (*Result, error)
 	// Close cancels the stream's traversal context and releases its
 	// resources. Safe to call multiple times and from any goroutine; a
@@ -187,6 +187,25 @@ type Stream interface {
 	Close() error
 	// Stats returns a snapshot of work counters.
 	Stats() Stats
+}
+
+// stream is what every traversal shares: the normalized query (Close cancels
+// its derived context), the device view, the counters, the terminal error.
+type stream struct {
+	q     *Query
+	dev   *device.Device
+	stats counters
+	end   error // set once the stream has ended for good; Next returns it
+}
+
+func (s *stream) Stats() Stats { return s.stats.snapshot() }
+func (s *stream) Close() error { s.q.cancel(); return nil }
+
+// finish records the terminal error and releases the derived context.
+func (s *stream) finish(err error) error {
+	s.end = err
+	s.q.cancel()
+	return err
 }
 
 // path is a frontier node's model context (prefix + pattern so far). A child
@@ -438,8 +457,8 @@ func clampCtx(m model.LanguageModel, ctx []model.Token) []model.Token {
 // per-position contexts are sliding windows, which a single forward cannot
 // reproduce — and both paths are bit-identical to per-position NextLogProbs.
 // Returns per-sequence total log probabilities and the number of contexts
-// scored (one per position, as before, so ModelCalls keeps its meaning).
-func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64) {
+// scored (one per position, so ModelCalls keeps its meaning), or an error.
+func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64, error) {
 	m := dev.Model()
 	totals := make([]float64, len(seqs))
 	var contexts int64
@@ -464,7 +483,10 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64)
 		}
 	}
 	if len(allSeqs) > 0 {
-		rows := dev.ScoreAll(allSeqs)
+		rows, err := dev.ScoreAll(allSeqs)
+		if err != nil {
+			return nil, 0, err
+		}
 		for j, i := range allIdx {
 			total := 0.0
 			for p, tok := range seqs[i] {
@@ -478,7 +500,10 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64)
 		}
 	}
 	if len(rowCtxs) > 0 {
-		lps := dev.Forward(rowCtxs)
+		lps, err := dev.Forward(rowCtxs)
+		if err != nil {
+			return nil, 0, err
+		}
 		acc := make(map[int]float64, 4)
 		accIdx := make([]int, 0, 4)
 		for r, i := range rowIdx {
@@ -497,7 +522,7 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64)
 			totals[i] = acc[i]
 		}
 	}
-	return totals, contexts
+	return totals, contexts, nil
 }
 
 // incremental reports whether the query runs with prefix-state reuse.
@@ -509,13 +534,14 @@ func (q *Query) incremental() bool { return q.Incremental && q.KV != nil }
 // resident in the KV arena is scored by a one-token ExtendBatch step, and
 // the rest (roots, evictions, window-edge contexts) by a batched Prefill;
 // every computed state is committed back to the arena so the next round's
-// children extend it in turn. Both paths produce bit-identical rows.
+// children extend it in turn. Both paths produce bit-identical rows. A failed
+// dispatch returns its error with every parent handle released.
 //
 // Models without real prefix states (the window substrates: their "extend"
 // re-scores the window through the logit LRU anyway) take the full path even
 // when Incremental is set — arena-caching their trivial states would spend
 // bookkeeping memory to save nothing.
-func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) [][]float64 {
+func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]float64, error) {
 	m := dev.Model()
 	if !q.incremental() || !model.HasPrefixStates(m) {
 		clamped := make([][]model.Token, len(ctxs))
@@ -564,6 +590,11 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) [][]float
 		tr.End(kvSpan)
 	}
 	if len(exts) > 0 {
+		defer func() { // a no-op after the commit loop below: Release is idempotent
+			for _, e := range exts {
+				e.parent.Release()
+			}
+		}()
 		// Demoted parents with no exact expansion (token-only compacts,
 		// DESIGN.md decision 14) promote first: one Prefill per unique parent
 		// context rebuilds bit-exact rows, and every child extension below
@@ -597,11 +628,14 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) [][]float
 				tr.Annotate(promoSpan, "parents", strconv.Itoa(len(promo)))
 				pdev = dev.WithTrace(tr, promoSpan)
 			}
-			pstates, _ := pdev.Prefill(promoCtxs)
-			for jj, j := range promo {
+			pstates, _, err := pdev.Prefill(promoCtxs)
+			for jj, j := range promo[:len(pstates)] { // none on a failed dispatch
 				exts[j].parent.Promote(pstates[jj])
 			}
 			tr.End(promoSpan)
+			if err != nil {
+				return nil, err
+			}
 		}
 		states := make([]model.DecodeState, len(exts))
 		toks := make([]model.Token, len(exts))
@@ -610,7 +644,10 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) [][]float
 			ctx := ctxs[e.idx]
 			toks[j] = ctx[len(ctx)-1]
 		}
-		newStates, rows := dev.ExtendBatch(states, toks)
+		newStates, rows, err := dev.ExtendBatch(states, toks)
+		if err != nil {
+			return nil, err
+		}
 		for j, e := range exts {
 			lps[e.idx] = rows[j]
 			if cacheable(len(ctxs[e.idx])) {
@@ -620,19 +657,25 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) [][]float
 		}
 	}
 	if len(pfIdx) > 0 {
-		states, rows := dev.Prefill(pfCtxs)
+		states, rows, err := dev.Prefill(pfCtxs)
+		if err != nil {
+			return nil, err
+		}
 		for j, i := range pfIdx {
 			lps[i] = rows[j]
 			q.KV.Commit(nil, ctxs[i], states[j]).Release()
 		}
 	}
 	if len(fwdIdx) > 0 {
-		rows := dev.Forward(fwdCtxs)
+		rows, err := dev.Forward(fwdCtxs)
+		if err != nil {
+			return nil, err
+		}
 		for j, i := range fwdIdx {
 			lps[i] = rows[j]
 		}
 	}
-	return lps
+	return lps, nil
 }
 
 // roundDevice opens one frontier-expansion "round" span and returns the

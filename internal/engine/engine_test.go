@@ -15,6 +15,22 @@ import (
 	"repro/internal/tokenizer"
 )
 
+// must and must2 unwrap a call made with no fault armed; an error there is a
+// bug, raised in whichever goroutine made the call.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func must2[A, B any](a A, b B, err error) (A, B) {
+	if err != nil {
+		panic(err)
+	}
+	return a, b
+}
+
 // charTok treats each printable byte as its own token (vocab 256 + EOS at
 // 256), so character automata are directly LLM automata. Simplifies scripted
 // model tests.

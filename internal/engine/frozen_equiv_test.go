@@ -85,8 +85,8 @@ func TestEnginesFrozenEquivalence(t *testing.T) {
 			drain(t, Sample(env.dev, query(tokenDFA), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6),
 			drain(t, Sample(env.dev, query(frozen), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6))
 
-		md := Mass(env.dev, query(tokenDFA), MassOptions{Tolerance: 1e-6, MaxNodes: 4000})
-		mf := Mass(env.dev, query(frozen), MassOptions{Tolerance: 1e-6, MaxNodes: 4000})
+		md := must(Mass(env.dev, query(tokenDFA), MassOptions{Tolerance: 1e-6, MaxNodes: 4000}))
+		mf := must(Mass(env.dev, query(frozen), MassOptions{Tolerance: 1e-6, MaxNodes: 4000}))
 		if md.Lower != mf.Lower || md.Upper != mf.Upper || md.Matches != mf.Matches || md.Expanded != mf.Expanded {
 			t.Fatalf("%s/mass: %+v vs %+v", pat, md, mf)
 		}

@@ -84,8 +84,8 @@ func TestEnginesIncrementalEquivalence(t *testing.T) {
 			drain(t, Sample(env.dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6),
 			drain(t, Sample(env.dev, incrementalQuery(query(), kvcache.New(0)), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6))
 
-		mf := Mass(env.dev, query(), MassOptions{Tolerance: 1e-6, MaxNodes: 4000})
-		mi := Mass(env.dev, incrementalQuery(query(), kvcache.New(0)), MassOptions{Tolerance: 1e-6, MaxNodes: 4000})
+		mf := must(Mass(env.dev, query(), MassOptions{Tolerance: 1e-6, MaxNodes: 4000}))
+		mi := must(Mass(env.dev, incrementalQuery(query(), kvcache.New(0)), MassOptions{Tolerance: 1e-6, MaxNodes: 4000}))
 		if mf.Lower != mi.Lower || mf.Upper != mi.Upper || mf.Matches != mi.Matches || mf.Expanded != mi.Expanded {
 			t.Fatalf("%s/mass: %+v vs %+v", pat, mf, mi)
 		}
@@ -232,7 +232,7 @@ func TestScoreSequencesAllPositionsEquivalence(t *testing.T) {
 			tok.Encode("art"),
 			long,
 		}
-		got, gotCalls := scoreSequences(dev, seqs)
+		got, gotCalls := must2(scoreSequences(dev, seqs))
 		want, wantCalls := scoreSequencesExpanded(dev, seqs)
 		if gotCalls != wantCalls {
 			t.Fatalf("%s: context count %d vs %d", name, gotCalls, wantCalls)
@@ -288,7 +288,7 @@ func scoreSequencesExpanded(dev *device.Device, seqs [][]model.Token) ([]float64
 	if len(ctxs) == 0 {
 		return totals, 0
 	}
-	lps := dev.Forward(ctxs)
+	lps := must(dev.Forward(ctxs))
 	for i, seq := range seqs {
 		total := 0.0
 		for p := range seq {

@@ -85,8 +85,8 @@ func (h *massHeap) Pop() interface{} {
 // order (DESIGN.md decision 6). Bounds stay sound at any K; batching only
 // means up to one round of extra expansions after the tolerance is met.
 // Cancelling Query.Context stops the refinement early — the bounds returned
-// are still sound, just wider.
-func Mass(dev *device.Device, q *Query, opts MassOptions) *MassResult {
+// are still sound, just wider. A failed device dispatch returns its error.
+func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = 1e-3
 	}
@@ -127,7 +127,11 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) *MassResult {
 		}
 		rdev, rspan := roundDevice(dev, q, round, len(batch))
 		round++
-		lps := scoreFrontier(rdev, q, contexts(batch))
+		lps, err := scoreFrontier(rdev, q, contexts(batch))
+		if err != nil {
+			q.Trace.End(rspan)
+			return nil, err
+		}
 		res.Expanded += int64(len(batch))
 
 		// Rule filtering, the canonicality verdict, and child construction are
@@ -186,5 +190,5 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) *MassResult {
 	if res.Upper > 1 {
 		res.Upper = 1 // float accumulation can nudge past certainty
 	}
-	return res
+	return res, nil
 }

@@ -26,7 +26,7 @@ func TestMassExactOnUniformModel(t *testing.T) {
 	dev := uniformDevice(4)
 	// L = {0, 12}: mass = p(0)p(EOS) + p(1)p(2)p(EOS) = 1/16 + 1/64.
 	pat := tokenDFA([]automaton.Symbol{0}, []automaton.Symbol{1, 2})
-	res := Mass(dev, &Query{Pattern: pat}, MassOptions{Tolerance: 1e-12})
+	res := must(Mass(dev, &Query{Pattern: pat}, MassOptions{Tolerance: 1e-12}))
 	want := 1.0/16 + 1.0/64
 	if !res.Converged {
 		t.Fatal("failed to converge on a 2-string language")
@@ -52,7 +52,7 @@ func TestMassBoundsAreSound(t *testing.T) {
 	n.SetStart(s0)
 	pat := n.Determinize()
 
-	res := Mass(dev, &Query{Pattern: pat, MaxTokens: 10}, MassOptions{Tolerance: 1e-15, MaxNodes: 50})
+	res := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 10}, MassOptions{Tolerance: 1e-15, MaxNodes: 50}))
 	if res.Lower < 0 || res.Upper > 1 || res.Lower > res.Upper {
 		t.Fatalf("unsound bounds [%g, %g]", res.Lower, res.Upper)
 	}
@@ -76,8 +76,8 @@ func TestMassConvergesWithBudget(t *testing.T) {
 	n.SetStart(s0)
 	pat := n.Determinize()
 
-	loose := Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 3})
-	tight := Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 10000})
+	loose := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 3}))
+	tight := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 10000}))
 	if loose.Gap() <= tight.Gap() {
 		t.Fatalf("more budget did not tighten the gap: %g vs %g", loose.Gap(), tight.Gap())
 	}
@@ -104,8 +104,8 @@ func TestMassRespectsDecisionRule(t *testing.T) {
 	dev := device.New(lm, device.DefaultLatency(), 8)
 
 	pat := tokenDFA([]automaton.Symbol{0}, []automaton.Symbol{1})
-	free := Mass(dev, &Query{Pattern: pat}, MassOptions{Tolerance: 1e-12})
-	topk := Mass(dev, &Query{Pattern: pat, Rule: decoding.TopK{K: 1}}, MassOptions{Tolerance: 1e-12})
+	free := must(Mass(dev, &Query{Pattern: pat}, MassOptions{Tolerance: 1e-12}))
+	topk := must(Mass(dev, &Query{Pattern: pat, Rule: decoding.TopK{K: 1}}, MassOptions{Tolerance: 1e-12}))
 	if free.Lower <= topk.Lower {
 		t.Fatalf("rule did not reduce mass: free %g vs top-1 %g", free.Lower, topk.Lower)
 	}
@@ -119,8 +119,8 @@ func TestMassPrefixMixture(t *testing.T) {
 	pat := tokenDFA([]automaton.Symbol{0})
 	// Two prefixes: mixture weight 1/2 each; uniform model is context-free,
 	// so the mass equals the single-prefix mass.
-	one := Mass(dev, &Query{Pattern: pat, Prefixes: [][]model.Token{{2}}}, MassOptions{Tolerance: 1e-12})
-	two := Mass(dev, &Query{Pattern: pat, Prefixes: [][]model.Token{{2}, {1}}}, MassOptions{Tolerance: 1e-12})
+	one := must(Mass(dev, &Query{Pattern: pat, Prefixes: [][]model.Token{{2}}}, MassOptions{Tolerance: 1e-12}))
+	two := must(Mass(dev, &Query{Pattern: pat, Prefixes: [][]model.Token{{2}, {1}}}, MassOptions{Tolerance: 1e-12}))
 	if math.Abs(one.Lower-two.Lower) > 1e-12 {
 		t.Fatalf("mixture mass %g != single-prefix mass %g", two.Lower, one.Lower)
 	}
@@ -130,7 +130,7 @@ func TestMassEmptyLanguage(t *testing.T) {
 	dev := uniformDevice(4)
 	d := automaton.NewDFA()
 	d.SetStart(d.AddState(false)) // no accepting states
-	res := Mass(dev, &Query{Pattern: d}, MassOptions{})
+	res := must(Mass(dev, &Query{Pattern: d}, MassOptions{}))
 	if res.Lower != 0 || res.Matches != 0 {
 		t.Fatalf("empty language has mass [%g, %g]", res.Lower, res.Upper)
 	}

@@ -133,7 +133,7 @@ func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Sta
 	defer q.cancel()
 	var stats Stats
 	var h refHeap
-	logPs, calls := scoreSequences(dev, q.Prefixes)
+	logPs, calls := must2(scoreSequences(dev, q.Prefixes))
 	stats.ModelCalls += calls
 	for pi, p := range q.Prefixes {
 		heap.Push(&h, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi], from: int64(pi)})
@@ -155,7 +155,7 @@ func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Sta
 			stats.NodesExpanded+int64(len(batch)) < int64(q.MaxNodes) {
 			batch = append(batch, heap.Pop(&h).(*node))
 		}
-		lps := scoreFrontier(dev, q, contexts(batch))
+		lps := must(scoreFrontier(dev, q, contexts(batch)))
 		stats.ModelCalls += int64(len(batch))
 		stats.NodesExpanded += int64(len(batch))
 		children := make([][]*node, len(batch))
@@ -189,7 +189,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 			beam = beam[:width]
 		}
 	}
-	logPs, calls := scoreSequences(dev, q.Prefixes)
+	logPs, calls := must2(scoreSequences(dev, q.Prefixes))
 	stats.ModelCalls += calls
 	for pi, p := range q.Prefixes {
 		beam = append(beam, &node{path: rootPath(p), state: q.Pattern.Start(), cost: -logPs[pi], prefLogP: logPs[pi], from: int64(pi)})
@@ -201,7 +201,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		children []*node
 	}
 	for step := 0; step < q.MaxTokens && len(beam) > 0; step++ {
-		lps := scoreFrontier(dev, q, contexts(beam))
+		lps := must(scoreFrontier(dev, q, contexts(beam)))
 		stats.ModelCalls += int64(len(beam))
 		stats.NodesExpanded += int64(len(beam))
 		slots := make([]slot, len(beam))
@@ -244,7 +244,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		}
 	}
 	if q.RequireEOS && len(finals) > 0 {
-		lps := scoreFrontier(dev, q, contexts(finals))
+		lps := must(scoreFrontier(dev, q, contexts(finals)))
 		stats.ModelCalls += int64(len(finals))
 		kept := finals[:0]
 		for i, n := range finals {
@@ -298,7 +298,7 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 			frontierMass -= n.mass
 			batch = append(batch, n)
 		}
-		lps := scoreFrontier(dev, q, contexts(batch))
+		lps := must(scoreFrontier(dev, q, contexts(batch)))
 		res.Expanded += int64(len(batch))
 		type slot struct {
 			matched   bool
@@ -362,7 +362,7 @@ func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 	}
 	prefLogP := 0.0
 	if len(prefix) > 0 {
-		totals, calls := scoreSequences(s.dev, [][]model.Token{prefix})
+		totals, calls := must2(scoreSequences(s.dev, [][]model.Token{prefix}))
 		prefLogP = totals[0]
 		s.stats.modelCalls.Add(calls)
 	}
@@ -373,7 +373,7 @@ func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 	var h *kvcache.Handle
 	defer func() { h.Release() }()
 	for patLen <= s.q.MaxTokens {
-		lp := s.scoreStep(ctx, &h)
+		lp := must(s.scoreStep(ctx, &h))
 		s.stats.modelCalls.Add(1)
 		filtered := decoding.Allowed(s.q.Rule, lp)
 		type move struct {
@@ -528,7 +528,7 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 	checkFrontier(t, name, dev, query, 10)
 
 	opts := MassOptions{Tolerance: 1e-6, MaxNodes: 600}
-	if gm, wm := Mass(dev, query(), opts), refMass(dev, query(), opts); *gm != *wm {
+	if gm, wm := must(Mass(dev, query(), opts)), refMass(dev, query(), opts); *gm != *wm {
 		t.Fatalf("%s/mass: %+v, reference %+v", name, *gm, *wm)
 	}
 
@@ -549,7 +549,7 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 		return append(rows, fmt.Sprint(s.Stats().ModelCalls))
 	}
 	gs, ws := sampler(), sampler()
-	sameResults(t, name+"/sampler", draw(gs, gs.sampleOnce),
+	sameResults(t, name+"/sampler", draw(gs, func(rng *rand.Rand) (*Result, bool) { r := must(gs.sampleOnce(rng)); return r, r != nil }),
 		draw(ws, func(rng *rand.Rand) (*Result, bool) { return refSampleOnce(ws, rng) }))
 }
 

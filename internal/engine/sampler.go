@@ -65,7 +65,7 @@ func Sample(dev *device.Device, q *Query, opts SamplerOptions) Stream {
 		// parent directly under the root instead.
 		dev = dev.WithTrace(nq.Trace, trace.RootID)
 	}
-	s := &samplerStream{dev: dev, q: nq, opts: opts}
+	s := &samplerStream{stream: stream{q: nq, dev: dev}, opts: opts}
 	if opts.PrefixDFA != nil {
 		s.walks = automaton.NewWalkCounter(opts.PrefixDFA, opts.PrefixMaxLen)
 	}
@@ -73,8 +73,7 @@ func Sample(dev *device.Device, q *Query, opts SamplerOptions) Stream {
 }
 
 type samplerStream struct {
-	dev   *device.Device
-	q     *Query
+	stream
 	opts  SamplerOptions
 	walks *automaton.WalkCounter
 	// pending buffers surplus successful draws from a parallel wave. Each
@@ -82,27 +81,16 @@ type samplerStream struct {
 	// themselves valid samples: emitting them on later Next calls keeps the
 	// distribution and costs no extra model work.
 	pending []*Result
-	stats   counters
-}
-
-func (s *samplerStream) Stats() Stats { return s.stats.snapshot() }
-
-// Close implements Stream: it cancels the traversal context, so a
-// concurrent Next (possibly mid-wave) returns the cancellation error at its
-// next attempt boundary. Unlike the deterministic streams, a sampler's
-// per-call ErrExhausted (MaxAttemptsPerResult consecutive rejections) is
-// not terminal — a later Next draws fresh attempts — so only Close ends a
-// random stream.
-func (s *samplerStream) Close() error {
-	s.q.cancel()
-	return nil
 }
 
 // Next performs rejection sampling: draw a prefix, then walk the pattern
 // automaton sampling rule-filtered tokens until acceptance via EOS-weighted
 // stopping. Dead ends (all automaton edges pruned by the rule) reject the
-// attempt.
+// attempt: sampleOnce returns neither a draw nor an error.
 func (s *samplerStream) Next() (*Result, error) {
+	if s.end != nil {
+		return nil, s.end
+	}
 	if s.q.Parallelism > 1 {
 		return s.nextParallel()
 	}
@@ -111,8 +99,11 @@ func (s *samplerStream) Next() (*Result, error) {
 			return nil, err
 		}
 		s.stats.attempts.Add(1)
-		res, ok := s.sampleOnce(s.opts.Rng)
-		if ok {
+		res, err := s.sampleOnce(s.opts.Rng)
+		if err != nil {
+			return nil, s.finish(err)
+		}
+		if res != nil {
 			s.stats.emitted.Add(1)
 			return res, nil
 		}
@@ -130,7 +121,7 @@ func (s *samplerStream) Next() (*Result, error) {
 // draw, so surplus successes beyond the first are buffered and emitted by
 // later Next calls at zero additional model cost. Stats account for work
 // actually performed: every computed attempt counts toward Attempts and
-// its failures toward Rejected.
+// its failures toward Rejected. A failed dispatch ends the stream.
 func (s *samplerStream) nextParallel() (*Result, error) {
 	if err := s.q.Context.Err(); err != nil {
 		return nil, err // cancellation outranks buffered surplus draws
@@ -155,18 +146,21 @@ func (s *samplerStream) nextParallel() (*Result, error) {
 			seeds[i] = s.opts.Rng.Int63()
 		}
 		results := make([]*Result, wave)
-		oks := make([]bool, wave)
+		errs := make([]error, wave)
 		parallelFor(wave, width, func(i int) {
-			results[i], oks[i] = s.sampleOnce(rand.New(rand.NewSource(seeds[i])))
+			results[i], errs[i] = s.sampleOnce(rand.New(rand.NewSource(seeds[i])))
 		})
 		s.stats.attempts.Add(int64(wave))
 		var winner *Result
 		for i := 0; i < wave; i++ {
-			if !oks[i] {
+			switch {
+			case errs[i] != nil:
+				return nil, s.finish(errs[i])
+			case results[i] == nil:
 				s.stats.rejected.Add(1)
-			} else if winner == nil {
+			case winner == nil:
 				winner = results[i]
-			} else {
+			default:
 				s.pending = append(s.pending, results[i])
 			}
 		}
@@ -205,18 +199,21 @@ func (s *samplerStream) samplePrefix(rng *rand.Rand) ([]model.Token, bool) {
 	return out, true
 }
 
-func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
+func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 	m := s.dev.Model()
 	prefix, ok := s.samplePrefix(rng)
 	if !ok {
-		return nil, false
+		return nil, nil
 	}
 	prefLogP := 0.0
 	if len(prefix) > 0 {
 		// One batched device round for the whole prefix (every position's
 		// context in a single dispatch) — rejection attempts replay prefixes
 		// constantly, so per-token dispatches would dominate the clock.
-		totals, calls := scoreSequences(s.dev, [][]model.Token{prefix})
+		totals, calls, err := scoreSequences(s.dev, [][]model.Token{prefix})
+		if err != nil {
+			return nil, err
+		}
 		prefLogP = totals[0]
 		s.stats.modelCalls.Add(calls)
 	}
@@ -233,7 +230,10 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
 	defer func() { h.Release() }()
 
 	for patLen <= s.q.MaxTokens {
-		lp := s.scoreStep(ctx, &h)
+		lp, err := s.scoreStep(ctx, &h)
+		if err != nil {
+			return nil, err
+		}
 		s.stats.modelCalls.Add(1)
 		filtered := decoding.Allowed(s.q.Rule, lp)
 		pattern := ctx[len(ctx)-patLen:]
@@ -274,7 +274,7 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
 			}
 		}
 		if len(moves) == 0 {
-			return nil, false // dead end under the rule: reject
+			return nil, nil // dead end under the rule: reject
 		}
 		// Sample among moves proportionally to exp(lp).
 		weights := make([]float64, len(moves))
@@ -292,14 +292,14 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
 				Pattern:       append([]model.Token{}, pattern...),
 				LogProb:       logP,
 				PrefixLogProb: prefLogP,
-			}, true
+			}, nil
 		}
 		logP += lp[mv.sym]
 		ctx = append(ctx, mv.sym)
 		state = mv.to
 		patLen++
 	}
-	return nil, false // exceeded MaxTokens without stopping
+	return nil, nil // exceeded MaxTokens without stopping
 }
 
 // scoreStep returns the next-token log-probs for ctx during a sampling walk.
@@ -310,10 +310,10 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, bool) {
 // previous step's ctx is extended by one token, and failing that the context
 // is prefilled. All branches return bit-identical rows, so the draw sequence
 // is unchanged by the knob. *hp tracks the pinned state for the current ctx.
-func (s *samplerStream) scoreStep(ctx []model.Token, hp **kvcache.Handle) []float64 {
+func (s *samplerStream) scoreStep(ctx []model.Token, hp **kvcache.Handle) ([]float64, error) {
 	m := s.dev.Model()
 	if !s.q.incremental() || !model.HasPrefixStates(m) {
-		return s.dev.Forward([][]model.Token{clampCtx(m, ctx)})[0]
+		return first(s.dev.Forward([][]model.Token{clampCtx(m, ctx)}))
 	}
 	cacheable := len(ctx) >= 1 && len(ctx) <= m.MaxSeqLen()-2
 	prev := *hp
@@ -325,31 +325,48 @@ func (s *samplerStream) scoreStep(ctx []model.Token, hp **kvcache.Handle) []floa
 				// Demoted to tokens only: one Prefill rebuilds bit-exact rows
 				// (it IS the reference path) and promotes the node, so the
 				// next step extends incrementally again.
-				states, rows := s.dev.Prefill([][]model.Token{ctx})
+				states, rows, err := s.dev.Prefill([][]model.Token{ctx})
+				if err != nil {
+					return nil, err
+				}
 				own.Promote(states[0])
-				return rows[0]
+				return rows[0], nil
 			}
-			return s.dev.Forward([][]model.Token{ctx})[0]
+			return first(s.dev.Forward([][]model.Token{ctx}))
 		}
 	}
 	if prev != nil && len(ctx) >= 2 && len(ctx) <= m.MaxSeqLen()-1 && prev.State().Len() == len(ctx)-1 {
-		states, rows := s.dev.ExtendBatch([]model.DecodeState{prev.State()}, []model.Token{ctx[len(ctx)-1]})
+		states, rows, err := s.dev.ExtendBatch([]model.DecodeState{prev.State()}, []model.Token{ctx[len(ctx)-1]})
+		if err != nil {
+			return nil, err
+		}
 		var own *kvcache.Handle
 		if cacheable {
 			own = s.q.KV.Commit(prev, ctx, states[0])
 		}
 		prev.Release()
 		*hp = own
-		return rows[0]
+		return rows[0], nil
 	}
 	prev.Release()
 	*hp = nil
 	if cacheable {
-		states, rows := s.dev.Prefill([][]model.Token{ctx})
+		states, rows, err := s.dev.Prefill([][]model.Token{ctx})
+		if err != nil {
+			return nil, err
+		}
 		*hp = s.q.KV.Commit(nil, ctx, states[0])
-		return rows[0]
+		return rows[0], nil
 	}
-	return s.dev.Forward([][]model.Token{clampCtx(m, ctx)})[0]
+	return first(s.dev.Forward([][]model.Token{clampCtx(m, ctx)}))
+}
+
+// first unwraps a one-context Forward.
+func first(rows [][]float64, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
 }
 
 // sampleLog draws an index proportionally to exp(weights[i]), stably.

@@ -48,7 +48,10 @@ func RunCanon(env *Env, cfg CanonConfig) (*CanonResult, error) {
 		rule := decoding.TopK{K: 40}
 		nonCanon := 0
 		for i := 0; i < cfg.Samples; i++ {
-			seq := freeSample(m, rng, rule, nil, cfg.MaxTokens)
+			seq, err := freeSample(m, rng, rule, nil, cfg.MaxTokens)
+			if err != nil {
+				return nil, err
+			}
 			if len(seq) == 0 {
 				continue
 			}
@@ -64,21 +67,24 @@ func RunCanon(env *Env, cfg CanonConfig) (*CanonResult, error) {
 // freeSample draws tokens after prefix from the model under rule until EOS or
 // maxTokens, and returns the drawn tokens. The device's rows are shared with
 // its logit cache, so the rule reweights a copy (decoding.Allowed).
-func freeSample(m *relm.Model, rng *rand.Rand, rule decoding.Rule, prefix []model.Token, maxTokens int) []model.Token {
+func freeSample(m *relm.Model, rng *rand.Rand, rule decoding.Rule, prefix []model.Token, maxTokens int) ([]model.Token, error) {
 	ctx := append([]model.Token{}, prefix...)
 	for len(ctx)-len(prefix) < maxTokens {
 		win := ctx
 		if len(win) > m.LM.MaxSeqLen() {
 			win = win[len(win)-m.LM.MaxSeqLen():]
 		}
-		lp := decoding.Allowed(rule, m.Dev.Forward([][]model.Token{win})[0])
-		tok := sampleFromLogProbs(rng, lp)
+		rows, err := m.Dev.Forward([][]model.Token{win})
+		if err != nil {
+			return nil, err
+		}
+		tok := sampleFromLogProbs(rng, decoding.Allowed(rule, rows[0]))
 		if tok == m.LM.EOS() {
 			break
 		}
 		ctx = append(ctx, tok)
 	}
-	return ctx[len(prefix):]
+	return ctx[len(prefix):], nil
 }
 
 // RenderCanon writes the §3.2 measurement.

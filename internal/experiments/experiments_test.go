@@ -363,13 +363,15 @@ func TestSharedRowsStayUnwritten(t *testing.T) {
 	run("freeSample", func() error {
 		rng := rand.New(rand.NewSource(1))
 		for range 20 {
-			freeSample(m, rng, decoding.TopK{K: 40}, nil, 24)
+			if _, err := freeSample(m, rng, decoding.TopK{K: 40}, nil, 24); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
 	run("baseline", func() error {
-		runBaseline(env, m, MemorizationConfig{Attempts: 20}, 16, matcher)
-		return nil
+		_, err := runBaseline(env, m, MemorizationConfig{Attempts: 20}, 16, matcher)
+		return err
 	})
 	wg.Wait()
 

@@ -139,7 +139,10 @@ func RunMemorization(env *Env, cfg MemorizationConfig) (*MemorizationResult, err
 		return nil, err
 	}
 	for _, n := range cfg.StopLengths {
-		bm := runBaseline(env, env.FreshModel(cfg.Small), cfg, n, urlDFA)
+		bm, err := runBaseline(env, env.FreshModel(cfg.Small), cfg, n, urlDFA)
+		if err != nil {
+			return nil, err
+		}
 		res.Baselines = append(res.Baselines, bm)
 	}
 
@@ -224,7 +227,7 @@ func compileURLChecker() (urlMatcher, error) {
 // runBaseline mirrors the HuggingFace generation example: sample tokens from
 // m under top-k 40 until n tokens (or EOS), then grade the decoded string
 // against the URL pattern and validate it.
-func runBaseline(env *Env, m *relm.Model, cfg MemorizationConfig, n int, matcher urlMatcher) MemorizationMethod {
+func runBaseline(env *Env, m *relm.Model, cfg MemorizationConfig, n int, matcher urlMatcher) (MemorizationMethod, error) {
 	oracle := env.FreshOracle()
 	rng := rand.New(rand.NewSource(env.Seed + int64(n)))
 	bm := MemorizationMethod{Name: fmt.Sprintf("Baseline (n=%d)", n)}
@@ -232,7 +235,10 @@ func runBaseline(env *Env, m *relm.Model, cfg MemorizationConfig, n int, matcher
 	first := true
 	for i := 0; i < cfg.Attempts; i++ {
 		bm.Attempts++
-		generated := freeSample(m, rng, decoding.TopK{K: 40}, prefixToks, n)
+		generated, err := freeSample(m, rng, decoding.TopK{K: 40}, prefixToks, n)
+		if err != nil {
+			return bm, err
+		}
 		text := URLPrefix + env.Tok.Decode(generated)
 		candidate := matcher.longestValidPrefix(text)
 		if candidate != "" {
@@ -253,7 +259,7 @@ func runBaseline(env *Env, m *relm.Model, cfg MemorizationConfig, n int, matcher
 	bm.Total = clockOf(m, oracle)
 	bm.Throughput = throughput(bm.Valid, bm.Total)
 	bm.Utilization = m.Dev.Stats().Utilization
-	return bm
+	return bm, nil
 }
 
 func clockOf(m *relm.Model, o *web.Oracle) time.Duration {

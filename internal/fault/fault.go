@@ -37,9 +37,9 @@ import (
 // CLI surface (relm-serve -chaos, relm-audit -chaos), so renames are
 // breaking.
 const (
-	// Device dispatch entry points: a hit panics in the submitting
-	// goroutine, modelling an accelerator fault surfacing on the stream that
-	// dispatched the batch (the device API has no error returns).
+	// Device dispatch entry points: a hit is the error the call returns,
+	// modelling an accelerator fault surfacing on the stream that dispatched
+	// the batch.
 	DeviceForward  = "device.forward"
 	DevicePrefill  = "device.prefill"
 	DeviceExtend   = "device.extend"
@@ -109,8 +109,8 @@ var (
 )
 
 // Fault is one injected failure: which point fired, on which invocation, and
-// how the caller should treat it. It is both the error value returned up
-// I/O paths and the panic value thrown across dispatch paths.
+// how the caller should treat it. It is the error value every armed point
+// returns, device dispatch and I/O alike.
 type Fault struct {
 	Point string
 	Call  int64 // 1-based invocation index at the point
@@ -121,7 +121,7 @@ type Fault struct {
 	Torn bool
 	// Latency is virtual stall time the hit charges (the device and batcher
 	// points feed it to the virtual clock). A hit can be latency-only: Failure reports
-	// whether an error/panic should be raised as well.
+	// whether an error should be returned as well.
 	Latency time.Duration
 	failure bool
 }
@@ -134,8 +134,7 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("fault: injected %s failure at %s (call %d)", kind, f.Point, f.Call)
 }
 
-// Failure reports whether the hit is an error/panic (vs a pure latency
-// spike).
+// Failure reports whether the hit is an error (vs a pure latency spike).
 func (f *Fault) Failure() bool { return f != nil && f.failure }
 
 // Is classifies the fault for errors.Is: transient faults match

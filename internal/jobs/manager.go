@@ -686,23 +686,6 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 			// decision 12). Jobs are batch work: no deadline priority.
 			sess.SetQoS("job:"+j.ID, time.Time{})
 
-			// runItem contains one execution attempt. Injected device faults
-			// surface as *fault.Fault panics on the submitting goroutine;
-			// they become classified errors here — the retry layer's food —
-			// while any other panic keeps crashing loudly.
-			runItem := func(idx int) (res ItemResult, st engine.Stats, err error) {
-				defer func() {
-					if p := recover(); p != nil {
-						if f, ok := p.(*fault.Fault); ok {
-							err = f
-							return
-						}
-						panic(p)
-					}
-				}()
-				return j.suite.Run(ctx, sess.Model, j.items[idx])
-			}
-
 			for si := range shardCh {
 				if ctx.Err() != nil {
 					continue // drain
@@ -721,7 +704,6 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 					var res ItemResult
 					var st engine.Stats
 					attempts := 1
-					idx := idx
 					err := fault.Backoff{
 						Attempts: m.cfg.ItemAttempts,
 						Seed:     fault.SeedFrom(j.ID, strconv.Itoa(idx)),
@@ -730,30 +712,20 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 							j.retries.Add(1)
 							m.retries.Add(1)
 						},
-					}.Retry(ctx, func() error {
-						r, s, e := runItem(idx)
-						if e != nil {
-							return e
-						}
-						res, st = r, s
-						return nil
+					}.Retry(ctx, func() (err error) {
+						// A device fault is the attempt's error: transient
+						// ones are retried, permanent ones quarantine below.
+						res, st, err = j.suite.Run(ctx, sess.Model, j.items[idx])
+						return err
 					})
 					if err != nil {
-						if ctx.Err() != nil {
-							// Cancelled mid-item: discard, the resume re-runs it.
-							continue
+						// A poison item — its budget spent, or a fault that can
+						// never heal — is recorded and skipped. A cancelled or
+						// unclassified attempt is discarded: the resume re-runs it.
+						poison := errors.Is(err, fault.ErrExhausted) || errors.Is(err, fault.ErrPermanent)
+						if ctx.Err() == nil && poison && !quarantine(si, idx, attempts, err) {
+							return
 						}
-						if errors.Is(err, fault.ErrExhausted) || errors.Is(err, fault.ErrPermanent) {
-							// Poison item: its budget is spent (or the fault
-							// can never heal). Record and move on.
-							if !quarantine(si, idx, attempts, err) {
-								return
-							}
-							continue
-						}
-						// Unclassified (a suite error without a live
-						// cancellation): discard, as before — the resume
-						// re-runs it.
 						continue
 					}
 					if !recordItem(si, idx, res, st) {

@@ -2,11 +2,13 @@ package jobs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/fault"
 	"repro/internal/lambada"
 	"repro/relm"
 )
@@ -53,13 +55,17 @@ func NewSuite(env *experiments.Env, spec Spec) (Suite, error) {
 }
 
 // gradeScored converts a per-item checker's outcome into the recordable
-// result shape, separating three cases: a context-cancelled item must be
+// result shape, separating four cases: a context-cancelled item must be
 // discarded (its re-run is what resume is for — recording it would race the
-// cancel), a checker error is recorded visibly in ItemResult.Err (never
-// silently as a negative outcome), and a clean run records (ok, score).
+// cancel), a device fault goes to the retry layer, which classifies it, any
+// other checker error is recorded visibly in ItemResult.Err (never silently
+// as a negative outcome), and a clean run records (ok, score).
 func gradeScored(ctx context.Context, it Item, ok bool, score float64, st engine.Stats, err error) (ItemResult, engine.Stats, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		return ItemResult{}, st, cerr
+	}
+	if errors.Is(err, fault.ErrTransient) || errors.Is(err, fault.ErrPermanent) {
+		return ItemResult{}, st, err
 	}
 	if err != nil {
 		return ItemResult{ID: it.ID, Err: err.Error()}, st, nil

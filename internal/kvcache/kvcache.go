@@ -68,6 +68,7 @@ type Arena struct {
 	// Compact nodes are always parentless leaves, so every one is evictable.
 	lruCompact lru.List[*node]
 	resident   int64
+	handles    int // live handles, across all nodes
 
 	hits, misses, commits, evictions int64
 	demotions, promotions            int64
@@ -192,6 +193,7 @@ func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) 
 	}
 	key := string(*buf) // the only per-insert key allocation
 	n := &node{key: key, state: st, bytes: st.SizeBytes(), refs: 1}
+	a.handles++
 	n.el.Value = n
 	if parent != nil && parent.n != nil && !parent.n.compact {
 		n.parent = parent.n
@@ -267,6 +269,7 @@ func (h *Handle) Release() {
 	a := h.a
 	a.mu.Lock()
 	n.refs--
+	a.handles--
 	if n.refs == 0 && n.children == 0 {
 		// A pinned node is never listed, so n joins its tier's list here.
 		if n.compact {
@@ -284,6 +287,7 @@ func (h *Handle) Release() {
 // the lock.
 func (a *Arena) pin(n *node) {
 	n.refs++
+	a.handles++
 	n.el.Remove()
 }
 
@@ -421,8 +425,9 @@ type Stats struct {
 	// ResidentBytes is the current exclusive-byte total; Budget the limit.
 	ResidentBytes int64 `json:"resident_bytes"`
 	Budget        int64 `json:"budget_bytes"`
-	// Nodes is the current entry count.
-	Nodes int `json:"nodes"`
+	// Nodes is the current entry count; Handles counts unreleased handles.
+	Nodes   int `json:"nodes"`
+	Handles int `json:"handles"`
 	// CompressedNodes/CompressedBytes describe the demoted tier right now;
 	// Demotions and Promotions count tier transitions over the arena's life.
 	CompressedNodes int   `json:"compressed_nodes"`
@@ -443,6 +448,7 @@ func (a *Arena) Stats() Stats {
 		ResidentBytes:   a.resident,
 		Budget:          a.cfg.BudgetBytes,
 		Nodes:           len(a.nodes),
+		Handles:         a.handles,
 		CompressedNodes: a.compressedNodes,
 		CompressedBytes: a.compressedBytes,
 		Demotions:       a.demotions,

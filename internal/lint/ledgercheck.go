@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"slices"
 )
 
 // LedgerCheck enforces the durability contract (DESIGN.md decision 11): the
@@ -11,12 +12,13 @@ import (
 // file, so Write/Sync/Close-class errors on ledgers and writable files must
 // be checked. An ignored flush error converts "crash loses at most one
 // checkpoint interval" into silent data loss that Verify later reports as
-// tampering.
+// tampering. A dropped device fault (decision 15) is the same silent loss.
 //
 // Flagged: statements (including defer) that call an error-returning
-// durability method and discard the result, where the receiver is
+// method and discard the result, and `v, _ := x.M()`, where x is
 //
 //   - *jobs.Ledger (Append / Sync / Close),
+//   - *device.Device (Forward / Prefill / ExtendBatch / ScoreAll),
 //   - *bufio.Writer (Write / WriteString / Flush / ...),
 //   - *os.File — unless the file is provably read-only in the same function
 //     (opened with os.Open, or os.OpenFile with O_RDONLY), where a Close
@@ -24,12 +26,11 @@ import (
 //
 // Explicitly discarding with a blank assignment (`_ = f.Close()`) is an
 // audited decision and is not flagged; the diff records it. Results consumed
-// any other way (checked, returned, assigned) are naturally not statements
-// and never flagged.
+// any other way (checked, returned, assigned) are never flagged.
 var LedgerCheck = &Analyzer{
 	Name: "ledgercheck",
-	Doc: "Write/Sync/Close errors on ledger and checkpoint files must be " +
-		"checked (or explicitly discarded with _ =)",
+	Doc: "Write/Sync/Close errors on ledger and checkpoint files, and device " +
+		"dispatch errors, must be checked (or explicitly discarded with _ =)",
 	Run: runLedgerCheck,
 }
 
@@ -37,8 +38,9 @@ var LedgerCheck = &Analyzer{
 // errors must be checked. An empty method set means every error-returning
 // method.
 var durabilityReceivers = map[[2]string]map[string]bool{
-	{"repro/internal/jobs", "Ledger"}: nil, // all error-returning methods
-	{"bufio", "Writer"}:               nil,
+	{"repro/internal/jobs", "Ledger"}:   nil, // all error-returning methods
+	{"repro/internal/device", "Device"}: nil,
+	{"bufio", "Writer"}:                 nil,
 	{"os", "File"}: {
 		"Close": true, "Sync": true, "Write": true, "WriteString": true,
 		"WriteAt": true, "Truncate": true, "ReadFrom": true,
@@ -59,6 +61,13 @@ func runLedgerCheck(p *Pass) error {
 				call = n.Call
 			case *ast.GoStmt:
 				call = n.Call
+			case *ast.AssignStmt: // `v, _ := x.M()`: a result kept, the trailing error dropped
+				blank := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == "_" }
+				last := len(n.Lhs) - 1
+				if c, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && last > 0 && blank(n.Lhs[last]) &&
+					slices.ContainsFunc(n.Lhs[:last], func(e ast.Expr) bool { return !blank(e) }) {
+					call = c
+				}
 			}
 			if call == nil {
 				return true
@@ -99,7 +108,7 @@ func checkDurabilityCall(p *Pass, call *ast.CallExpr, readonly map[types.Object]
 				}
 			}
 		}
-		p.Reportf(call.Pos(), "%s.%s error is discarded; durability errors on ledger/checkpoint files must be checked (or explicitly discarded with `_ =` after auditing)", typeShort(recv), f.Name())
+		p.Reportf(call.Pos(), "%s.%s error is discarded; durability and device errors must be checked (or explicitly discarded with `_ =` after auditing)", typeShort(recv), f.Name())
 		return
 	}
 }

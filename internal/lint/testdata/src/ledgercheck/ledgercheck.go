@@ -1,14 +1,16 @@
 // Package ledgercheck is the fixture for the ledgercheck analyzer: discarded
-// durability errors on ledgers, buffered writers, and writable files, plus
-// the sanctioned forms — checked errors, audited blank discards, and
-// read-only handles.
+// durability errors on ledgers, buffered writers, writable files and the
+// device, plus the sanctioned forms — checked errors, audited blank
+// discards, and read-only handles.
 package ledgercheck
 
 import (
 	"bufio"
 	"os"
 
+	"repro/internal/device"
 	"repro/internal/jobs"
+	"repro/internal/model"
 )
 
 // Positive: Ledger.Sync error dropped on the floor.
@@ -73,4 +75,11 @@ func readOnlyOpenFile(path string) {
 func auditedClose(l *jobs.Ledger) {
 	//relm:allow(ledgercheck) teardown on an error path; the original error wins
 	l.Close() // wantallow `Ledger.Close error is discarded`
+}
+
+// Device faults: a bare call or a blank error beside a kept result.
+func deviceDiscard(d *device.Device, ctxs [][]model.Token) {
+	d.Forward(ctxs)                 // want `Device.Forward error is discarded`
+	states, _, _ := d.Prefill(ctxs) // want `Device.Prefill error is discarded`
+	_, _, _ = d.ExtendBatch(states, nil)
 }

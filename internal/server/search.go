@@ -331,9 +331,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		session:  sess,
 	}
 	s.register(rec)
-	// The cache and pool forward an inner-model panic to this goroutine
-	// (where net/http recovers it); the record must not stay "running" in
-	// /v1/stats forever when that happens.
+	// The device re-raises an inner-model panic (a model bug) in this
+	// goroutine, where net/http recovers it; the record must not stay
+	// "running" in /v1/stats forever when that happens.
 	defer func() {
 		if p := recover(); p != nil {
 			rec.mu.Lock()

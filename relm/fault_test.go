@@ -1,0 +1,137 @@
+package relm
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/fault"
+)
+
+// Device faults are errors (DESIGN.md decision 15): a faulted query ends its
+// stream with the classified fault, gives back every KV handle and span it
+// held, and leaves the model answering the next query exactly as a model
+// that never saw a fault.
+
+func armFaults(t *testing.T, scenario string) {
+	t.Helper()
+	in, err := fault.ParseScenario(scenario, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(in)
+	t.Cleanup(fault.Disable)
+}
+
+// nextErr calls Next until it fails (at most n times) and returns the error.
+func nextErr(r *Results, n int) error {
+	for i := 0; i < n; i++ {
+		if _, err := r.Next(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestParallelSamplingFaultIsAnError: with Parallelism > 1 the sampler's
+// attempts call the device from expansion goroutines; a fault in any of them
+// must end the stream with the transient fault — on every call after it too —
+// not take the process down.
+func TestParallelSamplingFaultIsAnError(t *testing.T) {
+	m := testModel(t)
+	for _, par := range []int{4, 1} {
+		armFaults(t, "device.forward=p0.2")
+		results, err := Search(m, SearchQuery{
+			Query:       QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
+			Strategy:    RandomSampling,
+			Parallelism: par,
+			Seed:        1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nerr := nextErr(results, 200)
+		if !errors.Is(nerr, fault.ErrTransient) {
+			t.Fatalf("parallelism %d: Next returned %v, want the injected transient fault", par, nerr)
+		}
+		if _, again := results.Next(); again != nerr || results.Err() != nerr {
+			t.Errorf("parallelism %d: after the fault Next returned %v and Err %v, want the fault again", par, again, results.Err())
+		}
+		results.Close()
+		fault.Disable()
+	}
+}
+
+// TestIncrementalFaultReleasesEverything: an ExtendBatch fault in an
+// incremental shortest-path round is the stream's error; the round's parent
+// KV handles go back to the arena, the traced run's spans are all ended with
+// the failed dispatch saying why, and the next query on the same model
+// matches a model that never saw the fault.
+func TestIncrementalFaultReleasesEverything(t *testing.T) {
+	lm, tok := trainIncrTransformer(t)
+	q := SearchQuery{
+		Query:       QueryString{Pattern: " ((engineering)|(medicine)|(art))", Prefix: "The man was trained in"},
+		Incremental: true,
+	}
+	m := NewModel(lm, tok, ModelOptions{})
+
+	armFaults(t, "device.extend=n1")
+	results, err := Search(m, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nerr := nextErr(results, 3)
+	var f *fault.Fault
+	if !errors.As(nerr, &f) || f.Point != fault.DeviceExtend {
+		t.Fatalf("Next returned %v, want the injected device.extend fault", nerr)
+	}
+	results.Close()
+	fault.Disable()
+	if s := m.KVStats(); s.Handles != 0 {
+		t.Errorf("%d KV handles still pinned after the faulted query closed", s.Handles)
+	}
+
+	tr := results.Trace()
+	for _, sp := range tr.Spans {
+		if sp.WallEndNS == 0 {
+			t.Errorf("span %q never ended", sp.Name)
+		}
+	}
+	if ext := tr.Find("device.extend"); len(ext) == 0 || ext[len(ext)-1].Attr("error") != nerr.Error() {
+		t.Errorf("no device.extend span annotated with the fault %q", nerr)
+	}
+
+	take := func(m *Model) []*Match {
+		r, err := Search(m, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		got := r.Take(3)
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		return got
+	}
+	got, want := take(m), take(NewModel(lm, tok, ModelOptions{}))
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("%d matches after the fault, %d from a fresh model", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Text != want[i].Text || got[i].LogProb != want[i].LogProb {
+			t.Errorf("match %d after the fault: %q %v, fresh model %q %v", i, got[i].Text, got[i].LogProb, want[i].Text, want[i].LogProb)
+		}
+	}
+	if s := m.KVStats(); s.Handles != 0 {
+		t.Errorf("%d KV handles pinned after a clean query", s.Handles)
+	}
+}
+
+// TestMassReturnsDeviceFault: Mass is synchronous, so a fault is its error.
+func TestMassReturnsDeviceFault(t *testing.T) {
+	m := testModel(t)
+	armFaults(t, "device.forward=n1")
+	est, err := Mass(m, SearchQuery{Query: QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"}}, MassOptions{})
+	if est != nil || !errors.Is(err, fault.ErrTransient) {
+		t.Fatalf("Mass returned %v, %v; want the injected transient fault", est, err)
+	}
+}

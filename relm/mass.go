@@ -90,7 +90,10 @@ func Mass(m *Model, q SearchQuery, opts MassOptions) (*MassEstimate, error) {
 			return nil, err
 		}
 	}
-	res := engine.Mass(m.Dev, eq, engine.MassOptions{Tolerance: opts.Tolerance, MaxNodes: opts.MaxNodes})
+	res, err := engine.Mass(m.Dev, eq, engine.MassOptions{Tolerance: opts.Tolerance, MaxNodes: opts.MaxNodes})
+	if err != nil {
+		return nil, err
+	}
 	return &MassEstimate{
 		Lower:     res.Lower,
 		Upper:     res.Upper,

@@ -8,6 +8,7 @@
 //	relm-serve                                   # synthetic quick-scale models "large" and "small"
 //	relm-serve -model prod=./artifacts           # artifacts from relm-train, named "prod"
 //	relm-serve -addr :8080 -max-concurrent 8 -parallelism 4
+//	relm-serve -pprof 127.0.0.1:6060             # net/http/pprof on a second listener
 //
 // Endpoints:
 //
@@ -33,6 +34,8 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -86,6 +89,7 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "directory to dump each model's retained traces as Chrome trace-event JSON on shutdown (load in chrome://tracing or Perfetto)")
 	chaos := flag.String("chaos", "", "fault-injection scenario, e.g. 'device.forward=p0.05,ledger.sync=n1' (empty = off; see internal/fault)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for deterministic chaos decisions")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own, e.g. 127.0.0.1:6060 (empty = off)")
 	flag.Parse()
 
 	if *chaos != "" {
@@ -107,6 +111,19 @@ func main() {
 	kvMode, err := relm.ParseKVCompression(*kvCompression)
 	if err != nil {
 		fatal(err)
+	}
+
+	if *pprofAddr != "" {
+		// Up before the world trains, so start-up can be profiled too.
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fatal(err)
+		}
+		defer pln.Close()
+		// The query API has a mux of its own, so http.DefaultServeMux holds
+		// only net/http/pprof's handlers and only this listener serves them.
+		go http.Serve(pln, nil)
+		fmt.Printf("pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
 	pool := device.NewPool(*par)

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -166,7 +167,8 @@ type BatcherStats struct {
 }
 
 // queryQueue is one query's FIFO of pending requests plus its fair-share
-// account.
+// account. It holds a request only while the request has rows not yet packed
+// into a batch; an idle account has a nil reqs and keeps only key and served.
 type queryQueue struct {
 	key    string
 	served int64
@@ -410,11 +412,8 @@ func (b *Batcher) minServedLocked() (int64, bool) {
 }
 
 func (b *Batcher) removeActiveLocked(q *queryQueue) {
-	for i, a := range b.active {
-		if a == q {
-			b.active = append(b.active[:i], b.active[i+1:]...)
-			return
-		}
+	if i := slices.Index(b.active, q); i >= 0 {
+		b.active = slices.Delete(b.active, i, i+1) // clears the vacated tail slot
 	}
 }
 
@@ -551,8 +550,14 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
 		q.served += int64(take)
 		b.rows -= take
 		if r.next == r.rowCount() {
+			// Every row is packed, so the batch being built is the request's
+			// last holder. Clear the slot: a reslice, even to length zero,
+			// still points at the array and would keep the request — its
+			// rows, decode states and model view — alive past its dispatch.
+			q.reqs[0] = nil
 			q.reqs = q.reqs[1:]
 			if len(q.reqs) == 0 {
+				q.reqs = nil
 				b.removeActiveLocked(q)
 			}
 		}

@@ -128,6 +128,7 @@ func (s *samplerStream) nextParallel() (*Result, error) {
 	}
 	if len(s.pending) > 0 {
 		res := s.pending[0]
+		s.pending[0] = nil // the backing array must not keep an emitted result
 		s.pending = s.pending[1:]
 		s.stats.emitted.Add(1)
 		return res, nil

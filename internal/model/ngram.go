@@ -160,38 +160,60 @@ func (m *NGram) NextLogProbs(ctx []Token) []float64 {
 	// names) rather than function words — the long-range copy behaviour a
 	// transformer learns. p_cache(t) ∝ count_ctx(t) / (1 + count_train(t)).
 	if m.cacheWeight > 0 && len(ctx) > 0 {
-		uni := m.counts[0][""]
-		idf := func(t Token) float64 {
-			c := 0
-			if uni != nil {
-				c = uni.next[t]
-			}
-			// Squared so the boost concentrates sharply on the rarest
-			// context tokens (entities) over merely uncommon ones.
-			v := 1 / float64(1+c)
-			return v * v
-		}
-		cache := map[Token]float64{}
-		total := 0.0
-		for _, t := range ctx {
-			w := idf(t)
-			cache[t] += w
-			total += w
-		}
-		if total > 0 {
-			for i := range probs {
-				probs[i] *= (1 - m.cacheWeight)
-			}
-			for t, w := range cache {
-				probs[t] += m.cacheWeight * w / total
-			}
-		}
+		m.boostContext(probs, ctx, uni)
 	}
-	out := make([]float64, m.vocab)
+	// The row is the probabilities' own: take the log in place.
 	for i, p := range probs {
-		out[i] = math.Log(p)
+		probs[i] = math.Log(p)
 	}
-	return out
+	return probs
+}
+
+// ctxWeight is one distinct context token's idf weight and its running sum
+// over the token's occurrences.
+type ctxWeight struct {
+	tok    Token
+	w, sum float64
+}
+
+// boostContext mixes the context cache into probs. Each distinct token's sum
+// and the total accumulate in context order, one idf(t) per occurrence, and
+// each token is boosted once, so every row is bit-identical to a per-token
+// map's (TestNGramMatchesReference). Up to 64 distinct tokens live in a stack
+// array, found by a linear scan, so a window-sized context allocates nothing.
+func (m *NGram) boostContext(probs []float64, ctx []Token, uni *sparseCounts) {
+	idf := func(t Token) float64 {
+		c := 0
+		if uni != nil {
+			c = uni.next[t]
+		}
+		// Squared so the boost concentrates sharply on the rarest
+		// context tokens (entities) over merely uncommon ones.
+		v := 1 / float64(1+c)
+		return v * v
+	}
+	var buf [64]ctxWeight
+	seen := buf[:0]
+	total := 0.0
+	for _, t := range ctx {
+		i := 0
+		for i < len(seen) && seen[i].tok != t {
+			i++
+		}
+		if i == len(seen) {
+			seen = append(seen, ctxWeight{tok: t, w: idf(t)})
+		}
+		seen[i].sum += seen[i].w
+		total += seen[i].w
+	}
+	if total > 0 {
+		for i := range probs {
+			probs[i] *= (1 - m.cacheWeight)
+		}
+		for _, s := range seen {
+			probs[s.tok] += m.cacheWeight * s.sum / total
+		}
+	}
 }
 
 // ScoreBatch implements LanguageModel. Count tables are immutable after

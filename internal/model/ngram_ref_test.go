@@ -1,0 +1,73 @@
+package model
+
+import "math"
+
+// NextLogProbsRef is NGram.NextLogProbs as it stood before the row was
+// reused for the logs and the context-cache boost stopped building a map:
+// a second V-sized row for the logs and a per-call map[Token]float64 for the
+// boost. It is the bit-identity oracle for the current implementation
+// (ngram_oracle_test.go); exported only to this package's external tests.
+func (m *NGram) NextLogProbsRef(ctx []Token) []float64 {
+	probs := make([]float64, m.vocab)
+	uni := m.counts[0][""]
+	denom := m.alpha * float64(m.vocab)
+	if uni != nil {
+		denom += float64(uni.total)
+	}
+	base := m.alpha / denom
+	for i := range probs {
+		probs[i] = base
+	}
+	if uni != nil {
+		for t, c := range uni.next {
+			probs[t] += float64(c) / denom
+		}
+	}
+	for k := 1; k < m.order; k++ {
+		if k > len(ctx) {
+			break
+		}
+		hist := Key(ctx[len(ctx)-k:])
+		sc, ok := m.counts[k][hist]
+		if !ok || sc.total == 0 {
+			continue
+		}
+		for i := range probs {
+			probs[i] *= (1 - m.lambda)
+		}
+		for t, c := range sc.next {
+			probs[t] += m.lambda * float64(c) / float64(sc.total)
+		}
+	}
+	if m.cacheWeight > 0 && len(ctx) > 0 {
+		uni := m.counts[0][""]
+		idf := func(t Token) float64 {
+			c := 0
+			if uni != nil {
+				c = uni.next[t]
+			}
+			v := 1 / float64(1+c)
+			return v * v
+		}
+		cache := map[Token]float64{}
+		total := 0.0
+		for _, t := range ctx {
+			w := idf(t)
+			cache[t] += w
+			total += w
+		}
+		if total > 0 {
+			for i := range probs {
+				probs[i] *= (1 - m.cacheWeight)
+			}
+			for t, w := range cache {
+				probs[t] += m.cacheWeight * w / total
+			}
+		}
+	}
+	out := make([]float64, m.vocab)
+	for i, p := range probs {
+		out[i] = math.Log(p)
+	}
+	return out
+}

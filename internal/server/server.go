@@ -328,7 +328,11 @@ func (s *Server) retire(rec *queryRecord, status string) {
 	delete(s.active, rec.id)
 	s.history = append(s.history, rec)
 	if len(s.history) > s.cfg.History {
-		s.history = s.history[len(s.history)-s.cfg.History:]
+		// Copy down rather than reslice: a pruned record must leave the
+		// backing array now, not at its next grow.
+		n := copy(s.history, s.history[len(s.history)-s.cfg.History:])
+		clear(s.history[n:])
+		s.history = s.history[:n]
 	}
 	rec.mu.Lock()
 	es := rec.finalEngine

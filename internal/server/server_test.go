@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/corpus"
 	"repro/internal/model"
@@ -504,6 +505,29 @@ func TestHistoryCapped(t *testing.T) {
 	// Aggregate still covers all five.
 	if sr.ByStatus[statusBudget]+sr.ByStatus[statusExhausted] != 5 {
 		t.Errorf("by_status = %v, want 5 finished queries", sr.ByStatus)
+	}
+}
+
+// TestHistoryReleasesPrunedRecords: a record pruned from the history is
+// unreachable at once — the cap bounds what the server holds, not only what
+// /v1/stats lists.
+func TestHistoryReleasesPrunedRecords(t *testing.T) {
+	s, ts := newTestServer(t, Config{History: 3})
+	var recs []weak.Pointer[queryRecord]
+	for i := 0; i < 5; i++ {
+		resp := postSearch(t, ts, `{"pattern":"cat","max_matches":1}`)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		s.mu.Lock()
+		recs = append(recs, weak.Make(s.history[len(s.history)-1]))
+		s.mu.Unlock()
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, p := range recs {
+		if kept := i >= len(recs)-3; (p.Value() != nil) != kept {
+			t.Errorf("query %d: reachable %v, want %v (history keeps the last 3)", i, p.Value() != nil, kept)
+		}
 	}
 }
 

@@ -175,6 +175,12 @@ func (c *LM) Len() int {
 	return c.rows.Len()
 }
 
+// RowBytes reports the bytes the cached rows hold: entries × vocabulary × 8.
+// The capacity is an entry count, and a row's size is the model's vocabulary.
+func (c *LM) RowBytes() int64 {
+	return int64(c.Len()) * int64(c.inner.VocabSize()) * 8
+}
+
 // ScopeStats is a snapshot of one scope's share of shared-cache activity.
 // Its Hits include rows *other* scopes computed — exactly the cross-query
 // sharing a server wants to observe — its Misses are rows this scope

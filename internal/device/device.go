@@ -303,6 +303,24 @@ func residentFirst[R []float64 | [][]float64](
 	return out, nil
 }
 
+// Resident answers what it can of ctxs from the view's memoizing model with
+// no dispatch at all: rows[i] is ctxs[i]'s next-token row when it is
+// resident, nil otherwise. It is Forward's probe without the dispatch, for a
+// caller that sends the misses somewhere other than Forward — the engine's
+// incremental path, which must know which contexts still need a decode state
+// (DESIGN.md decision 10). The answered rows are counted on the trace parent
+// as resident_rows, as a fully resident Forward counts its own.
+func (d *Device) Resident(ctxs [][]model.Token) (rows [][]float64, hit int) {
+	rows = make([][]float64, len(ctxs))
+	if res, ok := d.lm.(model.Resident); ok {
+		hit = res.ResidentRows(ctxs, rows)
+	}
+	if hit > 0 {
+		d.tr.AddCount(d.trParent, "resident_rows", hit)
+	}
+	return rows, hit
+}
+
 // inject consults the fault registry at a dispatch entry point, before
 // anything is probed or dispatched. A latency spike stalls the virtual clock;
 // a failure is returned, and recorded as an ended span named for the point.

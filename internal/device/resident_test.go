@@ -392,3 +392,38 @@ func TestResidentTraceAnnotations(t *testing.T) {
 		}
 	})
 }
+
+// TestResidentProbeAlone: Device.Resident answers the resident rows with the
+// cache's own slices, leaves the rest nil, dispatches nothing, and counts
+// what it answered on the trace parent; over a model with no cache it
+// answers nothing.
+func TestResidentProbeAlone(t *testing.T) {
+	eachRoute(t, func(t *testing.T, r *residentRig) {
+		warm, err := r.d.Forward(residentCtxs[:3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := r.charged()
+		tr := trace.New(1, 4).NewTrace()
+		round := tr.Start(trace.RootID, "round")
+		rows, hit := r.d.WithTrace(tr, round).Resident(residentCtxs)
+		tr.End(round)
+		if hit != 3 || len(rows) != len(residentCtxs) {
+			t.Fatalf("probe answered %d of %d rows, want 3", hit, len(rows))
+		}
+		for i, row := range rows {
+			if resident := i < 3; resident != (row != nil) || resident && &row[0] != &warm[i][0] {
+				t.Errorf("row %d: got %v, want the cache's own row only for the first three", i, row)
+			}
+		}
+		if after := r.charged(); after != before {
+			t.Errorf("the probe charged the device: %+v -> %+v", before, after)
+		}
+		if got := tr.Finish().Find("round")[0].Attr("resident_rows"); got != "3" {
+			t.Errorf("round span resident_rows=%q, want 3", got)
+		}
+		if _, hit := r.ref.Resident(residentCtxs); hit != 0 {
+			t.Errorf("an uncached view answered %d rows", hit)
+		}
+	})
+}

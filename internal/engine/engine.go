@@ -80,10 +80,11 @@ type Query struct {
 	// expansion (DESIGN.md decision 10): a popped node's logits come from
 	// extending its parent's cached decode state by one token through
 	// Device.ExtendBatch — O(L·d) for the Transformer — instead of
-	// re-forwarding the whole prefix. Nodes whose parent state is not
-	// resident in KV (evicted under budget, or never computed) fall back to
-	// a batched Prefill; states are pure caches, so the fallback only costs
-	// time. Result streams are byte-identical to the full path at any budget.
+	// re-forwarding the whole prefix. A node whose row the logit cache
+	// already holds costs neither. Nodes whose parent state is not resident
+	// in KV (evicted under budget, or never computed) fall back to a batched
+	// Prefill; states are pure caches, so the fallback only costs time.
+	// Result streams are byte-identical to the full path at any budget.
 	// Requires KV; ignored otherwise.
 	Incremental bool
 	// KV is the prefix-state arena backing Incremental. It may be shared by
@@ -528,14 +529,18 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64,
 // incremental reports whether the query runs with prefix-state reuse.
 func (q *Query) incremental() bool { return q.Incremental && q.KV != nil }
 
-// scoreFrontier returns next-token log-probs for a batch of frontier
-// contexts. On the full path it is one packed Forward over the clamped
-// contexts. On the incremental path each context whose parent state is
-// resident in the KV arena is scored by a one-token ExtendBatch step, and
-// the rest (roots, evictions, window-edge contexts) by a batched Prefill;
-// every computed state is committed back to the arena so the next round's
-// children extend it in turn. Both paths produce bit-identical rows. A failed
-// dispatch returns its error with every parent handle released.
+// scoreFrontier returns next-token log-probs for a batch of frontier contexts:
+// the one statement of how every engine scores, shortest path, beam, Mass and
+// the sampler's one-context steps alike. On the full path it is one packed
+// Forward over the clamped contexts. The incremental path asks in the order
+// logit LRU → KV arena → device (DESIGN.md decision 10). A context whose row
+// is resident is answered by the device's probe and gets no state. Of the
+// rest, each whose parent state is in the arena is scored by a one-token
+// ExtendBatch step, and the others (roots, evictions, children of a resident
+// context, window-edge contexts) by a batched Prefill. Every computed state is
+// committed back to the arena so the next round's children extend it in turn.
+// All routes produce bit-identical rows. A failed dispatch returns its error
+// with every parent handle released.
 //
 // Models without real prefix states (the window substrates: their "extend"
 // re-scores the window through the logit LRU anyway) take the full path even
@@ -543,14 +548,17 @@ func (q *Query) incremental() bool { return q.Incremental && q.KV != nil }
 // bookkeeping memory to save nothing.
 func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]float64, error) {
 	m := dev.Model()
+	clamped := make([][]model.Token, len(ctxs))
+	for i, ctx := range ctxs {
+		clamped[i] = clampCtx(m, ctx)
+	}
 	if !q.incremental() || !model.HasPrefixStates(m) {
-		clamped := make([][]model.Token, len(ctxs))
-		for i, ctx := range ctxs {
-			clamped[i] = clampCtx(m, ctx)
-		}
 		return dev.Forward(clamped)
 	}
-	lps := make([][]float64, len(ctxs))
+	lps, hit := dev.Resident(clamped)
+	if hit == len(ctxs) {
+		return lps, nil
+	}
 	tr, trParent := dev.TraceContext()
 	kvSpan := tr.Start(trParent, "kv.acquire")
 	// cacheable: a state for ctx is worth committing iff a child extension
@@ -567,6 +575,9 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]floa
 	var fwdIdx []int // deep/root rows with no state to keep: plain Forward
 	var fwdCtxs [][]model.Token
 	for i, ctx := range ctxs {
+		if lps[i] != nil {
+			continue
+		}
 		if len(ctx) >= 2 && len(ctx) <= m.MaxSeqLen()-1 {
 			if h := q.KV.Acquire(ctx[:len(ctx)-1]); h != nil {
 				exts = append(exts, ext{idx: i, parent: h})
@@ -581,7 +592,7 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]floa
 		// A Prefill here would compute a state nobody can reuse and skip
 		// the logit LRU; Forward keeps deep rows on the memoized path.
 		fwdIdx = append(fwdIdx, i)
-		fwdCtxs = append(fwdCtxs, clampCtx(m, ctx))
+		fwdCtxs = append(fwdCtxs, clamped[i])
 	}
 	if tr != nil {
 		tr.Annotate(kvSpan, "hits", strconv.Itoa(len(exts)))

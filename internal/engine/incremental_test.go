@@ -32,8 +32,17 @@ func newTransformerEnv(tb testing.TB) *transformerEnv {
 	lm := model.TrainTransformer(corpus, tok, model.TransformerConfig{
 		DModel: 16, NHeads: 2, NLayers: 2, DFF: 32, MaxSeqLen: 48, Epochs: 2, Seed: 11,
 	})
-	dev := device.New(cache.New(lm, 8192), device.DefaultLatency(), 32)
-	return &transformerEnv{tok: tok, lm: lm, dev: dev}
+	env := &transformerEnv{tok: tok, lm: lm}
+	env.dev = env.coldDev()
+	return env
+}
+
+// coldDev is a device over the env's model behind a logit cache of its own,
+// still empty. A warm cache answers incremental contexts before the KV arena
+// is asked (DESIGN.md decision 10), so an arm that must exercise the arena
+// scores on a cold one.
+func (e *transformerEnv) coldDev() *device.Device {
+	return device.New(cache.New(e.lm, 8192), device.DefaultLatency(), 32)
 }
 
 // incrementalQuery mirrors a query with prefix-state reuse enabled.
@@ -96,6 +105,8 @@ func TestEnginesIncrementalEquivalence(t *testing.T) {
 // substrate — where incremental decoding takes the real KV-extension path —
 // including under decision rules and RequireEOS, and verifies the arena
 // actually served extensions (the fast path ran, it didn't just fall back).
+// Each incremental arm scores on a cold logit cache, so no row it returns
+// was computed by the full arm.
 func TestTransformerIncrementalEquivalence(t *testing.T) {
 	env := newTransformerEnv(t)
 	char := regex.MustCompile(" ((engineering)|(medicine)|(art))")
@@ -116,7 +127,7 @@ func TestTransformerIncrementalEquivalence(t *testing.T) {
 	kv := kvcache.New(0)
 	sameResults(t, "transformer/dijkstra",
 		drain(t, ShortestPath(env.dev, query()), 12),
-		drain(t, ShortestPath(env.dev, incrementalQuery(query(), kv)), 12))
+		drain(t, ShortestPath(env.coldDev(), incrementalQuery(query(), kv)), 12))
 	if s := kv.Stats(); s.Hits == 0 || s.Commits == 0 {
 		t.Fatalf("arena never served the traversal: %+v", s)
 	}
@@ -124,13 +135,16 @@ func TestTransformerIncrementalEquivalence(t *testing.T) {
 	kv2 := kvcache.New(0)
 	sameResults(t, "transformer/sampler",
 		drain(t, Sample(env.dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(3))}), 5),
-		drain(t, Sample(env.dev, incrementalQuery(query(), kv2), SamplerOptions{Rng: rand.New(rand.NewSource(3))}), 5))
+		drain(t, Sample(env.coldDev(), incrementalQuery(query(), kv2), SamplerOptions{Rng: rand.New(rand.NewSource(3))}), 5))
+	if s := kv2.Stats(); s.Commits == 0 {
+		t.Fatalf("arena never served the sampler: %+v", s)
+	}
 }
 
 // TestIncrementalEvictionRecompute runs the traversal on an arena so small
 // that states are constantly evicted: results must stay byte-identical (the
 // prefill fallback recomputes what eviction dropped) and the resident size
-// must respect the budget.
+// must respect the budget. The incremental arm scores on a cold logit cache.
 func TestIncrementalEvictionRecompute(t *testing.T) {
 	env := newTransformerEnv(t)
 	char := regex.MustCompile(" ((engineering)|(medicine)|(art))")
@@ -147,7 +161,7 @@ func TestIncrementalEvictionRecompute(t *testing.T) {
 	kv := kvcache.New(budget)
 	sameResults(t, "eviction/dijkstra",
 		drain(t, ShortestPath(env.dev, query()), 12),
-		drain(t, ShortestPath(env.dev, incrementalQuery(query(), kv)), 12))
+		drain(t, ShortestPath(env.coldDev(), incrementalQuery(query(), kv)), 12))
 	s := kv.Stats()
 	if s.ResidentBytes > budget {
 		t.Fatalf("arena resident %d over budget %d", s.ResidentBytes, budget)
@@ -178,6 +192,7 @@ func TestIncrementalSharedArenaRace(t *testing.T) {
 		q := &Query{Pattern: frozen, Prefixes: [][]model.Token{env.tok.Encode(p)}, MaxTokens: 8}
 		want[i] = drain(t, ShortestPath(env.dev, q), 10)
 	}
+	cold := env.coldDev() // the workers' rows come from the arena, not from want's
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -192,7 +207,7 @@ func TestIncrementalSharedArenaRace(t *testing.T) {
 				Incremental: true,
 				KV:          kv,
 			}
-			got := drain(t, ShortestPath(env.dev, q), 10)
+			got := drain(t, ShortestPath(cold, q), 10)
 			if len(got) != len(want[i]) {
 				t.Errorf("worker %d: %d results, want %d", g, len(got), len(want[i]))
 				return

@@ -353,7 +353,9 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 }
 
 // refSampleOnce is samplerStream.sampleOnce as it was: one candidate copy
-// and one AllowPartial call per surviving edge.
+// and one AllowPartial call per surviving edge. Every step is scored by a
+// plain Forward, so on an incremental query the walk's rows — and with them
+// the RNG draws — are checked against the full path as well.
 func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 	m := s.dev.Model()
 	prefix, ok := s.samplePrefix(rng)
@@ -370,10 +372,8 @@ func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 	state := s.q.Pattern.Start()
 	logP := prefLogP
 	patLen := 0
-	var h *kvcache.Handle
-	defer func() { h.Release() }()
 	for patLen <= s.q.MaxTokens {
-		lp := must(s.scoreStep(ctx, &h))
+		lp := must(s.dev.Forward([][]model.Token{clampCtx(m, ctx)}))[0]
 		s.stats.modelCalls.Add(1)
 		filtered := decoding.Allowed(s.q.Rule, lp)
 		type move struct {
@@ -458,7 +458,9 @@ func sameStats(t *testing.T, name string, got, want Stats) {
 // with and without the canonical filter over the all-encodings automaton,
 // under each rule shape, serial and with 8 expansion workers, full-prefix
 // and incremental (a no-op on the n-gram, real KV extension on the
-// transformer).
+// transformer). The transformer runs on a logit cache every earlier arm
+// warmed, and on a cold one per arm (nil dev), where the engines' first
+// rounds go to the arena and the device.
 func TestExpansionMatchesPerChildReference(t *testing.T) {
 	ngram := newNgramEnv(t, biasCorpus())
 	trans := newTransformerEnv(t)
@@ -470,6 +472,7 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 		{"ngram", ngram.dev, false},
 		{"ngram-incremental", ngram.dev, true},
 		{"transformer-incremental", trans.dev, true},
+		{"transformer-incremental-cold", nil, true},
 	}
 	rules := []decoding.Rule{
 		nil,
@@ -500,7 +503,11 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 							}
 							return q
 						}
-						checkExpansion(t, name, sub.dev, query)
+						dev := sub.dev
+						if dev == nil {
+							dev = trans.coldDev()
+						}
+						checkExpansion(t, name, dev, query)
 					}
 				}
 			}

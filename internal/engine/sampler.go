@@ -7,7 +7,6 @@ import (
 	"repro/internal/automaton"
 	"repro/internal/decoding"
 	"repro/internal/device"
-	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -225,16 +224,14 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 	logP := prefLogP
 	patLen := 0
 
-	// h pins the KV-arena state for the current ctx on the incremental path;
-	// it is advanced by scoreStep and released when the attempt ends.
-	var h *kvcache.Handle
-	defer func() { h.Release() }()
-
 	for patLen <= s.q.MaxTokens {
-		lp, err := s.scoreStep(ctx, &h)
+		// One context per step, scored by the frontier rule: rejection
+		// attempts replay prefixes constantly, so most steps are resident.
+		lps, err := scoreFrontier(s.dev, s.q, [][]model.Token{ctx})
 		if err != nil {
 			return nil, err
 		}
+		lp := lps[0]
 		s.stats.modelCalls.Add(1)
 		filtered := decoding.Allowed(s.q.Rule, lp)
 		pattern := ctx[len(ctx)-patLen:]
@@ -301,73 +298,6 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 		patLen++
 	}
 	return nil, nil // exceeded MaxTokens without stopping
-}
-
-// scoreStep returns the next-token log-probs for ctx during a sampling walk.
-// The full path is one Forward (logit-LRU backed). The incremental path
-// reuses the shared KV arena: a state already resident for ctx — a previous
-// attempt walked this very prefix, the common case under rejection sampling —
-// turns the step into a cache lookup; otherwise the handle held for the
-// previous step's ctx is extended by one token, and failing that the context
-// is prefilled. All branches return bit-identical rows, so the draw sequence
-// is unchanged by the knob. *hp tracks the pinned state for the current ctx.
-func (s *samplerStream) scoreStep(ctx []model.Token, hp **kvcache.Handle) ([]float64, error) {
-	m := s.dev.Model()
-	if !s.q.incremental() || !model.HasPrefixStates(m) {
-		return first(s.dev.Forward([][]model.Token{clampCtx(m, ctx)}))
-	}
-	cacheable := len(ctx) >= 1 && len(ctx) <= m.MaxSeqLen()-2
-	prev := *hp
-	if cacheable {
-		if own := s.q.KV.Acquire(ctx); own != nil {
-			prev.Release()
-			*hp = own
-			if own.NeedsRecompute() {
-				// Demoted to tokens only: one Prefill rebuilds bit-exact rows
-				// (it IS the reference path) and promotes the node, so the
-				// next step extends incrementally again.
-				states, rows, err := s.dev.Prefill([][]model.Token{ctx})
-				if err != nil {
-					return nil, err
-				}
-				own.Promote(states[0])
-				return rows[0], nil
-			}
-			return first(s.dev.Forward([][]model.Token{ctx}))
-		}
-	}
-	if prev != nil && len(ctx) >= 2 && len(ctx) <= m.MaxSeqLen()-1 && prev.State().Len() == len(ctx)-1 {
-		states, rows, err := s.dev.ExtendBatch([]model.DecodeState{prev.State()}, []model.Token{ctx[len(ctx)-1]})
-		if err != nil {
-			return nil, err
-		}
-		var own *kvcache.Handle
-		if cacheable {
-			own = s.q.KV.Commit(prev, ctx, states[0])
-		}
-		prev.Release()
-		*hp = own
-		return rows[0], nil
-	}
-	prev.Release()
-	*hp = nil
-	if cacheable {
-		states, rows, err := s.dev.Prefill([][]model.Token{ctx})
-		if err != nil {
-			return nil, err
-		}
-		*hp = s.q.KV.Commit(nil, ctx, states[0])
-		return rows[0], nil
-	}
-	return first(s.dev.Forward([][]model.Token{clampCtx(m, ctx)}))
-}
-
-// first unwraps a one-context Forward.
-func first(rows [][]float64, err error) ([]float64, error) {
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
 }
 
 // sampleLog draws an index proportionally to exp(weights[i]), stably.

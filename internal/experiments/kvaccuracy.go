@@ -96,7 +96,11 @@ func RunKVAccuracy(env *Env, cfg KVAccuracyConfig) (*KVAccuracyResult, error) {
 	res := &KVAccuracyResult{Items: len(urls)}
 	logps := make([]map[string]float64, 0, 3)
 	for _, tier := range []relm.KVCompression{relm.KVCompressOff, relm.KVCompressLossless, relm.KVCompressAggressive} {
+		// No logit cache: it answers a context before the arena is asked
+		// (DESIGN.md decision 10), so with one the deltas would depend on
+		// which rows earlier probes happened to leave resident.
 		m := env.TrackModel(relm.NewModel(lm, env.Tok, relm.ModelOptions{
+			CacheSize:     -1,
 			Parallelism:   env.Parallelism,
 			KVBudgetBytes: cfg.BudgetBytes,
 			KVCompression: tier,

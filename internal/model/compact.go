@@ -68,6 +68,21 @@ type CompactState interface {
 	Tier() CompressTier
 }
 
+// Inexact is implemented by decode states that can carry approximate rows: a
+// state re-expanded by the aggressive tier reports true, and so does every
+// state extended from it. Rows scored from such a state are near the model's,
+// not the model's, so a logit cache must never publish them under the exact
+// context's key.
+type Inexact interface {
+	Approximate() bool
+}
+
+// Exact reports whether rows scored from st are the model's own.
+func Exact(st DecodeState) bool {
+	in, ok := st.(Inexact)
+	return !ok || !in.Approximate()
+}
+
 // Compactor is implemented by decode states that can demote themselves.
 type Compactor interface {
 	DecodeState

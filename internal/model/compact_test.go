@@ -189,7 +189,9 @@ func TestCompactDeclines(t *testing.T) {
 // TestCompactExpandedStateExtends: a state expanded from the aggressive tier
 // must keep working as a decode state — extending it produces the same rows
 // as extending a state prefilled from half-rounded values would, and the
-// expanded chain stays self-consistent under ExtendBatch.
+// expanded chain stays self-consistent under ExtendBatch. The expanded state
+// and its extension are marked inexact; a prefilled state and its extension
+// are not.
 func TestCompactExpandedStateExtends(t *testing.T) {
 	lm, tok := trainTestTransformer(t, 24)
 	seq := tok.Encode("the cat sat on the mat")
@@ -205,9 +207,13 @@ func TestCompactExpandedStateExtends(t *testing.T) {
 	if !ok {
 		t.Fatal("aggressive compact failed to expand")
 	}
-	states, rows := lm.ExtendBatch([]DecodeState{ex}, []Token{seq[3]})
+	states, rows := lm.ExtendBatch([]DecodeState{ex, st}, []Token{seq[3], seq[3]})
 	if states[0].Len() != 4 {
 		t.Fatalf("extended state length %d", states[0].Len())
+	}
+	if Exact(ex) || Exact(states[0]) || !Exact(st) || !Exact(states[1]) {
+		t.Fatalf("exact marks: expanded %t, its extension %t, prefilled %t, its extension %t; want false, false, true, true",
+			Exact(ex), Exact(states[0]), Exact(st), Exact(states[1]))
 	}
 	full := lm.NextLogProbs(seq[:4])
 	for i := range rows[0] {

@@ -56,7 +56,8 @@ func (c *compactTransformerState) Tier() CompressTier { return c.tier }
 // Expand implements CompactState: rebuild a full-precision state with fresh
 // rows. Token-only compacts report ok=false — the caller recomputes via
 // Prefill. The expanded state shares nothing, so it carries its full
-// SizeBytes and extends incrementally like any prefilled state.
+// SizeBytes and extends incrementally like any prefilled state. One expanded
+// from half precision is marked Inexact, and so is every extension of it.
 func (c *compactTransformerState) Expand() (DecodeState, bool) {
 	if c.f32 == nil && c.f16 == nil {
 		return nil, false
@@ -65,6 +66,7 @@ func (c *compactTransformerState) Expand() (DecodeState, bool) {
 	st := &transformerState{
 		t:      c.t,
 		toks:   append(make([]Token, 0, len(c.toks)), c.toks...),
+		approx: c.f16 != nil,
 		layers: make([]kvLayer, len(c.f32)+len(c.f16)),
 	}
 	for li := range st.layers {

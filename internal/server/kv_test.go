@@ -31,11 +31,13 @@ var trainTransformerOnce = sync.OnceValues(func() (*tokenizer.BPE, *model.Transf
 // TestIncrementalQueryAndKVStats runs the same query with and without
 // incremental decoding through the wire API on a transformer model: matches
 // must be identical, and /v1/stats must report the model's KV-arena activity
-// after the incremental run.
+// after the incremental run. The model has no logit cache: with one, the
+// incremental run would find every row the full run scored resident and
+// never ask the arena.
 func TestIncrementalQueryAndKVStats(t *testing.T) {
 	tok, lm := trainTransformerOnce()
 	s := New(Config{})
-	s.AddModel("tr", relm.NewModel(lm, tok, relm.ModelOptions{}))
+	s.AddModel("tr", relm.NewModel(lm, tok, relm.ModelOptions{CacheSize: -1}))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 

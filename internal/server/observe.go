@@ -157,6 +157,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.counter("relm_cache_misses_total", "Shared logit-cache misses.", l, ms.CacheMisses)
 		p.counter("relm_cache_flights_total", "Logit-cache single-flight merges.", l, ms.CacheFlights)
 		p.gauge("relm_cache_entries", "Logit-cache resident entries.", l, int64(ms.CacheLen))
+		p.gauge("relm_cache_row_bytes", "Bytes held by the logit-cache rows.", l, ms.CacheRowBytes)
 		p.counter("relm_plan_hits_total", "Plan-cache hits (compilation skipped).", l, ms.PlanHits)
 		p.counter("relm_plan_misses_total", "Plan-cache misses (plan compiled).", l, ms.PlanMisses)
 		p.counter("relm_plan_bypassed_total", "Queries that bypassed the plan cache.", l, ms.PlanBypassed)

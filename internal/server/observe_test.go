@@ -200,6 +200,7 @@ func TestMetricsExposition(t *testing.T) {
 		"relm_queries_finished_total",
 		"relm_engine_model_calls_total",
 		"relm_cache_hits_total",
+		"relm_cache_row_bytes",
 		"relm_plan_hits_total",
 		"relm_trace_sampled_total",
 		"relm_stage_duration_us",

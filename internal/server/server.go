@@ -353,6 +353,9 @@ type ModelStats struct {
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheFlights int64   `json:"cache_flights"`
 	CacheLen     int     `json:"cache_len"`
+	// CacheRowBytes is what CacheLen's rows hold (entries × vocabulary × 8):
+	// the logit cache's budget is an entry count, its memory is this.
+	CacheRowBytes int64 `json:"cache_row_bytes"`
 	// Plan-cache counters (DESIGN.md decision 9): PlanHits are queries that
 	// skipped regex/token compilation entirely because an identical compiled
 	// plan was cached; PlanCompileMS is the cumulative wall time the misses
@@ -512,6 +515,7 @@ func modelStats(n string, m *relm.Model) ModelStats {
 		ms.CacheHits, ms.CacheMisses = c.Stats()
 		ms.CacheFlights = c.FlightStats()
 		ms.CacheLen = c.Len()
+		ms.CacheRowBytes = c.RowBytes()
 	}
 	ps := m.PlanCacheStats()
 	ms.PlanHits = ps.Hits

@@ -229,7 +229,10 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 		t.Errorf("stats attribute %d hits, streams reported %d", statHits, totalHits)
 	}
 	if len(sr.Models) != 1 || sr.Models[0].CacheMisses == 0 {
-		t.Errorf("model stats missing shared-cache counters: %+v", sr.Models)
+		t.Fatalf("model stats missing shared-cache counters: %+v", sr.Models)
+	}
+	if ms := sr.Models[0]; ms.CacheRowBytes == 0 || ms.CacheRowBytes != int64(ms.CacheLen)*int64(ms.VocabSize)*8 {
+		t.Errorf("cache_row_bytes %d, want cache_len %d × vocab %d × 8", ms.CacheRowBytes, ms.CacheLen, ms.VocabSize)
 	}
 }
 

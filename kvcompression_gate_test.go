@@ -81,11 +81,14 @@ func kvGateProbe(id string) relm.SearchQuery {
 }
 
 // runKVGateSweep probes every id, rounds times, against one shared arena and
-// reports the arena's stats plus the concatenated result streams.
+// reports the arena's stats plus the concatenated result streams. The model
+// has no logit cache: with one, every round after the first would be answered
+// from it before the arena is asked (DESIGN.md decision 10).
 func runKVGateSweep(tb testing.TB, lm model.LanguageModel, tok *tokenizer.BPE, ids []string,
 	compression relm.KVCompression, budget int64, rounds int) (relm.KVStats, []string) {
 	tb.Helper()
 	m := relm.NewModel(lm, tok, relm.ModelOptions{
+		CacheSize:     -1,
 		KVBudgetBytes: budget,
 		KVCompression: compression,
 	})
@@ -168,12 +171,14 @@ func TestKVCompressionCapacityGate(t *testing.T) {
 // under the default (lossless) tier: dijkstra, beam, and sampling streams
 // and the Mass bounds must match the uncompressed arena exactly. Two passes
 // per arm: the second traverses a demoted trie in the compressed arm — the
-// regime byte-identity must survive.
+// regime byte-identity must survive. No logit cache, so the second pass
+// reaches the arena rather than the cached rows of the first.
 func TestKVCompressionEngineEquivalence(t *testing.T) {
 	lm, tok, ids := kvGateWorld(t)
 	const budget = 48 << 10
 	arms := func(compression relm.KVCompression) []string {
 		m := relm.NewModel(lm, tok, relm.ModelOptions{
+			CacheSize:     -1,
 			KVBudgetBytes: budget,
 			KVCompression: compression,
 		})

@@ -27,12 +27,13 @@ func trainIncrTransformer(tb testing.TB) (*model.Transformer, *tokenizer.BPE) {
 
 // TestSearchIncrementalEquivalence runs the public API with the Incremental
 // knob off and on: identical matches, and the model's KV arena must show the
-// reuse (commits and hits) only for the incremental run.
+// reuse (commits and hits) only for the incremental run. Each arm runs on a
+// model of its own, so the incremental one starts from a cold logit cache and
+// computes every row it returns.
 func TestSearchIncrementalEquivalence(t *testing.T) {
 	lm, tok := trainIncrTransformer(t)
-	m := NewModel(lm, tok, ModelOptions{})
 
-	run := func(incremental bool) []*Match {
+	run := func(m *Model, incremental bool) []*Match {
 		results, err := Search(m, SearchQuery{
 			Query:       QueryString{Pattern: " ((engineering)|(medicine)|(art))", Prefix: "The man was trained in"},
 			Incremental: incremental,
@@ -44,11 +45,13 @@ func TestSearchIncrementalEquivalence(t *testing.T) {
 		return results.Take(3)
 	}
 
-	full := run(false)
-	if s := m.KVStats(); s.Commits != 0 {
+	ref := NewModel(lm, tok, ModelOptions{})
+	full := run(ref, false)
+	if s := ref.KVStats(); s.Commits != 0 {
 		t.Fatalf("full path touched the KV arena: %+v", s)
 	}
-	incr := run(true)
+	m := NewModel(lm, tok, ModelOptions{})
+	incr := run(m, true)
 	if len(full) != len(incr) {
 		t.Fatalf("%d vs %d matches", len(full), len(incr))
 	}
@@ -91,38 +94,42 @@ func TestIncrementalWindowModelBypassesArena(t *testing.T) {
 	}
 }
 
-// TestSessionsShareKVArena: sessions derived from one model share the arena,
-// so a repeat query in a second session reuses states the first committed.
+// TestSessionsShareKVArena: sessions derived from one model share its logit
+// cache and its arena. The second session's repeat of the first one's query
+// makes no device dispatch and commits nothing; a third session's query that
+// shares the prefix and then diverges extends states the first committed.
 func TestSessionsShareKVArena(t *testing.T) {
 	lm, tok := trainIncrTransformer(t)
 	m := NewModel(lm, tok, ModelOptions{})
 
-	q := SearchQuery{
-		Query:       QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
-		Incremental: true,
+	search := func(pattern string) {
+		t.Helper()
+		r, err := Search(m.NewSession().Model, SearchQuery{
+			Query:       QueryString{Pattern: pattern, Prefix: "The"},
+			Incremental: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Take(2)
+		r.Close()
 	}
-	s1 := m.NewSession()
-	r1, err := Search(s1.Model, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1.Take(2)
-	r1.Close()
-	after1 := m.KVStats()
+	search(" ((cat)|(dog))")
+	after1, dev1 := m.KVStats(), m.Dev.Stats()
 	if after1.Commits == 0 {
 		t.Fatalf("first session committed nothing: %+v", after1)
 	}
 
-	s2 := m.NewSession()
-	r2, err := Search(s2.Model, q)
-	if err != nil {
-		t.Fatal(err)
+	search(" ((cat)|(dog))")
+	after2, dev2 := m.KVStats(), m.Dev.Stats()
+	if dev2.Batches != dev1.Batches || after2.Commits != after1.Commits {
+		t.Fatalf("second session's repeat dispatched %d batches and committed %d states, want none",
+			dev2.Batches-dev1.Batches, after2.Commits-after1.Commits)
 	}
-	r2.Take(2)
-	r2.Close()
-	after2 := m.KVStats()
-	if after2.Hits <= after1.Hits {
-		t.Fatalf("second session gained no arena hits: %+v -> %+v", after1, after2)
+
+	search(" ((man)|(woman))")
+	if after3 := m.KVStats(); after3.Hits <= after2.Hits {
+		t.Fatalf("a diverging query in a third session gained no arena hits: %+v -> %+v", after2, after3)
 	}
 }
 

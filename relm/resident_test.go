@@ -2,6 +2,7 @@ package relm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -61,5 +62,101 @@ func TestWarmCacheStreamsIdentical(t *testing.T) {
 				t.Errorf("mass: warm run charged the device %v", busy-coldBusy)
 			}
 		})
+	}
+}
+
+// searchRows runs one shortest-path query on m and renders each match as
+// text, tokens and the log-prob's bits, so two streams compare byte for byte.
+func searchRows(t *testing.T, m *Model, pattern string, incremental bool, n int) []string {
+	t.Helper()
+	results, err := Search(m, SearchQuery{
+		Query:       QueryString{Pattern: pattern, Prefix: "The man was trained in"},
+		Incremental: incremental,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer results.Close()
+	var rows []string
+	for _, mt := range results.Take(n) {
+		rows = append(rows, fmt.Sprintf("%q %v %x", mt.Text, mt.Tokens, math.Float64bits(mt.LogProb)))
+	}
+	if err := results.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatalf("%q: no matches", pattern)
+	}
+	return rows
+}
+
+func sameRows(t *testing.T, name string, got, want []string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s:\n got %v\nwant %v", name, got, want)
+	}
+}
+
+// TestIncrementalRepeatIsResident: the incremental path asks the logit cache
+// before the KV arena (DESIGN.md decision 10). A repeated incremental query
+// is served from the cache: no device batch, no committed state, the same
+// stream. A query that shares the prefix and then diverges is served from
+// the cache for its early rows and computed for its later ones — including
+// children of contexts a full-path query scored, which have a row but no
+// state and take the Prefill route — and every row is bit-identical to a
+// model without a logit cache.
+func TestIncrementalRepeatIsResident(t *testing.T) {
+	lm, tok := trainIncrTransformer(t)
+	const first = " ((engineering)|(medicine)|(art))"
+	const diverging = " ((engineering)|(medicine)|(art)) ((cat)|(dog))"
+	ref := NewModel(lm, tok, ModelOptions{CacheSize: -1})
+
+	m := NewModel(lm, tok, ModelOptions{})
+	want := searchRows(t, m, first, true, 3)
+	dev1, kv1 := m.Dev.Stats(), m.KVStats()
+	sameRows(t, "repeat", searchRows(t, m, first, true, 3), want)
+	if dev2, kv2 := m.Dev.Stats(), m.KVStats(); dev2.Batches != dev1.Batches || kv2.Commits != kv1.Commits {
+		t.Fatalf("the repeat dispatched %d batches and committed %d states, want none",
+			dev2.Batches-dev1.Batches, kv2.Commits-kv1.Commits)
+	}
+	sameRows(t, "first vs no cache", want, searchRows(t, ref, first, false, 3))
+
+	wantMixed := searchRows(t, ref, diverging, false, 4)
+	for _, warm := range []struct {
+		name        string
+		incremental bool // how the first query warmed the model
+	}{
+		{"after an incremental query", true},
+		{"after a full-path query", false},
+	} {
+		m := NewModel(lm, tok, ModelOptions{})
+		searchRows(t, m, first, warm.incremental, 3)
+		s := m.NewSession()
+		sameRows(t, "diverging "+warm.name, searchRows(t, s.Model, diverging, true, 4), wantMixed)
+		if cs := s.CacheStats(); cs.Hits == 0 || cs.Misses == 0 {
+			t.Fatalf("diverging %s: cache %+v, want resident early rows and computed later ones", warm.name, cs)
+		}
+		if kv := m.KVStats(); !warm.incremental && kv.Misses == 0 {
+			t.Fatalf("diverging %s: no child missed its parent's state (%+v), so none took the Prefill route", warm.name, kv)
+		}
+	}
+}
+
+// TestAggressiveRowsNeverPublished: under KVCompressAggressive a promoted
+// state's rows are half-precision approximations, and so are its extensions'.
+// They are the incremental query's opt-in trade and must never reach the
+// shared logit cache, where a later full-path query would read them as the
+// model's own.
+func TestAggressiveRowsNeverPublished(t *testing.T) {
+	lm, tok := trainIncrTransformer(t)
+	const pattern = " ((engineering)|(medicine)|(art)|(mat))"
+	want := searchRows(t, NewModel(lm, tok, ModelOptions{CacheSize: -1}), pattern, false, 4)
+	for _, budget := range []int64{512, 1024, 2048, 4096, 8192} {
+		m := NewModel(lm, tok, ModelOptions{KVBudgetBytes: budget, KVCompression: KVCompressAggressive})
+		for range 3 {
+			searchRows(t, m, pattern, true, 4)
+		}
+		sameRows(t, fmt.Sprintf("full path after aggressive incremental runs, budget %d", budget),
+			searchRows(t, m, pattern, false, 4), want)
 	}
 }

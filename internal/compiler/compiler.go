@@ -178,11 +178,11 @@ const lookback = 2
 // requires full canonicality. A nil filter allows everything (the
 // all-encodings query).
 type CanonicalFilter struct {
-	Tok tokenizer.Tokenizer
+	Tok *tokenizer.BPE
 }
 
 // NewCanonicalFilter returns a filter over tok's canonical encodings.
-func NewCanonicalFilter(tok tokenizer.Tokenizer) *CanonicalFilter {
+func NewCanonicalFilter(tok *tokenizer.BPE) *CanonicalFilter {
 	return &CanonicalFilter{Tok: tok}
 }
 
@@ -205,7 +205,7 @@ func (f *CanonicalFilter) stable(toks []tokenizer.Token, n int) bool {
 	if f == nil || n <= 0 {
 		return true
 	}
-	return slices.Equal(f.Tok.Encode(f.Tok.Decode(toks[:n])), toks[:n])
+	return f.Tok.Canonical(toks[:n])
 }
 
 // AllowFinal reports whether a complete token sequence is the canonical

@@ -66,6 +66,5 @@ func pairConstraintDFA(full *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
 // isPairCanonical reports whether the two-token sequence [x, y] is its own
 // canonical encoding.
 func isPairCanonical(bpe *tokenizer.BPE, x, y tokenizer.Token) bool {
-	canon := bpe.Encode(bpe.TokenBytes(x) + bpe.TokenBytes(y))
-	return len(canon) == 2 && canon[0] == x && canon[1] == y
+	return bpe.Canonical([]tokenizer.Token{x, y})
 }

@@ -2,7 +2,9 @@ package compiler
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/automaton"
@@ -171,5 +173,99 @@ func TestPropertyOneVerdictCoversEveryChild(t *testing.T) {
 	var none *CanonicalFilter
 	if !none.AllowChildren([]tokenizer.Token{1, 2, 3}) || !none.AllowFinal([]tokenizer.Token{1, 2, 3}) {
 		t.Fatal("a nil filter must allow everything")
+	}
+}
+
+// canonAndSplit returns encodings of random word sequences; about half have
+// one token re-spelled as its bytes, which the filter must reject.
+func canonAndSplit(bpe *tokenizer.BPE, rng *rand.Rand, n int) [][]tokenizer.Token {
+	words := []string{"The", " cat", " sat", " on", " the", " mat", ".", " dog", " trained", "  ", " 42"}
+	seqs := make([][]tokenizer.Token, n)
+	for i := range seqs {
+		var sb strings.Builder
+		for k := rng.Intn(12); k > 0; k-- {
+			sb.WriteString(words[rng.Intn(len(words))])
+		}
+		seq := bpe.Encode(sb.String())
+		if k := len(seq); k > 0 && rng.Intn(2) == 0 {
+			k = rng.Intn(k)
+			var spelled []tokenizer.Token
+			for _, c := range []byte(bpe.TokenBytes(seq[k])) {
+				spelled = append(spelled, int(c))
+			}
+			seq = slices.Concat(seq[:k], spelled, seq[k+1:])
+		}
+		seqs[i] = seq
+	}
+	return seqs
+}
+
+// TestCanonicalCheckAllocatesNothing: on a warm scratch pool the filter's
+// verdicts and Canonical allocate nothing, and Encode allocates only its
+// result.
+func TestCanonicalCheckAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	bpe := testBPE(t)
+	f := NewCanonicalFilter(bpe)
+	const text = "The cat sat on the mat. The dog was trained in science 42."
+	canon := bpe.Encode(text)
+	final := append(slices.Clone(canon), bpe.EOS())
+	split := canonAndSplit(bpe, rand.New(rand.NewSource(47)), 16)
+	for _, c := range []struct {
+		name string
+		max  float64
+		call func()
+	}{
+		{"AllowChildren", 0, func() { f.AllowChildren(canon) }},
+		{"AllowChildren/split", 0, func() {
+			for _, s := range split {
+				f.AllowChildren(s)
+			}
+		}},
+		{"AllowFinal", 0, func() { f.AllowFinal(final) }},
+		{"Canonical", 0, func() { bpe.Canonical(canon) }},
+		{"isPairCanonical", 0, func() { isPairCanonical(bpe, canon[0], canon[1]) }},
+		{"Encode", 1, func() { bpe.Encode(text) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.call); got > c.max {
+			t.Errorf("%s: %.1f allocations per call, want <= %.0f", c.name, got, c.max)
+		}
+	}
+}
+
+// TestCanonicalFilterSharedAcrossGoroutines: concurrent expand slots ask one
+// filter, and each call borrows pooled scratch. Eight goroutines must get the
+// verdicts a serial run gets.
+func TestCanonicalFilterSharedAcrossGoroutines(t *testing.T) {
+	bpe := testBPE(t)
+	f := NewCanonicalFilter(bpe)
+	seqs := canonAndSplit(bpe, rand.New(rand.NewSource(43)), 400)
+	verdicts := func() []bool {
+		out := make([]bool, 0, 2*len(seqs))
+		for _, s := range seqs {
+			out = append(out, f.AllowChildren(s), f.AllowFinal(s))
+		}
+		return out
+	}
+	want := verdicts()
+	if !slices.Contains(want, true) || !slices.Contains(want, false) {
+		t.Fatal("the sequences no longer exercise both verdicts")
+	}
+	got := make([][]bool, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = verdicts()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !slices.Equal(got[g], want) {
+			t.Fatalf("goroutine %d: verdicts differ from the serial run", g)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/decoding"
 	"repro/internal/model"
 	"repro/internal/textio"
-	"repro/internal/tokenizer"
 	"repro/relm"
 )
 
@@ -55,7 +54,7 @@ func RunCanon(env *Env, cfg CanonConfig) (*CanonResult, error) {
 			if len(seq) == 0 {
 				continue
 			}
-			if !tokenizer.IsCanonical(env.Tok, seq) {
+			if !env.Tok.Canonical(seq) {
 				nonCanon++
 			}
 		}

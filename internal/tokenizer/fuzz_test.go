@@ -1,6 +1,8 @@
 package tokenizer
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -41,6 +43,33 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		}
 		if !IsCanonical(tok, toks) {
 			t.Fatalf("Encode produced a non-canonical sequence for %q", s)
+		}
+	})
+}
+
+// FuzzCanonical holds the pre-tokenizer, Encode, Canonical and IsCanonical to
+// the reference encoder on arbitrary text. The split seed spells the text as
+// a random token sequence (randomSplit) and, when odd, puts an EOS in it. The
+// seed corpus is testdata/fuzz/FuzzCanonical.
+func FuzzCanonical(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string, seed int64) {
+		b := fuzzTokenizer()
+		if got, want := Pretokenize(s), refPretokenize(s); !slices.Equal(got, want) {
+			t.Fatalf("Pretokenize(%q) = %q, reference %q", s, got, want)
+		}
+		if got, want := b.Encode(s), referenceEncode(b, s); !slices.Equal(got, want) {
+			t.Fatalf("Encode(%q) = %v, reference %v", s, got, want)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		toks := randomSplit(b, s, rng)
+		if seed&1 == 1 {
+			toks = slices.Insert(toks, rng.Intn(len(toks)+1), b.EOS())
+		}
+		if got, want := b.Canonical(toks), referenceCanonical(b, toks); got != want {
+			t.Fatalf("Canonical(%v) = %v, reference %v (text %q)", toks, got, want, s)
+		}
+		if got, want := IsCanonical(b, toks), referenceIsCanonical(b, toks); got != want {
+			t.Fatalf("IsCanonical(%v) = %v, reference %v (text %q)", toks, got, want, s)
 		}
 	})
 }

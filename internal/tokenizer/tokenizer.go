@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,32 +66,48 @@ const numByteTokens = 256
 // = Encode(prefix) + Encode(" word") at word boundaries.
 func Pretokenize(s string) []string {
 	var out []string
-	i := 0
-	class := func(b byte) int {
-		switch {
-		case b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z':
-			return 0 // letter
-		case b >= '0' && b <= '9':
-			return 1 // digit
-		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-			return 2 // space
-		default:
-			return 3 // punctuation / other
-		}
-	}
-	for i < len(s) {
-		start := i
-		// A single leading space glues onto a following non-space run.
-		if s[i] == ' ' && i+1 < len(s) && class(s[i+1]) != 2 {
-			i++
-		}
-		c := class(s[i])
-		for i < len(s) && class(s[i]) == c {
-			i++
-		}
-		out = append(out, s[start:i])
+	for i := 0; i < len(s); {
+		end := pretokenEnd(s, i)
+		out = append(out, s[i:end])
+		i = end
 	}
 	return out
+}
+
+// Byte classes of the pre-tokenizer.
+const (
+	classLetter = iota
+	classDigit
+	classSpace
+	classOther // punctuation and every byte >= 0x80
+)
+
+func byteClass(b byte) int {
+	switch {
+	case b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z':
+		return classLetter
+	case b >= '0' && b <= '9':
+		return classDigit
+	case b == ' ' || b == '\t' || b == '\n' || b == '\r':
+		return classSpace
+	default:
+		return classOther
+	}
+}
+
+// pretokenEnd returns the end of the pre-token that starts at s[i], for
+// i < len(s): a run of one byte class, with a single leading space glued onto
+// a following non-space run. It is the only statement of the pre-token rule;
+// Encode, Canonical and Pretokenize all scan with it.
+func pretokenEnd[S string | []byte](s S, i int) int {
+	if s[i] == ' ' && i+1 < len(s) && byteClass(s[i+1]) != classSpace {
+		i++
+	}
+	c := byteClass(s[i])
+	for i < len(s) && byteClass(s[i]) == c {
+		i++
+	}
+	return i
 }
 
 // Train learns numMerges BPE merges from corpus and returns the tokenizer.
@@ -202,22 +219,30 @@ func applyMerge(toks []Token, pair [2]Token, result Token) []Token {
 
 // Encode produces the canonical encoding by pre-tokenizing and replaying
 // learned merges in rank order within each pre-token, exactly as GPT-2's
-// tokenizer does.
+// tokenizer does. A string of n bytes encodes to at most n tokens, so the
+// result is the one allocation. The empty string encodes to nil.
 func (b *BPE) Encode(s string) []Token {
-	var out []Token
-	for _, pre := range Pretokenize(s) {
-		out = append(out, b.encodeChunk(pre)...)
+	if s == "" {
+		return nil
+	}
+	out := make([]Token, 0, len(s))
+	for i := 0; i < len(s); {
+		end := pretokenEnd(s, i)
+		out = appendChunk(b, out, s[i:end])
+		i = end
 	}
 	return out
 }
 
-// encodeChunk replays merges over a single pre-token.
-func (b *BPE) encodeChunk(s string) []Token {
-	toks := make([]Token, len(s))
-	for i := 0; i < len(s); i++ {
-		toks[i] = int(s[i])
+// appendChunk appends the encoding of one pre-token to dst: it appends the
+// chunk's bytes, then replays merges in place over the appended tail.
+func appendChunk[S string | []byte](b *BPE, dst []Token, chunk S) []Token {
+	start := len(dst)
+	for i := 0; i < len(chunk); i++ {
+		dst = append(dst, Token(chunk[i]))
 	}
 	for {
+		toks := dst[start:]
 		// Find the lowest-rank applicable merge.
 		bestRank := -1
 		for i := 0; i+1 < len(toks); i++ {
@@ -228,11 +253,47 @@ func (b *BPE) encodeChunk(s string) []Token {
 			}
 		}
 		if bestRank == -1 {
-			return toks
+			return dst
 		}
 		rule := b.merges[bestRank]
-		toks = applyMerge(toks, [2]Token{rule.left, rule.right}, rule.result)
+		dst = dst[:start+len(applyMerge(toks, [2]Token{rule.left, rule.right}, rule.result))]
 	}
+}
+
+// canonScratch is Canonical's working memory: the decoded text and one
+// pre-token's encoding. It comes from canonPool and never escapes Canonical.
+type canonScratch struct {
+	text []byte
+	enc  []Token
+}
+
+var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
+
+// Canonical reports whether toks is its own encoding: exactly
+// Encode(Decode(toks)) == toks. It decodes into pooled scratch, encodes the
+// text one pre-token at a time, compares each chunk's encoding with the
+// matching span of toks and returns at the first mismatch; a warm pool makes
+// it allocation-free. EOS decodes to "" and no encoding contains it, so an
+// EOS anywhere in toks makes it false.
+func (b *BPE) Canonical(toks []Token) bool {
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	text := sc.text[:0]
+	for _, t := range toks {
+		text = append(text, b.vocab[t]...)
+	}
+	sc.text = text
+	k := 0 // toks[:k] spells the chunks checked so far
+	for i := 0; i < len(text); {
+		end := pretokenEnd(text, i)
+		sc.enc = appendChunk(b, sc.enc[:0], text[i:end])
+		if k+len(sc.enc) > len(toks) || !slices.Equal(sc.enc, toks[k:k+len(sc.enc)]) {
+			return false
+		}
+		k += len(sc.enc)
+		i = end
+	}
+	return k == len(toks)
 }
 
 // Decode concatenates token surface forms. EOS decodes to "".
@@ -321,27 +382,13 @@ func (b *BPE) MaxTokenLen() int {
 }
 
 // IsCanonical reports whether toks is exactly the canonical encoding of the
-// string it spells. EOS anywhere but the end makes a sequence non-canonical.
-func IsCanonical(tk Tokenizer, toks []Token) bool {
-	body := toks
-	if n := len(toks); n > 0 && toks[n-1] == tk.EOS() {
-		body = toks[:n-1]
+// string it spells, allowing one trailing EOS. EOS anywhere else makes a
+// sequence non-canonical (Canonical rejects it).
+func IsCanonical(b *BPE, toks []Token) bool {
+	if n := len(toks); n > 0 && toks[n-1] == b.eos {
+		toks = toks[:n-1]
 	}
-	for _, t := range body {
-		if t == tk.EOS() {
-			return false
-		}
-	}
-	canon := tk.Encode(tk.Decode(body))
-	if len(canon) != len(body) {
-		return false
-	}
-	for i := range canon {
-		if canon[i] != body[i] {
-			return false
-		}
-	}
-	return true
+	return b.Canonical(toks)
 }
 
 // String summarizes the tokenizer.

@@ -230,7 +230,7 @@ func BenchmarkAblationCanonicalStrategies(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := engine.ShortestPath(m.Dev, &engine.Query{
-				Pattern: pat, Prefixes: [][]model.Token{prefix},
+				Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix},
 			})
 			for {
 				if _, err := s.Next(); err != nil {
@@ -243,7 +243,7 @@ func BenchmarkAblationCanonicalStrategies(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			full := compiler.CompileFull(char, e.Tok)
 			s := engine.ShortestPath(m.Dev, &engine.Query{
-				Pattern:  full,
+				Pattern:  full.Freeze(),
 				Prefixes: [][]model.Token{prefix},
 				Filter:   compiler.NewCanonicalFilter(e.Tok),
 			})
@@ -258,7 +258,7 @@ func BenchmarkAblationCanonicalStrategies(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pat := compiler.CompileCanonicalPairwise(char, e.Tok)
 			s := engine.ShortestPath(m.Dev, &engine.Query{
-				Pattern: pat, Prefixes: [][]model.Token{prefix},
+				Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix},
 			})
 			for {
 				if _, err := s.Next(); err != nil {
@@ -283,7 +283,7 @@ func BenchmarkAblationLogitCache(b *testing.B) {
 		dev := device.New(lm, device.DefaultLatency(), 32)
 		for i := 0; i < b.N; i++ {
 			s := engine.ShortestPath(dev, &engine.Query{
-				Pattern: pat, Prefixes: [][]model.Token{prefix},
+				Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix},
 			})
 			for {
 				if _, err := s.Next(); err != nil {
@@ -315,7 +315,7 @@ func BenchmarkAblationBatchExpand(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := e.FreshModel(false)
 				s := engine.ShortestPath(m.Dev, &engine.Query{
-					Pattern:     full,
+					Pattern:     full.Freeze(),
 					Prefixes:    [][]model.Token{prefix},
 					RequireEOS:  true,
 					MaxTokens:   24,
@@ -461,7 +461,7 @@ func BenchmarkAblationPrefixCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := e.FreshModel(false)
 				s := engine.ShortestPath(m.Dev, &engine.Query{
-					Pattern:        pat,
+					Pattern:        pat.Freeze(),
 					Prefixes:       prefixes,
 					BatchExpand:    1,
 					PrefixZeroCost: zero,

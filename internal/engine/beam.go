@@ -12,9 +12,6 @@ import (
 type BeamOptions struct {
 	// Width is the beam size (default 8).
 	Width int
-	// MaxSteps bounds generation length in tokens (default, and at most,
-	// Query.MaxTokens).
-	MaxSteps int
 }
 
 // Beam returns a stream implementing constrained beam search — the
@@ -28,9 +25,6 @@ func Beam(dev *device.Device, q *Query, opts BeamOptions) Stream {
 	nq := normalizeQuery(dev, q)
 	if opts.Width <= 0 {
 		opts.Width = 8
-	}
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = nq.MaxTokens
 	}
 	s := &beamStream{stream: stream{q: nq, dev: dev}, opts: opts}
 	s.init()
@@ -77,16 +71,18 @@ func truncate(nodes []node, width int) []node {
 }
 
 // run advances the beam to completion, harvesting accepting hypotheses.
-// The whole level is scored in one device batch and its sibling sets are
-// built across the worker pool; the coordinator then spawns, in beam order,
-// each hypothesis's match and its best Width children — the level's best
-// Width are among them — and truncates to the best Width overall.
+// Every hypothesis of a level has step pattern tokens, so the level grows
+// while the rule lets a pattern of that length grow. The whole level is
+// scored in one device batch and its sibling sets are built across the worker
+// pool; the coordinator then spawns, in beam order, each hypothesis's match
+// and its best Width children — the level's best Width are among them — and
+// truncates to the best Width overall.
 func (s *beamStream) run() error {
-	m := s.dev.Model()
 	var ctxs [][]model.Token
 	var sets []siblings
 	var next []node
-	for step := 0; step < s.opts.MaxSteps && len(s.beam) > 0; step++ {
+	step := 0
+	for ; s.q.grows(step) && len(s.beam) > 0; step++ {
 		if err := s.q.Context.Err(); err != nil {
 			return err
 		}
@@ -102,7 +98,8 @@ func (s *beamStream) run() error {
 
 		sets = slices.Grow(sets[:0], len(s.beam))[:len(s.beam)]
 		parallelFor(len(s.beam), s.q.Parallelism, func(i int) {
-			sets[i] = s.q.expand(m, &s.beam[i], lps[i], sets[i])
+			h := &s.beam[i]
+			sets[i] = s.q.expand(h.state, h.pattern(), h.cost, lps[i], decoding.SupportOf(s.q.Rule, lps[i]), sets[i])
 		})
 		next = next[:0]
 		for i := range s.beam {
@@ -126,19 +123,19 @@ func (s *beamStream) run() error {
 		s.beam, next = truncate(next, s.opts.Width), s.beam
 		s.q.Trace.End(rspan)
 	}
-	// Final harvest of hypotheses that ended exactly at MaxSteps, each
-	// discovered in beam order. The RequireEOS check needs one more score per
-	// candidate; batch them into a single device round rather than one
-	// dispatch each.
+	// Final harvest of the hypotheses left at MaxTokens, each discovered in
+	// beam order: the rule's match half, and under RequireEOS its EOS check,
+	// which needs one more score per candidate — batched into a single device
+	// round rather than one dispatch each.
 	var finals []node
 	for i := range s.beam {
 		n := &s.beam[i]
-		if s.q.Pattern.Accepting(n.state) && n.patLen > 0 && s.q.Filter.AllowFinal(n.pattern()) {
+		if s.q.final(n.state, n.pattern()) {
 			finals = append(finals, n.spawn(sibling{cost: n.cost, sym: matchSym}, s.seq+int64(i)))
 		}
 	}
 	if s.q.RequireEOS && len(finals) > 0 {
-		rdev, rspan := roundDevice(s.dev, s.q, int64(s.opts.MaxSteps), len(finals))
+		rdev, rspan := roundDevice(s.dev, s.q, int64(step), len(finals))
 		defer s.q.Trace.End(rspan)
 		lps, err := scoreFrontier(rdev, s.q, appendContexts(nil, finals))
 		if err != nil {
@@ -147,10 +144,10 @@ func (s *beamStream) run() error {
 		s.stats.modelCalls.Add(int64(len(finals)))
 		kept := finals[:0]
 		for i, n := range finals {
-			if !decoding.SupportOf(s.q.Rule, lps[i]).Has(m.EOS()) {
+			if !s.q.ends(decoding.SupportOf(s.q.Rule, lps[i])) {
 				continue
 			}
-			n.cost -= lps[i][m.EOS()]
+			n.cost -= lps[i][s.q.eos]
 			kept = append(kept, n)
 		}
 		finals = kept

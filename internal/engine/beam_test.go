@@ -21,9 +21,10 @@ func TestBeamFindsTopCompletion(t *testing.T) {
 	}
 	prefix := env.tok.Encode("The man was trained in")
 	s := Beam(env.dev, &Query{
-		Pattern:  pat,
-		Prefixes: [][]model.Token{prefix},
-	}, BeamOptions{Width: 8, MaxSteps: 12})
+		Pattern:   pat.Freeze(),
+		Prefixes:  [][]model.Token{prefix},
+		MaxTokens: 12,
+	}, BeamOptions{Width: 8})
 	r, err := s.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +49,9 @@ func TestBeamOrderingAndExhaustion(t *testing.T) {
 		n.AddEdge(s0, sym, s1)
 		n.AddEdge(s1, sym, s2)
 	}
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Beam(dev, &Query{Pattern: pat}, BeamOptions{Width: 8, MaxSteps: 4})
+	s := Beam(dev, &Query{Pattern: pat, MaxTokens: 4}, BeamOptions{Width: 8})
 	var got [][]model.Token
 	for {
 		r, err := s.Next()
@@ -86,9 +87,9 @@ func TestBeamWidthPrunes(t *testing.T) {
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
 	n.AddEdge(s0, 1, s1)
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Beam(dev, &Query{Pattern: pat}, BeamOptions{Width: 1, MaxSteps: 3})
+	s := Beam(dev, &Query{Pattern: pat, MaxTokens: 3}, BeamOptions{Width: 1})
 	count := 0
 	for {
 		r, err := s.Next()
@@ -117,13 +118,14 @@ func TestBeamRespectsRuleAndEOS(t *testing.T) {
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
 	n.AddEdge(s0, 1, s1)
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := Beam(dev, &Query{
 		Pattern:    pat,
 		Rule:       decoding.TopK{K: 2},
 		RequireEOS: true,
-	}, BeamOptions{Width: 4, MaxSteps: 3})
+		MaxTokens:  3,
+	}, BeamOptions{Width: 4})
 	r, err := s.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +151,9 @@ func TestBeamAgreesWithDijkstraOnTopResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := env.tok.Encode("The woman was trained in")
-	q := &Query{Pattern: pat, Prefixes: [][]model.Token{prefix}}
+	q := &Query{Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix}, MaxTokens: 12}
 	d := ShortestPath(env.dev, q)
-	bm := Beam(env.dev, q, BeamOptions{Width: 16, MaxSteps: 12})
+	bm := Beam(env.dev, q, BeamOptions{Width: 16})
 	dr, err := d.Next()
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,11 @@ import (
 func TestCloseBeforeNext(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("((art)|(medicine))")
-	pat, err := compiler.CompileCanonical(char, env.tok, 12, 100)
+	dfa, err := compiler.CompileCanonical(char, env.tok, 12, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pat := dfa.Freeze()
 	streams := map[string]Stream{
 		"dijkstra": ShortestPath(env.dev, &Query{Pattern: pat}),
 		"beam":     Beam(env.dev, &Query{Pattern: pat}, BeamOptions{Width: 8}),
@@ -45,10 +46,11 @@ func TestCloseBeforeNext(t *testing.T) {
 func TestExhaustionIsSticky(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("((art)|(medicine))")
-	pat, err := compiler.CompileCanonical(char, env.tok, 12, 100)
+	dfa, err := compiler.CompileCanonical(char, env.tok, 12, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pat := dfa.Freeze()
 	for name, s := range map[string]Stream{
 		"dijkstra": ShortestPath(env.dev, &Query{Pattern: pat}),
 		"beam":     Beam(env.dev, &Query{Pattern: pat}, BeamOptions{Width: 8}),
@@ -76,10 +78,11 @@ func TestExhaustionIsSticky(t *testing.T) {
 func TestCloseHonorsParentContext(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("((art)|(medicine))")
-	pat, err := compiler.CompileCanonical(char, env.tok, 12, 100)
+	dfa, err := compiler.CompileCanonical(char, env.tok, 12, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pat := dfa.Freeze()
 	parent, cancel := context.WithCancel(context.Background())
 	s := ShortestPath(env.dev, &Query{Pattern: pat, Context: parent})
 	cancel()

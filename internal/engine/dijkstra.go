@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 
+	"repro/internal/decoding"
 	"repro/internal/device"
 	"repro/internal/model"
 )
@@ -91,6 +92,7 @@ func normalizeQuery(dev *device.Device, q *Query) *Query {
 	if cp.MaxNodes <= 0 {
 		cp.MaxNodes = 1 << 20
 	}
+	cp.eos = dev.Model().EOS()
 	cp.Parallelism = EffectiveParallelism(cp.Parallelism)
 	ctx, cancel := context.WithCancel(queryContext(&cp))
 	cp.Context = ctx
@@ -195,12 +197,12 @@ func (s *dijkstraStream) expand(batch []node) error {
 	}
 	s.stats.modelCalls.Add(int64(len(batch)))
 	s.stats.nodesExpanded.Add(int64(len(batch)))
-	m := s.dev.Model()
 	cursors := make([]cursor, len(batch))
 	parallelFor(len(batch), s.q.Parallelism, func(i int) {
-		sibs := s.q.expand(m, &batch[i], lps[i], nil)
+		n := &batch[i]
+		sibs := s.q.expand(n.state, n.pattern(), n.cost, lps[i], decoding.SupportOf(s.q.Rule, lps[i]), nil)
 		sibs.heapify()
-		cursors[i] = cursor{parent: batch[i], sibs: sibs}
+		cursors[i] = cursor{parent: *n, sibs: sibs}
 	})
 	for i := range cursors {
 		c := &cursors[i]

@@ -29,10 +29,9 @@ import (
 // pattern, the prefix handling, the decision rules, and traversal limits.
 type Query struct {
 	// Pattern is the LLM automaton (token alphabet) for the constrained part
-	// of the generation. Traversal only reads it; production paths pass the
-	// immutable automaton.Frozen form so one compiled plan can serve many
-	// concurrent queries, while tests may pass a *automaton.DFA directly.
-	Pattern automaton.Walker
+	// of the generation, in the immutable frozen form, so one compiled plan
+	// can serve many concurrent queries.
+	Pattern *automaton.Frozen
 	// Prefixes are the token encodings of the (enumerated) prefix language.
 	// Prefix tokens bypass decision rules (§3.3) but contribute their model
 	// cost for prioritization (the paper's startup-latency heuristic). An
@@ -105,6 +104,8 @@ type Query struct {
 	// abandoned stream never stays registered with a long-lived parent
 	// context (a server request context, for example).
 	cancel context.CancelFunc
+	// eos is the model's EOS token, filled by normalizeQuery.
+	eos model.Token
 }
 
 // Result is one matching tuple from the stream.
@@ -320,7 +321,8 @@ func byOrder(a, b node) int {
 // sibling is one kept successor of an expanded node, 16 bytes where a built
 // node is ~100: the child one token beyond it (sym its token id, to its
 // state), or with sym = matchSym the node's own match. A node is spawned from
-// a sibling only when shortest path pops it or beam keeps it.
+// a sibling only when shortest path pops it, beam keeps it, Mass files it or
+// the sampler draws it.
 type sibling struct {
 	cost float64
 	sym  int32
@@ -376,18 +378,20 @@ func (h *siblings) pop() sibling {
 	return top
 }
 
-// expand returns a scored node's sibling set, unordered, in dst's storage
-// when it is large enough: one sibling per pattern edge the decision rule
-// keeps — if the canonical filter, asked once for all of them, lets the
-// node's pattern grow — and last, when the node's state accepts a canonical
-// match, the match (charged the EOS step under RequireEOS). Costs are the
-// model's original ones. Pure with respect to stream state, so batch slots
-// can be filled concurrently.
-func (q *Query) expand(m model.LanguageModel, n *node, lp []float64, dst siblings) siblings {
-	kept := decoding.SupportOf(q.Rule, lp)
-	pattern := n.pattern()
-	edges, live := q.Pattern.Edges(n.state), 0
-	if n.patLen < q.MaxTokens {
+// expand is the expansion rule (§3.3), the one place that reads the
+// automaton, the decision rule's support, the canonical filter, MaxTokens and
+// EOS to decide a scored node's successors; the engines differ only in what
+// they do with them. It returns the node's sibling set in dst's storage when
+// that is large enough: when the node may grow — its pattern is under
+// MaxTokens and the canonical filter, asked once for all the children,
+// agrees — one sibling per pattern edge whose token is in kept, in edge
+// order; and last, when the node may end here, its match, charged the EOS
+// step under RequireEOS. A sibling's cost is cost minus its token's entry in
+// lp. Pure with respect to stream state, so batch slots can be filled
+// concurrently.
+func (q *Query) expand(state automaton.StateID, pattern []model.Token, cost float64, lp []float64, kept decoding.Support, dst siblings) siblings {
+	edges, live := q.Pattern.Edges(state), 0
+	if q.grows(len(pattern)) {
 		for _, e := range edges {
 			if kept.Has(e.Sym) {
 				live++
@@ -397,9 +401,7 @@ func (q *Query) expand(m model.LanguageModel, n *node, lp []float64, dst sibling
 	if live > 0 && !q.Filter.AllowChildren(pattern) {
 		live = 0
 	}
-	match := q.Pattern.Accepting(n.state) && n.patLen > 0 &&
-		(!q.RequireEOS || kept.Has(m.EOS())) && // EOS unreachable under the rule: not a match
-		q.Filter.AllowFinal(pattern)
+	match := q.ends(kept) && q.final(state, pattern)
 	size := live
 	if match {
 		size++
@@ -411,19 +413,31 @@ func (q *Query) expand(m model.LanguageModel, n *node, lp []float64, dst sibling
 	if live > 0 {
 		for _, e := range edges {
 			if kept.Has(e.Sym) {
-				dst = append(dst, sibling{cost: n.cost - lp[e.Sym], sym: int32(e.Sym), to: int32(e.To)})
+				dst = append(dst, sibling{cost: cost - lp[e.Sym], sym: int32(e.Sym), to: int32(e.To)})
 			}
 		}
 	}
 	if match {
-		cost := n.cost
 		if q.RequireEOS {
-			cost -= lp[m.EOS()]
+			cost -= lp[q.eos]
 		}
 		dst = append(dst, sibling{cost: cost, sym: matchSym})
 	}
 	return dst
 }
+
+// grows reports whether a node with n pattern tokens may have children.
+func (q *Query) grows(n int) bool { return n < q.MaxTokens }
+
+// final is the rule's match half: a node may end here when its state accepts
+// and its pattern is non-empty and canonical.
+func (q *Query) final(state automaton.StateID, pattern []model.Token) bool {
+	return q.Pattern.Accepting(state) && len(pattern) > 0 && q.Filter.AllowFinal(pattern)
+}
+
+// ends reports whether the support lets a match end: under RequireEOS the
+// decision rule must keep EOS.
+func (q *Query) ends(kept decoding.Support) bool { return !q.RequireEOS || kept.Has(q.eos) }
 
 // appendContexts appends each node's own context to dst, in order, for a
 // scoring round.

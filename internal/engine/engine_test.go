@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,6 +109,39 @@ func collect(t *testing.T, s Stream, n int) []*Result {
 	return out
 }
 
+// resultKey renders a Result for exact comparison: token sequences and
+// probabilities must match bit for bit.
+func resultKey(r *Result) string {
+	return fmt.Sprintf("%v|%v|%v|%v", r.Prefix, r.Pattern, r.LogProb, r.PrefixLogProb)
+}
+
+func drain(t *testing.T, s Stream, n int) []string {
+	t.Helper()
+	var out []string
+	for i := 0; i < n; i++ {
+		r, err := s.Next()
+		if err != nil {
+			break
+		}
+		out = append(out, resultKey(r))
+	}
+	s.Close()
+	return out
+}
+
+// sameResults demands two result streams be identical, row by row.
+func sameResults(t *testing.T, name string, a, b []string) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d results vs %d", name, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: result %d differs:\n  %s\n  %s", name, i, a[i], b[i])
+		}
+	}
+}
+
 func TestShortestPathFindsTrainedCompletion(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile(" ((engineering)|(medicine)|(art))")
@@ -117,7 +151,7 @@ func TestShortestPathFindsTrainedCompletion(t *testing.T) {
 	}
 	prefix := env.tok.Encode("The man was trained in")
 	s := ShortestPath(env.dev, &Query{
-		Pattern:  pat,
+		Pattern:  pat.Freeze(),
 		Prefixes: [][]model.Token{prefix},
 	})
 	results := collect(t, s, 3)
@@ -142,7 +176,7 @@ func TestShortestPathExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ShortestPath(env.dev, &Query{Pattern: pat})
+	s := ShortestPath(env.dev, &Query{Pattern: pat.Freeze()})
 	results := collect(t, s, 10)
 	if len(results) != 2 {
 		t.Fatalf("finite language yielded %d results, want 2", len(results))
@@ -174,7 +208,7 @@ func TestShortestPathOrderingWithScriptedModel(t *testing.T) {
 		n.AddEdge(s0, sym, s1)
 		n.AddEdge(s1, sym, s2)
 	}
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{Pattern: pat})
@@ -218,7 +252,7 @@ func TestTopKPrunesTransitively(t *testing.T) {
 	for _, sym := range []int{0, 1, 2} {
 		n.AddEdge(s0, sym, s1)
 	}
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{Pattern: pat, Rule: decoding.TopK{K: 2}})
 	results := collect(t, s, 10)
@@ -247,7 +281,7 @@ func TestPrefixBypassesRule(t *testing.T) {
 	s1 := n.AddState(true)
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{
 		Pattern:  pat,
@@ -282,7 +316,7 @@ func TestRequireEOSChangesCostAndFiltering(t *testing.T) {
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
 	n.AddEdge(s1, 0, s2)
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 	dev := device.New(m, device.DefaultLatency(), 8)
 
 	s := ShortestPath(dev, &Query{Pattern: pat, RequireEOS: true})
@@ -300,7 +334,7 @@ func TestRequireEOSChangesCostAndFiltering(t *testing.T) {
 func TestShortestPathMaxNodes(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("[a-z]+") // infinite language
-	full := compiler.CompileFull(char, env.tok)
+	full := compiler.CompileFull(char, env.tok).Freeze()
 	s := ShortestPath(env.dev, &Query{Pattern: full, MaxNodes: 50, MaxTokens: 6})
 	for {
 		_, err := s.Next()
@@ -322,7 +356,7 @@ func TestSamplerRespectsAutomaton(t *testing.T) {
 	}
 	prefix := env.tok.Encode("The man was trained in")
 	s := Sample(env.dev, &Query{
-		Pattern:  pat,
+		Pattern:  pat.Freeze(),
 		Prefixes: [][]model.Token{prefix},
 	}, SamplerOptions{Rng: rand.New(rand.NewSource(5))})
 	seen := map[string]int{}
@@ -354,7 +388,7 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 
 	m := &model.Uniform{Vocab: 257, EOSTok: 256, SeqLen: 16}
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Sample(dev, &Query{Pattern: pat}, SamplerOptions{
+	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
 		Rng:       rand.New(rand.NewSource(3)),
 		PrefixDFA: prefDFA,
 	})
@@ -374,7 +408,7 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 	}
 
 	// Unnormalized sampling shows the bias (~0.5).
-	s2 := Sample(dev, &Query{Pattern: pat}, SamplerOptions{
+	s2 := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
 		Rng:          rand.New(rand.NewSource(3)),
 		PrefixDFA:    prefDFA,
 		Unnormalized: true,
@@ -409,7 +443,7 @@ func TestSamplerMatchesModelDistribution(t *testing.T) {
 	pat.AddEdge(p0, 1, p1)
 	pat.SetStart(p0)
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Sample(dev, &Query{Pattern: pat}, SamplerOptions{Rng: rand.New(rand.NewSource(11))})
+	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{Rng: rand.New(rand.NewSource(11))})
 	zero, total := 0, 4000
 	for i := 0; i < total; i++ {
 		r, err := s.Next()
@@ -439,7 +473,7 @@ func TestSamplerDeadEndRejection(t *testing.T) {
 	pat.AddEdge(p0, 2, p1)
 	pat.SetStart(p0)
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Sample(dev, &Query{Pattern: pat, Rule: decoding.Greedy{}},
+	s := Sample(dev, &Query{Pattern: pat.Freeze(), Rule: decoding.Greedy{}},
 		SamplerOptions{Rng: rand.New(rand.NewSource(2)), MaxAttemptsPerResult: 50})
 	if _, err := s.Next(); err != ErrExhausted {
 		t.Errorf("expected ErrExhausted from dead-end sampling, got %v", err)
@@ -454,7 +488,7 @@ func TestCanonicalFilterInEngine(t *testing.T) {
 	// must yield only canonical encodings.
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("((art)|(medicine))")
-	full := compiler.CompileFull(char, env.tok)
+	full := compiler.CompileFull(char, env.tok).Freeze()
 	s := ShortestPath(env.dev, &Query{
 		Pattern: full,
 		Filter:  compiler.NewCanonicalFilter(env.tok),
@@ -475,7 +509,7 @@ func TestFullAutomatonYieldsMultipleEncodings(t *testing.T) {
 	// same string, each a distinct result.
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("art")
-	full := compiler.CompileFull(char, env.tok)
+	full := compiler.CompileFull(char, env.tok).Freeze()
 	s := ShortestPath(env.dev, &Query{Pattern: full})
 	results := collect(t, s, 100)
 	if len(results) < 2 {
@@ -492,7 +526,7 @@ func TestStatsCounting(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("((art)|(medicine))")
 	pat, _ := compiler.CompileCanonical(char, env.tok, 12, 100)
-	s := ShortestPath(env.dev, &Query{Pattern: pat})
+	s := ShortestPath(env.dev, &Query{Pattern: pat.Freeze()})
 	collect(t, s, 2)
 	st := s.Stats()
 	if st.Emitted != 2 || st.NodesExpanded == 0 || st.ModelCalls == 0 {
@@ -522,7 +556,7 @@ func TestPrefixZeroCostVisitsAllPrefixesFirst(t *testing.T) {
 	run := func(zeroCost bool) (first *Result, expanded int64) {
 		dev := device.New(m, device.DefaultLatency(), 8)
 		s := ShortestPath(dev, &Query{
-			Pattern:        pat,
+			Pattern:        pat.Freeze(),
 			Prefixes:       [][]model.Token{{0}, {1}}, // likely, unlikely
 			BatchExpand:    1,
 			PrefixZeroCost: zeroCost,
@@ -561,7 +595,7 @@ func TestPrefixLogProbReportedWithZeroCost(t *testing.T) {
 	pat.SetStart(p0)
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{
-		Pattern:        pat,
+		Pattern:        pat.Freeze(),
 		Prefixes:       [][]model.Token{{0}},
 		PrefixZeroCost: true,
 	})

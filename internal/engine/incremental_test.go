@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/automaton"
 	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/device"
@@ -258,32 +257,6 @@ func TestScoreSequencesAllPositionsEquivalence(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestIncrementalStatsAndWalker sanity-checks that an incremental Dijkstra
-// over a frozen automaton emits the same stream as over the mutable DFA —
-// composing decision 9 (shared frozen plans) with decision 10 (shared KV
-// states), the serving configuration.
-func TestIncrementalStatsAndWalker(t *testing.T) {
-	env := newTransformerEnv(t)
-	char := regex.MustCompile("(The )?(man|woman)")
-	tokenDFA, err := compiler.CompileCanonical(char, env.tok, 24, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var walkers = map[string]automaton.Walker{"dfa": tokenDFA, "frozen": tokenDFA.Freeze()}
-	var streams [][]string
-	for _, w := range walkers {
-		q := &Query{
-			Pattern:     w,
-			Prefixes:    [][]model.Token{env.tok.Encode("I saw")},
-			MaxTokens:   6,
-			Incremental: true,
-			KV:          kvcache.New(0),
-		}
-		streams = append(streams, drain(t, ShortestPath(env.dev, q), 8))
-	}
-	sameResults(t, "walker-forms", streams[0], streams[1])
 }
 
 // scoreSequencesExpanded is the pre-decision-10 path — every (sequence,

@@ -3,10 +3,12 @@ package engine
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"repro/internal/automaton"
 	"repro/internal/decoding"
 	"repro/internal/device"
+	"repro/internal/model"
 )
 
 // MassResult is a certified estimate of the probability that a complete
@@ -76,8 +78,9 @@ func (h *massHeap) Pop() interface{} {
 //
 // Multiple enumerated prefixes are treated as a uniform mixture: each prefix
 // roots the traversal with initial mass 1/len(prefixes), so the result is
-// the expected mass over a uniformly chosen prefix. RequireEOS is implied by
-// the semantics (complete generations) and the query's flag is ignored.
+// the expected mass over a uniformly chosen prefix. The semantics (complete
+// generations) imply RequireEOS, so the expansion rule runs with it on
+// whatever the query's flag says.
 //
 // The traversal expands the top-K frontier per round (K = Query.BatchExpand,
 // defaulting to the device batch limit): the K highest-mass nodes are popped
@@ -95,7 +98,7 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 	}
 	q = normalizeQuery(dev, q)
 	defer q.cancel() // Mass is synchronous; release the derived context
-	m := dev.Model()
+	q.RequireEOS = true
 	batchSize := EffectiveBatch(dev, q.BatchExpand)
 
 	res := &MassResult{}
@@ -108,6 +111,7 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 	}
 
 	var round int64
+	var sets []siblings
 	for frontier.Len() > 0 {
 		res.Upper = res.Lower + frontierMass
 		if res.Upper-res.Lower <= opts.Tolerance {
@@ -134,51 +138,27 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 		}
 		res.Expanded += int64(len(batch))
 
-		// Rule filtering, the canonicality verdict, and child construction are
-		// independent per node: fan out into per-node slots, then settle
-		// the bounds serially in pop order so accumulation stays
-		// deterministic.
-		type massSlot struct {
-			matched   bool
-			matchMass float64
-			children  []*massNode
-		}
-		slots := make([]massSlot, len(batch))
+		// The rule's verdicts are independent per node: fan out into per-node
+		// sibling sets, then settle the bounds serially in pop order so
+		// accumulation stays deterministic.
+		sets = slices.Grow(sets[:0], len(batch))[:len(batch)]
 		parallelFor(len(batch), q.Parallelism, func(i int) {
-			n, lp := batch[i], lps[i]
-			kept := decoding.SupportOf(q.Rule, lp)
+			n := batch[i]
 			ctx := n.context()
-			pattern := ctx[len(ctx)-n.pat:]
-
-			// A complete match requires an accepting state, ≥1 pattern token,
-			// the canonicality filter's consent, and a rule-admissible EOS.
-			if q.Pattern.Accepting(n.state) && n.pat > 0 && q.Filter.AllowFinal(pattern) && kept.Has(m.EOS()) {
-				slots[i].matched = true
-				slots[i].matchMass = n.mass * math.Exp(lp[m.EOS()])
-			}
-			// Longer strings are outside the bounded language, and one verdict
-			// from the filter covers every child.
-			if n.pat >= q.MaxTokens || !q.Filter.AllowChildren(pattern) {
-				return
-			}
-			for _, e := range q.Pattern.Edges(n.state) {
-				if !kept.Has(e.Sym) {
-					continue
-				}
-				if childMass := n.mass * math.Exp(lp[e.Sym]); childMass > 0 {
-					slots[i].children = append(slots[i].children,
-						&massNode{path: n.child(e.Sym), state: e.To, pat: n.pat + 1, mass: childMass})
-				}
-			}
+			sets[i] = q.expand(n.state, ctx[len(ctx)-n.pat:], 0, lps[i], decoding.SupportOf(q.Rule, lps[i]), sets[i])
 		})
-		for _, sl := range slots {
-			if sl.matched {
-				res.Lower += sl.matchMass
-				res.Matches++
-			}
-			for _, child := range sl.children {
-				heap.Push(&frontier, child)
-				frontierMass += child.mass
+		for i, n := range batch {
+			lp := lps[i]
+			for _, sib := range sets[i] {
+				if sib.sym == matchSym {
+					res.Lower += n.mass * math.Exp(lp[q.eos])
+					res.Matches++
+				} else if childMass := n.mass * math.Exp(lp[sib.sym]); childMass > 0 {
+					heap.Push(&frontier, &massNode{
+						path: n.child(model.Token(sib.sym)), state: automaton.StateID(sib.to), pat: n.pat + 1, mass: childMass,
+					})
+					frontierMass += childMass
+				}
 			}
 		}
 		q.Trace.End(rspan)

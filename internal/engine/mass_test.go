@@ -16,9 +16,9 @@ func uniformDevice(vocab int) *device.Device {
 	return device.New(lm, device.DefaultLatency(), 8)
 }
 
-// singleTokenDFA accepts exactly the given one-token strings.
-func tokenDFA(seqs ...[]automaton.Symbol) *automaton.DFA {
-	return automaton.FromSymbolSeqs(seqs)
+// tokenDFA accepts exactly the given token strings.
+func tokenDFA(seqs ...[]automaton.Symbol) *automaton.Frozen {
+	return automaton.FromSymbolSeqs(seqs).Freeze()
 }
 
 func TestMassExactOnUniformModel(t *testing.T) {
@@ -50,7 +50,7 @@ func TestMassBoundsAreSound(t *testing.T) {
 	n.AddEdge(s0, 0, s0)
 	n.AddEdge(s0, 1, s1)
 	n.SetStart(s0)
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 
 	res := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 10}, MassOptions{Tolerance: 1e-15, MaxNodes: 50}))
 	if res.Lower < 0 || res.Upper > 1 || res.Lower > res.Upper {
@@ -74,7 +74,7 @@ func TestMassConvergesWithBudget(t *testing.T) {
 	n.AddEdge(s0, 0, s0)
 	n.AddEdge(s0, 1, s1)
 	n.SetStart(s0)
-	pat := n.Determinize()
+	pat := n.Determinize().Freeze()
 
 	loose := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 3}))
 	tight := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 10000}))
@@ -130,7 +130,7 @@ func TestMassEmptyLanguage(t *testing.T) {
 	dev := uniformDevice(4)
 	d := automaton.NewDFA()
 	d.SetStart(d.AddState(false)) // no accepting states
-	res := must(Mass(dev, &Query{Pattern: d}, MassOptions{}))
+	res := must(Mass(dev, &Query{Pattern: d.Freeze()}, MassOptions{}))
 	if res.Lower != 0 || res.Matches != 0 {
 		t.Fatalf("empty language has mass [%g, %g]", res.Lower, res.Upper)
 	}

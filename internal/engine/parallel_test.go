@@ -24,7 +24,7 @@ func parallelEnv(t *testing.T) (*ngramEnv, *Query) {
 		t.Fatal(err)
 	}
 	q := &Query{
-		Pattern: pat,
+		Pattern: pat.Freeze(),
 		Prefixes: [][]model.Token{
 			env.tok.Encode("The man"),
 			env.tok.Encode("The woman"),
@@ -109,7 +109,7 @@ func TestParallelBeamDeterminism(t *testing.T) {
 func TestDijkstraCancellation(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("( (engineering|medicine|art))+")
-	pat := compiler.CompileFull(char, env.tok)
+	pat := compiler.CompileFull(char, env.tok).Freeze()
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Query{
 		Pattern:     pat,
@@ -142,7 +142,7 @@ func TestSamplerCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Query{
-		Pattern:     pat,
+		Pattern:     pat.Freeze(),
 		Prefixes:    [][]model.Token{env.tok.Encode("The man")},
 		Context:     ctx,
 		Parallelism: 4,
@@ -162,7 +162,7 @@ func TestSamplerCancellation(t *testing.T) {
 func TestMassCancellation(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("( (engineering|medicine|art))+")
-	pat := compiler.CompileFull(char, env.tok)
+	pat := compiler.CompileFull(char, env.tok).Freeze()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any refinement
 	q := &Query{
@@ -190,7 +190,7 @@ func TestSamplerParallelReproducible(t *testing.T) {
 	}
 	draw := func() []Result {
 		q := &Query{
-			Pattern:     pat,
+			Pattern:     pat.Freeze(),
 			Prefixes:    [][]model.Token{env.tok.Encode("The man")},
 			Parallelism: 4,
 		}

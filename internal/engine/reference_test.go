@@ -25,7 +25,9 @@ import (
 // eagerly: shortest path pushes them all onto one node heap, beam sorts all
 // of a level's children before it truncates. Both order by the frontier
 // order (DESIGN.md decision 6), so any divergence is the production side's
-// lazy siblings, cursors or per-hypothesis cut.
+// lazy siblings, cursors or per-hypothesis cut. Each reference states the
+// expansion rule over again on purpose: production has it once
+// (Query.expand), so an edit to it shows against all four.
 
 func refAppendToken(ctx []model.Token, t model.Token) []model.Token {
 	out := make([]model.Token, len(ctx)+1)
@@ -415,7 +417,7 @@ func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 		for i, mv := range moves {
 			weights[i] = mv.lp
 		}
-		mv := moves[sampleLog(rng, weights)]
+		mv := moves[refSampleLog(rng, weights)]
 		if mv.stop {
 			if s.q.RequireEOS {
 				logP += lp[m.EOS()]
@@ -429,6 +431,35 @@ func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 		patLen++
 	}
 	return nil, false
+}
+
+// refSampleLog is the sampler's draw as it was: an index proportional to
+// exp(weights[i]), stably.
+func refSampleLog(rng *rand.Rand, weights []float64) int {
+	max := model.NegInf
+	for _, w := range weights {
+		if w > max {
+			max = w
+		}
+	}
+	total := 0.0
+	probs := make([]float64, len(weights))
+	for i, w := range weights {
+		if math.IsInf(w, -1) {
+			continue
+		}
+		probs[i] = math.Exp(w - max)
+		total += probs[i]
+	}
+	r := rng.Float64() * total
+	acc := 0.0
+	for i, p := range probs {
+		acc += p
+		if r < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
 }
 
 func resultRows(rs []Result) []string {
@@ -458,7 +489,8 @@ func sameStats(t *testing.T, name string, got, want Stats) {
 // with and without the canonical filter over the all-encodings automaton,
 // under each rule shape, serial and with 8 expansion workers, full-prefix
 // and incremental (a no-op on the n-gram, real KV extension on the
-// transformer). The transformer runs on a logit cache every earlier arm
+// transformer), with MaxTokens 8 and 3, where every engine's traversal
+// reaches the cap. The transformer runs on a logit cache every earlier arm
 // warmed, and on a cold one per arm (nil dev), where the engines' first
 // rounds go to the arena and the device.
 func TestExpansionMatchesPerChildReference(t *testing.T) {
@@ -488,26 +520,28 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 			for _, rule := range rules {
 				for _, filter := range []*compiler.CanonicalFilter{nil, compiler.NewCanonicalFilter(tok)} {
 					for _, workers := range []int{1, 8} {
-						ruleName := "none"
-						if rule != nil {
-							ruleName = rule.Name()
-						}
-						name := fmt.Sprintf("%s/%s/%s/filter=%t/p%d", pat, sub.name, ruleName, filter != nil, workers)
-						query := func() *Query {
-							q := &Query{
-								Pattern: full, Prefixes: [][]model.Token{prefix}, Rule: rule, Filter: filter,
-								RequireEOS: true, MaxTokens: 8, BatchExpand: 4, Parallelism: workers,
+						for _, maxTokens := range []int{8, 3} {
+							ruleName := "none"
+							if rule != nil {
+								ruleName = rule.Name()
 							}
-							if sub.incremental {
-								q.Incremental, q.KV = true, kvcache.New(0)
+							name := fmt.Sprintf("%s/%s/%s/filter=%t/p%d/max%d", pat, sub.name, ruleName, filter != nil, workers, maxTokens)
+							query := func() *Query {
+								q := &Query{
+									Pattern: full, Prefixes: [][]model.Token{prefix}, Rule: rule, Filter: filter,
+									RequireEOS: true, MaxTokens: maxTokens, BatchExpand: 4, Parallelism: workers,
+								}
+								if sub.incremental {
+									q.Incremental, q.KV = true, kvcache.New(0)
+								}
+								return q
 							}
-							return q
+							dev := sub.dev
+							if dev == nil {
+								dev = trans.coldDev()
+							}
+							checkExpansion(t, name, dev, query, 10)
 						}
-						dev := sub.dev
-						if dev == nil {
-							dev = trans.coldDev()
-						}
-						checkExpansion(t, name, dev, query)
 					}
 				}
 			}
@@ -515,9 +549,10 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 	}
 }
 
-// checkFrontier compares shortest path and beam (width 6) with their eager
-// references over the first limit results.
-func checkFrontier(t *testing.T, name string, dev *device.Device, query func() *Query, limit int) {
+// checkExpansion compares all four engines with their references: shortest
+// path and beam (width 6) over the first limit results, Mass's bounds bit for
+// bit and the sampler's seeded draws.
+func checkExpansion(t *testing.T, name string, dev *device.Device, query func() *Query, limit int) {
 	t.Helper()
 	got, gotStats := drainResults(t, ShortestPath(dev, query()), limit)
 	want, wantStats := refShortestPath(dev, query(), limit)
@@ -528,11 +563,6 @@ func checkFrontier(t *testing.T, name string, dev *device.Device, query func() *
 	want, wantStats = refBeam(dev, query(), 6, limit)
 	sameResults(t, name+"/beam", resultRows(got), resultRows(want))
 	sameStats(t, name+"/beam", gotStats, wantStats)
-}
-
-func checkExpansion(t *testing.T, name string, dev *device.Device, query func() *Query) {
-	t.Helper()
-	checkFrontier(t, name, dev, query, 10)
 
 	opts := MassOptions{Tolerance: 1e-6, MaxNodes: 600}
 	if gm, wm := must(Mass(dev, query(), opts)), refMass(dev, query(), opts); *gm != *wm {
@@ -545,7 +575,7 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 	sampler := func() *samplerStream {
 		return Sample(dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(1))}).(*samplerStream)
 	}
-	draw := func(s *samplerStream, once func(*rand.Rand) (*Result, bool)) []string {
+	walks := func(s *samplerStream, once func(*rand.Rand) (*Result, bool)) []string {
 		defer s.Close()
 		rows := make([]string, attempts)
 		parallelFor(attempts, s.q.Parallelism, func(i int) {
@@ -556,8 +586,8 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 		return append(rows, fmt.Sprint(s.Stats().ModelCalls))
 	}
 	gs, ws := sampler(), sampler()
-	sameResults(t, name+"/sampler", draw(gs, func(rng *rand.Rand) (*Result, bool) { r := must(gs.sampleOnce(rng)); return r, r != nil }),
-		draw(ws, func(rng *rand.Rand) (*Result, bool) { return refSampleOnce(ws, rng) }))
+	sameResults(t, name+"/sampler", walks(gs, func(rng *rand.Rand) (*Result, bool) { r := must(gs.sampleOnce(rng)); return r, r != nil }),
+		walks(ws, func(rng *rand.Rand) (*Result, bool) { return refSampleOnce(ws, rng) }))
 }
 
 // classLM scores all tokens of one class (id mod 3) alike, given the class of
@@ -587,7 +617,8 @@ func (c *classLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.Sc
 // lazy sibling cursors and beam's per-hypothesis cut still emit exactly what
 // the eager references do under the frontier order — sequences, log-probs,
 // model calls and expanded nodes — at every batch size and worker count,
-// with and without a top-k cut inside a tie class.
+// with and without a top-k cut inside a tie class; Mass's bounds and the
+// sampler's draws, including its stop-mass move without EOS, match theirs.
 func TestTieDenseFrontierMatchesReference(t *testing.T) {
 	const vocab, depth = 13, 4
 	dev := device.New(&classLM{model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}}, device.DefaultLatency(), 8)
@@ -602,15 +633,16 @@ func TestTieDenseFrontierMatchesReference(t *testing.T) {
 			pat.AddEdge(states[i], sym, states[i+1])
 		}
 	}
+	frozen := pat.Freeze()
 	for _, prefixes := range [][][]model.Token{nil, {{0}, {1, 2}, {3}}} {
 		for _, rule := range []decoding.Rule{nil, decoding.TopK{K: 5}} {
 			for _, eos := range []bool{false, true} {
 				for _, batch := range []int{1, 4} {
 					for _, workers := range []int{1, 8} {
 						name := fmt.Sprintf("prefixes=%d/rule=%v/eos=%t/batch%d/p%d", len(prefixes), rule, eos, batch, workers)
-						checkFrontier(t, name, dev, func() *Query {
+						checkExpansion(t, name, dev, func() *Query {
 							return &Query{
-								Pattern: pat, Prefixes: prefixes, Rule: rule,
+								Pattern: frozen, Prefixes: prefixes, Rule: rule,
 								RequireEOS: eos, BatchExpand: batch, Parallelism: workers,
 							}
 						}, 60)

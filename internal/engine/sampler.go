@@ -200,7 +200,6 @@ func (s *samplerStream) samplePrefix(rng *rand.Rand) ([]model.Token, bool) {
 }
 
 func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
-	m := s.dev.Model()
 	prefix, ok := s.samplePrefix(rng)
 	if !ok {
 		return nil, nil
@@ -223,8 +222,10 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 	state := s.q.Pattern.Start()
 	logP := prefLogP
 	patLen := 0
+	var moves siblings
 
-	for patLen <= s.q.MaxTokens {
+	// The rule ends every walk by MaxTokens: a node there has no children.
+	for {
 		// One context per step, scored by the frontier rule: rejection
 		// attempts replay prefixes constantly, so most steps are resident.
 		lps, err := scoreFrontier(s.dev, s.q, [][]model.Token{ctx})
@@ -233,57 +234,28 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 		}
 		lp := lps[0]
 		s.stats.modelCalls.Add(1)
-		filtered := decoding.Allowed(s.q.Rule, lp)
 		pattern := ctx[len(ctx)-patLen:]
 
-		// Candidate moves: automaton edges allowed by the rule, plus the
-		// stop action when the state accepts (weighted by EOS when
-		// RequireEOS, else by the remaining stop mass).
-		type move struct {
-			sym  model.Token
-			to   automaton.StateID
-			lp   float64
-			stop bool
-		}
-		var moves []move
-		if patLen < s.q.MaxTokens && s.q.Filter.AllowChildren(pattern) {
-			for _, e := range s.q.Pattern.Edges(state) {
-				if w := filtered[e.Sym]; w != model.NegInf {
-					moves = append(moves, move{sym: e.Sym, to: e.To, lp: w})
-				}
-			}
-		}
-		if s.q.Pattern.Accepting(state) && patLen > 0 {
-			if s.q.Filter.AllowFinal(pattern) {
-				if s.q.RequireEOS {
-					if w := filtered[m.EOS()]; w != model.NegInf {
-						moves = append(moves, move{lp: w, stop: true})
-					}
-				} else {
-					// Without EOS semantics, stop with the probability mass
-					// not claimed by continuing edges.
-					cont := model.NegInf
-					for _, mv := range moves {
-						cont = model.LogSumExp([]float64{cont, mv.lp})
-					}
-					stopLP := math.Log(math.Max(1e-12, 1-math.Exp(cont)))
-					moves = append(moves, move{lp: stopLP, stop: true})
-				}
-			}
-		}
+		// The moves are the node's siblings. Given the reweighted row as its
+		// lp, the rule costs each at its negated log weight: a child by its
+		// token, the stop (the match) by EOS under RequireEOS; without EOS
+		// semantics the stop takes the probability mass no child claims.
+		filtered := decoding.Allowed(s.q.Rule, lp)
+		moves = s.q.expand(state, pattern, 0, filtered, decoding.SupportOf(nil, filtered), moves)
 		if len(moves) == 0 {
 			return nil, nil // dead end under the rule: reject
 		}
-		// Sample among moves proportionally to exp(lp).
-		weights := make([]float64, len(moves))
-		for i, mv := range moves {
-			weights[i] = mv.lp
+		if stop := &moves[len(moves)-1]; stop.sym == matchSym && !s.q.RequireEOS {
+			cont := model.NegInf
+			for _, mv := range moves[:len(moves)-1] {
+				cont = model.LogSumExp([]float64{cont, -mv.cost})
+			}
+			stop.cost = -math.Log(math.Max(1e-12, 1-math.Exp(cont)))
 		}
-		choice := sampleLog(rng, weights)
-		mv := moves[choice]
-		if mv.stop {
+		mv := moves[draw(rng, moves)]
+		if mv.sym == matchSym {
 			if s.q.RequireEOS {
-				logP += lp[m.EOS()]
+				logP += lp[s.q.eos]
 			}
 			return &Result{
 				Prefix:        prefix,
@@ -293,37 +265,29 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 			}, nil
 		}
 		logP += lp[mv.sym]
-		ctx = append(ctx, mv.sym)
-		state = mv.to
+		ctx = append(ctx, model.Token(mv.sym))
+		state = automaton.StateID(mv.to)
 		patLen++
 	}
-	return nil, nil // exceeded MaxTokens without stopping
 }
 
-// sampleLog draws an index proportionally to exp(weights[i]), stably.
-func sampleLog(rng *rand.Rand, weights []float64) int {
-	max := model.NegInf
-	for _, w := range weights {
-		if w > max {
-			max = w
-		}
+// draw picks a sibling with probability proportional to exp(-cost), stably.
+func draw(rng *rand.Rand, sibs siblings) int {
+	least := math.Inf(1)
+	for _, s := range sibs {
+		least = min(least, s.cost)
 	}
 	total := 0.0
-	probs := make([]float64, len(weights))
-	for i, w := range weights {
-		if math.IsInf(w, -1) {
-			continue
-		}
-		probs[i] = math.Exp(w - max)
-		total += probs[i]
+	for _, s := range sibs {
+		total += math.Exp(least - s.cost)
 	}
 	r := rng.Float64() * total
 	acc := 0.0
-	for i, p := range probs {
-		acc += p
+	for i, s := range sibs {
+		acc += math.Exp(least - s.cost)
 		if r < acc {
 			return i
 		}
 	}
-	return len(weights) - 1
+	return len(sibs) - 1
 }

@@ -151,7 +151,7 @@ func reportKV(id string, before, after relm.KVStats) {
 	evict := after.Evictions - before.Evictions
 	demote := after.Demotions - before.Demotions
 	promote := after.Promotions - before.Promotions
-	fmt.Printf("[%s] kv arena +%d state hits / +%d misses | +%d evictions | +%d demotions / +%d promotions | resident %d B (%d B compressed in %d nodes)\n",
+	fmt.Printf("[%s] kv arena +%d state hits / +%d misses | +%d evictions | +%d demotions / +%d promotions | resident %d B (%d B token-only in %d nodes)\n",
 		id, hits, misses, evict, demote, promote, after.ResidentBytes, after.CompressedBytes, after.CompressedNodes)
 }
 
@@ -254,18 +254,6 @@ func registry() []experiment {
 					return err
 				}
 				experiments.RenderCanon(os.Stdout, res)
-				return nil
-			},
-		},
-		{
-			id:    "kvaccuracy",
-			about: "DESIGN.md decision 14: §4 suites per KV-compression tier, metric deltas",
-			run: func(env *experiments.Env) error {
-				res, err := experiments.RunKVAccuracy(env, experiments.KVAccuracyConfig{})
-				if err != nil {
-					return err
-				}
-				experiments.RenderKVAccuracy(os.Stdout, res)
 				return nil
 			},
 		},

@@ -77,7 +77,6 @@ func main() {
 	batch := flag.Int("batch", 0, "device batch limit per model (0 = default 64)")
 	par := flag.Int("parallelism", runtime.NumCPU(), "persistent scoring-pool width shared by all models (>= 1)")
 	kvBudget := flag.Int64("kv-budget", 0, "prefix-state arena byte budget per model (0 = default 64 MiB, negative disables incremental decoding)")
-	kvCompression := flag.String("kv-compression", "lossless", "KV-arena tiered compression: off, lossless (byte-identical results), or aggressive (2-byte rows, approximate)")
 	fusion := flag.Bool("fusion", true, "continuous cross-query batching: fuse scoring calls from all in-flight queries into shared device batches")
 	fusionWindow := flag.Duration("fusion-window", 0, "fusion admission window (0 = default 200µs)")
 	jobsDir := flag.String("jobs-dir", "", "run-ledger directory; enables the /v1/jobs validation-job API")
@@ -108,11 +107,6 @@ func main() {
 		fatal(err)
 	}
 
-	kvMode, err := relm.ParseKVCompression(*kvCompression)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *pprofAddr != "" {
 		// Up before the world trains, so start-up can be profiled too.
 		pln, err := net.Listen("tcp", *pprofAddr)
@@ -133,7 +127,6 @@ func main() {
 		CacheSize:          *cacheSize,
 		Pool:               pool,
 		KVBudgetBytes:      *kvBudget,
-		KVCompression:      kvMode,
 		ContinuousBatching: *fusion,
 		FusionWindow:       *fusionWindow,
 		TraceSampling:      *traceSampling,

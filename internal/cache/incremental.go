@@ -11,10 +11,9 @@ import (
 // hold. For an inner model with real prefix states (the Transformer) those
 // delegate — the caller needs the state, and a row cannot make one — and
 // every computed next-token row is published into the LRU, keeping the cache
-// warm for full-path and cross-query requests; a row scored from an inexact
-// state (model.Exact) is withheld. For window models with trivial states, the
-// incremental calls route through ScoreBatch, so the LRU and single-flight
-// machinery apply row by row exactly as on the full path.
+// warm for full-path and cross-query requests. For window models with
+// trivial states, the incremental calls route through ScoreBatch, so the LRU
+// and single-flight machinery apply row by row exactly as on the full path.
 
 // HasPrefixStates implements model.PrefixStateful by delegation.
 func (c *LM) HasPrefixStates() bool { return model.HasPrefixStates(c.inner) }
@@ -48,12 +47,7 @@ func (c *LM) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]mo
 func (c *LM) extendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64, BatchStats) {
 	if im, ok := c.inner.(model.Incremental); ok {
 		out, rows := im.ExtendBatch(states, tokens)
-		bs := c.publish(rows, func(i int) []model.Token {
-			if !model.Exact(out[i]) {
-				return nil // a half-precision row: never under the exact key
-			}
-			return out[i].Context()
-		})
+		bs := c.publish(rows, func(i int) []model.Token { return out[i].Context() })
 		return out, rows, bs
 	}
 	out, ctxs := model.ExtendCtxs(c.inner, states, tokens)
@@ -138,17 +132,12 @@ func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) BatchStats
 
 // publishLocked inserts each computed row the LRU does not hold yet, so
 // incremental traffic warms the cache for everyone else; an entry already
-// present keeps its row and its recency. A nil ctx(i) withholds row i: it is
-// not the model's exact row for any context. Rows are looked up through buf,
-// so only an actual insert materializes a key. The LRU stores each row itself,
+// present keeps its row and its recency. Rows are looked up through buf, so
+// only an actual insert materializes a key. The LRU stores each row itself,
 // the slice the caller also returns: rows are read-only. c.mu must be held.
 func (c *LM) publishLocked(buf *[]byte, rows [][]float64, ctx func(i int) []model.Token) {
 	for i, lp := range rows {
-		key := ctx(i)
-		if key == nil {
-			continue
-		}
-		*buf = model.AppendKey((*buf)[:0], key)
+		*buf = model.AppendKey((*buf)[:0], ctx(i))
 		if !c.rows.Has(*buf) {
 			c.rows.Add(string(*buf), lp)
 		}

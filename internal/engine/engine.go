@@ -620,10 +620,10 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]floa
 				e.parent.Release()
 			}
 		}()
-		// Demoted parents with no exact expansion (token-only compacts,
-		// DESIGN.md decision 14) promote first: one Prefill per unique parent
-		// context rebuilds bit-exact rows, and every child extension below
-		// then runs incrementally. Several children can share one demoted
+		// Demoted parents (token context only, DESIGN.md decision 14)
+		// promote first: one Prefill per unique parent context rebuilds
+		// bit-exact rows, and every child extension below then runs
+		// incrementally. Several children can share one demoted
 		// parent — dedupe so the node is recomputed once; Promote via any
 		// handle promotes the node for all of them.
 		var promo []int // representative ext index per unique demoted parent

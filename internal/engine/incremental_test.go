@@ -82,18 +82,18 @@ func TestEnginesIncrementalEquivalence(t *testing.T) {
 
 		sameResults(t, pat+"/dijkstra",
 			drain(t, ShortestPath(env.dev, query()), 12),
-			drain(t, ShortestPath(env.dev, incrementalQuery(query(), kvcache.New(0))), 12))
+			drain(t, ShortestPath(env.dev, incrementalQuery(query(), kvcache.NewTiered(kvcache.Config{}))), 12))
 
 		sameResults(t, pat+"/beam",
 			drain(t, Beam(env.dev, query(), BeamOptions{Width: 6}), 12),
-			drain(t, Beam(env.dev, incrementalQuery(query(), kvcache.New(0)), BeamOptions{Width: 6}), 12))
+			drain(t, Beam(env.dev, incrementalQuery(query(), kvcache.NewTiered(kvcache.Config{})), BeamOptions{Width: 6}), 12))
 
 		sameResults(t, pat+"/sampler",
 			drain(t, Sample(env.dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6),
-			drain(t, Sample(env.dev, incrementalQuery(query(), kvcache.New(0)), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6))
+			drain(t, Sample(env.dev, incrementalQuery(query(), kvcache.NewTiered(kvcache.Config{})), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6))
 
 		mf := must(Mass(env.dev, query(), MassOptions{Tolerance: 1e-6, MaxNodes: 4000}))
-		mi := must(Mass(env.dev, incrementalQuery(query(), kvcache.New(0)), MassOptions{Tolerance: 1e-6, MaxNodes: 4000}))
+		mi := must(Mass(env.dev, incrementalQuery(query(), kvcache.NewTiered(kvcache.Config{})), MassOptions{Tolerance: 1e-6, MaxNodes: 4000}))
 		if mf.Lower != mi.Lower || mf.Upper != mi.Upper || mf.Matches != mi.Matches || mf.Expanded != mi.Expanded {
 			t.Fatalf("%s/mass: %+v vs %+v", pat, mf, mi)
 		}
@@ -123,7 +123,7 @@ func TestTransformerIncrementalEquivalence(t *testing.T) {
 			MaxTokens:  8,
 		}
 	}
-	kv := kvcache.New(0)
+	kv := kvcache.NewTiered(kvcache.Config{})
 	sameResults(t, "transformer/dijkstra",
 		drain(t, ShortestPath(env.dev, query()), 12),
 		drain(t, ShortestPath(env.coldDev(), incrementalQuery(query(), kv)), 12))
@@ -131,7 +131,7 @@ func TestTransformerIncrementalEquivalence(t *testing.T) {
 		t.Fatalf("arena never served the traversal: %+v", s)
 	}
 
-	kv2 := kvcache.New(0)
+	kv2 := kvcache.NewTiered(kvcache.Config{})
 	sameResults(t, "transformer/sampler",
 		drain(t, Sample(env.dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(3))}), 5),
 		drain(t, Sample(env.coldDev(), incrementalQuery(query(), kv2), SamplerOptions{Rng: rand.New(rand.NewSource(3))}), 5))
@@ -157,7 +157,7 @@ func TestIncrementalEvictionRecompute(t *testing.T) {
 		return &Query{Pattern: frozen, Prefixes: [][]model.Token{prefix}, MaxTokens: 8}
 	}
 	const budget = 2 << 10 // smaller than a single prefix state: constant churn
-	kv := kvcache.New(budget)
+	kv := kvcache.NewTiered(kvcache.Config{BudgetBytes: budget})
 	sameResults(t, "eviction/dijkstra",
 		drain(t, ShortestPath(env.dev, query()), 12),
 		drain(t, ShortestPath(env.coldDev(), incrementalQuery(query(), kv)), 12))
@@ -181,7 +181,7 @@ func TestIncrementalSharedArenaRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozen := tokenDFA.Freeze()
-	kv := kvcache.New(32 << 10) // small enough to force eviction races
+	kv := kvcache.NewTiered(kvcache.Config{BudgetBytes: 32 << 10}) // small enough to force eviction races
 	prefixes := []string{
 		"The man was trained in",
 		"The woman was trained in",

@@ -532,7 +532,7 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 									RequireEOS: true, MaxTokens: maxTokens, BatchExpand: 4, Parallelism: workers,
 								}
 								if sub.incremental {
-									q.Incremental, q.KV = true, kvcache.New(0)
+									q.Incremental, q.KV = true, kvcache.NewTiered(kvcache.Config{})
 								}
 								return q
 							}

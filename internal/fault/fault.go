@@ -376,14 +376,14 @@ func ParseScenario(s string, seed int64) (*Injector, error) {
 				}
 				spec.Latency = d
 			case strings.HasPrefix(tok, "lp"):
-				p, err := strconv.ParseFloat(tok[2:], 64)
-				if err != nil || p < 0 || p > 1 {
+				p, ok := parseProb(tok[2:])
+				if !ok {
 					return nil, fmt.Errorf("fault: bad latency probability %q in %q", tok, entry)
 				}
 				spec.LatProb = p
 			case strings.HasPrefix(tok, "p"):
-				p, err := strconv.ParseFloat(tok[1:], 64)
-				if err != nil || p < 0 || p > 1 {
+				p, ok := parseProb(tok[1:])
+				if !ok {
 					return nil, fmt.Errorf("fault: bad probability %q in %q", tok, entry)
 				}
 				spec.Prob = p
@@ -400,6 +400,14 @@ func ParseScenario(s string, seed int64) (*Injector, error) {
 		in.Set(name, spec)
 	}
 	return in, nil
+}
+
+// parseProb parses a probability in [0, 1]. The range test is written so
+// NaN — which strconv.ParseFloat accepts and every comparison rejects —
+// fails it.
+func parseProb(s string) (float64, bool) {
+	p, err := strconv.ParseFloat(s, 64)
+	return p, err == nil && p >= 0 && p <= 1
 }
 
 // PointNames lists the known injection points, sorted — the CLI help and

@@ -186,6 +186,9 @@ func TestParseScenario(t *testing.T) {
 		"nonsense",
 		"no.such.point=p0.5",
 		"device.forward=p1.5",
+		"device.forward=pNaN",
+		"device.forward=lat2ms+lpNaN",
+		"device.forward=pInf",
 		"device.forward=q0.5",
 		"ledger.sync=n-1",
 		"device.forward=latbogus",

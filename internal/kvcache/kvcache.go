@@ -18,16 +18,13 @@
 // are still reachable through them — evicting it would free nothing. When
 // the last child goes, the parent becomes a leaf and ages out normally.
 //
-// Tiered compression (DESIGN.md decision 14) adds a middle rung between
-// resident and gone. With a tier configured, cold full-precision leaves
-// demote in place — the state packs itself via model.Compactor, or falls
-// back to its token context alone — instead of evicting, and promote back
-// (expand once, or recompute via the caller's Prefill) on the next Acquire.
-// A compact node stands alone: demotion severs the trie link so the parent
-// can age out independently, and the node is charged its standalone compact
-// size. The pyramid this produces — hot leaves full-precision inside the
-// HotWindow, cold interior demoted, coldest compacts evicted — holds several
-// times more reusable prefixes per byte than full-precision LRU alone.
+// Demotion (DESIGN.md decision 14) is the rung between resident and gone: a
+// cold full leaf — past the hot window, or the coldest under byte pressure —
+// drops its K/V rows and keeps only its token context, a model.CtxState.
+// The node stays acquirable; its handle reports NeedsRecompute, and the
+// engine promotes it with one Prefill. A demoted node stands alone: demotion
+// severs the trie link so the parent can age out independently, and the
+// node is charged the token context's size.
 package kvcache
 
 import (
@@ -38,55 +35,51 @@ import (
 	"repro/internal/model"
 )
 
-// Config sizes and shapes an arena.
+// Config sizes an arena.
 type Config struct {
 	// BudgetBytes is the resident byte budget (<= 0: DefaultBudget).
 	BudgetBytes int64
-	// Compression selects the demotion tier; CompressNone disables demotion
-	// entirely (evict-only, the pre-tiering behavior).
-	Compression model.CompressTier
-	// HotWindow caps how many full-precision nodes stay resident before the
-	// coldest demote regardless of byte pressure (the pyramid's full-tier
-	// tip). 0 means DefaultHotWindow when compression is on; negative means
-	// no window — nodes demote only under byte pressure.
-	HotWindow int
 }
 
 // Arena is a concurrency-safe prefix-state store. The zero value is not
-// usable; construct with New or NewTiered.
+// usable; construct with NewTiered.
 type Arena struct {
-	mu  sync.Mutex
-	cfg Config
+	mu     sync.Mutex
+	budget int64
+	// hotWindow caps how many full nodes stay unpinned-resident before the
+	// coldest demote regardless of byte pressure (DefaultHotWindow; <= 0
+	// means no window, which only tests use).
+	hotWindow int
 
 	nodes map[string]*node
-	// lruFull holds exactly the evictable full-tier nodes — unpinned leaves
-	// — so each demotion or eviction is an O(1) pop from the back. Interior
-	// nodes enter when their last child goes (at the back: a parent's last
-	// use is at least as old as its children's), pinned nodes when released.
+	// lruFull holds exactly the evictable full nodes — unpinned leaves — so
+	// each demotion or eviction is an O(1) pop from the back. Interior nodes
+	// enter when their last child goes (at the back: a parent's last use is
+	// at least as old as its children's), pinned nodes when released.
 	lruFull lru.List[*node] // front = most recently used
-	// lruCompact holds the unpinned compact nodes, in demotion/use order.
-	// Compact nodes are always parentless leaves, so every one is evictable.
-	lruCompact lru.List[*node]
+	// lruDemoted holds the unpinned demoted nodes, in demotion/use order.
+	// Demoted nodes are always parentless leaves, so every one is evictable.
+	lruDemoted lru.List[*node]
 	resident   int64
 	handles    int // live handles, across all nodes
 
 	hits, misses, commits, evictions int64
 	demotions, promotions            int64
-	compressedNodes                  int
-	compressedBytes                  int64
+	demotedNodes                     int
+	demotedBytes                     int64
 }
 
 type node struct {
 	key    string
 	parent *node
 	state  model.DecodeState
-	bytes  int64 // resident charge: exclusive bytes, or standalone size once compact
+	bytes  int64 // resident charge: exclusive bytes, or the token context's once demoted
 	refs   int   // live handles
-	// children counts resident child nodes; always 0 once compact (demotion
-	// is leaf-only and compact nodes are never linked as parents).
+	// children counts resident child nodes; always 0 once demoted (demotion
+	// is leaf-only and demoted nodes are never linked as parents).
 	children int
-	compact  bool
-	// el links the node into lruFull or lruCompact while it is evictable
+	demoted  bool
+	// el links the node into lruFull or lruDemoted while it is evictable
 	// (unlisted while pinned or interior). Embedded rather than allocated so
 	// the pin/release cycle every Acquire runs is alloc-free — the hot
 	// scoring path allocates only its Handle.
@@ -104,36 +97,28 @@ type Handle struct {
 // DefaultBudget is the arena byte budget when none is configured (64 MiB).
 const DefaultBudget = 64 << 20
 
-// DefaultHotWindow is the full-precision node cap when compression is on
-// and Config.HotWindow is zero.
+// DefaultHotWindow is how many unpinned full leaves an arena keeps before
+// the coldest demote.
 const DefaultHotWindow = 256
 
-// New creates an uncompressed arena with the given byte budget
-// (<= 0: DefaultBudget).
-func New(budget int64) *Arena {
-	return NewTiered(Config{BudgetBytes: budget})
-}
-
-// NewTiered creates an arena from cfg.
+// NewTiered creates an arena from cfg. Its two tiers are full states and
+// demoted ones, which keep only their token context.
 func NewTiered(cfg Config) *Arena {
 	if cfg.BudgetBytes <= 0 {
 		cfg.BudgetBytes = DefaultBudget
 	}
-	if cfg.Compression != model.CompressNone && cfg.HotWindow == 0 {
-		cfg.HotWindow = DefaultHotWindow
-	}
 	return &Arena{
-		cfg:   cfg,
-		nodes: make(map[string]*node),
+		budget:    cfg.BudgetBytes,
+		hotWindow: DefaultHotWindow,
+		nodes:     make(map[string]*node),
 	}
 }
 
 // Acquire returns a pinned handle to the cached state for ctx, or nil on a
 // miss (the caller then recomputes via Prefill and Commits the result). A
-// hit on a demoted node promotes it: exactly-expandable compacts expand in
-// place here; the rest stay compact and report NeedsRecompute on the handle,
-// and the caller promotes by Prefilling ctx and calling Promote — or simply
-// uses the compact state as-is, which models score correctly (if slowly) by
+// hit on a demoted node reports NeedsRecompute on the handle: the caller
+// promotes by Prefilling ctx and calling Promote — or simply uses the
+// token-only state as-is, which models score correctly (if slowly) by
 // recomputing internally.
 func (a *Arena) Acquire(ctx []model.Token) *Handle {
 	if f := fault.Hit(fault.KVPromote); f != nil && f.Failure() {
@@ -157,14 +142,6 @@ func (a *Arena) Acquire(ctx []model.Token) *Handle {
 	}
 	a.hits++
 	a.pin(n)
-	if n.compact {
-		if cs, ok := n.state.(model.CompactState); ok {
-			if full, exact := cs.Expand(); exact {
-				a.swapState(n, full)
-				a.reclaim()
-			}
-		}
-	}
 	a.mu.Unlock()
 	return &Handle{a: a, n: n}
 }
@@ -184,9 +161,8 @@ func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) 
 	a.mu.Lock()
 	if n, ok := a.nodes[string(*buf)]; ok {
 		a.pin(n)
-		if n.compact {
-			a.swapState(n, st)
-			a.reclaim()
+		if n.demoted {
+			a.promote(n, st)
 		}
 		a.mu.Unlock()
 		return &Handle{a: a, n: n}
@@ -195,7 +171,7 @@ func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) 
 	n := &node{key: key, state: st, bytes: st.SizeBytes(), refs: 1}
 	a.handles++
 	n.el.Value = n
-	if parent != nil && parent.n != nil && !parent.n.compact {
+	if parent != nil && parent.n != nil && !parent.n.demoted {
 		n.parent = parent.n
 		// Charge only what this node owns. States that can size themselves
 		// against the parent exactly (fresh rows + their own pointer arrays)
@@ -220,8 +196,8 @@ func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) 
 }
 
 // State returns the pinned decode state, or nil if the handle was already
-// released. For a NeedsRecompute handle this is the compact state — still a
-// correct DecodeState (models recompute foreign states internally), just
+// released. For a NeedsRecompute handle this is the token-only state — still
+// a correct DecodeState (models recompute foreign states internally), just
 // carrying no reusable rows until promoted.
 func (h *Handle) State() model.DecodeState {
 	if h == nil || h.n == nil {
@@ -232,29 +208,28 @@ func (h *Handle) State() model.DecodeState {
 	return h.n.state
 }
 
-// NeedsRecompute reports whether the pinned node is demoted with no exact
-// expansion: the caller gets identical results fastest by Prefilling the
-// context once and installing the result via Promote.
+// NeedsRecompute reports whether the pinned node is demoted: the caller gets
+// identical results fastest by Prefilling the context once and installing
+// the result via Promote.
 func (h *Handle) NeedsRecompute() bool {
 	if h == nil || h.n == nil {
 		return false
 	}
 	h.a.mu.Lock()
 	defer h.a.mu.Unlock()
-	return h.n.compact
+	return h.n.demoted
 }
 
-// Promote installs a freshly recomputed full-precision state on a demoted
-// pinned node. No-op if the node was already promoted (by a racing caller)
-// or the handle released.
+// Promote installs a freshly recomputed full state on a demoted pinned node.
+// No-op if the node was already promoted (by a racing caller) or the handle
+// released.
 func (h *Handle) Promote(st model.DecodeState) {
 	if h == nil || h.n == nil || st == nil {
 		return
 	}
 	h.a.mu.Lock()
-	if h.n.compact {
-		h.a.swapState(h.n, st)
-		h.a.reclaim()
+	if h.n.demoted {
+		h.a.promote(h.n, st)
 	}
 	h.a.mu.Unlock()
 }
@@ -271,9 +246,9 @@ func (h *Handle) Release() {
 	n.refs--
 	a.handles--
 	if n.refs == 0 && n.children == 0 {
-		// A pinned node is never listed, so n joins its tier's list here.
-		if n.compact {
-			a.lruCompact.PushFront(&n.el)
+		// A pinned node is never listed, so n joins its list here.
+		if n.demoted {
+			a.lruDemoted.PushFront(&n.el)
 		} else {
 			a.lruFull.PushFront(&n.el)
 		}
@@ -291,52 +266,43 @@ func (a *Arena) pin(n *node) {
 	n.el.Remove()
 }
 
-// swapState replaces a demoted node's state with the full-precision st,
-// re-charging the node at st's standalone size (compact nodes are severed
-// from the trie, so nothing is shared). Caller holds the lock; the caller
-// also reclaims, since the node just grew.
-func (a *Arena) swapState(n *node, st model.DecodeState) {
+// promote replaces a demoted node's state with the full st, re-charging the
+// node at st's standalone size (demoted nodes are severed from the trie, so
+// nothing is shared), then reclaims, since the node just grew. Caller holds
+// the lock.
+func (a *Arena) promote(n *node, st model.DecodeState) {
 	nb := st.SizeBytes()
 	a.resident += nb - n.bytes
-	a.compressedNodes--
-	a.compressedBytes -= n.bytes
+	a.demotedNodes--
+	a.demotedBytes -= n.bytes
 	a.promotions++
 	n.state = st
 	n.bytes = nb
-	n.compact = false
+	n.demoted = false
+	a.reclaim()
 }
 
-// demote packs n in place: the configured tier's Compact when it shrinks the
-// resident charge, else the token-only form (promotion recomputes), else
-// decline. Severs the trie link — the compact node stands alone, so its
-// parent may age out independently — and moves n to the compact list. n must
-// be an unpinned full-tier leaf. Caller holds the lock.
+// demote drops n's rows and keeps its token context, unless that would not
+// shrink the node's charge. Severs the trie link — the demoted node stands
+// alone, so its parent may age out independently — and moves n to the
+// demoted list. n must be an unpinned full leaf. Caller holds the lock.
 func (a *Arena) demote(n *node) bool {
-	if a.cfg.Compression == model.CompressNone || n.compact || n.refs > 0 || n.children > 0 {
+	if n.demoted || n.refs > 0 || n.children > 0 {
 		return false
 	}
-	var cs model.CompactState
-	if cp, ok := n.state.(model.Compactor); ok {
-		if c, ok := cp.Compact(a.cfg.Compression); ok && c.SizeBytes() < n.bytes {
-			cs = c
-		}
-	}
-	if cs == nil {
-		ctx := n.state.Context()
-		tc := &model.TokenCompact{Toks: append(make([]model.Token, 0, len(ctx)), ctx...), T: a.cfg.Compression}
-		if tc.SizeBytes() >= n.bytes {
-			return false
-		}
-		cs = tc
+	st := &model.CtxState{Toks: n.state.Context()}
+	size := st.SizeBytes()
+	if size >= n.bytes {
+		return false
 	}
 	n.el.Remove()
-	a.resident += cs.SizeBytes() - n.bytes
+	a.resident += size - n.bytes
 	a.demotions++
-	a.compressedNodes++
-	a.compressedBytes += cs.SizeBytes()
-	n.state = cs
-	n.bytes = cs.SizeBytes()
-	n.compact = true
+	a.demotedNodes++
+	a.demotedBytes += size
+	n.state = st
+	n.bytes = size
+	n.demoted = true
 	if p := n.parent; p != nil {
 		n.parent = nil
 		p.children--
@@ -344,18 +310,14 @@ func (a *Arena) demote(n *node) bool {
 			a.lruFull.PushBack(&p.el)
 		}
 	}
-	a.lruCompact.PushFront(&n.el)
+	a.lruDemoted.PushFront(&n.el)
 	return true
 }
 
-// ageFulls demotes the coldest full-precision leaves until the full tier
-// fits the hot window — the pyramid's age-based rung, independent of byte
-// pressure. Caller holds the lock.
+// ageFulls demotes the coldest full leaves until they fit the hot window,
+// independent of byte pressure. Caller holds the lock.
 func (a *Arena) ageFulls() {
-	if a.cfg.Compression == model.CompressNone || a.cfg.HotWindow <= 0 {
-		return
-	}
-	for a.lruFull.Len() > a.cfg.HotWindow {
+	for a.hotWindow > 0 && a.lruFull.Len() > a.hotWindow {
 		if !a.demote(a.lruFull.Back().Value) {
 			return // the coldest leaf cannot shrink; the rest are newer
 		}
@@ -364,28 +326,21 @@ func (a *Arena) ageFulls() {
 
 // reclaim brings the resident size back under budget: demote the coldest
 // full leaf when that frees bytes (preferred — the state stays acquirable),
-// evict it when it cannot shrink, and evict the coldest compact nodes once
+// evict it when it cannot shrink, and evict the coldest demoted nodes once
 // no full leaf remains. Each step is O(1); demotion may cascade a parent
 // into the full list, but every node demotes at most once and evictions
 // only shrink the node set, so the loop terminates. Caller holds the lock.
 func (a *Arena) reclaim() {
-	for a.resident > a.cfg.BudgetBytes {
-		if a.cfg.Compression != model.CompressNone {
-			if e := a.lruFull.Back(); e != nil {
-				if !a.demote(e.Value) {
-					a.evictNode(e.Value)
-				}
-				continue
-			}
-			if e := a.lruCompact.Back(); e != nil {
+	for a.resident > a.budget {
+		if e := a.lruFull.Back(); e != nil {
+			if !a.demote(e.Value) {
 				a.evictNode(e.Value)
-				continue
 			}
-			return // everything left is pinned or has live children
+			continue
 		}
-		e := a.lruFull.Back()
+		e := a.lruDemoted.Back()
 		if e == nil {
-			return
+			return // everything left is pinned or has live children
 		}
 		a.evictNode(e.Value)
 	}
@@ -400,9 +355,9 @@ func (a *Arena) evictNode(n *node) {
 	delete(a.nodes, n.key)
 	a.resident -= n.bytes
 	a.evictions++
-	if n.compact {
-		a.compressedNodes--
-		a.compressedBytes -= n.bytes
+	if n.demoted {
+		a.demotedNodes--
+		a.demotedBytes -= n.bytes
 	}
 	if p := n.parent; p != nil {
 		p.children--
@@ -428,8 +383,9 @@ type Stats struct {
 	// Nodes is the current entry count; Handles counts unreleased handles.
 	Nodes   int `json:"nodes"`
 	Handles int `json:"handles"`
-	// CompressedNodes/CompressedBytes describe the demoted tier right now;
-	// Demotions and Promotions count tier transitions over the arena's life.
+	// CompressedNodes/CompressedBytes describe the demoted (token-only)
+	// nodes right now; Demotions and Promotions count transitions over the
+	// arena's life.
 	CompressedNodes int   `json:"compressed_nodes"`
 	CompressedBytes int64 `json:"compressed_bytes"`
 	Demotions       int64 `json:"demotions"`
@@ -446,11 +402,11 @@ func (a *Arena) Stats() Stats {
 		Commits:         a.commits,
 		Evictions:       a.evictions,
 		ResidentBytes:   a.resident,
-		Budget:          a.cfg.BudgetBytes,
+		Budget:          a.budget,
 		Nodes:           len(a.nodes),
 		Handles:         a.handles,
-		CompressedNodes: a.compressedNodes,
-		CompressedBytes: a.compressedBytes,
+		CompressedNodes: a.demotedNodes,
+		CompressedBytes: a.demotedBytes,
 		Demotions:       a.demotions,
 		Promotions:      a.promotions,
 	}

@@ -22,8 +22,32 @@ func st(size int64, toks ...model.Token) *fakeState {
 	return &fakeState{toks: toks, size: size}
 }
 
+// tokenOnlyBytes is the charge of a demoted node with n context tokens.
+func tokenOnlyBytes(n int) int64 {
+	return (&model.CtxState{Toks: make([]model.Token, n)}).SizeBytes()
+}
+
+// checkCharges asserts the arena's byte totals equal the sum of its nodes'
+// charges.
+func checkCharges(t *testing.T, a *Arena) {
+	t.Helper()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var all, demoted int64
+	for _, n := range a.nodes {
+		all += n.bytes
+		if n.demoted {
+			demoted += n.bytes
+		}
+	}
+	if all != a.resident || demoted != a.demotedBytes {
+		t.Fatalf("node charges sum to %d (%d demoted), arena totals %d (%d demoted)",
+			all, demoted, a.resident, a.demotedBytes)
+	}
+}
+
 func TestAcquireCommitRoundTrip(t *testing.T) {
-	a := New(1 << 20)
+	a := NewTiered(Config{BudgetBytes: 1 << 20})
 	ctx := []model.Token{1, 2, 3}
 	if h := a.Acquire(ctx); h != nil {
 		t.Fatal("acquire on empty arena hit")
@@ -47,7 +71,7 @@ func TestAcquireCommitRoundTrip(t *testing.T) {
 // TestExclusiveByteAccounting: a child committed with its parent handle is
 // charged only the delta, because its rows are shared.
 func TestExclusiveByteAccounting(t *testing.T) {
-	a := New(1 << 20)
+	a := NewTiered(Config{BudgetBytes: 1 << 20})
 	parent := a.Commit(nil, []model.Token{1}, st(100, 1))
 	child := a.Commit(parent, []model.Token{1, 2}, st(150, 1, 2))
 	if got := a.Stats().ResidentBytes; got != 150 {
@@ -65,23 +89,24 @@ func TestExclusiveByteAccounting(t *testing.T) {
 
 // TestLeafOnlyEviction: a parent with a live child is never evicted before
 // the child — its rows are still reachable — and becomes evictable once the
-// child goes.
+// child goes. The states are smaller than their token contexts, so none can
+// demote and reclaim must evict.
 func TestLeafOnlyEviction(t *testing.T) {
-	a := New(250)
-	parent := a.Commit(nil, []model.Token{1}, st(100, 1))
-	child := a.Commit(parent, []model.Token{1, 2}, st(200, 1, 2))
+	a := NewTiered(Config{BudgetBytes: 100})
+	parent := a.Commit(nil, []model.Token{1}, st(40, 1))
+	child := a.Commit(parent, []model.Token{1, 2}, st(80, 1, 2))
 	parent.Release()
 	child.Release()
-	// resident = 100 + 100, under budget; a third root overflows.
-	other := a.Commit(nil, []model.Token{7}, st(100, 7))
+	// resident = 40 + 40, under budget; a third root overflows.
+	other := a.Commit(nil, []model.Token{7}, st(40, 7))
 	other.Release()
 	// Eviction order: LRU back is the parent — but it has a child, so the
-	// child must go first (then the parent, still over budget).
+	// child must go first.
 	if h := a.Acquire([]model.Token{1, 2}); h != nil {
 		t.Fatal("child survived eviction")
 	}
 	s := a.Stats()
-	if s.ResidentBytes > 250 {
+	if s.ResidentBytes > 100 {
 		t.Fatalf("resident %d over budget", s.ResidentBytes)
 	}
 	if s.Evictions == 0 {
@@ -98,7 +123,7 @@ func TestLeafOnlyEviction(t *testing.T) {
 // TestPinnedNodesSurviveBudgetPressure: a pinned node is never evicted even
 // when the arena is over budget; release brings it back under.
 func TestPinnedNodesSurviveBudgetPressure(t *testing.T) {
-	a := New(100)
+	a := NewTiered(Config{BudgetBytes: 100})
 	h := a.Commit(nil, []model.Token{1}, st(90, 1))
 	// Overflow while h is pinned.
 	h2 := a.Commit(nil, []model.Token{2}, st(90, 2))
@@ -117,7 +142,7 @@ func TestPinnedNodesSurviveBudgetPressure(t *testing.T) {
 // TestCommitRace: concurrent commits of the same context converge on one
 // node; all handles stay valid.
 func TestCommitRace(t *testing.T) {
-	a := New(1 << 20)
+	a := NewTiered(Config{BudgetBytes: 1 << 20})
 	ctx := []model.Token{5, 6}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -143,7 +168,7 @@ func TestCommitRace(t *testing.T) {
 // arena under budget pressure: acquire-or-commit loops over overlapping
 // tries, with eviction racing pins. Run under -race.
 func TestConcurrentQueriesSharedArena(t *testing.T) {
-	a := New(4096)
+	a := NewTiered(Config{BudgetBytes: 4096})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		g := g
@@ -177,12 +202,14 @@ func TestConcurrentQueriesSharedArena(t *testing.T) {
 	if s.Commits == 0 || s.Hits == 0 {
 		t.Fatalf("expected both commits and hits: %+v", s)
 	}
+	checkCharges(t, a)
 }
 
 // TestBudgetHoldsAcrossChurn floods the arena with distinct states and
-// checks the budget invariant and eviction counters.
+// checks the budget invariant and eviction counters. Cold states demote
+// before they go, so the node bound is set by the token-only size.
 func TestBudgetHoldsAcrossChurn(t *testing.T) {
-	a := New(1000)
+	a := NewTiered(Config{BudgetBytes: 1000})
 	for i := 0; i < 200; i++ {
 		h := a.Commit(nil, []model.Token{model.Token(i)}, st(64, model.Token(i)))
 		h.Release()
@@ -194,13 +221,13 @@ func TestBudgetHoldsAcrossChurn(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Fatal("churn produced no evictions")
 	}
-	if s.Nodes > 1000/64 {
+	if int64(s.Nodes) > 1000/tokenOnlyBytes(1) {
 		t.Fatalf("too many resident nodes: %d", s.Nodes)
 	}
 }
 
 func TestHandleReleaseIdempotent(t *testing.T) {
-	a := New(1 << 10)
+	a := NewTiered(Config{BudgetBytes: 1 << 10})
 	h := a.Commit(nil, []model.Token{1}, st(10, 1))
 	h.Release()
 	h.Release() // must not double-decrement
@@ -214,7 +241,7 @@ func TestHandleReleaseIdempotent(t *testing.T) {
 }
 
 func BenchmarkArenaAcquireHit(b *testing.B) {
-	a := New(1 << 20)
+	a := NewTiered(Config{BudgetBytes: 1 << 20})
 	ctx := []model.Token{1, 2, 3, 4, 5, 6, 7, 8}
 	h := a.Commit(nil, ctx, st(256, ctx...))
 	h.Release()

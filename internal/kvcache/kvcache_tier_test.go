@@ -1,73 +1,48 @@
 package kvcache
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
 )
 
-// Tier-transition coverage for the compression pyramid (DESIGN.md decision
-// 14): demotion under byte pressure, both promotion paths on acquire, the
-// pin guarantee, and the mixed-tier reclaim order. Run under -race with the
-// rest of the package.
+// Demotion coverage (DESIGN.md decision 14): a cold node keeps its token
+// context and drops its rows, under byte pressure or past the hot window;
+// promotion re-installs a recomputed state; pinned nodes never demote; and
+// reclaim spends demoted nodes only once no full leaf remains. Run under
+// -race with the rest of the package.
 
-// packable is a fakeState that can demote itself to an exactly-expandable
-// compact form, standing in for the transformer's float32-exact rows.
-type packable struct {
-	fakeState
-	packedSize int64
+// windowed builds an arena with the given hot window (0: none).
+func windowed(budget int64, hotWindow int) *Arena {
+	a := NewTiered(Config{BudgetBytes: budget})
+	a.hotWindow = hotWindow
+	return a
 }
 
-func (p *packable) Compact(tier model.CompressTier) (model.CompactState, bool) {
-	if tier == model.CompressNone {
-		return nil, false
-	}
-	return &packed{orig: p, size: p.packedSize, tier: tier}, true
-}
-
-type packed struct {
-	orig *packable
-	size int64
-	tier model.CompressTier
-}
-
-func (c *packed) Len() int                          { return len(c.orig.toks) }
-func (c *packed) Context() []model.Token            { return c.orig.toks }
-func (c *packed) SizeBytes() int64                  { return c.size }
-func (c *packed) Expand() (model.DecodeState, bool) { return c.orig, true }
-func (c *packed) Tier() model.CompressTier          { return c.tier }
-
-func tiered(budget int64, hotWindow int) *Arena {
-	return NewTiered(Config{
-		BudgetBytes: budget,
-		Compression: model.CompressLossless,
-		HotWindow:   hotWindow,
-	})
-}
-
-// TestDemoteUnderPressure: over budget, cold full-precision leaves demote to
-// their compact form instead of evicting — the state stays acquirable and
-// the resident charge drops to the compact size.
+// TestDemoteUnderPressure: over budget, cold full leaves demote to their
+// token context instead of evicting — the state stays acquirable and the
+// resident charge drops to the token-only size.
 func TestDemoteUnderPressure(t *testing.T) {
-	a := tiered(1000, -1)
-	// Three 400-byte states that pack to 50 bytes each: the third commit
-	// pushes resident to 1200, so the coldest demotes (not evicts).
+	a := windowed(1000, 0)
+	// Three 400-byte states: the third commit pushes resident to 1200, so
+	// the coldest demotes (not evicts).
 	for i := 0; i < 3; i++ {
 		ctx := []model.Token{model.Token(i)}
-		a.Commit(nil, ctx, &packable{fakeState{toks: ctx, size: 400}, 50}).Release()
+		a.Commit(nil, ctx, st(400, ctx...)).Release()
 	}
 	s := a.Stats()
 	if s.Demotions == 0 {
 		t.Fatalf("no demotions under pressure: %+v", s)
 	}
 	if s.Evictions != 0 {
-		t.Fatalf("evicted despite compressible states: %+v", s)
+		t.Fatalf("evicted despite demotable states: %+v", s)
 	}
 	if s.ResidentBytes > 1000 {
 		t.Fatalf("resident %d over budget", s.ResidentBytes)
 	}
-	if s.CompressedNodes != int(s.Demotions) || s.CompressedBytes != 50*s.Demotions {
-		t.Fatalf("compact tier accounting off: %+v", s)
+	if s.CompressedNodes != int(s.Demotions) || s.CompressedBytes != tokenOnlyBytes(1)*s.Demotions {
+		t.Fatalf("demoted accounting off: %+v", s)
 	}
 	// Every context is still resident: demotion never loses a state.
 	for i := 0; i < 3; i++ {
@@ -79,79 +54,62 @@ func TestDemoteUnderPressure(t *testing.T) {
 	}
 }
 
-// TestPromoteOnAcquire covers both promotion paths: an exactly-expandable
-// compact expands in place during Acquire (the caller never notices), and a
-// token-only compact reports NeedsRecompute until the caller installs a
-// recomputed state via Promote.
+// TestPromoteOnAcquire is the one demoted form end to end: the node keeps
+// its key's tokens and is charged their size, its handle asks for a
+// recompute, and Promote re-charges it at the full state's size.
 func TestPromoteOnAcquire(t *testing.T) {
-	// Path 1: exact expansion. HotWindow 1 demotes the node as soon as a
-	// second commit makes it the coldest full leaf.
-	a := tiered(1<<20, 1)
-	ctx := []model.Token{1, 2}
-	orig := &packable{fakeState{toks: ctx, size: 400}, 50}
-	a.Commit(nil, ctx, orig).Release()
-	a.Commit(nil, []model.Token{9}, st(100, 9)).Release()
-	if s := a.Stats(); s.Demotions != 1 {
-		t.Fatalf("hot window did not demote: %+v", s)
+	// A hot window of one demotes the node as soon as a second release makes
+	// it the coldest full leaf.
+	a := windowed(1<<20, 1)
+	ctx := []model.Token{3, 4}
+	full := st(400, ctx...)
+	a.Commit(nil, ctx, full).Release()
+	a.Commit(nil, []model.Token{8}, st(100, 8)).Release()
+	if s := a.Stats(); s.Demotions != 1 || s.CompressedBytes != tokenOnlyBytes(2) ||
+		s.ResidentBytes != tokenOnlyBytes(2)+100 {
+		t.Fatalf("demotion accounting off: %+v", s)
 	}
 	h := a.Acquire(ctx)
 	if h == nil {
 		t.Fatal("demoted node missed")
 	}
+	if !h.NeedsRecompute() {
+		t.Fatal("demoted node did not request recompute")
+	}
+	if got := h.State().Context(); !slices.Equal(got, ctx) {
+		t.Fatalf("demoted context %v, want %v", got, ctx)
+	}
+	if h.State() == model.DecodeState(full) {
+		t.Fatal("demoted node kept its full state")
+	}
+	h.Promote(full)
 	if h.NeedsRecompute() {
-		t.Fatal("exactly-expandable compact reported NeedsRecompute")
+		t.Fatal("still demoted after Promote")
 	}
-	if h.State() != model.DecodeState(orig) {
-		t.Fatal("expand did not restore the original state")
-	}
-	// Check accounting before Release: releasing re-runs the hot window,
-	// which would demote the *other* full node and muddy the counters.
-	if s := a.Stats(); s.Promotions != 1 || s.CompressedNodes != 0 {
-		t.Fatalf("promotion accounting off: %+v", s)
-	}
-	h.Release()
-
-	// Path 2: token-only fallback. A plain fakeState has no Compactor, so it
-	// demotes to TokenCompact and promotion must recompute.
-	b := tiered(1<<20, 1)
-	full := st(400, 3, 4)
-	b.Commit(nil, []model.Token{3, 4}, full).Release()
-	b.Commit(nil, []model.Token{8}, st(100, 8)).Release()
-	h2 := b.Acquire([]model.Token{3, 4})
-	if h2 == nil {
-		t.Fatal("token-compact node missed")
-	}
-	if !h2.NeedsRecompute() {
-		t.Fatal("token-only compact did not request recompute")
-	}
-	if _, ok := h2.State().(*model.TokenCompact); !ok {
-		t.Fatalf("compact state is %T, want *model.TokenCompact", h2.State())
-	}
-	h2.Promote(full)
-	if h2.NeedsRecompute() {
-		t.Fatal("still compact after Promote")
-	}
-	if h2.State() != model.DecodeState(full) {
+	if h.State() != model.DecodeState(full) {
 		t.Fatal("Promote did not install the recomputed state")
 	}
-	if s := b.Stats(); s.Promotions != 1 || s.CompressedNodes != 0 {
-		t.Fatalf("recompute promotion accounting off: %+v", s)
+	// Check before Release: releasing re-runs the hot window, which would
+	// demote the other full node and muddy the counters.
+	if s := a.Stats(); s.Promotions != 1 || s.CompressedNodes != 0 || s.ResidentBytes != 400+100 {
+		t.Fatalf("promotion accounting off: %+v", s)
 	}
-	h2.Release()
+	checkCharges(t, a)
+	h.Release()
 }
 
 // TestPinnedNeverDemote: a pinned node is exempt from both demotion and
 // eviction no matter the pressure; its state pointer is stable for the
 // whole scoring round.
 func TestPinnedNeverDemote(t *testing.T) {
-	a := tiered(500, 1)
+	a := windowed(500, 1)
 	ctx := []model.Token{1}
-	orig := &packable{fakeState{toks: ctx, size: 400}, 50}
+	orig := st(400, ctx...)
 	h := a.Commit(nil, ctx, orig)
 	// Pressure from both rungs while h is pinned: byte overflow and a hot
 	// window of one.
 	for i := 2; i < 6; i++ {
-		a.Commit(nil, []model.Token{model.Token(i)}, &packable{fakeState{toks: []model.Token{model.Token(i)}, size: 400}, 50}).Release()
+		a.Commit(nil, []model.Token{model.Token(i)}, st(400, model.Token(i))).Release()
 	}
 	if h.NeedsRecompute() {
 		t.Fatal("pinned node demoted under pressure")
@@ -163,16 +121,16 @@ func TestPinnedNeverDemote(t *testing.T) {
 }
 
 // TestMixedTierEvictionOrder: reclaim demotes full leaves first and evicts
-// compacts only when no full leaf remains, dropping the oldest compact
-// first. Full-precision states always survive at the expense of compacts.
+// demoted nodes only when no full leaf remains, dropping the oldest first.
+// Full states always survive at the expense of demoted ones.
 func TestMixedTierEvictionOrder(t *testing.T) {
-	a := tiered(1000, -1)
-	// Ten 300-byte states packing to 100 bytes: steady state holds a mix of
-	// full and compact nodes, and further commits must evict the oldest
-	// compacts while the newest nodes stay full-precision.
-	for i := 0; i < 10; i++ {
+	a := windowed(1000, 0)
+	// Twenty 300-byte states: the newest stays full while the demoted ones
+	// pile up past the budget, so further commits must evict the oldest.
+	const n = 20
+	for i := 0; i < n; i++ {
 		ctx := []model.Token{model.Token(i)}
-		a.Commit(nil, ctx, &packable{fakeState{toks: ctx, size: 300}, 100}).Release()
+		a.Commit(nil, ctx, st(300, ctx...)).Release()
 	}
 	s := a.Stats()
 	if s.Demotions == 0 || s.Evictions == 0 {
@@ -181,19 +139,20 @@ func TestMixedTierEvictionOrder(t *testing.T) {
 	if s.ResidentBytes > 1000 {
 		t.Fatalf("resident %d over budget", s.ResidentBytes)
 	}
-	// The newest commit must still be full-precision: demotion-before-
-	// eviction spends compacts, never the hot tip.
-	h := a.Acquire([]model.Token{9})
+	checkCharges(t, a)
+	// The newest commit must still be full: demotion-before-eviction spends
+	// demoted nodes, never the hot tip.
+	h := a.Acquire([]model.Token{n - 1})
 	if h == nil {
 		t.Fatal("newest node gone")
 	}
 	if h.NeedsRecompute() {
-		t.Fatal("newest node demoted while older compacts were evictable")
+		t.Fatal("newest node demoted while older demoted nodes were evictable")
 	}
 	h.Release()
 	// Eviction consumed the oldest contexts first.
 	if h := a.Acquire([]model.Token{0}); h != nil {
-		t.Fatal("oldest compact survived while newer nodes were evicted")
+		t.Fatal("oldest demoted node survived while newer nodes were evicted")
 	}
 }
 
@@ -201,7 +160,7 @@ func TestMixedTierEvictionOrder(t *testing.T) {
 // contract: State (and the other accessors) on a released handle return
 // zero values instead of touching freed arena state.
 func TestHandleStateNilAfterRelease(t *testing.T) {
-	a := New(1 << 10)
+	a := NewTiered(Config{BudgetBytes: 1 << 10})
 	h := a.Commit(nil, []model.Token{1}, st(10, 1))
 	if h.State() == nil {
 		t.Fatal("live handle returned nil state")
@@ -228,7 +187,7 @@ func TestCommitKeyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	a := New(1 << 20)
+	a := NewTiered(Config{BudgetBytes: 1 << 20})
 	ctx := []model.Token{1, 2, 3, 4, 5, 6, 7, 8}
 	state := st(256, ctx...)
 	a.Commit(nil, ctx, state).Release()
@@ -249,7 +208,7 @@ func TestCommitKeyAllocs(t *testing.T) {
 // BenchmarkArenaCommit prices the commit fast path (existing node) with
 // allocation reporting, complementing TestCommitKeyAllocs's hard assertion.
 func BenchmarkArenaCommit(b *testing.B) {
-	a := New(1 << 20)
+	a := NewTiered(Config{BudgetBytes: 1 << 20})
 	ctx := []model.Token{1, 2, 3, 4, 5, 6, 7, 8}
 	state := st(256, ctx...)
 	a.Commit(nil, ctx, state).Release()

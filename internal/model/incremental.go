@@ -109,7 +109,8 @@ type Resident interface {
 
 // CtxState is the trivial DecodeState for context-window models: the state
 // IS the (clamped) context. It is also the fallback state for models with no
-// incremental implementation at all.
+// incremental implementation at all, and the form a KV-arena node keeps once
+// demoted (DESIGN.md decision 14): models score it by recomputing.
 type CtxState struct {
 	Toks []Token
 }

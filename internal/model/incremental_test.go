@@ -115,6 +115,51 @@ func TestTransformerAnchoredRoot(t *testing.T) {
 	}
 }
 
+// TestCompactLosslessFallsBackToTokens: the only compact form of a
+// transformer state is its token context (a CtxState, what a demoted KV-arena
+// node keeps). It holds the context at a fraction of the rows' bytes, and a
+// Prefill of that context recomputes rows bit-identical to the incrementally
+// extended state's — the byte-identity guarantee a promote relies on.
+func TestCompactLosslessFallsBackToTokens(t *testing.T) {
+	lm, tok := trainTestTransformer(t, 24)
+	seq := tok.Encode("the dog ran in the park")
+	st, _ := lm.Prefill(seq[:1])
+	var want []float64
+	for i := 1; i < len(seq); i++ {
+		states, rows := lm.ExtendBatch([]DecodeState{st}, []Token{seq[i]})
+		st, want = states[0], rows[0]
+	}
+	cs := &CtxState{Toks: st.Context()}
+	if cs.Len() != st.Len() || !tokensEqual(cs.Context(), seq) {
+		t.Fatalf("token-only form lost its context: %v, want %v", cs.Context(), seq)
+	}
+	if full, compact := st.SizeBytes(), cs.SizeBytes(); compact*4 >= full {
+		t.Fatalf("token-only form too large: %d vs full %d", compact, full)
+	}
+	re, lp := Prefill(lm, cs.Context())
+	if !rowsEqual(lp, want) {
+		t.Fatal("recompute from the token-only form differs from the extended state")
+	}
+	next := seq[0]
+	_, a := lm.ExtendBatch([]DecodeState{st}, []Token{next})
+	_, b := lm.ExtendBatch([]DecodeState{re}, []Token{next})
+	if !rowsEqual(a[0], b[0]) {
+		t.Fatal("recomputed state extends differently from the original")
+	}
+}
+
+func tokensEqual(a, b []Token) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestTransformerScoreAllPositions checks the one-forward sequence scorer
 // against per-position NextLogProbs, in and beyond the window.
 func TestTransformerScoreAllPositions(t *testing.T) {

@@ -29,14 +29,8 @@ type transformerState struct {
 	// the lone-EOS "begin" anchor: its position-0 rows belong to EOS, not to
 	// any real first token, so it can never be extended incrementally.
 	anchored bool
-	// approx marks rows re-expanded from half precision, and every state
-	// extended from one: its rows are near the model's, not the model's.
-	approx bool
-	layers []kvLayer
+	layers   []kvLayer
 }
-
-// Approximate implements Inexact.
-func (s *transformerState) Approximate() bool { return s.approx }
 
 // Len implements DecodeState.
 func (s *transformerState) Len() int { return len(s.toks) }
@@ -176,7 +170,6 @@ func (t *Transformer) extendPacked(states []DecodeState, tokens []Token, inc []i
 		outStates[i] = &transformerState{
 			t:      t,
 			toks:   append(append(make([]Token, 0, len(parent.toks)+1), parent.toks...), tokens[i]),
-			approx: parent.approx,
 			layers: newLayers[r],
 		}
 	}

@@ -374,8 +374,8 @@ type ModelStats struct {
 	KVEvictions     int64 `json:"kv_evictions"`
 	KVResidentBytes int64 `json:"kv_resident_bytes"`
 	KVNodes         int   `json:"kv_nodes"`
-	// Tiered-compression counters (DESIGN.md decision 14): the demoted slice
-	// of the arena right now, and tier transitions over its lifetime.
+	// Demotion counters (DESIGN.md decision 14): the arena's token-only
+	// nodes right now, and demotions/promotions over its lifetime.
 	KVCompressedNodes int   `json:"kv_compressed_nodes"`
 	KVCompressedBytes int64 `json:"kv_compressed_bytes"`
 	KVPromotions      int64 `json:"kv_promotions"`

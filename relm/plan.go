@@ -138,9 +138,6 @@ type Plan struct {
 	// Incremental reports whether the query will run with KV prefix-state
 	// reuse (the query asked for it and the model's arena is enabled).
 	Incremental bool
-	// KVCompression echoes the model's arena tiering knob (DESIGN.md
-	// decision 14); only meaningful when Incremental is true.
-	KVCompression KVCompression
 	// PlanCacheHit reports whether this query's compilation was served from
 	// the model's plan cache (an identical plan was cached, or another
 	// in-flight query was compiling it). A hit means ~0 time was spent in
@@ -167,7 +164,7 @@ func (p *Plan) String() string {
 	fmt.Fprintf(&b, "  execution:        batch %d, %d expansion workers, %d device workers\n",
 		p.BatchSize, p.Parallelism, p.DeviceWorkers)
 	if p.Incremental {
-		fmt.Fprintf(&b, "  kv arena:         incremental, %s compression\n", p.KVCompression)
+		b.WriteString("  kv arena:         incremental\n")
 	}
 	hitMark := "miss (compiled now)"
 	if p.PlanCacheHit {
@@ -245,7 +242,6 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 		Parallelism:       engine.EffectiveParallelism(q.Parallelism),
 		DeviceWorkers:     m.Dev.Workers(),
 		Incremental:       q.Incremental && m.kv != nil,
-		KVCompression:     m.kvCompression,
 		PlanCacheHit:      hit,
 	}
 	p.PlanCache = m.PlanCacheStats()

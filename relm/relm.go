@@ -193,70 +193,6 @@ type SearchQuery struct {
 	DeferredFilters []func(text string) bool
 }
 
-// KVCompression selects the prefix-state arena's tiered-compression knob
-// (DESIGN.md decision 14). The zero value is KVCompressLossless: cold states
-// demote to byte-identity-safe compact forms (packed float32 when exact,
-// else token-only with recompute-on-promote), so result streams are
-// unchanged and the same byte budget holds several times more reusable
-// prefixes.
-type KVCompression int
-
-const (
-	// KVCompressLossless (the default) demotes cold arena states without
-	// changing any result byte: compact forms either re-expand bit-exactly
-	// or promote by recompute.
-	KVCompressLossless KVCompression = iota
-	// KVCompressOff disables demotion: full-precision states only, evicted
-	// under budget pressure (the pre-tiering behavior).
-	KVCompressOff
-	// KVCompressAggressive demotes to 2-byte half-precision rows that
-	// re-expand approximately. Maximum capacity; logits scored through
-	// promoted states may drift, so gate it with the §4 accuracy harness
-	// (experiments.RunKVAccuracy) before serving with it.
-	KVCompressAggressive
-)
-
-// String names the knob as the CLI spells it.
-func (c KVCompression) String() string {
-	switch c {
-	case KVCompressOff:
-		return "off"
-	case KVCompressLossless:
-		return "lossless"
-	case KVCompressAggressive:
-		return "aggressive"
-	default:
-		return fmt.Sprintf("unknown(%d)", int(c))
-	}
-}
-
-// tier maps the public knob to the model-layer compression tier.
-func (c KVCompression) tier() model.CompressTier {
-	switch c {
-	case KVCompressOff:
-		return model.CompressNone
-	case KVCompressAggressive:
-		return model.CompressAggressive
-	default:
-		return model.CompressLossless
-	}
-}
-
-// ParseKVCompression parses a CLI spelling of the knob ("off", "lossless",
-// "aggressive").
-func ParseKVCompression(s string) (KVCompression, error) {
-	switch s {
-	case "off", "none":
-		return KVCompressOff, nil
-	case "lossless", "":
-		return KVCompressLossless, nil
-	case "aggressive", "f16":
-		return KVCompressAggressive, nil
-	default:
-		return 0, fmt.Errorf("relm: unknown kv compression %q (want off, lossless, or aggressive)", s)
-	}
-}
-
 // Model bundles a language model with its tokenizer and simulated device —
 // the objects the paper passes alongside the query (Figure 11's model and
 // tokenizer arguments).
@@ -278,9 +214,6 @@ type Model struct {
 	// session of this model (nil when disabled). Overlapping frontiers —
 	// concurrent queries over a common prefix — reuse one decode state.
 	kv *kvcache.Arena
-	// kvCompression echoes the arena's tiered-compression knob for plans
-	// and stats (meaningless when kv is nil).
-	kvCompression KVCompression
 	// batcher is the continuous cross-query fusion scheduler attached to the
 	// device when ModelOptions.ContinuousBatching is set (DESIGN.md decision
 	// 12); nil when dispatch is direct. Shared by every session.
@@ -320,16 +253,9 @@ type ModelOptions struct {
 	// incremental queries (DESIGN.md decision 10): 0 takes the 64 MiB
 	// default, negative disables incremental decoding for this model.
 	// States are recomputable, so the budget trades memory for Prefill
-	// fallbacks, never correctness.
+	// fallbacks, never correctness. Cold states demote to their token
+	// context instead of evicting (DESIGN.md decision 14).
 	KVBudgetBytes int64
-	// KVCompression selects the arena's tiered demotion (DESIGN.md decision
-	// 14). The zero value, KVCompressLossless, is on by default: cold states
-	// demote to byte-identity-safe compact forms instead of evicting, so the
-	// same budget holds several times more reusable prefixes and every
-	// result stream stays byte-identical. KVCompressOff restores the
-	// evict-only arena; KVCompressAggressive packs 2-byte rows (approximate,
-	// opt-in).
-	KVCompression KVCompression
 	// ContinuousBatching attaches a fusion scheduler to the device
 	// (DESIGN.md decision 12): scoring calls from all sessions are packed
 	// into shared forwards up to MaxBatch, with fair-share accounting per
@@ -384,25 +310,21 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 	}
 	var kv *kvcache.Arena
 	if opts.KVBudgetBytes >= 0 {
-		kv = kvcache.NewTiered(kvcache.Config{
-			BudgetBytes: opts.KVBudgetBytes,
-			Compression: opts.KVCompression.tier(),
-		})
+		kv = kvcache.NewTiered(kvcache.Config{BudgetBytes: opts.KVBudgetBytes})
 	}
 	var batcher *device.Batcher
 	if opts.ContinuousBatching {
 		batcher = device.StartBatcher(dev, device.BatcherConfig{Window: opts.FusionWindow})
 	}
 	return &Model{
-		LM:            lm,
-		Tok:           tok,
-		Dev:           dev,
-		cache:         shared,
-		plans:         plans,
-		kv:            kv,
-		kvCompression: opts.KVCompression,
-		batcher:       batcher,
-		tracer:        trace.New(opts.TraceSampling, opts.TraceRing),
+		LM:      lm,
+		Tok:     tok,
+		Dev:     dev,
+		cache:   shared,
+		plans:   plans,
+		kv:      kv,
+		batcher: batcher,
+		tracer:  trace.New(opts.TraceSampling, opts.TraceRing),
 	}
 }
 
@@ -545,15 +467,14 @@ func (m *Model) NewSession() *Session {
 	scope := m.cache.NewScope()
 	return &Session{
 		Model: &Model{
-			LM:            m.LM,
-			Tok:           m.Tok,
-			Dev:           m.Dev.WithModel(scope),
-			cache:         m.cache,
-			plans:         m.plans, // sessions share the model's compiled plans
-			kv:            m.kv,    // ... its prefix-state arena
-			kvCompression: m.kvCompression,
-			batcher:       m.batcher, // ... its fusion scheduler
-			tracer:        m.tracer,  // ... and its trace ring
+			LM:      m.LM,
+			Tok:     m.Tok,
+			Dev:     m.Dev.WithModel(scope),
+			cache:   m.cache,
+			plans:   m.plans,   // sessions share the model's compiled plans
+			kv:      m.kv,      // ... its prefix-state arena
+			batcher: m.batcher, // ... its fusion scheduler
+			tracer:  m.tracer,  // ... and its trace ring
 		},
 		scope: scope,
 	}

@@ -141,22 +141,3 @@ func TestIncrementalRepeatIsResident(t *testing.T) {
 		}
 	}
 }
-
-// TestAggressiveRowsNeverPublished: under KVCompressAggressive a promoted
-// state's rows are half-precision approximations, and so are its extensions'.
-// They are the incremental query's opt-in trade and must never reach the
-// shared logit cache, where a later full-path query would read them as the
-// model's own.
-func TestAggressiveRowsNeverPublished(t *testing.T) {
-	lm, tok := trainIncrTransformer(t)
-	const pattern = " ((engineering)|(medicine)|(art)|(mat))"
-	want := searchRows(t, NewModel(lm, tok, ModelOptions{CacheSize: -1}), pattern, false, 4)
-	for _, budget := range []int64{512, 1024, 2048, 4096, 8192} {
-		m := NewModel(lm, tok, ModelOptions{KVBudgetBytes: budget, KVCompression: KVCompressAggressive})
-		for range 3 {
-			searchRows(t, m, pattern, true, 4)
-		}
-		sameRows(t, fmt.Sprintf("full path after aggressive incremental runs, budget %d", budget),
-			searchRows(t, m, pattern, false, 4), want)
-	}
-}

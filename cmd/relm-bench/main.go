@@ -152,7 +152,7 @@ func reportKV(id string, before, after relm.KVStats) {
 	demote := after.Demotions - before.Demotions
 	promote := after.Promotions - before.Promotions
 	fmt.Printf("[%s] kv arena +%d state hits / +%d misses | +%d evictions | +%d demotions / +%d promotions | resident %d B (%d B token-only in %d nodes)\n",
-		id, hits, misses, evict, demote, promote, after.ResidentBytes, after.CompressedBytes, after.CompressedNodes)
+		id, hits, misses, evict, demote, promote, after.ResidentBytes, after.DemotedBytes, after.DemotedNodes)
 }
 
 func registry() []experiment {

@@ -36,22 +36,27 @@ import (
 // Scheduling policy:
 //
 //   - Admission window: the first pending request opens a time window
-//     (Config.Window); the queue flushes when the window expires, when
-//     pending rows reach the device batch cap (size watermark), or when an
-//     urgent request arrives.
-//   - Deadline awareness: a request whose QoS deadline is within
-//     Config.UrgentSlack preempts the window and is packed first (earliest
-//     deadline first), so a query near its deadline_ms budget jumps the
-//     queue instead of waiting behind bulk work.
+//     (StartBatcher's window); the queue flushes when the window expires,
+//     when pending rows reach the device batch cap (size watermark), or when
+//     an urgent request arrives.
+//   - Deadline awareness: a request whose QoS deadline is within urgentSlack
+//     preempts the window and is packed first (earliest deadline first), so
+//     a query near its deadline_ms budget jumps the queue instead of waiting
+//     behind bulk work.
 //   - Fair share: rows are drawn from per-query FIFO queues by
 //     deficit-style selection — the query with the fewest rows served so
-//     far goes first, at most Config.Quantum rows per pick — so a flood of
-//     cheap queries cannot starve an expensive one, and a query joining the
+//     far goes first, at most quantum rows per pick — so a flood of cheap
+//     queries cannot starve an expensive one, and a query joining the
 //     contention inherits the current service floor rather than a blank
 //     credit balance.
 type Batcher struct {
-	cfg  BatcherConfig
 	core *core
+	// The scheduling settings. Outside white-box tests, which change them on
+	// a bare batcher, only window varies: the others hold the constants of
+	// the same names.
+	window      time.Duration
+	urgentSlack time.Duration
+	quantum     int
 
 	mu     sync.Mutex
 	queues map[string]*queryQueue
@@ -71,99 +76,54 @@ type Batcher struct {
 	peakQueueDepth  int
 	fairnessDeficit int64
 
-	// Circuit breaker (guarded by mu). Consecutive failed fused dispatches —
-	// a row panicking, or an injected batcher fault — trip the breaker; while
-	// open, enqueue refuses admission and callers run their request inline
-	// (Device.dispatch), which computes byte-identical results. After the
-	// cooldown one probe request is admitted (half-open): success closes the
-	// breaker, failure re-trips it.
-	breakerFails int
-	breakerOpen  bool
-	breakerUntil time.Time
-	breakerTrips int64
-	breakerShed  int64
-
 	wake      chan struct{}
 	closeCh   chan struct{}
 	exited    chan struct{}
 	closeOnce sync.Once
 }
 
-// BatcherConfig tunes the fusion scheduler. Zero values take the defaults.
-type BatcherConfig struct {
-	// Window is the admission window: how long the scheduler holds the first
-	// pending request hoping more queries contribute rows before it flushes
-	// a partial batch (default 200µs). Larger windows fuse better under low
-	// concurrency at the price of per-round latency; the size watermark and
-	// urgent requests always preempt it.
-	Window time.Duration
-	// UrgentSlack is the deadline proximity that makes a request urgent: a
+const (
+	// defaultWindow is the admission window StartBatcher takes for a window
+	// <= 0: how long the scheduler holds the first pending request hoping
+	// more queries contribute rows before it flushes a partial batch.
+	defaultWindow = 200 * time.Microsecond
+	// urgentSlack is the deadline proximity that makes a request urgent: a
 	// QoS deadline within this much of now preempts the admission window and
-	// jumps the fairness order (default 250ms).
-	UrgentSlack time.Duration
-	// Quantum caps rows taken from one query per fairness pick (default 8),
-	// bounding how far one query's large request can push others out of a
-	// single fused batch. Urgent picks ignore the quantum.
-	Quantum int
-	// BreakerThreshold is the number of consecutive failed fused dispatches
-	// that trips the circuit breaker (default 3). While open the batcher sheds
-	// admissions and queries run their requests inline.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before admitting a
-	// half-open probe (default 250ms).
-	BreakerCooldown time.Duration
-}
+	// jumps the fairness order.
+	urgentSlack = 250 * time.Millisecond
+	// quantum caps rows taken from one query per fairness pick, bounding how
+	// far one query's large request can push others out of a single fused
+	// batch. Urgent picks ignore it.
+	quantum = 8
+)
 
-func (c *BatcherConfig) defaults() {
-	if c.Window <= 0 {
-		c.Window = 200 * time.Microsecond
-	}
-	if c.UrgentSlack <= 0 {
-		c.UrgentSlack = 250 * time.Millisecond
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 8
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 250 * time.Millisecond
-	}
-}
-
-// BatcherStats snapshots the fusion counters.
+// BatcherStats snapshots the fusion counters. The JSON names are the ones
+// GET /v1/stats serves.
 type BatcherStats struct {
 	// FusedBatches counts dispatched fused batches; Requests and Rows count
 	// what went into them. MeanOccupancy is Rows/FusedBatches — the packing
 	// win the batcher exists for.
-	FusedBatches  int64
-	Requests      int64
-	Rows          int64
-	MeanOccupancy float64
+	FusedBatches  int64   `json:"fused_batches"`
+	Requests      int64   `json:"requests"`
+	Rows          int64   `json:"fused_rows"`
+	MeanOccupancy float64 `json:"mean_occupancy"`
 	// MultiQueryBatches counts fused batches that mixed rows from more than
 	// one query — the cross-query fusion the per-query path can never do.
-	MultiQueryBatches int64
+	MultiQueryBatches int64 `json:"multi_query_batches"`
 	// QueueDepth is the number of rows pending right now; PeakQueueDepth is
 	// the high-water mark.
-	QueueDepth     int
-	PeakQueueDepth int
+	QueueDepth     int `json:"queue_depth"`
+	PeakQueueDepth int `json:"peak_queue_depth"`
 	// Flush-reason counters: window expiry, size watermark, deadline
 	// preemption, and close-time drain.
-	WindowFlushes int64
-	SizeFlushes   int64
-	UrgentFlushes int64
-	DrainFlushes  int64
+	WindowFlushes int64 `json:"window_flushes"`
+	SizeFlushes   int64 `json:"size_flushes"`
+	UrgentFlushes int64 `json:"urgent_flushes"`
+	DrainFlushes  int64 `json:"drain_flushes"`
 	// FairnessDeficit is the served-row spread (max-min) across the queries
 	// that were still contending after the last selection — 0 means perfectly
 	// even service.
-	FairnessDeficit int64
-	// BreakerState is "closed" (fusing normally, including half-open probing)
-	// or "open" (shedding requests to the inline route). BreakerTrips counts
-	// closed→open transitions; BreakerShed counts requests refused while open.
-	BreakerState string
-	BreakerTrips int64
-	BreakerShed  int64
+	FairnessDeficit int64 `json:"fairness_deficit"`
 }
 
 // queryQueue is one query's FIFO of pending requests plus its fair-share
@@ -248,10 +208,6 @@ func (r *request) tokensAt(i int) int {
 	return len(r.ctxs[i])
 }
 
-func (r *request) urgent(now time.Time, slack time.Duration) bool {
-	return !r.qos.Deadline.IsZero() && r.qos.Deadline.Sub(now) <= slack
-}
-
 func (r *request) recordPanic(p any) {
 	r.panicMu.Lock()
 	if !r.panicked {
@@ -261,22 +217,35 @@ func (r *request) recordPanic(p any) {
 	r.panicMu.Unlock()
 }
 
-// StartBatcher attaches a fusion scheduler to the device (all views of the
-// device route through it) and starts its scheduler goroutine. Close
-// detaches and stops it. One batcher serves one device.
-func StartBatcher(d *Device, cfg BatcherConfig) *Batcher {
-	cfg.defaults()
-	b := &Batcher{
-		cfg:     cfg,
-		core:    d.c,
-		queues:  map[string]*queryQueue{},
-		wake:    make(chan struct{}, 1),
-		closeCh: make(chan struct{}),
-		exited:  make(chan struct{}),
-	}
+// StartBatcher attaches a fusion scheduler with the given admission window
+// (<= 0: 200µs) to the device (all views of the device route through it) and
+// starts its scheduler goroutine. A larger window fuses better under low
+// concurrency at the price of per-round latency; the size watermark and
+// urgent requests always preempt it. Close detaches and stops it. One
+// batcher serves one device.
+func StartBatcher(d *Device, window time.Duration) *Batcher {
+	b := newBatcher(d, window)
 	d.c.batcher.Store(b)
 	go b.run()
 	return b
+}
+
+// newBatcher builds a batcher over the device's core without attaching it or
+// starting its scheduler.
+func newBatcher(d *Device, window time.Duration) *Batcher {
+	if window <= 0 {
+		window = defaultWindow
+	}
+	return &Batcher{
+		core:        d.c,
+		window:      window,
+		urgentSlack: urgentSlack,
+		quantum:     quantum,
+		queues:      map[string]*queryQueue{},
+		wake:        make(chan struct{}, 1),
+		closeCh:     make(chan struct{}),
+		exited:      make(chan struct{}),
+	}
 }
 
 // Close detaches the batcher from its device, drains every pending request,
@@ -308,12 +277,6 @@ func (b *Batcher) Stats() BatcherStats {
 		UrgentFlushes:     b.urgentFlushes,
 		DrainFlushes:      b.drainFlushes,
 		FairnessDeficit:   b.fairnessDeficit,
-		BreakerState:      "closed",
-		BreakerTrips:      b.breakerTrips,
-		BreakerShed:       b.breakerShed,
-	}
-	if b.breakerOpen {
-		s.BreakerState = "open"
 	}
 	if s.FusedBatches > 0 {
 		s.MeanOccupancy = float64(s.Rows) / float64(s.FusedBatches)
@@ -323,7 +286,7 @@ func (b *Batcher) Stats() BatcherStats {
 
 // submit enqueues the view's request and blocks until every row has
 // executed. It reports false without executing anything when the batcher is
-// closed or its breaker sheds — the caller then runs the request inline.
+// closed — the caller then runs the request inline.
 func (b *Batcher) submit(d *Device, r *request) bool {
 	n := r.rowCount()
 	if n == 0 {
@@ -357,16 +320,6 @@ func (b *Batcher) enqueue(r *request) bool {
 	if b.closed {
 		return false
 	}
-	if b.breakerOpen {
-		if time.Now().Before(b.breakerUntil) {
-			b.breakerShed++
-			return false
-		}
-		// Cooldown elapsed: admit this request as the half-open probe. One
-		// more failed dispatch re-trips immediately; a success resets.
-		b.breakerOpen = false
-		b.breakerFails = b.cfg.BreakerThreshold - 1
-	}
 	q := b.queues[r.key]
 	if q == nil {
 		q = &queryQueue{key: r.key}
@@ -376,8 +329,8 @@ func (b *Batcher) enqueue(r *request) bool {
 		// Joining the contention: inherit the current service floor so an
 		// idle query neither monopolizes the device with banked credit nor
 		// starts in debt against long-running queries.
-		if minServed, ok := b.minServedLocked(); ok && q.served < minServed {
-			q.served = minServed
+		if floor, _ := b.servedRangeLocked(); q.served < floor {
+			q.served = floor
 		}
 		b.active = append(b.active, q)
 	}
@@ -400,15 +353,18 @@ func (b *Batcher) enqueue(r *request) bool {
 	return true
 }
 
-func (b *Batcher) minServedLocked() (int64, bool) {
-	var min int64
-	ok := false
-	for _, q := range b.active {
-		if !ok || q.served < min {
-			min, ok = q.served, true
+// servedRangeLocked reports the fewest and most rows served among the queries
+// with pending work (0, 0 when there are none).
+func (b *Batcher) servedRangeLocked() (lo, hi int64) {
+	for i, q := range b.active {
+		if i == 0 || q.served < lo {
+			lo = q.served
+		}
+		if i == 0 || q.served > hi {
+			hi = q.served
 		}
 	}
-	return min, ok
+	return lo, hi
 }
 
 func (b *Batcher) removeActiveLocked(q *queryQueue) {
@@ -427,17 +383,6 @@ func (b *Batcher) oldestLocked() time.Time {
 		}
 	}
 	return oldest
-}
-
-func (b *Batcher) urgentPendingLocked(now time.Time) bool {
-	for _, q := range b.active {
-		for _, r := range q.reqs {
-			if r.urgent(now, b.cfg.UrgentSlack) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // run is the scheduler loop: wait for work, hold the admission window, then
@@ -460,11 +405,11 @@ func (b *Batcher) run() {
 		}
 		now := time.Now()
 		full := b.rows >= b.core.maxBatch
-		urgent := b.urgentPendingLocked(now)
+		urgent := b.mostUrgentLocked(now) != nil
 		if !full && !urgent && !b.closed {
-			if age := now.Sub(b.oldestLocked()); age < b.cfg.Window {
+			if age := now.Sub(b.oldestLocked()); age < b.window {
 				b.mu.Unlock()
-				t := time.NewTimer(b.cfg.Window - age)
+				t := time.NewTimer(b.window - age)
 				select {
 				case <-b.wake:
 				case <-t.C:
@@ -525,8 +470,8 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
 		if room := cap - fb.rows; take > room {
 			take = room
 		}
-		if !urgent && take > b.cfg.Quantum {
-			take = b.cfg.Quantum
+		if !urgent && take > b.quantum {
+			take = b.quantum
 		}
 		lo := r.next
 		hi := lo + take
@@ -563,19 +508,8 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
 		}
 	}
 	// Fairness telemetry: the service spread among queries still contending.
-	b.fairnessDeficit = 0
-	if len(b.active) > 1 {
-		var min, max int64
-		for i, q := range b.active {
-			if i == 0 || q.served < min {
-				min = q.served
-			}
-			if i == 0 || q.served > max {
-				max = q.served
-			}
-		}
-		b.fairnessDeficit = max - min
-	}
+	lo, hi := b.servedRangeLocked()
+	b.fairnessDeficit = hi - lo
 	b.fusedBatches++
 	b.rowsFused += int64(fb.rows)
 	if fb.queries > 1 {
@@ -584,21 +518,26 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
 	return fb
 }
 
-// pickLocked chooses the queue to draw rows from next: the queue holding the
-// most urgent request when any deadline is within slack (earliest deadline
-// wins), otherwise the least-served queue (ties go to arrival order). Within
-// a queue, requests are served FIFO.
-func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
+// mostUrgentLocked returns the queue holding the request with the earliest
+// QoS deadline within urgentSlack of now, or nil when no request is urgent.
+func (b *Batcher) mostUrgentLocked(now time.Time) *queryQueue {
 	var uq *queryQueue
 	var ud time.Time
 	for _, q := range b.active {
 		for _, r := range q.reqs {
-			if r.urgent(now, b.cfg.UrgentSlack) && (uq == nil || r.qos.Deadline.Before(ud)) {
-				uq, ud = q, r.qos.Deadline
+			if d := r.qos.Deadline; !d.IsZero() && d.Sub(now) <= b.urgentSlack && (uq == nil || d.Before(ud)) {
+				uq, ud = q, d
 			}
 		}
 	}
-	if uq != nil {
+	return uq
+}
+
+// pickLocked chooses the queue to draw rows from next: the most urgent queue
+// when any request is urgent, otherwise the least-served queue (ties go to
+// arrival order). Within a queue, requests are served FIFO.
+func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
+	if uq := b.mostUrgentLocked(now); uq != nil {
 		return uq, true
 	}
 	best := b.active[0]
@@ -611,60 +550,31 @@ func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
 }
 
 // execute runs one fused batch through the device's executor (core.run) and
-// completes requests whose last rows just executed. Panics inside a segment
-// are captured per request and re-raised in the submitting goroutine, never
-// in the scheduler or a pool worker; a batch with one counts as a failed
-// dispatch for the breaker, as does an injected fault.
+// completes requests whose last rows just executed, waking their submitting
+// goroutines. Panics inside a segment are captured per request and re-raised
+// in the submitting goroutine, never in the scheduler or a pool worker. An
+// injected batcher.execute failure fails the dispatch itself: every request
+// in the batch gets the fault as its error, and nothing is charged or
+// scored. Either way the batch's outcome reaches its own requests and no
+// others.
 func (b *Batcher) execute(fb *batch) {
 	f := fault.Hit(fault.BatcherExecute)
 	if f != nil && f.Latency > 0 {
 		b.core.idle(f.Latency)
 	}
-	failed := f.Failure()
-	if failed {
-		// The fused dispatch itself fails: every participating request gets
-		// the fault as its error, nothing is charged or scored.
+	if f.Failure() {
 		for _, sg := range fb.segs {
 			sg.req.err = f
 		}
 	} else {
 		b.core.run(fb)
-		for _, sg := range fb.segs {
-			failed = failed || sg.req.panicked
-		}
 	}
-	b.finish(fb)
-	b.noteDispatch(failed)
-}
-
-// finish completes requests whose last rows just executed (or were abandoned
-// by a failed dispatch), waking their submitting goroutines.
-func (b *Batcher) finish(fb *batch) {
 	for _, sg := range fb.segs {
 		r := sg.req
 		r.remaining -= sg.hi - sg.lo
 		if r.remaining == 0 {
 			close(r.done)
 		}
-	}
-}
-
-// noteDispatch feeds the circuit breaker one fused-dispatch outcome:
-// consecutive failures trip it open for the cooldown, any success closes it
-// and clears the streak.
-func (b *Batcher) noteDispatch(failed bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !failed {
-		b.breakerFails = 0
-		b.breakerOpen = false
-		return
-	}
-	b.breakerFails++
-	if !b.breakerOpen && b.breakerFails >= b.cfg.BreakerThreshold {
-		b.breakerOpen = true
-		b.breakerUntil = time.Now().Add(b.cfg.BreakerCooldown)
-		b.breakerTrips++
 	}
 }
 

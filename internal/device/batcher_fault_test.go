@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,76 +10,76 @@ import (
 	"repro/internal/model"
 )
 
-// TestBatcherBreakerDegradeThenRecover drives the fusion circuit breaker
-// through its full cycle: consecutive injected dispatch failures trip it
-// open, an open breaker sheds new work to the caller's inline route,
-// and after the cooldown a successful half-open probe closes it again.
-func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
+// TestBatcherExecuteFaultFailsOnlyItsBatch: an injected batcher.execute
+// failure fails exactly the requests of the fused batch it hits — each gets
+// the *fault.Fault, and a request queued while the batch runs gets nothing —
+// and charges the device nothing. Consecutive failures change nothing about
+// admission: once the fault is spent, the next dispatch is fused and
+// succeeds.
+func TestBatcherExecuteFaultFailsOnlyItsBatch(t *testing.T) {
 	fault.Enable(fault.New(3).Set(fault.BatcherExecute, fault.Spec{FailN: 3}))
 	t.Cleanup(fault.Disable)
 
 	d := newDevice(8)
-	b := newBareBatcher(d, BatcherConfig{
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	dispatchOnce := func() *request {
-		r := enqueueRows(b, "q", 2, time.Time{})
+	b := newBareBatcher(d, quantum)
+	submitted := 0
+	submit := func(key string) *request {
+		submitted++
+		r := enqueueRows(b, key, 2, time.Time{})
 		r.lm = d.lm // dispatch() would set this; the bare harness must too
+		return r
+	}
+	ended := func(r *request) bool {
+		select {
+		case <-r.done:
+			return true
+		default:
+			return false
+		}
+	}
+
+	// Dispatch i packs two queries' requests: the one queued during
+	// dispatch i-1 and a partner. The next dispatch's request is queued
+	// after selection, so it waits out dispatch i in the queue.
+	waiting := submit("q0")
+	for i := 1; i <= 4; i++ {
+		batchReqs := []*request{waiting, submit(fmt.Sprintf("p%d", i))}
 		b.mu.Lock()
 		fb := b.selectLocked(time.Now(), b.core.maxBatch)
 		b.mu.Unlock()
+		want := []string{fmt.Sprintf("q%d[0:2]", i-1), fmt.Sprintf("p%d[0:2]", i)}
+		if got := segRows(fb); !reflect.DeepEqual(got, want) {
+			t.Fatalf("dispatch %d packed %v, want %v", i, got, want)
+		}
+		waiting = submit(fmt.Sprintf("q%d", i))
 		b.execute(fb)
-		<-r.done
-		return r
-	}
 
-	// Three consecutive failed dispatches: each request gets the fault as its
-	// error (returned to its submitting goroutine by dispatch), and the third
-	// trips the breaker.
-	for i := 1; i <= 3; i++ {
-		r := dispatchOnce()
-		if _, ok := r.err.(*fault.Fault); !ok || r.panicked {
-			t.Fatalf("dispatch %d: error %v (panicked %v), want the injected *fault.Fault", i, r.err, r.panicked)
+		for _, r := range batchReqs {
+			if !ended(r) || r.panicked {
+				t.Fatalf("dispatch %d: request %s ended=%v panicked=%v", i, r.key, ended(r), r.panicked)
+			}
+			_, isFault := r.err.(*fault.Fault)
+			if i <= 3 && !isFault {
+				t.Errorf("dispatch %d: request %s got %v, want the injected *fault.Fault", i, r.key, r.err)
+			}
+			if i == 4 {
+				if r.err != nil {
+					t.Errorf("dispatch 4: request %s failed after the fault was spent: %v", r.key, r.err)
+				} else if !reflect.DeepEqual(r.rows, d.lm.ScoreBatch(r.ctxs)) {
+					t.Errorf("dispatch 4: request %s rows differ from the model's own", r.key)
+				}
+			}
+		}
+		if ended(waiting) || waiting.err != nil {
+			t.Errorf("dispatch %d reached request %s, which was not in its batch (err %v)", i, waiting.key, waiting.err)
 		}
 	}
-	st := b.Stats()
-	if st.BreakerState != "open" || st.BreakerTrips != 1 {
-		t.Fatalf("after 3 failed dispatches: state=%s trips=%d, want open/1", st.BreakerState, st.BreakerTrips)
-	}
 
-	// Open: enqueue refuses, so dispatch would run the request inline.
-	shed := &request{
-		kind:      reqForward,
-		key:       "q",
-		ctxs:      [][]model.Token{{1}},
-		rows:      make([][]float64, 1),
-		remaining: 1,
-		done:      make(chan struct{}),
+	if st := b.Stats(); st.FusedBatches != 4 || st.Requests != int64(submitted) {
+		t.Errorf("batcher stats %+v, want 4 fused batches and all %d requests admitted", st, submitted)
 	}
-	if b.enqueue(shed) {
-		t.Fatal("open breaker admitted a request; want shed to the inline route")
-	}
-	if got := b.Stats().BreakerShed; got != 1 {
-		t.Fatalf("shed count = %d, want 1", got)
-	}
-
-	// Past the cooldown the next request is the half-open probe. The
-	// injector's FailN budget is spent, so the dispatch succeeds and the
-	// breaker closes.
-	time.Sleep(60 * time.Millisecond)
-	r := dispatchOnce()
-	if r.err != nil {
-		t.Fatalf("half-open probe failed: %v", r.err)
-	}
-	st = b.Stats()
-	if st.BreakerState != "closed" || st.BreakerTrips != 1 || st.BreakerShed != 1 {
-		t.Fatalf("after probe: state=%s trips=%d shed=%d, want closed/1/1", st.BreakerState, st.BreakerTrips, st.BreakerShed)
-	}
-
-	// A recovered batcher serves normally again.
-	if r := dispatchOnce(); r.err != nil {
-		t.Fatalf("post-recovery dispatch failed: %v", r.err)
+	if st := d.Stats(); st.Batches != 1 || st.Sequences != 4 {
+		t.Errorf("device charged %d batches / %d rows, want only the fourth dispatch's 1 / 4", st.Batches, st.Sequences)
 	}
 }
 
@@ -94,7 +95,7 @@ func TestBatcherExecuteLatencyFault(t *testing.T) {
 	t.Cleanup(fault.Disable)
 
 	d := newDevice(8)
-	b := StartBatcher(d, BatcherConfig{Window: 100 * time.Microsecond})
+	b := StartBatcher(d, 100*time.Microsecond)
 	defer b.Close()
 	ctxs := [][]model.Token{{1}, {1, 2}}
 	want := d.lm.ScoreBatch(ctxs)
@@ -111,7 +112,7 @@ func TestBatcherExecuteLatencyFault(t *testing.T) {
 	if c, f := in.Calls(fault.BatcherExecute), in.Injected(fault.BatcherExecute); c != 2 || f != 0 {
 		t.Errorf("point evaluated %d times with %d failures, want 2 and 0", c, f)
 	}
-	if st := b.Stats(); st.BreakerState != "closed" || st.BreakerTrips != 0 {
-		t.Errorf("latency-only faults moved the breaker: %+v", st)
+	if st := b.Stats(); st.FusedBatches != 2 {
+		t.Errorf("latency-only faults: %d fused batches, want 2: %+v", st.FusedBatches, st)
 	}
 }

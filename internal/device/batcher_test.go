@@ -17,17 +17,11 @@ import (
 
 // newBareBatcher builds a batcher over the device WITHOUT starting the
 // scheduler goroutine, so white-box tests can drive enqueue/selectLocked
-// deterministically.
-func newBareBatcher(d *Device, cfg BatcherConfig) *Batcher {
-	cfg.defaults()
-	return &Batcher{
-		cfg:     cfg,
-		core:    d.c,
-		queues:  map[string]*queryQueue{},
-		wake:    make(chan struct{}, 1),
-		closeCh: make(chan struct{}),
-		exited:  make(chan struct{}),
-	}
+// deterministically. It picks rows at most quantum at a time.
+func newBareBatcher(d *Device, quantum int) *Batcher {
+	b := newBatcher(d, 0)
+	b.quantum = quantum
+	return b
 }
 
 func enqueueRows(b *Batcher, key string, n int, deadline time.Time) *request {
@@ -64,7 +58,7 @@ func segRows(fb *batch) []string {
 // 2-row queries gets exactly one quantum before the small queries are
 // served, and the remainder only once it is alone.
 func TestBatcherFairShareSelection(t *testing.T) {
-	b := newBareBatcher(newDevice(8), BatcherConfig{Quantum: 4})
+	b := newBareBatcher(newDevice(8), 4)
 	enqueueRows(b, "A", 16, time.Time{})
 	enqueueRows(b, "B", 2, time.Time{})
 	enqueueRows(b, "C", 2, time.Time{})
@@ -91,7 +85,7 @@ func TestBatcherFairShareSelection(t *testing.T) {
 // current service floor instead of banked credit — it may not monopolize the
 // next fused batch just because it was idle while others were served.
 func TestBatcherServedFloorOnJoin(t *testing.T) {
-	b := newBareBatcher(newDevice(8), BatcherConfig{Quantum: 4})
+	b := newBareBatcher(newDevice(8), 4)
 	enqueueRows(b, "A", 8, time.Time{})
 	b.mu.Lock()
 	b.selectLocked(time.Now(), b.core.maxBatch) // A served 8, queue drained
@@ -116,7 +110,8 @@ func TestBatcherServedFloorOnJoin(t *testing.T) {
 // order and ignores the quantum; among urgent requests the earliest deadline
 // wins.
 func TestBatcherUrgentSelection(t *testing.T) {
-	b := newBareBatcher(newDevice(16), BatcherConfig{Quantum: 2, UrgentSlack: time.Second})
+	b := newBareBatcher(newDevice(16), 2)
+	b.urgentSlack = time.Second
 	now := time.Now()
 	enqueueRows(b, "bulk", 10, time.Time{})
 	enqueueRows(b, "later", 2, now.Add(800*time.Millisecond))
@@ -138,7 +133,7 @@ func TestBatcherUrgentSelection(t *testing.T) {
 // every caller gets exactly its own rows back.
 func TestBatcherFusesConcurrentForwards(t *testing.T) {
 	d := newDevice(64)
-	b := StartBatcher(d, BatcherConfig{Window: 200 * time.Millisecond})
+	b := StartBatcher(d, 200*time.Millisecond)
 	defer b.Close()
 
 	direct := newDevice(64) // unfused reference
@@ -193,7 +188,7 @@ func TestBatcherFusesConcurrentForwards(t *testing.T) {
 // immediately — a huge admission window must not delay a full batch.
 func TestBatcherSizeWatermarkFlush(t *testing.T) {
 	d := newDevice(4)
-	b := StartBatcher(d, BatcherConfig{Window: 10 * time.Minute})
+	b := StartBatcher(d, 10*time.Minute)
 	defer b.Close()
 
 	ctxs := make([][]model.Token, 8)
@@ -223,7 +218,7 @@ func TestBatcherSizeWatermarkFlush(t *testing.T) {
 // window expires, not at the size watermark.
 func TestBatcherWindowFlush(t *testing.T) {
 	d := newDevice(64)
-	b := StartBatcher(d, BatcherConfig{Window: time.Millisecond})
+	b := StartBatcher(d, time.Millisecond)
 	defer b.Close()
 	if out := must(d.Forward([][]model.Token{{1}, {2}})); len(out) != 2 {
 		t.Fatalf("got %d rows", len(out))
@@ -237,7 +232,7 @@ func TestBatcherWindowFlush(t *testing.T) {
 // admission window early, taking the waiting request with it.
 func TestBatcherUrgentPreemptsWindow(t *testing.T) {
 	d := newDevice(64)
-	b := StartBatcher(d, BatcherConfig{Window: 10 * time.Minute, UrgentSlack: 250 * time.Millisecond})
+	b := StartBatcher(d, 10*time.Minute) // urgent: a deadline within 250ms
 	defer b.Close()
 
 	patient := make(chan struct{})
@@ -279,7 +274,7 @@ func TestBatcherUrgentPreemptsWindow(t *testing.T) {
 // the fusion queue, including when all four kinds land in the same window.
 func TestBatcherAllKindsMatchDirect(t *testing.T) {
 	fused := newDevice(64)
-	b := StartBatcher(fused, BatcherConfig{Window: 50 * time.Millisecond})
+	b := StartBatcher(fused, 50*time.Millisecond)
 	defer b.Close()
 	direct := newDevice(64)
 
@@ -338,7 +333,7 @@ func TestBatcherAllKindsMatchDirect(t *testing.T) {
 // flood's service during the big query's lifetime.
 func TestBatcherFloodCannotStarve(t *testing.T) {
 	d := newDevice(8)
-	b := StartBatcher(d, BatcherConfig{Window: 100 * time.Microsecond})
+	b := StartBatcher(d, 100*time.Microsecond)
 	defer b.Close()
 
 	stop := make(chan struct{})
@@ -413,7 +408,7 @@ func (p *panicLM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 func TestBatcherPanicReachesSubmitter(t *testing.T) {
 	lm := &panicLM{model.Uniform{Vocab: 8, EOSTok: 7, SeqLen: 16}}
 	d := New(lm, DefaultLatency(), 64)
-	b := StartBatcher(d, BatcherConfig{Window: time.Millisecond})
+	b := StartBatcher(d, time.Millisecond)
 	defer b.Close()
 
 	func() {
@@ -437,7 +432,7 @@ func TestBatcherPanicReachesSubmitter(t *testing.T) {
 func TestBatcherCloseDrainsAndFallsBack(t *testing.T) {
 	before := runtime.NumGoroutine()
 	d := newDevice(64)
-	b := StartBatcher(d, BatcherConfig{Window: 50 * time.Millisecond})
+	b := StartBatcher(d, 50*time.Millisecond)
 
 	var out [][]float64
 	var wg sync.WaitGroup
@@ -481,7 +476,7 @@ func TestBatcherCloseDrainsAndFallsBack(t *testing.T) {
 // waking the scheduler or charging the device.
 func TestBatcherZeroRowCalls(t *testing.T) {
 	d := newDevice(64)
-	b := StartBatcher(d, BatcherConfig{Window: 10 * time.Minute})
+	b := StartBatcher(d, 10*time.Minute)
 	defer b.Close()
 	if out := must(d.Forward(nil)); len(out) != 0 {
 		t.Fatalf("got %v", out)
@@ -495,11 +490,11 @@ func TestBatcherZeroRowCalls(t *testing.T) {
 	}
 }
 
-// Route equivalence. A dispatch reaches core.run one of four ways — inline
+// Route equivalence. A dispatch reaches core.run one of three ways — inline
 // with no batcher attached, through the fusion queue, inline because the
-// breaker shed it, inline because the batcher was closed — and on each it
-// must be the same dispatch: same rows and decode states, same device
-// charges, a span covering exactly its own charge, the same panic.
+// batcher was closed — and on each it must be the same dispatch: same rows
+// and decode states, same device charges, a span covering exactly its own
+// charge, the same panic.
 
 type routeIn struct {
 	ctxs   [][]model.Token
@@ -581,18 +576,12 @@ var routes = []struct {
 }{
 	{"inline", false, func(*testing.T, *Device) func() bool { return func() bool { return true } }},
 	{"fused", true, func(t *testing.T, d *Device) func() bool {
-		b := StartBatcher(d, BatcherConfig{Window: 100 * time.Microsecond})
+		b := StartBatcher(d, 100*time.Microsecond)
 		t.Cleanup(b.Close)
-		return func() bool { return b.Stats().Requests > 0 && b.Stats().BreakerShed == 0 }
-	}},
-	{"breakerOpen", false, func(t *testing.T, d *Device) func() bool {
-		b := newBareBatcher(d, BatcherConfig{})
-		b.breakerOpen, b.breakerUntil = true, time.Now().Add(time.Hour)
-		d.c.batcher.Store(b)
-		return func() bool { return b.Stats().BreakerShed > 0 && b.Stats().Requests == 0 }
+		return func() bool { return b.Stats().Requests > 0 }
 	}},
 	{"closed", false, func(t *testing.T, d *Device) func() bool {
-		b := StartBatcher(d, BatcherConfig{})
+		b := StartBatcher(d, 0)
 		b.Close()
 		return func() bool { return d.Batcher() == nil && b.Stats().Requests == 0 }
 	}},

@@ -183,8 +183,8 @@ func (d *Device) Forward(ctxs [][]model.Token) ([][]float64, error) {
 
 // dispatch is the one path a scoring call takes to the accelerator
 // (DESIGN.md decision 12). The request rides the fusion queue when a batcher
-// is attached and admits it; with no batcher, a closed one, or an open
-// breaker it runs inline on this goroutine. Both routes execute through
+// is attached; with no batcher or a closed one it runs inline on this
+// goroutine. Both routes execute through
 // core.run and leave the same record in r.trace, which closes the span.
 // requested is the row count of the public call the rows belong to (more
 // than the request's own when the resident probe answered part of it). A

@@ -62,7 +62,7 @@ func TestDispatchReleasesResults(t *testing.T) {
 				d, lm := newIncrDevice(4)
 				var b *Batcher
 				if fused {
-					b = StartBatcher(d, BatcherConfig{Window: 100 * time.Microsecond})
+					b = StartBatcher(d, 100*time.Microsecond)
 					t.Cleanup(b.Close)
 				}
 				probes := dispatchProbes(d.WithQoS(QoS{Query: "q"}), op.run, routeInputs(lm, 10))
@@ -96,7 +96,7 @@ func TestDispatchReleasesResults(t *testing.T) {
 // QoS.Query accounts, every account without pending work has a nil queue.
 func TestIdleAccountsHoldNoRequests(t *testing.T) {
 	d := newDevice(8)
-	b := StartBatcher(d, BatcherConfig{Window: 50 * time.Microsecond})
+	b := StartBatcher(d, 50*time.Microsecond)
 	defer b.Close()
 	const accounts, workers = 200, 8
 	var wg sync.WaitGroup

@@ -81,7 +81,7 @@ func newResidentRig(t *testing.T, fused bool) *residentRig {
 	r.d = New(r.c, DefaultLatency(), 4)
 	r.ref = New(newRowLM(), DefaultLatency(), 4)
 	if fused {
-		r.b = StartBatcher(r.d, BatcherConfig{Window: 100 * time.Microsecond})
+		r.b = StartBatcher(r.d, 100*time.Microsecond)
 		t.Cleanup(r.b.Close)
 	}
 	return r

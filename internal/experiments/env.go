@@ -215,8 +215,8 @@ func (e *Env) KVStats() relm.KVStats {
 		out.ResidentBytes += s.ResidentBytes
 		out.Budget += s.Budget
 		out.Nodes += s.Nodes
-		out.CompressedNodes += s.CompressedNodes
-		out.CompressedBytes += s.CompressedBytes
+		out.DemotedNodes += s.DemotedNodes
+		out.DemotedBytes += s.DemotedBytes
 		out.Demotions += s.Demotions
 		out.Promotions += s.Promotions
 	}

@@ -44,8 +44,8 @@ const (
 	DevicePrefill  = "device.prefill"
 	DeviceExtend   = "device.extend"
 	DeviceScoreAll = "device.scoreall"
-	// BatcherExecute fails one fused dispatch inside the fusion scheduler —
-	// the point the circuit breaker watches.
+	// BatcherExecute fails one fused dispatch inside the fusion scheduler:
+	// every request in that batch, and no other, gets the fault as its error.
 	BatcherExecute = "batcher.execute"
 	// Ledger I/O: Append returns the fault before writing any bytes (clean,
 	// retry-safe) unless the spec is torn, in which case it writes a partial

@@ -383,13 +383,13 @@ type Stats struct {
 	// Nodes is the current entry count; Handles counts unreleased handles.
 	Nodes   int `json:"nodes"`
 	Handles int `json:"handles"`
-	// CompressedNodes/CompressedBytes describe the demoted (token-only)
+	// DemotedNodes/DemotedBytes describe the demoted (token-only)
 	// nodes right now; Demotions and Promotions count transitions over the
 	// arena's life.
-	CompressedNodes int   `json:"compressed_nodes"`
-	CompressedBytes int64 `json:"compressed_bytes"`
-	Demotions       int64 `json:"demotions"`
-	Promotions      int64 `json:"promotions"`
+	DemotedNodes int   `json:"demoted_nodes"`
+	DemotedBytes int64 `json:"demoted_bytes"`
+	Demotions    int64 `json:"demotions"`
+	Promotions   int64 `json:"promotions"`
 }
 
 // Stats snapshots the counters.
@@ -397,17 +397,17 @@ func (a *Arena) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Stats{
-		Hits:            a.hits,
-		Misses:          a.misses,
-		Commits:         a.commits,
-		Evictions:       a.evictions,
-		ResidentBytes:   a.resident,
-		Budget:          a.budget,
-		Nodes:           len(a.nodes),
-		Handles:         a.handles,
-		CompressedNodes: a.demotedNodes,
-		CompressedBytes: a.demotedBytes,
-		Demotions:       a.demotions,
-		Promotions:      a.promotions,
+		Hits:          a.hits,
+		Misses:        a.misses,
+		Commits:       a.commits,
+		Evictions:     a.evictions,
+		ResidentBytes: a.resident,
+		Budget:        a.budget,
+		Nodes:         len(a.nodes),
+		Handles:       a.handles,
+		DemotedNodes:  a.demotedNodes,
+		DemotedBytes:  a.demotedBytes,
+		Demotions:     a.demotions,
+		Promotions:    a.promotions,
 	}
 }

@@ -41,7 +41,7 @@ func TestDemoteUnderPressure(t *testing.T) {
 	if s.ResidentBytes > 1000 {
 		t.Fatalf("resident %d over budget", s.ResidentBytes)
 	}
-	if s.CompressedNodes != int(s.Demotions) || s.CompressedBytes != tokenOnlyBytes(1)*s.Demotions {
+	if s.DemotedNodes != int(s.Demotions) || s.DemotedBytes != tokenOnlyBytes(1)*s.Demotions {
 		t.Fatalf("demoted accounting off: %+v", s)
 	}
 	// Every context is still resident: demotion never loses a state.
@@ -65,7 +65,7 @@ func TestPromoteOnAcquire(t *testing.T) {
 	full := st(400, ctx...)
 	a.Commit(nil, ctx, full).Release()
 	a.Commit(nil, []model.Token{8}, st(100, 8)).Release()
-	if s := a.Stats(); s.Demotions != 1 || s.CompressedBytes != tokenOnlyBytes(2) ||
+	if s := a.Stats(); s.Demotions != 1 || s.DemotedBytes != tokenOnlyBytes(2) ||
 		s.ResidentBytes != tokenOnlyBytes(2)+100 {
 		t.Fatalf("demotion accounting off: %+v", s)
 	}
@@ -91,7 +91,7 @@ func TestPromoteOnAcquire(t *testing.T) {
 	}
 	// Check before Release: releasing re-runs the hot window, which would
 	// demote the other full node and muddy the counters.
-	if s := a.Stats(); s.Promotions != 1 || s.CompressedNodes != 0 || s.ResidentBytes != 400+100 {
+	if s := a.Stats(); s.Promotions != 1 || s.DemotedNodes != 0 || s.ResidentBytes != 400+100 {
 		t.Fatalf("promotion accounting off: %+v", s)
 	}
 	checkCharges(t, a)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -117,11 +118,32 @@ func TestFusedServerByteIdenticalStreams(t *testing.T) {
 		t.Fatalf("fused server /v1/stats missing batcher block: %+v", fs.Models)
 	}
 	bb := fs.Models[0].Batcher
-	if bb.FusedBatches == 0 || bb.FusedRows == 0 || bb.MeanOccupancy <= 0 {
+	if bb.FusedBatches == 0 || bb.Rows == 0 || bb.MeanOccupancy <= 0 {
 		t.Errorf("batcher block shows no fusion: %+v", bb)
 	}
 	if bb.QueueDepth != 0 {
 		t.Errorf("idle server reports queued rows: %+v", bb)
+	}
+	// The block is relm.BatcherStats itself; its wire names are the ones
+	// /v1/stats has always served.
+	resp, err := http.Get(fused.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw struct {
+		Models []struct {
+			Batcher map[string]any `json:"batcher"`
+		} `json:"models"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"fused_batches", "fused_rows", "mean_occupancy", "multi_query_batches",
+		"queue_depth", "peak_queue_depth", "window_flushes", "size_flushes", "urgent_flushes", "fairness_deficit"} {
+		if _, ok := raw.Models[0].Batcher[key]; !ok {
+			t.Errorf("/v1/stats batcher block lacks %q: %v", key, raw.Models[0].Batcher)
+		}
 	}
 	ps := getStats(t, plain)
 	if ps.Models[0].Batcher != nil {

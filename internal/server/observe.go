@@ -168,28 +168,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.counter("relm_kv_evictions_total", "KV-arena evictions.", l, ms.KVEvictions)
 		p.gauge("relm_kv_resident_bytes", "KV-arena resident bytes.", l, ms.KVResidentBytes)
 		p.gauge("relm_kv_nodes", "KV-arena resident prefix states.", l, int64(ms.KVNodes))
-		p.gauge("relm_kv_compressed_nodes", "KV-arena states in the demoted tier.", l, int64(ms.KVCompressedNodes))
-		p.gauge("relm_kv_compressed_bytes", "Bytes held by the demoted tier.", l, ms.KVCompressedBytes)
+		p.gauge("relm_kv_demoted_nodes", "KV-arena states demoted to their token context.", l, int64(ms.KVDemotedNodes))
+		p.gauge("relm_kv_demoted_bytes", "Bytes held by the demoted KV-arena states.", l, ms.KVDemotedBytes)
 		p.counter("relm_kv_promotions_total", "Demoted states promoted back.", l, ms.KVPromotions)
-		p.counter("relm_kv_demotions_total", "States demoted to the compressed tier.", l, ms.KVDemotions)
+		p.counter("relm_kv_demotions_total", "States demoted to their token context.", l, ms.KVDemotions)
 		if b := ms.Batcher; b != nil {
 			p.counter("relm_batcher_fused_batches_total", "Fused batches executed.", l, b.FusedBatches)
-			p.counter("relm_batcher_fused_rows_total", "Rows executed through fused batches.", l, b.FusedRows)
+			p.counter("relm_batcher_fused_rows_total", "Rows executed through fused batches.", l, b.Rows)
 			p.counter("relm_batcher_multi_query_batches_total", "Fused batches holding >1 query.", l, b.MultiQueryBatches)
-			p.gaugeF("relm_batcher_mean_occupancy", "Mean queries per fused batch.", l, b.MeanOccupancy)
-			p.gauge("relm_batcher_queue_depth", "Requests waiting in the admission queue.", l, int64(b.QueueDepth))
-			p.gauge("relm_batcher_peak_queue_depth", "Peak admission-queue depth.", l, int64(b.PeakQueueDepth))
+			p.gaugeF("relm_batcher_mean_occupancy", "Mean rows per fused batch.", l, b.MeanOccupancy)
+			p.gauge("relm_batcher_queue_depth", "Rows waiting in the admission queue.", l, int64(b.QueueDepth))
+			p.gauge("relm_batcher_peak_queue_depth", "Peak rows waiting in the admission queue.", l, int64(b.PeakQueueDepth))
 			p.counter("relm_batcher_window_flushes_total", "Batches flushed by the fusion window.", l, b.WindowFlushes)
 			p.counter("relm_batcher_size_flushes_total", "Batches flushed at the size limit.", l, b.SizeFlushes)
 			p.counter("relm_batcher_urgent_flushes_total", "Batches flushed for deadline urgency.", l, b.UrgentFlushes)
 			p.gauge("relm_batcher_fairness_deficit", "Fair-share deficit across accounts.", l, b.FairnessDeficit)
-			open := int64(0)
-			if b.BreakerState == "open" {
-				open = 1
-			}
-			p.gauge("relm_batcher_breaker_open", "1 while the fusion circuit breaker is open.", l, open)
-			p.counter("relm_batcher_breaker_trips_total", "Circuit-breaker closed-to-open transitions.", l, b.BreakerTrips)
-			p.counter("relm_batcher_breaker_shed_total", "Requests shed to direct dispatch while open.", l, b.BreakerShed)
 		}
 		if t := ms.Trace; t != nil {
 			p.counter("relm_trace_sampled_total", "Queries recorded as traces.", l, t.Sampled)

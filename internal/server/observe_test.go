@@ -98,9 +98,11 @@ var promSampleRe = regexp.MustCompile(
 // exposition format line by line: every sample parses, every family is
 // declared by a # TYPE exactly once before its first sample, the key counter
 // families are present, and the stage histogram is internally coherent
-// (cumulative buckets, +Inf bucket == count).
+// (cumulative buckets, +Inf bucket == count). The model is fused, so the
+// batcher families are exposed too, and their HELP text says what the value
+// counts.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newFusedTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
 		runQueryToEnd(t, ts, `{"pattern":" ((cat)|(dog))","prefix":"The","max_matches":5}`)
 	}
@@ -119,6 +121,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	typed := map[string]string{} // family -> declared type
+	help := map[string]string{}  // family -> HELP text
 	families := map[string]bool{}
 	type bucketKey struct{ labels, le string }
 	buckets := map[string][]string{} // label set -> le values in order
@@ -141,7 +144,9 @@ func TestMetricsExposition(t *testing.T) {
 			typed[parts[2]] = parts[3]
 			continue
 		}
-		if strings.HasPrefix(line, "# HELP ") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			family, text, _ := strings.Cut(rest, " ")
+			help[family] = text
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -211,6 +216,25 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if typed["relm_stage_duration_us"] != "histogram" {
 		t.Errorf("stage family typed %q, want histogram", typed["relm_stage_duration_us"])
+	}
+	// The batcher's occupancy and queue depths are rows, not queries or
+	// requests; the KV demotion families name the token-only form.
+	for family, want := range map[string]string{
+		"relm_batcher_mean_occupancy":   "Mean rows per fused batch.",
+		"relm_batcher_queue_depth":      "Rows waiting in the admission queue.",
+		"relm_batcher_peak_queue_depth": "Peak rows waiting in the admission queue.",
+		"relm_kv_demoted_nodes":         "KV-arena states demoted to their token context.",
+		"relm_kv_demoted_bytes":         "Bytes held by the demoted KV-arena states.",
+		"relm_kv_demotions_total":       "States demoted to their token context.",
+	} {
+		if got, ok := help[family]; !ok || got != want {
+			t.Errorf("# HELP %s = %q (present %v), want %q", family, got, ok, want)
+		}
+	}
+	for family := range typed {
+		if strings.Contains(family, "breaker") {
+			t.Errorf("family %s exposed: the batcher has no circuit breaker", family)
+		}
 	}
 
 	// Histogram coherence per label set: buckets cumulative, ending at +Inf,
@@ -402,9 +426,9 @@ func TestStatsCoherence(t *testing.T) {
 	// Every logit-cache miss any query observed was dispatched as a fused
 	// row before that query's counters could advance (the snapshot reads
 	// queries first), so the shared total must cover the per-query sum.
-	if ms.Batcher.FusedRows < sumMisses {
+	if ms.Batcher.Rows < sumMisses {
 		t.Errorf("fused_rows %d < per-query cache-miss sum %d — snapshot order violated",
-			ms.Batcher.FusedRows, sumMisses)
+			ms.Batcher.Rows, sumMisses)
 	}
 	if ms.Trace == nil {
 		t.Fatalf("model reports no trace block after traffic")
@@ -429,10 +453,8 @@ func TestStatsCoherence(t *testing.T) {
 		name     string
 		old, new int64
 	}{
-		{"fused_rows", ms.Batcher.FusedRows, ms2.Batcher.FusedRows},
+		{"fused_rows", ms.Batcher.Rows, ms2.Batcher.Rows},
 		{"fused_batches", ms.Batcher.FusedBatches, ms2.Batcher.FusedBatches},
-		{"breaker_trips", ms.Batcher.BreakerTrips, ms2.Batcher.BreakerTrips},
-		{"breaker_shed", ms.Batcher.BreakerShed, ms2.Batcher.BreakerShed},
 		{"trace_sampled", ms.Trace.Sampled, ms2.Trace.Sampled},
 		{"trace_stored", ms.Trace.Stored, ms2.Trace.Stored},
 		{"cache_misses", ms.CacheMisses, ms2.CacheMisses},

@@ -38,6 +38,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/jobs"
+	"repro/internal/trace"
 	"repro/relm"
 )
 
@@ -376,48 +377,20 @@ type ModelStats struct {
 	KVNodes         int   `json:"kv_nodes"`
 	// Demotion counters (DESIGN.md decision 14): the arena's token-only
 	// nodes right now, and demotions/promotions over its lifetime.
-	KVCompressedNodes int   `json:"kv_compressed_nodes"`
-	KVCompressedBytes int64 `json:"kv_compressed_bytes"`
-	KVPromotions      int64 `json:"kv_promotions"`
-	KVDemotions       int64 `json:"kv_demotions"`
+	KVDemotedNodes int   `json:"kv_demoted_nodes"`
+	KVDemotedBytes int64 `json:"kv_demoted_bytes"`
+	KVPromotions   int64 `json:"kv_promotions"`
+	KVDemotions    int64 `json:"kv_demotions"`
 	// Batcher is the continuous-batching section (DESIGN.md decision 12),
-	// present only when fusion is enabled on the model's device.
-	Batcher *BatcherBlock `json:"batcher,omitempty"`
+	// present only when fusion is enabled on the model's device: how much
+	// cross-query packing the device gets, how deep the admission queue runs
+	// (in rows), why batches flushed, and the fair-share spread.
+	Batcher *relm.BatcherStats `json:"batcher,omitempty"`
 	// Trace is the query-tracing section (DESIGN.md decision 16), present
-	// once the model has made at least one sampling decision.
-	Trace *TraceBlock `json:"trace,omitempty"`
-}
-
-// TraceBlock reports the tracer's sampling activity: queries traced vs
-// skipped by the sampling rate, traces published over the model's lifetime,
-// and how many the bounded ring currently retains for /v1/trace.
-type TraceBlock struct {
-	Sampled  int64 `json:"sampled"`
-	Skipped  int64 `json:"skipped"`
-	Stored   int64 `json:"stored"`
-	Retained int   `json:"retained"`
-}
-
-// BatcherBlock reports the fusion scheduler's counters: how much cross-query
-// packing the device is getting (occupancy, multi-query batches), how deep
-// the admission queue runs, why batches flushed, and the fair-share spread.
-type BatcherBlock struct {
-	FusedBatches      int64   `json:"fused_batches"`
-	FusedRows         int64   `json:"fused_rows"`
-	MeanOccupancy     float64 `json:"mean_occupancy"`
-	MultiQueryBatches int64   `json:"multi_query_batches"`
-	QueueDepth        int     `json:"queue_depth"`
-	PeakQueueDepth    int     `json:"peak_queue_depth"`
-	WindowFlushes     int64   `json:"window_flushes"`
-	SizeFlushes       int64   `json:"size_flushes"`
-	UrgentFlushes     int64   `json:"urgent_flushes"`
-	FairnessDeficit   int64   `json:"fairness_deficit"`
-	// Circuit breaker: "closed" or "open"; trips are closed→open
-	// transitions, shed is requests refused while open (they ran on the
-	// direct dispatch path instead).
-	BreakerState string `json:"breaker_state"`
-	BreakerTrips int64  `json:"breaker_trips"`
-	BreakerShed  int64  `json:"breaker_shed"`
+	// once the model has made at least one sampling decision: queries traced
+	// vs skipped by the sampling rate, traces published, and how many the
+	// bounded ring retains for /v1/trace.
+	Trace *trace.Counts `json:"trace,omitempty"`
 }
 
 // StatsResponse is the /v1/stats payload. Jobs is present only when the
@@ -529,35 +502,16 @@ func modelStats(n string, m *relm.Model) ModelStats {
 	ms.KVEvictions = ks.Evictions
 	ms.KVResidentBytes = ks.ResidentBytes
 	ms.KVNodes = ks.Nodes
-	ms.KVCompressedNodes = ks.CompressedNodes
-	ms.KVCompressedBytes = ks.CompressedBytes
+	ms.KVDemotedNodes = ks.DemotedNodes
+	ms.KVDemotedBytes = ks.DemotedBytes
 	ms.KVPromotions = ks.Promotions
 	ms.KVDemotions = ks.Demotions
 	if m.Fused() {
 		bs := m.BatcherStats()
-		ms.Batcher = &BatcherBlock{
-			FusedBatches:      bs.FusedBatches,
-			FusedRows:         bs.Rows,
-			MeanOccupancy:     bs.MeanOccupancy,
-			MultiQueryBatches: bs.MultiQueryBatches,
-			QueueDepth:        bs.QueueDepth,
-			PeakQueueDepth:    bs.PeakQueueDepth,
-			WindowFlushes:     bs.WindowFlushes,
-			SizeFlushes:       bs.SizeFlushes,
-			UrgentFlushes:     bs.UrgentFlushes,
-			FairnessDeficit:   bs.FairnessDeficit,
-			BreakerState:      bs.BreakerState,
-			BreakerTrips:      bs.BreakerTrips,
-			BreakerShed:       bs.BreakerShed,
-		}
+		ms.Batcher = &bs
 	}
 	if tc := m.Tracer().Counts(); tc.Sampled+tc.Skipped > 0 {
-		ms.Trace = &TraceBlock{
-			Sampled:  tc.Sampled,
-			Skipped:  tc.Skipped,
-			Stored:   tc.Stored,
-			Retained: tc.Retained,
-		}
+		ms.Trace = &tc
 	}
 	return ms
 }

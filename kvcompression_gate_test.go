@@ -146,7 +146,7 @@ func TestKVCompressionCapacityGate(t *testing.T) {
 	}
 	rate := hitRate(kv)
 	t.Logf("arena: %.3f hit rate (%d hits / %d misses, %d evictions, %d demotions, %d promotions, %d demoted nodes / %d B) over %d results",
-		rate, kv.Hits, kv.Misses, kv.Evictions, kv.Demotions, kv.Promotions, kv.CompressedNodes, kv.CompressedBytes, len(got))
+		rate, kv.Hits, kv.Misses, kv.Evictions, kv.Demotions, kv.Promotions, kv.DemotedNodes, kv.DemotedBytes, len(got))
 	if kv.Demotions == 0 {
 		t.Error("arena never demoted: the budget is not exercising demotion")
 	}

@@ -314,7 +314,7 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 	}
 	var batcher *device.Batcher
 	if opts.ContinuousBatching {
-		batcher = device.StartBatcher(dev, device.BatcherConfig{Window: opts.FusionWindow})
+		batcher = device.StartBatcher(dev, opts.FusionWindow)
 	}
 	return &Model{
 		LM:      lm,

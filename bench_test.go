@@ -366,6 +366,7 @@ func BenchmarkWalkCounterSample(b *testing.B) {
 	d := regex.MustCompile("(a|b|c){1,12}")
 	w := automaton.NewWalkCounter(d, 12)
 	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.SampleUniform(rng)

@@ -1,8 +1,11 @@
 package automaton
 
 import (
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -248,7 +251,7 @@ func TestLanguageSize(t *testing.T) {
 // bigLanguageSize is LanguageSizeOf as it was: the big.Int walk counter, -1
 // when the start state's count leaves int64.
 func bigLanguageSize(w Walker, maxLen int) int64 {
-	c := NewWalkCounter(w, maxLen).Count()
+	c := newBigWalkCounter(w, maxLen).Count()
 	if !c.IsInt64() {
 		return -1
 	}
@@ -321,6 +324,73 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 	if got, want := LanguageSizeOf(d, 100), bigLanguageSize(d, 100); got != 2 || want != 2 {
 		t.Errorf("unreachable overflow: LanguageSizeOf = %d, walk counter = %d, want 2", got, want)
 	}
+}
+
+// sameDraws checks that the table NewWalkCounter builds for d holds the
+// big.Int reference's counts and draws what it draws: the same SampleUniform
+// and SampleUnnormalized sequences from generators of one seed, which it
+// leaves in the same state.
+func sameDraws(t *testing.T, name string, d *DFA, maxLen int, seed int64) {
+	t.Helper()
+	got, ref := NewWalkCounter(d, maxLen), newBigWalkCounter(d, maxLen)
+	if got.Count().Cmp(ref.Count()) != 0 {
+		t.Fatalf("%s: count %v, big.Int reference %v", name, got.Count(), ref.Count())
+	}
+	for _, uniform := range []bool{true, false} {
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 40; i++ {
+			var x, y []Symbol
+			if uniform {
+				x, y = got.SampleUniform(a), ref.SampleUniform(b)
+			} else {
+				x, y = got.SampleUnnormalized(a), ref.SampleUnnormalized(b)
+			}
+			if !slices.Equal(x, y) || (x == nil) != (y == nil) {
+				t.Fatalf("%s: draw %d (uniform %v) = %v, big.Int reference %v", name, i, uniform, x, y)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("%s: uniform %v left the generator in another state than the reference", name, uniform)
+		}
+	}
+}
+
+// TestWalkCounterWordsDrawLikeBigInt: a table whose counts fit machine words
+// keeps them as uint64 and samples exactly as the big.Int table does, so no
+// sampled stream can tell the two apart; a table with one count past 2⁶⁴−1
+// falls back to big.Int.
+func TestWalkCounterWordsDrawLikeBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var words, cyclicWords, fallback int
+	for trial := 0; trial < 150; trial++ {
+		d := randomDFA(rng, 2+rng.Intn(15), 1+rng.Intn(6), 5+rng.Intn(60))
+		maxLen := rng.Intn(90)
+		switch w := NewWalkCounter(d, maxLen); {
+		case w.words == nil:
+			fallback++
+		case d.HasCycle():
+			cyclicWords++
+			fallthrough
+		default:
+			words++
+		}
+		sameDraws(t, fmt.Sprintf("trial %d", trial), d, maxLen, int64(trial))
+	}
+	if words < 20 || cyclicWords < 10 || fallback < 10 {
+		t.Fatalf("the mix took the word table %d times (%d cyclic) and fell back %d times: it no longer covers both paths",
+			words, cyclicWords, fallback)
+	}
+
+	// The uint64 boundary, exactly: 2⁶⁴−1 strings of length <= 63 fit, so
+	// every draw is 8 bytes wide; 2⁶⁵−1 of length <= 64 do not.
+	if w := NewWalkCounter(binaryChain(63, true), 63); w.words == nil || w.Count().Cmp(new(big.Int).SetUint64(math.MaxUint64)) != 0 {
+		t.Fatalf("2⁶⁴−1 walks: word table %v, count %v", w.words != nil, w.Count())
+	}
+	if w := NewWalkCounter(binaryChain(64, true), 64); w.words != nil {
+		t.Fatal("2⁶⁵−1 walks kept the word table")
+	}
+	sameDraws(t, "binaryChain(63)", binaryChain(63, true), 63, 1)
+	sameDraws(t, "binaryChain(64)", binaryChain(64, true), 64, 1)
 }
 
 func TestWalkCounterPaperExample(t *testing.T) {

@@ -61,32 +61,17 @@ func (d *DFA) LanguageSize(maxLen int) int64 { return LanguageSizeOf(d, maxLen) 
 
 // LanguageSizeOf counts accepted sequences of length at most maxLen for any
 // traversable automaton form, returning -1 when the count exceeds int64
-// (callers treat that as "huge"). It is WalkCounter's recurrence on two rows
-// of machine words that saturate one past MaxInt64: counts only ever grow by
-// addition, so a saturated cell is exactly a cell whose true count overflows,
-// and one that the start state never reaches spoils nothing. Every query with
-// a prefix sizes its prefix language here, so no big.Int table is built.
+// (callers treat that as "huge"). It is WalkCounter's recurrence (walkRow) on
+// two rows of machine words that saturate one past MaxInt64, so a cell at the
+// limit is exactly one whose count does not fit int64, and one that the start
+// state never reaches spoils nothing. Every query with a prefix sizes its
+// prefix language here, without building the whole table.
 func LanguageSizeOf(w Walker, maxLen int) int64 {
 	const over = uint64(math.MaxInt64) + 1
 	n := w.NumStates()
 	prev, cur := make([]uint64, n), make([]uint64, n)
 	for rem := 0; rem <= maxLen; rem++ {
-		for s := 0; s < n; s++ {
-			var acc uint64
-			if w.Accepting(s) {
-				acc = 1
-			}
-			if rem > 0 {
-				for _, e := range w.Edges(s) {
-					if c := prev[e.To]; c >= over-acc {
-						acc = over
-					} else {
-						acc += c
-					}
-				}
-			}
-			cur[s] = acc
-		}
+		walkRow(w, prev, cur, over) // at rem 0, prev is all zero
 		prev, cur = cur, prev
 	}
 	if total := prev[w.Start()]; total < over {

@@ -388,9 +388,10 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 
 	m := &model.Uniform{Vocab: 257, EOSTok: 256, SeqLen: 16}
 	dev := device.New(m, device.DefaultLatency(), 8)
+	walks := automaton.NewWalkCounter(prefDFA, m.SeqLen)
 	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
-		Rng:       rand.New(rand.NewSource(3)),
-		PrefixDFA: prefDFA,
+		Rng:         rand.New(rand.NewSource(3)),
+		PrefixWalks: walks,
 	})
 	aCount, total := 0, 2000
 	for i := 0; i < total; i++ {
@@ -410,7 +411,7 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 	// Unnormalized sampling shows the bias (~0.5).
 	s2 := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
 		Rng:          rand.New(rand.NewSource(3)),
-		PrefixDFA:    prefDFA,
+		PrefixWalks:  walks,
 		Unnormalized: true,
 	})
 	aCount = 0

@@ -16,19 +16,17 @@ type SamplerOptions struct {
 	// Rng drives all randomness; required for reproducibility. With
 	// Parallelism > 1 it is consumed only to seed per-attempt generators.
 	Rng *rand.Rand
-	// PrefixDFA, when non-nil, is an automaton over the prefix language;
-	// prefixes are drawn uniformly over its accepting walks via walk-count
-	// normalization (§3.3). When nil, prefixes are drawn uniformly from
-	// Query.Prefixes.
-	PrefixDFA *automaton.DFA
-	// PrefixMaxLen bounds prefix walks when PrefixDFA is set (cycle
-	// unrolling limit). Defaults to the model window.
-	PrefixMaxLen int
-	// PrefixEncode, when non-nil, declares PrefixDFA to be a byte-level
+	// PrefixWalks, when non-nil, holds the walk counts of an automaton over
+	// the prefix language, its length bound included; prefixes are drawn
+	// uniformly over its accepting walks via walk-count normalization
+	// (§3.3). The table is only read, so one may serve any number of
+	// streams. When nil, prefixes are drawn uniformly from Query.Prefixes.
+	PrefixWalks *automaton.WalkCounter
+	// PrefixEncode, when non-nil, declares PrefixWalks to count a byte-level
 	// automaton: each sampled walk is decoded to its string (one walk per
 	// string, so walk-uniform = string-uniform) and re-encoded to model
-	// tokens with this function. When nil, PrefixDFA walks are used as
-	// token sequences directly.
+	// tokens with this function. When nil, sampled walks are used as token
+	// sequences directly.
 	PrefixEncode func(s string) []model.Token
 	// Unnormalized switches prefix sampling to naive uniform-edge choice,
 	// reproducing the bias of Appendix C for the fig9 experiment.
@@ -55,26 +53,18 @@ func Sample(dev *device.Device, q *Query, opts SamplerOptions) Stream {
 	if opts.MaxAttemptsPerResult <= 0 {
 		opts.MaxAttemptsPerResult = 10000
 	}
-	if opts.PrefixMaxLen <= 0 {
-		opts.PrefixMaxLen = dev.Model().MaxSeqLen()
-	}
 	if nq.Trace != nil {
 		// Sampling walks make thousands of single-row dispatches; per-attempt
 		// round spans would blow the span cap for no insight. Dispatch spans
 		// parent directly under the root instead.
 		dev = dev.WithTrace(nq.Trace, trace.RootID)
 	}
-	s := &samplerStream{stream: stream{q: nq, dev: dev}, opts: opts}
-	if opts.PrefixDFA != nil {
-		s.walks = automaton.NewWalkCounter(opts.PrefixDFA, opts.PrefixMaxLen)
-	}
-	return s
+	return &samplerStream{stream: stream{q: nq, dev: dev}, opts: opts}
 }
 
 type samplerStream struct {
 	stream
-	opts  SamplerOptions
-	walks *automaton.WalkCounter
+	opts SamplerOptions
 	// pending buffers surplus successful draws from a parallel wave. Each
 	// wave attempt is an independent seeded draw, so extra successes are
 	// themselves valid samples: emitting them on later Next calls keeps the
@@ -174,12 +164,12 @@ func (s *samplerStream) nextParallel() (*Result, error) {
 }
 
 func (s *samplerStream) samplePrefix(rng *rand.Rand) ([]model.Token, bool) {
-	if s.walks != nil {
+	if walks := s.opts.PrefixWalks; walks != nil {
 		var seq []automaton.Symbol
 		if s.opts.Unnormalized {
-			seq = s.walks.SampleUnnormalized(rng)
+			seq = walks.SampleUnnormalized(rng)
 		} else {
-			seq = s.walks.SampleUniform(rng)
+			seq = walks.SampleUniform(rng)
 		}
 		if seq == nil {
 			return nil, false

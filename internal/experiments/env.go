@@ -237,6 +237,9 @@ func (e *Env) PlanStats() relm.PlanCacheStats {
 		out.Bypassed += s.Bypassed
 		out.Entries += s.Entries
 		out.CompileTime += s.CompileTime
+		out.PrefixHits += s.PrefixHits
+		out.PrefixMisses += s.PrefixMisses
+		out.PrefixEntries += s.PrefixEntries
 	}
 	return out
 }

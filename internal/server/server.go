@@ -366,6 +366,11 @@ type ModelStats struct {
 	PlanBypassed  int64 `json:"plan_bypassed"`
 	PlanEntries   int   `json:"plan_entries"`
 	PlanCompileMS int64 `json:"plan_compile_ms"`
+	// Prefix-cache counters beside them: compiled prefix languages, reused
+	// only when a query's prefix (and its budgets) repeat.
+	PrefixHits    int64 `json:"prefix_hits"`
+	PrefixMisses  int64 `json:"prefix_misses"`
+	PrefixEntries int   `json:"prefix_entries"`
 	// KV-arena counters (DESIGN.md decision 10): parent-state reuse during
 	// incremental frontier expansion. KVHits are one-token extensions that
 	// replaced full-prefix forwards; KVEvictions and KVResidentBytes show
@@ -496,6 +501,9 @@ func modelStats(n string, m *relm.Model) ModelStats {
 	ms.PlanBypassed = ps.Bypassed
 	ms.PlanEntries = ps.Entries
 	ms.PlanCompileMS = ps.CompileTime.Milliseconds()
+	ms.PrefixHits = ps.PrefixHits
+	ms.PrefixMisses = ps.PrefixMisses
+	ms.PrefixEntries = ps.PrefixEntries
 	ks := m.KVStats()
 	ms.KVHits = ks.Hits
 	ms.KVMisses = ks.Misses

@@ -535,8 +535,9 @@ func TestHistoryReleasesPrunedRecords(t *testing.T) {
 }
 
 // TestStatsReportPlanCache asserts /v1/stats surfaces the per-model plan
-// cache: a repeated query must show up as a plan hit, meaning the server
-// skipped compilation entirely for the repeat (DESIGN.md decision 9).
+// and prefix caches: a repeated query must show up as a hit in both, meaning
+// the server skipped compilation entirely for the repeat (DESIGN.md decision
+// 9).
 func TestStatsReportPlanCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
@@ -557,5 +558,8 @@ func TestStatsReportPlanCache(t *testing.T) {
 	}
 	if ms.PlanEntries != 1 {
 		t.Fatalf("plan entries = %d, want 1", ms.PlanEntries)
+	}
+	if ms.PrefixMisses != 1 || ms.PrefixHits != 2 || ms.PrefixEntries != 1 {
+		t.Fatalf("prefix cache: %d hits / %d misses, %d entries, want 2/1, 1", ms.PrefixHits, ms.PrefixMisses, ms.PrefixEntries)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/trace"
 )
 
@@ -64,6 +65,14 @@ func Mass(m *Model, q SearchQuery, opts MassOptions) (*MassEstimate, error) {
 	tr.Annotate(trace.RootID, "pattern", q.Query.Pattern)
 	compSpan := tr.Start(trace.RootID, "plan.compile")
 	comp, hit, err := compileCached(m, &q)
+	var prefix *prefixLanguage
+	if err == nil {
+		prefix, err = compilePrefix(m, &q)
+	}
+	var prefixes [][]model.Token
+	if err == nil && prefix != nil {
+		prefixes, err = prefix.Encode()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -79,16 +88,8 @@ func Mass(m *Model, q SearchQuery, opts MassOptions) (*MassEstimate, error) {
 		KV:          m.kv,
 		Pattern:     comp.token,
 		Filter:      comp.filter,
+		Prefixes:    prefixes,
 		Trace:       tr,
-	}
-	prefix, err := compilePrefix(&q)
-	if err != nil {
-		return nil, err
-	}
-	if prefix != nil {
-		if eq.Prefixes, err = prefix.Encode(m.Tok); err != nil {
-			return nil, err
-		}
 	}
 	res, err := engine.Mass(m.Dev, eq, engine.MassOptions{Tolerance: opts.Tolerance, MaxNodes: opts.MaxNodes})
 	if err != nil {

@@ -143,8 +143,8 @@ type Plan struct {
 	// in-flight query was compiling it). A hit means ~0 time was spent in
 	// regex/token compilation for this call.
 	PlanCacheHit bool
-	// PlanCache snapshots the model's plan-cache counters after this
-	// compilation resolved.
+	// PlanCache snapshots the model's plan-cache counters, the prefix
+	// cache's included, after this query's pattern and prefix resolved.
 	PlanCache PlanCacheStats
 	// Warnings lists conditions likely to make the query slow or empty.
 	Warnings []string
@@ -170,8 +170,9 @@ func (p *Plan) String() string {
 	if p.PlanCacheHit {
 		hitMark = "hit (compilation skipped)"
 	}
-	fmt.Fprintf(&b, "  plan cache:       %s; %d hits / %d misses, %d entries, %s compiling\n",
-		hitMark, p.PlanCache.Hits, p.PlanCache.Misses, p.PlanCache.Entries, p.PlanCache.CompileTime.Round(time.Microsecond))
+	pc := p.PlanCache
+	fmt.Fprintf(&b, "  plan cache:       %s; %d hits / %d misses, %d entries, %s compiling; prefixes %d hits / %d misses, %d entries\n",
+		hitMark, pc.Hits, pc.Misses, pc.Entries, pc.CompileTime.Round(time.Microsecond), pc.PrefixHits, pc.PrefixMisses, pc.PrefixEntries)
 	for _, w := range p.Warnings {
 		fmt.Fprintf(&b, "  warning: %s\n", w)
 	}
@@ -228,6 +229,10 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	prefix, err := compilePrefix(m, &q)
+	if err != nil {
+		return nil, err
+	}
 
 	p := &Plan{
 		CharStates:        comp.char.NumStates(),
@@ -252,10 +257,6 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 	}
 	p.Encodings = compiler.CountEncodings(comp.token, maxToks)
 
-	prefix, err := compilePrefix(&q)
-	if err != nil {
-		return nil, err
-	}
 	if prefix != nil {
 		p.PrefixStrings = prefix.Size()
 		switch p.PrefixStrings {

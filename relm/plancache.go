@@ -3,6 +3,7 @@ package relm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -30,28 +31,36 @@ type PlanCacheStats struct {
 	// CompileTime is the cumulative wall time spent compiling misses. On a
 	// warm cache it stops growing: repeat queries spend ~0 time compiling.
 	CompileTime time.Duration `json:"compile_ns"`
+	// PrefixHits, PrefixMisses and PrefixEntries count the same for the
+	// model's prefix cache, which holds compiled prefix languages apart from
+	// the pattern plans above; PlanCacheSize bounds each. Only a query whose
+	// prefix repeats can hit.
+	PrefixHits    int64 `json:"prefix_hits"`
+	PrefixMisses  int64 `json:"prefix_misses"`
+	PrefixEntries int   `json:"prefix_entries"`
 }
 
-// planCache is a single-flight LRU over compiled plans, shared by every
-// session of a Model. Concurrent queries for the same key wait on the first
-// compilation instead of duplicating it; compile errors propagate to all
-// waiters and are not cached.
-type planCache struct {
+// planCache is a single-flight LRU over compiled products, shared by every
+// session of a Model: one instance holds pattern plans, another compiled
+// prefixes. Concurrent queries for the same key wait on the first compilation
+// instead of duplicating it; compile errors propagate to all waiters and are
+// not cached.
+type planCache[V any] struct {
 	mu      sync.Mutex
-	plans   *lru.Map[*compiled]
-	flights lru.Group[*compiled]
+	plans   *lru.Map[V]
+	flights lru.Group[V]
 
 	hits, misses, bypassed, compileNS int64
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{plans: lru.NewMap[*compiled](capacity)}
+func newPlanCache[V any](capacity int) *planCache[V] {
+	return &planCache[V]{plans: lru.NewMap[V](capacity)}
 }
 
-// get returns the cached plan for key, compiling it with compile on a miss.
-// hit reports whether the plan was served without compiling in this call —
+// get returns the cached value for key, compiling it with compile on a miss.
+// hit reports whether the value was served without compiling in this call —
 // from the LRU or from another goroutine's in-flight compilation.
-func (pc *planCache) get(key []byte, compile func() (*compiled, error)) (c *compiled, hit bool, err error) {
+func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit bool, err error) {
 	pc.mu.Lock()
 	if c, ok := pc.plans.Get(key); ok {
 		pc.hits++
@@ -66,7 +75,7 @@ func (pc *planCache) get(key []byte, compile func() (*compiled, error)) (c *comp
 			if op, ok := err.(*lru.OwnerPanic); ok {
 				err = fmt.Errorf("relm: plan compilation panicked: %v", op.Value)
 			}
-			return nil, false, err
+			return c, false, err
 		}
 		pc.mu.Lock()
 		pc.hits++
@@ -81,7 +90,7 @@ func (pc *planCache) get(key []byte, compile func() (*compiled, error)) (c *comp
 	start := time.Now()
 	// A panicking compile (a defective custom preprocessor, say) fails the
 	// flight's waiters and unwedges the key before the panic propagates.
-	pc.flights.Run(&pc.mu, []*lru.Flight[*compiled]{f}, func() { c, err = compile() })
+	pc.flights.Run(&pc.mu, []*lru.Flight[V]{f}, func() { c, err = compile() })
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	elapsed := time.Since(start)
 
@@ -95,13 +104,16 @@ func (pc *planCache) get(key []byte, compile func() (*compiled, error)) (c *comp
 	return c, false, err
 }
 
-func (pc *planCache) noteBypass() {
+func (pc *planCache[V]) noteBypass() {
 	pc.mu.Lock()
 	pc.bypassed++
 	pc.mu.Unlock()
 }
 
-func (pc *planCache) stats() PlanCacheStats {
+func (pc *planCache[V]) stats() PlanCacheStats {
+	if pc == nil {
+		return PlanCacheStats{}
+	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return PlanCacheStats{
@@ -111,6 +123,14 @@ func (pc *planCache) stats() PlanCacheStats {
 		Entries:     pc.plans.Len(),
 		CompileTime: time.Duration(pc.compileNS),
 	}
+}
+
+// cacheStats reports the pattern plans' counters with the prefix cache's
+// beside them; both caches are nil when plan caching is disabled.
+func cacheStats(plans *planCache[*compiled], prefixes *planCache[*prefixLanguage]) PlanCacheStats {
+	s, p := plans.stats(), prefixes.stats()
+	s.PrefixHits, s.PrefixMisses, s.PrefixEntries = p.Hits, p.Misses, p.Entries
+	return s
 }
 
 // PlanKeyer is the opt-in a Preprocessor implements to make queries using it
@@ -168,6 +188,21 @@ func compileCached(m *Model, q *SearchQuery) (c *compiled, hit bool, err error) 
 		return c, false, err
 	}
 	return m.plans.get(key, func() (*compiled, error) { return compilePattern(m, *q) })
+}
+
+// prefixKey derives the prefix cache's key for q: exactly what a compiled
+// prefix depends on — the tokenizer fingerprint (its encodings), both
+// budgets, and the prefix regex, last, so the key needs no quoting.
+func prefixKey(m *Model, q *SearchQuery) []byte {
+	fp := m.Tok.Fingerprint()
+	b := make([]byte, 0, len(fp)+len(q.Query.Prefix)+24)
+	b = append(b, fp...)
+	b = append(b, ';')
+	b = strconv.AppendInt(b, int64(q.PrefixLimit), 10)
+	b = append(b, ';')
+	b = strconv.AppendInt(b, int64(q.PrefixMaxLen), 10)
+	b = append(b, ';')
+	return append(b, q.Query.Prefix...)
 }
 
 // sortedKeys returns m's keys in sorted order, for deterministic PlanKeys

@@ -2,8 +2,10 @@ package relm
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,7 +121,7 @@ func TestPlanCacheKeySeparatesQueries(t *testing.T) {
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	m := testModel(t)
-	m.plans = newPlanCache(2)
+	m.plans = newPlanCache[*compiled](2)
 	for _, pat := range []string{"cat", "dog", "mat"} {
 		if _, err := Explain(m, SearchQuery{Query: QueryString{Pattern: pat}}); err != nil {
 			t.Fatal(err)
@@ -344,7 +346,8 @@ func (f fixedLanguage) Transform(*automaton.DFA) (*automaton.DFA, error) {
 // canonically, so the frozen plan — every state number, edge and accepting
 // bit of the char and token automata — is identical whichever route built the
 // language: two regexes, a string list, a preprocessor chain through Concat
-// and Difference, a non-minimal automaton.
+// and Difference, a non-minimal automaton. So is a compiled prefix: its byte
+// automaton, encoded strings and walk counts.
 func TestPlanIsAFunctionOfTheLanguage(t *testing.T) {
 	m := testModel(t)
 	words := fixedLanguage{"The dog ran", "The cat sat", "The cat ran", "The dog sat", "The cow sat", "The cow ran"}
@@ -383,6 +386,38 @@ func TestPlanIsAFunctionOfTheLanguage(t *testing.T) {
 			}
 		}
 	}
+
+	var want *prefixLanguage
+	for i, prefix := range []string{
+		"The ((cat)|(dog)|(cow)) ((sat)|(ran))",
+		"(The dog (ran|sat))|(The c(at|ow) sat)|(The c(ow|at) ran)",
+		"The (cat|dog|cow) (sat|ran)",
+	} {
+		q := SearchQuery{Query: QueryString{Pattern: "x", Prefix: prefix}}
+		applyDefaults(&q)
+		got, err := compilePrefix(m, &q)
+		if err != nil {
+			t.Fatalf("prefix route %d: %v", i, err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got.char.Freeze(), want.char.Freeze()) {
+			t.Errorf("prefix route %d: byte automaton differs from route 0's", i)
+		}
+		gotEnc, _ := got.Encode()
+		wantEnc, _ := want.Encode()
+		if !reflect.DeepEqual(gotEnc, wantEnc) || len(gotEnc) != 6 {
+			t.Errorf("prefix route %d: encoded %v, route 0 %v", i, gotEnc, wantEnc)
+		}
+		a, b := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+		for draw := 0; draw < 20; draw++ {
+			if x, y := got.Walks().SampleUniform(a), want.Walks().SampleUniform(b); !slices.Equal(x, y) {
+				t.Fatalf("prefix route %d, draw %d: sampled %v, route 0 %v", i, draw, x, y)
+			}
+		}
+	}
 }
 
 // BenchmarkPlanCacheHit measures the per-query cost of a warm repeat query's
@@ -395,14 +430,14 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	applyDefaults(&q)
 	b.Run("miss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.plans = newPlanCache(128)
+			m.plans = newPlanCache[*compiled](128)
 			if _, _, err := compileCached(m, &q); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		m.plans = newPlanCache(128)
+		m.plans = newPlanCache[*compiled](128)
 		if _, _, err := compileCached(m, &q); err != nil {
 			b.Fatal(err)
 		}

@@ -209,7 +209,11 @@ type Model struct {
 	// derived from it (nil when plan caching is disabled). Repeat and
 	// concurrent queries for the same pattern share one immutable frozen
 	// automaton instead of recompiling it.
-	plans *planCache
+	plans *planCache[*compiled]
+	// prefixes is the compiled-prefix cache beside it, under the same
+	// capacity: a repeated prefix reuses its automaton, encoded strings and
+	// walk-count table.
+	prefixes *planCache[*prefixLanguage]
 	// kv is the prefix-state arena shared by every incremental query and
 	// session of this model (nil when disabled). Overlapping frontiers —
 	// concurrent queries over a common prefix — reuse one decode state.
@@ -244,9 +248,10 @@ type ModelOptions struct {
 	// process instead of per-query goroutines (DESIGN.md decision 8). It
 	// overrides Parallelism's transient workers.
 	Pool *device.Pool
-	// PlanCacheSize bounds the compiled-plan LRU cache (0: 128; negative:
-	// no plan caching). Compilation is the expensive, amortizable part of a
-	// validation query (DESIGN.md decision 9); the cache is single-flight,
+	// PlanCacheSize bounds the compiled-plan LRU cache, and the compiled-
+	// prefix cache beside it (0: 128 each; negative: no plan or prefix
+	// caching). Compilation is the expensive, amortizable part of a
+	// validation query (DESIGN.md decision 9); the caches are single-flight,
 	// so concurrent identical queries compile once.
 	PlanCacheSize int
 	// KVBudgetBytes bounds the prefix-state (KV-cache) arena shared by
@@ -304,9 +309,11 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 	if opts.PlanCacheSize == 0 {
 		opts.PlanCacheSize = 128
 	}
-	var plans *planCache
+	var plans *planCache[*compiled]
+	var prefixes *planCache[*prefixLanguage]
 	if opts.PlanCacheSize > 0 {
-		plans = newPlanCache(opts.PlanCacheSize)
+		plans = newPlanCache[*compiled](opts.PlanCacheSize)
+		prefixes = newPlanCache[*prefixLanguage](opts.PlanCacheSize)
 	}
 	var kv *kvcache.Arena
 	if opts.KVBudgetBytes >= 0 {
@@ -317,14 +324,15 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 		batcher = device.StartBatcher(dev, opts.FusionWindow)
 	}
 	return &Model{
-		LM:      lm,
-		Tok:     tok,
-		Dev:     dev,
-		cache:   shared,
-		plans:   plans,
-		kv:      kv,
-		batcher: batcher,
-		tracer:  trace.New(opts.TraceSampling, opts.TraceRing),
+		LM:       lm,
+		Tok:      tok,
+		Dev:      dev,
+		cache:    shared,
+		plans:    plans,
+		prefixes: prefixes,
+		kv:       kv,
+		batcher:  batcher,
+		tracer:   trace.New(opts.TraceSampling, opts.TraceRing),
 	}
 }
 
@@ -394,14 +402,9 @@ func (m *Model) Fingerprint() string {
 // for observability.
 func (m *Model) Cache() *cache.LM { return m.cache }
 
-// PlanCacheStats snapshots the compiled-plan cache counters. Zero-valued
-// when plan caching is disabled.
-func (m *Model) PlanCacheStats() PlanCacheStats {
-	if m.plans == nil {
-		return PlanCacheStats{}
-	}
-	return m.plans.stats()
-}
+// PlanCacheStats snapshots the compiled-plan cache counters, the prefix
+// cache's beside them. Zero-valued when plan caching is disabled.
+func (m *Model) PlanCacheStats() PlanCacheStats { return cacheStats(m.plans, m.prefixes) }
 
 // KVStats snapshots the prefix-state arena counters (DESIGN.md decision 10):
 // hits/misses of parent-state lookups during incremental frontier expansion,
@@ -432,16 +435,12 @@ func (m *Model) KVProbe() func() KVStats {
 
 // PlanCacheProbe returns a reader over this model's plan-cache counters that
 // does not retain the model itself: the closure captures only the (small,
-// LRU-bounded) plan cache, so long-running aggregators can keep probes for
-// every model they ever saw without pinning logit caches and model weights.
+// LRU-bounded) plan and prefix caches, so long-running aggregators can keep
+// probes for every model they ever saw without pinning logit caches and
+// model weights.
 func (m *Model) PlanCacheProbe() func() PlanCacheStats {
-	pc := m.plans
-	return func() PlanCacheStats {
-		if pc == nil {
-			return PlanCacheStats{}
-		}
-		return pc.stats()
-	}
+	plans, prefixes := m.plans, m.prefixes
+	return func() PlanCacheStats { return cacheStats(plans, prefixes) }
 }
 
 // Session is a per-query view of a shared Model: queries run through the
@@ -467,14 +466,15 @@ func (m *Model) NewSession() *Session {
 	scope := m.cache.NewScope()
 	return &Session{
 		Model: &Model{
-			LM:      m.LM,
-			Tok:     m.Tok,
-			Dev:     m.Dev.WithModel(scope),
-			cache:   m.cache,
-			plans:   m.plans,   // sessions share the model's compiled plans
-			kv:      m.kv,      // ... its prefix-state arena
-			batcher: m.batcher, // ... its fusion scheduler
-			tracer:  m.tracer,  // ... and its trace ring
+			LM:       m.LM,
+			Tok:      m.Tok,
+			Dev:      m.Dev.WithModel(scope),
+			cache:    m.cache,
+			plans:    m.plans,    // sessions share the model's compiled plans
+			prefixes: m.prefixes, // ... and prefixes
+			kv:       m.kv,       // ... its prefix-state arena
+			batcher:  m.batcher,  // ... its fusion scheduler
+			tracer:   m.tracer,   // ... and its trace ring
 		},
 		scope: scope,
 	}
@@ -664,13 +664,29 @@ func Search(m *Model, q SearchQuery) (*Results, error) {
 		tr.Annotate(trace.RootID, "prefix", q.Query.Prefix)
 	}
 
-	// 1–2. Pattern compilation: regex -> char DFA -> preprocessors -> token
-	// automaton per the tokenization strategy. Served from the model's plan
-	// cache when an identical query compiled before (DESIGN.md decision 9);
-	// the compiled plan is immutable, so cache hits share it safely across
-	// concurrent traversals.
+	// 1–3. Compilation: the pattern (regex -> char DFA -> preprocessors ->
+	// token automaton per the tokenization strategy) and the prefix, itself a
+	// regex (§3.4) whose strings deterministic traversals enumerate and
+	// encode and sampling draws as walks. Both are served from the model's
+	// caches when an identical query compiled before (DESIGN.md decision 9);
+	// cached products are immutable, so hits share them safely across
+	// concurrent traversals. Prefixes bypass decision rules.
 	compSpan := tr.Start(trace.RootID, "plan.compile")
 	comp, hit, err := compileCached(m, &q)
+	var prefix *prefixLanguage
+	if err == nil {
+		prefix, err = compilePrefix(m, &q)
+	}
+	var prefixes [][]model.Token
+	var walks *automaton.WalkCounter
+	if err == nil && prefix != nil {
+		switch q.Strategy {
+		case ShortestPath, BeamSearch:
+			prefixes, err = prefix.Encode()
+		case RandomSampling:
+			walks = prefix.Walks()
+		}
+	}
 	if err != nil {
 		tr.Finish()
 		return nil, err
@@ -690,61 +706,32 @@ func Search(m *Model, q SearchQuery) (*Results, error) {
 		KV:             m.kv,
 		Pattern:        comp.token,
 		Filter:         comp.filter,
+		Prefixes:       prefixes,
 		Trace:          tr,
 	}
 
-	// 3. Prefix handling: the prefix is itself a regex (§3.4); its strings
-	// are enumerated and canonically encoded. Prefixes bypass decision rules.
-	prefix, err := compilePrefix(&q)
-	if err != nil {
-		tr.Finish()
-		return nil, err
-	}
-
-	newResults := func(stream engine.Stream) *Results {
-		return &Results{stream: stream, tok: m.Tok, filters: q.DeferredFilters, dedup: q.DedupByText, trace: tr}
-	}
-	enumeratePrefixes := func() error {
-		if prefix == nil {
-			return nil
-		}
-		eq.Prefixes, err = prefix.Encode(m.Tok)
-		if err != nil {
-			tr.Finish()
-		}
-		return err
-	}
-
+	var stream engine.Stream
 	switch q.Strategy {
 	case ShortestPath:
-		if err := enumeratePrefixes(); err != nil {
-			return nil, err
-		}
-		return newResults(engine.ShortestPath(m.Dev, eq)), nil
-
+		stream = engine.ShortestPath(m.Dev, eq)
 	case BeamSearch:
-		if err := enumeratePrefixes(); err != nil {
-			return nil, err
-		}
-		return newResults(engine.Beam(m.Dev, eq, engine.BeamOptions{Width: q.BeamWidth})), nil
-
+		stream = engine.Beam(m.Dev, eq, engine.BeamOptions{Width: q.BeamWidth})
 	case RandomSampling:
 		opts := engine.SamplerOptions{Rng: rand.New(rand.NewSource(q.Seed))}
-		if prefix != nil {
+		if walks != nil {
 			// Sample prefixes uniformly over the *byte-level* prefix
 			// automaton (each string is exactly one byte path, giving the
 			// uniform-over-strings semantics of §3.3), then encode the
 			// sampled string canonically for the model context.
-			opts.PrefixDFA = prefix.Char
-			opts.PrefixMaxLen = q.PrefixMaxLen
-			opts.PrefixEncode = func(s string) []model.Token { return m.Tok.Encode(s) }
+			opts.PrefixWalks = walks
+			opts.PrefixEncode = m.Tok.Encode
 		}
-		return newResults(engine.Sample(m.Dev, eq, opts)), nil
-
+		stream = engine.Sample(m.Dev, eq, opts)
 	default:
 		tr.Finish()
 		return nil, fmt.Errorf("relm: unknown search strategy %d", q.Strategy)
 	}
+	return &Results{stream: stream, tok: m.Tok, filters: q.DeferredFilters, dedup: q.DedupByText, trace: tr}, nil
 }
 
 func applyDefaults(q *SearchQuery) {

@@ -20,6 +20,8 @@ func TestWarmCacheStreamsIdentical(t *testing.T) {
 		{name: "shortest", q: SearchQuery{Query: qs, Strategy: ShortestPath, RequireEOS: true, MaxTokens: 24}, take: 3},
 		{name: "beam", q: SearchQuery{Query: qs, Strategy: BeamSearch, BeamWidth: 4, RequireEOS: true, MaxTokens: 24}, take: 2},
 		{name: "sample", q: SearchQuery{Query: qs, Strategy: RandomSampling, Seed: 42, RequireEOS: true, MaxTokens: 24}, take: 3},
+		{name: "sample-regex-prefix", q: SearchQuery{Query: QueryString{Pattern: qs.Pattern, Prefix: "My (phone|fax)( number)? is"},
+			Strategy: RandomSampling, Seed: 42, RequireEOS: true, MaxTokens: 24}, take: 3},
 	}
 	for _, fused := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fused=%v", fused), func(t *testing.T) {

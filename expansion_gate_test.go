@@ -16,18 +16,22 @@ import (
 // rendering included).
 //
 // Allocations, on a URL query under top-k 40: per node the traversal may
-// allocate its sibling set, the rule's selection, one context for the popped
-// node and the round's bookkeeping. It may not allocate per child what it can
-// do once per parent: a re-encoding of the shared pattern head, a V-sized sort
-// index or reweighted vector, a copy of the whole prefix. The canonicality
-// check allocates nothing (pooled scratch), so the dynamic-canonical arm may
-// allocate at most one object per node more than the all-encodings arm (not
-// checked under the race detector, where the pool sheds scratch). The
+// allocate its sibling set, its share of the round's one context block and
+// the round's bookkeeping. It may not allocate per child what it can do once
+// per parent: a re-encoding of the shared pattern head, a V-sized sort index
+// or reweighted vector, a copy of the whole prefix. Nor may it allocate what
+// does not outlive the node's expansion: the rule's selection and the model's
+// history keys come from pooled scratch. The canonicality check allocates
+// nothing (pooled scratch), so the dynamic-canonical arm may allocate at most
+// one object per node more than the all-encodings arm. Neither allocation
+// bound is checked under the race detector, where the pools shed scratch. The
 // per-child expansion measured 137 (all encodings) and 211 (dynamic canonical
 // filter) allocations per node on this query, the per-parent one 31 and 42.
 // Eagerly built child nodes read 21.2 and 31.7, lazy sibling sets 18.0 and
 // 28.6, and the allocation-free check, which also marks each match's
-// Canonical field, 12.9 on both.
+// Canonical field, 12.9 on both. Cached prefix plans read 10.1 on both, and
+// pooled selections with one context block per round and no key strings for
+// n-gram histories 7.3.
 //
 // Bytes, on the LAMBADA cloze shape with no top-k, where a node keeps every
 // letter-led token the pattern allows: per node the traversal may allocate a
@@ -46,8 +50,8 @@ func TestExpansionAllocsPerNode(t *testing.T) {
 		q           relm.SearchQuery
 		allocs, kib float64 // bounds per expanded node; 0 leaves one unchecked
 	}{
-		{"all-encodings", relm.SearchQuery{Query: url, Tokenization: relm.AllTokens, TopK: 40, MaxTokens: 16}, 45, 0},
-		{"dynamic-canonical", relm.SearchQuery{Query: url, Canonical: relm.CanonicalDynamic, TopK: 40, MaxTokens: 16}, 20, 0},
+		{"all-encodings", relm.SearchQuery{Query: url, Tokenization: relm.AllTokens, TopK: 40, MaxTokens: 16}, 9, 0},
+		{"dynamic-canonical", relm.SearchQuery{Query: url, Canonical: relm.CanonicalDynamic, TopK: 40, MaxTokens: 16}, 9, 0},
 		{"wide-fanout", relm.SearchQuery{Query: cloze}, 0, 20},
 	} {
 		q := arm.q
@@ -78,7 +82,7 @@ func TestExpansionAllocsPerNode(t *testing.T) {
 		perNode := allocs / float64(nodes)
 		kib := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024 / float64(nodes)
 		t.Logf("%s: %d expanded nodes, %.1f allocations and %.1f KiB per node", arm.name, nodes, perNode, kib)
-		if arm.allocs > 0 && perNode > arm.allocs {
+		if arm.allocs > 0 && perNode > arm.allocs && !raceEnabled {
 			t.Errorf("%s: %.1f allocations per expanded node, want <= %.0f", arm.name, perNode, arm.allocs)
 		}
 		if arm.kib > 0 && kib > arm.kib {

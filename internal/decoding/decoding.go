@@ -5,7 +5,10 @@
 // prefix is transitively eliminated (§3.3).
 package decoding
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Rule filters and reweights a next-token log-probability vector. Entries
 // excluded from the model's language at this step become -Inf. Rules compose
@@ -33,15 +36,13 @@ func ranksBefore(lp []float64, a, b int32) bool {
 // keep(lp), renormalize", and consumers that need membership alone
 // (SupportOf) stop after keep.
 type selector interface {
-	// keep returns the surviving tokens, or nil when the rule is a no-op on
-	// lp (every finite entry stays).
-	keep(lp []float64) tokenSet
+	// keep returns the surviving tokens in sc's storage, or nil when the rule
+	// is a no-op on lp (every finite entry stays).
+	keep(lp []float64, sc *scratch) tokenSet
 }
 
 // tokenSet is a bitset over token ids.
 type tokenSet []uint64
-
-func newTokenSet(vocab int) tokenSet { return make(tokenSet, (vocab+63)/64) }
 
 func (s tokenSet) add(tok int32)    { s[tok>>6] |= 1 << (tok & 63) }
 func (s tokenSet) has(tok int) bool { return s[tok>>6]>>(tok&63)&1 != 0 }
@@ -99,6 +100,28 @@ func (h *rankHeap) pop() int32 {
 	return root
 }
 
+// scratch is the storage one selection works in: the heap's ids, the kept
+// set, and the reweighted row a chain's leading rules leave. It is drawn from
+// a pool and outlives the call only inside a Support, until Release.
+type scratch struct {
+	ids  []int32
+	kept tokenSet
+	row  []float64
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// set returns sc's kept set, empty and sized for vocab tokens.
+func (sc *scratch) set(vocab int) tokenSet {
+	n := (vocab + 63) / 64
+	if cap(sc.kept) < n {
+		sc.kept = make(tokenSet, n)
+	}
+	sc.kept = sc.kept[:n]
+	clear(sc.kept)
+	return sc.kept
+}
+
 // retain sets every entry of lp outside kept to -Inf and renormalizes the
 // rest.
 func retain(lp []float64, kept tokenSet) {
@@ -116,11 +139,11 @@ type TopK struct{ K int }
 
 // keep selects in O(V log K): a K-bounded heap holds the best ids seen so far
 // with the worst of them at the root, where the next candidate displaces it.
-func (r TopK) keep(lp []float64) tokenSet {
+func (r TopK) keep(lp []float64, sc *scratch) tokenSet {
 	if r.K <= 0 || r.K >= len(lp) {
 		return nil
 	}
-	h := rankHeap{lp: lp, ids: make([]int32, 0, r.K), worstFirst: true}
+	h := rankHeap{lp: lp, ids: sc.ids[:0], worstFirst: true}
 	for i := range lp {
 		id := int32(i)
 		switch {
@@ -132,7 +155,8 @@ func (r TopK) keep(lp []float64) tokenSet {
 			h.fix()
 		}
 	}
-	kept := newTokenSet(len(lp))
+	sc.ids = h.ids
+	kept := sc.set(len(lp))
 	for _, id := range h.ids {
 		kept.add(id)
 	}
@@ -140,11 +164,7 @@ func (r TopK) keep(lp []float64) tokenSet {
 }
 
 // apply implements Rule.
-func (r TopK) apply(lp []float64) {
-	if kept := r.keep(lp); kept != nil {
-		retain(lp, kept)
-	}
-}
+func (r TopK) apply(lp []float64) { applySelection(r, lp) }
 
 // Name implements Rule.
 func (r TopK) Name() string { return "top-k" }
@@ -155,31 +175,28 @@ type TopP struct{ P float64 }
 
 // keep heapifies the finite entries and pops the nucleus off the top, so
 // only the kept tokens are ever put in order.
-func (r TopP) keep(lp []float64) tokenSet {
+func (r TopP) keep(lp []float64, sc *scratch) tokenSet {
 	if r.P <= 0 || r.P >= 1 {
 		return nil
 	}
-	h := rankHeap{lp: lp, ids: make([]int32, 0, len(lp))}
+	h := rankHeap{lp: lp, ids: sc.ids[:0]}
 	for i := range lp {
 		if !math.IsInf(lp[i], -1) {
 			h.push(int32(i))
 		}
 	}
-	kept := newTokenSet(len(lp))
+	kept := sc.set(len(lp))
 	for cum := 0.0; len(h.ids) > 0 && cum < r.P; {
 		id := h.pop()
 		kept.add(id)
 		cum += math.Exp(lp[id])
 	}
+	sc.ids = h.ids
 	return kept
 }
 
 // apply implements Rule.
-func (r TopP) apply(lp []float64) {
-	if kept := r.keep(lp); kept != nil {
-		retain(lp, kept)
-	}
-}
+func (r TopP) apply(lp []float64) { applySelection(r, lp) }
 
 // Name implements Rule.
 func (r TopP) Name() string { return "top-p" }
@@ -187,7 +204,7 @@ func (r TopP) Name() string { return "top-p" }
 // Greedy keeps only the single most likely token (top-k with k = 1).
 type Greedy struct{}
 
-func (Greedy) keep(lp []float64) tokenSet { return TopK{K: 1}.keep(lp) }
+func (Greedy) keep(lp []float64, sc *scratch) tokenSet { return TopK{K: 1}.keep(lp, sc) }
 
 // apply implements Rule.
 func (Greedy) apply(lp []float64) { TopK{K: 1}.apply(lp) }
@@ -247,15 +264,29 @@ func (None) apply([]float64) {}
 // Name implements Rule.
 func (None) Name() string { return "none" }
 
-// Allowed returns a copy of lp with r applied: -Inf where the rule excludes a
-// token, the reweighted log probability elsewhere. lp is left untouched.
-func Allowed(r Rule, lp []float64) []float64 {
-	cp := make([]float64, len(lp))
-	copy(cp, lp)
-	if r != nil {
-		r.apply(cp)
+// applySelection is a selector's apply: retain its selection, renormalized.
+func applySelection(r selector, lp []float64) {
+	sc := scratches.Get().(*scratch)
+	if kept := r.keep(lp, sc); kept != nil {
+		retain(lp, kept)
 	}
-	return cp
+	scratches.Put(sc)
+}
+
+// Allowed returns lp with r applied: -Inf where the rule excludes a token,
+// the reweighted log probability elsewhere. The result is written to dst's
+// storage when it holds len(lp) entries, and to a new vector otherwise; lp is
+// left untouched unless it is dst itself.
+func Allowed(r Rule, lp, dst []float64) []float64 {
+	if cap(dst) < len(lp) {
+		dst = make([]float64, len(lp))
+	}
+	dst = dst[:len(lp)]
+	copy(dst, lp)
+	if r != nil {
+		r.apply(dst)
+	}
+	return dst
 }
 
 // Support is the set of tokens a rule leaves in the model's language at one
@@ -264,31 +295,52 @@ func Allowed(r Rule, lp []float64) []float64 {
 type Support struct {
 	dense []float64 // member iff finite; used when kept is nil
 	kept  tokenSet
+	sc    *scratch // pooled storage behind kept or dense, or nil
 }
 
 // SupportOf returns {i : Allowed(r, lp)[i] is finite}. With no rule it is lp's
 // own finite entries and nothing is copied; when the rule (or the last of a
 // chain) only selects, it is the selection, and the masked, renormalized
-// V-sized vector is never built. lp is left untouched.
+// V-sized vector is never built. lp is left untouched. The support lives in
+// pooled storage: call Release once it is no longer read.
 func SupportOf(r Rule, lp []float64) Support {
+	switch r.(type) {
+	case nil, None:
+		return Support{dense: lp}
+	}
+	return supportOf(r, lp, scratches.Get().(*scratch))
+}
+
+// supportOf is SupportOf working in sc.
+func supportOf(r Rule, lp []float64, sc *scratch) Support {
 	switch r := r.(type) {
 	case Chain:
 		if len(r) == 0 {
 			break
 		}
 		if len(r) > 1 {
-			lp = Allowed(r[:len(r)-1], lp)
+			sc.row = Allowed(r[:len(r)-1], lp, sc.row)
+			lp = sc.row
 		}
-		return SupportOf(r[len(r)-1], lp)
+		return supportOf(r[len(r)-1], lp, sc)
 	case selector:
-		if kept := r.keep(lp); kept != nil {
-			return Support{kept: kept}
+		if kept := r.keep(lp, sc); kept != nil {
+			return Support{kept: kept, sc: sc}
 		}
 	case nil, None:
 	default:
-		lp = Allowed(r, lp)
+		sc.row = Allowed(r, lp, sc.row)
+		lp = sc.row
 	}
-	return Support{dense: lp}
+	return Support{dense: lp, sc: sc}
+}
+
+// Release hands the support's storage back for the next selection. The
+// support, and every copy of it, must not be read afterwards.
+func (s Support) Release() {
+	if s.sc != nil {
+		scratches.Put(s.sc)
+	}
 }
 
 // Has reports whether tok survived the rule.

@@ -159,7 +159,7 @@ func TestNone(t *testing.T) {
 
 func TestAllowed(t *testing.T) {
 	lp := logDist(0.4, 0.3, 0.2, 0.1)
-	filtered := Allowed(TopK{K: 2}, lp)
+	filtered := Allowed(TopK{K: 2}, lp, nil)
 	if math.IsInf(filtered[0], -1) || math.IsInf(filtered[1], -1) {
 		t.Errorf("Allowed dropped a top-2 token: %v", filtered)
 	}
@@ -285,7 +285,7 @@ func TestTieRule(t *testing.T) {
 		{"nucleus skips -Inf", TopP{P: 0.99}, []float64{ninf, math.Log(0.5), ninf, math.Log(0.5)}, []int{1, 3}},
 	}
 	for _, c := range cases {
-		got := finiteIDs(Allowed(c.rule, c.lp))
+		got := finiteIDs(Allowed(c.rule, c.lp, nil))
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: %s kept %v, want %v", c.name, c.rule.Name(), got, c.want)
 		}
@@ -339,7 +339,7 @@ func TestSelectionMatchesStableSort(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		lp := tiedVector(rng, 2+rng.Intn(200))
 		k := 1 + rng.Intn(len(lp)-1)
-		if got, want := finiteIDs(Allowed(TopK{K: k}, lp)), sortedTopK(lp, k); !slices.Equal(got, want) {
+		if got, want := finiteIDs(Allowed(TopK{K: k}, lp, nil)), sortedTopK(lp, k); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: top-%d of %v kept %v, want %v", trial, k, lp, got, want)
 		}
 	}
@@ -364,7 +364,7 @@ func TestSupportIsAllowedsFiniteSet(t *testing.T) {
 		}
 		orig := append([]float64{}, lp...)
 		for ri, r := range rules {
-			filtered, sup := Allowed(r, lp), SupportOf(r, lp)
+			filtered, sup := Allowed(r, lp, nil), SupportOf(r, lp)
 			for tok := range lp {
 				if want := !math.IsInf(filtered[tok], -1); sup.Has(tok) != want {
 					t.Fatalf("trial %d rule %d: Has(%d) = %v, Allowed says %v", trial, ri, tok, sup.Has(tok), want)
@@ -373,6 +373,64 @@ func TestSupportIsAllowedsFiniteSet(t *testing.T) {
 					t.Fatalf("trial %d rule %d: input mutated", trial, ri)
 				}
 			}
+		}
+	}
+}
+
+// TestSupportReleaseAllocatesNothing: on a warm pool a top-k selection and
+// its release allocate nothing; the heap and the kept set are scratch.
+func TestSupportReleaseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	lp := tiedVector(rand.New(rand.NewSource(3)), 2000)
+	top := sortedTopK(lp, 1)[0]
+	SupportOf(TopK{K: 40}, lp).Release() // warm the pool
+	allocs := testing.AllocsPerRun(100, func() {
+		sup := SupportOf(TopK{K: 40}, lp)
+		if !sup.Has(top) {
+			t.Fatal("top token not kept")
+		}
+		sup.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("SupportOf + Release allocated %.1f objects, want 0", allocs)
+	}
+}
+
+// TestReusedScratchCarriesNothingOver: a selection made in scratch an earlier
+// selection used — a larger K, a longer or shorter vector, the other rule —
+// keeps exactly its own tokens.
+func TestReusedScratchCarriesNothingOver(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sc := new(scratch)
+	for trial := 0; trial < 300; trial++ {
+		lp := tiedVector(rng, 2+rng.Intn(300))
+		var r selector = TopK{K: 1 + rng.Intn(len(lp)-1)}
+		if trial%3 == 0 {
+			r = TopP{P: 0.05 + 0.9*rng.Float64()}
+		}
+		kept := r.keep(lp, sc)
+		want := finiteIDs(Allowed(r.(Rule), lp, nil))
+		var got []int
+		for tok := range lp {
+			if kept.has(tok) {
+				got = append(got, tok)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %s on reused scratch kept %v, want %v", trial, r.(Rule).Name(), got, want)
+		}
+	}
+	// Through the pool: a wide selection released, then a narrow one.
+	wide := tiedVector(rng, 500)
+	SupportOf(TopK{K: 400}, wide).Release()
+	narrow := logDist(0.5, 0.3, 0.2)
+	sup := SupportOf(TopK{K: 1}, narrow)
+	defer sup.Release()
+	for tok := range narrow {
+		if want := tok == 0; sup.Has(tok) != want {
+			t.Errorf("Has(%d) = %v after a released wide selection, want %v", tok, sup.Has(tok), want)
 		}
 	}
 }

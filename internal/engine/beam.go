@@ -33,12 +33,13 @@ func Beam(dev *device.Device, q *Query, opts BeamOptions) Stream {
 
 type beamStream struct {
 	stream
-	opts    BeamOptions
-	beam    []node // the current level, in frontier order
-	done    []node // completed matches, unsorted until drain
-	seq     int64  // discovery order of the next hypothesis expanded
-	emitted int
-	ran     bool
+	opts BeamOptions
+	beam []node          // the current level, in frontier order
+	done []node          // completed matches, in frontier order once run
+	next int             // the first match of done not yet emitted or skipped
+	seen map[string]bool // keys of the emitted matches
+	seq  int64           // discovery order of the next hypothesis expanded
+	ran  bool
 }
 
 func (s *beamStream) init() {
@@ -98,8 +99,9 @@ func (s *beamStream) run() error {
 
 		sets = slices.Grow(sets[:0], len(s.beam))[:len(s.beam)]
 		parallelFor(len(s.beam), s.q.Parallelism, func(i int) {
-			h := &s.beam[i]
-			sets[i] = s.q.expand(h.state, h.pattern(), h.cost, lps[i], decoding.SupportOf(s.q.Rule, lps[i]), sets[i])
+			h, kept := &s.beam[i], decoding.SupportOf(s.q.Rule, lps[i])
+			sets[i] = s.q.expand(h.state, h.pattern(), h.cost, lps[i], kept, sets[i])
+			kept.Release()
 		})
 		next = next[:0]
 		for i := range s.beam {
@@ -144,7 +146,10 @@ func (s *beamStream) run() error {
 		s.stats.modelCalls.Add(int64(len(finals)))
 		kept := finals[:0]
 		for i, n := range finals {
-			if !s.q.ends(decoding.SupportOf(s.q.Rule, lps[i])) {
+			sup := decoding.SupportOf(s.q.Rule, lps[i])
+			ends := s.q.ends(sup)
+			sup.Release()
+			if !ends {
 				continue
 			}
 			n.cost -= lps[i][s.q.eos]
@@ -154,18 +159,6 @@ func (s *beamStream) run() error {
 	}
 	s.done = append(s.done, finals...)
 	slices.SortFunc(s.done, byOrder)
-	// Deduplicate identical token sequences (a hypothesis can be harvested
-	// at several steps when its accept state has a rule-blocked extension).
-	uniq := s.done[:0]
-	seen := map[string]bool{}
-	for i := range s.done {
-		k := model.Key(s.done[i].context())
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, s.done[i])
-		}
-	}
-	s.done = uniq
 	return nil
 }
 
@@ -182,11 +175,24 @@ func (s *beamStream) Next() (*Result, error) {
 			return nil, s.finish(err)
 		}
 	}
-	if s.emitted >= len(s.done) {
-		return nil, s.finish(ErrExhausted)
+	// The first of identical token sequences is emitted and the rest are
+	// skipped: a sequence can be harvested at several steps, under prefixes
+	// of different lengths. Only an emitted match stores its key.
+	buf := model.GetKeyBuf()
+	defer model.PutKeyBuf(buf)
+	for ; s.next < len(s.done); s.next++ {
+		n := &s.done[s.next]
+		*buf = model.AppendKey((*buf)[:0], n.context())
+		if s.seen[string(*buf)] {
+			continue
+		}
+		if s.seen == nil {
+			s.seen = map[string]bool{}
+		}
+		s.seen[string(*buf)] = true
+		s.next++
+		s.stats.emitted.Add(1)
+		return n.result(), nil
 	}
-	n := &s.done[s.emitted]
-	s.emitted++
-	s.stats.emitted.Add(1)
-	return n.result(), nil
+	return nil, s.finish(ErrExhausted)
 }

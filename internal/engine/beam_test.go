@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/automaton"
@@ -168,5 +169,51 @@ func TestBeamAgreesWithDijkstraOnTopResult(t *testing.T) {
 	}
 	if math.Abs(dr.LogProb-br.LogProb) > 1e-9 {
 		t.Errorf("top log probs differ: %f vs %f", dr.LogProb, br.LogProb)
+	}
+}
+
+// TestBeamEmitsAMultiplyHarvestedSequenceOnce: under the prefixes [0] and
+// [0 1] the pattern 1? 2 harvests the token sequence 0 1 2 twice — at step 2
+// from the first prefix and at step 1 from the second. Next emits it once, and
+// the stream is the one an eager pass over every harvested match, keeping
+// first occurrences, gives (and the per-child reference's).
+func TestBeamEmitsAMultiplyHarvestedSequenceOnce(t *testing.T) {
+	dist := []float64{math.Log(0.4), math.Log(0.3), math.Log(0.2), math.Log(0.1)}
+	m := &model.Table{Vocab: 4, EOSTok: 3, SeqLen: 8,
+		Dist: map[string][]float64{"*": dist}, KeyFunc: func([]model.Token) string { return "*" }}
+	n := automaton.NewNFA()
+	s0 := n.AddState(false)
+	s1 := n.AddState(false)
+	s2 := n.AddState(true)
+	n.SetStart(s0)
+	n.AddEdge(s0, 1, s1)
+	n.AddEdge(s0, 2, s2)
+	n.AddEdge(s1, 2, s2)
+	dev := device.New(m, device.DefaultLatency(), 8)
+	q := &Query{Pattern: n.Determinize().Freeze(), Prefixes: [][]model.Token{{0}, {0, 1}}, MaxTokens: 4}
+	s := Beam(dev, q, BeamOptions{Width: 8})
+	got, _ := drainResults(t, s, 100)
+
+	done := s.(*beamStream).done
+	if len(done) != 4 {
+		t.Fatalf("harvested %d matches, want 4 (0 2, 0 1 2 twice, 0 1 1 2)", len(done))
+	}
+	var eager []string
+	seen := map[string]bool{}
+	for i := range done {
+		if k := model.Key(done[i].context()); !seen[k] {
+			seen[k] = true
+			eager = append(eager, resultKey(done[i].result()))
+		}
+	}
+	if rows := resultRows(got); !slices.Equal(rows, eager) {
+		t.Fatalf("stream %v, eager dedup %v", rows, eager)
+	}
+	if len(got) != 3 {
+		t.Fatalf("emitted %d matches, want 3", len(got))
+	}
+	want, _ := refBeam(dev, q, 8, 100)
+	if rows, ref := resultRows(got), resultRows(want); !slices.Equal(rows, ref) {
+		t.Fatalf("stream %v, reference %v", rows, ref)
 	}
 }

@@ -199,8 +199,9 @@ func (s *dijkstraStream) expand(batch []node) error {
 	s.stats.nodesExpanded.Add(int64(len(batch)))
 	cursors := make([]cursor, len(batch))
 	parallelFor(len(batch), s.q.Parallelism, func(i int) {
-		n := &batch[i]
-		sibs := s.q.expand(n.state, n.pattern(), n.cost, lps[i], decoding.SupportOf(s.q.Rule, lps[i]), nil)
+		n, kept := &batch[i], decoding.SupportOf(s.q.Rule, lps[i])
+		sibs := s.q.expand(n.state, n.pattern(), n.cost, lps[i], kept, nil)
+		kept.Release()
 		sibs.heapify()
 		cursors[i] = cursor{parent: *n, sibs: sibs}
 	})

@@ -212,7 +212,7 @@ func (s *stream) finish(err error) error {
 
 // path is a frontier node's model context (prefix + pattern so far). A child
 // is born holding its parent's slice and its own last token, and copies the
-// two into a slice of its own only when context is first called — when the
+// two into a slice of its own only when its context is first built — when the
 // node is popped for scoring. A child built but never scored (one beam
 // truncation drops, a Mass node left on the frontier) costs no copy of a
 // paragraph-long prefix, and a match shares its parent's slice outright.
@@ -228,17 +228,25 @@ func (p *path) child(tok model.Token) path {
 	return path{ctx: p.context(), last: tok, pending: true}
 }
 
+// own returns p itself, so the generic appendContexts reaches the path a node
+// embeds.
+func (p *path) own() *path { return p }
+
 // context returns the node's own context, building it on first use. Not safe
 // for concurrent use on one node; distinct nodes may share a parent slice,
 // which is only read.
 func (p *path) context() []model.Token {
 	if p.pending {
-		own := make([]model.Token, len(p.ctx)+1)
-		copy(own, p.ctx)
-		own[len(p.ctx)] = p.last
-		p.ctx, p.pending = own, false
+		p.build(make([]model.Token, len(p.ctx)+1))
 	}
 	return p.ctx
+}
+
+// build writes the pending context into own, which holds exactly its tokens.
+func (p *path) build(own []model.Token) {
+	copy(own, p.ctx)
+	own[len(p.ctx)] = p.last
+	p.ctx, p.pending = own, false
 }
 
 // rootPath copies a prefix into a path of its own.
@@ -440,21 +448,31 @@ func (q *Query) final(state automaton.StateID, pattern []model.Token) bool {
 func (q *Query) ends(kept decoding.Support) bool { return !q.RequireEOS || kept.Has(q.eos) }
 
 // appendContexts appends each node's own context to dst, in order, for a
-// scoring round.
-func appendContexts(dst [][]model.Token, nodes []node) [][]model.Token {
+// scoring round. The round's pending contexts are built in one block, each
+// carved off with a full slice expression so none can grow into the next: a
+// node that outlives the round keeps the whole block alive until its
+// batch-mates are spent too.
+func appendContexts[N any, P interface {
+	*N
+	own() *path
+}](dst [][]model.Token, nodes []N) [][]model.Token {
+	size := 0
 	for i := range nodes {
-		dst = append(dst, nodes[i].context())
+		if p := P(&nodes[i]).own(); p.pending {
+			size += len(p.ctx) + 1
+		}
+	}
+	block := make([]model.Token, size)
+	for i := range nodes {
+		p := P(&nodes[i]).own()
+		if p.pending {
+			n := len(p.ctx) + 1
+			p.build(block[:n:n])
+			block = block[n:]
+		}
+		dst = append(dst, p.ctx)
 	}
 	return dst
-}
-
-// contexts returns each node's own context, in order, for a scoring round.
-func contexts[N interface{ context() []model.Token }](nodes []N) [][]model.Token {
-	ctxs := make([][]model.Token, len(nodes))
-	for i, n := range nodes {
-		ctxs[i] = n.context()
-	}
-	return ctxs
 }
 
 // clampCtx trims a context to the model window (the shared clamp — one

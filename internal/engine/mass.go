@@ -111,6 +111,8 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 	}
 
 	var round int64
+	var batch []massNode
+	var ctxs [][]model.Token
 	var sets []siblings
 	for frontier.Len() > 0 {
 		res.Upper = res.Lower + frontierMass
@@ -122,16 +124,17 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 			break
 		}
 		// Pop the top-K highest-mass frontier nodes for one device round.
-		var batch []*massNode
+		batch = batch[:0]
 		for len(batch) < batchSize && frontier.Len() > 0 &&
 			res.Expanded+int64(len(batch)) < int64(opts.MaxNodes) {
 			n := heap.Pop(&frontier).(*massNode)
 			frontierMass -= n.mass
-			batch = append(batch, n)
+			batch = append(batch, *n)
 		}
 		rdev, rspan := roundDevice(dev, q, round, len(batch))
 		round++
-		lps, err := scoreFrontier(rdev, q, contexts(batch))
+		ctxs = appendContexts(ctxs[:0], batch)
+		lps, err := scoreFrontier(rdev, q, ctxs)
 		if err != nil {
 			q.Trace.End(rspan)
 			return nil, err
@@ -143,12 +146,12 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 		// accumulation stays deterministic.
 		sets = slices.Grow(sets[:0], len(batch))[:len(batch)]
 		parallelFor(len(batch), q.Parallelism, func(i int) {
-			n := batch[i]
-			ctx := n.context()
-			sets[i] = q.expand(n.state, ctx[len(ctx)-n.pat:], 0, lps[i], decoding.SupportOf(q.Rule, lps[i]), sets[i])
+			n, kept := &batch[i], decoding.SupportOf(q.Rule, lps[i])
+			sets[i] = q.expand(n.state, ctxs[i][len(ctxs[i])-n.pat:], 0, lps[i], kept, sets[i])
+			kept.Release()
 		})
-		for i, n := range batch {
-			lp := lps[i]
+		for i := range batch {
+			n, lp := &batch[i], lps[i]
 			for _, sib := range sets[i] {
 				if sib.sym == matchSym {
 					res.Lower += n.mass * math.Exp(lp[q.eos])

@@ -36,6 +36,16 @@ func refAppendToken(ctx []model.Token, t model.Token) []model.Token {
 	return out
 }
 
+// contexts returns each node's own context, in order, built one node at a
+// time.
+func contexts[N interface{ context() []model.Token }](nodes []N) [][]model.Token {
+	ctxs := make([][]model.Token, len(nodes))
+	for i, n := range nodes {
+		ctxs[i] = n.context()
+	}
+	return ctxs
+}
+
 // refChild is an eagerly built child of the node discovered as from.
 func refChild(n *node, e automaton.Edge, lp []float64, from int64) *node {
 	return &node{
@@ -72,7 +82,7 @@ func refAllowFinal(q *Query, pattern []model.Token) bool {
 // discovered as from.
 func refChildrenOf(m model.LanguageModel, q *Query, n *node, lp []float64, from int64) []*node {
 	var out []*node
-	filtered := decoding.Allowed(q.Rule, lp)
+	filtered := decoding.Allowed(q.Rule, lp, nil)
 	if n.patLen < q.MaxTokens {
 		for _, e := range q.Pattern.Edges(n.state) {
 			if filtered[e.Sym] == model.NegInf {
@@ -209,7 +219,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		slots := make([]slot, len(beam))
 		parallelFor(len(beam), q.Parallelism, func(i int) {
 			n, lp, from := beam[i], lps[i], seq+int64(i)
-			filtered := decoding.Allowed(q.Rule, lp)
+			filtered := decoding.Allowed(q.Rule, lp, nil)
 			if q.Pattern.Accepting(n.state) && n.patLen > 0 && refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
 				term := refMatch(n, from)
 				if !q.RequireEOS {
@@ -250,7 +260,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		stats.ModelCalls += int64(len(finals))
 		kept := finals[:0]
 		for i, n := range finals {
-			if decoding.Allowed(q.Rule, lps[i])[m.EOS()] != model.NegInf {
+			if decoding.Allowed(q.Rule, lps[i], nil)[m.EOS()] != model.NegInf {
 				n.cost -= lps[i][m.EOS()]
 				kept = append(kept, n)
 			}
@@ -310,7 +320,7 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 		slots := make([]slot, len(batch))
 		parallelFor(len(batch), q.Parallelism, func(i int) {
 			n, lp := batch[i], lps[i]
-			filtered := decoding.Allowed(q.Rule, lp)
+			filtered := decoding.Allowed(q.Rule, lp, nil)
 			if q.Pattern.Accepting(n.state) && n.pat > 0 &&
 				refAllowFinal(q, n.ctx[len(n.ctx)-n.pat:]) && filtered[m.EOS()] != model.NegInf {
 				slots[i].matched = true
@@ -377,7 +387,7 @@ func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 	for patLen <= s.q.MaxTokens {
 		lp := must(s.dev.Forward([][]model.Token{clampCtx(m, ctx)}))[0]
 		s.stats.modelCalls.Add(1)
-		filtered := decoding.Allowed(s.q.Rule, lp)
+		filtered := decoding.Allowed(s.q.Rule, lp, nil)
 		type move struct {
 			sym  model.Token
 			to   automaton.StateID

@@ -213,6 +213,7 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 	logP := prefLogP
 	patLen := 0
 	var moves siblings
+	var row []float64 // the step's reweighted row, one per attempt
 
 	// The rule ends every walk by MaxTokens: a node there has no children.
 	for {
@@ -230,8 +231,8 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 		// lp, the rule costs each at its negated log weight: a child by its
 		// token, the stop (the match) by EOS under RequireEOS; without EOS
 		// semantics the stop takes the probability mass no child claims.
-		filtered := decoding.Allowed(s.q.Rule, lp)
-		moves = s.q.expand(state, pattern, 0, filtered, decoding.SupportOf(nil, filtered), moves)
+		row = decoding.Allowed(s.q.Rule, lp, row)
+		moves = s.q.expand(state, pattern, 0, row, decoding.SupportOf(nil, row), moves)
 		if len(moves) == 0 {
 			return nil, nil // dead end under the rule: reject
 		}

@@ -77,7 +77,7 @@ func freeSample(m *relm.Model, rng *rand.Rand, rule decoding.Rule, prefix []mode
 		if err != nil {
 			return nil, err
 		}
-		tok := sampleFromLogProbs(rng, decoding.Allowed(rule, rows[0]))
+		tok := sampleFromLogProbs(rng, decoding.Allowed(rule, rows[0], nil))
 		if tok == m.LM.EOS() {
 			break
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/lambada"
@@ -169,8 +170,9 @@ func predictLastWord(ctx context.Context, m *relm.Model, item lambada.Item, v La
 
 // stopWordForms expands the nltk-style stop list into the exact strings the
 // pattern language contains: leading space, optional punctuation, and
-// capitalized variants — the removal set for the automaton difference.
-func stopWordForms() []string {
+// capitalized variants — the removal set for the automaton difference. The
+// list is built once and shared by every query, which only reads it.
+var stopWordForms = sync.OnceValue(func() []string {
 	suffixes := []string{"", ".", "!", "?", `"`, `."`, `!"`, `?"`}
 	var out []string
 	for _, w := range lambada.StopWords {
@@ -182,7 +184,7 @@ func stopWordForms() []string {
 		}
 	}
 	return out
-}
+})
 
 // RenderLambada writes the Table 1 analog.
 func RenderLambada(w io.Writer, r *LambadaResult) {

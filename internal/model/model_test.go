@@ -93,6 +93,24 @@ func TestNGramMemorizes(t *testing.T) {
 	}
 }
 
+// TestNGramRowIsItsOnlyAllocation: on a warm key pool a row costs one
+// allocation, the row itself, whether the histories were seen in training or
+// not and with the context cache on.
+func TestNGramRowIsItsOnlyAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	tok := testTok(t)
+	line := "the cat sat on the mat"
+	m := TrainNGram([]string{line}, tok, NGramConfig{Order: 5, CacheWeight: 0.2})
+	for _, ctx := range [][]Token{nil, tok.Encode(line), tok.Encode("zzq qqz the cat")} {
+		m.NextLogProbs(ctx) // warm the pool
+		if allocs := testing.AllocsPerRun(100, func() { m.NextLogProbs(ctx) }); allocs != 1 {
+			t.Errorf("NextLogProbs(%v) allocated %.1f objects, want 1 (its row)", ctx, allocs)
+		}
+	}
+}
+
 func TestNGramSequenceLogProbOrdering(t *testing.T) {
 	tok := testTok(t)
 	m := TrainNGram([]string{

@@ -138,13 +138,16 @@ func (m *NGram) NextLogProbs(ctx []Token) []float64 {
 			probs[t] += float64(c) / denom
 		}
 	}
-	// Mix in higher orders when their history was observed.
+	// Mix in higher orders when their history was observed. The histories
+	// are looked up with a pooled key buffer, so no key string is built.
+	buf := GetKeyBuf()
+	defer PutKeyBuf(buf)
 	for k := 1; k < m.order; k++ {
 		if k > len(ctx) {
 			break
 		}
-		hist := Key(ctx[len(ctx)-k:])
-		sc, ok := m.counts[k][hist]
+		*buf = AppendKey((*buf)[:0], ctx[len(ctx)-k:])
+		sc, ok := m.counts[k][string(*buf)]
 		if !ok || sc.total == 0 {
 			continue
 		}

@@ -467,6 +467,26 @@ func TestPlanKeyRuleAmbiguity(t *testing.T) {
 	}
 }
 
+// TestRemoveWordsPlanKeyIsFmtForm holds RemoveWords' hand-built key to the
+// fmt form it replaced, so plans keyed either way stay interchangeable.
+func TestRemoveWordsPlanKeyIsFmtForm(t *testing.T) {
+	for _, words := range [][]string{
+		nil,
+		{},
+		{""},
+		{" the", "The."},
+		{`say "hi"`, `it's`, `back\slash`, "tab\there", "new\nline"},
+		{" café", "naïve ", "日本語", "emoji 🙂", "\x00\x7f", "bad \xff utf8"},
+	} {
+		for _, ignoreCase := range []bool{false, true} {
+			r := RemoveWords{Words: words, IgnoreCase: ignoreCase}
+			if got, want := r.PlanKey(), fmt.Sprintf("remove-words:%v:%q", ignoreCase, words); got != want {
+				t.Errorf("PlanKey() = %s, want %s", got, want)
+			}
+		}
+	}
+}
+
 // gatedPanicPreprocessor models a defective custom preprocessor behind a
 // valid PlanKey: its first Transform signals started, blocks until release
 // is closed and panics; later ones pass the automaton through.

@@ -818,6 +818,7 @@ func (e EditDistance) PlanKey() string {
 // strings from the language (§3.4: filters "remove stop words or toxic
 // content from a query by mapping those strings to the empty string").
 type RemoveWords struct {
+	// Words is only read, so one list may serve any number of queries.
 	Words []string
 	// IgnoreCase also removes capitalized variants.
 	IgnoreCase bool
@@ -857,9 +858,23 @@ func (r RemoveWords) Transform(d *automaton.DFA) (*automaton.DFA, error) {
 // Name implements Preprocessor.
 func (r RemoveWords) Name() string { return "remove-words" }
 
-// PlanKey implements PlanKeyer.
+// PlanKey implements PlanKeyer. The key is fmt's
+// "remove-words:%v:%q" of IgnoreCase and Words, built in one buffer.
 func (r RemoveWords) PlanKey() string {
-	return fmt.Sprintf("remove-words:%v:%q", r.IgnoreCase, r.Words)
+	n := len("remove-words:false:[]")
+	for _, w := range r.Words {
+		n += len(w) + 3
+	}
+	b := append(make([]byte, 0, n), "remove-words:"...)
+	b = strconv.AppendBool(b, r.IgnoreCase)
+	b = append(b, ":["...)
+	for i, w := range r.Words {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendQuote(b, w)
+	}
+	return string(append(b, ']'))
 }
 
 // PrependLiteral rewrites the language to lit·L, useful for adding a leading

@@ -55,6 +55,10 @@ func main() {
 	}
 }
 
+// transformerHeads is the attention head count of a trained transformer;
+// -dmodel must split evenly across it.
+const transformerHeads = 2
+
 type trainConfig struct {
 	merges, order, maxSeq  int
 	lambda, cacheW         float64
@@ -64,6 +68,9 @@ type trainConfig struct {
 
 func run(corpusPath, outDir string, cfg trainConfig, verify bool) error {
 	merges, order, maxSeq, lambda, cacheW := cfg.merges, cfg.order, cfg.maxSeq, cfg.lambda, cfg.cacheW
+	if cfg.arch == "transformer" && cfg.dModel%transformerHeads != 0 {
+		return fmt.Errorf("-dmodel %d is not a multiple of the head count %d", cfg.dModel, transformerHeads)
+	}
 	var lines []string
 	if corpusPath == "" {
 		fmt.Println("no -corpus given; using the built-in synthetic world")
@@ -104,7 +111,7 @@ func run(corpusPath, outDir string, cfg trainConfig, verify bool) error {
 	case "transformer":
 		fmt.Printf("training %d-layer d=%d transformer (%d epochs) ...\n", cfg.layers, cfg.dModel, cfg.epochs)
 		tr := model.TrainTransformer(lines, tok, model.TransformerConfig{
-			DModel: cfg.dModel, NLayers: cfg.layers, MaxSeqLen: maxSeq, Epochs: cfg.epochs,
+			DModel: cfg.dModel, NHeads: transformerHeads, NLayers: cfg.layers, MaxSeqLen: maxSeq, Epochs: cfg.epochs,
 		})
 		fmt.Printf("  final mean cross-entropy: %.3f nats/token\n", tr.Loss(lines, tok))
 		lm, save = tr, tr.Save

@@ -475,13 +475,6 @@ func appendContexts[N any, P interface {
 	return dst
 }
 
-// clampCtx trims a context to the model window (the shared clamp — one
-// definition keeps the incremental and full paths scoring identical
-// contexts).
-func clampCtx(m model.LanguageModel, ctx []model.Token) []model.Token {
-	return model.ClampWindow(m, ctx)
-}
-
 // scoreSequences scores every sequence with all-positions scoring: one
 // causal forward per sequence yields every position's next-token
 // distribution at once (DESIGN.md decision 10), so a length-L sequence
@@ -512,7 +505,7 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64,
 		for p := range seq {
 			rowIdx = append(rowIdx, i)
 			rowPos = append(rowPos, p)
-			rowCtxs = append(rowCtxs, clampCtx(m, seq[:p]))
+			rowCtxs = append(rowCtxs, model.ClampWindow(m, seq[:p]))
 		}
 	}
 	if len(allSeqs) > 0 {
@@ -582,7 +575,7 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]floa
 	m := dev.Model()
 	clamped := make([][]model.Token, len(ctxs))
 	for i, ctx := range ctxs {
-		clamped[i] = clampCtx(m, ctx)
+		clamped[i] = model.ClampWindow(m, ctx)
 	}
 	if !q.incremental() || !model.HasPrefixStates(m) {
 		return dev.Forward(clamped)

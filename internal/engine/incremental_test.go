@@ -269,7 +269,7 @@ func scoreSequencesExpanded(dev *device.Device, seqs [][]model.Token) ([]float64
 	for i, seq := range seqs {
 		offsets[i] = len(ctxs)
 		for p := range seq {
-			ctxs = append(ctxs, clampCtx(m, seq[:p]))
+			ctxs = append(ctxs, model.ClampWindow(m, seq[:p]))
 		}
 	}
 	totals := make([]float64, len(seqs))

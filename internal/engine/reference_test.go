@@ -385,7 +385,7 @@ func refSampleOnce(s *samplerStream, rng *rand.Rand) (*Result, bool) {
 	logP := prefLogP
 	patLen := 0
 	for patLen <= s.q.MaxTokens {
-		lp := must(s.dev.Forward([][]model.Token{clampCtx(m, ctx)}))[0]
+		lp := must(s.dev.Forward([][]model.Token{model.ClampWindow(m, ctx)}))[0]
 		s.stats.modelCalls.Add(1)
 		filtered := decoding.Allowed(s.q.Rule, lp, nil)
 		type move struct {

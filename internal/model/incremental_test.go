@@ -34,8 +34,8 @@ func rowsEqual(a, b []float64) bool {
 }
 
 // TestTransformerPrefillExtendEquivalence walks a sequence with
-// prefill+extend chains and demands bit-identical log-probs versus
-// NextLogProbs at every step, including across the window edge where
+// prefill+extend chains and demands bit-identical log-probs versus the
+// training forward at every step, including across the window edge where
 // extension must fall back to an internal re-prefill.
 func TestTransformerPrefillExtendEquivalence(t *testing.T) {
 	lm, tok := trainTestTransformer(t, 12)
@@ -44,15 +44,15 @@ func TestTransformerPrefillExtendEquivalence(t *testing.T) {
 		t.Fatalf("test sequence too short (%d) to cross the window (%d)", len(seq), lm.MaxSeqLen())
 	}
 	st, lp := lm.Prefill(seq[:1])
-	if want := lm.NextLogProbs(seq[:1]); !rowsEqual(lp, want) {
-		t.Fatal("prefill logits differ from NextLogProbs")
+	if want := reference(lm, seq[:1]); !rowsEqual(lp, want) {
+		t.Fatal("prefill logits differ from the training forward")
 	}
 	for i := 1; i < len(seq); i++ {
 		states, rows := lm.ExtendBatch([]DecodeState{st}, []Token{seq[i]})
 		st = states[0]
-		want := lm.NextLogProbs(seq[:i+1])
+		want := reference(lm, seq[:i+1])
 		if !rowsEqual(rows[0], want) {
-			t.Fatalf("extend logits differ from NextLogProbs at position %d (ctx len %d)", i, i+1)
+			t.Fatalf("extend logits differ from the training forward at position %d (ctx len %d)", i, i+1)
 		}
 		if got := st.Len(); got != len(ClampWindow2(lm, seq[:i+1])) {
 			t.Fatalf("state length %d at position %d", got, i)
@@ -81,7 +81,7 @@ func TestTransformerExtendSharedParent(t *testing.T) {
 	states := []DecodeState{st, st, st, st}
 	children, rows := lm.ExtendBatch(states, next)
 	for i, tokID := range next {
-		want := lm.NextLogProbs(append(append([]Token{}, ctx...), tokID))
+		want := reference(lm, append(append([]Token{}, ctx...), tokID))
 		if !rowsEqual(rows[i], want) {
 			t.Fatalf("child %d logits differ from full forward", i)
 		}
@@ -97,12 +97,13 @@ func TestTransformerExtendSharedParent(t *testing.T) {
 }
 
 // TestTransformerAnchoredRoot checks the empty-context state: its logits
-// match NextLogProbs(nil), and extending it falls back to a fresh prefill
-// (the anchor's position-0 rows belong to EOS, not to a real first token).
+// match the training forward over the anchor, and extending it falls back
+// to a fresh prefill (the anchor's position-0 rows belong to EOS, not to a
+// real first token).
 func TestTransformerAnchoredRoot(t *testing.T) {
 	lm, tok := trainTestTransformer(t, 24)
 	st, lp := lm.Prefill(nil)
-	if !rowsEqual(lp, lm.NextLogProbs(nil)) {
+	if !rowsEqual(lp, reference(lm, nil)) {
 		t.Fatal("anchored prefill logits differ")
 	}
 	if st.Len() != 0 {
@@ -110,7 +111,7 @@ func TestTransformerAnchoredRoot(t *testing.T) {
 	}
 	first := tok.Encode("the")[0]
 	_, rows := lm.ExtendBatch([]DecodeState{st}, []Token{first})
-	if !rowsEqual(rows[0], lm.NextLogProbs([]Token{first})) {
+	if !rowsEqual(rows[0], reference(lm, []Token{first})) {
 		t.Fatal("extension from the anchored root differs from forward([t])")
 	}
 }
@@ -161,7 +162,7 @@ func tokensEqual(a, b []Token) bool {
 }
 
 // TestTransformerScoreAllPositions checks the one-forward sequence scorer
-// against per-position NextLogProbs, in and beyond the window.
+// against the per-position training forward, in and beyond the window.
 func TestTransformerScoreAllPositions(t *testing.T) {
 	lm, tok := trainTestTransformer(t, 12)
 	for _, text := range []string{
@@ -175,9 +176,9 @@ func TestTransformerScoreAllPositions(t *testing.T) {
 			t.Fatalf("%q: %d rows for %d positions", text, len(rows), len(seq))
 		}
 		for p := range seq {
-			want := lm.NextLogProbs(ClampWindow(lm, seq[:p]))
+			want := reference(lm, ClampWindow(lm, seq[:p]))
 			if !rowsEqual(rows[p], want) {
-				t.Fatalf("%q: position %d differs from NextLogProbs", text, p)
+				t.Fatalf("%q: position %d differs from the training forward", text, p)
 			}
 		}
 	}

@@ -662,19 +662,3 @@ func (t *Transformer) EOS() Token { return t.eosTok }
 
 // MaxSeqLen implements LanguageModel.
 func (t *Transformer) MaxSeqLen() int { return t.cfg.MaxSeqLen }
-
-// NextLogProbs implements LanguageModel.
-func (t *Transformer) NextLogProbs(ctx []Token) []float64 {
-	if len(ctx) >= t.cfg.MaxSeqLen {
-		ctx = ctx[len(ctx)-t.cfg.MaxSeqLen+1:]
-	}
-	if len(ctx) == 0 {
-		// No context: predict from a lone EOS "begin" anchor, matching how
-		// training windows begin at sequence starts.
-		ctx = []Token{t.eosTok}
-	}
-	logits, _, _, _, _, _ := t.forward(ctx)
-	row := logits[len(ctx)-1]
-	Normalize(row)
-	return row
-}

@@ -103,27 +103,27 @@ type BatcherStats struct {
 	// FusedBatches counts dispatched fused batches; Requests and Rows count
 	// what went into them. MeanOccupancy is Rows/FusedBatches — the packing
 	// win the batcher exists for.
-	FusedBatches  int64   `json:"fused_batches"`
-	Requests      int64   `json:"requests"`
-	Rows          int64   `json:"fused_rows"`
-	MeanOccupancy float64 `json:"mean_occupancy"`
+	FusedBatches  int64   `json:"fused_batches" metric:"relm_batcher_fused_batches_total,counter,Fused batches executed."`
+	Requests      int64   `json:"requests" metric:"-"`
+	Rows          int64   `json:"fused_rows" metric:"relm_batcher_fused_rows_total,counter,Rows executed through fused batches."`
+	MeanOccupancy float64 `json:"mean_occupancy" metric:"relm_batcher_mean_occupancy,gauge,Mean rows per fused batch."`
 	// MultiQueryBatches counts fused batches that mixed rows from more than
 	// one query — the cross-query fusion the per-query path can never do.
-	MultiQueryBatches int64 `json:"multi_query_batches"`
+	MultiQueryBatches int64 `json:"multi_query_batches" metric:"relm_batcher_multi_query_batches_total,counter,Fused batches holding >1 query."`
 	// QueueDepth is the number of rows pending right now; PeakQueueDepth is
 	// the high-water mark.
-	QueueDepth     int `json:"queue_depth"`
-	PeakQueueDepth int `json:"peak_queue_depth"`
+	QueueDepth     int `json:"queue_depth" metric:"relm_batcher_queue_depth,gauge,Rows waiting in the admission queue."`
+	PeakQueueDepth int `json:"peak_queue_depth" metric:"relm_batcher_peak_queue_depth,gauge,Peak rows waiting in the admission queue."`
 	// Flush-reason counters: window expiry, size watermark, deadline
 	// preemption, and close-time drain.
-	WindowFlushes int64 `json:"window_flushes"`
-	SizeFlushes   int64 `json:"size_flushes"`
-	UrgentFlushes int64 `json:"urgent_flushes"`
-	DrainFlushes  int64 `json:"drain_flushes"`
+	WindowFlushes int64 `json:"window_flushes" metric:"relm_batcher_window_flushes_total,counter,Batches flushed by the fusion window."`
+	SizeFlushes   int64 `json:"size_flushes" metric:"relm_batcher_size_flushes_total,counter,Batches flushed at the size limit."`
+	UrgentFlushes int64 `json:"urgent_flushes" metric:"relm_batcher_urgent_flushes_total,counter,Batches flushed for deadline urgency."`
+	DrainFlushes  int64 `json:"drain_flushes" metric:"-"`
 	// FairnessDeficit is the served-row spread (max-min) across the queries
 	// that were still contending after the last selection — 0 means perfectly
 	// even service.
-	FairnessDeficit int64 `json:"fairness_deficit"`
+	FairnessDeficit int64 `json:"fairness_deficit" metric:"relm_batcher_fairness_deficit,gauge,Fair-share deficit across accounts."`
 }
 
 // queryQueue is one query's FIFO of pending requests plus its fair-share

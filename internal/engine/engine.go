@@ -128,13 +128,16 @@ func (r *Result) Tokens() []model.Token {
 	return out
 }
 
-// Stats counts engine work for efficiency experiments.
+// Stats counts engine work for efficiency experiments. The metric tags name
+// the /metrics families the server's aggregate is served as.
 type Stats struct {
-	NodesExpanded int64
-	ModelCalls    int64
-	Emitted       int64
-	Attempts      int64 // sampler: total sampling attempts (incl. rejected)
-	Rejected      int64 // sampler: attempts that dead-ended or failed a filter
+	NodesExpanded int64 `metric:"relm_engine_nodes_expanded_total,counter,Search-tree nodes expanded across all queries."`
+	ModelCalls    int64 `metric:"relm_engine_model_calls_total,counter,Per-sequence model scoring calls across all queries."`
+	Emitted       int64 `metric:"relm_engine_emitted_total,counter,Matches emitted across all queries."`
+	// Attempts and Rejected are the sampler's: total sampling attempts
+	// (incl. rejected), and attempts that dead-ended or failed a filter.
+	Attempts int64 `metric:"relm_engine_attempts_total,counter,Sampler attempts across all queries."`
+	Rejected int64 `metric:"relm_engine_rejected_total,counter,Sampler rejections across all queries."`
 }
 
 // Add accumulates o into s — the one place aggregators sum Stats, so a new

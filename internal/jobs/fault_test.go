@@ -149,6 +149,11 @@ func TestLedgerInjectedTornAppendRepairedOnReopen(t *testing.T) {
 		t.Fatalf("torn append classified %v, want permanent", err)
 	}
 	fault.Disable()
+	// The torn append sticks: like the crash it stands for, it stops every
+	// later writer, so nothing lands after the half line.
+	if _, again := l.Append(kindResume, resumeData{Attempt: 2}); !errors.Is(again, err) {
+		t.Fatalf("append after a torn append: %v, want the torn error %v", again, err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -221,15 +221,15 @@ func stageDelta(start, end map[string]trace.StageTotal) map[string]StageDelta {
 // ManagerStats is the /v1/stats jobs block: lifecycle counters plus total
 // ledger bytes written (satellite: alongside the kv_*/plan_* counters).
 type ManagerStats struct {
-	Submitted   int64 `json:"submitted"`
-	Queued      int64 `json:"queued"`
-	Running     int64 `json:"running"`
-	Completed   int64 `json:"completed"`
-	Failed      int64 `json:"failed"`
-	Cancelled   int64 `json:"cancelled"`
-	Resumed     int64 `json:"resumed"`
-	ItemsDone   int64 `json:"items_done"`
-	LedgerBytes int64 `json:"ledger_bytes"`
-	Retries     int64 `json:"retries"`
-	Quarantined int64 `json:"quarantined"`
+	Submitted   int64 `json:"submitted" metric:"relm_jobs_submitted_total,counter,Validation jobs submitted."`
+	Queued      int64 `json:"queued" metric:"relm_jobs_queued,gauge,Jobs waiting to run."`
+	Running     int64 `json:"running" metric:"relm_jobs_running,gauge,Jobs currently running."`
+	Completed   int64 `json:"completed" metric:"relm_jobs_completed_total,counter,Jobs finished successfully."`
+	Failed      int64 `json:"failed" metric:"relm_jobs_failed_total,counter,Jobs that failed."`
+	Cancelled   int64 `json:"cancelled" metric:"relm_jobs_cancelled_total,counter,Jobs cancelled."`
+	Resumed     int64 `json:"resumed" metric:"relm_jobs_resumed_total,counter,Jobs resumed from the ledger."`
+	ItemsDone   int64 `json:"items_done" metric:"relm_jobs_items_done_total,counter,Work items completed across jobs."`
+	LedgerBytes int64 `json:"ledger_bytes" metric:"relm_jobs_ledger_bytes,gauge,Bytes written to the job ledger."`
+	Retries     int64 `json:"retries" metric:"relm_jobs_retries_total,counter,Work-item retries."`
+	Quarantined int64 `json:"quarantined" metric:"relm_jobs_quarantined_total,counter,Work items quarantined after retry exhaustion."`
 }

@@ -112,6 +112,10 @@ type Ledger struct {
 	nextSeq  int64
 	bytes    atomic.Int64
 	now      func() time.Time
+	// torn is the error of an append that left half a line in the file.
+	// Every later Append returns it: like the crash it stands for, it stops
+	// all writers, so the half line stays the file's last.
+	torn error
 }
 
 // CreateLedger starts a fresh ledger at path (failing if it exists — a run
@@ -125,10 +129,11 @@ func CreateLedger(path string) (*Ledger, error) {
 }
 
 // OpenLedger reopens an existing ledger for append after replaying (and
-// verifying) its chain. A trailing partial line — the signature of a crash
-// mid-append — is truncated away; any earlier damage is a hard error, since
-// repairing it would defeat the tamper evidence. Returns the replayed
-// records alongside the ledger positioned for the next append.
+// verifying) its chain. A final line without its newline — the signature of
+// a crash mid-append — is truncated away; any other damage, a complete final
+// record included, is a hard error, since repairing it would defeat the
+// tamper evidence. Returns the replayed records alongside the ledger
+// positioned for the next append.
 func OpenLedger(path string) (*Ledger, []Record, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -158,10 +163,11 @@ func OpenLedger(path string) (*Ledger, []Record, error) {
 	return l, recs, nil
 }
 
-// replay parses and chain-verifies raw ledger bytes. With tolerateTail, an
-// unparseable FINAL line is treated as a torn append and excluded (its byte
-// offset is where the caller should truncate); without it, any bad line is
-// an error. The returned offset is the end of the last intact record.
+// replay parses and chain-verifies raw ledger bytes. Append writes a record
+// and its newline together, so only a final line without its newline can be
+// a torn append: with tolerateTail it is excluded (its byte offset is where
+// the caller should truncate); without it, it is an error, as is every other
+// bad line. The returned offset is the end of the last intact record.
 func replay(raw []byte, tolerateTail bool) ([]Record, int64, error) {
 	var recs []Record
 	prev := genesisHash
@@ -177,19 +183,15 @@ func replay(raw []byte, tolerateTail bool) ([]Record, int64, error) {
 		} else {
 			row, rowEnd = raw[:nl], nl+1
 		}
-		var rec Record
-		if err := json.Unmarshal(row, &rec); err != nil || nl < 0 {
-			// A torn tail is either invalid JSON or a line with no newline
-			// (the append never finished). Only the final line qualifies.
-			rest := bytes.TrimSpace(raw[rowEnd:])
-			if tolerateTail && len(rest) == 0 {
+		if nl < 0 {
+			if tolerateTail {
 				return recs, offset, nil
 			}
-			reason := "record is not valid JSON"
-			if err == nil {
-				reason = "record line is missing its newline"
-			}
-			return nil, 0, &ChainError{Line: line, Seq: rec.Seq, Reason: reason}
+			return nil, 0, &ChainError{Line: line, Reason: "record line is missing its newline"}
+		}
+		var rec Record
+		if err := json.Unmarshal(row, &rec); err != nil {
+			return nil, 0, &ChainError{Line: line, Seq: rec.Seq, Reason: "record is not valid JSON"}
 		}
 		if cerr := verifyRecord(&rec, prev, int64(len(recs)+1), line); cerr != nil {
 			return nil, 0, cerr
@@ -232,6 +234,9 @@ func (l *Ledger) Append(kind string, data interface{}) (Record, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.torn != nil {
+		return Record{}, l.torn
+	}
 	rec := Record{
 		Seq:  l.nextSeq,
 		Prev: l.lastHash,
@@ -248,11 +253,12 @@ func (l *Ledger) Append(kind string, data interface{}) (Record, error) {
 	if f := fault.Hit(fault.LedgerAppend); f != nil && f.Failure() {
 		if f.Torn {
 			// Simulate a crash mid-append: half the record reaches the file,
-			// the chain state does not advance. OpenLedger's torn-tail repair
-			// is what recovers from this.
+			// the chain state does not advance, and no writer appends after
+			// it. OpenLedger's torn-tail repair is what recovers from this.
 			_, _ = l.w.Write(line[:len(line)/2])
 			_ = l.w.Flush()
-			return Record{}, fmt.Errorf("ledger: append: %w", f)
+			l.torn = fmt.Errorf("ledger: append: %w", f)
+			return Record{}, l.torn
 		}
 		// A clean transient failure fires before any byte is written, so the
 		// caller may safely retry: the chain has not moved.

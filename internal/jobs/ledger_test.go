@@ -2,20 +2,25 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-func mkLedger(t *testing.T, n int) string {
+// mkLedger writes a finished ledger of n items on a fixed clock, so the file
+// is the same bytes on every run.
+func mkLedger(t testing.TB, n int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	l, err := CreateLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.now = func() time.Time { return time.UnixMilli(1_700_000_000_000) }
 	if _, err := l.Append(kindHeader, headerData{JobID: "job-0001", Suite: "urlmatch"}); err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +162,83 @@ func TestLedgerRejectsMidFileGarbage(t *testing.T) {
 	if _, err := VerifyFile(path); !errors.As(err, &cerr) || cerr.Line != 3 {
 		t.Fatalf("want ChainError at line 3, got %v", err)
 	}
+}
+
+// TestLedgerDamagedFinalRecordRefused flips one byte of the last complete
+// record so it no longer parses. Append writes a record and its newline
+// together, so a newline-terminated line is no torn append: reopening must
+// refuse the file and leave it as it is, not truncate a written record away.
+func TestLedgerDamagedFinalRecordRefused(t *testing.T) {
+	path := mkLedger(t, 4)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(raw[:len(raw)-1], '\n') + 1
+	raw[last] ^= 1 // the record's opening brace
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cerr *ChainError
+	if _, _, err := OpenLedger(path); !errors.As(err, &cerr) || cerr.Line != 6 {
+		t.Fatalf("OpenLedger: want ChainError at line 6, got %v", err)
+	}
+	if _, err := VerifyFile(path); !errors.As(err, &cerr) || cerr.Line != 6 {
+		t.Fatalf("VerifyFile: want ChainError at line 6, got %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("refused ledger was modified (%d -> %d bytes, err %v)", len(raw), len(after), err)
+	}
+}
+
+// FuzzOpenLedger damages a valid ledger — cut bytes off its end, then XOR
+// bytes at fuzzed positions (three bytes per flip: a big-endian position and
+// the mask) — and reopens it. OpenLedger must refuse with a *ChainError, or
+// return the original's first records, one per complete line, in a file
+// VerifyFile accepts after the repair: never a silently accepted change or
+// dropped record, never a panic.
+func FuzzOpenLedger(f *testing.F) {
+	raw, err := os.ReadFile(mkLedger(f, 4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, _, err := replay(raw, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint16(0), []byte{})
+	f.Fuzz(func(t *testing.T, cut uint16, flips []byte) {
+		data := append([]byte(nil), raw[:len(raw)-int(cut)%(len(raw)+1)]...)
+		for i := 0; i+2 < len(flips) && len(data) > 0; i += 3 {
+			data[int(binary.BigEndian.Uint16(flips[i:]))%len(data)] ^= flips[i+2]
+		}
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := OpenLedger(path)
+		if err != nil {
+			var cerr *ChainError
+			if !errors.As(err, &cerr) {
+				t.Fatalf("OpenLedger: %v, want a *ChainError", err)
+			}
+			return
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if lines := bytes.Count(data, []byte("\n")); len(recs) != lines || lines > len(want) {
+			t.Fatalf("replayed %d records from %d complete lines (ledger of %d)", len(recs), lines, len(want))
+		}
+		for i, rec := range recs {
+			if rec.Hash != want[i].Hash {
+				t.Fatalf("record %d accepted with digest %s, want the original's %s", i+1, rec.Hash, want[i].Hash)
+			}
+		}
+		if n, err := VerifyFile(path); err != nil || n != len(recs) {
+			t.Fatalf("verify after repair: n=%d err=%v, want %d records", n, err, len(recs))
+		}
+	})
 }
 
 func TestCreateLedgerRefusesOverwrite(t *testing.T) {

@@ -367,29 +367,30 @@ func (a *Arena) evictNode(n *node) {
 	}
 }
 
-// Stats is a snapshot of arena activity.
+// Stats is a snapshot of arena activity. Its JSON and metric tags are the
+// names a serving layer publishes it under (/v1/stats, /metrics).
 type Stats struct {
 	// Hits and Misses count Acquire outcomes; a miss costs the caller one
 	// Prefill recompute.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Hits   int64 `json:"kv_hits" metric:"relm_kv_hits_total,counter,KV-arena prefix-state hits."`
+	Misses int64 `json:"kv_misses" metric:"relm_kv_misses_total,counter,KV-arena prefix-state misses."`
 	// Commits counts states inserted; Evictions counts states dropped to
 	// stay under budget.
-	Commits   int64 `json:"commits"`
-	Evictions int64 `json:"evictions"`
+	Commits   int64 `json:"-" metric:"-"`
+	Evictions int64 `json:"kv_evictions" metric:"relm_kv_evictions_total,counter,KV-arena evictions."`
 	// ResidentBytes is the current exclusive-byte total; Budget the limit.
-	ResidentBytes int64 `json:"resident_bytes"`
-	Budget        int64 `json:"budget_bytes"`
+	ResidentBytes int64 `json:"kv_resident_bytes" metric:"relm_kv_resident_bytes,gauge,KV-arena resident bytes."`
+	Budget        int64 `json:"-" metric:"-"`
 	// Nodes is the current entry count; Handles counts unreleased handles.
-	Nodes   int `json:"nodes"`
-	Handles int `json:"handles"`
+	Nodes   int `json:"kv_nodes" metric:"relm_kv_nodes,gauge,KV-arena resident prefix states."`
+	Handles int `json:"-" metric:"-"`
 	// DemotedNodes/DemotedBytes describe the demoted (token-only)
 	// nodes right now; Demotions and Promotions count transitions over the
 	// arena's life.
-	DemotedNodes int   `json:"demoted_nodes"`
-	DemotedBytes int64 `json:"demoted_bytes"`
-	Demotions    int64 `json:"demotions"`
-	Promotions   int64 `json:"promotions"`
+	DemotedNodes int   `json:"kv_demoted_nodes" metric:"relm_kv_demoted_nodes,gauge,KV-arena states demoted to their token context."`
+	DemotedBytes int64 `json:"kv_demoted_bytes" metric:"relm_kv_demoted_bytes,gauge,Bytes held by the demoted KV-arena states."`
+	Demotions    int64 `json:"kv_demotions" metric:"relm_kv_demotions_total,counter,States demoted to their token context."`
+	Promotions   int64 `json:"kv_promotions" metric:"relm_kv_promotions_total,counter,Demoted states promoted back."`
 }
 
 // Stats snapshots the counters.

@@ -79,10 +79,10 @@ func TestIncrementalQueryAndKVStats(t *testing.T) {
 		t.Fatalf("%d models in stats", len(stats.Models))
 	}
 	ms := stats.Models[0]
-	if ms.KVHits+ms.KVMisses == 0 {
+	if ms.KVStats.Hits+ms.KVStats.Misses == 0 {
 		t.Fatalf("incremental query left no KV-arena activity: %+v", ms)
 	}
-	if ms.KVNodes == 0 {
+	if ms.Nodes == 0 {
 		t.Fatal("no resident KV states after an incremental query")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -443,26 +444,49 @@ func TestStatsCoherence(t *testing.T) {
 		t.Errorf("retained %d > stored %d", ms.Trace.Retained, ms.Trace.Stored)
 	}
 
-	// Monotonicity: a later snapshot never decreases a counter family.
-	sr2 := getStats(t, ts)
-	ms2 := sr2.Models[0]
-	if ms2.Batcher == nil || ms2.Trace == nil {
-		t.Fatalf("second snapshot dropped blocks")
+	// Monotonicity: a later snapshot never decreases a counter — every
+	// field whose metric tag types it a counter.
+	old, cur := counterFields(sr), counterFields(getStats(t, ts))
+	if len(old) < 25 {
+		t.Fatalf("only %d counter fields in the snapshot: %v", len(old), old)
 	}
-	checks := []struct {
-		name     string
-		old, new int64
-	}{
-		{"fused_rows", ms.Batcher.Rows, ms2.Batcher.Rows},
-		{"fused_batches", ms.Batcher.FusedBatches, ms2.Batcher.FusedBatches},
-		{"trace_sampled", ms.Trace.Sampled, ms2.Trace.Sampled},
-		{"trace_stored", ms.Trace.Stored, ms2.Trace.Stored},
-		{"cache_misses", ms.CacheMisses, ms2.CacheMisses},
-		{"plan_misses", ms.PlanMisses, ms2.PlanMisses},
-	}
-	for _, c := range checks {
-		if c.new < c.old {
-			t.Errorf("%s moved backwards: %d -> %d", c.name, c.old, c.new)
+	for k, v := range old {
+		if nv, ok := cur[k]; !ok || nv < v {
+			t.Errorf("%s moved backwards: %g -> %g (present %v)", k, v, nv, ok)
 		}
 	}
+}
+
+// counterFields reads every counter-tagged field of a snapshot, keyed by
+// its path, walking the snapshot the way promWriter does.
+func counterFields(sr StatsResponse) map[string]float64 {
+	out := map[string]float64{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if v.Kind() == reflect.Pointer && !v.IsNil() {
+			v = v.Elem()
+		}
+		if v.Kind() != reflect.Struct {
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			tag := f.Tag.Get("metric")
+			_, rest, _ := strings.Cut(tag, ",")
+			switch {
+			case tag == "":
+				walk(fv, path+"."+f.Name)
+			case !strings.HasPrefix(rest, "counter,"):
+			case fv.CanFloat():
+				out[path+"."+f.Name] = fv.Float()
+			default:
+				out[path+"."+f.Name] = float64(fv.Int())
+			}
+		}
+	}
+	walk(reflect.ValueOf(sr), "stats")
+	for _, ms := range sr.Models {
+		walk(reflect.ValueOf(ms), "models["+ms.Name+"]")
+	}
+	return out
 }

@@ -342,50 +342,36 @@ func (s *Server) retire(rec *queryRecord, status string) {
 	s.byState[status]++
 }
 
-// ModelStats is one registry entry's shared-infrastructure counters.
+// ModelStats is one registry entry's shared-infrastructure counters. Each
+// counter is named once, by the tags on the field that counts it: the JSON
+// tag is its /v1/stats key, the metric tag its /metrics family
+// (`metric:"<family>,<counter|gauge>,<HELP>"`, or "-" for none). The plan
+// cache and the KV arena are embedded as they are, so their fields serve
+// flat (plan_hits, kv_hits, …); only values that arrive in another shape are
+// fields of their own.
 type ModelStats struct {
-	Name         string  `json:"name"`
-	VocabSize    int     `json:"vocab_size"`
-	MaxSeqLen    int     `json:"max_seq_len"`
-	DeviceClock  int64   `json:"device_clock_ms"`
-	DeviceUtil   float64 `json:"device_utilization"`
-	Batches      int64   `json:"device_batches"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheFlights int64   `json:"cache_flights"`
-	CacheLen     int     `json:"cache_len"`
+	Name      string `json:"name"`
+	VocabSize int    `json:"vocab_size" metric:"-"`
+	MaxSeqLen int    `json:"max_seq_len" metric:"-"`
+	// The device's clock (in ms) and busy fraction, and the logit cache's
+	// accessors.
+	DeviceClock  int64   `json:"device_clock_ms" metric:"relm_device_clock_ms,counter,Virtual device time consumed."`
+	DeviceUtil   float64 `json:"device_utilization" metric:"relm_device_utilization,gauge,Virtual device busy fraction."`
+	Batches      int64   `json:"device_batches" metric:"relm_device_batches_total,counter,Device batches dispatched."`
+	CacheHits    int64   `json:"cache_hits" metric:"relm_cache_hits_total,counter,Shared logit-cache hits."`
+	CacheMisses  int64   `json:"cache_misses" metric:"relm_cache_misses_total,counter,Shared logit-cache misses."`
+	CacheFlights int64   `json:"cache_flights" metric:"relm_cache_flights_total,counter,Logit-cache single-flight merges."`
+	CacheLen     int     `json:"cache_len" metric:"relm_cache_entries,gauge,Logit-cache resident entries."`
 	// CacheRowBytes is what CacheLen's rows hold (entries × vocabulary × 8):
 	// the logit cache's budget is an entry count, its memory is this.
-	CacheRowBytes int64 `json:"cache_row_bytes"`
-	// Plan-cache counters (DESIGN.md decision 9): PlanHits are queries that
-	// skipped regex/token compilation entirely because an identical compiled
-	// plan was cached; PlanCompileMS is the cumulative wall time the misses
-	// spent compiling — on a warm cache it stops growing.
-	PlanHits      int64 `json:"plan_hits"`
-	PlanMisses    int64 `json:"plan_misses"`
-	PlanBypassed  int64 `json:"plan_bypassed"`
-	PlanEntries   int   `json:"plan_entries"`
-	PlanCompileMS int64 `json:"plan_compile_ms"`
-	// Prefix-cache counters beside them: compiled prefix languages, reused
-	// only when a query's prefix (and its budgets) repeat.
-	PrefixHits    int64 `json:"prefix_hits"`
-	PrefixMisses  int64 `json:"prefix_misses"`
-	PrefixEntries int   `json:"prefix_entries"`
-	// KV-arena counters (DESIGN.md decision 10): parent-state reuse during
-	// incremental frontier expansion. KVHits are one-token extensions that
-	// replaced full-prefix forwards; KVEvictions and KVResidentBytes show
-	// the byte budget at work.
-	KVHits          int64 `json:"kv_hits"`
-	KVMisses        int64 `json:"kv_misses"`
-	KVEvictions     int64 `json:"kv_evictions"`
-	KVResidentBytes int64 `json:"kv_resident_bytes"`
-	KVNodes         int   `json:"kv_nodes"`
-	// Demotion counters (DESIGN.md decision 14): the arena's token-only
-	// nodes right now, and demotions/promotions over its lifetime.
-	KVDemotedNodes int   `json:"kv_demoted_nodes"`
-	KVDemotedBytes int64 `json:"kv_demoted_bytes"`
-	KVPromotions   int64 `json:"kv_promotions"`
-	KVDemotions    int64 `json:"kv_demotions"`
+	CacheRowBytes int64 `json:"cache_row_bytes" metric:"relm_cache_row_bytes,gauge,Bytes held by the logit-cache rows."`
+	// Plan-cache counters (DESIGN.md decision 9): PlanCompileMS is the
+	// cumulative wall time the misses spent compiling — on a warm cache it
+	// stops growing.
+	PlanCompileMS int64 `json:"plan_compile_ms" metric:"relm_plan_compile_ms_total,counter,Wall time spent compiling plans."`
+	relm.PlanCacheStats
+	// KV-arena counters (DESIGN.md decisions 10 and 14).
+	relm.KVStats
 	// Batcher is the continuous-batching section (DESIGN.md decision 12),
 	// present only when fusion is enabled on the model's device: how much
 	// cross-query packing the device gets, how deep the admission queue runs
@@ -402,8 +388,8 @@ type ModelStats struct {
 // validation-job subsystem is mounted: lifecycle counters plus ledger bytes
 // written, alongside the per-model kv_*/plan_* counters.
 type StatsResponse struct {
-	Active    int                `json:"active"`
-	Rejected  int64              `json:"rejected"`
+	Active    int                `json:"active" metric:"relm_queries_active,gauge,Queries currently streaming."`
+	Rejected  int64              `json:"rejected" metric:"relm_queries_rejected_total,counter,Queries refused by admission control."`
 	ByStatus  map[string]int64   `json:"by_status"`
 	Aggregate engine.Stats       `json:"aggregate"`
 	Queries   []QuerySnapshot    `json:"queries"`
@@ -480,40 +466,24 @@ func (s *Server) snapshotStats() StatsResponse {
 
 // modelStats snapshots one model's shared counter families back-to-back.
 func modelStats(n string, m *relm.Model) ModelStats {
+	ds, ps := m.Dev.Stats(), m.PlanCacheStats()
 	ms := ModelStats{
-		Name:      n,
-		VocabSize: m.LM.VocabSize(),
-		MaxSeqLen: m.LM.MaxSeqLen(),
+		Name:           n,
+		VocabSize:      m.LM.VocabSize(),
+		MaxSeqLen:      m.LM.MaxSeqLen(),
+		DeviceClock:    ds.Clock.Milliseconds(),
+		DeviceUtil:     ds.Utilization,
+		Batches:        ds.Batches,
+		PlanCompileMS:  ps.CompileTime.Milliseconds(),
+		PlanCacheStats: ps,
+		KVStats:        m.KVStats(),
 	}
-	ds := m.Dev.Stats()
-	ms.DeviceClock = ds.Clock.Milliseconds()
-	ms.DeviceUtil = ds.Utilization
-	ms.Batches = ds.Batches
 	if c := m.Cache(); c != nil {
 		ms.CacheHits, ms.CacheMisses = c.Stats()
 		ms.CacheFlights = c.FlightStats()
 		ms.CacheLen = c.Len()
 		ms.CacheRowBytes = c.RowBytes()
 	}
-	ps := m.PlanCacheStats()
-	ms.PlanHits = ps.Hits
-	ms.PlanMisses = ps.Misses
-	ms.PlanBypassed = ps.Bypassed
-	ms.PlanEntries = ps.Entries
-	ms.PlanCompileMS = ps.CompileTime.Milliseconds()
-	ms.PrefixHits = ps.PrefixHits
-	ms.PrefixMisses = ps.PrefixMisses
-	ms.PrefixEntries = ps.PrefixEntries
-	ks := m.KVStats()
-	ms.KVHits = ks.Hits
-	ms.KVMisses = ks.Misses
-	ms.KVEvictions = ks.Evictions
-	ms.KVResidentBytes = ks.ResidentBytes
-	ms.KVNodes = ks.Nodes
-	ms.KVDemotedNodes = ks.DemotedNodes
-	ms.KVDemotedBytes = ks.DemotedBytes
-	ms.KVPromotions = ks.Promotions
-	ms.KVDemotions = ks.Demotions
 	if m.Fused() {
 		bs := m.BatcherStats()
 		ms.Batcher = &bs

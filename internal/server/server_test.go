@@ -553,11 +553,8 @@ func TestStatsReportPlanCache(t *testing.T) {
 		t.Fatalf("models = %d", len(sr.Models))
 	}
 	ms := sr.Models[0]
-	if ms.PlanMisses != 1 || ms.PlanHits != 2 {
-		t.Fatalf("plan cache: %d hits / %d misses, want 2/1", ms.PlanHits, ms.PlanMisses)
-	}
-	if ms.PlanEntries != 1 {
-		t.Fatalf("plan entries = %d, want 1", ms.PlanEntries)
+	if ps := ms.PlanCacheStats; ps.Misses != 1 || ps.Hits != 2 || ps.Entries != 1 {
+		t.Fatalf("plan cache: %d hits / %d misses, %d entries, want 2/1, 1", ps.Hits, ps.Misses, ps.Entries)
 	}
 	if ms.PrefixMisses != 1 || ms.PrefixHits != 2 || ms.PrefixEntries != 1 {
 		t.Fatalf("prefix cache: %d hits / %d misses, %d entries, want 2/1, 1", ms.PrefixHits, ms.PrefixMisses, ms.PrefixEntries)

@@ -457,10 +457,10 @@ func (tr *Tracer) Get(id string) *Data {
 // Counts reports sampling activity: queries traced, queries skipped by the
 // sampling rate, and traces currently retained vs published overall.
 type Counts struct {
-	Sampled  int64 `json:"sampled"`
-	Skipped  int64 `json:"skipped"`
-	Stored   int64 `json:"stored"`
-	Retained int   `json:"retained"`
+	Sampled  int64 `json:"sampled" metric:"relm_trace_sampled_total,counter,Queries recorded as traces."`
+	Skipped  int64 `json:"skipped" metric:"relm_trace_skipped_total,counter,Queries skipped by the trace sampling rate."`
+	Stored   int64 `json:"stored" metric:"relm_trace_stored_total,counter,Traces published to the ring."`
+	Retained int   `json:"retained" metric:"relm_trace_retained,gauge,Traces currently retained for /v1/trace."`
 }
 
 // Counts snapshots the tracer's sampling counters.

@@ -13,31 +13,32 @@ import (
 // PlanCacheStats snapshots a model's compiled-plan cache counters. The
 // paper's core claim is that regex-to-token-automaton compilation is the
 // expensive, amortizable part of a validation query; these counters make the
-// amortization observable — a serving layer exports them per model and
-// Explain reports them per query.
+// amortization observable — a serving layer exports them per model, under
+// the names their JSON and metric tags give, and Explain reports them per
+// query.
 type PlanCacheStats struct {
 	// Hits are compilations skipped because an identical plan was cached or
 	// another query's compilation of it succeeded while this one waited.
-	Hits int64 `json:"hits"`
+	Hits int64 `json:"plan_hits" metric:"relm_plan_hits_total,counter,Plan-cache hits (compilation skipped)."`
 	// Misses are compilations actually performed. A failed compilation
 	// counts as a miss but is not cached; queries that waited on it count
 	// as neither a hit nor a miss.
-	Misses int64 `json:"misses"`
+	Misses int64 `json:"plan_misses" metric:"relm_plan_misses_total,counter,Plan-cache misses (plan compiled)."`
 	// Bypassed are queries that could not be keyed — a custom Preprocessor
 	// without a PlanKey — and compiled outside the cache.
-	Bypassed int64 `json:"bypassed"`
+	Bypassed int64 `json:"plan_bypassed" metric:"relm_plan_bypassed_total,counter,Queries that bypassed the plan cache."`
 	// Entries is the current number of cached plans.
-	Entries int `json:"entries"`
+	Entries int `json:"plan_entries" metric:"relm_plan_entries,gauge,Compiled plans resident."`
 	// CompileTime is the cumulative wall time spent compiling misses. On a
 	// warm cache it stops growing: repeat queries spend ~0 time compiling.
-	CompileTime time.Duration `json:"compile_ns"`
+	CompileTime time.Duration `json:"-" metric:"-"`
 	// PrefixHits, PrefixMisses and PrefixEntries count the same for the
 	// model's prefix cache, which holds compiled prefix languages apart from
 	// the pattern plans above; PlanCacheSize bounds each. Only a query whose
 	// prefix repeats can hit.
-	PrefixHits    int64 `json:"prefix_hits"`
-	PrefixMisses  int64 `json:"prefix_misses"`
-	PrefixEntries int   `json:"prefix_entries"`
+	PrefixHits    int64 `json:"prefix_hits" metric:"-"`
+	PrefixMisses  int64 `json:"prefix_misses" metric:"-"`
+	PrefixEntries int   `json:"prefix_entries" metric:"-"`
 }
 
 // planCache is a single-flight LRU over compiled products, shared by every

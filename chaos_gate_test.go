@@ -77,7 +77,8 @@ func TestChaosResumeByteIdentity(t *testing.T) {
 	killSpec.CancelAfterItems = items/2 + 1
 	armStorm(t)
 	defer fault.Disable()
-	killed, err := newMgr(dir).Submit(killSpec)
+	mKill := newMgr(dir)
+	killed, err := mKill.Submit(killSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +86,7 @@ func TestChaosResumeByteIdentity(t *testing.T) {
 	if got := killed.Status(); got != jobs.StatusCancelled {
 		t.Fatalf("stormed killed run: %s, want cancelled — transient faults must never fail a job", got)
 	}
+	checkReadRun(t, mKill, killed)
 
 	// Resume in a fresh manager with the storm re-armed from the same seed.
 	armStorm(t)
@@ -112,5 +114,26 @@ func TestChaosResumeByteIdentity(t *testing.T) {
 	}
 	if _, err := jobs.VerifyFile(mRes.LedgerPath(res.ID)); err != nil {
 		t.Fatalf("stormed ledger does not verify: %v", err)
+	}
+	checkReadRun(t, mRes, res)
+}
+
+// checkReadRun holds a finished job to its ledger as relm-audit report reads
+// it: the file alone must give the live job's results, ok count, resume
+// count and terminal status.
+func checkReadRun(t *testing.T, m *jobs.Manager, j *jobs.Job) {
+	t.Helper()
+	rf, err := jobs.ReadRun(m.LedgerPath(j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := j.Snapshot()
+	if got, want := chaosJSON(t, rf.Results), chaosJSON(t, j.Results()); got != want {
+		t.Fatalf("%s: ReadRun results differ from the live job's:\n got: %.200s...\nwant: %.200s...", j.ID, got, want)
+	}
+	if rf.OKItems != snap.Progress.OKItems || rf.Resumes != snap.Resumes ||
+		rf.Completed != (snap.Status == jobs.StatusCompleted) || rf.Cancelled != (snap.Status == jobs.StatusCancelled) {
+		t.Fatalf("%s: ReadRun ok=%d resumes=%d completed=%v cancelled=%v, live job ok=%d resumes=%d status=%s",
+			j.ID, rf.OKItems, rf.Resumes, rf.Completed, rf.Cancelled, snap.Progress.OKItems, snap.Resumes, snap.Status)
 	}
 }

@@ -8,8 +8,7 @@ import (
 // BenchmarkJobThroughput measures sustained items/sec through the full
 // subsystem — scheduler, worker pool, per-item ledger appends — on the
 // model-free urlmatch suite, at worker-pool widths 1 and 8. CI runs one
-// iteration of each arm as a smoke test and records the numbers in
-// BENCH_pr5.json.
+// iteration of each arm as a smoke test.
 func BenchmarkJobThroughput(b *testing.B) {
 	env := testEnv(b)
 	for _, workers := range []int{1, 8} {

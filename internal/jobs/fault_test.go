@@ -81,6 +81,7 @@ func TestJobSurvivesTransientDeviceFaults(t *testing.T) {
 	if _, err := VerifyFile(m.LedgerPath(j.ID)); err != nil {
 		t.Fatalf("ledger verify: %v", err)
 	}
+	checkLiveIsReplayed(t, m, j)
 }
 
 // TestPermanentDeviceFaultQuarantinesItem: a permanent fault spends no retry
@@ -121,6 +122,61 @@ func TestPermanentDeviceFaultQuarantinesItem(t *testing.T) {
 	}
 	if _, err := VerifyFile(m.LedgerPath(j.ID)); err != nil {
 		t.Fatalf("ledger verify: %v", err)
+	}
+	checkLiveIsReplayed(t, m, j)
+}
+
+// TestFailedAppendLeavesNoLiveState: a record whose append fails never
+// reaches the live state. The first append of the run fails permanently —
+// an item record in one arm, a quarantine record in the other — so the job
+// fails, and its results, progress and quarantine count must say what the
+// ledger says: nothing was recorded.
+func TestFailedAppendLeavesNoLiveState(t *testing.T) {
+	arms := []struct {
+		name string
+		spec Spec
+		arm  func(*fault.Injector) *fault.Injector
+	}{
+		{"item", Spec{Suite: "urlmatch", Model: "large"}, func(in *fault.Injector) *fault.Injector { return in }},
+		// The small model's cache is cold for memorization in this package,
+		// so the first item dispatches and is poisoned.
+		{"quarantine", Spec{Suite: "memorization", Model: "small", ShardSize: 2}, func(in *fault.Injector) *fault.Injector {
+			return in.Set(fault.DeviceForward, fault.Spec{Prob: 1, Class: fault.Permanent}).
+				Set(fault.DevicePrefill, fault.Spec{Prob: 1, Class: fault.Permanent}).
+				Set(fault.DeviceExtend, fault.Spec{Prob: 1, Class: fault.Permanent}).
+				Set(fault.DeviceScoreAll, fault.Spec{Prob: 1, Class: fault.Permanent})
+		}},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			m := newTestManager(t, Config{})
+			m.PauseDispatch()
+			j, err := m.Submit(arm.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := arm.arm(fault.New(3).Set(fault.LedgerAppend, fault.Spec{FailN: 1, Class: fault.Permanent}))
+			fault.Enable(in)
+			t.Cleanup(fault.Disable)
+			m.ResumeDispatch()
+			waitTerminal(t, j)
+			fault.Disable()
+
+			if got := j.Status(); got != StatusFailed {
+				t.Fatalf("status %s, want failed", got)
+			}
+			if in.Injected(fault.LedgerAppend) != 1 {
+				t.Fatalf("%d append faults injected, want 1", in.Injected(fault.LedgerAppend))
+			}
+			snap := j.Snapshot()
+			path := m.LedgerPath(j.ID)
+			if items, quarantined := countKind(t, path, kindItem), countKind(t, path, kindQuarantine); len(j.Results()) != items ||
+				snap.Progress.ItemsDone != items || snap.Quarantined != quarantined || items+quarantined != 0 {
+				t.Fatalf("live: %d results, items_done %d, %d quarantined; ledger: %d item and %d quarantine records, want all 0",
+					len(j.Results()), snap.Progress.ItemsDone, snap.Quarantined, items, quarantined)
+			}
+			checkLiveIsReplayed(t, m, j)
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,9 +19,11 @@ import (
 // subsystem (DESIGN.md decision 11), following the off-chain-results /
 // on-chain-integrity split of hybrid audit-log architectures: results live
 // as plain JSONL anyone can read, while each record embeds the SHA-256
-// digest of its predecessor, so the file as a whole is tamper-evident — a
-// flipped byte anywhere breaks every link after it, and Verify reports the
-// first broken one.
+// digest of its predecessor, so the file as a whole is tamper-evident. The
+// digest covers every field's value, and replay refuses a line that is not
+// byte for byte what Append writes for the record it parses to (a key in
+// another case, extra spacing, a different escape), so a changed byte
+// anywhere is caught at its own line, and Verify reports the first such line.
 //
 // Record kinds, in the order a run emits them:
 //
@@ -176,19 +177,13 @@ func replay(raw []byte, tolerateTail bool) ([]Record, int64, error) {
 	for len(raw) > 0 {
 		line++
 		nl := bytes.IndexByte(raw, '\n')
-		var rowEnd int
-		var row []byte
-		if nl < 0 {
-			row, rowEnd = raw, len(raw)
-		} else {
-			row, rowEnd = raw[:nl], nl+1
-		}
 		if nl < 0 {
 			if tolerateTail {
 				return recs, offset, nil
 			}
 			return nil, 0, &ChainError{Line: line, Reason: "record line is missing its newline"}
 		}
+		row := raw[:nl]
 		var rec Record
 		if err := json.Unmarshal(row, &rec); err != nil {
 			return nil, 0, &ChainError{Line: line, Seq: rec.Seq, Reason: "record is not valid JSON"}
@@ -196,10 +191,15 @@ func replay(raw []byte, tolerateTail bool) ([]Record, int64, error) {
 		if cerr := verifyRecord(&rec, prev, int64(len(recs)+1), line); cerr != nil {
 			return nil, 0, cerr
 		}
+		// encoding/json matches keys case-insensitively and skips spacing,
+		// and the digest covers values only: the bytes must be Append's own.
+		if canon, err := json.Marshal(rec); err != nil || !bytes.Equal(canon, row) {
+			return nil, 0, &ChainError{Line: line, Seq: rec.Seq, Reason: "record is not in canonical form"}
+		}
 		prev = rec.Hash
 		recs = append(recs, rec)
-		offset += int64(rowEnd)
-		raw = raw[rowEnd:]
+		offset += int64(nl + 1)
+		raw = raw[nl+1:]
 	}
 	return recs, offset, nil
 }
@@ -311,15 +311,4 @@ func (l *Ledger) Close() error {
 		return err
 	}
 	return l.f.Close()
-}
-
-// decodeData unmarshals a record's payload into out with strict fields, so
-// ledger format drift fails loudly on replay rather than zero-filling.
-func decodeData(rec Record, out interface{}) error {
-	dec := json.NewDecoder(strings.NewReader(string(rec.Data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
-		return fmt.Errorf("ledger: decode %s record seq %d: %w", rec.Kind, rec.Seq, err)
-	}
-	return nil
 }

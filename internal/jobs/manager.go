@@ -86,7 +86,7 @@ type Manager struct {
 	active   int
 	paused   bool
 	reserved int             // admitted submissions not yet in the heap
-	resuming map[string]bool // job ids with a Resume in flight
+	pending  map[string]bool // job ids admitted and not yet enqueued
 	nextID   int
 	nextSeq  int64 // queue tiebreaker across submissions
 
@@ -113,30 +113,50 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	return &Manager{
-		cfg:      cfg,
-		models:   map[string]*relm.Model{},
-		jobs:     map[string]*Job{},
-		resuming: map[string]bool{},
+		cfg:     cfg,
+		models:  map[string]*relm.Model{},
+		jobs:    map[string]*Job{},
+		pending: map[string]bool{},
 	}, nil
 }
 
-// admit reserves a queue slot under admission control; the reservation is
-// consumed by enqueue or returned by unadmit on an error path. Reserving
-// (rather than checking twice) keeps MaxQueued a hard bound under
-// concurrent submissions.
-func (m *Manager) admit() error {
+// admit reserves a queue slot under admission control for job id, or for
+// a fresh id when id is empty, and returns the id. The id stays pending
+// until enqueue consumes the reservation or unadmit returns it, and a
+// pending or live job cannot be admitted again: two resumes of one job
+// would open two append handles on its ledger and interleave records,
+// permanently breaking the hash chain. Reserving (rather than checking
+// twice) keeps MaxQueued a hard bound under concurrent submissions.
+func (m *Manager) admit(id string) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.pending[id] {
+		return "", fmt.Errorf("%w: job %s is already being admitted", ErrInvalid, id)
+	}
+	if j, ok := m.jobs[id]; ok {
+		if st := j.Status(); st == StatusQueued || st == StatusRunning {
+			return "", fmt.Errorf("%w: job %s is %s", ErrInvalid, id, st)
+		}
+	}
 	if len(m.queue)+m.reserved >= m.cfg.MaxQueued {
-		return fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
+		return "", fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
+	}
+	for id == "" {
+		m.nextID++
+		next := fmt.Sprintf("job-%04d", m.nextID)
+		if _, err := os.Stat(m.LedgerPath(next)); os.IsNotExist(err) {
+			id = next
+		}
 	}
 	m.reserved++
-	return nil
+	m.pending[id] = true
+	return id, nil
 }
 
-func (m *Manager) unadmit() {
+func (m *Manager) unadmit(id string) {
 	m.mu.Lock()
 	m.reserved--
+	delete(m.pending, id)
 	m.mu.Unlock()
 }
 
@@ -171,30 +191,21 @@ func (m *Manager) lookupModel(name string) (*relm.Model, string, error) {
 // and a ledger. All mutable state is guarded by mu; Wait blocks until the
 // run reaches a terminal status.
 type Job struct {
-	ID      string
-	Spec    Spec
-	suite   Suite
-	model   *relm.Model
-	modelNm string
-	ledger  *Ledger
-	items   []Item
-	shards  [][]int // shard -> item indices
+	ID     string
+	Spec   Spec
+	suite  Suite
+	model  *relm.Model
+	ledger *Ledger
+	items  []Item
+	shards [][]int // shard -> item indices
 
-	mu         sync.Mutex
-	status     string
-	errMsg     string
-	doneShards map[int]bool
-	results    map[int]ItemResult // item index -> result
-	// quarantinedIdx marks poison items: their execution exhausted the
-	// transient retry budget or hit a permanent fault, so they are recorded
-	// in the ledger and skipped — kept out of results so the merged result
-	// set stays byte-deterministic — instead of failing the whole sweep.
-	quarantinedIdx map[int]bool
-	okItems        int
-	engine         engine.Stats
-	resumes        int
-	started        time.Time
-	finished       time.Time
+	mu       sync.Mutex
+	status   string
+	errMsg   string
+	state    runState // the fold of the ledger's records
+	engine   engine.Stats
+	started  time.Time
+	finished time.Time
 
 	kvStart   relm.KVStats
 	planStart relm.PlanCacheStats
@@ -214,65 +225,7 @@ type Job struct {
 	queueSeq int64 // submission order, the priority tiebreaker
 	heapIdx  int
 
-	appendedThisRun atomic.Int64
-	retries         atomic.Int64 // transient-fault retries (items + ledger ops)
-}
-
-// ledger record payloads -------------------------------------------------
-
-type headerData struct {
-	JobID     string `json:"job_id"`
-	Suite     string `json:"suite"`
-	Model     string `json:"model"`
-	ModelFP   string `json:"model_fp"`
-	Spec      Spec   `json:"spec"`
-	Items     int    `json:"items"`
-	ItemsHash string `json:"items_hash"`
-	Shards    int    `json:"shards"`
-}
-
-type itemData struct {
-	Shard  int        `json:"shard"`
-	Index  int        `json:"index"`
-	Result ItemResult `json:"result"`
-}
-
-type shardDoneData struct {
-	Shard int `json:"shard"`
-	Items int `json:"items"`
-}
-
-type checkpointData struct {
-	ShardsDone int `json:"shards_done"`
-	ItemsDone  int `json:"items_done"`
-}
-
-type resumeData struct {
-	Attempt    int `json:"attempt"`
-	ShardsDone int `json:"shards_done"`
-	ItemsDone  int `json:"items_done"`
-}
-
-type cancelData struct {
-	Reason    string `json:"reason,omitempty"`
-	ItemsDone int    `json:"items_done"`
-}
-
-type quarantineData struct {
-	Shard    int    `json:"shard"`
-	Index    int    `json:"index"`
-	Attempts int    `json:"attempts"`
-	Error    string `json:"error"`
-}
-
-type completeData struct {
-	ItemsDone int          `json:"items_done"`
-	OKItems   int          `json:"ok_items"`
-	Engine    engine.Stats `json:"engine"`
-	// Stages is the job's trace-stage breakdown (DESIGN.md decision 16),
-	// durable in the ledger so `relm-audit report` can attribute a finished
-	// sweep's time per pipeline stage.
-	Stages map[string]StageDelta `json:"stages,omitempty"`
+	retries atomic.Int64 // transient-fault retries (items + ledger ops)
 }
 
 // itemsHash fingerprints the worklist so a resume against a different env
@@ -291,10 +244,7 @@ func itemsHash(items []Item) string {
 func shardIndices(n, sz int) [][]int {
 	var shards [][]int
 	for start := 0; start < n; start += sz {
-		end := start + sz
-		if end > n {
-			end = n
-		}
+		end := min(start+sz, n)
 		idx := make([]int, 0, end-start)
 		for i := start; i < end; i++ {
 			idx = append(idx, i)
@@ -309,15 +259,10 @@ func (m *Manager) LedgerPath(id string) string {
 	return filepath.Join(m.cfg.Dir, id+".jsonl")
 }
 
-// Submit validates a spec, writes the ledger header, and enqueues the job.
-func (m *Manager) Submit(spec Spec) (*Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	spec = spec.withDefaults()
-	if spec.Workers > m.cfg.MaxWorkers {
-		return nil, fmt.Errorf("%w: workers must be <= %d, got %d", ErrInvalid, m.cfg.MaxWorkers, spec.Workers)
-	}
+// newJob builds a queued job over spec's suite worklist and registered
+// model, with the empty run state: Submit gives it a new ledger, Resume the
+// state its replayed ledger folds to.
+func (m *Manager) newJob(spec Spec) (*Job, error) {
 	suite, err := NewSuite(m.cfg.Env, spec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -328,11 +273,51 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 	spec.Model = modelName
 	items := suite.Items(spec.MaxItems)
-	if len(items) == 0 {
+	return &Job{
+		Spec:   spec,
+		suite:  suite,
+		model:  model,
+		items:  items,
+		shards: shardIndices(len(items), spec.ShardSize),
+		status: StatusQueued,
+		state:  newRunState(),
+		done:   make(chan struct{}),
+	}, nil
+}
+
+// header is the job's identity record: Submit writes it, and Resume
+// refuses a ledger whose model fingerprint or item-list hash differ.
+func (j *Job) header() *headerData {
+	return &headerData{
+		JobID:     j.ID,
+		Suite:     j.Spec.Suite,
+		Model:     j.Spec.Model,
+		ModelFP:   j.model.Fingerprint(),
+		Spec:      j.Spec,
+		Items:     len(j.items),
+		ItemsHash: itemsHash(j.items),
+		Shards:    len(j.shards),
+	}
+}
+
+// Submit validates a spec, writes the ledger header, and enqueues the job.
+func (m *Manager) Submit(spec Spec) (*Job, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	spec = spec.withDefaults()
+	if spec.Workers > m.cfg.MaxWorkers {
+		return nil, fmt.Errorf("%w: workers must be <= %d, got %d", ErrInvalid, m.cfg.MaxWorkers, spec.Workers)
+	}
+	j, err := m.newJob(spec)
+	if err != nil {
+		return nil, err
+	}
+	if len(j.items) == 0 {
 		return nil, fmt.Errorf("%w: suite %q produced no items", ErrInvalid, spec.Suite)
 	}
-	seen := make(map[string]struct{}, len(items))
-	for _, it := range items {
+	seen := make(map[string]struct{}, len(j.items))
+	for _, it := range j.items {
 		// Result merging, resume dedup, and NDJSON streaming all key on
 		// item IDs; a colliding worklist would silently drop results.
 		if _, dup := seen[it.ID]; dup {
@@ -341,55 +326,16 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		seen[it.ID] = struct{}{}
 	}
 
-	if err := m.admit(); err != nil {
+	if j.ID, err = m.admit(""); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	var id string
-	for {
-		m.nextID++
-		id = fmt.Sprintf("job-%04d", m.nextID)
-		if _, err := os.Stat(m.LedgerPath(id)); os.IsNotExist(err) {
-			break
-		}
-	}
-	m.nextSeq++
-	seq := m.nextSeq
-	m.mu.Unlock()
-
-	ledger, err := CreateLedger(m.LedgerPath(id))
-	if err != nil {
-		m.unadmit()
+	if j.ledger, err = CreateLedger(m.LedgerPath(j.ID)); err != nil {
+		m.unadmit(j.ID)
 		return nil, err
 	}
-	j := &Job{
-		ID:             id,
-		Spec:           spec,
-		suite:          suite,
-		model:          model,
-		modelNm:        modelName,
-		ledger:         ledger,
-		items:          items,
-		shards:         shardIndices(len(items), spec.ShardSize),
-		status:         StatusQueued,
-		doneShards:     map[int]bool{},
-		results:        map[int]ItemResult{},
-		quarantinedIdx: map[int]bool{},
-		done:           make(chan struct{}),
-		queueSeq:       seq,
-	}
-	if _, err := ledger.Append(kindHeader, headerData{
-		JobID:     id,
-		Suite:     spec.Suite,
-		Model:     modelName,
-		ModelFP:   model.Fingerprint(),
-		Spec:      spec,
-		Items:     len(items),
-		ItemsHash: itemsHash(items),
-		Shards:    len(j.shards),
-	}); err != nil {
-		_ = ledger.Close() // the Append error already aborts the submit
-		m.unadmit()
+	if _, err := j.ledger.Append(kindHeader, j.header()); err != nil {
+		_ = j.ledger.Close() // the Append error already aborts the submit
+		m.unadmit(j.ID)
 		return nil, err
 	}
 	m.submitted.Add(1)
@@ -403,59 +349,27 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 // hash must match the manager's current model and env — resuming a run
 // against a different world would merge incomparable results.
 func (m *Manager) Resume(id string) (*Job, error) {
-	// Serialize resumes per job id: two concurrent Resume calls would open
-	// two append handles on one ledger and interleave records, permanently
-	// breaking the hash chain. The resuming mark is held (and the queue
-	// slot reserved) until the job is enqueued or the resume fails.
-	m.mu.Lock()
-	if m.resuming[id] {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: a resume of job %s is already in progress", ErrInvalid, id)
+	if _, err := m.admit(id); err != nil {
+		return nil, err
 	}
-	if existing, ok := m.jobs[id]; ok {
-		existing.mu.Lock()
-		st := existing.status
-		existing.mu.Unlock()
-		if st == StatusQueued || st == StatusRunning {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("%w: job %s is %s", ErrInvalid, id, st)
-		}
-	}
-	if len(m.queue)+m.reserved >= m.cfg.MaxQueued {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
-	}
-	m.reserved++
-	m.resuming[id] = true
-	m.mu.Unlock()
-	release := func() {
-		m.mu.Lock()
-		m.reserved--
-		delete(m.resuming, id)
-		m.mu.Unlock()
-	}
-
 	ledger, recs, err := OpenLedger(m.LedgerPath(id))
 	if err != nil {
-		release()
+		m.unadmit(id)
 		if os.IsNotExist(errors.Unwrap(err)) {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
 		return nil, err
 	}
-	// fail closes the ledger and returns the queue reservation on every
+	// fail closes the ledger and returns the admission reservation on every
 	// error path past this point.
 	fail := func(err error) (*Job, error) {
 		_ = ledger.Close() // resume already failed; the original error wins
-		release()
+		m.unadmit(id)
 		return nil, err
 	}
-	if len(recs) == 0 || recs[0].Kind != kindHeader {
-		return fail(fmt.Errorf("%w: ledger for %s has no header", ErrInvalid, id))
-	}
-	var hdr headerData
-	if err := decodeData(recs[0], &hdr); err != nil {
-		return fail(err)
+	hdr, state, err := fold(recs)
+	if err != nil {
+		return fail(fmt.Errorf("%w: %s: %v", ErrInvalid, id, err))
 	}
 	spec := hdr.Spec.withDefaults()
 	// The kill switch belongs to the run that carried it, not the job: a
@@ -467,96 +381,36 @@ func (m *Manager) Resume(id string) (*Job, error) {
 	if spec.Workers > m.cfg.MaxWorkers {
 		spec.Workers = m.cfg.MaxWorkers
 	}
-	suite, err := NewSuite(m.cfg.Env, spec)
-	if err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrInvalid, err))
-	}
-	model, modelName, err := m.lookupModel(hdr.Model)
+	j, err := m.newJob(spec)
 	if err != nil {
 		return fail(err)
 	}
-	if fp := model.Fingerprint(); fp != hdr.ModelFP {
+	if want := j.header(); want.ModelFP != hdr.ModelFP {
 		return fail(fmt.Errorf("%w: model %q fingerprint %.12s does not match ledger header %.12s",
-			ErrInvalid, modelName, fp, hdr.ModelFP))
-	}
-	items := suite.Items(spec.MaxItems)
-	if got := itemsHash(items); got != hdr.ItemsHash {
+			ErrInvalid, want.Model, want.ModelFP, hdr.ModelFP))
+	} else if want.ItemsHash != hdr.ItemsHash {
 		return fail(fmt.Errorf("%w: item list hash %.12s does not match ledger header %.12s (env changed?)",
-			ErrInvalid, got, hdr.ItemsHash))
+			ErrInvalid, want.ItemsHash, hdr.ItemsHash))
 	}
-
-	j := &Job{
-		ID:             id,
-		Spec:           spec,
-		suite:          suite,
-		model:          model,
-		modelNm:        modelName,
-		ledger:         ledger,
-		items:          items,
-		shards:         shardIndices(len(items), spec.ShardSize),
-		status:         StatusQueued,
-		doneShards:     map[int]bool{},
-		results:        map[int]ItemResult{},
-		quarantinedIdx: map[int]bool{},
-		done:           make(chan struct{}),
-		resumes:        1,
-	}
-	for _, rec := range recs[1:] {
-		switch rec.Kind {
-		case kindItem:
-			var d itemData
-			if err := decodeData(rec, &d); err != nil {
-				return fail(err)
-			}
-			if _, dup := j.results[d.Index]; !dup {
-				j.results[d.Index] = d.Result
-				if d.Result.OK {
-					j.okItems++
-				}
-			}
-		case kindShardDone:
-			var d shardDoneData
-			if err := decodeData(rec, &d); err != nil {
-				return fail(err)
-			}
-			j.doneShards[d.Shard] = true
-		case kindQuarantine:
-			var d quarantineData
-			if err := decodeData(rec, &d); err != nil {
-				return fail(err)
-			}
-			// A past run already burned this item's budget; don't re-poison
-			// the resumed run with it.
-			j.quarantinedIdx[d.Index] = true
-		case kindResume:
-			j.resumes++
-		}
-	}
-	m.mu.Lock()
-	m.nextSeq++
-	j.queueSeq = m.nextSeq
-	m.mu.Unlock()
-
-	if _, err := ledger.Append(kindResume, resumeData{
-		Attempt:    j.resumes,
-		ShardsDone: len(j.doneShards),
-		ItemsDone:  len(j.results),
-	}); err != nil {
+	j.ID, j.ledger, j.state = id, ledger, state
+	resume := &resumeData{Attempt: state.resumes + 1, ShardsDone: len(state.doneShards), ItemsDone: len(state.results)}
+	if _, err := ledger.Append(kindResume, resume); err != nil {
 		return fail(err)
 	}
-
+	j.state.apply(resume)
 	m.resumed.Add(1)
 	m.enqueue(j)
 	return j, nil
 }
 
 // enqueue registers the job and kicks the dispatcher, consuming the
-// admission reservation Submit/Resume took (and releasing any resume
-// serialization mark).
+// admission reservation Submit/Resume took.
 func (m *Manager) enqueue(j *Job) {
 	m.mu.Lock()
 	m.reserved--
-	delete(m.resuming, j.ID)
+	delete(m.pending, j.ID)
+	m.nextSeq++
+	j.queueSeq = m.nextSeq
 	m.jobs[j.ID] = j
 	heap.Push(&m.queue, j)
 	m.dispatchLocked()
@@ -607,72 +461,44 @@ func (m *Manager) dispatchLocked() {
 func (m *Manager) runJob(j *Job, ctx context.Context) {
 	var wg sync.WaitGroup
 	shardCh := make(chan int)
-	var shardsThisRun atomic.Int64
+	var shardsThisRun, itemsThisRun atomic.Int64
 	var appendErr atomic.Value // error
 
+	retried := func(int, error) {
+		j.retries.Add(1)
+		m.retries.Add(1)
+	}
 	// ledgerRetry runs a ledger operation under the transient-retry policy.
 	// It deliberately ignores the job context: a kill arriving between an
 	// item's computation and its append must not turn an already-paid result
 	// into a lost one — the append either lands or exhausts its budget.
 	ledgerRetry := func(op string, fn func() error) error {
-		return fault.Backoff{
-			Attempts: 5,
-			Seed:     fault.SeedFrom(j.ID, op),
-			OnRetry: func(int, error) {
-				j.retries.Add(1)
-				m.retries.Add(1)
-			},
-		}.Retry(context.Background(), fn)
+		return fault.Backoff{Attempts: 5, Seed: fault.SeedFrom(j.ID, op), OnRetry: retried}.Retry(context.Background(), fn)
 	}
 
-	recordItem := func(shard, index int, res ItemResult, st engine.Stats) bool {
-		j.mu.Lock()
-		if _, dup := j.results[index]; dup {
-			j.engine.Add(st)
+	// record is the run's one state transition: it appends a record, outside
+	// j.mu, and only once the ledger holds it folds the record into the
+	// job's state, so the live state never runs ahead of the file. A
+	// checkpoint or complete record is also an fsync barrier. A failure is
+	// the run's error and cancels it.
+	record := func(kind string, payload interface{}) bool {
+		err := ledgerRetry(kind, func() error {
+			_, err := j.ledger.Append(kind, payload)
+			return err
+		})
+		if err == nil {
+			j.mu.Lock()
+			j.state.apply(payload)
 			j.mu.Unlock()
-			return true
+			if kind == kindCheckpoint || kind == kindComplete {
+				err = ledgerRetry("sync", j.ledger.Sync)
+			}
 		}
-		j.results[index] = res
-		if res.OK {
-			j.okItems++
-		}
-		j.engine.Add(st)
-		j.mu.Unlock()
-		if err := ledgerRetry("item", func() error {
-			_, err := j.ledger.Append(kindItem, itemData{Shard: shard, Index: index, Result: res})
-			return err
-		}); err != nil {
+		if err != nil {
 			appendErr.Store(err)
 			j.cancelCtx()
-			return false
 		}
-		m.itemsDone.Add(1)
-		n := j.appendedThisRun.Add(1)
-		if j.Spec.CancelAfterItems > 0 && n >= int64(j.Spec.CancelAfterItems) {
-			j.cancelCtx()
-		}
-		return true
-	}
-
-	// quarantine records a poison item and skips it: the sweep keeps its
-	// other results instead of failing wholesale. Quarantined items stay out
-	// of j.results so Results() remains byte-deterministic.
-	quarantine := func(shard, index, attempts int, cause error) bool {
-		j.mu.Lock()
-		j.quarantinedIdx[index] = true
-		j.mu.Unlock()
-		m.quarantined.Add(1)
-		if err := ledgerRetry("quarantine", func() error {
-			_, err := j.ledger.Append(kindQuarantine, quarantineData{
-				Shard: shard, Index: index, Attempts: attempts, Error: cause.Error(),
-			})
-			return err
-		}); err != nil {
-			appendErr.Store(err)
-			j.cancelCtx()
-			return false
-		}
-		return true
+		return err == nil
 	}
 
 	for w := 0; w < j.Spec.Workers; w++ {
@@ -695,8 +521,8 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 						break
 					}
 					j.mu.Lock()
-					_, have := j.results[idx]
-					quarantined := j.quarantinedIdx[idx]
+					_, have := j.state.results[idx]
+					quarantined := j.state.quarantined[idx]
 					j.mu.Unlock()
 					if have || quarantined {
 						continue // recorded (or poisoned) before a crash mid-shard
@@ -707,10 +533,9 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 					err := fault.Backoff{
 						Attempts: m.cfg.ItemAttempts,
 						Seed:     fault.SeedFrom(j.ID, strconv.Itoa(idx)),
-						OnRetry: func(int, error) {
+						OnRetry: func(n int, err error) {
 							attempts++
-							j.retries.Add(1)
-							m.retries.Add(1)
+							retried(n, err)
 						},
 					}.Retry(ctx, func() (err error) {
 						// A device fault is the attempt's error: transient
@@ -720,48 +545,40 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 					})
 					if err != nil {
 						// A poison item — its budget spent, or a fault that can
-						// never heal — is recorded and skipped. A cancelled or
-						// unclassified attempt is discarded: the resume re-runs it.
+						// never heal — is recorded and skipped, out of the
+						// results. A cancelled or unclassified attempt is
+						// discarded: the resume re-runs it.
 						poison := errors.Is(err, fault.ErrExhausted) || errors.Is(err, fault.ErrPermanent)
-						if ctx.Err() == nil && poison && !quarantine(si, idx, attempts, err) {
-							return
+						if ctx.Err() == nil && poison {
+							if !record(kindQuarantine, &quarantineData{Shard: si, Index: idx, Attempts: attempts, Error: err.Error()}) {
+								return
+							}
+							m.quarantined.Add(1)
 						}
 						continue
 					}
-					if !recordItem(si, idx, res, st) {
+					j.mu.Lock()
+					j.engine.Add(st)
+					j.mu.Unlock()
+					if !record(kindItem, &itemData{Shard: si, Index: idx, Result: res}) {
 						return
+					}
+					m.itemsDone.Add(1)
+					if n := itemsThisRun.Add(1); j.Spec.CancelAfterItems > 0 && n >= int64(j.Spec.CancelAfterItems) {
+						j.cancelCtx()
 					}
 				}
 				if ctx.Err() != nil {
 					continue
 				}
-				if err := ledgerRetry("shard_done", func() error {
-					_, err := j.ledger.Append(kindShardDone, shardDoneData{Shard: si, Items: len(j.shards[si])})
-					return err
-				}); err != nil {
-					appendErr.Store(err)
-					j.cancelCtx()
+				if !record(kindShardDone, &shardDoneData{Shard: si, Items: len(j.shards[si])}) {
 					return
 				}
-				j.mu.Lock()
-				j.doneShards[si] = true
-				shardsDone, itemsDone := len(j.doneShards), len(j.results)
-				j.mu.Unlock()
 				if n := shardsThisRun.Add(1); n%int64(j.Spec.CheckpointEvery) == 0 {
-					if err := ledgerRetry("checkpoint", func() error {
-						_, err := j.ledger.Append(kindCheckpoint, checkpointData{
-							ShardsDone: shardsDone,
-							ItemsDone:  itemsDone,
-						})
-						return err
-					}); err != nil {
-						appendErr.Store(err)
-						j.cancelCtx()
-						return
-					}
-					if err := ledgerRetry("sync", j.ledger.Sync); err != nil {
-						appendErr.Store(err)
-						j.cancelCtx()
+					j.mu.Lock()
+					cp := &checkpointData{ShardsDone: len(j.state.doneShards), ItemsDone: len(j.state.results)}
+					j.mu.Unlock()
+					if !record(kindCheckpoint, cp) {
 						return
 					}
 				}
@@ -772,7 +589,7 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 feed:
 	for si := range j.shards {
 		j.mu.Lock()
-		skip := j.doneShards[si]
+		skip := j.state.doneShards[si]
 		j.mu.Unlock()
 		if skip {
 			continue
@@ -786,31 +603,24 @@ feed:
 	close(shardCh)
 	wg.Wait()
 
-	// Terminal transition.
-	j.mu.Lock()
-	itemsDone, okItems, es := len(j.results), j.okItems, j.engine
-	stageStart := j.stageStart
-	j.mu.Unlock()
+	// Terminal transition: a cancelled run records why, best effort; a
+	// finished one records its totals.
 	endStages := j.model.Tracer().StageTotals()
-	var status, errMsg string
+	status, errMsg := StatusCompleted, ""
+	if appendErr.Load() == nil && ctx.Err() != nil {
+		status, errMsg = StatusCancelled, "cancelled"
+		j.mu.Lock()
+		j.cancelLocked(errMsg)
+		j.mu.Unlock()
+	} else if appendErr.Load() == nil {
+		j.mu.Lock()
+		done := &completeData{ItemsDone: len(j.state.results), OKItems: j.state.okItems, Engine: j.engine,
+			Stages: stageDelta(j.stageStart, endStages)}
+		j.mu.Unlock()
+		record(kindComplete, done)
+	}
 	if err, _ := appendErr.Load().(error); err != nil {
 		status, errMsg = StatusFailed, err.Error()
-	} else if ctx.Err() != nil {
-		status, errMsg = StatusCancelled, "cancelled"
-		_, _ = j.ledger.Append(kindCancel, cancelData{Reason: errMsg, ItemsDone: itemsDone})
-	} else {
-		status = StatusCompleted
-		if err := ledgerRetry("complete", func() error {
-			_, err := j.ledger.Append(kindComplete, completeData{
-				ItemsDone: itemsDone, OKItems: okItems, Engine: es,
-				Stages: stageDelta(stageStart, endStages),
-			})
-			return err
-		}); err != nil {
-			status, errMsg = StatusFailed, err.Error()
-		} else if err := ledgerRetry("final_sync", j.ledger.Sync); err != nil {
-			status, errMsg = StatusFailed, err.Error()
-		}
 	}
 	// A failed Close means buffered terminal records may never have reached
 	// the file: Verify would see a truncated chain. Don't report the run as
@@ -846,6 +656,16 @@ feed:
 	m.mu.Unlock()
 }
 
+// cancelLocked appends a cancel record and folds it in once the ledger
+// holds it. It is best effort, with no retry: the job is cancelled either
+// way, and Verify tolerates a missing cancel record. Caller holds j.mu.
+func (j *Job) cancelLocked(reason string) {
+	c := &cancelData{Reason: reason, ItemsDone: len(j.state.results)}
+	if _, err := j.ledger.Append(kindCancel, c); err == nil {
+		j.state.apply(c)
+	}
+}
+
 // Drain checkpoints the subsystem for shutdown: dispatch pauses, every
 // queued and running job is cancelled (a cancel record is a checkpoint — the
 // job resumes from it later), and Drain waits for each to reach a terminal
@@ -854,12 +674,7 @@ feed:
 // still unwinding when the deadline hit.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.PauseDispatch()
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
+	jobs := m.all()
 	for _, j := range jobs {
 		switch j.Status() {
 		case StatusQueued, StatusRunning:
@@ -905,8 +720,8 @@ func (m *Manager) Cancel(id string) error {
 		j.status = StatusCancelled
 		j.errMsg = "cancelled while queued"
 		j.finished = time.Now()
-		_, _ = j.ledger.Append(kindCancel, cancelData{Reason: j.errMsg, ItemsDone: len(j.results)})
-		_ = j.ledger.Close() // job is cancelled either way; Verify tolerates a missing cancel record
+		j.cancelLocked(j.errMsg)
+		_ = j.ledger.Close() // the job is cancelled either way
 		j.mu.Unlock()
 		m.mu.Unlock()
 		m.cancelled.Add(1) // before done closes, as in the run epilogue
@@ -928,14 +743,20 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List snapshots every known job, newest first.
-func (m *Manager) List() []Snapshot {
+// all returns every known job.
+func (m *Manager) all() []*Job {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
-	m.mu.Unlock()
+	return jobs
+}
+
+// List snapshots every known job, newest first.
+func (m *Manager) List() []Snapshot {
+	jobs := m.all()
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID > jobs[k].ID })
 	out := make([]Snapshot, len(jobs))
 	for i, j := range jobs {
@@ -956,21 +777,13 @@ func (m *Manager) Stats() ManagerStats {
 		Retries:     m.retries.Load(),
 		Quarantined: m.quarantined.Load(),
 	}
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.status {
+	for _, j := range m.all() {
+		switch j.Status() {
 		case StatusQueued:
 			st.Queued++
 		case StatusRunning:
 			st.Running++
 		}
-		j.mu.Unlock()
 		st.LedgerBytes += j.ledger.Bytes()
 	}
 	return st
@@ -999,13 +812,7 @@ func (j *Job) EngineStats() engine.Stats {
 func (j *Job) Results() []ItemResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]ItemResult, 0, len(j.results))
-	for i := range j.items {
-		if r, ok := j.results[i]; ok {
-			out = append(out, r)
-		}
-	}
-	return out
+	return j.state.ordered(len(j.items))
 }
 
 // Snapshot captures the job's externally visible state.
@@ -1015,22 +822,22 @@ func (j *Job) Snapshot() Snapshot {
 	snap := Snapshot{
 		ID:       j.ID,
 		Suite:    j.Spec.Suite,
-		Model:    j.modelNm,
+		Model:    j.Spec.Model,
 		Status:   j.status,
 		Error:    j.errMsg,
 		Priority: j.Spec.Priority,
-		Resumes:  j.resumes,
+		Resumes:  j.state.resumes,
 		Progress: Progress{
 			Items:      len(j.items),
-			ItemsDone:  len(j.results),
+			ItemsDone:  len(j.state.results),
 			Shards:     len(j.shards),
-			ShardsDone: len(j.doneShards),
-			OKItems:    j.okItems,
+			ShardsDone: len(j.state.doneShards),
+			OKItems:    j.state.okItems,
 		},
 		Engine:      j.engine,
 		LedgerBytes: j.ledger.Bytes(),
 		Retries:     j.retries.Load(),
-		Quarantined: len(j.quarantinedIdx),
+		Quarantined: len(j.state.quarantined),
 	}
 	if !j.started.IsZero() {
 		end := j.finished

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if full.Status() != StatusCompleted {
 		t.Fatalf("reference run: %s (%+v)", full.Status(), full.Snapshot())
 	}
+	checkLiveIsReplayed(t, mFull, full)
 	wantResults := mustJSON(t, full.Results())
 	fullStats := full.EngineStats()
 	items := len(full.items)
@@ -148,6 +150,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if got := len(killed.Results()); got >= items || got < killAfter {
 		t.Fatalf("killed run recorded %d results, want in [%d, %d)", got, killAfter, items)
 	}
+	checkLiveIsReplayed(t, mKill, killed)
 
 	// Resume in a fresh manager over the same ledger directory — the
 	// process-crash shape: nothing survives but the file.
@@ -160,6 +163,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if resumed.Status() != StatusCompleted {
 		t.Fatalf("resumed run: %s (%s)", resumed.Status(), resumed.Snapshot().Error)
 	}
+	checkLiveIsReplayed(t, mRes, resumed)
 
 	// (a) the finished ledger passes hash-chain validation.
 	if _, err := VerifyFile(mRes.LedgerPath(resumed.ID)); err != nil {
@@ -425,6 +429,7 @@ func TestConcurrentSubmitPollCancel(t *testing.T) {
 		if _, err := VerifyFile(m.LedgerPath(j.ID)); err != nil {
 			t.Errorf("ledger %s: %v", j.ID, err)
 		}
+		checkLiveIsReplayed(t, m, j)
 	}
 }
 
@@ -454,6 +459,39 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatalf("cancel unknown: %v, want ErrNotFound", err)
 	}
 	waitTerminal(t, j1)
+	checkLiveIsReplayed(t, m, j1)
+	checkLiveIsReplayed(t, m, j2)
+}
+
+// foldFile strictly replays a ledger file and returns the state its records
+// fold to — what Resume and ReadRun rebuild from the file alone.
+func foldFile(t testing.TB, path string) runState {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := replay(raw, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := fold(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// checkLiveIsReplayed fails unless a terminal job's live state equals the
+// fold of its ledger file: the run applied exactly the records it wrote.
+func checkLiveIsReplayed(t testing.TB, m *Manager, j *Job) {
+	t.Helper()
+	j.mu.Lock()
+	live := j.state
+	j.mu.Unlock()
+	if replayed := foldFile(t, m.LedgerPath(j.ID)); !reflect.DeepEqual(live, replayed) {
+		t.Fatalf("job %s: live state differs from its ledger's fold\n  live: %+v\nledger: %+v", j.ID, live, replayed)
+	}
 }
 
 func mustJSON(t testing.TB, v interface{}) string {

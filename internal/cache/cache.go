@@ -11,6 +11,11 @@
 // that is already being computed until the first computation lands — so a
 // parallel executor never pays for the same forward twice. The recency list
 // and the single-flight tables are internal/lru's.
+//
+// One type serves every client (DESIGN.md decisions 4 and 8): an LM is a
+// view of the shared store, and a scope is another view of it that also
+// counts which rows its own calls hit, computed or waited for. Each scoring
+// method has one body, which records its outcome on the view it ran on.
 package cache
 
 import (
@@ -21,8 +26,19 @@ import (
 	"repro/internal/model"
 )
 
-// LM wraps a LanguageModel with an LRU cache keyed by context.
+// LM wraps a LanguageModel with an LRU cache keyed by context. An LM is a
+// view of one store — the LRU, the single-flight tables and the totals — that
+// every view of the cache shares: New returns the root view, and NewScope
+// another view that also tallies its own share of the outcomes.
 type LM struct {
+	*store
+	// scoped marks a view NewScope made; the root view keeps no tally.
+	scoped bool
+	tally  struct{ hits, misses, flights atomic.Int64 }
+}
+
+// store is what every view of one cache shares.
+type store struct {
 	inner model.LanguageModel
 
 	mu   sync.Mutex
@@ -37,13 +53,10 @@ type LM struct {
 	hits, misses, flights int64
 }
 
-// New wraps inner with a cache of at most capacity contexts. capacity <= 0
-// defaults to 4096.
+// New wraps inner with a cache of at most capacity contexts; capacity must be
+// at least 1.
 func New(inner model.LanguageModel, capacity int) *LM {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &LM{inner: inner, rows: lru.NewMap[[]float64](capacity)}
+	return &LM{store: &store{inner: inner, rows: lru.NewMap[[]float64](capacity)}}
 }
 
 // VocabSize implements model.LanguageModel.
@@ -68,22 +81,7 @@ func (c *LM) NextLogProbs(ctx []model.Token) []float64 {
 // (DESIGN.md decision 4): a hit, a miss and a flight waiter all get the one
 // slice the LRU stores, so no row is ever copied.
 func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
-	out, _ := c.scoreBatch(ctxs)
-	return out
-}
-
-// BatchStats breaks one ScoreBatch call down by outcome: rows answered from
-// the LRU (Hits), rows this call computed (Misses), and rows that parked on
-// a computation already in flight — on another goroutine or earlier in the
-// same batch (Flights). Hits+Misses+Flights equals the number of rows.
-type BatchStats struct {
-	Hits, Misses, Flights int64
-}
-
-// scoreBatch is the shared implementation; it reports the per-call outcome
-// breakdown so scopes can attribute shared-cache behavior to one client.
-func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
-	var bs BatchStats
+	var bs ScopeStats
 	out := make([][]float64, len(ctxs))
 
 	// Classification under one lock pass: each row is a hit, a wait on an
@@ -147,7 +145,8 @@ func (c *LM) scoreBatch(ctxs [][]model.Token) ([][]float64, BatchStats) {
 		}
 		out[w.idx] = lp
 	}
-	return out, bs
+	c.record(bs)
+	return out
 }
 
 // Stats reports cache hits and misses since creation. Requests that reused
@@ -181,55 +180,38 @@ func (c *LM) RowBytes() int64 {
 	return int64(c.Len()) * int64(c.inner.VocabSize()) * 8
 }
 
-// ScopeStats is a snapshot of one scope's share of shared-cache activity.
-// Its Hits include rows *other* scopes computed — exactly the cross-query
-// sharing a server wants to observe — its Misses are rows this scope
-// computed (and published for everyone), and its Flights rows it reused from
-// a computation another goroutine, possibly another scope, had in flight.
-type ScopeStats = BatchStats
+// ScopeStats breaks a scope's calls down by outcome: rows answered from the
+// LRU (Hits), rows it computed and published for everyone (Misses), and rows
+// that parked on a computation already in flight — on another goroutine,
+// possibly another scope's, or earlier in the same batch (Flights). Its Hits
+// include rows *other* scopes computed: exactly the cross-query sharing a
+// server wants to observe. Hits+Misses+Flights equals the rows requested.
+type ScopeStats struct {
+	Hits, Misses, Flights int64
+}
 
-// Scope is a per-client view of a shared cache: it forwards every request to
-// the same LRU and single-flight table, but tallies hits/misses/flights for
-// this client alone. A query-serving layer gives each query its own Scope so
+// NewScope returns a fresh view over the shared cache that tallies its own
+// outcomes. A query-serving layer gives each query its own scope so
 // /v1/stats can attribute shared-cache wins to individual queries while the
-// underlying cache deduplicates work across all of them (DESIGN.md
-// decision 8). Scopes are safe for concurrent use and cost two atomics per
-// batch beyond the shared path.
-type Scope struct {
-	lm                    *LM
-	hits, misses, flights atomic.Int64
+// store deduplicates work across all of them (DESIGN.md decision 8). A scope
+// is one allocation and costs three atomics per call beyond the shared path.
+func (c *LM) NewScope() *LM { return &LM{store: c.store, scoped: true} }
+
+// record adds one call's outcome to a scope's tally.
+func (c *LM) record(st ScopeStats) {
+	if c.scoped {
+		c.tally.hits.Add(st.Hits)
+		c.tally.misses.Add(st.Misses)
+		c.tally.flights.Add(st.Flights)
+	}
 }
 
-// NewScope returns a fresh attribution view over the shared cache.
-func (c *LM) NewScope() *Scope { return &Scope{lm: c} }
-
-// VocabSize implements model.LanguageModel.
-func (s *Scope) VocabSize() int { return s.lm.VocabSize() }
-
-// EOS implements model.LanguageModel.
-func (s *Scope) EOS() model.Token { return s.lm.EOS() }
-
-// MaxSeqLen implements model.LanguageModel.
-func (s *Scope) MaxSeqLen() int { return s.lm.MaxSeqLen() }
-
-// NextLogProbs implements model.LanguageModel.
-func (s *Scope) NextLogProbs(ctx []model.Token) []float64 {
-	return s.ScoreBatch([][]model.Token{ctx})[0]
-}
-
-// ScoreBatch implements model.LanguageModel via the shared cache, tallying
-// this scope's share of the outcome.
-func (s *Scope) ScoreBatch(ctxs [][]model.Token) [][]float64 {
-	out, bs := s.lm.scoreBatch(ctxs)
-	s.add(bs)
-	return out
-}
-
-// Stats snapshots the scope's attribution counters.
-func (s *Scope) Stats() ScopeStats {
+// Tally snapshots a scope's share of the outcomes. The root view keeps none
+// and reads zero; Stats and FlightStats are the store's totals.
+func (c *LM) Tally() ScopeStats {
 	return ScopeStats{
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-		Flights: s.flights.Load(),
+		Hits:    c.tally.hits.Load(),
+		Misses:  c.tally.misses.Load(),
+		Flights: c.tally.flights.Load(),
 	}
 }

@@ -8,51 +8,29 @@ import (
 // Incremental decoding through the cache (DESIGN.md decision 10): the logit
 // LRU is the outer layer. The engine asks it first, through the device's
 // resident probe, and calls Prefill/ExtendBatch only for contexts it does not
-// hold. For an inner model with real prefix states (the Transformer) those
-// delegate — the caller needs the state, and a row cannot make one — and
-// every computed next-token row is published into the LRU, keeping the cache
-// warm for full-path and cross-query requests. For window models with
-// trivial states, the incremental calls route through ScoreBatch, so the LRU
-// and single-flight machinery apply row by row exactly as on the full path.
+// hold — and only on a model with real prefix states (the Transformer), since
+// the engines gate on HasPrefixStates. Those calls delegate to the inner
+// model — the caller needs the state, and a row cannot make one — and every
+// computed next-token row is published into the LRU, keeping the cache warm
+// for full-path and cross-query requests. A window model reaching them gets
+// model.Prefill/Extend's generic states, and its rows are published the same
+// way.
 
 // HasPrefixStates implements model.PrefixStateful by delegation.
 func (c *LM) HasPrefixStates() bool { return model.HasPrefixStates(c.inner) }
 
-// HasPrefixStates implements model.PrefixStateful by delegation.
-func (s *Scope) HasPrefixStates() bool { return s.lm.HasPrefixStates() }
-
 // Prefill implements model.Incremental.
 func (c *LM) Prefill(ctx []model.Token) (model.DecodeState, []float64) {
-	st, lp, _ := c.prefill(ctx)
+	st, lp := model.Prefill(c.inner, ctx)
+	c.publish([][]float64{lp}, func(int) []model.Token { return st.Context() })
 	return st, lp
-}
-
-func (c *LM) prefill(ctx []model.Token) (model.DecodeState, []float64, BatchStats) {
-	if _, ok := c.inner.(model.Incremental); ok {
-		st, lp := model.Prefill(c.inner, ctx)
-		bs := c.publish([][]float64{lp}, func(int) []model.Token { return st.Context() })
-		return st, lp, bs
-	}
-	st, cl := model.PrefillCtx(c.inner, ctx)
-	rows, bs := c.scoreBatch([][]model.Token{cl})
-	return st, rows[0], bs
 }
 
 // ExtendBatch implements model.Incremental.
 func (c *LM) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64) {
-	out, rows, _ := c.extendBatch(states, tokens)
+	out, rows := model.Extend(c.inner, states, tokens)
+	c.publish(rows, func(i int) []model.Token { return out[i].Context() })
 	return out, rows
-}
-
-func (c *LM) extendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64, BatchStats) {
-	if im, ok := c.inner.(model.Incremental); ok {
-		out, rows := im.ExtendBatch(states, tokens)
-		bs := c.publish(rows, func(i int) []model.Token { return out[i].Context() })
-		return out, rows, bs
-	}
-	out, ctxs := model.ExtendCtxs(c.inner, states, tokens)
-	rows, bs := c.scoreBatch(ctxs)
-	return out, rows, bs
 }
 
 // ScoreAllPositions implements model.AllPositions. When the inner model has
@@ -62,11 +40,6 @@ func (c *LM) extendBatch(states []model.DecodeState, tokens []model.Token) ([]mo
 // concurrent requests for the same sequence share one computation through a
 // sequence-level single flight.
 func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
-	rows, _ := c.scoreAllPositions(seq)
-	return rows
-}
-
-func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 	ap, ok := c.inner.(model.AllPositions)
 	if !ok {
 		// Window model: per-position rows through the LRU, full granularity.
@@ -74,10 +47,10 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 		for p := range seq {
 			ctxs[p] = model.ClampWindow(c.inner, seq[:p])
 		}
-		return c.scoreBatch(ctxs)
+		return c.ScoreBatch(ctxs)
 	}
 	if len(seq) == 0 {
-		return nil, BatchStats{}
+		return nil
 	}
 
 	// All-hit fast path, under one lock pass (the same check the device's
@@ -89,7 +62,8 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 	if out := c.residentSeqLocked(seq, buf); out != nil {
 		c.hits += n
 		c.mu.Unlock()
-		return out, BatchStats{Hits: n}
+		c.record(ScopeStats{Hits: n})
+		return out
 	}
 
 	// Miss: single-flight the whole sequence, keyed by all of it.
@@ -101,7 +75,8 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 		if err != nil {
 			panic(err) // the owner failed; the cache has no error return
 		}
-		return rows, BatchStats{Flights: n}
+		c.record(ScopeStats{Flights: n})
+		return rows
 	}
 	f := c.seqFlights.Start(string(*buf))
 	c.misses += n
@@ -113,21 +88,22 @@ func (c *LM) scoreAllPositions(seq []model.Token) ([][]float64, BatchStats) {
 	c.publishLocked(buf, rows, func(p int) []model.Token { return model.ClampWindow(c.inner, seq[:p]) })
 	c.seqFlights.Finish(f, rows, nil)
 	c.mu.Unlock()
-	return rows, BatchStats{Misses: n}
+	c.record(ScopeStats{Misses: n})
+	return rows
 }
 
-// publish counts rows the inner model computed outside scoreBatch — by a
+// publish counts rows the inner model computed outside ScoreBatch — by a
 // delegated Prefill or ExtendBatch — as misses, so aggregate hit ratios stay
 // meaningful under incremental traffic, and publishes them into the LRU,
 // under one lock pass. Row i conditions on ctx(i).
-func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) BatchStats {
+func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) {
 	buf := model.GetKeyBuf()
 	c.mu.Lock()
 	c.misses += int64(len(rows))
 	c.publishLocked(buf, rows, ctx)
 	c.mu.Unlock()
 	model.PutKeyBuf(buf)
-	return BatchStats{Misses: int64(len(rows))}
+	c.record(ScopeStats{Misses: int64(len(rows))})
 }
 
 // publishLocked inserts each computed row the LRU does not hold yet, so
@@ -142,31 +118,4 @@ func (c *LM) publishLocked(buf *[]byte, rows [][]float64, ctx func(i int) []mode
 			c.rows.Add(string(*buf), lp)
 		}
 	}
-}
-
-// Prefill implements model.Incremental for the scope view.
-func (s *Scope) Prefill(ctx []model.Token) (model.DecodeState, []float64) {
-	st, lp, bs := s.lm.prefill(ctx)
-	s.add(bs)
-	return st, lp
-}
-
-// ExtendBatch implements model.Incremental for the scope view.
-func (s *Scope) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64) {
-	out, rows, bs := s.lm.extendBatch(states, tokens)
-	s.add(bs)
-	return out, rows
-}
-
-// ScoreAllPositions implements model.AllPositions for the scope view.
-func (s *Scope) ScoreAllPositions(seq []model.Token) [][]float64 {
-	rows, bs := s.lm.scoreAllPositions(seq)
-	s.add(bs)
-	return rows
-}
-
-func (s *Scope) add(bs BatchStats) {
-	s.hits.Add(bs.Hits)
-	s.misses.Add(bs.Misses)
-	s.flights.Add(bs.Flights)
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -87,22 +88,40 @@ func TestScoreAllPositionsSingleFlight(t *testing.T) {
 	}
 }
 
-// TestWindowModelIncrementalUsesLRU: for a non-incremental inner model the
-// extend path must route through the LRU (hit on repeat), not recompute.
-func TestWindowModelIncrementalUsesLRU(t *testing.T) {
+// TestWindowModelIncrementalPublishesRows: a window model reaching Prefill
+// or ExtendBatch gets the generic window states, rows bit-identical to
+// NextLogProbs on the clamped context, and those rows published, so a later
+// ScoreBatch of the context is a hit.
+func TestWindowModelIncrementalPublishesRows(t *testing.T) {
 	lines := []string{"the cat sat on the mat"}
 	tok := tokenizer.Train(lines, 60)
-	ng := model.TrainNGram(lines, tok, model.NGramConfig{Order: 3, MaxSeqLen: 24})
+	ng := model.TrainNGram(lines, tok, model.NGramConfig{Order: 3, MaxSeqLen: 4})
 	c := New(ng, 128)
-	ctx := tok.Encode("the cat")
-	next := tok.Encode(" sat")[0]
-	st, _ := c.Prefill(ctx)
-	c.ExtendBatch([]model.DecodeState{st}, []model.Token{next})
-	_, m0 := c.Stats()
-	c.ExtendBatch([]model.DecodeState{st}, []model.Token{next}) // repeat: LRU hit
-	hits, m1 := c.Stats()
-	if hits == 0 || m1 != m0 {
-		t.Fatalf("repeat extend of a window model bypassed the LRU (hits=%d, misses %d->%d)", hits, m0, m1)
+	ctx := tok.Encode("the cat sat on the")
+	next := tok.Encode(" mat")[0]
+	st, lp := c.Prefill(ctx)
+	ext, rows := c.ExtendBatch([]model.DecodeState{st}, []model.Token{next})
+
+	extended := append(append([]model.Token{}, ctx...), next)
+	for _, r := range []struct {
+		name string
+		ctx  []model.Token
+		st   model.DecodeState
+		lp   []float64
+	}{{"Prefill", ctx, st, lp}, {"ExtendBatch", extended, ext[0], rows[0]}} {
+		clamped := model.ClampWindow(ng, r.ctx)
+		if !slices.Equal(r.st.Context(), clamped) {
+			t.Errorf("%s state holds %v, want the clamped context %v", r.name, r.st.Context(), clamped)
+		}
+		if !slices.Equal(r.lp, ng.NextLogProbs(clamped)) {
+			t.Errorf("%s row differs from NextLogProbs on the clamped context", r.name)
+		}
+	}
+
+	h0, m0 := c.Stats()
+	c.ScoreBatch([][]model.Token{model.ClampWindow(ng, ctx), model.ClampWindow(ng, extended)})
+	if h, m := c.Stats(); h-h0 != 2 || m != m0 {
+		t.Fatalf("ScoreBatch after Prefill/ExtendBatch: +%d hits +%d misses, want 2 hits 0 misses", h-h0, m-m0)
 	}
 }
 

@@ -7,7 +7,7 @@ import "repro/internal/model"
 // never charged to the virtual accelerator, never parked in the fusion
 // window, and never handed to a scoring worker. The probe is one lock pass
 // over the LRU: it hands out the stored rows (read-only, like every
-// row), bumps recency and the hit counters exactly as scoreBatch would have,
+// row), bumps recency and the hit counters exactly as ScoreBatch would have,
 // but never looks at the in-flight tables — a row someone else is computing
 // is simply reported missing, and the dispatch that follows resolves it
 // through the usual single flight.
@@ -27,6 +27,7 @@ func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
 	c.hits += int64(n)
 	c.mu.Unlock()
 	model.PutKeyBuf(buf)
+	c.record(ScopeStats{Hits: int64(n)})
 	return n
 }
 
@@ -46,6 +47,7 @@ func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 	c.hits += hits
 	c.mu.Unlock()
 	model.PutKeyBuf(buf)
+	c.record(ScopeStats{Hits: hits})
 	return n
 }
 
@@ -67,21 +69,4 @@ func (c *LM) residentSeqLocked(seq []model.Token, buf *[]byte) [][]float64 {
 		rows[p] = lp
 	}
 	return rows
-}
-
-// ResidentRows implements model.Resident for the scope view, attributing the
-// answered rows to this scope's hits.
-func (s *Scope) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
-	n := s.lm.ResidentRows(ctxs, out)
-	s.hits.Add(int64(n))
-	return n
-}
-
-// ResidentAllPositions implements model.Resident for the scope view.
-func (s *Scope) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
-	n := s.lm.ResidentAllPositions(seqs, out)
-	for _, rows := range out {
-		s.hits.Add(int64(len(rows)))
-	}
-	return n
 }

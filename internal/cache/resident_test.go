@@ -90,7 +90,7 @@ func TestResidentAllPositionsIsAllOrNothing(t *testing.T) {
 			if h, m := c.Stats(); h-h0 != int64(len(tc.warm)) || m != m0 {
 				t.Errorf("probe counted %d hits / %d misses, want %d / 0", h-h0, m-m0, len(tc.warm))
 			}
-			if st := s.Stats(); st.Hits != int64(len(tc.warm)) || st.Misses+st.Flights != 0 {
+			if st := s.Tally(); st.Hits != int64(len(tc.warm)) || st.Misses+st.Flights != 0 {
 				t.Errorf("scope attributed %+v, want %d hits", st, len(tc.warm))
 			}
 			for p := range want {
@@ -112,10 +112,10 @@ func TestScopeResidentRowsAttributesHits(t *testing.T) {
 	if n := b.ResidentRows(ctxs, out); n != 3 {
 		t.Fatalf("probe answered %d rows, want 3", n)
 	}
-	if st := b.Stats(); st.Hits != 3 || st.Misses+st.Flights != 0 {
+	if st := b.Tally(); st.Hits != 3 || st.Misses+st.Flights != 0 {
 		t.Errorf("probing scope attributed %+v, want 3 hits", st)
 	}
-	if st := a.Stats(); st.Hits != 0 || st.Misses != 3 {
+	if st := a.Tally(); st.Hits != 0 || st.Misses != 3 {
 		t.Errorf("computing scope attributed %+v, want 3 misses", st)
 	}
 }

@@ -25,14 +25,14 @@ func TestScopeAttributesSequential(t *testing.T) {
 
 	a := c.NewScope()
 	a.ScoreBatch(ctxs)
-	as := a.Stats()
+	as := a.Tally()
 	if as.Misses != 10 || as.Hits != 0 {
 		t.Fatalf("cold scope stats = %+v, want 10 misses", as)
 	}
 
 	b := c.NewScope()
 	b.ScoreBatch(ctxs)
-	bs := b.Stats()
+	bs := b.Tally()
 	if bs.Hits != 10 || bs.Misses != 0 {
 		t.Errorf("warm scope stats = %+v, want 10 hits", bs)
 	}
@@ -55,12 +55,12 @@ func TestScopeOutcomesPartitionRows(t *testing.T) {
 	ctxs := scopeCtxs(32)
 
 	const scopes = 8
-	all := make([]*Scope, scopes)
+	all := make([]*LM, scopes)
 	var wg sync.WaitGroup
 	for i := range all {
 		all[i] = c.NewScope()
 		wg.Add(1)
-		go func(s *Scope) {
+		go func(s *LM) {
 			defer wg.Done()
 			s.ScoreBatch(ctxs)
 		}(all[i])
@@ -69,7 +69,7 @@ func TestScopeOutcomesPartitionRows(t *testing.T) {
 
 	var hits, misses, flights int64
 	for _, s := range all {
-		st := s.Stats()
+		st := s.Tally()
 		if st.Hits+st.Misses+st.Flights != int64(len(ctxs)) {
 			t.Errorf("scope outcomes %+v don't partition %d rows", st, len(ctxs))
 		}
@@ -216,4 +216,78 @@ func (m *countingModel) calls() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.n
+}
+
+// TestViewTalliesSumToStore: for every scoring method, over a transformer
+// (real decode states) and over a window model, what two views tally adds up
+// to what the shared store counted. The store is half warm, so a method that
+// reads the LRU sees both hits and misses, and the second view repeats the
+// first view's call.
+func TestViewTalliesSumToStore(t *testing.T) {
+	tlm, ttok := testTransformer(t)
+	for _, lm := range []struct {
+		name  string
+		inner model.LanguageModel
+		seq   []model.Token
+	}{
+		{"transformer", tlm, ttok.Encode("the cat sat on the")},
+		{"window", newCounting(), tok(1, 2, 3, 4, 5)},
+	} {
+		seq := lm.seq
+		var prefixes [][]model.Token
+		for p := range seq {
+			prefixes = append(prefixes, seq[:p+1])
+		}
+		states := make([]model.DecodeState, len(prefixes)-1)
+		for i := range states {
+			states[i], _ = model.Prefill(lm.inner, prefixes[i])
+		}
+		out := make([][]float64, len(prefixes))
+		for _, m := range []struct {
+			name string
+			call func(v *LM)
+		}{
+			{"ScoreBatch", func(v *LM) { v.ScoreBatch(prefixes) }},
+			{"NextLogProbs", func(v *LM) { v.NextLogProbs(seq) }},
+			{"Prefill", func(v *LM) { v.Prefill(seq) }},
+			{"ExtendBatch", func(v *LM) { v.ExtendBatch(states, seq[1:]) }},
+			{"ScoreAllPositions", func(v *LM) { v.ScoreAllPositions(seq) }},
+			{"ResidentRows", func(v *LM) { v.ResidentRows(prefixes, out) }},
+			{"ResidentAllPositions", func(v *LM) {
+				v.ResidentAllPositions([][]model.Token{seq, seq[:2]}, make([][][]float64, 2))
+			}},
+		} {
+			t.Run(lm.name+"/"+m.name, func(t *testing.T) {
+				c := New(lm.inner, 128)
+				c.ScoreBatch(prefixes[:len(prefixes)/2])
+				c.ScoreAllPositions(seq[:2])
+				h0, m0 := c.Stats()
+				f0 := c.FlightStats()
+
+				a, b := c.NewScope(), c.NewScope()
+				m.call(a)
+				m.call(b)
+				as, bs := a.Tally(), b.Tally()
+				h1, m1 := c.Stats()
+				sum := ScopeStats{Hits: as.Hits + bs.Hits, Misses: as.Misses + bs.Misses, Flights: as.Flights + bs.Flights}
+				if store := (ScopeStats{Hits: h1 - h0, Misses: m1 - m0, Flights: c.FlightStats() - f0}); sum != store {
+					t.Errorf("views tally %+v + %+v = %+v, store counted %+v", as, bs, sum, store)
+				}
+				if sum == (ScopeStats{}) {
+					t.Error("the call classified no row")
+				}
+			})
+		}
+	}
+}
+
+// TestNewScopeIsOneAllocation: a scope embeds its tally, so a session's view
+// of the shared cache costs one allocation.
+func TestNewScopeIsOneAllocation(t *testing.T) {
+	c := New(newCounting(), 16)
+	var v *LM
+	if allocs := testing.AllocsPerRun(100, func() { v = c.NewScope() }); allocs != 1 {
+		t.Errorf("NewScope made %.0f allocations, want 1", allocs)
+	}
+	_ = v
 }

@@ -89,7 +89,7 @@ func TestExtendBatchMixedStateKinds(t *testing.T) {
 	ctxA := []model.Token{1, 2, 3}
 	ctxB := []model.Token{4, 5}
 	stA, _ := lm.Prefill(ctxA)
-	stB, _ := model.PrefillCtx(lm, ctxB) // generic state, not transformer-extendable
+	stB := &model.CtxState{Toks: ctxB} // generic state, not transformer-extendable
 
 	_, rows := must2(d.ExtendBatch([]model.DecodeState{stA, stB}, []model.Token{6, 7}))
 	wantA := lm.NextLogProbs([]model.Token{1, 2, 3, 6})

@@ -320,7 +320,7 @@ func TestScopeOutcomesPartitionRowsThroughDevice(t *testing.T) {
 		}
 		want := int64(3 * (len(residentCtxs) + positions))
 
-		scopes := make([]*cache.Scope, 8)
+		scopes := make([]*cache.LM, 8)
 		var wg sync.WaitGroup
 		for i := range scopes {
 			scopes[i] = r.c.NewScope()
@@ -338,7 +338,7 @@ func TestScopeOutcomesPartitionRowsThroughDevice(t *testing.T) {
 
 		var hits, misses, flights int64
 		for i, s := range scopes {
-			st := s.Stats()
+			st := s.Tally()
 			if st.Hits+st.Misses+st.Flights != want {
 				t.Errorf("scope %d: outcomes %+v don't partition %d rows", i, st, want)
 			}

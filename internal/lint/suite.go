@@ -42,6 +42,7 @@ func Suite() []ScopedAnalyzer {
 			"repro/internal/jobs",
 			"repro/internal/cache",
 			"repro/internal/kvcache",
+			"repro/internal/lru",
 			"repro/internal/server",
 			"repro/relm",
 		)},

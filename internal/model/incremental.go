@@ -134,18 +134,25 @@ func ClampWindow(m LanguageModel, ctx []Token) []Token {
 	return ctx
 }
 
-// PrefillCtx builds the trivial window state for ctx, returning it with the
-// clamped context to score. Shared by the generic Prefill fallback and by
-// caching wrappers that route the scoring through their own batch path.
-func PrefillCtx(m LanguageModel, ctx []Token) (*CtxState, []Token) {
+// Prefill computes the decode state and next-token log-probs for ctx through
+// the model's Incremental implementation when it has one, and via the
+// trivial context-window state otherwise.
+func Prefill(m LanguageModel, ctx []Token) (DecodeState, []float64) {
+	if im, ok := m.(Incremental); ok {
+		return im.Prefill(ctx)
+	}
 	c := ClampWindow(m, ctx)
-	return &CtxState{Toks: append(make([]Token, 0, len(c)), c...)}, c
+	return &CtxState{Toks: append(make([]Token, 0, len(c)), c...)}, m.NextLogProbs(c)
 }
 
-// ExtendCtxs builds the extended, clamped contexts and window states for a
-// generic one-token extension; the caller supplies the scorer (ScoreBatch
-// directly, or a caching wrapper's memoized batch path).
-func ExtendCtxs(m LanguageModel, states []DecodeState, tokens []Token) ([]DecodeState, [][]Token) {
+// Extend advances each state by one token, delegating to the model's
+// Incremental implementation when present. The generic fallback rebuilds
+// each extended, clamped context as a window state and scores the batch
+// through ScoreBatch.
+func Extend(m LanguageModel, states []DecodeState, tokens []Token) ([]DecodeState, [][]float64) {
+	if im, ok := m.(Incremental); ok {
+		return im.ExtendBatch(states, tokens)
+	}
 	out := make([]DecodeState, len(states))
 	ctxs := make([][]Token, len(states))
 	for i, st := range states {
@@ -155,29 +162,6 @@ func ExtendCtxs(m LanguageModel, states []DecodeState, tokens []Token) ([]Decode
 		ctxs[i] = ctx
 		out[i] = &CtxState{Toks: ctx}
 	}
-	return out, ctxs
-}
-
-// Prefill computes the decode state and next-token log-probs for ctx through
-// the model's Incremental implementation when it has one, and via the
-// trivial context-window state otherwise.
-func Prefill(m LanguageModel, ctx []Token) (DecodeState, []float64) {
-	if im, ok := m.(Incremental); ok {
-		return im.Prefill(ctx)
-	}
-	st, c := PrefillCtx(m, ctx)
-	return st, m.NextLogProbs(c)
-}
-
-// Extend advances each state by one token, delegating to the model's
-// Incremental implementation when present. The generic fallback rebuilds
-// each extended context and scores the batch through ScoreBatch, so a
-// caching wrapper still deduplicates and memoizes the rows.
-func Extend(m LanguageModel, states []DecodeState, tokens []Token) ([]DecodeState, [][]float64) {
-	if im, ok := m.(Incremental); ok {
-		return im.ExtendBatch(states, tokens)
-	}
-	out, ctxs := ExtendCtxs(m, states, tokens)
 	return out, m.ScoreBatch(ctxs)
 }
 

@@ -452,32 +452,21 @@ func (m *Model) PlanCacheProbe() func() PlanCacheStats {
 type Session struct {
 	// Model is the per-session view; pass it to Search/Explain/Mass.
 	Model *Model
-	scope *cache.Scope
+	scope *cache.LM
 }
 
-// NewSession derives a session from the model. Without a cache the session
-// still gets its own Model view (so SetQoS never mutates the shared model),
-// but attribution degenerates to zeros.
+// NewSession derives a session from the model: a copy of it whose device
+// scores through a fresh scope of the shared cache. Without a cache the
+// session still gets its own Model view (so SetQoS never mutates the shared
+// model), but attribution degenerates to zeros.
 func (m *Model) NewSession() *Session {
-	if m.cache == nil {
-		view := *m
-		return &Session{Model: &view}
+	view := *m
+	s := &Session{Model: &view}
+	if m.cache != nil {
+		s.scope = m.cache.NewScope()
+		view.Dev = m.Dev.WithModel(s.scope)
 	}
-	scope := m.cache.NewScope()
-	return &Session{
-		Model: &Model{
-			LM:       m.LM,
-			Tok:      m.Tok,
-			Dev:      m.Dev.WithModel(scope),
-			cache:    m.cache,
-			plans:    m.plans,    // sessions share the model's compiled plans
-			prefixes: m.prefixes, // ... and prefixes
-			kv:       m.kv,       // ... its prefix-state arena
-			batcher:  m.batcher,  // ... its fusion scheduler
-			tracer:   m.tracer,   // ... and its trace ring
-		},
-		scope: scope,
-	}
+	return s
 }
 
 // SetQoS names the query this session serves and sets its completion
@@ -495,7 +484,7 @@ func (s *Session) CacheStats() cache.ScopeStats {
 	if s.scope == nil {
 		return cache.ScopeStats{}
 	}
-	return s.scope.Stats()
+	return s.scope.Tally()
 }
 
 // Match is one query result.

@@ -88,11 +88,11 @@ func TestScoreAllPositionsSingleFlight(t *testing.T) {
 	}
 }
 
-// TestWindowModelIncrementalPublishesRows: a window model reaching Prefill
-// or ExtendBatch gets the generic window states, rows bit-identical to
-// NextLogProbs on the clamped context, and those rows published, so a later
-// ScoreBatch of the context is a hit.
-func TestWindowModelIncrementalPublishesRows(t *testing.T) {
+// TestWindowModelIncrementalUsesLRU: a window model reaching Prefill or
+// ExtendBatch gets the generic window states, rows bit-identical to
+// NextLogProbs on the clamped context, and those rows published into the
+// LRU, so a later ScoreBatch of the context is a hit.
+func TestWindowModelIncrementalUsesLRU(t *testing.T) {
 	lines := []string{"the cat sat on the mat"}
 	tok := tokenizer.Train(lines, 60)
 	ng := model.TrainNGram(lines, tok, model.NGramConfig{Order: 3, MaxSeqLen: 4})

@@ -269,8 +269,8 @@ func BenchmarkAblationCanonicalStrategies(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLogitCache measures the LRU memoization win on repeated
-// shortest-path queries (DESIGN.md decision 4).
+// BenchmarkAblationLogitCache measures the logit cache's memoization win
+// (windowed TinyLFU, DESIGN.md decision 4) on repeated shortest-path queries.
 func BenchmarkAblationLogitCache(b *testing.B) {
 	e := env(b)
 	char := regex.MustCompile(" ((art)|(science)|(medicine))")

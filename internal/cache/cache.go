@@ -1,15 +1,15 @@
-// Package cache provides an LRU memoization layer over LanguageModel
-// NextLogProbs calls. Graph traversals revisit contexts constantly —
+// Package cache provides a bounded memoization layer over LanguageModel
+// NextLogProbs calls, under lru.Map's windowed TinyLFU rule. Graph traversals revisit contexts constantly —
 // Dijkstra expands many edges out of the same node, and sampling replays
 // shared prefixes — so caching is the difference between O(edges) and
 // O(nodes) model invocations (DESIGN.md decision 4).
 //
 // The batch path is miss-forwarding and single-flight (DESIGN.md
-// decision 6): ScoreBatch answers hits from the LRU, deduplicates repeated
+// decision 6): ScoreBatch answers hits from the cache, deduplicates repeated
 // contexts within the batch, forwards only the unique misses to the inner
 // model in one batched call, and parks concurrent requests for a context
 // that is already being computed until the first computation lands — so a
-// parallel executor never pays for the same forward twice. The recency list
+// parallel executor never pays for the same forward twice. The bounded map
 // and the single-flight tables are internal/lru's.
 //
 // One type serves every client (DESIGN.md decisions 4 and 8): an LM is a
@@ -26,8 +26,8 @@ import (
 	"repro/internal/model"
 )
 
-// LM wraps a LanguageModel with an LRU cache keyed by context. An LM is a
-// view of one store — the LRU, the single-flight tables and the totals — that
+// LM wraps a LanguageModel with a bounded cache keyed by context. An LM is a
+// view of one store — the rows, the single-flight tables and the totals — that
 // every view of the cache shares: New returns the root view, and NewScope
 // another view that also tallies its own share of the outcomes.
 type LM struct {
@@ -69,17 +69,17 @@ func (c *LM) EOS() model.Token { return c.inner.EOS() }
 func (c *LM) MaxSeqLen() int { return c.inner.MaxSeqLen() }
 
 // NextLogProbs implements model.LanguageModel with memoization. The returned
-// row is the LRU's own, shared with every other caller: read-only.
+// row is the cache's own, shared with every other caller: read-only.
 func (c *LM) NextLogProbs(ctx []model.Token) []float64 {
 	return c.ScoreBatch([][]model.Token{ctx})[0]
 }
 
 // ScoreBatch implements model.LanguageModel. Hits are answered from the
-// LRU; the unique misses — deduplicated within the batch and against
+// cache; the unique misses — deduplicated within the batch and against
 // computations already in flight on other goroutines — are forwarded to the
 // inner model in a single batched call. Every row is handed out by reference
 // (DESIGN.md decision 4): a hit, a miss and a flight waiter all get the one
-// slice the LRU stores, so no row is ever copied.
+// slice the cache stores, so no row is ever copied.
 func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 	var bs ScopeStats
 	out := make([][]float64, len(ctxs))
@@ -126,7 +126,7 @@ func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 	model.PutKeyBuf(buf)
 
 	if len(owned) > 0 {
-		// One batched inner call for all unique misses. The LRU stores each
+		// One batched inner call for all unique misses. The cache stores each
 		// row as is: rows are immutable.
 		var lps [][]float64
 		c.rowFlights.Run(&c.mu, owned, func() { lps = c.inner.ScoreBatch(missCtxs) })
@@ -181,7 +181,7 @@ func (c *LM) RowBytes() int64 {
 }
 
 // ScopeStats breaks a scope's calls down by outcome: rows answered from the
-// LRU (Hits), rows it computed and published for everyone (Misses), and rows
+// cache (Hits), rows it computed and published for everyone (Misses), and rows
 // that parked on a computation already in flight — on another goroutine,
 // possibly another scope's, or earlier in the same batch (Flights). Its Hits
 // include rows *other* scopes computed: exactly the cross-query sharing a

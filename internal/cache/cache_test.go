@@ -63,15 +63,26 @@ func TestCacheDistinguishesContexts(t *testing.T) {
 	}
 }
 
+// TestCacheEviction: at capacity, the context the window pushes out leaves
+// unless the sketch counts it more often than the main list's least recent
+// one, and a context that left is computed again on its next request.
 func TestCacheEviction(t *testing.T) {
 	inner := newCounting()
-	c := New(inner, 2)
+	c := New(inner, 2)               // a window of one, a main list of one
+	c.NextLogProbs([]model.Token{1}) // {1}: window
+	c.NextLogProbs([]model.Token{2}) // {2}: window, {1}: main
+	c.NextLogProbs([]model.Token{3}) // {2} does not outcount {1}: {2} leaves
+	if c.Len() != 2 {
+		t.Errorf("cache len = %d, want 2", c.Len())
+	}
 	c.NextLogProbs([]model.Token{1})
-	c.NextLogProbs([]model.Token{2})
-	c.NextLogProbs([]model.Token{3}) // evicts {1}
-	c.NextLogProbs([]model.Token{1}) // miss again
+	c.NextLogProbs([]model.Token{3})
+	if inner.calls != 3 {
+		t.Errorf("{1} or {3} left instead of {2}: %d calls, want 3", inner.calls)
+	}
+	c.NextLogProbs([]model.Token{2}) // miss again
 	if inner.calls != 4 {
-		t.Errorf("LRU eviction broken: %d calls, want 4", inner.calls)
+		t.Errorf("the dropped context was not computed again: %d calls, want 4", inner.calls)
 	}
 	if c.Len() != 2 {
 		t.Errorf("cache len = %d, want 2", c.Len())

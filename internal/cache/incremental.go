@@ -6,12 +6,12 @@ import (
 )
 
 // Incremental decoding through the cache (DESIGN.md decision 10): the logit
-// LRU is the outer layer. The engine asks it first, through the device's
+// cache is the outer layer. The engine asks it first, through the device's
 // resident probe, and calls Prefill/ExtendBatch only for contexts it does not
 // hold — and only on a model with real prefix states (the Transformer), since
 // the engines gate on HasPrefixStates. Those calls delegate to the inner
 // model — the caller needs the state, and a row cannot make one — and every
-// computed next-token row is published into the LRU, keeping the cache warm
+// computed next-token row is published into the cache, keeping the cache warm
 // for full-path and cross-query requests. A window model reaching them gets
 // model.Prefill/Extend's generic states, and its rows are published the same
 // way.
@@ -42,7 +42,7 @@ func (c *LM) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]mo
 func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 	ap, ok := c.inner.(model.AllPositions)
 	if !ok {
-		// Window model: per-position rows through the LRU, full granularity.
+		// Window model: per-position rows through the cache, full granularity.
 		ctxs := make([][]model.Token, len(seq))
 		for p := range seq {
 			ctxs[p] = model.ClampWindow(c.inner, seq[:p])
@@ -94,7 +94,7 @@ func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 
 // publish counts rows the inner model computed outside ScoreBatch — by a
 // delegated Prefill or ExtendBatch — as misses, so aggregate hit ratios stay
-// meaningful under incremental traffic, and publishes them into the LRU,
+// meaningful under incremental traffic, and publishes them into the cache,
 // under one lock pass. Row i conditions on ctx(i).
 func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) {
 	buf := model.GetKeyBuf()
@@ -106,10 +106,10 @@ func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) {
 	c.record(ScopeStats{Misses: int64(len(rows))})
 }
 
-// publishLocked inserts each computed row the LRU does not hold yet, so
+// publishLocked inserts each computed row the cache does not hold yet, so
 // incremental traffic warms the cache for everyone else; an entry already
 // present keeps its row and its recency. Rows are looked up through buf, so
-// only an actual insert materializes a key. The LRU stores each row itself,
+// only an actual insert materializes a key. The cache stores each row itself,
 // the slice the caller also returns: rows are read-only. c.mu must be held.
 func (c *LM) publishLocked(buf *[]byte, rows [][]float64, ctx func(i int) []model.Token) {
 	for i, lp := range rows {

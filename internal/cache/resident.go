@@ -2,11 +2,11 @@ package cache
 
 import "repro/internal/model"
 
-// The resident probe (DESIGN.md decisions 4 and 6): the device asks the LRU
+// The resident probe (DESIGN.md decisions 4 and 6): the device asks the cache
 // which rows it already holds *before* it dispatches, so a memoized row is
 // never charged to the virtual accelerator, never parked in the fusion
 // window, and never handed to a scoring worker. The probe is one lock pass
-// over the LRU: it hands out the stored rows (read-only, like every
+// over the cache: it hands out the stored rows (read-only, like every
 // row), bumps recency and the hit counters exactly as ScoreBatch would have,
 // but never looks at the in-flight tables — a row someone else is computing
 // is simply reported missing, and the dispatch that follows resolves it
@@ -53,8 +53,8 @@ func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 
 // residentSeqLocked returns the stored row of every position of seq (row p
 // conditions on seq[:p], clamped to the inner model's window), bumping their
-// recency, when all of them are in the LRU; nil otherwise, and for an empty
-// sequence. The rows are the LRU's own. c.mu must be held.
+// recency, when all of them are in the cache; nil otherwise, and for an empty
+// sequence. The rows are the cache's own. c.mu must be held.
 func (c *LM) residentSeqLocked(seq []model.Token, buf *[]byte) [][]float64 {
 	var rows [][]float64
 	for p := range seq {

@@ -53,6 +53,30 @@ func TestResidentRowsBumpsRecency(t *testing.T) {
 	}
 }
 
+// TestMissCountsOnceInTheSketch: the device's resident probe and then
+// ScoreBatch both miss a context, and the admission sketch counts the request
+// once, when ScoreBatch adds the row; each later hit counts once more.
+func TestMissCountsOnceInTheSketch(t *testing.T) {
+	c := New(newCounting(), 64)
+	ctx := tok(4, 2)
+	key := model.AppendKey(nil, ctx)
+	if n := c.ResidentRows([][]model.Token{ctx}, make([][]float64, 1)); n != 0 {
+		t.Fatalf("probe of a cold cache answered %d rows", n)
+	}
+	if f := c.rows.Frequency(key); f != 0 {
+		t.Fatalf("a probe miss counted %d in the sketch, want 0", f)
+	}
+	c.ScoreBatch([][]model.Token{ctx})
+	if f := c.rows.Frequency(key); f != 1 {
+		t.Fatalf("a probe miss then a ScoreBatch miss counted %d in the sketch, want 1", f)
+	}
+	c.ResidentRows([][]model.Token{ctx}, make([][]float64, 1))
+	c.NextLogProbs(ctx)
+	if f := c.rows.Frequency(key); f != 3 {
+		t.Fatalf("two hits after the miss: count %d, want 3", f)
+	}
+}
+
 // TestResidentAllPositionsIsAllOrNothing covers both inner shapes: a window
 // model (rows through scoreBatch) and the transformer's one-forward path.
 func TestResidentAllPositionsIsAllOrNothing(t *testing.T) {

@@ -2,11 +2,13 @@
 // and the one single-flight table (DESIGN.md decision 4), shared by the
 // logit cache, the plan cache and the KV arena. Nothing here locks: the
 // caller's mutex guards every call but Flight.Wait and Group.Run, so a batch
-// of lookups, joins and starts can share one critical section.
+// of lookups, joins and starts can share one critical section. The map's
+// eviction rule is windowed TinyLFU; the KV arena's lists stay plain LRU.
 package lru
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -80,13 +82,16 @@ func (l *List[V]) PushBack(e *Elem[V]) {
 	l.n++
 }
 
-// Map is a string-keyed map of at most a fixed number of entries in recency
-// order: Get bumps an entry, Add inserts one and evicts the least recently
-// used past capacity. Lookups take the key as bytes and allocate nothing.
+// Map is a string-keyed map of at most a fixed number of entries under
+// windowed TinyLFU (DESIGN.md decision 4): a new entry enters a small LRU
+// window, and the one the window pushes out replaces the main LRU's victim
+// only if a sketch counts it requested more often. Lookups take the key as
+// bytes and allocate nothing.
 type Map[V any] struct {
-	cap   int
-	items map[string]*Elem[entry[V]]
-	order List[entry[V]]
+	cap, winCap  int
+	items        map[string]*Elem[entry[V]]
+	window, main List[entry[V]]
+	freq         sketch
 }
 
 type entry[V any] struct {
@@ -94,49 +99,123 @@ type entry[V any] struct {
 	val V
 }
 
-// NewMap returns an empty map holding at most capacity entries.
+// NewMap returns an empty map holding at most capacity entries, one percent
+// of them (at least one) in the window. The Go map grows as it fills.
 func NewMap[V any](capacity int) *Map[V] {
-	return &Map[V]{cap: capacity, items: make(map[string]*Elem[entry[V]], capacity)}
+	m := &Map[V]{cap: capacity, winCap: max(1, capacity/100), freq: newSketch(capacity)}
+	m.items = make(map[string]*Elem[entry[V]])
+	return m
 }
 
-// Get returns the value under key and marks it the most recently used.
+// Get returns the value under key, counts the hit and bumps it in its list.
 func (m *Map[V]) Get(key []byte) (V, bool) {
 	e, ok := m.items[string(key)]
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	if m.order.front != e {
+	m.freq.add(hash(key))
+	if l := e.list; l.front != e {
 		e.Remove()
-		m.order.PushFront(e)
+		l.PushFront(e)
 	}
 	return e.Value.val, true
 }
 
-// Has reports whether key is present without touching its recency.
+// Has reports whether key is present; it neither counts nor bumps it.
 func (m *Map[V]) Has(key []byte) bool {
 	_, ok := m.items[string(key)]
 	return ok
 }
 
-// Add inserts v under key as the most recently used entry, allocating one
-// element, unless key is present: the incumbent keeps its value and place.
+// Add counts a request for key and inserts v under it at the window's front,
+// allocating one element, unless key is present: the incumbent keeps its
+// value and place.
 func (m *Map[V]) Add(key string, v V) {
+	m.freq.add(hash(key))
 	if _, ok := m.items[key]; ok {
 		return
 	}
 	e := &Elem[entry[V]]{Value: entry[V]{key: key, val: v}}
 	m.items[key] = e
-	m.order.PushFront(e)
-	if m.order.n > m.cap {
-		old := m.order.back
-		old.Remove()
-		delete(m.items, old.Value.key)
+	m.window.PushFront(e)
+	if m.window.n <= m.winCap {
+		return
 	}
+	cand := m.window.back
+	cand.Remove()
+	if victim := m.main.back; m.main.n >= m.cap-m.winCap {
+		if victim == nil || m.freq.estimate(hash(cand.Value.key)) <= m.freq.estimate(hash(victim.Value.key)) {
+			delete(m.items, cand.Value.key)
+			return
+		}
+		victim.Remove()
+		delete(m.items, victim.Value.key)
+	}
+	m.main.PushFront(cand)
 }
 
 // Len reports the number of entries.
-func (m *Map[V]) Len() int { return m.order.n }
+func (m *Map[V]) Len() int { return m.window.n + m.main.n }
+
+// Frequency reports the sketch's estimate of how often key was requested.
+func (m *Map[V]) Frequency(key []byte) int { return m.freq.estimate(hash(key)) }
+
+// sketch is a count-min sketch: four rows of 4-bit counters, sixteen to a
+// word, each row the next power of two ≥ capacity (and ≥ 16) wide. Halving
+// them all every 10 × capacity increments lets a new hot set displace an old.
+type sketch struct {
+	words     []uint64
+	shift     uint // 64 - log2(row width): a row index is a hash's top bits
+	n, period int
+}
+
+func newSketch(capacity int) sketch {
+	w := max(16, 1<<bits.Len(uint(capacity-1)))
+	return sketch{words: make([]uint64, w/4), shift: uint(64 - bits.Len(uint(w-1))), period: 10 * capacity}
+}
+
+// rowSeeds are odd multipliers that spread one hash into four row indexes.
+var rowSeeds = [4]uint64{0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb, 0xd6e8feb86659fd93}
+
+// counter returns the word and bit offset of row i's counter for h.
+func (s *sketch) counter(h uint64, i int) (int, uint) {
+	c := i<<(64-s.shift) | int(h*rowSeeds[i]>>s.shift)
+	return c / 16, uint(c%16) * 4
+}
+
+func (s *sketch) add(h uint64) {
+	for i := range rowSeeds {
+		if w, b := s.counter(h, i); s.words[w]>>b&15 < 15 {
+			s.words[w] += 1 << b
+		}
+	}
+	if s.n++; s.n >= s.period {
+		s.n = 0
+		for i, w := range s.words {
+			s.words[i] = w >> 1 & 0x7777777777777777
+		}
+	}
+}
+
+func (s *sketch) estimate(h uint64) int {
+	est := 15
+	for i := range rowSeeds {
+		w, b := s.counter(h, i)
+		est = min(est, int(s.words[w]>>b&15))
+	}
+	return est
+}
+
+// hash is FNV-1a with a fixed seed and a final mix: it allocates nothing, and
+// one access sequence always gives the same cache contents.
+func hash[K string | []byte](k K) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * 1099511628211
+	}
+	return (h ^ h>>33) * 0xff51afd7ed558ccd
+}
 
 // Group is a single-flight table: the first caller to miss a key Starts a
 // Flight and computes it; callers missing the same key meanwhile Join it

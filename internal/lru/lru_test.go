@@ -63,28 +63,51 @@ func TestListMembershipAndRemove(t *testing.T) {
 	}
 }
 
+// TestMapRecencyBumpAndEviction: at capacity, the window's least recent
+// entry leaves unless the sketch counts it more often than the main list's
+// least recent one; a dropped entry is added afresh on its next request. Get
+// counts and bumps; Has does neither.
 func TestMapRecencyBumpAndEviction(t *testing.T) {
-	m := NewMap[int](3)
+	m := NewMap[int](3) // window 1, main 2
 	for i, k := range []string{"a", "b", "c"} {
 		m.Add(k, i)
 	}
-	// Get bumps "a"; Has does not bump "b". "b" is now the least recent.
+	// Window [c], main [b a]. Get bumps "a" to the main front and counts it
+	// twice; Has neither bumps nor counts "b", the main list's victim.
 	if v, ok := m.Get([]byte("a")); !ok || v != 0 {
 		t.Fatalf("Get(a) = %d, %v", v, ok)
 	}
-	if !m.Has([]byte("b")) || m.Has([]byte("z")) {
-		t.Fatal("Has answers wrong")
+	for range 3 {
+		if !m.Has([]byte("b")) || m.Has([]byte("z")) {
+			t.Fatal("Has answers wrong")
+		}
 	}
-	m.Add("d", 3)
+	m.Add("d", 3) // pushes "c" (count 1) out against "b" (count 1): "c" leaves
 	if m.Len() != 3 {
 		t.Fatalf("len = %d, want capacity 3", m.Len())
 	}
-	if _, ok := m.Get([]byte("b")); ok {
-		t.Fatal("least recently used entry b survived an insert at capacity")
+	if m.Has([]byte("c")) {
+		t.Fatal("the window's entry c stayed without outcounting the main victim b")
 	}
-	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := m.Get([]byte(k)); !ok {
-			t.Fatalf("%s evicted, want b evicted", k)
+	for _, k := range []string{"a", "b", "d"} {
+		if !m.Has([]byte(k)) {
+			t.Fatalf("%s left, want c to leave", k)
+		}
+	}
+
+	// The dropped entry is requested again: it is added afresh, now counted
+	// twice, and once the window pushes it out it displaces "b".
+	m.Add("c", 4) // pushes "d" (count 1) out against "b" (count 1): "d" leaves
+	if m.Len() != 3 || m.Has([]byte("d")) || !m.Has([]byte("c")) {
+		t.Fatal("a re-added entry did not take the window, or d stayed")
+	}
+	m.Add("d", 5) // pushes "c" (count 2) out against "b" (count 1): "b" leaves
+	if m.Len() != 3 || m.Has([]byte("b")) {
+		t.Fatal("the more frequent candidate c did not displace the main victim b")
+	}
+	for k, want := range map[string]int{"a": 0, "c": 4, "d": 5} {
+		if v, ok := m.Get([]byte(k)); !ok || v != want {
+			t.Fatalf("Get(%s) = %d, %v; want %d", k, v, ok, want)
 		}
 	}
 	if _, ok := m.Get([]byte("missing")); ok {

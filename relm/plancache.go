@@ -41,7 +41,7 @@ type PlanCacheStats struct {
 	PrefixEntries int   `json:"prefix_entries" metric:"-"`
 }
 
-// planCache is a single-flight LRU over compiled products, shared by every
+// planCache is a single-flight lru.Map over compiled products, shared by every
 // session of a Model: one instance holds pattern plans, another compiled
 // prefixes. Concurrent queries for the same key wait on the first compilation
 // instead of duplicating it; compile errors propagate to all waiters and are

@@ -119,24 +119,35 @@ func TestPlanCacheKeySeparatesQueries(t *testing.T) {
 	}
 }
 
+// TestPlanCacheLRUEviction: the plan cache is an lru.Map like the logit
+// cache. At capacity the plan its window pushes out leaves unless requested
+// more often than the main list's least recent plan, and a plan that left is
+// compiled again.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	m := testModel(t)
-	m.plans = newPlanCache[*compiled](2)
-	for _, pat := range []string{"cat", "dog", "mat"} {
+	m.plans = newPlanCache[*compiled](2) // a window of one, a main list of one
+	explain := func(pat string) {
+		t.Helper()
 		if _, err := Explain(m, SearchQuery{Query: QueryString{Pattern: pat}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, pat := range []string{"cat", "dog", "mat"} {
+		explain(pat)
 	}
 	s := m.PlanCacheStats()
 	if s.Entries != 2 {
 		t.Fatalf("entries = %d, want cap 2", s.Entries)
 	}
-	// "cat" was evicted; re-explaining it misses again.
-	if _, err := Explain(m, SearchQuery{Query: QueryString{Pattern: "cat"}}); err != nil {
-		t.Fatal(err)
+	// "dog" did not outcount "cat": it left, and "cat" and "mat" hit.
+	explain("cat")
+	explain("mat")
+	if s2 := m.PlanCacheStats(); s2.Misses != 3 || s2.Hits != 2 {
+		t.Fatalf("cat or mat left instead of dog: %+v", s2)
 	}
-	if s2 := m.PlanCacheStats(); s2.Misses != 4 {
-		t.Fatalf("evicted entry must recompile: %+v", s2)
+	explain("dog")
+	if s3 := m.PlanCacheStats(); s3.Misses != 4 || s3.Entries != 2 {
+		t.Fatalf("the dropped plan must recompile: %+v", s3)
 	}
 }
 

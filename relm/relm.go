@@ -236,7 +236,8 @@ type ModelOptions struct {
 	Latency device.LatencyModel
 	// MaxBatch bounds device batch size (0: 64).
 	MaxBatch int
-	// CacheSize bounds the logit LRU cache (0: 8192; negative: no cache).
+	// CacheSize bounds the logit cache, windowed TinyLFU (DESIGN.md
+	// decision 4), in contexts (0: 8192; negative: no cache).
 	CacheSize int
 	// Parallelism is the device worker-pool width: each dispatched batch is
 	// sharded across this many goroutines for scoring (0 or 1: serial).
@@ -248,9 +249,9 @@ type ModelOptions struct {
 	// process instead of per-query goroutines (DESIGN.md decision 8). It
 	// overrides Parallelism's transient workers.
 	Pool *device.Pool
-	// PlanCacheSize bounds the compiled-plan LRU cache, and the compiled-
-	// prefix cache beside it (0: 128 each; negative: no plan or prefix
-	// caching). Compilation is the expensive, amortizable part of a
+	// PlanCacheSize bounds the compiled-plan cache, and the compiled-prefix
+	// cache beside it, each windowed TinyLFU like the logit cache (0: 128
+	// each; negative: no plan or prefix caching). Compilation is the expensive, amortizable part of a
 	// validation query (DESIGN.md decision 9); the caches are single-flight,
 	// so concurrent identical queries compile once.
 	PlanCacheSize int
@@ -435,7 +436,7 @@ func (m *Model) KVProbe() func() KVStats {
 
 // PlanCacheProbe returns a reader over this model's plan-cache counters that
 // does not retain the model itself: the closure captures only the (small,
-// LRU-bounded) plan and prefix caches, so long-running aggregators can keep
+// capacity-bounded) plan and prefix caches, so long-running aggregators can keep
 // probes for every model they ever saw without pinning logit caches and
 // model weights.
 func (m *Model) PlanCacheProbe() func() PlanCacheStats {

@@ -364,7 +364,7 @@ func BenchmarkTokenizerTrain(b *testing.B) {
 
 func BenchmarkWalkCounterSample(b *testing.B) {
 	d := regex.MustCompile("(a|b|c){1,12}")
-	w := automaton.NewWalkCounter(d, 12)
+	w := automaton.NewWalkCounter(d.Freeze(), 12)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -250,8 +250,8 @@ func TestLanguageSize(t *testing.T) {
 
 // bigLanguageSize is LanguageSizeOf as it was: the big.Int walk counter, -1
 // when the start state's count leaves int64.
-func bigLanguageSize(w Walker, maxLen int) int64 {
-	c := newBigWalkCounter(w, maxLen).Count()
+func bigLanguageSize(f *Frozen, maxLen int) int64 {
+	c := newBigWalkCounter(f, maxLen).Count()
 	if !c.IsInt64() {
 		return -1
 	}
@@ -280,12 +280,12 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		d := randomDFA(rng, 2+rng.Intn(15), 1+rng.Intn(6), 5+rng.Intn(60))
 		maxLen := rng.Intn(90)
-		want := bigLanguageSize(d, maxLen)
+		want := bigLanguageSize(d.Freeze(), maxLen)
 		if want < 0 {
 			overflowed++
 		}
-		if got := LanguageSizeOf(d, maxLen); got != want {
-			t.Fatalf("trial %d: LanguageSizeOf(dfa, %d) = %d, walk counter says %d", trial, maxLen, got, want)
+		if got := d.LanguageSize(maxLen); got != want {
+			t.Fatalf("trial %d: DFA.LanguageSize(%d) = %d, walk counter says %d", trial, maxLen, got, want)
 		}
 		if got := LanguageSizeOf(d.Freeze(), maxLen); got != want {
 			t.Fatalf("trial %d: LanguageSizeOf(frozen, %d) = %d, walk counter says %d", trial, maxLen, got, want)
@@ -298,14 +298,14 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 	// The int64 boundary, exactly: 2^63-1 strings of length <= 62, 2^63 of
 	// length exactly 63, 2^64-1 of length <= 63.
 	for _, c := range []struct {
-		d      *DFA
+		d      *Frozen
 		maxLen int
 		want   int64
 	}{
-		{binaryChain(62, true), 62, math.MaxInt64},
-		{binaryChain(63, false), 63, -1},
-		{binaryChain(63, true), 63, -1},
-		{binaryChain(63, false), 62, 0},
+		{binaryChain(62, true).Freeze(), 62, math.MaxInt64},
+		{binaryChain(63, false).Freeze(), 63, -1},
+		{binaryChain(63, true).Freeze(), 63, -1},
+		{binaryChain(63, false).Freeze(), 62, 0},
 	} {
 		if big := bigLanguageSize(c.d, c.maxLen); big != c.want {
 			t.Fatalf("oracle disagrees with the construction: %d, want %d", big, c.want)
@@ -321,7 +321,7 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 	loop := d.AddState(true)
 	d.AddEdge(loop, 0, loop)
 	d.AddEdge(loop, 1, loop)
-	if got, want := LanguageSizeOf(d, 100), bigLanguageSize(d, 100); got != 2 || want != 2 {
+	if got, want := LanguageSizeOf(d.Freeze(), 100), bigLanguageSize(d.Freeze(), 100); got != 2 || want != 2 {
 		t.Errorf("unreachable overflow: LanguageSizeOf = %d, walk counter = %d, want 2", got, want)
 	}
 }
@@ -332,7 +332,7 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 // leaves in the same state.
 func sameDraws(t *testing.T, name string, d *DFA, maxLen int, seed int64) {
 	t.Helper()
-	got, ref := NewWalkCounter(d, maxLen), newBigWalkCounter(d, maxLen)
+	got, ref := NewWalkCounter(d.Freeze(), maxLen), newBigWalkCounter(d.Freeze(), maxLen)
 	if got.Count().Cmp(ref.Count()) != 0 {
 		t.Fatalf("%s: count %v, big.Int reference %v", name, got.Count(), ref.Count())
 	}
@@ -365,7 +365,7 @@ func TestWalkCounterWordsDrawLikeBigInt(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		d := randomDFA(rng, 2+rng.Intn(15), 1+rng.Intn(6), 5+rng.Intn(60))
 		maxLen := rng.Intn(90)
-		switch w := NewWalkCounter(d, maxLen); {
+		switch w := NewWalkCounter(d.Freeze(), maxLen); {
 		case w.words == nil:
 			fallback++
 		case d.HasCycle():
@@ -383,10 +383,10 @@ func TestWalkCounterWordsDrawLikeBigInt(t *testing.T) {
 
 	// The uint64 boundary, exactly: 2⁶⁴−1 strings of length <= 63 fit, so
 	// every draw is 8 bytes wide; 2⁶⁵−1 of length <= 64 do not.
-	if w := NewWalkCounter(binaryChain(63, true), 63); w.words == nil || w.Count().Cmp(new(big.Int).SetUint64(math.MaxUint64)) != 0 {
+	if w := NewWalkCounter(binaryChain(63, true).Freeze(), 63); w.words == nil || w.Count().Cmp(new(big.Int).SetUint64(math.MaxUint64)) != 0 {
 		t.Fatalf("2⁶⁴−1 walks: word table %v, count %v", w.words != nil, w.Count())
 	}
-	if w := NewWalkCounter(binaryChain(64, true), 64); w.words != nil {
+	if w := NewWalkCounter(binaryChain(64, true).Freeze(), 64); w.words != nil {
 		t.Fatal("2⁶⁵−1 walks kept the word table")
 	}
 	sameDraws(t, "binaryChain(63)", binaryChain(63, true), 63, 1)
@@ -398,7 +398,7 @@ func TestWalkCounterPaperExample(t *testing.T) {
 	// first transition is 50/50, but a leads to 1 string and b to 3. The walk
 	// counter must weight the b edge at 3/4.
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d, 3)
+	w := NewWalkCounter(d.Freeze(), 3)
 	if got := w.Count(); got.Int64() != 4 {
 		t.Fatalf("total walks = %v, want 4", got)
 	}
@@ -420,7 +420,7 @@ func TestWalkCounterPaperExample(t *testing.T) {
 
 func TestWalkCounterExact(t *testing.T) {
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d, 5)
+	w := NewWalkCounter(d.Freeze(), 5)
 	wantByLen := map[int]int64{0: 0, 1: 2, 2: 1, 3: 1, 4: 0}
 	for n, want := range wantByLen {
 		if got := w.CountExact(n); got.Int64() != want {
@@ -431,7 +431,7 @@ func TestWalkCounterExact(t *testing.T) {
 
 func TestSampleUniformDistribution(t *testing.T) {
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d, 3)
+	w := NewWalkCounter(d.Freeze(), 3)
 	rng := rand.New(rand.NewSource(7))
 	counts := map[string]int{}
 	const trials = 40000
@@ -458,7 +458,7 @@ func TestSampleUnnormalizedBias(t *testing.T) {
 	// Unnormalized sampling over {a, b, bb, bbb} picks 'a' ~50% of the time —
 	// the bias Appendix C documents. Verify it differs from uniform.
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d, 3)
+	w := NewWalkCounter(d.Freeze(), 3)
 	rng := rand.New(rand.NewSource(7))
 	aCount := 0
 	const trials = 20000
@@ -477,7 +477,7 @@ func TestSampleUnnormalizedBias(t *testing.T) {
 func TestSampleUniformEmptyLanguage(t *testing.T) {
 	d := NewDFA()
 	d.SetStart(d.AddState(false))
-	w := NewWalkCounter(d, 4)
+	w := NewWalkCounter(d.Freeze(), 4)
 	if seq := w.SampleUniform(rand.New(rand.NewSource(1))); seq != nil {
 		t.Errorf("sampling empty language returned %v", seq)
 	}
@@ -490,7 +490,7 @@ func TestWalkCounterCycle(t *testing.T) {
 	n.SetStart(s)
 	n.AddEdge(s, 'a', s)
 	d := n.Determinize()
-	w := NewWalkCounter(d, 4)
+	w := NewWalkCounter(d.Freeze(), 4)
 	if got := w.Count(); got.Int64() != 5 {
 		t.Errorf("a* count within length 4 = %v, want 5", got)
 	}

@@ -57,16 +57,18 @@ func (d *DFA) EnumerateStrings(maxLen, limit int) []string {
 
 // LanguageSize returns the exact number of strings of length at most maxLen,
 // or -1 when it exceeds int64.
-func (d *DFA) LanguageSize(maxLen int) int64 { return LanguageSizeOf(d, maxLen) }
+func (d *DFA) LanguageSize(maxLen int) int64 { return languageSize(d, maxLen) }
 
-// LanguageSizeOf counts accepted sequences of length at most maxLen for any
-// traversable automaton form, returning -1 when the count exceeds int64
-// (callers treat that as "huge"). It is WalkCounter's recurrence (walkRow) on
-// two rows of machine words that saturate one past MaxInt64, so a cell at the
-// limit is exactly one whose count does not fit int64, and one that the start
-// state never reaches spoils nothing. Every query with a prefix sizes its
-// prefix language here, without building the whole table.
-func LanguageSizeOf(w Walker, maxLen int) int64 {
+// LanguageSizeOf counts the sequences f accepts of length at most maxLen,
+// returning -1 when the count exceeds int64 (callers treat that as "huge").
+func LanguageSizeOf(f *Frozen, maxLen int) int64 { return languageSize(f, maxLen) }
+
+// languageSize is WalkCounter's recurrence (walkRow) on two rows of machine
+// words that saturate one past MaxInt64, so a cell at the limit is exactly
+// one whose count does not fit int64, and one that the start state never
+// reaches spoils nothing. Every query with a prefix sizes its prefix
+// language here, without building the whole table.
+func languageSize[F form](w F, maxLen int) int64 {
 	const over = uint64(math.MaxInt64) + 1
 	n := w.NumStates()
 	prev, cur := make([]uint64, n), make([]uint64, n)

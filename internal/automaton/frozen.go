@@ -2,33 +2,16 @@ package automaton
 
 import "fmt"
 
-// Walker is the read-only traversal surface shared by the mutable DFA and
-// the immutable Frozen form. Engines accept a Walker so a query can run
-// against either representation; production paths freeze compiled automata,
-// while tests and ad-hoc tooling can pass a DFA directly.
-type Walker interface {
-	// Start returns the initial state.
+// form is either automaton representation, for the few read-only loops the
+// mutable DFA and the immutable Frozen share, so the two cannot drift.
+type form interface {
+	*DFA | *Frozen
 	Start() StateID
-	// NumStates reports the number of states.
 	NumStates() int
-	// NumEdges reports the total number of transitions.
-	NumEdges() int
-	// Accepting reports whether state s accepts.
 	Accepting(s StateID) bool
-	// Edges returns the outgoing edges of s, sorted by symbol. The slice is
-	// owned by the automaton and must not be mutated.
 	Edges(s StateID) []Edge
-	// Step follows the transition labeled sym out of s.
 	Step(s StateID, sym Symbol) (to StateID, ok bool)
-	// Alphabet returns the sorted set of symbols appearing on any edge. The
-	// slice is owned by the automaton and must not be mutated.
-	Alphabet() []Symbol
 }
-
-var (
-	_ Walker = (*DFA)(nil)
-	_ Walker = (*Frozen)(nil)
-)
 
 // Frozen is an immutable, compact DFA in CSR (compressed sparse row) form:
 // one flat edge array with per-state offsets, an accepting-state bitset, and
@@ -125,9 +108,9 @@ func (f *Frozen) MatchSymbols(seq []Symbol) bool { return matchSymbols(f, seq) }
 // reachable).
 func (f *Frozen) IsEmpty() bool { return isEmpty(f) }
 
-// matchBytes, matchSymbols, and isEmpty are the Walker-generic traversal
-// loops shared by DFA and Frozen, so the two representations cannot drift.
-func matchBytes(w Walker, s []byte) bool {
+// matchBytes, matchSymbols, and isEmpty are the traversal loops shared by
+// DFA and Frozen.
+func matchBytes[F form](w F, s []byte) bool {
 	st := w.Start()
 	for _, b := range s {
 		next, ok := w.Step(st, int(b))
@@ -139,7 +122,7 @@ func matchBytes(w Walker, s []byte) bool {
 	return w.Accepting(st)
 }
 
-func matchSymbols(w Walker, seq []Symbol) bool {
+func matchSymbols[F form](w F, seq []Symbol) bool {
 	st := w.Start()
 	for _, sym := range seq {
 		next, ok := w.Step(st, sym)
@@ -151,7 +134,7 @@ func matchSymbols(w Walker, seq []Symbol) bool {
 	return w.Accepting(st)
 }
 
-func isEmpty(w Walker) bool {
+func isEmpty[F form](w F) bool {
 	if w.NumStates() == 0 {
 		return true
 	}

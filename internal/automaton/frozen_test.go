@@ -235,11 +235,17 @@ func (l *lazySealDFA) Step(s StateID, sym Symbol) (StateID, bool) {
 	return 0, false
 }
 
+// traversal is what frontierWorkload reads of each representation.
+type traversal interface {
+	Edges(s StateID) []Edge
+	Accepting(s StateID) bool
+}
+
 // frontierWorkload models the engines' hot loop — expansion in Dijkstra,
 // beam, sampler, and mass all iterate Edges and test Accepting over a
 // frontier that jumps across the automaton (not a sequential walk).
 // Benchmark arms and the speed gate share it so the comparison is honest.
-func frontierWorkload(w Walker, order []StateID) int {
+func frontierWorkload(w traversal, order []StateID) int {
 	acc := 0
 	for _, s := range order {
 		for _, e := range w.Edges(s) {
@@ -321,7 +327,7 @@ func TestFrozenTraversalSpeedGate(t *testing.T) {
 func BenchmarkFrozenTraversal(b *testing.B) {
 	d, order := benchAutomaton()
 	f := d.Freeze()
-	run := func(name string, fresh func() Walker) {
+	run := func(name string, fresh func() traversal) {
 		b.Run(name, func(b *testing.B) {
 			sink := 0
 			for i := 0; i < b.N; i++ {
@@ -335,7 +341,7 @@ func BenchmarkFrozenTraversal(b *testing.B) {
 	}
 	// The lazy-seal arm rebuilds per iteration: pre-PR-3, every query paid
 	// the first-access sorts during its own traversal.
-	run("lazyseal", func() Walker { return newLazySeal(d) })
-	run("dfa", func() Walker { return d })
-	run("frozen", func() Walker { return f })
+	run("lazyseal", func() traversal { return newLazySeal(d) })
+	run("dfa", func() traversal { return d })
+	run("frozen", func() traversal { return f })
 }

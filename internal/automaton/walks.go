@@ -20,7 +20,7 @@ import (
 // not depend on which form its table took. A WalkCounter is read-only once
 // built: any number of goroutines may sample from one.
 type WalkCounter struct {
-	d      Walker
+	d      *Frozen
 	maxLen int
 	// words[rem][s] is the number of accepting walks of length <= rem
 	// starting at s; every row is a view of one array. nil when some count
@@ -30,11 +30,10 @@ type WalkCounter struct {
 	table [][]*big.Int
 }
 
-// NewWalkCounter prepares walk counts for d (a DFA or a Frozen automaton)
-// with walk lengths bounded by maxLen symbols. The DP is computed eagerly:
-// O(maxLen * edges) word additions, or big-integer ones when a count
-// overflows a word.
-func NewWalkCounter(d Walker, maxLen int) *WalkCounter {
+// NewWalkCounter prepares walk counts for d with walk lengths bounded by
+// maxLen symbols. The DP is computed eagerly: O(maxLen * edges) word
+// additions, or big-integer ones when a count overflows a word.
+func NewWalkCounter(d *Frozen, maxLen int) *WalkCounter {
 	n := d.NumStates()
 	flat := make([]uint64, (maxLen+1)*n)
 	words := make([][]uint64, maxLen+1)
@@ -57,7 +56,7 @@ func NewWalkCounter(d Walker, maxLen int) *WalkCounter {
 // and is reported: counts only ever grow by addition, so a saturated cell is
 // exactly one whose true count exceeds limit, and a cell read from a
 // saturated one is saturated too.
-func walkRow(w Walker, prev, cur []uint64, limit uint64) (saturated bool) {
+func walkRow[F form](w F, prev, cur []uint64, limit uint64) (saturated bool) {
 	for s := range cur {
 		var acc uint64
 		if w.Accepting(s) {
@@ -79,7 +78,7 @@ func walkRow(w Walker, prev, cur []uint64, limit uint64) (saturated bool) {
 
 // newBigWalkCounter builds the table in big.Int: the fallback for counts
 // that overflow a word, and the reference the word table is tested against.
-func newBigWalkCounter(d Walker, maxLen int) *WalkCounter {
+func newBigWalkCounter(d *Frozen, maxLen int) *WalkCounter {
 	w := &WalkCounter{d: d, maxLen: maxLen}
 	n := d.NumStates()
 	w.table = make([][]*big.Int, maxLen+1)

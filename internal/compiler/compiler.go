@@ -217,7 +217,7 @@ func (f *CanonicalFilter) AllowFinal(toks []tokenizer.Token) bool {
 // CountEncodings returns the number of token sequences of length at most
 // maxToks accepted by the full automaton — i.e. the total count of ambiguous
 // encodings, which for a single string of length n is 2^(n-1) when every
-// substring is a token (§3.2). Accepts either automaton form.
-func CountEncodings(full automaton.Walker, maxToks int) int64 {
+// substring is a token (§3.2).
+func CountEncodings(full *automaton.Frozen, maxToks int) int64 {
 	return automaton.LanguageSizeOf(full, maxToks)
 }

@@ -76,7 +76,7 @@ func TestCompileFullAmbiguityGrowth(t *testing.T) {
 	}
 	char := regex.MustCompile("The")
 	full := CompileFull(char, bpe)
-	n := CountEncodings(full, 3)
+	n := CountEncodings(full.Freeze(), 3)
 	if n != 4 {
 		t.Errorf("encodings of 'The' = %d, want 4 (T-h-e, Th-e, T-he, The)", n)
 	}

@@ -100,7 +100,7 @@ func (s *beamStream) run() error {
 		sets = slices.Grow(sets[:0], len(s.beam))[:len(s.beam)]
 		parallelFor(len(s.beam), s.q.Parallelism, func(i int) {
 			h, kept := &s.beam[i], decoding.SupportOf(s.q.Rule, lps[i])
-			sets[i] = s.q.expand(h.state, h.pattern(), h.cost, lps[i], kept, sets[i])
+			sets[i], _ = s.q.expand(h.state, h.pattern(), h.cost, lps[i], kept, sets[i], false)
 			kept.Release()
 		})
 		next = next[:0]

@@ -1,0 +1,161 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/automaton"
+	"repro/internal/decoding"
+	"repro/internal/device"
+	"repro/internal/model"
+)
+
+// rowLM scores every context with one fixed distribution, given as
+// unnormalized log weights, so sibling costs tie wherever the weights do.
+type rowLM struct {
+	model.Uniform
+	weights []float64
+}
+
+func (r *rowLM) NextLogProbs([]model.Token) []float64 {
+	out := slices.Clone(r.weights)
+	model.Normalize(out)
+	return out
+}
+
+func (r *rowLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(r, ctxs) }
+
+// chainPattern accepts every sequence of 1 to depth symbols below syms.
+func chainPattern(syms, depth int) *automaton.Frozen {
+	pat := automaton.NewDFA()
+	prev := pat.AddState(false)
+	pat.SetStart(prev)
+	for range depth {
+		next := pat.AddState(true)
+		for sym := range syms {
+			pat.AddEdge(prev, sym, next)
+		}
+		prev = next
+	}
+	return pat.Freeze()
+}
+
+// inWindow reports whether c's siblings are still the window's.
+func inWindow(c *cursor) bool { return &c.sibs[:1][0] == &c.win[0] }
+
+// TestWindowEdgeMatchesReference: where cursors are popped more than window
+// times, the rebuilt rest continues each cursor's order exactly where its
+// window stopped, so shortest path still emits what the eager reference does
+// at every batch size and worker count. The arms put a tie class across the
+// window's last slot, and a match that lands after the window (EOS is the
+// least likely token) or inside it. Along the way every cursor on the
+// frontier holds its row exactly when its set outgrew the window and it has
+// not rebuilt, and rebuilds at most once.
+func TestWindowEdgeMatchesReference(t *testing.T) {
+	const syms, eos = 8, 8
+	tie := []float64{0, 0, 0, 0, -1, -1, -1, -1, -1}            // four-way tie at the top
+	lateMatch := []float64{0, 0, 0, -0.5, -0.5, -1, -1, -1, -4} // EOS last
+	for _, arm := range []struct {
+		name    string
+		weights []float64
+		eos     bool
+		rule    decoding.Rule
+	}{
+		{"tie-at-window-edge", tie, false, nil},
+		{"tie-at-window-edge/eos", tie, true, nil},
+		{"tie-at-window-edge/topk", tie, false, decoding.TopK{K: 6}},
+		{"match-after-window", lateMatch, true, nil},
+		{"match-inside-window", lateMatch, false, nil},
+	} {
+		dev := device.New(&rowLM{model.Uniform{Vocab: syms + 1, EOSTok: eos, SeqLen: 16}, arm.weights}, device.DefaultLatency(), 8)
+		pat := chainPattern(syms, 3)
+		for _, batch := range []int{1, 4} {
+			for _, workers := range []int{1, 8} {
+				query := func() *Query {
+					return &Query{Pattern: pat, Rule: arm.rule, RequireEOS: arm.eos, BatchExpand: batch, Parallelism: workers}
+				}
+				name := fmt.Sprintf("%s/batch%d/p%d", arm.name, batch, workers)
+				checkExpansion(t, name, dev, query, 60)
+				if rebuilt := checkCursors(t, name, dev, query(), 60); rebuilt == 0 {
+					t.Errorf("%s: no cursor was popped past its window", name)
+				}
+			}
+		}
+	}
+}
+
+// checkCursors drains up to limit results from a shortest-path stream and,
+// after every result, checks each cursor on the frontier: a cursor whose set
+// fits its window holds no row, one that dropped siblings holds its row until
+// it rebuilds, and none builds its rest twice. It returns how many cursors
+// rebuilt.
+func checkCursors(t *testing.T, name string, dev *device.Device, q *Query, limit int) int {
+	t.Helper()
+	s := ShortestPath(dev, q).(*dijkstraStream)
+	defer s.Close()
+	rests := map[*cursor]*sibling{} // the first sibling of each rebuilt cursor's rest
+	for range limit {
+		if _, err := s.Next(); err != nil {
+			break
+		}
+		for _, c := range s.frontier {
+			if c.sibs[0].sym == rootSym {
+				continue
+			}
+			if !inWindow(c) {
+				base := &c.sibs[:1][0]
+				if prev, ok := rests[c]; ok && prev != base {
+					t.Fatalf("%s: cursor %d built its rest twice", name, c.seq)
+				}
+				rests[c] = base
+				if c.lp != nil {
+					t.Fatalf("%s: cursor %d holds its row after it rebuilt", name, c.seq)
+				}
+				continue
+			}
+			row := must(dev.Forward([][]model.Token{c.ctx}))[0]
+			all, _ := c.expand(s.q, row, nil, false)
+			if fits := len(all) <= window; fits != (c.lp == nil) {
+				t.Fatalf("%s: cursor %d has %d siblings and holds its row: %t", name, c.seq, len(all), c.lp != nil)
+			}
+		}
+	}
+	return len(rests)
+}
+
+// TestBoundedExpandKeepsLeastSorted: bounded, expand keeps the least
+// cap(dst) siblings of the unbounded set in the sibling order, in dst's own
+// storage, and reports a drop exactly when the set outgrows it.
+func TestBoundedExpandKeepsLeastSorted(t *testing.T) {
+	const syms, eos = 8, 8
+	lm := &rowLM{model.Uniform{Vocab: syms + 1, EOSTok: eos, SeqLen: 16}, []float64{-1, 0, -1, -0.5, 0, -2, -1, -0.5, -1}}
+	row := lm.NextLogProbs(nil)
+	for _, eosOn := range []bool{false, true} {
+		for k := 1; k <= syms+1; k++ {
+			q := &Query{Pattern: chainPattern(syms, 3), Rule: decoding.TopK{K: k}, RequireEOS: eosOn, MaxTokens: 16, eos: eos}
+			kept := decoding.SupportOf(q.Rule, row)
+			// A node one token deep: its children and its match.
+			all, _ := q.expand(1, []model.Token{0}, 1, row, kept, nil, false)
+			var win [window]sibling
+			got, dropped := q.expand(1, []model.Token{0}, 1, row, kept, win[:0], true)
+			kept.Release()
+			slices.SortFunc(all, func(a, b sibling) int {
+				if a.before(b) {
+					return -1
+				}
+				return 1
+			})
+			name := fmt.Sprintf("eos=%t/topk%d", eosOn, k)
+			if want := all[:min(len(all), window)]; !slices.Equal(got, want) {
+				t.Errorf("%s: bounded set %v, want %v", name, got, want)
+			}
+			if dropped != (len(all) > window) {
+				t.Errorf("%s: %d siblings, dropped %t", name, len(all), dropped)
+			}
+			if len(got) > 0 && &got[0] != &win[0] {
+				t.Errorf("%s: bounded set left dst's storage", name)
+			}
+		}
+	}
+}

@@ -3,7 +3,9 @@ package engine
 import (
 	"container/heap"
 	"context"
+	"slices"
 
+	"repro/internal/automaton"
 	"repro/internal/decoding"
 	"repro/internal/device"
 	"repro/internal/model"
@@ -37,11 +39,45 @@ type dijkstraStream struct {
 // yielded yet. The frontier holds one cursor per expanded node (and per
 // prefix root), ordered by its least sibling: a pop spawns that sibling and
 // re-files the cursor under the next one, so a child is built only when it
-// is popped.
+// is popped. A cursor is popped about once, so it holds only its node's
+// least window siblings, inline, and the node's row (shared, read-only) if
+// expand dropped others; should the window run dry, it builds those once.
 type cursor struct {
-	parent node
-	seq    int64    // the parent's discovery order
-	sibs   siblings // a heap; sibs[0] is the next to pop
+	ctx            []model.Token // the node's own context
+	cost, prefLogP float64
+	seq            int64 // the node's discovery order
+	state, patLen  int32
+	sibs           siblings  // a heap: the window's unpopped part, or the rest
+	lp             []float64 // the node's row, while the rest is unbuilt
+	win            [window]sibling
+}
+
+// window is how many siblings a cursor holds before it needs its row again.
+// Shortest path pops about one sibling per cursor (0.3 % of those built, on
+// the audit suite). With two, 0.1 to 20 % of the ledger workloads' cursors
+// rebuild (a support and an expand, no model call); four would halve that
+// but grow the cursor past what a narrow node's siblings used to cost.
+const window = 2
+
+// expand is Query.expand on c's node scored lp.
+func (c *cursor) expand(q *Query, lp []float64, dst siblings, bounded bool) (siblings, bool) {
+	kept := decoding.SupportOf(q.Rule, lp)
+	defer kept.Release()
+	return q.expand(automaton.StateID(c.state), c.ctx[len(c.ctx)-int(c.patLen):], c.cost, lp, kept, dst, bounded)
+}
+
+// rebuild replaces a spent window with the siblings expand dropped from it:
+// the set built again from the same row, after last, the sibling popped last.
+func (c *cursor) rebuild(q *Query, last sibling) {
+	all, _ := c.expand(q, c.lp, nil, false)
+	rest := slices.DeleteFunc(all, func(s sibling) bool { return !last.before(s) })
+	rest.heapify()
+	c.sibs, c.lp = rest, nil
+}
+
+// spawn builds the node sibling s of c's node stands for.
+func (c *cursor) spawn(s sibling) node {
+	return (&node{path: path{ctx: c.ctx}, state: automaton.StateID(c.state), patLen: int(c.patLen), prefLogP: c.prefLogP}).spawn(s, c.seq)
 }
 
 func (c *cursor) next() order { s := c.sibs[0]; return order{s.cost, c.seq, s.rank()} }
@@ -64,11 +100,16 @@ func (h *frontier) Pop() any {
 // matchNext reports whether the least entry is a match, ready to emit.
 func (h frontier) matchNext() bool { return h[0].sibs[0].sym == matchSym }
 
-// pop spawns the least entry and advances its cursor; a spent cursor leaves
-// the heap and lets go of its parent's context and siblings.
-func (h *frontier) pop() node {
+// pop spawns the least entry and advances its cursor, which rebuilds a spent
+// window if it holds its row; a spent cursor leaves the heap and lets go of
+// its node's context.
+func (h *frontier) pop(q *Query) node {
 	c := (*h)[0]
-	n := c.parent.spawn(c.sibs.pop(), c.seq)
+	s := c.sibs.pop()
+	n := c.spawn(s)
+	if len(c.sibs) == 0 && c.lp != nil {
+		c.rebuild(q, s)
+	}
 	if len(c.sibs) > 0 {
 		heap.Fix(h, 0)
 	} else {
@@ -114,7 +155,6 @@ func (s *dijkstraStream) init() {
 	}
 	s.stats.modelCalls.Add(calls)
 	roots := make([]cursor, len(s.q.Prefixes))
-	sibs := make(siblings, len(roots))
 	for pi, p := range s.q.Prefixes {
 		logP := logPs[pi]
 		cost := -logP
@@ -125,13 +165,11 @@ func (s *dijkstraStream) init() {
 			// blowup the heuristic avoids.
 			cost = 0
 		}
-		sibs[pi] = sibling{cost: cost, sym: rootSym}
-		roots[pi] = cursor{
-			parent: node{path: rootPath(p), state: s.q.Pattern.Start(), cost: cost, prefLogP: logP},
-			seq:    int64(pi),
-			sibs:   sibs[pi : pi+1 : pi+1],
-		}
-		s.frontier = append(s.frontier, &roots[pi])
+		c := &roots[pi]
+		*c = cursor{ctx: rootPath(p).ctx, prefLogP: logP, seq: int64(pi), state: int32(s.q.Pattern.Start())}
+		c.win[0] = sibling{cost: cost, sym: rootSym}
+		c.sibs = c.win[:1]
+		s.frontier = append(s.frontier, c)
 	}
 	heap.Init(&s.frontier)
 	s.seq = int64(len(roots))
@@ -163,7 +201,7 @@ func (s *dijkstraStream) Next() (*Result, error) {
 		}
 		if s.frontier.matchNext() {
 			s.stats.emitted.Add(1)
-			n := s.frontier.pop()
+			n := s.frontier.pop(s.q)
 			return n.result(), nil
 		}
 		expanded := s.stats.nodesExpanded.Load()
@@ -174,7 +212,7 @@ func (s *dijkstraStream) Next() (*Result, error) {
 		batch := s.batch[:0]
 		for len(batch) < batchSize && len(s.frontier) > 0 && !s.frontier.matchNext() &&
 			expanded+int64(len(batch)) < int64(s.q.MaxNodes) {
-			batch = append(batch, s.frontier.pop())
+			batch = append(batch, s.frontier.pop(s.q))
 		}
 		s.batch = batch
 		if err := s.expand(batch); err != nil {
@@ -199,17 +237,16 @@ func (s *dijkstraStream) expand(batch []node) error {
 	s.stats.nodesExpanded.Add(int64(len(batch)))
 	cursors := make([]cursor, len(batch))
 	parallelFor(len(batch), s.q.Parallelism, func(i int) {
-		n, kept := &batch[i], decoding.SupportOf(s.q.Rule, lps[i])
-		sibs := s.q.expand(n.state, n.pattern(), n.cost, lps[i], kept, nil)
-		kept.Release()
-		sibs.heapify()
-		cursors[i] = cursor{parent: *n, sibs: sibs}
+		n, c := &batch[i], &cursors[i]
+		*c = cursor{ctx: n.context(), cost: n.cost, prefLogP: n.prefLogP, seq: s.seq + int64(i), state: int32(n.state), patLen: int32(n.patLen)}
+		var dropped bool
+		if c.sibs, dropped = c.expand(s.q, lps[i], c.win[:0], true); dropped {
+			c.lp = lps[i]
+		}
 	})
+	s.seq += int64(len(batch))
 	for i := range cursors {
-		c := &cursors[i]
-		c.seq = s.seq
-		s.seq++
-		if len(c.sibs) > 0 {
+		if c := &cursors[i]; len(c.sibs) > 0 {
 			heap.Push(&s.frontier, c)
 		}
 	}

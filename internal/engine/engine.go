@@ -348,13 +348,14 @@ const (
 // rank orders siblings of one node: token id, the match after every child.
 func (s sibling) rank() uint32 { return uint32(s.sym) }
 
-// siblings is one node's sibling set; after heapify, a binary min-heap by
-// (cost, rank).
-type siblings []sibling
-
-func (h siblings) less(i, j int) bool {
-	return h[i].cost < h[j].cost || (h[i].cost == h[j].cost && h[i].rank() < h[j].rank())
+// before is the sibling order, (cost, rank), total among one node's siblings.
+func (s sibling) before(t sibling) bool {
+	return s.cost < t.cost || s.cost == t.cost && s.rank() < t.rank()
 }
+
+// siblings is one node's sibling set; after heapify, or when sorted, a binary
+// min-heap in the sibling order.
+type siblings []sibling
 
 func (h siblings) down(i int) {
 	for {
@@ -362,10 +363,10 @@ func (h siblings) down(i int) {
 		if c >= len(h) {
 			return
 		}
-		if r := c + 1; r < len(h) && h.less(r, c) {
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
 			c = r
 		}
-		if !h.less(c, i) {
+		if !h[c].before(h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -389,6 +390,25 @@ func (h *siblings) pop() sibling {
 	return top
 }
 
+// add files s: appended, or when bounded, into a set sorted in the sibling
+// order that keeps its least cap siblings. It reports whether that set
+// dropped one, s or its greatest.
+func (h *siblings) add(s sibling, bounded bool) (dropped bool) {
+	t := *h
+	if bounded && len(t) == cap(t) {
+		if !s.before(t[len(t)-1]) {
+			return true
+		}
+		t, dropped = t[:len(t)-1], true
+	}
+	t = append(t, s)
+	for i := len(t) - 1; bounded && i > 0 && s.before(t[i-1]); i-- {
+		t[i], t[i-1] = t[i-1], t[i]
+	}
+	*h = t
+	return dropped
+}
+
 // expand is the expansion rule (§3.3), the one place that reads the
 // automaton, the decision rule's support, the canonical filter, MaxTokens and
 // EOS to decide a scored node's successors; the engines differ only in what
@@ -398,9 +418,10 @@ func (h *siblings) pop() sibling {
 // agrees — one sibling per pattern edge whose token is in kept, in edge
 // order; and last, when the node may end here, its match, charged the EOS
 // step under RequireEOS. A sibling's cost is cost minus its token's entry in
-// lp. Pure with respect to stream state, so batch slots can be filled
-// concurrently.
-func (q *Query) expand(state automaton.StateID, pattern []model.Token, cost float64, lp []float64, kept decoding.Support, dst siblings) siblings {
+// lp. Bounded, it keeps only the set's least cap(dst) siblings, sorted, and
+// reports whether it dropped any. Pure with respect to stream state, so batch
+// slots can be filled concurrently.
+func (q *Query) expand(state automaton.StateID, pattern []model.Token, cost float64, lp []float64, kept decoding.Support, dst siblings, bounded bool) (siblings, bool) {
 	edges, live := q.Pattern.Edges(state), 0
 	if q.grows(len(pattern)) {
 		for _, e := range edges {
@@ -417,14 +438,14 @@ func (q *Query) expand(state automaton.StateID, pattern []model.Token, cost floa
 	if match {
 		size++
 	}
-	if cap(dst) < size {
+	if !bounded && cap(dst) < size {
 		dst = make(siblings, 0, size)
 	}
-	dst = dst[:0]
+	dst, dropped := dst[:0], false
 	if live > 0 {
 		for _, e := range edges {
-			if kept.Has(e.Sym) {
-				dst = append(dst, sibling{cost: cost - lp[e.Sym], sym: int32(e.Sym), to: int32(e.To)})
+			if kept.Has(e.Sym) && dst.add(sibling{cost: cost - lp[e.Sym], sym: int32(e.Sym), to: int32(e.To)}, bounded) {
+				dropped = true
 			}
 		}
 	}
@@ -432,9 +453,9 @@ func (q *Query) expand(state automaton.StateID, pattern []model.Token, cost floa
 		if q.RequireEOS {
 			cost -= lp[q.eos]
 		}
-		dst = append(dst, sibling{cost: cost, sym: matchSym})
+		dropped = dst.add(sibling{cost: cost, sym: matchSym}, bounded) || dropped
 	}
-	return dst
+	return dst, dropped
 }
 
 // grows reports whether a node with n pattern tokens may have children.

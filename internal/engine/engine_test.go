@@ -388,7 +388,7 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 
 	m := &model.Uniform{Vocab: 257, EOSTok: 256, SeqLen: 16}
 	dev := device.New(m, device.DefaultLatency(), 8)
-	walks := automaton.NewWalkCounter(prefDFA, m.SeqLen)
+	walks := automaton.NewWalkCounter(prefDFA.Freeze(), m.SeqLen)
 	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
 		Rng:         rand.New(rand.NewSource(3)),
 		PrefixWalks: walks,

@@ -147,7 +147,7 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 		sets = slices.Grow(sets[:0], len(batch))[:len(batch)]
 		parallelFor(len(batch), q.Parallelism, func(i int) {
 			n, kept := &batch[i], decoding.SupportOf(q.Rule, lps[i])
-			sets[i] = q.expand(n.state, ctxs[i][len(ctxs[i])-n.pat:], 0, lps[i], kept, sets[i])
+			sets[i], _ = q.expand(n.state, ctxs[i][len(ctxs[i])-n.pat:], 0, lps[i], kept, sets[i], false)
 			kept.Release()
 		})
 		for i := range batch {

@@ -232,7 +232,7 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 		// token, the stop (the match) by EOS under RequireEOS; without EOS
 		// semantics the stop takes the probability mass no child claims.
 		row = decoding.Allowed(s.q.Rule, lp, row)
-		moves = s.q.expand(state, pattern, 0, row, decoding.SupportOf(nil, row), moves)
+		moves, _ = s.q.expand(state, pattern, 0, row, decoding.SupportOf(nil, row), moves, false)
 		if len(moves) == 0 {
 			return nil, nil // dead end under the rule: reject
 		}

@@ -102,6 +102,6 @@ func (p *prefixLanguage) encode() ([][]model.Token, error) {
 // string is exactly one path of the byte automaton, so walks drawn uniformly
 // are strings drawn uniformly (§3.3), bounded at the byte budget.
 func (p *prefixLanguage) Walks() *automaton.WalkCounter {
-	p.walksOnce.Do(func() { p.walks = automaton.NewWalkCounter(p.char, p.maxLen) })
+	p.walksOnce.Do(func() { p.walks = automaton.NewWalkCounter(p.char.Freeze(), p.maxLen) })
 	return p.walks
 }

@@ -606,11 +606,12 @@ func BenchmarkMass(b *testing.B) {
 	e := env(b)
 	m := e.FreshModel(false)
 	q := relm.SearchQuery{
-		Query: relm.QueryString{Pattern: " [0-9]{3} [0-9]{3} [0-9]{4}", Prefix: "My phone number is"},
+		Query:    relm.QueryString{Pattern: " [0-9]{3} [0-9]{3} [0-9]{4}", Prefix: "My phone number is"},
+		MaxNodes: 50000,
 	}
 	var lower float64
 	for i := 0; i < b.N; i++ {
-		est, err := relm.Mass(m, q, relm.MassOptions{Tolerance: 1e-3, MaxNodes: 50000})
+		est, err := relm.Mass(m, q, relm.MassOptions{Tolerance: 1e-3})
 		if err != nil {
 			b.Fatal(err)
 		}

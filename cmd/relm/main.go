@@ -59,35 +59,12 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	// The engine's Effective* helpers are the single clamping point for the
-	// execution knobs; here explicit nonsense (negative batch, zero or
-	// negative worker pool) is an input error, not something to clamp
-	// silently.
-	if err := engine.ValidateBatch(*batch); err != nil {
-		fmt.Fprintln(os.Stderr, "relm: -batch:", err)
-		os.Exit(2)
-	}
+	// Out-of-range flags are an input error, refused before the model is
+	// trained: q.Validate below, and here an explicit worker pool of zero.
 	if err := engine.ValidateParallelism(*par); err != nil {
 		fmt.Fprintln(os.Stderr, "relm: -parallelism:", err)
 		os.Exit(2)
 	}
-
-	var m *relm.Model
-	if *artifacts != "" {
-		var arch string
-		var err error
-		m, arch, err = relm.LoadArtifacts(*artifacts, relm.ModelOptions{Parallelism: *par})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "relm:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("loaded %s model from %s\n", arch, *artifacts)
-	} else {
-		fmt.Println("training synthetic model (quick scale)...")
-		env := experiments.NewEnv(experiments.EnvConfig{Scale: experiments.Quick, Parallelism: *par})
-		m = env.FreshModel(*small)
-	}
-
 	q := relm.SearchQuery{
 		Query:       relm.QueryString{Pattern: *pattern, Prefix: *prefix},
 		TopK:        *topK,
@@ -114,6 +91,26 @@ func main() {
 	}
 	if *edits > 0 {
 		q.Preprocessors = []relm.Preprocessor{relm.EditDistance{K: *edits}}
+	}
+	if err := q.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
+	var m *relm.Model
+	if *artifacts != "" {
+		var arch string
+		var err error
+		m, arch, err = relm.LoadArtifacts(*artifacts, relm.ModelOptions{Parallelism: *par})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "relm:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("loaded %s model from %s\n", arch, *artifacts)
+	} else {
+		fmt.Println("training synthetic model (quick scale)...")
+		env := experiments.NewEnv(experiments.EnvConfig{Scale: experiments.Quick, Parallelism: *par})
+		m = env.FreshModel(*small)
 	}
 
 	if *explain {

@@ -47,7 +47,8 @@ func main() {
 
 	// Beyond enumeration: certified bounds on the total probability that a
 	// complete generation is a phone number at all.
-	est, err := relm.Mass(m, query, relm.MassOptions{Tolerance: 1e-3, MaxNodes: 50000})
+	query.MaxNodes = 50000
+	est, err := relm.Mass(m, query, relm.MassOptions{Tolerance: 1e-3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func fusionGateQueries() []gateQuery {
 				name: "mass-" + fmt.Sprint(i),
 				mass: true,
 				q: relm.SearchQuery{
-					Query: own(3), RequireEOS: true, MaxTokens: 24, BatchExpand: 1,
+					Query: own(3), RequireEOS: true, MaxTokens: 24, MaxNodes: 200, BatchExpand: 1,
 				},
 			},
 		)
@@ -97,7 +97,7 @@ func fusionGateQueries() []gateQuery {
 func runGateQuery(tb testing.TB, m *relm.Model, g gateQuery) []string {
 	tb.Helper()
 	if g.mass {
-		est, err := relm.Mass(m, g.q, relm.MassOptions{Tolerance: 0.05, MaxNodes: 200})
+		est, err := relm.Mass(m, g.q, relm.MassOptions{Tolerance: 0.05})
 		if err != nil {
 			tb.Errorf("%s: %v", g.name, err)
 			return nil

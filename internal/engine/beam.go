@@ -10,7 +10,8 @@ import (
 
 // BeamOptions configures constrained beam search.
 type BeamOptions struct {
-	// Width is the beam size (default 8).
+	// Width is the beam size, at least 1 (relm's lowering resolves the
+	// default of 8).
 	Width int
 }
 
@@ -22,11 +23,7 @@ type BeamOptions struct {
 // level-synchronized device batches. Completed hypotheses are collected as
 // the beam advances and emitted in descending probability.
 func Beam(dev *device.Device, q *Query, opts BeamOptions) Stream {
-	nq := normalizeQuery(dev, q)
-	if opts.Width <= 0 {
-		opts.Width = 8
-	}
-	s := &beamStream{stream: stream{q: nq, dev: dev}, opts: opts}
+	s := &beamStream{stream: stream{q: normalizeQuery(dev, q), dev: dev}, opts: opts}
 	s.init()
 	return s
 }

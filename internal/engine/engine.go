@@ -50,8 +50,8 @@ type Query struct {
 	// MaxTokens caps the number of pattern tokens per result (default: the
 	// model's max sequence length).
 	MaxTokens int
-	// MaxNodes caps total node expansions in shortest-path traversal
-	// (default 1<<20), bounding memory on infinite languages.
+	// MaxNodes caps total node expansions, bounding memory on infinite
+	// languages: shortest path defaults to 1<<20, Mass to 1<<17.
 	MaxNodes int
 	// BatchExpand pops up to this many frontier nodes per device round in
 	// shortest-path traversal, amortizing dispatch overhead — the paper's
@@ -84,7 +84,7 @@ type Query struct {
 	// in KV (evicted under budget, or never computed) fall back to a batched
 	// Prefill; states are pure caches, so the fallback only costs time.
 	// Result streams are byte-identical to the full path at any budget.
-	// Requires KV; ignored otherwise.
+	// Takes effect only where EffectiveIncremental holds.
 	Incremental bool
 	// KV is the prefix-state arena backing Incremental. It may be shared by
 	// any number of concurrent queries (states for common prefixes are
@@ -575,9 +575,6 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64,
 	return totals, contexts, nil
 }
 
-// incremental reports whether the query runs with prefix-state reuse.
-func (q *Query) incremental() bool { return q.Incremental && q.KV != nil }
-
 // scoreFrontier returns next-token log-probs for a batch of frontier contexts:
 // the one statement of how every engine scores, shortest path, beam, Mass and
 // the sampler's one-context steps alike. On the full path it is one packed
@@ -589,19 +586,15 @@ func (q *Query) incremental() bool { return q.Incremental && q.KV != nil }
 // context, window-edge contexts) by a batched Prefill. Every computed state is
 // committed back to the arena so the next round's children extend it in turn.
 // All routes produce bit-identical rows. A failed dispatch returns its error
-// with every parent handle released.
-//
-// Models without real prefix states (the window substrates: their "extend"
-// re-scores the window through the logit LRU anyway) take the full path even
-// when Incremental is set — arena-caching their trivial states would spend
-// bookkeeping memory to save nothing.
+// with every parent handle released. Whether a query takes the incremental
+// path is EffectiveIncremental's answer.
 func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]float64, error) {
 	m := dev.Model()
 	clamped := make([][]model.Token, len(ctxs))
 	for i, ctx := range ctxs {
 		clamped[i] = model.ClampWindow(m, ctx)
 	}
-	if !q.incremental() || !model.HasPrefixStates(m) {
+	if !EffectiveIncremental(dev, q) {
 		return dev.Forward(clamped)
 	}
 	lps, hit := dev.Resident(clamped)
@@ -811,11 +804,10 @@ func queryContext(q *Query) context.Context {
 }
 
 // EffectiveBatch resolves a BatchExpand setting against the device: <= 0
-// means one frontier batch per device dispatch window. Query planners
-// (relm.Explain) use this so the reported plan matches what runs. Together
-// with EffectiveParallelism it is the single clamping point for the two
-// execution knobs: callers validate user input with ValidateBatch /
-// ValidateParallelism and then rely on these to resolve defaults.
+// means one frontier batch per device dispatch window. Together with
+// EffectiveParallelism and EffectiveIncremental it is the single resolving
+// point for the execution knobs: callers validate user input and then rely
+// on these to resolve defaults, so a plan reports what runs.
 func EffectiveBatch(dev *device.Device, batch int) int {
 	if batch <= 0 {
 		return dev.MaxBatch()
@@ -830,6 +822,16 @@ func EffectiveParallelism(p int) int {
 		return 1
 	}
 	return p
+}
+
+// EffectiveIncremental reports whether q runs with prefix-state reuse on dev:
+// the query asks for it, it has an arena, and the model keeps real prefix
+// states. The window substrates do not — their "extend" re-scores the window
+// through the logit LRU anyway — so they take the full path even when
+// Incremental is set: arena-caching their trivial states would spend
+// bookkeeping memory to save nothing.
+func EffectiveIncremental(dev *device.Device, q *Query) bool {
+	return q.Incremental && q.KV != nil && model.HasPrefixStates(dev.Model())
 }
 
 // ValidateBatch rejects nonsensical user-facing BatchExpand settings.

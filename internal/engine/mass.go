@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"slices"
 
@@ -40,13 +41,21 @@ type MassResult struct {
 // Gap returns the remaining uncertainty interval width.
 func (r *MassResult) Gap() float64 { return r.Upper - r.Lower }
 
-// MassOptions bounds the computation.
+// String renders the result as an interval.
+func (r *MassResult) String() string {
+	mark := ""
+	if !r.Converged {
+		mark = " (budget exhausted)"
+	}
+	return fmt.Sprintf("mass ∈ [%.6g, %.6g], %d matches resolved%s", r.Lower, r.Upper, r.Matches, mark)
+}
+
+// MassOptions bounds the computation; Query.MaxNodes caps its expansions
+// (default 1<<17).
 type MassOptions struct {
 	// Tolerance stops the traversal once Upper-Lower <= Tolerance
 	// (default 1e-3).
 	Tolerance float64
-	// MaxNodes caps expansions (default 1<<17).
-	MaxNodes int
 }
 
 // massNode carries probability (not cost) for max-first traversal.
@@ -93,12 +102,13 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = 1e-3
 	}
-	if opts.MaxNodes <= 0 {
-		opts.MaxNodes = 1 << 17
+	maxNodes := q.MaxNodes
+	if maxNodes <= 0 {
+		maxNodes = 1 << 17
 	}
 	q = normalizeQuery(dev, q)
 	defer q.cancel() // Mass is synchronous; release the derived context
-	q.RequireEOS = true
+	q.RequireEOS, q.MaxNodes = true, maxNodes
 	batchSize := EffectiveBatch(dev, q.BatchExpand)
 
 	res := &MassResult{}
@@ -120,13 +130,13 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 			res.Converged = true
 			break
 		}
-		if res.Expanded >= int64(opts.MaxNodes) || q.Context.Err() != nil {
+		if res.Expanded >= int64(q.MaxNodes) || q.Context.Err() != nil {
 			break
 		}
 		// Pop the top-K highest-mass frontier nodes for one device round.
 		batch = batch[:0]
 		for len(batch) < batchSize && frontier.Len() > 0 &&
-			res.Expanded+int64(len(batch)) < int64(opts.MaxNodes) {
+			res.Expanded+int64(len(batch)) < int64(q.MaxNodes) {
 			n := heap.Pop(&frontier).(*massNode)
 			frontierMass -= n.mass
 			batch = append(batch, *n)

@@ -52,7 +52,7 @@ func TestMassBoundsAreSound(t *testing.T) {
 	n.SetStart(s0)
 	pat := n.Determinize().Freeze()
 
-	res := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 10}, MassOptions{Tolerance: 1e-15, MaxNodes: 50}))
+	res := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 10, MaxNodes: 50}, MassOptions{Tolerance: 1e-15}))
 	if res.Lower < 0 || res.Upper > 1 || res.Lower > res.Upper {
 		t.Fatalf("unsound bounds [%g, %g]", res.Lower, res.Upper)
 	}
@@ -76,8 +76,8 @@ func TestMassConvergesWithBudget(t *testing.T) {
 	n.SetStart(s0)
 	pat := n.Determinize().Freeze()
 
-	loose := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 3}))
-	tight := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12}, MassOptions{Tolerance: 1e-9, MaxNodes: 10000}))
+	loose := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12, MaxNodes: 3}, MassOptions{Tolerance: 1e-9}))
+	tight := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12, MaxNodes: 10000}, MassOptions{Tolerance: 1e-9}))
 	if loose.Gap() <= tight.Gap() {
 		t.Fatalf("more budget did not tighten the gap: %g vs %g", loose.Gap(), tight.Gap())
 	}

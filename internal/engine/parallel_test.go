@@ -169,8 +169,9 @@ func TestMassCancellation(t *testing.T) {
 		Pattern:  pat,
 		Prefixes: [][]model.Token{env.tok.Encode("The man was trained in")},
 		Context:  ctx,
+		MaxNodes: 1 << 16,
 	}
-	res := must(Mass(env.dev, q, MassOptions{Tolerance: 1e-9, MaxNodes: 1 << 16}))
+	res := must(Mass(env.dev, q, MassOptions{Tolerance: 1e-9}))
 	if res.Lower < 0 || res.Upper > 1 || res.Lower > res.Upper {
 		t.Fatalf("cancelled Mass bounds unsound: [%g, %g]", res.Lower, res.Upper)
 	}

@@ -301,11 +301,11 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 			res.Converged = true
 			break
 		}
-		if res.Expanded >= int64(opts.MaxNodes) {
+		if res.Expanded >= int64(q.MaxNodes) {
 			break
 		}
 		var batch []*massNode
-		for len(batch) < batchSize && frontier.Len() > 0 && res.Expanded+int64(len(batch)) < int64(opts.MaxNodes) {
+		for len(batch) < batchSize && frontier.Len() > 0 && res.Expanded+int64(len(batch)) < int64(q.MaxNodes) {
 			n := heap.Pop(&frontier).(*massNode)
 			frontierMass -= n.mass
 			batch = append(batch, n)
@@ -574,8 +574,9 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 	sameResults(t, name+"/beam", resultRows(got), resultRows(want))
 	sameStats(t, name+"/beam", gotStats, wantStats)
 
-	opts := MassOptions{Tolerance: 1e-6, MaxNodes: 600}
-	if gm, wm := must(Mass(dev, query(), opts)), refMass(dev, query(), opts); *gm != *wm {
+	massQuery := func() *Query { q := query(); q.MaxNodes = 600; return q }
+	opts := MassOptions{Tolerance: 1e-6}
+	if gm, wm := must(Mass(dev, massQuery(), opts)), refMass(dev, massQuery(), opts); *gm != *wm {
 		t.Fatalf("%s/mass: %+v, reference %+v", name, *gm, *wm)
 	}
 

@@ -357,7 +357,7 @@ func TestSharedRowsStayUnwritten(t *testing.T) {
 		})
 	}
 	run("mass", func() error {
-		_, err := relm.Mass(m, relm.SearchQuery{Query: url, TopK: 40, MaxTokens: 8}, relm.MassOptions{MaxNodes: 200})
+		_, err := relm.Mass(m, relm.SearchQuery{Query: url, TopK: 40, MaxTokens: 8, MaxNodes: 200}, relm.MassOptions{})
 		return err
 	})
 	run("freeSample", func() error {

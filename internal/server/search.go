@@ -41,7 +41,8 @@ type SearchRequest struct {
 	// the server max).
 	DeadlineMS int64 `json:"deadline_ms"`
 	// Batch and Parallelism are the DESIGN.md decision-6 execution knobs
-	// (0: engine defaults). Negative values are rejected.
+	// (0: engine defaults). Negative values are rejected
+	// (relm.SearchQuery.Validate).
 	Batch       int `json:"batch"`
 	Parallelism int `json:"parallelism"`
 	// Incremental enables KV-cache prefix-state reuse across the query's
@@ -70,13 +71,8 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*SearchRe
 	default:
 		return nil, nil, "", fmt.Errorf("unknown tokenization %q (want canonical or all)", req.Tokenization)
 	}
-	if err := engine.ValidateBatch(req.Batch); err != nil {
+	if err := buildQuery(&req, r.Context()).Validate(); err != nil {
 		return nil, nil, "", err
-	}
-	if req.Parallelism != 0 {
-		if err := engine.ValidateParallelism(req.Parallelism); err != nil {
-			return nil, nil, "", err
-		}
 	}
 	if req.MaxMatches < 0 {
 		return nil, nil, "", fmt.Errorf("max_matches must be >= 0, got %d", req.MaxMatches)
@@ -87,23 +83,9 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*SearchRe
 	if req.Edits < 0 {
 		return nil, nil, "", fmt.Errorf("edits must be >= 0, got %d", req.Edits)
 	}
-	if req.Temperature < 0 {
-		// A negative temperature would invert the distribution, silently
-		// ranking the least likely strings first.
-		return nil, nil, "", fmt.Errorf("temperature must be >= 0, got %g", req.Temperature)
-	}
-	if req.TopP < 0 || req.TopP > 1 {
-		return nil, nil, "", fmt.Errorf("topp must be in [0, 1], got %g", req.TopP)
-	}
-	if req.TopK < 0 {
-		return nil, nil, "", fmt.Errorf("topk must be >= 0, got %d", req.TopK)
-	}
 	if req.Edits > s.cfg.MaxEdits {
 		// Clamping would silently change the query's language; refuse.
 		return nil, nil, "", fmt.Errorf("edits must be <= %d, got %d", s.cfg.MaxEdits, req.Edits)
-	}
-	if req.BeamWidth < 0 {
-		return nil, nil, "", fmt.Errorf("beam_width must be >= 0, got %d", req.BeamWidth)
 	}
 	m, name, err := s.lookup(req.Model)
 	if err != nil {

@@ -192,8 +192,8 @@ func TestKVCompressionEngineEquivalence(t *testing.T) {
 					results.Close()
 				}
 				mq := kvGateProbe(id)
-				mq.Query.Pattern = " [0-9]{2}"
-				est, err := relm.Mass(m, mq, relm.MassOptions{Tolerance: 0.05, MaxNodes: 300})
+				mq.Query.Pattern, mq.MaxNodes = " [0-9]{2}", 300
+				est, err := relm.Mass(m, mq, relm.MassOptions{Tolerance: 0.05})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -69,15 +69,17 @@ func TestMassSubsetMonotone(t *testing.T) {
 func TestMassTopKReducesMass(t *testing.T) {
 	m := testModel(t)
 	free, err := Mass(m, SearchQuery{
-		Query: QueryString{Pattern: " [a-z]{1,3}", Prefix: "The"},
-	}, MassOptions{Tolerance: 1e-4, MaxNodes: 20000})
+		Query:    QueryString{Pattern: " [a-z]{1,3}", Prefix: "The"},
+		MaxNodes: 20000,
+	}, MassOptions{Tolerance: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	filtered, err := Mass(m, SearchQuery{
-		Query: QueryString{Pattern: " [a-z]{1,3}", Prefix: "The"},
-		TopK:  2,
-	}, MassOptions{Tolerance: 1e-4, MaxNodes: 20000})
+		Query:    QueryString{Pattern: " [a-z]{1,3}", Prefix: "The"},
+		TopK:     2,
+		MaxNodes: 20000,
+	}, MassOptions{Tolerance: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,20 @@
 package relm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/compiler"
+	"repro/internal/decoding"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/regex"
+	"repro/internal/trace"
 )
 
 // compiled holds the products of pattern compilation, shared by Search,
@@ -22,6 +27,145 @@ type compiled struct {
 	token    *automaton.Frozen // token-alphabet LLM automaton, minimized + frozen
 	filter   *compiler.CanonicalFilter
 	resolved CanonicalStrategy // which canonical construction actually ran
+}
+
+// runKind is what a query is lowered for.
+type runKind uint8
+
+const (
+	searchRun runKind = iota // Search: streamed by the query's Strategy
+	massRun                  // Mass: best-first refinement of its bounds
+	planRun                  // Explain: described, never executed
+)
+
+// run is a query lowered to what executes it: the compiled pattern and
+// prefix, and one engine.Query with every execution knob resolved, its
+// BatchExpand the rows per device round for every strategy (Plan.BatchSize).
+type run struct {
+	comp   *compiled
+	hit    bool                   // comp was served by the plan cache
+	prefix *prefixLanguage        // nil when the query has no prefix
+	walks  *automaton.WalkCounter // random sampling's prefix draws
+	eq     engine.Query
+}
+
+// lower is the one place a query becomes a run (§3.1: regex -> natural
+// language automaton -> preprocessors -> LLM automaton -> executor). Search
+// and Mass execute what it returns and Explain only describes it, so a plan
+// reports the run that executes. It applies q's defaults in place. A plan
+// run opens no trace and never enumerates or encodes the prefix.
+func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
+	if m == nil || m.Tok == nil || m.Dev == nil {
+		return run{}, errors.New("relm: model is incomplete")
+	}
+	applyDefaults(q)
+	if err := q.Validate(); err != nil {
+		return run{}, err
+	}
+	var batch int
+	switch {
+	case kind == massRun || q.Strategy == ShortestPath:
+		batch = engine.EffectiveBatch(m.Dev, q.BatchExpand)
+	case q.Strategy == BeamSearch:
+		batch = cmp.Or(q.BeamWidth, 8) // a level is one device round
+	case q.Strategy == RandomSampling:
+		batch = 1 // one context per step
+	default:
+		return run{}, fmt.Errorf("relm: unknown search strategy %d", q.Strategy)
+	}
+	maxTokens := q.MaxTokens
+	if maxTokens <= 0 {
+		maxTokens = m.LM.MaxSeqLen()
+	}
+
+	// One trace (or nil) covers compile, prefix scoring, every round, emission.
+	var tr *trace.Trace
+	if kind != planRun {
+		tr = m.tracer.NewTrace()
+		tr.Annotate(trace.RootID, "pattern", q.Query.Pattern)
+		if q.Query.Prefix != "" {
+			tr.Annotate(trace.RootID, "prefix", q.Query.Prefix)
+		}
+	}
+	// Both compilations go through the model's caches (DESIGN.md decision
+	// 9). The prefix is itself a regex (§3.4) whose strings deterministic
+	// traversals enumerate and encode and sampling draws as walks.
+	compSpan := tr.Start(trace.RootID, "plan.compile")
+	r := run{}
+	var err error
+	r.comp, r.hit, err = compileCached(m, q)
+	if err == nil {
+		r.prefix, err = compilePrefix(m, q)
+	}
+	var prefixes [][]model.Token
+	if err == nil && r.prefix != nil && kind != planRun {
+		if kind == searchRun && q.Strategy == RandomSampling {
+			r.walks = r.prefix.Walks()
+		} else {
+			prefixes, err = r.prefix.Encode()
+		}
+	}
+	if err != nil {
+		tr.Finish()
+		return run{}, err
+	}
+	tr.Annotate(compSpan, "cache_hit", strconv.FormatBool(r.hit))
+	tr.End(compSpan)
+
+	r.eq = engine.Query{
+		Pattern:  r.comp.token,
+		Prefixes: prefixes,
+		Rule:     buildRule(q),
+		Filter:   r.comp.filter,
+		// Mass measures complete generations: the EOS that ends a match is
+		// part of its probability and must pass the decision rules (§2.4).
+		RequireEOS:     q.RequireEOS || kind == massRun,
+		MaxTokens:      maxTokens,
+		MaxNodes:       q.MaxNodes,
+		BatchExpand:    batch,
+		PrefixZeroCost: q.PrefixZeroCost,
+		Parallelism:    engine.EffectiveParallelism(q.Parallelism),
+		Incremental:    q.Incremental,
+		KV:             m.kv,
+		Context:        q.Context,
+		Trace:          tr,
+	}
+	r.eq.Incremental = engine.EffectiveIncremental(m.Dev, &r.eq)
+	return r, nil
+}
+
+func applyDefaults(q *SearchQuery) {
+	if q.PrefixLimit <= 0 {
+		q.PrefixLimit = 4096
+	}
+	if q.PrefixMaxLen <= 0 {
+		q.PrefixMaxLen = 128
+	}
+	if q.CanonicalLimit <= 0 {
+		q.CanonicalLimit = 50000
+	}
+	if q.PatternMaxLen <= 0 {
+		q.PatternMaxLen = 64
+	}
+}
+
+// buildRule chains the query's decision rules (§2.4), or nil when none
+// filters.
+func buildRule(q *SearchQuery) decoding.Rule {
+	var chain decoding.Chain
+	if q.Temperature != 0 && q.Temperature != 1 {
+		chain = append(chain, decoding.Temperature{T: q.Temperature})
+	}
+	if q.TopK > 0 {
+		chain = append(chain, decoding.TopK{K: q.TopK})
+	}
+	if q.TopP > 0 && q.TopP < 1 {
+		chain = append(chain, decoding.TopP{P: q.TopP})
+	}
+	if len(chain) == 0 {
+		return nil
+	}
+	return chain
 }
 
 // compilePattern runs §3.1's pipeline up to the LLM automaton. The char
@@ -125,9 +269,11 @@ type Plan struct {
 	PrefixStrings int64
 	// Strategy echoes the traversal.
 	Strategy SearchStrategy
-	// BatchSize is the effective frontier batch per device round: the
-	// query's BatchExpand, or the device batch limit when unset (DESIGN.md
-	// decision 6).
+	// BatchSize bounds the frontier rows each device round scores, per
+	// strategy (DESIGN.md decision 6): for shortest path and Mass, the
+	// query's BatchExpand, or the device batch limit when unset; for beam
+	// search, the beam width, since a whole level is one round; for random
+	// sampling, 1, since a walk scores one context per step.
 	BatchSize int
 	// Parallelism is the effective engine worker-pool width (1 when the
 	// query leaves it unset).
@@ -136,7 +282,8 @@ type Plan struct {
 	// ModelOptions.Parallelism.
 	DeviceWorkers int
 	// Incremental reports whether the query will run with KV prefix-state
-	// reuse (the query asked for it and the model's arena is enabled).
+	// reuse (engine.EffectiveIncremental: the query asked for it, the
+	// model's arena is enabled, and the model keeps real prefix states).
 	Incremental bool
 	// PlanCacheHit reports whether this query's compilation was served from
 	// the model's plan cache (an identical plan was cached, or another
@@ -158,7 +305,7 @@ func (p *Plan) String() string {
 	fmt.Fprintf(&b, "  token automaton:  %d states, %d edges\n", p.TokenStates, p.TokenEdges)
 	fmt.Fprintf(&b, "  language size:    %s\n", countStr(p.LanguageSize))
 	fmt.Fprintf(&b, "  token encodings:  %s\n", countStr(p.Encodings))
-	fmt.Fprintf(&b, "  tokenization:     %s\n", tokenizationName(p.Tokenization, p.ResolvedCanonical, p.DynamicFilter))
+	fmt.Fprintf(&b, "  tokenization:     %s\n", tokenizationName(p.Tokenization, p.ResolvedCanonical))
 	fmt.Fprintf(&b, "  prefix strings:   %s\n", countStr(p.PrefixStrings))
 	fmt.Fprintf(&b, "  traversal:        %s\n", strategyName(p.Strategy))
 	fmt.Fprintf(&b, "  execution:        batch %d, %d expansion workers, %d device workers\n",
@@ -186,7 +333,7 @@ func countStr(n int64) string {
 	return fmt.Sprintf("%d", n)
 }
 
-func tokenizationName(t TokenizationStrategy, c CanonicalStrategy, dyn bool) string {
+func tokenizationName(t TokenizationStrategy, c CanonicalStrategy) string {
 	if t == AllTokens {
 		return "all encodings"
 	}
@@ -196,10 +343,7 @@ func tokenizationName(t TokenizationStrategy, c CanonicalStrategy, dyn bool) str
 	case CanonicalPairwise:
 		return "canonical (pairwise automaton)"
 	case CanonicalDynamic:
-		if dyn {
-			return "canonical (dynamic runtime filter)"
-		}
-		return "canonical (dynamic)"
+		return "canonical (dynamic runtime filter)"
 	default:
 		return "canonical"
 	}
@@ -218,47 +362,34 @@ func strategyName(s SearchStrategy) string {
 	}
 }
 
-// Explain compiles a query exactly as Search would and returns the execution
+// Explain lowers a query exactly as Search would and returns the execution
 // plan instead of running it. No model inference is performed.
 func Explain(m *Model, q SearchQuery) (*Plan, error) {
-	if m == nil || m.Tok == nil || m.Dev == nil {
-		return nil, errors.New("relm: model is incomplete")
-	}
-	applyDefaults(&q)
-	comp, hit, err := compileCached(m, &q)
+	r, err := lower(m, &q, planRun)
 	if err != nil {
 		return nil, err
 	}
-	prefix, err := compilePrefix(m, &q)
-	if err != nil {
-		return nil, err
-	}
-
 	p := &Plan{
-		CharStates:        comp.char.NumStates(),
-		CharEdges:         comp.char.NumEdges(),
-		TokenStates:       comp.token.NumStates(),
-		TokenEdges:        comp.token.NumEdges(),
+		CharStates:        r.comp.char.NumStates(),
+		CharEdges:         r.comp.char.NumEdges(),
+		TokenStates:       r.comp.token.NumStates(),
+		TokenEdges:        r.comp.token.NumEdges(),
 		Tokenization:      q.Tokenization,
-		ResolvedCanonical: comp.resolved,
-		DynamicFilter:     comp.filter != nil,
+		ResolvedCanonical: r.comp.resolved,
+		DynamicFilter:     r.eq.Filter != nil,
 		Strategy:          q.Strategy,
-		BatchSize:         engine.EffectiveBatch(m.Dev, q.BatchExpand),
-		Parallelism:       engine.EffectiveParallelism(q.Parallelism),
+		BatchSize:         r.eq.BatchExpand,
+		Parallelism:       r.eq.Parallelism,
 		DeviceWorkers:     m.Dev.Workers(),
-		Incremental:       q.Incremental && m.kv != nil,
-		PlanCacheHit:      hit,
+		Incremental:       r.eq.Incremental,
+		PlanCacheHit:      r.hit,
 	}
 	p.PlanCache = m.PlanCacheStats()
-	p.LanguageSize = comp.char.LanguageSize(q.PatternMaxLen)
-	maxToks := q.MaxTokens
-	if maxToks <= 0 {
-		maxToks = m.LM.MaxSeqLen()
-	}
-	p.Encodings = compiler.CountEncodings(comp.token, maxToks)
+	p.LanguageSize = r.comp.char.LanguageSize(q.PatternMaxLen)
+	p.Encodings = compiler.CountEncodings(r.comp.token, r.eq.MaxTokens)
 
-	if prefix != nil {
-		p.PrefixStrings = prefix.Size()
+	if r.prefix != nil {
+		p.PrefixStrings = r.prefix.Size()
 		switch p.PrefixStrings {
 		case -1:
 			p.Warnings = append(p.Warnings, fmt.Sprintf("prefix language exceeds PrefixLimit=%d; Search will refuse deterministic traversals", q.PrefixLimit))
@@ -267,10 +398,10 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 		}
 	}
 
-	if comp.token.IsEmpty() {
+	if r.comp.token.IsEmpty() {
 		p.Warnings = append(p.Warnings, "pattern language is empty in token space; the query yields no matches")
 	}
-	if p.LanguageSize == 0 && !comp.char.HasCycle() {
+	if p.LanguageSize == 0 && !r.comp.char.HasCycle() {
 		p.Warnings = append(p.Warnings, "pattern language is empty")
 	}
 	if p.DynamicFilter {

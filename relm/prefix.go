@@ -39,8 +39,7 @@ type prefixLanguage struct {
 // compilePrefix resolves q's prefix through m's prefix cache, compiling it on
 // a miss (DESIGN.md decision 9). It returns (nil, nil) when the query has no
 // prefix; the only error is a malformed prefix regex, which is not cached.
-// Callers must have run applyDefaults first so PrefixLimit and PrefixMaxLen
-// are resolved.
+// The lowering resolves q's budgets first.
 func compilePrefix(m *Model, q *SearchQuery) (*prefixLanguage, error) {
 	if q.Query.Prefix == "" {
 		return nil, nil

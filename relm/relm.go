@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/automaton"
 	"repro/internal/cache"
-	"repro/internal/decoding"
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/kvcache"
@@ -114,9 +113,18 @@ type QueryString struct {
 	Prefix  string
 }
 
-// SearchQuery is a complete query specification.
+// SearchQuery is a complete query specification. The first group of fields
+// is the paper's query (§2–3): the language, decision rules and traversal.
+// The second tunes how the run executes, and each of its fields names the
+// one reader that consumes it.
 type SearchQuery struct {
+	// Query is the prefix and pattern regexes (§2.3).
 	Query QueryString
+	// Preprocessors transform the pattern automaton before token
+	// compilation (§3.4), e.g. Levenshtein edit expansion or filters.
+	Preprocessors []Preprocessor
+	// Tokenization selects canonical-only or all encodings (§3.2).
+	Tokenization TokenizationStrategy
 	// TopK applies top-k filtering to pattern tokens (0 disables). The
 	// prefix always bypasses decoding rules (§3.3).
 	TopK int
@@ -124,73 +132,97 @@ type SearchQuery struct {
 	TopP float64
 	// Temperature rescales logits before filtering (0 or 1 disables).
 	Temperature float64
-	// Strategy selects the traversal algorithm.
-	Strategy SearchStrategy
-	// Tokenization selects canonical-only or all encodings.
-	Tokenization TokenizationStrategy
-	// Canonical selects the canonical-automaton construction when
-	// Tokenization is CanonicalTokens (default CanonicalAuto).
-	Canonical CanonicalStrategy
-	// Preprocessors transform the pattern automaton before token
-	// compilation (§3.4), e.g. Levenshtein edit expansion or filters.
-	Preprocessors []Preprocessor
 	// RequireEOS demands the model terminate the match with EOS,
 	// disambiguating "b" from "bb" (§3.3).
 	RequireEOS bool
 	// MaxTokens caps pattern length in tokens (default: model window).
 	MaxTokens int
-	// MaxNodes caps shortest-path node expansions (default 1<<20).
+	// Strategy selects the traversal algorithm (§3.3).
+	Strategy SearchStrategy
+	// BeamWidth sets BeamSearch's hypothesis budget (default 8).
+	BeamWidth int
+	// Seed drives random traversals.
+	Seed int64
+	// DeferredFilters are applied to match text at stream time (§3.4:
+	// "ReLM supports deferring filtering to runtime"). A match is dropped
+	// when any filter returns false.
+	DeferredFilters []func(text string) bool
+
+	// Canonical selects the canonical-automaton construction when
+	// Tokenization is CanonicalTokens (default CanonicalAuto); compilePattern.
+	Canonical CanonicalStrategy
+	// CanonicalLimit caps canonical enumerate-and-encode; larger pattern
+	// languages fall back to dynamic canonicality filtering (default 50000);
+	// compilePattern.
+	CanonicalLimit int
+	// PatternMaxLen caps pattern string length in bytes during canonical
+	// enumeration (default 64); compilePattern.
+	PatternMaxLen int
+	// PrefixLimit caps prefix enumeration (default 4096 strings); compilePrefix.
+	PrefixLimit int
+	// PrefixMaxLen caps prefix length in bytes (default 128); compilePrefix.
+	PrefixMaxLen int
+	// MaxNodes caps node expansions, shortest path's (default 1<<20) and
+	// Mass's (default 1<<17); the engine's traversal loop.
 	MaxNodes int
-	// BatchExpand sets the shortest-path frontier batch size (0: the
+	// BatchExpand sets the shortest-path and Mass frontier batch size (0: the
 	// device's batch limit; 1: exact one-at-a-time expansion). Emission
 	// order is best-first regardless; batching only amortizes device
-	// dispatch.
+	// dispatch. engine.EffectiveBatch.
 	BatchExpand int
 	// Parallelism bounds the engine-side worker pool that rule-filters and
 	// expands each scored batch (0 or 1: single-threaded expansion).
 	// Deterministic traversals emit the same results at any setting; random
 	// sampling draws reproducibly per (Seed, Parallelism) pair. Pair with
 	// ModelOptions.Parallelism, which parallelizes the scoring itself
-	// (DESIGN.md decision 6).
+	// (DESIGN.md decision 6). engine.EffectiveParallelism.
 	Parallelism int
 	// Incremental enables KV-cache prefix-state reuse across the search
 	// frontier (DESIGN.md decision 10): each expansion round extends the
 	// parent's cached decode state by one token instead of re-running the
 	// full prefix through the model, dropping per-query scoring from O(L³)
 	// to O(L²) work on the transformer substrate. Results are byte-identical
-	// to the full path. Requires the model's KV arena
-	// (ModelOptions.KVBudgetBytes >= 0, the default); ignored otherwise.
+	// to the full path. engine.EffectiveIncremental: it needs the model's KV
+	// arena (ModelOptions.KVBudgetBytes >= 0, the default) and prefix states.
 	Incremental bool
-	// Context, when non-nil, cancels an in-progress traversal: Next returns
-	// the context's error once it is done. Use it to put deadlines on
-	// exploratory queries over unbounded languages.
-	Context context.Context
 	// PrefixZeroCost disables the §3.3 prefix-priority heuristic, giving
 	// every prefix cost zero (the paper's rejected first design — higher
-	// first-result latency on broad prefixes). For ablation use.
+	// first-result latency on broad prefixes). For ablation use;
+	// engine.ShortestPath.
 	PrefixZeroCost bool
-	// BeamWidth sets the hypothesis budget for BeamSearch (default 8).
-	BeamWidth int
 	// DedupByText collapses matches that decode to the same string,
 	// emitting only the highest-probability encoding of each. Useful with
-	// AllTokens, where one string surfaces once per encoding.
+	// AllTokens, where one string surfaces once per encoding; Results.Next.
 	DedupByText bool
-	// Seed drives random traversals.
-	Seed int64
-	// PrefixLimit caps prefix-language enumeration (default 4096 strings).
-	PrefixLimit int
-	// PrefixMaxLen caps prefix string length in bytes (default 128).
-	PrefixMaxLen int
-	// CanonicalLimit caps canonical enumerate-and-encode; larger pattern
-	// languages fall back to dynamic canonicality filtering (default 50000).
-	CanonicalLimit int
-	// PatternMaxLen caps pattern string length in bytes during canonical
-	// enumeration (default 64).
-	PatternMaxLen int
-	// DeferredFilters are applied to match text at stream time (§3.4:
-	// "ReLM supports deferring filtering to runtime"). A match is dropped
-	// when any filter returns false.
-	DeferredFilters []func(text string) bool
+	// Context, when non-nil, cancels an in-progress traversal: Next returns
+	// the context's error once it is done. Use it to put deadlines on
+	// exploratory queries over unbounded languages; the engine, between
+	// expansion rounds.
+	Context context.Context
+}
+
+// Validate reports the first field of q outside its valid range: a negative
+// TopK, Temperature, BeamWidth, BatchExpand or Parallelism, or a TopP outside
+// [0, 1]. Search, Mass and Explain call it; a front end calls it to refuse a
+// query before it pays for anything else.
+func (q SearchQuery) Validate() error {
+	switch {
+	case q.TopK < 0:
+		return fmt.Errorf("relm: TopK must be >= 0, got %d", q.TopK)
+	case !(q.Temperature >= 0):
+		// A negative temperature would invert the distribution, silently
+		// ranking the least likely strings first.
+		return fmt.Errorf("relm: Temperature must be >= 0, got %g", q.Temperature)
+	case !(q.TopP >= 0 && q.TopP <= 1):
+		return fmt.Errorf("relm: TopP must be in [0, 1], got %g", q.TopP)
+	case q.BeamWidth < 0:
+		return fmt.Errorf("relm: BeamWidth must be >= 0, got %d", q.BeamWidth)
+	case q.BatchExpand < 0:
+		return fmt.Errorf("relm: BatchExpand must be >= 0, got %d", q.BatchExpand)
+	case q.Parallelism < 0:
+		return fmt.Errorf("relm: Parallelism must be >= 0, got %d", q.Parallelism)
+	}
+	return nil
 }
 
 // Model bundles a language model with its tokenizer and simulated device —
@@ -641,119 +673,29 @@ func (r *Results) Tracing() *trace.Trace { return r.trace }
 // stream. Compilation follows §3.1's pipeline: regex -> Natural Language
 // Automaton -> (preprocessors) -> LLM Automaton -> executor.
 func Search(m *Model, q SearchQuery) (*Results, error) {
-	if m == nil || m.Tok == nil || m.Dev == nil {
-		return nil, errors.New("relm: model is incomplete")
-	}
-	applyDefaults(&q)
-
-	// Sampling decision for the whole query: one trace (or nil) covers
-	// compile, prefix scoring, every expansion round, and emission.
-	tr := m.tracer.NewTrace()
-	tr.Annotate(trace.RootID, "pattern", q.Query.Pattern)
-	if q.Query.Prefix != "" {
-		tr.Annotate(trace.RootID, "prefix", q.Query.Prefix)
-	}
-
-	// 1–3. Compilation: the pattern (regex -> char DFA -> preprocessors ->
-	// token automaton per the tokenization strategy) and the prefix, itself a
-	// regex (§3.4) whose strings deterministic traversals enumerate and
-	// encode and sampling draws as walks. Both are served from the model's
-	// caches when an identical query compiled before (DESIGN.md decision 9);
-	// cached products are immutable, so hits share them safely across
-	// concurrent traversals. Prefixes bypass decision rules.
-	compSpan := tr.Start(trace.RootID, "plan.compile")
-	comp, hit, err := compileCached(m, &q)
-	var prefix *prefixLanguage
-	if err == nil {
-		prefix, err = compilePrefix(m, &q)
-	}
-	var prefixes [][]model.Token
-	var walks *automaton.WalkCounter
-	if err == nil && prefix != nil {
-		switch q.Strategy {
-		case ShortestPath, BeamSearch:
-			prefixes, err = prefix.Encode()
-		case RandomSampling:
-			walks = prefix.Walks()
-		}
-	}
+	r, err := lower(m, &q, searchRun)
 	if err != nil {
-		tr.Finish()
 		return nil, err
 	}
-	tr.Annotate(compSpan, "cache_hit", strconv.FormatBool(hit))
-	tr.End(compSpan)
-	eq := &engine.Query{
-		Rule:           buildRule(q),
-		RequireEOS:     q.RequireEOS,
-		MaxTokens:      q.MaxTokens,
-		MaxNodes:       q.MaxNodes,
-		BatchExpand:    q.BatchExpand,
-		Parallelism:    q.Parallelism,
-		Context:        q.Context,
-		PrefixZeroCost: q.PrefixZeroCost,
-		Incremental:    q.Incremental && m.kv != nil,
-		KV:             m.kv,
-		Pattern:        comp.token,
-		Filter:         comp.filter,
-		Prefixes:       prefixes,
-		Trace:          tr,
-	}
-
 	var stream engine.Stream
 	switch q.Strategy {
 	case ShortestPath:
-		stream = engine.ShortestPath(m.Dev, eq)
+		stream = engine.ShortestPath(m.Dev, &r.eq)
 	case BeamSearch:
-		stream = engine.Beam(m.Dev, eq, engine.BeamOptions{Width: q.BeamWidth})
+		stream = engine.Beam(m.Dev, &r.eq, engine.BeamOptions{Width: r.eq.BatchExpand})
 	case RandomSampling:
 		opts := engine.SamplerOptions{Rng: rand.New(rand.NewSource(q.Seed))}
-		if walks != nil {
+		if r.walks != nil {
 			// Sample prefixes uniformly over the *byte-level* prefix
 			// automaton (each string is exactly one byte path, giving the
 			// uniform-over-strings semantics of §3.3), then encode the
 			// sampled string canonically for the model context.
-			opts.PrefixWalks = walks
+			opts.PrefixWalks = r.walks
 			opts.PrefixEncode = m.Tok.Encode
 		}
-		stream = engine.Sample(m.Dev, eq, opts)
-	default:
-		tr.Finish()
-		return nil, fmt.Errorf("relm: unknown search strategy %d", q.Strategy)
+		stream = engine.Sample(m.Dev, &r.eq, opts)
 	}
-	return &Results{stream: stream, tok: m.Tok, filters: q.DeferredFilters, dedup: q.DedupByText, trace: tr}, nil
-}
-
-func applyDefaults(q *SearchQuery) {
-	if q.PrefixLimit <= 0 {
-		q.PrefixLimit = 4096
-	}
-	if q.PrefixMaxLen <= 0 {
-		q.PrefixMaxLen = 128
-	}
-	if q.CanonicalLimit <= 0 {
-		q.CanonicalLimit = 50000
-	}
-	if q.PatternMaxLen <= 0 {
-		q.PatternMaxLen = 64
-	}
-}
-
-func buildRule(q SearchQuery) decoding.Rule {
-	var chain decoding.Chain
-	if q.Temperature != 0 && q.Temperature != 1 {
-		chain = append(chain, decoding.Temperature{T: q.Temperature})
-	}
-	if q.TopK > 0 {
-		chain = append(chain, decoding.TopK{K: q.TopK})
-	}
-	if q.TopP > 0 && q.TopP < 1 {
-		chain = append(chain, decoding.TopP{P: q.TopP})
-	}
-	if len(chain) == 0 {
-		return nil
-	}
-	return chain
+	return &Results{stream: stream, tok: m.Tok, filters: q.DeferredFilters, dedup: q.DedupByText, trace: r.eq.Trace}, nil
 }
 
 // EscapeLiteral escapes a string for literal use inside a pattern.

@@ -44,8 +44,8 @@ func TestWarmCacheStreamsIdentical(t *testing.T) {
 
 			m := NewModel(lm, tok, ModelOptions{ContinuousBatching: fused})
 			defer m.Close()
-			q := SearchQuery{Query: qs, RequireEOS: true, MaxTokens: 24}
-			opts := MassOptions{Tolerance: 0.05, MaxNodes: 200}
+			q := SearchQuery{Query: qs, RequireEOS: true, MaxTokens: 24, MaxNodes: 200}
+			opts := MassOptions{Tolerance: 0.05}
 			cold, err := Mass(m, q, opts)
 			if err != nil {
 				t.Fatal(err)

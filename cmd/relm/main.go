@@ -12,9 +12,9 @@
 // "sequential" expansion), and -parallelism sets the worker-pool width for
 // both batch scoring and frontier expansion (default: all CPUs). At a fixed
 // batch size, deterministic traversals return identical results at any
-// parallelism; changing -batch itself can swap results whose probabilities
-// tie or interleave within one batch (at most one batch of best-first
-// deviation; -batch 1 restores exact ordering).
+// parallelism. Changing -batch keeps the sequence of log-probabilities: costs
+// never decrease along a path, so it can swap only results of equal
+// probability.
 package main
 
 import (

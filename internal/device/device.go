@@ -165,6 +165,9 @@ func (d *Device) Model() model.LanguageModel { return d.lm }
 // MaxBatch reports the device batch-size limit.
 func (d *Device) MaxBatch() int { return d.c.maxBatch }
 
+// Latency reports the latency model the device charges its dispatches.
+func (d *Device) Latency() LatencyModel { return d.c.latency }
+
 // Forward runs one batch of contexts and returns their next-token log-prob
 // vectors, charging the latency model for the rows that have to be computed:
 // rows the view's model already holds (residentFirst) are answered before

@@ -68,7 +68,7 @@ func TestWindowEdgeMatchesReference(t *testing.T) {
 		{"match-after-window", lateMatch, true, nil},
 		{"match-inside-window", lateMatch, false, nil},
 	} {
-		dev := device.New(&rowLM{model.Uniform{Vocab: syms + 1, EOSTok: eos, SeqLen: 16}, arm.weights}, device.DefaultLatency(), 8)
+		dev := countingDevice(&rowLM{model.Uniform{Vocab: syms + 1, EOSTok: eos, SeqLen: 16}, arm.weights}, 8)
 		pat := chainPattern(syms, 3)
 		for _, batch := range []int{1, 4} {
 			for _, workers := range []int{1, 8} {
@@ -86,20 +86,32 @@ func TestWindowEdgeMatchesReference(t *testing.T) {
 }
 
 // checkCursors drains up to limit results from a shortest-path stream and,
-// after every result, checks each cursor on the frontier: a cursor whose set
-// fits its window holds no row, one that dropped siblings holds its row until
-// it rebuilds, and none builds its rest twice. It returns how many cursors
-// rebuilt.
+// after every result, checks each cursor on the frontier: an unscored cursor
+// holds no row and no siblings, and its bound is not ordered before the match
+// just emitted; a scored cursor whose set fits its window holds no row, one
+// that dropped siblings holds its row until it rebuilds, and none builds its
+// rest twice. It returns how many cursors rebuilt.
 func checkCursors(t *testing.T, name string, dev *device.Device, q *Query, limit int) int {
 	t.Helper()
 	s := ShortestPath(dev, q).(*dijkstraStream)
 	defer s.Close()
 	rests := map[*cursor]*sibling{} // the first sibling of each rebuilt cursor's rest
 	for range limit {
-		if _, err := s.Next(); err != nil {
+		m, err := s.next()
+		if err != nil {
 			break
 		}
+		emitted := order{m.cost, m.from, m.rank}
 		for _, c := range s.frontier {
+			if c.unscored() {
+				if c.sibs != nil || c.lp != nil {
+					t.Fatalf("%s: unscored cursor %d holds siblings or a row", name, c.seq)
+				}
+				if c.next().compare(emitted) < 0 {
+					t.Fatalf("%s: unscored cursor %d's bound %+v is before the emitted match %+v", name, c.seq, c.next(), emitted)
+				}
+				continue
+			}
 			if c.sibs[0].sym == rootSym {
 				continue
 			}
@@ -158,4 +170,101 @@ func TestBoundedExpandKeepsLeastSorted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzLM scores a context by its last token: row i of weights (the last row
+// for the empty context), normalized.
+type fuzzLM struct {
+	model.Uniform
+	weights [][]float64
+}
+
+func (f *fuzzLM) NextLogProbs(ctx []model.Token) []float64 {
+	w := f.weights[len(f.weights)-1]
+	if len(ctx) > 0 {
+		w = f.weights[ctx[len(ctx)-1]]
+	}
+	out := slices.Clone(w)
+	model.Normalize(out)
+	return out
+}
+
+func (f *fuzzLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(f, ctxs) }
+
+// loopPattern accepts every sequence of symbols below syms whose length is
+// odd, by way of two states that alternate: a cyclic language that only
+// MaxTokens bounds.
+func loopPattern(syms int) *automaton.Frozen {
+	pat := automaton.NewDFA()
+	even, odd := pat.AddState(false), pat.AddState(true)
+	pat.SetStart(even)
+	for sym := range syms {
+		pat.AddEdge(even, sym, odd)
+		pat.AddEdge(odd, sym, even)
+	}
+	return pat.Freeze()
+}
+
+// FuzzLazyFrontier: on row weights, patterns and execution settings drawn
+// from the input, shortest path emits exactly what the eager reference does,
+// expands the same nodes, and asks the device for exactly the rows it counts,
+// no more than the reference scores. The first bytes choose the vocabulary
+// (2 to 8 symbols and EOS), the pattern (a chain of depth 1 to 4, or a
+// two-state loop), BatchExpand (1 to 8), Parallelism (1 or 4), RequireEOS, a
+// top-k rule, a prefix set and a MaxNodes cap; the rest are the rows'
+// weights, in steps of -0.5 from 0 to -3.5, so costs tie often.
+func FuzzLazyFrontier(f *testing.F) {
+	f.Add([]byte("\x03\x00\x04\x02"), []byte{0, 1, 2, 0, 1, 2, 0})
+	f.Add([]byte("\x06\x1f\x00\x03"), []byte{0})
+	f.Add([]byte("\x02\x0a\x07\x01"), []byte{7, 0, 3, 3, 0, 1, 6, 2, 2, 5})
+	f.Fuzz(func(t *testing.T, shape, weights []byte) {
+		if len(shape) < 4 || len(weights) == 0 {
+			return
+		}
+		syms := 2 + int(shape[0])%7
+		flags := shape[1]
+		batch := 1 + int(shape[2])%8
+		depth := 1 + int(shape[3])%4
+		lm := &fuzzLM{Uniform: model.Uniform{Vocab: syms + 1, EOSTok: syms, SeqLen: 16}}
+		for row, k := 0, 0; row <= syms+1; row++ {
+			w := make([]float64, syms+1)
+			for i := range w {
+				w[i] = -float64(weights[k%len(weights)]%8) / 2
+				k++
+			}
+			lm.weights = append(lm.weights, w)
+		}
+		pat := chainPattern(syms, depth)
+		if flags&4 != 0 {
+			pat = loopPattern(syms)
+		}
+		workers := 1
+		if flags&2 != 0 {
+			workers = 4
+		}
+		var rule decoding.Rule
+		if flags&8 != 0 {
+			rule = decoding.TopK{K: 1 + depth}
+		}
+		var prefixes [][]model.Token
+		if flags&16 != 0 {
+			prefixes = [][]model.Token{{0}, {1, 0}, {1}}
+		}
+		maxNodes := 0
+		if len(shape) > 4 {
+			maxNodes = int(shape[4]) % 48
+		}
+		dev := countingDevice(lm, 8)
+		query := func() *Query {
+			return &Query{
+				Pattern: pat, Prefixes: prefixes, Rule: rule, RequireEOS: flags&1 != 0,
+				MaxTokens: depth + 2, MaxNodes: maxNodes, BatchExpand: batch, Parallelism: workers,
+			}
+		}
+		got, gotStats := drainResults(t, ShortestPath(dev, query()), 40)
+		asked := rowsAsked(dev)
+		want, wantStats := refShortestPath(dev, query(), 40)
+		sameResults(t, "lazy", resultRows(got), resultRows(want))
+		lazyStats(t, "lazy", gotStats, wantStats, asked)
+	})
 }

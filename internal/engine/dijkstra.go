@@ -3,12 +3,14 @@ package engine
 import (
 	"container/heap"
 	"context"
+	"math"
 	"slices"
 
 	"repro/internal/automaton"
 	"repro/internal/decoding"
 	"repro/internal/device"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // ShortestPath returns a stream that yields matching sequences in order of
@@ -26,22 +28,31 @@ func ShortestPath(dev *device.Device, q *Query) Stream {
 type dijkstraStream struct {
 	stream
 	frontier frontier
-	seq      int64 // discovery order of the next node expanded
-	round    int64 // expansion rounds so far (trace annotation)
+	seq      int64 // discovery order of the next node popped
+	round    int64 // rounds so far (trace annotation)
+	resolved int   // the last resolution's size since a match; 0 for none
 
-	// Round scratch: the popped nodes and their contexts. A popped node is
-	// needed only until its cursor has copied it.
-	batch []node
-	ctxs  [][]model.Token
+	// The open round: its device view, nil between rounds, and its span.
+	rdev  *device.Device
+	rspan trace.SpanID
+
+	// Scratch: a gather's popped nodes, a resolution's cursors, and the
+	// contexts of either. A popped node is needed only until its cursor has
+	// copied it.
+	batch   []node
+	pending []*cursor
+	ctxs    [][]model.Token
 }
 
-// cursor is an expanded node on the frontier with the siblings it has not
-// yielded yet. The frontier holds one cursor per expanded node (and per
-// prefix root), ordered by its least sibling: a pop spawns that sibling and
-// re-files the cursor under the next one, so a child is built only when it
-// is popped. A cursor is popped about once, so it holds only its node's
-// least window siblings, inline, and the node's row (shared, read-only) if
-// expand dropped others; should the window run dry, it builds those once.
+// cursor is a popped node on the frontier with the siblings it has not
+// yielded yet. The frontier holds one cursor per popped node (and per prefix
+// root), ordered by its least sibling: a pop spawns that sibling and re-files
+// the cursor under the next one, so a child is built only when it is popped.
+// A cursor is filed *unscored* — context built, no row, no siblings — and is
+// scored only when it reaches the top of the frontier (settle). A cursor is
+// popped about once, so it holds only its node's least window siblings,
+// inline, and the node's row (shared, read-only) if expand dropped others;
+// should the window run dry, it builds those once.
 type cursor struct {
 	ctx            []model.Token // the node's own context
 	cost, prefLogP float64
@@ -80,7 +91,21 @@ func (c *cursor) spawn(s sibling) node {
 	return (&node{path: path{ctx: c.ctx}, state: automaton.StateID(c.state), patLen: int(c.patLen), prefLogP: c.prefLogP}).spawn(s, c.seq)
 }
 
-func (c *cursor) next() order { s := c.sibs[0]; return order{s.cost, c.seq, s.rank()} }
+// unscored reports whether c waits for its row. A scored cursor without
+// siblings leaves the frontier, so on it no siblings means unscored.
+func (c *cursor) unscored() bool { return len(c.sibs) == 0 }
+
+// next is c's frontier key: its least sibling's, or, unscored, (cost, seq, 0),
+// a lower bound on every sibling it will have — a row's entries are
+// log-probabilities, never above 0, so no sibling costs less than its node,
+// and every sibling ranks at or after 0.
+func (c *cursor) next() order {
+	if c.unscored() {
+		return order{c.cost, c.seq, 0}
+	}
+	s := c.sibs[0]
+	return order{s.cost, c.seq, s.rank()}
+}
 
 // frontier is shortest path's heap of cursors.
 type frontier []*cursor
@@ -97,10 +122,11 @@ func (h *frontier) Pop() any {
 	return c
 }
 
-// matchNext reports whether the least entry is a match, ready to emit.
+// matchNext reports whether the least entry, scored, is a match, ready to
+// emit.
 func (h frontier) matchNext() bool { return h[0].sibs[0].sym == matchSym }
 
-// pop spawns the least entry and advances its cursor, which rebuilds a spent
+// pop spawns the least entry, scored, and advances its cursor, which rebuilds a spent
 // window if it holds its row; a spent cursor leaves the heap and lets go of
 // its node's context.
 func (h *frontier) pop(q *Query) node {
@@ -182,73 +208,172 @@ func (s *dijkstraStream) init() {
 // result order reflects the full sequence probability including termination.
 // Entries come off the frontier in the frontier order (DESIGN.md decision 6).
 //
-// Non-match entries are expanded in device batches of up to BatchExpand,
-// amortizing dispatch overhead (§3.3). A match at the frontier top always
-// emits before further expansion, so batching only reorders results whose
-// costs interleave within a single batch. Rule filtering and sibling
-// generation for a scored batch fan out across the Parallelism worker pool;
-// each worker fills its node's cursor and the coordinator numbers and pushes
-// the cursors in batch order, so the emitted sequence is identical at any
-// worker count.
+// A round pops up to BatchExpand non-match entries, stopping when a match
+// surfaces, and files each popped node as an unscored cursor under its own
+// cost. Nothing is scored until it is needed: before the top is read, the
+// unscored cursors there are resolved, several per device dispatch, so a
+// match emits as soon as every cursor that could precede it has a row, and a
+// node whose turn never comes costs no row. Since every decision reads a
+// scored top whose key is at or before every unscored bound, the stream is
+// the one an eager expansion of each round emits, at any batch size; and
+// since costs never decrease along a path, batching reorders only matches of
+// equal cost. Rule filtering and sibling generation for a resolution fan out
+// across the Parallelism worker pool; each worker fills its own cursor, so
+// the emitted sequence is identical at any worker count.
 func (s *dijkstraStream) Next() (*Result, error) {
+	n, err := s.next()
+	if err != nil {
+		return nil, err
+	}
+	return n.result(), nil
+}
+
+// next returns the next match node.
+func (s *dijkstraStream) next() (node, error) {
 	if s.end != nil {
-		return nil, s.end
+		return node{}, s.end
 	}
 	batchSize := EffectiveBatch(s.dev, s.q.BatchExpand)
-	for len(s.frontier) > 0 {
+	defer s.endRound()
+	for {
 		if err := s.q.Context.Err(); err != nil {
-			return nil, s.finish(err)
+			return node{}, s.finish(err)
+		}
+		if err := s.settle(batchSize); err != nil {
+			return node{}, s.finish(err)
+		}
+		if len(s.frontier) == 0 {
+			return node{}, s.finish(ErrExhausted)
 		}
 		if s.frontier.matchNext() {
 			s.stats.emitted.Add(1)
-			n := s.frontier.pop(s.q)
-			return n.result(), nil
+			s.resolved = 0
+			return s.frontier.pop(s.q), nil
 		}
 		expanded := s.stats.nodesExpanded.Load()
 		if expanded >= int64(s.q.MaxNodes) {
-			return nil, s.finish(ErrExhausted)
+			return node{}, s.finish(ErrExhausted)
 		}
-		// Gather a batch of non-match entries; stop if a match surfaces.
+		// Gather a round of non-match entries; stop if a match surfaces.
+		s.openRound()
 		batch := s.batch[:0]
-		for len(batch) < batchSize && len(s.frontier) > 0 && !s.frontier.matchNext() &&
-			expanded+int64(len(batch)) < int64(s.q.MaxNodes) {
+		for len(batch) < batchSize && expanded+int64(len(batch)) < int64(s.q.MaxNodes) {
+			if err := s.settle(batchSize); err != nil {
+				return node{}, s.finish(err)
+			}
+			if len(s.frontier) == 0 || s.frontier.matchNext() {
+				break
+			}
 			batch = append(batch, s.frontier.pop(s.q))
 		}
 		s.batch = batch
-		if err := s.expand(batch); err != nil {
-			return nil, s.finish(err)
-		}
+		s.file(batch)
+		s.endRound()
 	}
-	return nil, s.finish(ErrExhausted)
 }
 
-// expand scores a batch in one device round and files a cursor for every
-// node with a sibling, or returns the device's error.
-func (s *dijkstraStream) expand(batch []node) error {
-	rdev, rspan := roundDevice(s.dev, s.q, s.round, len(batch))
-	defer s.q.Trace.End(rspan)
-	s.round++
+// file numbers a round's popped nodes in pop order and files each as an
+// unscored cursor, their contexts built in one block and the cursors in one
+// array.
+func (s *dijkstraStream) file(batch []node) {
 	s.ctxs = appendContexts(s.ctxs[:0], batch)
-	lps, err := scoreFrontier(rdev, s.q, s.ctxs)
+	clear(s.ctxs)
+	s.stats.nodesExpanded.Add(int64(len(batch)))
+	s.q.Trace.AddCount(s.rspan, "nodes", len(batch))
+	cursors := make([]cursor, len(batch))
+	for i := range batch {
+		n, c := &batch[i], &cursors[i]
+		*c = cursor{ctx: n.ctx, cost: n.cost, prefLogP: n.prefLogP, seq: s.seq + int64(i), state: int32(n.state), patLen: int32(n.patLen)}
+		heap.Push(&s.frontier, c)
+	}
+	s.seq += int64(len(batch))
+	clear(batch)
+}
+
+// settle resolves the unscored cursors at the top of the frontier until the
+// top is scored or the frontier is empty. A resolution pops the consecutive
+// unscored cursors at the top, in frontier order, scores them in one device
+// round and re-files each with its siblings, or drops it if it has none. The
+// first resolution after a match (or at the start) takes up to r₀ cursors,
+// each later one twice as many as the last, up to batchSize.
+func (s *dijkstraStream) settle(batchSize int) error {
+	for len(s.frontier) > 0 && s.frontier[0].unscored() {
+		if s.resolved == 0 {
+			s.resolved = firstResolution(s.dev.Latency())
+		} else {
+			s.resolved *= 2
+		}
+		s.resolved = min(s.resolved, batchSize)
+		cs := s.pending[:0]
+		for len(cs) < s.resolved && len(s.frontier) > 0 && s.frontier[0].unscored() {
+			cs = append(cs, heap.Pop(&s.frontier).(*cursor))
+		}
+		s.pending = cs
+		err := s.score(cs)
+		for _, c := range cs {
+			if len(c.sibs) > 0 {
+				heap.Push(&s.frontier, c)
+			} else {
+				*c = cursor{}
+			}
+		}
+		clear(cs)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// firstResolution is r₀ = ⌈Dispatch/PerSequence⌉: the rows a resolution can
+// score beyond the one it needs for at most the price of one more dispatch.
+func firstResolution(lat device.LatencyModel) int {
+	if lat.PerSequence <= 0 {
+		return math.MaxInt
+	}
+	return max(1, int((lat.Dispatch+lat.PerSequence-1)/lat.PerSequence))
+}
+
+// score scores cs in one device round under the open round and fills each
+// cursor's siblings, or returns the device's error.
+func (s *dijkstraStream) score(cs []*cursor) error {
+	ctxs := s.ctxs[:0]
+	for _, c := range cs {
+		ctxs = append(ctxs, c.ctx)
+	}
+	s.ctxs = ctxs
+	defer clear(ctxs)
+	lps, err := scoreFrontier(s.openRound(), s.q, ctxs)
 	if err != nil {
 		return err
 	}
-	s.stats.modelCalls.Add(int64(len(batch)))
-	s.stats.nodesExpanded.Add(int64(len(batch)))
-	cursors := make([]cursor, len(batch))
-	parallelFor(len(batch), s.q.Parallelism, func(i int) {
-		n, c := &batch[i], &cursors[i]
-		*c = cursor{ctx: n.context(), cost: n.cost, prefLogP: n.prefLogP, seq: s.seq + int64(i), state: int32(n.state), patLen: int32(n.patLen)}
+	s.stats.modelCalls.Add(int64(len(cs)))
+	s.q.Trace.AddCount(s.rspan, "rows", len(cs))
+	parallelFor(len(cs), s.q.Parallelism, func(i int) {
+		c := cs[i]
 		var dropped bool
 		if c.sibs, dropped = c.expand(s.q, lps[i], c.win[:0], true); dropped {
 			c.lp = lps[i]
 		}
 	})
-	s.seq += int64(len(batch))
-	for i := range cursors {
-		if c := &cursors[i]; len(c.sibs) > 0 {
-			heap.Push(&s.frontier, c)
-		}
-	}
 	return nil
+}
+
+// openRound opens a round unless one is open and returns the device view its
+// dispatches record under. A round is one pass of Next's loop: the
+// resolutions before the top is read, and the gather with its own.
+func (s *dijkstraStream) openRound() *device.Device {
+	if s.rdev == nil {
+		s.rdev, s.rspan = roundDevice(s.dev, s.q, s.round, 0)
+		s.round++
+	}
+	return s.rdev
+}
+
+// endRound closes the open round, if any.
+func (s *dijkstraStream) endRound() {
+	if s.rdev != nil {
+		s.q.Trace.End(s.rspan)
+		s.rdev = nil
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -53,12 +54,14 @@ type Query struct {
 	// MaxNodes caps total node expansions, bounding memory on infinite
 	// languages: shortest path defaults to 1<<20, Mass to 1<<17.
 	MaxNodes int
-	// BatchExpand pops up to this many frontier nodes per device round in
-	// shortest-path traversal, amortizing dispatch overhead — the paper's
-	// executor "schedules massive sets of test vectors on accelerators"
-	// (§3.3). Children of a batch are inserted before the next round, so
-	// emission order can deviate from strict best-first by at most one
-	// batch. 0 defaults to the device batch size; 1 gives exact ordering.
+	// BatchExpand is how many frontier nodes a shortest-path round pops, and
+	// the most rows one of its device dispatches carries, amortizing
+	// dispatch overhead — the paper's executor "schedules massive sets of
+	// test vectors on accelerators" (§3.3). A popped node is scored only
+	// when it reaches the top of the frontier, so the stream is what an
+	// eager expansion of each round emits; costs never decrease along a
+	// path, so batching reorders only matches of equal cost. 0 defaults to
+	// the device batch size.
 	BatchExpand int
 	// PrefixZeroCost treats every prefix as cost 0, making the prefix set a
 	// truly uniform distribution — the paper's first design (§3.3), which
@@ -132,7 +135,7 @@ func (r *Result) Tokens() []model.Token {
 // the /metrics families the server's aggregate is served as.
 type Stats struct {
 	NodesExpanded int64 `metric:"relm_engine_nodes_expanded_total,counter,Search-tree nodes expanded across all queries."`
-	ModelCalls    int64 `metric:"relm_engine_model_calls_total,counter,Per-sequence model scoring calls across all queries."`
+	ModelCalls    int64 `metric:"relm_engine_model_calls_total,counter,Contexts actually scored across all queries."`
 	Emitted       int64 `metric:"relm_engine_emitted_total,counter,Matches emitted across all queries."`
 	// Attempts and Rejected are the sampler's: total sampling attempts
 	// (incl. rejected), and attempts that dead-ended or failed a filter.
@@ -590,9 +593,14 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64,
 // path is EffectiveIncremental's answer.
 func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]float64, error) {
 	m := dev.Model()
-	clamped := make([][]model.Token, len(ctxs))
+	clamped := ctxs // copied at the first context the window clamps
 	for i, ctx := range ctxs {
-		clamped[i] = model.ClampWindow(m, ctx)
+		if c := model.ClampWindow(m, ctx); len(c) < len(ctx) {
+			if &clamped[0] == &ctxs[0] {
+				clamped = slices.Clone(ctxs)
+			}
+			clamped[i] = c
+		}
 	}
 	if !EffectiveIncremental(dev, q) {
 		return dev.Forward(clamped)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/automaton"
-	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/decoding"
 	"repro/internal/device"
@@ -75,7 +74,7 @@ func newNgramEnv(tb testing.TB, corpus []string) *ngramEnv {
 	// Order 6 keeps the subject ("man"/"woman") inside the history window
 	// for the template sentences used here.
 	lm := model.TrainNGram(corpus, tok, model.NGramConfig{Order: 6, MaxSeqLen: 48})
-	dev := device.New(cache.New(lm, 8192), device.DefaultLatency(), 32)
+	dev := countingDevice(lm, 32)
 	return &ngramEnv{tok: tok, lm: lm, dev: dev}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/device"
 	"repro/internal/kvcache"
@@ -41,7 +40,7 @@ func newTransformerEnv(tb testing.TB) *transformerEnv {
 // is asked (DESIGN.md decision 10), so an arm that must exercise the arena
 // scores on a cold one.
 func (e *transformerEnv) coldDev() *device.Device {
-	return device.New(cache.New(e.lm, 8192), device.DefaultLatency(), 32)
+	return countingDevice(e.lm, 32)
 }
 
 // incrementalQuery mirrors a query with prefix-state reuse enabled.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -74,6 +75,44 @@ func TestParallelDijkstraDeterminism(t *testing.T) {
 		for i := range base {
 			if string(tokKey(got[i].Tokens())) != string(tokKey(base[i].Tokens())) || got[i].LogProb != base[i].LogProb {
 				t.Fatalf("parallelism=%d devWorkers=%d: result %d diverged from sequential order", cfg[0], cfg[1], i)
+			}
+		}
+	}
+}
+
+// TestBatchingReordersOnlyTies: a match emits only from the top of the
+// frontier, and costs never decrease along a path, so every match not yet
+// emitted costs at least as much as the one emitted. The log-probability
+// sequence is therefore the same at every BatchExpand; batching can only swap
+// matches of equal cost. Checked over the first 60 results of four patterns,
+// with the canonical filter on and off.
+func TestBatchingReordersOnlyTies(t *testing.T) {
+	env := newNgramEnv(t, biasCorpus())
+	prefix := env.tok.Encode("The man was trained in")
+	for _, pat := range []string{
+		" (trained|art|in| )+",
+		" [a-e]{1,3}",
+		" [a-z]+",
+		" ((engineering)|(medicine)|(art))( in (art|medicine))*",
+	} {
+		full := compiler.CompileFull(regex.MustCompile(pat), env.tok).Freeze()
+		for _, filter := range []*compiler.CanonicalFilter{nil, compiler.NewCanonicalFilter(env.tok)} {
+			var want []float64
+			for _, batch := range []int{1, 3, 8, 64} {
+				q := &Query{Pattern: full, Prefixes: [][]model.Token{prefix}, Filter: filter, MaxTokens: 8, BatchExpand: batch}
+				var got []float64
+				for _, r := range sequences(t, ShortestPath(env.dev, q), 60) {
+					got = append(got, r.LogProb)
+				}
+				if batch == 1 {
+					if want = got; len(want) < 20 {
+						t.Fatalf("%q filter=%t: only %d results", pat, filter != nil, len(want))
+					}
+					continue
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%q filter=%t batch %d: log-probs %v, batch 1 %v", pat, filter != nil, batch, got, want)
+				}
 			}
 		}
 	}

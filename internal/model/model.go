@@ -28,7 +28,9 @@ type LanguageModel interface {
 	// MaxSeqLen returns the model's context window in tokens.
 	MaxSeqLen() int
 	// NextLogProbs returns a normalized log-probability for every token in
-	// the vocabulary, conditioned on ctx (oldest first). The returned row is
+	// the vocabulary, conditioned on ctx (oldest first). Every entry is a
+	// log-probability, at most 0 and never NaN: shortest path files a node
+	// under its own cost as a bound on its children's. The returned row is
 	// read-only: a memoizing layer hands the same slice to every caller.
 	NextLogProbs(ctx []Token) []float64
 	// ScoreBatch returns NextLogProbs for every context in one call, row i

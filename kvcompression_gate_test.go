@@ -81,9 +81,12 @@ func kvGateProbe(id string) relm.SearchQuery {
 
 // runKVGateSweep probes every id, rounds times, against one shared arena of
 // the given budget (negative: no arena, the non-incremental path) and reports
-// the arena's stats plus the concatenated result streams. The model has no
-// logit cache: with one, every round after the first would be answered from
-// it before the arena is asked (DESIGN.md decision 10).
+// the arena's stats plus the concatenated result streams. Each probe drains
+// all ten continuations: shortest path scores a node only when its turn
+// comes (DESIGN.md decision 6), so a probe stopped early would leave leaves
+// unscored and the sweep would ask the arena less. The model has no logit
+// cache: with one, every round after the first would be answered from it
+// before the arena is asked (DESIGN.md decision 10).
 func runKVGateSweep(tb testing.TB, lm model.LanguageModel, tok *tokenizer.BPE, ids []string,
 	budget int64, rounds int) (relm.KVStats, []string) {
 	tb.Helper()
@@ -98,7 +101,7 @@ func runKVGateSweep(tb testing.TB, lm model.LanguageModel, tok *tokenizer.BPE, i
 			if err != nil {
 				tb.Fatal(err)
 			}
-			for _, mt := range results.Take(3) {
+			for _, mt := range results.Take(10) {
 				streams = append(streams, fmt.Sprintf("%q|%v|%v", mt.Text, mt.Tokens, mt.LogProb))
 			}
 			if err := results.Err(); err != nil {

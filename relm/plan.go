@@ -271,9 +271,11 @@ type Plan struct {
 	Strategy SearchStrategy
 	// BatchSize bounds the frontier rows each device round scores, per
 	// strategy (DESIGN.md decision 6): for shortest path and Mass, the
-	// query's BatchExpand, or the device batch limit when unset; for beam
-	// search, the beam width, since a whole level is one round; for random
-	// sampling, 1, since a walk scores one context per step.
+	// query's BatchExpand, or the device batch limit when unset — for
+	// shortest path, the nodes a round pops and the most rows one dispatch
+	// carries; for beam search, the beam width, since a whole level is one
+	// round; for random sampling, 1, since a walk scores one context per
+	// step.
 	BatchSize int
 	// Parallelism is the effective engine worker-pool width (1 when the
 	// query leaves it unset).

@@ -166,9 +166,10 @@ type SearchQuery struct {
 	// Mass's (default 1<<17); the engine's traversal loop.
 	MaxNodes int
 	// BatchExpand sets the shortest-path and Mass frontier batch size (0: the
-	// device's batch limit; 1: exact one-at-a-time expansion). Emission
-	// order is best-first regardless; batching only amortizes device
-	// dispatch. engine.EffectiveBatch.
+	// device's batch limit; 1: one-at-a-time expansion). Batching amortizes
+	// device dispatch; matches still come in non-increasing probability at
+	// any setting, and only matches of equal probability can change places.
+	// engine.EffectiveBatch.
 	BatchExpand int
 	// Parallelism bounds the engine-side worker pool that rule-filters and
 	// expands each scored batch (0 or 1: single-threaded expansion).

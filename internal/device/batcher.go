@@ -173,10 +173,8 @@ type request struct {
 	// channel close is the publication barrier.
 	trace *reqTrace
 
-	err      error // a failed fused batch's fault, written before close(done)
-	panicMu  sync.Mutex
-	panicked bool
-	panicVal any
+	err error      // first failure: a fused batch's fault or a row's *ModelPanic
+	mu  sync.Mutex // orders fail's writes; err is read once every row has run
 }
 
 // reqTrace records what was observed for one traced request: the virtual-
@@ -208,13 +206,13 @@ func (r *request) tokensAt(i int) int {
 	return len(r.ctxs[i])
 }
 
-func (r *request) recordPanic(p any) {
-	r.panicMu.Lock()
-	if !r.panicked {
-		r.panicked = true
-		r.panicVal = p
+// fail records err as the request's failure unless it already has one.
+func (r *request) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
 	}
-	r.panicMu.Unlock()
+	r.mu.Unlock()
 }
 
 // StartBatcher attaches a fusion scheduler with the given admission window
@@ -551,12 +549,10 @@ func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
 
 // execute runs one fused batch through the device's executor (core.run) and
 // completes requests whose last rows just executed, waking their submitting
-// goroutines. Panics inside a segment are captured per request and re-raised
-// in the submitting goroutine, never in the scheduler or a pool worker. An
+// goroutines. A row's panic fails only the request that owns the row. An
 // injected batcher.execute failure fails the dispatch itself: every request
-// in the batch gets the fault as its error, and nothing is charged or
-// scored. Either way the batch's outcome reaches its own requests and no
-// others.
+// in the batch gets the fault as its error, and nothing is charged or scored.
+// Either way the batch's outcome reaches its own requests and no others.
 func (b *Batcher) execute(fb *batch) {
 	f := fault.Hit(fault.BatcherExecute)
 	if f != nil && f.Latency > 0 {
@@ -564,7 +560,7 @@ func (b *Batcher) execute(fb *batch) {
 	}
 	if f.Failure() {
 		for _, sg := range fb.segs {
-			sg.req.err = f
+			sg.req.fail(f)
 		}
 	} else {
 		b.core.run(fb)
@@ -596,15 +592,26 @@ func (b *batch) split(workers int) []segment {
 	return out
 }
 
+// ModelPanic is the error of a dispatch whose model panicked on one of its
+// rows. Value is what the model panicked with; Unwrap returns it if an error.
+type ModelPanic struct{ Value any }
+
+func (p *ModelPanic) Error() string { return fmt.Sprintf("device: model panicked: %v", p.Value) }
+
+func (p *ModelPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
 // exec scores one segment through the submitting view's model — the same
 // calls on the same inputs whichever batch the rows ride in, which is what
-// makes fusion result-transparent. It recovers a panic into the owning
-// request, so a poisoned row never unwinds a shared worker.
+// makes fusion result-transparent. It recovers a panic as the owning
+// request's *ModelPanic, so a poisoned row never unwinds a shared worker.
 func (sg segment) exec() {
 	r := sg.req
 	defer func() {
 		if p := recover(); p != nil {
-			r.recordPanic(p)
+			r.fail(&ModelPanic{Value: p})
 		}
 	}()
 	switch r.kind {

@@ -388,37 +388,23 @@ func TestBatcherFloodCannotStarve(t *testing.T) {
 	}
 }
 
-// panicLM panics when asked to score the poison token.
-type panicLM struct{ model.Uniform }
-
-func (p *panicLM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
-	for _, c := range ctxs {
-		for _, tk := range c {
-			if tk == 6 {
-				panic("poison token")
-			}
-		}
-	}
-	return p.Uniform.ScoreBatch(ctxs)
-}
-
-// TestBatcherPanicReachesSubmitter: a panic inside a fused row re-raises in
-// the goroutine that submitted it — not in the scheduler, which must keep
-// serving other queries afterwards.
+// TestBatcherPanicReachesSubmitter: a panic inside a fused row is the error
+// of the dispatch that submitted it, and its span says so — the scheduler
+// neither dies nor re-raises it, and keeps serving other queries afterwards.
 func TestBatcherPanicReachesSubmitter(t *testing.T) {
-	lm := &panicLM{model.Uniform{Vocab: 8, EOSTok: 7, SeqLen: 16}}
-	d := New(lm, DefaultLatency(), 64)
+	d := New(poisonLM{newRowLM()}, DefaultLatency(), 64)
 	b := StartBatcher(d, time.Millisecond)
 	defer b.Close()
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("poisoned Forward did not panic in the submitter")
-			}
-		}()
-		d.Forward([][]model.Token{{6}})
-	}()
+	tr := trace.New(1, 4).NewTrace()
+	_, err := d.WithTrace(tr, trace.RootID).Forward([][]model.Token{{poisonTok}})
+	if mp := new(*ModelPanic); !errors.As(err, mp) || !errors.Is(err, errPoison) {
+		t.Errorf("poisoned Forward returned %v, want a *ModelPanic wrapping the model's own panic value", err)
+	}
+	const wantAttr = "device: model panicked: poison row"
+	if spans := tr.Finish().Find("device.forward"); len(spans) != 1 || spans[0].Attr("error") != wantAttr {
+		t.Errorf("poisoned dispatch's spans %v, want one annotated error=%q", spans, wantAttr)
+	}
 
 	// Scheduler must still be alive and serving.
 	if out := must(d.Forward([][]model.Token{{1}})); len(out) != 1 {
@@ -494,7 +480,7 @@ func TestBatcherZeroRowCalls(t *testing.T) {
 // with no batcher attached, through the fusion queue, inline because the
 // batcher was closed — and on each it must be the same dispatch: same rows
 // and decode states, same device charges, a span covering exactly its own
-// charge, the same panic.
+// charge, the same error.
 
 type routeIn struct {
 	ctxs   [][]model.Token
@@ -513,19 +499,22 @@ type routeOut struct {
 var routeOps = []struct {
 	name, span string
 	tokens     func(ctxs [][]model.Token) int // what the rows are priced at
-	run        func(d *Device, in routeIn) routeOut
+	run        func(d *Device, in routeIn) (routeOut, error)
 	want       func(lm model.LanguageModel, in routeIn) routeOut
 }{
 	{
 		name: "forward", span: "device.forward", tokens: sumLens,
-		run:  func(d *Device, in routeIn) routeOut { return routeOut{rows: must(d.Forward(in.ctxs))} },
+		run: func(d *Device, in routeIn) (routeOut, error) {
+			rows, err := d.Forward(in.ctxs)
+			return routeOut{rows: rows}, err
+		},
 		want: func(lm model.LanguageModel, in routeIn) routeOut { return routeOut{rows: lm.ScoreBatch(in.ctxs)} },
 	},
 	{
 		name: "prefill", span: "device.prefill", tokens: sumLens,
-		run: func(d *Device, in routeIn) routeOut {
-			st, rows := must2(d.Prefill(in.ctxs))
-			return routeOut{rows: rows, states: st}
+		run: func(d *Device, in routeIn) (routeOut, error) {
+			st, rows, err := d.Prefill(in.ctxs)
+			return routeOut{rows: rows, states: st}, err
 		},
 		want: func(lm model.LanguageModel, in routeIn) routeOut {
 			o := routeOut{rows: make([][]float64, len(in.ctxs)), states: make([]model.DecodeState, len(in.ctxs))}
@@ -537,9 +526,9 @@ var routeOps = []struct {
 	},
 	{
 		name: "extend", span: "device.extend", tokens: func(ctxs [][]model.Token) int { return len(ctxs) },
-		run: func(d *Device, in routeIn) routeOut {
-			st, rows := must2(d.ExtendBatch(in.states, in.toks))
-			return routeOut{rows: rows, states: st}
+		run: func(d *Device, in routeIn) (routeOut, error) {
+			st, rows, err := d.ExtendBatch(in.states, in.toks)
+			return routeOut{rows: rows, states: st}, err
 		},
 		want: func(lm model.LanguageModel, in routeIn) routeOut {
 			st, rows := model.Extend(lm, in.states, in.toks)
@@ -548,7 +537,10 @@ var routeOps = []struct {
 	},
 	{
 		name: "scoreAll", span: "device.scoreall", tokens: sumLens,
-		run: func(d *Device, in routeIn) routeOut { return routeOut{all: must(d.ScoreAll(in.ctxs))} },
+		run: func(d *Device, in routeIn) (routeOut, error) {
+			all, err := d.ScoreAll(in.ctxs)
+			return routeOut{all: all}, err
+		},
 		want: func(lm model.LanguageModel, in routeIn) routeOut {
 			o := routeOut{all: make([][][]float64, len(in.ctxs))}
 			for i, c := range in.ctxs {
@@ -633,7 +625,7 @@ func TestRouteEquivalence(t *testing.T) {
 						}
 						took := rt.setup(t, d)
 						tr := trace.New(1, 4).NewTrace()
-						got := op.run(d.WithTrace(tr, trace.RootID), in)
+						got := must(op.run(d.WithTrace(tr, trace.RootID), in))
 						if !took() {
 							t.Fatalf("dispatch did not take the %s route", rt.name)
 						}
@@ -683,10 +675,11 @@ func (p poisonLM) NextLogProbs(ctx []model.Token) []float64 {
 
 func (p poisonLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(p, ctxs) }
 
-// TestRoutePanicReachesSubmitterOnly: a row that panics inside the model
-// surfaces that same panic value in the goroutine that submitted it, on
-// every route, serial or sharded — while a neighbouring request dispatched
-// at the same moment gets its own correct result.
+// TestRoutePanicReachesSubmitterOnly: a row that panics inside the model is
+// the error of the dispatch that submitted it — a *ModelPanic wrapping the
+// model's own panic value — on every route, serial or sharded, while a
+// neighbouring request dispatched at the same moment gets its own correct
+// result.
 func TestRoutePanicReachesSubmitterOnly(t *testing.T) {
 	const maxBatch, n, k = 4, 10, 6 // row k of n is the poisoned one
 	lm := poisonLM{newRowLM()}
@@ -707,37 +700,37 @@ func TestRoutePanicReachesSubmitterOnly(t *testing.T) {
 					}
 					took := rt.setup(t, d)
 					tr := trace.New(1, 4).NewTrace()
-					var raised any
+					var poisonErr, neighbourErr error
 					var neighbour routeOut
 					var wg sync.WaitGroup
 					wg.Add(2)
 					go func() {
 						defer wg.Done()
-						defer func() { raised = recover() }()
-						op.run(d.WithQoS(QoS{Query: "poisoned"}).WithTrace(tr, trace.RootID), bad)
+						_, poisonErr = op.run(d.WithQoS(QoS{Query: "poisoned"}).WithTrace(tr, trace.RootID), bad)
 					}()
 					go func() {
 						defer wg.Done()
-						neighbour = op.run(d.WithQoS(QoS{Query: "neighbour"}), in)
+						neighbour, neighbourErr = op.run(d.WithQoS(QoS{Query: "neighbour"}), in)
 					}()
 					wg.Wait()
 					if !took() {
 						t.Fatalf("dispatch did not take the %s route", rt.name)
 					}
-					if raised != errPoison {
-						t.Errorf("submitter recovered %v, want the model's own panic value", raised)
+					if mp := new(*ModelPanic); !errors.As(poisonErr, mp) || !errors.Is(poisonErr, errPoison) {
+						t.Errorf("poisoned dispatch returned %v, want a *ModelPanic wrapping the model's own panic value", poisonErr)
 					}
-					if !reflect.DeepEqual(neighbour, want) {
-						t.Errorf("neighbouring request's result differs from the model's own")
+					if neighbourErr != nil || !reflect.DeepEqual(neighbour, want) {
+						t.Errorf("neighbouring request failed (%v) or its result differs from the model's own", neighbourErr)
 					}
 					// The failed dispatch's span is closed, and says why.
 					spans := tr.Finish().Find(op.span)
 					if len(spans) != 1 {
 						t.Fatalf("%d %s spans, want 1", len(spans), op.span)
 					}
-					if sp := spans[0]; sp.WallEndNS == 0 || sp.Attr("error") != errPoison.Error() {
+					const wantAttr = "device: model panicked: poison row"
+					if sp := spans[0]; sp.WallEndNS == 0 || sp.Attr("error") != wantAttr {
 						t.Errorf("failed dispatch span ended=%v error=%q, want ended and %q",
-							sp.WallEndNS != 0, sp.Attr("error"), errPoison.Error())
+							sp.WallEndNS != 0, sp.Attr("error"), wantAttr)
 					}
 				})
 			}

@@ -176,7 +176,7 @@ func (d *Device) Latency() LatencyModel { return d.c.latency }
 // substrate (the packed Transformer forward, the miss-forwarding cache) sees
 // the whole chunk at once; with workers > 1 each chunk is additionally
 // sharded across the worker pool. Forward is safe for concurrent use,
-// including across views. A device fault is the returned *fault.Fault.
+// including across views. Its error is a *fault.Fault or a *ModelPanic.
 func (d *Device) Forward(ctxs [][]model.Token) ([][]float64, error) {
 	return residentFirst(d, fault.DeviceForward, ctxs, model.Resident.ResidentRows,
 		func(ctxs [][]model.Token, out [][]float64) *request {
@@ -184,16 +184,15 @@ func (d *Device) Forward(ctxs [][]model.Token) ([][]float64, error) {
 		})
 }
 
-// dispatch is the one path a scoring call takes to the accelerator
-// (DESIGN.md decision 12). The request rides the fusion queue when a batcher
-// is attached; with no batcher or a closed one it runs inline on this
-// goroutine. Both routes execute through
-// core.run and leave the same record in r.trace, which closes the span.
-// requested is the row count of the public call the rows belong to (more
-// than the request's own when the resident probe answered part of it). A
-// failed fused batch is the returned error; a panic inside any of the
-// request's rows — a model bug — re-panics here, in the submitting query's
-// goroutine, on either route. The span is closed first, annotated "error".
+// dispatch is the one path a scoring call takes to the accelerator (DESIGN.md
+// decision 12). The request rides the fusion queue when a batcher is
+// attached; with no batcher or a closed one it runs inline on this goroutine.
+// Both routes execute through core.run and leave the same record in r.trace,
+// which closes the span. requested is the row count of the public call the
+// rows belong to (more than the request's own when the resident probe
+// answered part of it). The request's first failure — a failed fused batch's
+// fault, or a *ModelPanic — is the returned error on either route; the span
+// is closed first, annotated "error".
 func (d *Device) dispatch(name string, r *request, requested int) error {
 	r.lm, r.qos = d.lm, d.qos
 	span := d.traceStart(name, r)
@@ -203,18 +202,15 @@ func (d *Device) dispatch(name string, r *request, requested int) error {
 		d.c.inline(r)
 	}
 	d.traceEnd(span, r, fused, requested)
-	if r.panicked {
-		panic(r.panicVal)
-	}
 	return r.err
 }
 
 // inline is the route without a scheduler: the request is cut into MaxBatch
 // chunks and each runs as a one-segment batch on the caller's goroutine. It
-// stops at the first chunk with a panicked row.
+// stops at the first chunk that fails.
 func (c *core) inline(r *request) {
 	n := r.rowCount()
-	for lo := 0; lo < n && !r.panicked; lo += c.maxBatch {
+	for lo := 0; lo < n && r.err == nil; lo += c.maxBatch {
 		b := batch{queries: 1}
 		b.add(segment{req: r, lo: lo, hi: min(lo+c.maxBatch, n)})
 		c.run(&b)
@@ -226,7 +222,7 @@ func (c *core) inline(r *request) {
 // it a fused batch, the inline route one chunk of one request. Each traced
 // request in the batch is stamped with exactly the interval charged here, so
 // a span never contains another view's charge. run returns when every row
-// has executed; a row's panic is recorded on its request, not raised.
+// has executed; a row's panic is recorded as its request's error, not raised.
 func (c *core) run(b *batch) {
 	cost := c.latency.Cost(b.rows, b.tokens)
 	c.mu.Lock()

@@ -14,7 +14,7 @@ import (
 
 // Prefill computes decode states and next-token log-probs for ctxs in one
 // dispatch. Cost: one batch at the full token count (identical to Forward on
-// the same contexts). A device fault is the returned error, as for Forward.
+// the same contexts). Errors are Forward's: a *fault.Fault or a *ModelPanic.
 func (d *Device) Prefill(ctxs [][]model.Token) ([]model.DecodeState, [][]float64, error) {
 	return d.stateful(fault.DevicePrefill, &request{
 		kind:      reqPrefill,
@@ -52,7 +52,7 @@ func (d *Device) stateful(name string, r *request) ([]model.DecodeState, [][]flo
 // sequence at its token count per entry — one causal pass, not len(seq)
 // row-expanded contexts — for the sequences with a position the view's model
 // does not already hold; fully resident sequences are answered before
-// dispatch, like Forward's rows.
+// dispatch, like Forward's rows. Errors are Forward's.
 func (d *Device) ScoreAll(seqs [][]model.Token) ([][][]float64, error) {
 	return residentFirst(d, fault.DeviceScoreAll, seqs, model.Resident.ResidentAllPositions,
 		func(seqs [][]model.Token, out [][][]float64) *request {

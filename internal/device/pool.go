@@ -39,13 +39,12 @@ func NewPool(n int) *Pool {
 // Size reports the worker count.
 func (p *Pool) Size() int { return p.size }
 
-// Run executes every fn on the pool and waits for all of them. Concurrent
-// Run calls interleave their shards over the same workers — that is the
-// point: total scoring concurrency stays bounded by Size regardless of how
-// many queries are in flight. Tasks must not call Run on the same pool
-// (the nested wait could starve), and must not panic: a panic unwinds a
-// shared worker. The device hands the pool only segment.exec, which recovers
-// every row's panic into the request that owns the row.
+// Run executes every fn on the pool and waits for all of them. Concurrent Run
+// calls interleave their shards over the same workers — that is the point:
+// total scoring concurrency stays bounded by Size regardless of how many
+// queries are in flight. Tasks must not call Run on the same pool (the nested
+// wait could starve), and must not panic: a panic unwinds a shared worker.
+// segment.exec, the device's only task, recovers its rows' panics.
 func (p *Pool) Run(fns []func()) {
 	var wg sync.WaitGroup
 	wg.Add(len(fns))

@@ -23,8 +23,8 @@ import (
 // a pointer. The results themselves die with this frame.
 //
 //go:noinline
-func dispatchProbes(d *Device, op func(*Device, routeIn) routeOut, in routeIn) []func() bool {
-	out := op(d, in)
+func dispatchProbes(d *Device, op func(*Device, routeIn) (routeOut, error), in routeIn) []func() bool {
+	out := must(op(d, in))
 	var probes []func() bool
 	row := func(r []float64) {
 		w := weak.Make(&r[0])

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/trace"
@@ -43,7 +42,7 @@ func (d *Device) traceStart(name string, r *request) trace.SpanID {
 // rows the caller asked for (a fully resident call opens no device span;
 // residentFirst counts its rows on the parent as resident_rows) — and, when
 // it rode the fusion queue, the scheduler's side of the ride; a failed
-// request is annotated "error" with its fault or row panic. The record is
+// request is annotated "error" with its first failure. The record is
 // complete before either route returns (the scheduler writes it before it
 // closes the request's done channel), so reading it here is race-free.
 func (d *Device) traceEnd(span trace.SpanID, r *request, fused bool, requested int) {
@@ -71,9 +70,7 @@ func (d *Device) traceEnd(span trace.SpanID, r *request, fused bool, requested i
 		d.tr.Annotate(span, "requested", strconv.Itoa(requested))
 	}
 	d.tr.Annotate(span, "tokens", strconv.Itoa(tokens))
-	if r.panicked {
-		d.tr.Annotate(span, "error", fmt.Sprint(r.panicVal))
-	} else if r.err != nil {
+	if r.err != nil {
 		d.tr.Annotate(span, "error", r.err.Error())
 	}
 	d.tr.End(span)

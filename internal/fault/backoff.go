@@ -53,12 +53,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		d = b.Max
 	}
 	// Deterministic ±25% jitter from the (seed, attempt) hash.
-	h := b.Seed
-	h ^= uint64(attempt) + 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	frac := float64(h>>11) / (1 << 53) // [0, 1)
+	frac := unitHash(b.Seed ^ (uint64(attempt) + 0x9e3779b97f4a7c15))
 	return d + time.Duration((frac-0.5)*0.5*float64(d))
 }
 

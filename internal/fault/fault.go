@@ -298,13 +298,16 @@ func decide(seed uint64, name string, call int64, prob float64) bool {
 		h = (h ^ uint64(name[i])) * 0x100000001b3
 	}
 	h ^= uint64(call)
-	// splitmix64 finalizer: full-avalanche so neighbouring call indices are
-	// uncorrelated.
-	h += 0x9e3779b97f4a7c15
+	return unitHash(h+0x9e3779b97f4a7c15) < prob
+}
+
+// unitHash maps h into [0, 1) through the splitmix64 finalizer's avalanche,
+// so neighbouring inputs (call indices, retry attempts) are uncorrelated.
+func unitHash(h uint64) float64 {
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
 	h ^= h >> 31
-	return float64(h>>11)/(1<<53) < prob
+	return float64(h>>11) / (1 << 53)
 }
 
 // The process-wide injector. Production code consults it through the

@@ -198,3 +198,49 @@ func TestParseScenario(t *testing.T) {
 		}
 	}
 }
+
+// The injection decisions and the retry jitter are pinned to the values
+// they had when first recorded: a changed hash would silently re-seed every
+// chaos scenario and backoff schedule that replays from a seed.
+func TestHashesPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed      uint64
+		name      string
+		prob      float64
+		calls     uint64 // bit i: decide at call i
+		latencies uint64 // bit i: decide at call ^i, the latency draw
+	}{
+		{1, "device.forward", 0.3, 0xa06a40386422202, 0x1d1005128a00d00},
+		{7, "ledger.sync", 0.5, 0xcb8029e2594053b3, 0xe54f54a44fd81cb9},
+		{0xdeadbeef, "batcher.execute", 0.05, 0x4840000000000, 0x80000000020},
+	} {
+		var calls, latencies uint64
+		for i := int64(0); i < 64; i++ {
+			if decide(c.seed, c.name, i, c.prob) {
+				calls |= 1 << i
+			}
+			if decide(c.seed, c.name, ^i, c.prob) {
+				latencies |= 1 << i
+			}
+		}
+		if calls != c.calls || latencies != c.latencies {
+			t.Errorf("decide(%d, %q, ·, %v): calls %#x latencies %#x, want %#x %#x",
+				c.seed, c.name, c.prob, calls, latencies, c.calls, c.latencies)
+		}
+	}
+	for _, c := range []struct {
+		b       Backoff
+		attempt int
+		want    time.Duration
+	}{
+		{Backoff{Seed: 1}, 0, 1196971},
+		{Backoff{Seed: 1}, 3, 7725824},
+		{Backoff{Seed: SeedFrom("job-0001", "7"), Base: time.Millisecond, Max: time.Second}, 5, 27025815},
+		{Backoff{Seed: 0xdeadbeef, Base: 3 * time.Millisecond}, 1, 5315667},
+	} {
+		if got := c.b.Delay(c.attempt); got != c.want {
+			t.Errorf("Backoff{Seed: %d, Base: %v, Max: %v}.Delay(%d) = %d, want %d",
+				c.b.Seed, c.b.Base, c.b.Max, c.attempt, got, c.want)
+		}
+	}
+}

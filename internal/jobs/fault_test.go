@@ -2,9 +2,12 @@ package jobs
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/model"
+	"repro/relm"
 )
 
 // armDeviceFaults enables an injector failing the first call at every device
@@ -257,5 +260,53 @@ func TestTransientLedgerSyncRetried(t *testing.T) {
 	}
 	if _, err := VerifyFile(m.LedgerPath(j.ID)); err != nil {
 		t.Fatalf("ledger verify: %v", err)
+	}
+}
+
+// poisonedLM panics on any context longer than depth tokens: a model bug
+// that strikes mid-query. Its ScoreBatch goes through NextLogProbs.
+type poisonedLM struct {
+	model.LanguageModel
+	depth int
+}
+
+func (p poisonedLM) NextLogProbs(ctx []model.Token) []float64 {
+	if len(ctx) > p.depth {
+		panic("poison context")
+	}
+	return p.LanguageModel.NextLogProbs(ctx)
+}
+
+func (p poisonedLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(p, ctxs) }
+
+// TestModelPanicFailsOnlyItsItems: a model that panics mid-query, behind the
+// fusion scheduler, fails each item it scores with the *device.ModelPanic's
+// text in the item's Err — it is neither retried nor quarantined — and the
+// job completes. The worker and the process survive it: the next job, on a
+// healthy model, completes with clean items.
+func TestModelPanicFailsOnlyItsItems(t *testing.T) {
+	env := testEnv(t)
+	m := newTestManager(t, Config{})
+	poisoned := relm.NewModel(poisonedLM{env.Large.LM, 4}, env.Large.Tok, relm.ModelOptions{ContinuousBatching: true})
+	t.Cleanup(poisoned.Close)
+	m.RegisterModel("poisoned", poisoned)
+	for _, name := range []string{"poisoned", "large"} {
+		j, err := m.Submit(Spec{Suite: "bias", Model: name, MaxItems: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		if got := j.Status(); got != StatusCompleted {
+			t.Fatalf("%s: job %s (%s), want completed", name, got, j.Snapshot().Error)
+		}
+		results := j.Results()
+		if len(results) != 2 {
+			t.Fatalf("%s: %d item results, want 2", name, len(results))
+		}
+		for _, r := range results {
+			if failed := strings.HasPrefix(r.Err, "device: model panicked:"); failed != (name == "poisoned") {
+				t.Errorf("%s: item %s recorded Err %q", name, r.ID, r.Err)
+			}
+		}
 	}
 }

@@ -313,20 +313,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		session:  sess,
 	}
 	s.register(rec)
-	// The device re-raises an inner-model panic (a model bug) in this
-	// goroutine, where net/http recovers it; the record must not stay
-	// "running" in /v1/stats forever when that happens.
+	// The record must not stay "running" in /v1/stats after any exit of
+	// this handler, a panic from an engine bug included.
 	defer func() {
-		if p := recover(); p != nil {
-			rec.mu.Lock()
-			running := rec.status == statusRunning
-			rec.mu.Unlock()
-			if running {
-				results.Close()
-				rec.finish(statusError, fmt.Sprintf("internal error: %v", p))
-				s.retire(rec, statusError)
-			}
-			panic(p)
+		rec.mu.Lock()
+		running := rec.status == statusRunning
+		rec.mu.Unlock()
+		if running {
+			results.Close()
+			rec.finish(statusError, "internal error: query handler exited mid-stream")
+			s.retire(rec, statusError)
 		}
 	}()
 

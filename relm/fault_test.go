@@ -2,9 +2,12 @@ package relm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/fault"
+	"repro/internal/model"
 )
 
 // Device faults are errors (DESIGN.md decision 15): a faulted query ends its
@@ -133,5 +136,52 @@ func TestMassReturnsDeviceFault(t *testing.T) {
 	est, err := Mass(m, SearchQuery{Query: QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"}}, MassOptions{})
 	if est != nil || !errors.Is(err, fault.ErrTransient) {
 		t.Fatalf("Mass returned %v, %v; want the injected transient fault", est, err)
+	}
+}
+
+// poisonedLM panics on any context longer than depth tokens: a model bug
+// that strikes mid-query. Its ScoreBatch goes through NextLogProbs.
+type poisonedLM struct {
+	model.LanguageModel
+	depth int
+}
+
+func (p poisonedLM) NextLogProbs(ctx []model.Token) []float64 {
+	if len(ctx) > p.depth {
+		panic("poison context")
+	}
+	return p.LanguageModel.NextLogProbs(ctx)
+}
+
+func (p poisonedLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(p, ctxs) }
+
+// TestModelPanicIsTheQueryError: a model that panics mid-query fails that
+// query's stream with a *device.ModelPanic, on every strategy, with the
+// engine's expansion workers (Parallelism 4) and the fusion scheduler in
+// the way or not — it never takes the process down.
+func TestModelPanicIsTheQueryError(t *testing.T) {
+	lm, tok := testNGram()
+	poisoned := poisonedLM{lm, len(tok.Encode("The")) + 1}
+	for _, fused := range []bool{false, true} {
+		m := NewModel(poisoned, tok, ModelOptions{ContinuousBatching: fused})
+		t.Cleanup(m.Close)
+		for i, strategy := range []SearchStrategy{ShortestPath, BeamSearch, RandomSampling} {
+			t.Run(fmt.Sprintf("fused=%v/%s", fused, []string{"shortest", "beam", "random"}[i]), func(t *testing.T) {
+				results, err := Search(m, SearchQuery{
+					Query:       QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
+					Strategy:    strategy,
+					Parallelism: 4,
+					Seed:        1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer results.Close()
+				results.Take(10)
+				if mp := new(*device.ModelPanic); !errors.As(results.Err(), mp) {
+					t.Errorf("stream ended with %v, want the model's panic as a *device.ModelPanic", results.Err())
+				}
+			})
+		}
 	}
 }

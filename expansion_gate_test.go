@@ -33,8 +33,9 @@ import (
 // Canonical field, 12.9 on both. Cached prefix plans read 10.1 on both,
 // pooled selections with one context block per round and no key strings for
 // n-gram histories 7.3, cursors that hold a window of their least two
-// siblings inline 6.5, and nodes scored only when they reach the top of the
-// frontier, in more and smaller device rounds, 7.1.
+// siblings inline 6.5, nodes scored only when they reach the top of the
+// frontier, in more and smaller device rounds, 7.1, and resolutions sized
+// afresh at each settle, 7.0.
 //
 // Bytes, on the LAMBADA cloze shape with no top-k, where a node keeps every
 // letter-led token the pattern allows: per node the traversal may allocate a

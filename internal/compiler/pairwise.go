@@ -14,10 +14,15 @@ import (
 // isolation, re-encodes to itself (no merge rule would have fused material
 // across or inside the boundary).
 //
-// Local canonicality is necessary for BPE canonicality in our tokenizer
-// (merges are confined to pre-tokens, so a violated constraint anywhere
-// falsifies the whole sequence) and empirically sufficient — the test suite
-// verifies exact agreement with enumerate-and-encode ground truth. Unlike
+// Local canonicality is meant to be necessary for BPE canonicality in our
+// tokenizer (merges are confined to pre-tokens, so a violated constraint
+// anywhere falsifies the whole sequence), but the construction does not
+// agree exactly with enumerate-and-encode ground truth. A pair is judged
+// alone, and alone (␠, b) re-encodes as " b", because the pre-token rule
+// glues one space onto the word after it; after another space that position
+// is a pre-token boundary. So it rejects canonical encodings where two or
+// more spaces precede a word: "a  b", "x  J", "the  cat", "a   b" (ROADMAP
+// item 11 keys the constraint on the pre-token state to fix it). Unlike
 // CompileCanonical it needs no enumeration, so it handles infinite
 // languages; unlike the CanonicalFilter it needs no per-node work at
 // traversal time.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/model"
@@ -59,7 +60,7 @@ type Batcher struct {
 	quantum     int
 
 	mu     sync.Mutex
-	queues map[string]*queryQueue
+	queues map[account]*queryQueue
 	active []*queryQueue // queues with pending requests, insertion order
 	rows   int           // pending rows across all queues
 	closed bool
@@ -128,11 +129,21 @@ type BatcherStats struct {
 
 // queryQueue is one query's FIFO of pending requests plus its fair-share
 // account. It holds a request only while the request has rows not yet packed
-// into a batch; an idle account has a nil reqs and keeps only key and served.
+// into a batch; an idle account has a nil reqs and keeps only key, served
+// and the id of the last batch it had rows in.
 type queryQueue struct {
-	key    string
+	key    account
 	served int64
+	batch  int64
 	reqs   []*request
+}
+
+// account names a fair-share principal: a QoS query, or, for a view with
+// none, the view itself. The view is kept as its address, a number, so an
+// idle account never holds it alive.
+type account struct {
+	query string
+	view  uintptr
 }
 
 type reqKind int
@@ -152,7 +163,7 @@ type request struct {
 	kind reqKind
 	lm   model.LanguageModel
 	qos  QoS
-	key  string
+	key  account
 	enq  time.Time
 
 	ctxs   [][]model.Token     // forward / prefill / scoreAll inputs
@@ -239,7 +250,7 @@ func newBatcher(d *Device, window time.Duration) *Batcher {
 		window:      window,
 		urgentSlack: urgentSlack,
 		quantum:     quantum,
-		queues:      map[string]*queryQueue{},
+		queues:      map[account]*queryQueue{},
 		wake:        make(chan struct{}, 1),
 		closeCh:     make(chan struct{}),
 		exited:      make(chan struct{}),
@@ -293,11 +304,11 @@ func (b *Batcher) submit(d *Device, r *request) bool {
 	r.enq = time.Now()
 	r.remaining = n
 	r.done = make(chan struct{})
-	r.key = r.qos.Query
-	if r.key == "" {
+	r.key = account{query: r.qos.Query}
+	if r.key.query == "" {
 		// No explicit identity: each view (one per session/query) is its own
 		// fairness principal.
-		r.key = fmt.Sprintf("view:%p", d)
+		r.key.view = uintptr(unsafe.Pointer(d))
 	}
 	if !b.enqueue(r) {
 		return false
@@ -384,8 +395,12 @@ func (b *Batcher) oldestLocked() time.Time {
 }
 
 // run is the scheduler loop: wait for work, hold the admission window, then
-// select and execute one fused batch per iteration.
+// select and execute one fused batch per iteration. One timer serves every
+// wait and one batch every dispatch.
 func (b *Batcher) run() {
+	var fb batch
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		b.mu.Lock()
 		if b.rows == 0 {
@@ -407,13 +422,13 @@ func (b *Batcher) run() {
 		if !full && !urgent && !b.closed {
 			if age := now.Sub(b.oldestLocked()); age < b.window {
 				b.mu.Unlock()
-				t := time.NewTimer(b.window - age)
+				timer.Reset(b.window - age)
 				select {
 				case <-b.wake:
-				case <-t.C:
+				case <-timer.C:
 				case <-b.closeCh:
 				}
-				t.Stop()
+				timer.Stop()
 				continue
 			}
 		}
@@ -427,9 +442,9 @@ func (b *Batcher) run() {
 		default:
 			b.windowFlushes++
 		}
-		fb := b.selectLocked(now, b.core.maxBatch)
+		b.selectLocked(&fb, now, b.core.maxBatch)
 		b.mu.Unlock()
-		b.execute(fb)
+		b.execute(&fb)
 	}
 }
 
@@ -440,12 +455,25 @@ type segment struct {
 }
 
 // batch is what one device dispatch executes (core.run): row segments of one
-// or more requests, priced together.
+// or more requests, priced together. The scheduler reuses one batch, so its
+// shards (split) and its wait on them (runShards) are kept with it.
 type batch struct {
 	segs    []segment
 	rows    int
 	tokens  int
 	queries int
+
+	pieces []segment
+	wg     *sync.WaitGroup // nil until the batch first runs in shards
+}
+
+// reset empties the batch for the next dispatch. It lets go of every
+// request the batch held, so nothing outlives its dispatch.
+func (b *batch) reset() {
+	clear(b.segs)
+	clear(b.pieces)
+	b.segs, b.pieces = b.segs[:0], b.pieces[:0]
+	b.rows, b.tokens, b.queries = 0, 0, 0
 }
 
 func (b *batch) add(sg segment) {
@@ -456,11 +484,11 @@ func (b *batch) add(sg segment) {
 	}
 }
 
-// selectLocked packs up to cap rows into one fused batch. Urgent requests go
-// first (earliest deadline), then deficit fair-share across queries.
-func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
-	fb := &batch{}
-	seen := map[string]bool{}
+// selectLocked packs up to cap rows into fb, an empty batch, as one fused
+// batch. Urgent requests go first (earliest deadline), then deficit
+// fair-share across queries.
+func (b *Batcher) selectLocked(fb *batch, now time.Time, cap int) {
+	id := b.fusedBatches + 1 // this batch's: the counter increments when selection completes
 	for fb.rows < cap && b.rows > 0 {
 		q, urgent := b.pickLocked(now)
 		r := q.reqs[0]
@@ -478,16 +506,15 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
 			if lo == 0 {
 				rt.waitUS = now.Sub(r.enq).Microseconds()
 			}
-			// The batch being packed gets id fusedBatches+1 (the counter
-			// increments when selection completes below). Dedupe: the fair-
-			// share loop can pick the same request twice for one batch.
-			if id := b.fusedBatches + 1; len(rt.batches) == 0 || rt.batches[len(rt.batches)-1] != id {
+			// Dedupe: the fair-share loop can pick the same request twice for
+			// one batch.
+			if len(rt.batches) == 0 || rt.batches[len(rt.batches)-1] != id {
 				rt.batches = append(rt.batches, id)
 			}
 		}
 		fb.add(segment{req: r, lo: lo, hi: hi})
-		if !seen[q.key] {
-			seen[q.key] = true
+		if q.batch != id {
+			q.batch = id
 			fb.queries++
 		}
 		q.served += int64(take)
@@ -513,7 +540,6 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *batch {
 	if fb.queries > 1 {
 		b.multiQuery++
 	}
-	return fb
 }
 
 // mostUrgentLocked returns the queue holding the request with the earliest
@@ -547,12 +573,13 @@ func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
 	return best, false
 }
 
-// execute runs one fused batch through the device's executor (core.run) and
+// execute runs one fused batch through the device's executor (core.run),
 // completes requests whose last rows just executed, waking their submitting
-// goroutines. A row's panic fails only the request that owns the row. An
-// injected batcher.execute failure fails the dispatch itself: every request
-// in the batch gets the fault as its error, and nothing is charged or scored.
-// Either way the batch's outcome reaches its own requests and no others.
+// goroutines, and empties the batch. A row's panic fails only the request
+// that owns the row. An injected batcher.execute failure fails the dispatch
+// itself: every request in the batch gets the fault as its error, and
+// nothing is charged or scored. Either way the batch's outcome reaches its
+// own requests and no others.
 func (b *Batcher) execute(fb *batch) {
 	f := fault.Hit(fault.BatcherExecute)
 	if f != nil && f.Latency > 0 {
@@ -572,24 +599,46 @@ func (b *Batcher) execute(fb *batch) {
 			close(r.done)
 		}
 	}
+	fb.reset()
 }
 
 // split cuts the batch's segments into at most ~workers pieces of roughly
-// even row counts; the pieces write disjoint slots of their requests, so the
-// merge needs no locking.
+// even row counts, in the batch's own pieces slice; the pieces write
+// disjoint slots of their requests, so the merge needs no locking.
 func (b *batch) split(workers int) []segment {
-	if workers <= 1 {
+	if workers = min(workers, b.rows); workers <= 1 {
 		return b.segs
 	}
-	workers = min(workers, b.rows)
 	per := (b.rows + workers - 1) / workers
-	out := make([]segment, 0, workers+len(b.segs))
+	out := b.pieces[:0]
 	for _, sg := range b.segs {
 		for lo := sg.lo; lo < sg.hi; lo += per {
 			out = append(out, segment{req: sg.req, lo: lo, hi: min(lo+per, sg.hi)})
 		}
 	}
+	b.pieces = out
 	return out
+}
+
+// runShards executes the pieces on the persistent pool when one is attached,
+// or on transient goroutines otherwise, and waits for all of them.
+func (b *batch) runShards(pieces []segment, pool *Pool) {
+	if b.wg == nil {
+		b.wg = new(sync.WaitGroup)
+	}
+	wg := b.wg
+	if pool != nil {
+		pool.run(pieces, wg)
+		return
+	}
+	for _, p := range pieces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.exec()
+		}()
+	}
+	wg.Wait()
 }
 
 // ModelPanic is the error of a dispatch whose model panicked on one of its

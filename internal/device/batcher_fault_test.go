@@ -45,7 +45,8 @@ func TestBatcherExecuteFaultFailsOnlyItsBatch(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		batchReqs := []*request{waiting, submit(fmt.Sprintf("p%d", i))}
 		b.mu.Lock()
-		fb := b.selectLocked(time.Now(), b.core.maxBatch)
+		fb := new(batch)
+		b.selectLocked(fb, time.Now(), b.core.maxBatch)
 		b.mu.Unlock()
 		want := []string{fmt.Sprintf("q%d[0:2]", i-1), fmt.Sprintf("p%d[0:2]", i)}
 		if got := segRows(fb); !reflect.DeepEqual(got, want) {
@@ -56,22 +57,22 @@ func TestBatcherExecuteFaultFailsOnlyItsBatch(t *testing.T) {
 
 		for _, r := range batchReqs {
 			if !ended(r) {
-				t.Fatalf("dispatch %d: request %s did not end", i, r.key)
+				t.Fatalf("dispatch %d: request %s did not end", i, r.key.query)
 			}
 			_, isFault := r.err.(*fault.Fault)
 			if i <= 3 && !isFault {
-				t.Errorf("dispatch %d: request %s got %v, want the injected *fault.Fault", i, r.key, r.err)
+				t.Errorf("dispatch %d: request %s got %v, want the injected *fault.Fault", i, r.key.query, r.err)
 			}
 			if i == 4 {
 				if r.err != nil {
-					t.Errorf("dispatch 4: request %s failed after the fault was spent: %v", r.key, r.err)
+					t.Errorf("dispatch 4: request %s failed after the fault was spent: %v", r.key.query, r.err)
 				} else if !reflect.DeepEqual(r.rows, d.lm.ScoreBatch(r.ctxs)) {
-					t.Errorf("dispatch 4: request %s rows differ from the model's own", r.key)
+					t.Errorf("dispatch 4: request %s rows differ from the model's own", r.key.query)
 				}
 			}
 		}
 		if ended(waiting) || waiting.err != nil {
-			t.Errorf("dispatch %d reached request %s, which was not in its batch (err %v)", i, waiting.key, waiting.err)
+			t.Errorf("dispatch %d reached request %s, which was not in its batch (err %v)", i, waiting.key.query, waiting.err)
 		}
 	}
 

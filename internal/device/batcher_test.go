@@ -32,7 +32,7 @@ func enqueueRows(b *Batcher, key string, n int, deadline time.Time) *request {
 	r := &request{
 		kind: reqForward,
 		qos:  QoS{Query: key, Deadline: deadline},
-		key:  key,
+		key:  account{query: key},
 		enq:  time.Now(),
 		ctxs: ctxs,
 		rows: make([][]float64, n),
@@ -48,7 +48,7 @@ func enqueueRows(b *Batcher, key string, n int, deadline time.Time) *request {
 func segRows(fb *batch) []string {
 	var out []string
 	for _, sg := range fb.segs {
-		out = append(out, fmt.Sprintf("%s[%d:%d]", sg.req.key, sg.lo, sg.hi))
+		out = append(out, fmt.Sprintf("%s[%d:%d]", sg.req.key.query, sg.lo, sg.hi))
 	}
 	return out
 }
@@ -64,8 +64,10 @@ func TestBatcherFairShareSelection(t *testing.T) {
 	enqueueRows(b, "C", 2, time.Time{})
 
 	b.mu.Lock()
-	fb1 := b.selectLocked(time.Now(), b.core.maxBatch)
-	fb2 := b.selectLocked(time.Now(), b.core.maxBatch)
+	fb1 := new(batch)
+	b.selectLocked(fb1, time.Now(), b.core.maxBatch)
+	fb2 := new(batch)
+	b.selectLocked(fb2, time.Now(), b.core.maxBatch)
 	b.mu.Unlock()
 
 	want1 := []string{"A[0:4]", "B[0:2]", "C[0:2]"}
@@ -88,16 +90,17 @@ func TestBatcherServedFloorOnJoin(t *testing.T) {
 	b := newBareBatcher(newDevice(8), 4)
 	enqueueRows(b, "A", 8, time.Time{})
 	b.mu.Lock()
-	b.selectLocked(time.Now(), b.core.maxBatch) // A served 8, queue drained
+	b.selectLocked(new(batch), time.Now(), b.core.maxBatch) // A served 8, queue drained
 	b.mu.Unlock()
 
 	enqueueRows(b, "A", 8, time.Time{})
 	enqueueRows(b, "B", 8, time.Time{}) // B joins now: floor = A's 8, not 0
-	if got := b.queues["B"].served; got != 8 {
+	if got := b.queues[account{query: "B"}].served; got != 8 {
 		t.Fatalf("B joined with served=%d, want floor 8", got)
 	}
 	b.mu.Lock()
-	fb := b.selectLocked(time.Now(), b.core.maxBatch)
+	fb := new(batch)
+	b.selectLocked(fb, time.Now(), b.core.maxBatch)
 	b.mu.Unlock()
 	// Equal accounts alternate by quantum instead of B sweeping the batch.
 	want := []string{"A[0:4]", "B[0:4]"}
@@ -118,7 +121,8 @@ func TestBatcherUrgentSelection(t *testing.T) {
 	enqueueRows(b, "soon", 6, now.Add(100*time.Millisecond))
 
 	b.mu.Lock()
-	fb := b.selectLocked(now, b.core.maxBatch)
+	fb := new(batch)
+	b.selectLocked(fb, now, b.core.maxBatch)
 	b.mu.Unlock()
 	got := segRows(fb)
 	// soon (earliest deadline) first and unquantized (6 > quantum 2), then

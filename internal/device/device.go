@@ -250,7 +250,7 @@ func (c *core) run(b *batch) {
 	if pieces := b.split(workers); len(pieces) == 1 {
 		pieces[0].exec()
 	} else {
-		runShards(pieces, pool)
+		b.runShards(pieces, pool)
 	}
 }
 
@@ -303,21 +303,23 @@ func residentFirst[R []float64 | [][]float64](
 }
 
 // Resident answers what it can of ctxs from the view's memoizing model with
-// no dispatch at all: rows[i] is ctxs[i]'s next-token row when it is
-// resident, nil otherwise. It is Forward's probe without the dispatch, for a
+// no dispatch at all: rows[i] (len(rows) >= len(ctxs)) is set to ctxs[i]'s
+// next-token row when it is resident and left alone otherwise; hit counts
+// the rows answered. It is Forward's probe without the dispatch, for a
 // caller that sends the misses somewhere other than Forward — the engine's
 // incremental path, which must know which contexts still need a decode state
-// (DESIGN.md decision 10). The answered rows are counted on the trace parent
-// as resident_rows, as a fully resident Forward counts its own.
-func (d *Device) Resident(ctxs [][]model.Token) (rows [][]float64, hit int) {
-	rows = make([][]float64, len(ctxs))
+// (DESIGN.md decision 10), and shortest path's, which sizes a resolution by
+// whether its top's row is resident (decision 6). The answered rows are
+// counted on the trace parent as resident_rows, as a fully resident Forward
+// counts its own.
+func (d *Device) Resident(ctxs [][]model.Token, rows [][]float64) (hit int) {
 	if res, ok := d.lm.(model.Resident); ok {
 		hit = res.ResidentRows(ctxs, rows)
 	}
 	if hit > 0 {
 		d.tr.AddCount(d.trParent, "resident_rows", hit)
 	}
-	return rows, hit
+	return hit
 }
 
 // inject consults the fault registry at a dispatch entry point, before
@@ -336,28 +338,6 @@ func (d *Device) inject(point string) error {
 		}
 	}
 	return nil
-}
-
-// runShards executes the pieces on the persistent pool when one is attached,
-// or on transient goroutines otherwise, and waits for all of them.
-func runShards(pieces []segment, pool *Pool) {
-	if pool != nil {
-		fns := make([]func(), len(pieces))
-		for i, p := range pieces {
-			fns[i] = p.exec
-		}
-		pool.Run(fns)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, p := range pieces {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.exec()
-		}()
-	}
-	wg.Wait()
 }
 
 // Idle advances the virtual clock without work, modelling host-side time

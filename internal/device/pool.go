@@ -15,8 +15,8 @@ type Pool struct {
 }
 
 type poolTask struct {
-	fn func()
-	wg *sync.WaitGroup
+	seg segment
+	wg  *sync.WaitGroup
 }
 
 // NewPool starts a pool of n workers (n < 1 is treated as 1).
@@ -28,7 +28,7 @@ func NewPool(n int) *Pool {
 	for i := 0; i < n; i++ {
 		go func() {
 			for t := range p.tasks {
-				t.fn()
+				t.seg.exec()
 				t.wg.Done()
 			}
 		}()
@@ -39,22 +39,21 @@ func NewPool(n int) *Pool {
 // Size reports the worker count.
 func (p *Pool) Size() int { return p.size }
 
-// Run executes every fn on the pool and waits for all of them. Concurrent Run
-// calls interleave their shards over the same workers — that is the point:
-// total scoring concurrency stays bounded by Size regardless of how many
-// queries are in flight. Tasks must not call Run on the same pool (the nested
-// wait could starve), and must not panic: a panic unwinds a shared worker.
-// segment.exec, the device's only task, recovers its rows' panics.
-func (p *Pool) Run(fns []func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		p.tasks <- poolTask{fn: fn, wg: &wg}
+// run executes every segment on the pool and waits for all of them on wg,
+// which the caller keeps (a batch's own). Concurrent run calls interleave
+// their shards over the same workers — that is the point: total scoring
+// concurrency stays bounded by Size regardless of how many queries are in
+// flight. A segment never unwinds a shared worker: exec recovers its rows'
+// panics.
+func (p *Pool) run(segs []segment, wg *sync.WaitGroup) {
+	wg.Add(len(segs))
+	for _, sg := range segs {
+		p.tasks <- poolTask{seg: sg, wg: wg}
 	}
 	wg.Wait()
 }
 
-// Close stops the workers once in-flight tasks finish. Run must not be
+// Close stops the workers once in-flight tasks finish. run must not be
 // called after Close; detach the pool from devices first (SetPool(nil)).
 // Safe to call multiple times.
 func (p *Pool) Close() {

@@ -122,7 +122,7 @@ func TestIdleAccountsHoldNoRequests(t *testing.T) {
 	}
 	for k, q := range b.queues {
 		if q.reqs != nil {
-			t.Errorf("idle account %s holds a queue slice (len %d, cap %d)", k, len(q.reqs), cap(q.reqs))
+			t.Errorf("idle account %s holds a queue slice (len %d, cap %d)", k.query, len(q.reqs), cap(q.reqs))
 		}
 	}
 }

@@ -406,7 +406,8 @@ func TestResidentProbeAlone(t *testing.T) {
 		before := r.charged()
 		tr := trace.New(1, 4).NewTrace()
 		round := tr.Start(trace.RootID, "round")
-		rows, hit := r.d.WithTrace(tr, round).Resident(residentCtxs)
+		rows := make([][]float64, len(residentCtxs))
+		hit := r.d.WithTrace(tr, round).Resident(residentCtxs, rows)
 		tr.End(round)
 		if hit != 3 || len(rows) != len(residentCtxs) {
 			t.Fatalf("probe answered %d of %d rows, want 3", hit, len(rows))
@@ -422,7 +423,7 @@ func TestResidentProbeAlone(t *testing.T) {
 		if got := tr.Finish().Find("round")[0].Attr("resident_rows"); got != "3" {
 			t.Errorf("round span resident_rows=%q, want 3", got)
 		}
-		if _, hit := r.ref.Resident(residentCtxs); hit != 0 {
+		if hit := r.ref.Resident(residentCtxs, make([][]float64, len(residentCtxs))); hit != 0 {
 			t.Errorf("an uncached view answered %d rows", hit)
 		}
 	})

@@ -268,3 +268,32 @@ func FuzzLazyFrontier(f *testing.F) {
 		lazyStats(t, "lazy", gotStats, wantStats, asked)
 	})
 }
+
+// TestProbedResolutionMatchesReference: above 2·r₀ = 8 rows, a settle sizes
+// its first resolution by probing the logit cache for its top's row. Shortest
+// path still emits what the eager reference does and expands the same nodes,
+// and every row it asks of the device is one ModelCalls counts — on a cold
+// cache, where every probe misses, and again on the warm one, where the row a
+// probe finds is the one its resolution uses, not asked for twice.
+func TestProbedResolutionMatchesReference(t *testing.T) {
+	const vocab, depth = 13, 4
+	pat := chainPattern(vocab-1, depth)
+	for _, prefixes := range [][][]model.Token{nil, {{0}, {1, 2}, {3}}} {
+		for _, rule := range []decoding.Rule{nil, decoding.TopK{K: 5}} {
+			for _, batch := range []int{16, 64} {
+				for _, workers := range []int{1, 8} {
+					dev := countingDevice(&classLM{model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}}, 64)
+					for _, pass := range []string{"cold", "warm"} {
+						name := fmt.Sprintf("prefixes=%d/rule=%v/batch%d/p%d/%s", len(prefixes), rule, batch, workers, pass)
+						checkExpansion(t, name, dev, func() *Query {
+							return &Query{
+								Pattern: pat, Prefixes: prefixes, Rule: rule,
+								RequireEOS: true, BatchExpand: batch, Parallelism: workers,
+							}
+						}, 60)
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package engine
 import (
 	"container/heap"
 	"context"
-	"math"
 	"slices"
 
 	"repro/internal/automaton"
@@ -30,18 +29,18 @@ type dijkstraStream struct {
 	frontier frontier
 	seq      int64 // discovery order of the next node popped
 	round    int64 // rounds so far (trace annotation)
-	resolved int   // the last resolution's size since a match; 0 for none
 
 	// The open round: its device view, nil between rounds, and its span.
 	rdev  *device.Device
 	rspan trace.SpanID
 
-	// Scratch: a gather's popped nodes, a resolution's cursors, and the
-	// contexts of either. A popped node is needed only until its cursor has
-	// copied it.
+	// Scratch: a gather's popped nodes, a resolution's cursors, the
+	// contexts of either, and a resolution's rows. A popped node is needed
+	// only until its cursor has copied it.
 	batch   []node
 	pending []*cursor
 	ctxs    [][]model.Token
+	rows    [][]float64
 }
 
 // cursor is a popped node on the frontier with the siblings it has not
@@ -247,7 +246,6 @@ func (s *dijkstraStream) next() (node, error) {
 		}
 		if s.frontier.matchNext() {
 			s.stats.emitted.Add(1)
-			s.resolved = 0
 			return s.frontier.pop(s.q), nil
 		}
 		expanded := s.stats.nodesExpanded.Load()
@@ -293,23 +291,33 @@ func (s *dijkstraStream) file(batch []node) {
 // settle resolves the unscored cursors at the top of the frontier until the
 // top is scored or the frontier is empty. A resolution pops the consecutive
 // unscored cursors at the top, in frontier order, scores them in one device
-// round and re-files each with its siblings, or drops it if it has none. The
-// first resolution after a match (or at the start) takes up to r₀ cursors,
-// each later one twice as many as the last, up to batchSize.
+// round and re-files each with its siblings, or drops it if it has none.
+// Every call starts afresh: its first resolution is sized by whether the
+// top's row must be dispatched (firstResolution), which a probe of the
+// logit cache tells, and each later one in the same call takes twice as many
+// as the last, up to batchSize.
 func (s *dijkstraStream) settle(batchSize int) error {
+	size := 0
 	for len(s.frontier) > 0 && s.frontier[0].unscored() {
-		if s.resolved == 0 {
-			s.resolved = firstResolution(s.dev.Latency())
+		top := heap.Pop(&s.frontier).(*cursor)
+		var row []float64
+		if size == 0 {
+			resident, dispatched := firstResolution(s.dev, batchSize)
+			size = dispatched
+			if resident != dispatched {
+				if row = s.probe(top); row != nil {
+					size = resident
+				}
+			}
 		} else {
-			s.resolved *= 2
+			size = min(2*size, batchSize)
 		}
-		s.resolved = min(s.resolved, batchSize)
-		cs := s.pending[:0]
-		for len(cs) < s.resolved && len(s.frontier) > 0 && s.frontier[0].unscored() {
+		cs := append(s.pending[:0], top)
+		for len(cs) < size && len(s.frontier) > 0 && s.frontier[0].unscored() {
 			cs = append(cs, heap.Pop(&s.frontier).(*cursor))
 		}
 		s.pending = cs
-		err := s.score(cs)
+		err := s.score(cs, row)
 		for _, c := range cs {
 			if len(c.sibs) > 0 {
 				heap.Push(&s.frontier, c)
@@ -325,35 +333,70 @@ func (s *dijkstraStream) settle(batchSize int) error {
 	return nil
 }
 
-// firstResolution is r₀ = ⌈Dispatch/PerSequence⌉: the rows a resolution can
-// score beyond the one it needs for at most the price of one more dispatch.
-func firstResolution(lat device.LatencyModel) int {
+// firstResolution sizes a settle's first resolution from the device's
+// latency model and batch limit, for a top whose row the logit cache holds
+// and for one whose row must be dispatched; neither exceeds batchSize.
+//
+// With r₀ = ⌈Dispatch/PerSequence⌉, the rows one dispatch's fixed price
+// buys: a resident top costs no dispatch, so every row taken beside it is
+// speculation, and it takes 2·r₀ (8 under DefaultLatency). A top that must
+// be dispatched pays that price anyway and the rows below it ride along at
+// PerSequence each, so it takes half a device batch (32 of 64), leaving the
+// other half for other queries' rows in a fused dispatch, and never fewer
+// than a resident top.
+func firstResolution(dev *device.Device, batchSize int) (resident, dispatched int) {
+	lat := dev.Latency()
 	if lat.PerSequence <= 0 {
-		return math.MaxInt
+		return batchSize, batchSize
 	}
-	return max(1, int((lat.Dispatch+lat.PerSequence-1)/lat.PerSequence))
+	r0 := max(1, int((lat.Dispatch+lat.PerSequence-1)/lat.PerSequence))
+	resident = min(2*r0, batchSize)
+	return resident, min(max(resident, (dev.MaxBatch()+1)/2), batchSize)
+}
+
+// probe returns the top cursor's row when the logit cache holds it, or nil
+// when it must be dispatched. The row found is the one its resolution uses,
+// so the cache is asked for it once.
+func (s *dijkstraStream) probe(top *cursor) []float64 {
+	s.ctxs = append(s.ctxs[:0], model.ClampWindow(s.dev.Model(), top.ctx))
+	s.rows = append(s.rows[:0], nil)
+	s.openRound().Resident(s.ctxs, s.rows)
+	row := s.rows[0]
+	s.rows[0], s.ctxs[0] = nil, nil
+	return row
 }
 
 // score scores cs in one device round under the open round and fills each
-// cursor's siblings, or returns the device's error.
-func (s *dijkstraStream) score(cs []*cursor) error {
+// cursor's siblings, or returns the device's error. top, when not nil, is
+// cs[0]'s row, found by the settle's probe; only the rest are asked for.
+func (s *dijkstraStream) score(cs []*cursor, top []float64) error {
+	rows := s.rows[:0]
+	if top != nil {
+		rows = append(rows, top)
+	}
 	ctxs := s.ctxs[:0]
-	for _, c := range cs {
+	for _, c := range cs[len(rows):] {
 		ctxs = append(ctxs, c.ctx)
 	}
 	s.ctxs = ctxs
 	defer clear(ctxs)
-	lps, err := scoreFrontier(s.openRound(), s.q, ctxs)
-	if err != nil {
-		return err
+	if len(ctxs) > 0 {
+		lps, err := scoreFrontier(s.openRound(), s.q, ctxs)
+		if err != nil {
+			clear(rows)
+			return err
+		}
+		rows = append(rows, lps...)
 	}
+	s.rows = rows
+	defer clear(rows)
 	s.stats.modelCalls.Add(int64(len(cs)))
 	s.q.Trace.AddCount(s.rspan, "rows", len(cs))
 	parallelFor(len(cs), s.q.Parallelism, func(i int) {
 		c := cs[i]
 		var dropped bool
-		if c.sibs, dropped = c.expand(s.q, lps[i], c.win[:0], true); dropped {
-			c.lp = lps[i]
+		if c.sibs, dropped = c.expand(s.q, rows[i], c.win[:0], true); dropped {
+			c.lp = rows[i]
 		}
 	})
 	return nil

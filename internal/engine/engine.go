@@ -58,10 +58,14 @@ type Query struct {
 	// the most rows one of its device dispatches carries, amortizing
 	// dispatch overhead — the paper's executor "schedules massive sets of
 	// test vectors on accelerators" (§3.3). A popped node is scored only
-	// when it reaches the top of the frontier, so the stream is what an
-	// eager expansion of each round emits; costs never decrease along a
-	// path, so batching reorders only matches of equal cost. 0 defaults to
-	// the device batch size.
+	// when it reaches the top of the frontier, with the unscored nodes
+	// below it in one dispatch: up to 8 when the top's row is in the logit
+	// cache, up to half the device batch when it must be dispatched, twice
+	// as many on each further dispatch before the top is scored, never more
+	// than BatchExpand (DESIGN.md decision 6). The stream is what an eager
+	// expansion of each round emits; costs never decrease along a path, so
+	// batching reorders only matches of equal cost. 0 defaults to the device
+	// batch size.
 	BatchExpand int
 	// PrefixZeroCost treats every prefix as cost 0, making the prefix set a
 	// truly uniform distribution — the paper's first design (§3.3), which
@@ -605,7 +609,8 @@ func scoreFrontier(dev *device.Device, q *Query, ctxs [][]model.Token) ([][]floa
 	if !EffectiveIncremental(dev, q) {
 		return dev.Forward(clamped)
 	}
-	lps, hit := dev.Resident(clamped)
+	lps := make([][]float64, len(ctxs))
+	hit := dev.Resident(clamped, lps)
 	if hit == len(ctxs) {
 		return lps, nil
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 )
 
 // serializedNGram is the on-disk form of a trained n-gram model. Histories
@@ -63,18 +65,37 @@ func (m *NGram) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadNGram reconstructs a model from a Save stream.
+// maxNGramVocab bounds a loaded vocabulary: a history key holds each token
+// in two bytes (Key).
+const maxNGramVocab = 1 << 16
+
+// LoadNGram reconstructs a model from a Save stream. An artifact is outside
+// input, so its header is checked before anything vocabulary-sized is
+// allocated, and every table entry as it is read: a model it returns scores
+// every context to a normalized row.
 func LoadNGram(r io.Reader) (*NGram, error) {
 	var s serializedNGram
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&s); err != nil {
 		return nil, fmt.Errorf("model: load: %w", err)
 	}
-	if s.Format != ngramFormat {
+	switch {
+	case s.Format != ngramFormat:
 		return nil, fmt.Errorf("model: load: unknown format %q", s.Format)
-	}
-	if s.Order < 1 || s.Vocab < 1 || len(s.Tables) != s.Order {
+	case s.Order < 1 || s.Vocab < 1 || len(s.Tables) != s.Order:
 		return nil, fmt.Errorf("model: load: malformed header (order=%d, vocab=%d, tables=%d)",
 			s.Order, s.Vocab, len(s.Tables))
+	case s.Vocab > maxNGramVocab:
+		return nil, fmt.Errorf("model: load: vocab %d beyond %d", s.Vocab, maxNGramVocab)
+	case s.EOS < 0 || s.EOS >= s.Vocab:
+		return nil, fmt.Errorf("model: load: eos %d outside vocab %d", s.EOS, s.Vocab)
+	case s.MaxSeqLen < 1:
+		return nil, fmt.Errorf("model: load: max_seq_len %d", s.MaxSeqLen)
+	case !(s.Alpha > 0) || math.IsInf(s.Alpha*float64(s.Vocab), 0):
+		// The smoothing floor alpha/(alpha·vocab + counts) gives every
+		// token mass; at 0 a model with no unigram counts divides 0 by 0.
+		return nil, fmt.Errorf("model: load: alpha %g", s.Alpha)
+	case !(s.Lambda >= 0 && s.Lambda <= 1) || !(s.CacheWeight >= 0 && s.CacheWeight <= 1):
+		return nil, fmt.Errorf("model: load: mixing weights lambda %g, cache_weight %g outside [0, 1]", s.Lambda, s.CacheWeight)
 	}
 	m := &NGram{
 		order:       s.Order,
@@ -86,27 +107,40 @@ func LoadNGram(r io.Reader) (*NGram, error) {
 		cacheWeight: s.CacheWeight,
 		counts:      make([]map[string]*sparseCounts, s.Order),
 	}
+	outside := func(t Token) bool { return t < 0 || t >= s.Vocab }
 	for k := 0; k < s.Order; k++ {
 		m.counts[k] = make(map[string]*sparseCounts, len(s.Tables[k]))
 		for _, sh := range s.Tables[k] {
 			if len(sh.History) != k {
 				return nil, fmt.Errorf("model: load: history of length %d in order-%d table", len(sh.History), k)
 			}
+			if slices.ContainsFunc(sh.History, outside) {
+				return nil, fmt.Errorf("model: load: history %v outside vocabulary", sh.History)
+			}
 			if len(sh.Next) != len(sh.Counts) {
 				return nil, fmt.Errorf("model: load: ragged counts for history %v", sh.History)
 			}
+			key := Key(sh.History)
+			if _, dup := m.counts[k][key]; dup {
+				return nil, fmt.Errorf("model: load: history %v listed twice", sh.History)
+			}
 			sc := &sparseCounts{next: make(map[Token]int, len(sh.Next))}
 			for i, t := range sh.Next {
-				if t < 0 || t >= s.Vocab {
+				c := sh.Counts[i]
+				switch _, dup := sc.next[t]; {
+				case outside(t):
 					return nil, fmt.Errorf("model: load: token %d out of vocabulary", t)
-				}
-				if sh.Counts[i] <= 0 {
+				case c <= 0:
 					return nil, fmt.Errorf("model: load: non-positive count for token %d", t)
+				case dup:
+					return nil, fmt.Errorf("model: load: token %d listed twice after history %v", t, sh.History)
+				case sc.total > math.MaxInt-c:
+					return nil, fmt.Errorf("model: load: counts after history %v overflow", sh.History)
 				}
-				sc.next[t] = sh.Counts[i]
-				sc.total += sh.Counts[i]
+				sc.next[t] = c
+				sc.total += c
 			}
-			m.counts[k][Key(sh.History)] = sc
+			m.counts[k][key] = sc
 		}
 	}
 	return m, nil

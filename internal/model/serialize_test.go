@@ -2,7 +2,9 @@ package model
 
 import (
 	"bytes"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,6 +60,31 @@ func TestLoadNGramRejectsGarbage(t *testing.T) {
 			t.Errorf("LoadNGram(%q) should fail", in)
 		}
 	}
+	// One defect at a time in an artifact that loads: each would let a row
+	// be non-normalized, NaN or out of range, or alias two histories.
+	const valid = `{"format":"relm-ngram-v1","order":2,"vocab":5,"eos":4,"max_seq_len":8,"lambda":0.8,"alpha":0.5,"cache_weight":0.2,` +
+		`"tables":[[{"h":[],"t":[0,1],"c":[2,1]}],[{"h":[0],"t":[1],"c":[1]}]]}`
+	if _, err := LoadNGram(strings.NewReader(valid)); err != nil {
+		t.Fatalf("the valid artifact: %v", err)
+	}
+	for _, defect := range [][2]string{
+		{`"eos":4`, `"eos":5`},
+		{`"vocab":5`, `"vocab":70000`},
+		{`"max_seq_len":8`, `"max_seq_len":0`},
+		{`"alpha":0.5`, `"alpha":0`},
+		{`"alpha":0.5`, `"alpha":1e308`},
+		{`"lambda":0.8`, `"lambda":1.5`},
+		{`"cache_weight":0.2`, `"cache_weight":-0.1`},
+		{`{"h":[0],`, `{"h":[9],`},
+		{`{"h":[0],"t":[1],"c":[1]}`, `{"h":[0],"t":[1],"c":[1]},{"h":[0],"t":[2],"c":[1]}`},
+		{`"t":[1],"c":[1]`, `"t":[1,1],"c":[1,1]`},
+		{`"t":[1],"c":[1]`, `"t":[1,2],"c":[9223372036854775807,1]`},
+	} {
+		in := strings.Replace(valid, defect[0], defect[1], 1)
+		if _, err := LoadNGram(strings.NewReader(in)); err == nil {
+			t.Errorf("LoadNGram accepts %s", defect[1])
+		}
+	}
 }
 
 func TestKeyDecodeKeyRoundTrip(t *testing.T) {
@@ -72,4 +99,59 @@ func TestKeyDecodeKeyRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLoadNGram: an n-gram artifact is outside input (relm-serve -model,
+// relm -artifacts). LoadNGram must never panic, and a model it accepts must
+// score contexts over its vocabulary to rows of log-probabilities (one per
+// token, none NaN or above 0) that are normalized, and score them the same
+// after Save and a reload. The seed corpus (a valid tiny artifact and one
+// seed per rejected defect) is under testdata/fuzz/FuzzLoadNGram.
+func FuzzLoadNGram(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadNGram(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadNGram(&buf)
+		if err != nil {
+			t.Fatalf("a saved model does not load: %v", err)
+		}
+		vocab := m.VocabSize()
+		if eos := m.EOS(); eos < 0 || eos >= vocab || m.MaxSeqLen() < 1 {
+			t.Fatalf("eos %d, vocab %d, max_seq_len %d", eos, vocab, m.MaxSeqLen())
+		}
+		// The empty context, the longest histories the tables hold (each
+		// with its last token repeated, for the context cache) and a
+		// context of the vocabulary's ends.
+		ctxs := [][]Token{nil, {0, vocab - 1, m.EOS(), 0}}
+		for k := len(m.counts) - 1; k > 0 && len(ctxs) < 6; k-- {
+			keys := slices.Sorted(maps.Keys(m.counts[k]))
+			for _, key := range keys[:min(len(keys), 6-len(ctxs))] {
+				h := decodeKey(key)
+				ctxs = append(ctxs, append(h, h[len(h)-1]))
+			}
+		}
+		for _, ctx := range ctxs {
+			lp := m.NextLogProbs(ctx)
+			if len(lp) != vocab {
+				t.Fatalf("context %v: row has %d entries for vocab %d", ctx, len(lp), vocab)
+			}
+			for v, x := range lp {
+				if math.IsNaN(x) || x > 1e-9 {
+					t.Fatalf("context %v, token %d: log-prob %v", ctx, v, x)
+				}
+			}
+			if z := LogSumExp(lp); math.Abs(z) > 1e-9 {
+				t.Fatalf("context %v: row not normalized: logZ %g", ctx, z)
+			}
+			if !slices.Equal(again.NextLogProbs(ctx), lp) {
+				t.Fatalf("context %v: row differs after Save and reload", ctx)
+			}
+		}
+	})
 }

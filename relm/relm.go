@@ -90,15 +90,19 @@ type CanonicalStrategy int
 const (
 	// CanonicalAuto enumerates when the language is small and falls back to
 	// dynamic canonicality filtering otherwise. (The pairwise construction
-	// is exact for infinite languages too but pays an upfront cost
-	// quadratic in the alphabet, so it stays opt-in.)
+	// handles infinite languages too, but it pays an upfront cost quadratic
+	// in the alphabet and drops some canonical encodings, so it stays
+	// opt-in.)
 	CanonicalAuto CanonicalStrategy = iota
 	// CanonicalEnumerate materializes and encodes every string (§3.2
 	// option 1); errors on languages beyond CanonicalLimit.
 	CanonicalEnumerate
 	// CanonicalPairwise intersects the full automaton with the language of
 	// locally canonical pair sequences (§3.2 option 3, obligatory rewriting
-	// as an automaton construction). Handles infinite languages exactly.
+	// as an automaton construction). It handles infinite languages, but it
+	// is not exact: it rejects canonical encodings where two or more spaces
+	// precede a word ("a  b"), since it judges each token pair alone (ROADMAP
+	// item 11).
 	CanonicalPairwise
 	// CanonicalDynamic traverses the full automaton with runtime
 	// canonicality pruning (§3.2 option 2, backtracking).

@@ -11,6 +11,7 @@ package automaton
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -59,6 +60,15 @@ func (n *NFA) AddEdge(from StateID, sym Symbol, to StateID) {
 	n.from = append(n.from, int32(from))
 	n.sym = append(n.sym, int32(sym))
 	n.to = append(n.to, int32(to))
+}
+
+// Grow reserves room for states more states and edges more transitions, so
+// a construction that knows its size adds them without reallocating.
+func (n *NFA) Grow(states, edges int) {
+	n.accept = slices.Grow(n.accept, states)
+	n.from = slices.Grow(n.from, edges)
+	n.sym = slices.Grow(n.sym, edges)
+	n.to = slices.Grow(n.to, edges)
 }
 
 // SetStart designates the initial state.
@@ -296,7 +306,8 @@ func bucket(keys []int32, n int) (first, order []int32) {
 
 // determinizer is the scratch of one subset construction. It lives for one
 // Determinize call and is not pooled: the allocations of a compile must be
-// the same from run to run.
+// the same from run to run. Subsets are interned by open addressing over the
+// arena that holds them, so a new DFA state costs no key of its own.
 type determinizer struct {
 	n *NFA
 	// The transitions of state s, by index into n's lists: epsilon ones are
@@ -313,10 +324,12 @@ type determinizer struct {
 	stack []int32
 	set   []int32 // the closure just built, sorted, live members only
 
-	ids   map[string]StateID // subset (as key bytes) -> DFA state
-	key   []byte
 	arena []int32 // members of every interned subset, back to back
 	off   []int32 // subset of DFA state i is arena[off[i]:off[i+1]]
+	// slots is a linear-probing table over the subsets: a slot holds a DFA
+	// state + 1, 0 when empty. Its length is a power of two, at least twice
+	// the number of states.
+	slots []int32
 }
 
 // closure leaves in c.set the epsilon closure of seeds.
@@ -348,22 +361,41 @@ func (c *determinizer) closure(seeds []int32) {
 }
 
 // intern returns the DFA state of the subset in c.set, numbering it if new.
-// The map is probed with a key built in a reused buffer, which allocates only
-// when a subset is seen for the first time.
+// A probe compares c.set with the arena spans of the states it meets, so
+// only a new subset writes anything: its members, its offset and its slot.
 func (c *determinizer) intern() StateID {
-	key := c.key[:0]
-	for _, s := range c.set {
-		key = append(key, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-	}
-	c.key = key
-	if id, ok := c.ids[string(key)]; ok {
-		return id
+	mask := len(c.slots) - 1
+	i := subsetHash(c.set) & mask
+	for ; c.slots[i] != 0; i = (i + 1) & mask {
+		if id := c.slots[i] - 1; slices.Equal(c.arena[c.off[id]:c.off[id+1]], c.set) {
+			return int(id)
+		}
 	}
 	id := len(c.off) - 1
-	c.ids[string(key)] = id
 	c.arena = append(c.arena, c.set...)
 	c.off = append(c.off, int32(len(c.arena)))
+	c.slots[i] = int32(id + 1)
+	if 2*(id+1) > len(c.slots) {
+		c.slots = make([]int32, 2*len(c.slots))
+		for s := range id + 1 {
+			j := subsetHash(c.arena[c.off[s]:c.off[s+1]]) & (len(c.slots) - 1)
+			for c.slots[j] != 0 {
+				j = (j + 1) & (len(c.slots) - 1)
+			}
+			c.slots[j] = int32(s + 1)
+		}
+	}
 	return id
+}
+
+// subsetHash mixes the members of a sorted subset into a slot index (FNV-1a
+// over the members, then a multiplicative finish for the low bits).
+func subsetHash(set []int32) int {
+	h := uint64(14695981039346656037)
+	for _, s := range set {
+		h = (h ^ uint64(uint32(s))) * 1099511628211
+	}
+	return int((h ^ h>>29) * 0xbf58476d1ce4e5b9 >> 32)
 }
 
 // Determinize converts the NFA to an equivalent DFA via subset construction.
@@ -382,7 +414,8 @@ func (n *NFA) Determinize() *DFA {
 			nsyms = max(nsyms, int(sym)+1)
 		}
 	}
-	c := &determinizer{n: n, live: live, stamp: make([]uint32, states), ids: map[string]StateID{}, off: []int32{0}}
+	c := &determinizer{n: n, live: live, stamp: make([]uint32, states), off: []int32{0}}
+	c.slots = make([]int32, max(16, 2<<bits.Len(uint(states))))
 	c.first, c.order = bucket(keys, 2*states)
 
 	// Moves out of one subset are grouped by a counting sort over the symbols

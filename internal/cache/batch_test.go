@@ -140,3 +140,37 @@ func TestScoreBatchConcurrentMixed(t *testing.T) {
 		t.Errorf("cache exceeded capacity: %d", c.Len())
 	}
 }
+
+// TestScoreBatchMissAllocs: a miss allocates what the cache keeps — its row,
+// its key and its entry, which lives from the flight to the eviction — and a
+// call adds at most its result, the inner model's result and its pooled
+// bookkeeping. The map has grown to its size before the measured calls, and
+// every measured row is a context never seen before.
+func TestScoreBatchMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on synchronization and drops pooled scratch")
+	}
+	const capacity, runs = 256, 20
+	for _, n := range []int{8, 32} {
+		c := New(&model.Uniform{Vocab: 16, EOSTok: 15, SeqLen: 8}, capacity)
+		ctxs := make([][]model.Token, 4*capacity+(runs+1)*n)
+		for i := range ctxs {
+			ctxs[i] = tok(model.Token(i), model.Token(i>>16))
+		}
+		for lo := 0; lo < 4*capacity; lo += n {
+			c.ScoreBatch(ctxs[lo : lo+n])
+		}
+		next := 4 * capacity
+		allocs := testing.AllocsPerRun(runs, func() {
+			c.ScoreBatch(ctxs[next : next+n])
+			next += n
+		})
+		if _, misses := c.Stats(); misses != int64(next) {
+			t.Fatalf("%d misses, want every one of %d rows a miss", misses, next)
+		}
+		t.Logf("%d misses: %.1f allocations per call", n, allocs)
+		if allocs > float64(3*n+4) {
+			t.Errorf("ScoreBatch of %d misses: %.1f allocations, want <= %d (3 per miss + 4)", n, allocs, 3*n+4)
+		}
+	}
+}

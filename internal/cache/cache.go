@@ -9,8 +9,8 @@
 // contexts within the batch, forwards only the unique misses to the inner
 // model in one batched call, and parks concurrent requests for a context
 // that is already being computed until the first computation lands — so a
-// parallel executor never pays for the same forward twice. The bounded map
-// and the single-flight tables are internal/lru's.
+// parallel executor never pays for the same forward twice. The bounded map,
+// the single flight included, is internal/lru's.
 //
 // One type serves every client (DESIGN.md decisions 4 and 8): an LM is a
 // view of the shared store, and a scope is another view of it that also
@@ -27,7 +27,7 @@ import (
 )
 
 // LM wraps a LanguageModel with a bounded cache keyed by context. An LM is a
-// view of one store — the rows, the single-flight tables and the totals — that
+// view of one store — the rows, their flights and the totals — that
 // every view of the cache shares: New returns the root view, and NewScope
 // another view that also tallies its own share of the outcomes.
 type LM struct {
@@ -43,11 +43,9 @@ type store struct {
 
 	mu   sync.Mutex
 	rows *lru.Map[[]float64]
-	// rowFlights parks duplicate requests for a context while the first one
-	// computes it; seqFlights does the same for whole-sequence all-positions
-	// scoring (incremental.go).
-	rowFlights lru.Group[[]float64]
-	seqFlights lru.Group[[][]float64]
+	// seqFlights single-flights whole-sequence scoring (incremental.go); each
+	// flight ends with Drop, so nothing is ever admitted.
+	seqFlights *lru.Map[[][]float64]
 
 	// flights counts requests that waited on another goroutine's computation.
 	hits, misses, flights int64
@@ -56,7 +54,7 @@ type store struct {
 // New wraps inner with a cache of at most capacity contexts; capacity must be
 // at least 1.
 func New(inner model.LanguageModel, capacity int) *LM {
-	return &LM{store: &store{inner: inner, rows: lru.NewMap[[]float64](capacity)}}
+	return &LM{store: &store{inner: inner, rows: lru.NewMap[[]float64](capacity), seqFlights: lru.NewMap[[][]float64](1)}}
 }
 
 // VocabSize implements model.LanguageModel.
@@ -83,71 +81,73 @@ func (c *LM) NextLogProbs(ctx []model.Token) []float64 {
 func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 	var bs ScopeStats
 	out := make([][]float64, len(ctxs))
+	s := scratches.Get().(*scratch)
 
 	// Classification under one lock pass: each row is a hit, a wait on an
-	// in-flight computation, or a miss this call owns.
-	type waitRef struct {
-		idx int
-		f   *lru.Flight[[]float64]
-	}
-	var waits []waitRef
-	var owned []*lru.Flight[[]float64]
-	var ownedIdx []int // the row that started each owned flight
-	missCtxs := make([][]model.Token, 0, len(ctxs))
-
-	// One pooled key buffer serves every row: hits and flight-waits index the
-	// maps with the buffer itself, so only misses this call owns materialize
-	// a key string.
+	// entry in flight (maybe one an earlier row started), or a miss this call
+	// owns. One pooled key buffer serves every row: only a miss builds a key.
 	buf := model.GetKeyBuf()
 	c.mu.Lock()
 	for i, ctx := range ctxs {
 		*buf = model.AppendKey((*buf)[:0], ctx)
-		if lp, ok := c.rows.Get(*buf); ok {
-			c.hits++
+		lp, f, ok := c.rows.Lookup(*buf)
+		if ok {
 			bs.Hits++
 			out[i] = lp
 			continue
 		}
-		if f := c.rowFlights.Join(*buf); f != nil {
-			// Single-flight: someone (possibly an earlier row of this very
-			// batch) is computing this context; park and reuse.
-			c.flights++
+		if f != nil {
 			bs.Flights++
-			waits = append(waits, waitRef{idx: i, f: f})
-			continue
+		} else {
+			bs.Misses++
+			f = c.rows.Start(string(*buf))
+			s.owned, s.ctxs = append(s.owned, f), append(s.ctxs, ctx)
 		}
-		c.misses++
-		bs.Misses++
-		owned = append(owned, c.rowFlights.Start(string(*buf)))
-		ownedIdx = append(ownedIdx, i)
-		missCtxs = append(missCtxs, ctx)
+		s.pending, s.rows = append(s.pending, f), append(s.rows, i)
 	}
+	c.hits, c.misses, c.flights = c.hits+bs.Hits, c.misses+bs.Misses, c.flights+bs.Flights
 	c.mu.Unlock()
 	model.PutKeyBuf(buf)
 
-	if len(owned) > 0 {
+	if len(s.owned) > 0 {
 		// One batched inner call for all unique misses. The cache stores each
 		// row as is: rows are immutable.
 		var lps [][]float64
-		c.rowFlights.Run(&c.mu, owned, func() { lps = c.inner.ScoreBatch(missCtxs) })
+		c.rows.Run(&c.mu, s.owned, func() { lps = c.inner.ScoreBatch(s.ctxs) })
 		c.mu.Lock()
-		for j, f := range owned {
-			c.rows.Add(f.Key(), lps[j])
-			c.rowFlights.Finish(f, lps[j], nil)
-			out[ownedIdx[j]] = lps[j]
+		for j, f := range s.owned {
+			c.rows.Commit(f, lps[j])
 		}
 		c.mu.Unlock()
 	}
-	for _, w := range waits {
-		lp, err := w.f.Wait()
+	// Every row not a hit takes its entry's value; an owned entry's is there.
+	for j, f := range s.pending {
+		lp, err := f.Wait()
 		if err != nil {
 			panic(err) // the owner failed; the cache has no error return
 		}
-		out[w.idx] = lp
+		out[s.rows[j]] = lp
 	}
+	// The pool keeps no entry or context alive (nor a panicked call's scratch).
+	clear(s.owned)
+	clear(s.pending)
+	clear(s.ctxs)
+	*s = scratch{s.owned[:0], s.pending[:0], s.ctxs[:0], s.rows[:0]}
+	scratches.Put(s)
 	c.record(bs)
 	return out
 }
+
+// scratch is one ScoreBatch call's bookkeeping, pooled so that a miss
+// allocates only what the cache keeps — its row, its key and its entry: the
+// entries the call owns and their contexts, and every non-hit row's entry.
+type scratch struct {
+	owned, pending []*lru.Entry[[]float64]
+	ctxs           [][]model.Token
+	rows           []int
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // Stats reports cache hits and misses since creation. Requests that reused
 // another goroutine's in-flight computation are counted separately by

@@ -68,7 +68,7 @@ func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 
 	// Miss: single-flight the whole sequence, keyed by all of it.
 	*buf = model.AppendKey((*buf)[:0], seq)
-	if f := c.seqFlights.Join(*buf); f != nil {
+	if _, f, _ := c.seqFlights.Lookup(*buf); f != nil {
 		c.flights += n
 		c.mu.Unlock()
 		rows, err := f.Wait()
@@ -83,10 +83,10 @@ func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 	c.mu.Unlock()
 
 	var rows [][]float64
-	c.seqFlights.Run(&c.mu, []*lru.Flight[[][]float64]{f}, func() { rows = ap.ScoreAllPositions(seq) })
+	c.seqFlights.Run(&c.mu, []*lru.Entry[[][]float64]{f}, func() { rows = ap.ScoreAllPositions(seq) })
 	c.mu.Lock()
 	c.publishLocked(buf, rows, func(p int) []model.Token { return model.ClampWindow(c.inner, seq[:p]) })
-	c.seqFlights.Finish(f, rows, nil)
+	c.seqFlights.Drop(f, rows, nil)
 	c.mu.Unlock()
 	c.record(ScopeStats{Misses: n})
 	return rows

@@ -19,7 +19,7 @@ func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
 	c.mu.Lock()
 	for i, ctx := range ctxs {
 		*buf = model.AppendKey((*buf)[:0], ctx)
-		if lp, ok := c.rows.Get(*buf); ok {
+		if lp, _, ok := c.rows.Lookup(*buf); ok {
 			out[i] = lp
 			n++
 		}
@@ -59,7 +59,7 @@ func (c *LM) residentSeqLocked(seq []model.Token, buf *[]byte) [][]float64 {
 	var rows [][]float64
 	for p := range seq {
 		*buf = model.AppendKey((*buf)[:0], model.ClampWindow(c.inner, seq[:p]))
-		lp, ok := c.rows.Get(*buf)
+		lp, _, ok := c.rows.Lookup(*buf)
 		if !ok {
 			return nil
 		}

@@ -9,11 +9,11 @@ import (
 
 // TestFusedForwardAllocs bounds what one fused Forward on a pooled device
 // allocates. Per call: the result slice, the request and its done channel,
-// the request's place in its query's queue, and the model's own rows (one
-// ScoreBatch slice per shard and one row per context). The scheduler's
-// timer, the fused batch with its segments and shards, and the pool's wait
-// are reused, and a view without a QoS query is its fair-share account by
-// address, with no key built. Before they were, the same calls took 13
+// and the model's own rows (one ScoreBatch slice per shard and one row per
+// context). The scheduler's timer, the fused batch with its segments and
+// shards, and the pool's wait are reused; a view without a QoS query is its
+// fair-share account by address, with no key built; and a query's queue is
+// linked through its requests. Before they were, the same calls took 13
 // allocations for 1 row and 25 for 8.
 func TestFusedForwardAllocs(t *testing.T) {
 	if raceEnabled {
@@ -26,7 +26,7 @@ func TestFusedForwardAllocs(t *testing.T) {
 	// A window long enough that every call waits on the scheduler's timer.
 	b := StartBatcher(d, 100*time.Microsecond)
 	defer b.Close()
-	for _, tc := range []struct{ rows, max int }{{1, 7}, {8, 16}} {
+	for _, tc := range []struct{ rows, max int }{{1, 6}, {8, 15}} {
 		ctxs := make([][]model.Token, tc.rows)
 		for i := range ctxs {
 			ctxs[i] = []model.Token{model.Token(i % 8)}

@@ -128,14 +128,16 @@ type BatcherStats struct {
 }
 
 // queryQueue is one query's FIFO of pending requests plus its fair-share
-// account. It holds a request only while the request has rows not yet packed
-// into a batch; an idle account has a nil reqs and keeps only key, served
-// and the id of the last batch it had rows in.
+// account. The FIFO is intrusive — head to tail through each request's link —
+// so queueing a request allocates nothing. It holds a request only while the
+// request has rows not yet packed into a batch; an idle account has a nil
+// head and tail and keeps only key, served and the id of the last batch it
+// had rows in.
 type queryQueue struct {
-	key    account
-	served int64
-	batch  int64
-	reqs   []*request
+	key        account
+	served     int64
+	batch      int64
+	head, tail *request
 }
 
 // account names a fair-share principal: a QoS query, or, for a view with
@@ -174,8 +176,9 @@ type request struct {
 	outStates []model.DecodeState // prefill / extend outputs
 	allRows   [][][]float64       // scoreAll outputs
 
-	next      int // rows handed to fused batches so far
-	remaining int // rows not yet executed
+	next      int      // rows handed to fused batches so far
+	link      *request // the next request in its query's queue
+	remaining int      // rows not yet executed
 	done      chan struct{}
 
 	// trace, when non-nil, is the executing side's record of a traced view's
@@ -334,7 +337,7 @@ func (b *Batcher) enqueue(r *request) bool {
 		q = &queryQueue{key: r.key}
 		b.queues[r.key] = q
 	}
-	if len(q.reqs) == 0 {
+	if q.head == nil {
 		// Joining the contention: inherit the current service floor so an
 		// idle query neither monopolizes the device with banked credit nor
 		// starts in debt against long-running queries.
@@ -343,7 +346,12 @@ func (b *Batcher) enqueue(r *request) bool {
 		}
 		b.active = append(b.active, q)
 	}
-	q.reqs = append(q.reqs, r)
+	if q.head == nil {
+		q.head = r
+	} else {
+		q.tail.link = r
+	}
+	q.tail = r
 	b.rows += r.rowCount()
 	b.requests++
 	if b.rows > b.peakQueueDepth {
@@ -354,7 +362,7 @@ func (b *Batcher) enqueue(r *request) bool {
 	// concurrency level.
 	if len(b.queues) > 4096 {
 		for k, qq := range b.queues {
-			if len(qq.reqs) == 0 {
+			if qq.head == nil {
 				delete(b.queues, k)
 			}
 		}
@@ -387,7 +395,7 @@ func (b *Batcher) removeActiveLocked(q *queryQueue) {
 func (b *Batcher) oldestLocked() time.Time {
 	var oldest time.Time
 	for _, q := range b.active {
-		if t := q.reqs[0].enq; oldest.IsZero() || t.Before(oldest) {
+		if t := q.head.enq; oldest.IsZero() || t.Before(oldest) {
 			oldest = t
 		}
 	}
@@ -491,7 +499,7 @@ func (b *Batcher) selectLocked(fb *batch, now time.Time, cap int) {
 	id := b.fusedBatches + 1 // this batch's: the counter increments when selection completes
 	for fb.rows < cap && b.rows > 0 {
 		q, urgent := b.pickLocked(now)
-		r := q.reqs[0]
+		r := q.head
 		take := r.rowCount() - r.next
 		if room := cap - fb.rows; take > room {
 			take = room
@@ -521,13 +529,12 @@ func (b *Batcher) selectLocked(fb *batch, now time.Time, cap int) {
 		b.rows -= take
 		if r.next == r.rowCount() {
 			// Every row is packed, so the batch being built is the request's
-			// last holder. Clear the slot: a reslice, even to length zero,
-			// still points at the array and would keep the request — its
-			// rows, decode states and model view — alive past its dispatch.
-			q.reqs[0] = nil
-			q.reqs = q.reqs[1:]
-			if len(q.reqs) == 0 {
-				q.reqs = nil
+			// last holder. Unlink it both ways: a queue still pointing at it,
+			// or it at the next, would keep a request — its rows, decode
+			// states and model view — alive past its dispatch.
+			q.head, r.link = r.link, nil
+			if q.head == nil {
+				q.tail = nil
 				b.removeActiveLocked(q)
 			}
 		}
@@ -548,7 +555,7 @@ func (b *Batcher) mostUrgentLocked(now time.Time) *queryQueue {
 	var uq *queryQueue
 	var ud time.Time
 	for _, q := range b.active {
-		for _, r := range q.reqs {
+		for r := q.head; r != nil; r = r.link {
 			if d := r.qos.Deadline; !d.IsZero() && d.Sub(now) <= b.urgentSlack && (uq == nil || d.Before(ud)) {
 				uq, ud = q, d
 			}

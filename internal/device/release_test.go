@@ -93,7 +93,7 @@ func TestDispatchReleasesResults(t *testing.T) {
 }
 
 // TestIdleAccountsHoldNoRequests: after 200 requests from 200 distinct
-// QoS.Query accounts, every account without pending work has a nil queue.
+// QoS.Query accounts, every account without pending work links no request.
 func TestIdleAccountsHoldNoRequests(t *testing.T) {
 	d := newDevice(8)
 	b := StartBatcher(d, 50*time.Microsecond)
@@ -121,8 +121,8 @@ func TestIdleAccountsHoldNoRequests(t *testing.T) {
 		t.Fatalf("%d active queues, %d pending rows after every request returned", len(b.active), b.rows)
 	}
 	for k, q := range b.queues {
-		if q.reqs != nil {
-			t.Errorf("idle account %s holds a queue slice (len %d, cap %d)", k.query, len(q.reqs), cap(q.reqs))
+		if q.head != nil || q.tail != nil {
+			t.Errorf("idle account %s links a request (head %p, tail %p)", k.query, q.head, q.tail)
 		}
 	}
 }

@@ -47,11 +47,6 @@ func expandOnce(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 	id := func(q automaton.StateID, layer int) automaton.StateID {
 		return q + layer*states
 	}
-	for layer := 0; layer < 2; layer++ {
-		for q := 0; q < states; q++ {
-			n.AddState(d.Accepting(q))
-		}
-	}
 	// succ lists the distinct successors of one state. An edit moves to a
 	// successor whichever edge leads there, so the edit transitions are laid
 	// per successor, not per edge: a state of an already expanded automaton
@@ -61,22 +56,51 @@ func expandOnce(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 		sym int // the one symbol that leads to it, -1 when several do
 	}
 	var succ []successor
-	for q := 0; q < states; q++ {
-		edges := d.Edges(q)
+	successors := func(q automaton.StateID) {
 		succ = succ[:0]
-		for layer := 0; layer < 2; layer++ {
-			// Exact transitions preserve the layer.
-			for _, e := range edges {
-				n.AddEdge(id(q, layer), e.Sym, id(e.To, layer))
-			}
-		}
-		for _, e := range edges {
+		for _, e := range d.Edges(q) {
 			if i := slices.IndexFunc(succ, func(s successor) bool { return s.to == e.To }); i < 0 {
 				succ = append(succ, successor{e.To, e.Sym})
 			} else {
 				succ[i].sym = -1
 			}
 		}
+	}
+
+	// Count the transitions first, so the NFA is reserved once: per state,
+	// its exact edges on both layers, an insertion per byte, a substitution
+	// per byte and successor but the successor's one symbol, and a deletion
+	// per successor.
+	var inAlphabet [256]bool
+	for _, b := range alphabet {
+		inAlphabet[b] = true
+	}
+	edges := 0
+	for q := 0; q < states; q++ {
+		successors(q)
+		edges += 2*len(d.Edges(q)) + len(alphabet)*(1+len(succ)) + len(succ)
+		for _, s := range succ {
+			if s.sym >= 0 && s.sym < 256 && inAlphabet[s.sym] {
+				edges--
+			}
+		}
+	}
+	n.Grow(2*states, edges)
+
+	for layer := 0; layer < 2; layer++ {
+		for q := 0; q < states; q++ {
+			n.AddState(d.Accepting(q))
+		}
+	}
+	for q := 0; q < states; q++ {
+		edges := d.Edges(q)
+		for layer := 0; layer < 2; layer++ {
+			// Exact transitions preserve the layer.
+			for _, e := range edges {
+				n.AddEdge(id(q, layer), e.Sym, id(e.To, layer))
+			}
+		}
+		successors(q)
 		// Edit transitions: layer 0 -> layer 1.
 		for _, b := range alphabet {
 			sym := int(b)

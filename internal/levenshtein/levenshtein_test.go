@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/automaton"
+	"repro/internal/regex"
 )
 
 func TestDistanceOracle(t *testing.T) {
@@ -280,5 +281,21 @@ func TestExpandK0ResultIsACopy(t *testing.T) {
 	exp.SetAccepting(exp.Start(), true)
 	if base.MatchString("") {
 		t.Error("mutating ExpandK(0)'s result changed the input")
+	}
+}
+
+// TestExpandKAllocsDoNotGrowWithStates: each expansion counts its NFA's
+// transitions before it builds it and reserves them once, and the subset
+// construction interns states without a key each, so two edits of a
+// 605-state result take a bounded number of allocations, not a few per
+// state (1 326 before either).
+func TestExpandKAllocsDoNotGrowWithStates(t *testing.T) {
+	d := regex.MustCompile(" ((alpha)|(beta)|(gamma)) ((delta)|(kappa))")
+	alpha := PrintableASCII()
+	if n := ExpandK(d, alpha, 2).NumStates(); n != 605 {
+		t.Fatalf("k=2 expansion has %d states, want 605", n)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { ExpandK(d, alpha, 2) }); allocs > 250 {
+		t.Errorf("ExpandK(k=2) of a 605-state result: %.0f allocations, want <= 250", allocs)
 	}
 }

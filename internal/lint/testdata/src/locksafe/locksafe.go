@@ -72,10 +72,10 @@ func (b *box) extendLocked(d *device.Device, states []model.DecodeState, toks []
 
 // Positive: waiting on a single flight under the lock its owner needs to
 // finish it.
-func (b *box) flightWaitLocked(f *lru.Flight[int]) {
+func (b *box) flightWaitLocked(f *lru.Entry[int]) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f.Wait() // want `Flight.Wait .* while holding b.mu`
+	f.Wait() // want `Entry.Wait .* while holding b.mu`
 }
 
 // Negative: unlock before the blocking operation.

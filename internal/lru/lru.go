@@ -1,8 +1,8 @@
-// Package lru is the repo's one recency list, the bounded map on top of it,
-// and the one single-flight table (DESIGN.md decision 4), shared by the
-// logit cache, the plan cache and the KV arena. Nothing here locks: the
-// caller's mutex guards every call but Flight.Wait and Group.Run, so a batch
-// of lookups, joins and starts can share one critical section. The map's
+// Package lru is the repo's one recency list and the bounded map on top of
+// it, which is also the single flight over its keys (DESIGN.md decision 4),
+// shared by the logit cache, the plan cache and the KV arena. Nothing here
+// locks: the caller's mutex guards every call but Entry.Wait and Map.Run, so
+// a batch of lookups and starts can share one critical section. The map's
 // eviction rule is windowed TinyLFU; the KV arena's lists stay plain LRU.
 package lru
 
@@ -85,60 +85,92 @@ func (l *List[V]) PushBack(e *Elem[V]) {
 // Map is a string-keyed map of at most a fixed number of entries under
 // windowed TinyLFU (DESIGN.md decision 4): a new entry enters a small LRU
 // window, and the one the window pushes out replaces the main LRU's victim
-// only if a sketch counts it requested more often. Lookups take the key as
-// bytes and allocate nothing.
+// only if a sketch counts it requested more often. A key is absent, in
+// flight or resident. Lookups take the key as bytes and allocate nothing.
 type Map[V any] struct {
 	cap, winCap  int
-	items        map[string]*Elem[entry[V]]
-	window, main List[entry[V]]
+	items        map[string]*Entry[V]
+	window, main List[*Entry[V]]
 	freq         sketch
 }
 
-type entry[V any] struct {
-	key string
-	val V
+// Entry is one key's record in a Map, from the miss that starts its flight
+// to its eviction. In flight it is in no list and cannot be evicted; its
+// owner ends the flight with Commit or Drop, and other callers Wait on it.
+type Entry[V any] struct {
+	elem   Elem[*Entry[V]]
+	key    string
+	val    V
+	err    error
+	flying bool
+	done   sync.WaitGroup
 }
 
 // NewMap returns an empty map holding at most capacity entries, one percent
 // of them (at least one) in the window. The Go map grows as it fills.
 func NewMap[V any](capacity int) *Map[V] {
-	m := &Map[V]{cap: capacity, winCap: max(1, capacity/100), freq: newSketch(capacity)}
-	m.items = make(map[string]*Elem[entry[V]])
-	return m
+	return &Map[V]{cap: capacity, winCap: max(1, capacity/100), freq: newSketch(capacity), items: map[string]*Entry[V]{}}
 }
 
-// Get returns the value under key, counts the hit and bumps it in its list.
-func (m *Map[V]) Get(key []byte) (V, bool) {
-	e, ok := m.items[string(key)]
-	if !ok {
-		var zero V
-		return zero, false
+// Lookup returns the resident value under key, counting the hit and bumping
+// it, or, when key is in flight, its entry to Wait on, uncounted.
+func (m *Map[V]) Lookup(key []byte) (v V, f *Entry[V], ok bool) {
+	e := m.items[string(key)]
+	if e == nil || e.flying {
+		return v, e, false
 	}
 	m.freq.add(hash(key))
-	if l := e.list; l.front != e {
-		e.Remove()
-		l.PushFront(e)
+	if l := e.elem.list; l.front != &e.elem {
+		e.elem.Remove()
+		l.PushFront(&e.elem)
 	}
-	return e.Value.val, true
+	return e.val, nil, true
 }
 
-// Has reports whether key is present; it neither counts nor bumps it.
+// Has reports whether key is resident; it neither counts nor bumps it.
 func (m *Map[V]) Has(key []byte) bool {
-	_, ok := m.items[string(key)]
-	return ok
+	e := m.items[string(key)]
+	return e != nil && !e.flying
 }
 
-// Add counts a request for key and inserts v under it at the window's front,
-// allocating one element, unless key is present: the incumbent keeps its
-// value and place.
+// Start inserts an entry in flight under key, which must be absent: the
+// caller owns it, computes under Run and ends the flight with Commit or Drop.
+func (m *Map[V]) Start(key string) *Entry[V] {
+	f := &Entry[V]{key: key, flying: true}
+	f.elem.Value = f
+	f.done.Add(1)
+	m.items[key] = f
+	return f
+}
+
+// Add counts a request for key and admits v under it, allocating one entry,
+// unless key is resident: the incumbent keeps its value and place. An entry
+// in flight under key is committed with v.
 func (m *Map[V]) Add(key string, v V) {
-	m.freq.add(hash(key))
-	if _, ok := m.items[key]; ok {
+	e := m.items[key]
+	if e == nil {
+		e = m.Start(key)
+	}
+	m.Commit(e, v)
+}
+
+// Commit ends f's flight with v, waking its waiters, and admits it: the
+// request is counted and f enters the window's front, whose least recent
+// entry then leaves or displaces the main list's victim if the sketch counts
+// it more often. An f an Add committed meanwhile is Add(key, v).
+func (m *Map[V]) Commit(f *Entry[V], v V) {
+	if !f.flying {
+		if m.items[f.key] == f {
+			m.freq.add(hash(f.key))
+		} else {
+			m.Add(f.key, v)
+		}
 		return
 	}
-	e := &Elem[entry[V]]{Value: entry[V]{key: key, val: v}}
-	m.items[key] = e
-	m.window.PushFront(e)
+	f.val, f.flying = v, false
+	f.done.Done()
+	m.freq.add(hash(f.key))
+	m.window.PushFront(&f.elem)
 	if m.window.n <= m.winCap {
 		return
 	}
@@ -153,6 +185,42 @@ func (m *Map[V]) Add(key string, v V) {
 		delete(m.items, victim.Value.key)
 	}
 	m.main.PushFront(cand)
+}
+
+// Drop ends f's flight without admitting v: the key leaves the map, so the
+// next request computes it afresh, and f's waiters wake to v and err. It is a
+// no-op on an entry an Add committed meanwhile.
+func (m *Map[V]) Drop(f *Entry[V], v V, err error) {
+	if !f.flying {
+		return
+	}
+	delete(m.items, f.key)
+	f.val, f.err, f.flying = v, err, false
+	f.done.Done()
+}
+
+// Run calls compute, the work of the flights fs the caller owns, without the
+// caller's lock. If compute panics, Run drops every flight in fs with an
+// *OwnerPanic under mu, so every waiter wakes to the failure and the next
+// request computes afresh, and re-raises the original panic value.
+func (m *Map[V]) Run(mu sync.Locker, fs []*Entry[V], compute func()) {
+	defer func() {
+		if p := recover(); p != nil {
+			mu.Lock()
+			for _, f := range fs {
+				m.Drop(f, *new(V), &OwnerPanic{Value: p})
+			}
+			mu.Unlock()
+			panic(p)
+		}
+	}()
+	compute()
+}
+
+// Wait blocks until f's flight ends and returns its result.
+func (f *Entry[V]) Wait() (V, error) {
+	f.done.Wait()
+	return f.val, f.err
 }
 
 // Len reports the number of entries.
@@ -215,73 +283,6 @@ func hash[K string | []byte](k K) uint64 {
 		h = (h ^ uint64(k[i])) * 1099511628211
 	}
 	return (h ^ h>>33) * 0xff51afd7ed558ccd
-}
-
-// Group is a single-flight table: the first caller to miss a key Starts a
-// Flight and computes it; callers missing the same key meanwhile Join it
-// and Wait. The zero value is an empty table.
-type Group[V any] struct {
-	m map[string]*Flight[V]
-}
-
-// Flight is one computation in progress.
-type Flight[V any] struct {
-	key  string
-	done sync.WaitGroup
-	val  V
-	err  error
-}
-
-// Join returns the flight computing key, or nil when none is.
-func (g *Group[V]) Join(key []byte) *Flight[V] { return g.m[string(key)] }
-
-// Start registers a flight for key, which must have none. The caller owns
-// it: it computes under Run and ends the flight with Finish.
-func (g *Group[V]) Start(key string) *Flight[V] {
-	if g.m == nil {
-		g.m = make(map[string]*Flight[V])
-	}
-	f := &Flight[V]{key: key}
-	f.done.Add(1)
-	g.m[key] = f
-	return f
-}
-
-// Finish ends f with v and err: the key leaves the table and f's waiters
-// wake to the result.
-func (g *Group[V]) Finish(f *Flight[V], v V, err error) {
-	delete(g.m, f.key)
-	f.val, f.err = v, err
-	f.done.Done()
-}
-
-// Run calls compute, the work of the flights fs the caller owns, without the
-// caller's lock. The owner failing is handled here, once: if compute panics,
-// Run finishes every flight in fs with an *OwnerPanic under mu — the keys
-// leave the table, so the next request computes afresh, and every waiter
-// wakes to the failure — and re-raises the original panic value.
-func (g *Group[V]) Run(mu sync.Locker, fs []*Flight[V], compute func()) {
-	defer func() {
-		if p := recover(); p != nil {
-			var zero V
-			mu.Lock()
-			for _, f := range fs {
-				g.Finish(f, zero, &OwnerPanic{Value: p})
-			}
-			mu.Unlock()
-			panic(p)
-		}
-	}()
-	compute()
-}
-
-// Key returns the key f computes.
-func (f *Flight[V]) Key() string { return f.key }
-
-// Wait blocks until the owner finishes f and returns its result.
-func (f *Flight[V]) Wait() (V, error) {
-	f.done.Wait()
-	return f.val, f.err
 }
 
 // OwnerPanic is the error a waiter gets when its flight's owner panicked.

@@ -139,13 +139,22 @@ func TestMapHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestGroupSharesOneComputation(t *testing.T) {
+// TestMapFlightSharesOneComputation: a key in flight is found by Lookup,
+// uncounted, and its waiters wake to the value Commit admits; the entry then
+// answers as resident.
+func TestMapFlightSharesOneComputation(t *testing.T) {
 	var mu sync.Mutex
-	var g Group[int]
+	m := NewMap[int](4)
 	mu.Lock()
-	f := g.Start("k")
-	if g.Join([]byte("k")) != f || g.Join([]byte("j")) != nil {
-		t.Fatal("Join does not find the started flight")
+	f := m.Start("k")
+	if _, got, ok := m.Lookup([]byte("k")); got != f || ok || m.Has([]byte("k")) || m.Len() != 0 {
+		t.Fatal("Lookup does not find the started flight, or it counts as resident")
+	}
+	if _, got, ok := m.Lookup([]byte("j")); got != nil || ok {
+		t.Fatal("Lookup found a key never started")
+	}
+	if m.Frequency([]byte("k")) != 0 {
+		t.Fatal("a lookup of a key in flight was counted")
 	}
 	mu.Unlock()
 	got := make(chan int, 2)
@@ -159,9 +168,9 @@ func TestGroupSharesOneComputation(t *testing.T) {
 		}()
 	}
 	mu.Lock()
-	g.Finish(f, 7, nil)
-	if g.Join([]byte("k")) != nil {
-		t.Fatal("a finished flight is still joinable")
+	m.Commit(f, 7)
+	if v, fl, ok := m.Lookup([]byte("k")); fl != nil || !ok || v != 7 || m.Len() != 1 {
+		t.Fatalf("a committed flight answers %d, %v (flight %v), want resident 7", v, ok, fl != nil)
 	}
 	mu.Unlock()
 	for range 2 {
@@ -170,18 +179,18 @@ func TestGroupSharesOneComputation(t *testing.T) {
 		}
 	}
 	if v, err := f.Wait(); v != 7 || err != nil {
-		t.Fatalf("Wait after Finish = %d, %v", v, err)
+		t.Fatalf("Wait after Commit = %d, %v", v, err)
 	}
 }
 
-// TestGroupRunOwnerPanic: a panicking owner re-raises its own value, every
+// TestMapRunOwnerPanic: a panicking owner re-raises its own value, every
 // flight it owned wakes its waiters with an *OwnerPanic, and the keys leave
-// the table so the next request starts afresh.
-func TestGroupRunOwnerPanic(t *testing.T) {
+// the map so the next request starts afresh.
+func TestMapRunOwnerPanic(t *testing.T) {
 	var mu sync.Mutex
-	var g Group[int]
+	m := NewMap[int](4)
 	mu.Lock()
-	fs := []*Flight[int]{g.Start("a"), g.Start("b")}
+	fs := []*Entry[int]{m.Start("a"), m.Start("b")}
 	mu.Unlock()
 
 	errs := make(chan error, len(fs))
@@ -197,7 +206,7 @@ func TestGroupRunOwnerPanic(t *testing.T) {
 				t.Errorf("owner re-panicked with %v, want its own value", p)
 			}
 		}()
-		g.Run(&mu, fs, func() { panic("boom") })
+		m.Run(&mu, fs, func() { panic("boom") })
 	}()
 	for range fs {
 		select {
@@ -210,8 +219,13 @@ func TestGroupRunOwnerPanic(t *testing.T) {
 			t.Fatal("waiter still parked after the owner panicked")
 		}
 	}
-	if g.Join([]byte("a")) != nil || g.Join([]byte("b")) != nil {
-		t.Fatal("failed flights wedged their keys")
+	for _, k := range []string{"a", "b"} {
+		if _, f, ok := m.Lookup([]byte(k)); f != nil || ok {
+			t.Fatal("failed flights wedged their keys")
+		}
+	}
+	if len(m.items) != 0 || m.Len() != 0 {
+		t.Fatal("failed flights left entries behind")
 	}
 	if !mu.TryLock() {
 		t.Fatal("Run left the caller's mutex locked")
@@ -219,8 +233,14 @@ func TestGroupRunOwnerPanic(t *testing.T) {
 	mu.Unlock()
 
 	ran := false
-	g.Run(&mu, nil, func() { ran = true })
+	m.Run(&mu, nil, func() { ran = true })
 	if !ran {
 		t.Fatal("Run did not call compute")
 	}
+}
+
+// Get is Lookup for a caller that never meets a flight.
+func (m *Map[V]) Get(key []byte) (V, bool) {
+	v, _, ok := m.Lookup(key)
+	return v, ok
 }

@@ -1,6 +1,7 @@
 package lru
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -169,7 +170,7 @@ func TestNewMapGrowsAsItFills(t *testing.T) {
 }
 
 // listKeys returns the keys of ls, front to back, one list after another.
-func listKeys(ls ...*List[entry[int]]) []string {
+func listKeys(ls ...*List[*Entry[int]]) []string {
 	var keys []string
 	for _, l := range ls {
 		for e := l.front; e != nil; e = e.next {
@@ -179,61 +180,128 @@ func listKeys(ls ...*List[entry[int]]) []string {
 	return keys
 }
 
-// FuzzMap replays a byte string as Get/Has/Add requests over a small key
-// space on two maps, one of which skips every Has, and checks the invariants
-// after each: Len within capacity and equal to what the window and main
-// lists hold, which are exactly the Go map's keys; a Get hit returns the
-// value first added under its key since it last entered; and Has changes
-// nothing — both maps stay identical, sketch included.
+// FuzzMap replays a byte string as requests over a small key space on two
+// maps, one of which skips every Has, and on refMap and refGroup, the bounded
+// map and single-flight table the Map absorbed (reference_test.go). A byte
+// below 150 is a Get, Has or Add of one of 50 keys; from 150 on it is a
+// flight operation on one of the first 35: a request through Lookup that
+// starts a flight on a miss, a commit, or a failed commit. An Add of a key
+// in flight is a publish racing the flight's owner, and its owner commits
+// at once. After each request: Len within capacity and equal to what the
+// window and main lists hold, which are exactly the Go map's resident keys;
+// the Go map's other keys are exactly the flights open; a flight's waiters
+// wake to its result; Has changes nothing; and the Map holds the same keys in
+// the same order, with the same values and sketch words, as the reference.
 func FuzzMap(f *testing.F) {
 	f.Add([]byte("\x03abcabcabc"))
 	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09"))
+	f.Add([]byte("\x02\x96\x99\x96\x97\x9c\x9a\x97\x9d\x98\x96"))
+	f.Add([]byte("\x01\x96\x99\x02\x97\x96\x98\x96\x05\x9c\x97"))
+	f.Add([]byte("\x03\x96\x98\x96\x01\x96\x97\x00\x96\x01"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
 		}
 		capacity := 1 + int(ops[0])%40
-		m, twin := NewMap[int](capacity), NewMap[int](capacity)
-		vals := map[string]int{} // the value each resident key entered with
+		m, twin, ref, group := NewMap[int](capacity), NewMap[int](capacity), newRefMap(capacity), refGroup{}
+		type flight struct{ m, twin *Entry[int] }
+		flights := map[string]flight{}
+		// end ends key's flight with v, or fails it with err, on both maps as
+		// Commit or Drop and on the reference as Add and Finish; its waiters
+		// must wake to what the reference's do. A flight an Add committed
+		// meanwhile woke its waiters then, to the Add's value: wantV.
+		end := func(i int, key string, v int, err error, wantV int) {
+			fl := flights[key]
+			delete(flights, key)
+			if err == nil {
+				m.Commit(fl.m, v)
+				twin.Commit(fl.twin, v)
+				ref.Add(key, v)
+			} else {
+				m.Drop(fl.m, 0, err)
+				twin.Drop(fl.twin, 0, err)
+			}
+			rf := group.Join(key)
+			group.Finish(key, wantV, err)
+			if got, gerr := fl.m.Wait(); got != rf.val || gerr != rf.err {
+				t.Fatalf("op %d: flight %q woke to %d, %v; want %d, %v", i, key, got, gerr, rf.val, rf.err)
+			}
+		}
+		failed := errors.New("owner failed")
 		for i, op := range ops[1:] {
-			key := string(rune('a' + op/3%50))
-			switch op % 3 {
-			case 0:
-				v, ok := m.Get([]byte(key))
-				twin.Get([]byte(key))
-				if want, in := vals[key]; ok != in || ok && v != want {
-					t.Fatalf("op %d: Get(%q) = %d, %v; want %d, %v", i, key, v, ok, want, in)
+			if op < 150 {
+				key := string(rune('a' + op/3))
+				switch op % 3 {
+				case 0:
+					v, ok := m.Get([]byte(key))
+					twin.Get([]byte(key))
+					if want, in := ref.Get(key); ok != in || v != want {
+						t.Fatalf("op %d: Get(%q) = %d, %v; want %d, %v", i, key, v, ok, want, in)
+					}
+				case 1:
+					if got := m.Has([]byte(key)); got != ref.Has(key) {
+						t.Fatalf("op %d: Has(%q) = %v, want %v", i, key, got, !got)
+					}
+				case 2:
+					if _, open := flights[key]; open {
+						// A publish racing the owner, who then commits.
+						m.Add(key, i)
+						twin.Add(key, i)
+						ref.Add(key, i)
+						end(i, key, i+1, nil, i)
+						break
+					}
+					m.Add(key, i)
+					twin.Add(key, i)
+					ref.Add(key, i)
 				}
-			case 1:
-				if _, in := vals[key]; m.Has([]byte(key)) != in {
-					t.Fatalf("op %d: Has(%q) = %v, want %v", i, key, !in, in)
+			} else {
+				key := string(rune('a' + (op-150)/3))
+				switch (op - 150) % 3 {
+				case 0:
+					v, f, ok := m.Lookup([]byte(key))
+					_, tf, _ := twin.Lookup([]byte(key))
+					want, in := ref.Get(key)
+					rf := group.Join(key)
+					if in {
+						rf = nil // the reference's caller joins only on a miss
+					}
+					if ok != in || v != want || (f != nil) != (rf != nil) || f != flights[key].m {
+						t.Fatalf("op %d: Lookup(%q) = %d, %v, flight %v; want %d, %v, flight %v", i, key, v, ok, f != nil, want, in, rf != nil)
+					}
+					if !ok && f == nil {
+						flights[key] = flight{m.Start(key), twin.Start(key)}
+						group.Start(key)
+					} else if tf != flights[key].twin {
+						t.Fatalf("op %d: the twin's Lookup(%q) disagrees", i, key)
+					}
+				case 1:
+					if _, open := flights[key]; open {
+						end(i, key, i, nil, i)
+					}
+				case 2:
+					if _, open := flights[key]; open {
+						end(i, key, 0, failed, 0)
+					}
 				}
-			case 2:
-				if _, in := vals[key]; !in {
-					vals[key] = i
-				}
-				m.Add(key, i)
-				twin.Add(key, i)
 			}
 			if m.Len() > capacity || m.window.Len() > m.winCap {
 				t.Fatalf("op %d: len %d (window %d) past capacity %d", i, m.Len(), m.window.Len(), capacity)
 			}
 			keys := listKeys(&m.window, &m.main)
-			if len(keys) != m.Len() || len(keys) != len(m.items) {
-				t.Fatalf("op %d: lists hold %d keys, Len %d, map %d", i, len(keys), m.Len(), len(m.items))
+			if len(keys) != m.Len() || len(keys)+len(flights) != len(m.items) {
+				t.Fatalf("op %d: lists hold %d keys, Len %d, %d flights, map %d", i, len(keys), m.Len(), len(flights), len(m.items))
 			}
 			for k, e := range m.items {
-				if e.list != &m.window && e.list != &m.main || e.Value.key != k {
-					t.Fatalf("op %d: key %q is in neither list", i, k)
-				}
-			}
-			for k := range vals {
-				if m.items[k] == nil {
-					delete(vals, k) // left the map: its next Add enters afresh
+				if e.flying != (flights[k].m == e) || !e.flying && e.elem.list != &m.window && e.elem.list != &m.main || e.key != k {
+					t.Fatalf("op %d: key %q is neither in a list nor in flight", i, k)
 				}
 			}
 			if !slices.Equal(keys, listKeys(&twin.window, &twin.main)) || !slices.Equal(m.freq.words, twin.freq.words) {
 				t.Fatalf("op %d: Has changed the map's state", i)
+			}
+			if !slices.Equal(keys, ref.keys()) || !slices.Equal(m.freq.words, ref.freq.words) {
+				t.Fatalf("op %d: map holds %v, the reference %v (or their sketches differ)", i, keys, ref.keys())
 			}
 		}
 	})

@@ -41,15 +41,14 @@ type PlanCacheStats struct {
 	PrefixEntries int   `json:"prefix_entries" metric:"-"`
 }
 
-// planCache is a single-flight lru.Map over compiled products, shared by every
-// session of a Model: one instance holds pattern plans, another compiled
-// prefixes. Concurrent queries for the same key wait on the first compilation
-// instead of duplicating it; compile errors propagate to all waiters and are
-// not cached.
+// planCache is an lru.Map over compiled products, shared by every session of
+// a Model: one instance holds pattern plans, another compiled prefixes.
+// Concurrent queries for the same key wait on the first compilation instead
+// of duplicating it; compile errors propagate to all waiters and are not
+// cached.
 type planCache[V any] struct {
-	mu      sync.Mutex
-	plans   *lru.Map[V]
-	flights lru.Group[V]
+	mu    sync.Mutex
+	plans *lru.Map[V]
 
 	hits, misses, bypassed, compileNS int64
 }
@@ -63,12 +62,8 @@ func newPlanCache[V any](capacity int) *planCache[V] {
 // from the LRU or from another goroutine's in-flight compilation.
 func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit bool, err error) {
 	pc.mu.Lock()
-	if c, ok := pc.plans.Get(key); ok {
-		pc.hits++
-		pc.mu.Unlock()
-		return c, true, nil
-	}
-	if f := pc.flights.Join(key); f != nil {
+	c, f, ok := pc.plans.Lookup(key)
+	if f != nil {
 		pc.mu.Unlock()
 		if c, err = f.Wait(); err != nil {
 			// The owner's compilation failed; nothing was served from a
@@ -79,11 +74,14 @@ func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit boo
 			return c, false, err
 		}
 		pc.mu.Lock()
+		ok = true
+	}
+	if ok {
 		pc.hits++
 		pc.mu.Unlock()
 		return c, true, nil
 	}
-	f := pc.flights.Start(string(key))
+	f = pc.plans.Start(string(key))
 	pc.misses++
 	pc.mu.Unlock()
 
@@ -91,16 +89,17 @@ func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit boo
 	start := time.Now()
 	// A panicking compile (a defective custom preprocessor, say) fails the
 	// flight's waiters and unwedges the key before the panic propagates.
-	pc.flights.Run(&pc.mu, []*lru.Flight[V]{f}, func() { c, err = compile() })
+	pc.plans.Run(&pc.mu, []*lru.Entry[V]{f}, func() { c, err = compile() })
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	elapsed := time.Since(start)
 
 	pc.mu.Lock()
 	pc.compileNS += elapsed.Nanoseconds()
 	if err == nil {
-		pc.plans.Add(f.Key(), c)
+		pc.plans.Commit(f, c)
+	} else {
+		pc.plans.Drop(f, c, err)
 	}
-	pc.flights.Finish(f, c, err)
 	pc.mu.Unlock()
 	return c, false, err
 }

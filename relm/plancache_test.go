@@ -523,7 +523,7 @@ func waitParked(t *testing.T, n int) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "lru.(*Flight[...]).Wait(") >= n {
+		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "lru.(*Entry[...]).Wait(") >= n {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -254,19 +254,6 @@ func BenchmarkAblationCanonicalStrategies(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pairwise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pat := compiler.CompileCanonicalPairwise(char, e.Tok)
-			s := engine.ShortestPath(m.Dev, &engine.Query{
-				Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix},
-			})
-			for {
-				if _, err := s.Next(); err != nil {
-					break
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkAblationLogitCache measures the logit cache's memoization win

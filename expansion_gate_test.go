@@ -57,7 +57,7 @@ func TestExpansionAllocsPerNode(t *testing.T) {
 		allocs, kib float64 // bounds per expanded node; 0 leaves one unchecked
 	}{
 		{"all-encodings", relm.SearchQuery{Query: url, Tokenization: relm.AllTokens, TopK: 40, MaxTokens: 16}, 8, 0},
-		{"dynamic-canonical", relm.SearchQuery{Query: url, Canonical: relm.CanonicalDynamic, TopK: 40, MaxTokens: 16}, 8, 0},
+		{"dynamic-canonical", relm.SearchQuery{Query: url, TopK: 40, MaxTokens: 16}, 8, 0},
 		{"wide-fanout", relm.SearchQuery{Query: cloze}, 0, 2.4},
 	} {
 		q := arm.q

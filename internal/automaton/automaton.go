@@ -205,7 +205,7 @@ func (d *DFA) maxSymbol() Symbol {
 }
 
 // Alphabet returns the sorted set of symbols appearing on any edge. The
-// result is memoized — Freeze, rewriting, and the pairwise compiler all call
+// result is memoized — Freeze, rewriting, and Equivalent all call
 // it — and recomputed only after AddEdge. The returned slice is shared;
 // callers must not mutate it.
 func (d *DFA) Alphabet() []Symbol {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/tokenizer"
 )
 
-func testBPE(t *testing.T) *tokenizer.BPE {
+func testBPE(t testing.TB) *tokenizer.BPE {
 	t.Helper()
 	corpus := []string{
 		"The cat sat on the mat. The cat was trained in art.",
@@ -203,6 +203,24 @@ func TestCanonicalFilter(t *testing.T) {
 	}
 	if f.AllowFinal(raw) {
 		t.Error("byte spelling of mergeable string should fail AllowFinal")
+	}
+}
+
+func TestIsPairCanonical(t *testing.T) {
+	// A two-token sequence is canonical exactly when re-encoding its text
+	// gives it back; the filter's final verdict must say the same.
+	bpe := testBPE(t)
+	f := NewCanonicalFilter(bpe)
+	if _, ok := bpe.TokenID("he"); !ok {
+		t.Fatal("test vocab lacks the 'he' merge")
+	}
+	he := []tokenizer.Token{'h', 'e'}
+	if bpe.Canonical(he) || f.AllowFinal(he) {
+		t.Error("(h, e) should be non-canonical when 'he' is a token")
+	}
+	qz := []tokenizer.Token{'q', 'z'}
+	if !bpe.Canonical(qz) || !f.AllowFinal(qz) {
+		t.Error("(q, z) should be canonical (no qz merge in this vocab)")
 	}
 }
 

@@ -13,7 +13,10 @@ import (
 )
 
 // randomFinitePattern builds a small disjunction-of-literals pattern over a
-// limited alphabet, guaranteed finite and enumerable.
+// limited alphabet, guaranteed finite and enumerable. In about half the
+// trials a run of two or three spaces and a word follow the disjunction, as
+// in "(<disjunction>)  (cat)": a space run before a word is where the
+// pre-tokenizer, not a merge, sets a token boundary.
 func randomFinitePattern(rng *rand.Rand) (pattern string, members []string) {
 	alpha := "catdoghes "
 	n := 1 + rng.Intn(4)
@@ -35,12 +38,67 @@ func randomFinitePattern(rng *rand.Rand) (pattern string, members []string) {
 	if len(opts) == 0 {
 		opts = []string{"cat"}
 	}
-	parts := make([]string, len(opts))
-	for i, o := range opts {
-		parts[i] = "(" + regex.Escape(o) + ")"
+	pattern = alternation(opts)
+	if rng.Intn(2) == 0 {
+		tail := strings.Repeat(" ", 2+rng.Intn(2)) + []string{"cat", "dog", "the"}[rng.Intn(3)]
+		pattern = "(" + pattern + ")" + regex.Escape(tail)
+		for i := range opts {
+			opts[i] += tail
+		}
 	}
-	return strings.Join(parts, "|"), opts
+	return pattern, opts
 }
+
+// alternation is the pattern matching exactly the literals lits.
+func alternation(lits []string) string {
+	parts := make([]string, len(lits))
+	for i, l := range lits {
+		parts[i] = "(" + regex.Escape(l) + ")"
+	}
+	return strings.Join(parts, "|")
+}
+
+// checkAgainstOracle holds both canonical constructions to a brute-force
+// oracle on a finite pattern: its canonical encodings are exactly the
+// CompileFull paths that tokenizer.IsCanonical accepts. CompileCanonical must
+// accept that set and nothing else; the runtime filter's AllowFinal must
+// agree with it on every full path, and AllowPartial must keep every prefix
+// of a canonical one.
+func checkAgainstOracle(t *testing.T, bpe *tokenizer.BPE, pattern string) {
+	t.Helper()
+	char := regex.MustCompile(pattern)
+	canon, err := CompileCanonical(char, bpe, 64, 50000)
+	if err != nil {
+		t.Fatalf("%q: %v", pattern, err)
+	}
+	f := NewCanonicalFilter(bpe)
+	var oracle [][]automaton.Symbol
+	for _, seq := range CompileFull(char, bpe).Enumerate(64, 0) {
+		want := tokenizer.IsCanonical(bpe, seq)
+		if got := canon.MatchSymbols(seq); got != want {
+			t.Fatalf("%q: enumeration accepts %v (%q): %v, re-encoding says %v", pattern, seq, bpe.Decode(seq), got, want)
+		}
+		if got := f.AllowFinal(seq); got != want {
+			t.Fatalf("%q: AllowFinal(%v) = %v, re-encoding says %v", pattern, seq, got, want)
+		}
+		if !want {
+			continue
+		}
+		oracle = append(oracle, seq)
+		for i := 1; i <= len(seq); i++ {
+			if !f.AllowPartial(seq[:i]) {
+				t.Fatalf("%q: canonical prefix %v of %q pruned", pattern, seq[:i], bpe.Decode(seq))
+			}
+		}
+	}
+	if !automaton.Equivalent(canon, automaton.FromSymbolSeqs(oracle)) {
+		t.Fatalf("%q: enumeration accepts a sequence that is not a full path", pattern)
+	}
+}
+
+// spaceRunCases are the fixed patterns with a space run before a word, on
+// which judging each token pair alone drops canonical encodings.
+var spaceRunCases = []string{"the  cat", "(a ee)|(d ea)|(ds   s)"}
 
 func TestPropertyFullAutomatonSoundAndComplete(t *testing.T) {
 	// For random finite languages:
@@ -80,22 +138,49 @@ func TestPropertyFullAutomatonSoundAndComplete(t *testing.T) {
 }
 
 func TestPropertyCanonicalStrategiesAgree(t *testing.T) {
-	// enumerate-and-encode, pairwise rewriting, and exhaustive filtering
-	// must agree on random finite languages.
+	// Enumerate-and-encode and the runtime filter must both agree with the
+	// re-encoding oracle, on the fixed space-run cases and on random finite
+	// languages.
 	bpe := testBPE(t)
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		pattern, _ := randomFinitePattern(rng)
-		char := regex.MustCompile(pattern)
-		canon, err := CompileCanonical(char, bpe, 16, 10000)
-		if err != nil {
-			t.Fatalf("trial %d (%s): %v", trial, pattern, err)
-		}
-		pair := CompileCanonicalPairwise(char, bpe)
-		if !automaton.Equivalent(canon, pair) {
-			t.Fatalf("trial %d: pairwise disagrees with enumeration for %q", trial, pattern)
-		}
+	for _, pattern := range spaceRunCases {
+		checkAgainstOracle(t, bpe, pattern)
 	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 500; trial++ {
+		pattern, _ := randomFinitePattern(rng)
+		checkAgainstOracle(t, bpe, pattern)
+	}
+}
+
+// FuzzCanonicalConstruction is TestPropertyCanonicalStrategiesAgree on
+// fuzzed languages: the input, split at '|', gives up to four literals of at
+// most ten bytes, each byte mapped into a small alphabet with ' ' and '.', so
+// space runs and punctuation meet words. The seed corpus is under
+// testdata/fuzz/FuzzCanonicalConstruction.
+func FuzzCanonicalConstruction(f *testing.F) {
+	bpe := testBPE(f)
+	const alpha = "acdeghost ."
+	f.Fuzz(func(t *testing.T, s string) {
+		var lits []string
+		for _, lit := range strings.Split(s, "|") {
+			if len(lit) > 10 {
+				return
+			}
+			b := []byte(lit)
+			for i, c := range b {
+				if strings.IndexByte(alpha, c) < 0 {
+					b[i] = alpha[int(c)%len(alpha)]
+				}
+			}
+			if len(b) > 0 {
+				lits = append(lits, string(b))
+			}
+		}
+		if len(lits) == 0 || len(lits) > 4 {
+			return
+		}
+		checkAgainstOracle(t, bpe, alternation(lits))
+	})
 }
 
 func TestPropertyEveryFullPathFiltersConsistently(t *testing.T) {
@@ -226,7 +311,6 @@ func TestCanonicalCheckAllocatesNothing(t *testing.T) {
 		}},
 		{"AllowFinal", 0, func() { f.AllowFinal(final) }},
 		{"Canonical", 0, func() { bpe.Canonical(canon) }},
-		{"isPairCanonical", 0, func() { isPairCanonical(bpe, canon[0], canon[1]) }},
 		{"Encode", 1, func() { bpe.Encode(text) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.call); got > c.max {

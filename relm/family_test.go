@@ -135,9 +135,6 @@ func TestSearchRejectsUnknownEnums(t *testing.T) {
 	if _, err := Search(m, SearchQuery{Query: QueryString{Pattern: "a"}, Tokenization: TokenizationStrategy(99)}); err == nil {
 		t.Error("unknown tokenization strategy accepted")
 	}
-	if _, err := Search(m, SearchQuery{Query: QueryString{Pattern: "a"}, Canonical: CanonicalStrategy(99)}); err == nil {
-		t.Error("unknown canonical strategy accepted")
-	}
 	if _, err := Search(m, SearchQuery{Query: QueryString{Pattern: "a"}, Preprocessors: []Preprocessor{EditDistance{K: -1}}}); err == nil {
 		t.Error("negative edit distance accepted")
 	}

@@ -11,25 +11,24 @@ import (
 
 // FuzzPlanKey checks the plan and prefix cache keys against what they key.
 // From one fuzzed pattern, prefix and knob string it builds a query a, and
-//   - a copy of a that differs only in fields compilePattern's branch for a
-//     ignores — the canonical configuration under AllTokens, the enumeration
-//     budgets under the pairwise and dynamic constructions, the prefix, and
-//     every execution knob — must get a's planKey and compile to a's
-//     products: the frozen token automaton, the resolved canonical strategy
-//     and the presence of the dynamic filter;
+//   - a copy of a that differs only in fields compilePattern ignores — the
+//     prefix and every execution knob — must get a's planKey and compile to
+//     a's products: the frozen token automaton and the presence of the
+//     dynamic filter;
 //   - a copy that differs in every field but the prefix and its two budgets
 //     must get a's prefixKey and compile to a's prefix products;
 //   - a query built from the other string and the knobs read backwards that
 //     shares a key with a must share the products too.
 //
-// Patterns and prefixes are short, so each compilation is cheap. The seed
-// corpus is under testdata/fuzz/FuzzPlanKey.
+// Patterns and prefixes are short, but a canonical pattern of up to 50 000
+// strings is enumerated, as a query would. The seed corpus is under
+// testdata/fuzz/FuzzPlanKey.
 func FuzzPlanKey(f *testing.F) {
 	lines := []string{"the cat sat", "the dog sat", "a cat ran"}
 	tok := tokenizer.Train(lines, 24)
 	m := NewModel(model.TrainNGram(lines, tok, model.NGramConfig{Order: 2, MaxSeqLen: 16}), tok,
 		ModelOptions{PlanCacheSize: -1, TraceSampling: -1})
-	f.Add("(cat)|(dog)", "the", "ca[tr]", []byte{0, 0, 8, 4, 4, 8, 1, 2, 3})
+	f.Add("(cat)|(dog)", "the", "ca[tr]", []byte{0, 4, 8, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, pattern, prefix, other string, knobs []byte) {
 		if len(pattern) > 8 || len(prefix) > 8 || len(other) > 8 {
 			return
@@ -37,14 +36,7 @@ func FuzzPlanKey(f *testing.F) {
 		a := fuzzQuery(pattern, prefix, knobs)
 
 		b := a
-		keep := map[string]bool{"Query": true, "Preprocessors": true, "Tokenization": true}
-		if a.Tokenization == CanonicalTokens {
-			keep["Canonical"] = true
-			if a.Canonical == CanonicalAuto || a.Canonical == CanonicalEnumerate {
-				keep["CanonicalLimit"], keep["PatternMaxLen"] = true, true
-			}
-		}
-		mutateExcept(&b, keep, knobs)
+		mutateExcept(&b, map[string]bool{"Query": true, "Preprocessors": true, "Tokenization": true}, knobs)
 		b.Query.Prefix = other
 		applyDefaults(&b)
 		samePlan(t, m, &a, &b, true)
@@ -66,18 +58,14 @@ func FuzzPlanKey(f *testing.F) {
 }
 
 // fuzzQuery builds a query with defaults applied, its compile configuration
-// read from knobs (zero past their end). The enumeration budget stays small,
-// so a canonical enumeration is cheap.
+// read from knobs (zero past their end).
 func fuzzQuery(pattern, prefix string, knobs []byte) SearchQuery {
 	next := knobReader(knobs)
 	q := SearchQuery{
-		Query:          QueryString{Pattern: pattern, Prefix: prefix},
-		Tokenization:   TokenizationStrategy(next() % 2),
-		Canonical:      CanonicalStrategy(next() % 4),
-		CanonicalLimit: 1 + int(next()%64),
-		PatternMaxLen:  int(next() % 12),
-		PrefixLimit:    int(next() % 16),
-		PrefixMaxLen:   int(next() % 12),
+		Query:        QueryString{Pattern: pattern, Prefix: prefix},
+		Tokenization: TokenizationStrategy(next() % 2),
+		PrefixLimit:  int(next() % 16),
+		PrefixMaxLen: int(next() % 12),
 	}
 	if next()%2 == 1 {
 		q.Preprocessors = []Preprocessor{EditDistance{K: 1, Alphabet: []byte("act")}}
@@ -138,17 +126,17 @@ func samePlan(t *testing.T, m *Model, a, b *SearchQuery, wantEqual bool) {
 		}
 		return
 	}
-	ca, aerr := compilePattern(m, *a)
-	cb, berr := compilePattern(m, *b)
+	ca, aerr := compilePattern(m, *a, enumerateLimit)
+	cb, berr := compilePattern(m, *b, enumerateLimit)
 	if (aerr == nil) != (berr == nil) {
 		t.Fatalf("plan key %s: one compile failed: %v vs %v", ka, aerr, berr)
 	}
 	if aerr != nil {
 		return
 	}
-	if !reflect.DeepEqual(ca.token, cb.token) || ca.resolved != cb.resolved || (ca.filter == nil) != (cb.filter == nil) {
-		t.Fatalf("plan key %s: products differ: resolved %d vs %d, filter %v vs %v, token\n%v\n%v",
-			ka, ca.resolved, cb.resolved, ca.filter != nil, cb.filter != nil, ca.token, cb.token)
+	if !reflect.DeepEqual(ca.token, cb.token) || (ca.filter == nil) != (cb.filter == nil) {
+		t.Fatalf("plan key %s: products differ: filter %v vs %v, token\n%v\n%v",
+			ka, ca.filter != nil, cb.filter != nil, ca.token, cb.token)
 	}
 }
 

@@ -81,7 +81,6 @@ func closeReleasesWorkers(t *testing.T, strategy SearchStrategy) {
 	results, err := Search(m, SearchQuery{
 		Query:       QueryString{Pattern: "[a-z]{1,10}"},
 		Strategy:    strategy,
-		Canonical:   CanonicalPairwise, // infinite language without enumeration
 		MaxTokens:   12,
 		MaxNodes:    1 << 30,
 		Parallelism: 4,

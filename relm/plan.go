@@ -23,10 +23,9 @@ import (
 // is frozen, and the filter is stateless — so one instance may be shared by
 // any number of concurrent queries via the plan cache.
 type compiled struct {
-	char     *automaton.DFA    // byte-alphabet automaton after preprocessors (minimized)
-	token    *automaton.Frozen // token-alphabet LLM automaton, minimized + frozen
-	filter   *compiler.CanonicalFilter
-	resolved CanonicalStrategy // which canonical construction actually ran
+	char   *automaton.DFA    // byte-alphabet automaton after preprocessors (minimized)
+	token  *automaton.Frozen // token-alphabet LLM automaton, minimized + frozen
+	filter *compiler.CanonicalFilter
 }
 
 // runKind is what a query is lowered for.
@@ -141,12 +140,6 @@ func applyDefaults(q *SearchQuery) {
 	if q.PrefixMaxLen <= 0 {
 		q.PrefixMaxLen = 128
 	}
-	if q.CanonicalLimit <= 0 {
-		q.CanonicalLimit = 50000
-	}
-	if q.PatternMaxLen <= 0 {
-		q.PatternMaxLen = 64
-	}
 }
 
 // buildRule chains the query's decision rules (§2.4), or nil when none
@@ -168,6 +161,12 @@ func buildRule(q *SearchQuery) decoding.Rule {
 	return chain
 }
 
+// The bounds of a canonical language compilePattern enumerates.
+const (
+	enumerateLimit = 50000
+	patternMaxLen  = 64
+)
+
 // compilePattern runs §3.1's pipeline up to the LLM automaton. The char
 // automaton is minimized after preprocessors run: regex.Compile and the
 // preprocessors that minimize their own output hand over an automaton marked
@@ -176,10 +175,16 @@ func buildRule(q *SearchQuery) decoding.Rule {
 // construction preserves minimality — two states distinguishable over bytes
 // stay distinguishable over tokens, since every byte is itself a token — so
 // minimizing at the char boundary yields minimal token automata on every
-// path below (the enumerate and pairwise constructions minimize their own
-// outputs). Minimal automata come in one canonical numbering, so the frozen
-// plan is a function of the language, not of the route that built it.
-func compilePattern(m *Model, q SearchQuery) (*compiled, error) {
+// path below (enumeration minimizes its own output). Minimal automata come in
+// one canonical numbering, so the frozen plan is a function of the language,
+// not of the route that built it.
+//
+// Canonical tokenization has one rule (§3.2, DESIGN.md decision 2): a
+// language of at most limit strings of at most patternMaxLen bytes is
+// enumerated and encoded; any other is the full automaton traversed under
+// the runtime canonicality filter. Queries pass enumerateLimit; a test may
+// pass less to take the filter on a small language.
+func compilePattern(m *Model, q SearchQuery, limit int) (*compiled, error) {
 	charDFA, err := regex.Compile(q.Query.Pattern)
 	if err != nil {
 		return nil, fmt.Errorf("relm: pattern: %w", err)
@@ -196,37 +201,13 @@ func compilePattern(m *Model, q SearchQuery) (*compiled, error) {
 	var token *automaton.DFA
 	switch q.Tokenization {
 	case CanonicalTokens:
-		switch q.Canonical {
-		case CanonicalAuto:
-			canon, cerr := compiler.CompileCanonical(charDFA, m.Tok, q.PatternMaxLen, q.CanonicalLimit)
-			if cerr == nil {
-				token = canon
-				c.resolved = CanonicalEnumerate
-			} else if errors.Is(cerr, compiler.ErrLanguageTooLarge) {
-				// Too large to enumerate: traverse the full automaton under
-				// the lazy dynamic canonicality filter (§3.2 option 2).
-				token = compiler.CompileFull(charDFA, m.Tok)
-				c.filter = compiler.NewCanonicalFilter(m.Tok)
-				c.resolved = CanonicalDynamic
-			} else {
-				return nil, cerr
-			}
-		case CanonicalEnumerate:
-			canon, cerr := compiler.CompileCanonical(charDFA, m.Tok, q.PatternMaxLen, q.CanonicalLimit)
-			if cerr != nil {
-				return nil, cerr
-			}
-			token = canon
-			c.resolved = CanonicalEnumerate
-		case CanonicalPairwise:
-			token = compiler.CompileCanonicalPairwise(charDFA, m.Tok)
-			c.resolved = CanonicalPairwise
-		case CanonicalDynamic:
-			token = compiler.CompileFull(charDFA, m.Tok)
+		token, err = compiler.CompileCanonical(charDFA, m.Tok, patternMaxLen, limit)
+		if errors.Is(err, compiler.ErrLanguageTooLarge) {
+			token, err = compiler.CompileFull(charDFA, m.Tok), nil
 			c.filter = compiler.NewCanonicalFilter(m.Tok)
-			c.resolved = CanonicalDynamic
-		default:
-			return nil, fmt.Errorf("relm: unknown canonical strategy %d", q.Canonical)
+		}
+		if err != nil {
+			return nil, err
 		}
 	case AllTokens:
 		token = compiler.CompileFull(charDFA, m.Tok)
@@ -248,8 +229,8 @@ type Plan struct {
 	CharStates, CharEdges int
 	// TokenStates and TokenEdges size the compiled LLM automaton.
 	TokenStates, TokenEdges int
-	// LanguageSize counts pattern strings up to PatternMaxLen bytes
-	// (-1: infinite or beyond the horizon).
+	// LanguageSize counts pattern strings up to 64 bytes (-1 when the count
+	// overflows int64).
 	LanguageSize int64
 	// Encodings counts token paths through the LLM automaton up to
 	// MaxTokens (or the horizon below), measuring encoding ambiguity:
@@ -258,11 +239,8 @@ type Plan struct {
 	Encodings int64
 	// Tokenization echoes the query's strategy.
 	Tokenization TokenizationStrategy
-	// ResolvedCanonical reports which canonical construction ran (only
-	// meaningful for CanonicalTokens; CanonicalAuto resolves to Enumerate
-	// or Dynamic).
-	ResolvedCanonical CanonicalStrategy
-	// DynamicFilter reports that runtime canonicality pruning is active.
+	// DynamicFilter reports that runtime canonicality pruning is active: the
+	// query is canonical and its language too large to enumerate.
 	DynamicFilter bool
 	// PrefixStrings counts the enumerated prefix language (0 when the
 	// query has no prefix; -1 when the prefix language exceeds the limit).
@@ -307,7 +285,7 @@ func (p *Plan) String() string {
 	fmt.Fprintf(&b, "  token automaton:  %d states, %d edges\n", p.TokenStates, p.TokenEdges)
 	fmt.Fprintf(&b, "  language size:    %s\n", countStr(p.LanguageSize))
 	fmt.Fprintf(&b, "  token encodings:  %s\n", countStr(p.Encodings))
-	fmt.Fprintf(&b, "  tokenization:     %s\n", tokenizationName(p.Tokenization, p.ResolvedCanonical))
+	fmt.Fprintf(&b, "  tokenization:     %s\n", tokenizationName(p.Tokenization, p.DynamicFilter))
 	fmt.Fprintf(&b, "  prefix strings:   %s\n", countStr(p.PrefixStrings))
 	fmt.Fprintf(&b, "  traversal:        %s\n", strategyName(p.Strategy))
 	fmt.Fprintf(&b, "  execution:        batch %d, %d expansion workers, %d device workers\n",
@@ -335,19 +313,14 @@ func countStr(n int64) string {
 	return fmt.Sprintf("%d", n)
 }
 
-func tokenizationName(t TokenizationStrategy, c CanonicalStrategy) string {
-	if t == AllTokens {
+func tokenizationName(t TokenizationStrategy, filter bool) string {
+	switch {
+	case t == AllTokens:
 		return "all encodings"
-	}
-	switch c {
-	case CanonicalEnumerate:
-		return "canonical (enumerated)"
-	case CanonicalPairwise:
-		return "canonical (pairwise automaton)"
-	case CanonicalDynamic:
+	case filter:
 		return "canonical (dynamic runtime filter)"
 	default:
-		return "canonical"
+		return "canonical (enumerated)"
 	}
 }
 
@@ -372,22 +345,21 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{
-		CharStates:        r.comp.char.NumStates(),
-		CharEdges:         r.comp.char.NumEdges(),
-		TokenStates:       r.comp.token.NumStates(),
-		TokenEdges:        r.comp.token.NumEdges(),
-		Tokenization:      q.Tokenization,
-		ResolvedCanonical: r.comp.resolved,
-		DynamicFilter:     r.eq.Filter != nil,
-		Strategy:          q.Strategy,
-		BatchSize:         r.eq.BatchExpand,
-		Parallelism:       r.eq.Parallelism,
-		DeviceWorkers:     m.Dev.Workers(),
-		Incremental:       r.eq.Incremental,
-		PlanCacheHit:      r.hit,
+		CharStates:    r.comp.char.NumStates(),
+		CharEdges:     r.comp.char.NumEdges(),
+		TokenStates:   r.comp.token.NumStates(),
+		TokenEdges:    r.comp.token.NumEdges(),
+		Tokenization:  q.Tokenization,
+		DynamicFilter: r.eq.Filter != nil,
+		Strategy:      q.Strategy,
+		BatchSize:     r.eq.BatchExpand,
+		Parallelism:   r.eq.Parallelism,
+		DeviceWorkers: m.Dev.Workers(),
+		Incremental:   r.eq.Incremental,
+		PlanCacheHit:  r.hit,
 	}
 	p.PlanCache = m.PlanCacheStats()
-	p.LanguageSize = r.comp.char.LanguageSize(q.PatternMaxLen)
+	p.LanguageSize = r.comp.char.LanguageSize(patternMaxLen)
 	p.Encodings = compiler.CountEncodings(r.comp.token, r.eq.MaxTokens)
 
 	if r.prefix != nil {
@@ -407,7 +379,7 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 		p.Warnings = append(p.Warnings, "pattern language is empty")
 	}
 	if p.DynamicFilter {
-		p.Warnings = append(p.Warnings, "dynamic canonicality filtering re-encodes partial matches at runtime; prefer CanonicalPairwise for hot queries")
+		p.Warnings = append(p.Warnings, fmt.Sprintf("pattern language exceeds %d strings of at most %d bytes; canonicality is checked at runtime, re-encoding partial matches", enumerateLimit, patternMaxLen))
 	}
 	if q.Tokenization == AllTokens && p.LanguageSize > 0 && p.Encodings >= 0 && p.Encodings > 8*p.LanguageSize {
 		p.Warnings = append(p.Warnings, fmt.Sprintf("high encoding ambiguity (%d encodings for %d strings); deduplicate with DedupByText", p.Encodings, p.LanguageSize))

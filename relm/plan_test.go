@@ -29,11 +29,8 @@ func TestExplainBasic(t *testing.T) {
 	if p.TokenStates == 0 || p.TokenEdges == 0 {
 		t.Error("token automaton not sized")
 	}
-	if p.ResolvedCanonical != CanonicalEnumerate {
-		t.Errorf("resolved = %d, want enumerate for a 2-string language", p.ResolvedCanonical)
-	}
 	if p.DynamicFilter {
-		t.Error("no dynamic filter expected")
+		t.Error("a 2-string language must be enumerated, not filtered")
 	}
 	if len(p.Warnings) != 0 {
 		t.Errorf("unexpected warnings: %v", p.Warnings)
@@ -102,14 +99,13 @@ func TestExplainHugePrefixWarning(t *testing.T) {
 func TestExplainDynamicFilterResolution(t *testing.T) {
 	m := testModel(t)
 	p, err := Explain(m, SearchQuery{
-		Query:          QueryString{Pattern: "[a-z]{1,8}"},
-		CanonicalLimit: 10, // force the enumerate path to overflow
+		Query: QueryString{Pattern: "[a-z]{1,8}"}, // beyond enumeration
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ResolvedCanonical != CanonicalDynamic || !p.DynamicFilter {
-		t.Fatalf("want dynamic fallback, got resolved=%d filter=%v", p.ResolvedCanonical, p.DynamicFilter)
+	if !p.DynamicFilter || !strings.Contains(p.String(), "canonical (dynamic runtime filter)") {
+		t.Fatalf("want the dynamic filter, got %v:\n%s", p.DynamicFilter, p)
 	}
 }
 
@@ -219,12 +215,11 @@ func TestExplainDescribesTheRun(t *testing.T) {
 					explainer, runner := NewModel(sub.lm, sub.tok, opts), NewModel(sub.lm, sub.tok, opts)
 					for pass, incremental := range []bool{false, true} {
 						q := SearchQuery{
-							Query:          QueryString{Pattern: "[a-z]{1,3}"},
-							Strategy:       strategy,
-							Tokenization:   tz,
-							CanonicalLimit: 1000, // beyond enumeration: the dynamic filter
-							MaxTokens:      3,
-							Incremental:    incremental,
+							Query:        QueryString{Pattern: "[a-z]{1,4}"}, // beyond enumeration: the dynamic filter
+							Strategy:     strategy,
+							Tokenization: tz,
+							MaxTokens:    3,
+							Incremental:  incremental,
 						}
 						p, err := Explain(explainer, q)
 						if err != nil {

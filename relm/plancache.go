@@ -51,6 +51,7 @@ type planCache[V any] struct {
 	plans *lru.Map[V]
 
 	hits, misses, bypassed, compileNS int64
+	joined                            int64 // lookups that found their key in flight and waited
 }
 
 func newPlanCache[V any](capacity int) *planCache[V] {
@@ -64,6 +65,7 @@ func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit boo
 	pc.mu.Lock()
 	c, f, ok := pc.plans.Lookup(key)
 	if f != nil {
+		pc.joined++
 		pc.mu.Unlock()
 		if c, err = f.Wait(); err != nil {
 			// The owner's compilation failed; nothing was served from a
@@ -146,22 +148,10 @@ type PlanKeyer interface {
 // planKey derives the cache key for q's compilation products, or ok=false
 // when the query is not cacheable. The key covers exactly the inputs
 // compilePattern consumes: the pattern, the preprocessor chain, the
-// tokenization and canonical strategies with their budgets, and the
-// tokenizer fingerprint (a plan must never cross tokenizers — token IDs
-// would silently mean different strings).
+// tokenization, and the tokenizer fingerprint (a plan must never cross
+// tokenizers — token IDs would silently mean different strings).
 func planKey(m *Model, q *SearchQuery) ([]byte, bool) {
-	// Normalize fields the selected compile branch never reads, so queries
-	// differing only in ignored knobs share one plan: AllTokens ignores the
-	// whole canonical configuration, and the pairwise/dynamic constructions
-	// ignore the enumeration budgets.
-	canon, climit, pmax := q.Canonical, q.CanonicalLimit, q.PatternMaxLen
-	if q.Tokenization == AllTokens {
-		canon, climit, pmax = 0, 0, 0
-	} else if canon == CanonicalPairwise || canon == CanonicalDynamic {
-		climit, pmax = 0, 0
-	}
-	b := fmt.Appendf(nil, "tok=%s;pat=%q;tz=%d;canon=%d;climit=%d;pmax=%d",
-		m.Tok.Fingerprint(), q.Query.Pattern, q.Tokenization, canon, climit, pmax)
+	b := fmt.Appendf(nil, "tok=%s;pat=%q;tz=%d", m.Tok.Fingerprint(), q.Query.Pattern, q.Tokenization)
 	for _, p := range q.Preprocessors {
 		k, ok := p.(PlanKeyer)
 		if !ok {
@@ -173,21 +163,21 @@ func planKey(m *Model, q *SearchQuery) ([]byte, bool) {
 }
 
 // compileCached resolves q's compilation through the model's plan cache:
-// repeat and concurrent queries for the same (pattern, strategy, tokenizer,
-// preprocessor, budget) tuple share one immutable compiled plan. hit reports
-// whether this call skipped compilation.
+// repeat and concurrent queries for the same (pattern, tokenization,
+// tokenizer, preprocessor) tuple share one immutable compiled plan. hit
+// reports whether this call skipped compilation.
 func compileCached(m *Model, q *SearchQuery) (c *compiled, hit bool, err error) {
 	if m.plans == nil {
-		c, err = compilePattern(m, *q)
+		c, err = compilePattern(m, *q, enumerateLimit)
 		return c, false, err
 	}
 	key, ok := planKey(m, q)
 	if !ok {
 		m.plans.noteBypass()
-		c, err = compilePattern(m, *q)
+		c, err = compilePattern(m, *q, enumerateLimit)
 		return c, false, err
 	}
-	return m.plans.get(key, func() (*compiled, error) { return compilePattern(m, *q) })
+	return m.plans.get(key, func() (*compiled, error) { return compilePattern(m, *q, enumerateLimit) })
 }
 
 // prefixKey derives the prefix cache's key for q: exactly what a compiled

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -85,8 +84,6 @@ func TestPlanCacheKeySeparatesQueries(t *testing.T) {
 	variants := []SearchQuery{
 		base,
 		{Query: QueryString{Pattern: "(cat)|(dog)"}, Tokenization: AllTokens},
-		{Query: QueryString{Pattern: "(cat)|(dog)"}, Canonical: CanonicalPairwise},
-		{Query: QueryString{Pattern: "(cat)|(dog)"}, PatternMaxLen: 32},
 		{Query: QueryString{Pattern: "(cat)|(dog)"}, Preprocessors: []Preprocessor{PrependLiteral{Lit: "a "}}},
 		{Query: QueryString{Pattern: "(cat)|(dogs)"}},
 	}
@@ -379,7 +376,7 @@ func TestPlanIsAFunctionOfTheLanguage(t *testing.T) {
 					q.Preprocessors = append(append([]Preprocessor(nil), q.Preprocessors...), EditDistance{K: edits})
 				}
 				applyDefaults(&q)
-				got, err := compilePattern(m, q)
+				got, err := compilePattern(m, q, enumerateLimit)
 				if err != nil {
 					t.Fatalf("route %d: %v", i, err)
 				}
@@ -517,17 +514,20 @@ func (g gatedPanicPreprocessor) Transform(d *automaton.DFA) (*automaton.DFA, err
 func (gatedPanicPreprocessor) Name() string    { return "gated-panic" }
 func (gatedPanicPreprocessor) PlanKey() string { return "gated-panic" }
 
-// waitParked blocks until n goroutines wait on a single flight, failing the
-// test after 5 s.
-func waitParked(t *testing.T, n int) {
+// waitParked blocks until n lookups have joined a flight on pc, failing the
+// test after 5 s. A lookup counts just before it parks; that is soon enough,
+// since Wait on a flight that has already failed returns its error.
+func waitParked[V any](t *testing.T, pc *planCache[V], n int64) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "lru.(*Entry[...]).Wait(") >= n {
+		pc.mu.Lock()
+		joined := pc.joined
+		pc.mu.Unlock()
+		if joined >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fewer than %d goroutines parked on a flight", n)
+			t.Fatalf("fewer than %d lookups joined a flight", n)
 		}
 	}
 }
@@ -552,7 +552,7 @@ func TestPlanCachePanicUnwedges(t *testing.T) {
 		_, err := Explain(m, q)
 		waiter <- err
 	}()
-	waitParked(t, 1)
+	waitParked(t, m.plans, 1)
 	close(pp.release)
 
 	if p := <-owner; p != "boom" {
@@ -575,35 +575,5 @@ func TestPlanCachePanicUnwedges(t *testing.T) {
 	}
 	if s := m.PlanCacheStats(); s.Misses != 2 || s.Entries != 1 {
 		t.Fatalf("retry did not compile afresh: %+v", s)
-	}
-}
-
-// TestPlanKeyNormalizesIgnoredKnobs asserts queries differing only in fields
-// the selected compile branch ignores share one plan: AllTokens never reads
-// the canonical configuration, and pairwise/dynamic never read the
-// enumeration budgets.
-func TestPlanKeyNormalizesIgnoredKnobs(t *testing.T) {
-	m := testModel(t)
-	pairs := [][2]SearchQuery{
-		{
-			{Query: QueryString{Pattern: "cat"}, Tokenization: AllTokens},
-			{Query: QueryString{Pattern: "cat"}, Tokenization: AllTokens, Canonical: CanonicalPairwise, CanonicalLimit: 7, PatternMaxLen: 9},
-		},
-		{
-			{Query: QueryString{Pattern: "dog"}, Canonical: CanonicalPairwise},
-			{Query: QueryString{Pattern: "dog"}, Canonical: CanonicalPairwise, CanonicalLimit: 7, PatternMaxLen: 9},
-		},
-	}
-	for i, pair := range pairs {
-		before := m.PlanCacheStats()
-		for _, q := range pair {
-			if _, err := Explain(m, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		after := m.PlanCacheStats()
-		if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
-			t.Fatalf("pair %d: ignored knobs forced recompilation: %+v -> %+v", i, before, after)
-		}
 	}
 }

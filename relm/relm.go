@@ -76,37 +76,12 @@ type TokenizationStrategy int
 
 const (
 	// CanonicalTokens restricts the query to the tokenizer's canonical
-	// encoding of each string — the space of conditional generation.
+	// encoding of each string — the space of conditional generation. The
+	// language alone picks the construction (compilePattern).
 	CanonicalTokens TokenizationStrategy = iota
 	// AllTokens covers every token sequence that decodes into the language —
 	// the space of unconditional generation (ambiguous encodings).
 	AllTokens
-)
-
-// CanonicalStrategy selects how the canonical token automaton is obtained
-// (§3.2 lists three options; all are implemented).
-type CanonicalStrategy int
-
-const (
-	// CanonicalAuto enumerates when the language is small and falls back to
-	// dynamic canonicality filtering otherwise. (The pairwise construction
-	// handles infinite languages too, but it pays an upfront cost quadratic
-	// in the alphabet and drops some canonical encodings, so it stays
-	// opt-in.)
-	CanonicalAuto CanonicalStrategy = iota
-	// CanonicalEnumerate materializes and encodes every string (§3.2
-	// option 1); errors on languages beyond CanonicalLimit.
-	CanonicalEnumerate
-	// CanonicalPairwise intersects the full automaton with the language of
-	// locally canonical pair sequences (§3.2 option 3, obligatory rewriting
-	// as an automaton construction). It handles infinite languages, but it
-	// is not exact: it rejects canonical encodings where two or more spaces
-	// precede a word ("a  b"), since it judges each token pair alone (ROADMAP
-	// item 11).
-	CanonicalPairwise
-	// CanonicalDynamic traverses the full automaton with runtime
-	// canonicality pruning (§3.2 option 2, backtracking).
-	CanonicalDynamic
 )
 
 // QueryString is the formal-language part of a query. Both fields are
@@ -152,16 +127,6 @@ type SearchQuery struct {
 	// when any filter returns false.
 	DeferredFilters []func(text string) bool
 
-	// Canonical selects the canonical-automaton construction when
-	// Tokenization is CanonicalTokens (default CanonicalAuto); compilePattern.
-	Canonical CanonicalStrategy
-	// CanonicalLimit caps canonical enumerate-and-encode; larger pattern
-	// languages fall back to dynamic canonicality filtering (default 50000);
-	// compilePattern.
-	CanonicalLimit int
-	// PatternMaxLen caps pattern string length in bytes during canonical
-	// enumeration (default 64); compilePattern.
-	PatternMaxLen int
 	// PrefixLimit caps prefix enumeration (default 4096 strings); compilePrefix.
 	PrefixLimit int
 	// PrefixMaxLen caps prefix length in bytes (default 128); compilePrefix.

@@ -250,14 +250,15 @@ func TestSearchErrors(t *testing.T) {
 
 func TestCanonicalFallbackToDynamicFilter(t *testing.T) {
 	// A pattern too large to enumerate must still work via the dynamic
-	// canonical filter.
+	// canonical filter, which the default rule picks on its own.
 	m := testModel(t)
-	results, err := Search(m, SearchQuery{
-		Query:          QueryString{Pattern: "[a-z]{1,6}"},
-		CanonicalLimit: 100, // force fallback
-		MaxTokens:      8,
-		MaxNodes:       3000,
-	})
+	q := SearchQuery{Query: QueryString{Pattern: "[a-z]{1,6}"}, MaxTokens: 8, MaxNodes: 3000}
+	if p, err := Explain(m, q); err != nil {
+		t.Fatal(err)
+	} else if !p.DynamicFilter {
+		t.Fatalf("a %d-string language must take the dynamic filter", p.LanguageSize)
+	}
+	results, err := Search(m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +269,31 @@ func TestCanonicalFallbackToDynamicFilter(t *testing.T) {
 	for _, mt := range matches {
 		if !mt.Canonical {
 			t.Errorf("non-canonical match %q in canonical mode", mt.PatternText)
+		}
+	}
+}
+
+func TestCanonicalPairwiseOnInfiniteLanguage(t *testing.T) {
+	// An infinite language cannot be enumerated, so the default rule runs
+	// the dynamic filter; every match must still be canonical.
+	m := testModel(t)
+	q := SearchQuery{Query: QueryString{Pattern: "[a-z]+"}, MaxTokens: 8, MaxNodes: 3000}
+	if p, err := Explain(m, q); err != nil {
+		t.Fatal(err)
+	} else if !p.DynamicFilter {
+		t.Fatal("an infinite language must take the dynamic filter")
+	}
+	results, err := Search(m, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := results.Take(5)
+	if len(matches) == 0 {
+		t.Fatal("infinite canonical query yielded nothing")
+	}
+	for _, mt := range matches {
+		if !mt.Canonical {
+			t.Errorf("non-canonical match %q on an infinite language", mt.PatternText)
 		}
 	}
 }
@@ -373,53 +399,38 @@ func TestDedupByText(t *testing.T) {
 	}
 }
 
+// TestCanonicalStrategiesAgree: enumeration and the dynamic filter stream
+// the same matches through Search. The language has two strings, so a query
+// enumerates it; the filtered arm first puts a plan compiled with an
+// enumeration limit of 1 into its model's plan cache under the query's key.
 func TestCanonicalStrategiesAgree(t *testing.T) {
-	m := testModel(t)
-	run := func(strategy CanonicalStrategy) []string {
-		results, err := Search(m, SearchQuery{
-			Query:     QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
-			Canonical: strategy,
-		})
+	q := SearchQuery{Query: QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"}}
+	run := func(limit int) []*Match {
+		m := testModel(t)
+		key, _ := planKey(m, &q)
+		c, _, err := m.plans.get(key, func() (*compiled, error) { return compilePattern(m, q, limit) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []string
-		for _, mt := range results.Take(5) {
-			out = append(out, mt.PatternText)
+		if filtered := c.filter != nil; filtered != (limit < 2) {
+			t.Fatalf("limit %d: dynamic filter %v", limit, filtered)
 		}
-		return out
+		results, err := Search(m, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := m.PlanCacheStats(); s.Hits != 1 {
+			t.Fatalf("limit %d: Search compiled its own plan: %+v", limit, s)
+		}
+		return results.Take(5)
 	}
-	enum := run(CanonicalEnumerate)
-	pair := run(CanonicalPairwise)
-	dyn := run(CanonicalDynamic)
-	if len(enum) != 2 || len(pair) != 2 || len(dyn) != 2 {
-		t.Fatalf("strategy result counts differ: %d/%d/%d", len(enum), len(pair), len(dyn))
+	enum, dyn := run(enumerateLimit), run(1)
+	if len(enum) != 2 || len(dyn) != 2 {
+		t.Fatalf("strategy result counts differ: %d/%d", len(enum), len(dyn))
 	}
 	for i := range enum {
-		if enum[i] != pair[i] || enum[i] != dyn[i] {
-			t.Errorf("strategies disagree at %d: enum=%q pair=%q dyn=%q", i, enum[i], pair[i], dyn[i])
-		}
-	}
-}
-
-func TestCanonicalPairwiseOnInfiniteLanguage(t *testing.T) {
-	m := testModel(t)
-	results, err := Search(m, SearchQuery{
-		Query:     QueryString{Pattern: "[a-z]{1,6}"},
-		Canonical: CanonicalPairwise,
-		MaxTokens: 8,
-		MaxNodes:  3000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches := results.Take(5)
-	if len(matches) == 0 {
-		t.Fatal("pairwise canonical query yielded nothing")
-	}
-	for _, mt := range matches {
-		if !mt.Canonical {
-			t.Errorf("non-canonical match %q from pairwise construction", mt.PatternText)
+		if enum[i].PatternText != dyn[i].PatternText || enum[i].LogProb != dyn[i].LogProb || !dyn[i].Canonical {
+			t.Errorf("strategies disagree at %d: enum=%+v dyn=%+v", i, enum[i], dyn[i])
 		}
 	}
 }

@@ -216,6 +216,35 @@ func TestHasCycle(t *testing.T) {
 	}
 }
 
+func TestLongestWord(t *testing.T) {
+	for _, c := range []struct {
+		strs []string
+		want int
+	}{{nil, 0}, {[]string{""}, 0}, {[]string{"abc"}, 3}, {[]string{"a", "abcd", "xyz"}, 4}} {
+		if got := FromStrings(c.strs).LongestWord(); got != c.want {
+			t.Errorf("LongestWord(%q) = %d, want %d", c.strs, got, c.want)
+		}
+	}
+	// A dead branch longer than every accepted string does not count.
+	n := NewNFA()
+	s, acc, dead := n.AddState(false), n.AddState(true), n.AddState(false)
+	n.SetStart(s)
+	n.AddEdge(s, 'a', acc)
+	n.AddEdge(s, 'b', dead)
+	n.AddEdge(dead, 'b', n.AddState(false))
+	if got := n.Determinize().LongestWord(); got != 1 {
+		t.Errorf("LongestWord with a dead branch = %d, want 1", got)
+	}
+	n = NewNFA()
+	s = n.AddState(false)
+	n.SetStart(s)
+	n.AddEdge(s, 'a', s)
+	n.AddEdge(s, 'b', n.AddState(true))
+	if got := n.Determinize().LongestWord(); got != -1 {
+		t.Errorf("LongestWord(a*b) = %d, want -1", got)
+	}
+}
+
 func TestEnumerateShortlex(t *testing.T) {
 	d := FromStrings([]string{"b", "a", "aa", "ab"})
 	got := d.EnumerateStrings(5, 0)

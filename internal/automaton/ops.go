@@ -215,30 +215,39 @@ func (d *DFA) IsEmpty() bool { return isEmpty(d) }
 
 // HasCycle reports whether any cycle is reachable from the start state. A
 // cyclic automaton denotes an infinite language.
-func (d *DFA) HasCycle() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]byte, d.NumStates())
-	var visit func(s StateID) bool
+func (d *DFA) HasCycle() bool { return d.LongestWord() < 0 }
+
+// LongestWord returns the length of the longest string d accepts (0 when it
+// accepts none), or -1 when a cycle is reachable from the start state. On a
+// trimmed DFA, such as Minimize returns, -1 means the language is infinite.
+func (d *DFA) LongestWord() int {
+	const unseen, onPath, dead = -3, -2, -1
+	depth := make([]int, d.NumStates()) // longest accepted suffix from a state
+	for i := range depth {
+		depth[i] = unseen
+	}
+	var visit func(s StateID) bool // false once a cycle is found
 	visit = func(s StateID) bool {
-		color[s] = gray
+		depth[s] = onPath
+		best := dead
+		if d.accept[s] {
+			best = 0
+		}
 		for _, e := range d.Edges(s) {
-			switch color[e.To] {
-			case gray:
-				return true
-			case white:
-				if visit(e.To) {
-					return true
-				}
+			if depth[e.To] == onPath || depth[e.To] == unseen && !visit(e.To) {
+				return false
+			}
+			if depth[e.To] >= 0 {
+				best = max(best, depth[e.To]+1)
 			}
 		}
-		color[s] = black
-		return false
+		depth[s] = best
+		return true
 	}
-	return visit(d.start)
+	if !visit(d.start) {
+		return -1
+	}
+	return max(depth[d.start], 0)
 }
 
 // Equivalent reports whether a and b accept the same language, by checking

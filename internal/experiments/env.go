@@ -142,13 +142,13 @@ func NewEnv(cfg EnvConfig) *Env {
 	// The cache component gives the models transformer-like long-range
 	// recall (entities mentioned earlier in the context become likelier),
 	// which the LAMBADA-style cloze requires. The large model recalls more
-	// strongly, mirroring GPT-2 XL vs GPT-2.
-	large := model.TrainNGram(mix, tok, model.NGramConfig{
-		Order: cfg.LargeOrder, MaxSeqLen: cfg.MaxSeqLen, Lambda: 0.9, CacheWeight: 0.3,
-	})
-	small := model.TrainNGram(mix, tok, model.NGramConfig{
-		Order: cfg.SmallOrder, MaxSeqLen: cfg.MaxSeqLen, Lambda: 0.7, CacheWeight: 0.12,
-	})
+	// strongly, mirroring GPT-2 XL vs GPT-2. Both train on one encoding of
+	// the mix.
+	ngrams := model.TrainNGrams(mix, tok,
+		model.NGramConfig{Order: cfg.LargeOrder, MaxSeqLen: cfg.MaxSeqLen, Lambda: 0.9, CacheWeight: 0.3},
+		model.NGramConfig{Order: cfg.SmallOrder, MaxSeqLen: cfg.MaxSeqLen, Lambda: 0.7, CacheWeight: 0.12},
+	)
+	large, small := ngrams[0], ngrams[1]
 
 	env := &Env{
 		Scale:       cfg.Scale,

@@ -9,6 +9,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/tokenizer"
@@ -128,12 +129,7 @@ func (u *Uniform) MaxSeqLen() int { return u.SeqLen }
 
 // NextLogProbs implements LanguageModel.
 func (u *Uniform) NextLogProbs(ctx []Token) []float64 {
-	out := make([]float64, u.Vocab)
-	lp := -math.Log(float64(u.Vocab))
-	for i := range out {
-		out[i] = lp
-	}
-	return out
+	return slices.Repeat([]float64{-math.Log(float64(u.Vocab))}, u.Vocab)
 }
 
 // ScoreBatch implements LanguageModel.
@@ -192,16 +188,9 @@ func (t *Table) NextLogProbs(ctx []Token) []float64 {
 		kf = Key
 	}
 	if d, ok := t.Dist[kf(ctx)]; ok {
-		out := make([]float64, len(d))
-		copy(out, d)
-		return out
+		return slices.Clone(d)
 	}
-	out := make([]float64, t.Vocab)
-	lp := -math.Log(float64(t.Vocab))
-	for i := range out {
-		out[i] = lp
-	}
-	return out
+	return (&Uniform{Vocab: t.Vocab}).NextLogProbs(ctx)
 }
 
 // ScoreBatch implements LanguageModel.

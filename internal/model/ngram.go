@@ -1,6 +1,7 @@
 package model
 
 import (
+	"cmp"
 	"math"
 
 	"repro/internal/tokenizer"
@@ -59,51 +60,56 @@ type NGramConfig struct {
 // TrainNGram fits an n-gram model to the canonical token encodings of the
 // corpus lines, appending EOS to each line.
 func TrainNGram(corpus []string, tok tokenizer.Tokenizer, cfg NGramConfig) *NGram {
-	if cfg.Order < 1 {
-		cfg.Order = 3
-	}
-	if cfg.MaxSeqLen <= 0 {
-		cfg.MaxSeqLen = 64
-	}
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 0.85
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.5
-	}
-	m := &NGram{
-		order:       cfg.Order,
-		vocab:       tok.VocabSize(),
-		eos:         tok.EOS(),
-		seqLen:      cfg.MaxSeqLen,
-		lambda:      cfg.Lambda,
-		alpha:       cfg.Alpha,
-		cacheWeight: cfg.CacheWeight,
-	}
-	m.counts = make([]map[string]*sparseCounts, cfg.Order)
-	for k := 0; k < cfg.Order; k++ {
-		m.counts[k] = map[string]*sparseCounts{}
-	}
-	for _, line := range corpus {
-		seq := append(tok.Encode(line), tok.EOS())
-		m.observe(seq)
-	}
-	return m
+	return TrainNGrams(corpus, tok, cfg)[0]
 }
 
+// TrainNGrams fits one model per config to the same corpus, encoding each
+// line once for all of them.
+func TrainNGrams(corpus []string, tok tokenizer.Tokenizer, cfgs ...NGramConfig) []*NGram {
+	seqs := make([][]Token, len(corpus))
+	for i, line := range corpus {
+		seqs[i] = append(tok.Encode(line), tok.EOS())
+	}
+	models := make([]*NGram, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Order = cmp.Or(max(cfg.Order, 0), 3)
+		m := &NGram{
+			order:       cfg.Order,
+			vocab:       tok.VocabSize(),
+			eos:         tok.EOS(),
+			seqLen:      cmp.Or(max(cfg.MaxSeqLen, 0), 64),
+			lambda:      cmp.Or(cfg.Lambda, 0.85),
+			alpha:       cmp.Or(cfg.Alpha, 0.5),
+			cacheWeight: cfg.CacheWeight,
+			counts:      make([]map[string]*sparseCounts, cfg.Order),
+		}
+		for k := range m.counts {
+			m.counts[k] = map[string]*sparseCounts{}
+		}
+		for _, seq := range seqs {
+			m.observe(seq)
+		}
+		models[i] = m
+	}
+	return models
+}
+
+// observe counts each token of seq under its histories of every length the
+// model keeps. The histories are suffixes of one key, built once per token
+// in a pooled buffer, so a key string is allocated only for a new history.
 func (m *NGram) observe(seq []Token) {
-	for i := 0; i < len(seq); i++ {
-		for k := 0; k < m.order; k++ {
-			if i-k < 0 {
-				break
-			}
-			hist := Key(seq[i-k : i])
-			sc, ok := m.counts[k][hist]
+	buf := GetKeyBuf()
+	defer PutKeyBuf(buf)
+	for i, t := range seq {
+		*buf = AppendKey((*buf)[:0], seq[max(0, i-m.order+1):i])
+		for k := 0; k < m.order && k <= i; k++ {
+			hist := (*buf)[len(*buf)-2*k:]
+			sc, ok := m.counts[k][string(hist)]
 			if !ok {
 				sc = &sparseCounts{next: map[Token]int{}}
-				m.counts[k][hist] = sc
+				m.counts[k][string(hist)] = sc
 			}
-			sc.next[seq[i]]++
+			sc.next[t]++
 			sc.total++
 		}
 	}

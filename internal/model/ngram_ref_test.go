@@ -1,6 +1,10 @@
 package model
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/tokenizer"
+)
 
 // NextLogProbsRef is NGram.NextLogProbs as it stood before the row was
 // reused for the logs and the context-cache boost stopped building a map:
@@ -70,4 +74,32 @@ func (m *NGram) NextLogProbsRef(ctx []Token) []float64 {
 		out[i] = math.Log(p)
 	}
 	return out
+}
+
+// TrainNGramRef is TrainNGram as it stood before the histories were looked
+// up through one pooled key: it builds a key string for every (position,
+// history length). It is the count-table oracle for TrainNGram
+// (TestTrainNGramMatchesReference); exported only to this package's
+// external tests.
+func TrainNGramRef(corpus []string, tok tokenizer.Tokenizer, cfg NGramConfig) *NGram {
+	m := TrainNGrams(nil, tok, cfg)[0]
+	for _, line := range corpus {
+		seq := append(tok.Encode(line), tok.EOS())
+		for i := 0; i < len(seq); i++ {
+			for k := 0; k < m.order; k++ {
+				if i-k < 0 {
+					break
+				}
+				hist := Key(seq[i-k : i])
+				sc, ok := m.counts[k][hist]
+				if !ok {
+					sc = &sparseCounts{next: map[Token]int{}}
+					m.counts[k][hist] = sc
+				}
+				sc.next[seq[i]]++
+				sc.total++
+			}
+		}
+	}
+	return m
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
 )
@@ -35,7 +36,8 @@ type serializedHistory struct {
 // ngramFormat identifies the serialization schema.
 const ngramFormat = "relm-ngram-v1"
 
-// Save writes the model to w as JSON.
+// Save writes the model to w as JSON, histories and next tokens in key
+// order, so a model always writes the same bytes.
 func (m *NGram) Save(w io.Writer) error {
 	s := serializedNGram{
 		Format:      ngramFormat,
@@ -49,11 +51,12 @@ func (m *NGram) Save(w io.Writer) error {
 		Tables:      make([][]serializedHistory, m.order),
 	}
 	for k := 0; k < m.order; k++ {
-		for hist, sc := range m.counts[k] {
+		for _, hist := range slices.Sorted(maps.Keys(m.counts[k])) {
+			sc := m.counts[k][hist]
 			sh := serializedHistory{History: decodeKey(hist)}
-			for t, c := range sc.next {
+			for _, t := range slices.Sorted(maps.Keys(sc.next)) {
 				sh.Next = append(sh.Next, t)
-				sh.Counts = append(sh.Counts, c)
+				sh.Counts = append(sh.Counts, sc.next[t])
 			}
 			s.Tables[k] = append(s.Tables[k], sh)
 		}

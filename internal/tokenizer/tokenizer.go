@@ -7,12 +7,12 @@
 package tokenizer
 
 import (
+	"container/heap"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -115,6 +115,11 @@ func pretokenEnd[S string | []byte](s S, i int) int {
 // GPT-2): pre-tokenize, start from the byte alphabet, repeatedly merge the
 // most frequent adjacent pair within pre-tokens. Ties break toward the
 // lexicographically smaller pair so training is deterministic.
+//
+// Pair counts over the distinct pre-tokens (words) are kept across merges: a
+// merge recounts only the words that hold its pair, found through the pair's
+// word list, and the next pair comes off a max-heap that skips stale counts.
+// The merges are those of recounting every pair before each merge.
 func Train(corpus []string, numMerges int) *BPE {
 	b := &BPE{
 		index: make(map[string]int, numByteTokens+numMerges+1),
@@ -126,74 +131,148 @@ func Train(corpus []string, numMerges int) *BPE {
 		b.index[s] = i
 	}
 
-	// Work on token sequences per corpus line, with line frequencies folded
-	// in by deduplication.
-	type seqEntry struct {
-		toks  []Token
-		count int
-	}
-	counts := map[string]int{}
+	freq := map[string]int{}
 	for _, line := range corpus {
 		for _, pre := range Pretokenize(line) {
-			counts[pre]++
+			freq[pre]++
 		}
 	}
-	seqs := make([]seqEntry, 0, len(counts))
-	keys := make([]string, 0, len(counts))
-	for line := range counts {
-		keys = append(keys, line)
-	}
-	sort.Strings(keys)
-	for _, line := range keys {
-		toks := make([]Token, len(line))
-		for i := 0; i < len(line); i++ {
-			toks[i] = int(line[i])
+	words := make([]trainWord, 0, len(freq))
+	for w, n := range freq {
+		toks := make([]Token, len(w))
+		for i := range toks {
+			toks[i] = Token(w[i])
 		}
-		seqs = append(seqs, seqEntry{toks: toks, count: counts[line]})
+		words = append(words, trainWord{toks, n})
 	}
 
-	for m := 0; m < numMerges; m++ {
-		pairCount := map[[2]Token]int{}
-		for _, se := range seqs {
-			for i := 0; i+1 < len(se.toks); i++ {
-				pairCount[[2]Token{se.toks[i], se.toks[i+1]}] += se.count
+	stats := map[[2]Token]*pairStat{}
+	var changed [][2]Token
+	var h pairHeap
+	// tally adds sign × the frequency of word w to each pair it holds, files
+	// w under every pair that contains tok (every pair, for tok < 0) and
+	// queues each pair whose count moved in generation gen.
+	tally := func(w, sign, tok, gen int) {
+		toks := words[w].toks
+		for i := 0; i+1 < len(toks); i++ {
+			p := [2]Token{toks[i], toks[i+1]}
+			s := stats[p]
+			if s == nil {
+				s = &pairStat{gen: -1}
+				stats[p] = s
+			}
+			s.count += sign * words[w].count
+			if sign > 0 && (tok < 0 || p[0] == tok || p[1] == tok) {
+				s.words = append(s.words, int32(w))
+			}
+			if s.gen != gen {
+				s.gen = gen
+				changed = append(changed, p)
 			}
 		}
-		if len(pairCount) == 0 {
-			break
-		}
-		var best [2]Token
-		bestCount := -1
-		for p, c := range pairCount {
-			if c > bestCount || (c == bestCount && lessPair(p, best)) {
-				best, bestCount = p, c
+	}
+	requeue := func() {
+		for _, p := range changed {
+			if s := stats[p]; s.count > 0 {
+				heap.Push(&h, pairEntry{s.count, p})
+			} else {
+				delete(stats, p)
 			}
 		}
-		if bestCount < 2 {
+		changed = changed[:0]
+	}
+	for w := range words {
+		tally(w, 1, -1, 0)
+	}
+	requeue()
+
+	for m := 1; m <= numMerges; m++ {
+		best, ok := h.popLive(stats)
+		if !ok || best.count < 2 {
 			break // no productive merges left
 		}
-		surface := b.vocab[best[0]] + b.vocab[best[1]]
-		if _, exists := b.index[surface]; exists {
-			// The pair spells an existing token (possible when distinct merge
-			// paths converge); record the rule against the existing ID.
-			b.ranks[best] = len(b.merges)
-			b.merges = append(b.merges, mergeRule{best[0], best[1], b.index[surface]})
-		} else {
-			id := len(b.vocab)
+		surface := b.vocab[best.pair[0]] + b.vocab[best.pair[1]]
+		id, exists := b.index[surface]
+		if !exists {
+			id = len(b.vocab)
 			b.vocab = append(b.vocab, surface)
 			b.index[surface] = id
-			b.ranks[best] = len(b.merges)
-			b.merges = append(b.merges, mergeRule{best[0], best[1], id})
 		}
-		// Apply the merge to every sequence.
-		for si := range seqs {
-			seqs[si].toks = applyMerge(seqs[si].toks, best, b.index[surface])
+		// Converging merge paths record the rule against the existing ID.
+		b.ranks[best.pair] = len(b.merges)
+		b.merges = append(b.merges, mergeRule{best.pair[0], best.pair[1], id})
+		for _, w := range stats[best.pair].words {
+			if holds(words[w].toks, best.pair) {
+				tally(int(w), -1, -1, m)
+				words[w].toks = applyMerge(words[w].toks, best.pair, id)
+				tally(int(w), 1, id, m)
+			}
 		}
+		requeue()
 	}
 
 	b.eos = len(b.vocab)
 	b.vocab = append(b.vocab, "") // EOS has empty surface form
 	return b
+}
+
+// trainWord is a distinct pre-token's tokens so far and its corpus count.
+type trainWord struct {
+	toks  []Token
+	count int
+}
+
+// pairStat is a pair's count, the words that have held it since its count
+// was last 0, and the merge generation that last queued it for the heap.
+type pairStat struct {
+	count int
+	words []int32
+	gen   int
+}
+
+// holds reports whether p is adjacent somewhere in toks.
+func holds(toks []Token, p [2]Token) bool {
+	for i := 0; i+1 < len(toks); i++ {
+		if toks[i] == p[0] && toks[i+1] == p[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// pairEntry is a pair's count when it was pushed; the entry is live while
+// the count is still current.
+type pairEntry struct {
+	count int
+	pair  [2]Token
+}
+
+// pairHeap orders entries by count, highest first, then by the smaller pair:
+// the order the merge loop takes pairs in.
+type pairHeap []pairEntry
+
+func (h pairHeap) Len() int { return len(h) }
+func (h pairHeap) Less(i, j int) bool {
+	return h[i].count > h[j].count || h[i].count == h[j].count && lessPair(h[i].pair, h[j].pair)
+}
+func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pairHeap) Push(x any)   { *h = append(*h, x.(pairEntry)) }
+func (h *pairHeap) Pop() any {
+	e := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return e
+}
+
+// popLive pops entries until one whose count is current, and reports false
+// when none is left.
+func (h *pairHeap) popLive(stats map[[2]Token]*pairStat) (pairEntry, bool) {
+	for h.Len() > 0 {
+		e := heap.Pop(h).(pairEntry)
+		if s := stats[e.pair]; s != nil && s.count == e.count {
+			return e, true
+		}
+	}
+	return pairEntry{}, false
 }
 
 func lessPair(a, b [2]Token) bool {

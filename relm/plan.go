@@ -161,11 +161,9 @@ func buildRule(q *SearchQuery) decoding.Rule {
 	return chain
 }
 
-// The bounds of a canonical language compilePattern enumerates.
-const (
-	enumerateLimit = 50000
-	patternMaxLen  = 64
-)
+// enumerateLimit bounds the strings of a canonical language compilePattern
+// enumerates.
+const enumerateLimit = 50000
 
 // compilePattern runs §3.1's pipeline up to the LLM automaton. The char
 // automaton is minimized after preprocessors run: regex.Compile and the
@@ -179,11 +177,11 @@ const (
 // one canonical numbering, so the frozen plan is a function of the language,
 // not of the route that built it.
 //
-// Canonical tokenization has one rule (§3.2, DESIGN.md decision 2): a
-// language of at most limit strings of at most patternMaxLen bytes is
-// enumerated and encoded; any other is the full automaton traversed under
-// the runtime canonicality filter. Queries pass enumerateLimit; a test may
-// pass less to take the filter on a small language.
+// Canonical tokenization has one rule (§3.2, DESIGN.md decision 2): a finite
+// language of at most limit strings is enumerated in full and encoded; an
+// infinite or larger one is the full automaton traversed under the runtime
+// canonicality filter. Queries pass enumerateLimit; a test may pass less to
+// take the filter on a small language.
 func compilePattern(m *Model, q SearchQuery, limit int) (*compiled, error) {
 	charDFA, err := regex.Compile(q.Query.Pattern)
 	if err != nil {
@@ -201,8 +199,11 @@ func compilePattern(m *Model, q SearchQuery, limit int) (*compiled, error) {
 	var token *automaton.DFA
 	switch q.Tokenization {
 	case CanonicalTokens:
-		token, err = compiler.CompileCanonical(charDFA, m.Tok, patternMaxLen, limit)
-		if errors.Is(err, compiler.ErrLanguageTooLarge) {
+		longest := charDFA.LongestWord() // -1: the language is infinite
+		if longest >= 0 {
+			token, err = compiler.CompileCanonical(charDFA, m.Tok, longest, limit)
+		}
+		if longest < 0 || errors.Is(err, compiler.ErrLanguageTooLarge) {
 			token, err = compiler.CompileFull(charDFA, m.Tok), nil
 			c.filter = compiler.NewCanonicalFilter(m.Tok)
 		}
@@ -229,8 +230,8 @@ type Plan struct {
 	CharStates, CharEdges int
 	// TokenStates and TokenEdges size the compiled LLM automaton.
 	TokenStates, TokenEdges int
-	// LanguageSize counts pattern strings up to 64 bytes (-1 when the count
-	// overflows int64).
+	// LanguageSize counts the pattern's strings: -1 when the language is
+	// infinite or its count overflows int64.
 	LanguageSize int64
 	// Encodings counts token paths through the LLM automaton up to
 	// MaxTokens (or the horizon below), measuring encoding ambiguity:
@@ -240,7 +241,8 @@ type Plan struct {
 	// Tokenization echoes the query's strategy.
 	Tokenization TokenizationStrategy
 	// DynamicFilter reports that runtime canonicality pruning is active: the
-	// query is canonical and its language too large to enumerate.
+	// query is canonical and its language infinite or too large to
+	// enumerate.
 	DynamicFilter bool
 	// PrefixStrings counts the enumerated prefix language (0 when the
 	// query has no prefix; -1 when the prefix language exceeds the limit).
@@ -359,7 +361,10 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 		PlanCacheHit:  r.hit,
 	}
 	p.PlanCache = m.PlanCacheStats()
-	p.LanguageSize = r.comp.char.LanguageSize(patternMaxLen)
+	p.LanguageSize = -1
+	if longest := r.comp.char.LongestWord(); longest >= 0 {
+		p.LanguageSize = r.comp.char.LanguageSize(longest)
+	}
 	p.Encodings = compiler.CountEncodings(r.comp.token, r.eq.MaxTokens)
 
 	if r.prefix != nil {
@@ -368,18 +373,21 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 		case -1:
 			p.Warnings = append(p.Warnings, fmt.Sprintf("prefix language exceeds PrefixLimit=%d; Search will refuse deterministic traversals", q.PrefixLimit))
 		case 0:
-			p.Warnings = append(p.Warnings, "prefix language is empty; Search will fail")
+			p.Warnings = append(p.Warnings, r.prefix.emptyReason()+"; Search will fail")
+		}
+		if r.prefix.char.HasCycle() {
+			p.Warnings = append(p.Warnings, fmt.Sprintf("prefix language is infinite; only its strings of at most PrefixMaxLen=%d bytes are used", q.PrefixMaxLen))
 		}
 	}
 
 	if r.comp.token.IsEmpty() {
 		p.Warnings = append(p.Warnings, "pattern language is empty in token space; the query yields no matches")
 	}
-	if p.LanguageSize == 0 && !r.comp.char.HasCycle() {
+	if p.LanguageSize == 0 {
 		p.Warnings = append(p.Warnings, "pattern language is empty")
 	}
 	if p.DynamicFilter {
-		p.Warnings = append(p.Warnings, fmt.Sprintf("pattern language exceeds %d strings of at most %d bytes; canonicality is checked at runtime, re-encoding partial matches", enumerateLimit, patternMaxLen))
+		p.Warnings = append(p.Warnings, fmt.Sprintf("pattern language is infinite or exceeds %d strings; canonicality is checked at runtime, re-encoding partial matches", enumerateLimit))
 	}
 	if q.Tokenization == AllTokens && p.LanguageSize > 0 && p.Encodings >= 0 && p.Encodings > 8*p.LanguageSize {
 		p.Warnings = append(p.Warnings, fmt.Sprintf("high encoding ambiguity (%d encodings for %d strings); deduplicate with DedupByText", p.Encodings, p.LanguageSize))

@@ -287,3 +287,61 @@ func TestExplainDescribesTheRun(t *testing.T) {
 		t.Error("no all-encodings arm emitted a non-canonical encoding: the filter check is vacuous")
 	}
 }
+
+// TestLongLiteralIsSearchable: a finite pattern is enumerated in full, so a
+// literal longer than any fixed byte budget (95 bytes here) compiles to a
+// plan that accepts it, and Search returns it.
+func TestLongLiteralIsSearchable(t *testing.T) {
+	m := testModel(t)
+	lit := strings.Repeat("the cat sat on the mat ", 5)[:95]
+	q := SearchQuery{Query: QueryString{Pattern: lit}}
+	p, err := Explain(m, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.LanguageSize != 1 || p.DynamicFilter {
+		t.Fatalf("plan of a 95-byte literal: language size %d, dynamic filter %v; want 1, enumerated", p.LanguageSize, p.DynamicFilter)
+	}
+	results, err := Search(m, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := results.Take(2)
+	if len(got) != 1 || got[0].Text != lit {
+		t.Fatalf("Search(%q) = %v, want the literal once (err %v)", lit, got, results.Err())
+	}
+}
+
+// TestCyclicPlanKeepsLongMembers: an infinite pattern is never enumerated
+// up to a byte budget, so its plan accepts the canonical encoding of members
+// of every length, here one of 71 bytes.
+func TestCyclicPlanKeepsLongMembers(t *testing.T) {
+	m := testModel(t)
+	q := SearchQuery{Query: QueryString{Pattern: "(the )+cat"}}
+	p, err := Explain(m, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.LanguageSize != -1 || !p.DynamicFilter {
+		t.Fatalf("plan of (the )+cat: language size %d, dynamic filter %v; want -1, dynamic", p.LanguageSize, p.DynamicFilter)
+	}
+	c, err := compilePattern(m, q, enumerateLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 16, 17, 40} {
+		s := strings.Repeat("the ", n) + "cat"
+		toks := m.Tok.Encode(s)
+		if !c.token.MatchSymbols(toks) {
+			t.Fatalf("%d-byte member %q: token automaton rejects its canonical encoding", len(s), s)
+		}
+		for i := 1; i <= len(toks); i++ {
+			if !c.filter.AllowPartial(toks[:i]) {
+				t.Fatalf("%d-byte member: the runtime filter prunes its canonical encoding at token %d", len(s), i)
+			}
+		}
+		if !c.filter.AllowFinal(toks) {
+			t.Fatalf("%d-byte member: the runtime filter rejects its canonical encoding", len(s))
+		}
+	}
+}

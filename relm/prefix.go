@@ -88,13 +88,22 @@ func (p *prefixLanguage) encode() ([][]model.Token, error) {
 	}
 	strs := p.char.EnumerateStrings(p.maxLen, p.limit+1)
 	if len(strs) == 0 {
-		return nil, errors.New("relm: prefix language is empty")
+		return nil, errors.New("relm: " + p.emptyReason())
 	}
 	out := make([][]model.Token, len(strs))
 	for i, s := range strs {
 		out[i] = p.tok.Encode(s)
 	}
 	return out, nil
+}
+
+// emptyReason says why the prefix language has no string to use: the regex
+// denotes none, or none fits the byte budget.
+func (p *prefixLanguage) emptyReason() string {
+	if p.char.IsEmpty() {
+		return "prefix language is empty"
+	}
+	return fmt.Sprintf("prefix language is empty under PrefixMaxLen=%d: every string is longer", p.maxLen)
 }
 
 // Walks returns the walk counts random sampling draws prefixes from: each

@@ -3,6 +3,7 @@ package relm
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -235,5 +236,38 @@ func TestWarmPrefixAllocatesNoCompilation(t *testing.T) {
 	resolve()
 	if allocs := testing.AllocsPerRun(100, resolve); allocs > 1 {
 		t.Fatalf("a warm prefix lookup allocates %v times, want at most 1 (its key)", allocs)
+	}
+}
+
+// TestPrefixBudgetIsVisible: a literal prefix longer than PrefixMaxLen fails
+// with an error naming the budget, and Explain warns when a cyclic prefix is
+// cut at it.
+func TestPrefixBudgetIsVisible(t *testing.T) {
+	m := testModel(t)
+	long := SearchQuery{Query: QueryString{Pattern: " cat", Prefix: "The cat sat on the mat"}, PrefixMaxLen: 10}
+	if _, err := Search(m, long); err == nil || !strings.Contains(err.Error(), "PrefixMaxLen=10") {
+		t.Fatalf("a 22-byte prefix under PrefixMaxLen=10: error %v, want one naming PrefixMaxLen=10", err)
+	}
+	p, err := Explain(m, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(p.Warnings, func(w string) bool { return strings.Contains(w, "PrefixMaxLen=10") }) {
+		t.Fatalf("Explain of a prefix past PrefixMaxLen: warnings %q name no budget", p.Warnings)
+	}
+	for _, c := range []struct {
+		prefix string
+		warn   bool
+	}{{"The (cat )+", true}, {"The (cat|dog)", false}} {
+		p, err := Explain(m, SearchQuery{Query: QueryString{Pattern: "sat", Prefix: c.prefix}, PrefixMaxLen: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := slices.ContainsFunc(p.Warnings, func(w string) bool {
+			return strings.Contains(w, "infinite") && strings.Contains(w, "PrefixMaxLen=20")
+		})
+		if cut != c.warn {
+			t.Errorf("prefix %q: cut warning %v, want %v (warnings %q)", c.prefix, cut, c.warn, p.Warnings)
+		}
 	}
 }

@@ -11,10 +11,10 @@
 // size per device round (0 = the device's batch limit; 1 = one-at-a-time
 // "sequential" expansion), and -parallelism sets the worker-pool width for
 // both batch scoring and frontier expansion (default: all CPUs). At a fixed
-// batch size, deterministic traversals return identical results at any
-// parallelism. Changing -batch keeps the sequence of log-probabilities: costs
-// never decrease along a path, so it can swap only results of equal
-// probability.
+// batch size, every traversal returns identical results at any parallelism;
+// -strategy random's draws depend on -seed alone. Changing -batch keeps the
+// sequence of log-probabilities: costs never decrease along a path, so it
+// can swap only results of equal probability.
 package main
 
 import (
@@ -45,14 +45,8 @@ func main() {
 	artifacts := flag.String("artifacts", "", "load tokenizer.json and model.json from this directory (from relm-train) instead of retraining")
 	batch := flag.Int("batch", 0, "frontier batch size per device round (0 = device batch limit, 1 = sequential expansion)")
 	incremental := flag.Bool("incremental", false, "KV-cache prefix-state reuse across the frontier (byte-identical results; effective on prefix-stateful models, e.g. -artifacts from relm-train -arch transformer)")
-	par := flag.Int("parallelism", runtime.NumCPU(), "worker-pool width for batch scoring and frontier expansion (1 = serial); random-strategy draws depend on (seed, parallelism), so -strategy random keeps parallelism 1 unless this flag is set explicitly")
+	par := flag.Int("parallelism", runtime.NumCPU(), "worker-pool width for batch scoring and frontier expansion (1 = serial)")
 	flag.Parse()
-	parSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "parallelism" {
-			parSet = true
-		}
-	})
 
 	if *pattern == "" {
 		fmt.Fprintln(os.Stderr, "usage: relm -pattern <regex> [-prefix <regex>] [flags]")
@@ -78,13 +72,6 @@ func main() {
 	}
 	if *strategy == "random" {
 		q.Strategy = relm.RandomSampling
-		// Sampling draws are reproducible per (seed, parallelism): keep the
-		// draw sequence machine-independent for a fixed -seed unless the
-		// user opted into parallel waves explicitly. Device workers are
-		// unaffected (scoring parallelism never changes results).
-		if !parSet {
-			q.Parallelism = 1
-		}
 	}
 	if *tokenization == "all" {
 		q.Tokenization = relm.AllTokens

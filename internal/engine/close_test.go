@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"repro/internal/compiler"
@@ -24,7 +23,7 @@ func TestCloseBeforeNext(t *testing.T) {
 		"dijkstra": ShortestPath(env.dev, &Query{Pattern: pat}),
 		"beam":     Beam(env.dev, &Query{Pattern: pat}, BeamOptions{Width: 8}),
 		"sampler": Sample(env.dev, &Query{Pattern: pat},
-			SamplerOptions{Rng: rand.New(rand.NewSource(1))}),
+			SamplerOptions{Seed: 1}),
 	}
 	for name, s := range streams {
 		if err := s.Close(); err != nil {

@@ -205,67 +205,102 @@ func loopPattern(syms int) *automaton.Frozen {
 	return pat.Freeze()
 }
 
+// fuzzQuery decodes a fuzzed model and query. The first bytes choose the
+// vocabulary (2 to 8 symbols and EOS), the pattern (a chain of depth 1 to 4,
+// or a two-state loop), BatchExpand (1 to 8), Parallelism (1 or 4),
+// RequireEOS, a top-k rule, a prefix set and a MaxNodes cap; the rest are the
+// rows' weights, in steps of -0.5 from 0 to -3.5, so costs tie often. ok is
+// false when the input is too short to decode.
+func fuzzQuery(shape, weights []byte) (lm *fuzzLM, q Query, ok bool) {
+	if len(shape) < 4 || len(weights) == 0 {
+		return nil, q, false
+	}
+	syms := 2 + int(shape[0])%7
+	flags := shape[1]
+	depth := 1 + int(shape[3])%4
+	lm = &fuzzLM{Uniform: model.Uniform{Vocab: syms + 1, EOSTok: syms, SeqLen: 16}}
+	for row, k := 0, 0; row <= syms+1; row++ {
+		w := make([]float64, syms+1)
+		for i := range w {
+			w[i] = -float64(weights[k%len(weights)]%8) / 2
+			k++
+		}
+		lm.weights = append(lm.weights, w)
+	}
+	q = Query{
+		Pattern: chainPattern(syms, depth), RequireEOS: flags&1 != 0,
+		MaxTokens: depth + 2, BatchExpand: 1 + int(shape[2])%8, Parallelism: 1,
+	}
+	if flags&4 != 0 {
+		q.Pattern = loopPattern(syms)
+	}
+	if flags&2 != 0 {
+		q.Parallelism = 4
+	}
+	if flags&8 != 0 {
+		q.Rule = decoding.TopK{K: 1 + depth}
+	}
+	if flags&16 != 0 {
+		q.Prefixes = [][]model.Token{{0}, {1, 0}, {1}}
+	}
+	if len(shape) > 4 {
+		q.MaxNodes = int(shape[4]) % 48
+	}
+	return lm, q, true
+}
+
 // FuzzLazyFrontier: on row weights, patterns and execution settings drawn
-// from the input, shortest path emits exactly what the eager reference does,
-// expands the same nodes, and asks the device for exactly the rows it counts,
-// no more than the reference scores. The first bytes choose the vocabulary
-// (2 to 8 symbols and EOS), the pattern (a chain of depth 1 to 4, or a
-// two-state loop), BatchExpand (1 to 8), Parallelism (1 or 4), RequireEOS, a
-// top-k rule, a prefix set and a MaxNodes cap; the rest are the rows'
-// weights, in steps of -0.5 from 0 to -3.5, so costs tie often.
+// from the input (fuzzQuery), shortest path emits exactly what the eager
+// reference does, expands the same nodes, and asks the device for exactly the
+// rows it counts, no more than the reference scores.
 func FuzzLazyFrontier(f *testing.F) {
 	f.Add([]byte("\x03\x00\x04\x02"), []byte{0, 1, 2, 0, 1, 2, 0})
 	f.Add([]byte("\x06\x1f\x00\x03"), []byte{0})
 	f.Add([]byte("\x02\x0a\x07\x01"), []byte{7, 0, 3, 3, 0, 1, 6, 2, 2, 5})
 	f.Fuzz(func(t *testing.T, shape, weights []byte) {
-		if len(shape) < 4 || len(weights) == 0 {
+		lm, q, ok := fuzzQuery(shape, weights)
+		if !ok {
 			return
 		}
-		syms := 2 + int(shape[0])%7
-		flags := shape[1]
-		batch := 1 + int(shape[2])%8
-		depth := 1 + int(shape[3])%4
-		lm := &fuzzLM{Uniform: model.Uniform{Vocab: syms + 1, EOSTok: syms, SeqLen: 16}}
-		for row, k := 0, 0; row <= syms+1; row++ {
-			w := make([]float64, syms+1)
-			for i := range w {
-				w[i] = -float64(weights[k%len(weights)]%8) / 2
-				k++
-			}
-			lm.weights = append(lm.weights, w)
-		}
-		pat := chainPattern(syms, depth)
-		if flags&4 != 0 {
-			pat = loopPattern(syms)
-		}
-		workers := 1
-		if flags&2 != 0 {
-			workers = 4
-		}
-		var rule decoding.Rule
-		if flags&8 != 0 {
-			rule = decoding.TopK{K: 1 + depth}
-		}
-		var prefixes [][]model.Token
-		if flags&16 != 0 {
-			prefixes = [][]model.Token{{0}, {1, 0}, {1}}
-		}
-		maxNodes := 0
-		if len(shape) > 4 {
-			maxNodes = int(shape[4]) % 48
-		}
 		dev := countingDevice(lm, 8)
-		query := func() *Query {
-			return &Query{
-				Pattern: pat, Prefixes: prefixes, Rule: rule, RequireEOS: flags&1 != 0,
-				MaxTokens: depth + 2, MaxNodes: maxNodes, BatchExpand: batch, Parallelism: workers,
-			}
-		}
+		query := func() *Query { cp := q; return &cp }
 		got, gotStats := drainResults(t, ShortestPath(dev, query()), 40)
 		asked := rowsAsked(dev)
 		want, wantStats := refShortestPath(dev, query(), 40)
 		sameResults(t, "lazy", resultRows(got), resultRows(want))
 		lazyStats(t, "lazy", gotStats, wantStats, asked)
+	})
+}
+
+// FuzzSamplerWidth: on the models and queries FuzzLazyFrontier decodes, the
+// sampler emits the same stream at width 1 and width 4, draw for draw, up to
+// and including ErrExhausted. Dead ends (a top-k rule pruning the pattern, a
+// loop cut at MaxTokens) reject attempts, and the attempt budget (1 to 4,
+// from the BatchExpand byte) is small, so many inputs exhaust. The MaxNodes
+// byte is the seed.
+func FuzzSamplerWidth(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape, weights []byte) {
+		lm, q, ok := fuzzQuery(shape, weights)
+		if !ok {
+			return
+		}
+		dev := device.New(lm, device.DefaultLatency(), 8)
+		stream := func(width int) []string {
+			cp := q
+			cp.Parallelism = width
+			s := Sample(dev, &cp, SamplerOptions{Seed: int64(q.MaxNodes), MaxAttemptsPerResult: 1 + q.BatchExpand%4})
+			defer s.Close()
+			var rows []string
+			for range 40 {
+				r, err := s.Next()
+				if err != nil {
+					return append(rows, err.Error())
+				}
+				rows = append(rows, resultKey(r))
+			}
+			return rows
+		}
+		sameResults(t, "width 4", stream(4), stream(1))
 	})
 }
 

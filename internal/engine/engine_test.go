@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/automaton"
@@ -357,7 +356,7 @@ func TestSamplerRespectsAutomaton(t *testing.T) {
 	s := Sample(env.dev, &Query{
 		Pattern:  pat.Freeze(),
 		Prefixes: [][]model.Token{prefix},
-	}, SamplerOptions{Rng: rand.New(rand.NewSource(5))})
+	}, SamplerOptions{Seed: 5})
 	seen := map[string]int{}
 	for i := 0; i < 60; i++ {
 		r, err := s.Next()
@@ -389,7 +388,7 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 	dev := device.New(m, device.DefaultLatency(), 8)
 	walks := automaton.NewWalkCounter(prefDFA.Freeze(), m.SeqLen)
 	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
-		Rng:         rand.New(rand.NewSource(3)),
+		Seed:        3,
 		PrefixWalks: walks,
 	})
 	aCount, total := 0, 2000
@@ -409,7 +408,7 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 
 	// Unnormalized sampling shows the bias (~0.5).
 	s2 := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
-		Rng:          rand.New(rand.NewSource(3)),
+		Seed:         3,
 		PrefixWalks:  walks,
 		Unnormalized: true,
 	})
@@ -443,7 +442,7 @@ func TestSamplerMatchesModelDistribution(t *testing.T) {
 	pat.AddEdge(p0, 1, p1)
 	pat.SetStart(p0)
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{Rng: rand.New(rand.NewSource(11))})
+	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{Seed: 11})
 	zero, total := 0, 4000
 	for i := 0; i < total; i++ {
 		r, err := s.Next()
@@ -474,7 +473,7 @@ func TestSamplerDeadEndRejection(t *testing.T) {
 	pat.SetStart(p0)
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := Sample(dev, &Query{Pattern: pat.Freeze(), Rule: decoding.Greedy{}},
-		SamplerOptions{Rng: rand.New(rand.NewSource(2)), MaxAttemptsPerResult: 50})
+		SamplerOptions{Seed: 2, MaxAttemptsPerResult: 50})
 	if _, err := s.Next(); err != ErrExhausted {
 		t.Errorf("expected ErrExhausted from dead-end sampling, got %v", err)
 	}

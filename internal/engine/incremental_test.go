@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -88,8 +87,8 @@ func TestEnginesIncrementalEquivalence(t *testing.T) {
 			drain(t, Beam(env.dev, incrementalQuery(query(), kvcache.NewTiered(kvcache.Config{})), BeamOptions{Width: 6}), 12))
 
 		sameResults(t, pat+"/sampler",
-			drain(t, Sample(env.dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6),
-			drain(t, Sample(env.dev, incrementalQuery(query(), kvcache.NewTiered(kvcache.Config{})), SamplerOptions{Rng: rand.New(rand.NewSource(7))}), 6))
+			drain(t, Sample(env.dev, query(), SamplerOptions{Seed: 7}), 6),
+			drain(t, Sample(env.dev, incrementalQuery(query(), kvcache.NewTiered(kvcache.Config{})), SamplerOptions{Seed: 7}), 6))
 
 		mq := func() *Query { q := query(); q.MaxNodes = 4000; return q }
 		mf := must(Mass(env.dev, mq(), MassOptions{Tolerance: 1e-6}))
@@ -133,8 +132,8 @@ func TestTransformerIncrementalEquivalence(t *testing.T) {
 
 	kv2 := kvcache.NewTiered(kvcache.Config{})
 	sameResults(t, "transformer/sampler",
-		drain(t, Sample(env.dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(3))}), 5),
-		drain(t, Sample(env.coldDev(), incrementalQuery(query(), kv2), SamplerOptions{Rng: rand.New(rand.NewSource(3))}), 5))
+		drain(t, Sample(env.dev, query(), SamplerOptions{Seed: 3}), 5),
+		drain(t, Sample(env.coldDev(), incrementalQuery(query(), kv2), SamplerOptions{Seed: 3}), 5))
 	if s := kv2.Stats(); s.Commits == 0 {
 		t.Fatalf("arena never served the sampler: %+v", s)
 	}

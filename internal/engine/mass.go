@@ -180,8 +180,8 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 	if res.Upper-res.Lower <= opts.Tolerance {
 		res.Converged = true
 	}
-	if res.Upper > 1 {
-		res.Upper = 1 // float accumulation can nudge past certainty
-	}
+	// Float accumulation can nudge Upper past certainty, and the running
+	// frontier sum's subtractions can leave it below Lower.
+	res.Upper = min(max(res.Upper, res.Lower), 1)
 	return res, nil
 }

@@ -66,6 +66,23 @@ func TestMassBoundsAreSound(t *testing.T) {
 	}
 }
 
+// TestMassUpperNotBelowLower: the running frontier sum drifts under
+// subtraction, and on a tie-dense chain it ended below zero, so Upper came
+// out below Lower (0.16616942188066325 against 0.16616942188066372). Upper
+// is clamped to at least Lower, as it is to at most 1.
+func TestMassUpperNotBelowLower(t *testing.T) {
+	lm := &rowLM{model.Uniform{Vocab: 9, EOSTok: 8, SeqLen: 16}, []float64{0, 0, 0, 0, -1, -1, -1, -1, -1}}
+	dev := device.New(lm, device.DefaultLatency(), 8)
+	q := &Query{Pattern: chainPattern(8, 3), BatchExpand: 1, MaxNodes: 600}
+	res := must(Mass(dev, q, MassOptions{Tolerance: 1e-6}))
+	if res.Lower < 0 || res.Upper > 1 || res.Lower > res.Upper {
+		t.Fatalf("unsound bounds [%v, %v]", res.Lower, res.Upper)
+	}
+	if !res.Converged {
+		t.Fatalf("bounds [%v, %v] did not converge", res.Lower, res.Upper)
+	}
+}
+
 func TestMassConvergesWithBudget(t *testing.T) {
 	dev := uniformDevice(4)
 	n := automaton.NewNFA()

@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -186,7 +186,7 @@ func TestSamplerCancellation(t *testing.T) {
 		Context:     ctx,
 		Parallelism: 4,
 	}
-	s := Sample(env.dev, q, SamplerOptions{Rng: rand.New(rand.NewSource(7))})
+	s := Sample(env.dev, q, SamplerOptions{Seed: 7})
 	if _, err := s.Next(); err != nil {
 		t.Fatalf("draw before cancel: %v", err)
 	}
@@ -219,8 +219,9 @@ func TestMassCancellation(t *testing.T) {
 	}
 }
 
-// TestSamplerParallelReproducible: for a fixed (seed, parallelism) the
-// parallel sampler emits the same draw sequence on every run.
+// TestSamplerParallelReproducible: attempt i draws from (seed, i) alone, so
+// the sampler emits the same draws and log-probabilities at every worker
+// count, and a rerun at width 1 repeats them.
 func TestSamplerParallelReproducible(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile(" was trained in ((engineering)|(medicine)|(art))")
@@ -228,23 +229,20 @@ func TestSamplerParallelReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	draw := func() []Result {
+	draw := func(par int) []string {
 		q := &Query{
 			Pattern:     pat.Freeze(),
 			Prefixes:    [][]model.Token{env.tok.Encode("The man")},
-			Parallelism: 4,
+			Parallelism: par,
 		}
-		s := Sample(env.dev, q, SamplerOptions{Rng: rand.New(rand.NewSource(42))})
-		return sequences(t, s, 5)
+		return resultRows(sequences(t, Sample(env.dev, q, SamplerOptions{Seed: 42}), 12))
 	}
-	a, b := draw(), draw()
-	if len(a) != 5 || len(b) != 5 {
-		t.Fatalf("draw counts: %d, %d, want 5", len(a), len(b))
+	want := draw(1)
+	if len(want) != 12 {
+		t.Fatalf("%d draws at width 1, want 12", len(want))
 	}
-	for i := range a {
-		if string(tokKey(a[i].Tokens())) != string(tokKey(b[i].Tokens())) {
-			t.Fatalf("parallel sampler draw %d not reproducible", i)
-		}
+	for _, par := range []int{1, 2, 4, 8} {
+		sameResults(t, fmt.Sprintf("width %d", par), draw(par), want)
 	}
 }
 

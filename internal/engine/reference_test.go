@@ -360,9 +360,7 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 	if res.Upper-res.Lower <= opts.Tolerance {
 		res.Converged = true
 	}
-	if res.Upper > 1 {
-		res.Upper = 1
-	}
+	res.Upper = min(max(res.Upper, res.Lower), 1)
 	return res
 }
 
@@ -648,15 +646,19 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 
 	massQuery := func() *Query { q := query(); q.MaxNodes = 600; return q }
 	opts := MassOptions{Tolerance: 1e-6}
-	if gm, wm := must(Mass(dev, massQuery(), opts)), refMass(dev, massQuery(), opts); *gm != *wm {
+	gm, wm := must(Mass(dev, massQuery(), opts)), refMass(dev, massQuery(), opts)
+	if *gm != *wm {
 		t.Fatalf("%s/mass: %+v, reference %+v", name, *gm, *wm)
+	}
+	if gm.Lower < 0 || gm.Lower > gm.Upper || gm.Upper > 1 {
+		t.Fatalf("%s/mass: unsound bounds [%v, %v]", name, gm.Lower, gm.Upper)
 	}
 
 	// Sampling: the same seeded attempts through both expansions, run across
 	// the query's workers as a parallel wave would.
 	const attempts = 24
 	sampler := func() *samplerStream {
-		return Sample(dev, query(), SamplerOptions{Rng: rand.New(rand.NewSource(1))}).(*samplerStream)
+		return Sample(dev, query(), SamplerOptions{Seed: 1}).(*samplerStream)
 	}
 	walks := func(s *samplerStream, once func(*rand.Rand) (*Result, bool)) []string {
 		defer s.Close()

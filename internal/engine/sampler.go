@@ -13,9 +13,10 @@ import (
 
 // SamplerOptions configures randomized traversal.
 type SamplerOptions struct {
-	// Rng drives all randomness; required for reproducibility. With
-	// Parallelism > 1 it is consumed only to seed per-attempt generators.
-	Rng *rand.Rand
+	// Seed is the stream's only source of randomness: attempt i, numbered
+	// from 0 across all of the stream's Next calls, draws from a generator
+	// seeded from (Seed, i).
+	Seed int64
 	// PrefixWalks, when non-nil, holds the walk counts of an automaton over
 	// the prefix language, its length bound included; prefixes are drawn
 	// uniformly over its accepting walks via walk-count normalization
@@ -31,8 +32,8 @@ type SamplerOptions struct {
 	// Unnormalized switches prefix sampling to naive uniform-edge choice,
 	// reproducing the bias of Appendix C for the fig9 experiment.
 	Unnormalized bool
-	// MaxAttemptsPerResult bounds rejection-sampling retries before Next
-	// reports ErrExhausted (default 10000).
+	// MaxAttemptsPerResult bounds the consecutive failed attempts since the
+	// last success before Next reports ErrExhausted (default 10000).
 	MaxAttemptsPerResult int
 }
 
@@ -43,11 +44,10 @@ type SamplerOptions struct {
 // independent draw (§3.1: "random queries are of infinite length because of
 // resampling").
 //
-// With Query.Parallelism > 1, rejection attempts run in waves of that many
-// workers, each attempt on its own generator seeded deterministically from
-// Rng; the lowest-numbered successful attempt in a wave is emitted, so the
-// draw sequence is reproducible for a fixed (seed, parallelism) pair —
-// though it differs from the sequential sequence (DESIGN.md decision 6).
+// Rejection attempts run in waves of Query.Parallelism workers. Attempt i
+// draws from its own generator seeded from (Seed, i), and successes are
+// emitted in attempt order, so the stream is identical at any worker count
+// (DESIGN.md decision 6).
 func Sample(dev *device.Device, q *Query, opts SamplerOptions) Stream {
 	nq := normalizeQuery(dev, q)
 	if opts.MaxAttemptsPerResult <= 0 {
@@ -59,108 +59,117 @@ func Sample(dev *device.Device, q *Query, opts SamplerOptions) Stream {
 		// parent directly under the root instead.
 		dev = dev.WithTrace(nq.Trace, trace.RootID)
 	}
-	return &samplerStream{stream: stream{q: nq, dev: dev}, opts: opts}
+	s := &samplerStream{stream: stream{q: nq, dev: dev}, opts: opts, slots: make([]slot, nq.Parallelism)}
+	for i := range s.slots {
+		s.slots[i].rng = rand.New(&s.slots[i].src)
+	}
+	s.run = func(i int) {
+		sl := &s.slots[i]
+		sl.res, sl.err = s.sampleOnce(sl.rng)
+	}
+	return s
 }
 
 type samplerStream struct {
 	stream
 	opts SamplerOptions
-	// pending buffers surplus successful draws from a parallel wave. Each
-	// wave attempt is an independent seeded draw, so extra successes are
-	// themselves valid samples: emitting them on later Next calls keeps the
+	// slots run one wave's attempts, one per worker, and run(i) runs slot
+	// i's. Both live as long as the stream, so a wave allocates nothing.
+	slots []slot
+	run   func(i int)
+	// next numbers the next attempt to run; since numbers the first attempt
+	// after the last success. Exhaustion is counted by attempt number, so it
+	// lands on the same attempt at every width.
+	next, since int64
+	// pending buffers a wave's successes in attempt order. Each is an
+	// independent draw, so emitting them on later Next calls keeps the
 	// distribution and costs no extra model work.
 	pending []*Result
+}
+
+// slot is one wave position: a generator reseeded for each attempt it runs,
+// and that attempt's outcome.
+type slot struct {
+	src splitmix
+	rng *rand.Rand
+	res *Result
+	err error
 }
 
 // Next performs rejection sampling: draw a prefix, then walk the pattern
 // automaton sampling rule-filtered tokens until acceptance via EOS-weighted
 // stopping. Dead ends (all automaton edges pruned by the rule) reject the
-// attempt: sampleOnce returns neither a draw nor an error.
+// attempt: sampleOnce returns neither a draw nor an error. Stats count the
+// work done: every attempt run toward Attempts and its failures toward
+// Rejected. A failed dispatch ends the stream.
 func (s *samplerStream) Next() (*Result, error) {
 	if s.end != nil {
 		return nil, s.end
 	}
-	if s.q.Parallelism > 1 {
-		return s.nextParallel()
-	}
-	for attempt := 0; attempt < s.opts.MaxAttemptsPerResult; attempt++ {
+	for {
 		if err := s.q.Context.Err(); err != nil {
-			return nil, err
+			return nil, err // cancellation outranks buffered draws
 		}
-		s.stats.attempts.Add(1)
-		res, err := s.sampleOnce(s.opts.Rng)
-		if err != nil {
-			return nil, s.finish(err)
-		}
-		if res != nil {
+		if len(s.pending) > 0 {
+			// Shift rather than reslice, so the buffer is reused: at width 1
+			// a success costs no append.
+			res := s.pending[0]
+			n := copy(s.pending, s.pending[1:])
+			s.pending[n] = nil // the backing array must not keep an emitted result
+			s.pending = s.pending[:n]
 			s.stats.emitted.Add(1)
 			return res, nil
 		}
-		s.stats.rejected.Add(1)
-	}
-	return nil, ErrExhausted
-}
-
-// nextParallel runs rejection attempts in waves across the worker pool.
-// Per-attempt seeds are drawn from the stream RNG before the wave launches
-// and successes are consumed in attempt order, so the emitted sequence
-// depends only on (seed, parallelism), not on worker scheduling.
-//
-// Every success in a wave is kept: each attempt is an independent seeded
-// draw, so surplus successes beyond the first are buffered and emitted by
-// later Next calls at zero additional model cost. Stats account for work
-// actually performed: every computed attempt counts toward Attempts and
-// its failures toward Rejected. A failed dispatch ends the stream.
-func (s *samplerStream) nextParallel() (*Result, error) {
-	if err := s.q.Context.Err(); err != nil {
-		return nil, err // cancellation outranks buffered surplus draws
-	}
-	if len(s.pending) > 0 {
-		res := s.pending[0]
-		s.pending[0] = nil // the backing array must not keep an emitted result
-		s.pending = s.pending[1:]
-		s.stats.emitted.Add(1)
-		return res, nil
-	}
-	width := s.q.Parallelism
-	for done := 0; done < s.opts.MaxAttemptsPerResult; {
-		if err := s.q.Context.Err(); err != nil {
-			return nil, err
+		left := int64(s.opts.MaxAttemptsPerResult) - (s.next - s.since)
+		if left <= 0 {
+			s.since = s.next // a later call gets a budget of its own
+			return nil, ErrExhausted
 		}
-		wave := width
-		if rem := s.opts.MaxAttemptsPerResult - done; wave > rem {
-			wave = rem
+		wave := s.slots[:min(int64(len(s.slots)), left)]
+		for i := range wave {
+			wave[i].src = attemptSeed(s.opts.Seed, s.next+int64(i))
 		}
-		seeds := make([]int64, wave)
-		for i := range seeds {
-			seeds[i] = s.opts.Rng.Int63()
-		}
-		results := make([]*Result, wave)
-		errs := make([]error, wave)
-		parallelFor(wave, width, func(i int) {
-			results[i], errs[i] = s.sampleOnce(rand.New(rand.NewSource(seeds[i])))
-		})
-		s.stats.attempts.Add(int64(wave))
-		var winner *Result
-		for i := 0; i < wave; i++ {
+		parallelFor(len(wave), len(wave), s.run)
+		s.stats.attempts.Add(int64(len(wave)))
+		for i := range wave {
+			res, err := wave[i].res, wave[i].err
+			wave[i].res = nil // a slot keeps no result past its wave
 			switch {
-			case errs[i] != nil:
-				return nil, s.finish(errs[i])
-			case results[i] == nil:
+			case err != nil:
+				return nil, s.finish(err)
+			case res == nil:
 				s.stats.rejected.Add(1)
-			case winner == nil:
-				winner = results[i]
 			default:
-				s.pending = append(s.pending, results[i])
+				s.pending = append(s.pending, res)
+				s.since = s.next + int64(i) + 1
 			}
 		}
-		if winner != nil {
-			s.stats.emitted.Add(1)
-			return winner, nil
-		}
-		done += wave
+		s.next += int64(len(wave))
 	}
-	return nil, ErrExhausted
+}
+
+// splitmix is a splitmix64 generator: a Weyl sequence through mix64. As a
+// math/rand source it is 8 bytes, and reseeding it is a store.
+type splitmix uint64
+
+func (s *splitmix) Int63() int64 {
+	*s += 0x9e3779b97f4a7c15
+	return int64(mix64(uint64(*s)) >> 1)
+}
+
+func (s *splitmix) Seed(seed int64) { *s = splitmix(seed) }
+
+// mix64 is splitmix64's finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// attemptSeed is the generator state attempt i of a stream seeded with seed
+// starts from.
+func attemptSeed(seed, i int64) splitmix {
+	return splitmix(mix64(mix64(uint64(seed)) + uint64(i)))
 }
 
 func (s *samplerStream) samplePrefix(rng *rand.Rand) ([]model.Token, bool) {

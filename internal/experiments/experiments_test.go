@@ -87,7 +87,9 @@ func TestMemorizationShape(t *testing.T) {
 
 func TestBiasShape(t *testing.T) {
 	env := sharedEnv(t)
-	res, err := RunBias(env, BiasConfig{SamplesPerGender: 120})
+	// 360 draws per gender: at 120 the canonical cell's p-value missed the
+	// -2 bound on ~10 % of sampling seeds, for any generator.
+	res, err := RunBias(env, BiasConfig{SamplesPerGender: 360})
 	if err != nil {
 		t.Fatal(err)
 	}

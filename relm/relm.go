@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -142,8 +141,8 @@ type SearchQuery struct {
 	BatchExpand int
 	// Parallelism bounds the engine-side worker pool that rule-filters and
 	// expands each scored batch (0 or 1: single-threaded expansion).
-	// Deterministic traversals emit the same results at any setting; random
-	// sampling draws reproducibly per (Seed, Parallelism) pair. Pair with
+	// Every traversal emits the same results at any setting, random sampling
+	// included: its draws depend on Seed alone. Pair with
 	// ModelOptions.Parallelism, which parallelizes the scoring itself
 	// (DESIGN.md decision 6). engine.EffectiveParallelism.
 	Parallelism int
@@ -654,7 +653,7 @@ func Search(m *Model, q SearchQuery) (*Results, error) {
 	case BeamSearch:
 		stream = engine.Beam(m.Dev, &r.eq, engine.BeamOptions{Width: r.eq.BatchExpand})
 	case RandomSampling:
-		opts := engine.SamplerOptions{Rng: rand.New(rand.NewSource(q.Seed))}
+		opts := engine.SamplerOptions{Seed: q.Seed}
 		if r.walks != nil {
 			// Sample prefixes uniformly over the *byte-level* prefix
 			// automaton (each string is exactly one byte path, giving the

@@ -273,7 +273,7 @@ func TestCanonicalFallbackToDynamicFilter(t *testing.T) {
 	}
 }
 
-func TestCanonicalPairwiseOnInfiniteLanguage(t *testing.T) {
+func TestInfiniteLanguageTakesDynamicFilter(t *testing.T) {
 	// An infinite language cannot be enumerated, so the default rule runs
 	// the dynamic filter; every match must still be canonical.
 	m := testModel(t)

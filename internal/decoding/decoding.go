@@ -32,20 +32,24 @@ func ranksBefore(lp []float64, a, b int32) bool {
 	return lp[a] > lp[b] || (lp[a] == lp[b] && a < b)
 }
 
-// selector is a Rule that only chooses which tokens stay: apply is "retain
-// keep(lp), renormalize", and consumers that need membership alone
-// (SupportOf) stop after keep.
-type selector interface {
-	// keep returns the surviving tokens in sc's storage, or nil when the rule
-	// is a no-op on lp (every finite entry stays).
-	keep(lp []float64, sc *scratch) tokenSet
+// within reports whether tok survives a selection whose last kept token
+// under ranksBefore is cut.
+func within(lp []float64, tok, cut int32) bool {
+	return tok == cut || ranksBefore(lp, tok, cut)
 }
 
-// tokenSet is a bitset over token ids.
-type tokenSet []uint64
+// none is the cutoff of a selection that keeps every finite entry.
+const none int32 = -1
 
-func (s tokenSet) add(tok int32)    { s[tok>>6] |= 1 << (tok & 63) }
-func (s tokenSet) has(tok int) bool { return s[tok>>6]>>(tok&63)&1 != 0 }
+// selector is a Rule that only chooses which tokens stay, and what it keeps
+// is a prefix of ranksBefore's order over the finite entries: apply is
+// "retain up to cut(lp), renormalize", and consumers that need membership
+// alone (SupportOf) stop after cut.
+type selector interface {
+	// cut returns the last token the rule keeps under ranksBefore, or none
+	// when the rule is a no-op on lp. Its heap works in sc's storage.
+	cut(lp []float64, sc *scratch) int32
+}
 
 // rankHeap is a binary heap of token ids under ranksBefore: the best-ranked
 // id at the root, or the worst-ranked when worstFirst.
@@ -100,33 +104,25 @@ func (h *rankHeap) pop() int32 {
 	return root
 }
 
-// scratch is the storage one selection works in: the heap's ids, the kept
-// set, and the reweighted row a chain's leading rules leave. It is drawn from
-// a pool and outlives the call only inside a Support, until Release.
-type scratch struct {
-	ids  []int32
-	kept tokenSet
-	row  []float64
-}
+// scratch is the storage one selection's heap works in. It is drawn from a
+// pool and handed back before the selection returns.
+type scratch struct{ ids []int32 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-// set returns sc's kept set, empty and sized for vocab tokens.
-func (sc *scratch) set(vocab int) tokenSet {
-	n := (vocab + 63) / 64
-	if cap(sc.kept) < n {
-		sc.kept = make(tokenSet, n)
-	}
-	sc.kept = sc.kept[:n]
-	clear(sc.kept)
-	return sc.kept
+// cutOf runs r's selection on lp in pooled storage.
+func cutOf(r selector, lp []float64) int32 {
+	sc := scratches.Get().(*scratch)
+	cut := r.cut(lp, sc)
+	scratches.Put(sc)
+	return cut
 }
 
-// retain sets every entry of lp outside kept to -Inf and renormalizes the
-// rest.
-func retain(lp []float64, kept tokenSet) {
+// retain sets every entry of lp past cut to -Inf and renormalizes the rest.
+// lp[cut] is never written, so the order stays readable while it is applied.
+func retain(lp []float64, cut int32) {
 	for i := range lp {
-		if !kept.has(i) {
+		if !within(lp, int32(i), cut) {
 			lp[i] = math.Inf(-1)
 		}
 	}
@@ -137,11 +133,12 @@ func retain(lp []float64, kept tokenSet) {
 // (vanilla sampling, whose language is nearly all strings — §2.4).
 type TopK struct{ K int }
 
-// keep selects in O(V log K): a K-bounded heap holds the best ids seen so far
+// cut selects in O(V log K): a K-bounded heap holds the best ids seen so far
 // with the worst of them at the root, where the next candidate displaces it.
-func (r TopK) keep(lp []float64, sc *scratch) tokenSet {
+// The root left at the end is the cutoff.
+func (r TopK) cut(lp []float64, sc *scratch) int32 {
 	if r.K <= 0 || r.K >= len(lp) {
-		return nil
+		return none
 	}
 	h := rankHeap{lp: lp, ids: sc.ids[:0], worstFirst: true}
 	for i := range lp {
@@ -156,11 +153,10 @@ func (r TopK) keep(lp []float64, sc *scratch) tokenSet {
 		}
 	}
 	sc.ids = h.ids
-	kept := sc.set(len(lp))
-	for _, id := range h.ids {
-		kept.add(id)
+	if len(h.ids) == 0 {
+		return none // every entry is impossible
 	}
-	return kept
+	return h.ids[0]
 }
 
 // apply implements Rule.
@@ -173,11 +169,11 @@ func (r TopK) Name() string { return "top-k" }
 // P (nucleus sampling), renormalized. P >= 1 or <= 0 is a no-op.
 type TopP struct{ P float64 }
 
-// keep heapifies the finite entries and pops the nucleus off the top, so
-// only the kept tokens are ever put in order.
-func (r TopP) keep(lp []float64, sc *scratch) tokenSet {
+// cut heapifies the finite entries and pops the nucleus off the top, so
+// only the kept tokens are ever put in order. The last pop is the cutoff.
+func (r TopP) cut(lp []float64, sc *scratch) int32 {
 	if r.P <= 0 || r.P >= 1 {
-		return nil
+		return none
 	}
 	h := rankHeap{lp: lp, ids: sc.ids[:0]}
 	for i := range lp {
@@ -185,14 +181,13 @@ func (r TopP) keep(lp []float64, sc *scratch) tokenSet {
 			h.push(int32(i))
 		}
 	}
-	kept := sc.set(len(lp))
+	cut := none
 	for cum := 0.0; len(h.ids) > 0 && cum < r.P; {
-		id := h.pop()
-		kept.add(id)
-		cum += math.Exp(lp[id])
+		cut = h.pop()
+		cum += math.Exp(lp[cut])
 	}
 	sc.ids = h.ids
-	return kept
+	return cut
 }
 
 // apply implements Rule.
@@ -204,7 +199,7 @@ func (r TopP) Name() string { return "top-p" }
 // Greedy keeps only the single most likely token (top-k with k = 1).
 type Greedy struct{}
 
-func (Greedy) keep(lp []float64, sc *scratch) tokenSet { return TopK{K: 1}.keep(lp, sc) }
+func (Greedy) cut(lp []float64, sc *scratch) int32 { return TopK{K: 1}.cut(lp, sc) }
 
 // apply implements Rule.
 func (Greedy) apply(lp []float64) { TopK{K: 1}.apply(lp) }
@@ -266,11 +261,9 @@ func (None) Name() string { return "none" }
 
 // applySelection is a selector's apply: retain its selection, renormalized.
 func applySelection(r selector, lp []float64) {
-	sc := scratches.Get().(*scratch)
-	if kept := r.keep(lp, sc); kept != nil {
-		retain(lp, kept)
+	if cut := cutOf(r, lp); cut != none {
+		retain(lp, cut)
 	}
-	scratches.Put(sc)
 }
 
 // Allowed returns lp with r applied: -Inf where the rule excludes a token,
@@ -291,64 +284,42 @@ func Allowed(r Rule, lp, dst []float64) []float64 {
 
 // Support is the set of tokens a rule leaves in the model's language at one
 // step — Allowed's finite entries without their reweighted values, which
-// shortest path, beam and Mass never read.
+// shortest path, beam and Mass never read. It is a plain value: the row the
+// rule ranks on and the rule's cutoff in it.
 type Support struct {
-	dense []float64 // member iff finite; used when kept is nil
-	kept  tokenSet
-	sc    *scratch // pooled storage behind kept or dense, or nil
+	row []float64
+	cut int32 // the last token kept under ranksBefore, or none
 }
 
-// SupportOf returns {i : Allowed(r, lp)[i] is finite}. With no rule it is lp's
-// own finite entries and nothing is copied; when the rule (or the last of a
-// chain) only selects, it is the selection, and the masked, renormalized
-// V-sized vector is never built. lp is left untouched. The support lives in
-// pooled storage: call Release once it is no longer read.
+// SupportOf returns {i : Allowed(r, lp)[i] is finite}. With no rule, or one
+// that only selects, it ranks on lp itself: nothing is copied and nothing
+// allocated. A chain whose leading rules reweight the row (a temperature, or
+// top-k before top-p) ranks on a reweighted copy the support owns. lp is
+// left untouched.
 func SupportOf(r Rule, lp []float64) Support {
-	switch r.(type) {
-	case nil, None:
-		return Support{dense: lp}
-	}
-	return supportOf(r, lp, scratches.Get().(*scratch))
-}
-
-// supportOf is SupportOf working in sc.
-func supportOf(r Rule, lp []float64, sc *scratch) Support {
 	switch r := r.(type) {
-	case Chain:
-		if len(r) == 0 {
-			break
-		}
-		if len(r) > 1 {
-			sc.row = Allowed(r[:len(r)-1], lp, sc.row)
-			lp = sc.row
-		}
-		return supportOf(r[len(r)-1], lp, sc)
 	case selector:
-		if kept := r.keep(lp, sc); kept != nil {
-			return Support{kept: kept, sc: sc}
+		return Support{row: lp, cut: cutOf(r, lp)}
+	case Chain:
+		if len(r) > 1 {
+			lp = Allowed(r[:len(r)-1], lp, nil)
+		}
+		if len(r) > 0 {
+			return SupportOf(r[len(r)-1], lp)
 		}
 	case nil, None:
 	default:
-		sc.row = Allowed(r, lp, sc.row)
-		lp = sc.row
+		lp = Allowed(r, lp, nil)
 	}
-	return Support{dense: lp, sc: sc}
-}
-
-// Release hands the support's storage back for the next selection. The
-// support, and every copy of it, must not be read afterwards.
-func (s Support) Release() {
-	if s.sc != nil {
-		scratches.Put(s.sc)
-	}
+	return Support{row: lp, cut: none}
 }
 
 // Has reports whether tok survived the rule.
 func (s Support) Has(tok int) bool {
-	if s.kept == nil {
-		return !math.IsInf(s.dense[tok], -1)
+	if s.cut == none {
+		return !math.IsInf(s.row[tok], -1)
 	}
-	return s.kept.has(tok)
+	return within(s.row, int32(tok), s.cut)
 }
 
 func renormalize(lp []float64) {

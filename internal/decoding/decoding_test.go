@@ -377,24 +377,25 @@ func TestSupportIsAllowedsFiniteSet(t *testing.T) {
 	}
 }
 
-// TestSupportReleaseAllocatesNothing: on a warm pool a top-k selection and
-// its release allocate nothing; the heap and the kept set are scratch.
-func TestSupportReleaseAllocatesNothing(t *testing.T) {
+// TestSupportAllocatesNothing: on a warm pool a single rule's support
+// allocates nothing; it is the row and a cutoff, and the selection heap is
+// handed back before SupportOf returns.
+func TestSupportAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	lp := tiedVector(rand.New(rand.NewSource(3)), 2000)
 	top := sortedTopK(lp, 1)[0]
-	SupportOf(TopK{K: 40}, lp).Release() // warm the pool
-	allocs := testing.AllocsPerRun(100, func() {
-		sup := SupportOf(TopK{K: 40}, lp)
-		if !sup.Has(top) {
-			t.Fatal("top token not kept")
+	for _, r := range []Rule{nil, None{}, TopK{K: 40}, Chain{TopK{K: 40}}, TopP{P: 0.5}, Greedy{}} {
+		SupportOf(r, lp) // warm the pool
+		allocs := testing.AllocsPerRun(100, func() {
+			if !SupportOf(r, lp).Has(top) {
+				t.Fatal("top token not kept")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("SupportOf(%s) allocated %.1f objects, want 0", nameOf(r), allocs)
 		}
-		sup.Release()
-	})
-	if allocs != 0 {
-		t.Errorf("SupportOf + Release allocated %.1f objects, want 0", allocs)
 	}
 }
 
@@ -410,11 +411,11 @@ func TestReusedScratchCarriesNothingOver(t *testing.T) {
 		if trial%3 == 0 {
 			r = TopP{P: 0.05 + 0.9*rng.Float64()}
 		}
-		kept := r.keep(lp, sc)
+		sup := Support{row: lp, cut: r.cut(lp, sc)}
 		want := finiteIDs(Allowed(r.(Rule), lp, nil))
 		var got []int
 		for tok := range lp {
-			if kept.has(tok) {
+			if sup.Has(tok) {
 				got = append(got, tok)
 			}
 		}
@@ -422,15 +423,123 @@ func TestReusedScratchCarriesNothingOver(t *testing.T) {
 			t.Fatalf("trial %d: %s on reused scratch kept %v, want %v", trial, r.(Rule).Name(), got, want)
 		}
 	}
-	// Through the pool: a wide selection released, then a narrow one.
-	wide := tiedVector(rng, 500)
-	SupportOf(TopK{K: 400}, wide).Release()
-	narrow := logDist(0.5, 0.3, 0.2)
-	sup := SupportOf(TopK{K: 1}, narrow)
-	defer sup.Release()
-	for tok := range narrow {
-		if want := tok == 0; sup.Has(tok) != want {
-			t.Errorf("Has(%d) = %v after a released wide selection, want %v", tok, sup.Has(tok), want)
+}
+
+// nameOf names r, or says there is none.
+func nameOf(r Rule) string {
+	if r == nil {
+		return "no rule"
+	}
+	return r.Name()
+}
+
+// buildRules lists every chain relm's query planner can build from T, K and
+// P: each non-empty subset of Temperature, TopK and TopP, in that order.
+func buildRules(temp float64, k int, p float64) []Rule {
+	var out []Rule
+	for mask := 1; mask < 8; mask++ {
+		var c Chain
+		if mask&1 != 0 {
+			c = append(c, Temperature{T: temp})
+		}
+		if mask&2 != 0 {
+			c = append(c, TopK{K: k})
+		}
+		if mask&4 != 0 {
+			c = append(c, TopP{P: p})
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// checkAgainstReference fails unless r's support and Allowed on lp match the
+// reference bit for bit, and lp is left unwritten.
+func checkAgainstReference(t *testing.T, r Rule, lp []float64) {
+	t.Helper()
+	orig := append([]float64(nil), lp...)
+	sup, want := SupportOf(r, lp), refSupportOf(r, lp)
+	got, wantRow := Allowed(r, lp, nil), refAllowed(r, lp)
+	for tok := range lp {
+		if sup.Has(tok) != want.has(tok) {
+			t.Fatalf("%s on %v: Has(%d) = %v, reference %v", nameOf(r), orig, tok, sup.Has(tok), want.has(tok))
+		}
+		if math.Float64bits(got[tok]) != math.Float64bits(wantRow[tok]) {
+			t.Fatalf("%s on %v: Allowed[%d] = %v, reference %v", nameOf(r), orig, tok, got[tok], wantRow[tok])
+		}
+		if math.Float64bits(lp[tok]) != math.Float64bits(orig[tok]) {
+			t.Fatalf("%s: input row written at %d", nameOf(r), tok)
 		}
 	}
+}
+
+// TestSupportMatchesReference holds the cutoff support and the selection
+// Allowed retains by to the kept-set selection they replaced, on rows with
+// tie classes, -Inf entries and distinct normalized values.
+func TestSupportMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	listed := []Rule{
+		nil, None{}, Chain{}, Greedy{}, TopK{K: 7}, TopK{K: 0}, TopP{P: 0.6}, TopP{P: 1}, Temperature{T: 0.7},
+		Chain{TopK{K: 7}}, Chain{Temperature{T: 2}, TopK{K: 7}}, Chain{TopK{K: 20}, TopP{P: 0.5}},
+		Chain{TopK{K: 9}, Temperature{T: 3}}, Chain{Chain{TopP{P: 0.8}}, None{}},
+	}
+	for trial := 0; trial < 600; trial++ {
+		lp := tiedVector(rng, 2+rng.Intn(299))
+		if trial%2 == 0 {
+			for i := range lp {
+				lp[i] = -rng.ExpFloat64() * 3
+			}
+			renormalize(lp)
+		}
+		temp := []float64{0.5, 0.7, 2, 3}[rng.Intn(4)]
+		rules := append(buildRules(temp, 1+rng.Intn(len(lp)), 0.05+0.9*rng.Float64()), listed...)
+		for _, r := range rules {
+			checkAgainstReference(t, r, lp)
+		}
+	}
+}
+
+// FuzzSupport decodes a short row and a rule from the input and holds the
+// support and Allowed to the reference. The first byte picks the rule: its
+// low three bits which of Temperature, TopK and TopP a chain holds, bit 3 a
+// lone rule unwrapped, bit 4 greedy instead, bit 5 a normalized row. The
+// next three set T, K and P; each later byte is one entry, so equal bytes
+// tie, and a byte of 12 mod 13 is impossible. The seed corpus is under
+// testdata/fuzz/FuzzSupport.
+func FuzzSupport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		shape, temp, k, p, raw := data[0], 0.25+float64(data[1])/32, int(data[2]), float64(data[3])/255, data[4:]
+		lp := make([]float64, min(len(raw), 64))
+		for i := range lp {
+			if raw[i]%13 == 12 {
+				lp[i] = math.Inf(-1)
+			} else {
+				lp[i] = -float64(raw[i]%13) / 2
+			}
+		}
+		if shape&32 != 0 {
+			renormalize(lp)
+		}
+		var r Rule
+		var c Chain
+		for bit, sub := range []Rule{Temperature{T: temp}, TopK{K: k % (len(lp) + 1)}, TopP{P: p}} {
+			if shape&(1<<bit) != 0 {
+				c = append(c, sub)
+			}
+		}
+		switch {
+		case shape&16 != 0:
+			r = Greedy{}
+		case len(c) == 1 && shape&8 != 0:
+			r = c[0]
+		case len(c) > 0:
+			r = c
+		case shape&8 != 0:
+			r = None{}
+		}
+		checkAgainstReference(t, r, lp)
+	})
 }

@@ -96,9 +96,8 @@ func (s *beamStream) run() error {
 
 		sets = slices.Grow(sets[:0], len(s.beam))[:len(s.beam)]
 		parallelFor(len(s.beam), s.q.Parallelism, func(i int) {
-			h, kept := &s.beam[i], decoding.SupportOf(s.q.Rule, lps[i])
-			sets[i], _ = s.q.expand(h.state, h.pattern(), h.cost, lps[i], kept, sets[i], false)
-			kept.Release()
+			h := &s.beam[i]
+			sets[i], _ = s.q.expand(h.state, h.pattern(), h.cost, lps[i], decoding.SupportOf(s.q.Rule, lps[i]), sets[i], false)
 		})
 		next = next[:0]
 		for i := range s.beam {
@@ -143,10 +142,7 @@ func (s *beamStream) run() error {
 		s.stats.modelCalls.Add(int64(len(finals)))
 		kept := finals[:0]
 		for i, n := range finals {
-			sup := decoding.SupportOf(s.q.Rule, lps[i])
-			ends := s.q.ends(sup)
-			sup.Release()
-			if !ends {
+			if !s.q.ends(decoding.SupportOf(s.q.Rule, lps[i])) {
 				continue
 			}
 			n.cost -= lps[i][s.q.eos]

@@ -151,7 +151,6 @@ func TestBoundedExpandKeepsLeastSorted(t *testing.T) {
 			all, _ := q.expand(1, []model.Token{0}, 1, row, kept, nil, false)
 			var win [window]sibling
 			got, dropped := q.expand(1, []model.Token{0}, 1, row, kept, win[:0], true)
-			kept.Release()
 			slices.SortFunc(all, func(a, b sibling) int {
 				if a.before(b) {
 					return -1

@@ -71,9 +71,7 @@ const window = 2
 
 // expand is Query.expand on c's node scored lp.
 func (c *cursor) expand(q *Query, lp []float64, dst siblings, bounded bool) (siblings, bool) {
-	kept := decoding.SupportOf(q.Rule, lp)
-	defer kept.Release()
-	return q.expand(automaton.StateID(c.state), c.ctx[len(c.ctx)-int(c.patLen):], c.cost, lp, kept, dst, bounded)
+	return q.expand(automaton.StateID(c.state), c.ctx[len(c.ctx)-int(c.patLen):], c.cost, lp, decoding.SupportOf(q.Rule, lp), dst, bounded)
 }
 
 // rebuild replaces a spent window with the siblings expand dropped from it:

@@ -156,9 +156,8 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 		// accumulation stays deterministic.
 		sets = slices.Grow(sets[:0], len(batch))[:len(batch)]
 		parallelFor(len(batch), q.Parallelism, func(i int) {
-			n, kept := &batch[i], decoding.SupportOf(q.Rule, lps[i])
-			sets[i], _ = q.expand(n.state, ctxs[i][len(ctxs[i])-n.pat:], 0, lps[i], kept, sets[i], false)
-			kept.Release()
+			n := &batch[i]
+			sets[i], _ = q.expand(n.state, ctxs[i][len(ctxs[i])-n.pat:], 0, lps[i], decoding.SupportOf(q.Rule, lps[i]), sets[i], false)
 		})
 		for i := range batch {
 			n, lp := &batch[i], lps[i]

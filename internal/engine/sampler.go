@@ -29,9 +29,6 @@ type SamplerOptions struct {
 	// tokens with this function. When nil, sampled walks are used as token
 	// sequences directly.
 	PrefixEncode func(s string) []model.Token
-	// Unnormalized switches prefix sampling to naive uniform-edge choice,
-	// reproducing the bias of Appendix C for the fig9 experiment.
-	Unnormalized bool
 	// MaxAttemptsPerResult bounds the consecutive failed attempts since the
 	// last success before Next reports ErrExhausted (default 10000).
 	MaxAttemptsPerResult int
@@ -174,12 +171,7 @@ func attemptSeed(seed, i int64) splitmix {
 
 func (s *samplerStream) samplePrefix(rng *rand.Rand) ([]model.Token, bool) {
 	if walks := s.opts.PrefixWalks; walks != nil {
-		var seq []automaton.Symbol
-		if s.opts.Unnormalized {
-			seq = walks.SampleUnnormalized(rng)
-		} else {
-			seq = walks.SampleUniform(rng)
-		}
+		seq := walks.SampleUniform(rng)
 		if seq == nil {
 			return nil, false
 		}
@@ -222,7 +214,7 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 	logP := prefLogP
 	patLen := 0
 	var moves siblings
-	var row []float64 // the step's reweighted row, one per attempt
+	var buf []float64 // the step's reweighted row under a rule, one per attempt
 
 	// The rule ends every walk by MaxTokens: a node there has no children.
 	for {
@@ -240,7 +232,12 @@ func (s *samplerStream) sampleOnce(rng *rand.Rand) (*Result, error) {
 		// lp, the rule costs each at its negated log weight: a child by its
 		// token, the stop (the match) by EOS under RequireEOS; without EOS
 		// semantics the stop takes the probability mass no child claims.
-		row = decoding.Allowed(s.q.Rule, lp, row)
+		// With no rule the row is the model's own, read in place.
+		row := lp
+		if s.q.Rule != nil {
+			buf = decoding.Allowed(s.q.Rule, lp, buf)
+			row = buf
+		}
 		moves, _ = s.q.expand(state, pattern, 0, row, decoding.SupportOf(nil, row), moves, false)
 		if len(moves) == 0 {
 			return nil, nil // dead end under the rule: reject

@@ -118,16 +118,15 @@ func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
 		Filter:   r.comp.filter,
 		// Mass measures complete generations: the EOS that ends a match is
 		// part of its probability and must pass the decision rules (§2.4).
-		RequireEOS:     q.RequireEOS || kind == massRun,
-		MaxTokens:      maxTokens,
-		MaxNodes:       q.MaxNodes,
-		BatchExpand:    batch,
-		PrefixZeroCost: q.PrefixZeroCost,
-		Parallelism:    engine.EffectiveParallelism(q.Parallelism),
-		Incremental:    q.Incremental,
-		KV:             m.kv,
-		Context:        q.Context,
-		Trace:          tr,
+		RequireEOS:  q.RequireEOS || kind == massRun,
+		MaxTokens:   maxTokens,
+		MaxNodes:    q.MaxNodes,
+		BatchExpand: batch,
+		Parallelism: engine.EffectiveParallelism(q.Parallelism),
+		Incremental: q.Incremental,
+		KV:          m.kv,
+		Context:     q.Context,
+		Trace:       tr,
 	}
 	r.eq.Incremental = engine.EffectiveIncremental(m.Dev, &r.eq)
 	return r, nil

@@ -154,11 +154,6 @@ type SearchQuery struct {
 	// to the full path. engine.EffectiveIncremental: it needs the model's KV
 	// arena (ModelOptions.KVBudgetBytes >= 0, the default) and prefix states.
 	Incremental bool
-	// PrefixZeroCost disables the §3.3 prefix-priority heuristic, giving
-	// every prefix cost zero (the paper's rejected first design — higher
-	// first-result latency on broad prefixes). For ablation use;
-	// engine.ShortestPath.
-	PrefixZeroCost bool
 	// DedupByText collapses matches that decode to the same string,
 	// emitting only the highest-probability encoding of each. Useful with
 	// AllTokens, where one string surfaces once per encoding; Results.Next.

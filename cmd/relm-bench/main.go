@@ -8,9 +8,9 @@
 //	relm-bench -exp fig5 -scale full    # one experiment at paper scale
 //	relm-bench -list                    # list experiment IDs
 //
-// Execution knobs (DESIGN.md decision 6): -parallelism sets the device
-// worker-pool width used to score every experiment's batches (default: all
-// CPUs; 1 = the serial path). Experiment results are unaffected — the
+// Execution knobs (DESIGN.md decision 6): -parallelism sizes the one device
+// scoring pool every experiment's batches are sharded across (default: all
+// CPUs; 1 = no pool, the serial path). Experiment results are unaffected — the
 // traversals are deterministic — only wall-clock speed changes.
 package main
 
@@ -39,7 +39,7 @@ func main() {
 	expFlag := flag.String("exp", "all", "experiment id (comma-separated) or 'all'")
 	scaleFlag := flag.String("scale", "quick", "quick | full")
 	seedFlag := flag.Int64("seed", 0, "world seed (0 = default)")
-	parFlag := flag.Int("parallelism", runtime.NumCPU(), "device worker-pool width for batch scoring (1 = serial)")
+	parFlag := flag.Int("parallelism", runtime.NumCPU(), "device scoring-pool width shared by every model (1 = serial)")
 	traceFlag := flag.String("trace", "", "write every query's span tree as Chrome trace-event JSON to this file (load in chrome://tracing or Perfetto)")
 	listFlag := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()

@@ -9,8 +9,8 @@
 //
 // Execution knobs (DESIGN.md decision 6): -batch sets the frontier batch
 // size per device round (0 = the device's batch limit; 1 = one-at-a-time
-// "sequential" expansion), and -parallelism sets the worker-pool width for
-// both batch scoring and frontier expansion (default: all CPUs). At a fixed
+// "sequential" expansion), and -parallelism sizes both the device scoring
+// pool and the frontier-expansion workers (default: all CPUs). At a fixed
 // batch size, every traversal returns identical results at any parallelism;
 // -strategy random's draws depend on -seed alone. Changing -batch keeps the
 // sequence of log-probabilities: costs never decrease along a path, so it
@@ -23,6 +23,7 @@ import (
 	"os"
 	"runtime"
 
+	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/relm"
@@ -45,7 +46,7 @@ func main() {
 	artifacts := flag.String("artifacts", "", "load tokenizer.json and model.json from this directory (from relm-train) instead of retraining")
 	batch := flag.Int("batch", 0, "frontier batch size per device round (0 = device batch limit, 1 = sequential expansion)")
 	incremental := flag.Bool("incremental", false, "KV-cache prefix-state reuse across the frontier (byte-identical results; effective on prefix-stateful models, e.g. -artifacts from relm-train -arch transformer)")
-	par := flag.Int("parallelism", runtime.NumCPU(), "worker-pool width for batch scoring and frontier expansion (1 = serial)")
+	par := flag.Int("parallelism", runtime.NumCPU(), "width of the device scoring pool and of frontier expansion (1 = serial)")
 	flag.Parse()
 
 	if *pattern == "" {
@@ -88,7 +89,13 @@ func main() {
 	if *artifacts != "" {
 		var arch string
 		var err error
-		m, arch, err = relm.LoadArtifacts(*artifacts, relm.ModelOptions{Parallelism: *par})
+		var opts relm.ModelOptions
+		if *par > 1 {
+			pool := device.NewPool(*par)
+			defer pool.Close()
+			opts.Pool = pool
+		}
+		m, arch, err = relm.LoadArtifacts(*artifacts, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "relm:", err)
 			os.Exit(1)

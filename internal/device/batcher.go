@@ -627,25 +627,22 @@ func (b *batch) split(workers int) []segment {
 	return out
 }
 
-// runShards executes the pieces on the persistent pool when one is attached,
-// or on transient goroutines otherwise, and waits for all of them.
-func (b *batch) runShards(pieces []segment, pool *Pool) {
+// runShards executes the batch's segments, split across pool's workers, and
+// waits for all of them. With no pool, or when the split leaves one piece,
+// every piece runs in order on the calling goroutine: a fused batch keeps one
+// segment per request even at width 1.
+func (b *batch) runShards(pool *Pool) {
+	pieces := b.split(pool.Size())
+	if pool == nil || len(pieces) == 1 {
+		for _, p := range pieces {
+			p.exec()
+		}
+		return
+	}
 	if b.wg == nil {
 		b.wg = new(sync.WaitGroup)
 	}
-	wg := b.wg
-	if pool != nil {
-		pool.run(pieces, wg)
-		return
-	}
-	for _, p := range pieces {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.exec()
-		}()
-	}
-	wg.Wait()
+	pool.run(pieces, b.wg)
 }
 
 // ModelPanic is the error of a dispatch whose model panicked on one of its

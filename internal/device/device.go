@@ -57,7 +57,6 @@ type core struct {
 	maxBatch int
 
 	mu        sync.Mutex
-	workers   int
 	pool      *Pool
 	clock     time.Duration // virtual time elapsed
 	busy      time.Duration // virtual time spent executing
@@ -99,7 +98,7 @@ func New(lm model.LanguageModel, latency LatencyModel, maxBatch int) *Device {
 	if maxBatch <= 0 {
 		maxBatch = 64
 	}
-	return &Device{lm: lm, c: &core{latency: latency, maxBatch: maxBatch, workers: 1}}
+	return &Device{lm: lm, c: &core{latency: latency, maxBatch: maxBatch}}
 }
 
 // WithModel returns a view of this device that scores through lm but shares
@@ -121,42 +120,24 @@ func (d *Device) WithQoS(q QoS) *Device {
 // nil when every dispatch runs inline.
 func (d *Device) Batcher() *Batcher { return d.c.batcher.Load() }
 
-// SetWorkers sets the host worker-pool width used to execute each dispatched
-// batch (DESIGN.md decision 6). The virtual latency model is unaffected —
-// it prices the simulated accelerator, which executes a dispatched batch as
-// one unit — but wall-clock scoring of a chunk is sharded across n
-// goroutines, modelling the accelerator's internal parallelism on the host
-// CPU. n <= 1 keeps execution on the calling goroutine. When a persistent
-// Pool is attached (SetPool), the pool's width wins and SetWorkers only
-// records the preference.
-func (d *Device) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.c.mu.Lock()
-	d.c.workers = n
-	d.c.mu.Unlock()
-}
-
 // SetPool attaches a persistent worker pool, shared with any other devices
-// the caller attaches it to. A long-running server sizes one pool for the
-// whole process instead of letting every query spin up its own transient
-// goroutines (DESIGN.md decision 8). nil detaches.
+// the caller attaches it to: each dispatched batch is sharded across its
+// workers (DESIGN.md decisions 6 and 8). The virtual latency model is
+// unaffected — it prices the simulated accelerator, which executes a batch
+// as one unit — only the wall clock of scoring it changes. A long-running
+// server sizes one pool for the whole process. nil detaches, and every
+// batch then runs on its dispatching goroutine.
 func (d *Device) SetPool(p *Pool) {
 	d.c.mu.Lock()
 	d.c.pool = p
 	d.c.mu.Unlock()
 }
 
-// Workers reports the effective worker width (the attached pool's size, or
-// the SetWorkers value).
+// Workers reports the scoring width: the attached pool's size, or 1.
 func (d *Device) Workers() int {
 	d.c.mu.Lock()
 	defer d.c.mu.Unlock()
-	if d.c.pool != nil {
-		return d.c.pool.Size()
-	}
-	return d.c.workers
+	return d.c.pool.Size()
 }
 
 // Model returns this view's language model.
@@ -174,8 +155,8 @@ func (d *Device) Latency() LatencyModel { return d.c.latency }
 // dispatch and cost nothing. Batches larger than MaxBatch are split
 // internally. Scoring goes through the model's ScoreBatch path, so a batched
 // substrate (the packed Transformer forward, the miss-forwarding cache) sees
-// the whole chunk at once; with workers > 1 each chunk is additionally
-// sharded across the worker pool. Forward is safe for concurrent use,
+// the whole chunk at once; with a Pool attached each chunk is additionally
+// sharded across its workers. Forward is safe for concurrent use,
 // including across views. Its error is a *fault.Fault or a *ModelPanic.
 func (d *Device) Forward(ctxs [][]model.Token) ([][]float64, error) {
 	return residentFirst(d, fault.DeviceForward, ctxs, model.Resident.ResidentRows,
@@ -226,7 +207,7 @@ func (c *core) inline(r *request) {
 func (c *core) run(b *batch) {
 	cost := c.latency.Cost(b.rows, b.tokens)
 	c.mu.Lock()
-	workers, pool := c.workers, c.pool
+	pool := c.pool
 	vstart := c.clock
 	c.clock += cost
 	c.busy += cost
@@ -235,9 +216,6 @@ func (c *core) run(b *batch) {
 	c.tokens += int64(b.tokens)
 	vend := c.clock
 	c.mu.Unlock()
-	if pool != nil {
-		workers = pool.Size()
-	}
 	for _, sg := range b.segs {
 		if rt := sg.req.trace; rt != nil {
 			if !rt.hasV {
@@ -247,11 +225,7 @@ func (c *core) run(b *batch) {
 			rt.occupancy = max(rt.occupancy, b.queries)
 		}
 	}
-	if pieces := b.split(workers); len(pieces) == 1 {
-		pieces[0].exec()
-	} else {
-		b.runShards(pieces, pool)
-	}
+	b.runShards(pool)
 }
 
 // residentFirst is the shared front of Forward and ScoreAll (DESIGN.md

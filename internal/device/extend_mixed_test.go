@@ -62,7 +62,9 @@ func TestExtendBatchMixedDepths(t *testing.T) {
 // change any row — chunk boundaries land between unrelated depths.
 func TestExtendBatchMixedDepthsChunked(t *testing.T) {
 	d, _ := newIncrDevice(4)
-	d.SetWorkers(3)
+	pool := NewPool(3)
+	defer pool.Close()
+	d.SetPool(pool)
 	ref, _ := newIncrDevice(64)
 
 	ctxs := mixedContexts()

@@ -6,8 +6,8 @@ import "sync"
 // that execute chunk shards for any device attached via SetPool. A
 // long-running server creates one Pool sized to the machine and shares it
 // across every loaded model, so concurrent queries contend for a bounded
-// set of scoring workers instead of each spawning its own goroutines per
-// batch (DESIGN.md decision 8).
+// set of scoring workers (DESIGN.md decision 8). A Pool's workers are the
+// only goroutines besides a dispatch's own that execute device segments.
 type Pool struct {
 	tasks chan poolTask
 	size  int
@@ -36,8 +36,14 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// Size reports the worker count.
-func (p *Pool) Size() int { return p.size }
+// Size reports the worker count. A nil pool has one worker: the dispatching
+// goroutine.
+func (p *Pool) Size() int {
+	if p == nil {
+		return 1
+	}
+	return p.size
+}
 
 // run executes every segment on the pool and waits for all of them on wg,
 // which the caller keeps (a batch's own). Concurrent run calls interleave

@@ -1,8 +1,12 @@
 package device
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -41,26 +45,97 @@ func TestWithModelScoresThroughOwnModel(t *testing.T) {
 	}
 }
 
+// TestPoolRunsShards: every entry point sharded across a pool of 1, 2 or 4
+// workers returns what a pool-less device returns, bit for bit, and is
+// charged the same — shards split one dispatch's rows, never its price.
 func TestPoolRunsShards(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	d := newDevice(64)
-	d.SetPool(p)
-	if d.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want pool size 4", d.Workers())
-	}
-	ctxs := make([][]model.Token, 32)
-	for i := range ctxs {
-		ctxs[i] = []model.Token{model.Token(i % 8)}
-	}
-	rows := must(d.Forward(ctxs))
-	if len(rows) != 32 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for i, r := range rows {
-		if len(r) != 8 {
-			t.Fatalf("row %d has width %d", i, len(r))
+	const maxBatch = 16
+	_, lm := newIncrDevice(maxBatch)
+	in := routeInputs(lm, 10) // one chunk, cut into up to 4 shards
+	for _, op := range routeOps {
+		ref := New(lm, DefaultLatency(), maxBatch)
+		want := must(op.run(ref, in))
+		for _, width := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/pool%d", op.name, width), func(t *testing.T) {
+				pool := NewPool(width)
+				defer pool.Close()
+				d := New(lm, DefaultLatency(), maxBatch)
+				d.SetPool(pool)
+				if d.Workers() != width {
+					t.Fatalf("Workers() = %d, want pool size %d", d.Workers(), width)
+				}
+				if got := must(op.run(d, in)); !reflect.DeepEqual(got, want) {
+					t.Error("rows or decode states differ from the pool-less device's")
+				}
+				if st, rst := d.Stats(), ref.Stats(); st != rst {
+					t.Errorf("device charged %+v, pool-less %+v", st, rst)
+				}
+			})
 		}
+	}
+}
+
+// overlapLM scores like rowLM and records the most ScoreBatch calls it has
+// seen running at once.
+type overlapLM struct {
+	*rowLM
+	active, peak atomic.Int32
+}
+
+func (m *overlapLM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
+	n := m.active.Add(1)
+	defer m.active.Add(-1)
+	for p := m.peak.Load(); n > p && !m.peak.CompareAndSwap(p, n); p = m.peak.Load() {
+	}
+	time.Sleep(time.Millisecond)
+	return model.ScoreSerial(m, ctxs)
+}
+
+// TestPoollessFusedBatchRunsSerially: with no pool, a fused batch holding two
+// views' requests runs every segment — one per request — in order on the
+// goroutine that executes the batch, each request getting its own rows, in
+// one dispatch.
+func TestPoollessFusedBatchRunsSerially(t *testing.T) {
+	lm := &overlapLM{rowLM: newRowLM()}
+	d := New(lm, DefaultLatency(), 8)
+	b := newBareBatcher(d, 8)
+	ctxs := [][]model.Token{{1, 2}, {3}}
+	var reqs []*request
+	for _, v := range []*Device{d.WithQoS(QoS{Query: "a"}), d.WithQoS(QoS{Query: "b"})} {
+		r := &request{
+			kind: reqForward, lm: v.lm, qos: v.qos, key: account{query: v.qos.Query}, enq: time.Now(),
+			ctxs: ctxs, rows: make([][]float64, len(ctxs)), remaining: len(ctxs), done: make(chan struct{}),
+		}
+		if !b.enqueue(r) {
+			t.Fatal("enqueue on a fresh batcher failed")
+		}
+		reqs = append(reqs, r)
+	}
+	fb := new(batch)
+	b.mu.Lock()
+	b.selectLocked(fb, time.Now(), b.core.maxBatch)
+	b.mu.Unlock()
+	if len(fb.segs) != 2 || fb.queries != 2 {
+		t.Fatalf("fused batch holds %v over %d queries, want one segment per view", segRows(fb), fb.queries)
+	}
+	b.execute(fb)
+
+	want := model.ScoreSerial(lm.rowLM, ctxs)
+	for i, r := range reqs {
+		select {
+		case <-r.done:
+		default:
+			t.Fatalf("request %d not completed by its batch", i)
+		}
+		if r.err != nil || !reflect.DeepEqual(r.rows, want) {
+			t.Errorf("request %d: rows %v, err %v; want %v", i, r.rows, r.err, want)
+		}
+	}
+	if p := lm.peak.Load(); p != 1 {
+		t.Errorf("%d segments scored at once, want 1: a pool-less batch runs on one goroutine", p)
+	}
+	if st := d.Stats(); st.Batches != 1 || st.Sequences != 4 {
+		t.Errorf("charged %+v, want one dispatch of 4 rows", st)
 	}
 }
 

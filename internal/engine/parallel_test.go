@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/device"
 	"repro/internal/model"
 	"repro/internal/regex"
 )
@@ -35,6 +36,17 @@ func parallelEnv(t *testing.T) (*ngramEnv, *Query) {
 	return env, q
 }
 
+// attachPool attaches a fresh n-worker scoring pool to dev and returns the
+// function that detaches and closes it.
+func attachPool(dev *device.Device, n int) func() {
+	pool := device.NewPool(n)
+	dev.SetPool(pool)
+	return func() {
+		dev.SetPool(nil)
+		pool.Close()
+	}
+}
+
 // sequences drains up to n results into comparable (text, logprob) rows.
 func sequences(t *testing.T, s Stream, n int) []Result {
 	t.Helper()
@@ -59,8 +71,7 @@ func TestParallelDijkstraDeterminism(t *testing.T) {
 		qc := *q
 		qc.BatchExpand = 8
 		qc.Parallelism = parallelism
-		env.dev.SetWorkers(devWorkers)
-		defer env.dev.SetWorkers(1)
+		defer attachPool(env.dev, devWorkers)()
 		return sequences(t, ShortestPath(env.dev, &qc), 6)
 	}
 	base := run(1, 1)
@@ -253,8 +264,7 @@ func TestStatsRaceSafe(t *testing.T) {
 	qc := *q
 	qc.Parallelism = 4
 	qc.BatchExpand = 8
-	env.dev.SetWorkers(4)
-	defer env.dev.SetWorkers(1)
+	defer attachPool(env.dev, 4)()
 	s := ShortestPath(env.dev, &qc)
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -35,21 +35,23 @@ const (
 // tokenizer, the two model sizes (GPT-2 XL and GPT-2 analogs), and the web
 // oracle.
 type Env struct {
-	Scale Scale
-	Seed  int64
-	// Parallelism is the device scoring-pool width used for every model the
-	// env wraps (0/1: serial). Set from EnvConfig; cmd/relm-bench exposes it
-	// as -parallelism.
-	Parallelism int
-	Tok         *tokenizer.BPE
-	Large       *relm.Model // GPT-2 XL analog (higher order, memorizes harder)
-	Small       *relm.Model // GPT-2 analog
-	Web         *corpus.WebCorpus
-	BiasLines   []string
-	Pile        []corpus.PileDoc
-	Lambada     *lambada.Dataset
-	Oracle      *web.Oracle
-	Corpus      []string // the full training mix
+	Scale     Scale
+	Seed      int64
+	Tok       *tokenizer.BPE
+	Large     *relm.Model // GPT-2 XL analog (higher order, memorizes harder)
+	Small     *relm.Model // GPT-2 analog
+	Web       *corpus.WebCorpus
+	BiasLines []string
+	Pile      []corpus.PileDoc
+	Lambada   *lambada.Dataset
+	Oracle    *web.Oracle
+	Corpus    []string // the full training mix
+
+	// pool is the device scoring pool every model the env builds shares
+	// (ModelOptions.Pool), sized by EnvConfig.Parallelism; nil scores on
+	// the dispatching goroutine. It is never closed: an env, and the
+	// models built from it, live as long as the process that built it.
+	pool *device.Pool
 
 	// mu guards planProbes and kvProbes: one counter reader per relm.Model
 	// the env has built (the two shared ones, FreshModel products, and
@@ -71,9 +73,9 @@ type Env struct {
 type EnvConfig struct {
 	Scale Scale
 	Seed  int64
-	// Parallelism sets the device worker-pool width for every model the env
-	// builds (0/1: serial scoring). Traversal results are unaffected; only
-	// wall-clock speed changes.
+	// Parallelism sizes the one device scoring pool every model the env
+	// builds shares (0/1: no pool, serial scoring). Traversal results are
+	// unaffected; only wall-clock speed changes.
 	Parallelism    int
 	Merges         int
 	MemorizedURLs  int
@@ -150,19 +152,23 @@ func NewEnv(cfg EnvConfig) *Env {
 	)
 	large, small := ngrams[0], ngrams[1]
 
+	var pool *device.Pool
+	if cfg.Parallelism > 1 {
+		pool = device.NewPool(cfg.Parallelism)
+	}
 	env := &Env{
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Parallelism: cfg.Parallelism,
-		Tok:         tok,
-		Large:       relm.NewModel(large, tok, relm.ModelOptions{Parallelism: cfg.Parallelism}),
-		Small:       relm.NewModel(small, tok, relm.ModelOptions{Parallelism: cfg.Parallelism}),
-		Web:         webCorpus,
-		BiasLines:   biasLines,
-		Pile:        pile,
-		Lambada:     lam,
-		Oracle:      web.NewOracle(webCorpus.Registry, 50*time.Millisecond),
-		Corpus:      mix,
+		Scale:     cfg.Scale,
+		Seed:      cfg.Seed,
+		Tok:       tok,
+		Large:     relm.NewModel(large, tok, relm.ModelOptions{Pool: pool}),
+		Small:     relm.NewModel(small, tok, relm.ModelOptions{Pool: pool}),
+		Web:       webCorpus,
+		BiasLines: biasLines,
+		Pile:      pile,
+		Lambada:   lam,
+		Oracle:    web.NewOracle(webCorpus.Registry, 50*time.Millisecond),
+		Corpus:    mix,
+		pool:      pool,
 	}
 	env.TrackModel(env.Large)
 	env.TrackModel(env.Small)
@@ -253,7 +259,7 @@ func (e *Env) FreshModel(small bool) *relm.Model {
 	} else {
 		lm = e.Large.LM
 	}
-	return e.TrackModel(relm.NewModel(lm, e.Tok, relm.ModelOptions{Parallelism: e.Parallelism}))
+	return e.TrackModel(relm.NewModel(lm, e.Tok, relm.ModelOptions{Pool: e.pool}))
 }
 
 // FreshOracle returns an oracle with clean counters over the same registry.

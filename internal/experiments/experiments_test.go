@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/decoding"
+	"repro/internal/device"
 	"repro/internal/model"
 	"repro/relm"
 )
@@ -326,7 +327,9 @@ func (r *rowRecorder) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 func TestSharedRowsStayUnwritten(t *testing.T) {
 	env := sharedEnv(t)
 	rec := &rowRecorder{LanguageModel: env.Small.LM}
-	m := relm.NewModel(rec, env.Tok, relm.ModelOptions{Parallelism: 4, ContinuousBatching: true})
+	pool := device.NewPool(4)
+	defer pool.Close()
+	m := relm.NewModel(rec, env.Tok, relm.ModelOptions{Pool: pool, ContinuousBatching: true})
 	defer m.Close()
 	matcher, err := compileURLChecker()
 	if err != nil {

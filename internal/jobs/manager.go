@@ -79,16 +79,15 @@ func (c *Config) defaults() {
 type Manager struct {
 	cfg Config
 
-	mu       sync.Mutex
-	models   map[string]*relm.Model
-	jobs     map[string]*Job
-	queue    jobHeap
-	active   int
-	paused   bool
-	reserved int             // admitted submissions not yet in the heap
-	pending  map[string]bool // job ids admitted and not yet enqueued
-	nextID   int
-	nextSeq  int64 // queue tiebreaker across submissions
+	mu      sync.Mutex
+	models  map[string]*relm.Model
+	jobs    map[string]*Job
+	queue   jobHeap
+	active  int
+	paused  bool
+	pending map[string]bool // job ids admitted and not yet enqueued
+	nextID  int
+	nextSeq int64 // queue tiebreaker across submissions
 
 	submitted   atomic.Int64
 	completed   atomic.Int64
@@ -138,7 +137,7 @@ func (m *Manager) admit(id string) (string, error) {
 			return "", fmt.Errorf("%w: job %s is %s", ErrInvalid, id, st)
 		}
 	}
-	if len(m.queue)+m.reserved >= m.cfg.MaxQueued {
+	if len(m.queue)+len(m.pending) >= m.cfg.MaxQueued {
 		return "", fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
 	}
 	for id == "" {
@@ -148,14 +147,12 @@ func (m *Manager) admit(id string) (string, error) {
 			id = next
 		}
 	}
-	m.reserved++
 	m.pending[id] = true
 	return id, nil
 }
 
 func (m *Manager) unadmit(id string) {
 	m.mu.Lock()
-	m.reserved--
 	delete(m.pending, id)
 	m.mu.Unlock()
 }
@@ -407,7 +404,6 @@ func (m *Manager) Resume(id string) (*Job, error) {
 // admission reservation Submit/Resume took.
 func (m *Manager) enqueue(j *Job) {
 	m.mu.Lock()
-	m.reserved--
 	delete(m.pending, j.ID)
 	m.nextSeq++
 	j.queueSeq = m.nextSeq

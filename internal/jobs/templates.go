@@ -18,8 +18,6 @@ import (
 // function of (model, item) — the crash/resume guarantee (re-running an
 // interrupted shard merges byte-identically) rests on it.
 type Suite interface {
-	// Name is the wire name ("memorization", ...).
-	Name() string
 	// Items builds the worklist, capped at max when max > 0.
 	Items(max int) []Item
 	// Run scores one item. The context cancels mid-item; a cancelled run
@@ -81,8 +79,6 @@ func newMemorizationSuite(env *experiments.Env, _ Spec) (Suite, error) {
 	return &memorizationSuite{env: env}, nil
 }
 
-func (s *memorizationSuite) Name() string { return "memorization" }
-
 func (s *memorizationSuite) Items(max int) []Item {
 	urls := capItems(experiments.MemorizationItems(s.env), max)
 	out := make([]Item, len(urls))
@@ -112,8 +108,6 @@ func newToxicitySuite(env *experiments.Env, _ Spec) (Suite, error) {
 	return &toxicitySuite{env: env, budget: budget}, nil
 }
 
-func (s *toxicitySuite) Name() string { return "toxicity" }
-
 func (s *toxicitySuite) Items(max int) []Item {
 	matches := experiments.ToxicityItems(s.env, max)
 	out := make([]Item, len(matches))
@@ -135,8 +129,6 @@ type biasSuite struct{ env *experiments.Env }
 func newBiasSuite(env *experiments.Env, _ Spec) (Suite, error) {
 	return &biasSuite{env: env}, nil
 }
-
-func (s *biasSuite) Name() string { return "bias" }
 
 func (s *biasSuite) Items(max int) []Item {
 	pairs := capItems(experiments.BiasPairs(), max)
@@ -177,8 +169,6 @@ func newLambadaSuite(env *experiments.Env, spec Spec) (Suite, error) {
 	}
 	return &lambadaSuite{env: env, variant: v}, nil
 }
-
-func (s *lambadaSuite) Name() string { return "lambada" }
 
 func (s *lambadaSuite) Items(max int) []Item {
 	items := experiments.LambadaItems(s.env, max)
@@ -227,8 +217,6 @@ func newURLMatchSuite(env *experiments.Env, _ Spec) (Suite, error) {
 	}
 	return &urlMatchSuite{env: env, matcher: matcher}, nil
 }
-
-func (s *urlMatchSuite) Name() string { return "urlmatch" }
 
 func (s *urlMatchSuite) Items(max int) []Item {
 	cands := experiments.URLMatchItems(s.env, max)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/relm"
 )
 
@@ -31,7 +32,9 @@ func phoneQuery(batch, parallelism int) relm.SearchQuery {
 func runPhoneExtraction(tb testing.TB, batch, parallelism, n int) time.Duration {
 	tb.Helper()
 	e := env(tb)
-	m := relm.NewModel(e.Large.LM, e.Tok, relm.ModelOptions{Parallelism: parallelism})
+	pool := device.NewPool(parallelism)
+	defer pool.Close()
+	m := relm.NewModel(e.Large.LM, e.Tok, relm.ModelOptions{Pool: pool})
 	results, err := relm.Search(m, phoneQuery(batch, parallelism))
 	if err != nil {
 		tb.Fatal(err)

@@ -259,8 +259,8 @@ type Plan struct {
 	// Parallelism is the effective engine worker-pool width (1 when the
 	// query leaves it unset).
 	Parallelism int
-	// DeviceWorkers is the device-side scoring pool width configured via
-	// ModelOptions.Parallelism.
+	// DeviceWorkers is the device-side scoring width: the size of
+	// ModelOptions.Pool, or 1 without one.
 	DeviceWorkers int
 	// Incremental reports whether the query will run with KV prefix-state
 	// reuse (engine.EffectiveIncremental: the query asked for it, the

@@ -70,9 +70,6 @@ func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit boo
 		if c, err = f.Wait(); err != nil {
 			// The owner's compilation failed; nothing was served from a
 			// cached plan, so this is neither a hit nor a miss.
-			if op, ok := err.(*lru.OwnerPanic); ok {
-				err = fmt.Errorf("relm: plan compilation panicked: %v", op.Value)
-			}
 			return c, false, err
 		}
 		pc.mu.Lock()
@@ -89,8 +86,8 @@ func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit boo
 
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	start := time.Now()
-	// A panicking compile (a defective custom preprocessor, say) fails the
-	// flight's waiters and unwedges the key before the panic propagates.
+	// A panicking compile fails the flight's waiters and unwedges the key
+	// before the panic propagates.
 	pc.plans.Run(&pc.mu, []*lru.Entry[V]{f}, func() { c, err = compile() })
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	elapsed := time.Since(start)
@@ -165,19 +162,30 @@ func planKey(m *Model, q *SearchQuery) ([]byte, bool) {
 // compileCached resolves q's compilation through the model's plan cache:
 // repeat and concurrent queries for the same (pattern, tokenization,
 // tokenizer, preprocessor) tuple share one immutable compiled plan. hit
-// reports whether this call skipped compilation.
+// reports whether this call skipped compilation. A compilation that panics
+// (a defective custom preprocessor, say) is the query's error on every path
+// — cached, bypassed or with caching off — and the error of every query
+// that joined its flight.
 func compileCached(m *Model, q *SearchQuery) (c *compiled, hit bool, err error) {
+	compile := func() (c *compiled, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				c, err = nil, fmt.Errorf("relm: plan compilation panicked: %v", p)
+			}
+		}()
+		return compilePattern(m, *q, enumerateLimit)
+	}
 	if m.plans == nil {
-		c, err = compilePattern(m, *q, enumerateLimit)
+		c, err = compile()
 		return c, false, err
 	}
 	key, ok := planKey(m, q)
 	if !ok {
 		m.plans.noteBypass()
-		c, err = compilePattern(m, *q, enumerateLimit)
+		c, err = compile()
 		return c, false, err
 	}
-	return m.plans.get(key, func() (*compiled, error) { return compilePattern(m, *q, enumerateLimit) })
+	return m.plans.get(key, compile)
 }
 
 // prefixKey derives the prefix cache's key for q: exactly what a compiled

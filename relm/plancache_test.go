@@ -533,38 +533,37 @@ func waitParked[V any](t *testing.T, pc *planCache[V], n int64) {
 }
 
 // TestPlanCachePanicUnwedges asserts a compile panic resolves its
-// single-flight entry: the owner re-panics with its own value, a concurrent
-// identical query parked on the flight gets an error promptly instead of
-// blocking forever, and a later identical query compiles normally.
+// single-flight entry: the owner and a concurrent identical query parked on
+// the flight both get the panic as an error promptly instead of blocking
+// forever or unwinding, and a later identical query compiles normally.
 func TestPlanCachePanicUnwedges(t *testing.T) {
 	m := testModel(t)
 	pp := gatedPanicPreprocessor{started: make(chan struct{}), release: make(chan struct{}), calls: new(atomic.Int32)}
 	q := SearchQuery{Query: QueryString{Pattern: "cat"}, Preprocessors: []Preprocessor{pp}}
 
-	owner := make(chan any, 1)
-	go func() {
-		defer func() { owner <- recover() }()
-		_, _ = Explain(m, q)
-	}()
+	explain := func() <-chan error {
+		out := make(chan error, 1)
+		go func() {
+			_, err := Explain(m, q)
+			out <- err
+		}()
+		return out
+	}
+	owner := explain()
 	<-pp.started
-	waiter := make(chan error, 1)
-	go func() {
-		_, err := Explain(m, q)
-		waiter <- err
-	}()
+	waiter := explain()
 	waitParked(t, m.plans, 1)
 	close(pp.release)
 
-	if p := <-owner; p != "boom" {
-		t.Errorf("owner panicked with %v, want its own compile's panic", p)
-	}
-	select {
-	case err := <-waiter:
-		if err == nil || err.Error() != "relm: plan compilation panicked: boom" {
-			t.Errorf("waiter got %v, want the owner's compile panic as an error", err)
+	for name, ch := range map[string]<-chan error{"owner": owner, "waiter": waiter} {
+		select {
+		case err := <-ch:
+			if err == nil || err.Error() != "relm: plan compilation panicked: boom" {
+				t.Errorf("%s got %v, want the compile panic as an error", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("plan cache wedged after a compile panic")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("plan cache wedged after a compile panic")
 	}
 	if s := m.PlanCacheStats(); s.Misses != 1 || s.Hits != 0 || s.Entries != 0 {
 		t.Fatalf("after the failed flight: %+v, want one uncached miss and no hit", s)
@@ -575,5 +574,50 @@ func TestPlanCachePanicUnwedges(t *testing.T) {
 	}
 	if s := m.PlanCacheStats(); s.Misses != 2 || s.Entries != 1 {
 		t.Fatalf("retry did not compile afresh: %+v", s)
+	}
+}
+
+// panicPreprocessor panics on every Transform. It has no PlanKey, so a query
+// using it bypasses the plan cache.
+type panicPreprocessor struct{}
+
+func (panicPreprocessor) Transform(*automaton.DFA) (*automaton.DFA, error) { panic("boom") }
+func (panicPreprocessor) Name() string                                     { return "panic" }
+
+// keyedPanicPreprocessor is panicPreprocessor behind a valid PlanKey, so only
+// a model with plan caching off compiles it outside the cache.
+type keyedPanicPreprocessor struct{ panicPreprocessor }
+
+func (keyedPanicPreprocessor) PlanKey() string { return "panic" }
+
+// TestCompilePanicIsAnError: a compile panic is the query's error on the
+// paths outside the plan cache's flights too — a query that bypasses the
+// cache, and any query on a model with plan caching off — from both Search
+// and Explain, and the model keeps serving afterwards.
+func TestCompilePanicIsAnError(t *testing.T) {
+	lm, tok := testNGram()
+	bypass := SearchQuery{Query: QueryString{Pattern: "cat"}, Preprocessors: []Preprocessor{panicPreprocessor{}}}
+	cacheOff := SearchQuery{Query: QueryString{Pattern: "cat"}, Preprocessors: []Preprocessor{keyedPanicPreprocessor{}}}
+	for _, tc := range []struct {
+		name string
+		opts ModelOptions
+		q    SearchQuery
+	}{
+		{"bypass", ModelOptions{}, bypass},
+		{"cache-off", ModelOptions{PlanCacheSize: -1}, cacheOff},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewModel(lm, tok, tc.opts)
+			_, serr := Search(m, tc.q)
+			_, eerr := Explain(m, tc.q)
+			for call, err := range map[string]error{"Search": serr, "Explain": eerr} {
+				if err == nil || err.Error() != "relm: plan compilation panicked: boom" {
+					t.Errorf("%s got %v, want the compile panic as an error", call, err)
+				}
+			}
+			if _, err := Explain(m, SearchQuery{Query: QueryString{Pattern: "cat"}}); err != nil {
+				t.Fatalf("a plain query after the panic: %v", err)
+			}
+		})
 	}
 }

@@ -143,7 +143,7 @@ type SearchQuery struct {
 	// expands each scored batch (0 or 1: single-threaded expansion).
 	// Every traversal emits the same results at any setting, random sampling
 	// included: its draws depend on Seed alone. Pair with
-	// ModelOptions.Parallelism, which parallelizes the scoring itself
+	// ModelOptions.Pool, which parallelizes the scoring itself
 	// (DESIGN.md decision 6). engine.EffectiveParallelism.
 	Parallelism int
 	// Incremental enables KV-cache prefix-state reuse across the search
@@ -235,15 +235,12 @@ type ModelOptions struct {
 	// CacheSize bounds the logit cache, windowed TinyLFU (DESIGN.md
 	// decision 4), in contexts (0: 8192; negative: no cache).
 	CacheSize int
-	// Parallelism is the device worker-pool width: each dispatched batch is
-	// sharded across this many goroutines for scoring (0 or 1: serial).
-	// The logit cache is single-flight, so concurrent shards never compute
-	// the same context twice (DESIGN.md decision 6).
-	Parallelism int
-	// Pool, when non-nil, attaches a persistent scoring pool shared with
-	// other models — a long-running server sizes one pool for the whole
-	// process instead of per-query goroutines (DESIGN.md decision 8). It
-	// overrides Parallelism's transient workers.
+	// Pool, when non-nil, is the persistent scoring pool each dispatched
+	// batch is sharded across (nil: every batch is scored on its
+	// dispatching goroutine). It may be shared with other models — a
+	// long-running server sizes one pool for the whole process (DESIGN.md
+	// decisions 6 and 8). The logit cache is single-flight, so concurrent
+	// shards never compute the same context twice.
 	Pool *device.Pool
 	// PlanCacheSize bounds the compiled-plan cache, and the compiled-prefix
 	// cache beside it, each windowed TinyLFU like the logit cache (0: 128
@@ -297,12 +294,7 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 		wrapped = shared
 	}
 	dev := device.New(wrapped, opts.Latency, opts.MaxBatch)
-	if opts.Parallelism > 1 {
-		dev.SetWorkers(opts.Parallelism)
-	}
-	if opts.Pool != nil {
-		dev.SetPool(opts.Pool)
-	}
+	dev.SetPool(opts.Pool)
 	if opts.PlanCacheSize == 0 {
 		opts.PlanCacheSize = 128
 	}

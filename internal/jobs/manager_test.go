@@ -3,6 +3,7 @@ package jobs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"sync"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/model"
+	"repro/relm"
 )
 
 // testEnv is shared across the package's tests: building the synthetic
@@ -291,6 +294,66 @@ func TestDifferentWeightsDifferentFingerprint(t *testing.T) {
 	// Stable across wrapper instances over the same weights.
 	if env.Large.Fingerprint() != env.Large.NewSession().Model.Fingerprint() {
 		t.Fatal("fingerprint differs across sessions of one model")
+	}
+}
+
+// probeCounter counts how often each context is scored.
+type probeCounter struct {
+	model.LanguageModel
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (p *probeCounter) NextLogProbs(ctx []model.Token) []float64 {
+	p.mu.Lock()
+	p.calls[fmt.Sprint(ctx)]++
+	p.mu.Unlock()
+	return p.LanguageModel.NextLogProbs(ctx)
+}
+
+func (p *probeCounter) ScoreBatch(ctxs [][]model.Token) [][]float64 {
+	return model.ScoreSerial(p, ctxs)
+}
+
+// TestFingerprintProbedOnce: every job's ledger header carries the model
+// fingerprint, but the probe behind it runs once per model — five jobs
+// submitted at once on one registered model score each probe context once
+// in total.
+func TestFingerprintProbedOnce(t *testing.T) {
+	env := testEnv(t)
+	lm := &probeCounter{LanguageModel: env.Large.LM, calls: map[string]int{}}
+	m := newTestManager(t, Config{})
+	m.RegisterModel("counted", relm.NewModel(lm, env.Tok, relm.ModelOptions{}))
+	var jobs [5]*Job
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := m.Submit(Spec{Suite: "urlmatch", Model: "counted", MaxItems: 4})
+			if err != nil {
+				t.Error(err)
+			}
+			jobs[i] = j
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		if j == nil {
+			continue
+		}
+		waitTerminal(t, j)
+		if got := j.Status(); got != StatusCompleted {
+			t.Errorf("job %d: status %s, want completed", i, got)
+		}
+	}
+	eos := lm.EOS()
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	for _, ctx := range [][]model.Token{{eos}, {0}, {0, eos}} {
+		if n := lm.calls[fmt.Sprint(ctx)]; n != 1 {
+			t.Errorf("probe context %v scored %d times over 5 jobs, want 1", ctx, n)
+		}
 	}
 }
 

@@ -33,8 +33,8 @@ type HealthResponse struct {
 	Build     string `json:"build,omitempty"`
 	Draining  bool   `json:"draining"`
 	// Models maps each registered model to its behavioral fingerprint
-	// (relm.Model.Fingerprint, cached at registration): two replicas serving
-	// the same fingerprint are interchangeable.
+	// (relm.Model.Fingerprint, probed once at registration): two replicas
+	// serving the same fingerprint are interchangeable.
 	Models map[string]string `json:"models"`
 }
 
@@ -58,9 +58,9 @@ var buildVersion, buildGo = func() (string, string) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	fps := make(map[string]string, len(s.fingerprints))
-	for n, fp := range s.fingerprints {
-		fps[n] = fp
+	fps := make(map[string]string, len(s.models))
+	for n, m := range s.models {
+		fps[n] = m.Fingerprint()
 	}
 	s.mu.Unlock()
 	resp := HealthResponse{

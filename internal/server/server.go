@@ -131,10 +131,6 @@ type Server struct {
 	history []*queryRecord
 	agg     engine.Stats // summed over finished queries
 	byState map[string]int64
-	// fingerprints caches each model's behavioral fingerprint, computed once
-	// at registration — Fingerprint hashes probe generations, too expensive
-	// for every /healthz poll.
-	fingerprints map[string]string
 	// jobsMgr is the validation-job subsystem, mounted by EnableJobs (nil:
 	// the /v1/jobs API is absent and /v1/stats omits the jobs block).
 	jobsMgr *jobs.Manager
@@ -144,14 +140,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.defaults()
 	s := &Server{
-		cfg:          cfg,
-		mux:          http.NewServeMux(),
-		sem:          make(chan struct{}, cfg.MaxConcurrent),
-		started:      time.Now(),
-		models:       map[string]*relm.Model{},
-		active:       map[int64]*queryRecord{},
-		byState:      map[string]int64{},
-		fingerprints: map[string]string{},
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		started: time.Now(),
+		models:  map[string]*relm.Model{},
+		active:  map[int64]*queryRecord{},
+		byState: map[string]int64{},
 	}
 	s.mux.HandleFunc("/v1/search", s.handleSearch)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -180,16 +175,15 @@ func retryAfter(w http.ResponseWriter) { w.Header().Set("Retry-After", "1") }
 // each request runs in a session over the model's cache and device. When
 // the jobs subsystem is mounted, the model joins its registry too.
 func (s *Server) AddModel(name string, m *relm.Model) {
-	// Fingerprint runs probe generations — compute it outside the lock, once,
-	// so /healthz can serve it for free.
-	fp := m.Fingerprint()
+	// Fingerprint probes the model once and memoizes the result; run the
+	// probe here, outside the lock, so /healthz reads it for free.
+	m.Fingerprint()
 	// Trace IDs become "name-N", so /v1/trace rows are attributable to a
 	// model without a second lookup.
 	m.Tracer().SetIDPrefix(name)
 	s.mu.Lock()
 	jm := s.jobsMgr
 	s.models[name] = m
-	s.fingerprints[name] = fp
 	s.mu.Unlock()
 	if jm != nil {
 		jm.RegisterModel(name, m)

@@ -3,6 +3,7 @@ package relm
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -18,7 +19,10 @@ import (
 //   - a copy that differs in every field but the prefix and its two budgets
 //     must get a's prefixKey and compile to a's prefix products;
 //   - a query built from the other string and the knobs read backwards that
-//     shares a key with a must share the products too.
+//     shares a key with a must share the products too;
+//   - a with a RemoveWords filter whose words are the other string cut at
+//     knob-chosen positions keys apart from a's query with a different cut
+//     of the same bytes, and shares its key and products with an equal list.
 //
 // Patterns and prefixes are short, but a canonical pattern of up to 50 000
 // strings is enumerated, as a query would. The seed corpus is under
@@ -29,6 +33,7 @@ func FuzzPlanKey(f *testing.F) {
 	m := NewModel(model.TrainNGram(lines, tok, model.NGramConfig{Order: 2, MaxSeqLen: 16}), tok,
 		ModelOptions{PlanCacheSize: -1, TraceSampling: -1})
 	f.Add("(cat)|(dog)", "the", "ca[tr]", []byte{0, 4, 8, 1, 2, 3})
+	f.Add("c(a|o)t", "the", "cat", []byte{0, 3, 3})
 	f.Fuzz(func(t *testing.T, pattern, prefix, other string, knobs []byte) {
 		if len(pattern) > 8 || len(prefix) > 8 || len(other) > 8 {
 			return
@@ -54,7 +59,43 @@ func FuzzPlanKey(f *testing.F) {
 		c := fuzzQuery(other, other, backwards)
 		samePlan(t, m, &a, &c, false)
 		samePrefix(t, m, &a, &c, false)
+
+		ignoreCase := len(knobs)%2 == 1
+		removing := func(words []string) SearchQuery {
+			q := a
+			q.Preprocessors = append(slices.Clip(a.Preprocessors), RemoveWords{Words: words, IgnoreCase: ignoreCase})
+			return q
+		}
+		wa, wb := cutWords(other, knobs, 0), cutWords(other, knobs, 1)
+		ra, rb, same := removing(wa), removing(wb), removing(slices.Clone(wa))
+		samePlan(t, m, &ra, &same, true)
+		if slices.Equal(wa, wb) {
+			samePlan(t, m, &ra, &rb, true)
+		} else {
+			ka, _ := planKey(m, &ra)
+			kb, _ := planKey(m, &rb)
+			if string(ka) == string(kb) {
+				t.Fatalf("word lists %q and %q share plan key %s", wa, wb, ka)
+			}
+		}
 	})
+}
+
+// cutWords cuts s at the positions the knobs at even (parity 0) or odd
+// (parity 1) indices choose, in ascending order; a repeated position cuts
+// out an empty word.
+func cutWords(s string, knobs []byte, parity int) []string {
+	var cuts []int
+	for i := parity; i < len(knobs); i += 2 {
+		cuts = append(cuts, int(knobs[i])%(len(s)+1))
+	}
+	slices.Sort(cuts)
+	words, prev := []string{}, 0
+	for _, c := range cuts {
+		words = append(words, s[prev:c])
+		prev = c
+	}
+	return append(words, s[prev:])
 }
 
 // fuzzQuery builds a query with defaults applied, its compile configuration

@@ -1,6 +1,9 @@
 package relm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
@@ -157,6 +160,38 @@ func planKey(m *Model, q *SearchQuery) ([]byte, bool) {
 		b = fmt.Appendf(b, ";pp=%q", k.PlanKey())
 	}
 	return b, true
+}
+
+// wordListKey keys a word list: tag, then the hex sha256 of the words, each
+// after its length as a little-endian uint64, so two splits of the same bytes
+// ({"ab","c"} and {"a","bc"}) key apart. The words pass through one fixed
+// buffer into the hasher, so the key's allocations do not grow with the list.
+func wordListKey(tag string, words []string) string {
+	h := sha256.New()
+	var buf [512]byte
+	n := 0
+	for _, w := range words {
+		if n+8 > len(buf) {
+			h.Write(buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], uint64(len(w)))
+		n += 8
+		for w != "" {
+			if n == len(buf) {
+				h.Write(buf[:n])
+				n = 0
+			}
+			c := copy(buf[n:], w)
+			n += c
+			w = w[c:]
+		}
+	}
+	h.Write(buf[:n])
+	var sum [sha256.Size]byte
+	var hexed [2 * sha256.Size]byte
+	hex.Encode(hexed[:], h.Sum(sum[:0]))
+	return tag + string(hexed[:])
 }
 
 // compileCached resolves q's compilation through the model's plan cache:

@@ -1,6 +1,9 @@
 package relm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -475,22 +478,74 @@ func TestPlanKeyRuleAmbiguity(t *testing.T) {
 	}
 }
 
-// TestRemoveWordsPlanKeyIsFmtForm holds RemoveWords' hand-built key to the
-// fmt form it replaced, so plans keyed either way stay interchangeable.
-func TestRemoveWordsPlanKeyIsFmtForm(t *testing.T) {
-	for _, words := range [][]string{
+// TestWordListPlanKeyIsDigest holds the word-list keys (RemoveWords and
+// CaseVariants) to an independent restatement — sha256 over each word after
+// its length as a little-endian uint64 — and checks what the digest must
+// keep apart: lists that split the same bytes differently, and {""} from the
+// empty list. nil and {} are one language, so they alone may share a key.
+// A key's allocations do not grow with the list: a stop list of 1 800 words
+// keys in as many allocations as one of 10.
+func TestWordListPlanKeyIsDigest(t *testing.T) {
+	reference := func(tag string, words []string) string {
+		h := sha256.New()
+		for _, w := range words {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(w))))
+			h.Write([]byte(w))
+		}
+		return tag + hex.EncodeToString(h.Sum(nil))
+	}
+	lists := [][]string{
 		nil,
 		{},
 		{""},
 		{" the", "The."},
 		{`say "hi"`, `it's`, `back\slash`, "tab\there", "new\nline"},
 		{" café", "naïve ", "日本語", "emoji 🙂", "\x00\x7f", "bad \xff utf8"},
-	} {
+		{"ab", "c"},
+		{"a", "bc"},
+		{"abc"},
+		{"abc", ""},
+	}
+	seen := map[string]string{}
+	for i, words := range lists {
 		for _, ignoreCase := range []bool{false, true} {
 			r := RemoveWords{Words: words, IgnoreCase: ignoreCase}
-			if got, want := r.PlanKey(), fmt.Sprintf("remove-words:%v:%q", ignoreCase, words); got != want {
-				t.Errorf("PlanKey() = %s, want %s", got, want)
+			got := r.PlanKey()
+			if want := reference(fmt.Sprintf("remove-words:%v:", ignoreCase), words); got != want {
+				t.Errorf("RemoveWords%q IgnoreCase=%v: PlanKey() = %s, want %s", words, ignoreCase, got, want)
 			}
+			if i == 1 { // {} is nil's language, so it takes nil's key
+				if nilKey := (RemoveWords{IgnoreCase: ignoreCase}).PlanKey(); got != nilKey {
+					t.Errorf("nil and empty word lists key apart: %s vs %s", nilKey, got)
+				}
+				continue
+			}
+			what := fmt.Sprintf("%q IgnoreCase=%v", words, ignoreCase)
+			if prev, dup := seen[got]; dup {
+				t.Errorf("%s and %s share plan key %s", prev, what, got)
+			}
+			seen[got] = what
+		}
+		c := CaseVariants{Words: words}
+		if got, want := c.PlanKey(), reference("case-variants:", words); got != want {
+			t.Errorf("CaseVariants%q.PlanKey() = %s, want %s", words, got, want)
+		}
+	}
+
+	stopList := func(n int) []string {
+		words := make([]string, n)
+		for i := range words {
+			words[i] = fmt.Sprintf("stop word %d", i)
+		}
+		return words
+	}
+	for _, ignoreCase := range []bool{false, true} {
+		allocs := func(words []string) float64 {
+			r := RemoveWords{Words: words, IgnoreCase: ignoreCase}
+			return testing.AllocsPerRun(20, func() { _ = r.PlanKey() })
+		}
+		if short, long := allocs(stopList(10)), allocs(stopList(1800)); long != short {
+			t.Errorf("IgnoreCase=%v: PlanKey allocates %v times for 1 800 words, %v for 10", ignoreCase, long, short)
 		}
 	}
 }

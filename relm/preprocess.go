@@ -111,7 +111,7 @@ func (c CaseVariants) Transform(d *automaton.DFA) (*automaton.DFA, error) {
 func (c CaseVariants) Name() string { return "case-variants" }
 
 // PlanKey implements PlanKeyer.
-func (c CaseVariants) PlanKey() string { return fmt.Sprintf("case-variants:%q", c.Words) }
+func (c CaseVariants) PlanKey() string { return wordListKey("case-variants:", c.Words) }
 
 // RewriteRules applies caller-supplied optional rewrite rules directly — the
 // generic transducer preprocessor of §3.4. Obligatory selects the functional

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -223,6 +222,16 @@ type Model struct {
 	// (DESIGN.md decision 16). nil when ModelOptions.TraceSampling is
 	// negative — every instrumentation site then costs a single nil check.
 	tracer *trace.Tracer
+	// fp memoizes Fingerprint for the model and every session view of it
+	// (a view copies the pointer). nil on a Model literal, whose Fingerprint
+	// probes on every call.
+	fp *fingerprint
+}
+
+// fingerprint is a Model's Fingerprint, probed once.
+type fingerprint struct {
+	once sync.Once
+	v    string
 }
 
 // ModelOptions configures device simulation, caching, and scoring
@@ -322,6 +331,7 @@ func NewModel(lm model.LanguageModel, tok *tokenizer.BPE, opts ModelOptions) *Mo
 		kv:       kv,
 		batcher:  batcher,
 		tracer:   trace.New(opts.TraceSampling, opts.TraceRing),
+		fp:       new(fingerprint),
 	}
 }
 
@@ -366,7 +376,17 @@ func (m *Model) Close() {
 // stamps the fingerprint into every run-ledger header and refuses to
 // resume a run against a model with a different one (DESIGN.md decision
 // 11): a resumed sweep must never merge scores from different weights.
+// A model from NewModel, and every session of it, runs the probe once.
 func (m *Model) Fingerprint() string {
+	if m.fp == nil {
+		return m.probeFingerprint()
+	}
+	m.fp.once.Do(func() { m.fp.v = m.probeFingerprint() })
+	return m.fp.v
+}
+
+// probeFingerprint computes Fingerprint's hash.
+func (m *Model) probeFingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "relm-model|%s|%d|%d|%d",
 		m.Tok.Fingerprint(), m.LM.VocabSize(), m.LM.MaxSeqLen(), m.LM.EOS())
@@ -730,7 +750,9 @@ func (r RemoveWords) Transform(d *automaton.DFA) (*automaton.DFA, error) {
 		for _, w := range words {
 			add(w)
 			add(strings.ToLower(w))
-			add(strings.ToUpper(w[:1]) + w[1:])
+			if w != "" {
+				add(strings.ToUpper(w[:1]) + w[1:])
+			}
 		}
 		words = expanded
 	}
@@ -746,23 +768,13 @@ func (r RemoveWords) Transform(d *automaton.DFA) (*automaton.DFA, error) {
 // Name implements Preprocessor.
 func (r RemoveWords) Name() string { return "remove-words" }
 
-// PlanKey implements PlanKeyer. The key is fmt's
-// "remove-words:%v:%q" of IgnoreCase and Words, built in one buffer.
+// PlanKey implements PlanKeyer: IgnoreCase and a digest of Words, so a
+// long stop list keys in the same few allocations as a short one.
 func (r RemoveWords) PlanKey() string {
-	n := len("remove-words:false:[]")
-	for _, w := range r.Words {
-		n += len(w) + 3
+	if r.IgnoreCase {
+		return wordListKey("remove-words:true:", r.Words)
 	}
-	b := append(make([]byte, 0, n), "remove-words:"...)
-	b = strconv.AppendBool(b, r.IgnoreCase)
-	b = append(b, ":["...)
-	for i, w := range r.Words {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendQuote(b, w)
-	}
-	return string(append(b, ']'))
+	return wordListKey("remove-words:false:", r.Words)
 }
 
 // PrependLiteral rewrites the language to lit·L, useful for adding a leading

@@ -116,7 +116,7 @@ func TestBiasShape(t *testing.T) {
 	// measurably changes the outcome distribution. (The paper's strict
 	// significance ordering canonical > edits > all-encodings depends on
 	// GPT-2-specific non-canonical quirks our substrate does not plant; see
-	// EXPERIMENTS.md.)
+	// fig7 in DESIGN.md §5.)
 	all := res.Cell("all-noprefix")
 	edits := res.Cell("canonical-prefix-edits")
 	if all == nil || edits == nil {

@@ -2,6 +2,8 @@ package model
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -93,9 +95,9 @@ func TestNGramMemorizes(t *testing.T) {
 	}
 }
 
-// TestNGramRowIsItsOnlyAllocation: on a warm key pool a row costs one
-// allocation, the row itself, whether the histories were seen in training or
-// not and with the context cache on.
+// TestNGramRowIsItsOnlyAllocation: once its template row is built a row
+// costs one allocation, the row itself, whether the histories were seen in
+// training or not and with the context cache on.
 func TestNGramRowIsItsOnlyAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -104,11 +106,47 @@ func TestNGramRowIsItsOnlyAllocation(t *testing.T) {
 	line := "the cat sat on the mat"
 	m := TrainNGram([]string{line}, tok, NGramConfig{Order: 5, CacheWeight: 0.2})
 	for _, ctx := range [][]Token{nil, tok.Encode(line), tok.Encode("zzq qqz the cat")} {
-		m.NextLogProbs(ctx) // warm the pool
+		m.NextLogProbs(ctx) // build the template row
 		if allocs := testing.AllocsPerRun(100, func() { m.NextLogProbs(ctx) }); allocs != 1 {
 			t.Errorf("NextLogProbs(%v) allocated %.1f objects, want 1 (its row)", ctx, allocs)
 		}
 	}
+}
+
+// TestNGramTemplatesBuiltConcurrently: goroutines that race to build a fresh
+// model's template rows all score what a model scored one row at a time
+// does (run under -race in CI).
+func TestNGramTemplatesBuiltConcurrently(t *testing.T) {
+	tok := testTok(t)
+	lines := []string{"the cat sat on the mat", "the dog sat on the mat", "the man was trained in art"}
+	cfg := NGramConfig{Order: 4, CacheWeight: 0.2}
+	var ctxs [][]Token
+	for _, line := range lines {
+		seq := tok.Encode(line)
+		for i := range len(seq) + 1 {
+			ctxs = append(ctxs, seq[:i])
+		}
+	}
+	serial := TrainNGram(lines, tok, cfg)
+	want := make([][]float64, len(ctxs))
+	for i, ctx := range ctxs {
+		want[i] = serial.NextLogProbs(ctx)
+	}
+	m := TrainNGram(lines, tok, cfg)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ctxs {
+				i := (i + g) % len(ctxs)
+				if got := m.NextLogProbs(ctxs[i]); !slices.Equal(got, want[i]) {
+					t.Errorf("context %v: row differs from the serial model's", ctxs[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNGramSequenceLogProbOrdering(t *testing.T) {

@@ -98,3 +98,27 @@ func TestNGramMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d contexts compared", total)
 }
+
+// BenchmarkNGramRow scores every oracle context with the large model, as
+// NextLogProbs does and as the reference does (maps of maps, every token
+// scaled at each observed history, a log per entry).
+func BenchmarkNGramRow(b *testing.B) {
+	e := experiments.NewEnv(experiments.EnvConfig{Scale: experiments.Quick})
+	m := e.Large.LM.(*model.NGram)
+	ctxs := oracleContexts(e, m)
+	m.NextLogProbsRef(nil) // read the reference's maps outside the loop
+	for _, c := range []struct {
+		name  string
+		score func([]model.Token) []float64
+	}{{"current", m.NextLogProbs}, {"reference", m.NextLogProbsRef}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, ctx := range ctxs {
+					c.score(ctx)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ctxs)), "ns/row")
+		})
+	}
+}

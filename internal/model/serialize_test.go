@@ -2,9 +2,11 @@ package model
 
 import (
 	"bytes"
-	"maps"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -87,17 +89,69 @@ func TestLoadNGramRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestKeyDecodeKeyRoundTrip(t *testing.T) {
-	for _, toks := range [][]Token{nil, {0}, {1, 2, 3}, {255, 256, 1024}} {
-		got := decodeKey(Key(toks))
-		if len(got) != len(toks) {
-			t.Fatalf("round trip %v -> %v", toks, got)
+// TestLoadedSeedsMatchReference: every FuzzLoadNGram seed that loads scores
+// each context over its histories' tokens bit for bit as the map-of-maps
+// scorer does, and saves to bytes that load and save to themselves. Two
+// seeds hold artifacts no trainer writes: one lists an order-2 history
+// without its order-1 suffix (suffix-unlisted), one lists histories and next
+// tokens out of key order (histories-out-of-key-order).
+func TestLoadedSeedsMatchReference(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzLoadNGram/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no seeds: %v", err)
+	}
+	loaded := 0
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range toks {
-			if got[i] != toks[i] {
-				t.Fatalf("round trip %v -> %v", toks, got)
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		m, err := LoadNGram(strings.NewReader(data))
+		if err != nil {
+			continue
+		}
+		loaded++
+		var first, second bytes.Buffer
+		if err := m.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadNGram(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: a saved model does not load: %v", file, err)
+		}
+		if err := again.Save(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: the saved artifact does not save to itself (%v)", file, err)
+		}
+		// Every context of up to three of the tokens the tables name.
+		toks := []Token{0, m.VocabSize() - 1}
+		for _, table := range m.tables() {
+			for _, sh := range table {
+				toks = append(append(toks, sh.History...), sh.Next...)
 			}
 		}
+		slices.Sort(toks)
+		toks = slices.Compact(toks)
+		ctxs := [][]Token{nil}
+		for lo := 0; lo < len(ctxs) && len(ctxs[lo]) < 3; lo++ {
+			for _, tok := range toks {
+				ctxs = append(ctxs, append(slices.Clip(ctxs[lo]), tok))
+			}
+		}
+		for _, ctx := range ctxs {
+			got, want := m.NextLogProbs(ctx), m.NextLogProbsRef(ctx)
+			if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("%s: context %v scores %v, want %v", file, ctx, got, want)
+				break
+			}
+		}
+	}
+	if loaded < 3 {
+		t.Errorf("%d seeds load, want the valid one and the two unusual ones", loaded)
 	}
 }
 
@@ -105,8 +159,9 @@ func TestKeyDecodeKeyRoundTrip(t *testing.T) {
 // relm -artifacts). LoadNGram must never panic, and a model it accepts must
 // score contexts over its vocabulary to rows of log-probabilities (one per
 // token, none NaN or above 0) that are normalized, and score them the same
-// after Save and a reload. The seed corpus (a valid tiny artifact and one
-// seed per rejected defect) is under testdata/fuzz/FuzzLoadNGram.
+// after Save and a reload. The seed corpus (a valid tiny artifact, two
+// valid artifacts no trainer writes and one seed per rejected defect) is
+// under testdata/fuzz/FuzzLoadNGram.
 func FuzzLoadNGram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadNGram(bytes.NewReader(data))
@@ -129,10 +184,10 @@ func FuzzLoadNGram(f *testing.F) {
 		// with its last token repeated, for the context cache) and a
 		// context of the vocabulary's ends.
 		ctxs := [][]Token{nil, {0, vocab - 1, m.EOS(), 0}}
-		for k := len(m.counts) - 1; k > 0 && len(ctxs) < 6; k-- {
-			keys := slices.Sorted(maps.Keys(m.counts[k]))
-			for _, key := range keys[:min(len(keys), 6-len(ctxs))] {
-				h := decodeKey(key)
+		tables := m.tables()
+		for k := len(tables) - 1; k > 0 && len(ctxs) < 6; k-- {
+			for _, sh := range tables[k][:min(len(tables[k]), 6-len(ctxs))] {
+				h := sh.History
 				ctxs = append(ctxs, append(h, h[len(h)-1]))
 			}
 		}

@@ -313,6 +313,38 @@ func (b *BPE) Encode(s string) []Token {
 	return out
 }
 
+// EncodeLines returns the encodings of lines, each followed by sep, as one
+// slice. A BPE encoding is its pre-tokens' encodings end to end (merges never
+// span a pre-token), so each distinct pre-token is encoded once and copied
+// where it recurs: a training mix repeats a few hundred pre-tokens thousands
+// of times. Any other tokenizer encodes line by line.
+func EncodeLines(tok Tokenizer, lines []string, sep Token) []Token {
+	var out []Token
+	b, ok := tok.(*BPE)
+	if !ok {
+		for _, line := range lines {
+			out = append(append(out, tok.Encode(line)...), sep)
+		}
+		return out
+	}
+	spans := map[string][2]int{} // pre-token -> its first encoding, out[lo:hi]
+	for _, line := range lines {
+		for i := 0; i < len(line); {
+			end := pretokenEnd(line, i)
+			if span, ok := spans[line[i:end]]; ok {
+				out = append(out, out[span[0]:span[1]]...)
+			} else {
+				lo := len(out)
+				out = appendChunk(b, out, line[i:end])
+				spans[line[i:end]] = [2]int{lo, len(out)}
+			}
+			i = end
+		}
+		out = append(out, sep)
+	}
+	return out
+}
+
 // appendChunk appends the encoding of one pre-token to dst: it appends the
 // chunk's bytes, then replays merges in place over the appended tail.
 func appendChunk[S string | []byte](b *BPE, dst []Token, chunk S) []Token {

@@ -1,6 +1,7 @@
 package tokenizer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	} {
 		if got := b.Decode(b.Encode(s)); got != s {
 			t.Errorf("round trip %q -> %q", s, got)
+		}
+	}
+}
+
+// TestEncodeLinesIsEncodePerLine: the joined encoding, which encodes each
+// distinct pre-token once, is every line's Encode followed by the separator,
+// for the BPE and for the greedy encoder (which takes the per-line path).
+func TestEncodeLinesIsEncodePerLine(t *testing.T) {
+	b := trained(t)
+	lines := append(trainingCorpus(), "", "  The cat  sat!!", "The", "zzz unseen 123", "The cat sat on the mat.")
+	for _, tok := range []Tokenizer{b, NewGreedy(b)} {
+		var want []Token
+		for _, line := range lines {
+			want = append(append(want, tok.Encode(line)...), tok.EOS())
+		}
+		if got := EncodeLines(tok, lines, tok.EOS()); !slices.Equal(got, want) {
+			t.Errorf("%T: EncodeLines = %v, want %v", tok, got, want)
 		}
 	}
 }

@@ -140,7 +140,6 @@ func runGateArm(tb testing.TB, queries []gateQuery, fused bool) ([][]string, tim
 	var wg sync.WaitGroup
 	for i, g := range queries {
 		sess := m.NewSession()
-		sess.SetQoS(g.name, time.Time{})
 		wg.Add(1)
 		go func(i int, g gateQuery, qm *relm.Model) {
 			defer wg.Done()

@@ -323,7 +323,9 @@ func TestFrozenTraversalSpeedGate(t *testing.T) {
 // BenchmarkFrozenTraversal compares the engines' automaton hot loop (Edges +
 // Step + Accepting over a scattered frontier) across three representations:
 // the old lazy-seal path, the eagerly-sorted DFA, and the frozen CSR form.
-// CI uploads the results as BENCH_pr3.json.
+// Nothing records its results: the performance record is the ledger, the
+// last line `bash bench/run.sh` prints per workload, committed as
+// BENCH_prN.json.
 func BenchmarkFrozenTraversal(b *testing.B) {
 	d, order := benchAutomaton()
 	f := d.Freeze()

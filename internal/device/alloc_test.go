@@ -11,10 +11,9 @@ import (
 // allocates. Per call: the result slice, the request and its done channel,
 // and the model's own rows (one ScoreBatch slice per shard and one row per
 // context). The scheduler's timer, the fused batch with its segments and
-// shards, and the pool's wait are reused; a view without a QoS query is its
-// fair-share account by address, with no key built; and a query's queue is
-// linked through its requests. Before they were, the same calls took 13
-// allocations for 1 row and 25 for 8.
+// shards, and the pool's wait are reused, and the queue is linked through its
+// requests. Before they were, the same calls took 13 allocations for 1 row
+// and 25 for 8.
 func TestFusedForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on synchronization")

@@ -2,10 +2,8 @@ package device
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
-	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/model"
@@ -34,48 +32,32 @@ import (
 // attribution survive because every request scores through the view that
 // submitted it.
 //
-// Scheduling policy:
-//
-//   - Admission window: the first pending request opens a time window
-//     (StartBatcher's window); the queue flushes when the window expires,
-//     when pending rows reach the device batch cap (size watermark), or when
-//     an urgent request arrives.
-//   - Deadline awareness: a request whose QoS deadline is within urgentSlack
-//     preempts the window and is packed first (earliest deadline first), so
-//     a query near its deadline_ms budget jumps the queue instead of waiting
-//     behind bulk work.
-//   - Fair share: rows are drawn from per-query FIFO queues by
-//     deficit-style selection — the query with the fewest rows served so
-//     far goes first, at most quantum rows per pick — so a flood of cheap
-//     queries cannot starve an expensive one, and a query joining the
-//     contention inherits the current service floor rather than a blank
-//     credit balance.
+// Scheduling policy: requests are served in arrival order. The oldest
+// pending request opens an admission window (StartBatcher's window); the
+// queue flushes when the window expires or when pending rows reach the device
+// batch cap (size watermark). A flush packs whole requests from the head of
+// the queue and splits one only at the batch cap, so a batch holds each
+// request at most once and a request waits behind no row that arrived after
+// it. A deadline does not reorder the queue: it cancels its query's context,
+// which stops the query's next dispatch.
 type Batcher struct {
-	core *core
-	// The scheduling settings. Outside white-box tests, which change them on
-	// a bare batcher, only window varies: the others hold the constants of
-	// the same names.
-	window      time.Duration
-	urgentSlack time.Duration
-	quantum     int
+	core   *core
+	window time.Duration
 
-	mu     sync.Mutex
-	queues map[account]*queryQueue
-	active []*queryQueue // queues with pending requests, insertion order
-	rows   int           // pending rows across all queues
-	closed bool
+	mu         sync.Mutex
+	head, tail *request // pending requests, oldest first, linked by request.link
+	rows       int      // pending rows
+	closed     bool
 
 	// counters (guarded by mu)
-	fusedBatches    int64
-	requests        int64
-	rowsFused       int64
-	multiQuery      int64
-	windowFlushes   int64
-	sizeFlushes     int64
-	urgentFlushes   int64
-	drainFlushes    int64
-	peakQueueDepth  int
-	fairnessDeficit int64
+	fusedBatches   int64
+	requests       int64
+	rowsFused      int64
+	multiQuery     int64
+	windowFlushes  int64
+	sizeFlushes    int64
+	drainFlushes   int64
+	peakQueueDepth int
 
 	wake      chan struct{}
 	closeCh   chan struct{}
@@ -83,20 +65,10 @@ type Batcher struct {
 	closeOnce sync.Once
 }
 
-const (
-	// defaultWindow is the admission window StartBatcher takes for a window
-	// <= 0: how long the scheduler holds the first pending request hoping
-	// more queries contribute rows before it flushes a partial batch.
-	defaultWindow = 200 * time.Microsecond
-	// urgentSlack is the deadline proximity that makes a request urgent: a
-	// QoS deadline within this much of now preempts the admission window and
-	// jumps the fairness order.
-	urgentSlack = 250 * time.Millisecond
-	// quantum caps rows taken from one query per fairness pick, bounding how
-	// far one query's large request can push others out of a single fused
-	// batch. Urgent picks ignore it.
-	quantum = 8
-)
+// defaultWindow is the admission window StartBatcher takes for a window
+// <= 0: how long the scheduler holds the oldest pending request hoping more
+// queries contribute rows before it flushes a partial batch.
+const defaultWindow = 200 * time.Microsecond
 
 // BatcherStats snapshots the fusion counters. The JSON names are the ones
 // GET /v1/stats serves.
@@ -109,43 +81,17 @@ type BatcherStats struct {
 	Rows          int64   `json:"fused_rows" metric:"relm_batcher_fused_rows_total,counter,Rows executed through fused batches."`
 	MeanOccupancy float64 `json:"mean_occupancy" metric:"relm_batcher_mean_occupancy,gauge,Mean rows per fused batch."`
 	// MultiQueryBatches counts fused batches that mixed rows from more than
-	// one query — the cross-query fusion the per-query path can never do.
+	// one request — the cross-query fusion the per-query path can never do.
 	MultiQueryBatches int64 `json:"multi_query_batches" metric:"relm_batcher_multi_query_batches_total,counter,Fused batches holding >1 query."`
 	// QueueDepth is the number of rows pending right now; PeakQueueDepth is
 	// the high-water mark.
 	QueueDepth     int `json:"queue_depth" metric:"relm_batcher_queue_depth,gauge,Rows waiting in the admission queue."`
 	PeakQueueDepth int `json:"peak_queue_depth" metric:"relm_batcher_peak_queue_depth,gauge,Peak rows waiting in the admission queue."`
-	// Flush-reason counters: window expiry, size watermark, deadline
-	// preemption, and close-time drain.
+	// Flush-reason counters: window expiry, size watermark, and close-time
+	// drain.
 	WindowFlushes int64 `json:"window_flushes" metric:"relm_batcher_window_flushes_total,counter,Batches flushed by the fusion window."`
 	SizeFlushes   int64 `json:"size_flushes" metric:"relm_batcher_size_flushes_total,counter,Batches flushed at the size limit."`
-	UrgentFlushes int64 `json:"urgent_flushes" metric:"relm_batcher_urgent_flushes_total,counter,Batches flushed for deadline urgency."`
 	DrainFlushes  int64 `json:"drain_flushes" metric:"-"`
-	// FairnessDeficit is the served-row spread (max-min) across the queries
-	// that were still contending after the last selection — 0 means perfectly
-	// even service.
-	FairnessDeficit int64 `json:"fairness_deficit" metric:"relm_batcher_fairness_deficit,gauge,Fair-share deficit across accounts."`
-}
-
-// queryQueue is one query's FIFO of pending requests plus its fair-share
-// account. The FIFO is intrusive — head to tail through each request's link —
-// so queueing a request allocates nothing. It holds a request only while the
-// request has rows not yet packed into a batch; an idle account has a nil
-// head and tail and keeps only key, served and the id of the last batch it
-// had rows in.
-type queryQueue struct {
-	key        account
-	served     int64
-	batch      int64
-	head, tail *request
-}
-
-// account names a fair-share principal: a QoS query, or, for a view with
-// none, the view itself. The view is kept as its address, a number, so an
-// idle account never holds it alive.
-type account struct {
-	query string
-	view  uintptr
 }
 
 type reqKind int
@@ -164,8 +110,6 @@ const (
 type request struct {
 	kind reqKind
 	lm   model.LanguageModel
-	qos  QoS
-	key  account
 	enq  time.Time
 
 	ctxs   [][]model.Token     // forward / prefill / scoreAll inputs
@@ -177,7 +121,7 @@ type request struct {
 	allRows   [][][]float64       // scoreAll outputs
 
 	next      int      // rows handed to fused batches so far
-	link      *request // the next request in its query's queue
+	link      *request // the next request in the batcher's queue
 	remaining int      // rows not yet executed
 	done      chan struct{}
 
@@ -232,9 +176,8 @@ func (r *request) fail(err error) {
 // StartBatcher attaches a fusion scheduler with the given admission window
 // (<= 0: 200µs) to the device (all views of the device route through it) and
 // starts its scheduler goroutine. A larger window fuses better under low
-// concurrency at the price of per-round latency; the size watermark and
-// urgent requests always preempt it. Close detaches and stops it. One
-// batcher serves one device.
+// concurrency at the price of per-round latency; the size watermark always
+// preempts it. Close detaches and stops it. One batcher serves one device.
 func StartBatcher(d *Device, window time.Duration) *Batcher {
 	b := newBatcher(d, window)
 	d.c.batcher.Store(b)
@@ -249,14 +192,11 @@ func newBatcher(d *Device, window time.Duration) *Batcher {
 		window = defaultWindow
 	}
 	return &Batcher{
-		core:        d.c,
-		window:      window,
-		urgentSlack: urgentSlack,
-		quantum:     quantum,
-		queues:      map[account]*queryQueue{},
-		wake:        make(chan struct{}, 1),
-		closeCh:     make(chan struct{}),
-		exited:      make(chan struct{}),
+		core:    d.c,
+		window:  window,
+		wake:    make(chan struct{}, 1),
+		closeCh: make(chan struct{}),
+		exited:  make(chan struct{}),
 	}
 }
 
@@ -286,9 +226,7 @@ func (b *Batcher) Stats() BatcherStats {
 		PeakQueueDepth:    b.peakQueueDepth,
 		WindowFlushes:     b.windowFlushes,
 		SizeFlushes:       b.sizeFlushes,
-		UrgentFlushes:     b.urgentFlushes,
 		DrainFlushes:      b.drainFlushes,
-		FairnessDeficit:   b.fairnessDeficit,
 	}
 	if s.FusedBatches > 0 {
 		s.MeanOccupancy = float64(s.Rows) / float64(s.FusedBatches)
@@ -299,7 +237,7 @@ func (b *Batcher) Stats() BatcherStats {
 // submit enqueues the view's request and blocks until every row has
 // executed. It reports false without executing anything when the batcher is
 // closed — the caller then runs the request inline.
-func (b *Batcher) submit(d *Device, r *request) bool {
+func (b *Batcher) submit(r *request) bool {
 	n := r.rowCount()
 	if n == 0 {
 		return true
@@ -307,12 +245,6 @@ func (b *Batcher) submit(d *Device, r *request) bool {
 	r.enq = time.Now()
 	r.remaining = n
 	r.done = make(chan struct{})
-	r.key = account{query: r.qos.Query}
-	if r.key.query == "" {
-		// No explicit identity: each view (one per session/query) is its own
-		// fairness principal.
-		r.key.view = uintptr(unsafe.Pointer(d))
-	}
 	if !b.enqueue(r) {
 		return false
 	}
@@ -324,82 +256,24 @@ func (b *Batcher) submit(d *Device, r *request) bool {
 	return true
 }
 
-// enqueue adds the request to its query's FIFO. Split from submit so tests
-// can drive the selection logic deterministically.
+// enqueue appends the request to the queue. Split from submit so tests can
+// drive the selection logic deterministically.
 func (b *Batcher) enqueue(r *request) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return false
 	}
-	q := b.queues[r.key]
-	if q == nil {
-		q = &queryQueue{key: r.key}
-		b.queues[r.key] = q
-	}
-	if q.head == nil {
-		// Joining the contention: inherit the current service floor so an
-		// idle query neither monopolizes the device with banked credit nor
-		// starts in debt against long-running queries.
-		if floor, _ := b.servedRangeLocked(); q.served < floor {
-			q.served = floor
-		}
-		b.active = append(b.active, q)
-	}
-	if q.head == nil {
-		q.head = r
+	if b.tail == nil {
+		b.head = r
 	} else {
-		q.tail.link = r
+		b.tail.link = r
 	}
-	q.tail = r
+	b.tail = r
 	b.rows += r.rowCount()
 	b.requests++
-	if b.rows > b.peakQueueDepth {
-		b.peakQueueDepth = b.rows
-	}
-	// Bound the idle-account map: queues with no pending work only carry a
-	// served counter, prune them once the map grows past any plausible
-	// concurrency level.
-	if len(b.queues) > 4096 {
-		for k, qq := range b.queues {
-			if qq.head == nil {
-				delete(b.queues, k)
-			}
-		}
-	}
+	b.peakQueueDepth = max(b.peakQueueDepth, b.rows)
 	return true
-}
-
-// servedRangeLocked reports the fewest and most rows served among the queries
-// with pending work (0, 0 when there are none).
-func (b *Batcher) servedRangeLocked() (lo, hi int64) {
-	for i, q := range b.active {
-		if i == 0 || q.served < lo {
-			lo = q.served
-		}
-		if i == 0 || q.served > hi {
-			hi = q.served
-		}
-	}
-	return lo, hi
-}
-
-func (b *Batcher) removeActiveLocked(q *queryQueue) {
-	if i := slices.Index(b.active, q); i >= 0 {
-		b.active = slices.Delete(b.active, i, i+1) // clears the vacated tail slot
-	}
-}
-
-// oldestLocked returns the earliest enqueue time among pending requests
-// (each queue is FIFO, so heads suffice).
-func (b *Batcher) oldestLocked() time.Time {
-	var oldest time.Time
-	for _, q := range b.active {
-		if t := q.head.enq; oldest.IsZero() || t.Before(oldest) {
-			oldest = t
-		}
-	}
-	return oldest
 }
 
 // run is the scheduler loop: wait for work, hold the admission window, then
@@ -411,7 +285,7 @@ func (b *Batcher) run() {
 	timer.Stop()
 	for {
 		b.mu.Lock()
-		if b.rows == 0 {
+		if b.head == nil {
 			closed := b.closed
 			b.mu.Unlock()
 			if closed {
@@ -426,9 +300,8 @@ func (b *Batcher) run() {
 		}
 		now := time.Now()
 		full := b.rows >= b.core.maxBatch
-		urgent := b.mostUrgentLocked(now) != nil
-		if !full && !urgent && !b.closed {
-			if age := now.Sub(b.oldestLocked()); age < b.window {
+		if !full && !b.closed {
+			if age := now.Sub(b.head.enq); age < b.window {
 				b.mu.Unlock()
 				timer.Reset(b.window - age)
 				select {
@@ -441,8 +314,6 @@ func (b *Batcher) run() {
 			}
 		}
 		switch {
-		case urgent:
-			b.urgentFlushes++
 		case full:
 			b.sizeFlushes++
 		case b.closed:
@@ -450,7 +321,7 @@ func (b *Batcher) run() {
 		default:
 			b.windowFlushes++
 		}
-		b.selectLocked(&fb, now, b.core.maxBatch)
+		b.selectLocked(&fb, now)
 		b.mu.Unlock()
 		b.execute(&fb)
 	}
@@ -463,13 +334,13 @@ type segment struct {
 }
 
 // batch is what one device dispatch executes (core.run): row segments of one
-// or more requests, priced together. The scheduler reuses one batch, so its
-// shards (split) and its wait on them (runShards) are kept with it.
+// or more requests, at most one segment per request, priced together. The
+// scheduler reuses one batch, so its shards (split) and its wait on them
+// (runShards) are kept with it.
 type batch struct {
-	segs    []segment
-	rows    int
-	tokens  int
-	queries int
+	segs   []segment
+	rows   int
+	tokens int
 
 	pieces []segment
 	wg     *sync.WaitGroup // nil until the batch first runs in shards
@@ -481,7 +352,7 @@ func (b *batch) reset() {
 	clear(b.segs)
 	clear(b.pieces)
 	b.segs, b.pieces = b.segs[:0], b.pieces[:0]
-	b.rows, b.tokens, b.queries = 0, 0, 0
+	b.rows, b.tokens = 0, 0
 }
 
 func (b *batch) add(sg segment) {
@@ -492,92 +363,40 @@ func (b *batch) add(sg segment) {
 	}
 }
 
-// selectLocked packs up to cap rows into fb, an empty batch, as one fused
-// batch. Urgent requests go first (earliest deadline), then deficit
-// fair-share across queries.
-func (b *Batcher) selectLocked(fb *batch, now time.Time, cap int) {
+// selectLocked packs up to the device batch cap of rows into fb, an empty
+// batch, as one fused batch: requests from the head of the queue in arrival
+// order, the last one split at the cap.
+func (b *Batcher) selectLocked(fb *batch, now time.Time) {
 	id := b.fusedBatches + 1 // this batch's: the counter increments when selection completes
-	for fb.rows < cap && b.rows > 0 {
-		q, urgent := b.pickLocked(now)
-		r := q.head
-		take := r.rowCount() - r.next
-		if room := cap - fb.rows; take > room {
-			take = room
-		}
-		if !urgent && take > b.quantum {
-			take = b.quantum
-		}
+	for fb.rows < b.core.maxBatch && b.head != nil {
+		r := b.head
 		lo := r.next
-		hi := lo + take
+		hi := min(r.rowCount(), lo+b.core.maxBatch-fb.rows)
 		r.next = hi
 		if rt := r.trace; rt != nil {
 			if lo == 0 {
 				rt.waitUS = now.Sub(r.enq).Microseconds()
 			}
-			// Dedupe: the fair-share loop can pick the same request twice for
-			// one batch.
-			if len(rt.batches) == 0 || rt.batches[len(rt.batches)-1] != id {
-				rt.batches = append(rt.batches, id)
-			}
+			rt.batches = append(rt.batches, id)
 		}
 		fb.add(segment{req: r, lo: lo, hi: hi})
-		if q.batch != id {
-			q.batch = id
-			fb.queries++
-		}
-		q.served += int64(take)
-		b.rows -= take
-		if r.next == r.rowCount() {
+		b.rows -= hi - lo
+		if hi == r.rowCount() {
 			// Every row is packed, so the batch being built is the request's
 			// last holder. Unlink it both ways: a queue still pointing at it,
 			// or it at the next, would keep a request — its rows, decode
 			// states and model view — alive past its dispatch.
-			q.head, r.link = r.link, nil
-			if q.head == nil {
-				q.tail = nil
-				b.removeActiveLocked(q)
+			b.head, r.link = r.link, nil
+			if b.head == nil {
+				b.tail = nil
 			}
 		}
 	}
-	// Fairness telemetry: the service spread among queries still contending.
-	lo, hi := b.servedRangeLocked()
-	b.fairnessDeficit = hi - lo
 	b.fusedBatches++
 	b.rowsFused += int64(fb.rows)
-	if fb.queries > 1 {
+	if len(fb.segs) > 1 {
 		b.multiQuery++
 	}
-}
-
-// mostUrgentLocked returns the queue holding the request with the earliest
-// QoS deadline within urgentSlack of now, or nil when no request is urgent.
-func (b *Batcher) mostUrgentLocked(now time.Time) *queryQueue {
-	var uq *queryQueue
-	var ud time.Time
-	for _, q := range b.active {
-		for r := q.head; r != nil; r = r.link {
-			if d := r.qos.Deadline; !d.IsZero() && d.Sub(now) <= b.urgentSlack && (uq == nil || d.Before(ud)) {
-				uq, ud = q, d
-			}
-		}
-	}
-	return uq
-}
-
-// pickLocked chooses the queue to draw rows from next: the most urgent queue
-// when any request is urgent, otherwise the least-served queue (ties go to
-// arrival order). Within a queue, requests are served FIFO.
-func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
-	if uq := b.mostUrgentLocked(now); uq != nil {
-		return uq, true
-	}
-	best := b.active[0]
-	for _, q := range b.active[1:] {
-		if q.served < best.served {
-			best = q
-		}
-	}
-	return best, false
 }
 
 // execute runs one fused batch through the device's executor (core.run),

@@ -21,12 +21,12 @@ func TestBatcherExecuteFaultFailsOnlyItsBatch(t *testing.T) {
 	t.Cleanup(fault.Disable)
 
 	d := newDevice(8)
-	b := newBareBatcher(d, quantum)
-	submitted := 0
-	submit := func(key string) *request {
-		submitted++
-		r := enqueueRows(b, key, 2, time.Time{})
+	b := newBareBatcher(d)
+	label := map[*request]string{}
+	submit := func(name string) *request {
+		r := enqueueRows(b, 2)
 		r.lm = d.lm // dispatch() would set this; the bare harness must too
+		label[r] = name
 		return r
 	}
 	ended := func(r *request) bool {
@@ -46,10 +46,10 @@ func TestBatcherExecuteFaultFailsOnlyItsBatch(t *testing.T) {
 		batchReqs := []*request{waiting, submit(fmt.Sprintf("p%d", i))}
 		b.mu.Lock()
 		fb := new(batch)
-		b.selectLocked(fb, time.Now(), b.core.maxBatch)
+		b.selectLocked(fb, time.Now())
 		b.mu.Unlock()
 		want := []string{fmt.Sprintf("q%d[0:2]", i-1), fmt.Sprintf("p%d[0:2]", i)}
-		if got := segRows(fb); !reflect.DeepEqual(got, want) {
+		if got := segRows(fb, label); !reflect.DeepEqual(got, want) {
 			t.Fatalf("dispatch %d packed %v, want %v", i, got, want)
 		}
 		waiting = submit(fmt.Sprintf("q%d", i))
@@ -57,27 +57,27 @@ func TestBatcherExecuteFaultFailsOnlyItsBatch(t *testing.T) {
 
 		for _, r := range batchReqs {
 			if !ended(r) {
-				t.Fatalf("dispatch %d: request %s did not end", i, r.key.query)
+				t.Fatalf("dispatch %d: request %s did not end", i, label[r])
 			}
 			_, isFault := r.err.(*fault.Fault)
 			if i <= 3 && !isFault {
-				t.Errorf("dispatch %d: request %s got %v, want the injected *fault.Fault", i, r.key.query, r.err)
+				t.Errorf("dispatch %d: request %s got %v, want the injected *fault.Fault", i, label[r], r.err)
 			}
 			if i == 4 {
 				if r.err != nil {
-					t.Errorf("dispatch 4: request %s failed after the fault was spent: %v", r.key.query, r.err)
+					t.Errorf("dispatch 4: request %s failed after the fault was spent: %v", label[r], r.err)
 				} else if !reflect.DeepEqual(r.rows, d.lm.ScoreBatch(r.ctxs)) {
-					t.Errorf("dispatch 4: request %s rows differ from the model's own", r.key.query)
+					t.Errorf("dispatch 4: request %s rows differ from the model's own", label[r])
 				}
 			}
 		}
 		if ended(waiting) || waiting.err != nil {
-			t.Errorf("dispatch %d reached request %s, which was not in its batch (err %v)", i, waiting.key.query, waiting.err)
+			t.Errorf("dispatch %d reached request %s, which was not in its batch (err %v)", i, label[waiting], waiting.err)
 		}
 	}
 
-	if st := b.Stats(); st.FusedBatches != 4 || st.Requests != int64(submitted) {
-		t.Errorf("batcher stats %+v, want 4 fused batches and all %d requests admitted", st, submitted)
+	if st := b.Stats(); st.FusedBatches != 4 || st.Requests != int64(len(label)) {
+		t.Errorf("batcher stats %+v, want 4 fused batches and all %d requests admitted", st, len(label))
 	}
 	if st := d.Stats(); st.Batches != 1 || st.Sequences != 4 {
 		t.Errorf("device charged %d batches / %d rows, want only the fourth dispatch's 1 / 4", st.Batches, st.Sequences)

@@ -17,22 +17,17 @@ import (
 
 // newBareBatcher builds a batcher over the device WITHOUT starting the
 // scheduler goroutine, so white-box tests can drive enqueue/selectLocked
-// deterministically. It picks rows at most quantum at a time.
-func newBareBatcher(d *Device, quantum int) *Batcher {
-	b := newBatcher(d, 0)
-	b.quantum = quantum
-	return b
-}
+// deterministically.
+func newBareBatcher(d *Device) *Batcher { return newBatcher(d, 0) }
 
-func enqueueRows(b *Batcher, key string, n int, deadline time.Time) *request {
+// enqueueRows queues an n-row forward request on a bare batcher.
+func enqueueRows(b *Batcher, n int) *request {
 	ctxs := make([][]model.Token, n)
 	for i := range ctxs {
 		ctxs[i] = []model.Token{1}
 	}
 	r := &request{
 		kind: reqForward,
-		qos:  QoS{Query: key, Deadline: deadline},
-		key:  account{query: key},
 		enq:  time.Now(),
 		ctxs: ctxs,
 		rows: make([][]float64, n),
@@ -45,90 +40,48 @@ func enqueueRows(b *Batcher, key string, n int, deadline time.Time) *request {
 	return r
 }
 
-func segRows(fb *batch) []string {
+// segRows names each of the batch's segments by its request's label and row
+// range.
+func segRows(fb *batch, label map[*request]string) []string {
 	var out []string
 	for _, sg := range fb.segs {
-		out = append(out, fmt.Sprintf("%s[%d:%d]", sg.req.key.query, sg.lo, sg.hi))
+		out = append(out, fmt.Sprintf("%s[%d:%d]", label[sg.req], sg.lo, sg.hi))
 	}
 	return out
 }
 
-// TestBatcherFairShareSelection pins the selection policy: deficit
-// fair-share with quantum-bounded picks. A 16-row query contending with two
-// 2-row queries gets exactly one quantum before the small queries are
-// served, and the remainder only once it is alone.
-func TestBatcherFairShareSelection(t *testing.T) {
-	b := newBareBatcher(newDevice(8), 4)
-	enqueueRows(b, "A", 16, time.Time{})
-	enqueueRows(b, "B", 2, time.Time{})
-	enqueueRows(b, "C", 2, time.Time{})
+// TestBatcherArrivalOrderSelection pins the selection rule: requests are
+// packed in arrival order, each at most once per batch, and one is split only
+// where the batch reaches the cap.
+func TestBatcherArrivalOrderSelection(t *testing.T) {
+	b := newBareBatcher(newDevice(8))
+	label := map[*request]string{}
+	for _, q := range []struct {
+		name string
+		rows int
+	}{{"A", 6}, {"B", 4}, {"C", 2}, {"D", 9}} {
+		label[enqueueRows(b, q.rows)] = q.name
+	}
 
+	var got [][]string
 	b.mu.Lock()
-	fb1 := new(batch)
-	b.selectLocked(fb1, time.Now(), b.core.maxBatch)
-	fb2 := new(batch)
-	b.selectLocked(fb2, time.Now(), b.core.maxBatch)
+	for b.head != nil {
+		fb := new(batch)
+		b.selectLocked(fb, time.Now())
+		got = append(got, segRows(fb, label))
+	}
+	rows := b.rows
 	b.mu.Unlock()
-
-	want1 := []string{"A[0:4]", "B[0:2]", "C[0:2]"}
-	if got := segRows(fb1); !reflect.DeepEqual(got, want1) {
-		t.Errorf("batch 1 = %v, want %v", got, want1)
+	want := [][]string{
+		{"A[0:6]", "B[0:2]"},
+		{"B[2:4]", "C[0:2]", "D[0:4]"},
+		{"D[4:9]"},
 	}
-	want2 := []string{"A[4:8]", "A[8:12]"}
-	if got := segRows(fb2); !reflect.DeepEqual(got, want2) {
-		t.Errorf("batch 2 = %v, want %v", got, want2)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("batches = %v, want %v", got, want)
 	}
-	if fb1.queries != 3 || fb2.queries != 1 {
-		t.Errorf("queries = %d, %d; want 3, 1", fb1.queries, fb2.queries)
-	}
-}
-
-// TestBatcherServedFloorOnJoin: a query joining mid-contention inherits the
-// current service floor instead of banked credit — it may not monopolize the
-// next fused batch just because it was idle while others were served.
-func TestBatcherServedFloorOnJoin(t *testing.T) {
-	b := newBareBatcher(newDevice(8), 4)
-	enqueueRows(b, "A", 8, time.Time{})
-	b.mu.Lock()
-	b.selectLocked(new(batch), time.Now(), b.core.maxBatch) // A served 8, queue drained
-	b.mu.Unlock()
-
-	enqueueRows(b, "A", 8, time.Time{})
-	enqueueRows(b, "B", 8, time.Time{}) // B joins now: floor = A's 8, not 0
-	if got := b.queues[account{query: "B"}].served; got != 8 {
-		t.Fatalf("B joined with served=%d, want floor 8", got)
-	}
-	b.mu.Lock()
-	fb := new(batch)
-	b.selectLocked(fb, time.Now(), b.core.maxBatch)
-	b.mu.Unlock()
-	// Equal accounts alternate by quantum instead of B sweeping the batch.
-	want := []string{"A[0:4]", "B[0:4]"}
-	if got := segRows(fb); !reflect.DeepEqual(got, want) {
-		t.Errorf("batch = %v, want %v", got, want)
-	}
-}
-
-// TestBatcherUrgentSelection: a near-deadline request jumps the fairness
-// order and ignores the quantum; among urgent requests the earliest deadline
-// wins.
-func TestBatcherUrgentSelection(t *testing.T) {
-	b := newBareBatcher(newDevice(16), 2)
-	b.urgentSlack = time.Second
-	now := time.Now()
-	enqueueRows(b, "bulk", 10, time.Time{})
-	enqueueRows(b, "later", 2, now.Add(800*time.Millisecond))
-	enqueueRows(b, "soon", 6, now.Add(100*time.Millisecond))
-
-	b.mu.Lock()
-	fb := new(batch)
-	b.selectLocked(fb, now, b.core.maxBatch)
-	b.mu.Unlock()
-	got := segRows(fb)
-	// soon (earliest deadline) first and unquantized (6 > quantum 2), then
-	// later, then bulk fills the rest fairly.
-	if len(got) < 2 || got[0] != "soon[0:6]" || got[1] != "later[0:2]" {
-		t.Errorf("urgent order wrong: %v", got)
+	if st := b.Stats(); rows != 0 || b.tail != nil || st.FusedBatches != 3 || st.MultiQueryBatches != 2 || st.Rows != 21 {
+		t.Errorf("after selection: %d rows pending, tail %p, stats %+v; want 0, nil, 3 batches (2 multi-query) of 21 rows", rows, b.tail, st)
 	}
 }
 
@@ -146,7 +99,6 @@ func TestBatcherFusesConcurrentForwards(t *testing.T) {
 	var wg sync.WaitGroup
 	outs := make([][][]float64, queries)
 	for qi := 0; qi < queries; qi++ {
-		view := d.WithQoS(QoS{Query: fmt.Sprintf("q%d", qi)})
 		ctxs := make([][]model.Token, rows)
 		for i := range ctxs {
 			ctxs[i] = []model.Token{model.Token(qi), model.Token(i)}
@@ -154,7 +106,7 @@ func TestBatcherFusesConcurrentForwards(t *testing.T) {
 		wg.Add(1)
 		go func(qi int) {
 			defer wg.Done()
-			outs[qi] = must(view.Forward(ctxs))
+			outs[qi] = must(d.Forward(ctxs))
 		}(qi)
 	}
 	wg.Wait()
@@ -232,47 +184,6 @@ func TestBatcherWindowFlush(t *testing.T) {
 	}
 }
 
-// TestBatcherUrgentPreemptsWindow: a near-deadline arrival flushes a long
-// admission window early, taking the waiting request with it.
-func TestBatcherUrgentPreemptsWindow(t *testing.T) {
-	d := newDevice(64)
-	b := StartBatcher(d, 10*time.Minute) // urgent: a deadline within 250ms
-	defer b.Close()
-
-	patient := make(chan struct{})
-	go func() {
-		d.WithQoS(QoS{Query: "patient"}).Forward([][]model.Token{{1}})
-		close(patient)
-	}()
-	// Wait until the patient request is actually queued.
-	for i := 0; ; i++ {
-		if b.Stats().QueueDepth == 1 {
-			break
-		}
-		if i > 5000 {
-			t.Fatal("patient request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	urgent := d.WithQoS(QoS{Query: "urgent", Deadline: time.Now().Add(10 * time.Millisecond)})
-	done := make(chan struct{})
-	go func() {
-		urgent.Forward([][]model.Token{{2}})
-		close(done)
-	}()
-	for _, ch := range []chan struct{}{done, patient} {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatal("urgent arrival did not preempt the admission window")
-		}
-	}
-	if bs := b.Stats(); bs.UrgentFlushes == 0 {
-		t.Errorf("no urgent flushes recorded: %+v", bs)
-	}
-}
-
 // TestBatcherAllKindsMatchDirect: every routed entry point — Forward,
 // Prefill, ExtendBatch, ScoreAll — returns byte-identical results through
 // the fusion queue, including when all four kinds land in the same window.
@@ -333,8 +244,10 @@ func TestBatcherAllKindsMatchDirect(t *testing.T) {
 }
 
 // TestBatcherFloodCannotStarve: a continuous flood of cheap single-row
-// queries must not starve a large query; fair-share selection bounds the
-// flood's service during the big query's lifetime.
+// queries must not starve a large query. Arrival order bounds the flood's
+// service during the big query's lifetime: each flood goroutine has one
+// request in flight, so at most 8 flood rows are queued ahead of any of the
+// big query's requests.
 func TestBatcherFloodCannotStarve(t *testing.T) {
 	d := newDevice(8)
 	b := StartBatcher(d, 100*time.Microsecond)
@@ -344,7 +257,6 @@ func TestBatcherFloodCannotStarve(t *testing.T) {
 	var floodRows atomic.Int64
 	var floodWg sync.WaitGroup
 	for f := 0; f < 8; f++ {
-		view := d.WithQoS(QoS{Query: fmt.Sprintf("cheap-%d", f)})
 		floodWg.Add(1)
 		go func() {
 			defer floodWg.Done()
@@ -354,13 +266,12 @@ func TestBatcherFloodCannotStarve(t *testing.T) {
 					return
 				default:
 				}
-				view.Forward([][]model.Token{{1}})
+				d.Forward([][]model.Token{{1}})
 				floodRows.Add(1)
 			}
 		}()
 	}
 
-	big := d.WithQoS(QoS{Query: "expensive"})
 	ctxs := make([][]model.Token, 16)
 	for i := range ctxs {
 		ctxs[i] = []model.Token{2}
@@ -369,7 +280,7 @@ func TestBatcherFloodCannotStarve(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < bigCalls; i++ {
-			big.Forward(ctxs)
+			d.Forward(ctxs)
 		}
 		close(done)
 	}()
@@ -382,10 +293,11 @@ func TestBatcherFloodCannotStarve(t *testing.T) {
 	close(stop)
 	floodWg.Wait()
 
-	// 8 cheap queries sharing fairly with 1 expensive one: ~8 flood rows per
-	// expensive row. Far beyond that means the big query was being starved.
+	// 8 cheap queries served in arrival order beside 1 expensive one: a few
+	// flood rows per expensive row. Far beyond that means the big query was
+	// being starved.
 	if ratio := float64(served) / float64(bigRows); ratio > 50 {
-		t.Errorf("flood served %d rows while expensive served %d (ratio %.1f), want bounded fair share",
+		t.Errorf("flood served %d rows while expensive served %d (ratio %.1f), want bounded service",
 			served, bigRows, ratio)
 	} else {
 		t.Logf("flood/expensive service ratio %.1f", ratio)
@@ -710,11 +622,11 @@ func TestRoutePanicReachesSubmitterOnly(t *testing.T) {
 					wg.Add(2)
 					go func() {
 						defer wg.Done()
-						_, poisonErr = op.run(d.WithQoS(QoS{Query: "poisoned"}).WithTrace(tr, trace.RootID), bad)
+						_, poisonErr = op.run(d.WithTrace(tr, trace.RootID), bad)
 					}()
 					go func() {
 						defer wg.Done()
-						neighbour, neighbourErr = op.run(d.WithQoS(QoS{Query: "neighbour"}), in)
+						neighbour, neighbourErr = op.run(d, in)
 					}()
 					wg.Wait()
 					if !took() {

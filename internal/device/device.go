@@ -73,23 +73,14 @@ type core struct {
 
 // Device executes language-model batches against a virtual clock.
 type Device struct {
-	lm  model.LanguageModel
-	qos QoS
-	c   *core
+	lm model.LanguageModel
+	c  *core
 
 	// tr/trParent, when set (WithTrace), record a span per dispatch made
 	// through this view. nil on untraced views — the hot-path cost of the
 	// instrumentation is then a single pointer check.
 	tr       *trace.Trace
 	trParent trace.SpanID
-}
-
-// QoS identifies the principal a view scores for. The fusion batcher uses
-// Query as the fair-share account and Deadline for queue-jump priority; a
-// zero QoS makes the view itself the principal with no deadline.
-type QoS struct {
-	Query    string    // fair-share identity ("" = per-view)
-	Deadline time.Time // completion deadline (zero = none)
 }
 
 // New creates a device for the given model. maxBatch bounds batch size
@@ -106,14 +97,7 @@ func New(lm model.LanguageModel, latency LatencyModel, maxBatch int) *Device {
 // per-query model wrapper (e.g. a cache attribution scope) through a shared
 // device: work done via any view is billed to the one virtual accelerator.
 func (d *Device) WithModel(lm model.LanguageModel) *Device {
-	return &Device{lm: lm, qos: d.qos, c: d.c, tr: d.tr, trParent: d.trParent}
-}
-
-// WithQoS returns a view with the given scheduling identity: same model,
-// same shared core, but scoring calls made through it are accounted (and,
-// under fusion, prioritized) for q.
-func (d *Device) WithQoS(q QoS) *Device {
-	return &Device{lm: d.lm, qos: q, c: d.c, tr: d.tr, trParent: d.trParent}
+	return &Device{lm: lm, c: d.c, tr: d.tr, trParent: d.trParent}
 }
 
 // Batcher returns the fusion scheduler attached to this device's core, or
@@ -175,10 +159,10 @@ func (d *Device) Forward(ctxs [][]model.Token) ([][]float64, error) {
 // fault, or a *ModelPanic — is the returned error on either route; the span
 // is closed first, annotated "error".
 func (d *Device) dispatch(name string, r *request, requested int) error {
-	r.lm, r.qos = d.lm, d.qos
+	r.lm = d.lm
 	span := d.traceStart(name, r)
 	b := d.c.batcher.Load()
-	fused := b != nil && b.submit(d, r)
+	fused := b != nil && b.submit(r)
 	if !fused {
 		d.c.inline(r)
 	}
@@ -192,7 +176,7 @@ func (d *Device) dispatch(name string, r *request, requested int) error {
 func (c *core) inline(r *request) {
 	n := r.rowCount()
 	for lo := 0; lo < n && r.err == nil; lo += c.maxBatch {
-		b := batch{queries: 1}
+		var b batch
 		b.add(segment{req: r, lo: lo, hi: min(lo+c.maxBatch, n)})
 		c.run(&b)
 	}
@@ -222,7 +206,7 @@ func (c *core) run(b *batch) {
 				rt.vstart, rt.hasV = vstart, true
 			}
 			rt.vend = vend
-			rt.occupancy = max(rt.occupancy, b.queries)
+			rt.occupancy = max(rt.occupancy, len(b.segs))
 		}
 	}
 	b.runShards(pool)

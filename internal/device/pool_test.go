@@ -92,20 +92,22 @@ func (m *overlapLM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 }
 
 // TestPoollessFusedBatchRunsSerially: with no pool, a fused batch holding two
-// views' requests runs every segment — one per request — in order on the
+// requests runs every segment — one per request — in order on the
 // goroutine that executes the batch, each request getting its own rows, in
 // one dispatch.
 func TestPoollessFusedBatchRunsSerially(t *testing.T) {
 	lm := &overlapLM{rowLM: newRowLM()}
 	d := New(lm, DefaultLatency(), 8)
-	b := newBareBatcher(d, 8)
+	b := newBareBatcher(d)
 	ctxs := [][]model.Token{{1, 2}, {3}}
 	var reqs []*request
-	for _, v := range []*Device{d.WithQoS(QoS{Query: "a"}), d.WithQoS(QoS{Query: "b"})} {
+	label := map[*request]string{}
+	for _, name := range []string{"a", "b"} {
 		r := &request{
-			kind: reqForward, lm: v.lm, qos: v.qos, key: account{query: v.qos.Query}, enq: time.Now(),
+			kind: reqForward, lm: d.lm, enq: time.Now(),
 			ctxs: ctxs, rows: make([][]float64, len(ctxs)), remaining: len(ctxs), done: make(chan struct{}),
 		}
+		label[r] = name
 		if !b.enqueue(r) {
 			t.Fatal("enqueue on a fresh batcher failed")
 		}
@@ -113,10 +115,10 @@ func TestPoollessFusedBatchRunsSerially(t *testing.T) {
 	}
 	fb := new(batch)
 	b.mu.Lock()
-	b.selectLocked(fb, time.Now(), b.core.maxBatch)
+	b.selectLocked(fb, time.Now())
 	b.mu.Unlock()
-	if len(fb.segs) != 2 || fb.queries != 2 {
-		t.Fatalf("fused batch holds %v over %d queries, want one segment per view", segRows(fb), fb.queries)
+	if got, want := segRows(fb, label), []string{"a[0:2]", "b[0:2]"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fused batch holds %v, want one segment per request %v", got, want)
 	}
 	b.execute(fb)
 

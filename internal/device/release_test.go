@@ -1,7 +1,6 @@
 package device
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -13,10 +12,9 @@ import (
 )
 
 // Nothing outlives its dispatch (DESIGN.md decision 12): once a scoring call
-// returns, neither route holds anything it computed. The batcher keeps a
-// request only while the request has rows not yet packed into a batch, and an
-// idle fair-share account is its key and served count — no slice whose
-// backing array still points at the last request it served.
+// returns, neither route holds anything it computed. The batcher's queue
+// links a request only while the request has rows not yet packed into a
+// batch.
 
 // dispatchProbes runs op through d and returns, instead of the results, one
 // liveness probe per returned row and per decode state whose concrete type is
@@ -65,15 +63,15 @@ func TestDispatchReleasesResults(t *testing.T) {
 					b = StartBatcher(d, 100*time.Microsecond)
 					t.Cleanup(b.Close)
 				}
-				probes := dispatchProbes(d.WithQoS(QoS{Query: "q"}), op.run, routeInputs(lm, 10))
+				probes := dispatchProbes(d, op.run, routeInputs(lm, 10))
 				if len(probes) == 0 {
 					t.Fatal("no rows to probe")
 				}
 				if b != nil {
-					// One more dispatch through another account: when it
-					// returns, the scheduler has finished with every batch
-					// that carried q's rows.
-					must(d.WithQoS(QoS{Query: "barrier"}).Forward([][]model.Token{{1}}))
+					// One more dispatch, queued after the probed one
+					// returned: when it returns, the scheduler has finished
+					// with every batch that carried the probed rows.
+					must(d.Forward([][]model.Token{{1}}))
 				}
 				runtime.GC()
 				runtime.GC()
@@ -92,21 +90,20 @@ func TestDispatchReleasesResults(t *testing.T) {
 	}
 }
 
-// TestIdleAccountsHoldNoRequests: after 200 requests from 200 distinct
-// QoS.Query accounts, every account without pending work links no request.
-func TestIdleAccountsHoldNoRequests(t *testing.T) {
+// TestDrainedQueueHoldsNoRequests: after 200 requests from 8 concurrent
+// callers have returned, the queue links no request and holds no rows.
+func TestDrainedQueueHoldsNoRequests(t *testing.T) {
 	d := newDevice(8)
 	b := StartBatcher(d, 50*time.Microsecond)
 	defer b.Close()
-	const accounts, workers = 200, 8
+	const requests, workers = 200, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := w; i < accounts; i += workers {
-				v := d.WithQoS(QoS{Query: fmt.Sprintf("q%d", i)})
-				must(v.Forward([][]model.Token{{model.Token(i % 7)}, {1, 2}}))
+			for i := w; i < requests; i += workers {
+				must(d.Forward([][]model.Token{{model.Token(i % 7)}, {1, 2}}))
 			}
 		}()
 	}
@@ -114,15 +111,10 @@ func TestIdleAccountsHoldNoRequests(t *testing.T) {
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.queues) != accounts {
-		t.Fatalf("%d accounts, want %d", len(b.queues), accounts)
+	if b.head != nil || b.tail != nil || b.rows != 0 {
+		t.Errorf("queue links a request (head %p, tail %p) or holds %d rows after every request returned", b.head, b.tail, b.rows)
 	}
-	if len(b.active) != 0 || b.rows != 0 {
-		t.Fatalf("%d active queues, %d pending rows after every request returned", len(b.active), b.rows)
-	}
-	for k, q := range b.queues {
-		if q.head != nil || q.tail != nil {
-			t.Errorf("idle account %s links a request (head %p, tail %p)", k.query, q.head, q.tail)
-		}
+	if b.requests != requests {
+		t.Errorf("%d requests admitted, want %d", b.requests, requests)
 	}
 }

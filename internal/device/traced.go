@@ -15,9 +15,9 @@ import (
 // gate pins this.
 
 // WithTrace returns a view whose dispatches record spans into tr, parented
-// under parent. Same model, QoS, and shared core as the receiver.
+// under parent. Same model and shared core as the receiver.
 func (d *Device) WithTrace(tr *trace.Trace, parent trace.SpanID) *Device {
-	return &Device{lm: d.lm, qos: d.qos, c: d.c, tr: tr, trParent: parent}
+	return &Device{lm: d.lm, c: d.c, tr: tr, trParent: parent}
 }
 
 // TraceContext returns the view's trace and parent span id (nil, 0 when

@@ -502,12 +502,6 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 		go func() {
 			defer wg.Done()
 			sess := j.model.NewSession()
-			// Under continuous batching, all of a job's shard workers share
-			// one fair-share account so a wide job contends with interactive
-			// queries as one principal, not Workers-many (DESIGN.md
-			// decision 12). Jobs are batch work: no deadline priority.
-			sess.SetQoS("job:"+j.ID, time.Time{})
-
 			for si := range shardCh {
 				if ctx.Err() != nil {
 					continue // drain

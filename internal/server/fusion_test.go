@@ -15,11 +15,11 @@ import (
 )
 
 // Serving-layer coverage for continuous cross-query batching (DESIGN.md
-// decision 12): the full HTTP path — admission, sessions, QoS tagging,
-// streaming — over a fused device must produce the same streams as an
-// unfused server, /v1/stats must expose the batcher block, and tearing the
-// batcher down under live traffic (the server drain path) must strand
-// neither requests nor goroutines.
+// decision 12): the full HTTP path — admission, sessions, streaming — over
+// a fused device must produce the same streams as an unfused server,
+// /v1/stats must expose the batcher block, and tearing the batcher down
+// under live traffic (the server drain path) must strand neither requests
+// nor goroutines.
 
 func fusedTestServer(tb testing.TB, cfg Config) (*relm.Model, *httptest.Server) {
 	tb.Helper()
@@ -140,7 +140,7 @@ func TestFusedServerByteIdenticalStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"fused_batches", "fused_rows", "mean_occupancy", "multi_query_batches",
-		"queue_depth", "peak_queue_depth", "window_flushes", "size_flushes", "urgent_flushes", "fairness_deficit"} {
+		"queue_depth", "peak_queue_depth", "window_flushes", "size_flushes"} {
 		if _, ok := raw.Models[0].Batcher[key]; !ok {
 			t.Errorf("/v1/stats batcher block lacks %q: %v", key, raw.Models[0].Batcher)
 		}

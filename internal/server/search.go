@@ -282,14 +282,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	id := s.nextID.Add(1)
 	sess := m.NewSession()
-	// QoS for the fusion batcher (DESIGN.md decision 12): the query ID is the
-	// fair-share account, and the HTTP deadline lets a query nearing its
-	// deadline_ms budget jump the admission queue. A no-op without fusion.
-	if dl, ok := ctx.Deadline(); ok {
-		sess.SetQoS(fmt.Sprintf("q%d", id), dl)
-	} else {
-		sess.SetQoS(fmt.Sprintf("q%d", id), time.Time{})
-	}
 	results, err := relm.Search(sess.Model, buildQuery(req, ctx))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())

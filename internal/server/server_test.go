@@ -316,18 +316,37 @@ func TestClientDisconnectCancelsTraversal(t *testing.T) {
 	}
 }
 
+// TestDeadlineExpiresQuery: deadline_ms ends a query with the deadline
+// status on an unfused server and on a fused one. Under fusion the deadline
+// acts only through the query's context — the batcher serves in arrival
+// order — so the query must still stop and leave no row queued.
 func TestDeadlineExpiresQuery(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp := postSearch(t, ts,
-		`{"pattern":"[a-z]{1,10}","max_matches":1000,"deadline_ms":1}`)
-	defer resp.Body.Close()
-	_, done := readStream(t, resp.Body)
-	if done == nil || done.Status != statusDeadline {
-		t.Fatalf("done = %+v, want deadline status", done)
-	}
-	sr := getStats(t, ts)
-	if sr.ByStatus[statusDeadline] != 1 {
-		t.Errorf("by_status = %v, want one deadline", sr.ByStatus)
+	for _, fused := range []bool{false, true} {
+		t.Run(map[bool]string{false: "unfused", true: "fused"}[fused], func(t *testing.T) {
+			var m *relm.Model
+			var ts *httptest.Server
+			if fused {
+				m, ts = fusedTestServer(t, Config{})
+			} else {
+				_, ts = newTestServer(t, Config{})
+			}
+			resp := postSearch(t, ts,
+				`{"pattern":"[a-z]{1,10}","max_matches":1000,"deadline_ms":1}`)
+			defer resp.Body.Close()
+			_, done := readStream(t, resp.Body)
+			if done == nil || done.Status != statusDeadline {
+				t.Fatalf("done = %+v, want deadline status", done)
+			}
+			sr := getStats(t, ts)
+			if sr.ByStatus[statusDeadline] != 1 {
+				t.Errorf("by_status = %v, want one deadline", sr.ByStatus)
+			}
+			if m != nil {
+				if bs := m.BatcherStats(); bs.QueueDepth != 0 {
+					t.Errorf("%d rows still queued after the deadline ended the query: %+v", bs.QueueDepth, bs)
+				}
+			}
+		})
 	}
 }
 

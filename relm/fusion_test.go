@@ -73,7 +73,7 @@ func runCase(tb testing.TB, m *Model, c fusionCase) []string {
 
 // TestFusionCrossQueryDeterminism: all streaming engines × incremental
 // on/off × two patterns run CONCURRENTLY through one fused device, each in
-// its own QoS-tagged session; every stream must equal its solo run on an
+// its own session; every stream must equal its solo run on an
 // unfused model. The batcher must also report genuine cross-query fusion —
 // otherwise the test would vacuously pass on a broken scheduler that never
 // fuses.
@@ -96,7 +96,6 @@ func TestFusionCrossQueryDeterminism(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, c := range cases {
 		sess := fused.NewSession()
-		sess.SetQoS(c.name, time.Time{})
 		wg.Add(1)
 		go func(i int, c fusionCase, m *Model) {
 			defer wg.Done()
@@ -147,7 +146,6 @@ func TestFusionMassEquivalence(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		sess := fused.NewSession()
-		sess.SetQoS(fmt.Sprintf("mass-%d", i), time.Time{})
 		wg.Add(1)
 		go func(i int, m *Model) {
 			defer wg.Done()

@@ -434,7 +434,9 @@ func TestPlanIsAFunctionOfTheLanguage(t *testing.T) {
 // BenchmarkPlanCacheHit measures the per-query cost of a warm repeat query's
 // compile resolution — the amortization the paper's serving story is about.
 // The miss arm compiles the same pattern into a fresh cache every iteration.
-// CI uploads the results as BENCH_pr3.json.
+// Nothing records its results: the performance record is the ledger, the
+// last line `bash bench/run.sh` prints per workload, committed as
+// BENCH_prN.json.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	m := testModel(b)
 	q := SearchQuery{Query: QueryString{Pattern: " ([0-9]{3}) ([0-9]{3}) ([0-9]{4})"}}

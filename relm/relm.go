@@ -266,10 +266,9 @@ type ModelOptions struct {
 	KVBudgetBytes int64
 	// ContinuousBatching attaches a fusion scheduler to the device
 	// (DESIGN.md decision 12): scoring calls from all sessions are packed
-	// into shared forwards up to MaxBatch, with fair-share accounting per
-	// session and deadline-aware priority (Session.SetQoS). Result streams
-	// are byte-identical to direct dispatch. Call Model.Close to drain the
-	// scheduler when done.
+	// into shared forwards up to MaxBatch, served in arrival order. Result
+	// streams are byte-identical to direct dispatch. Call Model.Close to
+	// drain the scheduler when done.
 	ContinuousBatching bool
 	// FusionWindow is the batcher's admission window (0: 200µs): how long
 	// the scheduler holds a partial batch hoping more queries contribute
@@ -466,8 +465,8 @@ type Session struct {
 
 // NewSession derives a session from the model: a copy of it whose device
 // scores through a fresh scope of the shared cache. Without a cache the
-// session still gets its own Model view (so SetQoS never mutates the shared
-// model), but attribution degenerates to zeros.
+// session still gets its own Model view, but attribution degenerates to
+// zeros.
 func (m *Model) NewSession() *Session {
 	view := *m
 	s := &Session{Model: &view}
@@ -476,15 +475,6 @@ func (m *Model) NewSession() *Session {
 		view.Dev = m.Dev.WithModel(s.scope)
 	}
 	return s
-}
-
-// SetQoS names the query this session serves and sets its completion
-// deadline, for the fusion batcher's fair-share accounting and queue-jump
-// priority (DESIGN.md decision 12). A zero deadline means no deadline; an
-// empty query keeps per-session identity. Harmless without fusion. Call it
-// before the first Search on the session.
-func (s *Session) SetQoS(query string, deadline time.Time) {
-	s.Model.Dev = s.Model.Dev.WithQoS(device.QoS{Query: query, Deadline: deadline})
 }
 
 // CacheStats reports this session's share of shared-cache activity: hits

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 	"weak"
 
 	"repro/internal/model"
@@ -65,7 +64,6 @@ func TestServingRetainsOnlyCachedRows(t *testing.T) {
 			defer wg.Done()
 			for i := c; i < queries; i += clients {
 				sess := m.NewSession()
-				sess.SetQoS(fmt.Sprintf("q%d", i), time.Time{})
 				results, err := relm.Search(sess.Model, relm.SearchQuery{
 					Query:    relm.QueryString{Pattern: " ([0-9]{3})", Prefix: fmt.Sprintf("Query %d reads", i)},
 					Strategy: relm.ShortestPath, MaxTokens: 8,

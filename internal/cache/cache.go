@@ -12,6 +12,11 @@
 // parallel executor never pays for the same forward twice. The bounded map,
 // the single flight included, is internal/lru's.
 //
+// Nothing here recovers or raises a panic (DESIGN.md decision 15). A model
+// that panics unwinds its owner's call unchanged, to the device's one model
+// boundary, and abandons the flights that call owned; a request parked on
+// one wakes to lru.ErrAbandoned and scores its row again.
+//
 // One type serves every client (DESIGN.md decisions 4 and 8): an LM is a
 // view of the shared store, and a scope is another view of it that also
 // counts which rows its own calls hit, computed or waited for. Each scoring
@@ -43,9 +48,6 @@ type store struct {
 
 	mu   sync.Mutex
 	rows *lru.Map[[]float64]
-	// seqFlights single-flights whole-sequence scoring (incremental.go); each
-	// flight ends with Drop, so nothing is ever admitted.
-	seqFlights *lru.Map[[][]float64]
 
 	// flights counts requests that waited on another goroutine's computation.
 	hits, misses, flights int64
@@ -54,7 +56,7 @@ type store struct {
 // New wraps inner with a cache of at most capacity contexts; capacity must be
 // at least 1.
 func New(inner model.LanguageModel, capacity int) *LM {
-	return &LM{store: &store{inner: inner, rows: lru.NewMap[[]float64](capacity), seqFlights: lru.NewMap[[][]float64](1)}}
+	return &LM{store: &store{inner: inner, rows: lru.NewMap[[]float64](capacity)}}
 }
 
 // VocabSize implements model.LanguageModel.
@@ -111,9 +113,10 @@ func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 
 	if len(s.owned) > 0 {
 		// One batched inner call for all unique misses. The cache stores each
-		// row as is: rows are immutable.
+		// row as is: rows are immutable. A short answer panics inside Run,
+		// never under c.mu, so it abandons the flights like any model panic.
 		var lps [][]float64
-		c.rows.Run(&c.mu, s.owned, func() { lps = c.inner.ScoreBatch(s.ctxs) })
+		c.rows.Run(&c.mu, s.owned, func() { lps = c.inner.ScoreBatch(s.ctxs)[:len(s.ctxs)] })
 		c.mu.Lock()
 		for j, f := range s.owned {
 			c.rows.Commit(f, lps[j])
@@ -121,12 +124,14 @@ func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 		c.mu.Unlock()
 	}
 	// Every row not a hit takes its entry's value; an owned entry's is there.
+	// A row whose flight was abandoned is scored again below.
+	var retry []int
 	for j, f := range s.pending {
-		lp, err := f.Wait()
-		if err != nil {
-			panic(err) // the owner failed; the cache has no error return
+		if lp, err := f.Wait(); err == nil {
+			out[s.rows[j]] = lp
+		} else {
+			retry = append(retry, s.rows[j])
 		}
-		out[s.rows[j]] = lp
 	}
 	// The pool keeps no entry or context alive (nor a panicked call's scratch).
 	clear(s.owned)
@@ -134,6 +139,20 @@ func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 	clear(s.ctxs)
 	*s = scratch{s.owned[:0], s.pending[:0], s.ctxs[:0], s.rows[:0]}
 	scratches.Put(s)
+	if len(retry) > 0 {
+		// The retry counts these rows by its own outcome, not as flights.
+		bs.Flights -= int64(len(retry))
+		c.mu.Lock()
+		c.flights -= int64(len(retry))
+		c.mu.Unlock()
+		again := make([][]model.Token, len(retry))
+		for k, i := range retry {
+			again[k] = ctxs[i]
+		}
+		for k, lp := range c.ScoreBatch(again) {
+			out[retry[k]] = lp
+		}
+	}
 	c.record(bs)
 	return out
 }

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"repro/internal/lru"
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // Incremental decoding through the cache (DESIGN.md decision 10): the logit
 // cache is the outer layer. The engine asks it first, through the device's
@@ -33,12 +30,10 @@ func (c *LM) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]mo
 	return out, rows
 }
 
-// ScoreAllPositions implements model.AllPositions. When the inner model has
-// a one-forward implementation, repeated sequences (the sampler replays its
-// prefix on every attempt) hit an all-positions fast path: if every
-// position's row is already cached the forward is skipped entirely, and
-// concurrent requests for the same sequence share one computation through a
-// sequence-level single flight.
+// ScoreAllPositions implements model.AllPositions: one inner forward when
+// the inner model has one, its rows published like Prefill's. It checks for
+// no hit: the device's resident probe answers an all-hit sequence before it
+// dispatches (DESIGN.md decision 10).
 func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 	ap, ok := c.inner.(model.AllPositions)
 	if !ok {
@@ -49,53 +44,16 @@ func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 		}
 		return c.ScoreBatch(ctxs)
 	}
-	if len(seq) == 0 {
-		return nil
-	}
-
-	// All-hit fast path, under one lock pass (the same check the device's
-	// resident probe makes, for callers that reach the cache directly).
-	n := int64(len(seq))
-	buf := model.GetKeyBuf()
-	defer model.PutKeyBuf(buf)
-	c.mu.Lock()
-	if out := c.residentSeqLocked(seq, buf); out != nil {
-		c.hits += n
-		c.mu.Unlock()
-		c.record(ScopeStats{Hits: n})
-		return out
-	}
-
-	// Miss: single-flight the whole sequence, keyed by all of it.
-	*buf = model.AppendKey((*buf)[:0], seq)
-	if _, f, _ := c.seqFlights.Lookup(*buf); f != nil {
-		c.flights += n
-		c.mu.Unlock()
-		rows, err := f.Wait()
-		if err != nil {
-			panic(err) // the owner failed; the cache has no error return
-		}
-		c.record(ScopeStats{Flights: n})
-		return rows
-	}
-	f := c.seqFlights.Start(string(*buf))
-	c.misses += n
-	c.mu.Unlock()
-
-	var rows [][]float64
-	c.seqFlights.Run(&c.mu, []*lru.Entry[[][]float64]{f}, func() { rows = ap.ScoreAllPositions(seq) })
-	c.mu.Lock()
-	c.publishLocked(buf, rows, func(p int) []model.Token { return model.ClampWindow(c.inner, seq[:p]) })
-	c.seqFlights.Drop(f, rows, nil)
-	c.mu.Unlock()
-	c.record(ScopeStats{Misses: n})
+	rows := ap.ScoreAllPositions(seq)[:len(seq)]
+	c.publish(rows, func(p int) []model.Token { return model.ClampWindow(c.inner, seq[:p]) })
 	return rows
 }
 
 // publish counts rows the inner model computed outside ScoreBatch — by a
-// delegated Prefill or ExtendBatch — as misses, so aggregate hit ratios stay
-// meaningful under incremental traffic, and publishes them into the cache,
-// under one lock pass. Row i conditions on ctx(i).
+// delegated Prefill, ExtendBatch or ScoreAllPositions — as misses, so
+// aggregate hit ratios stay meaningful under incremental traffic, and
+// publishes them into the cache, under one lock pass. Row i conditions on
+// ctx(i).
 func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) {
 	buf := model.GetKeyBuf()
 	c.mu.Lock()

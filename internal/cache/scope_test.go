@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/lru"
 	"repro/internal/model"
 )
 
@@ -124,77 +123,134 @@ func (m *gatedPanicModel) ScoreAllPositions(seq []model.Token) [][]float64 {
 	return rows
 }
 
-// TestInnerPanicDoesNotWedgeFlights: when the inner model panics under a
-// single flight — a batch of rows or a whole all-positions sequence — the
-// owner re-raises its own panic, every request parked on the flight fails
-// promptly instead of blocking on it forever, and the same keys compute
-// normally once the model behaves.
+// TestInnerPanicDoesNotWedgeFlights: when the inner model panics, the call
+// that ran it panics with the model's own value, unwrapped, and leaves no key
+// wedged. Requests parked on its batch's flights wake and score their rows
+// again, so they get rows, each counted once. A whole all-positions sequence
+// has no flight: its panic passes through, and a retry computes.
 func TestInnerPanicDoesNotWedgeFlights(t *testing.T) {
 	ctxs := scopeCtxs(4)
 	seq := []model.Token{1, 2, 3, 4}
-	for _, tc := range []struct {
-		name string
-		call func(c *LM) [][]float64
-	}{
-		{"ScoreBatch", func(c *LM) [][]float64 { return c.ScoreBatch(ctxs) }},
-		{"ScoreAllPositions", func(c *LM) [][]float64 { return c.ScoreAllPositions(seq) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			inner := &gatedPanicModel{
-				LanguageModel: &model.Uniform{Vocab: 16, EOSTok: 15, SeqLen: 8},
-				started:       make(chan struct{}),
-				release:       make(chan struct{}),
+	gated := func() *gatedPanicModel {
+		return &gatedPanicModel{
+			LanguageModel: &model.Uniform{Vocab: 16, EOSTok: 15, SeqLen: 8},
+			started:       make(chan struct{}),
+			release:       make(chan struct{}),
+		}
+	}
+	// call runs f and returns its rows, or the value it panicked with.
+	call := func(f func() [][]float64) (rows [][]float64, p any) {
+		defer func() { p = recover() }()
+		return f(), nil
+	}
+	// computes checks that a call returns n rows, none of them missing.
+	computes := func(t *testing.T, name string, f func() [][]float64, n int) {
+		t.Helper()
+		done := make(chan [][]float64, 1)
+		go func() { done <- f() }()
+		select {
+		case rows := <-done:
+			if len(rows) != n || slices.ContainsFunc(rows, func(r []float64) bool { return r == nil }) {
+				t.Errorf("%s returned %d rows: %v", name, len(rows), rows)
 			}
-			c := New(inner, 64)
-			call := func() (p any) {
-				defer func() { p = recover() }()
-				tc.call(c)
-				return nil
-			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s blocked on a wedged in-flight entry", name)
+		}
+	}
 
-			owner := make(chan any, 1)
-			go func() { owner <- call() }()
-			<-inner.started
-			const waiters = 3
-			parked := make(chan any, waiters)
-			for range waiters {
-				go func() { parked <- call() }()
+	t.Run("ScoreBatch", func(t *testing.T) {
+		inner := gated()
+		c := New(inner, 64)
+		owner := make(chan any, 1)
+		go func() {
+			_, p := call(func() [][]float64 { return c.ScoreBatch(ctxs) })
+			owner <- p
+		}()
+		<-inner.started
+		const waiters = 3
+		type outcome struct {
+			rows  [][]float64
+			p     any
+			tally ScopeStats
+		}
+		parked := make(chan outcome, waiters)
+		for range waiters {
+			go func() {
+				v := c.NewScope()
+				rows, p := call(func() [][]float64 { return v.ScoreBatch(ctxs) })
+				parked <- outcome{rows, p, v.Tally()}
+			}()
+		}
+		// Every row of every waiter joins the owner's flights before the
+		// owner is let go.
+		for deadline := time.Now().Add(5 * time.Second); c.FlightStats() < waiters*4; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d rows parked on the flight", c.FlightStats())
 			}
-			// Every row of every waiter joins the owner's flight (both inputs
-			// are four rows long) before the owner is let go.
-			for deadline := time.Now().Add(5 * time.Second); c.FlightStats() < waiters*4; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("only %d rows parked on the flight", c.FlightStats())
-				}
-			}
-			close(inner.release)
+		}
+		close(inner.release)
 
-			if p := <-owner; p != "scripted model failure" {
-				t.Errorf("owner panicked with %v, want its own model's panic", p)
-			}
-			for range waiters {
-				select {
-				case p := <-parked:
-					if _, ok := p.(*lru.OwnerPanic); !ok {
-						t.Errorf("waiter ended with %v (%T), want an *lru.OwnerPanic panic", p, p)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("waiter still parked on a failed flight")
-				}
-			}
-
-			// The keys must not be wedged: a retry computes them normally.
-			done := make(chan [][]float64, 1)
-			go func() { done <- tc.call(c) }()
+		if p := <-owner; p != "scripted model failure" {
+			t.Errorf("owner panicked with %v (%T), want its own model's panic", p, p)
+		}
+		for range waiters {
 			select {
-			case rows := <-done:
-				if len(rows) != 4 || slices.ContainsFunc(rows, func(r []float64) bool { return r == nil }) {
-					t.Errorf("retry returned %d rows: %v", len(rows), rows)
+			case o := <-parked:
+				if o.p != nil {
+					t.Fatalf("waiter panicked with %v (%T), want rows", o.p, o.p)
+				}
+				if len(o.rows) != 4 || slices.ContainsFunc(o.rows, func(r []float64) bool { return r == nil }) {
+					t.Errorf("waiter got %d rows: %v", len(o.rows), o.rows)
+				}
+				if o.tally.Hits+o.tally.Misses+o.tally.Flights != 4 {
+					t.Errorf("waiter tallied %+v, want its 4 rows counted once each", o.tally)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatal("retry blocked on a wedged in-flight entry")
+				t.Fatal("waiter still parked on a failed flight")
 			}
-		})
+		}
+		computes(t, "a later call", func() [][]float64 { return c.ScoreBatch(ctxs) }, 4)
+	})
+
+	t.Run("ScoreAllPositions", func(t *testing.T) {
+		inner := gated()
+		close(inner.release)
+		c := New(inner, 64)
+		if _, p := call(func() [][]float64 { return c.ScoreAllPositions(seq) }); p != "scripted model failure" {
+			t.Errorf("call panicked with %v (%T), want its own model's panic", p, p)
+		}
+		computes(t, "a retry", func() [][]float64 { return c.ScoreAllPositions(seq) }, 4)
+	})
+}
+
+// shortModel answers every batch with no rows at all: a defective model.
+type shortModel struct{ model.LanguageModel }
+
+func (shortModel) ScoreBatch([][]model.Token) [][]float64 { return nil }
+
+// TestShortBatchDoesNotWedgeCache: an inner model that returns fewer rows
+// than asked fails the call that ran it with a panic raised outside the
+// cache's lock, so the flights it owned are abandoned and the next call on
+// the cache, a read of its length, returns.
+func TestShortBatchDoesNotWedgeCache(t *testing.T) {
+	c := New(shortModel{&model.Uniform{Vocab: 16, EOSTok: 15, SeqLen: 8}}, 64)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a short batch was answered")
+			}
+		}()
+		c.ScoreBatch(scopeCtxs(2))
+	}()
+	done := make(chan int, 1)
+	go func() { done <- c.Len() }()
+	select {
+	case n := <-done:
+		if n != 0 {
+			t.Errorf("%d entries after a failed batch, want 0", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cache stayed locked after a short batch")
 	}
 }
 

@@ -1,10 +1,16 @@
 package jobs
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/automaton"
+	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/relm"
@@ -308,5 +314,69 @@ func TestModelPanicFailsOnlyItsItems(t *testing.T) {
 				t.Errorf("%s: item %s recorded Err %q", name, r.ID, r.Err)
 			}
 		}
+	}
+}
+
+// panicKeyedPreprocessor panics on every Transform, after a short pause so
+// that concurrent items find its compilation in flight. Its PlanKey makes
+// the query plan-cacheable, so those items join one flight.
+type panicKeyedPreprocessor struct{}
+
+func (panicKeyedPreprocessor) Transform(*automaton.DFA) (*automaton.DFA, error) {
+	time.Sleep(10 * time.Millisecond)
+	panic("boom")
+}
+func (panicKeyedPreprocessor) Name() string    { return "panic" }
+func (panicKeyedPreprocessor) PlanKey() string { return "panic" }
+
+// poisonedCompileSuite searches one query whose plan compilation panics.
+type poisonedCompileSuite struct{}
+
+func (poisonedCompileSuite) Items(max int) []Item {
+	out := make([]Item, 6)
+	for i := range out {
+		out[i] = Item{ID: fmt.Sprintf("poisoned-%d", i)}
+	}
+	return capItems(out, max)
+}
+
+func (poisonedCompileSuite) Run(ctx context.Context, m *relm.Model, it Item) (ItemResult, engine.Stats, error) {
+	_, err := relm.Search(m, relm.SearchQuery{
+		Query:         relm.QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
+		Preprocessors: []relm.Preprocessor{panicKeyedPreprocessor{}},
+	})
+	return gradeScored(ctx, it, err == nil, 0, engine.Stats{}, err)
+}
+
+// TestPoisonedCompileFailsOnlyItsItems: a plan compilation that panics inside
+// a jobs worker is each item's recorded error — for the worker that ran it
+// and for one that joined its plan-cache flight — not a retry, a quarantine
+// or a failed job, and the ledger it leaves verifies.
+func TestPoisonedCompileFailsOnlyItsItems(t *testing.T) {
+	suiteBuilders["poisoned-compile"] = func(*experiments.Env, Spec) (Suite, error) { return poisonedCompileSuite{}, nil }
+	t.Cleanup(func() { delete(suiteBuilders, "poisoned-compile") })
+	m := newTestManager(t, Config{})
+	j, err := m.Submit(Spec{Suite: "poisoned-compile", Model: "large", ShardSize: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j)
+	if got := j.Status(); got != StatusCompleted {
+		t.Fatalf("job %s (%s), want completed", got, j.Snapshot().Error)
+	}
+	results := j.Results()
+	if len(results) != 6 {
+		t.Fatalf("%d item results, want 6", len(results))
+	}
+	for _, r := range results {
+		if !strings.Contains(r.Err, "relm: plan compilation panicked") {
+			t.Errorf("item %s recorded Err %q, want the compile panic", r.ID, r.Err)
+		}
+	}
+	if q := j.Snapshot().Quarantined; q != 0 {
+		t.Errorf("%d items quarantined, want 0", q)
+	}
+	if _, err := VerifyFile(m.LedgerPath(j.ID)); err != nil {
+		t.Fatalf("ledger verify: %v", err)
 	}
 }

@@ -7,7 +7,7 @@
 package lru
 
 import (
-	"fmt"
+	"errors"
 	"math/bits"
 	"sync"
 )
@@ -187,34 +187,39 @@ func (m *Map[V]) Commit(f *Entry[V], v V) {
 	m.main.PushFront(cand)
 }
 
-// Drop ends f's flight without admitting v: the key leaves the map, so the
-// next request computes it afresh, and f's waiters wake to v and err. It is a
+// Drop ends f's flight without admitting a value: the key leaves the map, so
+// the next request computes it afresh, and f's waiters wake to err. It is a
 // no-op on an entry an Add committed meanwhile.
-func (m *Map[V]) Drop(f *Entry[V], v V, err error) {
+func (m *Map[V]) Drop(f *Entry[V], err error) {
 	if !f.flying {
 		return
 	}
 	delete(m.items, f.key)
-	f.val, f.err, f.flying = v, err, false
+	f.err, f.flying = err, false
 	f.done.Done()
 }
 
+// ErrAbandoned is what a waiter wakes to when its flight's owner never
+// finished computing it: the owner's compute panicked, and the panic went on.
+var ErrAbandoned = errors.New("lru: flight abandoned by its owner")
+
 // Run calls compute, the work of the flights fs the caller owns, without the
-// caller's lock. If compute panics, Run drops every flight in fs with an
-// *OwnerPanic under mu, so every waiter wakes to the failure and the next
-// request computes afresh, and re-raises the original panic value.
+// caller's lock. If compute does not return, Run drops every flight in fs
+// with ErrAbandoned under mu on the way out, so waiters wake and the next
+// request computes afresh; it recovers nothing, so a panic goes on unchanged.
 func (m *Map[V]) Run(mu sync.Locker, fs []*Entry[V], compute func()) {
+	done := false
 	defer func() {
-		if p := recover(); p != nil {
+		if !done {
 			mu.Lock()
 			for _, f := range fs {
-				m.Drop(f, *new(V), &OwnerPanic{Value: p})
+				m.Drop(f, ErrAbandoned)
 			}
 			mu.Unlock()
-			panic(p)
 		}
 	}()
 	compute()
+	done = true
 }
 
 // Wait blocks until f's flight ends and returns its result.
@@ -283,11 +288,4 @@ func hash[K string | []byte](k K) uint64 {
 		h = (h ^ uint64(k[i])) * 1099511628211
 	}
 	return (h ^ h>>33) * 0xff51afd7ed558ccd
-}
-
-// OwnerPanic is the error a waiter gets when its flight's owner panicked.
-type OwnerPanic struct{ Value any }
-
-func (e *OwnerPanic) Error() string {
-	return fmt.Sprintf("lru: in-flight computation panicked on its owner: %v", e.Value)
 }

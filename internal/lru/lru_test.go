@@ -183,9 +183,9 @@ func TestMapFlightSharesOneComputation(t *testing.T) {
 	}
 }
 
-// TestMapRunOwnerPanic: a panicking owner re-raises its own value, every
-// flight it owned wakes its waiters with an *OwnerPanic, and the keys leave
-// the map so the next request starts afresh.
+// TestMapRunOwnerPanic: a panicking owner's own value passes through Run
+// unchanged, every flight it owned wakes its waiters with ErrAbandoned, and
+// the keys leave the map so the next request starts afresh.
 func TestMapRunOwnerPanic(t *testing.T) {
 	var mu sync.Mutex
 	m := NewMap[int](4)
@@ -200,20 +200,20 @@ func TestMapRunOwnerPanic(t *testing.T) {
 			errs <- err
 		}()
 	}
+	boom := errors.New("boom")
 	func() {
 		defer func() {
-			if p := recover(); p != "boom" {
-				t.Errorf("owner re-panicked with %v, want its own value", p)
+			if p := recover(); p != boom {
+				t.Errorf("owner panicked with %v, want its own value", p)
 			}
 		}()
-		m.Run(&mu, fs, func() { panic("boom") })
+		m.Run(&mu, fs, func() { panic(boom) })
 	}()
 	for range fs {
 		select {
 		case err := <-errs:
-			var op *OwnerPanic
-			if !errors.As(err, &op) || op.Value != "boom" {
-				t.Errorf("waiter got %v, want an OwnerPanic carrying boom", err)
+			if err != ErrAbandoned {
+				t.Errorf("waiter got %v, want ErrAbandoned", err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("waiter still parked after the owner panicked")
@@ -221,21 +221,25 @@ func TestMapRunOwnerPanic(t *testing.T) {
 	}
 	for _, k := range []string{"a", "b"} {
 		if _, f, ok := m.Lookup([]byte(k)); f != nil || ok {
-			t.Fatal("failed flights wedged their keys")
+			t.Fatal("abandoned flights wedged their keys")
 		}
 	}
 	if len(m.items) != 0 || m.Len() != 0 {
-		t.Fatal("failed flights left entries behind")
+		t.Fatal("abandoned flights left entries behind")
 	}
 	if !mu.TryLock() {
 		t.Fatal("Run left the caller's mutex locked")
 	}
 	mu.Unlock()
 
+	// A compute that returns leaves its flights to the caller.
+	mu.Lock()
+	f := m.Start("c")
+	mu.Unlock()
 	ran := false
-	m.Run(&mu, nil, func() { ran = true })
-	if !ran {
-		t.Fatal("Run did not call compute")
+	m.Run(&mu, []*Entry[int]{f}, func() { ran = true })
+	if _, fl, _ := m.Lookup([]byte("c")); !ran || fl != f {
+		t.Fatal("Run did not call compute, or ended a flight whose compute returned")
 	}
 }
 

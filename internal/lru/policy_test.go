@@ -218,8 +218,8 @@ func FuzzMap(f *testing.F) {
 				twin.Commit(fl.twin, v)
 				ref.Add(key, v)
 			} else {
-				m.Drop(fl.m, 0, err)
-				twin.Drop(fl.twin, 0, err)
+				m.Drop(fl.m, err)
+				twin.Drop(fl.twin, err)
 			}
 			rf := group.Join(key)
 			group.Finish(key, wantV, err)

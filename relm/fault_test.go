@@ -3,10 +3,14 @@ package relm
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/fault"
+	"repro/internal/lru"
 	"repro/internal/model"
 )
 
@@ -183,5 +187,97 @@ func TestModelPanicIsTheQueryError(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// errPoison is what poisonCtxLM panics with.
+var errPoison = errors.New("poison context")
+
+// poisonCtxLM panics with errPoison on one context, every time it is asked.
+// Before its first panic it calls wait, when set, once (through gate).
+type poisonCtxLM struct {
+	model.LanguageModel
+	poison []model.Token
+	gate   *sync.Once
+	wait   func()
+}
+
+func (p poisonCtxLM) NextLogProbs(ctx []model.Token) []float64 {
+	if slices.Equal(ctx, p.poison) {
+		if p.wait != nil {
+			p.gate.Do(p.wait)
+		}
+		panic(errPoison)
+	}
+	return p.LanguageModel.NextLogProbs(ctx)
+}
+
+func (p poisonCtxLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(p, ctxs) }
+
+// TestConcurrentModelPanicReachesEveryQuery: concurrent queries over a model
+// that panics on a context they all need each end with a *device.ModelPanic
+// carrying the model's own value, never a cache wrapper, and a following
+// query that does not need the context succeeds on the same model. Inline,
+// the first panic waits until every other query is parked on its flight, so
+// each of those scores the row again and meets the panic itself; fused, the
+// queries share batches on a two-worker pool.
+func TestConcurrentModelPanicReachesEveryQuery(t *testing.T) {
+	lm, tok := testNGram()
+	const queries = 4
+	for _, fused := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fused=%v", fused), func(t *testing.T) {
+			inner := poisonCtxLM{LanguageModel: lm, poison: tok.Encode("The"), gate: new(sync.Once)}
+			opts := ModelOptions{ContinuousBatching: fused}
+			if fused {
+				opts.Pool = device.NewPool(2)
+				t.Cleanup(opts.Pool.Close)
+			}
+			var m *Model
+			if !fused {
+				inner.wait = func() {
+					for deadline := time.Now().Add(5 * time.Second); m.Cache().FlightStats() < queries-1; time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Errorf("only %d rows parked on the poisoned flight", m.Cache().FlightStats())
+							return
+						}
+					}
+				}
+			}
+			m = NewModel(inner, tok, opts)
+			t.Cleanup(m.Close)
+			errs := make(chan error, queries)
+			var wg sync.WaitGroup
+			for range queries {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results, err := Search(m, SearchQuery{Query: QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"}})
+					if err != nil {
+						errs <- err
+						return
+					}
+					defer results.Close()
+					results.Take(10)
+					errs <- results.Err()
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				var mp *device.ModelPanic
+				if !errors.As(err, &mp) || mp.Value != errPoison || !errors.Is(err, errPoison) || errors.Is(err, lru.ErrAbandoned) {
+					t.Errorf("query ended with %v, want a *device.ModelPanic of the model's own value", err)
+				}
+			}
+
+			results, err := Search(m, SearchQuery{Query: QueryString{Pattern: " ([0-9]{3})", Prefix: "My phone number is"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer results.Close()
+			if got := results.Take(3); len(got) == 0 || results.Err() != nil {
+				t.Errorf("a healthy query after the panics: %d matches, %v", len(got), results.Err())
+			}
+		})
 	}
 }

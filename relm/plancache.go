@@ -89,8 +89,8 @@ func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit boo
 
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	start := time.Now()
-	// A panicking compile fails the flight's waiters and unwedges the key
-	// before the panic propagates.
+	// A compile that panics abandons the flight: its waiters wake to
+	// lru.ErrAbandoned and the key unwedges as the panic goes on.
 	pc.plans.Run(&pc.mu, []*lru.Entry[V]{f}, func() { c, err = compile() })
 	//relm:allow(determinism) wall-clock feeds the compileNS metric only, never the plan bytes
 	elapsed := time.Since(start)
@@ -100,7 +100,7 @@ func (pc *planCache[V]) get(key []byte, compile func() (V, error)) (c V, hit boo
 	if err == nil {
 		pc.plans.Commit(f, c)
 	} else {
-		pc.plans.Drop(f, c, err)
+		pc.plans.Drop(f, err)
 	}
 	pc.mu.Unlock()
 	return c, false, err

@@ -62,15 +62,6 @@ func (n *NFA) AddEdge(from StateID, sym Symbol, to StateID) {
 	n.to = append(n.to, int32(to))
 }
 
-// Grow reserves room for states more states and edges more transitions, so
-// a construction that knows its size adds them without reallocating.
-func (n *NFA) Grow(states, edges int) {
-	n.accept = slices.Grow(n.accept, states)
-	n.from = slices.Grow(n.from, edges)
-	n.sym = slices.Grow(n.sym, edges)
-	n.to = slices.Grow(n.to, edges)
-}
-
 // SetStart designates the initial state.
 func (n *NFA) SetStart(s StateID) { n.start = s }
 
@@ -97,7 +88,12 @@ func (n *NFA) SetAccepting(s StateID, v bool) { n.accept[s] = v }
 // data race once engines shared automata across parallel workers.) Freeze
 // converts a finished DFA into the even leaner immutable Frozen form.
 type DFA struct {
-	edges  [][]Edge // sorted by Sym; at most one edge per (state, symbol)
+	edges [][]Edge // sorted by Sym; at most one edge per (state, symbol)
+	// packed is the one array that holds every edge list back to back, in
+	// state order, when a Builder made the DFA and nothing has added a state
+	// or an edge since; Freeze then shares it. The lists are capped, so
+	// nothing writes into it.
+	packed []Edge
 	start  StateID
 	accept []bool
 	// minimal records that Minimize produced this automaton (or a Clone of
@@ -117,7 +113,7 @@ func NewDFA() *DFA { return &DFA{} }
 func (d *DFA) AddState(accepting bool) StateID {
 	d.edges = append(d.edges, nil)
 	d.accept = append(d.accept, accepting)
-	d.minimal = false
+	d.minimal, d.packed = false, nil
 	return len(d.edges) - 1
 }
 
@@ -137,7 +133,7 @@ func (d *DFA) AddEdge(from StateID, sym Symbol, to StateID) {
 	copy(es[i+1:], es[i:])
 	es[i] = Edge{Sym: sym, To: to}
 	d.edges[from] = es
-	d.minimal = false
+	d.minimal, d.packed = false, nil
 	d.alphabet.Store(nil)
 }
 
@@ -274,9 +270,12 @@ func (b *Builder) EndState(accepting bool) {
 
 // Build returns the DFA of the finished states. The builder must not be used
 // afterwards. Each edge list is capped at its length, so a later AddEdge
-// copies the list out instead of writing over its neighbour.
+// copies the list out instead of writing over its neighbour, and the array
+// that holds them all is the DFA's packed one, which Freeze shares: a builder
+// whose DFA is frozen should be sized exactly, or the Frozen pins the spare
+// room.
 func (b *Builder) Build(start StateID) *DFA {
-	d := &DFA{edges: make([][]Edge, len(b.accept)), start: start, accept: b.accept}
+	d := &DFA{edges: make([][]Edge, len(b.accept)), packed: b.edges, start: start, accept: b.accept}
 	for s := range d.edges {
 		lo, hi := b.off[s], b.off[s+1]
 		d.edges[s] = b.edges[lo:hi:hi]
@@ -304,10 +303,73 @@ func bucket(keys []int32, n int) (first, order []int32) {
 	return first, order
 }
 
-// determinizer is the scratch of one subset construction. It lives for one
-// Determinize call and is not pooled: the allocations of a compile must be
-// the same from run to run. Subsets are interned by open addressing over the
-// arena that holds them, so a new DFA state costs no key of its own.
+// Subsets numbers the sets a subset construction discovers, in order of
+// discovery. The sets are kept back to back in one arena and interned by open
+// addressing over it, so a new set costs no key of its own. A table lives for
+// one construction and is not pooled: the allocations of a compile must be
+// the same from run to run.
+type Subsets struct {
+	arena []int32 // members of every interned set, back to back
+	off   []int32 // set i is arena[off[i]:off[i+1]]
+	// slots is a linear-probing table over the sets: a slot holds a set's
+	// number + 1, 0 when empty. Its length is a power of two, at least twice
+	// the number of sets.
+	slots []int32
+}
+
+// NewSubsets returns an empty table sized for sets over the given number of
+// elements (a hint, not a limit).
+func NewSubsets(elements int) *Subsets {
+	return &Subsets{off: []int32{0}, slots: make([]int32, max(16, 2<<bits.Len(uint(elements))))}
+}
+
+// Len reports how many sets are numbered.
+func (t *Subsets) Len() int { return len(t.off) - 1 }
+
+// Set returns the members of set id. The slice is the table's and must not be
+// mutated; it stays valid after later Interns.
+func (t *Subsets) Set(id StateID) []int32 { return t.arena[t.off[id]:t.off[id+1]] }
+
+// Intern returns the number of set, which must be sorted, numbering it if it
+// is new. A probe compares set with the arena spans of the sets it meets, so
+// only a new set writes anything: its members, its offset and its slot. The
+// table keeps no reference to set.
+func (t *Subsets) Intern(set []int32) StateID {
+	mask := len(t.slots) - 1
+	i := subsetHash(set) & mask
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if id := int(t.slots[i] - 1); slices.Equal(t.Set(id), set) {
+			return id
+		}
+	}
+	id := t.Len()
+	t.arena = append(t.arena, set...)
+	t.off = append(t.off, int32(len(t.arena)))
+	t.slots[i] = int32(id + 1)
+	if 2*(id+1) > len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		for s := range id + 1 {
+			j := subsetHash(t.Set(s)) & (len(t.slots) - 1)
+			for t.slots[j] != 0 {
+				j = (j + 1) & (len(t.slots) - 1)
+			}
+			t.slots[j] = int32(s + 1)
+		}
+	}
+	return id
+}
+
+// subsetHash mixes the members of a sorted subset into a slot index (FNV-1a
+// over the members, then a multiplicative finish for the low bits).
+func subsetHash(set []int32) int {
+	h := uint64(14695981039346656037)
+	for _, s := range set {
+		h = (h ^ uint64(uint32(s))) * 1099511628211
+	}
+	return int((h ^ h>>29) * 0xbf58476d1ce4e5b9 >> 32)
+}
+
+// determinizer is the scratch of one Determinize call.
 type determinizer struct {
 	n *NFA
 	// The transitions of state s, by index into n's lists: epsilon ones are
@@ -323,13 +385,7 @@ type determinizer struct {
 	gen   uint32
 	stack []int32
 	set   []int32 // the closure just built, sorted, live members only
-
-	arena []int32 // members of every interned subset, back to back
-	off   []int32 // subset of DFA state i is arena[off[i]:off[i+1]]
-	// slots is a linear-probing table over the subsets: a slot holds a DFA
-	// state + 1, 0 when empty. Its length is a power of two, at least twice
-	// the number of states.
-	slots []int32
+	sets  *Subsets
 }
 
 // closure leaves in c.set the epsilon closure of seeds.
@@ -360,44 +416,6 @@ func (c *determinizer) closure(seeds []int32) {
 	slices.Sort(c.set)
 }
 
-// intern returns the DFA state of the subset in c.set, numbering it if new.
-// A probe compares c.set with the arena spans of the states it meets, so
-// only a new subset writes anything: its members, its offset and its slot.
-func (c *determinizer) intern() StateID {
-	mask := len(c.slots) - 1
-	i := subsetHash(c.set) & mask
-	for ; c.slots[i] != 0; i = (i + 1) & mask {
-		if id := c.slots[i] - 1; slices.Equal(c.arena[c.off[id]:c.off[id+1]], c.set) {
-			return int(id)
-		}
-	}
-	id := len(c.off) - 1
-	c.arena = append(c.arena, c.set...)
-	c.off = append(c.off, int32(len(c.arena)))
-	c.slots[i] = int32(id + 1)
-	if 2*(id+1) > len(c.slots) {
-		c.slots = make([]int32, 2*len(c.slots))
-		for s := range id + 1 {
-			j := subsetHash(c.arena[c.off[s]:c.off[s+1]]) & (len(c.slots) - 1)
-			for c.slots[j] != 0 {
-				j = (j + 1) & (len(c.slots) - 1)
-			}
-			c.slots[j] = int32(s + 1)
-		}
-	}
-	return id
-}
-
-// subsetHash mixes the members of a sorted subset into a slot index (FNV-1a
-// over the members, then a multiplicative finish for the low bits).
-func subsetHash(set []int32) int {
-	h := uint64(14695981039346656037)
-	for _, s := range set {
-		h = (h ^ uint64(uint32(s))) * 1099511628211
-	}
-	return int((h ^ h>>29) * 0xbf58476d1ce4e5b9 >> 32)
-}
-
 // Determinize converts the NFA to an equivalent DFA via subset construction.
 // Only reachable subsets are materialized; states are numbered in order of
 // discovery, breadth first from the start by ascending symbol.
@@ -414,8 +432,7 @@ func (n *NFA) Determinize() *DFA {
 			nsyms = max(nsyms, int(sym)+1)
 		}
 	}
-	c := &determinizer{n: n, live: live, stamp: make([]uint32, states), off: []int32{0}}
-	c.slots = make([]int32, max(16, 2<<bits.Len(uint(states))))
+	c := &determinizer{n: n, live: live, stamp: make([]uint32, states), sets: NewSubsets(states)}
 	c.first, c.order = bucket(keys, 2*states)
 
 	// Moves out of one subset are grouped by a counting sort over the symbols
@@ -425,10 +442,10 @@ func (n *NFA) Determinize() *DFA {
 	var present, targets []int32
 
 	c.closure([]int32{int32(n.start)})
-	c.intern()
+	c.sets.Intern(c.set)
 	b := NewBuilder(states, len(n.from))
-	for from := 0; from+1 < len(c.off); from++ {
-		members := c.arena[c.off[from]:c.off[from+1]]
+	for from := 0; from < c.sets.Len(); from++ {
+		members := c.sets.Set(from)
 		present = present[:0]
 		total, accepting := 0, false
 		for _, s := range members {
@@ -458,7 +475,7 @@ func (n *NFA) Determinize() *DFA {
 			hi := count[sym]
 			count[sym] = 0
 			c.closure(targets[lo:hi])
-			b.Edge(Symbol(sym), c.intern())
+			b.Edge(Symbol(sym), c.sets.Intern(c.set))
 			lo = hi
 		}
 		b.EndState(accepting)

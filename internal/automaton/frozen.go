@@ -30,21 +30,30 @@ type Frozen struct {
 }
 
 // Freeze converts a fully constructed DFA into its immutable CSR form. The
-// DFA is not retained; mutating it afterwards does not affect the Frozen.
+// Frozen shares the edge array a Builder packed, which nothing writes into,
+// and copies the edges of a DFA that AddState or AddEdge changed since; either
+// way, mutating the DFA afterwards does not affect the Frozen.
 func (d *DFA) Freeze() *Frozen {
 	n := d.NumStates()
 	f := &Frozen{
 		start:     d.start,
 		numStates: n,
+		edges:     d.packed,
 		views:     make([][]Edge, n),
 		accept:    make([]uint64, (n+63)/64),
 		alphabet:  d.Alphabet(),
 	}
-	f.edges = make([]Edge, 0, d.NumEdges())
-	for s := 0; s < n; s++ {
-		lo := len(f.edges)
-		f.edges = append(f.edges, d.edges[s]...)
-		f.views[s] = f.edges[lo:len(f.edges):len(f.edges)]
+	if f.edges == nil {
+		f.edges = make([]Edge, 0, d.NumEdges())
+		for _, es := range d.edges {
+			f.edges = append(f.edges, es...)
+		}
+	}
+	lo := 0
+	for s, es := range d.edges {
+		hi := lo + len(es)
+		f.views[s] = f.edges[lo:hi:hi]
+		lo = hi
 		if d.accept[s] {
 			f.accept[s/64] |= 1 << uint(s%64)
 		}

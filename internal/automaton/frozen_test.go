@@ -2,6 +2,7 @@ package automaton
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -346,4 +347,45 @@ func BenchmarkFrozenTraversal(b *testing.B) {
 	run("lazyseal", func() traversal { return newLazySeal(d) })
 	run("dfa", func() traversal { return d })
 	run("frozen", func() traversal { return f })
+}
+
+// TestFreezeSharesBuiltEdges: Freeze of a DFA a Builder made shares the
+// builder's edge array instead of copying it; AddEdge, AddState and
+// SetAccepting on the DFA afterwards leave the Frozen equal to a snapshot
+// taken at Freeze; and a DFA changed before Freeze gets a copy that shows
+// the change.
+func TestFreezeSharesBuiltEdges(t *testing.T) {
+	d := randomDFA(rand.New(rand.NewSource(3)), 40, 6, 160).Minimize()
+	if d.NumEdges() < 20 {
+		t.Fatalf("%v: too few edges to test", d)
+	}
+	// The Frozen, its views and its accepting bitset; a copy would be a fourth.
+	if allocs := testing.AllocsPerRun(20, func() { d.Freeze() }); allocs > 3 {
+		t.Errorf("Freeze of a built DFA: %.0f allocations, want <= 3 (no edge array)", allocs)
+	}
+	f := d.Freeze()
+	if &f.edges[0] != &d.packed[0] {
+		t.Fatal("Freeze copied the edge array a Builder packed")
+	}
+	snapshot, edges := f.Thaw(), slices.Clone(f.edges)
+
+	s := d.AddState(true)
+	for q := range d.NumStates() - 1 {
+		d.AddEdge(q, 100+q, s) // into the middle of the packed array, list by list
+	}
+	d.SetAccepting(d.Start(), !d.Accepting(d.Start()))
+	if err := equalDFA(f.Thaw(), snapshot); err != nil {
+		t.Errorf("mutating the DFA changed its Frozen: %v", err)
+	}
+	if !slices.Equal(f.edges, edges) {
+		t.Error("mutating the DFA wrote into the shared edge array")
+	}
+
+	g := d.Freeze()
+	if &g.edges[0] == &f.edges[0] {
+		t.Error("a DFA changed by AddEdge still shares the builder's array")
+	}
+	if err := equalDFA(g.Thaw(), d); err != nil {
+		t.Errorf("Freeze of a changed DFA: %v", err)
+	}
 }

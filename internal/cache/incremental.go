@@ -56,24 +56,27 @@ func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 // ctx(i).
 func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) {
 	buf := model.GetKeyBuf()
-	c.mu.Lock()
-	c.misses += int64(len(rows))
-	c.publishLocked(buf, rows, ctx)
-	c.mu.Unlock()
+	c.insert(buf, rows, ctx)
 	model.PutKeyBuf(buf)
 	c.record(ScopeStats{Misses: int64(len(rows))})
 }
 
-// publishLocked inserts each computed row the cache does not hold yet, so
-// incremental traffic warms the cache for everyone else; an entry already
-// present keeps its row and its recency. Rows are looked up through buf, so
-// only an actual insert materializes a key. The cache stores each row itself,
-// the slice the caller also returns: rows are read-only. c.mu must be held.
-func (c *LM) publishLocked(buf *[]byte, rows [][]float64, ctx func(i int) []model.Token) {
+// insert adds each computed row the cache does not hold yet, so incremental
+// traffic warms the cache for everyone else; an entry already present keeps
+// its row and its recency. Rows are looked up through buf, so only an actual
+// insert materializes a key. The cache stores each row itself, the slice the
+// caller also returns: rows are read-only. ctx reads the inner model's decode
+// states under c.mu, and a defective one (a nil state, or fewer states than
+// rows) panics there: the deferred unlock lets that panic go on to the
+// device's dispatch without leaving the cache locked, and counts no miss.
+func (c *LM) insert(buf *[]byte, rows [][]float64, ctx func(i int) []model.Token) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, lp := range rows {
 		*buf = model.AppendKey((*buf)[:0], ctx(i))
 		if !c.rows.Has(*buf) {
 			c.rows.Add(string(*buf), lp)
 		}
 	}
+	c.misses += int64(len(rows))
 }

@@ -254,6 +254,57 @@ func TestShortBatchDoesNotWedgeCache(t *testing.T) {
 	}
 }
 
+// badStateModel is a defective incremental model: Prefill answers a row
+// with a nil decode state, and ExtendBatch answers every row with one state
+// fewer than rows.
+type badStateModel struct{ *model.Uniform }
+
+func (m badStateModel) Prefill(ctx []model.Token) (model.DecodeState, []float64) {
+	return nil, m.NextLogProbs(ctx)
+}
+
+func (m badStateModel) ExtendBatch(states []model.DecodeState, tokens []model.Token) ([]model.DecodeState, [][]float64) {
+	out, rows := model.Extend(m.Uniform, states, tokens)
+	return out[:len(out)-1], rows
+}
+
+// TestBadDecodeStateDoesNotWedgeCache: the contexts of the rows a delegated
+// Prefill or ExtendBatch returns are read from its decode states under the
+// cache's lock. A nil state, or fewer states than rows, fails the call with
+// a panic that leaves the lock released: the next call on the cache, a read
+// of its length, returns, and the failed call counted no miss.
+func TestBadDecodeStateDoesNotWedgeCache(t *testing.T) {
+	inner := badStateModel{&model.Uniform{Vocab: 16, EOSTok: 15, SeqLen: 8}}
+	good, _ := model.Prefill(inner.Uniform, tok(1, 2))
+	for _, call := range []struct {
+		name string
+		run  func(c *LM)
+	}{
+		{"nil Prefill state", func(c *LM) { c.Prefill(tok(1, 2, 3)) }},
+		{"short ExtendBatch", func(c *LM) { c.ExtendBatch([]model.DecodeState{good, good}, tok(3, 4)) }},
+	} {
+		c := New(inner, 64)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the defective state was answered", call.name)
+				}
+			}()
+			call.run(c)
+		}()
+		done := make(chan int, 1)
+		go func() { done <- c.Len() }()
+		select {
+		case <-done:
+			if _, misses := c.Stats(); misses != 0 {
+				t.Errorf("%s: %d misses counted for a failed call, want 0", call.name, misses)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the cache stayed locked after a defective decode state", call.name)
+		}
+	}
+}
+
 // countingModel counts rows the inner model actually scored.
 type countingModel struct {
 	model.LanguageModel

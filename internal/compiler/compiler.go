@@ -42,27 +42,41 @@ const byteTokenLimit = 256
 // unique, so (state, token) pairs never collide. Every multi-byte token's ID
 // is above the byte symbols, so a state's list is its byte edges followed by
 // its shortcuts in token order, and the builder takes both already sorted.
+// Each state's walk runs once, into a compact scratch, before the builder is
+// made: it is sized exactly, so the plan that freezes the result shares an
+// edge array with no spare room.
 func CompileFull(char *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
-	trie := bpe.Trie()
-	b := automaton.NewBuilder(char.NumStates(), 2*char.NumEdges())
-	var w shortcutWalk
-	for v := 0; v < char.NumStates(); v++ {
+	trie, n := bpe.Trie(), char.NumStates()
+	w := shortcutWalk{found: make([]shortcut, 0, char.NumEdges())}
+	ends := make([]int, n) // state v's shortcuts end at found[ends[v]]
+	for v := range n {
+		w.from(char, trie, v)
+		ends[v] = len(w.found)
+	}
+	b := automaton.NewBuilder(n, char.NumEdges()+len(w.found))
+	lo := 0
+	for v := range n {
 		for _, e := range char.Edges(v) {
 			b.Edge(e.Sym, e.To)
 		}
-		for _, e := range w.from(char, trie, v) {
-			b.Edge(e.Sym, e.To)
+		for _, s := range w.found[lo:ends[v]] {
+			b.Edge(int(s.tok), int(s.to))
 		}
+		lo = ends[v]
 		b.EndState(char.Accepting(v))
 	}
 	return b.Build(char.Start())
 }
 
-// shortcutWalk is the scratch one CompileFull reuses across states.
+// shortcutWalk is the scratch of one CompileFull: the walk stack, reused
+// across states, and the shortcuts of every state, back to back.
 type shortcutWalk struct {
 	stack []shortcutFrame
-	found []automaton.Edge
+	found []shortcut
 }
+
+// shortcut is an edge on a multi-byte token, half the size of an Edge.
+type shortcut struct{ tok, to int32 }
 
 type shortcutFrame struct {
 	node  int32 // trie node
@@ -71,16 +85,16 @@ type shortcutFrame struct {
 }
 
 // from walks the vocabulary trie and the DFA together from state v and
-// returns, sorted by token, a shortcut edge for every multi-byte token whose
-// surface bytes form a valid walk. The slice is reused by the next call.
-func (w *shortcutWalk) from(char *automaton.DFA, trie *tokenizer.Trie, v automaton.StateID) []automaton.Edge {
-	w.found = w.found[:0]
+// appends to w.found, sorted by token, a shortcut for every multi-byte token
+// whose surface bytes form a valid walk.
+func (w *shortcutWalk) from(char *automaton.DFA, trie *tokenizer.Trie, v automaton.StateID) {
+	lo := len(w.found)
 	stack := append(w.stack[:0], shortcutFrame{state: v})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if tok := trie.Token(f.node); tok >= 0 && f.depth > 1 {
-			w.found = append(w.found, automaton.Edge{Sym: tok, To: f.state})
+			w.found = append(w.found, shortcut{int32(tok), int32(f.state)})
 		}
 		// Pair the node's bytes with the state's edges from the shorter side.
 		kids, edges := trie.Kids(f.node), char.Edges(f.state)
@@ -102,8 +116,7 @@ func (w *shortcutWalk) from(char *automaton.DFA, trie *tokenizer.Trie, v automat
 		}
 	}
 	w.stack = stack
-	slices.SortFunc(w.found, func(a, b automaton.Edge) int { return a.Sym - b.Sym })
-	return w.found
+	slices.SortFunc(w.found[lo:], func(a, b shortcut) int { return int(a.tok) - int(b.tok) })
 }
 
 // CompileFullNaive is Appendix B's Algorithm 2 taken literally: for every

@@ -1,14 +1,18 @@
 // Package levenshtein builds edit-distance automata, implementing the
 // Levenshtein preprocessor of §3.4: given a language L as a byte DFA, it
 // produces the DFA of all strings within edit distance k of some string in
-// L. Distance-k automata are obtained by composing the distance-1
-// construction k times, exactly as the paper describes ("an edit distance of
-// 2 corresponds to two chained Levenshtein automata").
+// L. The paper chains k distance-1 automata ("an edit distance of 2
+// corresponds to two chained Levenshtein automata"); ExpandK builds the same
+// language in one subset construction over (state, edits used) pairs. An
+// edit of a byte an earlier edit produced merges with that edit, so k chained
+// edits reach exactly the strings that align to one of L with at most k
+// insertions, deletions and substitutions, each inserted or substituted byte
+// from the edit alphabet; and minimal DFAs are numbered canonically, so the
+// two constructions give equal automata, edge for edge.
 package levenshtein
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/automaton"
 )
@@ -16,152 +20,161 @@ import (
 // Expand returns a DFA accepting every string within edit distance 1
 // (insertion, deletion, or substitution of one byte drawn from alphabet) of
 // a string in L(d). The original strings (distance 0) are included.
-//
-// The construction is an NFA product of d with an edit counter in {0, 1}:
-// state (q, e). Edits available at e=0: substitute (consume a wrong byte on
-// an existing transition), insert (consume any byte, stay at q), delete
-// (epsilon-advance across a transition).
 func Expand(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 	return ExpandK(d, alphabet, 1)
 }
 
-// ExpandK returns the minimal DFA of strings within edit distance k of L(d).
-// The input is minimized first (for a minimal one, such as regex.Compile
-// returns, that costs nothing): every expansion doubles its states. k = 0
-// returns a copy, so the result is the caller's to mutate either way.
+// ExpandK returns the minimal DFA of strings within edit distance k of L(d),
+// inserted and substituted bytes drawn from alphabet. The input is minimized
+// first; k = 0 returns a copy, so the result is the caller's to mutate.
+//
+// A state of the construction is a set of pairs (q, e), input state q reached
+// with e edits, each q at its fewest. On byte b, (q, e) follows q's b-edge at
+// e; with e < k and b in the alphabet it also inserts b (to q) or substitutes
+// it (to any successor of q) at e+1. A set is closed under deletion: (q, e)
+// with e < k moves to every successor at e+1. The edit moves are the same for
+// every alphabet byte, so a set's target on the bytes none of its members'
+// edges carries is computed once.
 func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
 	if k <= 0 {
 		return d.Clone().Minimize()
 	}
-	cur := d.Minimize()
-	for i := 0; i < k; i++ {
-		cur = expandOnce(cur, alphabet)
-	}
-	return cur
-}
-
-func expandOnce(d *automaton.DFA, alphabet []byte) *automaton.DFA {
-	n := automaton.NewNFA()
-	states := d.NumStates()
-	// Layer 0: zero edits used. Layer 1: one edit used.
-	id := func(q automaton.StateID, layer int) automaton.StateID {
-		return q + layer*states
-	}
-	// succ lists the distinct successors of one state. An edit moves to a
-	// successor whichever edge leads there, so the edit transitions are laid
-	// per successor, not per edge: a state of an already expanded automaton
-	// has an edge for every byte and only a handful of successors.
-	type successor struct {
-		to  automaton.StateID
-		sym int // the one symbol that leads to it, -1 when several do
-	}
-	var succ []successor
-	successors := func(q automaton.StateID) {
-		succ = succ[:0]
+	d = d.Minimize()
+	n, k1, alpha := d.NumStates(), int32(k+1), SortedAlphabetUnion(alphabet)
+	x := &expander{k: int32(k), at: make([]int32, n+1), best: make([]int32, n), stamp: make([]uint32, n),
+		gen: 1, sets: automaton.NewSubsets(n * (k + 1))}
+	for q := range n {
 		for _, e := range d.Edges(q) {
-			if i := slices.IndexFunc(succ, func(s successor) bool { return s.to == e.To }); i < 0 {
-				succ = append(succ, successor{e.To, e.Sym})
-			} else {
-				succ[i].sym = -1
+			if !slices.Contains(x.succ[x.at[q]:], int32(e.To)) {
+				x.succ = append(x.succ, int32(e.To))
 			}
 		}
+		x.at[q+1] = int32(len(x.succ))
 	}
 
-	// Count the transitions first, so the NFA is reserved once: per state,
-	// its exact edges on both layers, an insertion per byte, a substitution
-	// per byte and successor but the successor's one symbol, and a deletion
-	// per successor.
-	var inAlphabet [256]bool
-	for _, b := range alphabet {
-		inAlphabet[b] = true
-	}
+	// First pass: number the sets and build the DFA of their moves on the
+	// symbols their members' edges carry; only[s] is set s's target on the
+	// other alphabet bytes (-1: none), and edges counts the final edges.
+	carried := automaton.NewBuilder(n, n)
+	var present []int
+	var only, seeds []int32
 	edges := 0
-	for q := 0; q < states; q++ {
-		successors(q)
-		edges += 2*len(d.Edges(q)) + len(alphabet)*(1+len(succ)) + len(succ)
-		for _, s := range succ {
-			if s.sym >= 0 && s.sym < 256 && inAlphabet[s.sym] {
-				edges--
+	x.intern([]int32{int32(d.Start()) * k1})
+	for from := 0; from < x.sets.Len(); from++ {
+		set, accepting, inAlphabet := x.sets.Set(from), false, 0
+		present, seeds = present[:0], seeds[:0]
+		for _, c := range set {
+			q, e := c/k1, c%k1
+			accepting = accepting || d.Accepting(int(q))
+			for _, ed := range d.Edges(int(q)) {
+				present = append(present, ed.Sym)
 			}
-		}
-	}
-	n.Grow(2*states, edges)
-
-	for layer := 0; layer < 2; layer++ {
-		for q := 0; q < states; q++ {
-			n.AddState(d.Accepting(q))
-		}
-	}
-	for q := 0; q < states; q++ {
-		edges := d.Edges(q)
-		for layer := 0; layer < 2; layer++ {
-			// Exact transitions preserve the layer.
-			for _, e := range edges {
-				n.AddEdge(id(q, layer), e.Sym, id(e.To, layer))
-			}
-		}
-		successors(q)
-		// Edit transitions: layer 0 -> layer 1.
-		for _, b := range alphabet {
-			sym := int(b)
-			// Insertion: consume b without advancing d.
-			n.AddEdge(id(q, 0), sym, id(q, 1))
-			// Substitution: consume b but advance along any edge whose label
-			// differs from b.
-			for _, s := range succ {
-				if s.sym != sym {
-					n.AddEdge(id(q, 0), sym, id(s.to, 1))
+			if e < x.k { // an inserted byte keeps q, a substituted one moves on
+				seeds = append(seeds, c+1)
+				for _, r := range x.succ[x.at[q]:x.at[q+1]] {
+					seeds = append(seeds, r*k1+e+1)
 				}
 			}
 		}
-		// Deletion: advance along an edge without consuming input.
-		for _, s := range succ {
-			n.AddEdge(id(q, 0), automaton.Epsilon, id(s.to, 1))
-		}
-	}
-	n.SetStart(id(d.Start(), 0))
-	return n.Determinize().Minimize()
-}
-
-// Distance computes the exact Levenshtein distance between two strings with
-// the standard dynamic program; used as the test oracle for Expand.
-func Distance(a, b string) int {
-	la, lb := len(a), len(b)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
+		slices.Sort(present)
+		present = slices.Compact(present)
+		for _, sym := range present {
+			for _, c := range set {
+				if r, ok := d.Step(int(c/k1), sym); ok {
+					x.add(int32(r), c%k1)
+				}
 			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			var edits []int32
+			if _, ok := slices.BinarySearch(alpha, byte(sym)); ok && sym < 256 {
+				edits, inAlphabet = seeds, inAlphabet+1
+			}
+			carried.Edge(sym, x.intern(edits))
 		}
-		prev, cur = cur, prev
+		if only = append(only, -1); inAlphabet < len(alpha) {
+			only[from] = int32(x.intern(seeds))
+		}
+		if edges += len(present); only[from] >= 0 {
+			edges += len(alpha) - inAlphabet
+		}
+		carried.EndState(accepting)
 	}
-	return prev[lb]
+
+	// Second pass: lay the edges into a builder sized exactly, each alphabet
+	// byte a set does not carry to its edit-only target.
+	cd := carried.Build(0)
+	b := automaton.NewBuilder(cd.NumStates(), edges)
+	for s := range cd.NumStates() {
+		es := cd.Edges(s)
+		for _, a := range alpha {
+			for ; len(es) > 0 && es[0].Sym < int(a); es = es[1:] {
+				b.Edge(es[0].Sym, es[0].To)
+			}
+			if (len(es) == 0 || es[0].Sym > int(a)) && only[s] >= 0 {
+				b.Edge(int(a), int(only[s]))
+			}
+		}
+		for _, e := range es {
+			b.Edge(e.Sym, e.To)
+		}
+		b.EndState(cd.Accepting(s))
+	}
+	return b.Build(0).Minimize()
 }
 
-func minInt(vals ...int) int {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v < m {
-			m = v
+// expander is the scratch of one ExpandK call. The set being built lists its
+// states in members; stamp[q] == gen marks q as one, at best[q] edits.
+type expander struct {
+	k                  int32
+	succ, at           []int32 // the distinct successors of q are succ[at[q]:at[q+1]]
+	members, best, set []int32 // set: the last set closed, as sorted pairs q*(k+1)+e
+	stamp              []uint32
+	gen                uint32
+	sets               *automaton.Subsets
+}
+
+// add puts (q, e) in the set being built.
+func (x *expander) add(q, e int32) {
+	if x.stamp[q] != x.gen {
+		x.stamp[q], x.best[q] = x.gen, e
+		x.members = append(x.members, q)
+	} else if e < x.best[q] {
+		x.best[q] = e
+	}
+}
+
+// intern adds the pairs extra to the set being built, closes it under
+// deletion an edit count at a time, numbers it (-1: empty) and empties it.
+func (x *expander) intern(extra []int32) int {
+	for _, c := range extra {
+		x.add(c/(x.k+1), c%(x.k+1))
+	}
+	for e := int32(0); e < x.k; e++ {
+		for i := 0; i < len(x.members); i++ {
+			if q := x.members[i]; x.best[q] == e {
+				for _, r := range x.succ[x.at[q]:x.at[q+1]] {
+					x.add(r, e+1)
+				}
+			}
 		}
 	}
-	return m
+	if len(x.members) == 0 {
+		return -1
+	}
+	slices.Sort(x.members)
+	x.set = x.set[:0]
+	for _, q := range x.members {
+		x.set = append(x.set, q*(x.k+1)+x.best[q])
+	}
+	x.members = x.members[:0]
+	x.gen++
+	return x.sets.Intern(x.set)
 }
 
 // AlphabetOf extracts the byte alphabet used by a DFA, for callers that want
 // edits restricted to the symbols the language already uses.
 func AlphabetOf(d *automaton.DFA) []byte {
-	syms := d.Alphabet()
-	out := make([]byte, 0, len(syms))
-	for _, s := range syms {
+	out := make([]byte, 0, len(d.Alphabet()))
+	for _, s := range d.Alphabet() {
 		if s >= 0 && s < 256 {
 			out = append(out, byte(s))
 		}
@@ -182,39 +195,26 @@ func PrintableASCII() []byte {
 }
 
 // EditPositions reports, for a string accepted by the distance-1 expansion
-// of base, the set of byte positions at which an edit could explain the
-// string (earliest-explanation convention: the first position where s
-// diverges from its nearest base string). It returns -1 when s is in the
-// base language (no edit needed). Used by the fig9 experiment to histogram
-// edit locations.
+// of base, the byte position at which an edit explains it: the first where s
+// leaves every string of base (earliest-explanation convention), or -1 when s
+// is in base. The fig9 experiment histograms it.
 func EditPositions(base *automaton.DFA, s string) int {
 	if base.MatchString(s) {
 		return -1
 	}
 	// Find the longest prefix of s that is still viable in base.
-	st := base.Start()
+	st, ok := base.Start(), true
 	for i := 0; i < len(s); i++ {
-		next, ok := base.Step(st, int(s[i]))
-		if !ok {
+		if st, ok = base.Step(st, int(s[i])); !ok {
 			return i
 		}
-		st = next
 	}
 	return len(s)
 }
 
 // SortedAlphabetUnion merges edit alphabets, deduplicating.
 func SortedAlphabetUnion(as ...[]byte) []byte {
-	set := map[byte]bool{}
-	for _, a := range as {
-		for _, b := range a {
-			set[b] = true
-		}
-	}
-	out := make([]byte, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Concat(as...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -2,12 +2,36 @@ package levenshtein
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/automaton"
 	"repro/internal/regex"
 )
+
+// Distance computes the exact Levenshtein distance between two strings with
+// the standard dynamic program: the oracle the expansions are held to.
+func Distance(a, b string) int {
+	la, lb := len(a), len(b)
+	prev := make([]int, lb+1)
+	cur := make([]int, lb+1)
+	for j := 0; j <= lb; j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= la; i++ {
+		cur[0] = i
+		for j := 1; j <= lb; j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[lb]
+}
 
 func TestDistanceOracle(t *testing.T) {
 	cases := []struct {
@@ -284,18 +308,27 @@ func TestExpandK0ResultIsACopy(t *testing.T) {
 	}
 }
 
-// TestExpandKAllocsDoNotGrowWithStates: each expansion counts its NFA's
-// transitions before it builds it and reserves them once, and the subset
-// construction interns states without a key each, so two edits of a
-// 605-state result take a bounded number of allocations, not a few per
-// state (1 326 before either).
+// TestExpandKAllocsDoNotGrowWithStates: ExpandK builds no NFA; its one
+// subset construction interns sets without a key each and sizes the builder
+// it minimizes exactly, so two edits of a 605-state result take a bounded
+// number of allocations, not a few per state (1 326 before the interning
+// table; 168 allocations and 4 567 482 bytes when two chained distance-1
+// constructions built it; 112 and 2 847 952 for the one construction).
 func TestExpandKAllocsDoNotGrowWithStates(t *testing.T) {
 	d := regex.MustCompile(" ((alpha)|(beta)|(gamma)) ((delta)|(kappa))")
 	alpha := PrintableASCII()
 	if n := ExpandK(d, alpha, 2).NumStates(); n != 605 {
 		t.Fatalf("k=2 expansion has %d states, want 605", n)
 	}
-	if allocs := testing.AllocsPerRun(5, func() { ExpandK(d, alpha, 2) }); allocs > 250 {
-		t.Errorf("ExpandK(k=2) of a 605-state result: %.0f allocations, want <= 250", allocs)
+	expand := func() { ExpandK(d, alpha, 2) }
+	allocs := testing.AllocsPerRun(5, expand)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	expand()
+	runtime.ReadMemStats(&after)
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ExpandK(k=2): %.0f allocations, %d bytes", allocs, b)
+	if allocs > 150 || b > 3_200_000 {
+		t.Errorf("ExpandK(k=2) of a 605-state result: %.0f allocations and %d bytes, want <= 150 and <= 3 200 000", allocs, b)
 	}
 }

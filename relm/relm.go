@@ -680,7 +680,8 @@ type Preprocessor interface {
 
 // EditDistance is the Levenshtein preprocessor: it expands the language to
 // all strings within K character edits (insert/delete/substitute over
-// Alphabet). K > 1 composes K distance-1 automata (§3.4).
+// Alphabet): the language of K chained distance-1 automata (§3.4), built in
+// one construction.
 type EditDistance struct {
 	K int
 	// Alphabet restricts edit characters; nil means printable ASCII.

@@ -230,7 +230,7 @@ func BenchmarkAblationCanonicalStrategies(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := engine.ShortestPath(m.Dev, &engine.Query{
-				Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix},
+				Pattern: pat, Prefixes: [][]model.Token{prefix},
 			})
 			for {
 				if _, err := s.Next(); err != nil {
@@ -243,7 +243,7 @@ func BenchmarkAblationCanonicalStrategies(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			full := compiler.CompileFull(char, e.Tok)
 			s := engine.ShortestPath(m.Dev, &engine.Query{
-				Pattern:  full.Freeze(),
+				Pattern:  full,
 				Prefixes: [][]model.Token{prefix},
 				Filter:   compiler.NewCanonicalFilter(e.Tok),
 			})
@@ -270,7 +270,7 @@ func BenchmarkAblationLogitCache(b *testing.B) {
 		dev := device.New(lm, device.DefaultLatency(), 32)
 		for i := 0; i < b.N; i++ {
 			s := engine.ShortestPath(dev, &engine.Query{
-				Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix},
+				Pattern: pat, Prefixes: [][]model.Token{prefix},
 			})
 			for {
 				if _, err := s.Next(); err != nil {
@@ -302,7 +302,7 @@ func BenchmarkAblationBatchExpand(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := e.FreshModel(false)
 				s := engine.ShortestPath(m.Dev, &engine.Query{
-					Pattern:     full.Freeze(),
+					Pattern:     full,
 					Prefixes:    [][]model.Token{prefix},
 					RequireEOS:  true,
 					MaxTokens:   24,
@@ -351,7 +351,7 @@ func BenchmarkTokenizerTrain(b *testing.B) {
 
 func BenchmarkWalkCounterSample(b *testing.B) {
 	d := regex.MustCompile("(a|b|c){1,12}")
-	w := automaton.NewWalkCounter(d.Freeze(), 12)
+	w := automaton.NewWalkCounter(d, 12)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -449,7 +449,7 @@ func BenchmarkAblationPrefixCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := e.FreshModel(false)
 				s := engine.ShortestPath(m.Dev, &engine.Query{
-					Pattern:        pat.Freeze(),
+					Pattern:        pat,
 					Prefixes:       prefixes,
 					BatchExpand:    1,
 					PrefixZeroCost: zero,

@@ -1,8 +1,10 @@
 // Package automaton implements finite-state automata over integer symbol
 // alphabets, together with the algebraic operations ReLM relies on:
 // Thompson-style NFA construction, subset determinization, Hopcroft
-// minimization, product intersection, union, complement, difference,
-// language enumeration, exact walk counting, and uniform path sampling.
+// minimization, product intersection, complement, difference,
+// concatenation, language enumeration, exact walk counting, and uniform path
+// sampling. An NFA is built edge by edge; a DFA is built once, through a
+// Builder, and only read afterwards.
 //
 // The same machinery is used at two alphabets: bytes (0..255) for the
 // "Natural Language Automaton" compiled from a regex, and LLM token IDs for
@@ -13,8 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
-	"sync/atomic"
 )
 
 // Symbol is a transition label. For character automata it is a byte value in
@@ -77,68 +77,33 @@ func (n *NFA) Accepting(s StateID) bool { return n.accept[s] }
 // SetAccepting marks or unmarks s as accepting.
 func (n *NFA) SetAccepting(s StateID, v bool) { n.accept[s] = v }
 
-// DFA is a deterministic finite automaton. Transitions are stored as sorted
-// edge lists per state, supporting both dense byte alphabets and sparse token
-// alphabets.
-//
-// Edge lists are kept sorted at insertion time, so every read path (Step,
-// Edges, Match*) is strictly read-only: a fully constructed DFA may be
-// traversed from any number of goroutines concurrently. (An earlier design
-// sorted lazily on first access, which made Step a hidden writer — a latent
-// data race once engines shared automata across parallel workers.) Freeze
-// converts a finished DFA into the even leaner immutable Frozen form.
+// DFA is a deterministic finite automaton, immutable once built. Other
+// packages make one only through a Builder, and so do Determinize, Minimize,
+// Trim, Intersect and Complete; Complement reuses a completed DFA's edges.
+// The edges lie in one flat array, state by state, each state's run sorted
+// by symbol and reached through a capped view, so Edges is an
+// allocation-free slice and Step a binary search over one contiguous range.
+// No method writes to a DFA, so any number of goroutines may traverse one
+// concurrently, and a compiled plan may share it across queries.
 type DFA struct {
-	edges [][]Edge // sorted by Sym; at most one edge per (state, symbol)
-	// packed is the one array that holds every edge list back to back, in
-	// state order, when a Builder made the DFA and nothing has added a state
-	// or an edge since; Freeze then shares it. The lists are capped, so
-	// nothing writes into it.
-	packed []Edge
+	flat   []Edge   // every state's edges back to back, in state order
+	edges  [][]Edge // edges[s] is state s's run of flat, capped, sorted by Sym
 	start  StateID
 	accept []bool
-	// minimal records that Minimize produced this automaton (or a Clone of
-	// one) and nothing has changed it since: Minimize then returns the
-	// receiver. Every mutator clears it.
+	// minimal records that Minimize produced this automaton: Minimize then
+	// returns the receiver. It is a fact fixed at build, since nothing can
+	// change a DFA afterwards.
 	minimal bool
-	// alphabet memoizes Alphabet(); AddEdge invalidates it. Stored through an
-	// atomic pointer so concurrent readers of a shared, fully built DFA can
-	// fill the memo without racing (both writers store equal values).
-	alphabet atomic.Pointer[[]Symbol]
 }
 
-// NewDFA returns an empty DFA.
-func NewDFA() *DFA { return &DFA{} }
+// Frozen is DFA, and Freeze returns its receiver: the performance ledger
+// (bench/relmperf) still times a freeze step under these names. Both are kept
+// only until the ledger's own change drops that step (ROADMAP 1(g)); new code
+// uses *DFA.
+type Frozen = DFA
 
-// AddState appends a fresh state and returns its ID.
-func (d *DFA) AddState(accepting bool) StateID {
-	d.edges = append(d.edges, nil)
-	d.accept = append(d.accept, accepting)
-	d.minimal, d.packed = false, nil
-	return len(d.edges) - 1
-}
-
-// AddEdge inserts the unique transition (from, sym) -> to, keeping the
-// state's edge list sorted by symbol. Adding a second edge with the same
-// (from, sym) pair panics: determinism is an invariant.
-func (d *DFA) AddEdge(from StateID, sym Symbol, to StateID) {
-	if sym == Epsilon {
-		panic("automaton: epsilon edge in DFA")
-	}
-	es := d.edges[from]
-	i := sort.Search(len(es), func(i int) bool { return es[i].Sym >= sym })
-	if i < len(es) && es[i].Sym == sym {
-		panic(fmt.Sprintf("automaton: duplicate edge (%d, %d)", from, sym))
-	}
-	es = append(es, Edge{})
-	copy(es[i+1:], es[i:])
-	es[i] = Edge{Sym: sym, To: to}
-	d.edges[from] = es
-	d.minimal, d.packed = false, nil
-	d.alphabet.Store(nil)
-}
-
-// SetStart designates the initial state.
-func (d *DFA) SetStart(s StateID) { d.start, d.minimal = s, false }
+// Freeze returns d. See Frozen.
+func (d *DFA) Freeze() *Frozen { return d }
 
 // Start returns the initial state.
 func (d *DFA) Start() StateID { return d.start }
@@ -149,45 +114,60 @@ func (d *DFA) NumStates() int { return len(d.edges) }
 // Accepting reports whether state s accepts.
 func (d *DFA) Accepting(s StateID) bool { return d.accept[s] }
 
-// SetAccepting marks or unmarks s as accepting.
-func (d *DFA) SetAccepting(s StateID, v bool) { d.accept[s], d.minimal = v, false }
-
-// Step follows the transition labeled sym out of state s. ok is false when no
-// such transition exists. Step is read-only and safe for concurrent use on a
-// fully constructed DFA.
+// Step follows the transition labeled sym out of state s, by binary search
+// over the state's edges. ok is false when no such transition exists.
 func (d *DFA) Step(s StateID, sym Symbol) (to StateID, ok bool) {
 	es := d.edges[s]
-	i := sort.Search(len(es), func(i int) bool { return es[i].Sym >= sym })
-	if i < len(es) && es[i].Sym == sym {
-		return es[i].To, true
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].Sym < sym {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(es) && es[lo].Sym == sym {
+		return es[lo].To, true
 	}
 	return 0, false
 }
 
 // Edges returns the outgoing edges of s, sorted by symbol. The slice is owned
-// by the DFA and must not be mutated. Edges is read-only and safe for
-// concurrent use on a fully constructed DFA.
-func (d *DFA) Edges(s StateID) []Edge {
-	return d.edges[s]
-}
+// by the DFA and must not be mutated.
+func (d *DFA) Edges(s StateID) []Edge { return d.edges[s] }
 
 // NumEdges reports the total number of transitions.
-func (d *DFA) NumEdges() int {
-	n := 0
-	for _, es := range d.edges {
-		n += len(es)
-	}
-	return n
-}
+func (d *DFA) NumEdges() int { return len(d.flat) }
 
 // MatchBytes reports whether the DFA (over the byte alphabet) accepts s.
-func (d *DFA) MatchBytes(s []byte) bool { return matchBytes(d, s) }
+func (d *DFA) MatchBytes(s []byte) bool {
+	st := d.start
+	for _, b := range s {
+		next, ok := d.Step(st, int(b))
+		if !ok {
+			return false
+		}
+		st = next
+	}
+	return d.accept[st]
+}
 
 // MatchString reports whether the DFA accepts the bytes of s.
 func (d *DFA) MatchString(s string) bool { return d.MatchBytes([]byte(s)) }
 
 // MatchSymbols reports whether the DFA accepts the symbol sequence seq.
-func (d *DFA) MatchSymbols(seq []Symbol) bool { return matchSymbols(d, seq) }
+func (d *DFA) MatchSymbols(seq []Symbol) bool {
+	st := d.start
+	for _, sym := range seq {
+		next, ok := d.Step(st, sym)
+		if !ok {
+			return false
+		}
+		st = next
+	}
+	return d.accept[st]
+}
 
 // maxSymbol returns the largest symbol on any edge, -1 when there is none.
 func (d *DFA) maxSymbol() Symbol {
@@ -200,22 +180,15 @@ func (d *DFA) maxSymbol() Symbol {
 	return top
 }
 
-// Alphabet returns the sorted set of symbols appearing on any edge. The
-// result is memoized — Freeze, rewriting, and Equivalent all call
-// it — and recomputed only after AddEdge. The returned slice is shared;
-// callers must not mutate it.
+// Alphabet returns the sorted set of symbols appearing on any edge, in a
+// fresh slice: one pass over the edges per call.
 func (d *DFA) Alphabet() []Symbol {
-	if p := d.alphabet.Load(); p != nil {
-		return *p
-	}
 	used := make([]bool, d.maxSymbol()+1)
 	n := 0
-	for _, es := range d.edges {
-		for _, e := range es {
-			if !used[e.Sym] {
-				used[e.Sym] = true
-				n++
-			}
+	for _, e := range d.flat {
+		if !used[e.Sym] {
+			used[e.Sym] = true
+			n++
 		}
 	}
 	out := make([]Symbol, 0, n)
@@ -224,15 +197,13 @@ func (d *DFA) Alphabet() []Symbol {
 			out = append(out, sym)
 		}
 	}
-	d.alphabet.Store(&out)
 	return out
 }
 
 // Builder assembles a DFA whose edge lists arrive already sorted: states are
 // finished in ID order, each one's edges added in ascending symbol order, and
-// all lists share one backing array. It is how every construction that knows
-// its output order (Determinize, Minimize, Trim, Clone, the graph compiler)
-// avoids AddEdge's search-and-insert and its allocation per state.
+// all lists share one backing array. It is the only way other packages have
+// to make a DFA.
 type Builder struct {
 	edges  []Edge
 	off    []int // off[s] is where state s's edges start; the last entry opens the state being built
@@ -268,14 +239,11 @@ func (b *Builder) EndState(accepting bool) {
 	b.accept = append(b.accept, accepting)
 }
 
-// Build returns the DFA of the finished states. The builder must not be used
-// afterwards. Each edge list is capped at its length, so a later AddEdge
-// copies the list out instead of writing over its neighbour, and the array
-// that holds them all is the DFA's packed one, which Freeze shares: a builder
-// whose DFA is frozen should be sized exactly, or the Frozen pins the spare
-// room.
+// Build returns the DFA of the finished states, which keeps the builder's
+// edge array: the builder must not be used afterwards, and one that is not
+// sized exactly pins its spare room for the DFA's lifetime.
 func (b *Builder) Build(start StateID) *DFA {
-	d := &DFA{edges: make([][]Edge, len(b.accept)), packed: b.edges, start: start, accept: b.accept}
+	d := &DFA{flat: b.edges, edges: make([][]Edge, len(b.accept)), start: start, accept: b.accept}
 	for s := range d.edges {
 		lo, hi := b.off[s], b.off[s+1]
 		d.edges[s] = b.edges[lo:hi:hi]
@@ -489,23 +457,11 @@ func (d *DFA) ToNFA() *NFA {
 	for i := 0; i < d.NumStates(); i++ {
 		n.AddState(d.accept[i])
 	}
-	for from := range d.edges {
-		for _, e := range d.Edges(from) {
+	for from, es := range d.edges {
+		for _, e := range es {
 			n.AddEdge(from, e.Sym, e.To)
 		}
 	}
 	n.SetStart(d.start)
 	return n
-}
-
-// Clone returns a deep copy of the DFA.
-func (d *DFA) Clone() *DFA {
-	b := NewBuilder(d.NumStates(), d.NumEdges())
-	for s, es := range d.edges {
-		b.edges = append(b.edges, es...)
-		b.EndState(d.accept[s])
-	}
-	c := b.Build(d.start)
-	c.minimal = d.minimal
-	return c
 }

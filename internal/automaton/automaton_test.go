@@ -68,30 +68,6 @@ func TestDFAStepMissing(t *testing.T) {
 	}
 }
 
-func TestDuplicateEdgePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on duplicate (state, symbol) edge")
-		}
-	}()
-	d := NewDFA()
-	s := d.AddState(false)
-	e := d.AddState(true)
-	d.AddEdge(s, 'a', e)
-	d.AddEdge(s, 'a', e)
-}
-
-func TestEpsilonEdgeInDFAPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on epsilon edge in DFA")
-		}
-	}()
-	d := NewDFA()
-	s := d.AddState(false)
-	d.AddEdge(s, Epsilon, s)
-}
-
 func TestIntersect(t *testing.T) {
 	a := FromStrings([]string{"cat", "dog", "cow"})
 	b := FromStrings([]string{"dog", "cow", "hen"})
@@ -105,20 +81,6 @@ func TestIntersect(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("intersection = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := FromStrings([]string{"a"})
-	b := FromStrings([]string{"b"})
-	u := Union(a, b)
-	for _, s := range []string{"a", "b"} {
-		if !u.MatchString(s) {
-			t.Errorf("union should accept %q", s)
-		}
-	}
-	if u.MatchString("ab") {
-		t.Error("union should reject ab")
 	}
 }
 
@@ -161,6 +123,73 @@ func TestConcat(t *testing.T) {
 	}
 }
 
+// TestSetOperationsMatchMembership: on seeded random DFA pairs over the
+// symbols {0, 1, 2}, Intersect, Difference, Complement, Complete, Concat and
+// Trim accept exactly the boolean combination of what the operands'
+// MatchSymbols accept, on every string of length at most 5 over {0, 1, 2, 3}.
+// The complement alphabet is {0, 1, 2, 3}, so 3, which no operand carries,
+// always takes a dead-state edge.
+func TestSetOperationsMatchMembership(t *testing.T) {
+	const maxLen = 5
+	alpha := []Symbol{0, 1, 2, 3}
+	words := [][]Symbol{{}}
+	for i := 0; i < len(words); i++ {
+		if len(words[i]) < maxLen {
+			for _, sym := range alpha {
+				words = append(words, append(slices.Clone(words[i]), sym))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		a := randomDFA(rng, 1+rng.Intn(6), 1+rng.Intn(3), rng.Intn(15))
+		b := randomDFA(rng, 1+rng.Intn(6), 1+rng.Intn(3), rng.Intn(15))
+		complete, dead := a.Complete(alpha)
+		if dead >= 0 && (dead != a.NumStates() || complete.NumStates() != dead+1) {
+			t.Fatalf("trial %d: dead state %d of %v completed to %v", trial, dead, a, complete)
+		}
+		for s := range complete.NumStates() {
+			for _, sym := range alpha {
+				if _, ok := complete.Step(s, sym); !ok {
+					t.Fatalf("trial %d: Complete left state %d without an edge on %d", trial, s, sym)
+				}
+			}
+		}
+		if again, dead := complete.Complete(alpha); dead != -1 || equalDFA(again, complete) != nil {
+			t.Fatalf("trial %d: completing a complete DFA added dead state %d", trial, dead)
+		}
+		partial, _ := a.Complete([]Symbol{1}) // keeps a's edges on 0 and 2
+		ops := []struct {
+			name string
+			d    *DFA
+			want func(x, y bool, w []Symbol) bool
+		}{
+			{"Intersect", Intersect(a, b), func(x, y bool, _ []Symbol) bool { return x && y }},
+			{"Difference", Difference(a, b, alpha), func(x, y bool, _ []Symbol) bool { return x && !y }},
+			{"Complement", a.Complement(alpha), func(x, _ bool, _ []Symbol) bool { return !x }},
+			{"Complete", complete, func(x, _ bool, _ []Symbol) bool { return x }},
+			{"Complete over {1}", partial, func(x, _ bool, _ []Symbol) bool { return x }},
+			{"Trim", a.Trim(), func(x, _ bool, _ []Symbol) bool { return x }},
+			{"Concat", Concat(a, b), func(_, _ bool, w []Symbol) bool {
+				for i := 0; i <= len(w); i++ {
+					if a.MatchSymbols(w[:i]) && b.MatchSymbols(w[i:]) {
+						return true
+					}
+				}
+				return false
+			}},
+		}
+		for _, w := range words {
+			x, y := a.MatchSymbols(w), b.MatchSymbols(w)
+			for _, op := range ops {
+				if got := op.d.MatchSymbols(w); got != op.want(x, y, w) {
+					t.Fatalf("trial %d: %s accepts %v: %v; operands accept %v and %v", trial, op.name, w, got, x, y)
+				}
+			}
+		}
+	}
+}
+
 func TestMinimizeEquivalence(t *testing.T) {
 	// Build a redundant DFA for a(a|b)* and verify minimization preserves the
 	// language while shrinking states.
@@ -188,12 +217,8 @@ func TestMinimizeEquivalence(t *testing.T) {
 }
 
 func TestTrimEmptyLanguage(t *testing.T) {
-	d := NewDFA()
-	s0 := d.AddState(false)
-	s1 := d.AddState(false) // dead loop, never accepting
-	d.SetStart(s0)
-	d.AddEdge(s0, 'a', s1)
-	d.AddEdge(s1, 'a', s1)
+	// State 1 is a dead loop, never accepting.
+	d := build([][]Edge{{{Sym: 'a', To: 1}}, {{Sym: 'a', To: 1}}}, []bool{false, false}, 0)
 	tr := d.Trim()
 	if !tr.IsEmpty() {
 		t.Error("trimmed empty language should be empty")
@@ -277,10 +302,10 @@ func TestLanguageSize(t *testing.T) {
 	}
 }
 
-// bigLanguageSize is LanguageSizeOf as it was: the big.Int walk counter, -1
+// bigLanguageSize is LanguageSize as it was: the big.Int walk counter, -1
 // when the start state's count leaves int64.
-func bigLanguageSize(f *Frozen, maxLen int) int64 {
-	c := newBigWalkCounter(f, maxLen).Count()
+func bigLanguageSize(d *DFA, maxLen int) int64 {
+	c := newBigWalkCounter(d, maxLen).Count()
 	if !c.IsInt64() {
 		return -1
 	}
@@ -291,16 +316,15 @@ func bigLanguageSize(f *Frozen, maxLen int) int64 {
 // next; accepting every state counts the strings of length <= maxLen,
 // accepting only the last counts those of length exactly n.
 func binaryChain(n int, acceptAll bool) *DFA {
-	d := NewDFA()
+	b := NewBuilder(n+1, 2*n)
 	for i := 0; i <= n; i++ {
-		d.AddState(acceptAll || i == n)
+		if i < n {
+			b.Edge(0, i+1)
+			b.Edge(1, i+1)
+		}
+		b.EndState(acceptAll || i == n)
 	}
-	d.SetStart(0)
-	for i := 0; i < n; i++ {
-		d.AddEdge(i, 0, i+1)
-		d.AddEdge(i, 1, i+1)
-	}
-	return d
+	return b.Build(0)
 }
 
 func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
@@ -309,15 +333,12 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		d := randomDFA(rng, 2+rng.Intn(15), 1+rng.Intn(6), 5+rng.Intn(60))
 		maxLen := rng.Intn(90)
-		want := bigLanguageSize(d.Freeze(), maxLen)
+		want := bigLanguageSize(d, maxLen)
 		if want < 0 {
 			overflowed++
 		}
 		if got := d.LanguageSize(maxLen); got != want {
-			t.Fatalf("trial %d: DFA.LanguageSize(%d) = %d, walk counter says %d", trial, maxLen, got, want)
-		}
-		if got := LanguageSizeOf(d.Freeze(), maxLen); got != want {
-			t.Fatalf("trial %d: LanguageSizeOf(frozen, %d) = %d, walk counter says %d", trial, maxLen, got, want)
+			t.Fatalf("trial %d: LanguageSize(%d) = %d, walk counter says %d", trial, maxLen, got, want)
 		}
 	}
 	if overflowed < 10 || overflowed > 140 {
@@ -327,31 +348,34 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 	// The int64 boundary, exactly: 2^63-1 strings of length <= 62, 2^63 of
 	// length exactly 63, 2^64-1 of length <= 63.
 	for _, c := range []struct {
-		d      *Frozen
+		d      *DFA
 		maxLen int
 		want   int64
 	}{
-		{binaryChain(62, true).Freeze(), 62, math.MaxInt64},
-		{binaryChain(63, false).Freeze(), 63, -1},
-		{binaryChain(63, true).Freeze(), 63, -1},
-		{binaryChain(63, false).Freeze(), 62, 0},
+		{binaryChain(62, true), 62, math.MaxInt64},
+		{binaryChain(63, false), 63, -1},
+		{binaryChain(63, true), 63, -1},
+		{binaryChain(63, false), 62, 0},
 	} {
 		if big := bigLanguageSize(c.d, c.maxLen); big != c.want {
 			t.Fatalf("oracle disagrees with the construction: %d, want %d", big, c.want)
 		}
-		if got := LanguageSizeOf(c.d, c.maxLen); got != c.want {
-			t.Errorf("LanguageSizeOf(chain, %d) = %d, want %d", c.maxLen, got, c.want)
+		if got := c.d.LanguageSize(c.maxLen); got != c.want {
+			t.Errorf("LanguageSize(chain, %d) = %d, want %d", c.maxLen, got, c.want)
 		}
 	}
 
 	// A state whose count overflows but which the start state never reaches
 	// must not turn a small language into "huge".
-	d := FromStrings([]string{"a", "bb"})
-	loop := d.AddState(true)
-	d.AddEdge(loop, 0, loop)
-	d.AddEdge(loop, 1, loop)
-	if got, want := LanguageSizeOf(d.Freeze(), 100), bigLanguageSize(d.Freeze(), 100); got != 2 || want != 2 {
-		t.Errorf("unreachable overflow: LanguageSizeOf = %d, walk counter = %d, want 2", got, want)
+	small := FromStrings([]string{"a", "bb"})
+	edges, accept := make([][]Edge, small.NumStates()), make([]bool, small.NumStates())
+	for s := range edges {
+		edges[s], accept[s] = small.Edges(s), small.Accepting(s)
+	}
+	loop := len(edges)
+	d := build(append(edges, []Edge{{Sym: 0, To: loop}, {Sym: 1, To: loop}}), append(accept, true), small.Start())
+	if got, want := d.LanguageSize(100), bigLanguageSize(d, 100); got != 2 || want != 2 {
+		t.Errorf("unreachable overflow: LanguageSize = %d, walk counter = %d, want 2", got, want)
 	}
 }
 
@@ -361,7 +385,7 @@ func TestLanguageSizeMatchesWalkCounter(t *testing.T) {
 // leaves in the same state.
 func sameDraws(t *testing.T, name string, d *DFA, maxLen int, seed int64) {
 	t.Helper()
-	got, ref := NewWalkCounter(d.Freeze(), maxLen), newBigWalkCounter(d.Freeze(), maxLen)
+	got, ref := NewWalkCounter(d, maxLen), newBigWalkCounter(d, maxLen)
 	if got.Count().Cmp(ref.Count()) != 0 {
 		t.Fatalf("%s: count %v, big.Int reference %v", name, got.Count(), ref.Count())
 	}
@@ -394,7 +418,7 @@ func TestWalkCounterWordsDrawLikeBigInt(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		d := randomDFA(rng, 2+rng.Intn(15), 1+rng.Intn(6), 5+rng.Intn(60))
 		maxLen := rng.Intn(90)
-		switch w := NewWalkCounter(d.Freeze(), maxLen); {
+		switch w := NewWalkCounter(d, maxLen); {
 		case w.words == nil:
 			fallback++
 		case d.HasCycle():
@@ -412,10 +436,10 @@ func TestWalkCounterWordsDrawLikeBigInt(t *testing.T) {
 
 	// The uint64 boundary, exactly: 2⁶⁴−1 strings of length <= 63 fit, so
 	// every draw is 8 bytes wide; 2⁶⁵−1 of length <= 64 do not.
-	if w := NewWalkCounter(binaryChain(63, true).Freeze(), 63); w.words == nil || w.Count().Cmp(new(big.Int).SetUint64(math.MaxUint64)) != 0 {
+	if w := NewWalkCounter(binaryChain(63, true), 63); w.words == nil || w.Count().Cmp(new(big.Int).SetUint64(math.MaxUint64)) != 0 {
 		t.Fatalf("2⁶⁴−1 walks: word table %v, count %v", w.words != nil, w.Count())
 	}
-	if w := NewWalkCounter(binaryChain(64, true).Freeze(), 64); w.words != nil {
+	if w := NewWalkCounter(binaryChain(64, true), 64); w.words != nil {
 		t.Fatal("2⁶⁵−1 walks kept the word table")
 	}
 	sameDraws(t, "binaryChain(63)", binaryChain(63, true), 63, 1)
@@ -427,7 +451,7 @@ func TestWalkCounterPaperExample(t *testing.T) {
 	// first transition is 50/50, but a leads to 1 string and b to 3. The walk
 	// counter must weight the b edge at 3/4.
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d.Freeze(), 3)
+	w := NewWalkCounter(d, 3)
 	if got := w.Count(); got.Int64() != 4 {
 		t.Fatalf("total walks = %v, want 4", got)
 	}
@@ -449,7 +473,7 @@ func TestWalkCounterPaperExample(t *testing.T) {
 
 func TestWalkCounterExact(t *testing.T) {
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d.Freeze(), 5)
+	w := NewWalkCounter(d, 5)
 	wantByLen := map[int]int64{0: 0, 1: 2, 2: 1, 3: 1, 4: 0}
 	for n, want := range wantByLen {
 		if got := w.CountExact(n); got.Int64() != want {
@@ -460,7 +484,7 @@ func TestWalkCounterExact(t *testing.T) {
 
 func TestSampleUniformDistribution(t *testing.T) {
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d.Freeze(), 3)
+	w := NewWalkCounter(d, 3)
 	rng := rand.New(rand.NewSource(7))
 	counts := map[string]int{}
 	const trials = 40000
@@ -487,7 +511,7 @@ func TestSampleUnnormalizedBias(t *testing.T) {
 	// Unnormalized sampling over {a, b, bb, bbb} picks 'a' ~50% of the time —
 	// the bias Appendix C documents. Verify it differs from uniform.
 	d := FromStrings([]string{"a", "b", "bb", "bbb"})
-	w := NewWalkCounter(d.Freeze(), 3)
+	w := NewWalkCounter(d, 3)
 	rng := rand.New(rand.NewSource(7))
 	aCount := 0
 	const trials = 20000
@@ -504,9 +528,7 @@ func TestSampleUnnormalizedBias(t *testing.T) {
 }
 
 func TestSampleUniformEmptyLanguage(t *testing.T) {
-	d := NewDFA()
-	d.SetStart(d.AddState(false))
-	w := NewWalkCounter(d.Freeze(), 4)
+	w := NewWalkCounter(build(make([][]Edge, 1), []bool{false}, 0), 4)
 	if seq := w.SampleUniform(rand.New(rand.NewSource(1))); seq != nil {
 		t.Errorf("sampling empty language returned %v", seq)
 	}
@@ -519,7 +541,7 @@ func TestWalkCounterCycle(t *testing.T) {
 	n.SetStart(s)
 	n.AddEdge(s, 'a', s)
 	d := n.Determinize()
-	w := NewWalkCounter(d.Freeze(), 4)
+	w := NewWalkCounter(d, 4)
 	if got := w.Count(); got.Int64() != 5 {
 		t.Errorf("a* count within length 4 = %v, want 5", got)
 	}
@@ -568,17 +590,6 @@ func TestQuickFromStringsMatchesMembership(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickUnionContainsBoth(t *testing.T) {
-	f := func(a, b string) bool {
-		sa, sb := sanitize(a, 8), sanitize(b, 8)
-		u := Union(FromStrings([]string{sa}), FromStrings([]string{sb}))
-		return u.MatchString(sa) && u.MatchString(sb)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

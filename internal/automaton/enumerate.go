@@ -56,27 +56,22 @@ func (d *DFA) EnumerateStrings(maxLen, limit int) []string {
 }
 
 // LanguageSize returns the exact number of strings of length at most maxLen,
-// or -1 when it exceeds int64.
-func (d *DFA) LanguageSize(maxLen int) int64 { return languageSize(d, maxLen) }
-
-// LanguageSizeOf counts the sequences f accepts of length at most maxLen,
-// returning -1 when the count exceeds int64 (callers treat that as "huge").
-func LanguageSizeOf(f *Frozen, maxLen int) int64 { return languageSize(f, maxLen) }
-
-// languageSize is WalkCounter's recurrence (walkRow) on two rows of machine
-// words that saturate one past MaxInt64, so a cell at the limit is exactly
-// one whose count does not fit int64, and one that the start state never
-// reaches spoils nothing. Every query with a prefix sizes its prefix
-// language here, without building the whole table.
-func languageSize[F form](w F, maxLen int) int64 {
+// or -1 when it exceeds int64 (callers treat that as "huge").
+//
+// It is WalkCounter's recurrence (walkRow) on two rows of machine words that
+// saturate one past MaxInt64, so a cell at the limit is exactly one whose
+// count does not fit int64, and one that the start state never reaches
+// spoils nothing. Every query with a prefix sizes its prefix language here,
+// without building the whole table.
+func (d *DFA) LanguageSize(maxLen int) int64 {
 	const over = uint64(math.MaxInt64) + 1
-	n := w.NumStates()
+	n := d.NumStates()
 	prev, cur := make([]uint64, n), make([]uint64, n)
 	for rem := 0; rem <= maxLen; rem++ {
-		walkRow(w, prev, cur, over) // at rem 0, prev is all zero
+		walkRow(d, prev, cur, over) // at rem 0, prev is all zero
 		prev, cur = cur, prev
 	}
-	if total := prev[w.Start()]; total < over {
+	if total := prev[d.start]; total < over {
 		return int64(total)
 	}
 	return -1

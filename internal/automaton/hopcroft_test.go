@@ -16,7 +16,7 @@ func TestHopcroftMatchesBrzozowski(t *testing.T) {
 	}
 	for _, strs := range cases {
 		d := FromStrings(strs)
-		h := d.Freeze().Thaw().Minimize() // Thaw: a copy without d's minimal mark
+		h := unmarked(d).Minimize()
 		b := d.minimizeBrzozowski()
 		if !Equivalent(h, b) {
 			t.Errorf("hopcroft and brzozowski disagree on %v", strs)
@@ -54,9 +54,7 @@ func TestHopcroftOnCyclicLanguage(t *testing.T) {
 }
 
 func TestHopcroftEmptyLanguage(t *testing.T) {
-	d := NewDFA()
-	d.SetStart(d.AddState(false))
-	h := d.Minimize()
+	h := build(make([][]Edge, 1), []bool{false}, 0).Minimize()
 	if !h.IsEmpty() {
 		t.Error("empty language should stay empty")
 	}
@@ -74,7 +72,7 @@ func TestQuickHopcroftEquivalence(t *testing.T) {
 			strs = []string{"a"}
 		}
 		d := FromStrings(strs)
-		h := d.Freeze().Thaw().Minimize()
+		h := unmarked(d).Minimize()
 		b := d.minimizeBrzozowski()
 		return Equivalent(h, b) && h.NumStates() == b.NumStates()
 	}
@@ -88,18 +86,18 @@ func TestQuickHopcroftRandomDFAs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(8)
-		d := NewDFA()
-		for i := 0; i < n; i++ {
-			d.AddState(rng.Intn(2) == 0)
+		accept, edges := make([]bool, n), make([][]Edge, n)
+		for i := range accept {
+			accept[i] = rng.Intn(2) == 0
 		}
-		d.SetStart(0)
-		for s := 0; s < n; s++ {
+		for s := range edges {
 			for _, sym := range []Symbol{'a', 'b'} {
 				if rng.Intn(4) > 0 { // 75% chance of having the edge
-					d.AddEdge(s, sym, rng.Intn(n))
+					edges[s] = append(edges[s], Edge{Sym: sym, To: rng.Intn(n)})
 				}
 			}
 		}
+		d := build(edges, accept, 0)
 		h := d.Minimize()
 		b := d.minimizeBrzozowski()
 		if !Equivalent(h, b) {

@@ -68,8 +68,7 @@ func (p *partition) split() {
 // states numbered in the canonical order — breadth first from the start, by
 // ascending symbol — so two minimal DFAs of one language are equal state for
 // state and edge for edge, whichever construction produced their inputs. The
-// result is marked minimal: minimizing it again returns it as it is, so a
-// caller that wants to mutate the result of Minimize must Clone it first.
+// result is marked minimal: minimizing it again returns it as it is.
 //
 // The algorithm is Hopcroft's partition refinement in Valmari and Lehtinen's
 // formulation for partial DFAs, O(m log m) in the m transitions between live
@@ -176,6 +175,7 @@ func (d *DFA) Minimize() *DFA {
 }
 
 // MinimizeHopcroft is Minimize. It keeps the name under which the performance
-// ledger (bench/relmperf) times the compile chain's minimization step; new
-// code calls Minimize.
+// ledger (bench/relmperf) times the compile chain's minimization step, until
+// the ledger's own change renames that step (ROADMAP 1(g)); new code calls
+// Minimize.
 func (d *DFA) MinimizeHopcroft() *DFA { return d.Minimize() }

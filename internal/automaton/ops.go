@@ -1,6 +1,6 @@
 package automaton
 
-import "sort"
+import "slices"
 
 // live numbers, in ID order, the states that are both reachable from the
 // start and co-reachable (can reach an accepting state); every other state
@@ -103,25 +103,18 @@ func (d *DFA) Trim() *DFA {
 }
 
 // Intersect returns a DFA accepting L(a) ∩ L(b) via the product construction.
-// Only reachable product states are materialized.
+// Only reachable product states are materialized, numbered in the order a
+// breadth-first pass discovers them, so each is finished in ID order; a
+// merge-join of the two sorted edge lists emits its edges in symbol order.
 func Intersect(a, b *DFA) *DFA {
 	type pair struct{ x, y StateID }
-	out := NewDFA()
-	ids := map[pair]StateID{}
-	var queue []pair
-	p0 := pair{a.start, b.start}
-	s0 := out.AddState(a.accept[a.start] && b.accept[b.start])
-	ids[p0] = s0
-	out.SetStart(s0)
-	queue = append(queue, p0)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		from := ids[p]
-		ea, eb := a.Edges(p.x), b.Edges(p.y)
-		// Merge-join the two sorted edge lists on symbol.
-		i, j := 0, 0
-		for i < len(ea) && j < len(eb) {
+	queue := []pair{{a.start, b.start}}
+	ids := map[pair]StateID{queue[0]: 0}
+	out := NewBuilder(1, 0)
+	for q := 0; q < len(queue); q++ {
+		p := queue[q]
+		ea, eb := a.edges[p.x], b.edges[p.y]
+		for i, j := 0, 0; i < len(ea) && j < len(eb); {
 			switch {
 			case ea[i].Sym < eb[j].Sym:
 				i++
@@ -131,87 +124,98 @@ func Intersect(a, b *DFA) *DFA {
 				np := pair{ea[i].To, eb[j].To}
 				to, ok := ids[np]
 				if !ok {
-					to = out.AddState(a.accept[np.x] && b.accept[np.y])
+					to = len(queue)
 					ids[np] = to
 					queue = append(queue, np)
 				}
-				out.AddEdge(from, ea[i].Sym, to)
+				out.Edge(ea[i].Sym, to)
 				i++
 				j++
 			}
 		}
+		out.EndState(a.accept[p.x] && b.accept[p.y])
 	}
-	return out.Trim()
+	return out.Build(0).Trim()
 }
 
-// Union returns a DFA accepting L(a) ∪ L(b).
-func Union(a, b *DFA) *DFA {
-	n := NewNFA()
-	offA := make([]StateID, a.NumStates())
-	for i := 0; i < a.NumStates(); i++ {
-		offA[i] = n.AddState(a.accept[i])
-	}
-	offB := make([]StateID, b.NumStates())
-	for i := 0; i < b.NumStates(); i++ {
-		offB[i] = n.AddState(b.accept[i])
-	}
-	for from := 0; from < a.NumStates(); from++ {
-		for _, e := range a.Edges(from) {
-			n.AddEdge(offA[from], e.Sym, offA[e.To])
-		}
-	}
-	for from := 0; from < b.NumStates(); from++ {
-		for _, e := range b.Edges(from) {
-			n.AddEdge(offB[from], e.Sym, offB[e.To])
-		}
-	}
-	start := n.AddState(false)
-	n.SetStart(start)
-	n.AddEdge(start, Epsilon, offA[a.start])
-	n.AddEdge(start, Epsilon, offB[b.start])
-	return n.Determinize().Trim()
-}
-
-// Complete returns a DFA with a total transition function over alphabet:
-// missing transitions are routed to a (possibly new) dead state. The second
-// return value is the dead state's ID (-1 if none was needed).
+// Complete returns a DFA with a total transition function over alphabet,
+// which must be sorted without repeats: missing transitions are routed to a
+// dead state, ID NumStates(), added only when some transition is missing.
+// The second return value is the dead state's ID (-1 if none was needed).
 func (d *DFA) Complete(alphabet []Symbol) (*DFA, StateID) {
-	c := d.Clone()
+	n := d.NumStates()
+	b := NewBuilder(n+1, max(d.NumEdges(), n*len(alphabet)))
 	dead := StateID(-1)
-	for s := 0; s < d.NumStates(); s++ {
+	for s, es := range d.edges {
+		i := 0
 		for _, sym := range alphabet {
-			if _, ok := c.Step(s, sym); !ok {
-				if dead == -1 {
-					dead = c.AddState(false)
-					for _, sym2 := range alphabet {
-						c.AddEdge(dead, sym2, dead)
-					}
-				}
-				c.AddEdge(s, sym, dead)
+			for ; i < len(es) && es[i].Sym < sym; i++ {
+				b.Edge(es[i].Sym, es[i].To)
+			}
+			if i < len(es) && es[i].Sym == sym {
+				b.Edge(sym, es[i].To)
+				i++
+			} else {
+				b.Edge(sym, n)
+				dead = n
 			}
 		}
+		for _, e := range es[i:] {
+			b.Edge(e.Sym, e.To)
+		}
+		b.EndState(d.accept[s])
 	}
-	return c, dead
+	if dead >= 0 {
+		for _, sym := range alphabet {
+			b.Edge(sym, dead)
+		}
+		b.EndState(false)
+	}
+	return b.Build(d.start), dead
 }
 
 // Complement returns a DFA accepting alphabet* \ L(d). The alphabet must be
-// supplied because DFAs store only the symbols they use.
+// supplied, sorted without repeats, because DFAs store only the symbols they
+// use. The result shares the completed DFA's edges and flips its acceptance.
 func (d *DFA) Complement(alphabet []Symbol) *DFA {
 	c, _ := d.Complete(alphabet)
-	for s := 0; s < c.NumStates(); s++ {
-		c.SetAccepting(s, !c.accept[s])
+	accept := make([]bool, len(c.accept))
+	for s, a := range c.accept {
+		accept[s] = !a
 	}
-	return c
+	return &DFA{flat: c.flat, edges: c.edges, start: c.start, accept: accept}
 }
 
-// Difference returns a DFA accepting L(a) \ L(b) over the given alphabet.
+// Difference returns a DFA accepting L(a) \ L(b) over the given alphabet,
+// sorted without repeats.
 func Difference(a, b *DFA, alphabet []Symbol) *DFA {
-	return Intersect(a, b.Complement(alphabet)).Trim()
+	return Intersect(a, b.Complement(alphabet))
 }
 
 // IsEmpty reports whether the language is empty (no accepting state is
 // reachable).
-func (d *DFA) IsEmpty() bool { return isEmpty(d) }
+func (d *DFA) IsEmpty() bool {
+	if d.NumStates() == 0 {
+		return true
+	}
+	seen := make([]bool, d.NumStates())
+	stack := []StateID{d.start}
+	seen[d.start] = true
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if d.accept[s] {
+			return false
+		}
+		for _, e := range d.edges[s] {
+			if !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return true
+}
 
 // HasCycle reports whether any cycle is reachable from the start state. A
 // cyclic automaton denotes an infinite language.
@@ -253,18 +257,9 @@ func (d *DFA) LongestWord() int {
 // Equivalent reports whether a and b accept the same language, by checking
 // that the symmetric difference is empty.
 func Equivalent(a, b *DFA) bool {
-	alpha := map[Symbol]bool{}
-	for _, s := range a.Alphabet() {
-		alpha[s] = true
-	}
-	for _, s := range b.Alphabet() {
-		alpha[s] = true
-	}
-	syms := make([]Symbol, 0, len(alpha))
-	for s := range alpha {
-		syms = append(syms, s)
-	}
-	sort.Ints(syms)
+	syms := slices.Concat(a.Alphabet(), b.Alphabet())
+	slices.Sort(syms)
+	syms = slices.Compact(syms)
 	return Difference(a, b, syms).IsEmpty() && Difference(b, a, syms).IsEmpty()
 }
 

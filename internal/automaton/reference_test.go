@@ -52,11 +52,11 @@ func epsClosureRef(edges [][]Edge, set []StateID) []StateID {
 }
 
 // determinizeRef is the subset construction over map-backed closures, a
-// string-keyed subset table and per-symbol move maps, adding edges one at a
-// time.
+// string-keyed subset table and per-symbol move maps. Its queue finishes the
+// subsets in the order it numbers them, each one's moves by ascending symbol.
 func (n *NFA) determinizeRef() *DFA {
 	edges := n.edgesRef()
-	d := NewDFA()
+	d := NewBuilder(0, 0)
 	enc := func(set []StateID) string {
 		b := make([]byte, 0, len(set)*4)
 		for _, s := range set {
@@ -88,15 +88,11 @@ func (n *NFA) determinizeRef() *DFA {
 		return out
 	}
 	startSet := prune(epsClosureRef(edges, []StateID{n.start}))
-	ids := map[string]StateID{}
-	s0 := d.AddState(anyAccept(startSet))
-	d.SetStart(s0)
-	ids[enc(startSet)] = s0
+	ids := map[string]StateID{enc(startSet): 0}
 	queue := [][]StateID{startSet}
 	for len(queue) > 0 {
 		set := queue[0]
 		queue = queue[1:]
-		from := ids[enc(set)]
 		moves := map[Symbol][]StateID{}
 		for _, s := range set {
 			for _, e := range edges[s] {
@@ -115,14 +111,15 @@ func (n *NFA) determinizeRef() *DFA {
 			k := enc(next)
 			to, ok := ids[k]
 			if !ok {
-				to = d.AddState(anyAccept(next))
+				to = len(ids)
 				ids[k] = to
 				queue = append(queue, next)
 			}
-			d.AddEdge(from, sym, to)
+			d.Edge(sym, to)
 		}
+		d.EndState(anyAccept(set))
 	}
-	return d
+	return d.Build(0)
 }
 
 // reverseRef returns an NFA accepting the reversal of the DFA's language.
@@ -292,43 +289,33 @@ func TestDeterminizeMinimizeEqualReference(t *testing.T) {
 			if m.Minimize() != m {
 				t.Fatalf("%s %d: minimizing a minimal DFA did not return it", gen.name, trial)
 			}
-			// Thaw rebuilds edge by edge, so the copy carries no minimal mark.
-			if err := equalDFA(m.Freeze().Thaw().Minimize(), m); err != nil {
+			if err := equalDFA(unmarked(m).Minimize(), m); err != nil {
 				t.Fatalf("%s %d: Minimize is not idempotent: %v", gen.name, trial, err)
 			}
 		}
 	}
 }
 
+// unmarked returns d without its minimal mark, sharing its edges, so that
+// Minimize works on it from scratch.
+func unmarked(d *DFA) *DFA {
+	c := *d
+	c.minimal = false
+	return &c
+}
+
 // TestMinimalMarkClearedByMutators: Minimize returns a minimal receiver as it
-// is, so every way of changing a DFA must drop the mark.
+// is, so a DFA made from a minimal one must not carry the mark. Complement
+// builds on the completed automaton's edges and flips its acceptance.
 func TestMinimalMarkClearedByMutators(t *testing.T) {
-	for name, mutate := range map[string]func(*DFA){
-		"AddState":     func(d *DFA) { d.AddState(true) },
-		"AddEdge":      func(d *DFA) { d.AddEdge(d.Start(), 'z', d.Start()) },
-		"SetStart":     func(d *DFA) { d.SetStart(1) },
-		"SetAccepting": func(d *DFA) { d.SetAccepting(d.Start(), true) },
-	} {
-		d := FromStrings([]string{"ab", "cb"}).Clone()
-		if d.Minimize() != d {
-			t.Fatalf("%s: the clone of a minimal DFA should be minimal", name)
-		}
-		mutate(d)
-		m := d.Minimize()
-		if m == d {
-			t.Errorf("%s: Minimize returned the mutated receiver", name)
-		}
-		if err := equalDFA(m, d.minimizeBrzozowski()); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
 	c := FromStrings([]string{"a"}).Complement([]Symbol{'a'})
 	if err := equalDFA(c.Minimize(), c.minimizeBrzozowski()); err != nil {
 		t.Errorf("Complement: %v", err)
 	}
 }
 
-// TestBuilderRejectsUnsortedEdges: the builder keeps AddEdge's invariants.
+// TestBuilderRejectsUnsortedEdges: the builder keeps a DFA's invariants: one
+// edge per (state, symbol), sorted by symbol, none on epsilon.
 func TestBuilderRejectsUnsortedEdges(t *testing.T) {
 	for name, add := range map[string]func(*Builder){
 		"duplicate":  func(b *Builder) { b.Edge('a', 0); b.Edge('a', 0) },
@@ -350,9 +337,8 @@ func TestBuilderRejectsUnsortedEdges(t *testing.T) {
 	b.Edge('a', 0) // a new state starts a new order
 	b.EndState(true)
 	d := b.Build(0)
-	d.AddEdge(0, 'c', 0) // must not write over state 1's list
-	if to, ok := d.Step(1, 'a'); !ok || to != 0 || !d.MatchString("bab") {
-		t.Error("AddEdge after Build disturbed a neighbouring edge list")
+	if to, ok := d.Step(1, 'a'); !ok || to != 0 || !d.MatchString("bab") || d.MatchString("ba") {
+		t.Errorf("%v: the states' edge lists are mixed up", d)
 	}
 }
 

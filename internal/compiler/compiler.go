@@ -43,8 +43,8 @@ const byteTokenLimit = 256
 // is above the byte symbols, so a state's list is its byte edges followed by
 // its shortcuts in token order, and the builder takes both already sorted.
 // Each state's walk runs once, into a compact scratch, before the builder is
-// made: it is sized exactly, so the plan that freezes the result shares an
-// edge array with no spare room.
+// made: it is sized exactly, so the plan that keeps the result pins no spare
+// room.
 func CompileFull(char *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
 	trie, n := bpe.Trie(), char.NumStates()
 	w := shortcutWalk{found: make([]shortcut, 0, char.NumEdges())}
@@ -122,13 +122,19 @@ func (w *shortcutWalk) from(char *automaton.DFA, trie *tokenizer.Trie, v automat
 // CompileFullNaive is Appendix B's Algorithm 2 taken literally: for every
 // multi-byte token, DFS-match its surface form from every vertex. It has
 // runtime O(V · k · m_max) and exists as the ablation baseline for the trie
-// variant; both must produce identical automata.
+// variant; both must produce identical automata. Each state's list is its
+// byte edges, then its shortcuts in ascending token ID, which is the order
+// MultiByteTokens returns them in.
 func CompileFullNaive(char *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
-	out := char.Clone()
-	for _, tok := range bpe.MultiByteTokens() {
-		word := bpe.TokenBytes(tok)
-		for v := 0; v < char.NumStates(); v++ {
+	toks := bpe.MultiByteTokens()
+	b := automaton.NewBuilder(char.NumStates(), char.NumEdges())
+	for v := 0; v < char.NumStates(); v++ {
+		for _, e := range char.Edges(v) {
+			b.Edge(e.Sym, e.To)
+		}
+		for _, tok := range toks {
 			// DFSMatch of Algorithm 1: follow the word's bytes from v.
+			word := bpe.TokenBytes(tok)
 			state := v
 			ok := true
 			for i := 0; i < len(word); i++ {
@@ -140,11 +146,12 @@ func CompileFullNaive(char *automaton.DFA, bpe *tokenizer.BPE) *automaton.DFA {
 				state = next
 			}
 			if ok {
-				out.AddEdge(v, tok, state)
+				b.Edge(tok, state)
 			}
 		}
+		b.EndState(char.Accepting(v))
 	}
-	return out
+	return b.Build(char.Start())
 }
 
 // ErrLanguageTooLarge is returned by CompileCanonical when the language
@@ -231,6 +238,6 @@ func (f *CanonicalFilter) AllowFinal(toks []tokenizer.Token) bool {
 // maxToks accepted by the full automaton — i.e. the total count of ambiguous
 // encodings, which for a single string of length n is 2^(n-1) when every
 // substring is a token (§3.2).
-func CountEncodings(full *automaton.Frozen, maxToks int) int64 {
-	return automaton.LanguageSizeOf(full, maxToks)
+func CountEncodings(full *automaton.DFA, maxToks int) int64 {
+	return full.LanguageSize(maxToks)
 }

@@ -22,7 +22,7 @@ func TestBeamFindsTopCompletion(t *testing.T) {
 	}
 	prefix := env.tok.Encode("The man was trained in")
 	s := Beam(env.dev, &Query{
-		Pattern:   pat.Freeze(),
+		Pattern:   pat,
 		Prefixes:  [][]model.Token{prefix},
 		MaxTokens: 12,
 	}, BeamOptions{Width: 8})
@@ -50,7 +50,7 @@ func TestBeamOrderingAndExhaustion(t *testing.T) {
 		n.AddEdge(s0, sym, s1)
 		n.AddEdge(s1, sym, s2)
 	}
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := Beam(dev, &Query{Pattern: pat, MaxTokens: 4}, BeamOptions{Width: 8})
 	var got [][]model.Token
@@ -88,7 +88,7 @@ func TestBeamWidthPrunes(t *testing.T) {
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
 	n.AddEdge(s0, 1, s1)
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := Beam(dev, &Query{Pattern: pat, MaxTokens: 3}, BeamOptions{Width: 1})
 	count := 0
@@ -119,7 +119,7 @@ func TestBeamRespectsRuleAndEOS(t *testing.T) {
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
 	n.AddEdge(s0, 1, s1)
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := Beam(dev, &Query{
 		Pattern:    pat,
@@ -152,7 +152,7 @@ func TestBeamAgreesWithDijkstraOnTopResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := env.tok.Encode("The woman was trained in")
-	q := &Query{Pattern: pat.Freeze(), Prefixes: [][]model.Token{prefix}, MaxTokens: 12}
+	q := &Query{Pattern: pat, Prefixes: [][]model.Token{prefix}, MaxTokens: 12}
 	d := ShortestPath(env.dev, q)
 	bm := Beam(env.dev, q, BeamOptions{Width: 16})
 	dr, err := d.Next()
@@ -190,7 +190,7 @@ func TestBeamEmitsAMultiplyHarvestedSequenceOnce(t *testing.T) {
 	n.AddEdge(s0, 2, s2)
 	n.AddEdge(s1, 2, s2)
 	dev := device.New(m, device.DefaultLatency(), 8)
-	q := &Query{Pattern: n.Determinize().Freeze(), Prefixes: [][]model.Token{{0}, {0, 1}}, MaxTokens: 4}
+	q := &Query{Pattern: n.Determinize(), Prefixes: [][]model.Token{{0}, {0, 1}}, MaxTokens: 4}
 	s := Beam(dev, q, BeamOptions{Width: 8})
 	got, _ := drainResults(t, s, 100)
 

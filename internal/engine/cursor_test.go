@@ -27,18 +27,17 @@ func (r *rowLM) NextLogProbs([]model.Token) []float64 {
 func (r *rowLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(r, ctxs) }
 
 // chainPattern accepts every sequence of 1 to depth symbols below syms.
-func chainPattern(syms, depth int) *automaton.Frozen {
-	pat := automaton.NewDFA()
-	prev := pat.AddState(false)
-	pat.SetStart(prev)
-	for range depth {
-		next := pat.AddState(true)
-		for sym := range syms {
-			pat.AddEdge(prev, sym, next)
+func chainPattern(syms, depth int) *automaton.DFA {
+	b := automaton.NewBuilder(depth+1, depth*syms)
+	for i := range depth + 1 {
+		if i < depth {
+			for sym := range syms {
+				b.Edge(sym, i+1)
+			}
 		}
-		prev = next
+		b.EndState(i > 0)
 	}
-	return pat.Freeze()
+	return b.Build(0)
 }
 
 // inWindow reports whether c's siblings are still the window's.
@@ -193,15 +192,15 @@ func (f *fuzzLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.Sco
 // loopPattern accepts every sequence of symbols below syms whose length is
 // odd, by way of two states that alternate: a cyclic language that only
 // MaxTokens bounds.
-func loopPattern(syms int) *automaton.Frozen {
-	pat := automaton.NewDFA()
-	even, odd := pat.AddState(false), pat.AddState(true)
-	pat.SetStart(even)
-	for sym := range syms {
-		pat.AddEdge(even, sym, odd)
-		pat.AddEdge(odd, sym, even)
+func loopPattern(syms int) *automaton.DFA {
+	b := automaton.NewBuilder(2, 2*syms)
+	for state := range 2 { // 0 even, 1 odd
+		for sym := range syms {
+			b.Edge(sym, 1-state)
+		}
+		b.EndState(state == 1)
 	}
-	return pat.Freeze()
+	return b.Build(0)
 }
 
 // fuzzQuery decodes a fuzzed model and query. The first bytes choose the

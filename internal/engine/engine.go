@@ -30,9 +30,9 @@ import (
 // pattern, the prefix handling, the decision rules, and traversal limits.
 type Query struct {
 	// Pattern is the LLM automaton (token alphabet) for the constrained part
-	// of the generation, in the immutable frozen form, so one compiled plan
-	// can serve many concurrent queries.
-	Pattern *automaton.Frozen
+	// of the generation. A DFA is immutable, so one compiled plan can serve
+	// many concurrent queries.
+	Pattern *automaton.DFA
 	// Prefixes are the token encodings of the (enumerated) prefix language.
 	// Prefix tokens bypass decision rules (§3.3) but contribute their model
 	// cost for prioritization (the paper's startup-latency heuristic). An

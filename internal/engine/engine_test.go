@@ -30,6 +30,18 @@ func must2[A, B any](a A, b B, err error) (A, B) {
 	return a, b
 }
 
+// oneSymbolPattern accepts exactly the one-symbol sequences over syms, which
+// ascend: state 0 starts, state 1 accepts.
+func oneSymbolPattern(syms ...automaton.Symbol) *automaton.DFA {
+	b := automaton.NewBuilder(2, len(syms))
+	for _, sym := range syms {
+		b.Edge(sym, 1)
+	}
+	b.EndState(false)
+	b.EndState(true)
+	return b.Build(0)
+}
+
 // charTok treats each printable byte as its own token (vocab 256 + EOS at
 // 256), so character automata are directly LLM automata. Simplifies scripted
 // model tests.
@@ -149,7 +161,7 @@ func TestShortestPathFindsTrainedCompletion(t *testing.T) {
 	}
 	prefix := env.tok.Encode("The man was trained in")
 	s := ShortestPath(env.dev, &Query{
-		Pattern:  pat.Freeze(),
+		Pattern:  pat,
 		Prefixes: [][]model.Token{prefix},
 	})
 	results := collect(t, s, 3)
@@ -174,7 +186,7 @@ func TestShortestPathExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ShortestPath(env.dev, &Query{Pattern: pat.Freeze()})
+	s := ShortestPath(env.dev, &Query{Pattern: pat})
 	results := collect(t, s, 10)
 	if len(results) != 2 {
 		t.Fatalf("finite language yielded %d results, want 2", len(results))
@@ -206,7 +218,7 @@ func TestShortestPathOrderingWithScriptedModel(t *testing.T) {
 		n.AddEdge(s0, sym, s1)
 		n.AddEdge(s1, sym, s2)
 	}
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{Pattern: pat})
@@ -250,7 +262,7 @@ func TestTopKPrunesTransitively(t *testing.T) {
 	for _, sym := range []int{0, 1, 2} {
 		n.AddEdge(s0, sym, s1)
 	}
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{Pattern: pat, Rule: decoding.TopK{K: 2}})
 	results := collect(t, s, 10)
@@ -279,7 +291,7 @@ func TestPrefixBypassesRule(t *testing.T) {
 	s1 := n.AddState(true)
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{
 		Pattern:  pat,
@@ -314,7 +326,7 @@ func TestRequireEOSChangesCostAndFiltering(t *testing.T) {
 	n.SetStart(s0)
 	n.AddEdge(s0, 0, s1)
 	n.AddEdge(s1, 0, s2)
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 	dev := device.New(m, device.DefaultLatency(), 8)
 
 	s := ShortestPath(dev, &Query{Pattern: pat, RequireEOS: true})
@@ -332,7 +344,7 @@ func TestRequireEOSChangesCostAndFiltering(t *testing.T) {
 func TestShortestPathMaxNodes(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("[a-z]+") // infinite language
-	full := compiler.CompileFull(char, env.tok).Freeze()
+	full := compiler.CompileFull(char, env.tok)
 	s := ShortestPath(env.dev, &Query{Pattern: full, MaxNodes: 50, MaxTokens: 6})
 	for {
 		_, err := s.Next()
@@ -354,7 +366,7 @@ func TestSamplerRespectsAutomaton(t *testing.T) {
 	}
 	prefix := env.tok.Encode("The man was trained in")
 	s := Sample(env.dev, &Query{
-		Pattern:  pat.Freeze(),
+		Pattern:  pat,
 		Prefixes: [][]model.Token{prefix},
 	}, SamplerOptions{Seed: 5})
 	seen := map[string]int{}
@@ -378,16 +390,12 @@ func TestSamplerUniformPrefixOverDFA(t *testing.T) {
 	// Prefix language {a, b, bb, bbb} (paper's example): uniform prefix
 	// sampling must hit 'a' ~25%, not ~50%.
 	prefDFA := automaton.FromStrings([]string{"a", "b", "bb", "bbb"})
-	pat := automaton.NewDFA()
-	p0 := pat.AddState(false)
-	p1 := pat.AddState(true)
-	pat.AddEdge(p0, 'x', p1)
-	pat.SetStart(p0)
+	pat := oneSymbolPattern('x')
 
 	m := &model.Uniform{Vocab: 257, EOSTok: 256, SeqLen: 16}
 	dev := device.New(m, device.DefaultLatency(), 8)
-	walks := automaton.NewWalkCounter(prefDFA.Freeze(), m.SeqLen)
-	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{
+	walks := automaton.NewWalkCounter(prefDFA, m.SeqLen)
+	s := Sample(dev, &Query{Pattern: pat}, SamplerOptions{
 		Seed:        3,
 		PrefixWalks: walks,
 	})
@@ -414,14 +422,9 @@ func TestSamplerMatchesModelDistribution(t *testing.T) {
 	dist := []float64{math.Log(0.7), math.Log(0.3), model.NegInf}
 	m := &model.Table{Vocab: vocab, EOSTok: 2, SeqLen: 4,
 		Dist: map[string][]float64{"*": dist}, KeyFunc: func([]model.Token) string { return "*" }}
-	pat := automaton.NewDFA()
-	p0 := pat.AddState(false)
-	p1 := pat.AddState(true)
-	pat.AddEdge(p0, 0, p1)
-	pat.AddEdge(p0, 1, p1)
-	pat.SetStart(p0)
+	pat := oneSymbolPattern(0, 1)
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Sample(dev, &Query{Pattern: pat.Freeze()}, SamplerOptions{Seed: 11})
+	s := Sample(dev, &Query{Pattern: pat}, SamplerOptions{Seed: 11})
 	zero, total := 0, 4000
 	for i := 0; i < total; i++ {
 		r, err := s.Next()
@@ -445,13 +448,9 @@ func TestSamplerDeadEndRejection(t *testing.T) {
 	dist := []float64{math.Log(0.7), math.Log(0.2), math.Log(0.1), model.NegInf}
 	m := &model.Table{Vocab: vocab, EOSTok: 3, SeqLen: 4,
 		Dist: map[string][]float64{"*": dist}, KeyFunc: func([]model.Token) string { return "*" }}
-	pat := automaton.NewDFA()
-	p0 := pat.AddState(false)
-	p1 := pat.AddState(true)
-	pat.AddEdge(p0, 2, p1)
-	pat.SetStart(p0)
+	pat := oneSymbolPattern(2)
 	dev := device.New(m, device.DefaultLatency(), 8)
-	s := Sample(dev, &Query{Pattern: pat.Freeze(), Rule: decoding.Greedy{}},
+	s := Sample(dev, &Query{Pattern: pat, Rule: decoding.Greedy{}},
 		SamplerOptions{Seed: 2, MaxAttemptsPerResult: 50})
 	if _, err := s.Next(); err != ErrExhausted {
 		t.Errorf("expected ErrExhausted from dead-end sampling, got %v", err)
@@ -466,7 +465,7 @@ func TestCanonicalFilterInEngine(t *testing.T) {
 	// must yield only canonical encodings.
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("((art)|(medicine))")
-	full := compiler.CompileFull(char, env.tok).Freeze()
+	full := compiler.CompileFull(char, env.tok)
 	s := ShortestPath(env.dev, &Query{
 		Pattern: full,
 		Filter:  compiler.NewCanonicalFilter(env.tok),
@@ -487,7 +486,7 @@ func TestFullAutomatonYieldsMultipleEncodings(t *testing.T) {
 	// same string, each a distinct result.
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("art")
-	full := compiler.CompileFull(char, env.tok).Freeze()
+	full := compiler.CompileFull(char, env.tok)
 	s := ShortestPath(env.dev, &Query{Pattern: full})
 	results := collect(t, s, 100)
 	if len(results) < 2 {
@@ -504,7 +503,7 @@ func TestStatsCounting(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("((art)|(medicine))")
 	pat, _ := compiler.CompileCanonical(char, env.tok, 12, 100)
-	s := ShortestPath(env.dev, &Query{Pattern: pat.Freeze()})
+	s := ShortestPath(env.dev, &Query{Pattern: pat})
 	collect(t, s, 2)
 	st := s.Stats()
 	if st.Emitted != 2 || st.NodesExpanded == 0 || st.ModelCalls == 0 {
@@ -525,16 +524,12 @@ func TestPrefixZeroCostVisitsAllPrefixesFirst(t *testing.T) {
 	m := &model.Table{Vocab: vocab, EOSTok: 3, SeqLen: 8,
 		Dist: map[string][]float64{"*": dist}, KeyFunc: func([]model.Token) string { return "*" }}
 
-	pat := automaton.NewDFA()
-	p0 := pat.AddState(false)
-	p1 := pat.AddState(true)
-	pat.AddEdge(p0, 2, p1)
-	pat.SetStart(p0)
+	pat := oneSymbolPattern(2)
 
 	run := func(zeroCost bool) (first *Result, expanded int64) {
 		dev := device.New(m, device.DefaultLatency(), 8)
 		s := ShortestPath(dev, &Query{
-			Pattern:        pat.Freeze(),
+			Pattern:        pat,
 			Prefixes:       [][]model.Token{{0}, {1}}, // likely, unlikely
 			BatchExpand:    1,
 			PrefixZeroCost: zeroCost,
@@ -566,14 +561,10 @@ func TestPrefixLogProbReportedWithZeroCost(t *testing.T) {
 	dist := []float64{math.Log(0.25), math.Log(0.75), model.NegInf}
 	m := &model.Table{Vocab: vocab, EOSTok: 2, SeqLen: 8,
 		Dist: map[string][]float64{"*": dist}, KeyFunc: func([]model.Token) string { return "*" }}
-	pat := automaton.NewDFA()
-	p0 := pat.AddState(false)
-	p1 := pat.AddState(true)
-	pat.AddEdge(p0, 1, p1)
-	pat.SetStart(p0)
+	pat := oneSymbolPattern(1)
 	dev := device.New(m, device.DefaultLatency(), 8)
 	s := ShortestPath(dev, &Query{
-		Pattern:        pat.Freeze(),
+		Pattern:        pat,
 		Prefixes:       [][]model.Token{{0}},
 		PrefixZeroCost: true,
 	})

@@ -69,10 +69,9 @@ func TestEnginesIncrementalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", pat, err)
 		}
-		frozen := tokenDFA.Freeze()
 		query := func() *Query {
 			return &Query{
-				Pattern:   frozen,
+				Pattern:   tokenDFA,
 				Prefixes:  [][]model.Token{prefix},
 				MaxTokens: 8,
 			}
@@ -112,11 +111,10 @@ func TestTransformerIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := tokenDFA.Freeze()
 	prefix := env.tok.Encode("The woman was trained in")
 	query := func() *Query {
 		return &Query{
-			Pattern:    frozen,
+			Pattern:    tokenDFA,
 			Prefixes:   [][]model.Token{prefix},
 			RequireEOS: true,
 			MaxTokens:  8,
@@ -150,10 +148,9 @@ func TestIncrementalEvictionRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := tokenDFA.Freeze()
 	prefix := env.tok.Encode("The man was trained in")
 	query := func() *Query {
-		return &Query{Pattern: frozen, Prefixes: [][]model.Token{prefix}, MaxTokens: 8}
+		return &Query{Pattern: tokenDFA, Prefixes: [][]model.Token{prefix}, MaxTokens: 8}
 	}
 	const budget = 2 << 10 // smaller than a single prefix state: constant churn
 	kv := kvcache.NewTiered(kvcache.Config{BudgetBytes: budget})
@@ -179,7 +176,6 @@ func TestIncrementalSharedArenaRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := tokenDFA.Freeze()
 	kv := kvcache.NewTiered(kvcache.Config{BudgetBytes: 32 << 10}) // small enough to force eviction races
 	prefixes := []string{
 		"The man was trained in",
@@ -187,7 +183,7 @@ func TestIncrementalSharedArenaRace(t *testing.T) {
 	}
 	want := make([][]string, len(prefixes))
 	for i, p := range prefixes {
-		q := &Query{Pattern: frozen, Prefixes: [][]model.Token{env.tok.Encode(p)}, MaxTokens: 8}
+		q := &Query{Pattern: tokenDFA, Prefixes: [][]model.Token{env.tok.Encode(p)}, MaxTokens: 8}
 		want[i] = drain(t, ShortestPath(env.dev, q), 10)
 	}
 	cold := env.coldDev() // the workers' rows come from the arena, not from want's
@@ -199,7 +195,7 @@ func TestIncrementalSharedArenaRace(t *testing.T) {
 			defer wg.Done()
 			i := g % len(prefixes)
 			q := &Query{
-				Pattern:     frozen,
+				Pattern:     tokenDFA,
 				Prefixes:    [][]model.Token{env.tok.Encode(prefixes[i])},
 				MaxTokens:   8,
 				Incremental: true,

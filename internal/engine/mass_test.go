@@ -17,8 +17,8 @@ func uniformDevice(vocab int) *device.Device {
 }
 
 // tokenDFA accepts exactly the given token strings.
-func tokenDFA(seqs ...[]automaton.Symbol) *automaton.Frozen {
-	return automaton.FromSymbolSeqs(seqs).Freeze()
+func tokenDFA(seqs ...[]automaton.Symbol) *automaton.DFA {
+	return automaton.FromSymbolSeqs(seqs)
 }
 
 func TestMassExactOnUniformModel(t *testing.T) {
@@ -50,7 +50,7 @@ func TestMassBoundsAreSound(t *testing.T) {
 	n.AddEdge(s0, 0, s0)
 	n.AddEdge(s0, 1, s1)
 	n.SetStart(s0)
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 
 	res := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 10, MaxNodes: 50}, MassOptions{Tolerance: 1e-15}))
 	if res.Lower < 0 || res.Upper > 1 || res.Lower > res.Upper {
@@ -91,7 +91,7 @@ func TestMassConvergesWithBudget(t *testing.T) {
 	n.AddEdge(s0, 0, s0)
 	n.AddEdge(s0, 1, s1)
 	n.SetStart(s0)
-	pat := n.Determinize().Freeze()
+	pat := n.Determinize()
 
 	loose := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12, MaxNodes: 3}, MassOptions{Tolerance: 1e-9}))
 	tight := must(Mass(dev, &Query{Pattern: pat, MaxTokens: 12, MaxNodes: 10000}, MassOptions{Tolerance: 1e-9}))
@@ -145,9 +145,9 @@ func TestMassPrefixMixture(t *testing.T) {
 
 func TestMassEmptyLanguage(t *testing.T) {
 	dev := uniformDevice(4)
-	d := automaton.NewDFA()
-	d.SetStart(d.AddState(false)) // no accepting states
-	res := must(Mass(dev, &Query{Pattern: d.Freeze()}, MassOptions{}))
+	b := automaton.NewBuilder(1, 0)
+	b.EndState(false) // no accepting states
+	res := must(Mass(dev, &Query{Pattern: b.Build(0)}, MassOptions{}))
 	if res.Lower != 0 || res.Matches != 0 {
 		t.Fatalf("empty language has mass [%g, %g]", res.Lower, res.Upper)
 	}

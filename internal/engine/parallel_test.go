@@ -26,7 +26,7 @@ func parallelEnv(t *testing.T) (*ngramEnv, *Query) {
 		t.Fatal(err)
 	}
 	q := &Query{
-		Pattern: pat.Freeze(),
+		Pattern: pat,
 		Prefixes: [][]model.Token{
 			env.tok.Encode("The man"),
 			env.tok.Encode("The woman"),
@@ -106,7 +106,7 @@ func TestBatchingReordersOnlyTies(t *testing.T) {
 		" [a-z]+",
 		" ((engineering)|(medicine)|(art))( in (art|medicine))*",
 	} {
-		full := compiler.CompileFull(regex.MustCompile(pat), env.tok).Freeze()
+		full := compiler.CompileFull(regex.MustCompile(pat), env.tok)
 		for _, filter := range []*compiler.CanonicalFilter{nil, compiler.NewCanonicalFilter(env.tok)} {
 			var want []float64
 			for _, batch := range []int{1, 3, 8, 64} {
@@ -159,7 +159,7 @@ func TestParallelBeamDeterminism(t *testing.T) {
 func TestDijkstraCancellation(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("( (engineering|medicine|art))+")
-	pat := compiler.CompileFull(char, env.tok).Freeze()
+	pat := compiler.CompileFull(char, env.tok)
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Query{
 		Pattern:     pat,
@@ -192,7 +192,7 @@ func TestSamplerCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Query{
-		Pattern:     pat.Freeze(),
+		Pattern:     pat,
 		Prefixes:    [][]model.Token{env.tok.Encode("The man")},
 		Context:     ctx,
 		Parallelism: 4,
@@ -212,7 +212,7 @@ func TestSamplerCancellation(t *testing.T) {
 func TestMassCancellation(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("( (engineering|medicine|art))+")
-	pat := compiler.CompileFull(char, env.tok).Freeze()
+	pat := compiler.CompileFull(char, env.tok)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any refinement
 	q := &Query{
@@ -242,7 +242,7 @@ func TestSamplerParallelReproducible(t *testing.T) {
 	}
 	draw := func(par int) []string {
 		q := &Query{
-			Pattern:     pat.Freeze(),
+			Pattern:     pat,
 			Prefixes:    [][]model.Token{env.tok.Encode("The man")},
 			Parallelism: par,
 		}

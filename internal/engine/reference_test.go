@@ -593,7 +593,7 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 	tok := ngram.tok // both environments train the same tokenizer on the same corpus
 	prefix := tok.Encode("The man was trained in")
 	for _, pat := range []string{" ((engineering)|(medicine)|(art))", " (trained|art|in| )+"} {
-		full := compiler.CompileFull(regex.MustCompile(pat), tok).Freeze()
+		full := compiler.CompileFull(regex.MustCompile(pat), tok)
 		for _, sub := range substrates {
 			for _, rule := range rules {
 				for _, filter := range []*compiler.CanonicalFilter{nil, compiler.NewCanonicalFilter(tok)} {
@@ -707,18 +707,7 @@ func (c *classLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.Sc
 func TestTieDenseFrontierMatchesReference(t *testing.T) {
 	const vocab, depth = 13, 4
 	dev := countingDevice(&classLM{model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}}, 8)
-	pat := automaton.NewDFA()
-	states := make([]automaton.StateID, depth+1)
-	for i := range states {
-		states[i] = pat.AddState(i > 0)
-	}
-	pat.SetStart(states[0])
-	for i := range depth {
-		for sym := range vocab - 1 {
-			pat.AddEdge(states[i], sym, states[i+1])
-		}
-	}
-	frozen := pat.Freeze()
+	pat := chainPattern(vocab-1, depth)
 	for _, prefixes := range [][][]model.Token{nil, {{0}, {1, 2}, {3}}} {
 		for _, rule := range []decoding.Rule{nil, decoding.TopK{K: 5}} {
 			for _, eos := range []bool{false, true} {
@@ -727,7 +716,7 @@ func TestTieDenseFrontierMatchesReference(t *testing.T) {
 						name := fmt.Sprintf("prefixes=%d/rule=%v/eos=%t/batch%d/p%d", len(prefixes), rule, eos, batch, workers)
 						checkExpansion(t, name, dev, func() *Query {
 							return &Query{
-								Pattern: frozen, Prefixes: prefixes, Rule: rule,
+								Pattern: pat, Prefixes: prefixes, Rule: rule,
 								RequireEOS: eos, BatchExpand: batch, Parallelism: workers,
 							}
 						}, 60)

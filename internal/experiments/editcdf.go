@@ -55,7 +55,7 @@ func RunEditCDF(env *Env, cfg EditCDFConfig) (*EditCDFResult, error) {
 	alpha := []byte("abcdefghijklmnopqrstuvwxyzTUVWXYZ ")
 	expanded := levenshtein.Expand(base, alpha)
 	maxLen := len(cfg.Base) + 2
-	walker := automaton.NewWalkCounter(expanded.Freeze(), maxLen)
+	walker := automaton.NewWalkCounter(expanded, maxLen)
 	rng := rand.New(rand.NewSource(env.Seed + 99))
 
 	collect := func(unnormalized bool) []float64 {

@@ -26,7 +26,7 @@ func Expand(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 
 // ExpandK returns the minimal DFA of strings within edit distance k of L(d),
 // inserted and substituted bytes drawn from alphabet. The input is minimized
-// first; k = 0 returns a copy, so the result is the caller's to mutate.
+// first; at k = 0 that is the result.
 //
 // A state of the construction is a set of pairs (q, e), input state q reached
 // with e edits, each q at its fewest. On byte b, (q, e) follows q's b-edge at
@@ -37,7 +37,7 @@ func Expand(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 // edges carries is computed once.
 func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
 	if k <= 0 {
-		return d.Clone().Minimize()
+		return d.Minimize()
 	}
 	d = d.Minimize()
 	n, k1, alpha := d.NumStates(), int32(k+1), SortedAlphabetUnion(alphabet)
@@ -173,8 +173,9 @@ func (x *expander) intern(extra []int32) int {
 // AlphabetOf extracts the byte alphabet used by a DFA, for callers that want
 // edits restricted to the symbols the language already uses.
 func AlphabetOf(d *automaton.DFA) []byte {
-	out := make([]byte, 0, len(d.Alphabet()))
-	for _, s := range d.Alphabet() {
+	alpha := d.Alphabet()
+	out := make([]byte, 0, len(alpha))
+	for _, s := range alpha {
 		if s >= 0 && s < 256 {
 			out = append(out, byte(s))
 		}

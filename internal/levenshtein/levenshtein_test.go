@@ -297,17 +297,6 @@ func TestExpandKPrintableMatchesDistanceOracle(t *testing.T) {
 	}
 }
 
-// TestExpandK0ResultIsACopy: a minimal input is returned as it is by Minimize,
-// and k = 0 must still hand the caller an automaton of their own.
-func TestExpandK0ResultIsACopy(t *testing.T) {
-	base := automaton.FromStrings([]string{"xy"})
-	exp := ExpandK(base, []byte("xy"), 0)
-	exp.SetAccepting(exp.Start(), true)
-	if base.MatchString("") {
-		t.Error("mutating ExpandK(0)'s result changed the input")
-	}
-}
-
 // TestExpandKAllocsDoNotGrowWithStates: ExpandK builds no NFA; its one
 // subset construction interns sets without a key each and sizes the builder
 // it minimizes exactly, so two edits of a 605-state result take a bounded

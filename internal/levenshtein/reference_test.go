@@ -15,7 +15,7 @@ import (
 // minimized product of the previous round's minimal DFA with an edit counter
 // in {0, 1}.
 func composedRef(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
-	cur := d.Clone().Minimize()
+	cur := d.Minimize()
 	for i := 0; i < k; i++ {
 		cur = expandOnceRef(cur, alphabet)
 	}

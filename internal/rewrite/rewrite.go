@@ -104,25 +104,23 @@ func Obligatory(d *automaton.DFA, rules []Rule) *automaton.DFA {
 	return out
 }
 
-// factorDFA builds a DFA over alphabet accepting Σ* s Σ* via the KMP failure
-// function — states are match lengths 0..len(s), with len(s) absorbing.
+// factorDFA builds a DFA over alphabet, which is sorted, accepting Σ* s Σ*
+// via the KMP failure function — states are match lengths 0..len(s), with
+// len(s) absorbing.
 func factorDFA(s string, alphabet []automaton.Symbol) *automaton.DFA {
 	fail := kmpFailure(s)
-	d := automaton.NewDFA()
-	states := make([]automaton.StateID, len(s)+1)
-	for i := range states {
-		states[i] = d.AddState(i == len(s))
-	}
-	d.SetStart(states[0])
+	b := automaton.NewBuilder(len(s)+1, (len(s)+1)*len(alphabet))
 	for i := 0; i < len(s); i++ {
 		for _, sym := range alphabet {
-			d.AddEdge(states[i], sym, states[kmpStep(s, fail, i, sym)])
+			b.Edge(sym, kmpStep(s, fail, i, sym))
 		}
+		b.EndState(false)
 	}
 	for _, sym := range alphabet {
-		d.AddEdge(states[len(s)], sym, states[len(s)])
+		b.Edge(sym, len(s))
 	}
-	return d
+	b.EndState(true)
+	return b.Build(0)
 }
 
 func kmpFailure(s string) []int {

@@ -14,7 +14,7 @@ import (
 // From one fuzzed pattern, prefix and knob string it builds a query a, and
 //   - a copy of a that differs only in fields compilePattern ignores — the
 //     prefix and every execution knob — must get a's planKey and compile to
-//     a's products: the frozen token automaton and the presence of the
+//     a's products: the token automaton and the presence of the
 //     dynamic filter;
 //   - a copy that differs in every field but the prefix and its two budgets
 //     must get a's prefixKey and compile to a's prefix products;
@@ -202,7 +202,7 @@ func samePrefix(t *testing.T, m *Model, a, b *SearchQuery, wantEqual bool) {
 		}
 		return
 	}
-	if !reflect.DeepEqual(pa.char.Freeze(), pb.char.Freeze()) || pa.Size() != pb.Size() {
+	if !reflect.DeepEqual(pa.char, pb.char) || pa.Size() != pb.Size() {
 		t.Fatalf("prefix %q: automata or sizes (%d vs %d) differ", a.Query.Prefix, pa.Size(), pb.Size())
 	}
 	ea, aerr := pa.Encode()

@@ -18,13 +18,13 @@ import (
 )
 
 // compiled holds the products of pattern compilation, shared by Search,
-// Explain, and Mass. A compiled plan is immutable once built — the char
-// automaton is fully constructed (read-only thereafter), the token automaton
-// is frozen, and the filter is stateless — so one instance may be shared by
-// any number of concurrent queries via the plan cache.
+// Explain, and Mass. A compiled plan is immutable once built — no DFA
+// changes after its Builder makes it, and the filter is stateless — so one
+// instance may be shared by any number of concurrent queries via the plan
+// cache.
 type compiled struct {
-	char   *automaton.DFA    // byte-alphabet automaton after preprocessors (minimized)
-	token  *automaton.Frozen // token-alphabet LLM automaton, minimized + frozen
+	char   *automaton.DFA // byte-alphabet automaton after preprocessors (minimized)
+	token  *automaton.DFA // token-alphabet LLM automaton
 	filter *compiler.CanonicalFilter
 }
 
@@ -173,7 +173,7 @@ const enumerateLimit = 50000
 // stay distinguishable over tokens, since every byte is itself a token — so
 // minimizing at the char boundary yields minimal token automata on every
 // path below (enumeration minimizes its own output). Minimal automata come in
-// one canonical numbering, so the frozen plan is a function of the language,
+// one canonical numbering, so the plan is a function of the language,
 // not of the route that built it.
 //
 // Canonical tokenization has one rule (§3.2, DESIGN.md decision 2): a finite
@@ -214,7 +214,7 @@ func compilePattern(m *Model, q SearchQuery, limit int) (*compiled, error) {
 	default:
 		return nil, fmt.Errorf("relm: unknown tokenization strategy %d", q.Tokenization)
 	}
-	c.token = token.Freeze()
+	c.token = token
 	return c, nil
 }
 

@@ -187,11 +187,11 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 // TestConcurrentSearchSharesFrozenPlan drives many goroutines through one
 // shared compiled plan end to end and checks they all see identical results —
 // the -race companion to the automaton-level shared-traversal test, through
-// the full stack (plan cache -> frozen automaton -> engine).
+// the full stack (plan cache -> shared automaton -> engine).
 func TestConcurrentSearchSharesFrozenPlan(t *testing.T) {
 	m := testModel(t)
 	q := SearchQuery{Query: QueryString{Pattern: "The (cat|dog) sat on the mat"}}
-	// Warm the cache so every goroutine traverses the same frozen plan.
+	// Warm the cache so every goroutine traverses the same plan.
 	if _, err := Explain(m, q); err != nil {
 		t.Fatal(err)
 	}
@@ -296,21 +296,19 @@ type inflatePreprocessor struct{}
 func (inflatePreprocessor) Name() string    { return "inflate" }
 func (inflatePreprocessor) PlanKey() string { return "inflate" }
 func (inflatePreprocessor) Transform(d *automaton.DFA) (*automaton.DFA, error) {
-	out := automaton.NewDFA()
-	for i := 0; i < d.NumStates(); i++ {
-		out.AddState(d.Accepting(i))
-	}
-	for s := 0; s < d.NumStates(); s++ {
-		for _, e := range d.Edges(s) {
-			out.AddEdge(s, e.Sym, e.To)
+	n := d.NumStates()
+	b := automaton.NewBuilder(n+1, d.NumEdges()+len(d.Edges(d.Start())))
+	for i := range n + 1 {
+		s := i
+		if i == n {
+			s = d.Start() // state n duplicates the start state, and starts
 		}
+		for _, e := range d.Edges(s) {
+			b.Edge(e.Sym, e.To)
+		}
+		b.EndState(d.Accepting(s))
 	}
-	dup := out.AddState(d.Accepting(d.Start()))
-	for _, e := range d.Edges(d.Start()) {
-		out.AddEdge(dup, e.Sym, e.To)
-	}
-	out.SetStart(dup)
-	return out, nil
+	return b.Build(n), nil
 }
 
 // TestPlanMinimizesTokenAutomaton asserts the satellite claim: compilePattern
@@ -354,7 +352,7 @@ func (f fixedLanguage) Transform(*automaton.DFA) (*automaton.DFA, error) {
 }
 
 // TestPlanIsAFunctionOfTheLanguage: Minimize numbers the minimal automaton
-// canonically, so the frozen plan — every state number, edge and accepting
+// canonically, so the plan — every state number, edge and accepting
 // bit of the char and token automata — is identical whichever route built the
 // language: two regexes, a string list, a preprocessor chain through Concat
 // and Difference, a non-minimal automaton. So is a compiled prefix: its byte
@@ -391,7 +389,7 @@ func TestPlanIsAFunctionOfTheLanguage(t *testing.T) {
 					t.Errorf("%d edits, tokenization %d, route %d: token plan %v differs from route 0's %v",
 						edits, tokenization, i, got.token, want.token)
 				}
-				if !reflect.DeepEqual(got.char.Freeze(), want.char.Freeze()) {
+				if !reflect.DeepEqual(got.char, want.char) {
 					t.Errorf("%d edits, tokenization %d, route %d: char automaton differs from route 0's", edits, tokenization, i)
 				}
 			}
@@ -414,7 +412,7 @@ func TestPlanIsAFunctionOfTheLanguage(t *testing.T) {
 			want = got
 			continue
 		}
-		if !reflect.DeepEqual(got.char.Freeze(), want.char.Freeze()) {
+		if !reflect.DeepEqual(got.char, want.char) {
 			t.Errorf("prefix route %d: byte automaton differs from route 0's", i)
 		}
 		gotEnc, _ := got.Encode()

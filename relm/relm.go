@@ -202,7 +202,7 @@ type Model struct {
 	cache *cache.LM
 	// plans is the compiled-plan cache shared by the model and every session
 	// derived from it (nil when plan caching is disabled). Repeat and
-	// concurrent queries for the same pattern share one immutable frozen
+	// concurrent queries for the same pattern share one immutable
 	// automaton instead of recompiling it.
 	plans *planCache[*compiled]
 	// prefixes is the compiled-prefix cache beside it, under the same

@@ -174,6 +174,49 @@ func (d *DFA) Minimize() *DFA {
 	return res
 }
 
+// Spread returns d with each edge on class[0] laid also on every other symbol
+// of class, which must ascend and, past class[0], label no edge of d: the
+// class's symbols then behave alike from every state. A construction whose
+// input gives a byte class one behaviour can build and minimize its DFA over
+// the class's smallest symbol and spread the result once.
+//
+// The spread of a minimal DFA is minimal and is so marked. States d tells
+// apart stay apart, since the spread keeps every edge, and it adds none
+// that reaches a new state. Its numbering stays canonical too: class[0]
+// comes first among the class, so a breadth-first pass by ascending symbol
+// reaches through class[0] every state a spread edge leads to.
+func (d *DFA) Spread(class []Symbol) *DFA {
+	wide := 0 // the states with an edge on class[0]
+	if len(class) > 1 {
+		for s := range d.edges {
+			if _, ok := d.Step(s, class[0]); ok {
+				wide++
+			}
+		}
+	}
+	if wide == 0 {
+		return d
+	}
+	b := NewBuilder(len(d.edges), len(d.flat)+wide*(len(class)-1))
+	for s, es := range d.edges {
+		to, ok := d.Step(s, class[0])
+		rest := class[1:]
+		for _, e := range es {
+			for ; ok && len(rest) > 0 && rest[0] < e.Sym; rest = rest[1:] {
+				b.Edge(rest[0], to)
+			}
+			b.Edge(e.Sym, e.To)
+		}
+		for ; ok && len(rest) > 0; rest = rest[1:] {
+			b.Edge(rest[0], to)
+		}
+		b.EndState(d.accept[s])
+	}
+	res := b.Build(d.start)
+	res.minimal = d.minimal
+	return res
+}
+
 // MinimizeHopcroft is Minimize. It keeps the name under which the performance
 // ledger (bench/relmperf) times the compile chain's minimization step, until
 // the ledger's own change renames that step (ROADMAP 1(g)); new code calls

@@ -9,6 +9,11 @@
 // insertions, deletions and substitutions, each inserted or substituted byte
 // from the edit alphabet; and minimal DFAs are numbered canonically, so the
 // two constructions give equal automata, edge for edge.
+//
+// The construction runs on byte classes, as RE2 does: the edit bytes no
+// edge of the input carries all lead to the same place from every set, so
+// they are one symbol, their smallest byte, until the minimal DFA is
+// spread back to bytes. The result is byte-level at its boundary.
 package levenshtein
 
 import (
@@ -35,33 +40,50 @@ func Expand(d *automaton.DFA, alphabet []byte) *automaton.DFA {
 // with e < k moves to every successor at e+1. The edit moves are the same for
 // every alphabet byte, so a set's target on the bytes none of its members'
 // edges carries is computed once.
+//
+// The alphabet bytes no edge of the minimized input carries form one class:
+// from every set they lead to that edit-only target or nowhere. The subset
+// construction and its minimization see the class as one symbol, its
+// smallest byte, and every other byte as its own; the minimal DFA is then
+// spread to the class's other bytes once (automaton.DFA.Spread). The class
+// is a congruence, so the spread is the minimal DFA of the byte language,
+// and its smallest byte comes first, so a breadth-first pass by ascending
+// byte numbers the spread as it would the byte-level DFA: the result is the
+// one the construction gives over bytes, edge for edge.
 func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
 	if k <= 0 {
 		return d.Minimize()
 	}
 	d = d.Minimize()
-	n, k1, alpha := d.NumStates(), int32(k+1), SortedAlphabetUnion(alphabet)
+	n, k1 := d.NumStates(), int32(k+1)
 	x := &expander{k: int32(k), at: make([]int32, n+1), best: make([]int32, n), stamp: make([]uint32, n),
 		gen: 1, sets: automaton.NewSubsets(n * (k + 1))}
+	var inAlphabet, carried [256]bool
+	for _, a := range alphabet {
+		inAlphabet[a] = true
+	}
 	for q := range n {
 		for _, e := range d.Edges(q) {
+			if e.Sym < 256 {
+				carried[e.Sym] = true
+			}
 			if !slices.Contains(x.succ[x.at[q]:], int32(e.To)) {
 				x.succ = append(x.succ, int32(e.To))
 			}
 		}
 		x.at[q+1] = int32(len(x.succ))
 	}
+	syms, class := editSymbols(&inAlphabet, &carried)
 
-	// First pass: number the sets and build the DFA of their moves on the
-	// symbols their members' edges carry; only[s] is set s's target on the
-	// other alphabet bytes (-1: none), and edges counts the final edges.
-	carried := automaton.NewBuilder(n, n)
+	// One pass numbers the sets and lays each one's edges in symbol order: on
+	// the symbols its members' edges carry, and on the other edit symbols to
+	// its edit-only target, interned when first needed.
+	b := automaton.NewBuilder(n, n*len(syms))
 	var present []int
-	var only, seeds []int32
-	edges := 0
+	var seeds []int32
 	x.intern([]int32{int32(d.Start()) * k1})
 	for from := 0; from < x.sets.Len(); from++ {
-		set, accepting, inAlphabet := x.sets.Set(from), false, 0
+		set, accepting := x.sets.Set(from), false
 		present, seeds = present[:0], seeds[:0]
 		for _, c := range set {
 			q, e := c/k1, c%k1
@@ -78,47 +100,62 @@ func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
 		}
 		slices.Sort(present)
 		present = slices.Compact(present)
+		only, rest := -2, syms // -2: the edit-only target is not interned yet
+		editOnly := func(sym int) {
+			if only == -2 {
+				only = x.intern(seeds)
+			}
+			if only >= 0 {
+				b.Edge(sym, only)
+			}
+		}
 		for _, sym := range present {
+			for ; len(rest) > 0 && rest[0] < sym; rest = rest[1:] {
+				editOnly(rest[0])
+			}
+			var edits []int32
+			if len(rest) > 0 && rest[0] == sym {
+				edits, rest = seeds, rest[1:]
+			}
 			for _, c := range set {
 				if r, ok := d.Step(int(c/k1), sym); ok {
 					x.add(int32(r), c%k1)
 				}
 			}
-			var edits []int32
-			if _, ok := slices.BinarySearch(alpha, byte(sym)); ok && sym < 256 {
-				edits, inAlphabet = seeds, inAlphabet+1
-			}
-			carried.Edge(sym, x.intern(edits))
+			b.Edge(sym, x.intern(edits))
 		}
-		if only = append(only, -1); inAlphabet < len(alpha) {
-			only[from] = int32(x.intern(seeds))
+		for _, sym := range rest {
+			editOnly(sym)
 		}
-		if edges += len(present); only[from] >= 0 {
-			edges += len(alpha) - inAlphabet
-		}
-		carried.EndState(accepting)
+		b.EndState(accepting)
 	}
+	return b.Build(0).Minimize().Spread(class)
+}
 
-	// Second pass: lay the edges into a builder sized exactly, each alphabet
-	// byte a set does not carry to its edit-only target.
-	cd := carried.Build(0)
-	b := automaton.NewBuilder(cd.NumStates(), edges)
-	for s := range cd.NumStates() {
-		es := cd.Edges(s)
-		for _, a := range alpha {
-			for ; len(es) > 0 && es[0].Sym < int(a); es = es[1:] {
-				b.Edge(es[0].Sym, es[0].To)
-			}
-			if (len(es) == 0 || es[0].Sym > int(a)) && only[s] >= 0 {
-				b.Edge(int(a), int(only[s]))
-			}
+// editSymbols lists, ascending, the symbols the construction edits on: the
+// alphabet bytes an input edge carries and the smallest of the others; class
+// lists those others. Both share one allocation.
+func editSymbols(inAlphabet, carried *[256]bool) (syms, class []automaton.Symbol) {
+	own, wide := 0, 0
+	for a := range 256 {
+		if inAlphabet[a] && carried[a] {
+			own++
+		} else if inAlphabet[a] {
+			wide++
 		}
-		for _, e := range es {
-			b.Edge(e.Sym, e.To)
-		}
-		b.EndState(cd.Accepting(s))
 	}
-	return b.Build(0).Minimize()
+	own += min(wide, 1)
+	buf := make([]automaton.Symbol, own+wide)
+	syms, class = buf[:0:own], buf[own:own]
+	for a := range 256 {
+		if inAlphabet[a] && (carried[a] || len(class) == 0) {
+			syms = append(syms, a)
+		}
+		if inAlphabet[a] && !carried[a] {
+			class = append(class, a)
+		}
+	}
+	return syms, class
 }
 
 // expander is the scratch of one ExpandK call. The set being built lists its

@@ -298,11 +298,12 @@ func TestExpandKPrintableMatchesDistanceOracle(t *testing.T) {
 }
 
 // TestExpandKAllocsDoNotGrowWithStates: ExpandK builds no NFA; its one
-// subset construction interns sets without a key each and sizes the builder
-// it minimizes exactly, so two edits of a 605-state result take a bounded
-// number of allocations, not a few per state (1 326 before the interning
-// table; 168 allocations and 4 567 482 bytes when two chained distance-1
-// constructions built it; 112 and 2 847 952 for the one construction).
+// subset construction interns sets without a key each, runs on byte classes
+// and sizes the spread exactly, so two edits of a 605-state result take a
+// bounded number of allocations, not a few per state (1 326 before the
+// interning table; 168 allocations and 4 567 482 bytes when two chained
+// distance-1 constructions built it; 112 and 2 847 952 for the one
+// construction over bytes; 102 and 1 319 440 on byte classes).
 func TestExpandKAllocsDoNotGrowWithStates(t *testing.T) {
 	d := regex.MustCompile(" ((alpha)|(beta)|(gamma)) ((delta)|(kappa))")
 	alpha := PrintableASCII()
@@ -317,7 +318,7 @@ func TestExpandKAllocsDoNotGrowWithStates(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	b := after.TotalAlloc - before.TotalAlloc
 	t.Logf("ExpandK(k=2): %.0f allocations, %d bytes", allocs, b)
-	if allocs > 150 || b > 3_200_000 {
-		t.Errorf("ExpandK(k=2) of a 605-state result: %.0f allocations and %d bytes, want <= 150 and <= 3 200 000", allocs, b)
+	if allocs > 112 || b > 1_400_000 {
+		t.Errorf("ExpandK(k=2) of a 605-state result: %.0f allocations and %d bytes, want <= 112 and <= 1 400 000", allocs, b)
 	}
 }

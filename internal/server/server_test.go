@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"weak"
@@ -350,24 +351,61 @@ func TestDeadlineExpiresQuery(t *testing.T) {
 	}
 }
 
-func TestAdmissionControl(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+// heldLM blocks its scoring calls, once armed, until release is closed, and
+// closes entered at the first it blocks: a query on it holds its admission
+// slot until the test lets it go. Its ScoreBatch goes through NextLogProbs.
+type heldLM struct {
+	model.LanguageModel
+	armed            atomic.Bool
+	once             sync.Once
+	entered, release chan struct{}
+}
 
-	// Park one long query in the single slot.
+func (h *heldLM) NextLogProbs(ctx []model.Token) []float64 {
+	if h.armed.Load() {
+		h.once.Do(func() { close(h.entered) })
+		<-h.release
+	}
+	return h.LanguageModel.NextLogProbs(ctx)
+}
+
+func (h *heldLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(h, ctxs) }
+
+// TestAdmissionControl: with one slot, a query that is running holds it, so a
+// second is refused with 429 and counted as rejected. The first query is
+// parked on a model that blocks until the test releases it, so it cannot
+// finish and free the slot before the second request arrives.
+func TestAdmissionControl(t *testing.T) {
+	tok, lm := trainOnce()
+	held := &heldLM{LanguageModel: lm, entered: make(chan struct{}), release: make(chan struct{})}
+	s := New(Config{MaxConcurrent: 1})
+	s.AddModel("test", relm.NewModel(held, tok, relm.ModelOptions{})) // probes the fingerprint unarmed
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	held.armed.Store(true)
+
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	body := `{"pattern":"[a-z]{1,10}","max_matches":1000,"deadline_ms":30000}`
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
 		ts.URL+"/v1/search", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() { // the slot is definitely held once a match streams back
-		t.Fatalf("first query produced nothing: %v", sc.Err())
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	defer func() { // let the parked query go and wait for its request to end
+		cancel()
+		close(held.release)
+		<-first
+	}()
+	select {
+	case <-held.entered: // the first query is scoring, so it holds the slot
+	case <-first:
+		t.Fatal("first query ended before it scored a row")
 	}
 
 	resp2 := postSearch(t, ts, `{"pattern":"a","max_matches":1}`)
@@ -375,7 +413,6 @@ func TestAdmissionControl(t *testing.T) {
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second query status = %d, want 429", resp2.StatusCode)
 	}
-	cancel()
 	if sr := getStats(t, ts); sr.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", sr.Rejected)
 	}

@@ -9,10 +9,11 @@
 //
 // Execution knobs (DESIGN.md decision 6): -batch sets the frontier batch
 // size per device round (0 = the device's batch limit; 1 = one-at-a-time
-// "sequential" expansion), and -parallelism sizes both the device scoring
-// pool and the frontier-expansion workers (default: all CPUs). At a fixed
-// batch size, every traversal returns identical results at any parallelism;
-// -strategy random's draws depend on -seed alone. Changing -batch keeps the
+// "sequential" expansion), and -parallelism sizes the device scoring pool
+// (default: all CPUs); the query expands and samples on its own goroutine.
+// At a fixed batch size, every traversal returns identical results, model
+// calls, virtual device time and batches at any -parallelism; -strategy
+// random's draws depend on -seed alone. Changing -batch keeps the
 // sequence of log-probabilities: costs never decrease along a path, so it
 // can swap only results of equal probability.
 package main
@@ -46,7 +47,7 @@ func main() {
 	artifacts := flag.String("artifacts", "", "load tokenizer.json and model.json from this directory (from relm-train) instead of retraining")
 	batch := flag.Int("batch", 0, "frontier batch size per device round (0 = device batch limit, 1 = sequential expansion)")
 	incremental := flag.Bool("incremental", false, "KV-cache prefix-state reuse across the frontier (byte-identical results; effective on prefix-stateful models, e.g. -artifacts from relm-train -arch transformer)")
-	par := flag.Int("parallelism", runtime.NumCPU(), "width of the device scoring pool and of frontier expansion (1 = serial)")
+	par := flag.Int("parallelism", runtime.NumCPU(), "width of the device scoring pool (1 = score on the query's goroutine)")
 	flag.Parse()
 
 	if *pattern == "" {
@@ -68,7 +69,6 @@ func main() {
 		RequireEOS:  *eos,
 		Seed:        *seed,
 		BatchExpand: *batch,
-		Parallelism: *par,
 		Incremental: *incremental,
 	}
 	if *strategy == "random" {

@@ -71,13 +71,13 @@ func truncate(nodes []node, width int) []node {
 // run advances the beam to completion, harvesting accepting hypotheses.
 // Every hypothesis of a level has step pattern tokens, so the level grows
 // while the rule lets a pattern of that length grow. The whole level is
-// scored in one device batch and its sibling sets are built across the worker
-// pool; the coordinator then spawns, in beam order, each hypothesis's match
-// and its best Width children — the level's best Width are among them — and
-// truncates to the best Width overall.
+// scored in one device batch; then each hypothesis, in beam order, is
+// expanded and spawns its match and its best Width children — the level's
+// best Width are among them — and the level truncates to the best Width
+// overall.
 func (s *beamStream) run() error {
 	var ctxs [][]model.Token
-	var sets []siblings
+	var sibs siblings
 	var next []node
 	step := 0
 	for ; s.q.grows(step) && len(s.beam) > 0; step++ {
@@ -94,15 +94,11 @@ func (s *beamStream) run() error {
 		s.stats.modelCalls.Add(int64(len(s.beam)))
 		s.stats.nodesExpanded.Add(int64(len(s.beam)))
 
-		sets = slices.Grow(sets[:0], len(s.beam))[:len(s.beam)]
-		parallelFor(len(s.beam), s.q.Parallelism, func(i int) {
-			h := &s.beam[i]
-			sets[i], _ = s.q.expand(h.state, h.pattern(), h.cost, lps[i], decoding.SupportOf(s.q.Rule, lps[i]), sets[i], false)
-		})
 		next = next[:0]
 		for i := range s.beam {
-			h, from, sibs := &s.beam[i], s.seq, sets[i]
+			h, from := &s.beam[i], s.seq
 			s.seq++
+			sibs, _ = s.q.expand(h.state, h.pattern(), h.cost, lps[i], decoding.SupportOf(s.q.Rule, lps[i]), sibs, false)
 			if last := len(sibs) - 1; last >= 0 && sibs[last].sym == matchSym {
 				s.done = append(s.done, h.spawn(sibs[last], from))
 				sibs = sibs[:last]

@@ -46,7 +46,7 @@ func inWindow(c *cursor) bool { return &c.sibs[:1][0] == &c.win[0] }
 // TestWindowEdgeMatchesReference: where cursors are popped more than window
 // times, the rebuilt rest continues each cursor's order exactly where its
 // window stopped, so shortest path still emits what the eager reference does
-// at every batch size and worker count. The arms put a tie class across the
+// at every batch size. The arms put a tie class across the
 // window's last slot, and a match that lands after the window (EOS is the
 // least likely token) or inside it. Along the way every cursor on the
 // frontier holds its row exactly when its set outgrew the window and it has
@@ -70,15 +70,13 @@ func TestWindowEdgeMatchesReference(t *testing.T) {
 		dev := countingDevice(&rowLM{model.Uniform{Vocab: syms + 1, EOSTok: eos, SeqLen: 16}, arm.weights}, 8)
 		pat := chainPattern(syms, 3)
 		for _, batch := range []int{1, 4} {
-			for _, workers := range []int{1, 8} {
-				query := func() *Query {
-					return &Query{Pattern: pat, Rule: arm.rule, RequireEOS: arm.eos, BatchExpand: batch, Parallelism: workers}
-				}
-				name := fmt.Sprintf("%s/batch%d/p%d", arm.name, batch, workers)
-				checkExpansion(t, name, dev, query, 60)
-				if rebuilt := checkCursors(t, name, dev, query(), 60); rebuilt == 0 {
-					t.Errorf("%s: no cursor was popped past its window", name)
-				}
+			query := func() *Query {
+				return &Query{Pattern: pat, Rule: arm.rule, RequireEOS: arm.eos, BatchExpand: batch}
+			}
+			name := fmt.Sprintf("%s/batch%d", arm.name, batch)
+			checkExpansion(t, name, dev, query, 60)
+			if rebuilt := checkCursors(t, name, dev, query(), 60); rebuilt == 0 {
+				t.Errorf("%s: no cursor was popped past its window", name)
 			}
 		}
 	}
@@ -205,10 +203,10 @@ func loopPattern(syms int) *automaton.DFA {
 
 // fuzzQuery decodes a fuzzed model and query. The first bytes choose the
 // vocabulary (2 to 8 symbols and EOS), the pattern (a chain of depth 1 to 4,
-// or a two-state loop), BatchExpand (1 to 8), Parallelism (1 or 4),
-// RequireEOS, a top-k rule, a prefix set and a MaxNodes cap; the rest are the
-// rows' weights, in steps of -0.5 from 0 to -3.5, so costs tie often. ok is
-// false when the input is too short to decode.
+// or a two-state loop), BatchExpand (1 to 8), RequireEOS, a top-k rule, a
+// prefix set and a MaxNodes cap (flag bit 2 is unused, so the corpus keeps its
+// meaning); the rest are the rows' weights, in steps of -0.5 from 0 to -3.5,
+// so costs tie often. ok is false when the input is too short to decode.
 func fuzzQuery(shape, weights []byte) (lm *fuzzLM, q Query, ok bool) {
 	if len(shape) < 4 || len(weights) == 0 {
 		return nil, q, false
@@ -227,13 +225,10 @@ func fuzzQuery(shape, weights []byte) (lm *fuzzLM, q Query, ok bool) {
 	}
 	q = Query{
 		Pattern: chainPattern(syms, depth), RequireEOS: flags&1 != 0,
-		MaxTokens: depth + 2, BatchExpand: 1 + int(shape[2])%8, Parallelism: 1,
+		MaxTokens: depth + 2, BatchExpand: 1 + int(shape[2])%8,
 	}
 	if flags&4 != 0 {
 		q.Pattern = loopPattern(syms)
-	}
-	if flags&2 != 0 {
-		q.Parallelism = 4
 	}
 	if flags&8 != 0 {
 		q.Rule = decoding.TopK{K: 1 + depth}
@@ -270,35 +265,47 @@ func FuzzLazyFrontier(f *testing.F) {
 	})
 }
 
-// FuzzSamplerWidth: on the models and queries FuzzLazyFrontier decodes, the
-// sampler emits the same stream at width 1 and width 4, draw for draw, up to
-// and including ErrExhausted. Dead ends (a top-k rule pruning the pattern, a
-// loop cut at MaxTokens) reject attempts, and the attempt budget (1 to 4,
-// from the BatchExpand byte) is small, so many inputs exhaust. The MaxNodes
-// byte is the seed.
+// FuzzSamplerWidth: on the models and queries FuzzLazyFrontier decodes, a
+// sampled stream and the virtual clock it spends depend on its seed alone.
+// Two fresh devices behind logit caches, one scoring on the caller's
+// goroutine and one on a pool of 4 workers, emit the same stream draw for
+// draw, up to and including ErrExhausted, and read the same Clock and
+// Batches; a rerun on each, over its warm cache, repeats the stream, and the
+// two reruns spend the same clock again. Dead ends (a top-k rule pruning the
+// pattern, a loop cut at MaxTokens) reject attempts, and the attempt budget
+// (1 to 4, from the BatchExpand byte) is small, so many inputs exhaust. The
+// MaxNodes byte is the seed.
 func FuzzSamplerWidth(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, weights []byte) {
 		lm, q, ok := fuzzQuery(shape, weights)
 		if !ok {
 			return
 		}
-		dev := device.New(lm, device.DefaultLatency(), 8)
-		stream := func(width int) []string {
+		// run drains the stream on dev and returns its rows, then dev's clock
+		// and batch count.
+		run := func(dev *device.Device) []string {
 			cp := q
-			cp.Parallelism = width
 			s := Sample(dev, &cp, SamplerOptions{Seed: int64(q.MaxNodes), MaxAttemptsPerResult: 1 + q.BatchExpand%4})
 			defer s.Close()
 			var rows []string
 			for range 40 {
 				r, err := s.Next()
 				if err != nil {
-					return append(rows, err.Error())
+					rows = append(rows, err.Error())
+					break
 				}
 				rows = append(rows, resultKey(r))
 			}
-			return rows
+			st := dev.Stats()
+			return append(rows, fmt.Sprintf("clock %v, %d batches", st.Clock, st.Batches))
 		}
-		sameResults(t, "width 4", stream(4), stream(1))
+		serial, pooled := countingDevice(lm, 8), countingDevice(lm, 8)
+		defer attachPool(pooled, 4)()
+		cold := run(serial)
+		sameResults(t, "pool of 4", run(pooled), cold)
+		warm := run(serial)
+		sameResults(t, "warm pool of 4", run(pooled), warm)
+		sameResults(t, "warm rerun", warm[:len(warm)-1], cold[:len(cold)-1])
 	})
 }
 
@@ -314,17 +321,15 @@ func TestProbedResolutionMatchesReference(t *testing.T) {
 	for _, prefixes := range [][][]model.Token{nil, {{0}, {1, 2}, {3}}} {
 		for _, rule := range []decoding.Rule{nil, decoding.TopK{K: 5}} {
 			for _, batch := range []int{16, 64} {
-				for _, workers := range []int{1, 8} {
-					dev := countingDevice(&classLM{model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}}, 64)
-					for _, pass := range []string{"cold", "warm"} {
-						name := fmt.Sprintf("prefixes=%d/rule=%v/batch%d/p%d/%s", len(prefixes), rule, batch, workers, pass)
-						checkExpansion(t, name, dev, func() *Query {
-							return &Query{
-								Pattern: pat, Prefixes: prefixes, Rule: rule,
-								RequireEOS: true, BatchExpand: batch, Parallelism: workers,
-							}
-						}, 60)
-					}
+				dev := countingDevice(&classLM{model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}}, 64)
+				for _, pass := range []string{"cold", "warm"} {
+					name := fmt.Sprintf("prefixes=%d/rule=%v/batch%d/%s", len(prefixes), rule, batch, pass)
+					checkExpansion(t, name, dev, func() *Query {
+						return &Query{
+							Pattern: pat, Prefixes: prefixes, Rule: rule,
+							RequireEOS: true, BatchExpand: batch,
+						}
+					}, 60)
 				}
 			}
 		}

@@ -157,7 +157,6 @@ func normalizeQuery(dev *device.Device, q *Query) *Query {
 		cp.MaxNodes = 1 << 20
 	}
 	cp.eos = dev.Model().EOS()
-	cp.Parallelism = EffectiveParallelism(cp.Parallelism)
 	ctx, cancel := context.WithCancel(queryContext(&cp))
 	cp.Context = ctx
 	cp.cancel = cancel
@@ -214,9 +213,7 @@ func (s *dijkstraStream) init() {
 // scored top whose key is at or before every unscored bound, the stream is
 // the one an eager expansion of each round emits, at any batch size; and
 // since costs never decrease along a path, batching reorders only matches of
-// equal cost. Rule filtering and sibling generation for a resolution fan out
-// across the Parallelism worker pool; each worker fills its own cursor, so
-// the emitted sequence is identical at any worker count.
+// equal cost.
 func (s *dijkstraStream) Next() (*Result, error) {
 	n, err := s.next()
 	if err != nil {
@@ -390,13 +387,12 @@ func (s *dijkstraStream) score(cs []*cursor, top []float64) error {
 	defer clear(rows)
 	s.stats.modelCalls.Add(int64(len(cs)))
 	s.q.Trace.AddCount(s.rspan, "rows", len(cs))
-	parallelFor(len(cs), s.q.Parallelism, func(i int) {
-		c := cs[i]
+	for i, c := range cs {
 		var dropped bool
 		if c.sibs, dropped = c.expand(s.q, rows[i], c.win[:0], true); dropped {
 			c.lp = rows[i]
 		}
-	})
+	}
 	return nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/automaton"
@@ -75,13 +74,6 @@ type Query struct {
 	// model cost for prioritization while still bypassing decoding rules.
 	// Exposed for the DESIGN.md decision-5 ablation.
 	PrefixZeroCost bool
-	// Parallelism bounds the engine-side worker pool that rule-filters and
-	// expands a scored batch (DESIGN.md decision 6). Workers write to
-	// per-node slots and the coordinator merges them in batch order, so
-	// deterministic traversals emit the same result sequence at any
-	// parallelism. <= 1 keeps expansion on the calling goroutine.
-	// (Device-side scoring parallelism is configured on the Device.)
-	Parallelism int
 	// Incremental enables prefix-state (KV-cache) reuse across frontier
 	// expansion (DESIGN.md decision 10): a popped node's logits come from
 	// extending its parent's cached decode state by one token through
@@ -159,7 +151,7 @@ func (s *Stats) Add(o Stats) {
 
 // counters is the race-safe backing store for Stats: streams update it with
 // atomics, so a Stats snapshot is safe from any goroutine while a traversal
-// (and its worker pool) runs.
+// runs.
 type counters struct {
 	nodesExpanded atomic.Int64
 	modelCalls    atomic.Int64
@@ -426,8 +418,7 @@ func (h *siblings) add(s sibling, bounded bool) (dropped bool) {
 // order; and last, when the node may end here, its match, charged the EOS
 // step under RequireEOS. A sibling's cost is cost minus its token's entry in
 // lp. Bounded, it keeps only the set's least cap(dst) siblings, sorted, and
-// reports whether it dropped any. Pure with respect to stream state, so batch
-// slots can be filled concurrently.
+// reports whether it dropped any.
 func (q *Query) expand(state automaton.StateID, pattern []model.Token, cost float64, lp []float64, kept decoding.Support, dst siblings, bounded bool) (siblings, bool) {
 	edges, live := q.Pattern.Edges(state), 0
 	if q.grows(len(pattern)) {
@@ -767,46 +758,6 @@ func prefixDevice(dev *device.Device, q *Query) (*device.Device, trace.SpanID) {
 	return dev.WithTrace(q.Trace, sp), sp
 }
 
-// parallelFor runs fn(i) for every i in [0, n) across up to workers
-// goroutines. Callers have fn write only to index-i slots of preallocated
-// slices, so results merge without locks; the coordinator then consumes the
-// slots in index order, keeping traversal output deterministic regardless
-// of worker scheduling.
-//
-// Expansion shards deliberately do NOT route through the shared
-// device.Pool: that pool bounds *scoring* concurrency server-wide, and
-// borrowing it for expansion would couple a traversal's progress to how
-// busy other queries keep the scoring workers. Expansion shards are
-// CPU-bound microtasks whose per-batch goroutine spawn cost is noise next
-// to the model scoring each round already paid.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // queryContext returns the query's cancellation context, defaulting to
 // Background.
 func queryContext(q *Query) context.Context {
@@ -818,23 +769,14 @@ func queryContext(q *Query) context.Context {
 
 // EffectiveBatch resolves a BatchExpand setting against the device: <= 0
 // means one frontier batch per device dispatch window. Together with
-// EffectiveParallelism and EffectiveIncremental it is the single resolving
-// point for the execution knobs: callers validate user input and then rely
-// on these to resolve defaults, so a plan reports what runs.
+// EffectiveIncremental it is the single resolving point for the execution
+// knobs: callers validate user input and then rely on these to resolve
+// defaults, so a plan reports what runs.
 func EffectiveBatch(dev *device.Device, batch int) int {
 	if batch <= 0 {
 		return dev.MaxBatch()
 	}
 	return batch
-}
-
-// EffectiveParallelism resolves a Parallelism setting: <= 0 means
-// single-threaded expansion.
-func EffectiveParallelism(p int) int {
-	if p <= 0 {
-		return 1
-	}
-	return p
 }
 
 // EffectiveIncremental reports whether q runs with prefix-state reuse on dev:
@@ -857,11 +799,9 @@ func ValidateBatch(batch int) error {
 	return nil
 }
 
-// ValidateParallelism rejects nonsensical user-facing Parallelism settings:
-// a worker pool needs at least one worker. (Library callers may leave
-// Query.Parallelism at 0 for the serial default; CLI and server front ends
-// reject explicit 0/negative values so a typo doesn't silently serialize a
-// run.)
+// ValidateParallelism rejects nonsensical user-facing worker counts — the
+// width of a device scoring pool, the workers of a validation job: a pool
+// needs at least one worker, and a typo must not silently serialize a run.
 func ValidateParallelism(p int) error {
 	if p < 1 {
 		return fmt.Errorf("engine: parallelism must be >= 1, got %d", p)

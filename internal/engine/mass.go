@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/automaton"
 	"repro/internal/decoding"
@@ -123,7 +122,7 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 	var round int64
 	var batch []massNode
 	var ctxs [][]model.Token
-	var sets []siblings
+	var sibs siblings
 	for frontier.Len() > 0 {
 		res.Upper = res.Lower + frontierMass
 		if res.Upper-res.Lower <= opts.Tolerance {
@@ -151,17 +150,11 @@ func Mass(dev *device.Device, q *Query, opts MassOptions) (*MassResult, error) {
 		}
 		res.Expanded += int64(len(batch))
 
-		// The rule's verdicts are independent per node: fan out into per-node
-		// sibling sets, then settle the bounds serially in pop order so
-		// accumulation stays deterministic.
-		sets = slices.Grow(sets[:0], len(batch))[:len(batch)]
-		parallelFor(len(batch), q.Parallelism, func(i int) {
-			n := &batch[i]
-			sets[i], _ = q.expand(n.state, ctxs[i][len(ctxs[i])-n.pat:], 0, lps[i], decoding.SupportOf(q.Rule, lps[i]), sets[i], false)
-		})
+		// Settle the bounds in pop order, so accumulation is deterministic.
 		for i := range batch {
 			n, lp := &batch[i], lps[i]
-			for _, sib := range sets[i] {
+			sibs, _ = q.expand(n.state, ctxs[i][len(ctxs[i])-n.pat:], 0, lp, decoding.SupportOf(q.Rule, lp), sibs, false)
+			for _, sib := range sibs {
 				if sib.sym == matchSym {
 					res.Lower += n.mass * math.Exp(lp[q.eos])
 					res.Matches++

@@ -62,30 +62,28 @@ func sequences(t *testing.T, s Stream, n int) []Result {
 }
 
 // TestParallelDijkstraDeterminism checks the decision-6 contract: for a
-// fixed batch size, the emitted result sequence is identical at any
-// expansion-worker count and any device worker count — parallelism changes
-// wall-clock speed only.
+// fixed batch size, the emitted result sequence is identical at any device
+// worker count — the scoring pool changes wall-clock speed only.
 func TestParallelDijkstraDeterminism(t *testing.T) {
 	env, q := parallelEnv(t)
-	run := func(parallelism, devWorkers int) []Result {
+	run := func(devWorkers int) []Result {
 		qc := *q
 		qc.BatchExpand = 8
-		qc.Parallelism = parallelism
 		defer attachPool(env.dev, devWorkers)()
 		return sequences(t, ShortestPath(env.dev, &qc), 6)
 	}
-	base := run(1, 1)
+	base := run(1)
 	if len(base) == 0 {
 		t.Fatal("no results from baseline traversal")
 	}
-	for _, cfg := range [][2]int{{4, 1}, {1, 4}, {8, 8}} {
-		got := run(cfg[0], cfg[1])
+	for _, devWorkers := range []int{4, 8} {
+		got := run(devWorkers)
 		if len(got) != len(base) {
-			t.Fatalf("parallelism=%d devWorkers=%d: %d results, want %d", cfg[0], cfg[1], len(got), len(base))
+			t.Fatalf("devWorkers=%d: %d results, want %d", devWorkers, len(got), len(base))
 		}
 		for i := range base {
 			if string(tokKey(got[i].Tokens())) != string(tokKey(base[i].Tokens())) || got[i].LogProb != base[i].LogProb {
-				t.Fatalf("parallelism=%d devWorkers=%d: result %d diverged from sequential order", cfg[0], cfg[1], i)
+				t.Fatalf("devWorkers=%d: result %d diverged from sequential order", devWorkers, i)
 			}
 		}
 	}
@@ -134,9 +132,9 @@ func tokKey(toks []model.Token) string { return model.Key(toks) }
 // TestParallelBeamDeterminism checks the same contract for beam search.
 func TestParallelBeamDeterminism(t *testing.T) {
 	env, q := parallelEnv(t)
-	run := func(parallelism int) []Result {
+	run := func(devWorkers int) []Result {
 		qc := *q
-		qc.Parallelism = parallelism
+		defer attachPool(env.dev, devWorkers)()
 		return sequences(t, Beam(env.dev, &qc, BeamOptions{Width: 8}), 6)
 	}
 	base := run(1)
@@ -165,7 +163,6 @@ func TestDijkstraCancellation(t *testing.T) {
 		Pattern:     pat,
 		Prefixes:    [][]model.Token{env.tok.Encode("The man was trained in")},
 		Context:     ctx,
-		Parallelism: 4,
 		BatchExpand: 8,
 	}
 	s := ShortestPath(env.dev, q)
@@ -192,10 +189,9 @@ func TestSamplerCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Query{
-		Pattern:     pat,
-		Prefixes:    [][]model.Token{env.tok.Encode("The man")},
-		Context:     ctx,
-		Parallelism: 4,
+		Pattern:  pat,
+		Prefixes: [][]model.Token{env.tok.Encode("The man")},
+		Context:  ctx,
 	}
 	s := Sample(env.dev, q, SamplerOptions{Seed: 7})
 	if _, err := s.Next(); err != nil {
@@ -231,8 +227,8 @@ func TestMassCancellation(t *testing.T) {
 }
 
 // TestSamplerParallelReproducible: attempt i draws from (seed, i) alone, so
-// the sampler emits the same draws and log-probabilities at every worker
-// count, and a rerun at width 1 repeats them.
+// the sampler emits the same draws and log-probabilities at every scoring
+// pool width, and a rerun repeats them.
 func TestSamplerParallelReproducible(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile(" was trained in ((engineering)|(medicine)|(art))")
@@ -240,29 +236,25 @@ func TestSamplerParallelReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	draw := func(par int) []string {
-		q := &Query{
-			Pattern:     pat,
-			Prefixes:    [][]model.Token{env.tok.Encode("The man")},
-			Parallelism: par,
-		}
+	draw := func(devWorkers int) []string {
+		defer attachPool(env.dev, devWorkers)()
+		q := &Query{Pattern: pat, Prefixes: [][]model.Token{env.tok.Encode("The man")}}
 		return resultRows(sequences(t, Sample(env.dev, q, SamplerOptions{Seed: 42}), 12))
 	}
 	want := draw(1)
 	if len(want) != 12 {
 		t.Fatalf("%d draws at width 1, want 12", len(want))
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		sameResults(t, fmt.Sprintf("width %d", par), draw(par), want)
+	for _, devWorkers := range []int{1, 2, 4, 8} {
+		sameResults(t, fmt.Sprintf("width %d", devWorkers), draw(devWorkers), want)
 	}
 }
 
 // TestStatsRaceSafe hammers Stats() from a second goroutine while a
-// parallel traversal runs; the race detector validates the counters.
+// traversal runs on a scoring pool; the race detector validates the counters.
 func TestStatsRaceSafe(t *testing.T) {
 	env, q := parallelEnv(t)
 	qc := *q
-	qc.Parallelism = 4
 	qc.BatchExpand = 8
 	defer attachPool(env.dev, 4)()
 	s := ShortestPath(env.dev, &qc)

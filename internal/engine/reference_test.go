@@ -172,16 +172,12 @@ func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Sta
 		lps := must(scoreFrontier(dev, q, contexts(batch)))
 		stats.ModelCalls += int64(len(batch))
 		stats.NodesExpanded += int64(len(batch))
-		children := make([][]*node, len(batch))
-		parallelFor(len(batch), q.Parallelism, func(i int) {
-			children[i] = refChildrenOf(dev.Model(), q, batch[i], lps[i], seq+int64(i))
-		})
-		seq += int64(len(batch))
-		for _, cs := range children {
-			for _, c := range cs {
+		for i, n := range batch {
+			for _, c := range refChildrenOf(dev.Model(), q, n, lps[i], seq+int64(i)) {
 				heap.Push(&h, c)
 			}
 		}
+		seq += int64(len(batch))
 	}
 	return out, stats
 }
@@ -219,7 +215,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		stats.ModelCalls += int64(len(beam))
 		stats.NodesExpanded += int64(len(beam))
 		slots := make([]slot, len(beam))
-		parallelFor(len(beam), q.Parallelism, func(i int) {
+		for i := range beam {
 			n, lp, from := beam[i], lps[i], seq+int64(i)
 			filtered := decoding.Allowed(q.Rule, lp, nil)
 			if q.Pattern.Accepting(n.state) && n.patLen > 0 && refAllowFinal(q, n.ctx[len(n.ctx)-n.patLen:]) {
@@ -240,7 +236,7 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 					slots[i].children = append(slots[i].children, child)
 				}
 			}
-		})
+		}
 		seq += int64(len(beam))
 		beam = nil
 		for _, sl := range slots {
@@ -320,7 +316,7 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 			children  []*massNode
 		}
 		slots := make([]slot, len(batch))
-		parallelFor(len(batch), q.Parallelism, func(i int) {
+		for i := range batch {
 			n, lp := batch[i], lps[i]
 			filtered := decoding.Allowed(q.Rule, lp, nil)
 			if q.Pattern.Accepting(n.state) && n.pat > 0 &&
@@ -329,7 +325,7 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 				slots[i].matchMass = n.mass * math.Exp(lp[m.EOS()])
 			}
 			if n.pat >= q.MaxTokens {
-				return
+				continue
 			}
 			for _, e := range q.Pattern.Edges(n.state) {
 				if filtered[e.Sym] == model.NegInf {
@@ -344,7 +340,7 @@ func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
 					slots[i].children = append(slots[i].children, child)
 				}
 			}
-		})
+		}
 		for _, sl := range slots {
 			if sl.matched {
 				res.Lower += sl.matchMass
@@ -565,8 +561,7 @@ func (c *countingLM) ExtendBatch(states []model.DecodeState, tokens []model.Toke
 // per-parent expansion and through the per-child reference above and demands
 // the same emitted sequences, log-probs, model calls and expanded nodes —
 // with and without the canonical filter over the all-encodings automaton,
-// under each rule shape, serial and with 8 expansion workers, full-prefix
-// and incremental (a no-op on the n-gram, real KV extension on the
+// under each rule shape, full-prefix and incremental (a no-op on the n-gram, real KV extension on the
 // transformer), with MaxTokens 8 and 3, where every engine's traversal
 // reaches the cap. The transformer runs on a logit cache every earlier arm
 // warmed, and on a cold one per arm (nil dev), where the engines' first
@@ -597,29 +592,27 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 		for _, sub := range substrates {
 			for _, rule := range rules {
 				for _, filter := range []*compiler.CanonicalFilter{nil, compiler.NewCanonicalFilter(tok)} {
-					for _, workers := range []int{1, 8} {
-						for _, maxTokens := range []int{8, 3} {
-							ruleName := "none"
-							if rule != nil {
-								ruleName = rule.Name()
-							}
-							name := fmt.Sprintf("%s/%s/%s/filter=%t/p%d/max%d", pat, sub.name, ruleName, filter != nil, workers, maxTokens)
-							query := func() *Query {
-								q := &Query{
-									Pattern: full, Prefixes: [][]model.Token{prefix}, Rule: rule, Filter: filter,
-									RequireEOS: true, MaxTokens: maxTokens, BatchExpand: 4, Parallelism: workers,
-								}
-								if sub.incremental {
-									q.Incremental, q.KV = true, kvcache.NewTiered(kvcache.Config{})
-								}
-								return q
-							}
-							dev := sub.dev
-							if dev == nil {
-								dev = trans.coldDev()
-							}
-							checkExpansion(t, name, dev, query, 10)
+					for _, maxTokens := range []int{8, 3} {
+						ruleName := "none"
+						if rule != nil {
+							ruleName = rule.Name()
 						}
+						name := fmt.Sprintf("%s/%s/%s/filter=%t/max%d", pat, sub.name, ruleName, filter != nil, maxTokens)
+						query := func() *Query {
+							q := &Query{
+								Pattern: full, Prefixes: [][]model.Token{prefix}, Rule: rule, Filter: filter,
+								RequireEOS: true, MaxTokens: maxTokens, BatchExpand: 4,
+							}
+							if sub.incremental {
+								q.Incremental, q.KV = true, kvcache.NewTiered(kvcache.Config{})
+							}
+							return q
+						}
+						dev := sub.dev
+						if dev == nil {
+							dev = trans.coldDev()
+						}
+						checkExpansion(t, name, dev, query, 10)
 					}
 				}
 			}
@@ -654,8 +647,7 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 		t.Fatalf("%s/mass: unsound bounds [%v, %v]", name, gm.Lower, gm.Upper)
 	}
 
-	// Sampling: the same seeded attempts through both expansions, run across
-	// the query's workers as a parallel wave would.
+	// Sampling: the same seeded attempts through both expansions.
 	const attempts = 24
 	sampler := func() *samplerStream {
 		return Sample(dev, query(), SamplerOptions{Seed: 1}).(*samplerStream)
@@ -663,11 +655,11 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 	walks := func(s *samplerStream, once func(*rand.Rand) (*Result, bool)) []string {
 		defer s.Close()
 		rows := make([]string, attempts)
-		parallelFor(attempts, s.q.Parallelism, func(i int) {
+		for i := range rows {
 			if r, ok := once(rand.New(rand.NewSource(int64(i)))); ok {
 				rows[i] = resultRows([]Result{*r})[0]
 			}
-		})
+		}
 		return append(rows, fmt.Sprint(s.Stats().ModelCalls))
 	}
 	gs, ws := sampler(), sampler()
@@ -701,7 +693,7 @@ func (c *classLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.Sc
 // TestTieDenseFrontierMatchesReference: where nearly every cost ties, the
 // lazy sibling cursors and beam's per-hypothesis cut still emit exactly what
 // the eager references do under the frontier order — sequences, log-probs,
-// model calls and expanded nodes — at every batch size and worker count,
+// model calls and expanded nodes — at every batch size,
 // with and without a top-k cut inside a tie class; Mass's bounds and the
 // sampler's draws, including its stop-mass move without EOS, match theirs.
 func TestTieDenseFrontierMatchesReference(t *testing.T) {
@@ -712,15 +704,13 @@ func TestTieDenseFrontierMatchesReference(t *testing.T) {
 		for _, rule := range []decoding.Rule{nil, decoding.TopK{K: 5}} {
 			for _, eos := range []bool{false, true} {
 				for _, batch := range []int{1, 4} {
-					for _, workers := range []int{1, 8} {
-						name := fmt.Sprintf("prefixes=%d/rule=%v/eos=%t/batch%d/p%d", len(prefixes), rule, eos, batch, workers)
-						checkExpansion(t, name, dev, func() *Query {
-							return &Query{
-								Pattern: pat, Prefixes: prefixes, Rule: rule,
-								RequireEOS: eos, BatchExpand: batch, Parallelism: workers,
-							}
-						}, 60)
-					}
+					name := fmt.Sprintf("prefixes=%d/rule=%v/eos=%t/batch%d", len(prefixes), rule, eos, batch)
+					checkExpansion(t, name, dev, func() *Query {
+						return &Query{
+							Pattern: pat, Prefixes: prefixes, Rule: rule,
+							RequireEOS: eos, BatchExpand: batch,
+						}
+					}, 60)
 				}
 			}
 		}

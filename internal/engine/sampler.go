@@ -41,10 +41,11 @@ type SamplerOptions struct {
 // independent draw (§3.1: "random queries are of infinite length because of
 // resampling").
 //
-// Rejection attempts run in waves of Query.Parallelism workers. Attempt i
-// draws from its own generator seeded from (Seed, i), and successes are
-// emitted in attempt order, so the stream is identical at any worker count
-// (DESIGN.md decision 6).
+// Attempts run one at a time on the caller's goroutine. Attempt i, numbered
+// across the stream's Next calls, draws from its own generator seeded from
+// (Seed, i), so the stream and the rows it asks for depend on the query and
+// Seed alone, and so, on a given logit cache, does the virtual clock it
+// spends (DESIGN.md decision 6).
 func Sample(dev *device.Device, q *Query, opts SamplerOptions) Stream {
 	nq := normalizeQuery(dev, q)
 	if opts.MaxAttemptsPerResult <= 0 {
@@ -56,41 +57,20 @@ func Sample(dev *device.Device, q *Query, opts SamplerOptions) Stream {
 		// parent directly under the root instead.
 		dev = dev.WithTrace(nq.Trace, trace.RootID)
 	}
-	s := &samplerStream{stream: stream{q: nq, dev: dev}, opts: opts, slots: make([]slot, nq.Parallelism)}
-	for i := range s.slots {
-		s.slots[i].rng = rand.New(&s.slots[i].src)
-	}
-	s.run = func(i int) {
-		sl := &s.slots[i]
-		sl.res, sl.err = s.sampleOnce(sl.rng)
-	}
+	s := &samplerStream{stream: stream{q: nq, dev: dev}, opts: opts}
+	s.rng = rand.New(&s.src)
 	return s
 }
 
 type samplerStream struct {
 	stream
 	opts SamplerOptions
-	// slots run one wave's attempts, one per worker, and run(i) runs slot
-	// i's. Both live as long as the stream, so a wave allocates nothing.
-	slots []slot
-	run   func(i int)
-	// next numbers the next attempt to run; since numbers the first attempt
-	// after the last success. Exhaustion is counted by attempt number, so it
-	// lands on the same attempt at every width.
-	next, since int64
-	// pending buffers a wave's successes in attempt order. Each is an
-	// independent draw, so emitting them on later Next calls keeps the
-	// distribution and costs no extra model work.
-	pending []*Result
-}
-
-// slot is one wave position: a generator reseeded for each attempt it runs,
-// and that attempt's outcome.
-type slot struct {
+	// src is the generator rng reads, reseeded for each attempt.
 	src splitmix
 	rng *rand.Rand
-	res *Result
-	err error
+	// next numbers the next attempt to run; since numbers the first attempt
+	// after the last success. Exhaustion is counted by attempt number.
+	next, since int64
 }
 
 // Next performs rejection sampling: draw a prefix, then walk the pattern
@@ -105,43 +85,26 @@ func (s *samplerStream) Next() (*Result, error) {
 	}
 	for {
 		if err := s.q.Context.Err(); err != nil {
-			return nil, err // cancellation outranks buffered draws
+			return nil, err
 		}
-		if len(s.pending) > 0 {
-			// Shift rather than reslice, so the buffer is reused: at width 1
-			// a success costs no append.
-			res := s.pending[0]
-			n := copy(s.pending, s.pending[1:])
-			s.pending[n] = nil // the backing array must not keep an emitted result
-			s.pending = s.pending[:n]
-			s.stats.emitted.Add(1)
-			return res, nil
-		}
-		left := int64(s.opts.MaxAttemptsPerResult) - (s.next - s.since)
-		if left <= 0 {
+		if s.next-s.since >= int64(s.opts.MaxAttemptsPerResult) {
 			s.since = s.next // a later call gets a budget of its own
 			return nil, ErrExhausted
 		}
-		wave := s.slots[:min(int64(len(s.slots)), left)]
-		for i := range wave {
-			wave[i].src = attemptSeed(s.opts.Seed, s.next+int64(i))
+		s.src = attemptSeed(s.opts.Seed, s.next)
+		s.next++
+		res, err := s.sampleOnce(s.rng)
+		s.stats.attempts.Add(1)
+		switch {
+		case err != nil:
+			return nil, s.finish(err)
+		case res == nil:
+			s.stats.rejected.Add(1)
+		default:
+			s.since = s.next
+			s.stats.emitted.Add(1)
+			return res, nil
 		}
-		parallelFor(len(wave), len(wave), s.run)
-		s.stats.attempts.Add(int64(len(wave)))
-		for i := range wave {
-			res, err := wave[i].res, wave[i].err
-			wave[i].res = nil // a slot keeps no result past its wave
-			switch {
-			case err != nil:
-				return nil, s.finish(err)
-			case res == nil:
-				s.stats.rejected.Add(1)
-			default:
-				s.pending = append(s.pending, res)
-				s.since = s.next + int64(i) + 1
-			}
-		}
-		s.next += int64(len(wave))
 	}
 }
 

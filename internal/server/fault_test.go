@@ -54,10 +54,10 @@ func (p poisonedLM) NextLogProbs(ctx []model.Token) []float64 {
 func (p poisonedLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.ScoreSerial(p, ctxs) }
 
 // TestModelPanicEndsStreamWithError: a model that panics mid-query — in the
-// sampler's parallel attempts, off the handler's goroutine — ends that
-// query's stream with a done event of status error naming the panic, on a
-// fused and an unfused model. The server stays healthy and the query is
-// retired, not left running.
+// sampler's attempts, off the handler's goroutine — ends that query's stream
+// with a done event of status error naming the panic, on a fused and an
+// unfused model. The server stays healthy and the query is retired, not left
+// running.
 func TestModelPanicEndsStreamWithError(t *testing.T) {
 	tok, lm := trainOnce()
 	for _, fused := range []bool{false, true} {
@@ -68,9 +68,7 @@ func TestModelPanicEndsStreamWithError(t *testing.T) {
 		ts := httptest.NewServer(s)
 		t.Cleanup(ts.Close)
 
-		_, done := runQueryToEnd(t, ts, `{"pattern":" ((cat)|(dog))","prefix":"The","strategy":"random","parallelism":2,"max_matches":20}`)
-		// An attempt that waited on another's flight for the same row gets
-		// the owner's panic through the logit cache: the text still names it.
+		_, done := runQueryToEnd(t, ts, `{"pattern":" ((cat)|(dog))","prefix":"The","strategy":"random","max_matches":20}`)
 		if done == nil || done.Status != statusError ||
 			!strings.HasPrefix(done.Error, "device: model panicked:") || !strings.Contains(done.Error, "poison context") {
 			t.Fatalf("fused=%v: stream ended with %+v, want a done event of status %q naming the model's panic", fused, done, statusError)

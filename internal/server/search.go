@@ -40,10 +40,14 @@ type SearchRequest struct {
 	// DeadlineMS bounds the query's runtime (0: server default; capped at
 	// the server max).
 	DeadlineMS int64 `json:"deadline_ms"`
-	// Batch and Parallelism are the DESIGN.md decision-6 execution knobs
-	// (0: engine defaults). Negative values are rejected
-	// (relm.SearchQuery.Validate).
-	Batch       int `json:"batch"`
+	// Batch is the DESIGN.md decision-6 frontier batch (0: the device's
+	// batch limit). A negative value is rejected (relm.SearchQuery.Validate).
+	Batch int `json:"batch"`
+	// Parallelism is accepted on the wire and ignored: a query expands and
+	// samples on its own goroutine, and the server's scoring pool is the
+	// one parallel knob. The performance ledger (bench/relmperf) still
+	// names it, so it is kept only until the ledger's own change drops it
+	// (ROADMAP 1(g)).
 	Parallelism int `json:"parallelism"`
 	// Incremental enables KV-cache prefix-state reuse across the query's
 	// frontier (DESIGN.md decision 10). Results are byte-identical either
@@ -106,7 +110,6 @@ func buildQuery(req *SearchRequest, ctx context.Context) relm.SearchQuery {
 		Seed:        req.Seed,
 		BeamWidth:   req.BeamWidth,
 		BatchExpand: req.Batch,
-		Parallelism: req.Parallelism,
 		Incremental: req.Incremental,
 		Context:     ctx,
 	}
@@ -243,8 +246,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Budget, deadline, and execution knobs, clamped to server policy: an
-	// admitted query must not be able to exceed the host-concurrency or
-	// memory bounds the operator configured.
+	// admitted query must not be able to exceed the time or memory bounds
+	// the operator configured.
 	budget := req.MaxMatches
 	if budget == 0 {
 		budget = s.cfg.DefaultMatches
@@ -262,9 +265,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		} else {
 			deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 		}
-	}
-	if req.Parallelism > s.cfg.MaxParallelism {
-		req.Parallelism = s.cfg.MaxParallelism
 	}
 	if req.Batch > s.cfg.MaxBatchExpand {
 		req.Batch = s.cfg.MaxBatchExpand

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,11 +55,6 @@ type Config struct {
 	MaxDeadline time.Duration
 	// DefaultDeadline applies when a request omits deadline_ms (default 10s).
 	DefaultDeadline time.Duration
-	// MaxParallelism caps a request's engine worker width — without it one
-	// admitted query could fan expansion out across an unbounded goroutine
-	// count, bypassing the shared pool's host-concurrency bound (default
-	// runtime.NumCPU()).
-	MaxParallelism int
 	// MaxBatchExpand caps a request's frontier batch per device round,
 	// bounding per-round memory (default 1024).
 	MaxBatchExpand int
@@ -92,9 +86,6 @@ func (c *Config) defaults() {
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 10 * time.Second
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.NumCPU()
 	}
 	if c.MaxBatchExpand <= 0 {
 		c.MaxBatchExpand = 1024

@@ -428,7 +428,7 @@ func TestRequestValidation(t *testing.T) {
 		{`{"pattern":"a","strategy":"bogus"}`, http.StatusBadRequest},               // bad strategy
 		{`{"pattern":"a","model":"nope"}`, http.StatusNotFound},                     // unknown model
 		{`{"pattern":"a","batch":-1}`, http.StatusBadRequest},                       // negative batch
-		{`{"pattern":"a","parallelism":-2}`, http.StatusBadRequest},                 // negative parallelism
+		{`{"pattern":"a","parallelism":-2}`, http.StatusOK},                         // parallelism is ignored
 		{`{"pattern":"a","parallelism":0,"max_matches":-5}`, http.StatusBadRequest}, // negative budget
 		{`{"pattern":"(("}`, http.StatusBadRequest},                                 // regex error
 		{`{"pattern":"a","deadline_ms":-1}`, http.StatusBadRequest},                 // negative deadline
@@ -458,10 +458,10 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestPolicyClampsKnobsAndDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxParallelism: 2, MaxBatchExpand: 8})
+	_, ts := newTestServer(t, Config{MaxBatchExpand: 8})
 	// A deadline_ms large enough to overflow Duration math must clamp to
-	// MaxDeadline, not wrap negative and kill the query instantly; huge
-	// execution knobs must clamp to server policy rather than fanning out.
+	// MaxDeadline, not wrap negative and kill the query instantly; a huge
+	// batch must clamp to server policy, and a huge parallelism is ignored.
 	resp := postSearch(t, ts,
 		`{"pattern":" ((cat)|(dog))","prefix":"The","max_matches":5,`+
 			`"deadline_ms":10000000000000000,"parallelism":1000000,"batch":1000000}`)

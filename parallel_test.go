@@ -16,26 +16,25 @@ import (
 // the decision-6 measurement workload because wide frontiers are where
 // batching matters; peaked workloads (URL memorization) spend their time on
 // a narrow best-first path that batching can only partially amortize.
-func phoneQuery(batch, parallelism int) relm.SearchQuery {
+func phoneQuery(batch int) relm.SearchQuery {
 	return relm.SearchQuery{
 		Query:       relm.QueryString{Pattern: " ([0-9]{3}) ([0-9]{3}) ([0-9]{4})", Prefix: "My phone number is"},
 		RequireEOS:  true,
 		MaxTokens:   24,
 		BatchExpand: batch,
-		Parallelism: parallelism,
 	}
 }
 
 // runPhoneExtraction executes the query on a fresh device wrap of the
-// built-in corpus model and returns the virtual device time spent
-// extracting n numbers.
+// built-in corpus model, scoring on a pool of parallelism workers, and
+// returns the virtual device time spent extracting n numbers.
 func runPhoneExtraction(tb testing.TB, batch, parallelism, n int) time.Duration {
 	tb.Helper()
 	e := env(tb)
 	pool := device.NewPool(parallelism)
 	defer pool.Close()
 	m := relm.NewModel(e.Large.LM, e.Tok, relm.ModelOptions{Pool: pool})
-	results, err := relm.Search(m, phoneQuery(batch, parallelism))
+	results, err := relm.Search(m, phoneQuery(batch))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -39,32 +39,27 @@ func nextErr(r *Results, n int) error {
 	return nil
 }
 
-// TestParallelSamplingFaultIsAnError: with Parallelism > 1 the sampler's
-// attempts call the device from expansion goroutines; a fault in any of them
-// must end the stream with the transient fault — on every call after it too —
-// not take the process down.
+// TestParallelSamplingFaultIsAnError: a device fault in one of the sampler's
+// attempts must end the stream with the transient fault — on every call after
+// it too — not take the process down.
 func TestParallelSamplingFaultIsAnError(t *testing.T) {
 	m := testModel(t)
-	for _, par := range []int{4, 1} {
-		armFaults(t, "device.forward=p0.2")
-		results, err := Search(m, SearchQuery{
-			Query:       QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
-			Strategy:    RandomSampling,
-			Parallelism: par,
-			Seed:        1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nerr := nextErr(results, 200)
-		if !errors.Is(nerr, fault.ErrTransient) {
-			t.Fatalf("parallelism %d: Next returned %v, want the injected transient fault", par, nerr)
-		}
-		if _, again := results.Next(); again != nerr || results.Err() != nerr {
-			t.Errorf("parallelism %d: after the fault Next returned %v and Err %v, want the fault again", par, again, results.Err())
-		}
-		results.Close()
-		fault.Disable()
+	armFaults(t, "device.forward=p0.2")
+	results, err := Search(m, SearchQuery{
+		Query:    QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
+		Strategy: RandomSampling,
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer results.Close()
+	nerr := nextErr(results, 200)
+	if !errors.Is(nerr, fault.ErrTransient) {
+		t.Fatalf("Next returned %v, want the injected transient fault", nerr)
+	}
+	if _, again := results.Next(); again != nerr || results.Err() != nerr {
+		t.Errorf("after the fault Next returned %v and Err %v, want the fault again", again, results.Err())
 	}
 }
 
@@ -161,8 +156,7 @@ func (p poisonedLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.
 
 // TestModelPanicIsTheQueryError: a model that panics mid-query fails that
 // query's stream with a *device.ModelPanic, on every strategy, with the
-// engine's expansion workers (Parallelism 4) and the fusion scheduler in
-// the way or not — it never takes the process down.
+// fusion scheduler in the way or not — it never takes the process down.
 func TestModelPanicIsTheQueryError(t *testing.T) {
 	lm, tok := testNGram()
 	poisoned := poisonedLM{lm, len(tok.Encode("The")) + 1}
@@ -172,10 +166,9 @@ func TestModelPanicIsTheQueryError(t *testing.T) {
 		for i, strategy := range []SearchStrategy{ShortestPath, BeamSearch, RandomSampling} {
 			t.Run(fmt.Sprintf("fused=%v/%s", fused, []string{"shortest", "beam", "random"}[i]), func(t *testing.T) {
 				results, err := Search(m, SearchQuery{
-					Query:       QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
-					Strategy:    strategy,
-					Parallelism: 4,
-					Seed:        1,
+					Query:    QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
+					Strategy: strategy,
+					Seed:     1,
 				})
 				if err != nil {
 					t.Fatal(err)

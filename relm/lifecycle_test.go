@@ -73,18 +73,17 @@ func TestCloseBeforeDraining(t *testing.T) {
 // closeReleasesWorkers is the goroutine-count regression for the abandoned-
 // stream leak: a consumer drains part of a large query, walks away, and
 // Close must unblock the pump goroutine (stuck in a long traversal) and let
-// every engine worker exit.
+// it exit.
 func closeReleasesWorkers(t *testing.T, strategy SearchStrategy) {
 	m := testModel(t)
 	base := runtime.NumGoroutine()
 
 	results, err := Search(m, SearchQuery{
-		Query:       QueryString{Pattern: "[a-z]{1,10}"},
-		Strategy:    strategy,
-		MaxTokens:   12,
-		MaxNodes:    1 << 30,
-		Parallelism: 4,
-		Seed:        3,
+		Query:     QueryString{Pattern: "[a-z]{1,10}"},
+		Strategy:  strategy,
+		MaxTokens: 12,
+		MaxNodes:  1 << 30,
+		Seed:      3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +120,8 @@ func closeReleasesWorkers(t *testing.T, strategy SearchStrategy) {
 		t.Fatal("Close did not unblock the draining goroutine")
 	}
 
-	// All traversal workers must wind down; poll because the final
-	// parallelFor batch joins asynchronously with the pump's exit.
+	// The pump must wind down; poll because it exits asynchronously with
+	// the draining goroutine.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

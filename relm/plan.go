@@ -122,7 +122,6 @@ func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
 		MaxTokens:   maxTokens,
 		MaxNodes:    q.MaxNodes,
 		BatchExpand: batch,
-		Parallelism: engine.EffectiveParallelism(q.Parallelism),
 		Incremental: q.Incremental,
 		KV:          m.kv,
 		Context:     q.Context,
@@ -256,9 +255,6 @@ type Plan struct {
 	// round; for random sampling, 1, since a walk scores one context per
 	// step.
 	BatchSize int
-	// Parallelism is the effective engine worker-pool width (1 when the
-	// query leaves it unset).
-	Parallelism int
 	// DeviceWorkers is the device-side scoring width: the size of
 	// ModelOptions.Pool, or 1 without one.
 	DeviceWorkers int
@@ -289,8 +285,7 @@ func (p *Plan) String() string {
 	fmt.Fprintf(&b, "  tokenization:     %s\n", tokenizationName(p.Tokenization, p.DynamicFilter))
 	fmt.Fprintf(&b, "  prefix strings:   %s\n", countStr(p.PrefixStrings))
 	fmt.Fprintf(&b, "  traversal:        %s\n", strategyName(p.Strategy))
-	fmt.Fprintf(&b, "  execution:        batch %d, %d expansion workers, %d device workers\n",
-		p.BatchSize, p.Parallelism, p.DeviceWorkers)
+	fmt.Fprintf(&b, "  execution:        batch %d, %d device workers\n", p.BatchSize, p.DeviceWorkers)
 	if p.Incremental {
 		b.WriteString("  kv arena:         incremental\n")
 	}
@@ -354,7 +349,6 @@ func Explain(m *Model, q SearchQuery) (*Plan, error) {
 		DynamicFilter: r.eq.Filter != nil,
 		Strategy:      q.Strategy,
 		BatchSize:     r.eq.BatchExpand,
-		Parallelism:   r.eq.Parallelism,
 		DeviceWorkers: m.Dev.Workers(),
 		Incremental:   r.eq.Incremental,
 		PlanCacheHit:  r.hit,

@@ -159,7 +159,6 @@ func TestEntryPointsRejectInvalidQueries(t *testing.T) {
 		{"negative TopP", func(q *SearchQuery) { q.TopP = -0.1 }},
 		{"negative BeamWidth", func(q *SearchQuery) { q.BeamWidth = -2 }},
 		{"negative BatchExpand", func(q *SearchQuery) { q.BatchExpand = -1 }},
-		{"negative Parallelism", func(q *SearchQuery) { q.Parallelism = -4 }},
 	} {
 		q := valid
 		c.bad(&q)

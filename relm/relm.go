@@ -138,12 +138,11 @@ type SearchQuery struct {
 	// any setting, and only matches of equal probability can change places.
 	// engine.EffectiveBatch.
 	BatchExpand int
-	// Parallelism bounds the engine-side worker pool that rule-filters and
-	// expands each scored batch (0 or 1: single-threaded expansion).
-	// Every traversal emits the same results at any setting, random sampling
-	// included: its draws depend on Seed alone. Pair with
-	// ModelOptions.Pool, which parallelizes the scoring itself
-	// (DESIGN.md decision 6). engine.EffectiveParallelism.
+	// Parallelism is read by nothing: a query expands and samples on its
+	// own goroutine, and ModelOptions.Pool is the one parallel knob
+	// (DESIGN.md decision 6). The performance ledger (bench/relmperf) still
+	// sets it, so it is kept only until the ledger's own change drops it
+	// (ROADMAP 1(g)); new code leaves it unset.
 	Parallelism int
 	// Incremental enables KV-cache prefix-state reuse across the search
 	// frontier (DESIGN.md decision 10): each expansion round extends the
@@ -165,7 +164,7 @@ type SearchQuery struct {
 }
 
 // Validate reports the first field of q outside its valid range: a negative
-// TopK, Temperature, BeamWidth, BatchExpand or Parallelism, or a TopP outside
+// TopK, Temperature, BeamWidth or BatchExpand, or a TopP outside
 // [0, 1]. Search, Mass and Explain call it; a front end calls it to refuse a
 // query before it pays for anything else.
 func (q SearchQuery) Validate() error {
@@ -182,8 +181,6 @@ func (q SearchQuery) Validate() error {
 		return fmt.Errorf("relm: BeamWidth must be >= 0, got %d", q.BeamWidth)
 	case q.BatchExpand < 0:
 		return fmt.Errorf("relm: BatchExpand must be >= 0, got %d", q.BatchExpand)
-	case q.Parallelism < 0:
-		return fmt.Errorf("relm: Parallelism must be >= 0, got %d", q.Parallelism)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"repro/internal/device"
 )
 
 // sampleRows draws up to n matches from a sampled query on m and renders
@@ -28,10 +30,9 @@ func sampleRows(t *testing.T, m *Model, q SearchQuery, n int) []string {
 }
 
 // TestSampledStreamIgnoresExecution: a sampled stream depends on its query
-// and Seed alone (DESIGN.md decision 6). At Parallelism 1, 4 and 8, fused
-// and unfused, on a cold and then a warm logit cache, a canonical pattern,
-// an all-tokens pattern and a regex prefix drawn through walk counts each
-// emit the same draws.
+// and Seed alone (DESIGN.md decision 6). Fused and unfused, on a cold and
+// then a warm logit cache, a canonical pattern, an all-tokens pattern and a
+// regex prefix drawn through walk counts each emit the same draws.
 func TestSampledStreamIgnoresExecution(t *testing.T) {
 	lm, tok := testNGram()
 	cases := []struct {
@@ -47,24 +48,64 @@ func TestSampledStreamIgnoresExecution(t *testing.T) {
 		c.q.Strategy, c.q.Seed = RandomSampling, 7
 		var want []string
 		for _, fused := range []bool{false, true} {
-			for _, par := range []int{1, 4, 8} {
-				m := NewModel(lm, tok, ModelOptions{ContinuousBatching: fused})
-				for _, cache := range []string{"cold", "warm"} {
-					q := c.q
-					q.Parallelism = par
-					got := sampleRows(t, m, q, 16)
-					switch {
-					case want == nil:
-						want = got
-						if len(want) < 16 {
-							t.Fatalf("%s: the reference stream ended early: %v", c.name, want)
-						}
-					case !slices.Equal(got, want):
-						t.Errorf("%s/fused=%v/p%d/%s: stream differs\n got: %v\nwant: %v", c.name, fused, par, cache, got, want)
+			m := NewModel(lm, tok, ModelOptions{ContinuousBatching: fused})
+			for _, cache := range []string{"cold", "warm"} {
+				got := sampleRows(t, m, c.q, 16)
+				switch {
+				case want == nil:
+					want = got
+					if len(want) < 16 {
+						t.Fatalf("%s: the reference stream ended early: %v", c.name, want)
 					}
+				case !slices.Equal(got, want):
+					t.Errorf("%s/fused=%v/%s: stream differs\n got: %v\nwant: %v", c.name, fused, cache, got, want)
 				}
-				m.Close()
 			}
+			m.Close()
 		}
+	}
+}
+
+// TestSampledClockIgnoresPool: a sampled query runs its attempts one at a
+// time on its own goroutine, so the virtual device time and the batches it
+// spends on a cold model are, like its draws, a function of the query and
+// Seed. The query of cmd/relm's sampling example (` ((cat)|(dog))` after
+// "The", 8 draws, seed 3) runs 10 times on a fresh model in each mode —
+// scoring pools of width 1, 4 and 8, fused and unfused — and every run of a
+// mode, and every pool width beside it, reads the same draws, model calls,
+// clock and batches.
+func TestSampledClockIgnoresPool(t *testing.T) {
+	lm, tok := testNGram()
+	q := SearchQuery{Query: QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"}, Strategy: RandomSampling, Seed: 3}
+	for _, fused := range []bool{false, true} {
+		var want []string
+		for _, width := range []int{1, 4, 8} {
+			pool := device.NewPool(width)
+			for run := range 10 {
+				m := NewModel(lm, tok, ModelOptions{Pool: pool, ContinuousBatching: fused})
+				results, err := Search(m, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, mt := range results.Take(8) {
+					got = append(got, fmt.Sprintf("%q|%v", mt.Text, mt.LogProb))
+				}
+				st := m.Dev.Stats()
+				got = append(got, fmt.Sprintf("%d model calls, clock %v, %d batches", results.Stats().ModelCalls, st.Clock, st.Batches))
+				results.Close()
+				m.Close()
+				switch {
+				case len(got) != 9:
+					t.Fatalf("fused=%v/pool%d/run%d: %d draws, want 8: %v", fused, width, run, len(got)-1, results.Err())
+				case want == nil:
+					want = got
+				case !slices.Equal(got, want):
+					t.Fatalf("fused=%v/pool%d/run%d: differs from the first run\n got: %v\nwant: %v", fused, width, run, got, want)
+				}
+			}
+			pool.Close()
+		}
+		t.Logf("fused=%v: %s", fused, want[len(want)-1])
 	}
 }

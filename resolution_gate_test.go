@@ -35,8 +35,8 @@ func TestResolutionSizing(t *testing.T) {
 		wasBatches    int64 // the wide query must take no more; 0 unchecked
 	}{
 		{"peaked/warm", relm.SearchQuery{Query: url, Strategy: relm.ShortestPath, TopK: 40, MaxTokens: 16}, 20, true, 98, 0, 148, 0},
-		{"wide/cold/batch8", phoneQuery(8, 1), 40, false, 207, 37, 0, 41},
-		{"wide/cold/default-batch", phoneQuery(0, 1), 40, false, 230, 13, 0, 0},
+		{"wide/cold/batch8", phoneQuery(8), 40, false, 207, 37, 0, 41},
+		{"wide/cold/default-batch", phoneQuery(0), 40, false, 230, 13, 0, 0},
 	} {
 		m := e.FreshModel(false)
 		run := func() (rows, batches int64) {

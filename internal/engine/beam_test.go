@@ -212,7 +212,7 @@ func TestBeamEmitsAMultiplyHarvestedSequenceOnce(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("emitted %d matches, want 3", len(got))
 	}
-	want, _ := refBeam(dev, q, 8, 100)
+	want, _, _ := refBeam(dev, q, 8)
 	if rows, ref := resultRows(got), resultRows(want); !slices.Equal(rows, ref) {
 		t.Fatalf("stream %v, reference %v", rows, ref)
 	}

@@ -245,7 +245,10 @@ func fuzzQuery(shape, weights []byte) (lm *fuzzLM, q Query, ok bool) {
 // FuzzLazyFrontier: on row weights, patterns and execution settings drawn
 // from the input (fuzzQuery), shortest path emits exactly what the eager
 // reference does, expands the same nodes, and asks the device for exactly the
-// rows it counts, no more than the reference scores.
+// rows it counts, no more than the reference scores. Beam, as wide as the
+// BatchExpand byte reads (1 to 8), emits the eager reference's first k
+// results from a fresh stream closed after k, for every k up to the limit,
+// and counts exactly the levels the reference counts through the k-th.
 func FuzzLazyFrontier(f *testing.F) {
 	f.Add([]byte("\x03\x00\x04\x02"), []byte{0, 1, 2, 0, 1, 2, 0})
 	f.Add([]byte("\x06\x1f\x00\x03"), []byte{0})
@@ -262,6 +265,15 @@ func FuzzLazyFrontier(f *testing.F) {
 		want, wantStats := refShortestPath(dev, query(), 40)
 		sameResults(t, "lazy", resultRows(got), resultRows(want))
 		lazyStats(t, "lazy", gotStats, wantStats, asked)
+
+		all, at, full := refBeam(dev, query(), q.BatchExpand)
+		for k := 1; k <= min(40, len(all)+1); k++ {
+			name := fmt.Sprintf("beam/take%d", k)
+			got, gotStats := drainResults(t, Beam(dev, query(), BeamOptions{Width: q.BatchExpand}), k)
+			want, wantStats := refBeamTake(all, at, full, k)
+			sameResults(t, name, resultRows(got), resultRows(want))
+			sameStats(t, name, gotStats, wantStats)
+		}
 	})
 }
 

@@ -182,9 +182,14 @@ func refShortestPath(dev *device.Device, query *Query, limit int) ([]Result, Sta
 	return out, stats
 }
 
-// refBeam is beamStream.run and expandHypothesis as they were, every child of
-// a level built before the level is truncated.
-func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stats) {
+// refBeam is the beam as it was before its levels were lazy, every child of
+// a level built before the level is truncated and every level run before the
+// first match is emitted. It returns every result in order, the stats of a
+// stream closed after each (at[k-1] after the k-th result), and the stats of
+// the full run. A stream closed after k results has run the stages — levels,
+// then the final harvest — through the first after which the k-th match is
+// harvested and costs no more than any hypothesis left in the beam.
+func refBeam(dev *device.Device, query *Query, width int) (out []Result, at []Stats, full Stats) {
 	q := normalizeQuery(dev, query)
 	defer q.cancel()
 	m := dev.Model()
@@ -198,6 +203,21 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		if len(beam) > width {
 			beam = beam[:width]
 		}
+	}
+	// stages[i] is the stats through stage i and the least cost left in the
+	// beam after it; harvested is the stage each match was harvested in.
+	type stage struct {
+		stats Stats
+		least float64
+	}
+	var stages []stage
+	harvested := map[*node]int{}
+	endStage := func() {
+		least := math.Inf(1)
+		for _, n := range beam {
+			least = min(least, n.cost)
+		}
+		stages = append(stages, stage{stats, least})
 	}
 	logPs, calls := must2(scoreSequences(dev, q.Prefixes))
 	stats.ModelCalls += calls
@@ -241,11 +261,13 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		beam = nil
 		for _, sl := range slots {
 			if sl.term != nil {
+				harvested[sl.term] = len(stages)
 				done = append(done, sl.term)
 			}
 			beam = append(beam, sl.children...)
 		}
 		truncate()
+		endStage()
 	}
 	var finals []*node
 	for i, n := range beam {
@@ -265,18 +287,41 @@ func refBeam(dev *device.Device, query *Query, width, limit int) ([]Result, Stat
 		}
 		finals = kept
 	}
+	for _, n := range finals {
+		harvested[n] = len(stages)
+	}
 	done = append(done, finals...)
+	beam = nil
+	endStage()
 	sortNodes(done)
-	var out []Result
 	seen := map[string]bool{}
+	reached := 0
 	for _, n := range done {
-		if k := model.Key(n.ctx); !seen[k] && len(out) < limit {
+		if k := model.Key(n.ctx); !seen[k] {
 			seen[k] = true
+			s := harvested[n]
+			for stages[s].least < n.cost {
+				s++
+			}
+			reached = max(reached, s)
 			out = append(out, *n.result())
-			stats.Emitted++
+			at = append(at, stages[reached].stats)
+			at[len(at)-1].Emitted = int64(len(out))
 		}
 	}
-	return out, stats
+	full = stats
+	full.Emitted = int64(len(out))
+	return out, at, full
+}
+
+// refBeamTake is what a beam stream closed after limit results emitted and
+// counted, by refBeam: its first limit results and the stats after the last
+// of them, or all of them and the full run's stats when there are fewer.
+func refBeamTake(out []Result, at []Stats, full Stats, limit int) ([]Result, Stats) {
+	if len(out) < limit {
+		return out, full
+	}
+	return out[:limit], at[limit-1]
 }
 
 // refMass is Mass's traversal as it was.
@@ -621,8 +666,8 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 }
 
 // checkExpansion compares all four engines with their references: shortest
-// path and beam (width 6) over the first limit results, Mass's bounds bit for
-// bit and the sampler's seeded draws.
+// path and beam (width 6) over the first limit results, beam drained as well,
+// Mass's bounds bit for bit and the sampler's seeded draws.
 func checkExpansion(t *testing.T, name string, dev *device.Device, query func() *Query, limit int) {
 	t.Helper()
 	before := rowsAsked(dev)
@@ -632,10 +677,14 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 	sameResults(t, name+"/dijkstra", resultRows(got), resultRows(want))
 	lazyStats(t, name+"/dijkstra", gotStats, wantStats, asked)
 
+	all, at, full := refBeam(dev, query(), 6)
 	got, gotStats = drainResults(t, Beam(dev, query(), BeamOptions{Width: 6}), limit)
-	want, wantStats = refBeam(dev, query(), 6, limit)
+	want, wantStats = refBeamTake(all, at, full, limit)
 	sameResults(t, name+"/beam", resultRows(got), resultRows(want))
 	sameStats(t, name+"/beam", gotStats, wantStats)
+	got, gotStats = drainResults(t, Beam(dev, query(), BeamOptions{Width: 6}), math.MaxInt)
+	sameResults(t, name+"/beam/drained", resultRows(got), resultRows(all))
+	sameStats(t, name+"/beam/drained", gotStats, full)
 
 	massQuery := func() *Query { q := query(); q.MaxNodes = 600; return q }
 	opts := MassOptions{Tolerance: 1e-6}

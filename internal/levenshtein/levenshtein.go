@@ -18,6 +18,7 @@ package levenshtein
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/automaton"
 )
@@ -77,8 +78,11 @@ func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
 
 	// One pass numbers the sets and lays each one's edges in symbol order: on
 	// the symbols its members' edges carry, and on the other edit symbols to
-	// its edit-only target, interned when first needed.
-	b := automaton.NewBuilder(n, n*len(syms))
+	// its edit-only target, interned when first needed. The edges go to
+	// reused scratch, an Epsilon entry closing each set (To 1 when it
+	// accepts), so the builder is sized exactly once the sets are known.
+	laid := laidEdges.Get().(*[]automaton.Edge)
+	edges := (*laid)[:0]
 	var present []int
 	var seeds []int32
 	x.intern([]int32{int32(d.Start()) * k1})
@@ -106,7 +110,7 @@ func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
 				only = x.intern(seeds)
 			}
 			if only >= 0 {
-				b.Edge(sym, only)
+				edges = append(edges, automaton.Edge{Sym: sym, To: only})
 			}
 		}
 		for _, sym := range present {
@@ -122,15 +126,32 @@ func ExpandK(d *automaton.DFA, alphabet []byte, k int) *automaton.DFA {
 					x.add(int32(r), c%k1)
 				}
 			}
-			b.Edge(sym, x.intern(edits))
+			edges = append(edges, automaton.Edge{Sym: sym, To: x.intern(edits)})
 		}
 		for _, sym := range rest {
 			editOnly(sym)
 		}
-		b.EndState(accepting)
+		accepts := 0
+		if accepting {
+			accepts = 1
+		}
+		edges = append(edges, automaton.Edge{Sym: automaton.Epsilon, To: accepts})
 	}
+	b := automaton.NewBuilder(x.sets.Len(), len(edges)-x.sets.Len())
+	for _, e := range edges {
+		if e.Sym == automaton.Epsilon {
+			b.EndState(e.To == 1)
+		} else {
+			b.Edge(e.Sym, e.To)
+		}
+	}
+	*laid = edges
+	laidEdges.Put(laid)
 	return b.Build(0).Minimize().Spread(class)
 }
+
+// laidEdges is ExpandK's edge scratch, reused across calls.
+var laidEdges = sync.Pool{New: func() any { return new([]automaton.Edge) }}
 
 // editSymbols lists, ascending, the symbols the construction edits on: the
 // alphabet bytes an input edge carries and the smallest of the others; class

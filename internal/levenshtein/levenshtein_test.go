@@ -298,17 +298,23 @@ func TestExpandKPrintableMatchesDistanceOracle(t *testing.T) {
 }
 
 // TestExpandKAllocsDoNotGrowWithStates: ExpandK builds no NFA; its one
-// subset construction interns sets without a key each, runs on byte classes
+// subset construction interns sets without a key each, runs on byte classes,
+// lays its edges into reused scratch before it sizes the class DFA's builder,
 // and sizes the spread exactly, so two edits of a 605-state result take a
 // bounded number of allocations, not a few per state (1 326 before the
 // interning table; 168 allocations and 4 567 482 bytes when two chained
 // distance-1 constructions built it; 112 and 2 847 952 for the one
-// construction over bytes; 102 and 1 319 440 on byte classes).
+// construction over bytes; 102 and 1 319 440 on byte classes; 85 and
+// 1 061 064 with the edges laid into scratch). The bounds skip under the race
+// detector, where the scratch pool sheds its buffer at random.
 func TestExpandKAllocsDoNotGrowWithStates(t *testing.T) {
 	d := regex.MustCompile(" ((alpha)|(beta)|(gamma)) ((delta)|(kappa))")
 	alpha := PrintableASCII()
 	if n := ExpandK(d, alpha, 2).NumStates(); n != 605 {
 		t.Fatalf("k=2 expansion has %d states, want 605", n)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	expand := func() { ExpandK(d, alpha, 2) }
 	allocs := testing.AllocsPerRun(5, expand)
@@ -318,7 +324,7 @@ func TestExpandKAllocsDoNotGrowWithStates(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	b := after.TotalAlloc - before.TotalAlloc
 	t.Logf("ExpandK(k=2): %.0f allocations, %d bytes", allocs, b)
-	if allocs > 112 || b > 1_400_000 {
-		t.Errorf("ExpandK(k=2) of a 605-state result: %.0f allocations and %d bytes, want <= 112 and <= 1 400 000", allocs, b)
+	if allocs > 90 || b > 1_100_000 {
+		t.Errorf("ExpandK(k=2) of a 605-state result: %.0f allocations and %d bytes, want <= 90 and <= 1 100 000", allocs, b)
 	}
 }

@@ -64,7 +64,9 @@ const (
 	// BeamSearch runs constrained beam search (the De Cao-style trie
 	// decoding §5 relates to): bounded frontier, level-synchronized device
 	// batches, but incomplete — low-probability-prefix matches can be
-	// pruned. Configure with BeamWidth.
+	// pruned. A stream runs a level only while its next match could still
+	// be beaten, so one closed after its matches stops the beam. Configure
+	// with BeamWidth.
 	BeamSearch
 )
 

@@ -3,8 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -74,8 +74,16 @@ func (c *chaosFlags) arm() error {
 	return nil
 }
 
-// newLocalManager builds a jobs manager over the env's two models.
-func newLocalManager(dir string, env *experiments.Env) (*jobs.Manager, error) {
+// newLocalManager arms the chaos scenario, builds the world, and returns a
+// jobs manager over its two models.
+func newLocalManager(dir string, ef *envFlags, cf *chaosFlags) (*jobs.Manager, error) {
+	if err := cf.arm(); err != nil {
+		return nil, err
+	}
+	env, err := ef.build()
+	if err != nil {
+		return nil, err
+	}
 	mgr, err := jobs.NewManager(jobs.Config{Dir: dir, Env: env})
 	if err != nil {
 		return nil, err
@@ -121,15 +129,7 @@ func cmdSubmit(args []string) error {
 		}
 		return submitRemote(*server, spec)
 	}
-	if err := cf.arm(); err != nil {
-		return err
-	}
-
-	env, err := ef.build()
-	if err != nil {
-		return err
-	}
-	mgr, err := newLocalManager(*ledgerDir, env)
+	mgr, err := newLocalManager(*ledgerDir, &ef, &cf)
 	if err != nil {
 		return err
 	}
@@ -139,7 +139,7 @@ func cmdSubmit(args []string) error {
 	}
 	fmt.Printf("submitted %s (suite=%s model=%s items=%d)\n",
 		j.ID, spec.Suite, spec.Model, j.Snapshot().Progress.Items)
-	return watchLocal(mgr, j)
+	return watchLocal(os.Stdout, mgr, j)
 }
 
 func cmdResume(args []string) error {
@@ -156,14 +156,7 @@ func cmdResume(args []string) error {
 	if *id == "" || *ledgerDir == "" {
 		return fmt.Errorf("resume requires -id and -ledger")
 	}
-	if err := cf.arm(); err != nil {
-		return err
-	}
-	env, err := ef.build()
-	if err != nil {
-		return err
-	}
-	mgr, err := newLocalManager(*ledgerDir, env)
+	mgr, err := newLocalManager(*ledgerDir, &ef, &cf)
 	if err != nil {
 		return err
 	}
@@ -174,51 +167,52 @@ func cmdResume(args []string) error {
 	snap := j.Snapshot()
 	fmt.Printf("resumed %s (attempt %d: %d/%d items already recorded)\n",
 		j.ID, snap.Resumes, snap.Progress.ItemsDone, snap.Progress.Items)
-	return watchLocal(mgr, j)
+	return watchLocal(os.Stdout, mgr, j)
 }
 
-// watchLocal prints progress until the job terminates, then a summary line.
-func watchLocal(mgr *jobs.Manager, j *jobs.Job) error {
-	done := make(chan struct{})
-	go func() {
-		j.Wait()
-		close(done)
-	}()
-	tick := time.NewTicker(500 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			printProgress(j.Snapshot())
-		case <-done:
-			snap := j.Snapshot()
-			printProgress(snap)
-			fmt.Printf("ledger: %s\n", mgr.LedgerPath(j.ID))
+// watchLocal follows the job's fold through jobs.Job.Since, printing a line
+// per result as its record lands and then the summary.
+func watchLocal(w io.Writer, mgr *jobs.Manager, j *jobs.Job) error {
+	for n := 0; ; {
+		results, snap, wake := j.Since(n, true)
+		for _, res := range results {
+			printResult(w, j.ID, res)
+		}
+		n += len(results)
+		if wake == nil {
+			printProgress(w, snap)
+			fmt.Fprintf(w, "ledger: %s\n", mgr.LedgerPath(j.ID))
 			switch snap.Status {
 			case jobs.StatusCompleted:
-				fmt.Printf("completed: %d/%d items ok; verify with: relm-audit verify -id %s -ledger <dir>\n",
+				fmt.Fprintf(w, "completed: %d/%d items ok; verify with: relm-audit verify -id %s -ledger <dir>\n",
 					snap.Progress.OKItems, snap.Progress.Items, j.ID)
 				return nil
 			case jobs.StatusCancelled:
-				fmt.Printf("cancelled after %d/%d items; continue with: relm-audit resume -id %s -ledger <dir>\n",
+				fmt.Fprintf(w, "cancelled after %d/%d items; continue with: relm-audit resume -id %s -ledger <dir>\n",
 					snap.Progress.ItemsDone, snap.Progress.Items, j.ID)
 				return nil
 			default:
 				return fmt.Errorf("job %s %s: %s", j.ID, snap.Status, snap.Error)
 			}
 		}
+		<-wake
 	}
 }
 
-func printProgress(s jobs.Snapshot) {
-	fmt.Printf("[%s] %-9s items %d/%d  shards %d/%d  ok %d  model-calls %d  kv-hits %d  plan-hits %d",
+// printResult prints one item's result as the job records it.
+func printResult(w io.Writer, id string, r jobs.ItemResult) {
+	fmt.Fprintf(w, "[%s] item %s ok=%t score=%.4g\n", id, r.ID, r.OK, r.Score)
+}
+
+func printProgress(w io.Writer, s jobs.Snapshot) {
+	fmt.Fprintf(w, "[%s] %-9s items %d/%d  shards %d/%d  ok %d  model-calls %d  kv-hits %d  plan-hits %d",
 		s.ID, s.Status, s.Progress.ItemsDone, s.Progress.Items,
 		s.Progress.ShardsDone, s.Progress.Shards, s.Progress.OKItems,
 		s.Engine.ModelCalls, s.KVHits, s.PlanHits)
 	if s.Retries > 0 || s.Quarantined > 0 {
-		fmt.Printf("  retries %d  quarantined %d", s.Retries, s.Quarantined)
+		fmt.Fprintf(w, "  retries %d  quarantined %d", s.Retries, s.Quarantined)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 func cmdSuites() error {

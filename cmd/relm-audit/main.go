@@ -9,7 +9,7 @@
 //
 //	relm-audit submit -suite memorization -ledger ./runs        # local run
 //	relm-audit submit -suite bias -server http://host:8080      # via relm-serve
-//	relm-audit watch  -id job-0001 -server http://host:8080
+//	relm-audit watch  -id job-0001 -server http://host:8080     # follow its results
 //	relm-audit resume -id job-0001 -ledger ./runs               # after a crash
 //	relm-audit verify -id job-0001 -ledger ./runs               # hash chain
 //	relm-audit report -id job-0001 -ledger ./runs -o run.json   # JSON artifact
@@ -65,7 +65,7 @@ func usage() {
 
 commands:
   submit   submit a validation sweep (local -ledger dir, or remote -server)
-  watch    follow a job's progress on a relm-serve instance
+  watch    follow a job's results stream on a relm-serve instance to its summary
   resume   resume a killed/cancelled run from its ledger (local)
   verify   validate a run ledger's hash chain, reporting the first broken link
   report   render a JSON summary artifact from a run ledger

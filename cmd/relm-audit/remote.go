@@ -16,7 +16,8 @@ import (
 )
 
 // remote mode talks to a relm-serve instance with jobs enabled
-// (-jobs-dir): submissions POST /v1/jobs, watch polls GET /v1/jobs/{id}.
+// (-jobs-dir): submissions POST /v1/jobs, and watch follows the job's
+// results stream, GET /v1/jobs/{id}/results?follow=1, to its summary.
 
 func apiURL(server, path string) string {
 	return strings.TrimRight(server, "/") + path
@@ -40,26 +41,13 @@ func decodeOrError(resp *http.Response, v interface{}) error {
 	return json.Unmarshal(body, v)
 }
 
-// retryWait picks how long to back off after a 429/503: the server's
-// Retry-After header when present, else the caller's fallback — either way
-// capped at 5s so a misconfigured server can't stall the CLI for minutes.
-func retryWait(resp *http.Response, fallback time.Duration) time.Duration {
-	wait := fallback
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-			wait = time.Duration(secs) * time.Second
-		}
-	}
-	if wait > 5*time.Second {
-		wait = 5 * time.Second
-	}
-	return wait
-}
-
 // doWithRetry issues the request up to 5 times, backing off on 429 (the
-// admission limits) and 503 (drain or injected outage) per Retry-After. Any
-// other response — success or failure — returns immediately with its body
-// unread; the last rejection is returned for the caller to report.
+// admission limits) and 503 (drain or injected outage): for the server's
+// Retry-After when present, else for a fallback that starts at 500ms and
+// doubles — either way capped at 5s, so a misconfigured server can't stall
+// the CLI for minutes. Any other response — success or failure — returns
+// immediately with its body unread; the last rejection is returned for the
+// caller to report.
 func doWithRetry(do func() (*http.Response, error)) (*http.Response, error) {
 	fallback := 500 * time.Millisecond
 	for attempt := 1; ; attempt++ {
@@ -70,7 +58,11 @@ func doWithRetry(do func() (*http.Response, error)) (*http.Response, error) {
 		if (resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable) || attempt == 5 {
 			return resp, nil
 		}
-		wait := retryWait(resp, fallback)
+		wait := fallback
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
+			wait = time.Duration(secs) * time.Second
+		}
+		wait = min(wait, 5*time.Second)
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		fmt.Fprintf(os.Stderr, "server rejected (%s); retrying in %v\n", resp.Status, wait)
@@ -104,41 +96,54 @@ func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	id := fs.String("id", "", "job id")
 	server := fs.String("server", "", "relm-serve base URL")
-	interval := fs.Duration("interval", 500*time.Millisecond, "poll interval")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *id == "" || *server == "" {
 		return fmt.Errorf("watch requires -id and -server")
 	}
+	return watchRemote(os.Stdout, *server, *id)
+}
+
+// watchRemote reads the job's follow stream, GET
+// /v1/jobs/{id}/results?follow=1, printing a line per result as the server
+// streams it and then the summary. A server that is overloaded or draining
+// on connect is outwaited through doWithRetry.
+func watchRemote(w io.Writer, server, id string) error {
+	resp, err := doWithRetry(func() (*http.Response, error) {
+		return http.Get(apiURL(server, "/v1/jobs/"+id+"/results?follow=1"))
+	})
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return decodeOrError(resp, nil)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
 	for {
-		resp, err := http.Get(apiURL(*server, "/v1/jobs/"+*id))
-		if err != nil {
-			return err
+		var ev struct {
+			Type   string          `json:"type"`
+			Result jobs.ItemResult `json:"result"`
+			Job    jobs.Snapshot   `json:"job"`
 		}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			// Overloaded or draining: a watcher's job is to outwait it, not
-			// to give up.
-			wait := retryWait(resp, *interval)
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			time.Sleep(wait)
+		if err := dec.Decode(&ev); err != nil {
+			return fmt.Errorf("job %s: results stream ended without a summary: %v", id, err)
+		}
+		if ev.Type == "result" {
+			printResult(w, id, ev.Result)
 			continue
 		}
-		var snap jobs.Snapshot
-		if err := decodeOrError(resp, &snap); err != nil {
-			return err
-		}
-		printProgress(snap)
+		snap := ev.Job
+		printProgress(w, snap)
 		switch snap.Status {
 		case jobs.StatusCompleted:
 			return nil
-		case jobs.StatusFailed:
-			return fmt.Errorf("job %s failed: %s", snap.ID, snap.Error)
 		case jobs.StatusCancelled:
-			fmt.Printf("cancelled; resume with: POST %s\n", apiURL(*server, "/v1/jobs/"+*id+"/resume"))
+			fmt.Fprintf(w, "cancelled; resume with: POST %s\n", apiURL(server, "/v1/jobs/"+id+"/resume"))
 			return nil
+		default:
+			return fmt.Errorf("job %s %s: %s", snap.ID, snap.Status, snap.Error)
 		}
-		time.Sleep(*interval)
 	}
 }

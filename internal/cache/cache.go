@@ -48,6 +48,9 @@ type store struct {
 
 	mu   sync.Mutex
 	rows *lru.Map[[]float64]
+	// key is the buffer every lookup under mu builds its context key in;
+	// only an inserted key becomes a string.
+	key []byte
 
 	// flights counts requests that waited on another goroutine's computation.
 	hits, misses, flights int64
@@ -87,12 +90,11 @@ func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 
 	// Classification under one lock pass: each row is a hit, a wait on an
 	// entry in flight (maybe one an earlier row started), or a miss this call
-	// owns. One pooled key buffer serves every row: only a miss builds a key.
-	buf := model.GetKeyBuf()
+	// owns. The store's key buffer serves every row: only a miss makes a key.
 	c.mu.Lock()
 	for i, ctx := range ctxs {
-		*buf = model.AppendKey((*buf)[:0], ctx)
-		lp, f, ok := c.rows.Lookup(*buf)
+		c.key = model.AppendKey(c.key[:0], ctx)
+		lp, f, ok := c.rows.Lookup(c.key)
 		if ok {
 			bs.Hits++
 			out[i] = lp
@@ -102,14 +104,13 @@ func (c *LM) ScoreBatch(ctxs [][]model.Token) [][]float64 {
 			bs.Flights++
 		} else {
 			bs.Misses++
-			f = c.rows.Start(string(*buf))
+			f = c.rows.Start(string(c.key))
 			s.owned, s.ctxs = append(s.owned, f), append(s.ctxs, ctx)
 		}
 		s.pending, s.rows = append(s.pending, f), append(s.rows, i)
 	}
 	c.hits, c.misses, c.flights = c.hits+bs.Hits, c.misses+bs.Misses, c.flights+bs.Flights
 	c.mu.Unlock()
-	model.PutKeyBuf(buf)
 
 	if len(s.owned) > 0 {
 		// One batched inner call for all unique misses. The cache stores each

@@ -55,27 +55,25 @@ func (c *LM) ScoreAllPositions(seq []model.Token) [][]float64 {
 // publishes them into the cache, under one lock pass. Row i conditions on
 // ctx(i).
 func (c *LM) publish(rows [][]float64, ctx func(i int) []model.Token) {
-	buf := model.GetKeyBuf()
-	c.insert(buf, rows, ctx)
-	model.PutKeyBuf(buf)
+	c.insert(rows, ctx)
 	c.record(ScopeStats{Misses: int64(len(rows))})
 }
 
 // insert adds each computed row the cache does not hold yet, so incremental
 // traffic warms the cache for everyone else; an entry already present keeps
-// its row and its recency. Rows are looked up through buf, so only an actual
-// insert materializes a key. The cache stores each row itself, the slice the
+// its row and its recency. Rows are looked up through the store's key
+// buffer, so only an actual insert materializes a key. The cache stores each row itself, the slice the
 // caller also returns: rows are read-only. ctx reads the inner model's decode
 // states under c.mu, and a defective one (a nil state, or fewer states than
 // rows) panics there: the deferred unlock lets that panic go on to the
 // device's dispatch without leaving the cache locked, and counts no miss.
-func (c *LM) insert(buf *[]byte, rows [][]float64, ctx func(i int) []model.Token) {
+func (c *LM) insert(rows [][]float64, ctx func(i int) []model.Token) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, lp := range rows {
-		*buf = model.AppendKey((*buf)[:0], ctx(i))
-		if !c.rows.Has(*buf) {
-			c.rows.Add(string(*buf), lp)
+		c.key = model.AppendKey(c.key[:0], ctx(i))
+		if !c.rows.Has(c.key) {
+			c.rows.Add(string(c.key), lp)
 		}
 	}
 	c.misses += int64(len(rows))

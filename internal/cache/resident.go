@@ -15,18 +15,16 @@ import "repro/internal/model"
 // ResidentRows implements model.Resident.
 func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
 	n := 0
-	buf := model.GetKeyBuf()
 	c.mu.Lock()
 	for i, ctx := range ctxs {
-		*buf = model.AppendKey((*buf)[:0], ctx)
-		if lp, _, ok := c.rows.Lookup(*buf); ok {
+		c.key = model.AppendKey(c.key[:0], ctx)
+		if lp, _, ok := c.rows.Lookup(c.key); ok {
 			out[i] = lp
 			n++
 		}
 	}
 	c.hits += int64(n)
 	c.mu.Unlock()
-	model.PutKeyBuf(buf)
 	c.record(ScopeStats{Hits: int64(n)})
 	return n
 }
@@ -35,10 +33,9 @@ func (c *LM) ResidentRows(ctxs [][]model.Token, out [][]float64) int {
 func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 	n := 0
 	var hits int64
-	buf := model.GetKeyBuf()
 	c.mu.Lock()
 	for i, seq := range seqs {
-		if rows := c.residentSeqLocked(seq, buf); rows != nil {
+		if rows := c.residentSeqLocked(seq); rows != nil {
 			out[i] = rows
 			hits += int64(len(seq))
 			n++
@@ -46,7 +43,6 @@ func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 	}
 	c.hits += hits
 	c.mu.Unlock()
-	model.PutKeyBuf(buf)
 	c.record(ScopeStats{Hits: hits})
 	return n
 }
@@ -55,11 +51,11 @@ func (c *LM) ResidentAllPositions(seqs [][]model.Token, out [][][]float64) int {
 // conditions on seq[:p], clamped to the inner model's window), bumping their
 // recency, when all of them are in the cache; nil otherwise, and for an empty
 // sequence. The rows are the cache's own. c.mu must be held.
-func (c *LM) residentSeqLocked(seq []model.Token, buf *[]byte) [][]float64 {
+func (c *LM) residentSeqLocked(seq []model.Token) [][]float64 {
 	var rows [][]float64
 	for p := range seq {
-		*buf = model.AppendKey((*buf)[:0], model.ClampWindow(c.inner, seq[:p]))
-		lp, _, ok := c.rows.Lookup(*buf)
+		c.key = model.AppendKey(c.key[:0], model.ClampWindow(c.inner, seq[:p]))
+		lp, _, ok := c.rows.Lookup(c.key)
 		if !ok {
 			return nil
 		}

@@ -43,6 +43,7 @@ type beamStream struct {
 	done []node          // harvested matches, done[next:] in frontier order
 	next int             // the first match of done not yet emitted or skipped
 	seen map[string]bool // keys of the emitted matches
+	key  []byte          // the buffer a match's key is built in
 	seq  int64           // discovery order of the next hypothesis expanded
 	step int             // pattern tokens of every hypothesis in the beam
 
@@ -85,8 +86,6 @@ func (s *beamStream) Next() (*Result, error) {
 	if s.end != nil {
 		return nil, s.end
 	}
-	buf := model.GetKeyBuf()
-	defer model.PutKeyBuf(buf)
 	for {
 		if err := s.q.Context.Err(); err != nil {
 			return nil, s.finish(err)
@@ -96,14 +95,14 @@ func (s *beamStream) Next() (*Result, error) {
 		// prefixes of different lengths. Only an emitted match stores its key.
 		for ; s.next < len(s.done) && (len(s.beam) == 0 || s.done[s.next].cost <= s.beam[0].cost); s.next++ {
 			n := &s.done[s.next]
-			*buf = model.AppendKey((*buf)[:0], n.context())
-			if s.seen[string(*buf)] {
+			s.key = model.AppendKey(s.key[:0], n.context())
+			if s.seen[string(s.key)] {
 				continue
 			}
 			if s.seen == nil {
 				s.seen = map[string]bool{}
 			}
-			s.seen[string(*buf)] = true
+			s.seen[string(s.key)] = true
 			s.next++
 			s.stats.emitted.Add(1)
 			return n.result(), nil

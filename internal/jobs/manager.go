@@ -218,6 +218,9 @@ type Job struct {
 
 	cancelCtx context.CancelFunc
 	done      chan struct{}
+	// wake is closed by the next applied record or status change; Since
+	// makes it only for a reader that follows the job.
+	wake chan struct{}
 
 	queueSeq int64 // submission order, the priority tiebreaker
 	heapIdx  int
@@ -447,6 +450,7 @@ func (m *Manager) dispatchLocked() {
 		j.kvStart = j.model.KVStats()
 		j.planStart = j.model.PlanCacheStats()
 		j.stageStart = j.model.Tracer().StageTotals()
+		j.wakeLocked()
 		j.mu.Unlock()
 		m.active++
 		go m.runJob(j, ctx)
@@ -472,20 +476,24 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 		return fault.Backoff{Attempts: 5, Seed: fault.SeedFrom(j.ID, op), OnRetry: retried}.Retry(context.Background(), fn)
 	}
 
-	// record is the run's one state transition: it appends a record, outside
-	// j.mu, and only once the ledger holds it folds the record into the
-	// job's state, so the live state never runs ahead of the file. A
-	// checkpoint or complete record is also an fsync barrier. A failure is
-	// the run's error and cancels it.
+	// record is the run's one state transition: under j.mu it appends a
+	// record and, only once the ledger holds it, folds the record into the
+	// job's state, so the live state never runs ahead of the file and holds
+	// its results in the file's order. A checkpoint or complete record is
+	// also an fsync barrier, outside j.mu. A failure is the run's error and
+	// cancels it.
 	record := func(kind string, payload interface{}) bool {
 		err := ledgerRetry(kind, func() error {
+			j.mu.Lock()
+			defer j.mu.Unlock()
 			_, err := j.ledger.Append(kind, payload)
+			if err == nil {
+				j.state.apply(payload)
+				j.wakeLocked()
+			}
 			return err
 		})
 		if err == nil {
-			j.mu.Lock()
-			j.state.apply(payload)
-			j.mu.Unlock()
 			if kind == kindCheckpoint || kind == kindComplete {
 				err = ledgerRetry("sync", j.ledger.Sync)
 			}
@@ -511,7 +519,7 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 						break
 					}
 					j.mu.Lock()
-					_, have := j.state.results[idx]
+					_, have := j.state.at[idx]
 					quarantined := j.state.quarantined[idx]
 					j.mu.Unlock()
 					if have || quarantined {
@@ -627,6 +635,7 @@ feed:
 	j.kvEnd = j.model.KVStats()
 	j.planEnd = j.model.PlanCacheStats()
 	j.stageEnd = endStages
+	j.wakeLocked()
 	j.mu.Unlock()
 
 	// Publish the outcome before done closes: a caller returning from Wait
@@ -648,11 +657,22 @@ feed:
 
 // cancelLocked appends a cancel record and folds it in once the ledger
 // holds it. It is best effort, with no retry: the job is cancelled either
-// way, and Verify tolerates a missing cancel record. Caller holds j.mu.
+// way, and Verify tolerates a missing cancel record. It wakes the job's
+// followers either way. Caller holds j.mu.
 func (j *Job) cancelLocked(reason string) {
 	c := &cancelData{Reason: reason, ItemsDone: len(j.state.results)}
 	if _, err := j.ledger.Append(kindCancel, c); err == nil {
 		j.state.apply(c)
+	}
+	j.wakeLocked()
+}
+
+// wakeLocked wakes the readers waiting on a channel Since returned: the
+// job's state or status changed. Caller holds j.mu.
+func (j *Job) wakeLocked() {
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 
@@ -789,13 +809,6 @@ func (j *Job) Status() string {
 	return j.status
 }
 
-// EngineStats returns the engine work this job (this run of it) performed.
-func (j *Job) EngineStats() engine.Stats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.engine
-}
-
 // Results returns the merged per-item results in worklist order: replayed
 // records first-wins, live records appended as shards finish. For a
 // completed job this is the full, deterministic result set of the sweep.
@@ -805,10 +818,22 @@ func (j *Job) Results() []ItemResult {
 	return j.state.ordered(len(j.items))
 }
 
-// Snapshot captures the job's externally visible state.
-func (j *Job) Snapshot() Snapshot {
+// Since reads the job's fold under one hold of its lock: the results at
+// ledger positions >= n, in ledger order (a resumed job's replayed results
+// first) and read-only, and the snapshot they belong to, whose ItemsDone
+// counts every result up to the last returned. With follow set on a job that
+// has not ended, it also returns a channel that the next applied record or
+// status change closes; otherwise that channel is nil, and none is made.
+func (j *Job) Since(n int, follow bool) ([]ItemResult, Snapshot, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var wake chan struct{}
+	if follow && (j.status == StatusQueued || j.status == StatusRunning) {
+		if j.wake == nil {
+			j.wake = make(chan struct{})
+		}
+		wake = j.wake
+	}
 	snap := Snapshot{
 		ID:       j.ID,
 		Suite:    j.Spec.Suite,
@@ -844,6 +869,14 @@ func (j *Job) Snapshot() Snapshot {
 		snap.PlanMisses = plan.Misses - j.planStart.Misses
 		snap.Stages = stageDelta(j.stageStart, stages)
 	}
+	all := j.state.results
+	n = min(max(n, 0), len(all))
+	return all[n:len(all):len(all)], snap, wake
+}
+
+// Snapshot captures the job's externally visible state.
+func (j *Job) Snapshot() Snapshot {
+	_, snap, _ := j.Since(0, false)
 	return snap
 }
 

@@ -129,7 +129,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 	checkLiveIsReplayed(t, mFull, full)
 	wantResults := mustJSON(t, full.Results())
-	fullStats := full.EngineStats()
+	fullStats := full.Snapshot().Engine
 	items := len(full.items)
 	if items < 6 {
 		t.Fatalf("memorization worklist too small to test resume: %d items", items)
@@ -179,7 +179,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 	// (c) the resumed run re-scored only unfinished work: strictly less
 	// model traffic than the full sweep, and no item was recorded twice.
-	resStats := resumed.EngineStats()
+	resStats := resumed.Snapshot().Engine
 	if resStats.ModelCalls == 0 || resStats.ModelCalls >= fullStats.ModelCalls {
 		t.Fatalf("resumed run model calls = %d, want in (0, %d)", resStats.ModelCalls, fullStats.ModelCalls)
 	}
@@ -524,6 +524,73 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitTerminal(t, j1)
 	checkLiveIsReplayed(t, m, j1)
 	checkLiveIsReplayed(t, m, j2)
+}
+
+// TestSinceFollowsTheFold reads one job through Since for its whole life. A
+// plain read makes no wake channel and allocates what a Snapshot does. A
+// follower's channel closes at dispatch and at each applied record, every
+// read's snapshot counts exactly the results read so far, and the followed
+// results are the ledger file's, in its order, ending with a nil channel.
+// A cancel while queued wakes a follower too.
+func TestSinceFollowsTheFold(t *testing.T) {
+	m := newTestManager(t, Config{})
+	m.PauseDispatch()
+	j, err := m.Submit(Spec{Suite: "memorization", Model: "large", ShardSize: 2, Workers: 2, MaxItems: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, snap, wake := j.Since(0, false); len(res) != 0 || wake != nil || snap.Status != StatusQueued {
+		t.Fatalf("plain read of a queued job: %d results, wake %v, status %s", len(res), wake, snap.Status)
+	}
+	j.mu.Lock()
+	made := j.wake != nil
+	j.mu.Unlock()
+	if made {
+		t.Fatal("a plain read made a wake channel")
+	}
+	if plain, snap := testing.AllocsPerRun(50, func() { j.Since(0, false) }), testing.AllocsPerRun(50, func() { j.Snapshot() }); plain != snap {
+		t.Fatalf("a plain Since read allocates %v, a Snapshot %v", plain, snap)
+	}
+
+	_, _, wake := j.Since(0, true)
+	m.ResumeDispatch()
+	var got []ItemResult
+	for wake != nil {
+		select {
+		case <-wake:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("no wake after %d results (status %s)", len(got), j.Status())
+		}
+		var res []ItemResult
+		var snap Snapshot
+		res, snap, wake = j.Since(len(got), true)
+		got = append(got, res...)
+		if snap.Progress.ItemsDone != len(got) {
+			t.Fatalf("snapshot counts %d results, %d read", snap.Progress.ItemsDone, len(got))
+		}
+	}
+	waitTerminal(t, j)
+	if want := foldFile(t, m.LedgerPath(j.ID)).results; j.Status() != StatusCompleted || len(got) != len(j.items) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("followed %d results of %d (%s), not the ledger's %d in its order", len(got), len(j.items), j.Status(), len(want))
+	}
+
+	m.PauseDispatch()
+	q, err := m.Submit(Spec{Suite: "urlmatch", Model: "large"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, wake = q.Since(0, true)
+	if err := m.Cancel(q.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-wake:
+	default:
+		t.Fatal("a cancel while queued did not wake the follower")
+	}
+	if _, snap, wake := q.Since(0, true); wake != nil || snap.Status != StatusCancelled {
+		t.Fatalf("cancelled job: wake %v, status %s", wake, snap.Status)
+	}
 }
 
 // foldFile strictly replays a ledger file and returns the state its records

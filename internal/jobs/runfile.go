@@ -100,7 +100,10 @@ func decode(rec Record) (interface{}, error) {
 // Resume and ReadRun apply a replayed file's records, so a job's state is
 // always the fold of its ledger.
 type runState struct {
-	results    map[int]ItemResult // item index -> result; the first record wins
+	// results holds each item's first result in ledger order, never
+	// rewritten; at maps an item index to its position there.
+	results    []ItemResult
+	at         map[int]int
 	doneShards map[int]bool
 	// quarantined marks poison items: their execution exhausted the
 	// transient retry budget or hit a permanent fault, so they are recorded
@@ -118,15 +121,16 @@ type runState struct {
 }
 
 func newRunState() runState {
-	return runState{results: map[int]ItemResult{}, doneShards: map[int]bool{}, quarantined: map[int]bool{}}
+	return runState{at: map[int]int{}, doneShards: map[int]bool{}, quarantined: map[int]bool{}}
 }
 
 // apply folds one record's payload, as decode returns it, into the state.
 func (s *runState) apply(payload interface{}) {
 	switch d := payload.(type) {
 	case *itemData:
-		if _, dup := s.results[d.Index]; !dup {
-			s.results[d.Index] = d.Result
+		if _, dup := s.at[d.Index]; !dup {
+			s.at[d.Index] = len(s.results)
+			s.results = append(s.results, d.Result)
 			if d.Result.OK {
 				s.okItems++
 			}
@@ -150,8 +154,8 @@ func (s *runState) apply(payload interface{}) {
 func (s *runState) ordered(n int) []ItemResult {
 	out := make([]ItemResult, 0, len(s.results))
 	for i := 0; i < n; i++ {
-		if r, ok := s.results[i]; ok {
-			out = append(out, r)
+		if p, ok := s.at[i]; ok {
+			out = append(out, s.results[p])
 		}
 	}
 	return out

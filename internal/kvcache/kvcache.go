@@ -52,6 +52,9 @@ type Arena struct {
 	hotWindow int
 
 	nodes map[string]*node
+	// key is the buffer Acquire and Commit build a context's key in, under
+	// mu; only a committed node's key becomes a string.
+	key []byte
 	// lruFull holds exactly the evictable full nodes — unpinned leaves — so
 	// each demotion or eviction is an O(1) pop from the back. Interior nodes
 	// enter when their last child goes (at the back: a parent's last use is
@@ -130,11 +133,9 @@ func (a *Arena) Acquire(ctx []model.Token) *Handle {
 		a.mu.Unlock()
 		return nil
 	}
-	buf := model.GetKeyBuf()
-	defer model.PutKeyBuf(buf)
-	*buf = model.AppendKey((*buf)[:0], ctx)
 	a.mu.Lock()
-	n, ok := a.nodes[string(*buf)]
+	a.key = model.AppendKey(a.key[:0], ctx)
+	n, ok := a.nodes[string(a.key)]
 	if !ok {
 		a.misses++
 		a.mu.Unlock()
@@ -155,11 +156,9 @@ func (a *Arena) Acquire(ctx []model.Token) *Handle {
 // existing node wins and st is discarded (the two are bit-identical by
 // construction) — though a full st does promote a demoted incumbent.
 func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) *Handle {
-	buf := model.GetKeyBuf()
-	defer model.PutKeyBuf(buf)
-	*buf = model.AppendKey((*buf)[:0], ctx)
 	a.mu.Lock()
-	if n, ok := a.nodes[string(*buf)]; ok {
+	a.key = model.AppendKey(a.key[:0], ctx)
+	if n, ok := a.nodes[string(a.key)]; ok {
 		a.pin(n)
 		if n.demoted {
 			a.promote(n, st)
@@ -167,7 +166,7 @@ func (a *Arena) Commit(parent *Handle, ctx []model.Token, st model.DecodeState) 
 		a.mu.Unlock()
 		return &Handle{a: a, n: n}
 	}
-	key := string(*buf) // the only per-insert key allocation
+	key := string(a.key) // the only per-insert key allocation
 	n := &node{key: key, state: st, bytes: st.SizeBytes(), refs: 1}
 	a.handles++
 	n.el.Value = n

@@ -10,7 +10,6 @@ package model
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/tokenizer"
 )
@@ -162,15 +161,6 @@ func AppendKey(dst []byte, ctx []Token) []byte {
 	}
 	return dst
 }
-
-var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// GetKeyBuf borrows a scratch buffer for AppendKey from a pool shared by
-// every context-keyed map; give it back with PutKeyBuf.
-func GetKeyBuf() *[]byte { return keyBufs.Get().(*[]byte) }
-
-// PutKeyBuf returns a buffer GetKeyBuf lent.
-func PutKeyBuf(b *[]byte) { keyBufs.Put(b) }
 
 // VocabSize implements LanguageModel.
 func (t *Table) VocabSize() int { return t.Vocab }

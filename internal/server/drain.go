@@ -51,7 +51,10 @@ func (s *Server) Serve(l net.Listener, stop <-chan os.Signal, drainTimeout time.
 	defer cancel()
 
 	var drainErr error
-	if jm := s.jobsManager(); jm != nil {
+	s.mu.Lock()
+	jm := s.jobsMgr
+	s.mu.Unlock()
+	if jm != nil {
 		drainErr = jm.Drain(ctx)
 	}
 	if err := hs.Shutdown(ctx); err != nil {

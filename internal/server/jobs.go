@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/jobs"
@@ -22,8 +21,9 @@ import (
 //	DELETE /v1/jobs/{id}         — cancel (queued or running)
 //	POST   /v1/jobs/{id}/resume  — re-enqueue a cancelled/failed run from
 //	                               its ledger
-//	GET    /v1/jobs/{id}/results — NDJSON per-item results; ?follow=1
-//	                               streams new results until the job ends
+//	GET    /v1/jobs/{id}/results — NDJSON per-item results in ledger
+//	                               order and a summary; ?follow=1 streams
+//	                               each new result until the job ends
 //
 // Submission knobs are validated by jobs.Spec.Validate — the same
 // reject-don't-clamp policy the search endpoint applies via
@@ -40,15 +40,8 @@ func (s *Server) EnableJobs(mgr *jobs.Manager) {
 		mgr.RegisterModel(n, m)
 	}
 	s.mu.Unlock()
-	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v1/jobs/", s.handleJobByID)
-}
-
-// jobsManager returns the mounted manager (nil when jobs are disabled).
-func (s *Server) jobsManager() *jobs.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobsMgr
+	s.mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) { s.handleJobs(w, r, mgr) })
+	s.mux.HandleFunc("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) { s.handleJobByID(w, r, mgr) })
 }
 
 // jobError maps the jobs package's error classes onto HTTP statuses.
@@ -66,12 +59,7 @@ func jobError(w http.ResponseWriter, err error) {
 	httpError(w, code, err.Error())
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	mgr := s.jobsManager()
-	if mgr == nil {
-		httpError(w, http.StatusNotFound, "jobs are not enabled on this server")
-		return
-	}
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, mgr *jobs.Manager) {
 	switch r.Method {
 	case http.MethodPost:
 		if s.draining.Load() {
@@ -108,12 +96,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
-	mgr := s.jobsManager()
-	if mgr == nil {
-		httpError(w, http.StatusNotFound, "jobs are not enabled on this server")
-		return
-	}
+func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request, mgr *jobs.Manager) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	id, sub, _ := strings.Cut(rest, "/")
 	if id == "" {
@@ -121,13 +104,15 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case sub == "" && r.Method == http.MethodGet:
+	case (sub == "" || sub == "results") && r.Method == http.MethodGet:
 		j, ok := mgr.Get(id)
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Sprintf("no such job %q", id))
-			return
+		} else if sub == "" {
+			writeJSON(w, http.StatusOK, j.Snapshot())
+		} else {
+			s.streamJobResults(w, r, j)
 		}
-		writeJSON(w, http.StatusOK, j.Snapshot())
 	case sub == "" && r.Method == http.MethodDelete:
 		if err := mgr.Cancel(id); err != nil {
 			// Cancelling a job that already ended is a conflict, not a
@@ -153,13 +138,6 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusAccepted, j.Snapshot())
-	case sub == "results" && r.Method == http.MethodGet:
-		j, ok := mgr.Get(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("no such job %q", id))
-			return
-		}
-		s.streamJobResults(w, r, j)
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "unsupported job operation")
 	}
@@ -177,27 +155,15 @@ type jobSummaryEvent struct {
 	Job  jobs.Snapshot `json:"job"`
 }
 
-// jobReader is what the results stream reads of a job: *jobs.Job in the
-// server, and in the regression test a stand-in that completes between two
-// reads.
-type jobReader interface {
-	Snapshot() jobs.Snapshot
-	Results() []jobs.ItemResult
-}
-
-// streamJobResults writes the job's merged per-item results as NDJSON.
-// With ?follow=1 it keeps streaming newly recorded results until the job
-// reaches a terminal status (or the client disconnects); otherwise it
-// snapshots what exists now. Every stream ends with a summary event.
-//
-// The summary is the snapshot taken *before* the last results pass, never
-// one taken after it: a job records its last item and then completes, so a
-// snapshot that already says "completed" guarantees the pass that follows
-// sees every item, while a status read after the pass can say "completed"
-// about an item the pass missed — a stream one row short of its own summary.
-// The other way round is harmless: a stream may carry a row its "running"
-// summary has not counted yet, and the client simply reads again.
-func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j jobReader) {
+// streamJobResults writes the job's per-item results as NDJSON in ledger
+// order — a resumed job's replayed results first, then the live ones — and
+// ends the stream with a summary event. Each pass is one jobs.Job.Since read,
+// so the rows and the summary come from one hold of the job's fold: the
+// summary counts exactly the rows the stream delivered. With ?follow=1 the
+// stream waits for the job's next applied record or status change (or for
+// the client to go away) and streams until the job ends; otherwise it
+// carries what exists now.
+func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *jobs.Job) {
 	follow := r.URL.Query().Get("follow") == "1"
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flush := func() {}
@@ -207,31 +173,24 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j jobR
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 
-	emitted := map[string]bool{}
-	var summary jobs.Snapshot
-	for {
-		summary = j.Snapshot()
-		for _, res := range j.Results() {
-			if emitted[res.ID] {
-				continue
-			}
-			emitted[res.ID] = true
+	for n := 0; ; {
+		results, summary, wake := j.Since(n, follow)
+		for _, res := range results {
 			if err := enc.Encode(jobResultEvent{Type: "result", Result: res}); err != nil {
 				return // client went away
 			}
 		}
-		flush()
-		status := summary.Status
-		terminal := status == jobs.StatusCompleted || status == jobs.StatusFailed || status == jobs.StatusCancelled
-		if !follow || terminal {
-			break
+		n += len(results)
+		if wake == nil {
+			_ = enc.Encode(jobSummaryEvent{Type: "summary", Job: summary})
+			flush()
+			return
 		}
+		flush()
 		select {
-		case <-time.After(50 * time.Millisecond):
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		}
 	}
-	_ = enc.Encode(jobSummaryEvent{Type: "summary", Job: summary})
-	flush()
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -355,69 +357,167 @@ func TestJobResultsFollowStreams(t *testing.T) {
 	}
 }
 
-// racingJob is a job caught at the worst moment: it has recorded all but its
-// last item, and it records that item and completes right after the stream's
-// first read of it, whichever accessor that read is.
-type racingJob struct {
-	items int
-	reads int
+// getBody reads one whole response body within a minute; it is safe off the
+// test goroutine.
+func getBody(url string) ([]byte, error) {
+	resp, err := (&http.Client{Timeout: time.Minute}).Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	return io.ReadAll(resp.Body)
 }
 
-func (j *racingJob) done() bool {
-	j.reads++
-	return j.reads > 1
+// streamEnded reports whether a results stream's last line is the summary of
+// a job that has ended.
+func streamEnded(body []byte) bool {
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var ev jobSummaryEvent
+	if json.Unmarshal(lines[len(lines)-1], &ev) != nil || ev.Type != "summary" {
+		return false
+	}
+	st := ev.Job.Status
+	return st == jobs.StatusCompleted || st == jobs.StatusFailed || st == jobs.StatusCancelled
 }
 
-func (j *racingJob) Snapshot() jobs.Snapshot {
-	snap := jobs.Snapshot{ID: "job-race", Status: jobs.StatusRunning}
-	snap.Progress.Items, snap.Progress.ItemsDone = j.items, j.items-1
-	if j.done() {
-		snap.Status, snap.Progress.ItemsDone = jobs.StatusCompleted, j.items
+// checkStream parses one results stream and fails unless it ends in a
+// summary that counts exactly the rows the stream delivered.
+func checkStream(tb testing.TB, what string, body []byte) ([]jobs.ItemResult, jobs.Snapshot) {
+	tb.Helper()
+	rows, summary := readJobStream(tb, bytes.NewReader(body))
+	if summary == nil {
+		tb.Fatalf("%s: stream ended without a summary", what)
 	}
-	return snap
+	if summary.Job.Progress.ItemsDone != len(rows) {
+		tb.Fatalf("%s: %s summary counts %d items, stream carried %d",
+			what, summary.Job.Status, summary.Job.Progress.ItemsDone, len(rows))
+	}
+	return rows, summary.Job
 }
 
-func (j *racingJob) Results() []jobs.ItemResult {
-	n := j.items - 1
-	if j.done() {
-		n = j.items
+// checkComplete fails unless a completed job's stream carries every item
+// exactly once.
+func checkComplete(tb testing.TB, what string, rows []jobs.ItemResult, snap jobs.Snapshot) {
+	tb.Helper()
+	if snap.Status != jobs.StatusCompleted || len(rows) != snap.Progress.Items || len(rows) == 0 {
+		tb.Fatalf("%s: ended %s with %d of %d rows", what, snap.Status, len(rows), snap.Progress.Items)
 	}
-	out := make([]jobs.ItemResult, n)
-	for i := range out {
-		out[i] = jobs.ItemResult{ID: "item-" + string(rune('a'+i)), OK: true}
+	seen := map[string]bool{}
+	for _, r := range rows {
+		if seen[r.ID] {
+			tb.Fatalf("%s: item %s streamed twice", what, r.ID)
+		}
+		seen[r.ID] = true
 	}
-	return out
+}
+
+// followJob reads a job's whole follow=1 stream.
+func followJob(tb testing.TB, ts *httptest.Server, id string) ([]jobs.ItemResult, jobs.Snapshot) {
+	tb.Helper()
+	body, err := getBody(ts.URL + "/v1/jobs/" + id + "/results?follow=1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return checkStream(tb, id+" follow", body)
 }
 
 // TestJobResultsNeverShortOfSummary is the regression test for the stream
-// that ended one row short of its summary: a job that records its last item
-// and completes between the stream's two reads must not get a "completed"
-// summary without that item. Polled (no follow) the stream may end on a
-// "running" summary, and the next poll then sees the finished job; followed,
-// it must run on to the complete one.
+// that ended one row short of its summary. Twenty two-worker memorization
+// jobs are read while they queue, run and finish, each by a follower from the start and
+// by plain reads repeated until one sees the job end: every stream's summary
+// counts exactly the rows that stream delivered, every stream is a prefix of
+// the job's completed stream (ledger order does not change under a reader),
+// and a completed stream carries every item once. A resumed job streams its
+// replayed results, in the cancelled run's order, before the live ones.
 func TestJobResultsNeverShortOfSummary(t *testing.T) {
-	s := New(Config{})
-	for _, target := range []string{"/results", "/results?follow=1"} {
-		j := &racingJob{items: 4}
-		var summary *jobSummaryEvent
-		rows := 0
-		for polls := 0; polls < 3 && (summary == nil || summary.Job.Status != jobs.StatusCompleted); polls++ {
-			rec := httptest.NewRecorder()
-			s.streamJobResults(rec, httptest.NewRequest(http.MethodGet, target, nil), j)
-			var got []jobs.ItemResult
-			got, summary = readJobStream(t, rec.Body)
-			if summary == nil {
-				t.Fatalf("%s: stream ended without a summary", target)
+	ts, mgr := newJobsServer(t, jobs.Config{MaxActive: 4, MaxQueued: 32})
+	mgr.PauseDispatch() // every reader starts while its job is queued
+	const nJobs = 20
+	ids := make([]string, nJobs)
+	for i := range ids {
+		resp := postJob(t, ts, `{"suite":"memorization","model":"large","shard_size":2,"workers":2,"max_items":12}`)
+		if resp.StatusCode != http.StatusAccepted {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, body)
+		}
+		ids[i] = decodeSnapshot(t, resp.Body).ID
+		resp.Body.Close()
+	}
+
+	follows := make([][]byte, nJobs)
+	polls := make([][][]byte, nJobs)
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			body, err := getBody(ts.URL + "/v1/jobs/" + id + "/results?follow=1")
+			if err != nil {
+				t.Error(err)
 			}
-			rows = len(got)
-			if summary.Job.Progress.ItemsDone > rows {
-				t.Fatalf("%s: %s summary counts %d items, stream carried %d",
-					target, summary.Job.Status, summary.Job.Progress.ItemsDone, rows)
+			follows[i] = body
+		}()
+		go func() {
+			defer wg.Done()
+			deadline := time.Now().Add(60 * time.Second)
+			for time.Now().Before(deadline) {
+				body, err := getBody(ts.URL + "/v1/jobs/" + id + "/results")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				polls[i] = append(polls[i], body)
+				if streamEnded(body) {
+					return
+				}
+			}
+			t.Errorf("job %s did not end", id)
+		}()
+	}
+	mgr.ResumeDispatch()
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	for i, id := range ids {
+		final, snap := checkStream(t, id+" follow", follows[i])
+		checkComplete(t, id+" follow", final, snap)
+		for p, body := range polls[i] {
+			what := fmt.Sprintf("%s read %d", id, p)
+			rows, _ := checkStream(t, what, body)
+			if len(rows) > len(final) || !slices.Equal(rows, final[:len(rows)]) {
+				t.Fatalf("%s: %d rows are not a prefix of the completed stream", what, len(rows))
 			}
 		}
-		if summary.Job.Status != jobs.StatusCompleted || rows != j.items {
-			t.Fatalf("%s: ended %s with %d of %d rows", target, summary.Job.Status, rows, j.items)
-		}
+		rows, snap := checkStream(t, id+" last read", polls[i][len(polls[i])-1])
+		checkComplete(t, id+" last read", rows, snap)
+	}
+
+	// A cancelled run, then its resume: the resumed stream replays the
+	// cancelled run's results in its order before any live one.
+	resp := postJob(t, ts, `{"suite":"memorization","model":"large","shard_size":2,"workers":2,"max_items":12,"cancel_after_items":5}`)
+	id := decodeSnapshot(t, resp.Body).ID
+	resp.Body.Close()
+	replayed, snap := followJob(t, ts, id)
+	if snap.Status != jobs.StatusCancelled || len(replayed) < 5 || len(replayed) >= snap.Progress.Items {
+		t.Fatalf("killed run ended %s with %d of %d rows", snap.Status, len(replayed), snap.Progress.Items)
+	}
+	rresp, err := http.Post(ts.URL+"/v1/jobs/"+id+"/resume", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rresp.Body.Close()
+	if rresp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resume: %d", rresp.StatusCode)
+	}
+	resumed, snap := followJob(t, ts, id)
+	checkComplete(t, id+" resumed", resumed, snap)
+	if !slices.Equal(resumed[:len(replayed)], replayed) {
+		t.Fatalf("resumed stream does not start with the %d replayed results", len(replayed))
 	}
 }
 

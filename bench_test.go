@@ -585,24 +585,3 @@ func BenchmarkExplain(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMass prices the certified language-mass computation: the total
-// probability of emitting any phone-number-shaped string (an aggregate no
-// sampling-based workflow can certify).
-func BenchmarkMass(b *testing.B) {
-	e := env(b)
-	m := e.FreshModel(false)
-	q := relm.SearchQuery{
-		Query:    relm.QueryString{Pattern: " [0-9]{3} [0-9]{3} [0-9]{4}", Prefix: "My phone number is"},
-		MaxNodes: 50000,
-	}
-	var lower float64
-	for i := 0; i < b.N; i++ {
-		est, err := relm.Mass(m, q, relm.MassOptions{Tolerance: 1e-3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lower = est.Lower
-	}
-	b.ReportMetric(lower, "mass-lower")
-}

@@ -44,13 +44,4 @@ func main() {
 	fmt.Printf("\nengine work: %d node expansions, %d model calls\n",
 		st.NodesExpanded, st.ModelCalls)
 	fmt.Printf("every result is guaranteed to match the pattern — no grading of free-form text needed\n")
-
-	// Beyond enumeration: certified bounds on the total probability that a
-	// complete generation is a phone number at all.
-	query.MaxNodes = 50000
-	est, err := relm.Mass(m, query, relm.MassOptions{Tolerance: 1e-3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nP(model completes the prefix with a phone number): %s\n", est)
 }

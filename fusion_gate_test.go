@@ -12,16 +12,15 @@ import (
 // Continuous cross-query batching gate (DESIGN.md decision 12, ROADMAP
 // item 2). A loaded server runs many queries against one device; without
 // fusion each query pays the full dispatch cost for its own small frontier
-// waves. The gate pins the win: 32 concurrent queries — all four engines in
-// the same run — must aggregate >= 3x the throughput of per-query batching
+// waves. The gate pins the win: 32 concurrent queries — all three strategies
+// in the same run — must aggregate >= 3x the throughput of per-query batching
 // on the virtual device clock, with every query's result stream
 // byte-identical between the two arms.
 
 // gateQuery is one of the 32 concurrent queries: a streaming search
-// (shortest-path, beam, or sampling) or a Mass bound computation.
+// (shortest-path, beam, or sampling) and how many matches it takes.
 type gateQuery struct {
 	name string
-	mass bool
 	q    relm.SearchQuery
 	take int
 }
@@ -43,11 +42,12 @@ var gateOwners = [32]string{
 // gatePrefix is query i's private prefix.
 func gatePrefix(i int) string { return gateOwners[i] + "'s number is" }
 
-// fusionGateQueries builds the 32-query mix: 8 per engine, every engine in
-// single-row waves (BatchExpand 1, BeamWidth 1) — the regime where dispatch
-// overhead dominates and per-query batching has nothing left to amortize,
-// i.e. exactly the serving load continuous batching exists for — each query
-// over its own prefix (gateOwners).
+// fusionGateQueries builds the 32-query mix: 16 shortest-path, 8 beam and 8
+// sampling queries, every strategy in single-row waves (BatchExpand 1,
+// BeamWidth 1) — the regime where dispatch overhead dominates and per-query
+// batching has nothing left to amortize, i.e. exactly the serving load
+// continuous batching exists for — each query over its own prefix
+// (gateOwners).
 func fusionGateQueries() []gateQuery {
 	const pattern = " ([0-9]{3}) ([0-9]{3}) ([0-9]{4})"
 	var out []gateQuery
@@ -81,11 +81,12 @@ func fusionGateQueries() []gateQuery {
 				take: 2,
 			},
 			gateQuery{
-				name: "mass-" + fmt.Sprint(i),
-				mass: true,
+				name: fmt.Sprintf("shortest-%d", 8+i),
 				q: relm.SearchQuery{
-					Query: own(3), RequireEOS: true, MaxTokens: 24, MaxNodes: 200, BatchExpand: 1,
+					Query: own(3), Strategy: relm.ShortestPath,
+					RequireEOS: true, MaxTokens: 24, BatchExpand: 1,
 				},
+				take: 2,
 			},
 		)
 	}
@@ -93,17 +94,9 @@ func fusionGateQueries() []gateQuery {
 }
 
 // runGateQuery executes one query and returns its result stream as
-// comparable strings (for Mass, the certified bounds).
+// comparable strings.
 func runGateQuery(tb testing.TB, m *relm.Model, g gateQuery) []string {
 	tb.Helper()
-	if g.mass {
-		est, err := relm.Mass(m, g.q, relm.MassOptions{Tolerance: 0.05})
-		if err != nil {
-			tb.Errorf("%s: %v", g.name, err)
-			return nil
-		}
-		return []string{fmt.Sprintf("mass|%v|%v|%d", est.Lower, est.Upper, est.Matches)}
-	}
 	results, err := relm.Search(m, g.q)
 	if err != nil {
 		tb.Errorf("%s: %v", g.name, err)
@@ -153,7 +146,7 @@ func runGateArm(tb testing.TB, queries []gateQuery, fused bool) ([][]string, tim
 // TestContinuousBatchingSpeedGate is the PR-6 acceptance gate: >= 3x
 // aggregate throughput at 32 concurrent queries versus per-query batching,
 // measured on the deterministic virtual device clock, with byte-identical
-// per-query streams for all four engines in the same run.
+// per-query streams for all three strategies in the same run.
 func TestContinuousBatchingSpeedGate(t *testing.T) {
 	queries := fusionGateQueries()
 	if len(queries) != 32 {

@@ -156,7 +156,7 @@ type traversal interface {
 }
 
 // frontierWorkload models the engines' hot loop — expansion in Dijkstra,
-// beam, sampler, and mass all iterate Edges and test Accepting over a
+// beam and the sampler all iterate Edges and test Accepting over a
 // frontier that jumps across the automaton (not a sequential walk).
 // Benchmark arms and the speed gate share it so the comparison is honest.
 func frontierWorkload(w traversal, order []StateID) int {

@@ -284,7 +284,7 @@ func Allowed(r Rule, lp, dst []float64) []float64 {
 
 // Support is the set of tokens a rule leaves in the model's language at one
 // step — Allowed's finite entries without their reweighted values, which
-// shortest path, beam and Mass never read. It is a plain value: the row the
+// shortest path and beam never read. It is a plain value: the row the
 // rule ranks on and the rule's cutoff in it.
 type Support struct {
 	row []float64

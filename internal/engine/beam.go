@@ -54,14 +54,10 @@ type beamStream struct {
 }
 
 func (s *beamStream) init() {
-	pdev, pspan := prefixDevice(s.dev, s.q)
-	logPs, calls, err := scoreSequences(pdev, s.q.Prefixes)
-	s.q.Trace.End(pspan)
+	logPs, err := s.scorePrefixes()
 	if err != nil {
-		s.finish(err)
 		return
 	}
-	s.stats.modelCalls.Add(calls)
 	for pi, p := range s.q.Prefixes {
 		logP := logPs[pi]
 		s.beam = append(s.beam, node{

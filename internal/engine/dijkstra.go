@@ -168,14 +168,10 @@ func normalizeQuery(dev *device.Device, q *Query) *Query {
 // than position-by-position, so broad prefix sets pay one dispatch. Each root
 // is a cursor whose one sibling is the root itself.
 func (s *dijkstraStream) init() {
-	pdev, pspan := prefixDevice(s.dev, s.q)
-	logPs, calls, err := scoreSequences(pdev, s.q.Prefixes)
-	s.q.Trace.End(pspan)
+	logPs, err := s.scorePrefixes()
 	if err != nil {
-		s.finish(err)
 		return
 	}
-	s.stats.modelCalls.Add(calls)
 	roots := make([]cursor, len(s.q.Prefixes))
 	for pi, p := range s.q.Prefixes {
 		logP := logPs[pi]

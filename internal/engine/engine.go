@@ -51,7 +51,7 @@ type Query struct {
 	// model's max sequence length).
 	MaxTokens int
 	// MaxNodes caps total node expansions, bounding memory on infinite
-	// languages: shortest path defaults to 1<<20, Mass to 1<<17.
+	// languages: shortest path defaults to 1<<20.
 	MaxNodes int
 	// BatchExpand is how many frontier nodes a shortest-path round pops, and
 	// the most rows one of its device dispatches carries, amortizing
@@ -89,8 +89,8 @@ type Query struct {
 	// any number of concurrent queries (states for common prefixes are
 	// computed once and reused across the fleet).
 	KV *kvcache.Arena
-	// Context cancels an in-progress traversal: Next (and Mass) observe it
-	// between expansion rounds and return its error. nil means Background.
+	// Context cancels an in-progress traversal: Next observes it between
+	// expansion rounds and returns its error. nil means Background.
 	Context context.Context
 	// Trace, when non-nil, records the traversal's span tree: one "round"
 	// span per frontier expansion with the device dispatches and KV arena
@@ -178,8 +178,8 @@ var ErrExhausted = errors.New("engine: query space exhausted")
 type Stream interface {
 	// Next returns the next result. It returns ErrExhausted when the
 	// language is exhausted (deterministic traversals only; random streams
-	// never exhaust but may return ErrExhausted once MaxNodes attempts
-	// fail consecutively). Once Close cancels the stream's context or a
+	// never exhaust but may return ErrExhausted once
+	// SamplerOptions.MaxAttemptsPerResult attempts fail consecutively). Once Close cancels the stream's context or a
 	// device dispatch fails, Next returns that error.
 	Next() (*Result, error)
 	// Close cancels the stream's traversal context and releases its
@@ -216,23 +216,13 @@ func (s *stream) finish(err error) error {
 // is born holding its parent's slice and its own last token, and copies the
 // two into a slice of its own only when its context is first built — when the
 // node is popped for scoring. A child built but never scored (one beam
-// truncation drops, a Mass node left on the frontier) costs no copy of a
-// paragraph-long prefix, and a match shares its parent's slice outright.
-// Ordering never reads the context.
+// truncation drops) costs no copy of a paragraph-long prefix, and a match
+// shares its parent's slice outright. Ordering never reads the context.
 type path struct {
 	ctx     []model.Token
 	last    model.Token
 	pending bool // ctx is still the parent's; the node's own is ctx + last
 }
-
-// child returns the path one token beyond p.
-func (p *path) child(tok model.Token) path {
-	return path{ctx: p.context(), last: tok, pending: true}
-}
-
-// own returns p itself, so the generic appendContexts reaches the path a node
-// embeds.
-func (p *path) own() *path { return p }
 
 // context returns the node's own context, building it on first use. Not safe
 // for concurrent use on one node; distinct nodes may share a parent slice,
@@ -292,7 +282,7 @@ func (n *node) spawn(s sibling, from int64) node {
 	c := *n
 	c.cost, c.from, c.rank = s.cost, from, s.rank()
 	if s.sym >= 0 {
-		c.path = n.child(model.Token(s.sym))
+		c.path = path{ctx: n.context(), last: model.Token(s.sym), pending: true}
 		c.state = automaton.StateID(s.to)
 		c.patLen++
 	}
@@ -331,8 +321,8 @@ func byOrder(a, b node) int {
 // sibling is one kept successor of an expanded node, 16 bytes where a built
 // node is ~100: the child one token beyond it (sym its token id, to its
 // state), or with sym = matchSym the node's own match. A node is spawned from
-// a sibling only when shortest path pops it, beam keeps it, Mass files it or
-// the sampler draws it.
+// a sibling only when shortest path pops it, beam keeps it or the sampler
+// draws it.
 type sibling struct {
 	cost float64
 	sym  int32
@@ -474,19 +464,16 @@ func (q *Query) ends(kept decoding.Support) bool { return !q.RequireEOS || kept.
 // carved off with a full slice expression so none can grow into the next: a
 // node that outlives the round keeps the whole block alive until its
 // batch-mates are spent too.
-func appendContexts[N any, P interface {
-	*N
-	own() *path
-}](dst [][]model.Token, nodes []N) [][]model.Token {
+func appendContexts(dst [][]model.Token, nodes []node) [][]model.Token {
 	size := 0
 	for i := range nodes {
-		if p := P(&nodes[i]).own(); p.pending {
+		if p := &nodes[i].path; p.pending {
 			size += len(p.ctx) + 1
 		}
 	}
 	block := make([]model.Token, size)
 	for i := range nodes {
-		p := P(&nodes[i]).own()
+		p := &nodes[i].path
 		if p.pending {
 			n := len(p.ctx) + 1
 			p.build(block[:n:n])
@@ -574,8 +561,8 @@ func scoreSequences(dev *device.Device, seqs [][]model.Token) ([]float64, int64,
 }
 
 // scoreFrontier returns next-token log-probs for a batch of frontier contexts:
-// the one statement of how every engine scores, shortest path, beam, Mass and
-// the sampler's one-context steps alike. On the full path it is one packed
+// the one statement of how every engine scores, shortest path, beam and the
+// sampler's one-context steps alike. On the full path it is one packed
 // Forward over the clamped contexts. The incremental path asks in the order
 // logit LRU → KV arena → device (DESIGN.md decision 10). A context whose row
 // is resident is answered by the device's probe and gets no state. Of the
@@ -748,14 +735,26 @@ func roundDevice(dev *device.Device, q *Query, round int64, nodes int) (*device.
 	return dev.WithTrace(q.Trace, sp), sp
 }
 
-// prefixDevice opens the "prefix.score" span that roots a traversal (the
-// batched scoring of the enumerated prefix set).
-func prefixDevice(dev *device.Device, q *Query) (*device.Device, trace.SpanID) {
-	if q.Trace == nil {
-		return dev, 0
+// scorePrefixes scores the enumerated prefix set in one batched device round,
+// under the "prefix.score" span that roots a traversal, and returns each
+// prefix's log probability. A query cancelled before it starts dispatches
+// nothing. An error ends the stream.
+func (s *stream) scorePrefixes() ([]float64, error) {
+	if err := s.q.Context.Err(); err != nil {
+		return nil, s.finish(err)
 	}
-	sp := q.Trace.Start(trace.RootID, "prefix.score")
-	return dev.WithTrace(q.Trace, sp), sp
+	dev, sp := s.dev, trace.SpanID(0)
+	if s.q.Trace != nil {
+		sp = s.q.Trace.Start(trace.RootID, "prefix.score")
+		dev = dev.WithTrace(s.q.Trace, sp)
+	}
+	logPs, calls, err := scoreSequences(dev, s.q.Prefixes)
+	s.q.Trace.End(sp)
+	if err != nil {
+		return nil, s.finish(err)
+	}
+	s.stats.modelCalls.Add(calls)
+	return logPs, nil
 }
 
 // queryContext returns the query's cancellation context, defaulting to

@@ -203,26 +203,40 @@ func TestSamplerCancellation(t *testing.T) {
 	}
 }
 
-// TestMassCancellation checks a cancelled Mass run still returns sound
-// (if wide) bounds.
-func TestMassCancellation(t *testing.T) {
+// TestCancelledQueryDispatchesNothing: a query whose context is cancelled
+// before the stream is built does no device work, not even its prefix
+// scoring, on any strategy, and Next keeps returning context.Canceled. Each
+// strategy runs on a cold device of its own.
+func TestCancelledQueryDispatchesNothing(t *testing.T) {
 	env := newNgramEnv(t, biasCorpus())
 	char := regex.MustCompile("( (engineering|medicine|art))+")
 	pat := compiler.CompileFull(char, env.tok)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before any refinement
-	q := &Query{
-		Pattern:  pat,
-		Prefixes: [][]model.Token{env.tok.Encode("The man was trained in")},
-		Context:  ctx,
-		MaxNodes: 1 << 16,
+	strategies := []struct {
+		name string
+		open func(*device.Device, *Query) Stream
+	}{
+		{"dijkstra", func(d *device.Device, q *Query) Stream { return ShortestPath(d, q) }},
+		{"beam", func(d *device.Device, q *Query) Stream { return Beam(d, q, BeamOptions{Width: 4}) }},
+		{"sampler", func(d *device.Device, q *Query) Stream { return Sample(d, q, SamplerOptions{Seed: 1}) }},
 	}
-	res := must(Mass(env.dev, q, MassOptions{Tolerance: 1e-9}))
-	if res.Lower < 0 || res.Upper > 1 || res.Lower > res.Upper {
-		t.Fatalf("cancelled Mass bounds unsound: [%g, %g]", res.Lower, res.Upper)
-	}
-	if res.Expanded != 0 {
-		t.Fatalf("cancelled-before-start Mass expanded %d nodes, want 0", res.Expanded)
+	for _, st := range strategies {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		dev := countingDevice(env.lm, 32)
+		s := st.open(dev, &Query{
+			Pattern:  pat,
+			Prefixes: [][]model.Token{env.tok.Encode("The man was trained in")},
+			Context:  ctx,
+		})
+		for i := 0; i < 2; i++ {
+			if _, err := s.Next(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: Next #%d = %v, want context.Canceled", st.name, i+1, err)
+			}
+		}
+		s.Close()
+		if n := dev.Stats().Batches; n != 0 {
+			t.Errorf("%s: cancelled query dispatched %d batches, want 0", st.name, n)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 // order (DESIGN.md decision 6), so any divergence is the production side's
 // lazy siblings, cursors or per-hypothesis cut. Each reference states the
 // expansion rule over again on purpose: production has it once
-// (Query.expand), so an edit to it shows against all four.
+// (Query.expand), so an edit to it shows against all three.
 
 func refAppendToken(ctx []model.Token, t model.Token) []model.Token {
 	out := make([]model.Token, len(ctx)+1)
@@ -324,87 +324,6 @@ func refBeamTake(out []Result, at []Stats, full Stats, limit int) ([]Result, Sta
 	return out[:limit], at[limit-1]
 }
 
-// refMass is Mass's traversal as it was.
-func refMass(dev *device.Device, query *Query, opts MassOptions) *MassResult {
-	q := normalizeQuery(dev, query)
-	defer q.cancel()
-	m := dev.Model()
-	batchSize := EffectiveBatch(dev, q.BatchExpand)
-	res := &MassResult{}
-	var frontier massHeap
-	frontierMass := 0.0
-	rootMass := 1.0 / float64(len(q.Prefixes))
-	for _, p := range q.Prefixes {
-		heap.Push(&frontier, &massNode{path: rootPath(p), state: q.Pattern.Start(), mass: rootMass})
-		frontierMass += rootMass
-	}
-	for frontier.Len() > 0 {
-		res.Upper = res.Lower + frontierMass
-		if res.Upper-res.Lower <= opts.Tolerance {
-			res.Converged = true
-			break
-		}
-		if res.Expanded >= int64(q.MaxNodes) {
-			break
-		}
-		var batch []*massNode
-		for len(batch) < batchSize && frontier.Len() > 0 && res.Expanded+int64(len(batch)) < int64(q.MaxNodes) {
-			n := heap.Pop(&frontier).(*massNode)
-			frontierMass -= n.mass
-			batch = append(batch, n)
-		}
-		lps := must(scoreFrontier(dev, q, contexts(batch)))
-		res.Expanded += int64(len(batch))
-		type slot struct {
-			matched   bool
-			matchMass float64
-			children  []*massNode
-		}
-		slots := make([]slot, len(batch))
-		for i := range batch {
-			n, lp := batch[i], lps[i]
-			filtered := decoding.Allowed(q.Rule, lp, nil)
-			if q.Pattern.Accepting(n.state) && n.pat > 0 &&
-				refAllowFinal(q, n.ctx[len(n.ctx)-n.pat:]) && filtered[m.EOS()] != model.NegInf {
-				slots[i].matched = true
-				slots[i].matchMass = n.mass * math.Exp(lp[m.EOS()])
-			}
-			if n.pat >= q.MaxTokens {
-				continue
-			}
-			for _, e := range q.Pattern.Edges(n.state) {
-				if filtered[e.Sym] == model.NegInf {
-					continue
-				}
-				childMass := n.mass * math.Exp(lp[e.Sym])
-				if childMass <= 0 {
-					continue
-				}
-				child := &massNode{path: path{ctx: refAppendToken(n.ctx, e.Sym)}, state: e.To, pat: n.pat + 1, mass: childMass}
-				if refAllowPartial(q, child.ctx[len(child.ctx)-child.pat:]) {
-					slots[i].children = append(slots[i].children, child)
-				}
-			}
-		}
-		for _, sl := range slots {
-			if sl.matched {
-				res.Lower += sl.matchMass
-				res.Matches++
-			}
-			for _, child := range sl.children {
-				heap.Push(&frontier, child)
-				frontierMass += child.mass
-			}
-		}
-	}
-	res.Upper = res.Lower + frontierMass
-	if res.Upper-res.Lower <= opts.Tolerance {
-		res.Converged = true
-	}
-	res.Upper = min(max(res.Upper, res.Lower), 1)
-	return res
-}
-
 // refSampleOnce is samplerStream.sampleOnce as it was: one candidate copy
 // and one AllowPartial call per surviving edge. Every step is scored by a
 // plain Forward, so on an incremental query the walk's rows — and with them
@@ -602,7 +521,7 @@ func (c *countingLM) ExtendBatch(states []model.DecodeState, tokens []model.Toke
 	return c.LM.ExtendBatch(states, tokens)
 }
 
-// TestExpansionMatchesPerChildReference drives all four engines through the
+// TestExpansionMatchesPerChildReference drives all three strategies through the
 // per-parent expansion and through the per-child reference above and demands
 // the same emitted sequences, log-probs, model calls and expanded nodes —
 // with and without the canonical filter over the all-encodings automaton,
@@ -665,9 +584,9 @@ func TestExpansionMatchesPerChildReference(t *testing.T) {
 	}
 }
 
-// checkExpansion compares all four engines with their references: shortest
+// checkExpansion compares the three strategies with their references: shortest
 // path and beam (width 6) over the first limit results, beam drained as well,
-// Mass's bounds bit for bit and the sampler's seeded draws.
+// and the sampler's seeded draws.
 func checkExpansion(t *testing.T, name string, dev *device.Device, query func() *Query, limit int) {
 	t.Helper()
 	before := rowsAsked(dev)
@@ -685,16 +604,6 @@ func checkExpansion(t *testing.T, name string, dev *device.Device, query func() 
 	got, gotStats = drainResults(t, Beam(dev, query(), BeamOptions{Width: 6}), math.MaxInt)
 	sameResults(t, name+"/beam/drained", resultRows(got), resultRows(all))
 	sameStats(t, name+"/beam/drained", gotStats, full)
-
-	massQuery := func() *Query { q := query(); q.MaxNodes = 600; return q }
-	opts := MassOptions{Tolerance: 1e-6}
-	gm, wm := must(Mass(dev, massQuery(), opts)), refMass(dev, massQuery(), opts)
-	if *gm != *wm {
-		t.Fatalf("%s/mass: %+v, reference %+v", name, *gm, *wm)
-	}
-	if gm.Lower < 0 || gm.Lower > gm.Upper || gm.Upper > 1 {
-		t.Fatalf("%s/mass: unsound bounds [%v, %v]", name, gm.Lower, gm.Upper)
-	}
 
 	// Sampling: the same seeded attempts through both expansions.
 	const attempts = 24
@@ -743,8 +652,8 @@ func (c *classLM) ScoreBatch(ctxs [][]model.Token) [][]float64 { return model.Sc
 // lazy sibling cursors and beam's per-hypothesis cut still emit exactly what
 // the eager references do under the frontier order — sequences, log-probs,
 // model calls and expanded nodes — at every batch size,
-// with and without a top-k cut inside a tie class; Mass's bounds and the
-// sampler's draws, including its stop-mass move without EOS, match theirs.
+// with and without a top-k cut inside a tie class; the sampler's draws,
+// including its stop-mass move without EOS, match theirs.
 func TestTieDenseFrontierMatchesReference(t *testing.T) {
 	const vocab, depth = 13, 4
 	dev := countingDevice(&classLM{model.Uniform{Vocab: vocab, EOSTok: vocab - 1, SeqLen: 16}}, 8)

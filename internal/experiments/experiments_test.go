@@ -361,10 +361,6 @@ func TestSharedRowsStayUnwritten(t *testing.T) {
 			return nil
 		})
 	}
-	run("mass", func() error {
-		_, err := relm.Mass(m, relm.SearchQuery{Query: url, TopK: 40, MaxTokens: 8, MaxNodes: 200}, relm.MassOptions{})
-		return err
-	})
 	run("freeSample", func() error {
 		rng := rand.New(rand.NewSource(1))
 		for range 20 {

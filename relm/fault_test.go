@@ -128,16 +128,6 @@ func TestIncrementalFaultReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestMassReturnsDeviceFault: Mass is synchronous, so a fault is its error.
-func TestMassReturnsDeviceFault(t *testing.T) {
-	m := testModel(t)
-	armFaults(t, "device.forward=n1")
-	est, err := Mass(m, SearchQuery{Query: QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"}}, MassOptions{})
-	if est != nil || !errors.Is(err, fault.ErrTransient) {
-		t.Fatalf("Mass returned %v, %v; want the injected transient fault", est, err)
-	}
-}
-
 // poisonedLM panics on any context longer than depth tokens: a model bug
 // that strikes mid-query. Its ScoreBatch goes through NextLogProbs.
 type poisonedLM struct {

@@ -12,7 +12,7 @@ import (
 // traversals share forwards, in an order that depends on goroutine timing —
 // so these tests pin the load-bearing claim: every query's result stream is
 // byte-identical to the stream the same query produces alone on an unfused
-// model, for all four engines, with incremental decoding on and off.
+// model, for all three strategies, with incremental decoding on and off.
 
 type fusionCase struct {
 	name string
@@ -122,45 +122,6 @@ func TestFusionCrossQueryDeterminism(t *testing.T) {
 	}
 	t.Logf("batcher: %d fused batches, %.1f mean occupancy, %d multi-query",
 		bs.FusedBatches, bs.MeanOccupancy, bs.MultiQueryBatches)
-}
-
-// TestFusionMassEquivalence: the fourth engine — Mass's certified bound
-// computation — returns identical bounds under fusion, concurrently with
-// itself.
-func TestFusionMassEquivalence(t *testing.T) {
-	lm, tok := trainIncrTransformer(t)
-	q := SearchQuery{
-		Query: QueryString{Pattern: " ((cat)|(dog))", Prefix: "The"},
-	}
-	plain := NewModel(lm, tok, ModelOptions{})
-	want, err := Mass(plain, q, MassOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fused := NewModel(lm, tok, ModelOptions{ContinuousBatching: true})
-	defer fused.Close()
-	const n = 4
-	got := make([]*MassEstimate, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sess := fused.NewSession()
-		wg.Add(1)
-		go func(i int, m *Model) {
-			defer wg.Done()
-			got[i], errs[i] = Mass(m, q, MassOptions{})
-		}(i, sess.Model)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("fused mass %d: %v", i, errs[i])
-		}
-		if got[i].Lower != want.Lower || got[i].Upper != want.Upper || got[i].Matches != want.Matches {
-			t.Errorf("fused mass %d = %+v, want %+v", i, got[i], want)
-		}
-	}
 }
 
 // TestFusionModelCloseIdempotent: closing a fused model twice (and closing

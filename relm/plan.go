@@ -17,25 +17,15 @@ import (
 	"repro/internal/trace"
 )
 
-// compiled holds the products of pattern compilation, shared by Search,
-// Explain, and Mass. A compiled plan is immutable once built — no DFA
-// changes after its Builder makes it, and the filter is stateless — so one
-// instance may be shared by any number of concurrent queries via the plan
-// cache.
+// compiled holds the products of pattern compilation, shared by Search and
+// Explain. A compiled plan is immutable once built — no DFA changes after its
+// Builder makes it, and the filter is stateless — so one instance may be
+// shared by any number of concurrent queries via the plan cache.
 type compiled struct {
 	char   *automaton.DFA // byte-alphabet automaton after preprocessors (minimized)
 	token  *automaton.DFA // token-alphabet LLM automaton
 	filter *compiler.CanonicalFilter
 }
-
-// runKind is what a query is lowered for.
-type runKind uint8
-
-const (
-	searchRun runKind = iota // Search: streamed by the query's Strategy
-	massRun                  // Mass: best-first refinement of its bounds
-	planRun                  // Explain: described, never executed
-)
 
 // run is a query lowered to what executes it: the compiled pattern and
 // prefix, and one engine.Query with every execution knob resolved, its
@@ -50,10 +40,11 @@ type run struct {
 
 // lower is the one place a query becomes a run (§3.1: regex -> natural
 // language automaton -> preprocessors -> LLM automaton -> executor). Search
-// and Mass execute what it returns and Explain only describes it, so a plan
-// reports the run that executes. It applies q's defaults in place. A plan
-// run opens no trace and never enumerates or encodes the prefix.
-func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
+// executes what it returns (execute) and Explain only describes it, so a plan
+// reports the run that executes. It applies q's defaults in place. A run
+// lowered for Explain opens no trace and never enumerates or encodes the
+// prefix.
+func lower(m *Model, q *SearchQuery, execute bool) (run, error) {
 	if m == nil || m.Tok == nil || m.Dev == nil {
 		return run{}, errors.New("relm: model is incomplete")
 	}
@@ -62,12 +53,12 @@ func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
 		return run{}, err
 	}
 	var batch int
-	switch {
-	case kind == massRun || q.Strategy == ShortestPath:
+	switch q.Strategy {
+	case ShortestPath:
 		batch = engine.EffectiveBatch(m.Dev, q.BatchExpand)
-	case q.Strategy == BeamSearch:
+	case BeamSearch:
 		batch = cmp.Or(q.BeamWidth, 8) // a level is one device round
-	case q.Strategy == RandomSampling:
+	case RandomSampling:
 		batch = 1 // one context per step
 	default:
 		return run{}, fmt.Errorf("relm: unknown search strategy %d", q.Strategy)
@@ -79,7 +70,7 @@ func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
 
 	// One trace (or nil) covers compile, prefix scoring, every round, emission.
 	var tr *trace.Trace
-	if kind != planRun {
+	if execute {
 		tr = m.tracer.NewTrace()
 		tr.Annotate(trace.RootID, "pattern", q.Query.Pattern)
 		if q.Query.Prefix != "" {
@@ -97,8 +88,8 @@ func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
 		r.prefix, err = compilePrefix(m, q)
 	}
 	var prefixes [][]model.Token
-	if err == nil && r.prefix != nil && kind != planRun {
-		if kind == searchRun && q.Strategy == RandomSampling {
+	if err == nil && r.prefix != nil && execute {
+		if q.Strategy == RandomSampling {
 			r.walks = r.prefix.Walks()
 		} else {
 			prefixes, err = r.prefix.Encode()
@@ -112,13 +103,11 @@ func lower(m *Model, q *SearchQuery, kind runKind) (run, error) {
 	tr.End(compSpan)
 
 	r.eq = engine.Query{
-		Pattern:  r.comp.token,
-		Prefixes: prefixes,
-		Rule:     buildRule(q),
-		Filter:   r.comp.filter,
-		// Mass measures complete generations: the EOS that ends a match is
-		// part of its probability and must pass the decision rules (§2.4).
-		RequireEOS:  q.RequireEOS || kind == massRun,
+		Pattern:     r.comp.token,
+		Prefixes:    prefixes,
+		Rule:        buildRule(q),
+		Filter:      r.comp.filter,
+		RequireEOS:  q.RequireEOS,
 		MaxTokens:   maxTokens,
 		MaxNodes:    q.MaxNodes,
 		BatchExpand: batch,
@@ -248,12 +237,11 @@ type Plan struct {
 	// Strategy echoes the traversal.
 	Strategy SearchStrategy
 	// BatchSize bounds the frontier rows each device round scores, per
-	// strategy (DESIGN.md decision 6): for shortest path and Mass, the
-	// query's BatchExpand, or the device batch limit when unset — for
-	// shortest path, the nodes a round pops and the most rows one dispatch
-	// carries; for beam search, the beam width, since a whole level is one
-	// round; for random sampling, 1, since a walk scores one context per
-	// step.
+	// strategy (DESIGN.md decision 6): for shortest path, the query's
+	// BatchExpand, or the device batch limit when unset — the nodes a round
+	// pops and the most rows one dispatch carries; for beam search, the beam
+	// width, since a whole level is one round; for random sampling, 1, since
+	// a walk scores one context per step.
 	BatchSize int
 	// DeviceWorkers is the device-side scoring width: the size of
 	// ModelOptions.Pool, or 1 without one.
@@ -336,7 +324,7 @@ func strategyName(s SearchStrategy) string {
 // Explain lowers a query exactly as Search would and returns the execution
 // plan instead of running it. No model inference is performed.
 func Explain(m *Model, q SearchQuery) (*Plan, error) {
-	r, err := lower(m, &q, planRun)
+	r, err := lower(m, &q, false)
 	if err != nil {
 		return nil, err
 	}

@@ -139,7 +139,7 @@ func TestExplainErrors(t *testing.T) {
 	}
 }
 
-// TestEntryPointsRejectInvalidQueries: Search, Mass and Explain share one
+// TestEntryPointsRejectInvalidQueries: Search and Explain share one
 // lowering, so each refuses every value SearchQuery.Validate rules out, and
 // refuses it before compiling anything.
 func TestEntryPointsRejectInvalidQueries(t *testing.T) {
@@ -167,9 +167,6 @@ func TestEntryPointsRejectInvalidQueries(t *testing.T) {
 		}
 		if _, err := Search(m, q); err == nil {
 			t.Errorf("%s: Search accepted it", c.name)
-		}
-		if _, err := Mass(m, q, MassOptions{}); err == nil {
-			t.Errorf("%s: Mass accepted it", c.name)
 		}
 		if _, err := Explain(m, q); err == nil {
 			t.Errorf("%s: Explain accepted it", c.name)

@@ -12,8 +12,8 @@ import (
 )
 
 // prefixLanguage is the compiled prefix regex together with its resolved
-// enumeration budget — the §3.4 prefix handling Search, Explain, and Mass
-// share. The prefix is itself a regex; its strings are enumerated (budget
+// enumeration budget — the §3.4 prefix handling Search and Explain share.
+// The prefix is itself a regex; its strings are enumerated (budget
 // permitting) and canonically encoded, except for random sampling, which
 // draws walks from the byte automaton directly. Each product — the size, the
 // encoded strings, the walk-count table — is computed on first use under its

@@ -22,9 +22,8 @@
 //	}
 //
 // Beyond Search, the package provides Explain (compile a query into an
-// execution plan without running it) and Mass (certified lower/upper bounds
-// on the probability that a complete generation falls in the query's
-// language) — the paper's future-work directions, implemented.
+// execution plan without running it), the query optimization the paper's
+// conclusion plans.
 package relm
 
 import (
@@ -131,11 +130,11 @@ type SearchQuery struct {
 	PrefixLimit int
 	// PrefixMaxLen caps prefix length in bytes (default 128); compilePrefix.
 	PrefixMaxLen int
-	// MaxNodes caps node expansions, shortest path's (default 1<<20) and
-	// Mass's (default 1<<17); the engine's traversal loop.
+	// MaxNodes caps shortest path's node expansions (default 1<<20); the
+	// engine's traversal loop.
 	MaxNodes int
-	// BatchExpand sets the shortest-path and Mass frontier batch size (0: the
-	// device's batch limit; 1: one-at-a-time expansion). Batching amortizes
+	// BatchExpand sets the shortest-path frontier batch size (0: the device's
+	// batch limit; 1: one-at-a-time expansion). Batching amortizes
 	// device dispatch; matches still come in non-increasing probability at
 	// any setting, and only matches of equal probability can change places.
 	// engine.EffectiveBatch.
@@ -167,7 +166,7 @@ type SearchQuery struct {
 
 // Validate reports the first field of q outside its valid range: a negative
 // TopK, Temperature, BeamWidth or BatchExpand, or a TopP outside
-// [0, 1]. Search, Mass and Explain call it; a front end calls it to refuse a
+// [0, 1]. Search and Explain call it; a front end calls it to refuse a
 // query before it pays for anything else.
 func (q SearchQuery) Validate() error {
 	switch {
@@ -457,7 +456,7 @@ func (m *Model) PlanCacheProbe() func() PlanCacheStats {
 // frontiers deduplicate model calls while /v1/stats can still say which
 // query benefited (DESIGN.md decision 8).
 type Session struct {
-	// Model is the per-session view; pass it to Search/Explain/Mass.
+	// Model is the per-session view; pass it to Search/Explain.
 	Model *Model
 	scope *cache.LM
 }
@@ -638,7 +637,7 @@ func (r *Results) Tracing() *trace.Trace { return r.trace }
 // stream. Compilation follows §3.1's pipeline: regex -> Natural Language
 // Automaton -> (preprocessors) -> LLM Automaton -> executor.
 func Search(m *Model, q SearchQuery) (*Results, error) {
-	r, err := lower(m, &q, searchRun)
+	r, err := lower(m, &q, true)
 	if err != nil {
 		return nil, err
 	}
